@@ -6,9 +6,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-tables trace-demo clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity bench-tables trace-demo clean
 
-verify: build test clippy doc doctest doclinks stress bench-smoke
+verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity
 
 build:
 	$(CARGO) build --release
@@ -67,6 +67,16 @@ stress:
 # BENCH_fork_modes.json at the repo root.
 bench-smoke:
 	FORKROAD_RESULTS=target/bench-smoke $(CARGO) run --release -q -p fpr-bench --bin bench_smoke
+
+# Byte-identity, mechanically: the smoke run rewrites every BENCH_*.json
+# at the repo root, and the six deterministic ones must come out
+# byte-for-byte as committed — a cycle that moved without its snapshot
+# being regenerated in the same change fails here. BENCH_smp.json and
+# BENCH_faults_smp.json carry host-scheduling counts (contended_acquires,
+# ops_after_failure) and stay out of the diff; their deterministic fields
+# are asserted inside bench_smoke itself.
+bench-identity: bench-smoke
+	git diff --exit-code -- BENCH_fork_modes.json BENCH_spawn_fastpath.json BENCH_pressure.json BENCH_swap.json BENCH_thp.json BENCH_service.json
 
 # Regenerate the paper tables/figures (quick sweeps).
 bench-tables:

@@ -9,7 +9,7 @@
 
 use crate::os::{Os, OsConfig};
 use fpr_kernel::MachineConfig;
-use fpr_mem::{ForkMode, OvercommitPolicy, Prot, Share, CYCLES_PER_US};
+use fpr_mem::{ForkMode, OvercommitPolicy, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// One measurement at a given CPU occupancy.
@@ -103,38 +103,6 @@ pub fn measure_thp(threads: u32, footprint: u64) -> u64 {
     cycles
 }
 
-/// Frame-allocation storm: the cycles `pages` demand-zero faults cost
-/// while `threads` CPUs contend for the allocator. With
-/// `per_cpu_cache`, each CPU fills a private magazine from one batched
-/// buddy acquisition, so the global serialization (and its per-contender
-/// penalty) is paid once per batch instead of once per frame — the
-/// second half of the fork-doesn't-scale story (allocator contention on
-/// the COW-break flood) and its ablation.
-pub fn alloc_storm(threads: u32, pages: u64, per_cpu_cache: bool) -> u64 {
-    let mut os = Os::boot(OsConfig {
-        machine: MachineConfig {
-            cpus: 128,
-            frames: pages * 2 + 16_384,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    });
-    os.kernel.phys.set_contenders(threads.saturating_sub(1));
-    if per_cpu_cache {
-        os.kernel.phys.enable_frame_cache(threads as usize, 16);
-    }
-    let parent = os
-        .make_parent(ProcessShape::with_heap(16))
-        .expect("parent fits");
-    let base = os
-        .kernel
-        .mmap_anon(parent, pages, Prot::RW, Share::Private)
-        .expect("map");
-    let (_, cycles) = os.measure(|os| os.kernel.populate(parent, base, pages).expect("populate"));
-    cycles
-}
-
 /// Runs the sweep.
 pub fn run(thread_counts: &[u32], footprint: u64) -> FigureData {
     let mut fig = FigureData::new(
@@ -147,8 +115,6 @@ pub fn run(thread_counts: &[u32], footprint: u64) -> FigureData {
     let mut thp_s = Series::new("fork_thp");
     let mut cow_s = Series::new("cow_break");
     let mut ablate_s = Series::new("fork_no_shootdown");
-    let mut storm_global_s = Series::new("alloc_storm_global");
-    let mut storm_cached_s = Series::new("alloc_storm_percpu");
     for &t in thread_counts {
         let p = measure(t, footprint);
         fork_s.push(t as f64, p.fork_cycles as f64 / CYCLES_PER_US as f64);
@@ -161,23 +127,8 @@ pub fn run(thread_counts: &[u32], footprint: u64) -> FigureData {
             t as f64,
             p.fork_cycles_no_shootdown as f64 / CYCLES_PER_US as f64,
         );
-        storm_global_s.push(
-            t as f64,
-            alloc_storm(t, footprint, false) as f64 / CYCLES_PER_US as f64,
-        );
-        storm_cached_s.push(
-            t as f64,
-            alloc_storm(t, footprint, true) as f64 / CYCLES_PER_US as f64,
-        );
     }
-    fig.series = vec![
-        fork_s,
-        thp_s,
-        cow_s,
-        ablate_s,
-        storm_global_s,
-        storm_cached_s,
-    ];
+    fig.series = vec![fork_s, thp_s, cow_s, ablate_s];
     fig
 }
 
@@ -211,35 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn per_cpu_cache_ablates_allocator_contention() {
-        // Uncontended (1 CPU), the cache still wins slightly through
-        // batching; under contention the gap must widen dramatically —
-        // the global path pays the serialization per frame, the cached
-        // path per batch.
-        let global_1 = alloc_storm(1, 512, false);
-        let cached_1 = alloc_storm(1, 512, true);
-        assert!(cached_1 < global_1);
-        let global_16 = alloc_storm(16, 512, false);
-        let cached_16 = alloc_storm(16, 512, true);
-        assert!(
-            global_16 - cached_16 > (global_1 - cached_1) * 8,
-            "contention gap must dwarf the uncontended one: \
-             {global_16}-{cached_16} vs {global_1}-{cached_1}"
-        );
-        // Contention does not grow the cached path's cost per frame much:
-        // refills amortise the per-contender penalty over the batch.
-        assert!((cached_16 as f64) < cached_1 as f64 * 2.0);
-    }
-
-    #[test]
-    fn figure_has_six_series() {
+    fn figure_has_four_series() {
         let fig = run(&[1, 4], 512);
-        assert_eq!(fig.series.len(), 6);
+        assert_eq!(fig.series.len(), 4);
         assert!(fig.series("fork").is_some());
         assert!(fig.series("fork_thp").is_some());
         assert!(fig.series("fork_no_shootdown").is_some());
-        assert!(fig.series("alloc_storm_global").is_some());
-        assert!(fig.series("alloc_storm_percpu").is_some());
+        assert!(fig.series("cow_break").is_some());
     }
 
     #[test]

@@ -237,11 +237,14 @@ impl SmpOs {
     }
 
     /// Structural violations right now: every cell's
-    /// [`Kernel::check_invariants`] plus machine-wide frame conservation
-    /// (every frame is free in the pool or drawn by exactly one cell).
+    /// [`Kernel::check_invariants`] plus machine-wide conservation of
+    /// frames (every frame is free in the pool or drawn by exactly one
+    /// cell) and of PIDs (every PID live in the shared table names a
+    /// process-table entry of exactly one cell).
     pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         let mut drawn = 0u64;
+        let mut procs_total = 0usize;
         for (i, cell) in self.cells.iter().enumerate() {
             let os = cell.lock();
             if let Err(errs) = os.kernel.check_invariants() {
@@ -264,6 +267,15 @@ impl SmpOs {
                 }
             }
             drawn += os.kernel.phys.drawn_frames();
+            procs_total += os.kernel.process_count();
+        }
+        // Read after every cell was visited under its mm lock, like the
+        // pool's free count below: exact at quiesce.
+        let live_pids = self.shared.pids.live();
+        if live_pids != procs_total {
+            v.push(format!(
+                "pid conservation: {live_pids} live in the shared table != {procs_total} process-table entries"
+            ));
         }
         let pool = &self.shared.pool;
         if drawn + pool.free_frames() != pool.total_frames() {

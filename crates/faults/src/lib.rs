@@ -174,8 +174,9 @@ fault_sites! {
     PtDemote => "pt_demote",
     /// Refilling a cell's frame magazine from the machine-wide
     /// `SharedFramePool` (`fpr-mem::phys`), crossed before the buddy
-    /// lock is taken. SMP-only: single-kernel machines never refill a
-    /// magazine, so the single-threaded world replays byte-identically.
+    /// lock is taken. Only a cell with its magazine on crosses it: a
+    /// single-kernel machine boots with the magazine off, so its fail
+    /// points are unchanged.
     PoolRefill => "pool_refill",
     /// Evacuating a fail-stopped kernel cell (`fpr-kernel::lifecycle`),
     /// crossed before any process is killed, so an injected failure

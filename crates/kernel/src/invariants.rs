@@ -29,7 +29,7 @@ pub struct KernelBaseline {
     pub used_frames: u64,
     /// Commit charge.
     pub committed: u64,
-    /// Live PIDs (allocator view).
+    /// PIDs this kernel holds out of the machine-wide table.
     pub live_pids: usize,
     /// Process-table entries (including zombies).
     pub processes: usize,
@@ -51,7 +51,7 @@ impl Kernel {
         KernelBaseline {
             used_frames: self.phys.used_frames(),
             committed: self.commit.committed(),
-            live_pids: self.pids.live(),
+            live_pids: self.held_pids,
             processes: self.procs.len(),
             live_ofds: self.ofds.live(),
             live_pipes: self.pipes.live(),
@@ -285,10 +285,10 @@ impl Kernel {
                 }
             }
         }
-        if self.pids.live() != self.procs.len() {
+        if self.held_pids != self.procs.len() {
             v.push(format!(
                 "{} PIDs allocated but {} process-table entries",
-                self.pids.live(),
+                self.held_pids,
                 self.procs.len()
             ));
         }

@@ -11,7 +11,7 @@ use crate::error::{Errno, KResult};
 use crate::fdtable::{Fd, FdEntry, FdTable};
 use crate::file::{FileObject, OfdTable, OpenFlags};
 use crate::lifecycle::OomGuard;
-use crate::pid::{Pid, PidAllocator, ShardedPidTable, Tid, TidAllocator};
+use crate::pid::{Pid, ShardedPidTable, Tid, TidAllocator};
 use crate::pipe::PipeTable;
 use crate::rlimit::Resource;
 use crate::sched::{Scheduler, Task};
@@ -100,7 +100,6 @@ pub struct Kernel {
     pub atfork_log: Vec<(Pid, u64, crate::atfork::AtforkPhase)>,
     /// Pending alarms (see `timer`).
     pub(crate) alarms: Vec<crate::timer::Alarm>,
-    pub(crate) pids: PidAllocator,
     pub(crate) tids: TidAllocator,
     pub(crate) procs: BTreeMap<Pid, Process>,
     /// Live process count per real uid (RLIMIT_NPROC accounting).
@@ -112,21 +111,23 @@ pub struct Kernel {
     pub(crate) reclaim_stats: crate::reclaim::ReclaimStats,
     /// Whether new address spaces get transparent huge pages.
     pub(crate) thp: bool,
-    /// The machine-wide PID table and this cell's home shard, when this
-    /// kernel is one SMP cell. `None` (the default) keeps PID allocation
-    /// on the private [`PidAllocator`], byte-identical to the
-    /// single-kernel machine.
-    pub(crate) pid_table: Option<(Arc<ShardedPidTable>, usize)>,
-    /// The machine-wide OOM single-flight guard, when SMP. `None` keeps
-    /// [`Kernel::oom_kill_guarded`] unconditional, like the single-kernel
-    /// machine.
-    pub(crate) oom_guard: Option<Arc<OomGuard>>,
+    /// The machine-wide PID table.
+    pub(crate) pid_table: Arc<ShardedPidTable>,
+    /// This kernel's cell index, which is also its home PID shard.
+    pub(crate) cell: usize,
+    /// PIDs this cell currently holds out of the table — the per-cell
+    /// leak check and the "PIDs held == process-table entries" invariant
+    /// read this, since the table's own count is machine-wide.
+    pub(crate) held_pids: usize,
+    /// The machine-wide OOM single-flight guard.
+    pub(crate) oom_guard: Arc<OomGuard>,
 }
 
-/// The services one multi-cell (SMP) machine shares across its cells:
-/// every cell is a [`Kernel`] on its own OS thread, drawing frames from
-/// one pool, PIDs from one striped table, shootdowns over one
-/// interconnect, and OOM decisions through one single-flight guard.
+/// The services one machine shares across its cells: every cell is a
+/// [`Kernel`], drawing frames from one pool, PIDs from one striped
+/// table, shootdowns over one interconnect, and OOM decisions through
+/// one single-flight guard. A multi-cell (SMP) machine runs each cell on
+/// its own OS thread; [`Kernel::new`] is the one-cell machine.
 ///
 /// Build one `SmpShared`, then boot each cell with [`Kernel::new_smp`].
 #[derive(Debug, Clone)]
@@ -155,16 +156,42 @@ impl SmpShared {
 }
 
 impl Kernel {
-    /// Boots a machine.
+    /// Boots a single-kernel machine: cell 0 of a private one-cell
+    /// [`SmpShared`]. The only difference from an SMP cell is the one
+    /// every checked-in single-kernel result prices in: no frame
+    /// magazine, so each frame costs `frame_alloc`, not
+    /// `frame_cache_hit`.
     pub fn new(cfg: MachineConfig) -> Kernel {
-        let mut phys = PhysMemory::new(cfg.frames, cfg.cost);
+        let shared = SmpShared::new(&cfg, 1);
+        let mut k = Kernel::new_smp(cfg, &shared, 0);
+        k.phys.disable_frame_cache();
+        k
+    }
+
+    /// Boots with the default configuration.
+    pub fn boot() -> Kernel {
+        Kernel::new(MachineConfig::default())
+    }
+
+    /// Boots cell `cell` of a machine: a full kernel whose physical
+    /// memory is a magazine over `shared.pool`, whose PIDs come from
+    /// `shared.pids` (home shard `cell`), whose remote shootdowns
+    /// serialize on `shared.tlb`, and whose OOM kills go through
+    /// `shared.oom`. Everything else (process table, VFS, scheduler) is
+    /// private to the cell, so cells only meet at the explicitly shared
+    /// services — exactly where real SMP kernels contend.
+    pub fn new_smp(cfg: MachineConfig, shared: &SmpShared, cell: usize) -> Kernel {
+        let mut phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost);
         phys.set_swap_capacity(cfg.swap_slots);
         let mut commit = CommitAccount::new(cfg.overcommit, cfg.frames);
         // CommitLimit = ratio * RAM + SwapTotal (Linux `Never` mode).
         commit.set_swap_pages(cfg.swap_slots);
         Kernel {
             phys,
-            tlb: TlbModel::new(),
+            tlb: TlbModel {
+                bus: Arc::clone(&shared.tlb),
+                ..TlbModel::new()
+            },
             cycles: Cycles::new(),
             clock: Clock::new(),
             commit,
@@ -177,62 +204,30 @@ impl Kernel {
             handler_log: Vec::new(),
             atfork_log: Vec::new(),
             alarms: Vec::new(),
-            pids: PidAllocator::new(cfg.max_pids),
             tids: TidAllocator::new(),
             procs: BTreeMap::new(),
             user_counts: BTreeMap::new(),
             shrinkers: Vec::new(),
             reclaim_stats: crate::reclaim::ReclaimStats::default(),
             thp: cfg.thp,
-            pid_table: None,
-            oom_guard: None,
+            pid_table: Arc::clone(&shared.pids),
+            cell,
+            held_pids: 0,
+            oom_guard: Arc::clone(&shared.oom),
         }
     }
 
-    /// Boots with the default configuration.
-    pub fn boot() -> Kernel {
-        Kernel::new(MachineConfig::default())
-    }
-
-    /// Boots cell `cell` of a multi-cell machine: a full kernel whose
-    /// physical memory is a magazine over `shared.pool`, whose PIDs come
-    /// from `shared.pids` (home shard `cell`), whose remote shootdowns
-    /// serialize on `shared.tlb`, and whose OOM kills go through
-    /// `shared.oom`. Everything else (process table, VFS, scheduler) is
-    /// private to the cell, so cells only meet at the explicitly shared
-    /// services — exactly where real SMP kernels contend.
-    pub fn new_smp(cfg: MachineConfig, shared: &SmpShared, cell: usize) -> Kernel {
-        let mut k = Kernel::new(cfg.clone());
-        let mut phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost);
-        phys.set_swap_capacity(cfg.swap_slots);
-        k.phys = phys;
-        k.tlb.bus = Some(Arc::clone(&shared.tlb));
-        k.pid_table = Some((Arc::clone(&shared.pids), cell));
-        k.oom_guard = Some(Arc::clone(&shared.oom));
-        k
-    }
-
-    /// Allocates a PID: from the machine-wide table when this kernel is
-    /// an SMP cell (adopting it into the private allocator so per-cell
-    /// invariants keep holding), from the private allocator otherwise.
+    /// Allocates a PID from the machine-wide table, home shard first.
     pub(crate) fn alloc_pid(&mut self) -> KResult<Pid> {
-        match self.pid_table.as_ref() {
-            Some((table, home)) => {
-                let pid = table.alloc(*home)?;
-                self.pids.adopt(pid);
-                Ok(pid)
-            }
-            None => self.pids.alloc(),
-        }
+        let pid = self.pid_table.alloc(self.cell)?;
+        self.held_pids += 1;
+        Ok(pid)
     }
 
-    /// Frees a PID allocated by [`Kernel::alloc_pid`], returning it to
-    /// the machine-wide table as well when SMP.
+    /// Frees a PID allocated by [`Kernel::alloc_pid`].
     pub(crate) fn free_pid(&mut self, pid: Pid) {
-        self.pids.free(pid);
-        if let Some((table, _)) = self.pid_table.as_ref() {
-            table.free(pid);
-        }
+        self.pid_table.free(pid);
+        self.held_pids -= 1;
     }
 
     /// Charges one syscall entry/exit.

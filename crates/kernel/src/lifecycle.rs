@@ -7,6 +7,7 @@ use crate::signal::{DefaultAction, Disposition, Sig};
 use crate::task::{ProcState, SpaceRef};
 use fpr_trace::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
 pub const OOM_EXIT_STATUS: i32 = 137;
@@ -16,7 +17,7 @@ pub const OOM_EXIT_STATUS: i32 = 137;
 /// back.
 pub const SIGBUS_EXIT_STATUS: i32 = 135;
 
-/// Single-flight guard for the OOM killer on a multi-cell machine.
+/// Single-flight guard for the machine's OOM killer.
 ///
 /// Memory pressure on a shared frame pool is machine-wide, so under a
 /// concurrent allocation storm several cells can conclude "someone must
@@ -332,21 +333,14 @@ impl Kernel {
     }
 
     /// The OOM killer, routed through the machine-wide single-flight
-    /// guard when this kernel is an SMP cell. `observed_epoch` is the
-    /// guard epoch the caller read ([`Kernel::oom_epoch`]) when it first
-    /// hit `ENOMEM`: if another cell has killed since (the epoch moved),
-    /// or pressure has already cleared, or a concurrent attempt wins the
-    /// epoch race, no second process dies — the caller gets
-    /// [`OomDecision::Raced`] / [`OomDecision::Relieved`] and should
-    /// simply retry its allocation. Without a guard (the single-kernel
-    /// machine) this is exactly [`Kernel::oom_kill`].
+    /// guard. `observed_epoch` is the guard epoch the caller read
+    /// ([`Kernel::oom_epoch`]) when it first hit `ENOMEM`: if another
+    /// cell has killed since (the epoch moved), or pressure has already
+    /// cleared, or a concurrent attempt wins the epoch race, no second
+    /// process dies — the caller gets [`OomDecision::Raced`] /
+    /// [`OomDecision::Relieved`] and should simply retry its allocation.
     pub fn oom_kill_guarded(&mut self, observed_epoch: u64) -> OomDecision {
-        let Some(guard) = self.oom_guard.clone() else {
-            return match self.oom_kill() {
-                Some(pid) => OomDecision::Killed(pid),
-                None => OomDecision::NoVictim,
-            };
-        };
+        let guard = Arc::clone(&self.oom_guard);
         // Re-check under the shared pool's pressure: a kill on another
         // cell frees frames machine-wide, and killing again on stale
         // information is exactly the double-fire this guard exists to
@@ -359,7 +353,7 @@ impl Kernel {
         // means another cell is mid-kill (or died mid-kill and has not
         // been recovered): treat it like losing the epoch race — retry
         // the allocation rather than stacking a second victim.
-        let cell = self.cell_id().unwrap_or(0);
+        let cell = self.cell;
         if !guard.try_lease(cell) {
             metrics::incr("kernel.oom.raced");
             return OomDecision::Raced;
@@ -377,10 +371,10 @@ impl Kernel {
         decision
     }
 
-    /// This kernel's SMP cell index (its home PID shard), `None` on a
+    /// This kernel's cell index (its home PID shard); 0 on a
     /// single-kernel machine.
-    pub fn cell_id(&self) -> Option<usize> {
-        self.pid_table.as_ref().map(|&(_, cell)| cell)
+    pub fn cell_id(&self) -> usize {
+        self.cell
     }
 
     /// Evacuates a fail-stopped cell: kills every process (including
@@ -428,10 +422,9 @@ impl Kernel {
         Ok(evacuated)
     }
 
-    /// The OOM guard epoch to observe before attempting a guarded kill
-    /// (0 on a single-kernel machine, where the guard is absent).
+    /// The OOM guard epoch to observe before attempting a guarded kill.
     pub fn oom_epoch(&self) -> u64 {
-        self.oom_guard.as_ref().map_or(0, |g| g.epoch())
+        self.oom_guard.epoch()
     }
 
     /// The OOM killer: kills the process with the highest badness (see
@@ -709,6 +702,30 @@ mod tests {
     }
 
     #[test]
+    fn one_cell_guarded_oom_kill_fires_only_at_critical() {
+        let mut k = Kernel::new(crate::kernel::MachineConfig {
+            frames: 256,
+            ..Default::default()
+        });
+        let init = k.create_init("init").unwrap();
+        let hog = k.allocate_process(init, "hog").unwrap();
+        let b = k.mmap_anon(hog, 4, Prot::RW, Share::Private).unwrap();
+        k.populate(hog, b, 4).unwrap();
+        // Plenty of memory left: the guard refuses to kill on a sighting
+        // that pressure no longer backs.
+        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Relieved);
+        assert!(k.oom_kills.is_empty());
+        while k.phys.pressure() < fpr_mem::PressureLevel::Critical {
+            let b = k.mmap_anon(hog, 4, Prot::RW, Share::Private).unwrap();
+            k.populate(hog, b, 4).unwrap();
+        }
+        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Killed(hog));
+        assert_eq!(k.oom_kills, vec![hog]);
+        assert_eq!(k.oom_guard.lease_holder(), None, "lease free afterwards");
+        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Relieved);
+    }
+
+    #[test]
     fn oom_lease_is_exclusive_and_releasable_by_owner_only() {
         let g = OomGuard::new();
         assert_eq!(g.lease_holder(), None);
@@ -782,7 +799,7 @@ mod tests {
         assert!(evacuated >= 3, "init, a, grand all exited here");
         assert!(k1.procs.is_empty(), "no process survives evacuation");
         assert_eq!(k1.phys.drawn_frames(), 0, "magazine drained, nothing resident");
-        assert_eq!(k1.pids.live(), 0, "cell-local pid accounting emptied");
+        assert_eq!(k1.held_pids, 0, "cell-local pid accounting emptied");
         assert_eq!(
             shared.pids.live(),
             neighbour_live_before,

@@ -1,10 +1,12 @@
 //! Process and thread identifier allocation.
 //!
-//! Two layers: [`PidAllocator`] is the classic single-kernel bitmap, and
-//! [`ShardedPidTable`] stripes the PID space across several independently
-//! locked allocators so concurrent creators on different cells rarely
-//! touch the same lock — fork storms serialize on the memory subsystem,
-//! not on handing out numbers. Each shard's lock is a
+//! Two layers: [`PidAllocator`] is the classic bitmap, and
+//! [`ShardedPidTable`] — the machine's one PID space — stripes it across
+//! independently locked allocators, one per cell, so concurrent creators
+//! on different cells rarely touch the same lock — fork storms serialize
+//! on the memory subsystem, not on handing out numbers. A single-kernel
+//! machine is the one-shard table, which hands out 1, 2, 3, … exactly
+//! like the bare bitmap. Each shard's lock is a
 //! [`fpr_trace::smp::VLock`] named `"pid"`, so residual contention (the
 //! overflow scan when a home shard runs dry) is visible in
 //! [`fpr_trace::metrics::lock_stats`].
@@ -49,17 +51,11 @@ impl PidAllocator {
     /// Allocates the next free PID, wrapping at `max`.
     ///
     /// Fails with [`Errno::Eagain`] when the PID space is exhausted —
-    /// the error a fork bomb eventually sees.
+    /// the error a fork bomb eventually sees. No fault site is crossed
+    /// here: [`ShardedPidTable`] crosses [`FaultSite::PidAlloc`] once per
+    /// machine-wide allocation (so an injected fault is never masked by
+    /// the overflow scan) and then calls this on each candidate shard.
     pub fn alloc(&mut self) -> KResult<Pid> {
-        fpr_faults::cross(FaultSite::PidAlloc).map_err(|_| Errno::Eagain)?;
-        self.alloc_inner()
-    }
-
-    /// The allocation body, after the fault site. [`ShardedPidTable`]
-    /// crosses the site once per machine-wide allocation (so an injected
-    /// fault is never masked by the overflow scan) and then calls this on
-    /// each candidate shard.
-    fn alloc_inner(&mut self) -> KResult<Pid> {
         if self.in_use.len() as u32 >= self.max {
             return Err(Errno::Eagain);
         }
@@ -98,21 +94,6 @@ impl PidAllocator {
     pub fn capacity(&self) -> u32 {
         self.max
     }
-
-    /// Marks a PID allocated elsewhere (a [`ShardedPidTable`]) as live in
-    /// this allocator, so per-cell invariants over [`PidAllocator::live`]
-    /// keep holding when the machine-wide table hands out the numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PID is already live here.
-    pub fn adopt(&mut self, pid: Pid) {
-        assert!(
-            self.in_use.insert(pid.0),
-            "adopting already-live pid {}",
-            pid.0
-        );
-    }
 }
 
 /// A machine-wide PID space striped across independently locked shards.
@@ -122,9 +103,9 @@ impl PidAllocator {
 /// 1, 5, 9, …; shard 1 hands out 2, 6, 10, …. Each cell allocates from
 /// its *home* shard first and only scans the others when that shard is
 /// exhausted, so uncontended creation storms never collide on a lock.
-/// Every shard reuses [`PidAllocator`] underneath, so allocation crosses
-/// the same [`FaultSite::PidAlloc`] site as the single-kernel path and
-/// exhaustion surfaces as the same [`Errno::Eagain`].
+/// Every shard is a [`PidAllocator`] underneath; the table crosses
+/// [`FaultSite::PidAlloc`] once per allocation and exhaustion surfaces
+/// as [`Errno::Eagain`].
 #[derive(Debug)]
 pub struct ShardedPidTable {
     shards: Vec<VLock<PidAllocator>>,
@@ -167,15 +148,15 @@ impl ShardedPidTable {
 
     /// Allocates a PID, trying the caller's home shard first and scanning
     /// the others only on exhaustion. Crosses [`FaultSite::PidAlloc`]
-    /// exactly once, like the single-kernel path. Fails with
-    /// [`Errno::Eagain`] when every shard is dry.
+    /// exactly once. Fails with [`Errno::Eagain`] when every shard is
+    /// dry.
     pub fn alloc(&self, home: usize) -> KResult<Pid> {
         fpr_faults::cross(FaultSite::PidAlloc).map_err(|_| Errno::Eagain)?;
         let n = self.shards.len();
         let mut last = Err(Errno::Eagain);
         for i in 0..n {
             let s = (home + i) % n;
-            match self.shards[s].lock().alloc_inner() {
+            match self.shards[s].lock().alloc() {
                 Ok(inner) => return Ok(self.global_pid(s, inner)),
                 Err(e) => last = Err(e),
             }
@@ -268,20 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn adopt_marks_foreign_pids_live() {
-        let mut a = PidAllocator::new(8);
-        a.adopt(Pid(5));
-        assert_eq!(a.live(), 1);
-        a.free(Pid(5));
-        assert_eq!(a.live(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already-live pid")]
-    fn double_adopt_panics() {
-        let mut a = PidAllocator::new(8);
-        a.adopt(Pid(5));
-        a.adopt(Pid(5));
+    fn one_shard_table_hands_out_the_bare_bitmap_sequence() {
+        let t = ShardedPidTable::new(1, 3);
+        let mut a = PidAllocator::new(3);
+        for _ in 0..3 {
+            assert_eq!(t.alloc(0), a.alloc());
+        }
+        assert_eq!(t.alloc(0), Err(Errno::Eagain));
+        t.free(Pid(2));
+        a.free(Pid(2));
+        assert_eq!(t.alloc(0), a.alloc(), "wraps and recycles identically");
     }
 
     #[test]

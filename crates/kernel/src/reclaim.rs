@@ -32,14 +32,15 @@
 //! holds the cache lock (spawn under pressure); `try_lock` skips busy
 //! shrinkers instead of deadlocking.
 //!
-//! On the SMP machine a busy shrinker usually means *another cell* is
-//! mid-spawn, and that window is short — so the skip is softened into a
-//! bounded retry: up to [`SHRINKER_LOCK_ATTEMPTS`] `try_lock` polls with
+//! On a multi-cell machine a busy shrinker usually means *another cell*
+//! is mid-spawn, and that window is short — so the skip is softened into
+//! a bounded retry: up to [`SHRINKER_LOCK_ATTEMPTS`] `try_lock` polls with
 //! a deterministically jittered virtual-cycle pause between them (seeded
 //! from the pass counter and shrinker index, so two cells polling the
-//! same shrinker desynchronise instead of strobing in lockstep). The
-//! single-cell kernel keeps exactly one attempt: no retry, no charged
-//! pause, byte-identical replay.
+//! same shrinker desynchronise instead of strobing in lockstep). A
+//! one-cell machine has no other cell to wait for — a busy shrinker there
+//! is the caller's own fast path further up the stack — so it keeps
+//! exactly one attempt: no retry, no charged pause.
 
 use crate::error::KResult;
 use crate::kernel::Kernel;
@@ -72,8 +73,8 @@ pub trait Shrinker {
 /// this alive, the kernel only holds a [`Weak`].
 pub type ShrinkerHandle = Arc<Mutex<dyn Shrinker + Send>>;
 
-/// `try_lock` polls per busy shrinker on the SMP machine before a pass
-/// gives up on it (single-cell kernels always use exactly one).
+/// `try_lock` polls per busy shrinker on a multi-cell machine before a
+/// pass gives up on it (one-cell machines always use exactly one).
 pub const SHRINKER_LOCK_ATTEMPTS: u32 = 3;
 
 /// Base virtual-cycle pause between shrinker lock polls; the actual
@@ -153,9 +154,10 @@ impl Kernel {
             self.shrinkers.iter().filter_map(Weak::upgrade).collect();
         // Phase 0: who can participate? Busy shrinkers (the fast path is
         // mid-spawn holding the lock) and empty ones sit the pass out —
-        // after a bounded, jittered re-poll on the SMP machine, where
-        // "busy" usually means another cell's short spawn window.
-        let attempts = if self.pid_table.is_some() {
+        // after a bounded, jittered re-poll when the machine has other
+        // cells, where "busy" usually means one of their short spawn
+        // windows.
+        let attempts = if self.pid_table.shard_count() > 1 {
             SHRINKER_LOCK_ATTEMPTS
         } else {
             1
@@ -558,7 +560,7 @@ mod tests {
             frames: 256,
             ..MachineConfig::default()
         };
-        let shared = crate::kernel::SmpShared::new(&cfg, 1);
+        let shared = crate::kernel::SmpShared::new(&cfg, 2);
         let mut k = Kernel::new_smp(cfg, &shared, 0);
         let bag = bag_with(&mut k, 4);
         k.register_shrinker(&(bag.clone() as ShrinkerHandle));

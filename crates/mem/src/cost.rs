@@ -62,10 +62,6 @@ pub struct CostModel {
     /// Refilling a per-CPU magazine with one batched buddy allocation:
     /// a single global-allocator acquisition amortized over the batch.
     pub frame_cache_refill: u64,
-    /// Extra serialization cost per *other* concurrent allocator when a
-    /// frame is taken on the global path (cache-line ping-pong on the
-    /// allocator lock). Zero by default; raised in scaling ablations.
-    pub frame_alloc_contended: u64,
     /// Per-page increment of a batched ranged TLB flush: one INVLPG-class
     /// invalidation broadcast inside a single shootdown IPI, instead of
     /// one IPI per page.
@@ -114,7 +110,6 @@ impl Default for CostModel {
             fd_clone: 150,
             frame_cache_hit: 20,
             frame_cache_refill: 400,
-            frame_alloc_contended: 60,
             tlb_range_flush_page: 40,
             swap_slot_alloc: 150,
             swap_out_page: 24_000,
@@ -149,7 +144,6 @@ impl CostModel {
             fd_clone: 0,
             frame_cache_hit: 0,
             frame_cache_refill: 0,
-            frame_alloc_contended: 0,
             tlb_range_flush_page: 0,
             swap_slot_alloc: 0,
             swap_out_page: 0,

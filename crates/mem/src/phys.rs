@@ -9,17 +9,34 @@
 //! as of fork time, and later writes must not leak across), while the
 //! *costs* of moving real data are charged through [`CostModel`].
 //!
-//! Frames come from a buddy allocator. Two optional layers sit on top:
+//! ## One machine
+//!
+//! Frames always come from a [`SharedFramePool`]: one buddy core behind
+//! the `"buddy"` [`VLock`], shared by every kernel cell of the machine.
+//! The cell count is 1 by default — [`PhysMemory::new`] builds a pool of
+//! its own — so a single-kernel world is not a second mechanism, it is
+//! the SMP machine with nobody else on it. Each [`PhysMemory`] is one
+//! cell's view: its own frame metadata, pins, watermarks and swap device
+//! over the common pool, plus a count of the frames it has `drawn`, which
+//! the machine-wide conservation check sums (Σ drawn + pool free = total).
+//!
+//! Two layers sit on top of the pool:
 //!
 //! * **Pins** — a kernel-side reference (e.g. the exec image cache) that
 //!   keeps a frame alive independent of page-table mappings. Pins are
 //!   tracked separately from PTE references so the structural invariant
 //!   checker can account for them.
-//! * **Per-CPU frame caches** — opt-in free-list magazines refilled by
-//!   *batched* buddy allocations, so concurrent creators pay the global
-//!   allocator's serialization once per batch instead of once per frame.
-//!   Disabled by default; when disabled every cost is byte-identical to
-//!   the plain allocator path.
+//! * **The magazine** — a private free-list refilled by *batched* pool
+//!   allocations, so concurrent creators pay the pool's serialization
+//!   once per batch instead of once per frame. It is the single boot-time
+//!   difference between the two ways a cell comes up: SMP cells
+//!   ([`PhysMemory::new_cell`]) boot with it, one-cell worlds
+//!   ([`PhysMemory::new`]) without, because every checked-in
+//!   single-kernel result prices a frame at `frame_alloc`, not at
+//!   `frame_cache_hit`. [`PhysMemory::enable_frame_cache`] /
+//!   [`PhysMemory::disable_frame_cache`] are the public switch between
+//!   the two; with the magazine off the two kinds of cell charge
+//!   identical cycles.
 
 use crate::addr::{Pfn, HUGE_PAGES};
 use crate::buddy::BuddyAllocator;
@@ -83,22 +100,24 @@ struct FrameMeta {
     content: u64,
 }
 
-/// Refill batch for the per-cell magazine a shared-pool cell boots with
-/// (see [`PhysMemory::new_cell`]).
+/// Refill batch for the magazine an SMP cell boots with (see
+/// [`PhysMemory::new_cell`]).
 pub const CELL_MAGAZINE_BATCH: u64 = 64;
 
-/// A buddy core shared by several kernel cells on different OS threads.
+/// The machine's buddy core, shared by every kernel cell (one cell on a
+/// single-kernel machine, several on different OS threads under SMP).
 ///
-/// This is the SMP promotion of the per-CPU magazines: each cell keeps a
-/// genuinely private free-list (its [`PhysMemory`] magazine, touched
-/// only by the cell's own thread) and refills it with *batched*
-/// allocations from this locked buddy core, so concurrent creators pay
-/// the global serialization once per [`CELL_MAGAZINE_BATCH`] frames
-/// instead of once per frame. The lock is a [`VLock`] named `"buddy"`,
-/// so every contended refill is visible in
-/// [`fpr_trace::metrics::lock_stats`] and priced in virtual time.
+/// A cell either takes frames one at a time or keeps a genuinely private
+/// free-list (its [`PhysMemory`] magazine, touched only by the cell's
+/// own thread) and refills it with *batched* allocations from this
+/// locked core, so concurrent creators pay the global serialization once
+/// per [`CELL_MAGAZINE_BATCH`] frames instead of once per frame. The
+/// lock is a [`VLock`] named `"buddy"`, so every contended acquisition
+/// is visible in [`fpr_trace::metrics::lock_stats`] and priced in
+/// virtual time.
 ///
-/// A free-count mirror is kept in an atomic so pressure reads
+/// A free-count mirror is kept in an atomic — written only under the
+/// lock, from the buddy's own count — so pressure reads
 /// ([`PhysMemory::pressure`], [`PhysMemory::free_frames`]) never touch
 /// the lock.
 #[derive(Debug)]
@@ -133,7 +152,7 @@ impl SharedFramePool {
     fn alloc_one(&self) -> MemResult<Pfn> {
         let mut core = self.core.lock();
         let pfn = core.alloc(0)?;
-        self.free.fetch_sub(1, Ordering::Relaxed);
+        self.free.store(core.free_frames(), Ordering::Relaxed);
         Ok(pfn)
     }
 
@@ -146,7 +165,7 @@ impl SharedFramePool {
         loop {
             match core.alloc_run(order) {
                 Ok(run) => {
-                    self.free.fetch_sub(run.len() as u64, Ordering::Relaxed);
+                    self.free.store(core.free_frames(), Ordering::Relaxed);
                     return Ok(run);
                 }
                 Err(_) if order > 0 => order -= 1,
@@ -159,7 +178,7 @@ impl SharedFramePool {
     fn alloc_aligned_run(&self, order: usize) -> MemResult<Vec<Pfn>> {
         let mut core = self.core.lock();
         let run = core.alloc_run(order)?;
-        self.free.fetch_sub(run.len() as u64, Ordering::Relaxed);
+        self.free.store(core.free_frames(), Ordering::Relaxed);
         Ok(run)
     }
 
@@ -172,7 +191,7 @@ impl SharedFramePool {
         for &pfn in pfns {
             core.free(pfn);
         }
-        self.free.fetch_add(pfns.len() as u64, Ordering::Relaxed);
+        self.free.store(core.free_frames(), Ordering::Relaxed);
     }
 }
 
@@ -190,31 +209,25 @@ pub struct ThpStats {
     pub failed: u64,
 }
 
-/// Opt-in per-CPU free-list magazines over the buddy allocator.
+/// A cell's private free-frame magazine over the shared pool.
 #[derive(Debug, Clone)]
 struct FrameCache {
-    /// One free-frame stack per CPU.
-    magazines: Vec<Vec<Pfn>>,
-    /// Target refill batch (frames fetched per global acquisition).
+    /// Parked free frames (counted as free), popped LIFO.
+    frames: Vec<Pfn>,
+    /// Target refill batch (frames fetched per pool acquisition).
     batch: u64,
-    /// Total frames parked across all magazines (counted as free).
-    cached: u64,
 }
 
-/// The machine's physical memory.
+/// One cell's view of the machine's physical memory.
 #[derive(Debug)]
 pub struct PhysMemory {
-    alloc: BuddyAllocator,
+    /// The machine-wide frame pool this cell draws from.
+    pool: Arc<SharedFramePool>,
     meta: HashMap<u64, FrameMeta>,
     cost: CostModel,
     /// Kernel pins per frame (image cache etc.); each pin holds one ref.
     pins: HashMap<u64, u32>,
     cache: Option<FrameCache>,
-    current_cpu: usize,
-    /// Modeled number of *other* CPUs concurrently hammering the global
-    /// allocator; each global-path acquisition pays
-    /// `frame_alloc_contended` per contender. Zero by default.
-    contenders: u32,
     /// Cumulative count of frames ever allocated (statistics).
     pub frames_allocated_total: u64,
     /// Cumulative count of 4 KiB page copies performed (statistics).
@@ -229,64 +242,51 @@ pub struct PhysMemory {
     swap: SwapDevice,
     /// Machine-wide THP promotion/demotion counters.
     thp: ThpStats,
-    /// Shared frame pool this cell draws from (SMP mode). `None` keeps
-    /// the cell on its private buddy allocator, byte-identical to the
-    /// pre-SMP behaviour.
-    shared: Option<Arc<SharedFramePool>>,
-    /// Frames currently drawn from the shared pool by this cell —
-    /// resident (in `meta`) plus magazine-parked. Unused (zero) in
-    /// private mode.
+    /// Frames currently drawn from the pool by this cell — resident (in
+    /// `meta`) plus magazine-parked.
     drawn: u64,
 }
 
 impl PhysMemory {
-    /// Creates physical memory with `total_frames` frames and the given
-    /// cost model.
+    /// Creates the physical memory of a one-cell machine: a pool of
+    /// `total_frames` frames of its own, drawn from one frame at a time
+    /// (no magazine).
     pub fn new(total_frames: u64, cost: CostModel) -> Self {
+        PhysMemory::over(Arc::new(SharedFramePool::new(total_frames)), cost)
+    }
+
+    /// Creates the physical-memory view of one SMP *cell*: all frames
+    /// drawn from `pool` through a magazine of batch
+    /// [`CELL_MAGAZINE_BATCH`]. Watermarks and pressure are judged
+    /// against the *pool's* free count, so every cell sees machine-wide
+    /// pressure.
+    pub fn new_cell(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
+        let mut pm = PhysMemory::over(pool, cost);
+        pm.enable_frame_cache(CELL_MAGAZINE_BATCH);
+        pm
+    }
+
+    fn over(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
         PhysMemory {
-            alloc: BuddyAllocator::new(Pfn(0), total_frames),
+            watermarks: Watermarks::for_total(pool.total_frames()),
+            pool,
             meta: HashMap::new(),
             cost,
             pins: HashMap::new(),
             cache: None,
-            current_cpu: 0,
-            contenders: 0,
             frames_allocated_total: 0,
             pages_copied_total: 0,
-            watermarks: Watermarks::for_total(total_frames),
             stall_cycles_total: 0,
             stall_events_total: 0,
             swap: SwapDevice::new(0),
             thp: ThpStats::default(),
-            shared: None,
             drawn: 0,
         }
     }
 
-    /// Creates the physical-memory view of one SMP *cell*: no private
-    /// buddy of its own, all frames drawn from `pool` through a
-    /// single-magazine per-thread free-list (batch
-    /// [`CELL_MAGAZINE_BATCH`]). Watermarks and pressure are judged
-    /// against the *pool's* free count, so every cell sees machine-wide
-    /// pressure.
-    pub fn new_cell(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
-        let total = pool.total_frames();
-        let mut pm = PhysMemory::new(0, cost);
-        pm.watermarks = Watermarks::for_total(total);
-        pm.shared = Some(pool);
-        pm.enable_frame_cache(1, CELL_MAGAZINE_BATCH);
-        pm
-    }
-
-    /// The shared frame pool this cell draws from, if any.
-    pub fn shared_pool(&self) -> Option<&Arc<SharedFramePool>> {
-        self.shared.as_ref()
-    }
-
-    /// Frames this cell currently holds out of its shared pool (resident
-    /// plus magazine-parked). Zero in private mode. The SMP driver's
-    /// conservation check sums this across cells against the pool's free
-    /// count.
+    /// Frames this cell currently holds out of the pool (resident plus
+    /// magazine-parked). The machine-wide conservation check sums this
+    /// across cells against the pool's free count.
     pub fn drawn_frames(&self) -> u64 {
         self.drawn
     }
@@ -353,35 +353,24 @@ impl PhysMemory {
         self.cost = cost;
     }
 
-    /// Number of frames currently free (buddy free list + magazines; in
-    /// shared mode, the pool's free count + this cell's magazines).
+    /// Number of frames currently free: the pool's free count plus this
+    /// cell's magazine.
     pub fn free_frames(&self) -> u64 {
-        let cached = self.cache.as_ref().map_or(0, |c| c.cached);
-        match self.shared.as_ref() {
-            Some(pool) => pool.free_frames() + cached,
-            None => self.alloc.free_frames() + cached,
-        }
+        self.pool.free_frames() + self.cached_frames()
     }
 
-    /// Total number of frames in the machine (the pool's, in shared
-    /// mode).
+    /// Total number of frames in the machine.
     pub fn total_frames(&self) -> u64 {
-        match self.shared.as_ref() {
-            Some(pool) => pool.total_frames(),
-            None => self.alloc.total_frames(),
-        }
+        self.pool.total_frames()
     }
 
-    /// Number of frames currently in use *by this cell*. In private mode
-    /// that is everything not free; in shared mode it is the frames
+    /// Number of frames currently in use *by this cell*: the frames
     /// drawn from the pool minus those parked in the magazine — i.e.
     /// exactly the frames carrying live metadata — so the per-cell
-    /// invariant (PTE references = used frames) holds unchanged.
+    /// invariant (PTE references = used frames) holds however many cells
+    /// share the pool.
     pub fn used_frames(&self) -> u64 {
-        match self.shared.as_ref() {
-            Some(_) => self.drawn - self.cache.as_ref().map_or(0, |c| c.cached),
-            None => self.total_frames() - self.free_frames(),
-        }
+        self.drawn - self.cached_frames()
     }
 
     /// The active free-frame watermarks.
@@ -437,210 +426,83 @@ impl PhysMemory {
         self.stall_events_total
     }
 
-    /// Enables per-CPU frame caching with one magazine per CPU and the
-    /// given refill batch size (frames per global acquisition). No-op
-    /// costs change for hits/refills; all other accounting is unchanged.
-    pub fn enable_frame_cache(&mut self, cpus: usize, batch: u64) {
-        assert!(cpus > 0 && batch > 0, "frame cache needs cpus > 0, batch > 0");
+    /// Switches the magazine on with the given refill batch size (frames
+    /// per pool acquisition). Hits and refills are priced differently
+    /// from the frame-at-a-time path; all other accounting is unchanged.
+    pub fn enable_frame_cache(&mut self, batch: u64) {
+        assert!(batch > 0, "frame cache needs batch > 0");
         if self.cache.is_none() {
             self.cache = Some(FrameCache {
-                magazines: vec![Vec::new(); cpus],
+                frames: Vec::new(),
                 batch,
-                cached: 0,
             });
         }
     }
 
-    /// Disables per-CPU caching, draining every magazine back to the
-    /// buddy allocator (or the shared pool, in shared mode).
+    /// Switches the magazine off, draining it back to the pool.
     pub fn disable_frame_cache(&mut self) {
         if let Some(cache) = self.cache.take() {
-            match self.shared.as_ref() {
-                Some(pool) => {
-                    let drained: Vec<Pfn> = cache.magazines.into_iter().flatten().collect();
-                    self.drawn -= drained.len() as u64;
-                    pool.free_many(&drained);
-                }
-                None => {
-                    for mag in cache.magazines {
-                        for pfn in mag {
-                            self.alloc.free(pfn);
-                        }
-                    }
-                }
-            }
+            self.drawn -= cache.frames.len() as u64;
+            self.pool.free_many(&cache.frames);
         }
     }
 
-    /// True if per-CPU frame caching is active.
+    /// True if the magazine is on.
     pub fn frame_cache_enabled(&self) -> bool {
         self.cache.is_some()
     }
 
-    /// Frames currently parked in per-CPU magazines.
+    /// Frames currently parked in the magazine.
     pub fn cached_frames(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.cached)
+        self.cache.as_ref().map_or(0, |c| c.frames.len() as u64)
     }
 
-    /// Sets which CPU's magazine subsequent allocations use.
-    pub fn set_current_cpu(&mut self, cpu: usize) {
-        self.current_cpu = cpu;
-    }
-
-    /// Sets the modeled global-allocator contention (other concurrent
-    /// allocators). Used by the scaling ablation; zero by default.
-    pub fn set_contenders(&mut self, n: u32) {
-        self.contenders = n;
-    }
-
-    /// One frame off the global (buddy) path, paying serialization.
-    fn take_global(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
-        let pfn = match self.shared.as_ref() {
-            Some(pool) => {
-                let pfn = pool.alloc_one()?;
-                self.drawn += 1;
-                pfn
-            }
-            None => self.alloc.alloc(0)?,
-        };
-        cycles.charge(self.cost.frame_alloc);
-        if self.contenders > 0 {
-            cycles.charge(self.cost.frame_alloc_contended * self.contenders as u64);
-        }
-        Ok(pfn)
-    }
-
-    /// One frame, through the per-CPU cache when enabled.
+    /// One frame, through the magazine when it is on.
     fn take_frame(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
-        let (slot, batch) = match self.cache.as_ref() {
-            None => return self.take_global(cycles),
-            Some(c) => (self.current_cpu % c.magazines.len(), c.batch),
+        let Some(cache) = self.cache.as_mut() else {
+            let pfn = self.pool.alloc_one()?;
+            self.drawn += 1;
+            cycles.charge(self.cost.frame_alloc);
+            return Ok(pfn);
         };
-        let popped = {
-            let cache = self.cache.as_mut().expect("checked above");
-            let p = cache.magazines[slot].pop();
-            if p.is_some() {
-                cache.cached -= 1;
-            }
-            p
-        };
-        if let Some(pfn) = popped {
+        if let Some(pfn) = cache.frames.pop() {
             cycles.charge(self.cost.frame_cache_hit);
             metrics::incr("mem.frame_cache.hit");
             return Ok(pfn);
         }
-        // Refill: one batched buddy acquisition pays the global
-        // serialization once for the whole batch. Fall back to smaller
-        // runs under fragmentation or near-exhaustion. In shared mode
-        // the pool does the order descent under a single acquisition.
-        let mut order = 63 - batch.leading_zeros() as usize;
-        let got = match self.shared.as_ref() {
-            // Cross the SMP-only refill site before touching the buddy
-            // lock: an injected failure models a dry/contended pool and
-            // falls through to the magazine-steal path, exactly like a
-            // real exhaustion — the cell stays consistent and the caller
-            // sees an ordinary transient OutOfMemory.
-            Some(pool) => match fpr_faults::cross(FaultSite::PoolRefill) {
-                Ok(()) => pool.alloc_run_best(order),
-                Err(_) => Err(MemError::OutOfMemory),
-            },
-            None => loop {
-                match self.alloc.alloc_run(order) {
-                    Ok(run) => break Ok(run),
-                    Err(_) if order > 0 => order -= 1,
-                    Err(e) => break Err(e),
-                }
-            },
-        };
-        let run = match got {
-            Ok(run) => run,
-            Err(e) => {
-                // Global pool dry: steal from the fullest other
-                // magazine before reporting exhaustion.
-                let stolen = {
-                    let cache = self.cache.as_mut().expect("checked above");
-                    let victim = (0..cache.magazines.len())
-                        .max_by_key(|&i| cache.magazines[i].len())
-                        .expect("at least one magazine");
-                    let p = cache.magazines[victim].pop();
-                    if p.is_some() {
-                        cache.cached -= 1;
-                    }
-                    p
-                };
-                return match stolen {
-                    Some(pfn) => {
-                        cycles.charge(self.cost.frame_cache_hit);
-                        metrics::incr("mem.frame_cache.steal");
-                        Ok(pfn)
-                    }
-                    None => Err(e),
-                };
-            }
-        };
-        if self.shared.is_some() {
-            self.drawn += run.len() as u64;
-        }
+        // Refill: one batched pool acquisition pays the global
+        // serialization once for the whole batch; the pool falls back to
+        // smaller runs under fragmentation or near-exhaustion. Cross the
+        // refill site before touching the buddy lock: an injected failure
+        // models a dry pool — the cell stays consistent and the caller
+        // sees an ordinary transient OutOfMemory.
+        fpr_faults::cross(FaultSite::PoolRefill).map_err(|_| MemError::OutOfMemory)?;
+        let order = 63 - cache.batch.leading_zeros() as usize;
+        let run = self.pool.alloc_run_best(order)?;
+        self.drawn += run.len() as u64;
         cycles.charge(self.cost.frame_cache_refill);
-        if self.contenders > 0 {
-            cycles.charge(self.cost.frame_alloc_contended * self.contenders as u64);
-        }
         metrics::incr("mem.frame_cache.refill");
         let mut run = run.into_iter();
         let first = run.next().expect("alloc_run returns at least one frame");
-        let cache = self.cache.as_mut().expect("checked above");
-        for pfn in run {
-            cache.magazines[slot].push(pfn);
-            cache.cached += 1;
-        }
+        cache.frames.extend(run);
         Ok(first)
     }
 
-    /// Returns one freed frame to the magazine (cache on) or buddy.
+    /// Returns one freed frame to the magazine (when on) or the pool.
     fn release_frame(&mut self, pfn: Pfn) {
-        if self.cache.is_none() {
-            match self.shared.as_ref() {
-                Some(pool) => {
-                    self.drawn -= 1;
-                    pool.free_many(&[pfn]);
-                }
-                None => self.alloc.free(pfn),
-            }
+        let Some(cache) = self.cache.as_mut() else {
+            self.drawn -= 1;
+            self.pool.free_many(&[pfn]);
             return;
-        }
-        let drained = {
-            let cpu = self.current_cpu;
-            let cache = self.cache.as_mut().expect("checked above");
-            let slot = cpu % cache.magazines.len();
-            cache.magazines[slot].push(pfn);
-            cache.cached += 1;
-            // Overfull magazine: drain a batch back to the buddy so one
-            // CPU freeing heavily cannot strand the whole pool.
-            if cache.magazines[slot].len() as u64 > 2 * cache.batch {
-                let mut v = Vec::with_capacity(cache.batch as usize);
-                for _ in 0..cache.batch {
-                    if let Some(p) = cache.magazines[slot].pop() {
-                        cache.cached -= 1;
-                        v.push(p);
-                    }
-                }
-                v
-            } else {
-                Vec::new()
-            }
         };
-        if !drained.is_empty() {
-            match self.shared.as_ref() {
-                Some(pool) => {
-                    self.drawn -= drained.len() as u64;
-                    pool.free_many(&drained);
-                }
-                None => {
-                    for p in drained {
-                        self.alloc.free(p);
-                    }
-                }
-            }
+        cache.frames.push(pfn);
+        // Overfull magazine: drain a batch back to the pool so one cell
+        // freeing heavily cannot strand the whole machine's memory.
+        if cache.frames.len() as u64 > 2 * cache.batch {
+            let keep = cache.frames.len() - cache.batch as usize;
+            let drained = cache.frames.split_off(keep);
+            self.drawn -= drained.len() as u64;
+            self.pool.free_many(&drained);
             metrics::incr("mem.frame_cache.drain");
         }
     }
@@ -672,8 +534,8 @@ impl PhysMemory {
     /// zeroed frames for one 2 MiB huge mapping, returning the head frame.
     /// Every frame of the run has its own reference count and can be freed
     /// individually (demotion hands each page its own PTE), so the run is
-    /// taken with [`BuddyAllocator::alloc_run`], bypassing the per-CPU
-    /// magazines — contiguity is the whole point.
+    /// taken with [`BuddyAllocator::alloc_run`], bypassing the magazine —
+    /// contiguity is the whole point.
     ///
     /// Fails with [`MemError::Fragmented`] when no aligned run exists; the
     /// caller falls back to small pages. No fault site is crossed here —
@@ -681,20 +543,11 @@ impl PhysMemory {
     /// a natural allocation failure is already an absorbed fallback.
     pub fn alloc_zeroed_huge_run(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
         let order = HUGE_PAGES.trailing_zeros() as usize;
-        let run = match self.shared.as_ref() {
-            Some(pool) => {
-                let run = pool.alloc_aligned_run(order)?;
-                self.drawn += run.len() as u64;
-                run
-            }
-            None => self.alloc.alloc_run(order)?,
-        };
+        let run = self.pool.alloc_aligned_run(order)?;
+        self.drawn += run.len() as u64;
         // One global-allocator acquisition for the whole run, then the
         // data cost of zeroing 2 MiB.
         cycles.charge(self.cost.frame_alloc);
-        if self.contenders > 0 {
-            cycles.charge(self.cost.frame_alloc_contended * self.contenders as u64);
-        }
         cycles.charge(self.cost.page_zero * HUGE_PAGES);
         let head = run[0];
         debug_assert_eq!(head.0 % HUGE_PAGES, 0, "huge run must be aligned");
@@ -939,7 +792,7 @@ mod tests {
     fn cache_hit_is_cheaper_than_global_alloc_and_refill_batches() {
         let cost = CostModel::default();
         let (mut p, mut c) = pm(1024);
-        p.enable_frame_cache(2, 8);
+        p.enable_frame_cache(8);
         let before = c.total();
         p.alloc_zeroed(&mut c).unwrap(); // miss: one batched refill
         let refill_cost = c.total() - before;
@@ -1066,7 +919,7 @@ mod tests {
     #[test]
     fn cached_frames_count_as_free_and_drain_on_disable() {
         let (mut p, mut c) = pm(64);
-        p.enable_frame_cache(1, 8);
+        p.enable_frame_cache(8);
         let f = p.alloc_zeroed(&mut c).unwrap();
         assert_eq!(p.free_frames(), 63, "magazine frames are still free");
         assert_eq!(p.used_frames(), 1);
@@ -1078,14 +931,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_steals_from_other_magazines_before_oom() {
+    fn dry_pool_with_empty_magazine_is_oom() {
         let (mut p, mut c) = pm(8);
-        p.enable_frame_cache(2, 8);
-        p.set_current_cpu(0);
-        let _f = p.alloc_zeroed(&mut c).unwrap(); // cpu0 magazine holds the other 7
-        p.set_current_cpu(1);
-        // Buddy is empty; cpu1 must steal from cpu0's magazine.
-        for _ in 0..7 {
+        p.enable_frame_cache(8);
+        // The first refill parks the whole pool in the magazine; the
+        // magazine then serves every remaining frame.
+        for _ in 0..8 {
             p.alloc_zeroed(&mut c).unwrap();
         }
         assert_eq!(p.alloc_zeroed(&mut c), Err(MemError::OutOfMemory));
@@ -1093,26 +944,18 @@ mod tests {
     }
 
     #[test]
-    fn contention_charges_only_on_global_path() {
-        let cost = CostModel::default();
-        let (mut p, mut c) = pm(1024);
-        p.set_contenders(4);
-        let before = c.total();
-        p.alloc_zeroed(&mut c).unwrap();
-        assert_eq!(
-            c.total() - before,
-            cost.frame_alloc + 4 * cost.frame_alloc_contended + cost.page_zero
-        );
-        p.enable_frame_cache(1, 8);
-        let before = c.total();
-        p.alloc_zeroed(&mut c).unwrap(); // refill: contention paid once
-        assert_eq!(
-            c.total() - before,
-            cost.frame_cache_refill + 4 * cost.frame_alloc_contended + cost.page_zero
-        );
-        let before = c.total();
-        p.alloc_zeroed(&mut c).unwrap(); // hit: no contention
-        assert_eq!(c.total() - before, cost.frame_cache_hit + cost.page_zero);
+    fn overfull_magazine_drains_a_batch_back_to_the_pool() {
+        let (mut p, mut c) = pm(64);
+        let held: Vec<Pfn> = (0..17).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        p.enable_frame_cache(8);
+        for f in held {
+            p.dec_ref(f, &mut c).unwrap();
+        }
+        // The 17th free overfilled the magazine (> 2 × batch): one batch
+        // went back to the pool, the rest stay parked.
+        assert_eq!(p.cached_frames(), 9);
+        assert_eq!(p.drawn_frames(), 9);
+        assert_eq!(p.free_frames(), 64);
     }
 
     /// Σ cell.drawn + pool.free == pool.total — the conservation law the

@@ -21,7 +21,8 @@ use std::sync::Arc;
 /// the same role).
 pub const RANGE_FLUSH_CEILING: u64 = 64;
 
-/// The machine-wide shootdown interconnect SMP cells share.
+/// The machine-wide shootdown interconnect every kernel cell shares (a
+/// single-kernel machine is its only user).
 ///
 /// On real hardware, remote TLB shootdowns from different cores contend
 /// for the same interrupt fabric and for each target core's attention:
@@ -88,10 +89,9 @@ pub struct TlbModel {
     pub entries_flushed: u64,
     /// Of [`TlbModel::entries_flushed`], the entries that were huge leaves.
     pub huge_entries_flushed: u64,
-    /// The shared shootdown interconnect, when this model belongs to an
-    /// SMP cell. `None` (the default) keeps shootdowns private to the
-    /// cell — byte-identical to the pre-SMP model.
-    pub bus: Option<Arc<TlbBus>>,
+    /// The machine's shootdown interconnect. A fresh model gets a bus of
+    /// its own; cells of one SMP machine are pointed at a common one.
+    pub bus: Arc<TlbBus>,
 }
 
 impl Default for TlbModel {
@@ -105,7 +105,7 @@ impl Default for TlbModel {
             range_pages_flushed: 0,
             entries_flushed: 0,
             huge_entries_flushed: 0,
-            bus: None,
+            bus: Arc::new(TlbBus::new()),
         }
     }
 }
@@ -133,11 +133,9 @@ impl TlbModel {
             self.remote_acks += remote;
             metrics::add("mem.tlb.remote_ack", remote);
             cycles.charge(cost.tlb_shootdown_per_cpu * remote);
-            // IPI rounds that reach remote CPUs serialize on the shared
-            // interconnect when one exists.
-            if let Some(bus) = self.bus.as_ref() {
-                bus.serialize_round(remote);
-            }
+            // IPI rounds that reach remote CPUs serialize on the
+            // machine's interconnect.
+            self.bus.serialize_round(remote);
         }
         metrics::incr("mem.tlb.shootdown");
         if sink::is_active() {
@@ -316,9 +314,9 @@ mod tests {
         let cost = CostModel::default();
         let bus = Arc::new(TlbBus::new());
         let mut a = TlbModel::new();
-        a.bus = Some(Arc::clone(&bus));
+        a.bus = Arc::clone(&bus);
         let mut b = TlbModel::new();
-        b.bus = Some(Arc::clone(&bus));
+        b.bus = Arc::clone(&bus);
         let mut cy = Cycles::new();
         a.shootdown(1, &mut cy, &cost); // local only: never touches the bus
         assert_eq!(bus.shootdowns_total(), 0);

@@ -30,13 +30,16 @@
 //!
 //! ## Deadlock detection
 //!
-//! Ranked acquisitions that would block first register a waiting edge in
-//! a process-wide wait-for graph (thread → lock → holding thread) and
-//! look for a cycle. A cycle means the machine *would* hang; instead of
-//! hanging, the acquirer increments [`deadlocks_detected`], and panics
-//! with the full cycle — a deterministic, reportable event. The unwind
-//! releases the acquirer's own locks, so surviving threads keep running
-//! (and the test harness reports the panic instead of timing out).
+//! Every ranked lock records its holder's thread id in an atomic of its
+//! own, so an uncontended acquire/release pair touches nothing
+//! process-global. Only an acquisition that *would block* takes the
+//! process-wide wait-for graph mutex: it registers a waiting edge
+//! (thread → lock → holding thread) and looks for a cycle. A cycle means
+//! the machine *would* hang; instead of hanging, the acquirer increments
+//! [`deadlocks_detected`], and panics with the full cycle — a
+//! deterministic, reportable event. The unwind releases the acquirer's
+//! own locks, so surviving threads keep running (and the test harness
+//! reports the panic instead of timing out).
 //!
 //! ```
 //! use fpr_trace::{metrics, smp::VLock, vclock};
@@ -55,10 +58,10 @@
 //! ```
 
 use crate::{metrics, vclock};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// The documented SMP lock order; a ranked lock may only be acquired
 /// while every held ranked lock has a strictly smaller rank.
@@ -75,27 +78,35 @@ static ORDER_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of would-block cycles caught by the detector.
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
 
-/// Monotone ids: one per [`VLock`], one per thread (thread ids are
-/// assigned lazily, the first time a thread touches a ranked lock).
-static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
+/// Monotone thread ids, assigned lazily the first time a thread touches
+/// a ranked lock; 0 is never handed out (it means "no holder").
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Ranked locks this thread currently holds, as `(lock id, rank)`.
-    static HELD: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// How many locks of each rank this thread currently holds.
+    static HELD: Cell<[u8; LOCK_ORDER.len()]> = const { Cell::new([0; LOCK_ORDER.len()]) };
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The process-wide wait-for graph over *ranked* locks: who holds what,
-/// who is blocked on what. Edges are only mutated under the graph mutex,
-/// so a cycle found while holding it is a consistent snapshot: every
-/// thread on the cycle holds its lock and has registered its wait.
+/// Adjusts this thread's held count for `rank` by `delta`.
+fn note_held(rank: usize, delta: i8) {
+    HELD.with(|h| {
+        let mut held = h.get();
+        held[rank] = held[rank].wrapping_add_signed(delta);
+        h.set(held);
+    });
+}
+
+/// The process-wide wait-for graph over *ranked* locks: who is blocked
+/// on what. "Who holds what" lives in each lock's own holder cell, which
+/// a waiting edge carries along. Waiting edges are only mutated under
+/// the graph mutex, and a thread stores every holder id before it
+/// registers a wait, so the last thread to close a cycle sees all of it:
+/// every thread on the cycle holds its lock and has registered its wait.
 #[derive(Default)]
 struct WaitGraph {
-    /// lock id → (holder thread id, lock name).
-    holders: BTreeMap<u64, (u64, &'static str)>,
-    /// thread id → (lock id it is blocked on, lock name).
-    waiting: BTreeMap<u64, (u64, &'static str)>,
+    /// thread id → (holder cell of the lock it is blocked on, lock name).
+    waiting: BTreeMap<u64, (Arc<AtomicU64>, &'static str)>,
 }
 
 impl WaitGraph {
@@ -105,9 +116,14 @@ impl WaitGraph {
         let mut path = Vec::new();
         let mut cur = start;
         loop {
-            let &(lock, name) = self.waiting.get(&cur)?;
-            path.push(name);
-            let &(holder, _) = self.holders.get(&lock)?;
+            let (holder, name) = self.waiting.get(&cur)?;
+            path.push(*name);
+            // Acquire pairs with the Release stores in `lock_ranked` and
+            // the guard's drop; 0 means "between holders".
+            let holder = holder.load(Ordering::Acquire);
+            if holder == 0 {
+                return None;
+            }
             if holder == start {
                 return Some(path);
             }
@@ -151,9 +167,14 @@ pub fn deadlocks_detected() -> u64 {
 #[derive(Debug, Default)]
 pub struct VLock<T> {
     name: &'static str,
-    /// Unique id for the wait-for graph (0 for unranked locks, which
-    /// never enter the graph).
-    id: u64,
+    /// Rank of `name` in the documented order, `None` for exempt names
+    /// (which are never tracked).
+    rank: Option<usize>,
+    /// Thread id of the current holder of a ranked lock, 0 when free:
+    /// stored after the mutex is acquired, cleared before it is released,
+    /// so a nonzero value read by the cycle detector names a thread that
+    /// genuinely holds the mutex.
+    holder: Arc<AtomicU64>,
     /// Virtual time at which the last holder released the lock.
     free_at: AtomicU64,
     inner: Mutex<T>,
@@ -162,14 +183,10 @@ pub struct VLock<T> {
 impl<T> VLock<T> {
     /// Wraps `value` in a lock whose contention is recorded under `name`.
     pub fn new(name: &'static str, value: T) -> VLock<T> {
-        let id = if rank_of(name).is_some() {
-            NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
-        };
         VLock {
             name,
-            id,
+            rank: rank_of(name),
+            holder: Arc::new(AtomicU64::new(0)),
             free_at: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
@@ -196,8 +213,7 @@ impl<T> VLock<T> {
     /// Panics (deterministically, with the cycle) if blocking here would
     /// deadlock the machine.
     pub fn lock(&self) -> VLockGuard<'_, T> {
-        let rank = rank_of(self.name);
-        let guard = match rank {
+        let guard = match self.rank {
             None => self
                 .inner
                 .lock()
@@ -210,23 +226,17 @@ impl<T> VLock<T> {
             vclock::advance_to(free_at);
             metrics::lock_contended(self.name, free_at - now);
         }
-        VLockGuard {
-            lock: self,
-            ranked: rank.is_some(),
-            guard,
-        }
+        VLockGuard { lock: self, guard }
     }
 
-    /// The ranked path: order check, then acquire with the wait-for
-    /// graph kept current so a would-block cycle is caught.
+    /// The ranked path: order check, then acquire. The uncontended case
+    /// is a `try_lock` and one atomic store; only a would-block takes
+    /// the graph mutex, to register the wait and look for a cycle.
     fn lock_ranked(&self, rank: usize) -> MutexGuard<'_, T> {
-        HELD.with(|h| {
-            let held = h.borrow();
-            if held.iter().any(|&(_, r)| r >= rank) {
-                ORDER_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-                metrics::incr("lock.order.violation");
-            }
-        });
+        if HELD.with(|h| h.get()[rank..].iter().any(|&n| n > 0)) {
+            ORDER_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
+            metrics::incr("lock.order.violation");
+        }
         let me = THREAD_ID.with(|&t| t);
         let guard = match self.inner.try_lock() {
             Ok(g) => g,
@@ -234,7 +244,7 @@ impl<T> VLock<T> {
             Err(TryLockError::WouldBlock) => {
                 {
                     let mut g = graph_lock();
-                    g.waiting.insert(me, (self.id, self.name));
+                    g.waiting.insert(me, (Arc::clone(&self.holder), self.name));
                     if let Some(cycle) = g.find_cycle(me) {
                         g.waiting.remove(&me);
                         drop(g);
@@ -255,8 +265,8 @@ impl<T> VLock<T> {
                 guard
             }
         };
-        graph_lock().holders.insert(self.id, (me, self.name));
-        HELD.with(|h| h.borrow_mut().push((self.id, rank)));
+        self.holder.store(me, Ordering::Release);
+        note_held(rank, 1);
         guard
     }
 
@@ -272,7 +282,6 @@ impl<T> VLock<T> {
 /// from the holder's virtual clock on drop.
 pub struct VLockGuard<'a, T> {
     lock: &'a VLock<T>,
-    ranked: bool,
     guard: MutexGuard<'a, T>,
 }
 
@@ -294,12 +303,12 @@ impl<T> Drop for VLockGuard<'_, T> {
         // Store before the mutex is released (the field drops after this
         // body), so the next acquirer always observes our release time.
         self.lock.free_at.store(vclock::now(), Ordering::Release);
-        if self.ranked {
-            // Drop the graph/held entries before the mutex releases too:
-            // a holder entry present implies the mutex is genuinely held,
-            // which is what makes a found cycle trustworthy.
-            graph_lock().holders.remove(&self.lock.id);
-            HELD.with(|h| h.borrow_mut().retain(|&(id, _)| id != self.lock.id));
+        if let Some(rank) = self.lock.rank {
+            // Clear the holder before the mutex releases too: a holder
+            // id present implies the mutex is genuinely held, which is
+            // what makes a found cycle trustworthy.
+            self.lock.holder.store(0, Ordering::Release);
+            note_held(rank, -1);
         }
     }
 }
