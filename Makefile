@@ -6,9 +6,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity bench-tables trace-demo clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity bench-repo-smoke bench-tables trace-demo clean
 
-verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity
+verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity bench-repo-smoke
 
 build:
 	$(CARGO) build --release
@@ -77,6 +77,15 @@ bench-smoke:
 # are asserted inside bench_smoke itself.
 bench-identity: bench-smoke
 	git diff --exit-code -- BENCH_fork_modes.json BENCH_spawn_fastpath.json BENCH_pressure.json BENCH_swap.json BENCH_thp.json BENCH_service.json
+
+# The repo benchmark (BENCHMARK.json) is a package of its own with path
+# dependencies on crates/*: no workspace build or test compiles it, so a
+# signature change under it would go unnoticed until the driver ran it.
+# Its unit tests and a --smoke pass over all four workloads (output
+# checks on) keep it building and serving.
+bench-repo-smoke:
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
+	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 # Regenerate the paper tables/figures (quick sweeps).
 bench-tables:

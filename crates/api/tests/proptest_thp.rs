@@ -3,7 +3,7 @@
 //! Seed-driven property test (failures name the seed and replay
 //! exactly). Two kernels — one with THP enabled, one without — replay an
 //! identical random schedule of mmap, populate, write, read, mprotect,
-//! munmap, fork, swap-out and exit. Promotion and demotion must be
+//! munmap, madvise, fork, swap-out and exit. Promotion and demotion must be
 //! invisible: every operation returns the same result in both worlds,
 //! every page observes the same bytes at the end, and tearing everything
 //! down leaves both kernels byte-identical to their pre-schedule
@@ -11,7 +11,7 @@
 //! change what the machine *charges*, never what a process *sees*.
 
 use fpr_api::fork;
-use fpr_kernel::{Errno, Kernel, MachineConfig, Pid};
+use fpr_kernel::{Errno, Kernel, MachineConfig, Madvice, Pid};
 use fpr_mem::{Prot, Share, VmaKind, Vpn};
 use fpr_rng::Rng;
 
@@ -34,6 +34,9 @@ enum Op {
     ProtectRo { who: u64, reg: u64, off: u64, pages: u64 },
     /// Unmap a subrange (demotes straddled blocks).
     Unmap { who: u64, reg: u64, off: u64, pages: u64 },
+    /// Advise a subrange of the root: a fork-policy split landing inside a
+    /// huge block makes the next fork demote it; `DontNeed` discards.
+    Madvise { reg: u64, off: u64, pages: u64, advice: Madvice },
     /// Fork the root: huge blocks are shared/COWed as single units.
     Fork,
     /// Evict up to `max` pages (huge blocks must refuse to swap).
@@ -43,7 +46,7 @@ enum Op {
 }
 
 fn gen_op(rng: &mut Rng) -> Op {
-    match rng.gen_below(16) {
+    match rng.gen_below(17) {
         0 => Op::Mmap {
             // Half the regions are exactly one huge block so promotion
             // has real targets; the rest are odd sizes that never align.
@@ -95,7 +98,19 @@ fn gen_op(rng: &mut Rng) -> Op {
         13..=14 => Op::Swap {
             max: rng.gen_range(1, 64),
         },
-        _ => Op::Exit { who: rng.gen_u64() },
+        15 => Op::Exit { who: rng.gen_u64() },
+        _ => Op::Madvise {
+            reg: rng.gen_u64(),
+            off: rng.gen_below(500),
+            pages: rng.gen_range(1, 64),
+            advice: [
+                Madvice::DontFork,
+                Madvice::DoFork,
+                Madvice::WipeOnFork,
+                Madvice::KeepOnFork,
+                Madvice::DontNeed,
+            ][rng.gen_index(5)],
+        },
     }
 }
 
@@ -112,6 +127,9 @@ struct World {
     base: fpr_kernel::KernelBaseline,
     /// (base, pages) of every region ever mapped in root.
     regions: Vec<(Vpn, u64)>,
+    /// Huge blocks a fork had to demote because a fork-policy split had
+    /// landed inside them.
+    fork_demoted: u64,
 }
 
 impl World {
@@ -133,6 +151,7 @@ impl World {
             alive: vec![true],
             regions: Vec::new(),
             base,
+            fork_demoted: 0,
         }
     }
 
@@ -229,11 +248,28 @@ impl World {
                     .munmap(self.pid(*who), base.add(off), pages)
                     .map(|_| None)
             }
+            Op::Madvise {
+                reg,
+                off,
+                pages,
+                advice,
+            } => {
+                let Some((base, len)) = self.region(*reg) else {
+                    return Ok(None);
+                };
+                let off = off % len;
+                let pages = (*pages).min(len - off);
+                self.k
+                    .madvise(self.root, base.add(off), pages, *advice)
+                    .map(|_| None)
+            }
             Op::Fork => {
                 if self.pids.len() >= MAX_PIDS {
                     return Ok(None);
                 }
+                let demoted = self.k.phys.thp_stats().demoted;
                 let child = fork(&mut self.k, self.root)?;
+                self.fork_demoted += self.k.phys.thp_stats().demoted - demoted;
                 self.pids.push(child);
                 self.alive.push(true);
                 Ok(Some(child.0 as u64))
@@ -312,6 +348,7 @@ impl World {
 #[test]
 fn thp_is_observationally_invisible() {
     let mut total_promoted = 0;
+    let mut total_fork_demoted = 0;
     for case in 0..CASES {
         let seed = 0x7B9_0000 + case;
         let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
@@ -349,6 +386,7 @@ fn thp_is_observationally_invisible() {
                 .unwrap_or_else(|v| panic!("case {case}: invariants mid-run: {v:?}"));
         }
         total_promoted += on.k.phys.thp_stats().promoted;
+        total_fork_demoted += on.fork_demoted;
         assert_eq!(
             off.k.phys.thp_stats().promoted,
             0,
@@ -365,5 +403,9 @@ fn thp_is_observationally_invisible() {
     assert!(
         total_promoted > 0,
         "schedules never promoted a single block — the property is vacuous"
+    );
+    assert!(
+        total_fork_demoted > 0,
+        "no fork ever met a huge block split by madvise — the Madvise op is vacuous"
     );
 }

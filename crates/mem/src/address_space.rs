@@ -71,6 +71,19 @@ struct ReleaseTally {
     huge_entries: u64,
 }
 
+impl ReleaseTally {
+    /// Counts the translation `pte` provided: one entry, one page or 512.
+    fn add(&mut self, pte: Pte) {
+        if pte.is_huge() {
+            self.pages += HUGE_PAGES;
+            self.huge_entries += 1;
+        } else {
+            self.pages += 1;
+            self.small_entries += 1;
+        }
+    }
+}
+
 /// A process address space.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
@@ -198,14 +211,10 @@ impl AddressSpace {
             if let Err(e) = self.populate(start, pages, phys, cycles) {
                 // Roll back the partial population and the VMA record so a
                 // failed mmap leaves the space untouched.
+                let mut tally = ReleaseTally::default();
                 for (vpn, pte) in self.pt.leaves_in_range(start, pages) {
-                    self.pt.unmap(vpn).expect("leaf just enumerated");
-                    if pte.is_huge() {
-                        phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)
-                            .expect("run just installed");
-                    } else {
-                        phys.dec_ref(pte.pfn, cycles).expect("frame just installed");
-                    }
+                    self.release_leaf(vpn, pte, &mut tally, phys, cycles)
+                        .expect("leaf just installed");
                 }
                 self.vmas.remove(&start.0);
                 return Err(e);
@@ -269,26 +278,37 @@ impl AddressSpace {
         for k in doomed {
             let v = self.vmas.remove(&k).expect("key just enumerated");
             for (vpn, pte) in self.pt.leaves_in_range(v.start, v.pages) {
-                self.pt.unmap(vpn).expect("leaf just enumerated");
-                if pte.is_swap() {
-                    // A swap entry holds a device slot, not a frame, and
-                    // was never in any TLB (non-present).
-                    phys.swap_mut().dec_ref(pte.swap_slot())?;
-                    self.swapped -= 1;
-                } else if pte.is_huge() {
-                    phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)?;
-                    tally.pages += HUGE_PAGES;
-                    tally.huge_entries += 1;
-                } else {
-                    phys.dec_ref(pte.pfn, cycles)?;
-                    tally.pages += 1;
-                    tally.small_entries += 1;
-                }
+                self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
             }
         }
         let cost = phys.cost().clone();
         self.release_shootdown(&tally, tlb, cpus_running, cycles, &cost);
         Ok(tally.pages)
+    }
+
+    /// Unmaps the leaf `pte` just enumerated at `vpn` and drops the one
+    /// reference it held — a swap slot, a 512-frame run or a frame —
+    /// counting a resident translation into `tally` for the shootdown.
+    fn release_leaf(
+        &mut self,
+        vpn: Vpn,
+        pte: Pte,
+        tally: &mut ReleaseTally,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+    ) -> MemResult<()> {
+        self.pt.unmap(vpn).expect("leaf just enumerated");
+        if pte.is_swap() {
+            // A swap entry holds a device slot, not a frame, and was never
+            // in any TLB (non-present).
+            phys.swap_mut().dec_ref(pte.swap_slot())?;
+            self.swapped -= 1;
+            return Ok(());
+        }
+        let run = if pte.is_huge() { HUGE_PAGES } else { 1 };
+        phys.dec_ref_run(pte.pfn, run, cycles)?;
+        tally.add(pte);
+        Ok(())
     }
 
     /// If `boundary` cuts through the interior of a huge block, demotes
@@ -358,32 +378,25 @@ impl AddressSpace {
             // after each mutation; shared nodes are rare and the scan is
             // O(nodes).
             let mut target: Option<(u64, bool, SlotKind)> = None;
-            for (base, l1, idx, kind) in self.pt.leaf_slot_coords() {
+            for slot in self.pt.leaf_slots_in(start.0, start.0 + pages) {
+                let (base, l1, idx, kind) = slot;
                 // Lone huge leaves are never shared — fork shares their
                 // frames, not the entry — so only Arc-backed slots matter.
-                let stride = match kind {
-                    SlotKind::Huge => continue,
-                    SlotKind::Dir => HUGE_PAGES,
-                    SlotKind::Small => 1,
-                };
-                let arc = self.pt.leaf_at(l1, idx);
-                if Arc::strong_count(arc) == 1 {
+                if kind == SlotKind::Huge || Arc::strong_count(self.pt.leaf_at(l1, idx)) == 1 {
                     continue;
                 }
+                let stride = kind.stride();
                 let mut any_in = false;
                 let mut all_in = true;
-                for (j, slot) in arc.ptes.iter().enumerate() {
-                    if slot.is_some() {
-                        let lo = base + j as u64 * stride;
-                        // A huge-directory member counts as inside only
-                        // when its whole 2 MiB block is inside.
-                        if lo >= start.0 && lo + stride <= start.0 + pages {
+                for (_, Vpn(lo), _) in self.pt.slot_entries(slot) {
+                    // A huge-directory member counts as inside only when
+                    // its whole 2 MiB block is inside.
+                    if lo >= start.0 && lo + stride <= start.0 + pages {
+                        any_in = true;
+                    } else {
+                        all_in = false;
+                        if lo + stride > start.0 && lo < start.0 + pages {
                             any_in = true;
-                        } else {
-                            all_in = false;
-                            if lo + stride > start.0 && lo < start.0 + pages {
-                                any_in = true;
-                            }
                         }
                     }
                 }
@@ -499,13 +512,7 @@ impl AddressSpace {
                 let vs = v.start;
                 let vp = v.pages;
                 for (vpn, pte) in self.pt.leaves_in_range(vs, vp) {
-                    if pte.is_huge() {
-                        tally.pages += HUGE_PAGES;
-                        tally.huge_entries += 1;
-                    } else {
-                        tally.pages += 1;
-                        tally.small_entries += 1;
-                    }
+                    tally.add(pte);
                     let mut new = pte;
                     new.flags = new.flags.minus(PteFlags::WRITABLE);
                     if new != pte {
@@ -547,19 +554,7 @@ impl AddressSpace {
         self.demote_straddling(Vpn(start.0 + pages), phys, cycles)?;
         let mut tally = self.prepare_release_range(start, pages, phys, cycles)?;
         for (vpn, pte) in self.pt.leaves_in_range(start, pages) {
-            self.pt.unmap(vpn).expect("leaf just enumerated");
-            if pte.is_swap() {
-                phys.swap_mut().dec_ref(pte.swap_slot())?;
-                self.swapped -= 1;
-            } else if pte.is_huge() {
-                phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)?;
-                tally.pages += HUGE_PAGES;
-                tally.huge_entries += 1;
-            } else {
-                phys.dec_ref(pte.pfn, cycles)?;
-                tally.pages += 1;
-                tally.small_entries += 1;
-            }
+            self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
         }
         let cost = phys.cost().clone();
         self.release_shootdown(&tally, tlb, cpus_running, cycles, &cost);
@@ -716,8 +711,7 @@ impl AddressSpace {
             phys.note_thp_demoted();
         }
         let pte = self.pt.translate(vpn).expect("still mapped after demote");
-        let mut new = pte;
-        new.flags = new.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
+        let new = cow_marked(pte);
         if new != pte {
             self.unshare_subtree(vpn, phys, cycles)?;
             self.pt.update(vpn, new).expect("translated above");
@@ -1190,12 +1184,8 @@ impl AddressSpace {
         // Undo log: parent PTEs downgraded to COW, with their original
         // value, in case the walk fails partway.
         let mut downgrades: Vec<(Vpn, Pte)> = Vec::new();
-        let result = Self::fork_demote_mixed_blocks(parent, phys, cycles).and_then(|_| match mode {
-            ForkMode::OnDemand => {
-                Self::fork_walk_on_demand(parent, &mut child, &mut downgrades, phys, cycles)
-            }
-            _ => Self::fork_walk(parent, &mut child, &mut downgrades, mode, phys, cycles),
-        });
+        let result = Self::fork_demote_mixed_blocks(parent, phys, cycles)
+            .and_then(|_| Self::fork_walk(parent, &mut child, &mut downgrades, mode, phys, cycles));
         let cost = phys.cost().clone();
         let out = match result {
             Ok(()) => {
@@ -1247,26 +1237,27 @@ impl AddressSpace {
     /// Fork policy is per-VMA but a huge block is all-or-nothing: a block
     /// whose pages are no longer covered by a single VMA (a `DONTFORK` /
     /// `WIPEONFORK` or protection split landed inside it) is demoted up
-    /// front so the fork walks only ever see uniformly inherited blocks.
+    /// front so the fork walk only ever sees uniformly inherited blocks.
     /// The demotes survive a fork rollback — they are user-invisible.
+    /// Only `Huge` and `Dir` slots hold blocks, so the search is O(nodes).
     fn fork_demote_mixed_blocks(
         parent: &mut AddressSpace,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
+        if parent.pt.huge_mapped() == 0 {
+            return Ok(());
+        }
+        let whole = |b: Vpn| {
+            let last = Vpn(b.0 + HUGE_PAGES - 1);
+            parent.vma_at(b).is_some_and(|v| v.contains(last))
+        };
         let mut mixed: Vec<Vpn> = Vec::new();
-        parent.pt.for_each_leaf(|vpn, pte| {
-            if !pte.is_huge() {
-                return;
+        for slot in parent.pt.leaf_slot_coords() {
+            if slot.3 != SlotKind::Small {
+                mixed.extend(parent.pt.slot_entries(slot).map(|e| e.1).filter(|b| !whole(*b)));
             }
-            let whole = parent
-                .vma_at(vpn)
-                .map(|v| v.contains(Vpn(vpn.0 + HUGE_PAGES - 1)))
-                .unwrap_or(false);
-            if !whole {
-                mixed.push(vpn);
-            }
-        });
+        }
         let cost = phys.cost().clone();
         for b in mixed {
             parent.unshare_subtree(b, phys, cycles)?;
@@ -1276,286 +1267,17 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Classifies the huge block at `base` against the VMA list: `None`
-    /// if the block is not inherited by a fork child, `Some(share)` for
-    /// the sharing policy of its (single, whole-block-covering) VMA.
-    /// Callers run [`Self::fork_demote_mixed_blocks`] first, so every
-    /// surviving block has exactly one covering VMA.
-    fn block_inherit(&self, base: Vpn) -> Option<Share> {
-        self.vma_at(base)
-            .filter(|v| !v.fork_policy.dont_fork && !v.fork_policy.wipe_on_fork)
-            .map(|v| v.share)
-    }
-
-    /// COW-shares one 2 MiB huge block with a fork child as a single
-    /// unit: the child maps the same run with one huge PTE (taking one
-    /// reference per constituent frame), and a writable parent block is
-    /// downgraded to COW with a single PTE flip
-    /// ([`CostModel::huge_cow`]) instead of 512.
-    #[allow(clippy::too_many_arguments)]
-    fn fork_cow_huge_block(
-        parent: &mut AddressSpace,
-        child: &mut AddressSpace,
-        downgrades: &mut Vec<(Vpn, Pte)>,
-        vpn: Vpn,
-        pte: Pte,
-        share: Share,
-        phys: &mut PhysMemory,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) -> MemResult<()> {
-        // `copy_huge` charges the pte_copy for the child's entry write.
-        cycles.charge(cost.huge_cow);
-        parent.stats.ptes_copied += 1;
-        phys.inc_ref_run(pte.pfn, HUGE_PAGES)?;
-        let mapped = match share {
-            Share::Shared => child.pt.copy_huge(vpn, pte, cycles, cost),
-            Share::Private => {
-                let mut cow = pte;
-                if cow.is_writable() || cow.is_cow() {
-                    cow.flags = cow.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-                }
-                let r = child.pt.copy_huge(vpn, cow, cycles, cost);
-                if r.is_ok() && pte.is_writable() {
-                    parent.pt.update(vpn, cow).expect("block just enumerated");
-                    downgrades.push((vpn, pte));
-                }
-                r
-            }
-        };
-        if let Err(e) = mapped {
-            phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)
-                .expect("refs just taken");
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Eager-fork copy of one huge block: try to copy it into a fresh
-    /// 512-frame run so the child stays huge; when physical memory is too
-    /// fragmented for a run, fall back to 512 small copies in the child
-    /// while the parent keeps its block.
-    fn fork_eager_copy_huge_block(
-        parent: &mut AddressSpace,
-        child: &mut AddressSpace,
-        vpn: Vpn,
-        pte: Pte,
-        phys: &mut PhysMemory,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) -> MemResult<()> {
-        cycles.charge(cost.pte_copy);
-        parent.stats.ptes_copied += 1;
-        match phys.alloc_zeroed_huge_run(cycles) {
-            Ok(head) => {
-                for k in 0..HUGE_PAGES {
-                    let c = phys.content(Pfn(pte.pfn.0 + k))?;
-                    phys.write_content(Pfn(head.0 + k), c)?;
-                    cycles.charge(cost.page_copy);
-                }
-                parent.stats.pages_eager_copied += HUGE_PAGES;
-                if let Err(e) = child.pt.copy_huge(vpn, Pte { pfn: head, ..pte }, cycles, cost) {
-                    phys.dec_ref_run(head, HUGE_PAGES, cycles)
-                        .expect("run just allocated");
-                    return Err(e);
-                }
-                Ok(())
-            }
-            Err(MemError::Fragmented) => {
-                let flags = pte.flags.minus(PteFlags::HUGE);
-                for k in 0..HUGE_PAGES {
-                    let new = phys.copy_frame(Pfn(pte.pfn.0 + k), cycles)?;
-                    parent.stats.pages_eager_copied += 1;
-                    if let Err(e) = child.pt.map(vpn.add(k), Pte::new(new, flags), cycles, cost) {
-                        phys.dec_ref(new, cycles).expect("frame just copied");
-                        return Err(e);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The fallible body of an on-demand fork: clones VMA records, then
-    /// shares whole leaf page-table subtrees with the child by refcount
-    /// instead of copying PTEs. A subtree is shareable when every present
-    /// PTE in it is inherited by the child; nodes straddling `DONTFORK` /
-    /// `WIPEONFORK` boundaries fall back to the per-PTE COW copy. When a
-    /// node is shared for the first time, its private writable PTEs are
-    /// COW-marked in place (one marking serves both tables — that is what
-    /// sharing means), and each marking is recorded in `downgrades`.
-    fn fork_walk_on_demand(
-        parent: &mut AddressSpace,
-        child: &mut AddressSpace,
-        downgrades: &mut Vec<(Vpn, Pte)>,
-        phys: &mut PhysMemory,
-        cycles: &mut Cycles,
-    ) -> MemResult<()> {
-        let cost = phys.cost().clone();
-        let parent_vmas: Vec<VmArea> = parent.vmas.values().cloned().collect();
-        for vma in parent_vmas {
-            if vma.fork_policy.dont_fork {
-                continue;
-            }
-            fpr_faults::cross(FaultSite::VmaClone).map_err(|_| MemError::OutOfMemory)?;
-            cycles.charge(cost.vma_clone);
-            parent.stats.vmas_cloned += 1;
-            child.vmas.insert(vma.start.0, vma);
-        }
-        // Gather loose huge blocks into (partial) directories first: each
-        // all-huge level-1 table then shares below with one pointer copy
-        // instead of a per-block COW copy.
-        parent.pt.group_huge_tables();
-        for (base, l1, idx, kind) in parent.pt.leaf_slot_coords() {
-            if matches!(kind, SlotKind::Huge) {
-                // A lone huge block COW-shares as a single unit.
-                let pte = parent.pt.huge_at(l1, idx);
-                let Some(share) = parent.block_inherit(Vpn(base)) else {
-                    continue;
-                };
-                Self::fork_cow_huge_block(
-                    parent, child, downgrades, Vpn(base), pte, share, phys, cycles, &cost,
-                )?;
-                continue;
-            }
-            if matches!(kind, SlotKind::Dir) {
-                // Classify each member block of this 1 GiB huge directory.
-                let mut slots: Vec<(usize, Vpn, Pte, Option<Share>)> = Vec::new();
-                {
-                    let node = parent.pt.leaf_at(l1, idx);
-                    for (j, slot) in node.ptes.iter().enumerate() {
-                        let Some(pte) = slot else { continue };
-                        let vpn = Vpn(base + j as u64 * HUGE_PAGES);
-                        slots.push((j, vpn, *pte, parent.block_inherit(vpn)));
-                    }
-                }
-                if !slots.is_empty() && slots.iter().all(|(_, _, _, i)| i.is_some()) {
-                    // Whole directory inherited: COW-mark the member
-                    // blocks in place (first share only — an already-shared
-                    // directory holds no writable members) and hand the
-                    // child the directory with one pointer copy. Up to a
-                    // GiB of huge mappings shares in O(1), which is what
-                    // makes fork of a fully-huge space almost free.
-                    let arc = parent.pt.leaf_at_mut(l1, idx);
-                    if let Some(node) = Arc::get_mut(arc) {
-                        for (j, vpn, pte, inherit) in &slots {
-                            if *inherit != Some(Share::Private) || !pte.is_writable() {
-                                continue;
-                            }
-                            let slot = node.ptes[*j].as_mut().expect("slot classified present");
-                            slot.flags = slot.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-                            downgrades.push((*vpn, *pte));
-                        }
-                    }
-                    let arc = Arc::clone(parent.pt.leaf_at(l1, idx));
-                    child.pt.attach_leaf(base, arc, true, cycles, &cost)?;
-                    parent.stats.pt_subtrees_shared += 1;
-                    sink::instant("pt_subtree_share", "mem", cycles.total());
-                } else {
-                    // Mixed directory: per-block huge COW copy for the
-                    // inherited members only.
-                    for (_, vpn, pte, inherit) in slots {
-                        let Some(share) = inherit else { continue };
-                        Self::fork_cow_huge_block(
-                            parent, child, downgrades, vpn, pte, share, phys, cycles, &cost,
-                        )?;
-                    }
-                }
-                continue;
-            }
-            // Classify every present PTE of this 512-entry node: does the
-            // child inherit it, and under which sharing policy?
-            let span = PT_ENTRIES as u64;
-            let covering: Vec<VmArea> = parent
-                .vmas
-                .values()
-                .filter(|v| v.overlaps(Vpn(base), span))
-                .cloned()
-                .collect();
-            let mut slots: Vec<(usize, Vpn, Pte, Option<Share>)> = Vec::new();
-            {
-                let node = parent.pt.leaf_at(l1, idx);
-                for (j, slot) in node.ptes.iter().enumerate() {
-                    let Some(pte) = slot else { continue };
-                    let vpn = Vpn(base | j as u64);
-                    let inherit = covering
-                        .iter()
-                        .find(|v| v.contains(vpn))
-                        .filter(|v| !v.fork_policy.dont_fork && !v.fork_policy.wipe_on_fork)
-                        .map(|v| v.share);
-                    slots.push((j, vpn, *pte, inherit));
-                }
-            }
-            if !slots.is_empty() && slots.iter().all(|(_, _, _, i)| i.is_some()) {
-                // Fast path: hand the whole subtree to the child with one
-                // pointer copy and a refcount bump.
-                let arc = parent.pt.leaf_at_mut(l1, idx);
-                if let Some(node) = Arc::get_mut(arc) {
-                    // First sharing of this node: COW-mark its private
-                    // writable PTEs in place. A node that is *already*
-                    // shared holds no private writable PTEs (they were
-                    // marked when it was first shared), so re-sharing
-                    // needs no marking — and must not mutate it.
-                    for (j, vpn, pte, inherit) in &slots {
-                        if *inherit != Some(Share::Private) || !pte.is_writable() {
-                            continue;
-                        }
-                        let slot = node.ptes[*j].as_mut().expect("slot classified present");
-                        slot.flags = slot.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-                        downgrades.push((*vpn, *pte));
-                    }
-                }
-                let arc = Arc::clone(parent.pt.leaf_at(l1, idx));
-                child.pt.attach_leaf(base, arc, false, cycles, &cost)?;
-                // Sharing the node shares its swap entries by identity —
-                // no slot refcount change, but the child's residency
-                // accounting must know they hold no frames.
-                child.swapped += slots.iter().filter(|(_, _, p, _)| p.is_swap()).count() as u64;
-                parent.stats.pt_subtrees_shared += 1;
-                sink::instant("pt_subtree_share", "mem", cycles.total());
-                continue;
-            }
-            // Mixed node: per-PTE COW copy for the inherited slots only.
-            for (_, vpn, pte, inherit) in slots {
-                let Some(share) = inherit else { continue };
-                cycles.charge(cost.pte_copy);
-                parent.stats.ptes_copied += 1;
-                if pte.is_swap() {
-                    Self::fork_copy_swap_entry(child, vpn, pte, phys, cycles, &cost)?;
-                    continue;
-                }
-                match share {
-                    Share::Shared => {
-                        phys.inc_ref(pte.pfn)?;
-                        if let Err(e) = child.pt.map(vpn, pte, cycles, &cost) {
-                            phys.dec_ref(pte.pfn, cycles).expect("ref just taken");
-                            return Err(e);
-                        }
-                    }
-                    Share::Private => {
-                        phys.inc_ref(pte.pfn)?;
-                        let mut cow = pte;
-                        if cow.is_writable() || cow.is_cow() {
-                            cow.flags = cow.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-                        }
-                        if let Err(e) = child.pt.map(vpn, cow, cycles, &cost) {
-                            phys.dec_ref(pte.pfn, cycles).expect("ref just taken");
-                            return Err(e);
-                        }
-                        if pte.is_writable() {
-                            parent.pt.update(vpn, cow).expect("leaf just enumerated");
-                            downgrades.push((vpn, pte));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The fallible body of [`AddressSpace::fork_from`]: clones VMAs and
-    /// PTEs into `child`, recording parent downgrades in `downgrades`.
+    /// The fallible body of [`AddressSpace::fork_from`], the same walk in
+    /// every mode: clone the VMA records, then make one ascending pass
+    /// over the parent's leaf slots, copying every entry the child
+    /// inherits ([`Self::fork_copy_entry`]) and recording parent
+    /// downgrades in `downgrades`. [`ForkMode::OnDemand`] is that walk
+    /// except that a node whose entries are all inherited is attached to
+    /// the child instead of copied: one pointer copy and a refcount bump
+    /// share up to 512 PTEs — or, for a huge directory, up to a GiB of
+    /// blocks, which is what makes fork of a fully-huge space almost free.
+    /// Nodes straddling a `DONTFORK` / `WIPEONFORK` boundary are copied
+    /// per entry like any other mode's.
     fn fork_walk(
         parent: &mut AddressSpace,
         child: &mut AddressSpace,
@@ -1565,100 +1287,189 @@ impl AddressSpace {
         cycles: &mut Cycles,
     ) -> MemResult<()> {
         let cost = phys.cost().clone();
-        let parent_vmas: Vec<VmArea> = parent.vmas.values().cloned().collect();
-        for vma in parent_vmas {
-            if vma.fork_policy.dont_fork {
-                continue;
-            }
+        let AddressSpace { vmas, pt, stats, .. } = parent;
+        for vma in vmas.values().filter(|v| !v.fork_policy.dont_fork) {
             fpr_faults::cross(FaultSite::VmaClone).map_err(|_| MemError::OutOfMemory)?;
             cycles.charge(cost.vma_clone);
-            parent.stats.vmas_cloned += 1;
+            stats.vmas_cloned += 1;
             child.vmas.insert(vma.start.0, vma.clone());
-            if vma.fork_policy.wipe_on_fork {
-                // Child starts with an empty (demand-zero) range.
-                continue;
-            }
-            for (vpn, pte) in parent.pt.leaves_in_range(vma.start, vma.pages) {
-                if pte.is_huge() {
-                    // Huge blocks fork as single units (the helpers charge
-                    // their own PTE-copy terms).
-                    if vma.share == Share::Private && mode == ForkMode::Eager {
-                        Self::fork_eager_copy_huge_block(
-                            parent, child, vpn, pte, phys, cycles, &cost,
-                        )?;
-                    } else {
-                        Self::fork_cow_huge_block(
-                            parent, child, downgrades, vpn, pte, vma.share, phys, cycles, &cost,
-                        )?;
-                    }
-                    continue;
-                }
-                cycles.charge(cost.pte_copy);
-                parent.stats.ptes_copied += 1;
-                if pte.is_swap() {
-                    // Swapped pages stay swapped across every fork mode
-                    // (even Eager: fork must not block on fallible device
-                    // I/O); the child shares the slot like a COW frame.
-                    Self::fork_copy_swap_entry(child, vpn, pte, phys, cycles, &cost)?;
-                    continue;
-                }
-                match (vma.share, mode) {
-                    (Share::Shared, _) => {
-                        phys.inc_ref(pte.pfn)?;
-                        if let Err(e) = child.pt.map(vpn, pte, cycles, &cost) {
-                            phys.dec_ref(pte.pfn, cycles).expect("ref just taken");
-                            return Err(e);
-                        }
-                    }
-                    (Share::Private, ForkMode::Eager) => {
-                        let new = phys.copy_frame(pte.pfn, cycles)?;
-                        parent.stats.pages_eager_copied += 1;
-                        if let Err(e) = child.pt.map(vpn, Pte { pfn: new, ..pte }, cycles, &cost) {
-                            phys.dec_ref(new, cycles).expect("frame just copied");
-                            return Err(e);
-                        }
-                    }
-                    (Share::Private, ForkMode::Cow | ForkMode::OnDemand) => {
-                        phys.inc_ref(pte.pfn)?;
-                        let mut cow = pte;
-                        if cow.is_writable() || cow.is_cow() {
-                            cow.flags = cow.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-                        }
-                        if let Err(e) = child.pt.map(vpn, cow, cycles, &cost) {
-                            phys.dec_ref(pte.pfn, cycles).expect("ref just taken");
-                            return Err(e);
-                        }
-                        if pte.is_writable() {
-                            parent.pt.update(vpn, cow).expect("leaf just enumerated");
+        }
+        if mode == ForkMode::OnDemand {
+            // Gather loose huge blocks into (partial) directories first:
+            // each all-huge level-1 table then shares below with one
+            // pointer copy instead of a per-block COW copy.
+            pt.group_huge_tables();
+        }
+        // The inherit rule: the child receives an entry under its VMA's
+        // sharing policy unless that VMA is `DONTFORK` (no mapping) or
+        // `WIPEONFORK` (an empty, demand-zero range). Slots and VMAs both
+        // ascend, so classifying is a cursor step, not a lookup.
+        let mut cursor = vmas.values().peekable();
+        let mut inherit = |vpn: Vpn| {
+            while cursor.next_if(|v| v.end().0 <= vpn.0).is_some() {}
+            let vma = cursor.peek().filter(|v| v.contains(vpn))?;
+            (!vma.fork_policy.dont_fork && !vma.fork_policy.wipe_on_fork).then_some(vma.share)
+        };
+        let mut entries: Vec<(usize, Vpn, Pte, Option<Share>)> = Vec::new();
+        for slot in pt.leaf_slot_coords() {
+            let (base, node, idx, kind) = slot;
+            entries.clear();
+            entries.extend(pt.slot_entries(slot).map(|(j, vpn, pte)| (j, vpn, pte, inherit(vpn))));
+            // A lone huge block is an entry of its level-1 table, not a
+            // node of its own: there is nothing to attach.
+            if mode == ForkMode::OnDemand
+                && kind != SlotKind::Huge
+                && entries.iter().all(|e| e.3.is_some())
+            {
+                // First sharing of this node: COW-mark its private
+                // writable PTEs in place (one marking serves both tables —
+                // that is what sharing means). A node that is *already*
+                // shared holds none (they were marked when it was first
+                // shared), so re-sharing needs no marking — and must not
+                // mutate it.
+                if let Some(leaf) = Arc::get_mut(pt.leaf_at_mut(node, idx)) {
+                    for &(j, vpn, pte, share) in &entries {
+                        if share == Some(Share::Private) && pte.is_writable() {
+                            leaf.ptes[j] = Some(cow_marked(pte));
                             downgrades.push((vpn, pte));
                         }
                     }
+                }
+                let arc = Arc::clone(pt.leaf_at(node, idx));
+                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, &cost)?;
+                // Sharing the node shares its swap entries by identity —
+                // no slot refcount change, but the child's residency
+                // accounting must know they hold no frames.
+                child.swapped += entries.iter().filter(|e| e.2.is_swap()).count() as u64;
+                stats.pt_subtrees_shared += 1;
+                sink::instant("pt_subtree_share", "mem", cycles.total());
+                continue;
+            }
+            for &(_, vpn, pte, share) in &entries {
+                let Some(share) = share else { continue };
+                let marked = Self::fork_copy_entry(
+                    child, stats, mode, share, vpn, pte, phys, cycles, &cost,
+                )?;
+                if let Some(cow) = marked {
+                    pt.update(vpn, cow).expect("entry just enumerated");
+                    downgrades.push((vpn, pte));
                 }
             }
         }
         Ok(())
     }
 
-    /// Copies one swap entry into a fork child: the child's distinct leaf
-    /// node takes its own slot reference, exactly as a present PTE copy
-    /// takes a frame reference.
-    fn fork_copy_swap_entry(
+    /// Copies one inherited entry of the parent — a small page, a 2 MiB
+    /// block or a swap entry — into `child`. A `MAP_SHARED` entry aliases
+    /// the same frames; a private one is copied outright by
+    /// [`ForkMode::Eager`] and otherwise shares its frames write-protected
+    /// and COW-marked. Returns the COW-marked PTE the parent's own entry
+    /// must be downgraded to when the parent could write it. On `Err` the
+    /// references taken for this entry have been dropped again.
+    #[allow(clippy::too_many_arguments)]
+    fn fork_copy_entry(
         child: &mut AddressSpace,
+        stats: &mut AsStats,
+        mode: ForkMode,
+        share: Share,
+        vpn: Vpn,
+        pte: Pte,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+        cost: &CostModel,
+    ) -> MemResult<Option<Pte>> {
+        let eager = mode == ForkMode::Eager && share == Share::Private && !pte.is_swap();
+        // A block shares as a single unit: one flip of its huge PTE
+        // (`huge_cow`) instead of 512, and `copy_huge` charges the child's
+        // entry write itself.
+        cycles.charge(if pte.is_huge() && !eager { cost.huge_cow } else { cost.pte_copy });
+        stats.ptes_copied += 1;
+        if pte.is_swap() {
+            // Swapped pages stay swapped across every fork mode (even
+            // Eager: fork must not block on fallible device I/O); the
+            // child's distinct leaf node takes its own slot reference,
+            // exactly as a present PTE copy takes a frame reference.
+            let slot = pte.swap_slot();
+            phys.swap_mut().inc_ref(slot)?;
+            if let Err(e) = child.pt.map(vpn, pte, cycles, cost) {
+                phys.swap_mut().dec_ref(slot).expect("ref just taken");
+                return Err(e);
+            }
+            child.swapped += 1;
+            return Ok(None);
+        }
+        if eager {
+            return Self::fork_eager_copy(child, stats, vpn, pte, phys, cycles, cost).map(|()| None);
+        }
+        let run = if pte.is_huge() { HUGE_PAGES } else { 1 };
+        phys.inc_ref_run(pte.pfn, run)?;
+        let private = share == Share::Private;
+        let marks = private && (pte.is_writable() || pte.is_cow());
+        let new = if marks { cow_marked(pte) } else { pte };
+        let mapped = if pte.is_huge() {
+            child.pt.copy_huge(vpn, new, cycles, cost)
+        } else {
+            child.pt.map(vpn, new, cycles, cost)
+        };
+        if let Err(e) = mapped {
+            phys.dec_ref_run(pte.pfn, run, cycles).expect("refs just taken");
+            return Err(e);
+        }
+        Ok((private && pte.is_writable()).then_some(new))
+    }
+
+    /// Eager-fork copy of one private entry. A huge block is copied into a
+    /// fresh 512-frame run so the child stays huge; a small page — and,
+    /// when physical memory is too fragmented for a run, every page of a
+    /// block, while the parent keeps its block — gets its own frame copy.
+    fn fork_eager_copy(
+        child: &mut AddressSpace,
+        stats: &mut AsStats,
         vpn: Vpn,
         pte: Pte,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) -> MemResult<()> {
-        let slot = pte.swap_slot();
-        phys.swap_mut().inc_ref(slot)?;
-        if let Err(e) = child.pt.map(vpn, pte, cycles, cost) {
-            phys.swap_mut().dec_ref(slot).expect("ref just taken");
-            return Err(e);
+        let mut pages = 1;
+        if pte.is_huge() {
+            match phys.alloc_zeroed_huge_run(cycles) {
+                Ok(head) => {
+                    for k in 0..HUGE_PAGES {
+                        let c = phys.content(Pfn(pte.pfn.0 + k))?;
+                        phys.write_content(Pfn(head.0 + k), c)?;
+                        cycles.charge(cost.page_copy);
+                    }
+                    stats.pages_eager_copied += HUGE_PAGES;
+                    let copy = Pte { pfn: head, ..pte };
+                    if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, cost) {
+                        phys.dec_ref_run(head, HUGE_PAGES, cycles)
+                            .expect("run just allocated");
+                        return Err(e);
+                    }
+                    return Ok(());
+                }
+                Err(MemError::Fragmented) => pages = HUGE_PAGES,
+                Err(e) => return Err(e),
+            }
         }
-        child.swapped += 1;
+        let flags = pte.flags.minus(PteFlags::HUGE);
+        for k in 0..pages {
+            let new = phys.copy_frame(Pfn(pte.pfn.0 + k), cycles)?;
+            stats.pages_eager_copied += 1;
+            if let Err(e) = child.pt.map(vpn.add(k), Pte { pfn: new, flags }, cycles, cost) {
+                phys.dec_ref(new, cycles).expect("frame just copied");
+                return Err(e);
+            }
+        }
         Ok(())
     }
+}
+
+/// `pte` write-protected and marked copy-on-write.
+fn cow_marked(mut pte: Pte) -> Pte {
+    pte.flags = pte.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
+    pte
 }
 
 /// Commit charge of one VMA: pages the kernel may need frames for.

@@ -102,7 +102,7 @@ impl LeafNode {
 }
 
 /// What occupies a leaf-bearing slot, as reported by
-/// [`PageTable::leaf_slot_coords`].
+/// [`PageTable::leaf_slots_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SlotKind {
     /// A small-PTE leaf node at a level-1 slot (2 MiB span).
@@ -112,6 +112,21 @@ pub(crate) enum SlotKind {
     /// A lone huge PTE at a level-1 slot (2 MiB block).
     Huge,
 }
+
+impl SlotKind {
+    /// Pages between consecutive entries of the slot's node: a directory's
+    /// entries are 2 MiB blocks, everything else steps by one page.
+    pub(crate) fn stride(self) -> u64 {
+        match self {
+            SlotKind::Dir => HUGE_PAGES,
+            SlotKind::Small | SlotKind::Huge => 1,
+        }
+    }
+}
+
+/// Coordinates of one leaf-bearing slot: `(base VPN, arena node, slot
+/// index, kind)`.
+pub(crate) type Slot = (u64, u32, usize, SlotKind);
 
 /// One drained leaf from [`PageTable::take_leaves`].
 #[derive(Debug)]
@@ -810,10 +825,77 @@ impl PageTable {
         }
     }
 
+    /// Coordinates of every leaf-bearing slot whose span intersects the VPN
+    /// range `[lo, hi)`: `(base VPN, arena node, slot index, kind)`,
+    /// ascending by base — an in-order descent that enters only subtrees
+    /// the range touches. Every leaf enumeration below is built on this
+    /// one walk. Coordinates (not `Arc` clones) so that enumerating does
+    /// not perturb `Arc::strong_count` — the on-demand fork walk relies on
+    /// the count to detect exclusivity. Coordinates are invalidated by any
+    /// map/unmap/attach/detach.
+    pub(crate) fn leaf_slots_in(&self, lo: u64, hi: u64) -> Vec<Slot> {
+        let mut out = Vec::new();
+        self.collect_slots(self.root, PT_LEVELS - 1, 0, lo, hi, &mut out);
+        out
+    }
+
+    fn collect_slots(
+        &self,
+        node: u32,
+        level: usize,
+        base: u64,
+        lo: u64,
+        hi: u64,
+        out: &mut Vec<Slot>,
+    ) {
+        let shift = 9 * level;
+        // Entries `first..last` are the ones whose span meets `[lo, hi)`.
+        let first = (lo.saturating_sub(base) >> shift).min(PT_ENTRIES as u64) as usize;
+        let last = ((hi - base).saturating_add((1 << shift) - 1) >> shift)
+            .clamp(first as u64, PT_ENTRIES as u64) as usize;
+        for (i, e) in self.nodes[node as usize].entries[first..last].iter().enumerate() {
+            let i = first + i;
+            let slot_base = base | ((i as u64) << shift);
+            match e {
+                Entry::None => {}
+                Entry::Table(t) => self.collect_slots(*t, level - 1, slot_base, lo, hi, out),
+                Entry::Leaf(_) if level == 2 => out.push((slot_base, node, i, SlotKind::Dir)),
+                Entry::Leaf(_) => out.push((slot_base, node, i, SlotKind::Small)),
+                Entry::Huge(_) => out.push((slot_base, node, i, SlotKind::Huge)),
+            }
+        }
+    }
+
+    /// [`Self::leaf_slots_in`] over the whole table.
+    pub(crate) fn leaf_slot_coords(&self) -> Vec<Slot> {
+        self.leaf_slots_in(0, u64::MAX)
+    }
+
+    /// Present entries of the slot at coordinates from
+    /// [`Self::leaf_slots_in`], ascending: `(in-node index, VPN, PTE)`. A
+    /// huge block — lone, or a directory member — appears once at its
+    /// block base with the `HUGE` flag set.
+    pub(crate) fn slot_entries(
+        &self,
+        (base, node, idx, kind): Slot,
+    ) -> impl Iterator<Item = (usize, Vpn, Pte)> + '_ {
+        let (lone, ptes): (Option<Pte>, &[Option<Pte>]) =
+            match &self.nodes[node as usize].entries[idx] {
+                Entry::Leaf(arc) => (None, &arc.ptes[..]),
+                Entry::Huge(p) => (Some(*p), &[]),
+                _ => panic!("slot_entries: stale coordinates"),
+            };
+        let members = ptes
+            .iter()
+            .enumerate()
+            .filter_map(move |(j, p)| p.map(|p| (j, Vpn(base + j as u64 * kind.stride()), p)));
+        lone.into_iter().map(move |p| (0, Vpn(base), p)).chain(members)
+    }
+
     /// Visits every leaf translation in ascending VPN order. Huge blocks
     /// are yielded once at their block base with the `HUGE` flag set.
     pub fn for_each_leaf(&self, mut f: impl FnMut(Vpn, Pte)) {
-        self.walk(self.root, PT_LEVELS - 1, 0, &mut |_, vpn, pte| f(vpn, pte));
+        self.for_each_leaf_keyed(|_, vpn, pte| f(vpn, pte));
     }
 
     /// Visits every leaf translation along with the identity of the leaf
@@ -822,31 +904,12 @@ impl PageTable {
     /// Lone huge leaves use the address of their arena slot — a distinct
     /// allocation from every `Arc`, so identities never collide.
     pub fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
-        self.walk(self.root, PT_LEVELS - 1, 0, &mut f);
-    }
-
-    fn walk(&self, node: u32, level: usize, base: u64, f: &mut impl FnMut(usize, Vpn, Pte)) {
-        for (i, e) in self.nodes[node as usize].entries.iter().enumerate() {
-            let vpn_base = base | ((i as u64) << (9 * level));
-            match e {
-                Entry::None => {}
-                Entry::Table(t) => self.walk(*t, level - 1, vpn_base, f),
-                Entry::Leaf(arc) => {
-                    let id = Arc::as_ptr(arc) as usize;
-                    // At level 2 this is a huge directory: each slot is a
-                    // 2 MiB block yielded once at its block base.
-                    let stride = if level == 2 { HUGE_PAGES } else { 1 };
-                    for (j, slot) in arc.ptes.iter().enumerate() {
-                        if let Some(p) = slot {
-                            f(id, Vpn(vpn_base | (j as u64 * stride)), *p);
-                        }
-                    }
-                }
-                Entry::Huge(p) => {
-                    let id = e as *const Entry as usize;
-                    f(id, Vpn(vpn_base), *p);
-                }
-            }
+        for slot in self.leaf_slot_coords() {
+            let id = match &self.nodes[slot.1 as usize].entries[slot.2] {
+                Entry::Leaf(arc) => Arc::as_ptr(arc) as usize,
+                lone => lone as *const Entry as usize,
+            };
+            self.slot_entries(slot).for_each(|(_, vpn, pte)| f(id, vpn, pte));
         }
     }
 
@@ -854,26 +917,19 @@ impl PageTable {
     /// entry (but not remove it). Huge blocks are visited once at their
     /// block base. Panics if any leaf subtree is shared.
     pub fn for_each_leaf_mut(&mut self, mut f: impl FnMut(Vpn, &mut Pte)) {
-        // Iterative stack walk to satisfy the borrow checker.
-        let mut stack = vec![(self.root, PT_LEVELS - 1, 0u64)];
-        while let Some((node, level, base)) = stack.pop() {
-            for i in 0..PT_ENTRIES {
-                let vpn_base = base | ((i as u64) << (9 * level));
-                match &mut self.nodes[node as usize].entries[i] {
-                    Entry::None => {}
-                    Entry::Table(t) => stack.push((*t, level - 1, vpn_base)),
-                    Entry::Leaf(arc) => {
-                        let leaf = Arc::get_mut(arc)
-                            .expect("mutating a shared leaf subtree (missed unshare)");
-                        let stride = if level == 2 { HUGE_PAGES } else { 1 };
-                        for (j, slot) in leaf.ptes.iter_mut().enumerate() {
-                            if let Some(p) = slot {
-                                f(Vpn(vpn_base | (j as u64 * stride)), p);
-                            }
+        for (base, node, idx, kind) in self.leaf_slot_coords() {
+            match &mut self.nodes[node as usize].entries[idx] {
+                Entry::Leaf(arc) => {
+                    let leaf =
+                        Arc::get_mut(arc).expect("mutating a shared leaf subtree (missed unshare)");
+                    for (j, p) in leaf.ptes.iter_mut().enumerate() {
+                        if let Some(p) = p {
+                            f(Vpn(base + j as u64 * kind.stride()), p);
                         }
                     }
-                    Entry::Huge(p) => f(Vpn(vpn_base), p),
                 }
+                Entry::Huge(p) => f(Vpn(base), p),
+                _ => unreachable!("coordinates name leaf-bearing slots"),
             }
         }
     }
@@ -883,42 +939,13 @@ impl PageTable {
     /// overlapping the range boundary must be demoted by the caller before
     /// this filter is meaningful.
     pub fn leaves_in_range(&self, start: Vpn, pages: u64) -> Vec<(Vpn, Pte)> {
-        let mut out = Vec::new();
-        // The tree walk visits everything; range extraction filters. A
-        // production kernel would descend only covered subtrees, but the
-        // mapped set here is dense within VMAs so the filter is cheap.
-        self.for_each_leaf(|vpn, pte| {
-            if vpn.0 >= start.0 && vpn.0 < start.0 + pages {
-                out.push((vpn, pte));
-            }
-        });
-        out
-    }
-
-    /// Coordinates of every leaf-bearing slot: `(base VPN, arena node,
-    /// slot index, kind)`, ascending by base. Coordinates (not `Arc`
-    /// clones) so that enumerating does not perturb `Arc::strong_count` —
-    /// the on-demand fork walk relies on the count to detect exclusivity.
-    /// Coordinates are invalidated by any map/unmap/attach/detach.
-    pub(crate) fn leaf_slot_coords(&self) -> Vec<(u64, u32, usize, SlotKind)> {
-        let mut out = Vec::new();
-        let mut stack = vec![(self.root, PT_LEVELS - 1, 0u64)];
-        while let Some((node, level, base)) = stack.pop() {
-            for (i, e) in self.nodes[node as usize].entries.iter().enumerate() {
-                let vpn_base = base | ((i as u64) << (9 * level));
-                match e {
-                    Entry::None => {}
-                    Entry::Table(t) => stack.push((*t, level - 1, vpn_base)),
-                    Entry::Leaf(_) => {
-                        let kind = if level == 2 { SlotKind::Dir } else { SlotKind::Small };
-                        out.push((vpn_base, node, i, kind));
-                    }
-                    Entry::Huge(_) => out.push((vpn_base, node, i, SlotKind::Huge)),
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(b, ..)| b);
-        out
+        let range = start.0..start.0 + pages;
+        self.leaf_slots_in(range.start, range.end)
+            .into_iter()
+            .flat_map(|slot| self.slot_entries(slot))
+            .filter(|(_, vpn, _)| range.contains(&vpn.0))
+            .map(|(_, vpn, pte)| (vpn, pte))
+            .collect()
     }
 
     /// The leaf node at arena coordinates from [`Self::leaf_slot_coords`]
@@ -936,15 +963,6 @@ impl PageTable {
         match &mut self.nodes[node as usize].entries[idx] {
             Entry::Leaf(arc) => arc,
             _ => panic!("leaf_at_mut: stale coordinates"),
-        }
-    }
-
-    /// The lone huge PTE at arena coordinates from
-    /// [`Self::leaf_slot_coords`].
-    pub(crate) fn huge_at(&self, node: u32, idx: usize) -> Pte {
-        match &self.nodes[node as usize].entries[idx] {
-            Entry::Huge(p) => *p,
-            _ => panic!("huge_at: stale coordinates"),
         }
     }
 
@@ -1077,21 +1095,17 @@ impl PageTable {
     /// ascending by base; huge directories come back as nodes of huge
     /// PTEs and lone huge leaves as bare PTEs.
     pub(crate) fn take_leaves(&mut self) -> Vec<(u64, TakenLeaf)> {
-        let mut out = Vec::new();
-        let mut stack = vec![(self.root, PT_LEVELS - 1, 0u64)];
-        while let Some((node, level, base)) = stack.pop() {
-            for (i, e) in self.nodes[node as usize].entries.iter().enumerate() {
-                let vpn_base = base | ((i as u64) << (9 * level));
-                match e {
-                    Entry::None => {}
-                    Entry::Table(t) => stack.push((*t, level - 1, vpn_base)),
-                    Entry::Leaf(arc) => out.push((vpn_base, TakenLeaf::Node(Arc::clone(arc)))),
-                    Entry::Huge(p) => out.push((vpn_base, TakenLeaf::Huge(*p))),
-                }
+        let slots = self.leaf_slot_coords();
+        let take = |(base, node, idx, _): Slot| {
+            let e = std::mem::replace(&mut self.nodes[node as usize].entries[idx], Entry::None);
+            match e {
+                Entry::Leaf(arc) => (base, TakenLeaf::Node(arc)),
+                Entry::Huge(p) => (base, TakenLeaf::Huge(p)),
+                _ => unreachable!("coordinates name leaf-bearing slots"),
             }
-        }
+        };
+        let out = slots.into_iter().map(take).collect();
         *self = PageTable::new();
-        out.sort_unstable_by_key(|(b, _)| *b);
         out
     }
 }
@@ -1707,6 +1721,44 @@ mod tests {
             p.flags = p.flags.union(PteFlags::COW);
         });
         assert!(pt.huge_block(Vpn(1024)).unwrap().is_cow());
+        // Slot order is address order over a table mixing small leaves,
+        // lone huge slots and a directory (the whole second GiB), and a
+        // ranged walk yields nothing from a subtree outside its range.
+        let gib = 512 * 512u64;
+        for b in 0..512u64 {
+            pt.map_huge(Vpn(gib + b * 512), huge(gib + b * 512), &mut cy, &cost)
+                .unwrap();
+        }
+        for v in [2 * gib + 7, 1 << 30] {
+            pt.map(Vpn(v), Pte::new(Pfn(v), PteFlags::empty()), &mut cy, &cost)
+                .unwrap();
+        }
+        let slots: Vec<(u64, SlotKind)> =
+            pt.leaf_slot_coords().iter().map(|c| (c.0, c.3)).collect();
+        assert_eq!(
+            slots,
+            vec![
+                (0, SlotKind::Small),
+                (1024, SlotKind::Huge),
+                (gib, SlotKind::Dir),
+                (2 * gib, SlotKind::Small),
+                (1 << 30, SlotKind::Small),
+            ]
+        );
+        let mut all = Vec::new();
+        pt.for_each_leaf(|v, _| all.push(v.0));
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending VPN order");
+        assert_eq!(all.len(), 2 + 512 + 2);
+        let vpns = |start: u64, pages: u64| -> Vec<u64> {
+            pt.leaves_in_range(Vpn(start), pages).iter().map(|(v, _)| v.0).collect()
+        };
+        assert_eq!(vpns(1024, 512), vec![1024]);
+        assert_eq!(vpns(6, 1018), Vec::<u64>::new(), "gap between slots");
+        assert_eq!(vpns(gib + 3 * 512, 1024), vec![gib + 3 * 512, gib + 4 * 512]);
+        assert_eq!(vpns(2 * gib, gib), vec![2 * gib + 7]);
+        assert_eq!(vpns(3 * gib, 1 << 29), Vec::<u64>::new(), "empty subtrees");
+        let dir_only: Vec<u64> = pt.leaf_slots_in(gib, 2 * gib).iter().map(|c| c.0).collect();
+        assert_eq!(dir_only, vec![gib], "neighbouring subtrees are not entered");
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Observational equivalence: `ForkMode::OnDemand` vs `ForkMode::Cow`.
+//! Observational equivalence: `ForkMode::OnDemand` vs `ForkMode::Cow` vs
+//! `ForkMode::Eager`.
 //!
 //! Seed-driven property test (failures name the seed and replay
-//! exactly). Two worlds run the same script: build a parent with random
-//! mappings and writes, fork it — world A with COW page-table copying,
-//! world B with on-demand shared subtrees — then apply an identical
-//! random schedule of writes, reads, mprotects and unmaps to both. At
-//! every read the two worlds must observe identical bytes, at the end
-//! every mapped page must agree, and tearing everything down must return
-//! both frame allocators to zero — so the deferred page-table copy can
-//! neither change what a process sees nor leak or double-free a frame
-//! reference.
+//! exactly). Three worlds run the same script: build a parent with random
+//! mappings and writes, mark random sub-ranges `MADV_DONTFORK` /
+//! `MADV_WIPEONFORK` (so leaf nodes mix inherited and non-inherited
+//! entries and the on-demand walk takes its per-entry fallback), fork it —
+//! world A with COW page-table copying, world B with on-demand shared
+//! subtrees, world C copying every page eagerly — then apply an identical
+//! random schedule of writes, reads, mprotects and unmaps to all. At
+//! every read the worlds must observe identical bytes, at the end every
+//! mapped page must agree, and tearing everything down must return every
+//! frame allocator to zero — so neither the deferred page-table copy nor
+//! the eager page copy can change what a process sees or leak or
+//! double-free a frame reference.
 
 use fpr_mem::address_space::ForkMode;
 use fpr_mem::cost::{CostModel, Cycles};
@@ -92,6 +96,25 @@ impl World {
             let val = rng.gen_u64();
             let _ = w.spaces[0].write(vpn, val, &mut w.phys, &mut w.cycles, &mut w.tlb, 1);
         }
+        // Fork policy on random sub-ranges of the mapped areas: the split
+        // lands inside leaf nodes, so some entries of a node are inherited
+        // and others are not.
+        let areas: Vec<(u64, u64)> = w.spaces[0].vmas().map(|v| (v.start.0, v.pages)).collect();
+        for _ in 0..rng.gen_below(4) {
+            let (start, pages) = areas[rng.gen_index(areas.len())];
+            let off = rng.gen_below(pages);
+            let len = rng.gen_range(1, pages - off + 1);
+            let wipe = rng.gen_bool(0.5);
+            w.spaces[0]
+                .set_fork_policy(Vpn(start + off), len, |p| {
+                    if wipe {
+                        p.wipe_on_fork = true;
+                    } else {
+                        p.dont_fork = true;
+                    }
+                })
+                .expect("range lies inside one mapped area");
+        }
         let child = AddressSpace::fork_from(
             &mut w.spaces[0],
             mode,
@@ -150,9 +173,11 @@ impl World {
     }
 }
 
-/// Same script, both fork modes: identical observations, clean teardown.
+/// Same script, all three fork modes: identical observations, clean
+/// teardown.
 #[test]
 fn on_demand_fork_observationally_equal_to_cow() {
+    let mut fallback_copies = 0;
     for case in 0..CASES {
         let seed = 0xE0_0000 + case;
         let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
@@ -160,32 +185,39 @@ fn on_demand_fork_observationally_equal_to_cow() {
 
         let mut cow = World::build(seed, ForkMode::Cow);
         let mut odf = World::build(seed, ForkMode::OnDemand);
+        let mut eager = World::build(seed, ForkMode::Eager);
+        // An on-demand fork copies PTEs only for nodes it could not share.
+        fallback_copies += odf.spaces[0].stats.ptes_copied;
 
         for (i, op) in ops.iter().enumerate() {
             let a = cow.apply(op);
-            let b = odf.apply(op);
-            match (&a, &b) {
-                (Ok(x), Ok(y)) => assert_eq!(
-                    x, y,
-                    "case {case} op {i} ({op:?}): worlds observed different values"
-                ),
-                (Err(_), Err(_)) => {} // both refused (e.g. unmapped read)
-                _ => panic!("case {case} op {i} ({op:?}): {a:?} vs {b:?} diverged"),
+            for (name, w) in [("on-demand", &mut odf), ("eager", &mut eager)] {
+                let b = w.apply(op);
+                match (&a, &b) {
+                    (Ok(x), Ok(y)) => assert_eq!(
+                        x, y,
+                        "case {case} op {i} ({op:?}): cow and {name} observed different values"
+                    ),
+                    (Err(_), Err(_)) => {} // both refused (e.g. unmapped read)
+                    _ => panic!("case {case} op {i} ({op:?}): cow {a:?} vs {name} {b:?} diverged"),
+                }
             }
         }
 
-        // Every page either world can observe must match, in both spaces.
+        // Every page any world can observe must match, in both spaces.
         for who in 0..2 {
-            assert_eq!(
-                cow.observed(who),
-                odf.observed(who),
-                "case {case}: space {who} diverged after the schedule"
-            );
+            for (name, w) in [("on-demand", &odf), ("eager", &eager)] {
+                assert_eq!(
+                    cow.observed(who),
+                    w.observed(who),
+                    "case {case}: space {who} of cow and {name} diverged after the schedule"
+                );
+            }
         }
 
-        // Teardown balances refcounts in both worlds: no frame survives,
+        // Teardown balances refcounts in every world: no frame survives,
         // so sharing subtrees neither leaked nor double-freed.
-        for w in [&mut cow, &mut odf] {
+        for w in [&mut cow, &mut odf, &mut eager] {
             for mut s in std::mem::take(&mut w.spaces) {
                 s.destroy(&mut w.phys, &mut w.cycles);
             }
@@ -196,4 +228,8 @@ fn on_demand_fork_observationally_equal_to_cow() {
             );
         }
     }
+    assert!(
+        fallback_copies > 0,
+        "no on-demand fork ever met a mixed node — the fork-policy step is vacuous"
+    );
 }
