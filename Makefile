@@ -6,9 +6,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity bench-repo-smoke bench-tables trace-demo clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity bench-repo-smoke bench-tables trace-demo trace-identity clean
 
-verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity bench-repo-smoke
+verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity trace-identity bench-repo-smoke
 
 build:
 	$(CARGO) build --release
@@ -40,10 +40,15 @@ doclinks:
 # kill only the faulting process — and leave an intact kernel. The
 # pressure proptests replay random swap/reclaim schedules under the
 # same leak checks, and the SMP sweep (E17) repeats the exercise with
-# injections landing concurrently on four real OS threads.
+# injections landing concurrently on four real OS threads. Alongside:
+# the per-API inheritance table (what each child does and does not
+# receive) and the vfork-borrower mmap regression, which ends in a leak
+# check of its own.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
+	$(CARGO) test -q -p fpr-api --test inheritance
 	$(CARGO) test -q -p fpr-kernel --test proptest_faults
+	$(CARGO) test -q -p fpr-kernel --test vfork_borrow
 	$(CARGO) test -q -p fpr-mem --test proptest_faults
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
@@ -96,6 +101,14 @@ bench-tables:
 # flamegraph on stdout. Load the JSON in about:tracing or Perfetto.
 trace-demo:
 	$(CARGO) run --release -q -p fpr-bench --bin trace_demo
+
+# The trace, mechanically: results/trace_demo.json pins every span name,
+# category, argument and timestamp of a fork + exec, and the demo
+# regenerates it deterministically — so a span that moved, lost an
+# argument or changed its nesting fails here unless the regenerated
+# trace is committed in the same change.
+trace-identity: trace-demo
+	git diff --exit-code -- results/trace_demo.json
 
 clean:
 	$(CARGO) clean

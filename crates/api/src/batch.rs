@@ -33,12 +33,18 @@ fn reap_failed(kernel: &mut Kernel, parent: Pid, child: Pid) {
     let _ = kernel.waitpid(parent, Some(child));
 }
 
-/// Forks `parent` with `mode` and execs `path` in the child — the
-/// fork-family request-serving path as a single call.
-///
-/// On exec failure the half-made child is reaped before the error
-/// returns: the kernel looks as if the call never happened (modulo
+/// The tail of both fork-family idioms, given the outcome of the child's
+/// `execve`. On failure the half-made child is reaped before the error
+/// returns: the kernel looks as if the creation never happened (modulo
 /// cycles), which is what a batch loop needs to keep iterating.
+fn child_or_reap(kernel: &mut Kernel, parent: Pid, child: Pid, exec: KResult<()>) -> KResult<Pid> {
+    exec.map(|()| child)
+        .inspect_err(|_| reap_failed(kernel, parent, child))
+}
+
+/// Forks `parent` with `mode` and execs `path` in the child — the
+/// fork-family request-serving path as a single call, with
+/// the half-made child reaped on exec failure.
 pub fn fork_exec(
     kernel: &mut Kernel,
     parent: Pid,
@@ -50,13 +56,8 @@ pub fn fork_exec(
 ) -> KResult<Pid> {
     let tid = kernel.process(parent)?.main_tid();
     let (child, _) = fork_from_thread(kernel, parent, tid, mode)?;
-    match execve(kernel, child, registry, path, aslr, aslr_seed) {
-        Ok(()) => Ok(child),
-        Err(e) => {
-            reap_failed(kernel, parent, child);
-            Err(e)
-        }
-    }
+    let exec = execve(kernel, child, registry, path, aslr, aslr_seed);
+    child_or_reap(kernel, parent, child, exec)
 }
 
 /// vforks `parent` and execs `path` in the child — the classic cheap
@@ -73,13 +74,8 @@ pub fn vfork_exec(
     aslr_seed: u64,
 ) -> KResult<Pid> {
     let child = vfork(kernel, parent)?;
-    match execve(kernel, child, registry, path, aslr, aslr_seed) {
-        Ok(()) => Ok(child),
-        Err(e) => {
-            reap_failed(kernel, parent, child);
-            Err(e)
-        }
-    }
+    let exec = execve(kernel, child, registry, path, aslr, aslr_seed);
+    child_or_reap(kernel, parent, child, exec)
 }
 
 /// Spawns one child of `path` per seed in `aslr_seeds` through the fast

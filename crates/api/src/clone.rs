@@ -9,9 +9,8 @@
 //! combinations real kernels reject*, which the tests pin down.
 
 use crate::fork::fork_from_thread;
-use fpr_kernel::{Errno, KResult, Kernel, Pid, SpaceRef, Tid};
+use fpr_kernel::{Errno, Inherit, KResult, Kernel, Pid, Tid};
 use fpr_mem::ForkMode;
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
 
 /// The clone flag subset the simulator models.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,91 +65,60 @@ fn flags_label(flags: CloneFlags) -> String {
 
 /// Clones the calling process/thread according to `flags`.
 pub fn clone(kernel: &mut Kernel, parent: Pid, flags: CloneFlags) -> KResult<CloneResult> {
-    let start = kernel.cycles.total();
-    if sink::is_active() {
-        sink::emit(
-            TraceEvent::new("clone", "api", Phase::Begin, start)
-                .arg("parent", parent.0 as u64)
-                .arg("flags", flags_label(flags)),
-        );
-    }
-    let r = clone_inner(kernel, parent, flags);
-    let end = kernel.cycles.total();
-    metrics::observe("api.clone_cycles", end - start);
-    sink::span_end("clone", end);
-    r
+    kernel.timed_span(
+        "clone",
+        "api",
+        "api.clone_cycles",
+        |ev| {
+            ev.arg("parent", parent.0 as u64)
+                .arg("flags", flags_label(flags))
+        },
+        |kernel| {
+            // Flag validation mirrors the kernel's rules.
+            if flags.thread && (!flags.vm || !flags.sighand) {
+                return Err(Errno::Einval);
+            }
+            if flags.sighand && !flags.vm {
+                return Err(Errno::Einval);
+            }
+            if flags.pt_share && flags.vm {
+                return Err(Errno::Einval);
+            }
+            if flags.thread {
+                // CLONE_THREAD: a new schedulable entity in the same PCB.
+                return kernel.spawn_thread(parent).map(CloneResult::Thread);
+            }
+            clone_process(kernel, parent, flags).map(CloneResult::Process)
+        },
+    )
 }
 
-fn clone_inner(kernel: &mut Kernel, parent: Pid, flags: CloneFlags) -> KResult<CloneResult> {
-    // Flag validation mirrors the kernel's rules.
-    if flags.thread && (!flags.vm || !flags.sighand) {
-        return Err(Errno::Einval);
-    }
-    if flags.sighand && !flags.vm {
-        return Err(Errno::Einval);
-    }
-    if flags.pt_share && flags.vm {
-        return Err(Errno::Einval);
-    }
-
-    if flags.thread {
-        // CLONE_THREAD: a new schedulable entity in the same PCB.
-        let tid = kernel.spawn_thread(parent)?;
-        return Ok(CloneResult::Thread(tid));
-    }
-
+/// The process-creating half of clone, for flag sets already validated
+/// (and shared with [`crate::vfork::vfork`], which is one of them).
+pub(crate) fn clone_process(kernel: &mut Kernel, parent: Pid, flags: CloneFlags) -> KResult<Pid> {
     if flags.vm {
         // CLONE_VM without CLONE_THREAD: a separate process sharing the
         // address space (vfork-like, optionally with the parent parked).
         kernel.charge_syscall();
-        let child = kernel.allocate_process(parent, "")?;
-        let fds = if flags.files {
-            match kernel.clone_fd_table(parent) {
-                Ok(f) => f,
-                Err(e) => {
-                    // Roll the half-made child back before reporting.
-                    kernel.abort_process_creation(child)?;
-                    return Err(e);
-                }
-            }
-        } else {
-            fpr_kernel::FdTable::new()
+        let what = Inherit::Borrow {
+            files: flags.files,
+            park: flags.vfork,
         };
-        let (name, signals, umask, layout) = {
-            let p = kernel.process(parent)?;
-            (p.name.clone(), p.signals.fork_clone(), p.umask, p.layout)
-        };
-        {
-            let c = kernel.process_mut(child)?;
-            c.space_ref = SpaceRef::BorrowedFrom(parent);
-            c.fds = fds;
-            c.name = name;
-            c.signals = signals;
-            c.umask = umask;
-            c.layout = layout;
-        }
-        if flags.vfork {
-            kernel.vfork_park(parent, child)?;
-        }
-        return Ok(CloneResult::Process(child));
+        let (child, ()) =
+            kernel.create_process(parent, |k, child, _| k.inherit(parent, child, what))?;
+        return Ok(child);
     }
-
-    // No VM sharing: plain fork, with CLONE_FILES deciding descriptor
-    // inheritance and CLONE_PT_SHARE the page-table copy strategy.
+    // No VM sharing: plain fork, with CLONE_PT_SHARE deciding the
+    // page-table copy strategy. (CLONE_FILES draws no distinction here:
+    // both semantics are "the child has the parent's descriptors", and
+    // the live sharing Linux adds collapses to the copy in this model.)
     let calling = kernel.process(parent)?.main_tid();
     let mode = if flags.pt_share {
         ForkMode::OnDemand
     } else {
         ForkMode::Cow
     };
-    let (child, _) = fork_from_thread(kernel, parent, calling, mode)?;
-    if !flags.files {
-        // fork_from_thread copied the table; CLONE without FILES keeps it.
-        // (Both semantics are "the child has the parent's descriptors";
-        // the distinction Linux draws — live sharing — collapses to the
-        // copy in this model, so nothing further to do.)
-    }
-    Ok(CloneResult::Process(child))
+    fork_from_thread(kernel, parent, calling, mode).map(|(child, _)| child)
 }
 
 #[cfg(test)]

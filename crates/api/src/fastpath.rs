@@ -19,10 +19,10 @@
 //! full image build.
 
 use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn_cached, FileAction, SpawnAttrs};
-use fpr_exec::{effective_file_id, load_cached, randomize, AslrConfig, Image, ImageCache, ImageRegistry};
-use fpr_kernel::{Errno, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
+use fpr_exec::{effective_file_id, load, randomize, AslrConfig, Image, ImageCache, ImageRegistry};
+use fpr_kernel::{Errno, Inherit, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
 use fpr_mem::{PressureLevel, Vpn};
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use fpr_trace::{metrics, sink};
 use std::collections::BTreeMap;
 
 /// Staging bases (VPNs) for parked children, far above every ASLR arena
@@ -123,15 +123,14 @@ impl WarmPool {
         for _ in 0..n {
             let mut image = registry.resolve(path).ok_or(Errno::Enoexec)?.0.clone();
             image.file_id = effective_file_id(kernel, registry, image.file_id);
-            let child = kernel.allocate_process(self.host, "")?;
             let layout = staging_layout();
-            if let Err(e) = load_cached(kernel, child, &image, layout, cache) {
-                kernel.abort_process_creation(child)?;
-                return Err(e);
-            }
-            // A parked child is pure cache: the OOM killer must never
-            // pick it (shrinker reclaim drains it instead).
-            kernel.process_mut(child)?.oom_score_adj = OOM_SCORE_ADJ_MIN;
+            let (child, ()) = kernel.create_process(self.host, |k, child, _| {
+                load(k, child, &image, layout, Some(&mut *cache))?;
+                // A parked child is pure cache: the OOM killer must never
+                // pick it (shrinker reclaim drains it instead).
+                k.process_mut(child)?.oom_score_adj = OOM_SCORE_ADJ_MIN;
+                Ok(())
+            })?;
             self.refills += 1;
             metrics::incr("api.pool.refill");
             self.park(
@@ -242,9 +241,9 @@ impl WarmPool {
         // Snapshot the state the re-park path must restore; everything
         // else (cwd, creds, rlimits, pgid, sid) is restored by adopting
         // the child back to the host.
-        let (saved_signals, saved_umask) = {
+        let saved = {
             let c = kernel.process(parked.pid)?;
-            (c.signals.clone(), c.umask)
+            (c.name.clone(), c.signals.clone(), c.umask)
         };
         let fresh = randomize(aslr, aslr_seed);
         let pairs = slide_pairs(&image, &parked.layout, &fresh);
@@ -255,6 +254,7 @@ impl WarmPool {
             parked.pid,
             parent,
             path,
+            &image.name,
             &interp_prefix,
             actions,
             attrs,
@@ -287,8 +287,7 @@ impl WarmPool {
                     }
                     {
                         let c = kernel.process_mut(pid)?;
-                        c.signals = saved_signals;
-                        c.umask = saved_umask;
+                        (c.name, c.signals, c.umask) = saved;
                         c.argv.clear();
                         c.envp.clear();
                         c.oom_score_adj = OOM_SCORE_ADJ_MIN;
@@ -439,17 +438,19 @@ impl fpr_kernel::Shrinker for WarmPool {
     }
 }
 
-/// Everything between a successful adopt and a ready child: descriptors,
-/// file actions, attributes, argv/env, and the ASLR re-randomising
-/// slides. Mirrors what `posix_spawn`'s build + execve do, minus the
-/// image construction the prefill already paid for. `slid` counts
-/// completed slides so the caller can undo a partial failure.
+/// Everything between a successful adopt and a ready child: what a spawned
+/// child inherits, file actions, attributes, exec's resets, and the ASLR
+/// re-randomising slides. Mirrors what `posix_spawn`'s populate step +
+/// execve do, minus the image construction the prefill already paid for.
+/// `slid` counts completed slides so the caller can undo a partial
+/// failure.
 #[allow(clippy::too_many_arguments)]
 fn build_checked_out_child(
     kernel: &mut Kernel,
     child: Pid,
     parent: Pid,
     path: &str,
+    image_name: &str,
     interp_prefix: &[String],
     actions: &[FileAction],
     attrs: &SpawnAttrs,
@@ -458,20 +459,7 @@ fn build_checked_out_child(
     slid: &mut usize,
     created: &mut Vec<(String, fpr_kernel::vfs::Ino)>,
 ) -> KResult<()> {
-    // Descriptors and signal identity from the adopting parent, with the
-    // exec-time resets posix_spawn's execve would apply.
-    let fds = kernel.clone_fd_table(parent)?;
-    let (mut signals, umask) = {
-        let p = kernel.process(parent)?;
-        (p.signals.fork_clone(), p.umask)
-    };
-    signals.exec_reset();
-    {
-        let c = kernel.process_mut(child)?;
-        c.fds = fds;
-        c.signals = signals;
-        c.umask = umask;
-    }
+    kernel.inherit(parent, child, Inherit::Spawn)?;
     apply_file_actions(kernel, child, actions, created)?;
     apply_attrs(kernel, child, attrs)?;
     // Close-on-exec sweep (in posix_spawn it runs inside execve, i.e.
@@ -480,9 +468,11 @@ fn build_checked_out_child(
     for (_, entry) in swept {
         kernel.release_fd_entry(entry)?;
     }
-    // argv/env exactly as execve would leave them.
+    // Handlers, name, argv and env exactly as execve would leave them.
     {
         let c = kernel.process_mut(child)?;
+        c.signals.exec_reset();
+        c.name = image_name.to_string();
         let mut full = interp_prefix.to_vec();
         if attrs.argv.is_empty() {
             full.push(path.to_string());
@@ -542,41 +532,18 @@ pub fn spawn_fast(
     cache: &mut ImageCache,
     pool: &mut WarmPool,
 ) -> KResult<Pid> {
-    let start = kernel.cycles.total();
-    if sink::is_active() {
-        sink::emit(
-            TraceEvent::new("spawn_fast", "api", Phase::Begin, start)
-                .arg("parent", parent.0 as u64)
-                .arg("path", path),
-        );
-    }
-    let r = spawn_fast_inner(
-        kernel, parent, registry, path, actions, attrs, aslr, aslr_seed, cache, pool,
-    );
-    let end = kernel.cycles.total();
-    metrics::observe("api.spawn_fast_cycles", end - start);
-    sink::span_end("spawn_fast", end);
-    r
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_fast_inner(
-    kernel: &mut Kernel,
-    parent: Pid,
-    registry: &ImageRegistry,
-    path: &str,
-    actions: &[FileAction],
-    attrs: &SpawnAttrs,
-    aslr: AslrConfig,
-    aslr_seed: u64,
-    cache: &mut ImageCache,
-    pool: &mut WarmPool,
-) -> KResult<Pid> {
-    match pool.checkout(
-        kernel, registry, parent, path, actions, attrs, aslr, aslr_seed,
-    )? {
-        Some(pid) => Ok(pid),
-        None => {
+    kernel.timed_span(
+        "spawn_fast",
+        "api",
+        "api.spawn_fast_cycles",
+        |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
+        |kernel| {
+            let hit = pool.checkout(
+                kernel, registry, parent, path, actions, attrs, aslr, aslr_seed,
+            )?;
+            if let Some(pid) = hit {
+                return Ok(pid);
+            }
             pool.misses += 1;
             metrics::incr("api.pool.miss");
             posix_spawn_cached(
@@ -590,8 +557,8 @@ fn spawn_fast_inner(
                 aslr_seed,
                 Some(cache),
             )
-        }
-    }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
 //! `fork(2)` over the simulated kernel.
 //!
-//! This function is deliberately long: it has to be. Its body walks the
-//! POSIX inheritance contract item by item — address space, descriptor
-//! table, signal state, streams, locks, identity — and every stanza is
-//! a cost fork pays that a spawn API does not. The paper's Table of
-//! "what fork copies" is, in effect, this function.
+//! Fork is the API that asks [`Kernel::inherit`] for *everything*: the
+//! `Inherit::Fork` arm of that function walks the POSIX inheritance
+//! contract item by item — address space, descriptor table, signal
+//! state, streams, locks — and every stanza is a cost fork pays that a
+//! spawn API does not. The paper's Table of "what fork copies" is, in
+//! effect, that arm. What lives here is fork's own protocol around the
+//! copy: the `pthread_atfork` handlers and the work statistics.
 
-use fpr_kernel::{Errno, KResult, Kernel, Pid, Tid};
+use fpr_kernel::{Errno, Inherit, KResult, Kernel, LockId, Pid, Tid};
 use fpr_mem::ForkMode;
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use fpr_trace::sink;
 
 /// Stable label for a fork mode, used in trace-event arguments.
 pub(crate) fn mode_name(mode: ForkMode) -> &'static str {
@@ -70,53 +72,74 @@ pub fn fork_from_thread(
     calling_tid: Tid,
     mode: ForkMode,
 ) -> KResult<(Pid, ForkStats)> {
-    let start = kernel.cycles.total();
-    if sink::is_active() {
-        sink::emit(
-            TraceEvent::new("fork", "api", Phase::Begin, start)
-                .arg("parent", parent.0 as u64)
-                .arg("mode", mode_name(mode)),
-        );
-    }
-    let r = fork_from_thread_inner(kernel, parent, calling_tid, mode);
-    let end = kernel.cycles.total();
-    metrics::observe("api.fork_cycles", end - start);
-    if sink::is_active() {
-        sink::counter("frames_used", end, kernel.phys.used_frames());
-        sink::span_end("fork", end);
-    }
-    r
+    kernel.timed_span(
+        "fork",
+        "api",
+        "api.fork_cycles",
+        |ev| {
+            ev.arg("parent", parent.0 as u64)
+                .arg("mode", mode_name(mode))
+        },
+        |kernel| {
+            kernel.charge_syscall();
+            let cycles_before = kernel.cycles.total();
+            let forked = atfork_prepare(kernel, parent, calling_tid).and_then(|held| {
+                // 1-8. Identity, then everything POSIX enumerates, as one
+                //    transaction: a failure at any step (ENOMEM under
+                //    strict overcommit, EMFILE, an injected fault) leaves
+                //    the kernel byte-identical to before the call.
+                let what = Inherit::Fork { mode, calling_tid };
+                let (child, ()) = kernel.create_process(parent, |k, child, _| {
+                    k.inherit(parent, child, what).inspect_err(|_| {
+                        for l in &held {
+                            let _ = k.lock_release(parent, calling_tid, *l);
+                        }
+                    })
+                })?;
+                atfork_complete(kernel, parent, child, calling_tid, &held)?;
+                let (p, c) = (kernel.process(parent)?, kernel.process(child)?);
+                let stats = ForkStats {
+                    cycles: kernel.cycles.total() - cycles_before,
+                    pages_inherited: c.aspace.resident_pages(),
+                    vmas_cloned: c.aspace.vma_count(),
+                    fds_inherited: c.fds.open_count(),
+                    orphaned_locks: p.locks.orphaned_after_fork(calling_tid).len(),
+                    duplicated_stream_bytes: c.unflushed_bytes(),
+                };
+                Ok((child, stats))
+            });
+            if sink::is_active() {
+                sink::counter(
+                    "frames_used",
+                    kernel.cycles.total(),
+                    kernel.phys.used_frames(),
+                );
+            }
+            forked
+        },
+    )
 }
 
-fn fork_from_thread_inner(
-    kernel: &mut Kernel,
-    parent: Pid,
-    calling_tid: Tid,
-    mode: ForkMode,
-) -> KResult<(Pid, ForkStats)> {
-    kernel.charge_syscall();
-    let cycles_before = kernel.cycles.total();
+/// 0. `pthread_atfork` prepare handlers, in reverse registration order.
+///    Each covered lock is acquired by the forking thread so the snapshot
+///    cannot capture it mid-critical-section. If another thread holds
+///    one, a real fork would block here; the simulator reports EBUSY
+///    ("run the owner first"). Returns the locks now held.
+fn atfork_prepare(kernel: &mut Kernel, parent: Pid, calling_tid: Tid) -> KResult<Vec<LockId>> {
     if kernel.process(parent)?.thread(calling_tid).is_none() {
         return Err(Errno::Esrch);
     }
-
-    // 0. pthread_atfork prepare handlers, in reverse registration order.
-    //    Each covered lock is acquired by the forking thread so the
-    //    snapshot cannot capture it mid-critical-section. If another
-    //    thread holds one, a real fork would block here; the simulator
-    //    reports EBUSY ("run the owner first").
-    let prepare = kernel.process(parent)?.atfork.prepare_order();
-    let mut prepare_acquired = Vec::new();
-    for reg in &prepare {
+    let mut held = Vec::new();
+    for reg in kernel.process(parent)?.atfork.prepare_order() {
         if let Some(lock) = reg.lock {
             match kernel.lock_acquire(parent, calling_tid, lock) {
-                Ok(()) => prepare_acquired.push(lock),
+                Ok(()) => held.push(lock),
                 // Already ours (e.g. caller registered twice): fine.
                 Err(Errno::Edeadlk)
                     if kernel.process(parent)?.locks.owner_of(lock) == Some(calling_tid) => {}
                 Err(e) => {
                     // Undo partial prepare before reporting.
-                    for l in prepare_acquired {
+                    for l in held {
                         let _ = kernel.lock_release(parent, calling_tid, l);
                     }
                     return Err(e);
@@ -127,111 +150,23 @@ fn fork_from_thread_inner(
             .atfork_log
             .push((parent, reg.token, fpr_kernel::AtforkPhase::Prepare));
     }
+    Ok(held)
+}
 
-    // 1. Identity: new PID, parent linkage, inherited cred/rlimits/cwd.
-    let child = kernel.allocate_process(parent, "")?;
-
-    // 2. Address space: O(parent) duplication. On failure the child is
-    //    rolled back completely — abort_process_creation returns the PID,
-    //    scheduler slot and accounting, and `clone_address_space` itself
-    //    undoes any partial copy — so fork reports ENOMEM with the kernel
-    //    byte-identical to before the call (the up-front failure mode of
-    //    strict overcommit). The space is attached to the child
-    //    immediately so later failure steps can unwind through the same
-    //    abort path.
-    match kernel.clone_address_space(parent, mode) {
-        Ok(s) => kernel.process_mut(child)?.aspace = s,
-        Err(e) => {
-            for l in prepare_acquired {
-                let _ = kernel.lock_release(parent, calling_tid, l);
-            }
-            kernel.abort_process_creation(child)?;
-            return Err(e);
-        }
-    }
-    let (pages, vmas) = {
-        let c = kernel.process(child)?;
-        (c.aspace.resident_pages(), c.aspace.vma_count())
-    };
-
-    // 3. Descriptor table: every entry takes a reference; offsets shared.
-    //    A failure here (EMFILE, injected fault) must release the address
-    //    space, COW refcounts and commit charge just attached.
-    match kernel.clone_fd_table(parent) {
-        Ok(f) => kernel.process_mut(child)?.fds = f,
-        Err(e) => {
-            for l in prepare_acquired {
-                let _ = kernel.lock_release(parent, calling_tid, l);
-            }
-            kernel.abort_process_creation(child)?;
-            return Err(e);
-        }
-    }
-
-    // 4-7. The in-PCB state POSIX enumerates.
-    let (name, signals, streams, locks, umask, layout, atfork, orphans, dup_bytes) = {
-        let p = kernel.process(parent)?;
-        let locks = p.locks.clone();
-        let orphans = locks.orphaned_after_fork(calling_tid).len();
-        (
-            p.name.clone(),
-            p.signals.fork_clone(),
-            p.streams.clone(),
-            locks,
-            p.umask,
-            p.layout, // ASLR layout inherited verbatim.
-            p.atfork.clone(),
-            orphans,
-            p.unflushed_bytes(),
-        )
-    };
-
-    let completion = atfork.completion_order();
-    let (argv, envp) = {
-        let p = kernel.process(parent)?;
-        (p.argv.clone(), p.envp.clone())
-    };
-    let child_main_tid = {
-        let c = kernel.process_mut(child)?;
-        c.name = name;
-        c.argv = argv;
-        c.envp = envp;
-        c.signals = signals;
-        c.streams = streams;
-        c.umask = umask;
-        c.layout = layout;
-        c.atfork = atfork;
-        c.main_tid()
-    };
-
-    // 8. Locks: the calling thread's holdings transfer to the child's
-    //    main thread; everything else is orphaned in place.
-    {
-        let c = kernel.process_mut(child)?;
-        let mut transferred = Vec::new();
-        let mut table = locks;
-        for l in table.iter_ids() {
-            if let Some(owner) = table.owner_of(l) {
-                if owner == calling_tid {
-                    table.set_owner(l, Some(child_main_tid));
-                    transferred.push(l);
-                }
-            }
-        }
-        for l in &transferred {
-            if let Some(t) = c.thread_mut(child_main_tid) {
-                t.note_acquired(*l);
-            }
-        }
-        c.locks = table;
-    }
-
-    // 9. Atfork completion: parent handlers release the prepare locks in
-    //    the parent; child handlers release the child's copies (owned by
-    //    its main thread after the remap above).
-    for reg in &completion {
+/// 9. Atfork completion: parent handlers release the prepare locks in
+///    the parent; child handlers release the child's copies (owned by its
+///    main thread after fork's remap).
+fn atfork_complete(
+    kernel: &mut Kernel,
+    parent: Pid,
+    child: Pid,
+    calling_tid: Tid,
+    held: &[LockId],
+) -> KResult<()> {
+    let child_main_tid = kernel.process(child)?.main_tid();
+    for reg in kernel.process(child)?.atfork.completion_order() {
         if let Some(lock) = reg.lock {
-            if prepare_acquired.contains(&lock) {
+            if held.contains(&lock) {
                 let _ = kernel.lock_release(parent, calling_tid, lock);
             }
             if kernel.process(child)?.locks.owner_of(lock) == Some(child_main_tid) {
@@ -245,16 +180,7 @@ fn fork_from_thread_inner(
             .atfork_log
             .push((child, reg.token, fpr_kernel::AtforkPhase::Child));
     }
-
-    let stats = ForkStats {
-        cycles: kernel.cycles.total() - cycles_before,
-        pages_inherited: pages,
-        vmas_cloned: vmas,
-        fds_inherited: kernel.process(child)?.fds.open_count(),
-        orphaned_locks: orphans,
-        duplicated_stream_bytes: dup_bytes,
-    };
-    Ok((child, stats))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //! spawn-style APIs, quantified by experiment E7).
 
 use fpr_exec::{AslrConfig, ImageCache, ImageRegistry};
-use fpr_kernel::{Errno, Fd, KResult, Kernel, OpenFlags, Pid, Sig};
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use fpr_kernel::{Errno, Fd, Inherit, KResult, Kernel, OpenFlags, Pid, Sig};
 
 /// A `posix_spawn_file_actions_t` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,104 +106,69 @@ pub fn posix_spawn_cached(
     aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<Pid> {
-    let start = kernel.cycles.total();
-    if sink::is_active() {
-        sink::emit(
-            TraceEvent::new("spawn", "api", Phase::Begin, start)
-                .arg("parent", parent.0 as u64)
-                .arg("path", path),
-        );
-    }
-    let r = posix_spawn_inner(
-        kernel, parent, registry, path, actions, attrs, aslr, aslr_seed, cache,
-    );
-    let end = kernel.cycles.total();
-    metrics::observe("api.spawn_cycles", end - start);
-    sink::span_end("spawn", end);
-    r
+    kernel.timed_span(
+        "spawn",
+        "api",
+        "api.spawn_cycles",
+        |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
+        |kernel| {
+            kernel.charge_syscall();
+            // A failure anywhere below rolls the partial child back — PID,
+            // descriptors, any loaded image pages, files the actions
+            // created — so the parent sees a clean error and the kernel
+            // is exactly as it was.
+            let (child, ()) = kernel.create_process(parent, |k, child, created| {
+                // Descriptors: inherited as fork would leave them...
+                k.inherit(parent, child, Inherit::Spawn)?;
+                // ...then the file actions run *in the child's context*.
+                apply_file_actions(k, child, actions, created)?;
+                apply_attrs(k, child, attrs)?;
+
+                // The image load (includes the close-on-exec sweep and
+                // handler reset).
+                if registry.resolve(path).is_none() {
+                    return Err(Errno::Enoexec);
+                }
+                let argv = if attrs.argv.is_empty() {
+                    vec![path.to_string()]
+                } else {
+                    attrs.argv.clone()
+                };
+                let env = match &attrs.env {
+                    Some(map) => fpr_exec::Env::Replace(map.clone()),
+                    None => fpr_exec::Env::Keep,
+                };
+                fpr_exec::execve_args(k, child, registry, path, argv, env, aslr, aslr_seed, cache)
+            })?;
+            Ok(child)
+        },
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn posix_spawn_inner(
+/// Opens `path` in `child` at exactly descriptor `fd` — what a spawn
+/// `Open` file action and a cross-process `Open` grant both mean —
+/// recording the file in `created` when this call brought it into
+/// existence, so a failing creation can unlink it.
+pub(crate) fn open_at(
     kernel: &mut Kernel,
-    parent: Pid,
-    registry: &ImageRegistry,
-    path: &str,
-    actions: &[FileAction],
-    attrs: &SpawnAttrs,
-    aslr: AslrConfig,
-    aslr_seed: u64,
-    cache: Option<&mut ImageCache>,
-) -> KResult<Pid> {
-    kernel.charge_syscall();
-    let child = kernel.allocate_process(parent, "")?;
-    let mut created = Vec::new();
-    match build_child(
-        kernel, parent, child, registry, path, actions, attrs, aslr, aslr_seed, &mut created,
-        cache,
-    ) {
-        Ok(()) => Ok(child),
-        Err(e) => {
-            // Roll the partial child back — PID, descriptors, any loaded
-            // image pages — so the parent sees a clean error and the
-            // kernel is exactly as it was. No SIGCHLD, no zombie: the
-            // child never existed. Files that file actions created are
-            // unlinked too (after the descriptor drain releases them).
-            kernel.abort_process_creation(child)?;
-            for (p, cwd) in created {
-                let _ = kernel.vfs.unlink(&p, cwd);
-            }
-            Err(e)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_child(
-    kernel: &mut Kernel,
-    parent: Pid,
     child: Pid,
-    registry: &ImageRegistry,
+    fd: Fd,
     path: &str,
-    actions: &[FileAction],
-    attrs: &SpawnAttrs,
-    aslr: AslrConfig,
-    aslr_seed: u64,
+    flags: OpenFlags,
+    create: bool,
     created: &mut Vec<(String, fpr_kernel::vfs::Ino)>,
-    cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
-    // Descriptors: inherited as fork would leave them...
-    let fds = kernel.clone_fd_table(parent)?;
-    let (signals, umask, name) = {
-        let p = kernel.process(parent)?;
-        (p.signals.fork_clone(), p.umask, p.name.clone())
-    };
-    {
-        let c = kernel.process_mut(child)?;
-        c.fds = fds;
-        c.signals = signals;
-        c.umask = umask;
-        c.name = name;
+    let cwd = kernel.process(child)?.cwd;
+    let preexists = kernel.vfs.resolve(path, cwd).is_ok();
+    let opened = kernel.open(child, path, flags, create)?;
+    if create && !preexists {
+        created.push((path.to_string(), cwd));
     }
-
-    // ...then the file actions run *in the child's context*.
-    apply_file_actions(kernel, child, actions, created)?;
-    apply_attrs(kernel, child, attrs)?;
-
-    // The image load (includes the close-on-exec sweep and handler reset).
-    if registry.resolve(path).is_none() {
-        return Err(Errno::Enoexec);
+    if opened != fd {
+        kernel.dup2(child, opened, fd)?;
+        kernel.close(child, opened)?;
     }
-    let argv = if attrs.argv.is_empty() {
-        vec![path.to_string()]
-    } else {
-        attrs.argv.clone()
-    };
-    let env = match &attrs.env {
-        Some(map) => fpr_exec::Env::Replace(map.clone()),
-        None => fpr_exec::Env::Keep,
-    };
-    fpr_exec::execve_args_cached(kernel, child, registry, path, argv, env, aslr, aslr_seed, cache)
+    Ok(())
 }
 
 /// Runs the spawn file actions in `child`'s context, recording any files
@@ -225,18 +189,7 @@ pub(crate) fn apply_file_actions(
                 path,
                 flags,
                 create,
-            } => {
-                let cwd = kernel.process(child)?.cwd;
-                let preexists = kernel.vfs.resolve(path, cwd).is_ok();
-                let opened = kernel.open(child, path, *flags, *create)?;
-                if *create && !preexists {
-                    created.push((path.clone(), cwd));
-                }
-                if opened != *fd {
-                    kernel.dup2(child, opened, *fd)?;
-                    kernel.close(child, opened)?;
-                }
-            }
+            } => open_at(kernel, child, *fd, path, *flags, *create, created)?,
             FileAction::Dup2 { from, to } => {
                 kernel.dup2(child, *from, *to)?;
             }

@@ -6,71 +6,37 @@
 //! parent's memory. The paper groups vfork with the "performance hack"
 //! escape hatches that exist only because fork proper is slow.
 
-use fpr_kernel::{KResult, Kernel, Pid, SpaceRef};
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use crate::clone::{clone_process, CloneFlags};
+use fpr_kernel::{KResult, Kernel, Pid};
 
 /// vforks `parent`: the child shares the parent's address space and the
 /// parent's threads are parked until the child execs or exits.
 ///
 /// Inherits descriptors (copied table, shared descriptions), signal state
 /// and identity exactly like fork — the only difference is the memory.
+/// Literally `clone(CLONE_VM | CLONE_VFORK | CLONE_FILES)` under its own
+/// span.
 pub fn vfork(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
-    let start = kernel.cycles.total();
-    if sink::is_active() {
-        sink::emit(
-            TraceEvent::new("vfork", "api", Phase::Begin, start).arg("parent", parent.0 as u64),
-        );
-    }
-    let r = vfork_inner(kernel, parent);
-    let end = kernel.cycles.total();
-    metrics::observe("api.vfork_cycles", end - start);
-    sink::span_end("vfork", end);
-    r
-}
-
-fn vfork_inner(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
-    kernel.charge_syscall();
-    let child = kernel.allocate_process(parent, "")?;
-    // Descriptor cloning is the only fallible copy vfork performs; a
-    // failure must return the fresh PID and accounting, leaving the kernel
-    // exactly as it was.
-    let fds = match kernel.clone_fd_table(parent) {
-        Ok(f) => f,
-        Err(e) => {
-            kernel.abort_process_creation(child)?;
-            return Err(e);
-        }
+    let flags = CloneFlags {
+        vm: true,
+        vfork: true,
+        files: true,
+        ..CloneFlags::default()
     };
-    let (name, signals, umask, layout, argv, envp) = {
-        let p = kernel.process(parent)?;
-        (
-            p.name.clone(),
-            p.signals.fork_clone(),
-            p.umask,
-            p.layout,
-            p.argv.clone(),
-            p.envp.clone(),
-        )
-    };
-    {
-        let c = kernel.process_mut(child)?;
-        c.space_ref = SpaceRef::BorrowedFrom(parent);
-        c.fds = fds;
-        c.name = name;
-        c.signals = signals;
-        c.umask = umask;
-        c.layout = layout;
-        c.argv = argv;
-        c.envp = envp;
-    }
-    kernel.vfork_park(parent, child)?;
-    Ok(child)
+    kernel.timed_span(
+        "vfork",
+        "api",
+        "api.vfork_cycles",
+        |ev| ev.arg("parent", parent.0 as u64),
+        |kernel| clone_process(kernel, parent, flags),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpr_exec::{AslrConfig, Image, ImageRegistry};
+    use fpr_kernel::SpaceRef;
     use fpr_mem::{Prot, Share};
 
     fn boot() -> (Kernel, Pid) {

@@ -10,12 +10,13 @@
 //! paper points to (Exokernel-style cross-process calls, Drawbridge
 //! picoprocesses, Windows `CreateProcess` attribute lists, Zircon).
 
+use crate::spawn::open_at;
 use fpr_exec::{AslrConfig, ImageRegistry};
 use fpr_kernel::{
     Caps, Errno, Fd, FdEntry, KResult, Kernel, OpenFlags, Pid, Resource, Rlimit, Sig,
 };
 use fpr_mem::{Prot, Share, Vpn};
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use fpr_trace::sink;
 
 /// Where a child descriptor comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,52 +165,30 @@ impl ProcessBuilder {
         parent: Pid,
         registry: &ImageRegistry,
     ) -> KResult<Spawned> {
-        let start = kernel.cycles.total();
-        if sink::is_active() {
-            sink::emit(
-                TraceEvent::new("xproc_spawn", "api", Phase::Begin, start)
-                    .arg("parent", parent.0 as u64)
+        kernel.timed_span(
+            "xproc_spawn",
+            "api",
+            "api.xproc_cycles",
+            |ev| {
+                ev.arg("parent", parent.0 as u64)
                     .arg("path", self.image_path.as_str())
                     .arg("fd_grants", self.fds.len() as u64)
-                    .arg("mem_ops", self.mem_ops.len() as u64),
-            );
-        }
-        let r = self.spawn_inner(kernel, parent, registry);
-        let end = kernel.cycles.total();
-        metrics::observe("api.xproc_cycles", end - start);
-        sink::span_end("xproc_spawn", end);
-        r
-    }
-
-    fn spawn_inner(
-        self,
-        kernel: &mut Kernel,
-        parent: Pid,
-        registry: &ImageRegistry,
-    ) -> KResult<Spawned> {
-        kernel.charge_syscall();
-        if registry.resolve(&self.image_path).is_none() {
-            return Err(Errno::Enoexec);
-        }
-        let child = kernel.allocate_process(parent, "")?;
-        let mut created = Vec::new();
-        match self.build(kernel, parent, child, registry, &mut created) {
-            Ok(regions) => Ok(Spawned {
-                pid: child,
-                regions,
-            }),
-            Err(e) => {
-                // Roll the half-built child back — image pages, granted
-                // descriptors, uid accounting — restoring the kernel to
-                // its pre-call state. No zombie, no SIGCHLD. Files the
-                // grants created are unlinked after the descriptor drain.
-                kernel.abort_process_creation(child)?;
-                for (p, cwd) in created {
-                    let _ = kernel.vfs.unlink(&p, cwd);
+                    .arg("mem_ops", self.mem_ops.len() as u64)
+            },
+            |kernel| {
+                kernel.charge_syscall();
+                if registry.resolve(&self.image_path).is_none() {
+                    return Err(Errno::Enoexec);
                 }
-                Err(e)
-            }
-        }
+                // A failing step rolls the half-built child back — image
+                // pages, granted descriptors, uid accounting, files the
+                // grants created — restoring the pre-call kernel.
+                let (pid, regions) = kernel.create_process(parent, |k, child, created| {
+                    self.build(k, parent, child, registry, created)
+                })?;
+                Ok(Spawned { pid, regions })
+            },
+        )
     }
 
     fn build(
@@ -236,6 +215,7 @@ impl ProcessBuilder {
             fpr_exec::Env::Replace(self.env.clone()),
             self.aslr,
             self.aslr_seed,
+            None,
         )?;
 
         // 2. Descriptors: exactly the grants, nothing else. (The child
@@ -270,18 +250,7 @@ impl ProcessBuilder {
                     path,
                     flags,
                     create,
-                } => {
-                    let cwd = kernel.process(child)?.cwd;
-                    let preexists = kernel.vfs.resolve(path, cwd).is_ok();
-                    let opened = kernel.open(child, path, *flags, *create)?;
-                    if *create && !preexists {
-                        created.push((path.clone(), cwd));
-                    }
-                    if opened != *child_fd {
-                        kernel.dup2(child, opened, *child_fd)?;
-                        kernel.close(child, opened)?;
-                    }
-                }
+                } => open_at(kernel, child, *child_fd, path, *flags, *create, created)?,
             }
             sink::instant("xproc_fd_install", "api", kernel.cycles.total());
         }

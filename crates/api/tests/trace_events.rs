@@ -175,9 +175,20 @@ fn aborted_fork_closes_spans_and_records_injection() {
     for nth in 0..k_count {
         let (mut k, p, _) = world();
         let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let ((result, _trace), events) =
-            sink::with_sink(|| with_plan(plan, || fork(&mut k, p)));
+        let ((result, trace), events) = sink::with_sink(|| with_plan(plan, || fork(&mut k, p)));
         assert!(result.is_err(), "crossing {nth}: fault was swallowed");
+        // Once the PID exists the fault lands inside the creation
+        // transaction, which rolls the child back exactly once.
+        let in_transaction = trace.injected()[0].site != fpr_faults::FaultSite::PidAlloc;
+        let aborts = events
+            .iter()
+            .filter(|e| e.name == "abort_process_creation")
+            .count();
+        assert_eq!(
+            aborts,
+            usize::from(in_transaction),
+            "crossing {nth}: one abort_process_creation instant per rolled-back child"
+        );
         assert!(
             sink::spans_balanced(&events),
             "crossing {nth}: aborted creation left an open span"

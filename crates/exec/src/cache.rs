@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::aslr::{randomize, AslrConfig};
     use crate::image::Image;
-    use crate::loader::{load, load_cached};
+    use crate::loader::load;
     use fpr_kernel::Pid;
     use fpr_mem::vma::file_stamp;
     use fpr_mem::Vpn;
@@ -241,7 +241,7 @@ mod tests {
 
         let a = k.allocate_process(init, "a").unwrap();
         let c0 = k.cycles.total();
-        load_cached(&mut k, a, &img, randomize(AslrConfig::default(), 1), &mut cache).unwrap();
+        load(&mut k, a, &img, randomize(AslrConfig::default(), 1), Some(&mut cache)).unwrap();
         let first = k.cycles.total() - c0;
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.cached_frames(), 2, "entry text page + first data page");
@@ -249,7 +249,7 @@ mod tests {
         let b = k.allocate_process(init, "b").unwrap();
         let c1 = k.cycles.total();
         let layout = randomize(AslrConfig::default(), 2);
-        load_cached(&mut k, b, &img, layout, &mut cache).unwrap();
+        load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         let second = k.cycles.total() - c1;
         assert_eq!(cache.hits(), 1);
         assert!(
@@ -273,14 +273,14 @@ mod tests {
         let (mut k1, i1) = world();
         let p1 = k1.allocate_process(i1, "x").unwrap();
         let c = k1.cycles.total();
-        load(&mut k1, p1, &img, randomize(AslrConfig::default(), 9)).unwrap();
+        load(&mut k1, p1, &img, randomize(AslrConfig::default(), 9), None).unwrap();
         let plain = k1.cycles.total() - c;
 
         let (mut k2, i2) = world();
         let p2 = k2.allocate_process(i2, "x").unwrap();
         let mut cache = ImageCache::new();
         let c = k2.cycles.total();
-        load_cached(&mut k2, p2, &img, randomize(AslrConfig::default(), 9), &mut cache).unwrap();
+        load(&mut k2, p2, &img, randomize(AslrConfig::default(), 9), Some(&mut cache)).unwrap();
         let missed = k2.cycles.total() - c;
         assert_eq!(plain, missed, "cold cache adds zero cycles");
     }
@@ -291,13 +291,13 @@ mod tests {
         let mut cache = ImageCache::new();
         let img = tool();
         let donor = k.allocate_process(init, "donor").unwrap();
-        load_cached(&mut k, donor, &img, randomize(AslrConfig::default(), 3), &mut cache).unwrap();
+        load(&mut k, donor, &img, randomize(AslrConfig::default(), 3), Some(&mut cache)).unwrap();
         k.abort_process_creation(donor).unwrap();
         assert_eq!(cache.cached_frames(), 2);
 
         let b = k.allocate_process(init, "b").unwrap();
         let layout = randomize(AslrConfig::default(), 4);
-        load_cached(&mut k, b, &img, layout, &mut cache).unwrap();
+        load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         assert_eq!(cache.hits(), 1, "donor death does not evict");
         assert_eq!(
             k.read_mem(b, Vpn(layout.text_base + img.entry_page)),
@@ -312,14 +312,14 @@ mod tests {
         let mut cache = ImageCache::new();
         let mut img = tool();
         let a = k.allocate_process(init, "a").unwrap();
-        load_cached(&mut k, a, &img, randomize(AslrConfig::default(), 5), &mut cache).unwrap();
+        load(&mut k, a, &img, randomize(AslrConfig::default(), 5), Some(&mut cache)).unwrap();
         let used_before = k.phys.used_frames();
 
         // The binary is rewritten: generation 1 → new effective id.
         img.file_id = tool().file_id + (1 << 32);
         let b = k.allocate_process(init, "b").unwrap();
         let layout = randomize(AslrConfig::default(), 6);
-        load_cached(&mut k, b, &img, layout, &mut cache).unwrap();
+        load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         assert_eq!(cache.evictions(), 1, "stale entry evicted on sight");
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
@@ -344,19 +344,19 @@ mod tests {
         warm.file_id = 2002;
         for (i, img) in [&cold, &warm].iter().enumerate() {
             let donor = k.allocate_process(init, "donor").unwrap();
-            load_cached(
+            load(
                 &mut k,
                 donor,
                 img,
                 randomize(AslrConfig::default(), 10 + i as u64),
-                &mut cache,
+                Some(&mut cache),
             )
             .unwrap();
             k.abort_process_creation(donor).unwrap();
         }
         // Touch `warm` so `cold` is the LRU entry.
         let p = k.allocate_process(init, "p").unwrap();
-        load_cached(&mut k, p, &warm, randomize(AslrConfig::default(), 12), &mut cache).unwrap();
+        load(&mut k, p, &warm, randomize(AslrConfig::default(), 12), Some(&mut cache)).unwrap();
         k.abort_process_creation(p).unwrap();
         assert_eq!(cache.len(), 2);
 
@@ -380,7 +380,7 @@ mod tests {
         let mut cache = ImageCache::new();
         let img = tool();
         let donor = k.allocate_process(init, "donor").unwrap();
-        load_cached(&mut k, donor, &img, randomize(AslrConfig::default(), 7), &mut cache).unwrap();
+        load(&mut k, donor, &img, randomize(AslrConfig::default(), 7), Some(&mut cache)).unwrap();
         k.abort_process_creation(donor).unwrap();
         let used = k.phys.used_frames();
         assert_eq!(cache.cached_frames(), 2);

@@ -10,9 +10,9 @@
 use crate::aslr::{randomize, AslrConfig};
 use crate::cache::ImageCache;
 use crate::image::ImageRegistry;
-use crate::loader::{load, load_cached};
-use fpr_kernel::{Errno, KResult, Kernel, Pid, SpaceRef};
-use fpr_trace::{metrics, sink};
+use crate::loader::load;
+use fpr_kernel::{Errno, KResult, Kernel, Pid};
+use fpr_trace::sink;
 use std::collections::BTreeMap;
 
 /// What happens to the environment across exec.
@@ -38,21 +38,28 @@ pub fn execve(
     aslr: AslrConfig,
     aslr_seed: u64,
 ) -> KResult<()> {
+    let argv = vec![path.to_string()];
     execve_args(
         kernel,
         pid,
         registry,
         path,
-        vec![path.to_string()],
+        argv,
         Env::Keep,
         aslr,
         aslr_seed,
+        None,
     )
 }
 
 /// Full `execve`: explicit argv and environment policy. `#!` scripts are
 /// resolved through their interpreter chain, which is prepended to argv
 /// exactly as a real kernel does.
+///
+/// With `Some(cache)`, the loader serves file-backed startup pages from
+/// pinned cached frames of the exec [`ImageCache`] (or donates them on a
+/// miss); with `None` the path — and its cycle cost — is exactly the
+/// classic one.
 #[allow(clippy::too_many_arguments)]
 pub fn execve_args(
     kernel: &mut Kernel,
@@ -63,35 +70,66 @@ pub fn execve_args(
     env: Env,
     aslr: AslrConfig,
     aslr_seed: u64,
-) -> KResult<()> {
-    execve_args_cached(
-        kernel, pid, registry, path, argv, env, aslr, aslr_seed, None,
-    )
-}
-
-/// [`execve_args`] with an optional exec [`ImageCache`]. With
-/// `Some(cache)`, the loader serves file-backed startup pages from
-/// pinned cached frames (or donates them on a miss); with `None` the
-/// path — and its cycle cost — is exactly the classic one.
-#[allow(clippy::too_many_arguments)]
-pub fn execve_args_cached(
-    kernel: &mut Kernel,
-    pid: Pid,
-    registry: &ImageRegistry,
-    path: &str,
-    argv: Vec<String>,
-    env: Env,
-    aslr: AslrConfig,
-    aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
-    let start = kernel.cycles.total();
-    sink::span_begin("exec", "exec", start);
-    let r = execve_args_inner(kernel, pid, registry, path, argv, env, aslr, aslr_seed, cache);
-    let end = kernel.cycles.total();
-    metrics::observe("exec.exec_cycles", end - start);
-    sink::span_end("exec", end);
-    r
+    kernel.timed_span(
+        "exec",
+        "exec",
+        "exec.exec_cycles",
+        |ev| ev,
+        |kernel| {
+            kernel.charge_syscall();
+            let (mut image, interp_prefix) = {
+                let (img, prefix) = registry.resolve(path).ok_or(Errno::Enoexec)?;
+                (img.clone(), prefix)
+            };
+            image.file_id = effective_file_id(kernel, registry, image.file_id);
+            let mut full_argv = interp_prefix;
+            full_argv.extend(argv);
+
+            // 1. Release the old address space (a vfork child gives the
+            //    parent its space back) and start with a fresh one.
+            kernel.destroy_address_space(pid)?;
+
+            // 2. Close close-on-exec descriptors.
+            let swept = kernel.process_mut(pid)?.fds.take_cloexec();
+            for (_, entry) in swept {
+                kernel.release_fd_entry(entry)?;
+            }
+
+            // 3. Reset caught signals; keep ignored/default and the mask.
+            kernel.process_mut(pid)?.signals.exec_reset();
+
+            // 4. Only the calling thread survives; userspace state is wiped.
+            let doomed_tids: Vec<fpr_kernel::Tid> = {
+                let p = kernel.process_mut(pid)?;
+                let main = p.threads.remove(0);
+                let doomed = p.threads.drain(..).map(|t| t.tid).collect();
+                p.threads.push(main);
+                p.locks = fpr_kernel::LockTable::new();
+                p.streams.clear();
+                p.atfork = fpr_kernel::AtforkTable::new();
+                doomed
+            };
+            for tid in doomed_tids {
+                kernel.sched.remove(fpr_kernel::sched::Task { pid, tid });
+            }
+
+            // 5. New argv; environment per policy.
+            {
+                let p = kernel.process_mut(pid)?;
+                p.argv = full_argv;
+                if let Env::Replace(map) = env {
+                    p.envp = map;
+                }
+            }
+
+            // 6. Load the new image under a fresh layout.
+            let layout = randomize(aslr, aslr_seed);
+            sink::instant("aslr_randomize", "exec", kernel.cycles.total());
+            load(kernel, pid, &image, layout, cache)
+        },
+    )
 }
 
 /// The *effective* file id of a registered binary: its registry-assigned
@@ -105,81 +143,6 @@ pub fn effective_file_id(kernel: &Kernel, registry: &ImageRegistry, file_id: u64
     match registry.backing_ino(file_id) {
         Some(ino) => file_id + (kernel.vfs.generation(ino) << 32),
         None => file_id,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execve_args_inner(
-    kernel: &mut Kernel,
-    pid: Pid,
-    registry: &ImageRegistry,
-    path: &str,
-    argv: Vec<String>,
-    env: Env,
-    aslr: AslrConfig,
-    aslr_seed: u64,
-    cache: Option<&mut ImageCache>,
-) -> KResult<()> {
-    kernel.charge_syscall();
-    let (mut image, interp_prefix) = {
-        let (img, prefix) = registry.resolve(path).ok_or(Errno::Enoexec)?;
-        (img.clone(), prefix)
-    };
-    image.file_id = effective_file_id(kernel, registry, image.file_id);
-    let mut full_argv = interp_prefix;
-    full_argv.extend(argv);
-
-    // 1. Release the old address space (or return a vfork borrow).
-    let space_ref = kernel.process(pid)?.space_ref.clone();
-    match space_ref {
-        SpaceRef::Owned => kernel.destroy_address_space(pid)?,
-        SpaceRef::BorrowedFrom(parent) => {
-            // vfork child execs: give the parent its space back and start
-            // with a fresh one.
-            kernel.detach_borrowed_space(pid)?;
-            kernel.vfork_return(parent, pid)?;
-        }
-    }
-
-    // 2. Close close-on-exec descriptors.
-    let swept = kernel.process_mut(pid)?.fds.take_cloexec();
-    for (_, entry) in swept {
-        kernel.release_fd_entry(entry)?;
-    }
-
-    // 3. Reset caught signals; keep ignored/default and the mask.
-    kernel.process_mut(pid)?.signals.exec_reset();
-
-    // 4. Only the calling thread survives; userspace state is wiped.
-    let doomed_tids: Vec<fpr_kernel::Tid> = {
-        let p = kernel.process_mut(pid)?;
-        let main = p.threads.remove(0);
-        let doomed = p.threads.drain(..).map(|t| t.tid).collect();
-        p.threads.push(main);
-        p.locks = fpr_kernel::LockTable::new();
-        p.streams.clear();
-        p.atfork = fpr_kernel::AtforkTable::new();
-        doomed
-    };
-    for tid in doomed_tids {
-        kernel.sched.remove(fpr_kernel::sched::Task { pid, tid });
-    }
-
-    // 5. New argv; environment per policy.
-    {
-        let p = kernel.process_mut(pid)?;
-        p.argv = full_argv;
-        if let Env::Replace(map) = env {
-            p.envp = map;
-        }
-    }
-
-    // 6. Load the new image under a fresh layout.
-    let layout = randomize(aslr, aslr_seed);
-    sink::instant("aslr_randomize", "exec", kernel.cycles.total());
-    match cache {
-        Some(c) => load_cached(kernel, pid, &image, layout, c),
-        None => load(kernel, pid, &image, layout),
     }
 }
 
@@ -309,6 +272,7 @@ mod tests {
             Env::Replace(env),
             AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let p = k.process(pid).unwrap();
@@ -331,6 +295,7 @@ mod tests {
             Env::Keep,
             AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let p = k.process(pid).unwrap();

@@ -15,6 +15,6 @@ pub mod loader;
 
 pub use aslr::{randomize, shared_bits, AslrConfig};
 pub use cache::ImageCache;
-pub use exec::{effective_file_id, execve, execve_args, execve_args_cached, Env};
+pub use exec::{effective_file_id, execve, execve_args, Env};
 pub use image::{Executable, Image, ImageRegistry};
-pub use loader::{load, load_cached, STARTUP_TOUCHED_PAGES};
+pub use loader::{load, STARTUP_TOUCHED_PAGES};

@@ -17,69 +17,54 @@ pub const STARTUP_TOUCHED_PAGES: u64 = 3;
 /// Maps `image` into the (empty) address space of `pid` at the bases given
 /// by `layout`, then touches the startup pages.
 ///
+/// With an exec [`ImageCache`]: on a hit the file-backed startup pages
+/// are mapped copy-on-write from pinned cached frames (a PTE copy each —
+/// no fault, no file read); on a miss the image loads normally and then
+/// donates those frames to the cache for the next exec of the same
+/// binary. The miss path costs exactly what the cacheless load does,
+/// plus nothing: donation is pin bookkeeping and charges no cycles.
+///
 /// Fails with [`Errno::Enomem`] if commit cannot be charged, leaving any
 /// partially created mappings in place for the caller to tear down via
 /// process exit.
-pub fn load(kernel: &mut Kernel, pid: Pid, image: &Image, layout: LayoutInfo) -> KResult<()> {
-    fpr_trace::sink::span_begin("image_load", "exec", kernel.cycles.total());
-    fpr_trace::metrics::incr("exec.image_load");
-    let r = load_inner(kernel, pid, image, layout);
-    fpr_trace::sink::span_end("image_load", kernel.cycles.total());
-    r
-}
-
-/// Like [`load`], but consults the exec [`ImageCache`]: on a hit the
-/// file-backed startup pages are mapped copy-on-write from pinned cached
-/// frames (a PTE copy each — no fault, no file read); on a miss the image
-/// loads normally and then donates those frames to the cache for the next
-/// exec of the same binary. The miss path costs exactly what [`load`]
-/// does, plus nothing: donation is pin bookkeeping and charges no cycles.
-pub fn load_cached(
+pub fn load(
     kernel: &mut Kernel,
     pid: Pid,
     image: &Image,
     layout: LayoutInfo,
-    cache: &mut ImageCache,
+    cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
-    fpr_trace::sink::span_begin("image_load", "exec", kernel.cycles.total());
-    fpr_trace::metrics::incr("exec.image_load");
-    let r = load_cached_inner(kernel, pid, image, layout, cache);
-    fpr_trace::sink::span_end("image_load", kernel.cycles.total());
-    r
-}
-
-fn load_cached_inner(
-    kernel: &mut Kernel,
-    pid: Pid,
-    image: &Image,
-    layout: LayoutInfo,
-    cache: &mut ImageCache,
-) -> KResult<()> {
-    map_segments(kernel, pid, image, layout)?;
-    match cache.lookup(kernel, image.file_id) {
-        Some(frames) => {
-            // Hit: install each cached frame copy-on-write at its place in
-            // the image. The startup reads then find resident pages; only
-            // the stack write still demand-faults.
-            for (off, pfn) in frames {
-                let exec = off < image.text_pages;
-                kernel.map_shared_frame(pid, Vpn(layout.text_base + off), pfn, exec)?;
+    kernel.span("image_load", "exec", |kernel| {
+        fpr_trace::metrics::incr("exec.image_load");
+        map_segments(kernel, pid, image, layout)?;
+        let Some(cache) = cache else {
+            return touch_startup(kernel, pid, image, layout);
+        };
+        match cache.lookup(kernel, image.file_id) {
+            Some(frames) => {
+                // Hit: install each cached frame copy-on-write at its place
+                // in the image. The startup reads then find resident pages;
+                // only the stack write still demand-faults.
+                for (off, pfn) in frames {
+                    let exec = off < image.text_pages;
+                    kernel.map_shared_frame(pid, Vpn(layout.text_base + off), pfn, exec)?;
+                }
+                touch_startup(kernel, pid, image, layout)
             }
-            touch_startup(kernel, pid, image, layout)
-        }
-        None => {
-            touch_startup(kernel, pid, image, layout)?;
-            // Donate the file-backed pages just faulted in: write-protect
-            // them in the donor (their frames are about to outlive it) and
-            // pin them into the cache.
-            let mut donated: Vec<(u64, Pfn)> = Vec::new();
-            for off in startup_file_offsets(image) {
-                let pte = kernel.cow_protect_page(pid, Vpn(layout.text_base + off))?;
-                donated.push((off, pte.pfn));
+            None => {
+                touch_startup(kernel, pid, image, layout)?;
+                // Donate the file-backed pages just faulted in:
+                // write-protect them in the donor (their frames are about to
+                // outlive it) and pin them into the cache.
+                let mut donated: Vec<(u64, Pfn)> = Vec::new();
+                for off in startup_file_offsets(image) {
+                    let pte = kernel.cow_protect_page(pid, Vpn(layout.text_base + off))?;
+                    donated.push((off, pte.pfn));
+                }
+                cache.insert(kernel, image.file_id, donated)
             }
-            cache.insert(kernel, image.file_id, donated)
         }
-    }
+    })
 }
 
 /// File page offsets of the startup-touched pages that are file-backed
@@ -104,11 +89,6 @@ fn touch_startup(kernel: &mut Kernel, pid: Pid, image: &Image, layout: LayoutInf
     }
     kernel.write_mem(pid, Vpn(layout.stack_base - 1), 0xdead)?;
     Ok(())
-}
-
-fn load_inner(kernel: &mut Kernel, pid: Pid, image: &Image, layout: LayoutInfo) -> KResult<()> {
-    map_segments(kernel, pid, image, layout)?;
-    touch_startup(kernel, pid, image, layout)
 }
 
 /// Creates the six image VMAs (text, data, bss, heap, guard, stack) and
@@ -214,7 +194,7 @@ mod tests {
         let mut img = Image::small("sh");
         img.file_id = 77;
         let layout = randomize(AslrConfig::default(), 1);
-        load(&mut k, pid, &img, layout).unwrap();
+        load(&mut k, pid, &img, layout, None).unwrap();
         let p = k.process(pid).unwrap();
         // text, data, bss, heap, guard, stack = 6 VMAs.
         assert_eq!(p.aspace.vma_count(), 6);
@@ -229,7 +209,7 @@ mod tests {
         let mut img = Image::small("sh");
         img.file_id = 77;
         let layout = randomize(AslrConfig::default(), 1);
-        load(&mut k, pid, &img, layout).unwrap();
+        load(&mut k, pid, &img, layout, None).unwrap();
         let got = k.read_mem(pid, Vpn(layout.text_base + 3)).unwrap();
         assert_eq!(
             got,
@@ -243,7 +223,7 @@ mod tests {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
         let layout = randomize(AslrConfig::default(), 2);
-        load(&mut k, pid, &img, layout).unwrap();
+        load(&mut k, pid, &img, layout, None).unwrap();
         let guard = Vpn(layout.stack_base - img.stack_pages - 1);
         assert_eq!(k.read_mem(pid, guard), Err(Errno::Efault));
         assert_eq!(k.write_mem(pid, guard, 1), Err(Errno::Efault));
@@ -254,7 +234,7 @@ mod tests {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
         let layout = randomize(AslrConfig::default(), 3);
-        load(&mut k, pid, &img, layout).unwrap();
+        load(&mut k, pid, &img, layout, None).unwrap();
         assert_eq!(
             k.write_mem(pid, Vpn(layout.text_base), 1),
             Err(Errno::Efault)
@@ -268,7 +248,7 @@ mod tests {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
         let c0 = k.cycles.total();
-        load(&mut k, pid, &img, randomize(AslrConfig::default(), 4)).unwrap();
+        load(&mut k, pid, &img, randomize(AslrConfig::default(), 4), None).unwrap();
         let small_cost = k.cycles.total() - c0;
 
         let (mut k2, busy) = boot();
@@ -276,7 +256,14 @@ mod tests {
         k2.populate(busy, base, 8192).unwrap();
         let pid2 = k2.allocate_process(busy, "x").unwrap();
         let c1 = k2.cycles.total();
-        load(&mut k2, pid2, &img, randomize(AslrConfig::default(), 4)).unwrap();
+        load(
+            &mut k2,
+            pid2,
+            &img,
+            randomize(AslrConfig::default(), 4),
+            None,
+        )
+        .unwrap();
         let busy_cost = k2.cycles.total() - c1;
         assert_eq!(small_cost, busy_cost);
     }

@@ -15,15 +15,14 @@ use crate::pid::{Pid, ShardedPidTable, Tid, TidAllocator};
 use crate::pipe::PipeTable;
 use crate::rlimit::Resource;
 use crate::sched::{Scheduler, Task};
-use crate::task::Process;
+use crate::task::{Process, SpaceRef};
 use crate::time::Clock;
 use crate::vfs::Vfs;
 use fpr_mem::{
     AddressSpace, CommitAccount, CostModel, Cycles, FaultOutcome, OvercommitPolicy, Pfn,
     PhysMemory, Prot, Pte, Share, SharedFramePool, TlbBus, TlbModel, VmArea, VmaKind, Vpn,
 };
-use fpr_trace::metrics;
-use fpr_trace::sink;
+use fpr_trace::{metrics, sink, Phase, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -155,6 +154,73 @@ impl SmpShared {
     }
 }
 
+/// What a creation API hands its child, on top of what every
+/// [`Kernel::inherit`] call copies — the only thing the APIs differ on.
+/// (The cross-process builder inherits nothing and never calls it.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inherit {
+    /// `fork`: everything. A duplicate of the address space under `mode`
+    /// and with it the running image's description (argv, the ASLR
+    /// layout — the zygote hazard) and the userspace state living in that
+    /// memory: stream buffers, `pthread_atfork` registrations, and the
+    /// lock table *as it was*, the holdings of `calling_tid` moving to
+    /// the child's only thread.
+    Fork {
+        /// Page-table copy strategy.
+        mode: fpr_mem::ForkMode,
+        /// The forking thread, the one thread the child keeps.
+        calling_tid: Tid,
+    },
+    /// `vfork` / `clone(CLONE_VM)`: fork minus the copy. The child runs
+    /// in the parent's space on loan ([`SpaceRef::BorrowedFrom`]), so the
+    /// image description crosses but nothing in that memory is
+    /// duplicated.
+    Borrow {
+        /// Copy the descriptor table (`CLONE_FILES`), else start empty.
+        files: bool,
+        /// Park the parent until the child execs or exits (`CLONE_VFORK`).
+        park: bool,
+    },
+    /// `posix_spawn` and the warm-pool checkout: the common set only;
+    /// exec (or the checkout's equivalent resets) supplies the image.
+    Spawn,
+}
+
+/// One address space plus the machine state a memory operation on it
+/// needs, borrowed disjointly out of a [`Kernel`] (see
+/// [`Kernel::mem_ctx`]).
+pub(crate) struct MemCtx<'k> {
+    pub(crate) space: &'k mut AddressSpace,
+    pub(crate) phys: &'k mut PhysMemory,
+    pub(crate) cycles: &'k mut Cycles,
+    pub(crate) tlb: &'k mut TlbModel,
+    pub(crate) commit: &'k mut CommitAccount,
+    /// CPUs running the space's owner (TLB-shootdown fan-out).
+    pub(crate) cpus: u32,
+}
+
+/// What [`Kernel::allocate_process`] and [`Kernel::adopt_process`] copy
+/// from the (new) parent: the part of a PCB every child has, whatever API
+/// made it.
+struct Identity {
+    cwd: crate::vfs::Ino,
+    cred: crate::cred::Credentials,
+    rlimits: crate::rlimit::RlimitSet,
+    pgid: crate::pgroup::Pgid,
+    sid: crate::pgroup::Sid,
+}
+
+impl Identity {
+    fn give(self, child: &mut Process, ppid: Pid) {
+        child.ppid = ppid;
+        child.cwd = self.cwd;
+        child.cred = self.cred;
+        child.rlimits = self.rlimits;
+        child.pgid = self.pgid;
+        child.sid = self.sid;
+    }
+}
+
 impl Kernel {
     /// Boots a single-kernel machine: cell 0 of a private one-cell
     /// [`SmpShared`]. The only difference from an SMP cell is the one
@@ -251,6 +317,46 @@ impl Kernel {
         sink::with_sink(|| f(self))
     }
 
+    /// Runs `f` as one span: a `Begin` event at the current cycle count,
+    /// the body, then the matching `End` — on every path out of `f`, `?`
+    /// included, so spans balance on error paths by construction. This
+    /// (with [`Kernel::timed_span`]) is the one way instrumented
+    /// operations in `fpr-kernel`, `fpr-exec` and `fpr-api` open a span.
+    pub fn span<R>(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        f: impl FnOnce(&mut Kernel) -> R,
+    ) -> R {
+        sink::span_begin(name, cat, self.cycles.total());
+        let r = f(self);
+        sink::span_end(name, self.cycles.total());
+        r
+    }
+
+    /// [`Kernel::span`] for an API-level operation: `args` decorates the
+    /// `Begin` event (it runs only while a sink listens, so building the
+    /// arguments costs nothing otherwise), and the span's duration in
+    /// cycles feeds `histogram` whether or not anyone is tracing.
+    pub fn timed_span<R>(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        histogram: &'static str,
+        args: impl FnOnce(TraceEvent) -> TraceEvent,
+        f: impl FnOnce(&mut Kernel) -> R,
+    ) -> R {
+        let start = self.cycles.total();
+        if sink::is_active() {
+            sink::emit(args(TraceEvent::new(name, cat, Phase::Begin, start)));
+        }
+        let r = f(self);
+        let end = self.cycles.total();
+        metrics::observe(histogram, end - start);
+        sink::span_end(name, end);
+        r
+    }
+
     /// Creates the init process (PID 1) with stdio descriptors on the
     /// console.
     pub fn create_init(&mut self, name: &str) -> KResult<Pid> {
@@ -313,49 +419,52 @@ impl Kernel {
         self.user_counts.get(&uid).copied().unwrap_or(0)
     }
 
+    /// The identity a child takes from the process it is created or
+    /// adopted under — working directory, credentials, resource limits,
+    /// process group and session. Enforces `parent`'s `RLIMIT_NPROC`
+    /// against the live processes of its uid, not counting `joining`
+    /// itself when that process already sits in the same uid's books (a
+    /// pool child being adopted).
+    fn identity_from(&self, parent: Pid, joining: Option<Pid>) -> KResult<Identity> {
+        self.ensure_alive(parent)?;
+        let p = self.process(parent)?;
+        let uid = p.cred.uid;
+        let counted = match joining {
+            Some(c) if self.process(c)?.cred.uid == uid => self.nproc_of(uid).saturating_sub(1),
+            _ => self.nproc_of(uid),
+        };
+        if counted >= p.rlimits.get(Resource::Nproc).soft {
+            return Err(Errno::Eagain);
+        }
+        Ok(Identity {
+            cwd: p.cwd,
+            cred: p.cred,
+            rlimits: p.rlimits,
+            pgid: p.pgid,
+            sid: p.sid,
+        })
+    }
+
     /// Allocates a new process shell as a child of `ppid`, enforcing
     /// `RLIMIT_NPROC`. The caller (fork/spawn implementation) populates
     /// its state. The child starts with an empty address space and FD
     /// table and is enqueued for scheduling.
     pub fn allocate_process(&mut self, ppid: Pid, name: &str) -> KResult<Pid> {
-        sink::span_begin("allocate_process", "kernel", self.cycles.total());
-        let r = self.allocate_process_inner(ppid, name);
-        sink::span_end("allocate_process", self.cycles.total());
-        r
-    }
-
-    fn allocate_process_inner(&mut self, ppid: Pid, name: &str) -> KResult<Pid> {
-        self.ensure_alive(ppid)?;
-        let (uid, nproc_limit, cwd, cred, rlimits, pgid, sid) = {
-            let p = self.process(ppid)?;
-            (
-                p.cred.uid,
-                p.rlimits.get(Resource::Nproc).soft,
-                p.cwd,
-                p.cred,
-                p.rlimits,
-                p.pgid,
-                p.sid,
-            )
-        };
-        if self.nproc_of(uid) >= nproc_limit {
-            return Err(Errno::Eagain);
-        }
-        let pid = self.alloc_pid()?;
-        let tid = self.tids.alloc();
-        let mut proc = Process::new(pid, ppid, name, tid, cwd);
-        proc.aspace.set_thp(self.thp);
-        proc.cred = cred;
-        proc.rlimits = rlimits;
-        proc.pgid = pgid;
-        proc.sid = sid;
-        *self.user_counts.entry(uid).or_insert(0) += 1;
-        self.sched.enqueue(Task { pid, tid });
-        self.procs.insert(pid, proc);
-        if let Some(parent) = self.procs.get_mut(&ppid) {
-            parent.children.push(pid);
-        }
-        Ok(pid)
+        self.span("allocate_process", "kernel", |k| {
+            let identity = k.identity_from(ppid, None)?;
+            let pid = k.alloc_pid()?;
+            let tid = k.tids.alloc();
+            let mut proc = Process::new(pid, ppid, name, tid, identity.cwd);
+            proc.aspace.set_thp(k.thp);
+            identity.give(&mut proc, ppid);
+            *k.user_counts.entry(proc.cred.uid).or_insert(0) += 1;
+            k.sched.enqueue(Task { pid, tid });
+            k.procs.insert(pid, proc);
+            if let Some(parent) = k.procs.get_mut(&ppid) {
+                parent.children.push(pid);
+            }
+            Ok(pid)
+        })
     }
 
     /// Number of CPUs currently executing threads of `pid`, at least 1
@@ -377,6 +486,61 @@ impl Kernel {
         Err(Errno::Esrch)
     }
 
+    /// The address space `pid` operates on — its own, or the lender's for
+    /// a vfork borrower — together with the disjoint machine borrows
+    /// every `fpr_mem` operation threads through. The one place the
+    /// kernel splits `&mut self` for a memory operation.
+    pub(crate) fn mem_ctx(&mut self, pid: Pid) -> KResult<MemCtx<'_>> {
+        let owner = self.space_owner(pid)?;
+        let cpus = self.cpus_running(owner);
+        let Kernel {
+            phys,
+            cycles,
+            tlb,
+            commit,
+            procs,
+            ..
+        } = self;
+        let space = &mut procs.get_mut(&owner).ok_or(Errno::Esrch)?.aspace;
+        Ok(MemCtx {
+            space,
+            phys,
+            cycles,
+            tlb,
+            commit,
+            cpus,
+        })
+    }
+
+    /// Runs `op`; an `ENOMEM` under real memory pressure triggers one
+    /// direct-reclaim pass (see `reclaim`) and a single retry before
+    /// surfacing. Every `op` rolls back on failure, so the retry starts
+    /// clean (an interrupted populate resumes where it stopped).
+    fn reclaim_retry<T>(&mut self, mut op: impl FnMut(&mut Kernel) -> KResult<T>) -> KResult<T> {
+        match op(self) {
+            Err(Errno::Enomem) if self.direct_reclaim() => op(self),
+            r => r,
+        }
+    }
+
+    /// One page-touching access by `pid` to the space it runs in, with
+    /// reclaim-retry, and with SIGBUS containment when the access needed
+    /// a swapped-out page the device fails to read back.
+    fn access<T>(
+        &mut self,
+        pid: Pid,
+        mut op: impl FnMut(MemCtx<'_>) -> Result<T, fpr_mem::MemError>,
+    ) -> KResult<T> {
+        let r = self.reclaim_retry(|k| {
+            k.ensure_alive(pid)?;
+            Ok(op(k.mem_ctx(pid)?)?)
+        });
+        match r {
+            Err(Errno::Eio) => self.swap_io_sigbus(pid),
+            r => r,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Memory syscalls
     // ------------------------------------------------------------------
@@ -386,18 +550,16 @@ impl Kernel {
     pub fn mmap_anon(&mut self, pid: Pid, pages: u64, prot: Prot, share: Share) -> KResult<Vpn> {
         self.ensure_alive(pid)?;
         self.charge_syscall();
-        let hint = {
+        let start = {
             let p = self.process(pid)?;
-            if p.layout.mmap_base != 0 {
+            let hint = if p.layout.mmap_base != 0 {
                 Vpn(p.layout.mmap_base)
             } else {
                 Vpn(DEFAULT_MMAP_BASE)
-            }
-        };
-        let start = {
-            let p = self.process(pid)?;
+            };
             let limit = p.rlimits.get(Resource::AsPages).soft;
-            if p.aspace.virtual_pages() + pages > limit {
+            let space = &self.process(self.space_owner(pid)?)?.aspace;
+            if space.virtual_pages() + pages > limit {
                 return Err(Errno::Enomem);
             }
             if self.thp && share == Share::Private && pages >= fpr_mem::HUGE_PAGES {
@@ -406,12 +568,10 @@ impl Kernel {
                 // 2 MiB-aligned and promotion has something to bite on.
                 // ASLR hints are page-granular, so without this a THP
                 // machine would almost never see an aligned VMA.
-                let s = p
-                    .aspace
-                    .find_free_range(pages + fpr_mem::HUGE_PAGES - 1, hint)?;
+                let s = space.find_free_range(pages + fpr_mem::HUGE_PAGES - 1, hint)?;
                 Vpn((s.0 + fpr_mem::HUGE_PAGES - 1) & !(fpr_mem::HUGE_PAGES - 1))
             } else {
-                p.aspace.find_free_range(pages, hint)?
+                space.find_free_range(pages, hint)?
             }
         };
         let mut vma = VmArea::anon(start, pages, prot, VmaKind::Mmap);
@@ -420,125 +580,57 @@ impl Kernel {
         Ok(start)
     }
 
-    /// Maps an explicit VMA (loader path), charging commit. An `ENOMEM`
-    /// under real memory pressure triggers one direct-reclaim pass (see
-    /// `reclaim`) and a single retry before surfacing.
+    /// Maps an explicit VMA (loader path), charging commit.
     pub fn mmap_at(&mut self, pid: Pid, vma: VmArea) -> KResult<()> {
-        match self.mmap_at_inner(pid, vma.clone()) {
-            Err(Errno::Enomem) if self.direct_reclaim() => self.mmap_at_inner(pid, vma),
-            r => r,
-        }
-    }
-
-    fn mmap_at_inner(&mut self, pid: Pid, vma: VmArea) -> KResult<()> {
-        self.ensure_alive(pid)?;
-        let Kernel {
-            phys,
-            commit,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-        let charge = commit_charge_of(&vma);
-        commit.charge(charge, phys.free_frames())?;
-        match p.aspace.mmap(vma, phys, cycles) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                commit.release(charge);
-                Err(e.into())
-            }
-        }
+        self.reclaim_retry(|k| {
+            k.ensure_alive(pid)?;
+            let m = k.mem_ctx(pid)?;
+            let charge = commit_charge_of(&vma);
+            m.commit.charge(charge, m.phys.free_frames())?;
+            m.space.mmap(vma.clone(), m.phys, m.cycles).map_err(|e| {
+                m.commit.release(charge);
+                e.into()
+            })
+        })
     }
 
     /// Unmaps a range.
     pub fn munmap(&mut self, pid: Pid, start: Vpn, pages: u64) -> KResult<u64> {
         self.ensure_alive(pid)?;
         self.charge_syscall();
-        let cpus = self.cpus_running(pid);
-        let Kernel {
-            phys,
-            cycles,
-            tlb,
-            commit,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&pid).ok_or(Errno::Esrch)?;
+        let m = self.mem_ctx(pid)?;
         // Release the commit charge of the VMAs actually covered.
         let mut release = 0u64;
-        for v in p.aspace.vmas().filter(|v| v.overlaps(start, pages)) {
+        for v in m.space.vmas().filter(|v| v.overlaps(start, pages)) {
             let lo = v.start.0.max(start.0);
             let hi = v.end().0.min(start.0 + pages);
             if commit_charge_of(v) > 0 {
                 release += hi - lo;
             }
         }
-        let freed = p.aspace.munmap(start, pages, phys, cycles, tlb, cpus)?;
-        commit.release(release);
+        let freed = m
+            .space
+            .munmap(start, pages, m.phys, m.cycles, m.tlb, m.cpus)?;
+        m.commit.release(release);
         Ok(freed)
     }
 
-    /// Writes `val` to the page at `vpn` of `pid`, faulting as needed. An
-    /// `ENOMEM` under real memory pressure triggers one direct-reclaim
-    /// pass and a single retry before surfacing.
+    /// Writes `val` to the page at `vpn` of `pid`, faulting as needed.
     pub fn write_mem(&mut self, pid: Pid, vpn: Vpn, val: u64) -> KResult<FaultOutcome> {
-        match self.write_mem_inner(pid, vpn, val) {
-            Err(Errno::Enomem) if self.direct_reclaim() => self.write_mem_inner(pid, vpn, val),
-            Err(Errno::Eio) => self.swap_io_sigbus(pid),
-            r => r,
-        }
-    }
-
-    fn write_mem_inner(&mut self, pid: Pid, vpn: Vpn, val: u64) -> KResult<FaultOutcome> {
-        self.ensure_alive(pid)?;
-        let owner = self.space_owner(pid)?;
-        let cpus = self.cpus_running(owner);
-        let Kernel {
-            phys,
-            cycles,
-            tlb,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        Ok(p.aspace.write(vpn, val, phys, cycles, tlb, cpus)?)
+        self.access(pid, |m| {
+            m.space.write(vpn, val, m.phys, m.cycles, m.tlb, m.cpus)
+        })
     }
 
     /// Reads the page at `vpn` of `pid`, faulting as needed. A read of a
-    /// swapped-out page allocates a frame, so an `ENOMEM` under real
-    /// pressure triggers one direct-reclaim pass and a single retry.
+    /// swapped-out page allocates a frame, hence the reclaim-retry.
     pub fn read_mem(&mut self, pid: Pid, vpn: Vpn) -> KResult<u64> {
-        match self.read_mem_inner(pid, vpn) {
-            Err(Errno::Enomem) if self.direct_reclaim() => self.read_mem_inner(pid, vpn),
-            Err(Errno::Eio) => self.swap_io_sigbus(pid),
-            r => r,
-        }
+        self.access(pid, |m| Ok(m.space.read(vpn, m.phys, m.cycles)?.0))
     }
 
-    fn read_mem_inner(&mut self, pid: Pid, vpn: Vpn) -> KResult<u64> {
-        self.ensure_alive(pid)?;
-        let owner = self.space_owner(pid)?;
-        let Kernel {
-            phys,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        Ok(p.aspace.read(vpn, phys, cycles)?.0)
-    }
-
-    /// Pre-faults a range (`MAP_POPULATE`). An `ENOMEM` under real memory
-    /// pressure triggers one direct-reclaim pass and a single retry
-    /// before surfacing; an interrupted populate is resumable, so the
-    /// retry picks up where the failed pass stopped.
+    /// Pre-faults a range (`MAP_POPULATE`).
     pub fn populate(&mut self, pid: Pid, start: Vpn, pages: u64) -> KResult<()> {
-        match self.populate_inner(pid, start, pages) {
-            Err(Errno::Enomem) if self.direct_reclaim() => self.populate_inner(pid, start, pages),
-            Err(Errno::Eio) => self.swap_io_sigbus(pid),
-            r => r,
-        }
+        self.access(pid, |m| m.space.populate(start, pages, m.phys, m.cycles))
     }
 
     /// SIGBUS-style containment for a swap-device I/O error: the process
@@ -561,19 +653,6 @@ impl Kernel {
         self.phys.swap().thrashing()
     }
 
-    fn populate_inner(&mut self, pid: Pid, start: Vpn, pages: u64) -> KResult<()> {
-        self.ensure_alive(pid)?;
-        let owner = self.space_owner(pid)?;
-        let Kernel {
-            phys,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        Ok(p.aspace.populate(start, pages, phys, cycles)?)
-    }
-
     // ------------------------------------------------------------------
     // Fork-support plumbing (used by fpr-api)
     // ------------------------------------------------------------------
@@ -584,47 +663,41 @@ impl Kernel {
     /// All-or-nothing: a mid-copy failure releases every reference already
     /// taken, so on `Err` the OFD table is exactly as before the call.
     pub fn clone_fd_table(&mut self, pid: Pid) -> KResult<FdTable> {
-        sink::span_begin("clone_fd_table", "kernel", self.cycles.total());
-        let r = self.clone_fd_table_inner(pid);
-        sink::span_end("clone_fd_table", self.cycles.total());
-        r
-    }
-
-    fn clone_fd_table_inner(&mut self, pid: Pid) -> KResult<FdTable> {
-        let entries: Vec<(Fd, FdEntry)> = self.process(pid)?.fds.iter().collect();
-        let fd_cost = self.phys.cost().fd_clone;
-        let mut table = FdTable::new();
-        for (fd, entry) in entries {
-            // Each open descriptor costs a fixed amount to duplicate; the
-            // table's sparse storage means closed slots cost nothing, so
-            // fork's FD work scales with open descriptors, not max fd.
-            self.cycles.charge(fd_cost);
-            metrics::incr("kernel.fd_clone");
-            // Shares the description (and therefore the offset); pipe end
-            // counts follow descriptions, not descriptors, so they are
-            // untouched here.
-            let step = self
-                .ofds
-                .incref(entry.ofd)
-                .and_then(|()| match table.install_at(fd, entry, u64::MAX) {
-                    Ok(_) => Ok(()),
-                    Err(e) => {
-                        let survived = self.ofds.decref(entry.ofd).expect("ref just taken");
-                        debug_assert!(survived.is_none(), "parent still holds a reference");
-                        Err(e)
+        self.span("clone_fd_table", "kernel", |k| {
+            let entries: Vec<(Fd, FdEntry)> = k.process(pid)?.fds.iter().collect();
+            let fd_cost = k.phys.cost().fd_clone;
+            let mut table = FdTable::new();
+            for (fd, entry) in entries {
+                // Each open descriptor costs a fixed amount to duplicate; the
+                // table's sparse storage means closed slots cost nothing, so
+                // fork's FD work scales with open descriptors, not max fd.
+                k.cycles.charge(fd_cost);
+                metrics::incr("kernel.fd_clone");
+                // Shares the description (and therefore the offset); pipe end
+                // counts follow descriptions, not descriptors, so they are
+                // untouched here.
+                let step = k.ofds.incref(entry.ofd).and_then(|()| {
+                    match table.install_at(fd, entry, u64::MAX) {
+                        Ok(_) => Ok(()),
+                        Err(e) => {
+                            let survived = k.ofds.decref(entry.ofd).expect("ref just taken");
+                            debug_assert!(survived.is_none(), "parent still holds a reference");
+                            Err(e)
+                        }
                     }
                 });
-            if let Err(e) = step {
-                // Unwind references taken for earlier entries. The parent
-                // still references each description, so none can reach zero.
-                for e2 in table.drain() {
-                    let survived = self.ofds.decref(e2.ofd).expect("ref taken above");
-                    debug_assert!(survived.is_none());
+                if let Err(e) = step {
+                    // Unwind references taken for earlier entries. The parent
+                    // still references each description, so none can reach zero.
+                    for e2 in table.drain() {
+                        let survived = k.ofds.decref(e2.ofd).expect("ref taken above");
+                        debug_assert!(survived.is_none());
+                    }
+                    return Err(e);
                 }
-                return Err(e);
             }
-        }
-        Ok(table)
+            Ok(table)
+        })
     }
 
     /// Rolls back a process created by [`Kernel::allocate_process`] whose
@@ -637,104 +710,134 @@ impl Kernel {
         metrics::incr("kernel.process_abort");
         if sink::is_active() {
             sink::emit(
-                fpr_trace::TraceEvent::new(
+                TraceEvent::new(
                     "abort_process_creation",
                     "kernel",
-                    fpr_trace::Phase::Instant,
+                    Phase::Instant,
                     self.cycles.total(),
                 )
                 .arg("pid", child.0 as u64),
             );
         }
-        // Release descriptors the child already received.
-        let entries = self.process_mut(child)?.fds.drain();
-        for e in entries {
-            crate::io::release_entry(&mut self.ofds, &mut self.pipes, e)?;
-        }
-        // Release its memory, or return a vfork borrow to the lender.
-        let space_ref = self.process(child)?.space_ref.clone();
-        match space_ref {
-            crate::task::SpaceRef::Owned => {
-                let commit = self.process(child)?.aspace.commit_pages();
-                {
-                    let Kernel {
-                        phys,
-                        cycles,
-                        procs,
-                        ..
-                    } = self;
-                    let p = procs.get_mut(&child).ok_or(Errno::Esrch)?;
-                    p.aspace.destroy(phys, cycles);
-                }
-                self.commit.release(commit);
-            }
-            crate::task::SpaceRef::BorrowedFrom(parent) => {
-                self.vfork_return(parent, child)?;
-            }
-        }
-        // Unlink from the scheduler, the parent, accounting, and the PID
-        // space.
-        self.sched.remove_process(child);
-        self.clear_alarms(child);
-        let (ppid, uid) = {
-            let p = self.process(child)?;
-            (p.ppid, p.cred.uid)
-        };
+        self.teardown(child)?;
+        // Unlink from the parent and the PID space.
+        let ppid = self.process(child)?.ppid;
         if let Some(pp) = self.procs.get_mut(&ppid) {
             pp.children.retain(|c| *c != child);
-        }
-        if let Some(c) = self.user_counts.get_mut(&uid) {
-            *c = c.saturating_sub(1);
         }
         self.procs.remove(&child);
         self.free_pid(child);
         Ok(())
     }
 
+    /// The creation transaction every API (and the warm pool's prefill)
+    /// builds a child through: allocates a child of `parent`, runs
+    /// `populate` on it, and on `Err` rolls the half-made child back with
+    /// [`Kernel::abort_process_creation`] — then unlinks any file
+    /// `populate` recorded (path, cwd) as created on the child's behalf —
+    /// before the error returns. No SIGCHLD, no zombie: a child whose
+    /// population failed never existed, and no caller can forget that.
+    pub fn create_process<T>(
+        &mut self,
+        parent: Pid,
+        populate: impl FnOnce(&mut Kernel, Pid, &mut Vec<(String, crate::vfs::Ino)>) -> KResult<T>,
+    ) -> KResult<(Pid, T)> {
+        let child = self.allocate_process(parent, "")?;
+        let mut created = Vec::new();
+        match populate(self, child, &mut created) {
+            Ok(out) => Ok((child, out)),
+            Err(e) => {
+                self.abort_process_creation(child)?;
+                for (path, cwd) in created {
+                    let _ = self.vfs.unlink(&path, cwd);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Copies PCB state `parent` → `child`: the one statement of what a
+    /// creation API hands over beyond the identity every child has from
+    /// [`Kernel::allocate_process`]. All [`Inherit`] variants receive the
+    /// descriptor table (references taken, offsets shared), the signal
+    /// dispositions and mask (pending cleared), the umask, the command
+    /// name and the environment; see the variants for what each adds.
+    /// Fallible steps come first and attach what they built to the child
+    /// at once, so a failure unwinds through the one teardown.
+    pub fn inherit(&mut self, parent: Pid, child: Pid, what: Inherit) -> KResult<()> {
+        if let Inherit::Fork { mode, .. } = what {
+            let space = self.clone_address_space(parent, mode)?;
+            self.process_mut(child)?.aspace = space;
+        }
+        if !matches!(what, Inherit::Borrow { files: false, .. }) {
+            let fds = self.clone_fd_table(parent)?;
+            self.process_mut(child)?.fds = fds;
+        }
+        let p = self.process(parent)?;
+        let common = (
+            p.name.clone(),
+            p.envp.clone(),
+            p.signals.fork_clone(),
+            p.umask,
+        );
+        // The running image's description follows whoever keeps running
+        // it; a spawned child is about to get its own from exec.
+        let image = (what != Inherit::Spawn).then(|| (p.argv.clone(), p.layout));
+        let c = self.process_mut(child)?;
+        (c.name, c.envp, c.signals, c.umask) = common;
+        if let Some(image) = image {
+            (c.argv, c.layout) = image;
+        }
+        match what {
+            Inherit::Fork { calling_tid, .. } => {
+                let p = self.process(parent)?;
+                let (streams, mut locks, atfork) =
+                    (p.streams.clone(), p.locks.clone(), p.atfork.clone());
+                let c = self.process_mut(child)?;
+                // Only the calling thread exists in the child: its
+                // holdings move to the child's main thread, everything
+                // else is orphaned in place.
+                let main = c.main_tid();
+                for l in locks.iter_ids() {
+                    if locks.owner_of(l) == Some(calling_tid) {
+                        locks.set_owner(l, Some(main));
+                        c.threads[0].note_acquired(l);
+                    }
+                }
+                (c.streams, c.locks, c.atfork) = (streams, locks, atfork);
+            }
+            Inherit::Borrow { park, .. } => {
+                c.space_ref = SpaceRef::BorrowedFrom(parent);
+                if park {
+                    self.vfork_park(parent, child)?;
+                }
+            }
+            Inherit::Spawn => {}
+        }
+        Ok(())
+    }
+
     /// Duplicates `pid`'s address space with fork semantics, charging the
-    /// child's commit against the overcommit policy first.
+    /// child's commit against the overcommit policy first. The clone
+    /// rolls back on failure, so the reclaim-retry is safe.
     pub fn clone_address_space(
         &mut self,
         pid: Pid,
         mode: fpr_mem::ForkMode,
     ) -> KResult<AddressSpace> {
-        sink::span_begin("clone_address_space", "kernel", self.cycles.total());
-        let r = match self.clone_address_space_inner(pid, mode) {
-            // The clone rolls back on failure, so a single direct-reclaim
-            // retry under real pressure is safe.
-            Err(Errno::Enomem) if self.direct_reclaim() => {
-                self.clone_address_space_inner(pid, mode)
-            }
-            r => r,
-        };
-        sink::span_end("clone_address_space", self.cycles.total());
-        r
-    }
-
-    fn clone_address_space_inner(
-        &mut self,
-        pid: Pid,
-        mode: fpr_mem::ForkMode,
-    ) -> KResult<AddressSpace> {
-        let cpus = self.cpus_running(pid);
-        let Kernel {
-            phys,
-            cycles,
-            tlb,
-            commit,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-        let charge = p.aspace.commit_pages();
-        commit.charge(charge, phys.free_frames())?;
-        match AddressSpace::fork_from(&mut p.aspace, mode, phys, cycles, tlb, cpus) {
-            Ok(space) => Ok(space),
-            Err(e) => {
-                commit.release(charge);
-                Err(e.into())
-            }
-        }
+        self.span("clone_address_space", "kernel", |k| {
+            k.reclaim_retry(|k| {
+                let m = k.mem_ctx(pid)?;
+                let charge = m.space.commit_pages();
+                m.commit.charge(charge, m.phys.free_frames())?;
+                AddressSpace::fork_from(m.space, mode, m.phys, m.cycles, m.tlb, m.cpus).map_err(
+                    |e| {
+                        m.commit.release(charge);
+                        e.into()
+                    },
+                )
+            })
+        })
     }
 
     /// Spawns an additional thread in `pid`.
@@ -820,40 +923,16 @@ impl Kernel {
         Ok(())
     }
 
-    /// Destroys `pid`'s owned address space, releasing frames and commit
-    /// charge (exec's teardown path).
+    /// Exec's step 1: `pid` gives up the address space it runs in and
+    /// is left owning an empty one. An owned space is destroyed (frames
+    /// and commit charge released); a vfork borrower hands the loan back
+    /// and the parent resumes.
     pub fn destroy_address_space(&mut self, pid: Pid) -> KResult<()> {
-        sink::span_begin("destroy_address_space", "kernel", self.cycles.total());
-        let r = self.destroy_address_space_inner(pid);
-        sink::span_end("destroy_address_space", self.cycles.total());
-        r
-    }
-
-    fn destroy_address_space_inner(&mut self, pid: Pid) -> KResult<()> {
-        let commit = self.process(pid)?.aspace.commit_pages();
-        {
-            let Kernel {
-                phys,
-                cycles,
-                procs,
-                ..
-            } = self;
-            let p = procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-            p.aspace.destroy(phys, cycles);
+        if self.process(pid)?.space_ref == SpaceRef::Owned {
+            self.span("destroy_address_space", "kernel", |k| k.release_space(pid))
+        } else {
+            self.release_space(pid)
         }
-        self.commit.release(commit);
-        Ok(())
-    }
-
-    /// Replaces `pid`'s address space with an empty owned one *without*
-    /// destroying the old (used when the old space was borrowed via vfork).
-    pub fn detach_borrowed_space(&mut self, pid: Pid) -> KResult<()> {
-        let thp = self.thp;
-        let p = self.process_mut(pid)?;
-        p.aspace = AddressSpace::new();
-        p.aspace.set_thp(thp);
-        p.space_ref = crate::task::SpaceRef::Owned;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -866,45 +945,24 @@ impl Kernel {
     /// warm-pool children that have never been scheduled, so no CPU holds
     /// stale translations.
     pub fn slide_vma(&mut self, pid: Pid, old: Vpn, new: Vpn) -> KResult<u64> {
-        let owner = self.space_owner(pid)?;
-        let Kernel {
-            phys,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        let cost = phys.cost().clone();
-        Ok(p.aspace.slide_vma(old, new, phys, cycles, &cost)?)
+        let m = self.mem_ctx(pid)?;
+        let cost = m.phys.cost().clone();
+        Ok(m.space.slide_vma(old, new, m.phys, m.cycles, &cost)?)
     }
 
     /// Maps an image-cache frame at `vpn` of `pid` copy-on-write (see
     /// [`AddressSpace::map_shared_frame`]). `exec` governs the NX bit.
     pub fn map_shared_frame(&mut self, pid: Pid, vpn: Vpn, pfn: Pfn, exec: bool) -> KResult<()> {
-        let owner = self.space_owner(pid)?;
-        let Kernel {
-            phys,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        Ok(p.aspace.map_shared_frame(vpn, pfn, exec, phys, cycles)?)
+        let m = self.mem_ctx(pid)?;
+        Ok(m.space.map_shared_frame(vpn, pfn, exec, m.phys, m.cycles)?)
     }
 
     /// Write-protects and COW-marks the resident page at `vpn` of `pid`
     /// so its frame can enter the exec image cache (see
     /// [`AddressSpace::cow_protect_page`]). Returns the installed PTE.
     pub fn cow_protect_page(&mut self, pid: Pid, vpn: Vpn) -> KResult<Pte> {
-        let owner = self.space_owner(pid)?;
-        let Kernel {
-            phys,
-            cycles,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        Ok(p.aspace.cow_protect_page(vpn, phys, cycles)?)
+        let m = self.mem_ctx(pid)?;
+        Ok(m.space.cow_protect_page(vpn, m.phys, m.cycles)?)
     }
 
     /// Re-parents a warm-pool child onto `new_parent` at checkout: the
@@ -916,52 +974,25 @@ impl Kernel {
     /// pool hit cannot evade the limit a plain spawn would hit.
     pub fn adopt_process(&mut self, child: Pid, new_parent: Pid) -> KResult<()> {
         self.ensure_alive(child)?;
-        self.ensure_alive(new_parent)?;
-        let (new_uid, nproc_limit, cwd, cred, rlimits, pgid, sid) = {
-            let p = self.process(new_parent)?;
-            (
-                p.cred.uid,
-                p.rlimits.get(Resource::Nproc).soft,
-                p.cwd,
-                p.cred,
-                p.rlimits,
-                p.pgid,
-                p.sid,
-            )
-        };
+        let identity = self.identity_from(new_parent, Some(child))?;
         let (old_ppid, old_uid) = {
             let p = self.process(child)?;
             (p.ppid, p.cred.uid)
         };
-        // The child already counts in its current uid bucket; compare the
-        // count it would add to, excluding itself.
-        let counted = if new_uid == old_uid {
-            self.nproc_of(new_uid).saturating_sub(1)
-        } else {
-            self.nproc_of(new_uid)
-        };
-        if counted >= nproc_limit {
-            return Err(Errno::Eagain);
-        }
         if let Some(pp) = self.procs.get_mut(&old_ppid) {
             pp.children.retain(|c| *c != child);
         }
         if let Some(np) = self.procs.get_mut(&new_parent) {
             np.children.push(child);
         }
+        let new_uid = identity.cred.uid;
         if new_uid != old_uid {
             if let Some(c) = self.user_counts.get_mut(&old_uid) {
                 *c = c.saturating_sub(1);
             }
             *self.user_counts.entry(new_uid).or_insert(0) += 1;
         }
-        let p = self.process_mut(child)?;
-        p.ppid = new_parent;
-        p.cwd = cwd;
-        p.cred = cred;
-        p.rlimits = rlimits;
-        p.pgid = pgid;
-        p.sid = sid;
+        identity.give(self.process_mut(child)?, new_parent);
         Ok(())
     }
 

@@ -49,7 +49,7 @@ pub use fdtable::{Fd, FdEntry, FdTable, STDERR, STDIN, STDOUT};
 pub use file::{FileObject, OfdId, OpenFlags};
 pub use invariants::KernelBaseline;
 pub use io::ReadResult;
-pub use kernel::{Kernel, MachineConfig, SmpShared};
+pub use kernel::{Inherit, Kernel, MachineConfig, SmpShared};
 pub use lifecycle::{OomDecision, OomGuard, OOM_EXIT_STATUS, SIGBUS_EXIT_STATUS};
 pub use mm::Madvice;
 pub use pgroup::{Pgid, Sid};

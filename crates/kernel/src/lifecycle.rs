@@ -163,99 +163,99 @@ impl Kernel {
     /// descriptors and memory, reparents children to init, zombifies, and
     /// signals the parent with `SIGCHLD`.
     pub fn exit(&mut self, pid: Pid, status: i32) -> KResult<()> {
-        fpr_trace::sink::span_begin("exit", "kernel", self.cycles.total());
-        fpr_trace::metrics::incr("kernel.exit");
-        let r = self.exit_inner(pid, status);
-        fpr_trace::sink::span_end("exit", self.cycles.total());
-        r
-    }
-
-    fn exit_inner(&mut self, pid: Pid, status: i32) -> KResult<()> {
-        // 1. Userspace atexit: flush buffered streams (this is where
-        //    fork-duplicated buffer contents become duplicated output).
-        let nstreams = self.process(pid)?.streams.len();
-        for s in 0..nstreams {
-            let _ = self.stream_flush(pid, s);
-        }
-
-        // 2. Release descriptors.
-        let entries = self.process_mut(pid)?.fds.drain();
-        for e in entries {
-            crate::io::release_entry(&mut self.ofds, &mut self.pipes, e)?;
-        }
-
-        // 3. Release memory (vfork borrowers do not own their space).
-        let (space_ref, ppid, children, vfork_children) = {
-            let p = self.process_mut(pid)?;
-            (
-                p.space_ref.clone(),
-                p.ppid,
-                std::mem::take(&mut p.children),
-                std::mem::take(&mut p.vfork_children),
-            )
-        };
-        match space_ref {
-            SpaceRef::Owned => {
-                let commit = {
-                    let p = self.process(pid)?;
-                    p.aspace.commit_pages()
-                };
-                let Kernel {
-                    phys,
-                    cycles,
-                    procs,
-                    ..
-                } = self;
-                let p = procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-                p.aspace.destroy(phys, cycles);
-                self.commit.release(commit);
+        self.span("exit", "kernel", |k| {
+            metrics::incr("kernel.exit");
+            // 1. Userspace atexit: flush buffered streams (this is where
+            //    fork-duplicated buffer contents become duplicated output).
+            let nstreams = k.process(pid)?.streams.len();
+            for s in 0..nstreams {
+                let _ = k.stream_flush(pid, s);
             }
-            SpaceRef::BorrowedFrom(parent) => {
-                // Return the borrow; the parent resumes.
-                self.vfork_return(parent, pid)?;
-            }
-        }
 
-        // 4. Any vfork children of the dying process lose their borrow
-        //    target; they are killed too (matching Linux, where the group
-        //    dies together in this pathological case).
-        for c in vfork_children {
-            if self.procs.contains_key(&c) {
-                self.exit(c, OOM_EXIT_STATUS)?;
-            }
-        }
+            // 2. Give back descriptors, memory (or the vfork loan), the
+            //    run-queue slot, timers and the uid's process count.
+            k.teardown(pid)?;
 
-        // 5. Reparent children to init (PID 1).
-        let init = Pid(1);
-        for c in children {
-            if let Some(cp) = self.procs.get_mut(&c) {
-                cp.ppid = init;
-                if let Some(ip) = self.procs.get_mut(&init) {
-                    ip.children.push(c);
+            // 3. Any vfork children of the dying process lose their borrow
+            //    target; they are killed too (matching Linux, where the
+            //    group dies together in this pathological case).
+            let (ppid, children, vfork_children) = {
+                let p = k.process_mut(pid)?;
+                (
+                    p.ppid,
+                    std::mem::take(&mut p.children),
+                    std::mem::take(&mut p.vfork_children),
+                )
+            };
+            for c in vfork_children {
+                if k.procs.contains_key(&c) {
+                    k.exit(c, OOM_EXIT_STATUS)?;
                 }
             }
-        }
 
-        // 6. Off the run queue, cancel timers, zombify, account.
-        self.sched.remove_process(pid);
-        self.clear_alarms(pid);
-        {
-            let p = self.process_mut(pid)?;
+            // 4. Reparent children to init (PID 1).
+            let init = Pid(1);
+            for c in children {
+                if let Some(cp) = k.procs.get_mut(&c) {
+                    cp.ppid = init;
+                    if let Some(ip) = k.procs.get_mut(&init) {
+                        ip.children.push(c);
+                    }
+                }
+            }
+
+            // 5. Zombify.
+            let p = k.process_mut(pid)?;
             p.state = ProcState::Zombie(status);
             for t in &mut p.threads {
                 t.state = crate::thread::ThreadState::Exited;
             }
+
+            // 6. Tell the parent (or auto-reap if the parent is gone/self).
+            if ppid != pid && k.procs.contains_key(&ppid) {
+                let _ = k.kill(ppid, Sig::Chld);
+            } else {
+                k.reap(pid)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The one way a process gives back what it holds, behind
+    /// [`Kernel::exit`] and [`Kernel::abort_process_creation`]:
+    /// descriptors, then memory, then its run-queue slot, pending alarms
+    /// and its place in the per-uid process count. The PCB itself stays —
+    /// exit zombifies it, abort removes it.
+    pub(crate) fn teardown(&mut self, pid: Pid) -> KResult<()> {
+        let entries = self.process_mut(pid)?.fds.drain();
+        for e in entries {
+            crate::io::release_entry(&mut self.ofds, &mut self.pipes, e)?;
         }
+        self.release_space(pid)?;
+        self.sched.remove_process(pid);
+        self.clear_alarms(pid);
         let uid = self.process(pid)?.cred.uid;
         if let Some(c) = self.user_counts.get_mut(&uid) {
             *c = c.saturating_sub(1);
         }
+        Ok(())
+    }
 
-        // 7. Tell the parent (or auto-reap if the parent is gone/self).
-        if ppid != pid && self.procs.contains_key(&ppid) {
-            let _ = self.kill(ppid, Sig::Chld);
-        } else {
-            self.reap(pid)?;
+    /// Leaves `pid` owning an empty address space: an owned space is
+    /// destroyed and its commit charge released; a vfork borrower (which
+    /// owns nothing) returns the loan and the lender resumes.
+    pub(crate) fn release_space(&mut self, pid: Pid) -> KResult<()> {
+        match self.process(pid)?.space_ref.clone() {
+            SpaceRef::Owned => {
+                let m = self.mem_ctx(pid)?;
+                let commit = m.space.commit_pages();
+                m.space.destroy(m.phys, m.cycles);
+                m.commit.release(commit);
+            }
+            SpaceRef::BorrowedFrom(lender) => {
+                self.process_mut(pid)?.space_ref = SpaceRef::Owned;
+                self.vfork_return(lender, pid)?;
+            }
         }
         Ok(())
     }

@@ -36,39 +36,27 @@ impl Kernel {
         if pages == 0 {
             return Err(Errno::Einval);
         }
-        let owner = self.space_owner(pid)?;
+        let m = self.mem_ctx(pid)?;
         match advice {
-            Madvice::DontNeed => {
-                let cpus = self.cpus_running(owner);
-                let Kernel {
-                    phys,
-                    cycles,
-                    tlb,
-                    procs,
-                    ..
-                } = self;
-                let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-                p.aspace
-                    .discard(start, pages, phys, cycles, tlb, cpus)
-                    .map(|_| ())
-                    .map_err(Errno::from)
-            }
-            _ => {
-                let p = self.procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-                p.aspace
-                    .set_fork_policy(start, pages, |fp| match advice {
-                        Madvice::Normal => {
-                            fp.dont_fork = false;
-                            fp.wipe_on_fork = false;
-                        }
-                        Madvice::DontFork => fp.dont_fork = true,
-                        Madvice::DoFork => fp.dont_fork = false,
-                        Madvice::WipeOnFork => fp.wipe_on_fork = true,
-                        Madvice::KeepOnFork => fp.wipe_on_fork = false,
-                        Madvice::DontNeed => unreachable!("handled above"),
-                    })
-                    .map_err(Errno::from)
-            }
+            Madvice::DontNeed => m
+                .space
+                .discard(start, pages, m.phys, m.cycles, m.tlb, m.cpus)
+                .map(|_| ())
+                .map_err(Errno::from),
+            _ => m
+                .space
+                .set_fork_policy(start, pages, |fp| match advice {
+                    Madvice::Normal => {
+                        fp.dont_fork = false;
+                        fp.wipe_on_fork = false;
+                    }
+                    Madvice::DontFork => fp.dont_fork = true,
+                    Madvice::DoFork => fp.dont_fork = false,
+                    Madvice::WipeOnFork => fp.wipe_on_fork = true,
+                    Madvice::KeepOnFork => fp.wipe_on_fork = false,
+                    Madvice::DontNeed => unreachable!("handled above"),
+                })
+                .map_err(Errno::from),
         }
     }
 
@@ -76,18 +64,9 @@ impl Kernel {
     pub fn mprotect(&mut self, pid: Pid, start: Vpn, pages: u64, prot: Prot) -> KResult<()> {
         self.ensure_alive(pid)?;
         self.charge_syscall();
-        let owner = self.space_owner(pid)?;
-        let cpus = self.cpus_running(owner);
-        let Kernel {
-            phys,
-            cycles,
-            tlb,
-            procs,
-            ..
-        } = self;
-        let p = procs.get_mut(&owner).ok_or(Errno::Esrch)?;
-        p.aspace
-            .mprotect(start, pages, prot, cycles, phys, tlb, cpus)
+        let m = self.mem_ctx(pid)?;
+        m.space
+            .mprotect(start, pages, prot, m.cycles, m.phys, m.tlb, m.cpus)
             .map_err(Errno::from)
     }
 }

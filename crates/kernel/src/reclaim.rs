@@ -46,7 +46,7 @@ use crate::error::KResult;
 use crate::kernel::Kernel;
 use fpr_faults::FaultSite;
 use fpr_mem::PressureLevel;
-use fpr_trace::{metrics, sink};
+use fpr_trace::metrics;
 use std::sync::{Arc, Mutex, Weak};
 
 /// A subsystem that can give frames back to the kernel under memory
@@ -200,16 +200,15 @@ impl Kernel {
             }
         }
         // Phase 2: shrink until the target is met or everyone is empty.
-        sink::span_begin("reclaim", "kernel", self.cycles.total());
-        let stall_start = self.cycles.total();
-        let mut freed = 0u64;
-        for h in &ready {
-            if freed >= target {
-                break;
-            }
-            let got = {
+        self.span("reclaim", "kernel", |k| {
+            let stall_start = k.cycles.total();
+            let mut freed = 0u64;
+            for h in &ready {
+                if freed >= target {
+                    break;
+                }
                 let mut guard = h.lock().unwrap_or_else(|p| p.into_inner());
-                let got = guard.shrink(self, target - freed);
+                let got = guard.shrink(k, target - freed);
                 metrics::add(
                     match guard.name() {
                         "warm_pool" => "kernel.reclaim.pool_frames",
@@ -217,25 +216,17 @@ impl Kernel {
                     },
                     *got.as_ref().unwrap_or(&0),
                 );
-                got
-            };
-            match got {
-                Ok(n) => freed += n,
-                Err(e) => {
-                    sink::span_end("reclaim", self.cycles.total());
-                    return Err(e);
-                }
+                freed += got?;
             }
-        }
-        self.reclaim_stats.passes += 1;
-        self.reclaim_stats.frames_reclaimed += freed;
-        let stalled = self.cycles.total() - stall_start;
-        self.phys.note_stall(stalled);
-        metrics::incr("kernel.reclaim.passes");
-        metrics::add("kernel.reclaim.frames", freed);
-        metrics::observe("kernel.reclaim.stall_cycles", stalled);
-        sink::span_end("reclaim", self.cycles.total());
-        Ok(freed)
+            k.reclaim_stats.passes += 1;
+            k.reclaim_stats.frames_reclaimed += freed;
+            let stalled = k.cycles.total() - stall_start;
+            k.phys.note_stall(stalled);
+            metrics::incr("kernel.reclaim.passes");
+            metrics::add("kernel.reclaim.frames", freed);
+            metrics::observe("kernel.reclaim.stall_cycles", stalled);
+            Ok(freed)
+        })
     }
 
     /// Background-style pressure balancing (kswapd): if free frames have
@@ -307,59 +298,53 @@ impl Kernel {
         }
         // Phase 2: reserve one slot per page (each crossing
         // SwapSlotAlloc); an injected failure unwinds every reservation.
-        sink::span_begin("swap_out", "kernel", self.cycles.total());
-        let stall_start = self.cycles.total();
-        let mut reserved: Vec<(crate::pid::Pid, fpr_mem::Vpn, u64)> = Vec::new();
-        for (pid, vpn) in work {
-            let pte = self.procs[&pid]
-                .aspace
-                .translate(vpn)
-                .expect("candidate just enumerated");
-            let stamp = self.phys.content(pte.pfn).expect("candidate frame live");
-            match self.phys.swap_out_page(stamp, &mut self.cycles) {
-                Ok(slot) => reserved.push((pid, vpn, slot)),
-                Err(_) => {
-                    for (_, _, slot) in reserved {
-                        self.phys.swap_mut().unalloc_slot(slot);
+        self.span("swap_out", "kernel", |k| {
+            let stall_start = k.cycles.total();
+            let mut reserved: Vec<(crate::pid::Pid, fpr_mem::Vpn, u64)> = Vec::new();
+            for (pid, vpn) in work {
+                let pte = k.procs[&pid]
+                    .aspace
+                    .translate(vpn)
+                    .expect("candidate just enumerated");
+                let stamp = k.phys.content(pte.pfn).expect("candidate frame live");
+                match k.phys.swap_out_page(stamp, &mut k.cycles) {
+                    Ok(slot) => reserved.push((pid, vpn, slot)),
+                    Err(_) => {
+                        for (_, _, slot) in reserved {
+                            k.phys.swap_mut().unalloc_slot(slot);
+                        }
+                        k.reclaim_stats.aborted_swap_passes += 1;
+                        metrics::incr("kernel.swap.aborted");
+                        return Err(crate::error::Errno::Enomem);
                     }
-                    self.reclaim_stats.aborted_swap_passes += 1;
-                    metrics::incr("kernel.swap.aborted");
-                    sink::span_end("swap_out", self.cycles.total());
-                    return Err(crate::error::Errno::Enomem);
                 }
             }
-        }
-        // Phase 3: infallible commit — PTE rewrites, frame releases, and
-        // one batched shootdown for every stale translation at once.
-        let evicted = reserved.len() as u64;
-        let mut max_cpus = 0u32;
-        let mut affected: Vec<crate::pid::Pid> = Vec::new();
-        for (pid, vpn, slot) in reserved {
-            let Kernel {
-                phys,
-                cycles,
-                procs,
-                ..
-            } = self;
-            let p = procs.get_mut(&pid).expect("candidate process live");
-            p.aspace.swap_out_commit(vpn, slot, phys, cycles);
-            if affected.last() != Some(&pid) {
-                affected.push(pid);
+            // Phase 3: infallible commit — PTE rewrites, frame releases,
+            // and one batched shootdown for every stale translation at
+            // once.
+            let evicted = reserved.len() as u64;
+            let mut max_cpus = 0u32;
+            let mut affected: Vec<crate::pid::Pid> = Vec::new();
+            for (pid, vpn, slot) in reserved {
+                let m = k.mem_ctx(pid).expect("candidate process live");
+                m.space.swap_out_commit(vpn, slot, m.phys, m.cycles);
+                if affected.last() != Some(&pid) {
+                    affected.push(pid);
+                }
             }
-        }
-        for pid in affected {
-            max_cpus = max_cpus.max(self.cpus_running(pid));
-        }
-        let cost = self.phys.cost().clone();
-        self.tlb.shootdown(max_cpus, &mut self.cycles, &cost);
-        self.reclaim_stats.swap_out_passes += 1;
-        self.reclaim_stats.pages_swapped_out += evicted;
-        let stalled = self.cycles.total() - stall_start;
-        self.phys.note_stall(stalled);
-        metrics::add("kernel.swap.out_pages", evicted);
-        metrics::observe("kernel.swap.stall_cycles", stalled);
-        sink::span_end("swap_out", self.cycles.total());
-        Ok(evicted)
+            for pid in affected {
+                max_cpus = max_cpus.max(k.cpus_running(pid));
+            }
+            let cost = k.phys.cost().clone();
+            k.tlb.shootdown(max_cpus, &mut k.cycles, &cost);
+            k.reclaim_stats.swap_out_passes += 1;
+            k.reclaim_stats.pages_swapped_out += evicted;
+            let stalled = k.cycles.total() - stall_start;
+            k.phys.note_stall(stalled);
+            metrics::add("kernel.swap.out_pages", evicted);
+            metrics::observe("kernel.swap.stall_cycles", stalled);
+            Ok(evicted)
+        })
     }
 
     /// True when the swap tier could make progress: the device has free
