@@ -1,48 +1,21 @@
-//! Non-timing bench smoke for `make verify`.
-//!
-//! Two guarantees, both machine-checked on every run:
-//!
-//! 1. Every `fig*`/`tab*` driver still runs at reduced size and emits
-//!    JSON that round-trips through the typed readers in `fpr-trace` —
-//!    a renamed series or a malformed emitter fails the build gate, not
-//!    a later plotting script.
-//! 2. The deterministic cycle cost of each creation API × fork mode is
-//!    snapshotted (median over ASLR seeds) to `BENCH_fork_modes.json`,
-//!    so the perf trajectory of the hot path is tracked in-repo from
-//!    this PR onward.
+//! Non-timing bench smoke for `make verify`: the eight `BENCH_*.json`
+//! snapshots at the repo root. Each block re-runs one experiment's
+//! scenario, asserts the hard guarantees that experiment stands for, and
+//! snapshots its deterministic cycle counts — so the perf trajectory of
+//! the hot paths is tracked in-repo and `make bench-identity` can gate
+//! it byte for byte. The figures and tables themselves are `run_all`'s
+//! business (and `make results-identity`'s).
 
 use forkroad_core::experiments::service::{self, CreationPath};
 use forkroad_core::experiments::spawn_fastpath::{self, Mode};
-use forkroad_core::experiments::{
-    aslr, breakdown, cow, fig1, forkbomb, odf_storm, overcommit, pressure, robustness, scaling,
-    smp, smp_faults, stdio, threads, vma_sweep,
-};
+use forkroad_core::experiments::{fig1, pressure, smp, smp_faults};
 use forkroad_core::{Os, OsConfig};
 use fpr_api::SpawnAttrs;
-use fpr_bench::{emit, results_dir};
 use fpr_mem::ForkMode;
-use fpr_trace::{FigureData, ProcessShape, TableData};
+use fpr_trace::ProcessShape;
 
 const FOOTPRINT: u64 = 4_096;
 const SEEDS: [u64; 5] = [11, 23, 42, 77, 91];
-
-/// Emits a figure and proves the written JSON parses back.
-fn smoke_fig(id: &str, fig: &FigureData) {
-    emit(id, &fig.render(), &fig.to_json());
-    let text = std::fs::read_to_string(results_dir().join(format!("{id}.json")))
-        .unwrap_or_else(|e| panic!("{id}: emitted file unreadable: {e}"));
-    let back = FigureData::from_json(&text).unwrap_or_else(|e| panic!("{id}: bad JSON: {e}"));
-    assert!(!back.series.is_empty(), "{id}: round-trip lost all series");
-}
-
-/// Emits a table and proves the written JSON parses back.
-fn smoke_tab(id: &str, tab: &TableData) {
-    emit(id, &tab.render(), &tab.to_json());
-    let text = std::fs::read_to_string(results_dir().join(format!("{id}.json")))
-        .unwrap_or_else(|e| panic!("{id}: emitted file unreadable: {e}"));
-    let back = TableData::from_json(&text).unwrap_or_else(|e| panic!("{id}: bad JSON: {e}"));
-    assert!(!back.rows.is_empty(), "{id}: round-trip lost all rows");
-}
 
 /// Median of a seed-parameterised measurement across the ASLR seed set.
 fn median_over_seeds(f: impl Fn(u64) -> u64) -> u64 {
@@ -71,23 +44,7 @@ fn median_cycles(op: impl Fn(&mut Os, fpr_kernel::Pid)) -> u64 {
 }
 
 fn main() {
-    println!("=== bench smoke: reduced sweeps + JSON round-trip ===\n");
-
-    smoke_fig("fig1", &fig1::run(&[256, 1_024, 4_096]));
-    smoke_tab("tab_fork_breakdown", &breakdown::run(&[256, 1_024, 4_096]));
-    smoke_fig("fig_vma_sweep", &vma_sweep::run(1_024, &[1, 16, 256]));
-    smoke_fig("fig_cow_storm", &cow::run(1_024, &[0.0, 0.5, 1.0]));
-    smoke_fig("fig_odf_storm", &odf_storm::run(2_048, &[0.0, 0.5, 1.0]));
-    smoke_fig("fig_fork_scaling", &scaling::run(&[1, 4, 16], 512));
-    smoke_tab("tab_overcommit", &overcommit::run(&[0.25, 0.60]));
-    smoke_tab("tab_thread_safety", &threads::run(&[1, 4], &[0.5], 10));
-    smoke_tab("tab_stdio_dup", &stdio::run(&[0, 64]));
-    smoke_tab("tab_aslr", &aslr::run(8));
-    smoke_tab("tab_forkbomb", &forkbomb::run(&[16, 64], 512));
-    smoke_tab("tab_faultmatrix", &robustness::fault_matrix());
-    smoke_tab("tab_e9_robustness", &robustness::run());
-    smoke_fig("fig_spawn_fastpath", &spawn_fastpath::run(&[256, 4_096, 65_536]));
-    smoke_fig("fig_pressure", &pressure::run());
+    println!("=== bench smoke: BENCH_*.json snapshots ===\n");
 
     // E12 snapshot: the pressure storm tracked in-repo. The shrinker arm
     // absorbing the whole storm with zero OOM kills is a hard guarantee
@@ -140,7 +97,6 @@ fn main() {
     // hard guarantee — the killer is a last resort, not the first
     // response — so the smoke asserts it, along with the thrash signal
     // the refault loop provokes on purpose.
-    smoke_fig("fig_swap", &pressure::run_swap());
     let (with, without) = pressure::run_swap_pair();
     assert_eq!(
         with.oom_victims.len(),
@@ -458,7 +414,6 @@ fn main() {
     // shows the pool draining to empty under pressure, the next spawn
     // falling back to the cycle-identical classic path, and the pool
     // recovering once the storm lifts, still with zero kills.
-    smoke_fig("fig_service", &service::run());
     let outcome = service::run_service(&service::ServiceConfig::default());
     assert_eq!(
         outcome.oom_kills, 0,
@@ -561,8 +516,6 @@ fn main() {
     // contention counters fire only under multicore arms, and no run
     // leaves a structural violation behind.
     let smp_out = smp::run_with(&[1, 2, 4]);
-    smoke_fig("fig_smp", &smp_out.figure());
-    smoke_tab("tab_smp_contention", &smp_out.contention_table());
     let smp_shared = smp_out.speedup("fork_cow_shared", 4);
     let smp_private = smp_out.speedup("fork_cow_private", 4);
     let smp_spawn = smp_out.speedup("spawn_fast", 4);
@@ -633,8 +586,6 @@ fn main() {
     // a clean N-1 quiesce with zero leaked frames or PIDs and the OOM
     // lease broken.
     let e17 = smp_faults::run();
-    smoke_fig("fig_cell_failure", &e17.figure());
-    smoke_tab("tab_cell_failure", &e17.table());
     assert!(
         e17.sweep.injected_ops > 0,
         "the concurrent sweep must inject"

@@ -1,100 +1,27 @@
-//! Runs every experiment binary's driver in sequence (quick sweeps),
-//! printing each figure and table — one command to regenerate the whole
-//! evaluation.
+//! Regenerates the evaluation: `run_all` runs every row of the
+//! catalogue in order, `run_all <id>…` just the rows named. Each
+//! figure and table is printed and saved to `results/<id>.json`.
 
-use forkroad_core::experiments::{
-    aslr, breakdown, cow, fig1, forkbomb, odf_storm, overcommit, pressure, robustness, scaling,
-    service, smp, smp_faults, spawn_fastpath, stdio, vma_sweep,
-};
-use fpr_bench::emit;
+use fpr_bench::CATALOGUE;
 
 fn main() {
-    println!("=== forkroad evaluation: all experiments (quick sweeps) ===\n");
-    let f1 = fig1::run(&[256, 1_024, 4_096, 16_384, 65_536]);
-    emit("fig1", &f1.render(), &f1.to_json());
-
-    let t2 = breakdown::run(&[256, 1_024, 4_096, 16_384]);
-    emit("tab_fork_breakdown", &t2.render(), &t2.to_json());
-
-    let f2b = vma_sweep::run(2_048, &[1, 16, 256, 1_024]);
-    emit("fig_vma_sweep", &f2b.render(), &f2b.to_json());
-
-    let f3 = cow::run(2_048, &[0.0, 0.25, 0.5, 0.75, 1.0]);
-    emit("fig_cow_storm", &f3.render(), &f3.to_json());
-
-    let f3b = odf_storm::run(4_096, &[0.0, 0.25, 0.5, 0.75, 1.0]);
-    emit("fig_odf_storm", &f3b.render(), &f3b.to_json());
-
-    let f4 = scaling::run(&[1, 4, 16, 64], 1_024);
-    emit("fig_fork_scaling", &f4.render(), &f4.to_json());
-
-    let t5 = overcommit::run(&[0.25, 0.45, 0.60, 0.90]);
-    emit("tab_overcommit", &t5.render(), &t5.to_json());
-
-    let t6 = forkroad_core::experiments::threads::run(&[1, 4, 16], &[0.25, 1.0], 20);
-    emit("tab_thread_safety", &t6.render(), &t6.to_json());
-
-    let t7 = stdio::run(&[0, 64, 2_048]);
-    emit("tab_stdio_dup", &t7.render(), &t7.to_json());
-
-    println!("{}", fpr_api::render_matrix());
-
-    let t8 = aslr::run(16);
-    emit("tab_aslr", &t8.render(), &t8.to_json());
-
-    let t9 = forkbomb::run(&[16, 64, 256], 1_024);
-    emit("tab_forkbomb", &t9.render(), &t9.to_json());
-
-    let t10 = robustness::fault_matrix();
-    emit("tab_faultmatrix", &t10.render(), &t10.to_json());
-    let t10b = robustness::run();
-    emit("tab_e9_robustness", &t10b.render(), &t10b.to_json());
-
-    let f11 = spawn_fastpath::run(&[256, 4_096, 65_536, 262_144]);
-    emit("fig_spawn_fastpath", &f11.render(), &f11.to_json());
-
-    let f12 = pressure::run();
-    emit("fig_pressure", &f12.render(), &f12.to_json());
-
-    let f13 = pressure::run_swap();
-    emit("fig_swap", &f13.render(), &f13.to_json());
-
-    let f15 = service::run();
-    emit("fig_service", &f15.render(), &f15.to_json());
-
-    let e16 = smp::run_with(&[1, 2, 4]);
-    let f16 = e16.figure();
-    emit("fig_smp", &f16.render(), &f16.to_json());
-    let t16 = e16.contention_table();
-    emit("tab_smp_contention", &t16.render(), &t16.to_json());
-
-    let e17 = smp_faults::run();
-    let f17 = e17.figure();
-    emit("fig_cell_failure", &f17.render(), &f17.to_json());
-    let t17 = e17.table();
-    emit("tab_cell_failure", &t17.render(), &t17.to_json());
-
-    if let Ok(rows) = fpr_native::run_native_cow(8, &[0.0, 0.5, 1.0], 5) {
-        println!("# fig_cow_native — host kernel COW storm");
-        println!("{:>16} {:>12}", "touch fraction", "total us");
-        for r in rows {
-            println!("{:>16.2} {:>12.1}", r.touch_fraction, r.total_us);
-        }
-        println!();
-    }
-
-    if let Ok(rows) = fpr_native::run_native_fig1(&[1, 16, 64], 7) {
-        println!("# fig1_native — host kernel cross-check");
-        println!(
-            "{:>10} {:>14} {:>14} {:>14}",
-            "MiB", "fork+exec us", "vfork+exec us", "spawn us"
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| CATALOGUE.iter().all(|e| e.id != **w))
+    {
+        let ids: Vec<&str> = CATALOGUE.iter().map(|e| e.id).collect();
+        eprintln!(
+            "run_all: no experiment '{unknown}'; the catalogue has: {}",
+            ids.join(" ")
         );
-        for r in rows {
-            println!(
-                "{:>10} {:>14.1} {:>14.1} {:>14.1}",
-                r.footprint_mib, r.fork_exec_us, r.vfork_exec_us, r.posix_spawn_us
-            );
+        std::process::exit(2);
+    }
+    println!("=== forkroad evaluation ===\n");
+    for e in CATALOGUE {
+        if wanted.is_empty() || wanted.iter().any(|w| w == e.id) {
+            e.run_and_emit();
         }
     }
-    println!("\n=== done ===");
+    println!("=== done ===");
 }

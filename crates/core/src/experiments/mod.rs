@@ -1,7 +1,7 @@
 //! Experiment drivers: one module per figure/table of the evaluation.
 //!
 //! Every driver returns a [`fpr_trace::FigureData`] or
-//! [`fpr_trace::TableData`]; the `fpr-bench` binaries print and persist
+//! [`fpr_trace::TableData`]; the `fpr-bench` catalogue prints and persists
 //! them, and the in-crate tests pin each experiment's required *shape*
 //! (who wins, by what factor, where crossovers fall).
 
@@ -18,6 +18,7 @@ pub mod scaling;
 pub mod service;
 pub mod smp;
 pub mod smp_faults;
+pub mod spawn_actions;
 pub mod spawn_fastpath;
 pub mod stdio;
 pub mod threads;

@@ -262,11 +262,6 @@ impl FaultPlan {
         FaultPlan::random(derive_cell_seed(root_seed, cell), per_1024)
     }
 
-    /// True if the plan can never inject.
-    pub fn is_passive(&self) -> bool {
-        self.per_site.is_empty() && self.global.is_empty() && self.random.is_none()
-    }
-
     fn wants(&self, site: FaultSite, occurrence: u64, global_index: u64) -> bool {
         if self.global.contains(&global_index) {
             return true;

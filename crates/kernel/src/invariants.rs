@@ -16,7 +16,6 @@
 //! Both return every violation found rather than the first, so a failing
 //! test names the full damage.
 
-use crate::error::Errno;
 use crate::file::FileObject;
 use crate::kernel::Kernel;
 use crate::task::SpaceRef;
@@ -321,12 +320,6 @@ impl Kernel {
             panic!("kernel invariants violated:\n  {}", violations.join("\n  "));
         }
     }
-}
-
-/// Errors from invariant checking are reported as strings, but an errno is
-/// sometimes wanted at API boundaries.
-pub fn violations_to_errno(_: &[String]) -> Errno {
-    Errno::Einval
 }
 
 #[cfg(test)]

@@ -585,7 +585,7 @@ impl Kernel {
         self.reclaim_retry(|k| {
             k.ensure_alive(pid)?;
             let m = k.mem_ctx(pid)?;
-            let charge = commit_charge_of(&vma);
+            let charge = vma.commit_charge();
             m.commit.charge(charge, m.phys.free_frames())?;
             m.space.mmap(vma.clone(), m.phys, m.cycles).map_err(|e| {
                 m.commit.release(charge);
@@ -604,7 +604,7 @@ impl Kernel {
         for v in m.space.vmas().filter(|v| v.overlaps(start, pages)) {
             let lo = v.start.0.max(start.0);
             let hi = v.end().0.min(start.0 + pages);
-            if commit_charge_of(v) > 0 {
+            if v.commit_charge() > 0 {
                 release += hi - lo;
             }
         }
@@ -1026,34 +1026,6 @@ impl Kernel {
         }
         *self.user_counts.entry(new_uid).or_insert(0) += 1;
         Ok(())
-    }
-
-    /// Total resident pages across all live processes.
-    pub fn total_resident(&self) -> u64 {
-        self.procs
-            .values()
-            .filter(|p| !p.is_zombie())
-            .map(|p| p.resident_pages())
-            .sum()
-    }
-
-    /// Total swapped-out pages across all live processes (page-table
-    /// view; shared slots count once per referencing space, like RSS).
-    pub fn total_swapped(&self) -> u64 {
-        self.procs
-            .values()
-            .filter(|p| !p.is_zombie())
-            .map(|p| p.aspace.swapped_pages())
-            .sum()
-    }
-}
-
-/// Commit charge of one VMA (mirrors `fpr_mem`'s accounting rule).
-fn commit_charge_of(v: &VmArea) -> u64 {
-    match (v.share, v.backing, v.prot.write) {
-        (Share::Private, _, true) => v.pages,
-        (Share::Shared, fpr_mem::Backing::Anon, _) => v.pages,
-        _ => 0,
     }
 }
 

@@ -8,7 +8,7 @@
 //! state), not O(1), which is why fork latency in Figure 1 grows with the
 //! parent while `posix_spawn` stays flat.
 
-use crate::addr::{Pfn, VirtAddr, Vpn, HUGE_PAGES, PT_ENTRIES};
+use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
 use crate::page_table::{SlotKind, TakenLeaf};
@@ -126,11 +126,6 @@ impl AddressSpace {
         self.thp = enabled;
     }
 
-    /// Whether transparent huge pages are enabled for this space.
-    pub fn thp_enabled(&self) -> bool {
-        self.thp
-    }
-
     /// Number of 2 MiB huge leaf mappings currently installed
     /// (`AnonHugePages` is this times 512 small pages).
     pub fn huge_pages(&self) -> u64 {
@@ -180,7 +175,7 @@ impl AddressSpace {
     /// Commit charge of this space: pages whose frames the kernel may have
     /// to materialise (private-writable or anonymous mappings).
     pub fn commit_pages(&self) -> u64 {
-        self.vmas.values().map(commit_charge).sum()
+        self.vmas.values().map(VmArea::commit_charge).sum()
     }
 
     /// Installs a new mapping.
@@ -225,28 +220,29 @@ impl AddressSpace {
 
     /// Returns true if `[start, start+pages)` overlaps an existing VMA.
     pub fn overlaps(&self, start: Vpn, pages: u64) -> bool {
-        self.vmas.values().any(|v| v.overlaps(start, pages))
+        // VMAs are disjoint, so the last one starting below the range's
+        // end is the only one that can reach back into it.
+        self.vmas
+            .range(..start.0 + pages)
+            .next_back()
+            .is_some_and(|(_, v)| v.end().0 > start.0)
     }
 
-    /// Finds a free aligned run of `pages` pages at or above `hint`.
+    /// Finds a free run of `pages` pages at or above `hint`: first fit,
+    /// walking the VMAs in address order from the one at or below the hint.
     pub fn find_free_range(&self, pages: u64, hint: Vpn) -> MemResult<Vpn> {
         let mut candidate = hint.0;
-        loop {
-            if !Vpn(candidate + pages.saturating_sub(1)).is_user() {
-                return Err(MemError::Fragmented);
+        let below = self.vmas.range(..candidate).next_back();
+        for (_, v) in below.into_iter().chain(self.vmas.range(candidate..)) {
+            if v.start.0 >= candidate + pages {
+                break;
             }
-            // Find the first VMA that overlaps the candidate run.
-            let conflict = self
-                .vmas
-                .values()
-                .filter(|v| v.overlaps(Vpn(candidate), pages))
-                .map(|v| v.end().0)
-                .max();
-            match conflict {
-                None => return Ok(Vpn(candidate)),
-                Some(end) => candidate = end,
-            }
+            candidate = candidate.max(v.end().0);
         }
+        if !Vpn(candidate + pages.saturating_sub(1)).is_user() {
+            return Err(MemError::Fragmented);
+        }
+        Ok(Vpn(candidate))
     }
 
     /// Removes mappings in `[start, start+pages)`, splitting VMAs that
@@ -1472,26 +1468,9 @@ fn cow_marked(mut pte: Pte) -> Pte {
     pte
 }
 
-/// Commit charge of one VMA: pages the kernel may need frames for.
-fn commit_charge(v: &VmArea) -> u64 {
-    match (v.share, v.backing, v.prot.write) {
-        // Private writable memory may all be copied.
-        (Share::Private, _, true) => v.pages,
-        // Shared anonymous memory needs frames exactly once.
-        (Share::Shared, Backing::Anon, _) => v.pages,
-        // Read-only file text/data can always be reconstructed.
-        _ => 0,
-    }
-}
-
 /// Convenience: an anonymous read-write heap VMA of `pages` pages at `start`.
 pub fn heap_vma(start: Vpn, pages: u64) -> VmArea {
     VmArea::anon(start, pages, crate::vma::Prot::RW, VmaKind::Heap)
-}
-
-/// Convenience: the page containing virtual address `va`.
-pub fn page_of(va: VirtAddr) -> Vpn {
-    va.page()
 }
 
 #[cfg(test)]
@@ -1549,6 +1528,155 @@ mod tests {
         assert_eq!(a.find_free_range(3, Vpn(0)).unwrap(), Vpn(0));
         assert_eq!(a.find_free_range(3, Vpn(10)).unwrap(), Vpn(20));
         assert_eq!(a.find_free_range(3, Vpn(12)).unwrap(), Vpn(20));
+    }
+
+    /// The placement search as it was before the in-order walk: rescan
+    /// every VMA for each conflicting run. Obviously first-fit, hopelessly
+    /// quadratic — kept as the reference the walk must agree with.
+    fn find_free_range_full_scan(a: &AddressSpace, pages: u64, hint: Vpn) -> MemResult<Vpn> {
+        let mut candidate = hint.0;
+        loop {
+            if !Vpn(candidate + pages.saturating_sub(1)).is_user() {
+                return Err(MemError::Fragmented);
+            }
+            let conflict = a
+                .vmas()
+                .filter(|v| v.overlaps(Vpn(candidate), pages))
+                .map(|v| v.end().0)
+                .max();
+            match conflict {
+                None => return Ok(Vpn(candidate)),
+                Some(end) => candidate = end,
+            }
+        }
+    }
+
+    /// Lays VMAs of 1..=`max_len` pages upward from `base`, separated by
+    /// gaps of 0..=`max_gap` pages (a zero gap makes a back-to-back run).
+    fn scattered(
+        rng: &mut fpr_rng::Rng,
+        base: u64,
+        n: u64,
+        max_len: u64,
+        max_gap: u64,
+    ) -> AddressSpace {
+        let mut a = AddressSpace::new();
+        let mut at = base;
+        for _ in 0..n {
+            at += rng.gen_below(max_gap + 1);
+            let len = rng.gen_range(1, max_len + 1);
+            a.vmas.insert(at, anon(at, len));
+            at += len;
+        }
+        a
+    }
+
+    /// Both searches, and both overlap predicates, on one query.
+    fn assert_agrees(a: &AddressSpace, pages: u64, hint: u64, ctx: &str) {
+        assert_eq!(
+            a.find_free_range(pages, Vpn(hint)),
+            find_free_range_full_scan(a, pages, Vpn(hint)),
+            "{ctx}: {pages} pages from {hint:#x}"
+        );
+        assert_eq!(
+            a.overlaps(Vpn(hint), pages),
+            a.vmas().any(|v| v.overlaps(Vpn(hint), pages)),
+            "{ctx}: overlap of {pages} pages at {hint:#x}"
+        );
+    }
+
+    #[test]
+    fn find_free_range_matches_full_scan_on_random_sets() {
+        const CEILING: u64 = crate::addr::USER_VA_END >> crate::addr::PAGE_SHIFT;
+        for case in 0..64u64 {
+            let mut rng = fpr_rng::Rng::seed_from_u64(0xF1_0000 + case);
+            // Odd cases: gaps of 0..=3 pages, mostly smaller than the
+            // request; even cases: roomier sets where most gaps fit.
+            let max_gap = if case % 2 == 1 { 3 } else { 24 };
+            // Every fourth set sits right under the user-space ceiling.
+            let base = if case % 4 == 3 { CEILING - 600 } else { 0x1000 };
+            let a = scattered(&mut rng, base, 48, 8, max_gap);
+            let top = a.vmas().last().unwrap().end().0;
+            for _ in 0..200 {
+                let pages = rng.gen_range(1, 13);
+                let hint = rng.gen_range(base.saturating_sub(16), (top + 16).min(CEILING));
+                assert_agrees(&a, pages, hint, &format!("case {case}"));
+            }
+            // Hints on every VMA boundary, where off-by-ones live.
+            for v in a.vmas() {
+                for hint in [v.start.0 - 1, v.start.0, v.end().0 - 1, v.end().0] {
+                    assert_agrees(&a, 4, hint, &format!("case {case} boundary"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_free_range_edges() {
+        const CEILING: u64 = crate::addr::USER_VA_END >> crate::addr::PAGE_SHIFT;
+        // A back-to-back run straight from the hint is skipped whole.
+        let mut a = AddressSpace::new();
+        for i in 0..32 {
+            a.vmas.insert(100 + 2 * i, anon(100 + 2 * i, 2));
+        }
+        assert_eq!(a.find_free_range(2, Vpn(100)), Ok(Vpn(164)));
+        assert_agrees(&a, 2, 100, "run");
+        // A hint inside a VMA that starts below it.
+        assert_eq!(a.find_free_range(1, Vpn(101)), Ok(Vpn(164)));
+        // Gaps smaller than the request are passed over, the first that
+        // fits is taken.
+        let mut a = AddressSpace::new();
+        for (start, len) in [(10, 5), (17, 3), (23, 1), (30, 2)] {
+            a.vmas.insert(start, anon(start, len));
+        }
+        assert_eq!(a.find_free_range(2, Vpn(10)), Ok(Vpn(15)));
+        assert_eq!(a.find_free_range(3, Vpn(10)), Ok(Vpn(20)));
+        assert_eq!(a.find_free_range(4, Vpn(10)), Ok(Vpn(24)));
+        assert_eq!(a.find_free_range(7, Vpn(10)), Ok(Vpn(32)));
+        for pages in 1..10 {
+            assert_agrees(&a, pages, 10, "gaps");
+        }
+        // The ceiling: the last fitting run is found, one page more is
+        // `Fragmented`, with and without a mapping in the way.
+        let mut a = AddressSpace::new();
+        assert_eq!(a.find_free_range(8, Vpn(CEILING - 8)), Ok(Vpn(CEILING - 8)));
+        assert_eq!(a.find_free_range(9, Vpn(CEILING - 8)), Err(MemError::Fragmented));
+        a.vmas.insert(CEILING - 8, anon(CEILING - 8, 4));
+        assert_eq!(a.find_free_range(4, Vpn(CEILING - 10)), Ok(Vpn(CEILING - 4)));
+        assert_eq!(a.find_free_range(5, Vpn(CEILING - 10)), Err(MemError::Fragmented));
+        for pages in 1..8 {
+            assert_agrees(&a, pages, CEILING - 10, "ceiling");
+        }
+    }
+
+    #[test]
+    fn placing_4096_mappings_ends_in_the_reference_bases() {
+        // Two spaces filled independently, one by each search, from hints
+        // cycling over 512 arenas (so the reference's rescans stay short
+        // enough to run here).
+        let mut rng = fpr_rng::Rng::seed_from_u64(0xF1_4096);
+        let (mut walked, mut scanned) = (AddressSpace::new(), AddressSpace::new());
+        for i in 0..4096u64 {
+            let pages = rng.gen_range(1, 5);
+            let hint = Vpn(0x10_0000 + (i % 512) * 1024);
+            let w = walked.find_free_range(pages, hint).unwrap();
+            let s = find_free_range_full_scan(&scanned, pages, hint).unwrap();
+            walked.vmas.insert(w.0, anon(w.0, pages));
+            scanned.vmas.insert(s.0, anon(s.0, pages));
+        }
+        assert_eq!(walked.vmas, scanned.vmas);
+        // `make_parent`'s shape: every mapping from one hint, so the n-th
+        // placement skips a run of n. The reference is cubic over the
+        // whole build; consult it on the same space halfway and at the end.
+        let mut a = AddressSpace::new();
+        for i in 0..4096u64 {
+            if i == 2047 || i == 4095 {
+                assert_agrees(&a, 2, 0x10_0000, "single hint");
+            }
+            let base = a.find_free_range(2, Vpn(0x10_0000)).unwrap();
+            assert_eq!(base, Vpn(0x10_0000 + 2 * i));
+            a.vmas.insert(base.0, anon(base.0, 2));
+        }
     }
 
     #[test]

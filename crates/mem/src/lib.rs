@@ -22,7 +22,6 @@ pub mod buddy;
 pub mod cost;
 pub mod error;
 pub mod fault;
-pub mod frame;
 pub mod overcommit;
 pub mod page_table;
 pub mod phys;

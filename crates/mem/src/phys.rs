@@ -348,11 +348,6 @@ impl PhysMemory {
         &self.cost
     }
 
-    /// Replaces the cost model (used by ablation benches).
-    pub fn set_cost(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
     /// Number of frames currently free: the pool's free count plus this
     /// cell's magazine.
     pub fn free_frames(&self) -> u64 {
@@ -376,16 +371,6 @@ impl PhysMemory {
     /// The active free-frame watermarks.
     pub fn watermarks(&self) -> Watermarks {
         self.watermarks
-    }
-
-    /// Replaces the watermarks (experiments tighten them to provoke
-    /// pressure without filling a whole machine).
-    pub fn set_watermarks(&mut self, w: Watermarks) {
-        assert!(
-            w.min <= w.low && w.low <= w.high,
-            "watermarks must satisfy min <= low <= high"
-        );
-        self.watermarks = w;
     }
 
     /// The current pressure level, judging free frames against the
@@ -445,11 +430,6 @@ impl PhysMemory {
             self.drawn -= cache.frames.len() as u64;
             self.pool.free_many(&cache.frames);
         }
-    }
-
-    /// True if the magazine is on.
-    pub fn frame_cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Frames currently parked in the magazine.
@@ -702,11 +682,6 @@ impl PhysMemory {
         let m = self.meta.get_mut(&pfn.0).ok_or(MemError::NotMapped)?;
         m.content = content;
         Ok(())
-    }
-
-    /// Number of live (allocated) frames tracked with metadata.
-    pub fn live_frames(&self) -> usize {
-        self.meta.len()
     }
 }
 

@@ -144,6 +144,20 @@ impl VmArea {
         self.start.0 < start.0 + pages && start.0 < self.end().0
     }
 
+    /// Commit charge of this mapping: pages the kernel may need frames
+    /// for. The one accounting rule `AddressSpace::commit_pages` sums and
+    /// the kernel charges and releases at `mmap`/`munmap`.
+    pub fn commit_charge(&self) -> u64 {
+        match (self.share, self.backing, self.prot.write) {
+            // Private writable memory may all be copied.
+            (Share::Private, _, true) => self.pages,
+            // Shared anonymous memory needs frames exactly once.
+            (Share::Shared, Backing::Anon, _) => self.pages,
+            // Read-only file text/data can always be reconstructed.
+            _ => 0,
+        }
+    }
+
     /// The logical content stamp a fresh (never-written) page at `vpn`
     /// would hold: zero for anonymous memory, a file-derived stamp for
     /// file mappings.

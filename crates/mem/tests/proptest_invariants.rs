@@ -10,7 +10,6 @@
 use fpr_mem::address_space::ForkMode;
 use fpr_mem::buddy::BuddyAllocator;
 use fpr_mem::cost::{CostModel, Cycles};
-use fpr_mem::frame::{BitmapFrameAllocator, FrameAllocator};
 use fpr_mem::phys::PhysMemory;
 use fpr_mem::tlb::TlbModel;
 use fpr_mem::vma::{Prot, VmArea, VmaKind};
@@ -270,30 +269,6 @@ fn eager_and_cow_forks_equivalent() {
             parent.destroy(&mut phys, &mut cy);
         }
         assert_eq!(results[0], results[1], "case {case}");
-    }
-}
-
-/// Bitmap allocator: frames handed out are unique and within range.
-#[test]
-fn bitmap_allocator_unique() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x55_0000 + case);
-        let total = rng.gen_range(1, 300);
-        let n = rng.gen_range(1, 400);
-        let mut a = BitmapFrameAllocator::new(total);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..n {
-            match a.alloc() {
-                Ok(f) => {
-                    assert!(f.0 < total, "case {case}");
-                    assert!(seen.insert(f.0), "case {case}: duplicate frame");
-                }
-                Err(_) => {
-                    assert_eq!(seen.len() as u64, total, "case {case}");
-                    break;
-                }
-            }
-        }
     }
 }
 
