@@ -6,9 +6,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-identity results-identity bench-repo-smoke trace-demo trace-identity clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress results-identity bench-repo-smoke clean
 
-verify: build test clippy doc doctest doclinks stress bench-smoke bench-identity results-identity trace-identity bench-repo-smoke
+verify: build test clippy doc doctest doclinks stress results-identity bench-repo-smoke
 
 build:
 	$(CARGO) build --release
@@ -66,23 +66,6 @@ stress:
 	$(CARGO) test --release -q -p forkroad-core --test smp_stress
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 
-# Non-timing smoke: the scenarios behind the eight BENCH_*.json at the
-# repo root re-run, their hard guarantees (zero OOM kills with
-# shrinkers, the E11 ordering, THP's >=100x page-table term, ...) are
-# asserted, and the snapshots are rewritten.
-bench-smoke:
-	$(CARGO) run --release -q -p fpr-bench --bin bench_smoke
-
-# Byte-identity, mechanically: the smoke run rewrites every BENCH_*.json
-# at the repo root, and the six deterministic ones must come out
-# byte-for-byte as committed — a cycle that moved without its snapshot
-# being regenerated in the same change fails here. BENCH_smp.json and
-# BENCH_faults_smp.json carry host-scheduling counts (contended_acquires,
-# ops_after_failure) and stay out of the diff; their deterministic fields
-# are asserted inside bench_smoke itself.
-bench-identity: bench-smoke
-	git diff --exit-code -- BENCH_fork_modes.json BENCH_spawn_fastpath.json BENCH_pressure.json BENCH_swap.json BENCH_thp.json BENCH_service.json
-
 # The repo benchmark (BENCHMARK.json) is a package of its own with path
 # dependencies on crates/*: no workspace build or test compiles it, so a
 # signature change under it would go unnoticed until the driver ran it.
@@ -92,36 +75,25 @@ bench-repo-smoke:
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
-# The evaluation, mechanically: `run_all` regenerates every figure and
-# table of the catalogue (crates/bench/src/lib.rs, one sweep each) into
-# results/, round-tripping each file through its typed reader, and the
-# deterministic ones must come out byte-for-byte as committed — a cycle,
-# a verdict string or a sweep that moved without its results/*.json
-# being regenerated in the same change fails here. HOST_SCHEDULED names
-# the outputs left out of the diff, here and nowhere else: the two
-# tables carrying host-scheduling counts (lock contention, ops after a
-# cell failure) and the two fpr-native host-kernel timings. They are
-# rewritten by every run, like BENCH_smp.json. FORKROAD_RESULTS=<dir>
-# redirects the output for ad-hoc runs.
-HOST_SCHEDULED := tab_smp_contention tab_cell_failure fig_cow_native fig1_native
+# The evaluation, mechanically: `run_all` runs every row of the catalogue
+# (crates/bench/src/lib.rs, one run each), asserts each row's hard
+# guarantees (zero OOM kills with shrinkers, the E11 ordering, THP's
+# >=100x page-table term, ...) and regenerates every figure, table and
+# trace into results/ and every BENCH_*.json snapshot at the repo root,
+# reading each file back. The deterministic ones must come out
+# byte-for-byte as committed — a cycle, a verdict string, a span or a
+# sweep that moved without its file being regenerated in the same change
+# fails here. HOST_SCHEDULED names the outputs left out of the diff, in
+# both directories, here and nowhere else: the two tables and two
+# snapshots carrying host-scheduling counts (lock contention, ops after
+# a cell failure) and the two fpr-native host-kernel timings. Every run
+# rewrites them. FORKROAD_RESULTS=<dir> redirects all output for ad-hoc
+# runs.
+HOST_SCHEDULED := tab_smp_contention tab_cell_failure fig_cow_native fig1_native BENCH_smp BENCH_faults_smp
 
 results-identity:
 	$(CARGO) run --release -q -p fpr-bench --bin run_all
-	git diff --exit-code -- results/ $(HOST_SCHEDULED:%=':!results/%.json')
-
-# Record an on-demand fork + exec under the trace sink and export it as
-# Chrome trace-event JSON (results/trace_demo.json) plus a text
-# flamegraph on stdout. Load the JSON in about:tracing or Perfetto.
-trace-demo:
-	$(CARGO) run --release -q -p fpr-bench --bin trace_demo
-
-# The trace, mechanically: results/trace_demo.json pins every span name,
-# category, argument and timestamp of a fork + exec, and the demo
-# regenerates it deterministically — so a span that moved, lost an
-# argument or changed its nesting fails here unless the regenerated
-# trace is committed in the same change.
-trace-identity: trace-demo
-	git diff --exit-code -- results/trace_demo.json
+	git diff --exit-code -- results/ 'BENCH_*.json' $(HOST_SCHEDULED:%=':!*%.json')
 
 clean:
 	$(CARGO) clean

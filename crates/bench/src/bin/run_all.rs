@@ -1,6 +1,6 @@
 //! Regenerates the evaluation: `run_all` runs every row of the
 //! catalogue in order, `run_all <id>…` just the rows named. Each
-//! figure and table is printed and saved to `results/<id>.json`.
+//! artifact is printed and saved where it is committed (see `emit`).
 
 use fpr_bench::CATALOGUE;
 

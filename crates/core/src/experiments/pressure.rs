@@ -434,10 +434,10 @@ pub fn run_swap_pair() -> (SwapOutcome, SwapOutcome) {
     (with, without)
 }
 
-/// Builds the E13 figure: pages absorbed and the OOM body count with
-/// and without the swap tier, plus the device traffic that paid for it.
-pub fn run_swap() -> FigureData {
-    let (with, without) = run_swap_pair();
+/// Builds the E13 figure from the two arms of [`run_swap_pair`]: pages
+/// absorbed and the OOM body count with and without the swap tier, plus
+/// the device traffic that paid for it.
+pub fn swap_figure(with: &SwapOutcome, without: &SwapOutcome) -> FigureData {
     let mut fig = FigureData::new(
         "fig_swap",
         "a swap tier absorbs a storm of 1.5x physical memory that otherwise ends in OOM kills",
@@ -460,10 +460,10 @@ pub fn run_swap() -> FigureData {
     fig
 }
 
-/// Builds the E12 figure: spawn latency across the three storm phases,
-/// against the classic-path reference, plus the OOM body count.
-pub fn run() -> FigureData {
-    let (with, without) = run_pair();
+/// Builds the E12 figure from the two arms of [`run_pair`]: spawn
+/// latency across the three storm phases, against the classic-path
+/// reference, plus the OOM body count.
+pub fn figure(with: &PressureOutcome, without: &PressureOutcome) -> FigureData {
     let classic = classic_spawn_cost();
     let us = |c: u64| c as f64 / CYCLES_PER_US as f64;
 
@@ -565,7 +565,8 @@ mod tests {
 
     #[test]
     fn figure_renders_with_all_series() {
-        let fig = run();
+        let (with, without) = run_pair();
+        let fig = figure(&with, &without);
         assert_eq!(fig.series.len(), 5);
         assert!(fig.series("spawn (shrinkers)").is_some());
         let kills = fig.series("oom kills (no shrinkers)").unwrap();
@@ -613,7 +614,8 @@ mod tests {
 
     #[test]
     fn swap_figure_renders_with_all_series() {
-        let fig = run_swap();
+        let (with, without) = run_swap_pair();
+        let fig = swap_figure(&with, &without);
         assert_eq!(fig.series.len(), 3);
         let with = fig.series("with swap").unwrap();
         assert_eq!(with.points[1].y, 0.0, "zero kills with swap");

@@ -493,12 +493,11 @@ fn cached_frames(os: &Os) -> u64 {
     os.fastpath().expect("enabled").cache().cached_frames()
 }
 
-/// Builds the E15 figure: per-path p50/p95/p99 service latency, the
+/// Builds the E15 figure from one [`run_service`] and one
+/// [`run_degradation`] outcome: per-path p50/p95/p99 service latency, the
 /// sojourn tail, throughput against the offered rate, and the
 /// degradation arm's three-phase series.
-pub fn run() -> FigureData {
-    let outcome = run_service(&ServiceConfig::default());
-    let degraded = run_degradation();
+pub fn figure(outcome: &ServiceOutcome, degraded: &DegradationOutcome) -> FigureData {
     let us = |c: u64| c as f64 / CYCLES_PER_US as f64;
 
     let mut fig = FigureData::new(
@@ -554,6 +553,10 @@ mod tests {
         }
     }
 
+    fn default_figure() -> FigureData {
+        figure(&run_service(&ServiceConfig::default()), &run_degradation())
+    }
+
     #[test]
     fn open_loop_orders_the_paths_and_kills_nobody() {
         let o = run_service(&ServiceConfig::default());
@@ -602,8 +605,8 @@ mod tests {
     fn same_seed_runs_are_byte_identical() {
         // The determinism contract the bench JSON relies on: two
         // identically seeded E15 figures serialize to the same bytes.
-        let a = run().to_json();
-        let b = run().to_json();
+        let a = default_figure().to_json();
+        let b = default_figure().to_json();
         assert_eq!(a, b, "same-seed fig_service JSON must be byte-identical");
     }
 
@@ -645,7 +648,7 @@ mod tests {
 
     #[test]
     fn figure_has_all_series() {
-        let fig = run();
+        let fig = default_figure();
         assert_eq!(fig.series.len(), 10);
         for path in CreationPath::ALL {
             assert!(

@@ -122,7 +122,8 @@ fn single_thread_service_replays_byte_identical_to_seed() {
         "/../../results/fig_service.json"
     );
     let want = std::fs::read_to_string(path).expect("checked-in fig_service.json");
-    let got = service::run().to_json();
+    let outcome = service::run_service(&service::ServiceConfig::default());
+    let got = service::figure(&outcome, &service::run_degradation()).to_json();
     assert_eq!(
         got, want,
         "E15 must replay byte-identical to the checked-in seed figure; \

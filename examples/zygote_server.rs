@@ -44,7 +44,7 @@
 //!    a queue-inclusive sojourn histogram, sustained-vs-offered
 //!    throughput, and a degradation arm where a memory storm drains
 //!    the pool and spawn falls back to the classic path. Run it with
-//!    `cargo run -p fpr-bench --bin fig_service`.
+//!    `cargo run -p fpr-bench --bin run_all -- fig_service`.
 //!
 //! Run with: `cargo run --example zygote_server`
 
@@ -207,7 +207,7 @@ fn main() {
     println!(
         "  worst queue wait {:.2} us — the open loop's cost of slow creation paths;\n\
          the full E15 ({} requests, 5 paths, autoscaling, degradation arm) is\n\
-         `cargo run -p fpr-bench --bin fig_service`.",
+         `cargo run -p fpr-bench --bin run_all -- fig_service`.",
         max_queue_wait as f64 / CYCLES_PER_US as f64,
         320
     );
