@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress results-identity bench-repo-smoke clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress results-identity bench-repo-smoke bench-pair clean
 
 verify: build test clippy doc doctest doclinks stress results-identity bench-repo-smoke
 
@@ -42,14 +42,17 @@ doclinks:
 # same leak checks, and the SMP sweep (E17) repeats the exercise with
 # injections landing concurrently on four real OS threads. Alongside:
 # the per-API inheritance table (what each child does and does not
-# receive) and the vfork-borrower mmap regression, which ends in a leak
-# check of its own.
+# receive), the vfork-borrower mmap regression, which ends in a leak
+# check of its own, and the reference-model proptest: `AddressSpace`
+# against a flat page map in every fork mode, THP on and off, ending with
+# every frame returned.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
 	$(CARGO) test -q -p fpr-kernel --test proptest_faults
 	$(CARGO) test -q -p fpr-kernel --test vfork_borrow
 	$(CARGO) test -q -p fpr-mem --test proptest_faults
+	$(CARGO) test -q -p fpr-mem --test proptest_reference
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 
@@ -94,6 +97,35 @@ HOST_SCHEDULED := tab_smp_contention tab_cell_failure fig_cow_native fig1_native
 results-identity:
 	$(CARGO) run --release -q -p fpr-bench --bin run_all
 	git diff --exit-code -- results/ 'BENCH_*.json' $(HOST_SCHEDULED:%=':!*%.json')
+
+# A perf change's before/after in one command (docs/BENCHMARKS.md):
+#   make bench-pair BASE=<rev> W=<workload> [PAIRS=3]
+# unpacks BASE's tree under target/bench-pair/base (a `git archive`, so
+# there is no worktree to prune afterwards), builds its benchmark/ and this
+# tree's, then runs the untraced workload on both sides PAIRS times, pair i
+# on seed i, alternating which side goes first, and prints `compare` for
+# each pair. Fails if any pair reads `worse`; a *claimed* gain still needs
+# the ten pairs of benchmark/README.md.
+BASE ?= HEAD
+W ?= fork_big
+PAIRS ?= 3
+PAIR_DIR := target/bench-pair
+PAIR_BIN := benchmark/target/release/forkroad-benchmark
+
+bench-pair:
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
+	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
+	$(CARGO) build --release --offline --quiet --manifest-path $(PAIR_DIR)/base/benchmark/Cargo.toml
+	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+	@worse=0; \
+	side() { $$1/$(PAIR_BIN) run --workload $(W) --seed $$3 --trace 0 --out $(PAIR_DIR)/$$2-$$3.json > /dev/null 2>&1; }; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$i && side . change $$i; \
+		else side . change $$i && side $(PAIR_DIR)/base base $$i; fi \
+			|| { echo "pair $$i: a run failed; run it by hand to see why"; exit 1; }; \
+		echo "== pair $$i of $(PAIRS): $(W), $(BASE) (parent) against the working tree (change)"; \
+		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$i.json $(PAIR_DIR)/change-$$i.json || worse=1; \
+	done; exit $$worse
 
 clean:
 	$(CARGO) clean

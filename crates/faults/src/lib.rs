@@ -33,6 +33,12 @@
 //! workload crossed but never failed is an error path that has never
 //! executed.
 //!
+//! Counting is also *all* a crossing does when nobody is listening: with
+//! no [`with_plan`] scope and no [`Observer`] on the thread, `cross` bumps
+//! the site's slot of a `[u64; FaultSite::COUNT]` array and returns, so
+//! instrumentation can sit on per-page paths (one crossing per PTE a fork
+//! copies). Scoped and observed crossings count in the same slots.
+//!
 //! The state is thread-local; the simulator is single-threaded per
 //! kernel, and this keeps parallel test binaries from interfering. SMP
 //! storms get a machine-wide view on top: workers call
@@ -68,7 +74,7 @@
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Declares [`FaultSite`] once; the enum, [`FaultSite::ALL`],
@@ -345,15 +351,26 @@ struct ActiveScope {
     trace: FaultTrace,
 }
 
-#[derive(Default)]
-struct ThreadState {
-    scope: Option<ActiveScope>,
-    coverage: BTreeMap<FaultSite, SiteCoverage>,
+thread_local! {
+    /// Cumulative crossings per site: the whole of [`coverage`]'s first
+    /// column, and everything a crossing nobody listens to touches.
+    static CROSSINGS: [Cell<u64>; FaultSite::COUNT] =
+        const { [const { Cell::new(0) }; FaultSite::COUNT] };
+    /// Cumulative injections per site. Only a scope injects.
+    static INJECTIONS: [Cell<u64>; FaultSite::COUNT] =
+        const { [const { Cell::new(0) }; FaultSite::COUNT] };
+    /// True while a scope or an observer exists on this thread: `cross`
+    /// must then do more than count.
+    static LISTENING: Cell<bool> = const { Cell::new(false) };
+    static SCOPE: RefCell<Option<ActiveScope>> = const { RefCell::new(None) };
+    static OBSERVER: RefCell<Option<Observer>> = const { RefCell::new(None) };
 }
 
-thread_local! {
-    static STATE: RefCell<ThreadState> = RefCell::new(ThreadState::default());
-    static OBSERVER: RefCell<Option<Observer>> = const { RefCell::new(None) };
+/// Recomputes [`LISTENING`] after the scope or the observer changed.
+fn update_listening() {
+    let scope = SCOPE.with(|s| s.borrow().is_some());
+    let observer = OBSERVER.with(|o| o.borrow().is_some());
+    LISTENING.with(|l| l.set(scope || observer));
 }
 
 /// A thread-local crossing callback: `(site, occurrence, injected)`.
@@ -380,7 +397,9 @@ pub type Observer = Box<dyn FnMut(FaultSite, u64, bool)>;
 /// assert_eq!(seen.get(), 1);
 /// ```
 pub fn set_observer(observer: Option<Observer>) -> Option<Observer> {
-    OBSERVER.with(|o| std::mem::replace(&mut *o.borrow_mut(), observer))
+    let previous = OBSERVER.with(|o| std::mem::replace(&mut *o.borrow_mut(), observer));
+    update_listening();
+    previous
 }
 
 /// Declares that execution reached `site`. Instrumented code calls this
@@ -388,13 +407,26 @@ pub fn set_observer(observer: Option<Observer>) -> Option<Observer> {
 ///
 /// Outside any [`with_plan`] scope this only updates coverage counters
 /// and always succeeds.
+#[inline]
 pub fn cross(site: FaultSite) -> Result<(), InjectedFault> {
-    let (result, occurrence, injected) = STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        let cov = st.coverage.entry(site).or_default();
-        cov.crossings += 1;
-        let cumulative = cov.crossings - 1;
-        let Some(scope) = st.scope.as_mut() else {
+    let cumulative = CROSSINGS.with(|c| {
+        let slot = &c[site.index()];
+        slot.set(slot.get() + 1);
+        slot.get() - 1
+    });
+    if !LISTENING.with(Cell::get) {
+        return Ok(());
+    }
+    cross_listening(site, cumulative)
+}
+
+/// The rest of a crossing when a scope or an observer is on the thread:
+/// the plan decides, the trace records, the observer is told.
+#[cold]
+fn cross_listening(site: FaultSite, cumulative: u64) -> Result<(), InjectedFault> {
+    let (result, occurrence, injected) = SCOPE.with(|s| {
+        let mut scope = s.borrow_mut();
+        let Some(scope) = scope.as_mut() else {
             return (Ok(()), cumulative, false);
         };
         // counts[site] holds the last occurrence index handed out; the
@@ -414,13 +446,13 @@ pub fn cross(site: FaultSite) -> Result<(), InjectedFault> {
             injected,
         });
         if injected {
-            st.coverage.get_mut(&site).expect("entry above").injections += 1;
+            INJECTIONS.with(|i| i[site.index()].set(i[site.index()].get() + 1));
             (Err(InjectedFault { site, occurrence }), occurrence, true)
         } else {
             (Ok(()), occurrence, false)
         }
     });
-    // Notify outside the STATE borrow so the observer may inspect
+    // Notify outside the SCOPE borrow so the observer may inspect
     // coverage; it is taken out for the call so a reentrant crossing
     // cannot double-borrow.
     let mut observer = OBSERVER.with(|o| o.borrow_mut().take());
@@ -442,36 +474,29 @@ pub fn cross(site: FaultSite) -> Result<(), InjectedFault> {
 /// crossing trace. Scopes do not nest: a nested call panics, because a
 /// nested plan would silently steal the outer plan's occurrence counting.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultTrace) {
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        assert!(
-            st.scope.is_none(),
-            "fpr-faults: with_plan scopes do not nest"
-        );
-        st.scope = Some(ActiveScope {
+    SCOPE.with(|s| {
+        let mut scope = s.borrow_mut();
+        assert!(scope.is_none(), "fpr-faults: with_plan scopes do not nest");
+        *scope = Some(ActiveScope {
             plan,
             counts: BTreeMap::new(),
             total: 0,
             trace: FaultTrace::default(),
         });
     });
+    update_listening();
     // Even if `f` panics we must clear the scope, or every later test in
     // this thread inherits a stale plan.
     struct ClearOnDrop;
     impl Drop for ClearOnDrop {
         fn drop(&mut self) {
-            STATE.with(|s| s.borrow_mut().scope = None);
+            SCOPE.with(|s| *s.borrow_mut() = None);
+            update_listening();
         }
     }
     let guard = ClearOnDrop;
     let out = f();
-    let trace = STATE.with(|s| {
-        s.borrow_mut()
-            .scope
-            .take()
-            .map(|sc| sc.trace)
-            .unwrap_or_default()
-    });
+    let trace = SCOPE.with(|s| s.borrow_mut().take().map(|sc| sc.trace).unwrap_or_default());
     drop(guard);
     (out, trace)
 }
@@ -483,18 +508,18 @@ pub fn count_crossings(f: impl FnOnce()) -> FaultTrace {
 
 /// Cumulative coverage for this thread, keyed by site (stable order).
 pub fn coverage() -> Vec<(FaultSite, SiteCoverage)> {
-    STATE.with(|s| {
-        let st = s.borrow();
-        FaultSite::ALL
-            .iter()
-            .map(|&site| (site, st.coverage.get(&site).copied().unwrap_or_default()))
-            .collect()
-    })
+    let read = |site: FaultSite| SiteCoverage {
+        crossings: CROSSINGS.with(|c| c[site.index()].get()),
+        injections: INJECTIONS.with(|i| i[site.index()].get()),
+    };
+    FaultSite::ALL.iter().map(|&site| (site, read(site))).collect()
 }
 
 /// Clears this thread's cumulative coverage counters.
 pub fn reset_coverage() {
-    STATE.with(|s| s.borrow_mut().coverage.clear());
+    for counters in [&CROSSINGS, &INJECTIONS] {
+        counters.with(|c| c.iter().for_each(|slot| slot.set(0)));
+    }
 }
 
 /// Derives a per-cell fault seed from one machine-wide root seed: a
@@ -508,26 +533,26 @@ pub fn derive_cell_seed(root_seed: u64, cell: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-fn global_coverage_registry() -> &'static std::sync::Mutex<BTreeMap<FaultSite, SiteCoverage>> {
-    static REGISTRY: std::sync::OnceLock<std::sync::Mutex<BTreeMap<FaultSite, SiteCoverage>>> =
-        std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| std::sync::Mutex::new(BTreeMap::new()))
-}
+/// No site crossed.
+const NO_COVERAGE: [SiteCoverage; FaultSite::COUNT] =
+    [SiteCoverage { crossings: 0, injections: 0 }; FaultSite::COUNT];
+
+/// What every [`flush_coverage`] call has merged so far.
+static GLOBAL_COVERAGE: std::sync::Mutex<[SiteCoverage; FaultSite::COUNT]> =
+    std::sync::Mutex::new(NO_COVERAGE);
 
 /// Merges this thread's cumulative coverage into the process-wide
 /// registry and clears the thread-local counters. SMP storm workers call
 /// this before finishing so [`global_coverage`] sees the whole machine;
 /// single-threaded code never needs it.
 pub fn flush_coverage() {
-    let local = STATE.with(|s| std::mem::take(&mut s.borrow_mut().coverage));
-    if local.is_empty() {
-        return;
-    }
-    let mut global = global_coverage_registry()
+    let local = coverage();
+    reset_coverage();
+    let mut global = GLOBAL_COVERAGE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     for (site, cov) in local {
-        let g = global.entry(site).or_default();
+        let g = &mut global[site.index()];
         g.crossings += cov.crossings;
         g.injections += cov.injections;
     }
@@ -537,33 +562,23 @@ pub fn flush_coverage() {
 /// the calling thread's (unflushed) counters, keyed by site in stable
 /// order. The SMP analogue of [`coverage`].
 pub fn global_coverage() -> Vec<(FaultSite, SiteCoverage)> {
-    let global = global_coverage_registry()
+    let global = *GLOBAL_COVERAGE
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    STATE.with(|s| {
-        let st = s.borrow();
-        FaultSite::ALL
-            .iter()
-            .map(|&site| {
-                let mut cov = global.get(&site).copied().unwrap_or_default();
-                if let Some(local) = st.coverage.get(&site) {
-                    cov.crossings += local.crossings;
-                    cov.injections += local.injections;
-                }
-                (site, cov)
-            })
-            .collect()
-    })
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut out = coverage();
+    for (site, cov) in &mut out {
+        cov.crossings += global[site.index()].crossings;
+        cov.injections += global[site.index()].injections;
+    }
+    out
 }
 
 /// Clears the process-wide coverage registry *and* the calling thread's
 /// counters (other threads' unflushed counters are untouched).
 pub fn reset_global_coverage() {
-    global_coverage_registry()
+    *GLOBAL_COVERAGE
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = NO_COVERAGE;
     reset_coverage();
 }
 

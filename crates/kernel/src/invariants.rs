@@ -141,6 +141,11 @@ impl Kernel {
                 }
             });
             seen_nodes.extend(new_nodes);
+            // The counts the table keeps beside its entries (fork shares a
+            // node, and teardown drops one, on their word alone).
+            if let Err(e) = p.aspace.check_page_table() {
+                v.push(format!("pid {pid}: page table: {e}"));
+            }
         }
         // Kernel pins (exec image cache) hold references too; a frame held
         // only by pins must still balance and count as used.

@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{SlotKind, TakenLeaf};
+use crate::page_table::{LeafNode, SlotKind, TakenLeaf};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -408,16 +408,14 @@ impl AddressSpace {
                     if matches!(kind, SlotKind::Dir) {
                         // Huge pages never swap, so every member is a
                         // resident 512-page block.
-                        tally.pages += arc.live as u64 * HUGE_PAGES;
-                        tally.huge_entries += arc.live as u64;
+                        tally.pages += arc.live() * HUGE_PAGES;
+                        tally.huge_entries += arc.live();
                     } else {
                         // Slot references follow leaf-node identity, so the
                         // surviving owner keeps the swap slots too.
-                        let swap_in_node =
-                            arc.ptes.iter().flatten().filter(|p| p.is_swap()).count() as u64;
-                        self.swapped -= swap_in_node;
-                        tally.pages += arc.live as u64 - swap_in_node;
-                        tally.small_entries += arc.live as u64 - swap_in_node;
+                        self.swapped -= arc.swap_entries();
+                        tally.pages += arc.live() - arc.swap_entries();
+                        tally.small_entries += arc.live() - arc.swap_entries();
                     }
                     // Still referenced by the other space, which releases
                     // the frames when it drops its copy; our drop is free.
@@ -972,6 +970,16 @@ impl AddressSpace {
         })
     }
 
+    /// Recounts what the page table keeps beside its entries — the mapped,
+    /// huge and leaf-node totals, and each leaf node's entry, private-
+    /// writable and swap-entry counts, which fork and teardown trust
+    /// instead of reading the entries — from the PTEs of every leaf,
+    /// shared ones included. Verification aid: `Err` names the first
+    /// summary that is off.
+    pub fn check_page_table(&self) -> Result<(), String> {
+        self.pt.check_summaries()
+    }
+
     /// Scans for pages the reclaim swap tier may evict, cheapest first:
     /// clean pages before dirty ones. A page qualifies only when evicting
     /// it cannot be observed by anyone else: private anonymous mapping,
@@ -997,7 +1005,7 @@ impl AddressSpace {
                 // out from under the other space.
                 continue;
             }
-            for (j, slot) in arc.ptes.iter().enumerate() {
+            for (j, slot) in arc.ptes().iter().enumerate() {
                 let Some(pte) = slot else { continue };
                 if !pte.is_present() || pte.flags.contains(PteFlags::SHARED) {
                     continue;
@@ -1070,7 +1078,7 @@ impl AddressSpace {
                 }
                 TakenLeaf::Node(arc) => match Arc::try_unwrap(arc) {
                     Ok(node) => {
-                        for pte in node.ptes.iter().flatten() {
+                        for pte in node.ptes().iter().flatten() {
                             if pte.is_swap() {
                                 phys.swap_mut()
                                     .dec_ref(pte.swap_slot())
@@ -1265,15 +1273,26 @@ impl AddressSpace {
 
     /// The fallible body of [`AddressSpace::fork_from`], the same walk in
     /// every mode: clone the VMA records, then make one ascending pass
-    /// over the parent's leaf slots, copying every entry the child
-    /// inherits ([`Self::fork_copy_entry`]) and recording parent
-    /// downgrades in `downgrades`. [`ForkMode::OnDemand`] is that walk
-    /// except that a node whose entries are all inherited is attached to
-    /// the child instead of copied: one pointer copy and a refcount bump
-    /// share up to 512 PTEs — or, for a huge directory, up to a GiB of
-    /// blocks, which is what makes fork of a fully-huge space almost free.
-    /// Nodes straddling a `DONTFORK` / `WIPEONFORK` boundary are copied
-    /// per entry like any other mode's.
+    /// over the parent's leaf slots, recording parent downgrades in
+    /// `downgrades`. A slot is judged as a whole before any entry of it is
+    /// read: the VMAs reaching into it — slots and VMAs both ascend, so
+    /// finding them is a cursor step, not a lookup — say for each run of
+    /// its 512 positions whether the child inherits what is mapped there.
+    /// Then
+    ///
+    /// * a slot with no inherited position (`DONTFORK`, `WIPEONFORK`) is
+    ///   passed over;
+    /// * [`ForkMode::OnDemand`] attaches a node whose entries are all
+    ///   inherited to the child as it stands: one pointer copy and a
+    ///   refcount bump share up to 512 PTEs — or, for a huge directory, up
+    ///   to a GiB of blocks, which is what makes fork of a fully-huge space
+    ///   almost free. Where inheritable VMAs cover every position, and a
+    ///   parent forked before has nothing left to COW-mark, not one entry
+    ///   is read; only a node that a hole or a fork-policy range reaches
+    ///   into has its entries looked at;
+    /// * anything else is copied entry by entry
+    ///   ([`Self::fork_copy_entry`]): a small-PTE node is built in place
+    ///   and wired into the child with one descent.
     fn fork_walk(
         parent: &mut AddressSpace,
         child: &mut AddressSpace,
@@ -1298,73 +1317,130 @@ impl AddressSpace {
         }
         // The inherit rule: the child receives an entry under its VMA's
         // sharing policy unless that VMA is `DONTFORK` (no mapping) or
-        // `WIPEONFORK` (an empty, demand-zero range). Slots and VMAs both
-        // ascend, so classifying is a cursor step, not a lookup.
-        let mut cursor = vmas.values().peekable();
-        let mut inherit = |vpn: Vpn| {
-            while cursor.next_if(|v| v.end().0 <= vpn.0).is_some() {}
-            let vma = cursor.peek().filter(|v| v.contains(vpn))?;
+        // `WIPEONFORK` (an empty, demand-zero range).
+        let inherited = |vma: &VmArea| {
             (!vma.fork_policy.dont_fork && !vma.fork_policy.wipe_on_fork).then_some(vma.share)
         };
-        let mut entries: Vec<(usize, Vpn, Pte, Option<Share>)> = Vec::new();
+        let mut cursor = vmas.values().peekable();
+        // The rule's answers for the current slot: ascending runs of
+        // in-node positions, each `(end, answer)`.
+        let mut runs: Vec<(usize, Option<Share>)> = Vec::new();
         for slot in pt.leaf_slot_coords() {
             let (base, node, idx, kind) = slot;
-            entries.clear();
-            entries.extend(pt.slot_entries(slot).map(|(j, vpn, pte)| (j, vpn, pte, inherit(vpn))));
+            let stride = kind.stride();
+            let end = base + PT_ENTRIES as u64 * stride;
+            // An entry goes by the VMA holding its first page; where there
+            // is none, nothing is inherited.
+            let position = |vpn: u64| (vpn.clamp(base, end) - base).div_ceil(stride) as usize;
+            while cursor.next_if(|v| v.end().0 <= base).is_some() {}
+            runs.clear();
+            let mut answered = 0;
+            let mut answer = |upto: usize, share: Option<Share>| {
+                if answered < upto {
+                    runs.push((upto, share));
+                    answered = upto;
+                }
+            };
+            // The last VMA reaching in may reach on into later slots: it
+            // stays under the cursor.
+            for vma in cursor.clone().take_while(|v| v.start.0 < end) {
+                answer(position(vma.start.0), None);
+                answer(position(vma.end().0), inherited(vma));
+            }
+            answer(PT_ENTRIES, None);
+            if runs.iter().all(|r| r.1.is_none()) {
+                continue;
+            }
+            // A lookup of the answer for position `j`, for ascending `j`.
+            let rule = || {
+                let (runs, mut run) = (&runs, 0);
+                move |j: usize| {
+                    while runs[run].0 <= j {
+                        run += 1;
+                    }
+                    runs[run].1
+                }
+            };
             // A lone huge block is an entry of its level-1 table, not a
             // node of its own: there is nothing to attach.
-            if mode == ForkMode::OnDemand
+            let attach = mode == ForkMode::OnDemand
                 && kind != SlotKind::Huge
-                && entries.iter().all(|e| e.3.is_some())
-            {
+                && (runs.iter().all(|r| r.1.is_some()) || {
+                    let mut share_of = rule();
+                    pt.slot_entries(slot).all(|(j, ..)| share_of(j).is_some())
+                });
+            if attach {
                 // First sharing of this node: COW-mark its private
                 // writable PTEs in place (one marking serves both tables —
                 // that is what sharing means). A node that is *already*
                 // shared holds none (they were marked when it was first
                 // shared), so re-sharing needs no marking — and must not
-                // mutate it.
-                if let Some(leaf) = Arc::get_mut(pt.leaf_at_mut(node, idx)) {
-                    for &(j, vpn, pte, share) in &entries {
-                        if share == Some(Share::Private) && pte.is_writable() {
-                            leaf.ptes[j] = Some(cow_marked(pte));
-                            downgrades.push((vpn, pte));
+                // mutate it; nor does a node this parent has forked before,
+                // which its count says without a look at the entries.
+                let unmarked =
+                    Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
+                if let Some(leaf) = unmarked {
+                    let mut share_of = rule();
+                    for j in 0..PT_ENTRIES {
+                        let Some(pte) = leaf.ptes()[j] else { continue };
+                        if share_of(j) == Some(Share::Private) && pte.is_writable() {
+                            leaf.set(j, Some(cow_marked(pte)));
+                            downgrades.push((Vpn(base + j as u64 * stride), pte));
                         }
                     }
                 }
                 let arc = Arc::clone(pt.leaf_at(node, idx));
-                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, &cost)?;
                 // Sharing the node shares its swap entries by identity —
                 // no slot refcount change, but the child's residency
                 // accounting must know they hold no frames.
-                child.swapped += entries.iter().filter(|e| e.2.is_swap()).count() as u64;
+                let swapped = arc.swap_entries();
+                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, &cost)?;
+                child.swapped += swapped;
                 stats.pt_subtrees_shared += 1;
                 sink::instant("pt_subtree_share", "mem", cycles.total());
                 continue;
             }
-            for &(_, vpn, pte, share) in &entries {
-                let Some(share) = share else { continue };
-                let marked = Self::fork_copy_entry(
-                    child, stats, mode, share, vpn, pte, phys, cycles, &cost,
+            // The child's node for this slot's small PTEs. It is wired in
+            // even when an entry fails, so that the rollback, which destroys
+            // the child, drops the references its entries hold.
+            let mut leaf = LeafNode::new();
+            let first = downgrades.len();
+            let mut share_of = rule();
+            let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
+                let Some(share) = share_of(j) else { return Ok(()) };
+                let downgrade = Self::fork_copy_entry(
+                    child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles, &cost,
                 )?;
-                if let Some(cow) = marked {
-                    pt.update(vpn, cow).expect("entry just enumerated");
+                if downgrade {
                     downgrades.push((vpn, pte));
                 }
+                Ok(())
+            });
+            if leaf.live() > 0 {
+                child.pt.install_leaf(base, leaf, cycles, &cost);
             }
+            for &(vpn, pte) in &downgrades[first..] {
+                pt.update(vpn, cow_marked(pte)).expect("entry just copied");
+            }
+            copied?;
         }
         Ok(())
     }
 
     /// Copies one inherited entry of the parent — a small page, a 2 MiB
-    /// block or a swap entry — into `child`. A `MAP_SHARED` entry aliases
-    /// the same frames; a private one is copied outright by
-    /// [`ForkMode::Eager`] and otherwise shares its frames write-protected
-    /// and COW-marked. Returns the COW-marked PTE the parent's own entry
-    /// must be downgraded to when the parent could write it. On `Err` the
-    /// references taken for this entry have been dropped again.
+    /// block or a swap entry — into `child`: a block goes into the child's
+    /// table, a small entry into `leaf`, the node the walk is building for
+    /// the entry's slot. A `MAP_SHARED` entry aliases the same frames; a
+    /// private one is copied outright by [`ForkMode::Eager`] and otherwise
+    /// shares its frames write-protected and COW-marked. Returns whether
+    /// the parent could write the entry, and so must have its own copy
+    /// downgraded to the COW-marked one. On `Err` the references taken
+    /// for this entry have been dropped again.
     #[allow(clippy::too_many_arguments)]
+    #[inline] // into the walk's per-entry loop: 13.7 -> 8.3 host ns per PTE
     fn fork_copy_entry(
         child: &mut AddressSpace,
+        leaf: &mut LeafNode,
         stats: &mut AsStats,
         mode: ForkMode,
         share: Share,
@@ -1373,7 +1449,7 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
         cost: &CostModel,
-    ) -> MemResult<Option<Pte>> {
+    ) -> MemResult<bool> {
         let eager = mode == ForkMode::Eager && share == Share::Private && !pte.is_swap();
         // A block shares as a single unit: one flip of its huge PTE
         // (`huge_cow`) instead of 512, and `copy_huge` charges the child's
@@ -1387,39 +1463,48 @@ impl AddressSpace {
             // exactly as a present PTE copy takes a frame reference.
             let slot = pte.swap_slot();
             phys.swap_mut().inc_ref(slot)?;
-            if let Err(e) = child.pt.map(vpn, pte, cycles, cost) {
+            if let Err(e) = leaf.map(vpn.pt_index(0), pte) {
                 phys.swap_mut().dec_ref(slot).expect("ref just taken");
                 return Err(e);
             }
             child.swapped += 1;
-            return Ok(None);
+            return Ok(false);
         }
         if eager {
-            return Self::fork_eager_copy(child, stats, vpn, pte, phys, cycles, cost).map(|()| None);
+            return Self::fork_eager_copy(child, leaf, stats, vpn, pte, phys, cycles, cost)
+                .map(|()| false);
         }
+        let private = share == Share::Private;
+        // The leaf summaries tell private from shared by this bit alone.
+        debug_assert!(
+            !pte.is_writable() || pte.flags.contains(PteFlags::SHARED) != private,
+            "a writable PTE's SHARED bit disagrees with its VMA"
+        );
         let run = if pte.is_huge() { HUGE_PAGES } else { 1 };
         phys.inc_ref_run(pte.pfn, run)?;
-        let private = share == Share::Private;
         let marks = private && (pte.is_writable() || pte.is_cow());
         let new = if marks { cow_marked(pte) } else { pte };
         let mapped = if pte.is_huge() {
             child.pt.copy_huge(vpn, new, cycles, cost)
         } else {
-            child.pt.map(vpn, new, cycles, cost)
+            leaf.map(vpn.pt_index(0), new)
         };
         if let Err(e) = mapped {
             phys.dec_ref_run(pte.pfn, run, cycles).expect("refs just taken");
             return Err(e);
         }
-        Ok((private && pte.is_writable()).then_some(new))
+        Ok(private && pte.is_writable())
     }
 
     /// Eager-fork copy of one private entry. A huge block is copied into a
-    /// fresh 512-frame run so the child stays huge; a small page — and,
-    /// when physical memory is too fragmented for a run, every page of a
-    /// block, while the parent keeps its block — gets its own frame copy.
+    /// fresh 512-frame run so the child stays huge; a small page gets a
+    /// frame copy of its own, mapped into `leaf` — and so does, when
+    /// physical memory is too fragmented for a run, every page of a block,
+    /// into a node of the block's own, while the parent keeps its block.
+    #[allow(clippy::too_many_arguments)]
     fn fork_eager_copy(
         child: &mut AddressSpace,
+        leaf: &mut LeafNode,
         stats: &mut AsStats,
         vpn: Vpn,
         pte: Pte,
@@ -1427,38 +1512,45 @@ impl AddressSpace {
         cycles: &mut Cycles,
         cost: &CostModel,
     ) -> MemResult<()> {
-        let mut pages = 1;
-        if pte.is_huge() {
-            match phys.alloc_zeroed_huge_run(cycles) {
-                Ok(head) => {
-                    for k in 0..HUGE_PAGES {
-                        let c = phys.content(Pfn(pte.pfn.0 + k))?;
-                        phys.write_content(Pfn(head.0 + k), c)?;
-                        cycles.charge(cost.page_copy);
-                    }
-                    stats.pages_eager_copied += HUGE_PAGES;
-                    let copy = Pte { pfn: head, ..pte };
-                    if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, cost) {
-                        phys.dec_ref_run(head, HUGE_PAGES, cycles)
-                            .expect("run just allocated");
-                        return Err(e);
-                    }
-                    return Ok(());
-                }
-                Err(MemError::Fragmented) => pages = HUGE_PAGES,
-                Err(e) => return Err(e),
-            }
-        }
-        let flags = pte.flags.minus(PteFlags::HUGE);
-        for k in 0..pages {
-            let new = phys.copy_frame(Pfn(pte.pfn.0 + k), cycles)?;
+        if !pte.is_huge() {
+            let new = phys.copy_frame(pte.pfn, cycles)?;
             stats.pages_eager_copied += 1;
-            if let Err(e) = child.pt.map(vpn.add(k), Pte { pfn: new, flags }, cycles, cost) {
+            if let Err(e) = leaf.map(vpn.pt_index(0), Pte { pfn: new, ..pte }) {
                 phys.dec_ref(new, cycles).expect("frame just copied");
                 return Err(e);
             }
+            return Ok(());
         }
-        Ok(())
+        match phys.alloc_zeroed_huge_run(cycles) {
+            Ok(head) => {
+                for k in 0..HUGE_PAGES {
+                    let c = phys.content(Pfn(pte.pfn.0 + k))?;
+                    phys.write_content(Pfn(head.0 + k), c)?;
+                    cycles.charge(cost.page_copy);
+                }
+                stats.pages_eager_copied += HUGE_PAGES;
+                let copy = Pte { pfn: head, ..pte };
+                if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, cost) {
+                    phys.dec_ref_run(head, HUGE_PAGES, cycles)
+                        .expect("run just allocated");
+                    return Err(e);
+                }
+                Ok(())
+            }
+            Err(MemError::Fragmented) => {
+                let flags = pte.flags.minus(PteFlags::HUGE);
+                let mut split = LeafNode::new();
+                let copied = (0..HUGE_PAGES).try_for_each(|k| {
+                    let page = Pte { pfn: Pfn(pte.pfn.0 + k), flags };
+                    Self::fork_eager_copy(child, &mut split, stats, vpn.add(k), page, phys, cycles, cost)
+                });
+                if split.live() > 0 {
+                    child.pt.install_leaf(vpn.0, split, cycles, cost);
+                }
+                copied
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -1850,6 +1942,84 @@ mod tests {
             Err(MemError::NotMapped),
             "non-resident page cannot donate"
         );
+    }
+
+    #[test]
+    fn swap_entries_follow_every_fork_mode() {
+        for mode in [ForkMode::Cow, ForkMode::OnDemand, ForkMode::Eager] {
+            let (mut phys, mut cy, mut tlb) = world(64);
+            phys.set_swap_capacity(8);
+            let mut parent = AddressSpace::new();
+            parent.mmap(anon(0, 8), &mut phys, &mut cy).unwrap();
+            for i in 0..8 {
+                parent.write(Vpn(i), 100 + i, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            }
+            for vpn in [Vpn(1), Vpn(4), Vpn(6)] {
+                let slot = phys.swap_out_page(100 + vpn.0, &mut cy).unwrap();
+                parent.swap_out_commit(vpn, slot, &mut phys, &mut cy);
+            }
+            let mut child =
+                AddressSpace::fork_from(&mut parent, mode, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            // Shared with the node or copied entry by entry, the child's
+            // swap entries are counted: mapped, not resident.
+            assert_eq!((child.swapped_pages(), child.resident_pages()), (3, 5), "{mode:?}");
+            assert_eq!(child.check_page_table(), Ok(()), "{mode:?}");
+            // Reading one back privatizes an on-demand child's node first.
+            assert_eq!(child.read(Vpn(4), &mut phys, &mut cy).unwrap().0, 104, "{mode:?}");
+            assert_eq!((child.swapped_pages(), child.resident_pages()), (2, 6), "{mode:?}");
+            assert_eq!(parent.swapped_pages(), 3, "{mode:?}");
+            for space in [&mut child, &mut parent] {
+                assert_eq!(space.check_page_table(), Ok(()), "{mode:?}");
+                space.destroy(&mut phys, &mut cy);
+            }
+            assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn eager_fork_splits_a_block_when_no_run_is_free() {
+        // The parent's block takes one 512-frame window of 1 536 frames;
+        // 1 024 small pages (which the child is not to inherit) fill the
+        // rest, and unmapping every other one leaves 512 frames free with
+        // no two of them adjacent.
+        let (mut phys, mut cy, mut tlb) = world(1536);
+        let mut parent = AddressSpace::new();
+        parent.set_thp(true);
+        parent.mmap(anon(0, 512), &mut phys, &mut cy).unwrap();
+        parent.populate(Vpn(0), 512, &mut phys, &mut cy).unwrap();
+        parent.write(Vpn(7), 77, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        assert_eq!(parent.huge_pages(), 1);
+        parent.set_thp(false);
+        parent.mmap(anon(4096, 1024), &mut phys, &mut cy).unwrap();
+        parent.populate(Vpn(4096), 1024, &mut phys, &mut cy).unwrap();
+        parent.set_fork_policy(Vpn(4096), 1024, |p| p.dont_fork = true).unwrap();
+        for vpn in (4096..5120).step_by(2) {
+            parent.munmap(Vpn(vpn), 1, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        }
+        let before = phys.used_frames();
+        assert_eq!(phys.free_frames(), 512);
+
+        // Fails clean halfway through the 512 page copies ...
+        let plan = fpr_faults::FaultPlan::passive().fail_at(FaultSite::FrameAlloc, 200);
+        let (failed, _) = fpr_faults::with_plan(plan, || {
+            AddressSpace::fork_from(&mut parent, ForkMode::Eager, &mut phys, &mut cy, &mut tlb, 1)
+        });
+        assert_eq!(failed.err(), Some(MemError::OutOfMemory));
+        assert_eq!(phys.used_frames(), before, "the half-built node's frames came back");
+
+        // ... and otherwise leaves the child 512 small pages of its own.
+        let mut child =
+            AddressSpace::fork_from(&mut parent, ForkMode::Eager, &mut phys, &mut cy, &mut tlb, 1)
+                .unwrap();
+        assert_eq!((parent.huge_pages(), child.huge_pages()), (1, 0));
+        assert_eq!(child.resident_pages(), 512);
+        assert_eq!(phys.used_frames(), before + 512);
+        assert_eq!(child.observe(Vpn(7), &phys), Ok(77));
+        for space in [&mut child, &mut parent] {
+            assert_eq!(space.check_page_table(), Ok(()));
+            space.destroy(&mut phys, &mut cy);
+        }
+        assert_eq!(phys.used_frames(), 0);
     }
 
     #[test]

@@ -18,8 +18,9 @@ pub struct BuddyAllocator {
     total: u64,
     /// Free blocks per order, keyed by block base frame.
     free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated block bases → order, to validate frees.
-    allocated: std::collections::HashMap<u64, usize>,
+    /// Per frame (indexed from `base`): order + 1 where a live allocation
+    /// starts, 0 everywhere else, to validate frees.
+    allocated: Vec<u8>,
     free_frames: u64,
 }
 
@@ -33,7 +34,7 @@ impl BuddyAllocator {
             base: base.0,
             total,
             free_lists: vec![BTreeSet::new(); MAX_ORDER + 1],
-            allocated: std::collections::HashMap::new(),
+            allocated: vec![0; total as usize],
             free_frames: total,
         };
         let mut start = base.0;
@@ -85,7 +86,7 @@ impl BuddyAllocator {
             let upper = blk + (1u64 << o);
             self.free_lists[o].insert(upper);
         }
-        self.allocated.insert(blk, order);
+        self.allocated[(blk - self.base) as usize] = order as u8 + 1;
         self.free_frames -= 1u64 << order;
         Ok(Pfn(blk))
     }
@@ -98,14 +99,10 @@ impl BuddyAllocator {
     /// yields a batch of independently-freeable frames.
     pub fn alloc_run(&mut self, order: usize) -> MemResult<Vec<Pfn>> {
         let base = self.alloc(order)?;
-        self.allocated.remove(&base.0);
         let n = 1u64 << order;
-        let mut run = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            self.allocated.insert(base.0 + i, 0);
-            run.push(Pfn(base.0 + i));
-        }
-        Ok(run)
+        let first = (base.0 - self.base) as usize;
+        self.allocated[first..first + n as usize].fill(1);
+        Ok((0..n).map(|i| Pfn(base.0 + i)).collect())
     }
 
     /// Frees a block previously returned by [`BuddyAllocator::alloc`],
@@ -116,10 +113,13 @@ impl BuddyAllocator {
     /// Panics if `pfn` is not the base of a live allocation.
     pub fn free(&mut self, pfn: Pfn) {
         let mut blk = pfn.0;
-        let mut order = match self.allocated.remove(&blk) {
-            Some(o) => o,
-            None => panic!("buddy free of unallocated block {}", blk),
-        };
+        let slot = blk
+            .checked_sub(self.base)
+            .and_then(|i| self.allocated.get_mut(i as usize))
+            .filter(|slot| **slot != 0)
+            .unwrap_or_else(|| panic!("buddy free of unallocated block {}", blk));
+        let mut order = (*slot - 1) as usize;
+        *slot = 0;
         self.free_frames += 1u64 << order;
         // Coalesce upward while the buddy is free.
         while order < MAX_ORDER {

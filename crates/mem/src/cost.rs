@@ -176,6 +176,7 @@ impl Cycles {
     /// ([`fpr_trace::vclock`]) by the same amount, so a multithreaded
     /// driver sees every thread's simulated work as elapsed virtual
     /// time; single-threaded callers never read that clock.
+    #[inline]
     pub fn charge(&mut self, n: u64) {
         self.total = self.total.saturating_add(n);
         fpr_trace::vclock::advance(n);

@@ -168,6 +168,7 @@ impl AddressSpace {
         if !vma.prot.write {
             return Err(MemError::Protection);
         }
+        let private = vma.share == Share::Private;
         let cost = phys.cost().clone();
         if self.pt.translate(vpn).is_some() && self.subtree_shared(vpn) {
             // Structure fault: the write landed in a leaf subtree still
@@ -202,7 +203,11 @@ impl AddressSpace {
                 self.mark_dirty(vpn);
                 Ok(FaultOutcome::Hit)
             }
-            Some(pte) if pte.is_cow() => {
+            // A private page whose frame someone else still holds breaks
+            // COW whether or not it carries the mark: fork leaves a page
+            // that `mprotect` had made read-only unmarked, and a later
+            // upgrade must not let either side write the shared frame.
+            Some(pte) if pte.is_cow() || (private && !self.sole_owner(vpn, pte, phys)) => {
                 cycles.charge(cost.fault_entry);
                 let pte = if pte.is_huge() {
                     match self.huge_cow_break(vpn, value, phys, cycles, tlb, cpus_running)? {
@@ -258,9 +263,9 @@ impl AddressSpace {
                 Ok(outcome)
             }
             Some(pte) => {
-                // Present, not writable, not COW — but the VMA permits
-                // writes: an `mprotect` upgrade applied lazily. Take the
-                // fault and set the bit (real kernels do exactly this).
+                // Present, not writable, nobody to break from — but the
+                // VMA permits writes: an `mprotect` upgrade applied lazily.
+                // Take the fault and set the bit (real kernels do exactly this).
                 // Permissions are block-granular for a huge mapping, so
                 // the whole block upgrades with one PTE write.
                 cycles.charge(cost.fault_entry);
@@ -303,8 +308,7 @@ impl AddressSpace {
         let cost = phys.cost().clone();
         let base = vpn.huge_base();
         let block = self.pt.huge_block(vpn).expect("caller translated a huge PTE");
-        let sole = (0..HUGE_PAGES)
-            .all(|k| phys.refs(Pfn(block.pfn.0 + k)).map(|r| r == 1).unwrap_or(false));
+        let sole = self.sole_owner(vpn, block, phys);
         // The block may sit in a huge directory an on-demand fork still
         // shares; both the flip and the split mutate the node.
         self.unshare_subtree(base, phys, cycles)?;
@@ -325,6 +329,17 @@ impl AddressSpace {
         self.pt.demote_block(vpn, cycles, &cost)?;
         phys.note_thp_demoted();
         Ok(None)
+    }
+
+    /// True if the translation at `vpn` holds the only reference to its
+    /// frame — for a huge mapping, to every frame of the block's run.
+    fn sole_owner(&self, vpn: Vpn, pte: Pte, phys: &PhysMemory) -> bool {
+        let (head, run) = if pte.is_huge() {
+            (self.pt.huge_block(vpn).expect("a huge PTE has a block").pfn, HUGE_PAGES)
+        } else {
+            (pte.pfn, 1)
+        };
+        (0..run).all(|k| phys.refs(Pfn(head.0 + k)) == Ok(1))
     }
 
     fn mark_dirty(&mut self, vpn: Vpn) {
@@ -506,5 +521,30 @@ mod tests {
             .write(Vpn(0), 6, &mut phys, &mut cy, &mut tlb, 1)
             .unwrap();
         assert_eq!(parent.read(Vpn(0), &mut phys, &mut cy).unwrap().0, 6);
+    }
+
+    /// Found by `tests/proptest_reference.rs`: fork leaves a private page
+    /// that `mprotect` made read-only without the COW mark, and the write
+    /// after the protection came back used to land in the shared frame.
+    #[test]
+    fn write_after_mprotect_round_trip_still_breaks_cow() {
+        for mode in [ForkMode::Cow, ForkMode::OnDemand, ForkMode::Eager] {
+            let (mut phys, mut cy, mut tlb) = world(64);
+            let mut parent = space_with_heap(4, &mut phys, &mut cy);
+            parent.write(Vpn(1), 11, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            parent.mprotect(Vpn(0), 4, Prot::R, &mut cy, &mut phys, &mut tlb, 1).unwrap();
+            let mut child =
+                AddressSpace::fork_from(&mut parent, mode, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            for space in [&mut parent, &mut child] {
+                space.mprotect(Vpn(0), 4, Prot::RW, &mut cy, &mut phys, &mut tlb, 1).unwrap();
+            }
+            child.write(Vpn(1), 22, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            assert_eq!(parent.read(Vpn(1), &mut phys, &mut cy).unwrap().0, 11, "{mode:?}");
+            // The parent is the frame's only owner again: no second copy.
+            let before = phys.used_frames();
+            parent.write(Vpn(1), 33, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            assert_eq!(phys.used_frames(), before, "{mode:?}");
+            assert_eq!(child.read(Vpn(1), &mut phys, &mut cy).unwrap().0, 22, "{mode:?}");
+        }
     }
 }

@@ -76,28 +76,102 @@ impl Node {
     }
 }
 
+/// What a [`LeafNode`] keeps count of beside its entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LeafCounts {
+    /// Entries (present PTEs and swap entries).
+    live: u16,
+    /// Entries that are writable and not `MAP_SHARED`: what sharing the
+    /// node for the first time must write-protect and COW-mark. Zero in
+    /// every node that is shared.
+    private_writable: u16,
+    /// Swap entries: mapped, but not resident.
+    swap_entries: u16,
+}
+
+impl LeafCounts {
+    /// Adds (`sign` = 1) or removes (−1) `pte`'s share of the counts.
+    fn add(&mut self, pte: Option<Pte>, sign: i16) {
+        let Some(pte) = pte else { return };
+        self.live = self.live.wrapping_add_signed(sign);
+        if pte.is_writable() && !pte.flags.contains(PteFlags::SHARED) {
+            self.private_writable = self.private_writable.wrapping_add_signed(sign);
+        }
+        if pte.is_swap() {
+            self.swap_entries = self.swap_entries.wrapping_add_signed(sign);
+        }
+    }
+}
+
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
 /// `Arc::strong_count > 1` means the subtree is shared by an on-demand
 /// fork and must be privatized before any mutation.
+///
+/// Beside its entries a node keeps three counts of them, so that the fork
+/// walk can share it without reading one: how many there are, how many a
+/// first share still has to COW-mark, and how many hold no frame. Every
+/// write goes through [`LeafNode::set`], which keeps the counts;
+/// [`PageTable::check_summaries`] recounts them.
 #[derive(Debug, Clone)]
 pub(crate) struct LeafNode {
-    pub(crate) ptes: Box<[Option<Pte>; PT_ENTRIES]>,
-    /// Number of present PTEs.
-    pub(crate) live: u16,
+    ptes: Box<[Option<Pte>; PT_ENTRIES]>,
+    counts: LeafCounts,
 }
 
 impl LeafNode {
-    fn new() -> LeafNode {
+    pub(crate) fn new() -> LeafNode {
         LeafNode {
             ptes: Box::new([None; PT_ENTRIES]),
-            live: 0,
+            counts: LeafCounts::default(),
         }
+    }
+
+    /// The entries, by in-node index.
+    pub(crate) fn ptes(&self) -> &[Option<Pte>; PT_ENTRIES] {
+        &self.ptes
+    }
+
+    /// Number of entries.
+    pub(crate) fn live(&self) -> u64 {
+        self.counts.live as u64
+    }
+
+    /// Number of entries a first share has to COW-mark.
+    pub(crate) fn private_writable(&self) -> u64 {
+        self.counts.private_writable as u64
+    }
+
+    /// Number of swap entries.
+    pub(crate) fn swap_entries(&self) -> u64 {
+        self.counts.swap_entries as u64
     }
 
     /// Present PTEs in ascending in-node order.
     pub(crate) fn present(&self) -> Vec<Pte> {
         self.ptes.iter().flatten().copied().collect()
+    }
+
+    /// Writes entry `j` — the one way an entry changes — and returns what
+    /// it held.
+    pub(crate) fn set(&mut self, j: usize, pte: Option<Pte>) -> Option<Pte> {
+        let old = std::mem::replace(&mut self.ptes[j], pte);
+        self.counts.add(old, -1);
+        self.counts.add(pte, 1);
+        old
+    }
+
+    /// The per-entry step of [`PageTable::map`] on a node that is not wired
+    /// into a table yet: fork builds a child's node in place and installs
+    /// it with [`PageTable::install_leaf`]. Crosses
+    /// [`FaultSite::PtNodeAlloc`] where `map` does, once per entry, so a
+    /// fork's fail points do not depend on how the child's table is built.
+    #[inline]
+    pub(crate) fn map(&mut self, j: usize, pte: Pte) -> MemResult<()> {
+        fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
+        debug_assert!(self.ptes[j].is_none(), "entry mapped twice");
+        self.set(j, Some(pte));
+        Ok(())
     }
 }
 
@@ -313,8 +387,7 @@ impl PageTable {
             return Err(MemError::Overlap);
         }
         let leaf = Arc::get_mut(arc).expect("map into a shared leaf subtree (missed unshare)");
-        leaf.ptes[idx0] = Some(pte);
-        leaf.live += 1;
+        leaf.set(idx0, Some(pte));
         self.mapped += 1;
         Ok(())
     }
@@ -376,8 +449,7 @@ impl PageTable {
             }
             let dir =
                 Arc::get_mut(arc).expect("map_huge into a shared directory (missed unshare)");
-            dir.ptes[j] = Some(pte);
-            dir.live += 1;
+            dir.set(j, Some(pte));
             self.mapped += HUGE_PAGES;
             self.huge += 1;
             cycles.charge(charge);
@@ -415,9 +487,8 @@ impl PageTable {
         let mut dir = LeafNode::new();
         for (j, e) in self.nodes[l1 as usize].entries.iter().enumerate() {
             let Entry::Huge(p) = e else { unreachable!() };
-            dir.ptes[j] = Some(*p);
+            dir.set(j, Some(*p));
         }
-        dir.live = PT_ENTRIES as u16;
         // Rewire the parent slot from Table(l1) to the directory.
         let mut node = self.root;
         for level in (3..PT_LEVELS).rev() {
@@ -469,8 +540,7 @@ impl PageTable {
                 let mut dir = LeafNode::new();
                 for (j, e) in self.nodes[l1 as usize].entries.iter().enumerate() {
                     if let Entry::Huge(p) = e {
-                        dir.ptes[j] = Some(*p);
-                        dir.live += 1;
+                        dir.set(j, Some(*p));
                     }
                 }
                 self.nodes[n2 as usize].entries[i2] = Entry::Leaf(Arc::new(dir));
@@ -521,7 +591,7 @@ impl PageTable {
         let Entry::Leaf(arc) = &self.nodes[node as usize].entries[base.pt_index(1)] else {
             return None;
         };
-        if Arc::strong_count(arc) > 1 || arc.live as usize != PT_ENTRIES {
+        if Arc::strong_count(arc) > 1 || arc.live() != PT_ENTRIES as u64 {
             return None;
         }
         let first = arc.ptes[0]?;
@@ -560,7 +630,7 @@ impl PageTable {
                     1,
                     "promoting a shared leaf (missed unshare)"
                 );
-                debug_assert_eq!(arc.live as usize, PT_ENTRIES);
+                debug_assert_eq!(arc.live(), PT_ENTRIES as u64);
             }
             _ => return Err(MemError::NotMapped),
         }
@@ -599,12 +669,9 @@ impl PageTable {
         let mut leaf = LeafNode::new();
         let flags = hpte.flags.minus(PteFlags::HUGE);
         for j in 0..PT_ENTRIES {
-            leaf.ptes[j] = Some(Pte {
-                pfn: Pfn(hpte.pfn.0 + j as u64),
-                flags,
-            });
+            let pfn = Pfn(hpte.pfn.0 + j as u64);
+            leaf.set(j, Some(Pte { pfn, flags }));
         }
-        leaf.live = PT_ENTRIES as u16;
         self.nodes[l1 as usize].entries[idx1] = Entry::Leaf(Arc::new(leaf));
         self.leaf_count += 1;
         self.huge -= 1;
@@ -648,11 +715,10 @@ impl PageTable {
                 "unmap inside a huge block (missed demote)"
             );
             let d = Arc::get_mut(arc).expect("unmap inside a shared directory (missed unshare)");
-            let pte = d.ptes[j].take().expect("presence checked above");
-            d.live -= 1;
+            let pte = d.set(j, None).expect("presence checked above");
             self.mapped -= HUGE_PAGES;
             self.huge -= 1;
-            if d.live == 0 {
+            if d.live() == 0 {
                 let n = &mut self.nodes[n2 as usize];
                 n.entries[i2] = Entry::None;
                 n.live -= 1;
@@ -683,10 +749,9 @@ impl PageTable {
             return Err(MemError::NotMapped);
         }
         let leaf = Arc::get_mut(arc).expect("unmap inside a shared leaf subtree (missed unshare)");
-        let pte = leaf.ptes[idx0].take().expect("presence checked above");
-        leaf.live -= 1;
+        let pte = leaf.set(idx0, None).expect("presence checked above");
         self.mapped -= 1;
-        if leaf.live != 0 {
+        if leaf.live() != 0 {
             return Ok(pte);
         }
         let n = &mut self.nodes[node as usize];
@@ -796,7 +861,7 @@ impl PageTable {
                 );
                 let d =
                     Arc::get_mut(arc).expect("update inside a shared directory (missed unshare)");
-                Ok(d.ptes[j].replace(pte).expect("presence checked above"))
+                Ok(d.set(j, Some(pte)).expect("presence checked above"))
             }
             Loc::L1(node) => {
                 let idx1 = vpn.pt_index(1);
@@ -817,7 +882,7 @@ impl PageTable {
                         }
                         let leaf = Arc::get_mut(arc)
                             .expect("update inside a shared leaf subtree (missed unshare)");
-                        Ok(leaf.ptes[idx0].replace(pte).expect("presence checked above"))
+                        Ok(leaf.set(idx0, Some(pte)).expect("presence checked above"))
                     }
                     _ => Err(MemError::NotMapped),
                 }
@@ -922,9 +987,10 @@ impl PageTable {
                 Entry::Leaf(arc) => {
                     let leaf =
                         Arc::get_mut(arc).expect("mutating a shared leaf subtree (missed unshare)");
-                    for (j, p) in leaf.ptes.iter_mut().enumerate() {
-                        if let Some(p) = p {
-                            f(Vpn(base + j as u64 * kind.stride()), p);
+                    for j in 0..PT_ENTRIES {
+                        if let Some(mut p) = leaf.ptes[j] {
+                            f(Vpn(base + j as u64 * kind.stride()), &mut p);
+                            leaf.set(j, Some(p));
                         }
                     }
                 }
@@ -966,6 +1032,43 @@ impl PageTable {
         }
     }
 
+    /// Wires the small-PTE node `leaf`, built entry by entry with
+    /// [`LeafNode::map`], into the empty level-1 slot at `base`: the one
+    /// descent, and the node charges, that mapping its first entry through
+    /// [`Self::map`] would have made. Infallible — every entry crossed its
+    /// fault site when it was written.
+    pub(crate) fn install_leaf(
+        &mut self,
+        base: u64,
+        leaf: LeafNode,
+        cycles: &mut Cycles,
+        cost: &CostModel,
+    ) {
+        let vpn = Vpn(base);
+        let node = self.walk_alloc(vpn, 1, cycles, cost);
+        let idx1 = vpn.pt_index(1);
+        let empty = matches!(self.nodes[node as usize].entries[idx1], Entry::None);
+        assert!(empty, "install_leaf over a live slot");
+        cycles.charge(cost.pt_node_alloc);
+        self.wire_leaf(node, idx1, Arc::new(leaf), false);
+    }
+
+    /// Puts `arc` into the empty slot `idx` of arena node `node` and counts
+    /// what it maps: small pages, or 2 MiB blocks for a directory.
+    fn wire_leaf(&mut self, node: u32, idx: usize, arc: Arc<LeafNode>, dir: bool) {
+        let live = arc.live();
+        if dir {
+            self.mapped += live * HUGE_PAGES;
+            self.huge += live;
+        } else {
+            self.mapped += live;
+        }
+        let n = &mut self.nodes[node as usize];
+        n.entries[idx] = Entry::Leaf(arc);
+        n.live += 1;
+        self.leaf_count += 1;
+    }
+
     /// Wires an existing (typically shared) leaf node into this table at
     /// `base` (the VPN of its first slot), allocating intermediates as
     /// needed. This is the on-demand fork fast path: one pointer copy and
@@ -993,17 +1096,7 @@ impl PageTable {
             return Err(MemError::Overlap);
         }
         cycles.charge(cost.pt_subtree_share);
-        let live = arc.live as u64;
-        if dir {
-            self.mapped += live * HUGE_PAGES;
-            self.huge += live;
-        } else {
-            self.mapped += live;
-        }
-        let n = &mut self.nodes[node as usize];
-        n.entries[idx] = Entry::Leaf(arc);
-        n.live += 1;
-        self.leaf_count += 1;
+        self.wire_leaf(node, idx, arc, dir);
         Ok(())
     }
 
@@ -1028,12 +1121,9 @@ impl PageTable {
         let Entry::Leaf(arc) = &mut self.nodes[node as usize].entries[idx] else {
             return Err(MemError::NotMapped);
         };
-        cycles.charge(cost.pt_node_alloc + arc.live as u64 * cost.pte_copy);
+        cycles.charge(cost.pt_node_alloc + arc.live() * cost.pte_copy);
         let present = arc.present();
-        *arc = Arc::new(LeafNode {
-            ptes: arc.ptes.clone(),
-            live: arc.live,
-        });
+        *arc = Arc::new(LeafNode::clone(arc));
         Ok(present)
     }
 
@@ -1070,8 +1160,8 @@ impl PageTable {
             };
             n.live -= 1;
             self.leaf_count -= 1;
-            self.mapped -= arc.live as u64 * HUGE_PAGES;
-            self.huge -= arc.live as u64;
+            self.mapped -= arc.live() * HUGE_PAGES;
+            self.huge -= arc.live();
             self.reclaim_path(&path, n2, 3);
             return Ok(arc);
         }
@@ -1085,7 +1175,7 @@ impl PageTable {
         };
         n.live -= 1;
         self.leaf_count -= 1;
-        self.mapped -= arc.live as u64;
+        self.mapped -= arc.live();
         self.reclaim_path(&path, node, 2);
         Ok(arc)
     }
@@ -1107,6 +1197,45 @@ impl PageTable {
         let out = slots.into_iter().map(take).collect();
         *self = PageTable::new();
         out
+    }
+
+    /// Recounts every summary the table keeps beside its entries — each
+    /// leaf node's entry, private-writable and swap counts, and the table's
+    /// mapped pages, huge mappings and leaf nodes — from the PTEs of every
+    /// leaf, exclusively owned or shared, and reports the first that
+    /// disagrees. Fork and teardown trust these counts instead of reading
+    /// the entries.
+    pub(crate) fn check_summaries(&self) -> Result<(), String> {
+        let (mut mapped, mut huge, mut leaf_count) = (0, 0, 0);
+        for slot in self.leaf_slot_coords() {
+            let (base, node, idx, kind) = slot;
+            let entries = self.slot_entries(slot).count() as u64;
+            match kind {
+                SlotKind::Small => mapped += entries,
+                SlotKind::Dir | SlotKind::Huge => {
+                    mapped += entries * HUGE_PAGES;
+                    huge += entries;
+                }
+            }
+            if kind == SlotKind::Huge {
+                continue;
+            }
+            leaf_count += 1;
+            let leaf = self.leaf_at(node, idx);
+            let mut held = LeafCounts::default();
+            leaf.ptes.iter().for_each(|pte| held.add(*pte, 1));
+            if leaf.counts != held {
+                return Err(format!("leaf at {base:#x} keeps {:?}, holds {held:?}", leaf.counts));
+            }
+            if Arc::strong_count(leaf) > 1 && held.private_writable != 0 {
+                return Err(format!("leaf at {base:#x} is shared with writable private entries"));
+            }
+        }
+        let (kept, held) = ((self.mapped, self.huge, self.leaf_count), (mapped, huge, leaf_count));
+        if kept != held {
+            return Err(format!("table keeps (mapped, huge, leaves) = {kept:?}, holds {held:?}"));
+        }
+        Ok(())
     }
 }
 
@@ -1408,7 +1537,7 @@ mod tests {
         }
         assert_eq!(pt.node_count(), 4);
         let arc = pt.detach_leaf(0).unwrap();
-        assert_eq!(arc.live, 4);
+        assert_eq!(arc.live(), 4);
         assert_eq!(pt.node_count(), 1, "intermediates reclaimed");
         assert_eq!(pt.mapped_pages(), 0);
         assert!(matches!(pt.detach_leaf(0), Err(MemError::NotMapped)));
@@ -1774,7 +1903,7 @@ mod tests {
         assert!(matches!(taken[0].1, TakenLeaf::Huge(_)));
         match &taken[1].1 {
             TakenLeaf::Node(arc) => {
-                assert_eq!(arc.live, 512);
+                assert_eq!(arc.live(), 512);
                 assert!(arc.present().iter().all(|p| p.is_huge()));
             }
             _ => panic!("directory expected"),

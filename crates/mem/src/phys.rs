@@ -16,9 +16,24 @@
 //! The cell count is 1 by default — [`PhysMemory::new`] builds a pool of
 //! its own — so a single-kernel world is not a second mechanism, it is
 //! the SMP machine with nobody else on it. Each [`PhysMemory`] is one
-//! cell's view: its own frame metadata, pins, watermarks and swap device
+//! cell's view: its own frame table, pins, watermarks and swap device
 //! over the common pool, plus a count of the frames it has `drawn`, which
 //! the machine-wide conservation check sums (Σ drawn + pool free = total).
+//!
+//! ## The frame table
+//!
+//! Per-frame state — reference count and content stamp — lives in arrays
+//! indexed by frame number, like Linux's `mem_map`: a fork takes a
+//! reference per page it shares and a teardown drops one, so the lookup
+//! must cost an index, not a hash. A count of zero *is* "no such frame":
+//! every access to a frame the cell does not hold still fails with
+//! [`MemError::NotMapped`]. Like sparsemem's sections, the arrays come in
+//! chunks of 1 024 frames (`TABLE_CHUNK`), each allocated zeroed when a frame
+//! of its range is first handed out — the buddy hands out low frames
+//! first — so the host pays resident memory for the frames in use, not
+//! for the machine's size. (One zeroed allocation for the whole pool is
+//! lazily touched only the first time: the allocator recycles it, and the
+//! next machine the process boots gets a zero-*filled* table.)
 //!
 //! Two layers sit on top of the pool:
 //!
@@ -93,16 +108,26 @@ pub enum PressureLevel {
     Critical,
 }
 
-/// Per-frame metadata: COW reference count and logical content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FrameMeta {
-    refs: u32,
-    content: u64,
-}
-
 /// Refill batch for the magazine an SMP cell boots with (see
 /// [`PhysMemory::new_cell`]).
 pub const CELL_MAGAZINE_BATCH: u64 = 64;
+
+/// Frames per chunk of the frame table.
+const TABLE_CHUNK: usize = 1024;
+
+/// The per-frame state of [`TABLE_CHUNK`] consecutive frames.
+#[derive(Debug)]
+struct FrameChunk {
+    /// COW reference counts; zero for a frame the cell does not hold.
+    refs: [u32; TABLE_CHUNK],
+    /// Logical content stamps.
+    content: [u64; TABLE_CHUNK],
+}
+
+/// Where frame `pfn` sits in the frame table: `(chunk, index in chunk)`.
+fn table_slot(pfn: Pfn) -> (usize, usize) {
+    (pfn.0 as usize / TABLE_CHUNK, pfn.0 as usize % TABLE_CHUNK)
+}
 
 /// The machine's buddy core, shared by every kernel cell (one cell on a
 /// single-kernel machine, several on different OS threads under SMP).
@@ -223,7 +248,9 @@ struct FrameCache {
 pub struct PhysMemory {
     /// The machine-wide frame pool this cell draws from.
     pool: Arc<SharedFramePool>,
-    meta: HashMap<u64, FrameMeta>,
+    /// The frame table: one slot per [`TABLE_CHUNK`] frames of the pool,
+    /// empty until a frame of the chunk is handed out.
+    table: Vec<Option<Box<FrameChunk>>>,
     cost: CostModel,
     /// Kernel pins per frame (image cache etc.); each pin holds one ref.
     pins: HashMap<u64, u32>,
@@ -242,8 +269,8 @@ pub struct PhysMemory {
     swap: SwapDevice,
     /// Machine-wide THP promotion/demotion counters.
     thp: ThpStats,
-    /// Frames currently drawn from the pool by this cell — resident (in
-    /// `meta`) plus magazine-parked.
+    /// Frames currently drawn from the pool by this cell — resident (a
+    /// reference count in the frame table) plus magazine-parked.
     drawn: u64,
 }
 
@@ -267,10 +294,11 @@ impl PhysMemory {
     }
 
     fn over(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
+        let chunks = (pool.total_frames() as usize).div_ceil(TABLE_CHUNK);
         PhysMemory {
             watermarks: Watermarks::for_total(pool.total_frames()),
+            table: std::iter::repeat_with(|| None).take(chunks).collect(),
             pool,
-            meta: HashMap::new(),
             cost,
             pins: HashMap::new(),
             cache: None,
@@ -337,9 +365,7 @@ impl PhysMemory {
         };
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let pfn = self.take_frame(cycles)?;
-        self.meta.insert(pfn.0, FrameMeta { refs: 1, content: stamp });
-        self.frames_allocated_total += 1;
-        metrics::incr("mem.frame_alloc");
+        self.hand_out(pfn, stamp);
         Ok(pfn)
     }
 
@@ -532,7 +558,7 @@ impl PhysMemory {
         let head = run[0];
         debug_assert_eq!(head.0 % HUGE_PAGES, 0, "huge run must be aligned");
         for pfn in run {
-            self.meta.insert(pfn.0, FrameMeta { refs: 1, content: 0 });
+            self.set_frame(pfn, 0);
         }
         self.frames_allocated_total += HUGE_PAGES;
         metrics::add("mem.frame_alloc", HUGE_PAGES);
@@ -561,15 +587,7 @@ impl PhysMemory {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let pfn = self.take_frame(cycles)?;
         cycles.charge(self.cost.page_zero);
-        self.meta.insert(
-            pfn.0,
-            FrameMeta {
-                refs: 1,
-                content: 0,
-            },
-        );
-        self.frames_allocated_total += 1;
-        metrics::incr("mem.frame_alloc");
+        self.hand_out(pfn, 0);
         Ok(pfn)
     }
 
@@ -579,9 +597,7 @@ impl PhysMemory {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let pfn = self.take_frame(cycles)?;
         cycles.charge(self.cost.file_read_page);
-        self.meta.insert(pfn.0, FrameMeta { refs: 1, content });
-        self.frames_allocated_total += 1;
-        metrics::incr("mem.frame_alloc");
+        self.hand_out(pfn, content);
         Ok(pfn)
     }
 
@@ -592,36 +608,68 @@ impl PhysMemory {
         let content = self.content(src)?;
         let pfn = self.take_frame(cycles)?;
         cycles.charge(self.cost.page_copy);
-        self.meta.insert(pfn.0, FrameMeta { refs: 1, content });
-        self.frames_allocated_total += 1;
+        self.hand_out(pfn, content);
         self.pages_copied_total += 1;
-        metrics::incr("mem.frame_alloc");
         metrics::incr("mem.page_copy");
         Ok(pfn)
     }
 
+    /// Enters the frame just taken from the pool into the frame table with
+    /// one reference and `content`.
+    fn set_frame(&mut self, pfn: Pfn, content: u64) {
+        let (chunk, i) = table_slot(pfn);
+        let chunk = self.table[chunk].get_or_insert_with(|| {
+            Box::new(FrameChunk { refs: [0; TABLE_CHUNK], content: [0; TABLE_CHUNK] })
+        });
+        debug_assert_eq!(chunk.refs[i], 0, "frame handed out twice");
+        chunk.refs[i] = 1;
+        chunk.content[i] = content;
+    }
+
+    /// [`Self::set_frame`] plus the single-frame allocation statistics.
+    fn hand_out(&mut self, pfn: Pfn, content: u64) {
+        self.set_frame(pfn, content);
+        self.frames_allocated_total += 1;
+        metrics::incr("mem.frame_alloc");
+    }
+
+    /// The chunk and in-chunk index of a frame this cell holds.
+    fn held(&self, pfn: Pfn) -> MemResult<(&FrameChunk, usize)> {
+        let (chunk, i) = table_slot(pfn);
+        match self.table.get(chunk) {
+            Some(Some(chunk)) if chunk.refs[i] > 0 => Ok((chunk, i)),
+            _ => Err(MemError::NotMapped),
+        }
+    }
+
+    /// [`Self::held`], for update.
+    fn held_mut(&mut self, pfn: Pfn) -> MemResult<(&mut FrameChunk, usize)> {
+        let (chunk, i) = table_slot(pfn);
+        match self.table.get_mut(chunk) {
+            Some(Some(chunk)) if chunk.refs[i] > 0 => Ok((chunk, i)),
+            _ => Err(MemError::NotMapped),
+        }
+    }
+
     /// Increments the COW reference count of `pfn`.
     pub fn inc_ref(&mut self, pfn: Pfn) -> MemResult<()> {
-        let m = self.meta.get_mut(&pfn.0).ok_or(MemError::NotMapped)?;
-        m.refs += 1;
+        let (chunk, i) = self.held_mut(pfn)?;
+        chunk.refs[i] += 1;
         Ok(())
     }
 
     /// Decrements the reference count, freeing the frame when it reaches
     /// zero. Returns `true` if the frame was freed.
     pub fn dec_ref(&mut self, pfn: Pfn, cycles: &mut Cycles) -> MemResult<bool> {
-        let m = self.meta.get_mut(&pfn.0).ok_or(MemError::NotMapped)?;
-        debug_assert!(m.refs > 0);
-        m.refs -= 1;
-        if m.refs == 0 {
-            self.meta.remove(&pfn.0);
-            self.release_frame(pfn);
-            cycles.charge(self.cost.frame_free);
-            metrics::incr("mem.frame_free");
-            Ok(true)
-        } else {
-            Ok(false)
+        let (chunk, i) = self.held_mut(pfn)?;
+        chunk.refs[i] -= 1;
+        if chunk.refs[i] > 0 {
+            return Ok(false);
         }
+        self.release_frame(pfn);
+        cycles.charge(self.cost.frame_free);
+        metrics::incr("mem.frame_free");
+        Ok(true)
     }
 
     /// Takes a kernel pin on `pfn`: one additional reference held by a
@@ -659,18 +707,12 @@ impl PhysMemory {
 
     /// Returns the current reference count of `pfn`.
     pub fn refs(&self, pfn: Pfn) -> MemResult<u32> {
-        self.meta
-            .get(&pfn.0)
-            .map(|m| m.refs)
-            .ok_or(MemError::NotMapped)
+        self.held(pfn).map(|(chunk, i)| chunk.refs[i])
     }
 
     /// Reads the logical content stamp of `pfn`.
     pub fn content(&self, pfn: Pfn) -> MemResult<u64> {
-        self.meta
-            .get(&pfn.0)
-            .map(|m| m.content)
-            .ok_or(MemError::NotMapped)
+        self.held(pfn).map(|(chunk, i)| chunk.content[i])
     }
 
     /// Overwrites the logical content stamp of `pfn`.
@@ -679,8 +721,8 @@ impl PhysMemory {
     /// ensuring the frame is exclusively owned or the write is to a shared
     /// mapping; this is a raw store.
     pub fn write_content(&mut self, pfn: Pfn, content: u64) -> MemResult<()> {
-        let m = self.meta.get_mut(&pfn.0).ok_or(MemError::NotMapped)?;
-        m.content = content;
+        let (chunk, i) = self.held_mut(pfn)?;
+        chunk.content[i] = content;
         Ok(())
     }
 }

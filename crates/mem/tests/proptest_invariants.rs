@@ -136,6 +136,8 @@ fn page_table_vma_consistency() {
                     }
                 }
             }
+            // The table's counts of its own entries survive every mutator.
+            assert_eq!(a.check_page_table(), Ok(()), "case {case}");
         }
         // Every mapped page must be covered by a VMA and observable.
         for (vpn, expect) in &shadow {

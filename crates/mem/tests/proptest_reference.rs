@@ -1,0 +1,375 @@
+//! `AddressSpace` against a reference model simple enough to be obviously
+//! right.
+//!
+//! The reference is a flat address space: one `BTreeMap<vpn, Page>` per
+//! process, a page being what a process can observe of it — content,
+//! protection, sharing mode, fork policy — and nothing else. There are no
+//! page tables, frames, reference counts, huge pages or swap in it. `fork`
+//! copies the map by value: a `MAP_PRIVATE` page gets a content cell of its
+//! own, a `MAP_SHARED` page keeps pointing at the parent's, `MADV_DONTFORK`
+//! pages are left out and `MADV_WIPEONFORK` pages arrive zeroed. μFork
+//! (PAPERS.md) is why this is a fair oracle: fork's observable contract does
+//! not depend on the mechanism behind it.
+//!
+//! Seeded scripts of `mmap / munmap / mprotect / madvise / populate / write /
+//! read / fork(mode) / exit` run through both. Every verdict (`Ok`, or which
+//! error) and every value read must agree, after each fork the whole mapped
+//! set of parent and child must agree, every page table's summaries must
+//! recount after every step, and tearing the world down must return
+//! `PhysMemory` to zero used frames. Each script runs with THP off
+//! and on, with every fork in one [`ForkMode`] and with the modes mixed.
+
+use fpr_mem::address_space::ForkMode;
+use fpr_mem::cost::{CostModel, Cycles};
+use fpr_mem::phys::PhysMemory;
+use fpr_mem::tlb::TlbModel;
+use fpr_mem::vma::{Prot, Share, VmArea, VmaKind};
+use fpr_mem::{AddressSpace, ForkPolicy, MemError, Vpn};
+use fpr_rng::Rng;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+const CASES: u64 = 24;
+/// Four leaf page-table nodes: room for 2 MiB blocks, for nodes lying
+/// inside one mapping and for nodes a mapping boundary crosses.
+const SPAN: u64 = 2048;
+const BLOCK: u64 = 512;
+const MAX_PROCS: usize = 6;
+
+// ---------------------------------------------------------------- reference
+
+#[derive(Clone)]
+struct Page {
+    content: Rc<Cell<u64>>,
+    prot: Prot,
+    share: Share,
+    policy: ForkPolicy,
+}
+
+#[derive(Clone, Default)]
+struct RefSpace(BTreeMap<u64, Page>);
+
+type Verdict = Result<Option<u64>, MemError>;
+
+impl RefSpace {
+    /// The pages of `[start, start + pages)`, or `NotMapped` at a hole.
+    fn all_mapped(&mut self, start: u64, pages: u64) -> Result<Vec<&mut Page>, MemError> {
+        let found: Vec<&mut Page> = self.0.range_mut(start..start + pages).map(|(_, p)| p).collect();
+        if found.len() as u64 == pages {
+            Ok(found)
+        } else {
+            Err(MemError::NotMapped)
+        }
+    }
+
+    fn mmap(&mut self, start: u64, pages: u64, prot: Prot, share: Share) -> Verdict {
+        if self.0.range(start..start + pages).next().is_some() {
+            return Err(MemError::Overlap);
+        }
+        for vpn in start..start + pages {
+            let page = Page {
+                content: Rc::new(Cell::new(0)),
+                prot,
+                share,
+                policy: ForkPolicy::default(),
+            };
+            self.0.insert(vpn, page);
+        }
+        Ok(None)
+    }
+
+    fn munmap(&mut self, start: u64, pages: u64) -> Verdict {
+        self.0.retain(|vpn, _| !(start..start + pages).contains(vpn));
+        Ok(None)
+    }
+
+    fn mprotect(&mut self, start: u64, pages: u64, prot: Prot) -> Verdict {
+        self.all_mapped(start, pages)?.into_iter().for_each(|p| p.prot = prot);
+        Ok(None)
+    }
+
+    fn madvise(&mut self, start: u64, pages: u64, wipe: bool) -> Verdict {
+        for p in self.all_mapped(start, pages)? {
+            if wipe {
+                p.policy.wipe_on_fork = true;
+            } else {
+                p.policy.dont_fork = true;
+            }
+        }
+        Ok(None)
+    }
+
+    /// Pre-faulting changes nothing a process can see.
+    fn populate(&mut self, start: u64, pages: u64) -> Verdict {
+        self.all_mapped(start, pages).map(|_| None)
+    }
+
+    fn write(&mut self, vpn: u64, val: u64) -> Verdict {
+        let page = self.0.get(&vpn).ok_or(MemError::NotMapped)?;
+        if !page.prot.write {
+            return Err(MemError::Protection);
+        }
+        page.content.set(val);
+        Ok(None)
+    }
+
+    fn read(&self, vpn: u64) -> Verdict {
+        let page = self.0.get(&vpn).ok_or(MemError::NotMapped)?;
+        if !page.prot.read {
+            return Err(MemError::Protection);
+        }
+        Ok(Some(page.content.get()))
+    }
+
+    /// `fork(2)`, by value.
+    fn fork(&self) -> RefSpace {
+        let inherit = |page: &Page| {
+            let content = match page.share {
+                _ if page.policy.wipe_on_fork => Rc::new(Cell::new(0)),
+                Share::Private => Rc::new(Cell::new(page.content.get())),
+                Share::Shared => Rc::clone(&page.content),
+            };
+            Page { content, ..page.clone() }
+        };
+        let pages = self.0.iter().filter(|(_, p)| !p.policy.dont_fork);
+        RefSpace(pages.map(|(&vpn, p)| (vpn, inherit(p))).collect())
+    }
+}
+
+// ------------------------------------------------------------------- script
+
+#[derive(Debug, Clone)]
+enum Op {
+    Mmap { start: u64, pages: u64, share: Share },
+    Munmap { start: u64, pages: u64 },
+    Mprotect { start: u64, pages: u64, prot: Prot },
+    Madvise { start: u64, pages: u64, wipe: bool },
+    Populate { start: u64, pages: u64 },
+    Write { vpn: u64, val: u64 },
+    Read { vpn: u64 },
+    Fork { mode: ForkMode },
+    Exit,
+}
+
+const MODES: [ForkMode; 3] = [ForkMode::Cow, ForkMode::OnDemand, ForkMode::Eager];
+
+/// A page of the span, usually within a few pages of a 2 MiB boundary: a
+/// script is only a test if its writes, reads, protection changes and fork
+/// policies keep landing on the same pages, and the boundaries are where
+/// leaf nodes, mappings and huge blocks begin and end.
+fn gen_vpn(rng: &mut Rng) -> u64 {
+    if rng.gen_bool(0.75) {
+        let near = rng.gen_below(SPAN / BLOCK) * BLOCK + rng.gen_below(24);
+        near.saturating_sub(8)
+    } else {
+        rng.gen_below(SPAN)
+    }
+}
+
+/// A range inside the span: whole 2 MiB blocks (so that mappings cover leaf
+/// nodes completely and THP has something to promote), or a few pages.
+fn gen_range(rng: &mut Rng) -> (u64, u64) {
+    if rng.gen_bool(0.3) {
+        let start = rng.gen_below(SPAN / BLOCK) * BLOCK;
+        (start, rng.gen_range(1, (SPAN - start) / BLOCK + 1) * BLOCK)
+    } else {
+        let start = gen_vpn(rng);
+        (start, rng.gen_range(1, 25.min(SPAN - start + 1)))
+    }
+}
+
+fn gen_share(rng: &mut Rng) -> Share {
+    if rng.gen_bool(0.25) {
+        Share::Shared
+    } else {
+        Share::Private
+    }
+}
+
+/// The first process maps most of the span, block by block, and pre-faults
+/// some of it, so that what follows lands on mapped — and, with THP, huge —
+/// memory more often than on holes.
+fn gen_prologue(rng: &mut Rng) -> Vec<Op> {
+    let mut ops = Vec::new();
+    for block in 0..SPAN / BLOCK {
+        let (start, pages) = (block * BLOCK, BLOCK - rng.gen_below(2) * rng.gen_below(64));
+        if rng.gen_bool(0.85) {
+            ops.push(Op::Mmap { start, pages, share: gen_share(rng) });
+        }
+        if rng.gen_bool(0.6) {
+            ops.push(Op::Populate { start, pages });
+        }
+    }
+    ops
+}
+
+fn gen_op(rng: &mut Rng) -> Op {
+    let (start, pages) = gen_range(rng);
+    let few = pages.min(24);
+    let prot = [Prot::RW, Prot::RW, Prot::R, Prot::NONE][rng.gen_index(4)];
+    match rng.gen_below(24) {
+        0 => Op::Mmap { start, pages, share: gen_share(rng) },
+        1..=2 => Op::Munmap { start, pages: few },
+        3..=5 => Op::Mprotect { start, pages: few, prot },
+        6..=7 => Op::Madvise { start, pages: few, wipe: rng.gen_bool(0.5) },
+        8 => Op::Populate { start, pages },
+        9..=14 => Op::Write { vpn: gen_vpn(rng), val: rng.gen_u64() | 1 },
+        15..=20 => Op::Read { vpn: gen_vpn(rng) },
+        21..=22 => Op::Fork { mode: MODES[rng.gen_index(3)] },
+        _ => Op::Exit,
+    }
+}
+
+struct World {
+    phys: PhysMemory,
+    cycles: Cycles,
+    tlb: TlbModel,
+    procs: Vec<(AddressSpace, RefSpace)>,
+}
+
+impl World {
+    fn new(thp: bool) -> World {
+        let mut root = AddressSpace::new();
+        root.set_thp(thp);
+        World {
+            // Room for MAX_PROCS eager copies of the whole span.
+            phys: PhysMemory::new(2 * MAX_PROCS as u64 * SPAN, CostModel::default()),
+            cycles: Cycles::new(),
+            tlb: TlbModel::new(),
+            procs: vec![(root, RefSpace::default())],
+        }
+    }
+
+    /// Runs `op` in process `who` of both models and returns their
+    /// verdicts, `(simulator, reference)`.
+    fn apply(&mut self, who: usize, op: &Op, ctx: &str) -> (Verdict, Verdict) {
+        let World { phys, cycles, tlb, procs } = self;
+        let live = procs.len();
+        let (sim, model) = &mut procs[who];
+        match *op {
+            Op::Mmap { start, pages, share } => {
+                let mut area = VmArea::anon(Vpn(start), pages, Prot::RW, VmaKind::Mmap);
+                area.share = share;
+                let r = sim.mmap(area, phys, cycles);
+                (r.map(|()| None), model.mmap(start, pages, Prot::RW, share))
+            }
+            Op::Munmap { start, pages } => {
+                let r = sim.munmap(Vpn(start), pages, phys, cycles, tlb, 1);
+                (r.map(|_| None), model.munmap(start, pages))
+            }
+            Op::Mprotect { start, pages, prot } => {
+                let r = sim.mprotect(Vpn(start), pages, prot, cycles, phys, tlb, 1);
+                (r.map(|()| None), model.mprotect(start, pages, prot))
+            }
+            Op::Madvise { start, pages, wipe } => {
+                let r = sim.set_fork_policy(Vpn(start), pages, |p| {
+                    if wipe {
+                        p.wipe_on_fork = true;
+                    } else {
+                        p.dont_fork = true;
+                    }
+                });
+                (r.map(|()| None), model.madvise(start, pages, wipe))
+            }
+            Op::Populate { start, pages } => {
+                let r = sim.populate(Vpn(start), pages, phys, cycles);
+                (r.map(|()| None), model.populate(start, pages))
+            }
+            Op::Write { vpn, val } => {
+                let r = sim.write(Vpn(vpn), val, phys, cycles, tlb, 1);
+                (r.map(|_| None), model.write(vpn, val))
+            }
+            Op::Read { vpn } => {
+                let r = sim.read(Vpn(vpn), phys, cycles);
+                (r.map(|(v, _)| Some(v)), model.read(vpn))
+            }
+            Op::Fork { mode } if live < MAX_PROCS => {
+                let child = AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1)
+                    .unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
+                let child = (child, model.fork());
+                // The mapped set of both sides, page by page.
+                check(&procs[who], phys, ctx);
+                check(&child, phys, ctx);
+                procs.push(child);
+                (Ok(None), Ok(None))
+            }
+            Op::Exit if live > 1 => {
+                let (mut sim, _) = procs.swap_remove(who);
+                sim.destroy(phys, cycles);
+                (Ok(None), Ok(None))
+            }
+            Op::Fork { .. } | Op::Exit => (Ok(None), Ok(None)),
+        }
+    }
+}
+
+/// Every page of the span: mapped in both models or in neither, with the
+/// same content; and the page table's summaries recount.
+fn check((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) {
+    for vpn in 0..SPAN {
+        let seen = sim.observe(Vpn(vpn), phys).ok();
+        let expected = model.0.get(&vpn).map(|p| p.content.get());
+        assert_eq!(seen, expected, "{ctx}: page {vpn} diverged (simulator left, reference right)");
+    }
+    assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
+}
+
+fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut w = World::new(thp);
+    let mut script: Vec<(usize, Op)> = gen_prologue(&mut rng).into_iter().map(|op| (0, op)).collect();
+    script.extend((0..rng.gen_range(80, 200)).map(|_| (rng.gen_index(MAX_PROCS), gen_op(&mut rng))));
+    for (i, (who, mut op)) in script.into_iter().enumerate() {
+        if let (Op::Fork { mode }, Some(m)) = (&mut op, pinned) {
+            *mode = m;
+        }
+        let who = who % w.procs.len();
+        let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} step {i} (process {who}: {op:?})");
+        let (sim, model) = w.apply(who, &op, &ctx);
+        assert_eq!(sim, model, "{ctx}: simulator (left) and reference (right) disagree");
+        // The counts the table keeps of its entries survive every mutator.
+        if let Some((sim, _)) = w.procs.get(who) {
+            assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
+        }
+    }
+    let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} at the end");
+    w.procs.iter().for_each(|p| check(p, &w.phys, &ctx));
+    for (mut sim, _) in std::mem::take(&mut w.procs) {
+        sim.destroy(&mut w.phys, &mut w.cycles);
+    }
+    assert_eq!(w.phys.used_frames(), 0, "seed {seed:#x} thp {thp}: frames survived teardown");
+    assert_eq!(w.phys.free_frames(), w.phys.total_frames());
+}
+
+#[test]
+fn address_space_agrees_with_the_flat_reference() {
+    for case in 0..CASES {
+        for thp in [false, true] {
+            for pinned in [None, Some(ForkMode::Cow), Some(ForkMode::OnDemand), Some(ForkMode::Eager)] {
+                run_script(0x4EF_0000 + case, thp, pinned);
+            }
+        }
+    }
+}
+
+/// The reference's own fork rule, stated once by hand.
+#[test]
+fn reference_fork_copies_private_aliases_shared_and_honours_policy() {
+    let mut parent = RefSpace::default();
+    parent.mmap(0, 4, Prot::RW, Share::Private).unwrap();
+    parent.mmap(10, 1, Prot::RW, Share::Shared).unwrap();
+    for vpn in [0, 1, 2, 3, 10] {
+        parent.write(vpn, 7).unwrap();
+    }
+    parent.madvise(1, 1, false).unwrap();
+    parent.madvise(2, 1, true).unwrap();
+    let mut child = parent.fork();
+    let seen: Vec<(u64, u64)> = child.0.iter().map(|(&vpn, p)| (vpn, p.content.get())).collect();
+    assert_eq!(seen, vec![(0, 7), (2, 0), (3, 7), (10, 7)]);
+    child.write(0, 8).unwrap();
+    child.write(10, 9).unwrap();
+    assert_eq!(parent.read(0), Ok(Some(7)), "private pages are copied");
+    assert_eq!(parent.read(10), Ok(Some(9)), "shared pages alias");
+    assert_eq!(child.read(1), Err(MemError::NotMapped), "DONTFORK leaves a hole");
+}

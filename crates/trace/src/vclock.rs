@@ -41,6 +41,7 @@ pub fn now() -> u64 {
 }
 
 /// Advances this thread's clock by `cycles` (saturating).
+#[inline]
 pub fn advance(cycles: u64) {
     if cycles == 0 {
         return;
