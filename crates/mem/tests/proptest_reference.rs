@@ -18,6 +18,13 @@
 //! recount after every step, and tearing the world down must return
 //! `PhysMemory` to zero used frames. Each script runs with THP off
 //! and on, with every fork in one [`ForkMode`] and with the modes mixed.
+//!
+//! A script's mappings are scattered over [`WINDOWS`]: windows of [`SPAN`]
+//! pages that differ in their 2 MiB, 1 GiB and 512 GiB slot, one of them
+//! lying across a 1 GiB boundary. The root then holds several entries, one
+//! level-2 node holds two, and tearing a mapping down reclaims some
+//! intermediate nodes of its path while their siblings stay — which a single
+//! window, a chain of one-entry nodes, never asks of the table.
 
 use fpr_mem::address_space::ForkMode;
 use fpr_mem::cost::{CostModel, Cycles};
@@ -35,6 +42,15 @@ const CASES: u64 = 24;
 /// inside one mapping and for nodes a mapping boundary crosses.
 const SPAN: u64 = 2048;
 const BLOCK: u64 = 512;
+/// First page of each window, as `(512 GiB slot, 1 GiB slot, 2 MiB slot)`:
+/// the low corner of the address space; somewhere in the middle of every
+/// node of its path; and two blocks either side of a 1 GiB boundary, so
+/// that one window hangs from two level-1 nodes.
+const WINDOWS: [u64; 3] = [window(0, 0, 0), window(1, 3, 5), window(2, 7, 510)];
+
+const fn window(l3: u64, l2: u64, l1: u64) -> u64 {
+    (l3 << 27) | (l2 << 18) | (l1 << 9)
+}
 const MAX_PROCS: usize = 6;
 
 // ---------------------------------------------------------------- reference
@@ -154,11 +170,11 @@ enum Op {
 
 const MODES: [ForkMode; 3] = [ForkMode::Cow, ForkMode::OnDemand, ForkMode::Eager];
 
-/// A page of the span, usually within a few pages of a 2 MiB boundary: a
-/// script is only a test if its writes, reads, protection changes and fork
-/// policies keep landing on the same pages, and the boundaries are where
-/// leaf nodes, mappings and huge blocks begin and end.
-fn gen_vpn(rng: &mut Rng) -> u64 {
+/// A page of a window, as its offset: usually within a few pages of a 2 MiB
+/// boundary. A script is only a test if its writes, reads, protection
+/// changes and fork policies keep landing on the same pages, and the
+/// boundaries are where leaf nodes, mappings and huge blocks begin and end.
+fn gen_offset(rng: &mut Rng) -> u64 {
     if rng.gen_bool(0.75) {
         let near = rng.gen_below(SPAN / BLOCK) * BLOCK + rng.gen_below(24);
         near.saturating_sub(8)
@@ -167,15 +183,24 @@ fn gen_vpn(rng: &mut Rng) -> u64 {
     }
 }
 
-/// A range inside the span: whole 2 MiB blocks (so that mappings cover leaf
-/// nodes completely and THP has something to promote), or a few pages.
+fn gen_window(rng: &mut Rng) -> u64 {
+    WINDOWS[rng.gen_index(WINDOWS.len())]
+}
+
+fn gen_vpn(rng: &mut Rng) -> u64 {
+    gen_window(rng) + gen_offset(rng)
+}
+
+/// A range inside one window: whole 2 MiB blocks (so that mappings cover
+/// leaf nodes completely and THP has something to promote), or a few pages.
 fn gen_range(rng: &mut Rng) -> (u64, u64) {
+    let base = gen_window(rng);
     if rng.gen_bool(0.3) {
         let start = rng.gen_below(SPAN / BLOCK) * BLOCK;
-        (start, rng.gen_range(1, (SPAN - start) / BLOCK + 1) * BLOCK)
+        (base + start, rng.gen_range(1, (SPAN - start) / BLOCK + 1) * BLOCK)
     } else {
-        let start = gen_vpn(rng);
-        (start, rng.gen_range(1, 25.min(SPAN - start + 1)))
+        let start = gen_offset(rng);
+        (base + start, rng.gen_range(1, 25.min(SPAN - start + 1)))
     }
 }
 
@@ -187,13 +212,14 @@ fn gen_share(rng: &mut Rng) -> Share {
     }
 }
 
-/// The first process maps most of the span, block by block, and pre-faults
-/// some of it, so that what follows lands on mapped — and, with THP, huge —
-/// memory more often than on holes.
+/// The first process maps most of every window, block by block, and
+/// pre-faults some of it, so that what follows lands on mapped — and, with
+/// THP, huge — memory more often than on holes.
 fn gen_prologue(rng: &mut Rng) -> Vec<Op> {
     let mut ops = Vec::new();
-    for block in 0..SPAN / BLOCK {
-        let (start, pages) = (block * BLOCK, BLOCK - rng.gen_below(2) * rng.gen_below(64));
+    let blocks = WINDOWS.iter().flat_map(|w| (0..SPAN / BLOCK).map(move |b| w + b * BLOCK));
+    for start in blocks {
+        let pages = BLOCK - rng.gen_below(2) * rng.gen_below(64);
         if rng.gen_bool(0.85) {
             ops.push(Op::Mmap { start, pages, share: gen_share(rng) });
         }
@@ -210,7 +236,9 @@ fn gen_op(rng: &mut Rng) -> Op {
     let prot = [Prot::RW, Prot::RW, Prot::R, Prot::NONE][rng.gen_index(4)];
     match rng.gen_below(24) {
         0 => Op::Mmap { start, pages, share: gen_share(rng) },
-        1..=2 => Op::Munmap { start, pages: few },
+        // Whole blocks now and then: the unmap that empties leaf nodes, and
+        // with them the intermediate nodes that held nothing else.
+        1..=2 => Op::Munmap { start, pages: if rng.gen_bool(0.3) { pages } else { few } },
         3..=5 => Op::Mprotect { start, pages: few, prot },
         6..=7 => Op::Madvise { start, pages: few, wipe: rng.gen_bool(0.5) },
         8 => Op::Populate { start, pages },
@@ -233,8 +261,11 @@ impl World {
         let mut root = AddressSpace::new();
         root.set_thp(thp);
         World {
-            // Room for MAX_PROCS eager copies of the whole span.
-            phys: PhysMemory::new(2 * MAX_PROCS as u64 * SPAN, CostModel::default()),
+            // Room for MAX_PROCS eager copies of every window.
+            phys: PhysMemory::new(
+                2 * (MAX_PROCS * WINDOWS.len()) as u64 * SPAN,
+                CostModel::default(),
+            ),
             cycles: Cycles::new(),
             tlb: TlbModel::new(),
             procs: vec![(root, RefSpace::default())],
@@ -304,10 +335,10 @@ impl World {
     }
 }
 
-/// Every page of the span: mapped in both models or in neither, with the
-/// same content; and the page table's summaries recount.
+/// Every page of every window: mapped in both models or in neither, with
+/// the same content; and the page table's summaries recount.
 fn check((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) {
-    for vpn in 0..SPAN {
+    for vpn in WINDOWS.iter().flat_map(|&w| w..w + SPAN) {
         let seen = sim.observe(Vpn(vpn), phys).ok();
         let expected = model.0.get(&vpn).map(|p| p.content.get());
         assert_eq!(seen, expected, "{ctx}: page {vpn} diverged (simulator left, reference right)");
@@ -319,7 +350,9 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) {
     let mut rng = Rng::seed_from_u64(seed);
     let mut w = World::new(thp);
     let mut script: Vec<(usize, Op)> = gen_prologue(&mut rng).into_iter().map(|op| (0, op)).collect();
-    script.extend((0..rng.gen_range(80, 200)).map(|_| (rng.gen_index(MAX_PROCS), gen_op(&mut rng))));
+    // As many operations to a window as the single window used to get.
+    let ops = WINDOWS.len() as u64 * rng.gen_range(80, 200);
+    script.extend((0..ops).map(|_| (rng.gen_index(MAX_PROCS), gen_op(&mut rng))));
     for (i, (who, mut op)) in script.into_iter().enumerate() {
         if let (Op::Fork { mode }, Some(m)) = (&mut op, pinned) {
             *mode = m;
@@ -342,15 +375,23 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) {
     assert_eq!(w.phys.free_frames(), w.phys.total_frames());
 }
 
-#[test]
-fn address_space_agrees_with_the_flat_reference() {
+fn run_cases(thp: bool) {
     for case in 0..CASES {
-        for thp in [false, true] {
-            for pinned in [None, Some(ForkMode::Cow), Some(ForkMode::OnDemand), Some(ForkMode::Eager)] {
-                run_script(0x4EF_0000 + case, thp, pinned);
-            }
+        for pinned in [None, Some(ForkMode::Cow), Some(ForkMode::OnDemand), Some(ForkMode::Eager)] {
+            run_script(0x4EF_0000 + case, thp, pinned);
         }
     }
+}
+
+// Two tests, so that the two halves run side by side.
+#[test]
+fn address_space_agrees_with_the_flat_reference() {
+    run_cases(false);
+}
+
+#[test]
+fn address_space_agrees_with_the_flat_reference_under_thp() {
+    run_cases(true);
 }
 
 /// The reference's own fork rule, stated once by hand.
