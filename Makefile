@@ -99,15 +99,17 @@ results-identity:
 	git diff --exit-code -- results/ 'BENCH_*.json' $(HOST_SCHEDULED:%=':!*%.json')
 
 # A perf change's before/after in one command (docs/BENCHMARKS.md):
-#   make bench-pair BASE=<rev> W=<workload> [PAIRS=3]
+#   make bench-pair BASE=<rev> [W="<workload> ..."] [PAIRS=3]
 # unpacks BASE's tree under target/bench-pair/base (a `git archive`, so
 # there is no worktree to prune afterwards), builds its benchmark/ and this
-# tree's, then runs the untraced workload on both sides PAIRS times, pair i
-# on seed i, alternating which side goes first, and prints `compare` for
-# each pair. Fails if any pair reads `worse`; a *claimed* gain still needs
-# the ten pairs of benchmark/README.md.
+# tree's, then for each workload of W — all four unless told otherwise: the
+# rule a perf change is judged by is "no workload worse" — runs the
+# untraced workload on both sides PAIRS times, pair i on seed i, alternating
+# which side goes first, and prints `compare` for each pair. Fails if any
+# pair of any workload reads `worse`; a *claimed* gain still needs the ten
+# pairs of benchmark/README.md.
 BASE ?= HEAD
-W ?= fork_big
+W ?= svc_mix fork_big spawn_small cow_touch
 PAIRS ?= 3
 PAIR_DIR := target/bench-pair
 PAIR_BIN := benchmark/target/release/forkroad-benchmark
@@ -117,15 +119,16 @@ bench-pair:
 	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
 	$(CARGO) build --release --offline --quiet --manifest-path $(PAIR_DIR)/base/benchmark/Cargo.toml
 	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-	@worse=0; \
-	side() { $$1/$(PAIR_BIN) run --workload $(W) --seed $$3 --trace 0 --out $(PAIR_DIR)/$$2-$$3.json > /dev/null 2>&1; }; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$i && side . change $$i; \
-		else side . change $$i && side $(PAIR_DIR)/base base $$i; fi \
-			|| { echo "pair $$i: a run failed; run it by hand to see why"; exit 1; }; \
-		echo "== pair $$i of $(PAIRS): $(W), $(BASE) (parent) against the working tree (change)"; \
-		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$i.json $(PAIR_DIR)/change-$$i.json || worse=1; \
-	done; exit $$worse
+	@worse=""; \
+	side() { $$1/$(PAIR_BIN) run --workload $$4 --seed $$3 --trace 0 --out $(PAIR_DIR)/$$2-$$4-$$3.json > /dev/null 2>&1; }; \
+	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$i $$w && side . change $$i $$w; \
+		else side . change $$i $$w && side $(PAIR_DIR)/base base $$i $$w; fi \
+			|| { echo "$$w pair $$i: a run failed; run it by hand to see why"; exit 1; }; \
+		echo "== $$w, pair $$i of $(PAIRS): $(BASE) (parent) against the working tree (change)"; \
+		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-$$i.json $(PAIR_DIR)/change-$$w-$$i.json || worse="$$worse $$w"; \
+	done; done; \
+	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
 
 clean:
 	$(CARGO) clean

@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{LeafNode, SlotKind, TakenLeaf};
+use crate::page_table::{LeafNode, Slot, SlotKind, TakenLeaf};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -277,8 +277,7 @@ impl AddressSpace {
                 self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
             }
         }
-        let cost = phys.cost().clone();
-        self.release_shootdown(&tally, tlb, cpus_running, cycles, &cost);
+        self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(tally.pages)
     }
 
@@ -323,8 +322,7 @@ impl AddressSpace {
         // The block may live in a huge directory another space still
         // shares; the split below mutates it, so privatize first.
         self.unshare_subtree(boundary, phys, cycles)?;
-        let cost = phys.cost().clone();
-        self.pt.demote_block(boundary, cycles, &cost)?;
+        self.pt.demote_block(boundary, cycles, phys.cost())?;
         phys.note_thp_demoted();
         Ok(())
     }
@@ -512,14 +510,14 @@ impl AddressSpace {
                     if new != pte {
                         // A shared subtree must be privatized before its
                         // PTEs change: the child keeps its permissions.
-                        self.unshare_subtree(vpn, phys, cycles)?;
-                        self.pt.update(vpn, new).expect("leaf just enumerated");
+                        let slot = self.pt.find(vpn).expect("leaf just enumerated");
+                        self.unshare_at(slot, phys, cycles)?;
+                        self.pt.update_at(slot, vpn, new).expect("leaf just enumerated");
                     }
                 }
             }
         }
-        let cost = phys.cost().clone();
-        self.release_shootdown(&tally, tlb, cpus_running, cycles, &cost);
+        self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(())
     }
 
@@ -550,8 +548,7 @@ impl AddressSpace {
         for (vpn, pte) in self.pt.leaves_in_range(start, pages) {
             self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
         }
-        let cost = phys.cost().clone();
-        self.release_shootdown(&tally, tlb, cpus_running, cycles, &cost);
+        self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(tally.pages)
     }
 
@@ -666,14 +663,13 @@ impl AddressSpace {
         if self.vma_at(vpn).is_none() {
             return Err(MemError::NotMapped);
         }
-        let cost = phys.cost().clone();
         let mut flags = PteFlags::USER | PteFlags::ACCESSED | PteFlags::COW;
         if !exec {
             flags = flags | PteFlags::NX;
         }
         phys.inc_ref(pfn)?;
-        cycles.charge(cost.pte_copy);
-        if let Err(e) = self.pt.map(vpn, Pte::new(pfn, flags), cycles, &cost) {
+        cycles.charge(phys.cost().pte_copy);
+        if let Err(e) = self.pt.map(vpn, Pte::new(pfn, flags), cycles, phys.cost()) {
             phys.dec_ref(pfn, cycles).expect("reference just taken");
             return Err(e);
         }
@@ -700,15 +696,15 @@ impl AddressSpace {
             // that page alone, so the block must be split first (the
             // demote charge is the price of the odd page-out).
             self.unshare_subtree(vpn, phys, cycles)?;
-            let cost = phys.cost().clone();
-            self.pt.demote_block(vpn, cycles, &cost)?;
+            self.pt.demote_block(vpn, cycles, phys.cost())?;
             phys.note_thp_demoted();
         }
-        let pte = self.pt.translate(vpn).expect("still mapped after demote");
+        let slot = self.pt.find(vpn).expect("still mapped after demote");
+        let pte = self.pt.pte_at(slot, vpn).expect("still mapped after demote");
         let new = cow_marked(pte);
         if new != pte {
-            self.unshare_subtree(vpn, phys, cycles)?;
-            self.pt.update(vpn, new).expect("translated above");
+            self.unshare_at(slot, phys, cycles)?;
+            self.pt.update_at(slot, vpn, new).expect("translated above");
         }
         Ok(new)
     }
@@ -758,13 +754,13 @@ impl AddressSpace {
                 i += HUGE_PAGES;
                 continue;
             }
-            match self.pt.translate(vpn) {
-                Some(pte) if pte.is_swap() => {
-                    self.swap_in(vpn, pte, phys, cycles)?;
+            match self.lookup(vpn) {
+                (Some(slot), Some(pte)) if pte.is_swap() => {
+                    self.swap_in(vpn, pte, slot, false, phys, cycles)?;
                 }
-                Some(_) => {}
-                None => {
-                    self.demand_fill(vpn, phys, cycles)?;
+                (_, Some(_)) => {}
+                (slot, None) => {
+                    self.demand_fill(vpn, slot, false, phys, cycles)?;
                 }
             }
             i += 1;
@@ -826,8 +822,7 @@ impl AddressSpace {
         // The empty block may sit in a hole of a huge directory another
         // space still shares; writing the member PTE mutates the node.
         self.unshare_subtree(base, phys, cycles)?;
-        let cost = phys.cost().clone();
-        if let Err(e) = self.pt.map_huge(base, Pte::new(head, flags), cycles, &cost) {
+        if let Err(e) = self.pt.map_huge(base, Pte::new(head, flags), cycles, phys.cost()) {
             phys.dec_ref_run(head, HUGE_PAGES, cycles)
                 .expect("run just allocated");
             return Err(e);
@@ -879,8 +874,7 @@ impl AddressSpace {
             phys.note_thp_promote_failed();
             return false;
         }
-        let cost = phys.cost().clone();
-        if self.pt.promote_block(base, hpte, cycles, &cost).is_err() {
+        if self.pt.promote_block(base, hpte, cycles, phys.cost()).is_err() {
             return false;
         }
         phys.note_thp_promoted();
@@ -903,6 +897,16 @@ impl AddressSpace {
     /// Returns the PTE for `vpn`, if resident.
     pub fn translate(&self, vpn: Vpn) -> Option<Pte> {
         self.pt.translate(vpn)
+    }
+
+    /// The one page-table descent of a fault: the leaf-bearing slot whose
+    /// span covers `vpn`, if there is one, and the translation it holds
+    /// for `vpn`, if it does. Everything the fault goes on to read or
+    /// write of that slot takes the coordinates instead of walking again.
+    #[inline]
+    pub(crate) fn lookup(&self, vpn: Vpn) -> (Option<Slot>, Option<Pte>) {
+        let slot = self.pt.find(vpn);
+        (slot, slot.and_then(|slot| self.pt.pte_at(slot, vpn)))
     }
 
     /// Visits every resident page with its PTE, in ascending VPN order
@@ -970,12 +974,14 @@ impl AddressSpace {
         })
     }
 
-    /// Recounts what the page table keeps beside its entries — the mapped,
-    /// huge and leaf-node totals, and each leaf node's entry, private-
-    /// writable and swap-entry counts, which fork and teardown trust
-    /// instead of reading the entries — from the PTEs of every leaf,
-    /// shared ones included. Verification aid: `Err` names the first
-    /// summary that is off.
+    /// Recounts what the page table keeps beside its entries, which lookups,
+    /// walks, fork and teardown trust instead of reading every slot: the
+    /// mapped, huge and leaf-node totals; each leaf node's occupancy map
+    /// and entry, private-writable and swap-entry counts, from the words of
+    /// every leaf, shared ones included; each intermediate node's occupancy
+    /// map and index against the entries it holds; and that a free-listed
+    /// node holds none. Verification aid: `Err` names the first summary
+    /// that is off.
     pub fn check_page_table(&self) -> Result<(), String> {
         self.pt.check_summaries()
     }
@@ -1005,8 +1011,7 @@ impl AddressSpace {
                 // out from under the other space.
                 continue;
             }
-            for (j, slot) in arc.ptes().iter().enumerate() {
-                let Some(pte) = slot else { continue };
+            for (j, pte) in arc.iter() {
                 if !pte.is_present() || pte.flags.contains(PteFlags::SHARED) {
                     continue;
                 }
@@ -1050,10 +1055,12 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) {
-        let pte = self.pt.translate(vpn).expect("candidate still resident");
+        let (Some(at), Some(pte)) = self.lookup(vpn) else {
+            panic!("candidate no longer resident");
+        };
         assert!(pte.is_present(), "candidate already swapped");
         self.pt
-            .update(vpn, Pte::swap_entry(slot))
+            .update_at(at, vpn, Pte::swap_entry(slot))
             .expect("translated above");
         phys.dec_ref(pte.pfn, cycles).expect("sole owner");
         self.swapped += 1;
@@ -1078,7 +1085,7 @@ impl AddressSpace {
                 }
                 TakenLeaf::Node(arc) => match Arc::try_unwrap(arc) {
                     Ok(node) => {
-                        for pte in node.ptes().iter().flatten() {
+                        for (_, pte) in node.iter() {
                             if pte.is_swap() {
                                 phys.swap_mut()
                                     .dec_ref(pte.swap_slot())
@@ -1120,11 +1127,25 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        if !self.pt.leaf_shared(vpn) {
+        match self.pt.find(vpn) {
+            Some(slot) => self.unshare_at(slot, phys, cycles),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Self::unshare_subtree`] of the leaf node at coordinates a lookup
+    /// has already found. They stay good: the private copy takes the shared
+    /// node's place.
+    pub(crate) fn unshare_at(
+        &mut self,
+        slot: Slot,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+    ) -> MemResult<()> {
+        if !self.pt.shared_at(slot) {
             return Ok(());
         }
-        let cost = phys.cost().clone();
-        let present = self.pt.privatize_leaf(vpn, cycles, &cost)?;
+        let present = self.pt.privatize_at(slot, cycles, phys.cost())?;
         for pte in &present {
             if pte.is_swap() {
                 // The privatized copy now references the slot from a
@@ -1190,7 +1211,6 @@ impl AddressSpace {
         let mut downgrades: Vec<(Vpn, Pte)> = Vec::new();
         let result = Self::fork_demote_mixed_blocks(parent, phys, cycles)
             .and_then(|_| Self::fork_walk(parent, &mut child, &mut downgrades, mode, phys, cycles));
-        let cost = phys.cost().clone();
         let out = match result {
             Ok(()) => {
                 if !downgrades.is_empty() || mode == ForkMode::Eager {
@@ -1198,7 +1218,7 @@ impl AddressSpace {
                     // read via their kernel mappings (eager); either way
                     // stale translations must be flushed everywhere the
                     // parent runs.
-                    tlb.shootdown(cpus_running, cycles, &cost);
+                    tlb.shootdown(cpus_running, cycles, phys.cost());
                 }
                 let s = &parent.stats;
                 metrics::add("mem.fork.vma_clone", s.vmas_cloned - stats_base.vmas_cloned);
@@ -1262,10 +1282,9 @@ impl AddressSpace {
                 mixed.extend(parent.pt.slot_entries(slot).map(|e| e.1).filter(|b| !whole(*b)));
             }
         }
-        let cost = phys.cost().clone();
         for b in mixed {
             parent.unshare_subtree(b, phys, cycles)?;
-            parent.pt.demote_block(b, cycles, &cost)?;
+            parent.pt.demote_block(b, cycles, phys.cost())?;
             phys.note_thp_demoted();
         }
         Ok(())
@@ -1301,11 +1320,10 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        let cost = phys.cost().clone();
         let AddressSpace { vmas, pt, stats, .. } = parent;
         for vma in vmas.values().filter(|v| !v.fork_policy.dont_fork) {
             fpr_faults::cross(FaultSite::VmaClone).map_err(|_| MemError::OutOfMemory)?;
-            cycles.charge(cost.vma_clone);
+            cycles.charge(phys.cost().vma_clone);
             stats.vmas_cloned += 1;
             child.vmas.insert(vma.start.0, vma.clone());
         }
@@ -1381,8 +1399,8 @@ impl AddressSpace {
                     Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
                 if let Some(leaf) = unmarked {
                     let mut share_of = rule();
-                    for j in 0..PT_ENTRIES {
-                        let Some(pte) = leaf.ptes()[j] else { continue };
+                    for j in leaf.indices() {
+                        let pte = leaf.get(j).expect("an entry the node holds");
                         if share_of(j) == Some(Share::Private) && pte.is_writable() {
                             leaf.set(j, Some(cow_marked(pte)));
                             downgrades.push((Vpn(base + j as u64 * stride), pte));
@@ -1394,7 +1412,7 @@ impl AddressSpace {
                 // no slot refcount change, but the child's residency
                 // accounting must know they hold no frames.
                 let swapped = arc.swap_entries();
-                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, &cost)?;
+                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, phys.cost())?;
                 child.swapped += swapped;
                 stats.pt_subtrees_shared += 1;
                 sink::instant("pt_subtree_share", "mem", cycles.total());
@@ -1408,19 +1426,18 @@ impl AddressSpace {
             let mut share_of = rule();
             let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
                 let Some(share) = share_of(j) else { return Ok(()) };
-                let downgrade = Self::fork_copy_entry(
-                    child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles, &cost,
-                )?;
+                let downgrade =
+                    Self::fork_copy_entry(child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles)?;
                 if downgrade {
                     downgrades.push((vpn, pte));
                 }
                 Ok(())
             });
             if leaf.live() > 0 {
-                child.pt.install_leaf(base, leaf, cycles, &cost);
+                child.pt.install_leaf(base, leaf, cycles, phys.cost());
             }
             for &(vpn, pte) in &downgrades[first..] {
-                pt.update(vpn, cow_marked(pte)).expect("entry just copied");
+                pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
             }
             copied?;
         }
@@ -1448,12 +1465,12 @@ impl AddressSpace {
         pte: Pte,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-        cost: &CostModel,
     ) -> MemResult<bool> {
         let eager = mode == ForkMode::Eager && share == Share::Private && !pte.is_swap();
         // A block shares as a single unit: one flip of its huge PTE
         // (`huge_cow`) instead of 512, and `copy_huge` charges the child's
         // entry write itself.
+        let cost = phys.cost();
         cycles.charge(if pte.is_huge() && !eager { cost.huge_cow } else { cost.pte_copy });
         stats.ptes_copied += 1;
         if pte.is_swap() {
@@ -1471,8 +1488,7 @@ impl AddressSpace {
             return Ok(false);
         }
         if eager {
-            return Self::fork_eager_copy(child, leaf, stats, vpn, pte, phys, cycles, cost)
-                .map(|()| false);
+            return Self::fork_eager_copy(child, leaf, stats, vpn, pte, phys, cycles).map(|()| false);
         }
         let private = share == Share::Private;
         // The leaf summaries tell private from shared by this bit alone.
@@ -1485,7 +1501,7 @@ impl AddressSpace {
         let marks = private && (pte.is_writable() || pte.is_cow());
         let new = if marks { cow_marked(pte) } else { pte };
         let mapped = if pte.is_huge() {
-            child.pt.copy_huge(vpn, new, cycles, cost)
+            child.pt.copy_huge(vpn, new, cycles, phys.cost())
         } else {
             leaf.map(vpn.pt_index(0), new)
         };
@@ -1510,7 +1526,6 @@ impl AddressSpace {
         pte: Pte,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-        cost: &CostModel,
     ) -> MemResult<()> {
         if !pte.is_huge() {
             let new = phys.copy_frame(pte.pfn, cycles)?;
@@ -1526,11 +1541,11 @@ impl AddressSpace {
                 for k in 0..HUGE_PAGES {
                     let c = phys.content(Pfn(pte.pfn.0 + k))?;
                     phys.write_content(Pfn(head.0 + k), c)?;
-                    cycles.charge(cost.page_copy);
+                    cycles.charge(phys.cost().page_copy);
                 }
                 stats.pages_eager_copied += HUGE_PAGES;
                 let copy = Pte { pfn: head, ..pte };
-                if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, cost) {
+                if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, phys.cost()) {
                     phys.dec_ref_run(head, HUGE_PAGES, cycles)
                         .expect("run just allocated");
                     return Err(e);
@@ -1542,10 +1557,10 @@ impl AddressSpace {
                 let mut split = LeafNode::new();
                 let copied = (0..HUGE_PAGES).try_for_each(|k| {
                     let page = Pte { pfn: Pfn(pte.pfn.0 + k), flags };
-                    Self::fork_eager_copy(child, &mut split, stats, vpn.add(k), page, phys, cycles, cost)
+                    Self::fork_eager_copy(child, &mut split, stats, vpn.add(k), page, phys, cycles)
                 });
                 if split.live() > 0 {
-                    child.pt.install_leaf(vpn.0, split, cycles, cost);
+                    child.pt.install_leaf(vpn.0, split, cycles, phys.cost());
                 }
                 copied
             }

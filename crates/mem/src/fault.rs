@@ -10,6 +10,7 @@ use crate::addr::{Pfn, Vpn, HUGE_PAGES};
 use crate::address_space::AddressSpace;
 use crate::cost::Cycles;
 use crate::error::{MemError, MemResult};
+use crate::page_table::Slot;
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -33,29 +34,24 @@ pub enum FaultOutcome {
     SwapIn,
 }
 
+/// What a store leaves set in the entry it went through.
+const WRITTEN: PteFlags = PteFlags::DIRTY.union(PteFlags::ACCESSED);
+
 impl AddressSpace {
     /// Installs the initial frame for an untouched page (demand-zero or
-    /// file fill) and returns its PTE.
+    /// file fill) and returns its PTE. `slot` is what the caller's lookup
+    /// found covering `vpn`; `written` says the fault was a store, which
+    /// leaves the new entry dirty.
     pub(crate) fn demand_fill(
         &mut self,
         vpn: Vpn,
+        slot: Option<Slot>,
+        written: bool,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<Pte> {
-        let vma = self.vma_at(vpn).ok_or(MemError::NotMapped)?.clone();
-        // An absent PTE can still sit inside a leaf subtree that an
-        // on-demand fork shares with another space; installing it would
-        // mutate the shared node. Privatize first. The node swap preserves
-        // every existing translation bit-for-bit, so no TLB invalidation
-        // is needed (the TLB caches leaf translations, not subtree
-        // pointers, at this model's granularity).
-        self.unshare_subtree(vpn, phys, cycles)?;
+        let vma = self.vma_at(vpn).ok_or(MemError::NotMapped)?;
         let content = vma.initial_content(vpn);
-        let pfn = if content == 0 {
-            phys.alloc_zeroed(cycles)?
-        } else {
-            phys.alloc_filled(content, cycles)?
-        };
         let mut flags = PteFlags::USER | PteFlags::ACCESSED;
         if vma.prot.write {
             flags = flags | PteFlags::WRITABLE;
@@ -66,47 +62,76 @@ impl AddressSpace {
         if vma.share == Share::Shared {
             flags = flags | PteFlags::SHARED;
         }
-        let pte = Pte::new(pfn, flags);
-        let cost = phys.cost().clone();
-        if let Err(e) = self.pt.map(vpn, pte, cycles, &cost) {
-            // The freshly filled frame was never mapped; free it or the
-            // failed fault leaks a frame.
-            phys.dec_ref(pfn, cycles).expect("frame allocated above");
-            return Err(e);
+        // An absent PTE can still sit inside a leaf subtree that an
+        // on-demand fork shares with another space; installing it would
+        // mutate the shared node. Privatize first. The node swap preserves
+        // every existing translation bit-for-bit, so no TLB invalidation
+        // is needed (the TLB caches leaf translations, not subtree
+        // pointers, at this model's granularity).
+        if let Some(slot) = slot {
+            self.unshare_at(slot, phys, cycles)?;
         }
+        let pfn = if content == 0 {
+            phys.alloc_zeroed(cycles)?
+        } else {
+            phys.alloc_filled(content, cycles)?
+        };
+        let pte = Pte::new(pfn, flags);
+        let at = match self.pt.map_at(vpn, pte, slot, cycles, phys.cost()) {
+            Ok(at) => at,
+            Err(e) => {
+                // The freshly filled frame was never mapped; free it or the
+                // failed fault leaks a frame.
+                phys.dec_ref(pfn, cycles).expect("frame allocated above");
+                return Err(e);
+            }
+        };
         self.stats.demand_faults += 1;
         metrics::incr("mem.fault.demand_fill");
         sink::instant("demand_fill", "mem", cycles.total());
-        // The fill may have completed a 2 MiB block; collapse it while
-        // the fault is already paid for (khugepaed-in-the-fault-path).
-        // Promotion keeps every pfn, so the returned PTE stays valid.
-        if self.thp {
-            self.try_promote(vpn, phys, cycles);
-        }
+        self.finish_fill(vpn, at, written, phys, cycles);
         Ok(pte)
     }
 
-    /// Reads the swapped-out page at `vpn` back into a fresh frame and
-    /// returns its new PTE, rederiving permissions from the VMA like a
-    /// demand fill. Crosses [`fpr_faults::FaultSite::SwapIn`] (an injected
-    /// device I/O error surfaces as [`MemError::SwapIo`]) and
-    /// `FrameAlloc` before the page table changes, so on `Err` the swap
-    /// entry — and the slot behind it — are intact and the access can be
-    /// retried.
+    /// The tail of a fault that made the page at `vpn` resident, in the
+    /// slot `at`. The fill may have completed a 2 MiB block: collapse it
+    /// while the fault is already paid for (khugepaged-in-the-fault-path);
+    /// promotion keeps every pfn, so the PTE the fault returns stays valid.
+    /// Then, for a store, mark the entry — or the block it now is — dirty.
+    fn finish_fill(
+        &mut self,
+        vpn: Vpn,
+        at: Slot,
+        written: bool,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+    ) {
+        let promoted = self.thp && self.try_promote(vpn, phys, cycles);
+        if written {
+            // Promotion rewires the slot: look the block up.
+            let at = if promoted { self.pt.find(vpn).expect("just promoted") } else { at };
+            self.mark_dirty_at(at, vpn);
+        }
+    }
+
+    /// Reads the swapped-out page at `vpn` — the entry `pte`, found in
+    /// `slot` — back into a fresh frame and returns its new PTE, rederiving
+    /// permissions from the VMA like a demand fill. Crosses
+    /// [`fpr_faults::FaultSite::SwapIn`] (an injected device I/O error
+    /// surfaces as [`MemError::SwapIo`]) and `FrameAlloc` before the page
+    /// table changes, so on `Err` the swap entry — and the slot behind it —
+    /// are intact and the access can be retried.
     pub(crate) fn swap_in(
         &mut self,
         vpn: Vpn,
         pte: Pte,
+        slot: Slot,
+        written: bool,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<Pte> {
         debug_assert!(pte.is_swap());
-        let vma = self.vma_at(vpn).ok_or(MemError::NotMapped)?.clone();
-        // The entry may sit in a leaf an on-demand fork still shares;
-        // the PTE rewrite below must not mutate the shared node.
-        self.unshare_subtree(vpn, phys, cycles)?;
-        let slot = pte.swap_slot();
-        let pfn = phys.swap_in_frame(slot, cycles)?;
+        let vma = self.vma_at(vpn).ok_or(MemError::NotMapped)?;
         let mut flags = PteFlags::USER | PteFlags::ACCESSED;
         if vma.prot.write {
             flags = flags | PteFlags::WRITABLE;
@@ -114,15 +139,18 @@ impl AddressSpace {
         if !vma.prot.exec {
             flags = flags | PteFlags::NX;
         }
+        // The entry may sit in a leaf an on-demand fork still shares;
+        // the PTE rewrite below must not mutate the shared node.
+        self.unshare_at(slot, phys, cycles)?;
+        let device_slot = pte.swap_slot();
+        let pfn = phys.swap_in_frame(device_slot, cycles)?;
         let new = Pte::new(pfn, flags);
-        self.pt.update(vpn, new).expect("swap entry translated");
-        phys.swap_mut().dec_ref(slot).expect("slot read above");
+        self.pt.update_at(slot, vpn, new).expect("swap entry translated");
+        phys.swap_mut().dec_ref(device_slot).expect("slot read above");
         self.swapped -= 1;
         metrics::incr("mem.fault.swap_in");
         sink::instant("swap_in", "mem", cycles.total());
-        if self.thp {
-            self.try_promote(vpn, phys, cycles);
-        }
+        self.finish_fill(vpn, slot, written, phys, cycles);
         Ok(new)
     }
 
@@ -138,16 +166,16 @@ impl AddressSpace {
         if !vma.prot.read {
             return Err(MemError::Protection);
         }
-        match self.pt.translate(vpn) {
-            Some(pte) if pte.is_swap() => {
+        match self.lookup(vpn) {
+            (Some(slot), Some(pte)) if pte.is_swap() => {
                 cycles.charge(phys.cost().fault_entry);
-                let new = self.swap_in(vpn, pte, phys, cycles)?;
+                let new = self.swap_in(vpn, pte, slot, false, phys, cycles)?;
                 Ok((phys.content(new.pfn)?, FaultOutcome::SwapIn))
             }
-            Some(pte) => Ok((phys.content(pte.pfn)?, FaultOutcome::Hit)),
-            None => {
+            (_, Some(pte)) => Ok((phys.content(pte.pfn)?, FaultOutcome::Hit)),
+            (slot, None) => {
                 cycles.charge(phys.cost().fault_entry);
-                let pte = self.demand_fill(vpn, phys, cycles)?;
+                let pte = self.demand_fill(vpn, slot, false, phys, cycles)?;
                 Ok((phys.content(pte.pfn)?, FaultOutcome::DemandFill))
             }
         }
@@ -155,6 +183,13 @@ impl AddressSpace {
 
     /// Simulated store of `value` to the page at `vpn`, breaking COW as
     /// needed. Returns what the fault handler had to do.
+    ///
+    /// One descent of the page table serves the whole fault: the lookup
+    /// yields the coordinates of the slot holding the translation, and the
+    /// sharing test, the unshare, the COW break's rewrite, a fill into a
+    /// node that is already there and the dirty mark all go by them. Only a
+    /// fill that has to allocate its path walks again, and a huge block
+    /// that has to be split.
     pub fn write(
         &mut self,
         vpn: Vpn,
@@ -169,135 +204,119 @@ impl AddressSpace {
             return Err(MemError::Protection);
         }
         let private = vma.share == Share::Private;
-        let cost = phys.cost().clone();
-        if self.pt.translate(vpn).is_some() && self.subtree_shared(vpn) {
+        let fault_entry = phys.cost().fault_entry;
+        let (slot, pte) = match self.lookup(vpn) {
+            (Some(slot), Some(pte)) => (slot, pte),
+            (slot, _) => {
+                cycles.charge(fault_entry);
+                let pte = self.demand_fill(vpn, slot, true, phys, cycles)?;
+                phys.write_content(pte.pfn, value)?;
+                return Ok(FaultOutcome::DemandFill);
+            }
+        };
+        if self.pt.shared_at(slot) {
             // Structure fault: the write landed in a leaf subtree still
             // shared by an on-demand fork. Take a fault, privatize the
             // 512-entry node (the deferred page-table copy), and shoot
             // down stale translations — the other space's writable
             // mappings of this subtree were COW-marked at share time, and
-            // our own subtree pointer just changed. The write then
+            // our own subtree pointer just changed. The copy holds the
+            // entries the original did, so `pte` stands, and the write
             // resolves below (usually as a second, COW-break fault:
             // on-demand fork pays two faults on first touch).
-            cycles.charge(cost.fault_entry);
-            self.unshare_subtree(vpn, phys, cycles)?;
-            tlb.shootdown(cpus_running, cycles, &cost);
+            cycles.charge(fault_entry);
+            self.unshare_at(slot, phys, cycles)?;
+            tlb.shootdown(cpus_running, cycles, phys.cost());
         }
-        match self.pt.translate(vpn) {
-            None => {
-                cycles.charge(cost.fault_entry);
-                let pte = self.demand_fill(vpn, phys, cycles)?;
-                phys.write_content(pte.pfn, value)?;
-                self.mark_dirty(vpn);
-                Ok(FaultOutcome::DemandFill)
-            }
-            Some(pte) if pte.is_swap() => {
-                cycles.charge(cost.fault_entry);
-                let new = self.swap_in(vpn, pte, phys, cycles)?;
-                phys.write_content(new.pfn, value)?;
-                self.mark_dirty(vpn);
-                Ok(FaultOutcome::SwapIn)
-            }
-            Some(pte) if pte.is_writable() => {
-                phys.write_content(pte.pfn, value)?;
-                self.mark_dirty(vpn);
-                Ok(FaultOutcome::Hit)
-            }
-            // A private page whose frame someone else still holds breaks
-            // COW whether or not it carries the mark: fork leaves a page
-            // that `mprotect` had made read-only unmarked, and a later
-            // upgrade must not let either side write the shared frame.
-            Some(pte) if pte.is_cow() || (private && !self.sole_owner(vpn, pte, phys)) => {
-                cycles.charge(cost.fault_entry);
-                let pte = if pte.is_huge() {
-                    match self.huge_cow_break(vpn, value, phys, cycles, tlb, cpus_running)? {
-                        Some(outcome) => return Ok(outcome),
-                        // The block was just split; retranslate and break
-                        // COW on this one small page below.
-                        None => self.pt.translate(vpn).expect("demoted in place"),
-                    }
-                } else {
-                    pte
-                };
-                let outcome = if phys.refs(pte.pfn)? == 1 {
-                    // Sole owner: reclaim the frame in place.
-                    let mut new = pte;
-                    new.flags = new
-                        .flags
-                        .minus(PteFlags::COW)
-                        .union(PteFlags::WRITABLE | PteFlags::DIRTY);
-                    self.pt.update(vpn, new).expect("translated above");
-                    self.stats.cow_reuses += 1;
-                    metrics::incr("mem.fault.cow_reuse");
-                    FaultOutcome::CowReuse
-                } else {
-                    let new_pfn = phys.copy_frame(pte.pfn, cycles)?;
-                    phys.dec_ref(pte.pfn, cycles)?;
-                    let mut new = Pte::new(new_pfn, pte.flags);
-                    new.flags = new
-                        .flags
-                        .minus(PteFlags::COW)
-                        .union(PteFlags::WRITABLE | PteFlags::DIRTY);
-                    self.pt.update(vpn, new).expect("translated above");
-                    self.stats.cow_copies += 1;
-                    metrics::incr("mem.fault.cow_copy");
-                    FaultOutcome::CowCopy
-                };
-                if sink::is_active() {
-                    sink::emit(
-                        TraceEvent::new("cow_break", "mem", Phase::Instant, cycles.total()).arg(
-                            "outcome",
-                            if outcome == FaultOutcome::CowCopy {
-                                "copy"
-                            } else {
-                                "reuse"
-                            },
-                        ),
-                    );
-                }
-                // The stale read-only translation may be cached on any CPU
-                // running this space.
-                tlb.shootdown(cpus_running, cycles, &cost);
-                let pte = self.pt.translate(vpn).expect("just updated");
-                phys.write_content(pte.pfn, value)?;
-                Ok(outcome)
-            }
-            Some(pte) => {
-                // Present, not writable, nobody to break from — but the
-                // VMA permits writes: an `mprotect` upgrade applied lazily.
-                // Take the fault and set the bit (real kernels do exactly this).
-                // Permissions are block-granular for a huge mapping, so
-                // the whole block upgrades with one PTE write.
-                cycles.charge(cost.fault_entry);
-                if pte.is_huge() {
-                    let base = vpn.huge_base();
-                    let mut block = self.pt.huge_block(vpn).expect("translated above");
-                    block.flags = block.flags.union(PteFlags::WRITABLE | PteFlags::DIRTY);
-                    self.pt.update(base, block).expect("translated above");
-                    tlb.invalidate_local(cycles, &cost);
-                    phys.write_content(pte.pfn, value)?;
-                    return Ok(FaultOutcome::Hit);
-                }
-                let mut new = pte;
-                new.flags = new.flags.union(PteFlags::WRITABLE | PteFlags::DIRTY);
-                self.pt.update(vpn, new).expect("translated above");
-                tlb.invalidate_local(cycles, &cost);
-                phys.write_content(new.pfn, value)?;
-                Ok(FaultOutcome::Hit)
-            }
+        if pte.is_swap() {
+            cycles.charge(fault_entry);
+            let new = self.swap_in(vpn, pte, slot, true, phys, cycles)?;
+            phys.write_content(new.pfn, value)?;
+            return Ok(FaultOutcome::SwapIn);
         }
+        if pte.is_writable() {
+            phys.write_content(pte.pfn, value)?;
+            self.mark_dirty_at(slot, vpn);
+            return Ok(FaultOutcome::Hit);
+        }
+        // A private page whose frame someone else still holds breaks
+        // COW whether or not it carries the mark: fork leaves a page
+        // that `mprotect` had made read-only unmarked, and a later
+        // upgrade must not let either side write the shared frame.
+        if pte.is_cow() || (private && !Self::sole_owner(self.entry_behind(slot, vpn, pte).1, phys)) {
+            cycles.charge(fault_entry);
+            let (slot, pte) = if pte.is_huge() {
+                match self.huge_cow_break(slot, vpn, value, phys, cycles, tlb, cpus_running)? {
+                    Some(outcome) => return Ok(outcome),
+                    // The block was just split; look the small page up
+                    // and break COW on it alone below.
+                    None => match self.lookup(vpn) {
+                        (Some(slot), Some(pte)) => (slot, pte),
+                        _ => unreachable!("demoted in place"),
+                    },
+                }
+            } else {
+                (slot, pte)
+            };
+            let (pfn, outcome) = if phys.refs(pte.pfn)? == 1 {
+                // Sole owner: reclaim the frame in place.
+                self.stats.cow_reuses += 1;
+                metrics::incr("mem.fault.cow_reuse");
+                (pte.pfn, FaultOutcome::CowReuse)
+            } else {
+                let new_pfn = phys.copy_frame(pte.pfn, cycles)?;
+                phys.dec_ref(pte.pfn, cycles)?;
+                self.stats.cow_copies += 1;
+                metrics::incr("mem.fault.cow_copy");
+                (new_pfn, FaultOutcome::CowCopy)
+            };
+            let flags = pte.flags.minus(PteFlags::COW).union(PteFlags::WRITABLE | PteFlags::DIRTY);
+            self.pt.update_at(slot, vpn, Pte::new(pfn, flags)).expect("translated above");
+            if sink::is_active() {
+                sink::emit(
+                    TraceEvent::new("cow_break", "mem", Phase::Instant, cycles.total()).arg(
+                        "outcome",
+                        if outcome == FaultOutcome::CowCopy {
+                            "copy"
+                        } else {
+                            "reuse"
+                        },
+                    ),
+                );
+            }
+            // The stale read-only translation may be cached on any CPU
+            // running this space.
+            tlb.shootdown(cpus_running, cycles, phys.cost());
+            phys.write_content(pfn, value)?;
+            return Ok(outcome);
+        }
+        // Present, not writable, nobody to break from — but the VMA permits
+        // writes: an `mprotect` upgrade applied lazily. Take the fault and
+        // set the bit (real kernels do exactly this). Permissions are
+        // block-granular for a huge mapping, so the whole block upgrades
+        // with one PTE write.
+        cycles.charge(fault_entry);
+        let (at, mut entry) = self.entry_behind(slot, vpn, pte);
+        entry.flags = entry.flags.union(PteFlags::WRITABLE | PteFlags::DIRTY);
+        self.pt.update_at(slot, at, entry).expect("translated above");
+        tlb.invalidate_local(cycles, phys.cost());
+        phys.write_content(pte.pfn, value)?;
+        Ok(FaultOutcome::Hit)
     }
 
-    /// COW break inside a huge block. When this space is the sole owner of
-    /// the whole 512-frame run, the block flips writable in place — one
-    /// PTE write ([`crate::cost::CostModel::huge_cow`]), the huge analogue
-    /// of `CowReuse`, and the write completes here. Otherwise the run is
+    /// COW break inside the huge block that `slot` holds for `vpn`. When
+    /// this space is the sole owner of the whole 512-frame run, the block
+    /// flips writable in place — one PTE write
+    /// ([`crate::cost::CostModel::huge_cow`]), the huge analogue of
+    /// `CowReuse`, and the write completes here. Otherwise the run is
     /// still shared with a fork relative, so the block is split (crossing
     /// [`fpr_faults::FaultSite::PtDemote`]; an injected failure fails the
     /// write cleanly with the block intact) and `None` is returned for the
     /// per-page COW machinery to finish the job.
+    #[allow(clippy::too_many_arguments)]
     fn huge_cow_break(
         &mut self,
+        slot: Slot,
         vpn: Vpn,
         value: u64,
         phys: &mut PhysMemory,
@@ -305,59 +324,59 @@ impl AddressSpace {
         tlb: &mut TlbModel,
         cpus_running: u32,
     ) -> MemResult<Option<FaultOutcome>> {
-        let cost = phys.cost().clone();
         let base = vpn.huge_base();
-        let block = self.pt.huge_block(vpn).expect("caller translated a huge PTE");
-        let sole = self.sole_owner(vpn, block, phys);
+        let block = self.pt.block_at(slot, vpn).expect("caller translated a huge PTE");
+        let sole = Self::sole_owner(block, phys);
         // The block may sit in a huge directory an on-demand fork still
         // shares; both the flip and the split mutate the node.
-        self.unshare_subtree(base, phys, cycles)?;
+        self.unshare_at(slot, phys, cycles)?;
         if sole {
             let mut new = block;
             new.flags = new
                 .flags
                 .minus(PteFlags::COW)
                 .union(PteFlags::WRITABLE | PteFlags::DIRTY);
-            self.pt.update(base, new).expect("block translated above");
-            cycles.charge(cost.huge_cow);
+            self.pt.update_at(slot, base, new).expect("block translated above");
+            cycles.charge(phys.cost().huge_cow);
             self.stats.cow_reuses += 1;
             metrics::incr("mem.fault.cow_reuse");
-            tlb.shootdown(cpus_running, cycles, &cost);
+            tlb.shootdown(cpus_running, cycles, phys.cost());
             phys.write_content(Pfn(block.pfn.0 + vpn.huge_offset()), value)?;
             return Ok(Some(FaultOutcome::CowReuse));
         }
-        self.pt.demote_block(vpn, cycles, &cost)?;
+        self.pt.demote_block(vpn, cycles, phys.cost())?;
         phys.note_thp_demoted();
         Ok(None)
     }
 
-    /// True if the translation at `vpn` holds the only reference to its
-    /// frame — for a huge mapping, to every frame of the block's run.
-    fn sole_owner(&self, vpn: Vpn, pte: Pte, phys: &PhysMemory) -> bool {
-        let (head, run) = if pte.is_huge() {
-            (self.pt.huge_block(vpn).expect("a huge PTE has a block").pfn, HUGE_PAGES)
+    /// The table entry behind the translation `pte` that `slot` holds for
+    /// `vpn`, and the page it sits at: the page's own entry, or — hardware
+    /// keeps permissions and dirtiness per TLB entry — the whole block's.
+    fn entry_behind(&self, slot: Slot, vpn: Vpn, pte: Pte) -> (Vpn, Pte) {
+        if pte.is_huge() {
+            (vpn.huge_base(), self.pt.block_at(slot, vpn).expect("a huge PTE has a block"))
         } else {
-            (pte.pfn, 1)
-        };
-        (0..run).all(|k| phys.refs(Pfn(head.0 + k)) == Ok(1))
+            (vpn, pte)
+        }
     }
 
-    fn mark_dirty(&mut self, vpn: Vpn) {
-        if let Some(mut pte) = self.pt.translate(vpn) {
-            if !pte.is_present() {
-                return;
-            }
-            if pte.is_huge() {
-                // Hardware tracks dirtiness per TLB entry, which for a
-                // huge mapping is the whole block.
-                let base = vpn.huge_base();
-                let mut block = self.pt.huge_block(vpn).expect("translated above");
-                block.flags = block.flags.union(PteFlags::DIRTY | PteFlags::ACCESSED);
-                let _ = self.pt.update(base, block);
-                return;
-            }
-            pte.flags = pte.flags.union(PteFlags::DIRTY | PteFlags::ACCESSED);
-            let _ = self.pt.update(vpn, pte);
+    /// True if the table entry `entry` holds the only reference to its
+    /// frame — for a huge block, to every frame of its run.
+    fn sole_owner(entry: Pte, phys: &PhysMemory) -> bool {
+        let run = if entry.is_huge() { HUGE_PAGES } else { 1 };
+        (0..run).all(|k| phys.refs(Pfn(entry.pfn.0 + k)) == Ok(1))
+    }
+
+    /// Records a store in the present translation that `slot` holds for
+    /// `vpn`.
+    fn mark_dirty_at(&mut self, slot: Slot, vpn: Vpn) {
+        let Some(pte) = self.pt.pte_at(slot, vpn).filter(|pte| pte.is_present()) else {
+            return;
+        };
+        let (at, mut entry) = self.entry_behind(slot, vpn, pte);
+        if !entry.flags.contains(WRITTEN) {
+            entry.flags = entry.flags.union(WRITTEN);
+            self.pt.update_at(slot, at, entry).expect("translated above");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Four-level radix page table with refcount-shared leaf subtrees and
-//! 2 MiB huge leaves.
+//! 2 MiB huge leaves, whose nodes cost what they hold.
 //!
 //! Intermediate nodes (levels 3..1) live in an arena (`Vec`) indexed by
 //! `u32`, which keeps the structure compact; the arena plays the role of
@@ -9,8 +9,43 @@
 //! *same* leaf subtree to parent and child by bumping a refcount instead
 //! of copying 512 entries. A shared node is immutable (enforced with
 //! `Arc::get_mut`); the owner must privatize the leaf (the private
-//! `privatize_leaf` operation) before mutating, which is the deferred
+//! `privatize_at` operation) before mutating, which is the deferred
 //! copy the fault path performs.
+//!
+//! # Node layout
+//!
+//! The model prices a node at `pt_node_alloc` and an empty slot at nothing,
+//! and a freshly exec'd process maps a handful of pages through nine nodes.
+//! So a node is laid out to make creating, walking and dropping it cost in
+//! proportion to the entries it *holds*, not to its 512 slots:
+//!
+//! * a **leaf node** is the hardware's 4 KiB: 512 packed 8-byte words
+//!   (`pfn << 16 | flags`, zero where nothing is mapped — a held entry
+//!   always carries `PRESENT` or `SWAP`, so its word never is), allocated
+//!   zeroed, cloned with one `memcpy` and dropped with one `free`. [`Pte`]
+//!   is the unpacked view, converted in `LeafNode::get`/`set`. Beside the
+//!   words sit a 512-bit occupancy map and three counts. A full node is
+//!   scanned word by word, a sparse one by its map;
+//! * an **interior node** holds only what is linked: its entries stored
+//!   densely in a `Vec` (so `live` is its length and a new node owns no
+//!   heap memory), a 512-bit occupancy map that ordered walks enumerate
+//!   by, and a direct `[u16; 512]` index from slot to position in the
+//!   `Vec`, so that a lookup stays one indexed load per level. Removing an
+//!   entry swap-removes it and re-points the index of the one entry that
+//!   moved.
+//!
+//! A walk therefore visits the entries a node holds and nothing else:
+//! `collect_slots` (behind every leaf enumeration — fork, `destroy`,
+//! `leaves_in_range`, `check_summaries`), the directory grouping and
+//! collapse, and drop glue.
+//!
+//! An arena node that empties goes on the free list as it is — `take`
+//! leaves no trace of an entry behind, so an empty node is a new node — and
+//! is handed out again without being rebuilt; it keeps the capacity of its
+//! `Vec`. `take_leaves` likewise drains the table it has instead of
+//! building another.
+//!
+//! # Huge mappings
 //!
 //! Huge mappings take two forms, mirroring x86-64's PS bit at the PMD
 //! and the way Linux's khugepaged collapses page tables:
@@ -43,11 +78,71 @@ use crate::pte::{Pte, PteFlags};
 use fpr_faults::FaultSite;
 use std::sync::Arc;
 
-/// One entry of an intermediate page-table node.
+/// Which of a node's 512 slots hold an entry: what an ordered walk
+/// enumerates by, so that it visits held entries only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Occupancy([u64; PT_ENTRIES / 64]);
+
+impl Occupancy {
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn test(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The held slots of `first..last`, ascending.
+    fn slots_in(mut self, first: usize, last: usize) -> HeldSlots {
+        let ones_below = |n: usize| if n >= 64 { u64::MAX } else { (1 << n) - 1 };
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let (from, to) = (first.saturating_sub(w * 64), last.saturating_sub(w * 64));
+            *word &= ones_below(to) & !ones_below(from);
+        }
+        HeldSlots { left: self.0, word: first / 64 }
+    }
+
+    /// Every held slot, ascending.
+    fn slots(self) -> HeldSlots {
+        HeldSlots { left: self.0, word: 0 }
+    }
+}
+
+/// Ascending iterator over the set bits of an [`Occupancy`].
+#[derive(Debug, Clone, Default)]
+struct HeldSlots {
+    left: [u64; PT_ENTRIES / 64],
+    word: usize,
+}
+
+impl Iterator for HeldSlots {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while let Some(bits) = self.left.get_mut(self.word) {
+            if *bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                return Some(self.word * 64 + bit);
+            }
+            self.word += 1;
+        }
+        None
+    }
+}
+
+/// One entry of an intermediate page-table node. An empty slot has none.
 #[derive(Debug, Clone)]
 enum Entry {
-    /// Empty slot.
-    None,
     /// Pointer to a lower-level intermediate node (arena index).
     Table(u32),
     /// A (possibly shared) 512-entry leaf subtree. At a level-1 slot the
@@ -59,20 +154,121 @@ enum Entry {
     Huge(Pte),
 }
 
-/// One 512-entry intermediate page-table node.
+/// An entry an intermediate node holds, and the slot it holds it in.
+#[derive(Debug, Clone)]
+struct Held {
+    slot: u16,
+    entry: Entry,
+}
+
+/// One 512-slot intermediate page-table node, storing the entries it holds.
 #[derive(Debug, Clone)]
 struct Node {
-    entries: Box<[Entry; PT_ENTRIES]>,
-    /// Number of non-`None` entries, for eager teardown.
-    live: u16,
+    occupied: Occupancy,
+    /// One more than the position in `held` of each slot's entry; zero
+    /// where the slot is empty.
+    index: [u16; PT_ENTRIES],
+    /// The entries, in no particular order. Their number is the node's live
+    /// count, for eager teardown.
+    held: Vec<Held>,
 }
+
+// What the arena keeps per node, before it holds anything, fits the frame a
+// hardware node would occupy; and a leaf's entries are exactly that frame.
+const _: () = assert!(std::mem::size_of::<Node>() <= 4096);
+const _: () = assert!(std::mem::size_of::<[u64; PT_ENTRIES]>() == 4096);
 
 impl Node {
     fn new() -> Node {
         Node {
-            entries: Box::new(std::array::from_fn(|_| Entry::None)),
-            live: 0,
+            occupied: Occupancy::default(),
+            index: [0; PT_ENTRIES],
+            held: Vec::new(),
         }
+    }
+
+    fn live(&self) -> usize {
+        self.held.len()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Entry> {
+        match self.index[i] {
+            0 => None,
+            at => Some(&self.held[at as usize - 1].entry),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> Option<&mut Entry> {
+        match self.index[i] {
+            0 => None,
+            at => Some(&mut self.held[at as usize - 1].entry),
+        }
+    }
+
+    /// Links `entry` into the empty slot `i`.
+    fn put(&mut self, i: usize, entry: Entry) {
+        assert_eq!(self.index[i], 0, "slot linked twice");
+        self.held.push(Held { slot: i as u16, entry });
+        self.index[i] = self.held.len() as u16;
+        self.occupied.set(i);
+    }
+
+    /// Unlinks and returns the entry of slot `i`, leaving the slot as if it
+    /// had never held one.
+    fn take(&mut self, i: usize) -> Entry {
+        let at = (self.index[i] as usize).checked_sub(1).expect("take from an empty slot");
+        let taken = self.held.swap_remove(at);
+        if let Some(moved) = self.held.get(at) {
+            self.index[moved.slot as usize] = at as u16 + 1;
+        }
+        self.index[i] = 0;
+        self.occupied.clear(i);
+        taken.entry
+    }
+
+    /// Unlinks every entry.
+    fn clear(&mut self) {
+        for held in self.held.drain(..) {
+            self.index[held.slot as usize] = 0;
+        }
+        self.occupied = Occupancy::default();
+    }
+
+    /// The entries of slots `first..last`, ascending by slot.
+    fn entries_in(&self, first: usize, last: usize) -> impl Iterator<Item = (usize, &Entry)> {
+        let slots = self.occupied.slots_in(first, last);
+        slots.map(|i| (i, &self.held[self.index[i] as usize - 1].entry))
+    }
+
+    /// Every entry, ascending by slot.
+    fn entries(&self) -> impl Iterator<Item = (usize, &Entry)> {
+        self.entries_in(0, PT_ENTRIES)
+    }
+
+    /// The huge PTEs this node holds, if it holds nothing else.
+    fn all_huge(&self) -> Option<impl Iterator<Item = (usize, Pte)> + '_> {
+        let huge = |h: &Held| match h.entry {
+            Entry::Huge(p) => Some((h.slot as usize, p)),
+            _ => None,
+        };
+        self.held.iter().all(|h| huge(h).is_some()).then(|| self.held.iter().filter_map(huge))
+    }
+
+    /// Recounts the map and the index against the entries held.
+    fn check(&self) -> Result<(), String> {
+        if self.occupied.count() != self.held.len() {
+            return Err(format!("map counts {}, holds {}", self.occupied.count(), self.held.len()));
+        }
+        for (i, &at) in self.index.iter().enumerate() {
+            let entry = self.held.get((at as usize).wrapping_sub(1));
+            let points_back = entry.is_some_and(|h| h.slot as usize == i);
+            if self.occupied.test(i) != (at != 0) || (at != 0 && !points_back) {
+                return Err(format!("slot {i}: index {at}, map {}", self.occupied.test(i)));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -103,33 +299,52 @@ impl LeafCounts {
     }
 }
 
+/// Bits of a packed leaf word below the frame number: the [`PteFlags`].
+const FLAG_BITS: u32 = 16;
+
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
 /// `Arc::strong_count > 1` means the subtree is shared by an on-demand
 /// fork and must be privatized before any mutation.
 ///
-/// Beside its entries a node keeps three counts of them, so that the fork
-/// walk can share it without reading one: how many there are, how many a
-/// first share still has to COW-mark, and how many hold no frame. Every
-/// write goes through [`LeafNode::set`], which keeps the counts;
-/// [`PageTable::check_summaries`] recounts them.
+/// The entries are 512 packed words, zero where nothing is mapped. Beside
+/// them a node keeps the map of the words that are not, and three counts
+/// of them, so that the fork walk can share the node without reading one:
+/// how many there are, how many a first share still has to COW-mark, and
+/// how many hold no frame. Every write goes through [`LeafNode::set`],
+/// which keeps all of it; [`PageTable::check_summaries`] recounts.
 #[derive(Debug, Clone)]
 pub(crate) struct LeafNode {
-    ptes: Box<[Option<Pte>; PT_ENTRIES]>,
+    words: Box<[u64; PT_ENTRIES]>,
+    occupied: Occupancy,
     counts: LeafCounts,
 }
 
 impl LeafNode {
     pub(crate) fn new() -> LeafNode {
+        // `vec!` of zeroes asks the allocator for zeroed memory.
+        let words = vec![0u64; PT_ENTRIES].into_boxed_slice();
         LeafNode {
-            ptes: Box::new([None; PT_ENTRIES]),
+            words: words.try_into().expect("a node of PT_ENTRIES words"),
+            occupied: Occupancy::default(),
             counts: LeafCounts::default(),
         }
     }
 
-    /// The entries, by in-node index.
-    pub(crate) fn ptes(&self) -> &[Option<Pte>; PT_ENTRIES] {
-        &self.ptes
+    fn unpack(word: u64) -> Pte {
+        Pte {
+            pfn: Pfn(word >> FLAG_BITS),
+            flags: PteFlags(word as u16),
+        }
+    }
+
+    /// Entry `j`.
+    #[inline]
+    pub(crate) fn get(&self, j: usize) -> Option<Pte> {
+        match self.words[j] {
+            0 => None,
+            word => Some(Self::unpack(word)),
+        }
     }
 
     /// Number of entries.
@@ -147,15 +362,49 @@ impl LeafNode {
         self.counts.swap_entries as u64
     }
 
-    /// Present PTEs in ascending in-node order.
+    /// In-node indices of the entries, ascending: every index of a full
+    /// node, the occupancy map's of any other. Borrows nothing, so the
+    /// entries may be rewritten on the way.
+    pub(crate) fn indices(&self) -> LeafIndices {
+        if self.counts.live as usize == PT_ENTRIES {
+            LeafIndices { all: 0..PT_ENTRIES, some: HeldSlots::default() }
+        } else {
+            LeafIndices { all: 0..0, some: self.occupied.slots() }
+        }
+    }
+
+    /// The entries with their in-node indices, ascending.
+    pub(crate) fn iter(&self) -> LeafEntries<'_> {
+        LeafEntries { words: &self.words[..], indices: self.indices() }
+    }
+
+    /// The entries in ascending in-node order.
     pub(crate) fn present(&self) -> Vec<Pte> {
-        self.ptes.iter().flatten().copied().collect()
+        self.iter().map(|(_, pte)| pte).collect()
     }
 
     /// Writes entry `j` — the one way an entry changes — and returns what
     /// it held.
+    #[inline]
     pub(crate) fn set(&mut self, j: usize, pte: Option<Pte>) -> Option<Pte> {
-        let old = std::mem::replace(&mut self.ptes[j], pte);
+        let old = self.get(j);
+        match pte {
+            Some(p) => {
+                // A zero word is an empty slot, and the frame number shares
+                // the word with the flags.
+                assert!(
+                    p.flags.intersects(PteFlags::PRESENT | PteFlags::SWAP),
+                    "an entry is present or swapped"
+                );
+                assert!(p.pfn.0 >> (64 - FLAG_BITS) == 0, "frame number too wide for a PTE");
+                self.words[j] = p.pfn.0 << FLAG_BITS | p.flags.0 as u64;
+                self.occupied.set(j);
+            }
+            None => {
+                self.words[j] = 0;
+                self.occupied.clear(j);
+            }
+        }
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
         old
@@ -169,9 +418,59 @@ impl LeafNode {
     #[inline]
     pub(crate) fn map(&mut self, j: usize, pte: Pte) -> MemResult<()> {
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        debug_assert!(self.ptes[j].is_none(), "entry mapped twice");
+        debug_assert!(self.words[j] == 0, "entry mapped twice");
         self.set(j, Some(pte));
         Ok(())
+    }
+
+    /// Recounts the map and the counts against the words.
+    fn check(&self) -> Result<(), String> {
+        let mut held = LeafCounts::default();
+        for (j, &word) in self.words.iter().enumerate() {
+            if (word != 0) != self.occupied.test(j) {
+                return Err(format!("entry {j}: word {word:#x}, map {}", self.occupied.test(j)));
+            }
+            held.add(self.get(j), 1);
+        }
+        if self.counts != held {
+            return Err(format!("keeps {:?}, holds {held:?}", self.counts));
+        }
+        Ok(())
+    }
+}
+
+/// The in-node indices [`LeafNode::indices`] yields: a full node's by
+/// counting, any other's by its map. By the map alone, `fork(Cow)` of full
+/// leaves runs 13 % slower per PTE and `destroy` 29 %.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeafIndices {
+    all: std::ops::Range<usize>,
+    some: HeldSlots,
+}
+
+impl Iterator for LeafIndices {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        self.all.next().or_else(|| self.some.next())
+    }
+}
+
+/// The entries [`LeafNode::iter`] yields; none at all by default.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeafEntries<'a> {
+    words: &'a [u64],
+    indices: LeafIndices,
+}
+
+impl Iterator for LeafEntries<'_> {
+    type Item = (usize, Pte);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, Pte)> {
+        let j = self.indices.next()?;
+        Some((j, LeafNode::unpack(self.words[j])))
     }
 }
 
@@ -196,10 +495,27 @@ impl SlotKind {
             SlotKind::Small | SlotKind::Huge => 1,
         }
     }
+
+    /// Base VPN of the slot of this kind whose span covers `vpn`: the GiB
+    /// of a directory, the 2 MiB block of everything else.
+    fn base_of(self, vpn: Vpn) -> u64 {
+        match self {
+            SlotKind::Dir => vpn.0 & !(HUGE_PAGES * PT_ENTRIES as u64 - 1),
+            SlotKind::Small | SlotKind::Huge => vpn.huge_base().0,
+        }
+    }
+}
+
+/// Whether `slot` is the slot a descent for `vpn` would end at, as far as
+/// its base and kind can tell: what the `_at` methods assert of coordinates
+/// a caller kept from an earlier [`PageTable::find`].
+fn covers((base, _, _, kind): Slot, vpn: Vpn) -> bool {
+    base == kind.base_of(vpn)
 }
 
 /// Coordinates of one leaf-bearing slot: `(base VPN, arena node, slot
-/// index, kind)`.
+/// index, kind)`. Invalidated by any map/unmap/attach/detach, promotion or
+/// demotion; rewriting an entry, or privatizing the node, keeps them.
 pub(crate) type Slot = (u64, u32, usize, SlotKind);
 
 /// One drained leaf from [`PageTable::take_leaves`].
@@ -212,13 +528,14 @@ pub(crate) enum TakenLeaf {
     Huge(Pte),
 }
 
-/// Where a VPN's covering structure sits after walking the upper levels.
-enum Loc {
-    /// The path is absent above level 1.
-    Missing,
-    /// The level-1 intermediate node (slots hold `Leaf`/`Huge`/`None`).
-    L1(u32),
-    /// A huge directory covers this GiB: `(level-2 node, slot)`.
+/// The link a descent followed at each level, by level: `(node, slot)`.
+type Path = [(u32, usize); PT_LEVELS];
+
+/// Where an allocating walk of the upper levels ended.
+enum Walked {
+    /// At the intermediate node of the level asked for.
+    Table(u32),
+    /// At a huge directory covering the GiB: `(level-2 node, slot)`.
     Dir(u32, usize),
 }
 
@@ -226,6 +543,8 @@ enum Loc {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     nodes: Vec<Node>,
+    /// Arena nodes that hold nothing and hang from nothing, ready for
+    /// [`Self::alloc_node`] to hand out as they are.
     free: Vec<u32>,
     root: u32,
     mapped: u64,
@@ -245,8 +564,13 @@ impl Default for PageTable {
 impl PageTable {
     /// Creates an empty page table (root node only).
     pub fn new() -> PageTable {
+        // Room for the paths of a freshly exec'd process (text, heap and
+        // stack hang from six intermediate nodes), so that mapping them
+        // does not move the arena three times: +4 % `spawn_small` req/s.
+        let mut nodes = Vec::with_capacity(8);
+        nodes.push(Node::new());
         PageTable {
-            nodes: vec![Node::new()],
+            nodes,
             free: Vec::new(),
             root: 0,
             mapped: 0,
@@ -257,53 +581,78 @@ impl PageTable {
 
     fn alloc_node(&mut self, cycles: &mut Cycles, cost: &CostModel) -> u32 {
         cycles.charge(cost.pt_node_alloc);
-        if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = Node::new();
-            i
-        } else {
+        // A node on the free list is empty, which is all a new one is.
+        self.free.pop().unwrap_or_else(|| {
             self.nodes.push(Node::new());
             (self.nodes.len() - 1) as u32
-        }
+        })
     }
 
-    /// Walks downward allocating missing intermediates, returning the arena
-    /// index of the level-`stop` node covering `vpn` (`stop == 1` for the
-    /// ordinary leaf walk, `stop == 2` to attach a huge directory).
-    ///
-    /// Panics on meeting a huge directory above `stop`: callers must
-    /// degroup (or route to the directory) first.
-    fn walk_alloc(&mut self, vpn: Vpn, stop: usize, cycles: &mut Cycles, cost: &CostModel) -> u32 {
+    /// Retires the arena node `node`, which holds nothing and which nothing
+    /// links to any more.
+    fn free_node(&mut self, node: u32) {
+        debug_assert_eq!(self.nodes[node as usize].live(), 0, "freeing a node that holds entries");
+        self.free.push(node);
+    }
+
+    /// Walks downward allocating missing intermediates, to the level-`stop`
+    /// node covering `vpn` (`stop == 1` for the ordinary leaf walk,
+    /// `stop == 2` to attach a huge directory) — or to the huge directory
+    /// met on the way to level 1, for the caller to write into or degroup.
+    fn walk_alloc(&mut self, vpn: Vpn, stop: usize, cycles: &mut Cycles, cost: &CostModel) -> Walked {
         let mut node = self.root;
         for level in (stop + 1..PT_LEVELS).rev() {
             let idx = vpn.pt_index(level);
-            node = match self.nodes[node as usize].entries[idx] {
-                Entry::Table(t) => t,
-                Entry::None => {
+            node = match self.nodes[node as usize].get(idx) {
+                Some(Entry::Table(t)) => *t,
+                None => {
                     let t = self.alloc_node(cycles, cost);
-                    let n = &mut self.nodes[node as usize];
-                    n.entries[idx] = Entry::Table(t);
-                    n.live += 1;
+                    self.nodes[node as usize].put(idx, Entry::Table(t));
                     t
                 }
-                Entry::Leaf(_) => panic!("walk through a huge directory (missed degroup)"),
-                Entry::Huge(_) => unreachable!("huge leaf at level {level}"),
+                Some(Entry::Leaf(_)) if level == 2 => return Walked::Dir(node, idx),
+                Some(_) => unreachable!("leaf entry at level {level}"),
             };
         }
-        node
+        Walked::Table(node)
     }
 
-    /// Walks the upper levels read-only and reports what covers `vpn`.
-    fn locate(&self, vpn: Vpn) -> Loc {
-        let mut node = self.root;
-        for level in (2..PT_LEVELS).rev() {
-            let idx = vpn.pt_index(level);
-            match &self.nodes[node as usize].entries[idx] {
-                Entry::Table(t) => node = *t,
-                Entry::Leaf(_) if level == 2 => return Loc::Dir(node, idx),
-                _ => return Loc::Missing,
-            }
+    /// [`Self::walk_alloc`] to level 1 where the caller has nothing to do
+    /// with a directory but to have degrouped it.
+    fn walk_alloc_l1(&mut self, vpn: Vpn, cycles: &mut Cycles, cost: &CostModel) -> u32 {
+        match self.walk_alloc(vpn, 1, cycles, cost) {
+            Walked::Table(node) => node,
+            Walked::Dir(..) => panic!("walk through a huge directory (missed degroup)"),
         }
-        Loc::L1(node)
+    }
+
+    /// Coordinates of the leaf-bearing slot whose span covers `vpn` — a
+    /// small-PTE node, a lone huge block or a huge directory — whether or
+    /// not it maps `vpn` itself: [`Self::walk_recording`], the one
+    /// read-only descent, with the path dropped. What the slot holds for
+    /// `vpn` is then a matter of [`Self::pte_at`], [`Self::block_at`],
+    /// [`Self::shared_at`] and [`Self::update_at`], none of which walks.
+    #[inline]
+    pub(crate) fn find(&self, vpn: Vpn) -> Option<Slot> {
+        let (_, node, idx, dir) = self.walk_recording(vpn)?;
+        let kind = match self.nodes[node as usize].get(idx)? {
+            Entry::Leaf(_) if dir => SlotKind::Dir,
+            Entry::Leaf(_) => SlotKind::Small,
+            Entry::Huge(_) => SlotKind::Huge,
+            Entry::Table(_) => unreachable!("table at leaf level"),
+        };
+        Some((kind.base_of(vpn), node, idx, kind))
+    }
+
+    /// The entry behind slot coordinates.
+    #[inline]
+    fn entry_at(&self, node: u32, idx: usize) -> &Entry {
+        self.nodes[node as usize].get(idx).expect("stale slot coordinates")
+    }
+
+    #[inline]
+    fn entry_at_mut(&mut self, node: u32, idx: usize) -> &mut Entry {
+        self.nodes[node as usize].get_mut(idx).expect("stale slot coordinates")
     }
 
     /// Number of leaf translations currently installed. A huge mapping
@@ -349,6 +698,22 @@ impl PageTable {
         cycles: &mut Cycles,
         cost: &CostModel,
     ) -> MemResult<()> {
+        self.map_at(vpn, pte, None, cycles, cost).map(|_| ())
+    }
+
+    /// [`Self::map`], returning the coordinates of the slot the translation
+    /// went into. `found` is what a caller's own [`Self::find`] returned for
+    /// `vpn`, if it made one: where that found the small-PTE node the entry
+    /// goes into, the descent is not made again. Otherwise the walk that
+    /// allocates is the walk that finds.
+    pub(crate) fn map_at(
+        &mut self,
+        vpn: Vpn,
+        pte: Pte,
+        found: Option<Slot>,
+        cycles: &mut Cycles,
+        cost: &CostModel,
+    ) -> MemResult<Slot> {
         if !vpn.is_user() {
             return Err(MemError::BadAddress);
         }
@@ -356,40 +721,50 @@ impl PageTable {
         // intermediate node anywhere along the walk. Crossing before any
         // mutation keeps the table untouched on injected failure.
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        if let Loc::Dir(n2, i2) = self.locate(vpn) {
-            let Entry::Leaf(arc) = &self.nodes[n2 as usize].entries[i2] else {
-                unreachable!("located a directory");
-            };
-            if arc.ptes[vpn.pt_index(1)].is_some() {
-                return Err(MemError::Overlap);
-            }
-            // Small page into a directory hole: the GiB loses its all-huge
-            // shape, so fall back to a level-1 table of lone huge leaves.
-            self.degroup(n2, i2, cycles, cost);
-        }
-        let node = self.walk_alloc(vpn, 1, cycles, cost);
-        let idx1 = vpn.pt_index(1);
-        let n = &mut self.nodes[node as usize];
-        if matches!(n.entries[idx1], Entry::Huge(_)) {
-            return Err(MemError::Overlap);
-        }
-        if matches!(n.entries[idx1], Entry::None) {
-            cycles.charge(cost.pt_node_alloc);
-            n.entries[idx1] = Entry::Leaf(Arc::new(LeafNode::new()));
-            n.live += 1;
-            self.leaf_count += 1;
-        }
-        let Entry::Leaf(arc) = &mut self.nodes[node as usize].entries[idx1] else {
-            unreachable!("table at leaf level");
+        let slot = match found {
+            Some(slot @ (.., SlotKind::Small)) => slot,
+            _ => self.small_node_for(vpn, cycles, cost)?,
         };
+        debug_assert!(covers(slot, vpn), "map_at: slot {slot:?} does not cover {vpn:?}");
+        let arc = self.leaf_at_mut(slot.1, slot.2);
         let idx0 = vpn.pt_index(0);
-        if arc.ptes[idx0].is_some() {
+        if arc.get(idx0).is_some() {
             return Err(MemError::Overlap);
         }
         let leaf = Arc::get_mut(arc).expect("map into a shared leaf subtree (missed unshare)");
         leaf.set(idx0, Some(pte));
         self.mapped += 1;
-        Ok(())
+        Ok(slot)
+    }
+
+    /// Walks to the small-PTE node covering `vpn`, allocating it and the
+    /// path to it as needed, and degrouping a huge directory that has a
+    /// hole there.
+    fn small_node_for(&mut self, vpn: Vpn, cycles: &mut Cycles, cost: &CostModel) -> MemResult<Slot> {
+        let node = match self.walk_alloc(vpn, 1, cycles, cost) {
+            Walked::Table(node) => node,
+            Walked::Dir(n2, i2) => {
+                if self.leaf_at(n2, i2).get(vpn.pt_index(1)).is_some() {
+                    return Err(MemError::Overlap);
+                }
+                // Small page into a directory hole: the GiB loses its
+                // all-huge shape, so fall back to a level-1 table of lone
+                // huge leaves.
+                self.degroup(n2, i2, cycles, cost)
+            }
+        };
+        let idx1 = vpn.pt_index(1);
+        let n = &mut self.nodes[node as usize];
+        match n.get(idx1) {
+            Some(Entry::Huge(_)) => return Err(MemError::Overlap),
+            Some(_) => {}
+            None => {
+                cycles.charge(cost.pt_node_alloc);
+                n.put(idx1, Entry::Leaf(Arc::new(LeafNode::new())));
+                self.leaf_count += 1;
+            }
+        }
+        Ok((vpn.huge_base().0, node, idx1, SlotKind::Small))
     }
 
     /// Installs a 2 MiB huge leaf at block-aligned `vpn`, whose `pfn` heads
@@ -439,35 +814,50 @@ impl PageTable {
         debug_assert_eq!(pte.pfn.0 % HUGE_PAGES, 0, "huge pfn must head an aligned run");
         let pte = Pte::new(pte.pfn, pte.flags | PteFlags::HUGE);
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        if let Loc::Dir(n2, i2) = self.locate(vpn) {
-            let j = vpn.pt_index(1);
-            let Entry::Leaf(arc) = &mut self.nodes[n2 as usize].entries[i2] else {
-                unreachable!("located a directory");
-            };
-            if arc.ptes[j].is_some() {
-                return Err(MemError::Overlap);
+        let node = match self.walk_alloc(vpn, 1, cycles, cost) {
+            Walked::Table(node) => node,
+            Walked::Dir(n2, i2) => {
+                let j = vpn.pt_index(1);
+                let arc = self.leaf_at_mut(n2, i2);
+                if arc.get(j).is_some() {
+                    return Err(MemError::Overlap);
+                }
+                let dir =
+                    Arc::get_mut(arc).expect("map_huge into a shared directory (missed unshare)");
+                dir.set(j, Some(pte));
+                self.mapped += HUGE_PAGES;
+                self.huge += 1;
+                cycles.charge(charge);
+                return Ok(());
             }
-            let dir =
-                Arc::get_mut(arc).expect("map_huge into a shared directory (missed unshare)");
-            dir.set(j, Some(pte));
-            self.mapped += HUGE_PAGES;
-            self.huge += 1;
-            cycles.charge(charge);
-            return Ok(());
-        }
-        let node = self.walk_alloc(vpn, 1, cycles, cost);
+        };
         let idx1 = vpn.pt_index(1);
         let n = &mut self.nodes[node as usize];
-        if !matches!(n.entries[idx1], Entry::None) {
+        if n.get(idx1).is_some() {
             return Err(MemError::Overlap);
         }
-        n.entries[idx1] = Entry::Huge(pte);
-        n.live += 1;
+        n.put(idx1, Entry::Huge(pte));
         self.mapped += HUGE_PAGES;
         self.huge += 1;
         cycles.charge(charge);
         self.try_collapse(vpn, node);
         Ok(())
+    }
+
+    /// Trades the level-1 node `l1`, which holds nothing but huge PTEs, for
+    /// a huge directory of them in the slot `(n2, i2)` that linked it.
+    /// `mapped`, `huge` and `n2`'s live count are unchanged.
+    fn swap_in_directory(&mut self, n2: u32, i2: usize, l1: u32) {
+        let mut dir = LeafNode::new();
+        let n = &mut self.nodes[l1 as usize];
+        for (j, p) in n.all_huge().expect("a directory's members are huge") {
+            dir.set(j, Some(p));
+        }
+        n.clear();
+        let linked = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Leaf(Arc::new(dir)));
+        debug_assert!(matches!(linked, Entry::Table(t) if t == l1));
+        self.free_node(l1);
+        self.leaf_count += 1;
     }
 
     /// If the level-1 node covering `vpn` has become all-huge, collapses it
@@ -476,36 +866,15 @@ impl PageTable {
     /// node for one leaf node, and is what lets fork share a whole GiB of
     /// huge mappings with a single pointer copy.
     fn try_collapse(&mut self, vpn: Vpn, l1: u32) {
-        {
-            let n = &self.nodes[l1 as usize];
-            if n.live as usize != PT_ENTRIES
-                || !n.entries.iter().all(|e| matches!(e, Entry::Huge(_)))
-            {
-                return;
-            }
+        let n = &self.nodes[l1 as usize];
+        if n.live() != PT_ENTRIES || n.all_huge().is_none() {
+            return;
         }
-        let mut dir = LeafNode::new();
-        for (j, e) in self.nodes[l1 as usize].entries.iter().enumerate() {
-            let Entry::Huge(p) = e else { unreachable!() };
-            dir.set(j, Some(*p));
-        }
-        // Rewire the parent slot from Table(l1) to the directory.
-        let mut node = self.root;
-        for level in (3..PT_LEVELS).rev() {
-            node = match &self.nodes[node as usize].entries[vpn.pt_index(level)] {
-                Entry::Table(t) => *t,
-                _ => unreachable!("collapse under a broken path"),
-            };
-        }
-        let i2 = vpn.pt_index(2);
-        debug_assert!(matches!(
-            self.nodes[node as usize].entries[i2],
-            Entry::Table(t) if t == l1
-        ));
-        self.nodes[node as usize].entries[i2] = Entry::Leaf(Arc::new(dir));
-        self.free.push(l1);
-        self.leaf_count += 1;
-        // `mapped`, `huge` and the parent's live count are unchanged.
+        // The level-2 slot that links `l1`; looked up only when a node
+        // fills, which is once in 512 huge maps at most.
+        let (path, ..) = self.walk_recording(vpn).expect("collapse under a broken path");
+        let (n2, i2) = path[2];
+        self.swap_in_directory(n2, i2, l1);
     }
 
     /// Groups every level-1 table whose present entries are all huge (two
@@ -515,37 +884,19 @@ impl PageTable {
     /// them too); holes fill via `map_huge` and degroup on a small map.
     /// Free, like [`Self::try_collapse`]: a node swap, not a PTE walk.
     pub(crate) fn group_huge_tables(&mut self) {
-        let l2s: Vec<u32> = self.nodes[self.root as usize]
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                Entry::Table(t) => Some(*t),
+        let tables_of = |n: &Node| -> Vec<(usize, u32)> {
+            let table = |(i, e): (usize, &Entry)| match e {
+                Entry::Table(t) => Some((i, *t)),
                 _ => None,
-            })
-            .collect();
-        for n2 in l2s {
-            for i2 in 0..PT_ENTRIES {
-                let Entry::Table(l1) = self.nodes[n2 as usize].entries[i2] else {
-                    continue;
-                };
+            };
+            n.entries().filter_map(table).collect()
+        };
+        for (_, n2) in tables_of(&self.nodes[self.root as usize]) {
+            for (i2, l1) in tables_of(&self.nodes[n2 as usize]) {
                 let n = &self.nodes[l1 as usize];
-                if n.live < 2
-                    || !n
-                        .entries
-                        .iter()
-                        .all(|e| matches!(e, Entry::Huge(_) | Entry::None))
-                {
-                    continue;
+                if n.live() >= 2 && n.all_huge().is_some() {
+                    self.swap_in_directory(n2, i2, l1);
                 }
-                let mut dir = LeafNode::new();
-                for (j, e) in self.nodes[l1 as usize].entries.iter().enumerate() {
-                    if let Entry::Huge(p) = e {
-                        dir.set(j, Some(*p));
-                    }
-                }
-                self.nodes[n2 as usize].entries[i2] = Entry::Leaf(Arc::new(dir));
-                self.free.push(l1);
-                self.leaf_count += 1;
             }
         }
     }
@@ -555,7 +906,9 @@ impl PageTable {
     /// Charges one node allocation; the huge PTEs themselves survive, so
     /// this is not a demotion and crosses no fault site of its own.
     fn degroup(&mut self, n2: u32, i2: usize, cycles: &mut Cycles, cost: &CostModel) -> u32 {
-        let Entry::Leaf(arc) = std::mem::replace(&mut self.nodes[n2 as usize].entries[i2], Entry::None)
+        let l1 = self.alloc_node(cycles, cost);
+        // `n2`'s live count is unchanged: Leaf replaced by Table.
+        let Entry::Leaf(arc) = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Table(l1))
         else {
             unreachable!("degroup of a non-directory slot");
         };
@@ -563,17 +916,11 @@ impl PageTable {
             Ok(node) => node,
             Err(_) => panic!("degrouping a shared huge directory (missed unshare)"),
         };
-        let l1 = self.alloc_node(cycles, cost);
         let n = &mut self.nodes[l1 as usize];
-        for (j, slot) in dir.ptes.iter().enumerate() {
-            if let Some(p) = slot {
-                n.entries[j] = Entry::Huge(*p);
-                n.live += 1;
-            }
+        for (j, p) in dir.iter() {
+            n.put(j, Entry::Huge(p));
         }
-        self.nodes[n2 as usize].entries[i2] = Entry::Table(l1);
         self.leaf_count -= 1;
-        // The parent's live count is unchanged: Leaf replaced by Table.
         l1
     }
 
@@ -585,26 +932,21 @@ impl PageTable {
     /// checks only what the table can see.
     pub(crate) fn promotable(&self, base: Vpn) -> Option<Pte> {
         debug_assert!(base.is_huge_aligned());
-        let Loc::L1(node) = self.locate(base) else {
+        let (_, node, idx, SlotKind::Small) = self.find(base)? else {
             return None;
         };
-        let Entry::Leaf(arc) = &self.nodes[node as usize].entries[base.pt_index(1)] else {
-            return None;
-        };
+        let arc = self.leaf_at(node, idx);
         if Arc::strong_count(arc) > 1 || arc.live() != PT_ENTRIES as u64 {
             return None;
         }
-        let first = arc.ptes[0]?;
+        let first = arc.get(0)?;
         if !first.is_present() || first.pfn.0 % HUGE_PAGES != 0 {
             return None;
         }
-        for (j, slot) in arc.ptes.iter().enumerate() {
-            let p = (*slot)?;
-            if !p.is_present() || p.flags != first.flags || p.pfn.0 != first.pfn.0 + j as u64 {
-                return None;
-            }
-        }
-        Some(Pte::new(first.pfn, first.flags | PteFlags::HUGE))
+        let continues = |(j, p): (usize, Pte)| {
+            p.is_present() && p.flags == first.flags && p.pfn.0 == first.pfn.0 + j as u64
+        };
+        arc.iter().all(continues).then(|| Pte::new(first.pfn, first.flags | PteFlags::HUGE))
     }
 
     /// Collapses the full small-PTE leaf at aligned `base` into the lone
@@ -619,22 +961,15 @@ impl PageTable {
         cost: &CostModel,
     ) -> MemResult<()> {
         debug_assert!(base.is_huge_aligned() && pte.is_huge());
-        let Loc::L1(node) = self.locate(base) else {
+        let Some((_, node, idx1, SlotKind::Small)) = self.find(base) else {
             return Err(MemError::NotMapped);
         };
-        let idx1 = base.pt_index(1);
-        match &self.nodes[node as usize].entries[idx1] {
-            Entry::Leaf(arc) => {
-                debug_assert_eq!(
-                    Arc::strong_count(arc),
-                    1,
-                    "promoting a shared leaf (missed unshare)"
-                );
-                debug_assert_eq!(arc.live(), PT_ENTRIES as u64);
-            }
-            _ => return Err(MemError::NotMapped),
+        let entry = self.entry_at_mut(node, idx1);
+        if let Entry::Leaf(arc) = entry {
+            debug_assert_eq!(Arc::strong_count(arc), 1, "promoting a shared leaf (missed unshare)");
+            debug_assert_eq!(arc.live(), PT_ENTRIES as u64);
         }
-        self.nodes[node as usize].entries[idx1] = Entry::Huge(pte);
+        *entry = Entry::Huge(pte);
         self.leaf_count -= 1;
         self.huge += 1;
         // `mapped` is unchanged: 512 small pages became one 512-page block.
@@ -657,13 +992,13 @@ impl PageTable {
     ) -> MemResult<()> {
         let base = vpn.huge_base();
         fpr_faults::cross(FaultSite::PtDemote).map_err(|_| MemError::OutOfMemory)?;
-        let l1 = match self.locate(base) {
-            Loc::Dir(n2, i2) => self.degroup(n2, i2, cycles, cost),
-            Loc::L1(n) => n,
-            Loc::Missing => return Err(MemError::NotMapped),
-        };
         let idx1 = base.pt_index(1);
-        let Entry::Huge(hpte) = self.nodes[l1 as usize].entries[idx1] else {
+        let l1 = match self.find(base) {
+            Some((_, n2, i2, SlotKind::Dir)) => self.degroup(n2, i2, cycles, cost),
+            Some((_, node, _, SlotKind::Huge)) => node,
+            _ => return Err(MemError::NotMapped),
+        };
+        let Some(&Entry::Huge(hpte)) = self.nodes[l1 as usize].get(idx1) else {
             return Err(MemError::NotMapped);
         };
         let mut leaf = LeafNode::new();
@@ -672,7 +1007,7 @@ impl PageTable {
             let pfn = Pfn(hpte.pfn.0 + j as u64);
             leaf.set(j, Some(Pte { pfn, flags }));
         }
-        self.nodes[l1 as usize].entries[idx1] = Entry::Leaf(Arc::new(leaf));
+        *self.entry_at_mut(l1, idx1) = Entry::Leaf(Arc::new(leaf));
         self.leaf_count += 1;
         self.huge -= 1;
         cycles.charge(cost.pt_demote);
@@ -686,96 +1021,79 @@ impl PageTable {
     /// block panics — callers must demote first. Panics if the covering
     /// leaf subtree or directory is shared — callers must privatize first.
     pub fn unmap(&mut self, vpn: Vpn) -> MemResult<Pte> {
-        // Record the walk so empty ancestors can be reclaimed.
-        let mut path = [(0u32, 0usize); PT_LEVELS];
+        let (path, node, idx, dir) = self.walk_recording(vpn).ok_or(MemError::NotMapped)?;
+        let n = &mut self.nodes[node as usize];
+        // The entry's index in its leaf node, and the pages it maps.
+        let (j, pages) = if dir { (vpn.pt_index(1), HUGE_PAGES) } else { (vpn.pt_index(0), 1) };
+        let pte = match n.get_mut(idx) {
+            Some(Entry::Huge(hpte)) => {
+                let hpte = *hpte;
+                assert!(vpn.is_huge_aligned(), "unmap inside a huge block (missed demote)");
+                n.take(idx);
+                self.mapped -= HUGE_PAGES;
+                self.huge -= 1;
+                hpte
+            }
+            Some(Entry::Leaf(arc)) => {
+                if arc.get(j).is_none() {
+                    return Err(MemError::NotMapped);
+                }
+                assert!(!dir || vpn.is_huge_aligned(), "unmap inside a huge block (missed demote)");
+                let leaf = Arc::get_mut(arc).expect(if dir {
+                    "unmap inside a shared directory (missed unshare)"
+                } else {
+                    "unmap inside a shared leaf subtree (missed unshare)"
+                });
+                let pte = leaf.set(j, None).expect("presence checked above");
+                self.mapped -= pages;
+                self.huge -= dir as u64;
+                if leaf.live() != 0 {
+                    return Ok(pte);
+                }
+                n.take(idx);
+                self.leaf_count -= 1;
+                pte
+            }
+            _ => return Err(MemError::NotMapped),
+        };
+        self.reclaim_path(&path, node, if dir { 3 } else { 2 });
+        Ok(pte)
+    }
+
+    /// The one read-only descent: walks to the leaf-bearing slot covering
+    /// `vpn`, recording the link followed at each level so that empty
+    /// ancestors can be reclaimed ([`Self::unmap`], [`Self::detach_leaf`])
+    /// or the parent of a level-1 node found ([`Self::try_collapse`]):
+    /// `(path, node, slot, whether the slot is a huge directory's)`. The
+    /// slot of a level-1 node may turn out to be empty; a path that breaks
+    /// off higher up is `None`. Inlined, so that [`Self::find`], which
+    /// drops the path, does not pay for recording it.
+    #[inline]
+    fn walk_recording(&self, vpn: Vpn) -> Option<(Path, u32, usize, bool)> {
+        let mut path: Path = [(0, 0); PT_LEVELS];
         let mut node = self.root;
-        let mut dir = None;
         for level in (2..PT_LEVELS).rev() {
             let idx = vpn.pt_index(level);
             path[level] = (node, idx);
-            match &self.nodes[node as usize].entries[idx] {
+            match self.nodes[node as usize].get(idx)? {
                 Entry::Table(t) => node = *t,
-                Entry::Leaf(_) if level == 2 => {
-                    dir = Some((node, idx));
-                    break;
-                }
-                _ => return Err(MemError::NotMapped),
+                Entry::Leaf(_) if level == 2 => return Some((path, node, idx, true)),
+                _ => return None,
             }
         }
-        if let Some((n2, i2)) = dir {
-            let j = vpn.pt_index(1);
-            let Entry::Leaf(arc) = &mut self.nodes[n2 as usize].entries[i2] else {
-                unreachable!("located a directory");
-            };
-            if arc.ptes[j].is_none() {
-                return Err(MemError::NotMapped);
-            }
-            assert!(
-                vpn.is_huge_aligned(),
-                "unmap inside a huge block (missed demote)"
-            );
-            let d = Arc::get_mut(arc).expect("unmap inside a shared directory (missed unshare)");
-            let pte = d.set(j, None).expect("presence checked above");
-            self.mapped -= HUGE_PAGES;
-            self.huge -= 1;
-            if d.live() == 0 {
-                let n = &mut self.nodes[n2 as usize];
-                n.entries[i2] = Entry::None;
-                n.live -= 1;
-                self.leaf_count -= 1;
-                self.reclaim_path(&path, n2, 3);
-            }
-            return Ok(pte);
-        }
-        let idx1 = vpn.pt_index(1);
-        if let Entry::Huge(hpte) = self.nodes[node as usize].entries[idx1] {
-            assert!(
-                vpn.is_huge_aligned(),
-                "unmap inside a huge block (missed demote)"
-            );
-            let n = &mut self.nodes[node as usize];
-            n.entries[idx1] = Entry::None;
-            n.live -= 1;
-            self.mapped -= HUGE_PAGES;
-            self.huge -= 1;
-            self.reclaim_path(&path, node, 2);
-            return Ok(hpte);
-        }
-        let idx0 = vpn.pt_index(0);
-        let Entry::Leaf(arc) = &mut self.nodes[node as usize].entries[idx1] else {
-            return Err(MemError::NotMapped);
-        };
-        if arc.ptes[idx0].is_none() {
-            return Err(MemError::NotMapped);
-        }
-        let leaf = Arc::get_mut(arc).expect("unmap inside a shared leaf subtree (missed unshare)");
-        let pte = leaf.set(idx0, None).expect("presence checked above");
-        self.mapped -= 1;
-        if leaf.live() != 0 {
-            return Ok(pte);
-        }
-        let n = &mut self.nodes[node as usize];
-        n.entries[idx1] = Entry::None;
-        n.live -= 1;
-        self.leaf_count -= 1;
-        self.reclaim_path(&path, node, 2);
-        Ok(pte)
+        Some((path, node, vpn.pt_index(1), false))
     }
 
     /// Reclaims empty intermediate nodes bottom-up starting from `child`
     /// (never the root), following the parent links recorded in `path`
     /// from level `from` upward.
-    fn reclaim_path(&mut self, path: &[(u32, usize); PT_LEVELS], mut child: u32, from: usize) {
-        #[allow(clippy::needless_range_loop)]
-        for level in from..PT_LEVELS {
-            if self.nodes[child as usize].live != 0 {
+    fn reclaim_path(&mut self, path: &Path, mut child: u32, from: usize) {
+        for &(parent, idx) in &path[from..] {
+            if self.nodes[child as usize].live() != 0 {
                 break;
             }
-            let (parent, idx) = path[level];
-            self.free.push(child);
-            let pn = &mut self.nodes[parent as usize];
-            pn.entries[idx] = Entry::None;
-            pn.live -= 1;
+            self.free_node(child);
+            self.nodes[parent as usize].take(idx);
             child = parent;
         }
     }
@@ -785,37 +1103,35 @@ impl PageTable {
     /// flag set) so callers can both use the translation and recognise the
     /// block mapping behind it.
     pub fn translate(&self, vpn: Vpn) -> Option<Pte> {
-        match self.locate(vpn) {
-            Loc::Missing => None,
-            Loc::Dir(n2, i2) => {
-                let Entry::Leaf(arc) = &self.nodes[n2 as usize].entries[i2] else {
-                    unreachable!("located a directory");
-                };
-                arc.ptes[vpn.pt_index(1)].map(|h| Self::synth(h, vpn))
-            }
-            Loc::L1(node) => match &self.nodes[node as usize].entries[vpn.pt_index(1)] {
-                Entry::Leaf(arc) => arc.ptes[vpn.pt_index(0)],
-                Entry::Huge(h) => Some(Self::synth(*h, vpn)),
-                _ => None,
-            },
+        self.pte_at(self.find(vpn)?, vpn)
+    }
+
+    /// [`Self::translate`] without the descent: what the slot at
+    /// coordinates from [`Self::find`] holds for `vpn`.
+    #[inline]
+    pub(crate) fn pte_at(&self, slot @ (_, node, idx, kind): Slot, vpn: Vpn) -> Option<Pte> {
+        debug_assert!(covers(slot, vpn), "pte_at: slot {slot:?} does not cover {vpn:?}");
+        match self.entry_at(node, idx) {
+            Entry::Leaf(leaf) if kind == SlotKind::Small => leaf.get(vpn.pt_index(0)),
+            Entry::Leaf(dir) => dir.get(vpn.pt_index(1)).map(|h| Self::synth(h, vpn)),
+            Entry::Huge(h) => Some(Self::synth(*h, vpn)),
+            Entry::Table(_) => panic!("pte_at: stale coordinates"),
         }
     }
 
     /// The covering 2 MiB block PTE (frame = head of the run) if `vpn`
     /// falls inside a huge mapping.
     pub fn huge_block(&self, vpn: Vpn) -> Option<Pte> {
-        match self.locate(vpn) {
-            Loc::Missing => None,
-            Loc::Dir(n2, i2) => {
-                let Entry::Leaf(arc) = &self.nodes[n2 as usize].entries[i2] else {
-                    unreachable!("located a directory");
-                };
-                arc.ptes[vpn.pt_index(1)]
-            }
-            Loc::L1(node) => match &self.nodes[node as usize].entries[vpn.pt_index(1)] {
-                Entry::Huge(h) => Some(*h),
-                _ => None,
-            },
+        self.block_at(self.find(vpn)?, vpn)
+    }
+
+    /// [`Self::huge_block`] without the descent.
+    pub(crate) fn block_at(&self, slot @ (_, node, idx, kind): Slot, vpn: Vpn) -> Option<Pte> {
+        debug_assert!(covers(slot, vpn), "block_at: slot {slot:?} does not cover {vpn:?}");
+        match self.entry_at(node, idx) {
+            Entry::Leaf(dir) if kind == SlotKind::Dir => dir.get(vpn.pt_index(1)),
+            Entry::Huge(h) => Some(*h),
+            _ => None,
         }
     }
 
@@ -824,19 +1140,13 @@ impl PageTable {
     /// unshared it). A lone huge leaf is never shared — fork shares its
     /// frames, not the entry.
     pub fn leaf_shared(&self, vpn: Vpn) -> bool {
-        match self.locate(vpn) {
-            Loc::Missing => false,
-            Loc::Dir(n2, i2) => {
-                let Entry::Leaf(arc) = &self.nodes[n2 as usize].entries[i2] else {
-                    unreachable!("located a directory");
-                };
-                Arc::strong_count(arc) > 1
-            }
-            Loc::L1(node) => match &self.nodes[node as usize].entries[vpn.pt_index(1)] {
-                Entry::Leaf(arc) => Arc::strong_count(arc) > 1,
-                _ => false,
-            },
-        }
+        self.find(vpn).is_some_and(|slot| self.shared_at(slot))
+    }
+
+    /// [`Self::leaf_shared`] without the descent.
+    #[inline]
+    pub(crate) fn shared_at(&self, (_, node, idx, _): Slot) -> bool {
+        matches!(self.entry_at(node, idx), Entry::Leaf(arc) if Arc::strong_count(arc) > 1)
     }
 
     /// Replaces an existing translation in place (COW break, protection
@@ -845,59 +1155,53 @@ impl PageTable {
     /// `vpn` is not mapped. Panics if the covering leaf subtree or
     /// directory is shared — callers must privatize first.
     pub fn update(&mut self, vpn: Vpn, pte: Pte) -> MemResult<Pte> {
-        match self.locate(vpn) {
-            Loc::Missing => Err(MemError::NotMapped),
-            Loc::Dir(n2, i2) => {
-                let j = vpn.pt_index(1);
-                let Entry::Leaf(arc) = &mut self.nodes[n2 as usize].entries[i2] else {
-                    unreachable!("located a directory");
-                };
-                if arc.ptes[j].is_none() {
+        let slot = self.find(vpn).ok_or(MemError::NotMapped)?;
+        self.update_at(slot, vpn, pte)
+    }
+
+    /// [`Self::update`] without the descent.
+    #[inline]
+    pub(crate) fn update_at(&mut self, slot @ (_, node, idx, kind): Slot, vpn: Vpn, pte: Pte) -> MemResult<Pte> {
+        debug_assert!(covers(slot, vpn), "update_at: slot {slot:?} does not cover {vpn:?}");
+        let whole_block = || {
+            assert!(
+                vpn.is_huge_aligned() && pte.is_huge(),
+                "partial update of a huge block (missed demote)"
+            );
+        };
+        match self.entry_at_mut(node, idx) {
+            Entry::Huge(h) => {
+                whole_block();
+                Ok(std::mem::replace(h, pte))
+            }
+            Entry::Leaf(arc) => {
+                let dir = kind == SlotKind::Dir;
+                let j = vpn.pt_index(dir as usize);
+                if arc.get(j).is_none() {
                     return Err(MemError::NotMapped);
                 }
-                assert!(
-                    vpn.is_huge_aligned() && pte.is_huge(),
-                    "partial update of a huge block (missed demote)"
-                );
-                let d =
-                    Arc::get_mut(arc).expect("update inside a shared directory (missed unshare)");
-                Ok(d.set(j, Some(pte)).expect("presence checked above"))
-            }
-            Loc::L1(node) => {
-                let idx1 = vpn.pt_index(1);
-                match &mut self.nodes[node as usize].entries[idx1] {
-                    Entry::Huge(h) => {
-                        assert!(
-                            vpn.is_huge_aligned() && pte.is_huge(),
-                            "partial update of a huge block (missed demote)"
-                        );
-                        let old = *h;
-                        *h = pte;
-                        Ok(old)
-                    }
-                    Entry::Leaf(arc) => {
-                        let idx0 = vpn.pt_index(0);
-                        if arc.ptes[idx0].is_none() {
-                            return Err(MemError::NotMapped);
-                        }
-                        let leaf = Arc::get_mut(arc)
-                            .expect("update inside a shared leaf subtree (missed unshare)");
-                        Ok(leaf.set(idx0, Some(pte)).expect("presence checked above"))
-                    }
-                    _ => Err(MemError::NotMapped),
+                if dir {
+                    whole_block();
                 }
+                let leaf = Arc::get_mut(arc).expect(if dir {
+                    "update inside a shared directory (missed unshare)"
+                } else {
+                    "update inside a shared leaf subtree (missed unshare)"
+                });
+                Ok(leaf.set(j, Some(pte)).expect("presence checked above"))
             }
+            Entry::Table(_) => panic!("update_at: stale coordinates"),
         }
     }
 
     /// Coordinates of every leaf-bearing slot whose span intersects the VPN
     /// range `[lo, hi)`: `(base VPN, arena node, slot index, kind)`,
     /// ascending by base — an in-order descent that enters only subtrees
-    /// the range touches. Every leaf enumeration below is built on this
-    /// one walk. Coordinates (not `Arc` clones) so that enumerating does
-    /// not perturb `Arc::strong_count` — the on-demand fork walk relies on
-    /// the count to detect exclusivity. Coordinates are invalidated by any
-    /// map/unmap/attach/detach.
+    /// the range touches and visits only slots that hold something. Every
+    /// leaf enumeration below is built on this one walk. Coordinates (not
+    /// `Arc` clones) so that enumerating does not perturb
+    /// `Arc::strong_count` — the on-demand fork walk relies on the count to
+    /// detect exclusivity.
     pub(crate) fn leaf_slots_in(&self, lo: u64, hi: u64) -> Vec<Slot> {
         let mut out = Vec::new();
         self.collect_slots(self.root, PT_LEVELS - 1, 0, lo, hi, &mut out);
@@ -918,11 +1222,9 @@ impl PageTable {
         let first = (lo.saturating_sub(base) >> shift).min(PT_ENTRIES as u64) as usize;
         let last = ((hi - base).saturating_add((1 << shift) - 1) >> shift)
             .clamp(first as u64, PT_ENTRIES as u64) as usize;
-        for (i, e) in self.nodes[node as usize].entries[first..last].iter().enumerate() {
-            let i = first + i;
+        for (i, e) in self.nodes[node as usize].entries_in(first, last) {
             let slot_base = base | ((i as u64) << shift);
             match e {
-                Entry::None => {}
                 Entry::Table(t) => self.collect_slots(*t, level - 1, slot_base, lo, hi, out),
                 Entry::Leaf(_) if level == 2 => out.push((slot_base, node, i, SlotKind::Dir)),
                 Entry::Leaf(_) => out.push((slot_base, node, i, SlotKind::Small)),
@@ -944,16 +1246,12 @@ impl PageTable {
         &self,
         (base, node, idx, kind): Slot,
     ) -> impl Iterator<Item = (usize, Vpn, Pte)> + '_ {
-        let (lone, ptes): (Option<Pte>, &[Option<Pte>]) =
-            match &self.nodes[node as usize].entries[idx] {
-                Entry::Leaf(arc) => (None, &arc.ptes[..]),
-                Entry::Huge(p) => (Some(*p), &[]),
-                _ => panic!("slot_entries: stale coordinates"),
-            };
-        let members = ptes
-            .iter()
-            .enumerate()
-            .filter_map(move |(j, p)| p.map(|p| (j, Vpn(base + j as u64 * kind.stride()), p)));
+        let (lone, members) = match self.entry_at(node, idx) {
+            Entry::Leaf(arc) => (None, arc.iter()),
+            Entry::Huge(p) => (Some(*p), LeafEntries::default()),
+            Entry::Table(_) => panic!("slot_entries: stale coordinates"),
+        };
+        let members = members.map(move |(j, p)| (j, Vpn(base + j as u64 * kind.stride()), p));
         lone.into_iter().map(move |p| (0, Vpn(base), p)).chain(members)
     }
 
@@ -966,11 +1264,11 @@ impl PageTable {
     /// Visits every leaf translation along with the identity of the leaf
     /// node holding it (stable address of the shared node), so callers can
     /// recognise when two tables reference the *same* physical subtree.
-    /// Lone huge leaves use the address of their arena slot — a distinct
-    /// allocation from every `Arc`, so identities never collide.
+    /// Lone huge leaves use the address of their entry in the arena node —
+    /// a distinct allocation from every `Arc`, so identities never collide.
     pub fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
         for slot in self.leaf_slot_coords() {
-            let id = match &self.nodes[slot.1 as usize].entries[slot.2] {
+            let id = match self.entry_at(slot.1, slot.2) {
                 Entry::Leaf(arc) => Arc::as_ptr(arc) as usize,
                 lone => lone as *const Entry as usize,
             };
@@ -983,19 +1281,18 @@ impl PageTable {
     /// block base. Panics if any leaf subtree is shared.
     pub fn for_each_leaf_mut(&mut self, mut f: impl FnMut(Vpn, &mut Pte)) {
         for (base, node, idx, kind) in self.leaf_slot_coords() {
-            match &mut self.nodes[node as usize].entries[idx] {
+            match self.entry_at_mut(node, idx) {
                 Entry::Leaf(arc) => {
                     let leaf =
                         Arc::get_mut(arc).expect("mutating a shared leaf subtree (missed unshare)");
-                    for j in 0..PT_ENTRIES {
-                        if let Some(mut p) = leaf.ptes[j] {
-                            f(Vpn(base + j as u64 * kind.stride()), &mut p);
-                            leaf.set(j, Some(p));
-                        }
+                    for j in leaf.indices() {
+                        let mut p = leaf.get(j).expect("an entry the node holds");
+                        f(Vpn(base + j as u64 * kind.stride()), &mut p);
+                        leaf.set(j, Some(p));
                     }
                 }
                 Entry::Huge(p) => f(Vpn(base), p),
-                _ => unreachable!("coordinates name leaf-bearing slots"),
+                Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
             }
         }
     }
@@ -1017,7 +1314,7 @@ impl PageTable {
     /// The leaf node at arena coordinates from [`Self::leaf_slot_coords`]
     /// (small leaves and huge directories both).
     pub(crate) fn leaf_at(&self, node: u32, idx: usize) -> &Arc<LeafNode> {
-        match &self.nodes[node as usize].entries[idx] {
+        match self.entry_at(node, idx) {
             Entry::Leaf(arc) => arc,
             _ => panic!("leaf_at: stale coordinates"),
         }
@@ -1026,7 +1323,7 @@ impl PageTable {
     /// Mutable access to the leaf node at arena coordinates. The returned
     /// `Arc` can be inspected/marked via `Arc::get_mut` when exclusive.
     pub(crate) fn leaf_at_mut(&mut self, node: u32, idx: usize) -> &mut Arc<LeafNode> {
-        match &mut self.nodes[node as usize].entries[idx] {
+        match self.entry_at_mut(node, idx) {
             Entry::Leaf(arc) => arc,
             _ => panic!("leaf_at_mut: stale coordinates"),
         }
@@ -1045,12 +1342,9 @@ impl PageTable {
         cost: &CostModel,
     ) {
         let vpn = Vpn(base);
-        let node = self.walk_alloc(vpn, 1, cycles, cost);
-        let idx1 = vpn.pt_index(1);
-        let empty = matches!(self.nodes[node as usize].entries[idx1], Entry::None);
-        assert!(empty, "install_leaf over a live slot");
+        let node = self.walk_alloc_l1(vpn, cycles, cost);
         cycles.charge(cost.pt_node_alloc);
-        self.wire_leaf(node, idx1, Arc::new(leaf), false);
+        self.wire_leaf(node, vpn.pt_index(1), Arc::new(leaf), false);
     }
 
     /// Puts `arc` into the empty slot `idx` of arena node `node` and counts
@@ -1063,9 +1357,7 @@ impl PageTable {
         } else {
             self.mapped += live;
         }
-        let n = &mut self.nodes[node as usize];
-        n.entries[idx] = Entry::Leaf(arc);
-        n.live += 1;
+        self.nodes[node as usize].put(idx, Entry::Leaf(arc));
         self.leaf_count += 1;
     }
 
@@ -1088,11 +1380,15 @@ impl PageTable {
             return Err(MemError::BadAddress);
         }
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        let stop = if dir { 2 } else { 1 };
-        let node = self.walk_alloc(vpn, stop, cycles, cost);
-        let idx = vpn.pt_index(stop);
-        let n = &mut self.nodes[node as usize];
-        if !matches!(n.entries[idx], Entry::None) {
+        let (node, idx) = if dir {
+            let Walked::Table(node) = self.walk_alloc(vpn, 2, cycles, cost) else {
+                unreachable!("a walk to level 2 reads no level-2 entry");
+            };
+            (node, vpn.pt_index(2))
+        } else {
+            (self.walk_alloc_l1(vpn, cycles, cost), vpn.pt_index(1))
+        };
+        if self.nodes[node as usize].get(idx).is_some() {
             return Err(MemError::Overlap);
         }
         cycles.charge(cost.pt_subtree_share);
@@ -1100,25 +1396,22 @@ impl PageTable {
         Ok(())
     }
 
-    /// Replaces the (shared) leaf node or huge directory covering `vpn`
-    /// with a private deep copy — the deferred per-subtree copy of an
-    /// on-demand fork. Charges one node allocation plus one PTE copy per
-    /// present entry, and returns the present PTEs so the caller can
-    /// adjust frame refcounts (huge PTEs, flagged `HUGE`, stand for whole
-    /// runs). Crosses [`FaultSite::PtUnshare`] before mutating anything.
-    pub(crate) fn privatize_leaf(
+    /// Replaces the (shared) leaf node or huge directory at coordinates
+    /// from [`Self::find`] with a private deep copy — the deferred
+    /// per-subtree copy of an on-demand fork. Charges one node allocation
+    /// plus one PTE copy per present entry, and returns the present PTEs so
+    /// the caller can adjust frame refcounts (huge PTEs, flagged `HUGE`,
+    /// stand for whole runs). Crosses [`FaultSite::PtUnshare`] before
+    /// mutating anything. The coordinates stay good: the copy takes the
+    /// original's slot.
+    pub(crate) fn privatize_at(
         &mut self,
-        vpn: Vpn,
+        (_, node, idx, _): Slot,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) -> MemResult<Vec<Pte>> {
         fpr_faults::cross(FaultSite::PtUnshare).map_err(|_| MemError::OutOfMemory)?;
-        let (node, idx) = match self.locate(vpn) {
-            Loc::Missing => return Err(MemError::NotMapped),
-            Loc::Dir(n2, i2) => (n2, i2),
-            Loc::L1(n1) => (n1, vpn.pt_index(1)),
-        };
-        let Entry::Leaf(arc) = &mut self.nodes[node as usize].entries[idx] else {
+        let Entry::Leaf(arc) = self.entry_at_mut(node, idx) else {
             return Err(MemError::NotMapped);
         };
         cycles.charge(cost.pt_node_alloc + arc.live() * cost.pte_copy);
@@ -1134,78 +1427,81 @@ impl PageTable {
     /// the last owner). Lone huge leaves are not `Arc`s — unmap those.
     pub(crate) fn detach_leaf(&mut self, base: u64) -> MemResult<Arc<LeafNode>> {
         let vpn = Vpn(base);
-        let mut path = [(0u32, 0usize); PT_LEVELS];
-        let mut node = self.root;
-        let mut dir = None;
-        for level in (2..PT_LEVELS).rev() {
-            let idx = vpn.pt_index(level);
-            path[level] = (node, idx);
-            match &self.nodes[node as usize].entries[idx] {
-                Entry::Table(t) => node = *t,
-                Entry::Leaf(_) if level == 2 => {
-                    dir = Some((node, idx));
-                    break;
-                }
-                _ => return Err(MemError::NotMapped),
-            }
-        }
-        if let Some((n2, i2)) = dir {
-            debug_assert!(
-                vpn.pt_index(1) == 0 && vpn.pt_index(0) == 0,
-                "detach of a directory must use its own base"
-            );
-            let n = &mut self.nodes[n2 as usize];
-            let Entry::Leaf(arc) = std::mem::replace(&mut n.entries[i2], Entry::None) else {
-                unreachable!("located a directory");
-            };
-            n.live -= 1;
-            self.leaf_count -= 1;
-            self.mapped -= arc.live() * HUGE_PAGES;
-            self.huge -= arc.live();
-            self.reclaim_path(&path, n2, 3);
-            return Ok(arc);
-        }
-        let idx1 = vpn.pt_index(1);
+        let (path, node, idx, dir) = self.walk_recording(vpn).ok_or(MemError::NotMapped)?;
         let n = &mut self.nodes[node as usize];
-        if !matches!(n.entries[idx1], Entry::Leaf(_)) {
+        if !matches!(n.get(idx), Some(Entry::Leaf(_))) {
             return Err(MemError::NotMapped);
         }
-        let Entry::Leaf(arc) = std::mem::replace(&mut n.entries[idx1], Entry::None) else {
+        debug_assert!(
+            !dir || (vpn.pt_index(1) == 0 && vpn.pt_index(0) == 0),
+            "detach of a directory must use its own base"
+        );
+        let Entry::Leaf(arc) = n.take(idx) else {
             unreachable!("matched above");
         };
-        n.live -= 1;
         self.leaf_count -= 1;
-        self.mapped -= arc.live();
-        self.reclaim_path(&path, node, 2);
+        if dir {
+            self.mapped -= arc.live() * HUGE_PAGES;
+            self.huge -= arc.live();
+        } else {
+            self.mapped -= arc.live();
+        }
+        self.reclaim_path(&path, node, if dir { 3 } else { 2 });
         Ok(arc)
     }
 
-    /// Drains every leaf and resets the table to empty — O(nodes)
+    /// Drains every leaf and leaves the table empty — O(nodes)
     /// address-space destruction. Returns `(base VPN, leaf)` pairs
     /// ascending by base; huge directories come back as nodes of huge
-    /// PTEs and lone huge leaves as bare PTEs.
+    /// PTEs and lone huge leaves as bare PTEs. The arena is kept: every
+    /// node but the root goes on the free list, for whatever the table maps
+    /// next.
     pub(crate) fn take_leaves(&mut self) -> Vec<(u64, TakenLeaf)> {
         let slots = self.leaf_slot_coords();
-        let take = |(base, node, idx, _): Slot| {
-            let e = std::mem::replace(&mut self.nodes[node as usize].entries[idx], Entry::None);
-            match e {
-                Entry::Leaf(arc) => (base, TakenLeaf::Node(arc)),
-                Entry::Huge(p) => (base, TakenLeaf::Huge(p)),
-                _ => unreachable!("coordinates name leaf-bearing slots"),
-            }
+        let take = |(base, node, idx, _): Slot| match self.nodes[node as usize].take(idx) {
+            Entry::Leaf(arc) => (base, TakenLeaf::Node(arc)),
+            Entry::Huge(p) => (base, TakenLeaf::Huge(p)),
+            Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
         };
         let out = slots.into_iter().map(take).collect();
-        *self = PageTable::new();
+        // What is left is links between intermediate nodes.
+        self.nodes.iter_mut().for_each(Node::clear);
+        self.free.clear();
+        self.free.extend((0..self.nodes.len() as u32).filter(|&n| n != self.root));
+        (self.mapped, self.leaf_count, self.huge) = (0, 0, 0);
         out
     }
 
-    /// Recounts every summary the table keeps beside its entries — each
-    /// leaf node's entry, private-writable and swap counts, and the table's
-    /// mapped pages, huge mappings and leaf nodes — from the PTEs of every
-    /// leaf, exclusively owned or shared, and reports the first that
-    /// disagrees. Fork and teardown trust these counts instead of reading
-    /// the entries.
+    /// Recounts every summary the table keeps beside its entries and
+    /// reports the first that disagrees: each intermediate node's occupancy
+    /// map and index against the entries it holds; that a free-listed node
+    /// holds nothing and every other but the root hangs from exactly one
+    /// link; each leaf node's occupancy map and its entry, private-writable
+    /// and swap counts against its words, exclusively owned or shared; and
+    /// the table's mapped pages, huge mappings and leaf nodes. Lookups,
+    /// walks, fork and teardown trust these instead of reading the slots.
     pub(crate) fn check_summaries(&self) -> Result<(), String> {
+        let mut free = vec![false; self.nodes.len()];
+        for &n in &self.free {
+            if std::mem::replace(&mut free[n as usize], true) || n == self.root {
+                return Err(format!("node {n} is on the free list twice, or is the root"));
+            }
+        }
+        let mut links = 0;
+        for (n, node) in self.nodes.iter().enumerate() {
+            node.check().map_err(|e| format!("node {n}: {e}"))?;
+            if free[n] && node.live() != 0 {
+                return Err(format!("free-listed node {n} holds {} entries", node.live()));
+            }
+            if !free[n] && n as u32 != self.root && node.live() == 0 {
+                return Err(format!("node {n} is empty but not on the free list"));
+            }
+            links += node.held.iter().filter(|h| matches!(h.entry, Entry::Table(_))).count();
+        }
+        if links + 1 + self.free.len() != self.nodes.len() {
+            let (nodes, freed) = (self.nodes.len(), self.free.len());
+            return Err(format!("{links} links into {nodes} nodes, {freed} of them free"));
+        }
         let (mut mapped, mut huge, mut leaf_count) = (0, 0, 0);
         for slot in self.leaf_slot_coords() {
             let (base, node, idx, kind) = slot;
@@ -1222,12 +1518,11 @@ impl PageTable {
             }
             leaf_count += 1;
             let leaf = self.leaf_at(node, idx);
-            let mut held = LeafCounts::default();
-            leaf.ptes.iter().for_each(|pte| held.add(*pte, 1));
-            if leaf.counts != held {
-                return Err(format!("leaf at {base:#x} keeps {:?}, holds {held:?}", leaf.counts));
+            leaf.check().map_err(|e| format!("leaf at {base:#x}: {e}"))?;
+            if leaf.live() == 0 {
+                return Err(format!("leaf at {base:#x} is linked but empty"));
             }
-            if Arc::strong_count(leaf) > 1 && held.private_writable != 0 {
+            if Arc::strong_count(leaf) > 1 && leaf.private_writable() != 0 {
                 return Err(format!("leaf at {base:#x} is shared with writable private entries"));
             }
         }
@@ -1517,7 +1812,8 @@ mod tests {
         child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
 
         let mut ucy = Cycles::new();
-        let present = child.privatize_leaf(Vpn(3), &mut ucy, &cost).unwrap();
+        let slot = child.find(Vpn(3)).unwrap();
+        let present = child.privatize_at(slot, &mut ucy, &cost).unwrap();
         assert_eq!(present.len(), 8);
         assert_eq!(ucy.total(), cost.pt_node_alloc + 8 * cost.pte_copy);
         assert!(!child.leaf_shared(Vpn(3)), "child now private");
@@ -1575,6 +1871,20 @@ mod tests {
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
         let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::empty()), &mut cy, &cost);
+    }
+
+    /// The slot of one block, used for a page of the next: both slots hold
+    /// a leaf, so only the base the coordinates carry tells them apart.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not cover")]
+    fn coordinates_kept_from_another_block_are_refused() {
+        let (mut pt, mut cy, cost) = fixture();
+        for vpn in [Vpn(0), Vpn(HUGE_PAGES)] {
+            pt.map(vpn, Pte::new(Pfn(vpn.0), PteFlags::WRITABLE), &mut cy, &cost).unwrap();
+        }
+        let stale = pt.find(Vpn(0)).unwrap();
+        let _ = pt.update_at(stale, Vpn(HUGE_PAGES), Pte::new(Pfn(9), PteFlags::WRITABLE));
     }
 
     // ---- huge leaves -----------------------------------------------------
@@ -1753,7 +2063,8 @@ mod tests {
         assert!(child.leaf_shared(Vpn(1000)));
         assert_eq!(child.translate(Vpn(777)).unwrap().pfn, Pfn(777));
         // Privatizing gives the child its own directory.
-        let present = child.privatize_leaf(Vpn(0), &mut ccy, &cost).unwrap();
+        let slot = child.find(Vpn(0)).unwrap();
+        let present = child.privatize_at(slot, &mut ccy, &cost).unwrap();
         assert_eq!(present.len(), 512);
         assert!(present.iter().all(|p| p.is_huge()));
         assert!(!child.leaf_shared(Vpn(0)));
@@ -1924,5 +2235,143 @@ mod tests {
         // Retry succeeds.
         pt.demote_block(Vpn(3), &mut cy, &cost).unwrap();
         assert_eq!(pt.huge_mapped(), 0);
+    }
+
+    // ---- node layout -----------------------------------------------------
+
+    #[test]
+    fn interior_node_keeps_map_index_and_entries_in_step() {
+        let mut n = Node::new();
+        for i in [300usize, 7, 511, 64, 0] {
+            n.put(i, Entry::Table(i as u32));
+            n.check().unwrap();
+        }
+        let slots = |n: &Node| n.entries().map(|(i, _)| i).collect::<Vec<_>>();
+        assert_eq!(slots(&n), vec![0, 7, 64, 300, 511], "ascending, whatever the order of linking");
+        assert_eq!(n.entries_in(7, 300).map(|(i, _)| i).collect::<Vec<_>>(), vec![7, 64]);
+        // Taking the first linked moves the last linked into its place.
+        assert!(matches!(n.take(300), Entry::Table(300)));
+        n.check().unwrap();
+        assert!(n.get(300).is_none());
+        for i in [0usize, 7, 64, 511] {
+            assert!(matches!(n.get(i), Some(Entry::Table(t)) if *t == i as u32), "slot {i}");
+        }
+        // Taking the last of the dense store moves nothing.
+        assert!(matches!(n.take(64), Entry::Table(64)));
+        n.check().unwrap();
+        assert_eq!(slots(&n), vec![0, 7, 511]);
+        n.clear();
+        n.check().unwrap();
+        assert_eq!((n.live(), slots(&n)), (0, vec![]));
+        assert!(n.index.iter().all(|&at| at == 0), "an emptied node is a new node");
+    }
+
+    #[test]
+    fn leaf_words_round_trip_and_scan_by_map_or_by_count() {
+        let mut leaf = LeafNode::new();
+        let swapped = Pte::swap_entry(0xABCD);
+        let wide = Pte::new(Pfn((1 << 48) - 1), PteFlags::WRITABLE | PteFlags::HUGE);
+        leaf.set(9, Some(swapped));
+        leaf.set(500, Some(wide));
+        leaf.set(130, Some(Pte::new(Pfn(0), PteFlags::empty())));
+        assert_eq!((leaf.get(9), leaf.get(500), leaf.get(10)), (Some(swapped), Some(wide), None));
+        assert_eq!(leaf.get(130).unwrap().pfn, Pfn(0), "frame 0 present is not an empty word");
+        assert_eq!(leaf.iter().map(|(j, _)| j).collect::<Vec<_>>(), vec![9, 130, 500]);
+        assert_eq!((leaf.live(), leaf.swap_entries(), leaf.private_writable()), (3, 1, 1));
+        leaf.check().unwrap();
+        assert_eq!(leaf.set(9, None), Some(swapped));
+        assert_eq!(leaf.indices().collect::<Vec<_>>(), vec![130, 500]);
+        // A full node is scanned by counting, and yields the same.
+        for j in 0..PT_ENTRIES {
+            leaf.set(j, Some(Pte::new(Pfn(j as u64), PteFlags::USER)));
+        }
+        assert_eq!(leaf.live(), 512);
+        assert!(leaf.iter().enumerate().all(|(n, (j, pte))| n == j && pte.pfn == Pfn(j as u64)));
+        assert_eq!(leaf.iter().count(), 512);
+        leaf.check().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "present or swapped")]
+    fn an_entry_whose_word_could_be_zero_is_refused() {
+        LeafNode::new().set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
+    }
+
+    #[test]
+    fn freed_arena_nodes_are_handed_out_as_they_are() {
+        let (mut pt, mut cy, cost) = fixture();
+        let pte = Pte::new(Pfn(1), PteFlags::empty());
+        // Two paths sharing the root only, then a third under the first's
+        // level-2 node.
+        for vpn in [Vpn(0), Vpn(1 << 27), Vpn(1 << 18)] {
+            pt.map(vpn, pte, &mut cy, &cost).unwrap();
+        }
+        let arena = pt.nodes.len();
+        assert_eq!((arena, pt.node_count()), (6, 9));
+        pt.unmap(Vpn(1 << 27)).unwrap();
+        pt.unmap(Vpn(1 << 18)).unwrap();
+        assert_eq!((pt.free.len(), pt.node_count()), (3, 4), "siblings stay, the emptied go");
+        pt.check_summaries().unwrap();
+        // The next mappings take the freed nodes, which were not rebuilt.
+        for vpn in [Vpn(5 << 27), Vpn((5 << 27) | (3 << 18))] {
+            pt.map(vpn, pte, &mut cy, &cost).unwrap();
+        }
+        assert_eq!((pt.nodes.len(), pt.free.len(), pt.node_count()), (arena, 0, 9));
+        assert_eq!(pt.translate(Vpn((5 << 27) | (3 << 18))), Some(pte));
+        pt.check_summaries().unwrap();
+    }
+
+    #[test]
+    fn take_leaves_keeps_the_arena_it_drained() {
+        let (mut pt, mut cy, cost) = fixture();
+        let pte = Pte::new(Pfn(1), PteFlags::empty());
+        for vpn in [Vpn(3), Vpn(1 << 27), Vpn((1 << 27) | (1 << 18))] {
+            pt.map(vpn, pte, &mut cy, &cost).unwrap();
+        }
+        pt.map_huge(Vpn(512), huge(512), &mut cy, &cost).unwrap();
+        let arena = pt.nodes.len();
+        assert_eq!(pt.take_leaves().len(), 4);
+        assert_eq!((pt.nodes.len(), pt.free.len()), (arena, arena - 1));
+        assert_eq!((pt.node_count(), pt.mapped_pages(), pt.huge_mapped()), (1, 0, 0));
+        pt.check_summaries().unwrap();
+        let before = cy.total();
+        pt.map(Vpn(1 << 27), pte, &mut cy, &cost).unwrap();
+        assert_eq!(cy.total() - before, 3 * cost.pt_node_alloc, "reuse is charged like allocation");
+        assert_eq!(pt.nodes.len(), arena);
+        pt.check_summaries().unwrap();
+    }
+
+    #[test]
+    fn check_summaries_names_a_summary_that_is_off() {
+        let (mut pt, mut cy, cost) = fixture();
+        let pte = Pte::new(Pfn(1), PteFlags::WRITABLE);
+        for vpn in [Vpn(0), Vpn(1 << 27)] {
+            pt.map(vpn, pte, &mut cy, &cost).unwrap();
+        }
+        pt.unmap(Vpn(1 << 27)).unwrap();
+        pt.check_summaries().unwrap();
+        let broken = |f: &dyn Fn(&mut PageTable)| {
+            let mut pt = pt.clone();
+            f(&mut pt);
+            pt.check_summaries().unwrap_err()
+        };
+        let root = pt.root as usize;
+        assert!(broken(&|pt| pt.nodes[root].occupied.set(9)).contains("node 0"));
+        assert!(broken(&|pt| pt.nodes[root].index[9] = 1).contains("slot 9"));
+        assert!(broken(&|pt| pt.nodes[root].index[0] = 0).contains("slot 0"));
+        let freed = pt.free[0];
+        let err = broken(&|pt| pt.nodes[freed as usize].put(4, Entry::Huge(huge(0))));
+        assert!(err.contains("free-listed"), "{err}");
+        assert!(broken(&|pt| pt.free.push(freed)).contains("twice"));
+        assert!(broken(&|pt| pt.free.truncate(0)).contains("not on the free list"));
+        let in_leaf = |f: &dyn Fn(&mut LeafNode)| {
+            broken(&|pt| {
+                let (_, node, idx, _) = pt.find(Vpn(0)).unwrap();
+                f(Arc::make_mut(pt.leaf_at_mut(node, idx)))
+            })
+        };
+        assert!(in_leaf(&|leaf| leaf.words[5] = 1 << FLAG_BITS | 1).contains("entry 5"));
+        assert!(in_leaf(&|leaf| leaf.words[0] = 0).contains("entry 0"));
+        assert!(in_leaf(&|leaf| leaf.counts.private_writable = 0).contains("keeps"));
     }
 }

@@ -1,7 +1,9 @@
 //! The shape of fork's cost, on both clocks.
 //!
 //! The model prices `fork(OnDemand)` per leaf page-table node, not per
-//! page; the host must agree. One test times it, one counts: the counted
+//! page; the host must agree — in the walk's own unit: against `fork(Cow)`
+//! of the same parent, and against itself on a sixteenth of the nodes. One
+//! test times it, one counts: the counted
 //! twin cannot flake, and pins what a `fork(Cow)` does per page — the fault
 //! sites it crosses, the PTEs it copies, the nodes it charges — to the
 //! numbers it had before the fork walk built the child's nodes in place.
@@ -58,13 +60,24 @@ impl World {
 }
 
 #[test]
-fn on_demand_fork_host_time_is_flat_in_the_footprint() {
+fn on_demand_fork_host_time_goes_by_nodes_not_by_pages() {
     let small = world(4096, CostModel::default()).least_fork_time(ForkMode::OnDemand);
-    let large = world(65_536, CostModel::default()).least_fork_time(ForkMode::OnDemand);
+    let mut big = world(65_536, CostModel::default());
+    let large = big.least_fork_time(ForkMode::OnDemand);
+    let per_page = big.least_fork_time(ForkMode::Cow);
+    // 8 leaf nodes against 128: the call is O(attached nodes), which is what
+    // the model's per-node `pt_subtree_share` says, with nothing per call
+    // large enough to hide it ...
     assert!(
-        large < 4 * small,
+        large <= 16 * small,
         "fork(OnDemand) took {large:?} at 65 536 pages against {small:?} at 4 096: \
-         16x the footprint must cost less than 4x the host time"
+         16x the nodes must cost at most 16x the host time"
+    );
+    // ... and a node costs far less than the 512 entries under it.
+    assert!(
+        20 * large < per_page,
+        "fork(OnDemand) took {large:?} at 65 536 pages against {per_page:?} for fork(Cow): \
+         attaching a node must cost under 1/20 of copying its entries"
     );
 }
 
