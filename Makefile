@@ -45,7 +45,9 @@ doclinks:
 # receive), the vfork-borrower mmap regression, which ends in a leak
 # check of its own, and the reference-model proptest: `AddressSpace`
 # against a flat page map in every fork mode, THP on and off, ending with
-# every frame returned.
+# every frame returned — and, under it, the buddy allocator against its
+# `BTreeSet` reference, frame for frame (which frame an allocation gets
+# decides every stamp and pfn in results/).
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
@@ -53,6 +55,7 @@ leakcheck:
 	$(CARGO) test -q -p fpr-kernel --test vfork_borrow
 	$(CARGO) test -q -p fpr-mem --test proptest_faults
 	$(CARGO) test -q -p fpr-mem --test proptest_reference
+	$(CARGO) test -q -p fpr-mem --test buddy_reference
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 
