@@ -110,7 +110,10 @@ results-identity:
 # untraced workload on both sides PAIRS times, pair i on seed i, alternating
 # which side goes first, and prints `compare` for each pair. Fails if any
 # pair of any workload reads `worse`; a *claimed* gain still needs the ten
-# pairs of benchmark/README.md.
+# pairs of benchmark/README.md. After a workload's pairs, one
+# `--trace 1 --seconds 8` run a side on seed 1 and their `compare`: the
+# per-layer metrics that moved most, which is where the PR notes' per-layer
+# table comes from. That half is informational and fails nothing.
 BASE ?= HEAD
 W ?= svc_mix fork_big spawn_small cow_touch
 PAIRS ?= 3
@@ -122,15 +125,21 @@ bench-pair:
 	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
 	$(CARGO) build --release --offline --quiet --manifest-path $(PAIR_DIR)/base/benchmark/Cargo.toml
 	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-	@worse=""; \
-	side() { $$1/$(PAIR_BIN) run --workload $$4 --seed $$3 --trace 0 --out $(PAIR_DIR)/$$2-$$4-$$3.json > /dev/null 2>&1; }; \
+	@worse=""; traced="--seed 1 --trace 1 --seconds 8"; \
+	side() { $$1/$(PAIR_BIN) run --workload $$3 $$5 --out $(PAIR_DIR)/$$2-$$3-$$4.json > /dev/null 2>&1; }; \
 	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$i $$w && side . change $$i $$w; \
-		else side . change $$i $$w && side $(PAIR_DIR)/base base $$i $$w; fi \
+		plain="--seed $$i --trace 0"; \
+		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$w $$i "$$plain" && side . change $$w $$i "$$plain"; \
+		else side . change $$w $$i "$$plain" && side $(PAIR_DIR)/base base $$w $$i "$$plain"; fi \
 			|| { echo "$$w pair $$i: a run failed; run it by hand to see why"; exit 1; }; \
 		echo "== $$w, pair $$i of $(PAIRS): $(BASE) (parent) against the working tree (change)"; \
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-$$i.json $(PAIR_DIR)/change-$$w-$$i.json || worse="$$worse $$w"; \
-	done; done; \
+	done; \
+		side $(PAIR_DIR)/base base $$w traced "$$traced" && side . change $$w traced "$$traced" \
+			|| { echo "$$w: a traced run failed; run it by hand to see why"; exit 1; }; \
+		echo "== $$w, per layer (informational): one run a side with $$traced"; \
+		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-traced.json $(PAIR_DIR)/change-$$w-traced.json || true; \
+	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
 
 clean:

@@ -532,7 +532,32 @@ impl Kernel {
         mut op: impl FnMut(MemCtx<'_>) -> Result<T, fpr_mem::MemError>,
     ) -> KResult<T> {
         let r = self.reclaim_retry(|k| {
-            k.ensure_alive(pid)?;
+            // A process nearly always touches a space it owns: then the
+            // liveness check and the space come out of one lookup. Only a
+            // vfork borrower takes the walk to its lender.
+            let cpus = k.cpus_running(pid);
+            let Kernel {
+                phys,
+                cycles,
+                tlb,
+                commit,
+                procs,
+                ..
+            } = &mut *k;
+            let proc = procs
+                .get_mut(&pid)
+                .filter(|p| !p.is_zombie())
+                .ok_or(Errno::Esrch)?;
+            if proc.space_ref == crate::task::SpaceRef::Owned {
+                return Ok(op(MemCtx {
+                    space: &mut proc.aspace,
+                    phys,
+                    cycles,
+                    tlb,
+                    commit,
+                    cpus,
+                })?);
+            }
             Ok(op(k.mem_ctx(pid)?)?)
         });
         match r {

@@ -1085,16 +1085,27 @@ impl AddressSpace {
                 }
                 TakenLeaf::Node(arc) => match Arc::try_unwrap(arc) {
                     Ok(node) => {
-                        for (_, pte) in node.iter() {
+                        // The node's small frames go back in one release;
+                        // swap entries and huge runs, which are not one,
+                        // are set aside for after it.
+                        let mut rest = Vec::new();
+                        let small = node.iter().filter_map(|(_, pte)| {
+                            if pte.is_swap() || pte.is_huge() {
+                                rest.push(pte);
+                                None
+                            } else {
+                                Some(pte.pfn)
+                            }
+                        });
+                        phys.release(small, cycles).expect("frame tracked");
+                        for pte in rest {
                             if pte.is_swap() {
                                 phys.swap_mut()
                                     .dec_ref(pte.swap_slot())
                                     .expect("slot tracked");
-                            } else if pte.is_huge() {
+                            } else {
                                 phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)
                                     .expect("run tracked");
-                            } else {
-                                phys.dec_ref(pte.pfn, cycles).expect("frame tracked");
                             }
                         }
                     }
@@ -1145,8 +1156,8 @@ impl AddressSpace {
         if !self.pt.shared_at(slot) {
             return Ok(());
         }
-        let present = self.pt.privatize_at(slot, cycles, phys.cost())?;
-        for pte in &present {
+        let copy = self.pt.privatize_at(slot, cycles, phys.cost())?;
+        for (_, pte) in copy.iter() {
             if pte.is_swap() {
                 // The privatized copy now references the slot from a
                 // second distinct leaf node.
@@ -1163,10 +1174,11 @@ impl AddressSpace {
                     .expect("frame tracked by shared subtree");
             }
         }
+        let copied = copy.live();
         self.stats.pt_unshares += 1;
-        self.stats.ptes_unshare_copied += present.len() as u64;
+        self.stats.ptes_unshare_copied += copied;
         metrics::incr("mem.unshare.pt_node");
-        metrics::add("mem.unshare.pte_copy", present.len() as u64);
+        metrics::add("mem.unshare.pte_copy", copied);
         sink::instant("pt_unshare", "mem", cycles.total());
         Ok(())
     }

@@ -1,23 +1,138 @@
 //! Buddy allocator for contiguous physical frame runs.
 //!
 //! Page-table nodes and kernel metadata want physically contiguous memory;
-//! the buddy system provides power-of-two runs with O(log n) split/coalesce
-//! and is the classic design used by Linux's zone allocator.
+//! the buddy system provides naturally aligned power-of-two runs and is the
+//! classic design used by Linux's zone allocator. Splitting and coalescing
+//! take one step per order between the request and the block found, and
+//! each step is a word operation per level of a `FreeMap` (three levels
+//! cover 2^18 blocks), so a frame costs the same few loads and stores
+//! whatever the size of the machine.
+//!
+//! ## Lowest address first
+//!
+//! An allocation takes the *lowest-addressed* free block of the smallest
+//! order that has one. That choice is part of the contract, not a detail:
+//! frame numbers end up in PTEs, content stamps and traces, so every
+//! checked-in result depends on which frame each allocation got. It is why
+//! the free lists are ordered bitmaps and not intrusive LIFO lists, which
+//! would be simpler still; `tests/buddy_reference.rs` holds the allocator
+//! to it frame by frame against an ordered-set model.
 
 use crate::addr::Pfn;
 use crate::error::{MemError, MemResult};
-use std::collections::BTreeSet;
 
 /// Maximum order supported (2^MAX_ORDER frames per block).
 pub const MAX_ORDER: usize = 16;
+
+/// Bits per bitmap word.
+const WORD: usize = u64::BITS as usize;
+
+/// The free blocks of one order: a bit per naturally aligned block of the
+/// region, set while the block is free, under summary levels — a bit per
+/// word of the level below, set while that word is nonzero — up to a level
+/// of one word. Insert and remove touch a word per level and stop at the
+/// first level whose summary does not change; the lowest free block is a
+/// `trailing_zeros` per level from the top.
+#[derive(Debug, Clone)]
+struct FreeMap {
+    order: usize,
+    /// The block bit 0 stands for, in units of blocks: `base >> order`, so
+    /// a region that starts mid-block still indexes from zero.
+    origin: u64,
+    /// Every level's words back to back: the block bitmap first, the
+    /// one-word top last.
+    words: Vec<u64>,
+    /// Where each level starts in `words`, the bitmap's 0 first.
+    starts: Vec<usize>,
+}
+
+impl FreeMap {
+    /// An empty map for the `order` blocks of frames `base..base + total`.
+    fn new(order: usize, base: u64, total: u64) -> FreeMap {
+        let origin = base >> order;
+        let blocks = match total {
+            0 => 0,
+            _ => ((base + total - 1) >> order) - origin + 1,
+        };
+        let mut starts = vec![0];
+        let mut level = (blocks as usize).div_ceil(WORD).max(1);
+        let mut len = level;
+        while level > 1 {
+            starts.push(len);
+            level = level.div_ceil(WORD);
+            len += level;
+        }
+        FreeMap {
+            order,
+            origin,
+            words: vec![0; len],
+            starts,
+        }
+    }
+
+    fn index(&self, blk: u64) -> usize {
+        ((blk >> self.order) - self.origin) as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.last() == Some(&0)
+    }
+
+    /// Marks the block at `blk` free.
+    fn insert(&mut self, blk: u64) {
+        let mut i = self.index(blk);
+        for &start in &self.starts {
+            let word = &mut self.words[start + i / WORD];
+            let summarized = *word != 0;
+            *word |= 1 << (i % WORD);
+            if summarized {
+                break;
+            }
+            i /= WORD;
+        }
+    }
+
+    /// Marks the block at `blk` taken; `false` (and nothing changed) if it
+    /// was not free.
+    fn remove(&mut self, blk: u64) -> bool {
+        let mut i = self.index(blk);
+        if self.words[i / WORD] & (1 << (i % WORD)) == 0 {
+            return false;
+        }
+        for &start in &self.starts {
+            let word = &mut self.words[start + i / WORD];
+            *word &= !(1 << (i % WORD));
+            if *word != 0 {
+                break;
+            }
+            i /= WORD;
+        }
+        true
+    }
+
+    /// The lowest-addressed free block, if any.
+    fn first(&self) -> Option<u64> {
+        let mut i = 0;
+        for &start in self.starts.iter().rev() {
+            let word = self.words[start + i];
+            if word == 0 {
+                return None; // only the top word of an empty map
+            }
+            i = i * WORD + word.trailing_zeros() as usize;
+        }
+        Some((self.origin + i as u64) << self.order)
+    }
+}
 
 /// A power-of-two buddy allocator over frames `base..base + total`.
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     base: u64,
     total: u64,
-    /// Free blocks per order, keyed by block base frame.
-    free_lists: Vec<BTreeSet<u64>>,
+    /// Free blocks per order.
+    free_lists: Vec<FreeMap>,
+    /// Bit `o` is set while `free_lists[o]` holds a block.
+    nonempty: u32,
     /// Per frame (indexed from `base`): order + 1 where a live allocation
     /// starts, 0 everywhere else, to validate frees.
     allocated: Vec<u8>,
@@ -33,7 +148,10 @@ impl BuddyAllocator {
         let mut a = BuddyAllocator {
             base: base.0,
             total,
-            free_lists: vec![BTreeSet::new(); MAX_ORDER + 1],
+            free_lists: (0..=MAX_ORDER)
+                .map(|o| FreeMap::new(o, base.0, total))
+                .collect(),
+            nonempty: 0,
             allocated: vec![0; total as usize],
             free_frames: total,
         };
@@ -50,41 +168,53 @@ impl BuddyAllocator {
             while (1u64 << order) > end - start {
                 order -= 1;
             }
-            a.free_lists[order].insert(start);
+            a.insert_free(order, start);
             start += 1u64 << order;
         }
         a
     }
 
-    /// Allocates a contiguous, naturally aligned run of `2^order` frames.
+    fn insert_free(&mut self, order: usize, blk: u64) {
+        self.free_lists[order].insert(blk);
+        self.nonempty |= 1 << order;
+    }
+
+    /// Takes the block at `blk` off order `order`'s free list; `false` if it
+    /// was not on it.
+    fn remove_free(&mut self, order: usize, blk: u64) -> bool {
+        let list = &mut self.free_lists[order];
+        let removed = list.remove(blk);
+        if removed && list.is_empty() {
+            self.nonempty &= !(1 << order);
+        }
+        removed
+    }
+
+    /// Allocates a contiguous, naturally aligned run of `2^order` frames:
+    /// the lowest-addressed free block of the smallest sufficient order.
     pub fn alloc(&mut self, order: usize) -> MemResult<Pfn> {
         if order > MAX_ORDER {
             return Err(MemError::Fragmented);
         }
-        // Find the smallest order with a free block.
-        let mut found = None;
-        for o in order..=MAX_ORDER {
-            if let Some(&blk) = self.free_lists[o].iter().next() {
-                found = Some((o, blk));
-                break;
-            }
+        // The smallest order with a free block, from the mask.
+        let sufficient = self.nonempty >> order;
+        if sufficient == 0 {
+            return Err(if self.free_frames >= (1u64 << order) {
+                MemError::Fragmented
+            } else {
+                MemError::OutOfMemory
+            });
         }
-        let (mut o, blk) = match found {
-            Some(x) => x,
-            None => {
-                return Err(if self.free_frames >= (1u64 << order) {
-                    MemError::Fragmented
-                } else {
-                    MemError::OutOfMemory
-                })
-            }
-        };
-        self.free_lists[o].remove(&blk);
+        let mut o = order + sufficient.trailing_zeros() as usize;
+        let blk = self.free_lists[o]
+            .first()
+            .expect("the mask says this order has a block");
+        self.remove_free(o, blk);
         // Split down to the requested order, returning the upper halves.
         while o > order {
             o -= 1;
             let upper = blk + (1u64 << o);
-            self.free_lists[o].insert(upper);
+            self.insert_free(o, upper);
         }
         self.allocated[(blk - self.base) as usize] = order as u8 + 1;
         self.free_frames -= 1u64 << order;
@@ -106,7 +236,8 @@ impl BuddyAllocator {
     }
 
     /// Frees a block previously returned by [`BuddyAllocator::alloc`],
-    /// coalescing with its buddy as far as possible.
+    /// coalescing with its buddy as far as possible. The free lists after a
+    /// set of frees do not depend on the order the frees came in.
     ///
     /// # Panics
     ///
@@ -127,13 +258,13 @@ impl BuddyAllocator {
             if buddy < self.base || buddy + (1u64 << order) > self.base + self.total {
                 break;
             }
-            if !self.free_lists[order].remove(&buddy) {
+            if !self.remove_free(order, buddy) {
                 break;
             }
             blk = blk.min(buddy);
             order += 1;
         }
-        self.free_lists[order].insert(blk);
+        self.insert_free(order, blk);
     }
 
     /// Returns the number of free frames.
@@ -149,15 +280,43 @@ impl BuddyAllocator {
     /// Returns the largest order currently allocatable without splitting
     /// failure, or `None` if empty.
     pub fn largest_free_order(&self) -> Option<usize> {
-        (0..=MAX_ORDER)
-            .rev()
-            .find(|&o| !self.free_lists[o].is_empty())
+        self.nonempty.checked_ilog2().map(|o| o as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn free_map_finds_the_lowest_block_through_every_summary_level() {
+        // Order-1 blocks of frames 4_099..304_099: 150 001 of them, so the
+        // bitmap has 2 344 words under 37 under 1, and bit 0 stands for
+        // the block the region starts in the middle of.
+        let mut m = FreeMap::new(1, 4_099, 300_000);
+        assert_eq!(m.starts, [0, 2_344, 2_344 + 37]);
+        assert_eq!(m.words.len(), 2_344 + 37 + 1);
+        assert!(m.is_empty());
+        assert_eq!(m.first(), None);
+        let (low, mid, high) = (4_100, 4_100 + 2 * 70_000, 304_098);
+        m.insert(high);
+        assert_eq!(m.first(), Some(high));
+        m.insert(mid);
+        m.insert(mid + 2); // the same word as `mid`
+        assert_eq!(m.first(), Some(mid));
+        m.insert(low);
+        assert_eq!(m.first(), Some(low));
+        assert!(!m.remove(low + 2), "never inserted");
+        assert!(m.remove(low));
+        assert!(!m.remove(low), "already taken");
+        assert!(m.remove(mid));
+        assert_eq!(m.first(), Some(mid + 2), "the word still has a block");
+        assert!(m.remove(mid + 2));
+        assert_eq!(m.first(), Some(high), "emptied words left the summaries");
+        assert!(m.remove(high));
+        assert!(m.is_empty());
+        assert!(m.words.iter().all(|&w| w == 0));
+    }
 
     #[test]
     fn alloc_splits_and_free_coalesces() {

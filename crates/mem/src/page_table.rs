@@ -378,11 +378,6 @@ impl LeafNode {
         LeafEntries { words: &self.words[..], indices: self.indices() }
     }
 
-    /// The entries in ascending in-node order.
-    pub(crate) fn present(&self) -> Vec<Pte> {
-        self.iter().map(|(_, pte)| pte).collect()
-    }
-
     /// Writes entry `j` — the one way an entry changes — and returns what
     /// it held.
     #[inline]
@@ -1399,25 +1394,24 @@ impl PageTable {
     /// Replaces the (shared) leaf node or huge directory at coordinates
     /// from [`Self::find`] with a private deep copy — the deferred
     /// per-subtree copy of an on-demand fork. Charges one node allocation
-    /// plus one PTE copy per present entry, and returns the present PTEs so
-    /// the caller can adjust frame refcounts (huge PTEs, flagged `HUGE`,
-    /// stand for whole runs). Crosses [`FaultSite::PtUnshare`] before
-    /// mutating anything. The coordinates stay good: the copy takes the
-    /// original's slot.
+    /// plus one PTE copy per present entry, and returns the copy so the
+    /// caller can take a frame reference for each of its entries (huge
+    /// PTEs, flagged `HUGE`, stand for whole runs). Crosses
+    /// [`FaultSite::PtUnshare`] before mutating anything. The coordinates
+    /// stay good: the copy takes the original's slot.
     pub(crate) fn privatize_at(
         &mut self,
         (_, node, idx, _): Slot,
         cycles: &mut Cycles,
         cost: &CostModel,
-    ) -> MemResult<Vec<Pte>> {
+    ) -> MemResult<&LeafNode> {
         fpr_faults::cross(FaultSite::PtUnshare).map_err(|_| MemError::OutOfMemory)?;
         let Entry::Leaf(arc) = self.entry_at_mut(node, idx) else {
             return Err(MemError::NotMapped);
         };
         cycles.charge(cost.pt_node_alloc + arc.live() * cost.pte_copy);
-        let present = arc.present();
         *arc = Arc::new(LeafNode::clone(arc));
-        Ok(present)
+        Ok(arc)
     }
 
     /// Unwires the leaf node (or huge directory) at `base` from this table
@@ -1813,8 +1807,8 @@ mod tests {
 
         let mut ucy = Cycles::new();
         let slot = child.find(Vpn(3)).unwrap();
-        let present = child.privatize_at(slot, &mut ucy, &cost).unwrap();
-        assert_eq!(present.len(), 8);
+        let copy = child.privatize_at(slot, &mut ucy, &cost).unwrap();
+        assert_eq!(copy.live(), 8);
         assert_eq!(ucy.total(), cost.pt_node_alloc + 8 * cost.pte_copy);
         assert!(!child.leaf_shared(Vpn(3)), "child now private");
         assert!(!parent.leaf_shared(Vpn(3)), "parent exclusive again");
@@ -2064,9 +2058,9 @@ mod tests {
         assert_eq!(child.translate(Vpn(777)).unwrap().pfn, Pfn(777));
         // Privatizing gives the child its own directory.
         let slot = child.find(Vpn(0)).unwrap();
-        let present = child.privatize_at(slot, &mut ccy, &cost).unwrap();
-        assert_eq!(present.len(), 512);
-        assert!(present.iter().all(|p| p.is_huge()));
+        let copy = child.privatize_at(slot, &mut ccy, &cost).unwrap();
+        assert_eq!(copy.live(), 512);
+        assert!(copy.iter().all(|(_, p)| p.is_huge()));
         assert!(!child.leaf_shared(Vpn(0)));
         assert!(!parent.leaf_shared(Vpn(0)));
     }
@@ -2215,7 +2209,7 @@ mod tests {
         match &taken[1].1 {
             TakenLeaf::Node(arc) => {
                 assert_eq!(arc.live(), 512);
-                assert!(arc.present().iter().all(|p| p.is_huge()));
+                assert!(arc.iter().all(|(_, p)| p.is_huge()));
             }
             _ => panic!("directory expected"),
         }

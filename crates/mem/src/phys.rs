@@ -35,6 +35,14 @@
 //! lazily touched only the first time: the allocator recycles it, and the
 //! next machine the process boots gets a zero-*filled* table.)
 //!
+//! References are dropped through one primitive, `release`, which takes a
+//! batch of frames — one for [`PhysMemory::dec_ref`], a run for
+//! [`PhysMemory::dec_ref_run`], a leaf node's worth from a teardown — and
+//! returns those that reach zero together: a `frame_free` charge and a
+//! `mem.frame_free` count per frame, but one acquisition of the pool per
+//! batch, so that a free costs the host a constant per frame as it does
+//! the model.
+//!
 //! Two layers sit on top of the pool:
 //!
 //! * **Pins** — a kernel-side reference (e.g. the exec image cache) that
@@ -243,6 +251,23 @@ struct FrameCache {
     batch: u64,
 }
 
+impl FrameCache {
+    /// Parks one freed frame. An overfull magazine drains a batch back to
+    /// `pool`, so one cell freeing heavily cannot strand the whole
+    /// machine's memory; returns how many frames left the cell that way.
+    fn park(&mut self, pfn: Pfn, pool: &SharedFramePool) -> u64 {
+        self.frames.push(pfn);
+        if self.frames.len() as u64 <= 2 * self.batch {
+            return 0;
+        }
+        let keep = self.frames.len() - self.batch as usize;
+        let drained = self.frames.split_off(keep);
+        pool.free_many(&drained);
+        metrics::incr("mem.frame_cache.drain");
+        drained.len() as u64
+    }
+}
+
 /// One cell's view of the machine's physical memory.
 #[derive(Debug)]
 pub struct PhysMemory {
@@ -272,6 +297,9 @@ pub struct PhysMemory {
     /// Frames currently drawn from the pool by this cell — resident (a
     /// reference count in the frame table) plus magazine-parked.
     drawn: u64,
+    /// Where [`Self::release`] gathers the frames of one call whose count
+    /// reached zero; empty between calls, kept for its allocation.
+    released: Vec<Pfn>,
 }
 
 impl PhysMemory {
@@ -309,6 +337,7 @@ impl PhysMemory {
             swap: SwapDevice::new(0),
             thp: ThpStats::default(),
             drawn: 0,
+            released: Vec::new(),
         }
     }
 
@@ -494,23 +523,59 @@ impl PhysMemory {
         Ok(first)
     }
 
-    /// Returns one freed frame to the magazine (when on) or the pool.
-    fn release_frame(&mut self, pfn: Pfn) {
-        let Some(cache) = self.cache.as_mut() else {
-            self.drawn -= 1;
-            self.pool.free_many(&[pfn]);
-            return;
-        };
-        cache.frames.push(pfn);
-        // Overfull magazine: drain a batch back to the pool so one cell
-        // freeing heavily cannot strand the whole machine's memory.
-        if cache.frames.len() as u64 > 2 * cache.batch {
-            let keep = cache.frames.len() - cache.batch as usize;
-            let drained = cache.frames.split_off(keep);
-            self.drawn -= drained.len() as u64;
-            self.pool.free_many(&drained);
-            metrics::incr("mem.frame_cache.drain");
+    /// The one way a reference is dropped: takes one from each frame
+    /// `frames` yields and frees those that reach zero, returning how many
+    /// that was. The freed frames of a call go back together — under one
+    /// pool acquisition with the magazine off, pushed one by one (draining
+    /// when overfull) with it on — and each is charged `frame_free` and
+    /// counted in `mem.frame_free`. A teardown hands in a leaf node's
+    /// frames at a time, so the pool lock is taken per node, not per frame;
+    /// the buddy's state after a set of frees does not depend on their
+    /// order, so batching moves no later allocation.
+    ///
+    /// Stops at the first frame this cell does not hold and reports
+    /// [`MemError::NotMapped`]; the references dropped before it stay
+    /// dropped and their frames freed.
+    pub(crate) fn release(
+        &mut self,
+        frames: impl IntoIterator<Item = Pfn>,
+        cycles: &mut Cycles,
+    ) -> MemResult<u64> {
+        let mut released = std::mem::take(&mut self.released);
+        let mut result = Ok(());
+        for pfn in frames {
+            match self.held_mut(pfn) {
+                Ok((chunk, i)) => {
+                    chunk.refs[i] -= 1;
+                    if chunk.refs[i] == 0 {
+                        released.push(pfn);
+                    }
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
         }
+        let freed = released.len() as u64;
+        if freed > 0 {
+            match self.cache.as_mut() {
+                None => {
+                    self.drawn -= freed;
+                    self.pool.free_many(&released);
+                }
+                Some(cache) => {
+                    for &pfn in &released {
+                        self.drawn -= cache.park(pfn, &self.pool);
+                    }
+                }
+            }
+            cycles.charge(self.cost.frame_free * freed);
+            metrics::add("mem.frame_free", freed);
+            released.clear();
+        }
+        self.released = released;
+        result.map(|()| freed)
     }
 
     /// Machine-wide THP promotion/demotion counters.
@@ -576,10 +641,8 @@ impl PhysMemory {
     /// Decrements the reference count of each frame in `[head, head+n)`,
     /// freeing those that reach zero.
     pub fn dec_ref_run(&mut self, head: Pfn, n: u64, cycles: &mut Cycles) -> MemResult<()> {
-        for i in 0..n {
-            self.dec_ref(Pfn(head.0 + i), cycles)?;
-        }
-        Ok(())
+        self.release((head.0..head.0 + n).map(Pfn), cycles)
+            .map(|_| ())
     }
 
     /// Allocates a zeroed frame with reference count 1.
@@ -661,15 +724,7 @@ impl PhysMemory {
     /// Decrements the reference count, freeing the frame when it reaches
     /// zero. Returns `true` if the frame was freed.
     pub fn dec_ref(&mut self, pfn: Pfn, cycles: &mut Cycles) -> MemResult<bool> {
-        let (chunk, i) = self.held_mut(pfn)?;
-        chunk.refs[i] -= 1;
-        if chunk.refs[i] > 0 {
-            return Ok(false);
-        }
-        self.release_frame(pfn);
-        cycles.charge(self.cost.frame_free);
-        metrics::incr("mem.frame_free");
-        Ok(true)
+        self.release([pfn], cycles).map(|freed| freed == 1)
     }
 
     /// Takes a kernel pin on `pfn`: one additional reference held by a

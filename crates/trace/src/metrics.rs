@@ -9,11 +9,20 @@
 //! experiment code.
 //!
 //! Counter names are namespaced `&'static str` keys —
-//! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_load"` — so
-//! the registry needs no registration step and no allocation per update.
-//! Histograms bucket by `floor(log2(value))`, which spans the full `u64`
-//! range in 65 buckets: right for latency-like quantities that vary over
-//! orders of magnitude.
+//! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_load"` — and
+//! there is no registration step: the first update under a name makes the
+//! counter. An update never reads the name. The thread's counters sit in
+//! a small open-addressed table keyed by the name's *address and length*,
+//! so bumping one is a hash of two words and a pointer comparison; the
+//! table is allocated at the thread's first update and doubles (one
+//! rehash) when it is half full, and no other update allocates. Names
+//! are read by [`snapshot`] and [`flush`] alone, which walk the table and
+//! build the name-ordered [`Snapshot`]: the same text at two addresses
+//! (two crates' copies of a literal, a leaked `String`) is one counter
+//! there, summed. Histograms bucket by `floor(log2(value))`, which spans
+//! the full `u64` range in 65 buckets: right for latency-like quantities
+//! that vary over orders of magnitude; they are updated a few times per
+//! request, not per page, and stay in a name-ordered map.
 //!
 //! Updating a metric charges **zero** simulated cycles: the cycle model
 //! is never touched from this module.
@@ -285,21 +294,130 @@ impl Snapshot {
     }
 }
 
-thread_local! {
-    static REGISTRY: RefCell<Snapshot> = RefCell::new(Snapshot::default());
+/// Slots a thread's counter table starts with; a power of two. The
+/// simulator has some seventy counter names, so this one is rarely outgrown.
+const INITIAL_SLOTS: usize = 256;
+
+/// A thread's counters: open addressing with linear probing over a
+/// power-of-two number of slots, keyed by the *identity* of the name —
+/// where the `&'static str` points and how long it is — never its text.
+/// At most half the slots are held, so a probe ends at a vacant one.
+#[derive(Debug)]
+struct CounterTable {
+    /// Empty until the first update.
+    slots: Vec<Option<(&'static str, u64)>>,
+    held: usize,
 }
 
-/// Adds `n` to counter `name` (creating it at zero first).
+impl CounterTable {
+    const fn new() -> CounterTable {
+        CounterTable {
+            slots: Vec::new(),
+            held: 0,
+        }
+    }
+
+    /// Where the probe for `name` starts in a table of `mask + 1` slots.
+    fn home(name: &'static str, mask: usize) -> usize {
+        let key = (name.as_ptr() as usize as u64) ^ (name.len() as u64).rotate_left(48);
+        // Fibonacci hashing: the high bits of the product mix all of `key`.
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// Adds `n` to the counter `name` identifies, making it if need be.
+    #[inline]
+    fn bump(&mut self, name: &'static str, n: u64) {
+        if self.slots.is_empty() {
+            self.slots = vec![None; INITIAL_SLOTS];
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(name, mask);
+        loop {
+            match &mut self.slots[i] {
+                Some((held, value)) if std::ptr::eq(*held, name) => {
+                    *value += n;
+                    return;
+                }
+                Some(_) => i = (i + 1) & mask,
+                vacant => {
+                    *vacant = Some((name, n));
+                    break;
+                }
+            }
+        }
+        self.held += 1;
+        if self.held * 2 > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the table, probing every held slot into its new place.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![None; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().flatten() {
+            let mut i = Self::home(slot.0, mask);
+            while self.slots[i].is_some() {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Some(slot);
+        }
+    }
+
+    /// The counters by name, equal names summed; a counter is there if it
+    /// reads nonzero, as one is made only by adding to it.
+    fn by_name(&self) -> BTreeMap<&'static str, u64> {
+        let mut counters = BTreeMap::new();
+        for &(name, value) in self.slots.iter().flatten() {
+            if value != 0 {
+                *counters.entry(name).or_insert(0) += value;
+            }
+        }
+        counters
+    }
+}
+
+/// What a thread accumulates between [`reset`]s and [`flush`]es.
+#[derive(Debug)]
+struct Registry {
+    counters: CounterTable,
+    histograms: BTreeMap<&'static str, Histogram>,
+}
+
+impl Registry {
+    const fn new() -> Registry {
+        Registry {
+            counters: CounterTable::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            counters: self.counters.by_name(),
+            histograms: self.histograms.clone(),
+        }
+    }
+}
+
+thread_local! {
+    static REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
+}
+
+/// Adds `n` to counter `name`. The first nonzero `n` makes the counter;
+/// `add(name, 0)` does nothing, so a counter that exists reads nonzero.
 pub fn add(name: &'static str, n: u64) {
     if n == 0 {
         return;
     }
-    REGISTRY.with(|r| *r.borrow_mut().counters.entry(name).or_insert(0) += n);
+    REGISTRY.with(|r| r.borrow_mut().counters.bump(name, n));
 }
 
 /// Adds one to counter `name`.
 pub fn incr(name: &'static str) {
-    REGISTRY.with(|r| *r.borrow_mut().counters.entry(name).or_insert(0) += 1);
+    REGISTRY.with(|r| r.borrow_mut().counters.bump(name, 1));
 }
 
 /// Records `value` into histogram `name`.
@@ -313,14 +431,16 @@ pub fn observe(name: &'static str, value: u64) {
     });
 }
 
-/// Copies the current registry state.
+/// Copies the current registry state: a walk of the counter table (every
+/// slot, held or not) plus an ordered-map insert per counter, and a clone
+/// of the histograms — for once-per-operation use, not per page.
 pub fn snapshot() -> Snapshot {
-    REGISTRY.with(|r| r.borrow().clone())
+    REGISTRY.with(|r| r.borrow().snapshot())
 }
 
 /// Clears every counter and histogram on this thread.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = Snapshot::default());
+    REGISTRY.with(|r| *r.borrow_mut() = Registry::new());
 }
 
 // ---------------------------------------------------------------------
@@ -338,11 +458,11 @@ fn global() -> &'static Mutex<Snapshot> {
 /// join so no per-thread counters are lost; the driver then reads the
 /// union with [`global_snapshot`].
 pub fn flush() {
-    let local = REGISTRY.with(|r| std::mem::take(&mut *r.borrow_mut()));
+    let local = REGISTRY.with(|r| r.replace(Registry::new()));
     global()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .merge(&local);
+        .merge(&local.snapshot());
     flush_lock_stats();
 }
 
@@ -496,6 +616,99 @@ mod tests {
         assert_eq!(d.counter("t.b"), 2);
         assert_eq!(d.counter("t.c"), 0);
         assert_eq!(mid.counter("t.a"), 5);
+    }
+
+    /// A name the test owns: leaked, so `&'static`, at an address of its
+    /// own whatever the text.
+    fn leaked(text: &str) -> &'static str {
+        Box::leak(text.to_string().into_boxed_str())
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_are_one_counter() {
+        reset();
+        let (a, b) = (leaked("t.same"), leaked("t.same"));
+        assert!(!std::ptr::eq(a, b), "two allocations");
+        add(a, 3);
+        incr(b);
+        add(a, 1);
+        let s = snapshot();
+        assert_eq!(s.counter("t.same"), 5);
+        assert_eq!(s.counters().count(), 1, "merged, not listed twice");
+        // A prefix of a held name shares its address but not its length.
+        add(&a[..3], 7);
+        let s = snapshot();
+        assert_eq!((s.counter("t.s"), s.counter("t.same")), (7, 5));
+    }
+
+    #[test]
+    fn a_counter_exists_once_something_was_added_to_it() {
+        reset();
+        add("t.zero", 0);
+        incr("t.one");
+        let s = snapshot();
+        assert_eq!(s.counters().collect::<Vec<_>>(), [("t.one", 1)]);
+        assert_eq!(s.counter("t.zero"), 0);
+        assert_eq!(s.counter("t.never"), 0);
+        add("t.zero", 0);
+        assert_eq!(snapshot(), s, "adding zero to nothing makes nothing");
+    }
+
+    #[test]
+    fn counters_iterate_in_name_order() {
+        reset();
+        for name in ["t.m", "t.z", "t.a", "t.mm", "s.z"] {
+            incr(name);
+        }
+        let names: Vec<_> = snapshot().counters().map(|(k, _)| k).collect();
+        assert_eq!(names, ["s.z", "t.a", "t.m", "t.mm", "t.z"]);
+    }
+
+    #[test]
+    fn more_names_than_slots_survive_growth() {
+        reset();
+        let names: Vec<&'static str> = (0..1_000)
+            .map(|i| leaked(&format!("t.grow.{i:04}")))
+            .collect();
+        assert!(names.len() > INITIAL_SLOTS);
+        for (i, name) in names.iter().enumerate() {
+            add(name, i as u64 + 1);
+        }
+        // Second round: every name is found again where growth put it.
+        for name in &names {
+            incr(name);
+        }
+        let s = snapshot();
+        assert_eq!(s.counters().count(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(s.counter(name), i as u64 + 2, "{name}");
+        }
+        let listed: Vec<_> = s.counters().map(|(k, _)| k).collect();
+        assert_eq!(listed, names, "zero-padded, so made in name order");
+        REGISTRY.with(|r| {
+            let table = &r.borrow().counters;
+            assert_eq!(table.held, names.len());
+            assert!(table.slots.len() >= 2 * table.held, "at most half full");
+        });
+    }
+
+    #[test]
+    fn reset_and_flush_leave_the_registry_empty() {
+        let empty = || REGISTRY.with(|r| r.borrow().counters.held == 0);
+        incr("t.empty.reset");
+        observe("t.empty.hist", 1);
+        reset();
+        assert!(empty());
+        assert_eq!(snapshot(), Snapshot::default());
+
+        add("t.empty.flush", 4);
+        flush();
+        assert!(empty());
+        assert_eq!(snapshot(), Snapshot::default());
+        // Nothing is left to publish a second time.
+        flush();
+        assert_eq!(global_snapshot().counter("t.empty.flush"), 4);
+        assert_eq!(global_snapshot().counter("t.empty.reset"), 0);
     }
 
     #[test]
