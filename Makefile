@@ -1,14 +1,18 @@
 # Tier-1 verification and common chores. `make verify` is the gate a
 # change must pass before it lands: release build, the full workspace
 # test suite (including the exhaustive fail-point sweep and the
-# baseline/leak-check proptests), clippy with warnings denied, and the
-# documentation gates (rustdoc warnings denied, doctests).
+# baseline/leak-check proptests), clippy with warnings denied, the
+# documentation gates (rustdoc warnings denied, doctests, doc links), the
+# SMP stress, every example run to completion, the byte-identity gate over
+# the evaluation and the repo benchmark's smoke pass. What each target
+# does is said here, above it; docs/BENCHMARKS.md has the same in prose
+# and every other document links there.
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress results-identity bench-repo-smoke bench-pair clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress examples results-identity bench-repo-smoke bench-pair clean
 
-verify: build test clippy doc doctest doclinks stress results-identity bench-repo-smoke
+verify: build test clippy doc doctest doclinks stress examples results-identity bench-repo-smoke
 
 build:
 	$(CARGO) build --release
@@ -71,6 +75,18 @@ leakcheck:
 stress:
 	$(CARGO) test --release -q -p forkroad-core --test smp_stress
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
+
+# `cargo test` compiles examples/ but runs none of them. They are the only
+# code that reaches the simulator through the `forkroad::` facade alone
+# (so a missing re-export shows here and nowhere else), and zygote_server
+# serves its burst through the same workload kit as E15: each must run to
+# completion and exit 0.
+EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
+
+examples:
+	@for e in $(EXAMPLES); do \
+		$(CARGO) run --release -q --example $$e > /dev/null || { echo "example $$e failed"; exit 1; }; \
+	done
 
 # The repo benchmark (BENCHMARK.json) is a package of its own with path
 # dependencies on crates/*: no workspace build or test compiles it, so a

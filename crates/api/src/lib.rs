@@ -26,12 +26,12 @@ pub mod spawn;
 pub mod vfork;
 pub mod xproc;
 
-pub use batch::{fork_exec, spawn_fast_batch, vfork_exec};
+pub use batch::{fork_exec, vfork_exec};
 pub use clone::{clone, CloneFlags, CloneResult};
 pub use compare::{coverage, render_matrix, supports, Api, Capability, CostClass, Support};
 pub use fastpath::{spawn_fast, WarmPool};
 pub use fork::{fork, fork_from_thread, fork_on_demand, ForkStats};
-pub use retry::{fork_with_retry, is_transient, retry_with_backoff, RetryPolicy, RetryStats};
+pub use retry::{is_transient, retry_with_backoff, RetryPolicy, RetryStats};
 pub use spawn::{posix_spawn, posix_spawn_cached, FileAction, SpawnAttrs};
 pub use vfork::vfork;
 pub use xproc::{FdSource, MemOp, ProcessBuilder, Spawned};

@@ -156,16 +156,6 @@ pub fn retry_with_backoff<T>(
     }
 }
 
-/// [`crate::fork::fork`] with retry: the paper's "fork under pressure"
-/// coping pattern, made explicit.
-pub fn fork_with_retry(
-    kernel: &mut Kernel,
-    parent: fpr_kernel::Pid,
-    policy: RetryPolicy,
-) -> (KResult<fpr_kernel::Pid>, RetryStats) {
-    retry_with_backoff(kernel, policy, |k| crate::fork::fork(k, parent))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,15 +166,6 @@ mod tests {
         let mut k = Kernel::boot();
         let init = k.create_init("init").unwrap();
         (k, init)
-    }
-
-    #[test]
-    fn first_try_success_makes_one_attempt() {
-        let (mut k, p) = boot();
-        let (r, stats) = fork_with_retry(&mut k, p, RetryPolicy::default());
-        assert!(r.is_ok());
-        assert_eq!(stats.attempts, 1);
-        assert_eq!(stats.backoff_cycles, 0);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! and the repo root is what is committed there, and
 //! `make results-identity` gates the two against each other byte for byte.
 
-use forkroad_core::experiments::service::{CreationPath, ServiceConfig};
+use forkroad_core::experiments::service::ServiceConfig;
 use forkroad_core::experiments::spawn_fastpath::Mode;
 use forkroad_core::experiments::{
     aslr, breakdown, cow, fig1, forkbomb, odf_storm, overcommit, pressure, robustness, scaling,
     service, smp, smp_faults, spawn_actions, spawn_fastpath, stdio, threads, vma_sweep,
 };
-use forkroad_core::{Os, OsConfig};
-use fpr_api::SpawnAttrs;
+use forkroad_core::kit::{machine_for, world, world_seeded, CreationPath};
 use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::json::{self, Value};
 use fpr_trace::{chrome, report, sink};
@@ -476,26 +475,19 @@ fn median_over_seeds(f: impl Fn(u64) -> u64) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Median simulated cycles of `op` on a [`FOOTPRINT`]-page parent across
-/// the ASLR seed set.
-fn median_cycles(op: impl Fn(&mut Os, fpr_kernel::Pid)) -> u64 {
+/// Median simulated cycles of one creation via `path` from a
+/// [`FOOTPRINT`]-page parent across the ASLR seed set.
+fn median_cycles(path: CreationPath) -> u64 {
     median_over_seeds(|seed| {
-        let mut os = Os::boot(OsConfig {
-            machine: fig1::machine_for(FOOTPRINT),
-            seed,
-            ..Default::default()
-        });
-        let parent = os
-            .make_parent(ProcessShape::with_heap(FOOTPRINT))
-            .expect("fits");
-        os.measure(|os| op(os, parent)).1
+        let shape = ProcessShape::with_heap(FOOTPRINT);
+        let (mut os, parent) = world_seeded(machine_for(FOOTPRINT), seed, shape);
+        os.measure(|os| os.create(parent, path).expect("creation"))
+            .1
     })
 }
 
 fn fork_median(mode: ForkMode) -> u64 {
-    median_cycles(|os, p| {
-        os.fork_stats(p, mode).expect("fork");
-    })
+    median_cycles(CreationPath::Fork(mode))
 }
 
 /// E10: on-demand fork fault storm — where the deferred page-table copy
@@ -527,13 +519,8 @@ fn e10_odf_storm() -> Output {
         ondemand * 5 < cow,
         "on-demand fork must be far below COW fork at {FOOTPRINT} pages"
     );
-    let vfork = median_cycles(|os, p| {
-        os.vfork(p).expect("vfork");
-    });
-    let spawn = median_cycles(|os, p| {
-        os.spawn(p, "/bin/tool", &[], &SpawnAttrs::default())
-            .expect("spawn");
-    });
+    let vfork = median_cycles(CreationPath::Vfork);
+    let spawn = median_cycles(CreationPath::Spawn("/bin/tool"));
     let medians = [
         ("fork", "cow", cow),
         ("fork", "eager", fork_median(ForkMode::Eager)),
@@ -718,17 +705,11 @@ fn e13_swap() -> Output {
 fn thp_probe(thp: bool, footprint: u64) -> (u64, u64, u64, u64) {
     let cost = fpr_mem::CostModel::default();
     let boot = || {
-        let mut os = Os::boot(OsConfig {
-            machine: fpr_kernel::MachineConfig {
-                thp,
-                ..fig1::machine_for(footprint)
-            },
-            ..Default::default()
-        });
-        let parent = os
-            .make_parent(ProcessShape::with_heap(footprint))
-            .expect("fits");
-        (os, parent)
+        let machine = fpr_kernel::MachineConfig {
+            thp,
+            ..machine_for(footprint)
+        };
+        world(machine, ProcessShape::with_heap(footprint))
     };
     let (mut os, parent) = boot();
     let huge_blocks = os.kernel.process(parent).unwrap().aspace.huge_pages();
@@ -822,17 +803,16 @@ fn e15_service() -> Output {
         "service workload at the default rate must not OOM-kill"
     );
     let p99 = |p: CreationPath| outcome.stats(p).hist.p99();
+    let spawn = p99(CreationPath::Spawn(service::SERVICE_BIN));
+    let odf = p99(CreationPath::ForkOnDemand(service::SERVICE_BIN));
+    let cow = p99(CreationPath::ForkCow(service::SERVICE_BIN));
     assert!(
-        p99(CreationPath::SpawnFast) < p99(CreationPath::ForkOnDemand),
-        "p99(spawn fastpath) {} must beat p99(fork OnDemand) {}",
-        p99(CreationPath::SpawnFast),
-        p99(CreationPath::ForkOnDemand)
+        spawn < odf,
+        "p99(spawn fastpath) {spawn} must beat p99(fork OnDemand) {odf}"
     );
     assert!(
-        p99(CreationPath::ForkOnDemand) < p99(CreationPath::ForkCow),
-        "p99(fork OnDemand) {} must beat p99(fork Cow) {}",
-        p99(CreationPath::ForkOnDemand),
-        p99(CreationPath::ForkCow)
+        odf < cow,
+        "p99(fork OnDemand) {odf} must beat p99(fork Cow) {cow}"
     );
 
     let d = service::run_degradation();
@@ -857,10 +837,10 @@ fn e15_service() -> Output {
         d.spawn_latency[1]
     );
 
-    let (offered, sustained) = (outcome.config.offered_rate, outcome.sustained_rate);
+    let (offered, sustained) = (service::OFFERED_RATE, outcome.sustained_rate);
     let per_path = outcome.per_path.iter().map(|st| {
         rec([
-            ("path", text(st.path.label())),
+            ("path", text(service::label(st.path))),
             ("served", int(st.served)),
             ("p50", int(st.hist.p50())),
             ("p95", int(st.hist.p95())),

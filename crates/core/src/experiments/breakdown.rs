@@ -11,7 +11,7 @@
 //! priced from the counter deltas, exactly the attribution the runtime
 //! tracing subsystem records.
 
-use crate::os::{Os, OsConfig};
+use crate::kit::{machine_for, world};
 use fpr_mem::ForkMode;
 use fpr_trace::{metrics, ProcessShape, TableData};
 
@@ -46,13 +46,7 @@ pub fn measure(pages: u64) -> Breakdown {
 /// the last one is also dup2'd to descriptor 1000, stretching the
 /// nominal table capacity without adding open descriptors.
 pub fn measure_with_fds(pages: u64, extra_fds: u32, sparse: bool) -> Breakdown {
-    let mut os = Os::boot(OsConfig {
-        machine: super::fig1::machine_for(pages),
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape::with_heap(pages))
-        .expect("parent fits");
+    let (mut os, parent) = world(machine_for(pages), ProcessShape::with_heap(pages));
     for i in 0..extra_fds {
         let fd = os
             .kernel

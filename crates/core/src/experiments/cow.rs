@@ -7,7 +7,7 @@
 //! fork against an eager-copying fork: past a crossover fraction, the
 //! deferred machinery is the more expensive way to copy.
 
-use crate::os::{Os, OsConfig};
+use crate::kit::{machine_for, world, CreationPath};
 use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
 
@@ -26,32 +26,23 @@ pub struct StormCell {
 
 /// Measures one cell at `footprint` pages and `fraction` touched.
 pub fn measure(footprint: u64, fraction: f64, seed: u64) -> StormCell {
+    let pages = TouchPattern::Random { fraction, seed }.expand(footprint);
     let mut totals = [0u64; 2];
     let mut cow_faults = 0;
     for (i, mode) in [ForkMode::Cow, ForkMode::Eager].into_iter().enumerate() {
-        let mut os = Os::boot(OsConfig {
-            machine: super::fig1::machine_for(footprint),
-            ..Default::default()
-        });
-        let parent = os
-            .make_parent(ProcessShape::with_heap(footprint))
-            .expect("fits");
+        let (mut os, parent) = world(machine_for(footprint), ProcessShape::with_heap(footprint));
         let heap = os.first_mmap_base(parent).expect("heap mapped");
-        let pattern = TouchPattern::Random { fraction, seed };
-        let pages = pattern.expand(footprint);
         let (child, cycles) = os.measure(|os| {
-            let (child, _) = os.fork_stats(parent, mode).expect("fork fits");
-            for p in &pages {
-                os.kernel
-                    .write_mem(child, heap.add(*p), 0xbeef)
-                    .expect("write");
-            }
+            let child = os
+                .create(parent, CreationPath::Fork(mode))
+                .expect("fork fits");
+            os.touch(child, heap, &pages).expect("write");
             child
         });
         totals[i] = cycles;
         if mode == ForkMode::Cow {
-            cow_faults = os.kernel.process(child).unwrap().aspace.stats.cow_copies
-                + os.kernel.process(child).unwrap().aspace.stats.cow_reuses;
+            let stats = &os.kernel.process(child).unwrap().aspace.stats;
+            cow_faults = stats.cow_copies + stats.cow_reuses;
         }
     }
     StormCell {

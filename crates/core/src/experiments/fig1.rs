@@ -5,19 +5,27 @@
 //! reproduces it on the simulator for four APIs; the `fpr-native` crate
 //! mirrors it on the host kernel.
 
-use crate::os::{Os, OsConfig};
-use fpr_api::{ProcessBuilder, SpawnAttrs};
+pub use crate::kit::machine_for;
+use crate::kit::{world, CreationPath};
 use fpr_kernel::MachineConfig;
-use fpr_mem::{ForkMode, OvercommitPolicy, CYCLES_PER_US};
+use fpr_mem::CYCLES_PER_US;
 use fpr_trace::{FigureData, ProcessShape, Series};
 
-/// Builds a machine big enough for a `footprint`-page parent plus slack.
-pub fn machine_for(footprint: u64) -> MachineConfig {
-    MachineConfig {
-        frames: footprint * 2 + 16_384,
-        overcommit: OvercommitPolicy::Always,
-        ..MachineConfig::default()
-    }
+/// The binary every exec'ing path runs.
+const BIN: &str = "/bin/tool";
+
+/// Simulated microseconds one creation via `path` costs from a fresh
+/// `fp`-page parent (on a THP machine if `thp`: the populated heap sits in
+/// 2 MiB huge leaves, so the on-demand walk shares whole huge directories
+/// and the write-protect pass touches block entries, not pages).
+fn creation_us(fp: u64, thp: bool, path: CreationPath) -> f64 {
+    let machine = MachineConfig {
+        thp,
+        ..machine_for(fp)
+    };
+    let (mut os, parent) = world(machine, ProcessShape::with_heap(fp));
+    let (_, cycles) = os.measure(|os| os.create(parent, path).expect("creation fits"));
+    cycles as f64 / CYCLES_PER_US as f64
 }
 
 /// Runs the Figure 1 sweep over `footprints` (pages of populated parent
@@ -29,103 +37,31 @@ pub fn run(footprints: &[u64]) -> FigureData {
         "parent MiB",
         "latency us",
     );
-    let mut fork_s = Series::new("fork+exec");
-    let mut odf_s = Series::new("fork(OnDemand)+exec");
-    let mut thp_s = Series::new("fork(OnDemand+THP)+exec");
-    let mut vfork_s = Series::new("vfork+exec");
-    let mut spawn_s = Series::new("posix_spawn");
-    let mut xproc_s = Series::new("xproc");
-
-    for &fp in footprints {
-        let mib = fp as f64 * 4096.0 / (1024.0 * 1024.0);
-        let mk = || {
-            let mut os = Os::boot(OsConfig {
-                machine: machine_for(fp),
-                ..Default::default()
-            });
-            let parent = os
-                .make_parent(ProcessShape::with_heap(fp))
-                .expect("parent fits");
-            (os, parent)
-        };
-
-        // fork + exec
-        {
-            let (mut os, parent) = mk();
-            let (_, cycles) = os.measure(|os| {
-                let child = os.fork(parent).expect("fork fits");
-                os.exec(child, "/bin/tool").expect("exec");
-                child
-            });
-            fork_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
+    use CreationPath::{ForkCow, ForkOnDemand, Spawn, VforkExec, Xproc};
+    fig.series = [
+        ("fork+exec", false, ForkCow(BIN)),
+        ("fork(OnDemand)+exec", false, ForkOnDemand(BIN)),
+        ("fork(OnDemand+THP)+exec", true, ForkOnDemand(BIN)),
+        ("vfork+exec", false, VforkExec(BIN)),
+        ("posix_spawn", false, Spawn(BIN)),
+        ("xproc", false, Xproc(BIN)),
+    ]
+    .map(|(label, thp, path)| {
+        let mut s = Series::new(label);
+        for &fp in footprints {
+            let mib = fp as f64 * 4096.0 / (1024.0 * 1024.0);
+            s.push(mib, creation_us(fp, thp, path));
         }
-        // fork with on-demand page-table copying + exec
-        {
-            let (mut os, parent) = mk();
-            let (_, cycles) = os.measure(|os| {
-                let (child, _) = os.fork_stats(parent, ForkMode::OnDemand).expect("fork fits");
-                os.exec(child, "/bin/tool").expect("exec");
-                child
-            });
-            odf_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
-        }
-        // fork on a THP machine: the populated heap sits in 2 MiB huge
-        // leaves, so the on-demand walk shares whole huge directories and
-        // the write-protect pass touches block entries, not pages.
-        {
-            let mut os = Os::boot(OsConfig {
-                machine: MachineConfig {
-                    thp: true,
-                    ..machine_for(fp)
-                },
-                ..Default::default()
-            });
-            let parent = os
-                .make_parent(ProcessShape::with_heap(fp))
-                .expect("parent fits");
-            let (_, cycles) = os.measure(|os| {
-                let (child, _) = os.fork_stats(parent, ForkMode::OnDemand).expect("fork fits");
-                os.exec(child, "/bin/tool").expect("exec");
-                child
-            });
-            thp_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
-        }
-        // vfork + exec
-        {
-            let (mut os, parent) = mk();
-            let (_, cycles) = os.measure(|os| {
-                let child = os.vfork(parent).expect("vfork");
-                os.exec(child, "/bin/tool").expect("exec");
-                child
-            });
-            vfork_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
-        }
-        // posix_spawn
-        {
-            let (mut os, parent) = mk();
-            let (_, cycles) = os.measure(|os| {
-                os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-                    .expect("spawn")
-            });
-            spawn_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
-        }
-        // cross-process builder
-        {
-            let (mut os, parent) = mk();
-            let (_, cycles) = os.measure(|os| {
-                os.spawn_builder(parent, ProcessBuilder::new("/bin/tool"))
-                    .expect("xproc")
-            });
-            xproc_s.push(mib, cycles as f64 / CYCLES_PER_US as f64);
-        }
-    }
-    fig.series = vec![fork_s, odf_s, thp_s, vfork_s, spawn_s, xproc_s];
+        s
+    })
+    .into();
     fig
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpr_mem::ForkMode;
 
     #[test]
     fn fork_grows_spawn_flat() {
@@ -181,28 +117,8 @@ mod tests {
         // two flat APIs run — a COW fork at this size would copy a
         // million PTEs.
         let fp: u64 = 1_048_576;
-        let spawn_us = {
-            let mut os = Os::boot(OsConfig {
-                machine: machine_for(fp),
-                ..Default::default()
-            });
-            let parent = os.make_parent(ProcessShape::with_heap(fp)).unwrap();
-            let (_, cycles) = os.measure(|os| {
-                os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-                    .expect("spawn")
-            });
-            cycles as f64 / CYCLES_PER_US as f64
-        };
-        let odf_us = {
-            let mut os = Os::boot(OsConfig {
-                machine: machine_for(fp),
-                ..Default::default()
-            });
-            let parent = os.make_parent(ProcessShape::with_heap(fp)).unwrap();
-            let (_, cycles) =
-                os.measure(|os| os.fork_stats(parent, ForkMode::OnDemand).expect("fork"));
-            cycles as f64 / CYCLES_PER_US as f64
-        };
+        let spawn_us = creation_us(fp, false, CreationPath::Spawn(BIN));
+        let odf_us = creation_us(fp, false, CreationPath::Fork(ForkMode::OnDemand));
         assert!(
             odf_us <= spawn_us * 2.0,
             "fork(OnDemand) {odf_us:.2}us must stay within 2x of \
@@ -211,19 +127,7 @@ mod tests {
         // With THP the same heap sits in huge directories, so the fork
         // walk shares a handful of directories instead of ~2048 leaf
         // subtrees — it must undercut the small-page on-demand fork.
-        let thp_us = {
-            let mut os = Os::boot(OsConfig {
-                machine: MachineConfig {
-                    thp: true,
-                    ..machine_for(fp)
-                },
-                ..Default::default()
-            });
-            let parent = os.make_parent(ProcessShape::with_heap(fp)).unwrap();
-            let (_, cycles) =
-                os.measure(|os| os.fork_stats(parent, ForkMode::OnDemand).expect("fork"));
-            cycles as f64 / CYCLES_PER_US as f64
-        };
+        let thp_us = creation_us(fp, true, CreationPath::Fork(ForkMode::OnDemand));
         assert!(
             thp_us <= odf_us,
             "fork(OnDemand+THP) {thp_us:.2}us must not exceed \

@@ -145,8 +145,7 @@ mod tests {
         }
         // Reap one child: the limit frees and fork works again.
         let victim = children.pop().expect("bomb made children");
-        os.kernel.exit(victim, 0).expect("exit");
-        os.kernel.waitpid(root, Some(victim)).expect("reap");
+        os.reap(root, victim).expect("exit and reap");
         os.fork(root).expect("fork succeeds once a slot frees");
     }
 

@@ -10,7 +10,7 @@
 //! three axes: fork-time cost, worst-case first-touch latency, and total
 //! (fork + storm) cost — which must be conserved, not reduced.
 
-use crate::os::{Os, OsConfig};
+use crate::kit::{machine_for, world, CreationPath};
 use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
 
@@ -33,36 +33,21 @@ pub struct OdfCell {
 /// Measures one cell: fork `footprint` pages under `mode`, then write
 /// `fraction` of them in the child.
 pub fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) -> OdfCell {
-    let mut os = Os::boot(OsConfig {
-        machine: super::fig1::machine_for(footprint),
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape::with_heap(footprint))
-        .expect("fits");
+    let (mut os, parent) = world(machine_for(footprint), ProcessShape::with_heap(footprint));
     let heap = os.first_mmap_base(parent).expect("heap mapped");
     let pages = TouchPattern::Random { fraction, seed }.expand(footprint);
     let (child, fork_cycles) = os.measure(|os| {
-        let (child, _) = os.fork_stats(parent, mode).expect("fork fits");
-        child
+        os.create(parent, CreationPath::Fork(mode))
+            .expect("fork fits")
     });
-    let mut worst = 0u64;
-    let (_, storm_cycles) = os.measure(|os| {
-        for p in &pages {
-            let before = os.kernel.cycles.total();
-            os.kernel
-                .write_mem(child, heap.add(*p), 0xbeef)
-                .expect("write");
-            worst = worst.max(os.kernel.cycles.total() - before);
-        }
-    });
-    let unshares = os.kernel.process(child).unwrap().aspace.stats.pt_unshares;
+    let (worst_touch_cycles, storm_cycles) =
+        os.measure(|os| os.touch(child, heap, &pages).expect("write"));
     OdfCell {
         touch_fraction: fraction,
         fork_cycles,
         storm_cycles,
-        worst_touch_cycles: worst,
-        unshares,
+        worst_touch_cycles,
+        unshares: os.kernel.process(child).unwrap().aspace.stats.pt_unshares,
     }
 }
 

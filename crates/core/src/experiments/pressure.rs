@@ -16,19 +16,19 @@
 //!   children are OOM-exempt — it kills *innocent workers* while
 //!   hundreds of reclaimable frames sit pinned.
 
+pub use crate::kit::STORM_FRAMES;
+use crate::kit::{storm_machine, world, CreationPath, Storm, Work};
 use crate::os::{Os, OsConfig};
-use fpr_api::SpawnAttrs;
-use fpr_kernel::{Errno, MachineConfig, Pid};
-use fpr_mem::{OvercommitPolicy, PressureLevel, Prot, Share, CYCLES_PER_US};
+use fpr_kernel::{MachineConfig, Pid};
+use fpr_mem::{PressureLevel, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// Warm-pool children parked before the storm (also the recovery target).
 pub const POOL_PREFILL: usize = 8;
-/// Physical frames of the storm machine: small enough that the caches
-/// are a meaningful fraction of memory.
-pub const STORM_FRAMES: u64 = 1024;
 /// Faulting workers the storm demand is spread across.
-const WORKERS: usize = 4;
+pub const WORKERS: usize = 4;
+/// The binary every spawn runs.
+const BIN: &str = "/bin/tool";
 
 /// Everything one storm arm observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,65 +64,47 @@ pub struct PressureOutcome {
     pub stall_cycles: u64,
 }
 
-fn storm_config() -> OsConfig {
-    OsConfig {
-        machine: MachineConfig {
-            frames: STORM_FRAMES,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    }
+/// The storm world of E12 and E15's degradation arm: a 32-page parent on
+/// the storm machine, fast path off.
+pub fn storm_world() -> (Os, Pid) {
+    world(storm_machine(), ProcessShape::with_heap(32))
 }
 
-fn boot_world() -> (Os, Pid) {
-    let mut os = Os::boot(storm_config());
-    let parent = os
-        .make_parent(ProcessShape::with_heap(32))
-        .expect("parent fits");
-    os.enable_spawn_fastpath().expect("enable");
-    os.pool_prefill("/bin/tool", POOL_PREFILL).expect("prefill");
-    (os, parent)
-}
-
-/// Spawns `/bin/tool` from `parent`, retires the child, returns cycles.
+/// Serves one spawn request from `parent`; its creation cycles are the
+/// spawn latency E12 reports.
 fn spawn_once(os: &mut Os, parent: Pid) -> u64 {
-    let (child, cycles) = os.measure(|os| {
-        os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-            .expect("spawn survives the storm")
-    });
-    os.kernel.exit(child, 0).expect("exit");
-    os.kernel.waitpid(parent, Some(child)).expect("reap");
-    cycles
+    os.serve(parent, CreationPath::Spawn(BIN), Work::Nothing)
+        .expect("spawn survives the storm")
+        .create
 }
 
 /// The classic-path reference cost: same machine, same parent shape,
 /// fast path never enabled.
 pub fn classic_spawn_cost() -> u64 {
-    let mut os = Os::boot(storm_config());
-    let parent = os
-        .make_parent(ProcessShape::with_heap(32))
-        .expect("parent fits");
-    let (child, cycles) = os.measure(|os| {
-        os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-            .expect("spawn")
-    });
-    let _ = child;
-    cycles
+    let (mut os, parent) = storm_world();
+    spawn_once(&mut os, parent)
 }
 
-fn pool_parked(os: &Os) -> usize {
+/// Parked warm children.
+pub fn pool_parked(os: &Os) -> usize {
     os.fastpath().expect("enabled").pool().total_parked()
 }
 
-fn cache_frames(os: &Os) -> u64 {
+/// Frames the image cache pins.
+pub fn cache_frames(os: &Os) -> u64 {
     os.fastpath().expect("enabled").cache().cached_frames()
+}
+
+/// True once shrinker reclaim has drained both fast-path caches dry.
+pub fn drained(os: &Os) -> bool {
+    pool_parked(os) == 0 && cache_frames(os) == 0
 }
 
 /// Runs one storm arm. `demand` caps total pages touched; `None` means
 /// "until the reclaimable caches are exhausted" (shrinker arm only).
 pub fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
-    let (mut os, parent) = boot_world();
+    let (mut os, parent) = storm_world();
+    os.warm_pool(BIN, POOL_PREFILL).expect("prefill");
     if !shrinkers {
         os.kernel.clear_shrinkers();
     }
@@ -132,86 +114,28 @@ pub fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
     let spawn_before = spawn_once(&mut os, parent);
     // The warm-up spawn consumed a parked child; top the pool back up so
     // both arms enter the storm with the full prefill.
-    os.pool_prefill("/bin/tool", 1).expect("top up");
+    os.pool_prefill(BIN, 1).expect("top up");
 
-    // Workers reserve generous anonymous regions up front (Always-mode
-    // overcommit admits them on credit) and then fault pages in
-    // round-robin: the bill arrives one page at a time.
-    let chunk = STORM_FRAMES / WORKERS as u64;
-    let workers: Vec<(Pid, fpr_mem::Vpn)> = (0..WORKERS)
-        .map(|i| {
-            let w = os
-                .kernel
-                .allocate_process(os.init, &format!("worker{i}"))
-                .expect("worker");
-            let base = os
-                .kernel
-                .mmap_anon(w, chunk, Prot::RW, Share::Private)
-                .expect("admitted on credit");
-            (w, base)
-        })
-        .collect();
-
-    let mut touched = [0u64; WORKERS];
-    let mut alive = [true; WORKERS];
-    let mut total = 0u64;
-    let mut peak = PressureLevel::None;
+    let mut storm = Storm::admit(&mut os, WORKERS, STORM_FRAMES / WORKERS as u64);
     let mut first_victim_was_bystander = false;
     let mut pinned_at_first_kill = 0u64;
-    let drained =
-        |os: &Os| pool_parked(os) == 0 && cache_frames(os) == 0;
-
-    'storm: loop {
-        let before = total;
-        for (i, &(w, base)) in workers.iter().enumerate() {
-            if !alive[i] || touched[i] >= chunk {
-                continue;
+    storm.run(
+        &mut os,
+        |os, touched| demand.map_or_else(|| drained(os), |d| touched >= d),
+        |os, faulting| {
+            // With shrinkers the kernel already direct-reclaimed before
+            // surfacing ENOMEM: memory is genuinely full.
+            if shrinkers {
+                return None;
             }
-            if let Some(d) = demand {
-                if total >= d {
-                    break 'storm;
-                }
-            } else if drained(&os) {
-                break 'storm;
+            let victim = os.kernel.oom_kill()?;
+            if os.kernel.oom_kills.len() == 1 {
+                first_victim_was_bystander = victim != faulting;
+                pinned_at_first_kill = cache_frames(os);
             }
-            loop {
-                match os.kernel.write_mem(w, base.add(touched[i]), total) {
-                    Ok(_) => {
-                        touched[i] += 1;
-                        total += 1;
-                        break;
-                    }
-                    // With shrinkers the kernel already direct-reclaimed
-                    // before surfacing this: memory is genuinely full.
-                    Err(Errno::Enomem) if shrinkers => break 'storm,
-                    Err(Errno::Enomem) => match os.kernel.oom_kill() {
-                        Some(victim) => {
-                            if os.kernel.oom_kills.len() == 1 {
-                                first_victim_was_bystander = victim != w;
-                                pinned_at_first_kill = cache_frames(&os);
-                            }
-                            for (j, &(wj, _)) in workers.iter().enumerate() {
-                                if wj == victim {
-                                    alive[j] = false;
-                                }
-                            }
-                            if victim == w {
-                                break;
-                            }
-                        }
-                        None => break 'storm,
-                    },
-                    Err(e) => panic!("unexpected storm error: {e}"),
-                }
-            }
-            peak = peak.max(os.kernel.memory_pressure());
-        }
-        if total == before {
-            // No worker made progress this round: demand met or everyone
-            // is dead/capped.
-            break;
-        }
-    }
+            Some(victim)
+        },
+    );
 
     let pool_during = pool_parked(&os);
     let cache_during = cache_frames(&os);
@@ -219,25 +143,20 @@ pub fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
     // arm): this spawn rides the classic path.
     let spawn_during = spawn_once(&mut os, parent);
 
-    // Relief: the storm passes — workers exit and their frames return.
-    for (i, &(w, _)) in workers.iter().enumerate() {
-        if alive[i] {
-            os.kernel.exit(w, 0).expect("worker exit");
-        }
-        os.kernel.waitpid(os.init, Some(w)).expect("reap worker");
-    }
+    let (touched_pages, peak_pressure) = (storm.touched, storm.peak);
+    storm.relieve(&mut os);
     // Recovery: re-prefill restores the warm pool (and re-warms the
     // image cache as a side effect of loading the children).
     let refill = POOL_PREFILL.saturating_sub(pool_parked(&os));
-    os.pool_prefill("/bin/tool", refill).expect("re-prefill");
+    os.pool_prefill(BIN, refill).expect("re-prefill");
     let spawn_after = spawn_once(&mut os, parent);
-    os.pool_prefill("/bin/tool", 1).expect("top up");
+    os.pool_prefill(BIN, 1).expect("top up");
 
     os.kernel.check_invariants().expect("invariants hold");
     let stats = os.kernel.reclaim_stats();
     PressureOutcome {
         shrinkers,
-        touched_pages: total,
+        touched_pages,
         oom_victims: os.kernel.oom_kills.clone(),
         first_victim_was_bystander,
         pinned_frames_at_first_kill: pinned_at_first_kill,
@@ -246,7 +165,7 @@ pub fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
         spawn_after,
         pool_occupancy: [pool_before, pool_during, pool_parked(&os)],
         cache_frames: [cache_before, cache_during, cache_frames(&os)],
-        peak_pressure: peak,
+        peak_pressure,
         reclaim_passes: stats.passes,
         frames_reclaimed: stats.frames_reclaimed,
         stall_cycles: os.kernel.phys.stall_cycles_total(),
@@ -309,81 +228,27 @@ pub struct SwapOutcome {
 pub fn run_swap_storm(swap: bool, demand: Option<u64>) -> SwapOutcome {
     let mut os = Os::boot(OsConfig {
         machine: MachineConfig {
-            frames: STORM_FRAMES,
             swap_slots: if swap { SWAP_SLOTS } else { 0 },
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
+            ..storm_machine()
         },
         ..Default::default()
     });
 
     // 1.5x physical memory of demand, spread across the workers.
     let chunk = (STORM_FRAMES + SWAP_SLOTS / 2) / WORKERS as u64;
-    let workers: Vec<(Pid, fpr_mem::Vpn)> = (0..WORKERS)
-        .map(|i| {
-            let w = os
-                .kernel
-                .allocate_process(os.init, &format!("worker{i}"))
-                .expect("worker");
-            let base = os
-                .kernel
-                .mmap_anon(w, chunk, Prot::RW, Share::Private)
-                .expect("admitted on credit");
-            (w, base)
-        })
-        .collect();
-
-    let mut touched = [0u64; WORKERS];
-    let mut alive = [true; WORKERS];
-    let mut total = 0u64;
-    let mut peak = PressureLevel::None;
+    let mut storm = Storm::admit(&mut os, WORKERS, chunk);
     let mut peak_slots = 0u64;
-
-    'storm: loop {
-        let before = total;
-        for (i, &(w, base)) in workers.iter().enumerate() {
-            if !alive[i] || touched[i] >= chunk {
-                continue;
-            }
-            if let Some(d) = demand {
-                if total >= d {
-                    break 'storm;
-                }
-            }
-            loop {
-                match os.kernel.write_mem(w, base.add(touched[i]), total) {
-                    Ok(_) => {
-                        touched[i] += 1;
-                        total += 1;
-                        break;
-                    }
-                    // With swap, the kernel already ran the whole reclaim
-                    // ladder before surfacing this: RAM and device are
-                    // genuinely full.
-                    Err(Errno::Enomem) if swap => break 'storm,
-                    Err(Errno::Enomem) => match os.kernel.oom_kill() {
-                        Some(victim) => {
-                            for (j, &(wj, _)) in workers.iter().enumerate() {
-                                if wj == victim {
-                                    alive[j] = false;
-                                }
-                            }
-                            if victim == w {
-                                break;
-                            }
-                        }
-                        None => break 'storm,
-                    },
-                    Err(e) => panic!("unexpected storm error: {e}"),
-                }
-            }
-            peak = peak.max(os.kernel.memory_pressure());
+    storm.run(
+        &mut os,
+        |os, touched| {
             peak_slots = peak_slots.max(os.kernel.phys.swap().used_slots());
-        }
-        if total == before {
-            break;
-        }
-    }
+            demand.is_some_and(|d| touched >= d)
+        },
+        // With swap, the kernel already ran the whole reclaim ladder
+        // before surfacing ENOMEM: RAM and device are genuinely full.
+        |os, _| if swap { None } else { os.kernel.oom_kill() },
+    );
+    peak_slots = peak_slots.max(os.kernel.phys.swap().used_slots());
 
     // The thrash regime: walk the cold front of each surviving worker's
     // region. Every read swaps the page back in *clean*, which makes it
@@ -393,11 +258,8 @@ pub fn run_swap_storm(swap: bool, demand: Option<u64>) -> SwapOutcome {
     let mut thrash_seen = false;
     if swap {
         'thrash: for _round in 0..8 {
-            for (i, &(w, base)) in workers.iter().enumerate() {
-                if !alive[i] || touched[i] == 0 {
-                    continue;
-                }
-                for j in 0..touched[i].min(16) {
+            for (w, base, touched) in storm.resident() {
+                for j in 0..touched.min(16) {
                     os.kernel.read_mem(w, base.add(j)).expect("reread");
                     if os.kernel.swap_thrashing() {
                         thrash_seen = true;
@@ -412,15 +274,15 @@ pub fn run_swap_storm(swap: bool, demand: Option<u64>) -> SwapOutcome {
     let stats = os.kernel.phys.swap().stats();
     SwapOutcome {
         swap,
-        touched_pages: total,
+        touched_pages: storm.touched,
         oom_victims: os.kernel.oom_kills.clone(),
-        survivors: alive.iter().filter(|a| **a).count(),
+        survivors: storm.resident().count(),
         swap_outs: stats.swap_outs,
         swap_ins: stats.swap_ins,
         refaults: stats.refaults,
         peak_slots_used: peak_slots.max(os.kernel.phys.swap().used_slots()),
         thrash_seen,
-        peak_pressure: peak,
+        peak_pressure: storm.peak,
         stall_cycles: os.kernel.phys.stall_cycles_total(),
     }
 }

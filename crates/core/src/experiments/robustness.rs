@@ -20,7 +20,8 @@
 //! Because the creation APIs are transactional, every row of the sweep
 //! must read `K/K clean`; the table is the evidence.
 
-use crate::os::{Os, OsConfig};
+use crate::kit::world_seeded;
+use crate::os::Os;
 use fpr_api::{retry_with_backoff, ProcessBuilder, RetryPolicy, SpawnAttrs};
 use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultSite};
 use fpr_kernel::MachineConfig;
@@ -95,12 +96,7 @@ pub struct SweepOutcome {
 }
 
 fn standard_os() -> (Os, fpr_kernel::Pid) {
-    let mut os = Os::boot(OsConfig {
-        seed: 9,
-        ..OsConfig::default()
-    });
-    let parent = os.make_parent(ProcessShape::shell()).expect("parent");
-    (os, parent)
+    world_seeded(MachineConfig::default(), 9, ProcessShape::shell())
 }
 
 /// One fail point's verdict: which site it hit, whether the API failed
@@ -206,24 +202,19 @@ pub struct PressureOutcome {
 pub fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
     let mut out = Vec::new();
     for api in ["fork", "posix_spawn", "xproc"] {
-        let mut os = Os::boot(OsConfig {
-            machine: MachineConfig {
-                frames: 4096,
-                overcommit: OvercommitPolicy::Never { ratio: 0.9 },
-                ..MachineConfig::default()
-            },
-            seed: 9,
-            ..OsConfig::default()
-        });
+        let machine = MachineConfig {
+            frames: 4096,
+            overcommit: OvercommitPolicy::Never { ratio: 0.9 },
+            ..MachineConfig::default()
+        };
         // A parent holding ~45% of commit: its fork needs another ~45%.
-        let parent = os
-            .make_parent(ProcessShape {
-                heap_pages: 1_650,
-                vma_count: 4,
-                extra_fds: 2,
-                extra_threads: 0,
-            })
-            .expect("parent");
+        let shape = ProcessShape {
+            heap_pages: 1_650,
+            vma_count: 4,
+            extra_fds: 2,
+            extra_threads: 0,
+        };
+        let (mut os, parent) = world_seeded(machine, 9, shape);
         // A hog eats the rest of the headroom, minus a sliver that covers
         // spawn-sized (O(image)) charges but not fork-sized ones.
         let limit = os.kernel.commit.limit().expect("strict mode");

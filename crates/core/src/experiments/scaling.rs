@@ -7,9 +7,10 @@
 //! serialises concurrent forks. The ablation series disables remote
 //! shootdown accounting to isolate the effect.
 
-use crate::os::{Os, OsConfig};
-use fpr_kernel::MachineConfig;
-use fpr_mem::{ForkMode, OvercommitPolicy, CYCLES_PER_US};
+use crate::kit::{machine_for, world};
+use crate::os::Os;
+use fpr_kernel::{MachineConfig, Pid};
+use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// One measurement at a given CPU occupancy.
@@ -25,27 +26,22 @@ pub struct ScalePoint {
     pub fork_cycles_no_shootdown: u64,
 }
 
-fn setup(threads: u32, footprint: u64, shootdowns: bool) -> (Os, fpr_kernel::Pid) {
-    let mut os = Os::boot(OsConfig {
-        machine: MachineConfig {
-            // Enough CPUs that init plus every parent thread gets a slot,
-            // so `threads` alone sets the shootdown fan-out.
-            cpus: 128,
-            frames: footprint * 2 + 16_384,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    });
-    os.kernel.tlb.shootdowns_enabled = shootdowns;
-    let parent = os
-        .make_parent(ProcessShape {
-            heap_pages: footprint,
-            vma_count: 8,
-            extra_fds: 0,
-            extra_threads: threads - 1,
-        })
-        .expect("parent fits");
+/// A `footprint`-page parent with `threads` threads, each on a CPU of its
+/// own. With `thp` the heap is a single promotable VMA on a THP machine.
+fn setup(threads: u32, footprint: u64, thp: bool) -> (Os, Pid) {
+    let machine = MachineConfig {
+        // Enough CPUs that init plus every parent thread gets a slot,
+        // so `threads` alone sets the shootdown fan-out.
+        cpus: 128,
+        thp,
+        ..machine_for(footprint)
+    };
+    let shape = ProcessShape {
+        vma_count: if thp { 1 } else { 8 },
+        extra_threads: threads - 1,
+        ..ProcessShape::with_heap(footprint)
+    };
+    let (mut os, parent) = world(machine, shape);
     // Schedule: place the parent's threads on CPUs.
     os.kernel.sched.tick();
     assert_eq!(os.kernel.cpus_running(parent), threads);
@@ -54,16 +50,15 @@ fn setup(threads: u32, footprint: u64, shootdowns: bool) -> (Os, fpr_kernel::Pid
 
 /// Measures fork and COW-break cost with `threads` of the parent on CPU.
 pub fn measure(threads: u32, footprint: u64) -> ScalePoint {
-    let (mut os, parent) = setup(threads, footprint, true);
+    let (mut os, parent) = setup(threads, footprint, false);
     let heap = os.first_mmap_base(parent).expect("heap");
-    let ((child, _), fork_cycles) =
-        os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
+    let (_, fork_cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
     // Parent touches one page: a COW break with full shootdown fan-out.
     let (_, cow_break_cycles) =
         os.measure(|os| os.kernel.write_mem(parent, heap, 1).expect("write"));
-    let _ = child;
 
     let (mut os2, parent2) = setup(threads, footprint, false);
+    os2.kernel.tlb.shootdowns_enabled = false;
     let (_, fork_no) = os2.measure(|os| os.fork_stats(parent2, ForkMode::Cow).expect("fork"));
     ScalePoint {
         cpus_running: threads,
@@ -79,26 +74,7 @@ pub fn measure(threads: u32, footprint: u64) -> ScalePoint {
 /// short ranged flush of huge entries instead of a page-count-sized one,
 /// and the page-table pass touches block entries, not PTEs.
 pub fn measure_thp(threads: u32, footprint: u64) -> u64 {
-    let mut os = Os::boot(OsConfig {
-        machine: MachineConfig {
-            cpus: 128,
-            thp: true,
-            frames: footprint * 2 + 16_384,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape {
-            heap_pages: footprint,
-            vma_count: 1,
-            extra_fds: 0,
-            extra_threads: threads - 1,
-        })
-        .expect("parent fits");
-    os.kernel.sched.tick();
-    assert_eq!(os.kernel.cpus_running(parent), threads);
+    let (mut os, parent) = setup(threads, footprint, true);
     let (_, cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
     cycles
 }

@@ -26,75 +26,45 @@
 //! autoscale tick restores the fast path — with zero OOM kills
 //! throughout.
 
-use crate::experiments::fig1::machine_for;
-use crate::os::{Os, OsConfig};
-use fpr_api::{ProcessBuilder, SpawnAttrs};
-use fpr_kernel::{MachineConfig, Pid};
-use fpr_mem::{ForkMode, OvercommitPolicy, PressureLevel, Prot, Share, CYCLES_PER_US};
-use fpr_rng::Rng;
+use crate::experiments::pressure::{
+    drained, pool_parked, storm_world, POOL_PREFILL, STORM_FRAMES, WORKERS,
+};
+use crate::kit::{
+    arrivals, machine_for, open_loop, world_seeded, CreationPath, PathStats, Storm, Work,
+    CYCLES_PER_SEC,
+};
+use crate::os::Os;
+use fpr_kernel::Pid;
+use fpr_mem::{PressureLevel, CYCLES_PER_US};
 use fpr_trace::metrics::Histogram;
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// The service binary every request execs.
 pub const SERVICE_BIN: &str = "/bin/tool";
-
-/// Simulated cycles per second (the cost model's 3 GHz clock).
-pub const CYCLES_PER_SEC: f64 = CYCLES_PER_US as f64 * 1_000_000.0;
-
-/// How a request's child is created.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CreationPath {
-    /// `posix_spawn` through the warm pool + image cache.
-    SpawnFast,
-    /// `fork(OnDemand)` + exec.
-    ForkOnDemand,
-    /// Classic COW `fork` + exec — the paper's accused.
-    ForkCow,
-    /// `vfork` + exec.
-    VforkExec,
-    /// The cross-process builder.
-    Xproc,
-}
-
-impl CreationPath {
-    /// All paths, in reporting order.
-    pub const ALL: [CreationPath; 5] = [
-        CreationPath::SpawnFast,
-        CreationPath::ForkOnDemand,
-        CreationPath::ForkCow,
-        CreationPath::VforkExec,
-        CreationPath::Xproc,
-    ];
-
-    /// Series label for figures and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CreationPath::SpawnFast => "spawn(fastpath)",
-            CreationPath::ForkOnDemand => "fork(OnDemand)+exec",
-            CreationPath::ForkCow => "fork(Cow)+exec",
-            CreationPath::VforkExec => "vfork+exec",
-            CreationPath::Xproc => "xproc",
-        }
-    }
-}
+/// Offered arrival rate, requests per simulated second.
+pub const OFFERED_RATE: f64 = 60_000.0;
+/// `(path, weight)` mix the per-request draw uses.
+pub const MIX: [(CreationPath, u32); 5] = [
+    (CreationPath::Spawn(SERVICE_BIN), 6),
+    (CreationPath::ForkOnDemand(SERVICE_BIN), 4),
+    (CreationPath::VforkExec(SERVICE_BIN), 3),
+    (CreationPath::Xproc(SERVICE_BIN), 2),
+    (CreationPath::ForkCow(SERVICE_BIN), 2),
+];
+/// Warm-pool size the autoscale tick maintains.
+const POOL_TARGET: usize = 4;
+/// The autoscale tick runs every this many requests.
+const AUTOSCALE_EVERY: usize = 4;
+/// Pages each request's child touches as its "work".
+const WORK_PAGES: u64 = 4;
 
 /// Tunables for one open-loop run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Requests in the run.
     pub requests: usize,
-    /// Offered arrival rate, requests per simulated second.
-    pub offered_rate: f64,
     /// Front-end heap pages (what the fork paths must duplicate).
     pub parent_heap_pages: u64,
-    /// `(path, weight)` mix the per-request draw uses.
-    pub mix: Vec<(CreationPath, u32)>,
-    /// Warm-pool size the autoscale tick maintains.
-    pub pool_target: usize,
-    /// Run the autoscale tick every this many requests.
-    pub autoscale_every: usize,
-    /// Pages each request's child touches as its "work".
-    pub work_pages: u64,
     /// Seed for arrivals, mix draws, and every ASLR layout.
     pub seed: u64,
 }
@@ -103,41 +73,17 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             requests: 320,
-            offered_rate: 60_000.0,
             parent_heap_pages: 4_096,
-            mix: vec![
-                (CreationPath::SpawnFast, 6),
-                (CreationPath::ForkOnDemand, 4),
-                (CreationPath::VforkExec, 3),
-                (CreationPath::Xproc, 2),
-                (CreationPath::ForkCow, 2),
-            ],
-            pool_target: 4,
-            autoscale_every: 4,
-            work_pages: 4,
             seed: 42,
         }
     }
 }
 
-/// Per-path latency record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathStats {
-    /// Which creation path.
-    pub path: CreationPath,
-    /// Requests served through it.
-    pub served: u64,
-    /// Creation-to-exit latency (cycles) in log2 buckets.
-    pub hist: Histogram,
-}
-
 /// Everything one open-loop run observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceOutcome {
-    /// The configuration that produced it.
-    pub config: ServiceConfig,
-    /// Requests completed (always `config.requests` — every request is
-    /// served; overload shows up as sojourn, not drops).
+    /// Requests completed (every request is served; overload shows up as
+    /// sojourn, not drops).
     pub completed: u64,
     /// Virtual cycles from time zero to the last completion.
     pub makespan_cycles: u64,
@@ -145,7 +91,7 @@ pub struct ServiceOutcome {
     pub sustained_rate: f64,
     /// Of the makespan, cycles the server was actually serving.
     pub busy_cycles: u64,
-    /// Per-path service-latency records, in [`CreationPath::ALL`] order.
+    /// Per-path service-latency records, in [`CreationPath`] order.
     pub per_path: Vec<PathStats>,
     /// Arrival-to-exit latency (cycles): service plus queueing delay.
     pub sojourn: Histogram,
@@ -156,171 +102,76 @@ pub struct ServiceOutcome {
 }
 
 impl ServiceOutcome {
-    /// The stats for `path`.
+    /// The stats for `path`, one of [`MIX`].
     pub fn stats(&self, path: CreationPath) -> &PathStats {
         self.per_path
             .iter()
             .find(|s| s.path == path)
-            .expect("all paths present")
+            .expect("a path of the mix")
     }
 }
 
-/// Draws an exponential inter-arrival gap with the given mean (cycles).
-fn exp_gap(rng: &mut Rng, mean_cycles: f64) -> u64 {
-    // gen_f64 is in [0, 1); 1-u is in (0, 1], so ln never sees zero.
-    let u = rng.gen_f64();
-    (-(1.0 - u).ln() * mean_cycles) as u64 + 1
-}
-
-/// Draws a path from the weighted mix.
-fn draw_path(rng: &mut Rng, mix: &[(CreationPath, u32)]) -> CreationPath {
-    let total: u64 = mix.iter().map(|(_, w)| *w as u64).sum();
-    let mut roll = rng.gen_below(total);
-    for &(path, w) in mix {
-        if roll < w as u64 {
-            return path;
-        }
-        roll -= w as u64;
+/// Series label of `path`: E15's spawns ride the fast path, and say so.
+pub fn label(path: CreationPath) -> &'static str {
+    match path {
+        CreationPath::Spawn(_) => "spawn(fastpath)",
+        other => other.label(),
     }
-    unreachable!("weights sum to total")
 }
 
-/// Creates the request's child via `path`, runs the request body (touch
-/// `work_pages`), exits and reaps it. The cycles this spends *is* the
-/// creation-to-exit latency.
-fn serve(os: &mut Os, parent: Pid, path: CreationPath, work_pages: u64) {
-    let child = match path {
-        CreationPath::SpawnFast => os
-            .spawn(parent, SERVICE_BIN, &[], &SpawnAttrs::default())
-            .expect("spawn serves the request"),
-        CreationPath::ForkOnDemand => os
-            .fork_exec(parent, SERVICE_BIN, ForkMode::OnDemand)
-            .expect("fork(OnDemand)+exec serves the request"),
-        CreationPath::ForkCow => os
-            .fork_exec(parent, SERVICE_BIN, ForkMode::Cow)
-            .expect("fork(Cow)+exec serves the request"),
-        CreationPath::VforkExec => os
-            .vfork_exec(parent, SERVICE_BIN)
-            .expect("vfork+exec serves the request"),
-        CreationPath::Xproc => os
-            .spawn_builder(parent, ProcessBuilder::new(SERVICE_BIN))
-            .expect("xproc serves the request")
-            .pid,
-    };
-    if work_pages > 0 {
-        let base = os
-            .kernel
-            .mmap_anon(child, work_pages, Prot::RW, Share::Private)
-            .expect("request working set");
-        os.kernel
-            .populate(child, base, work_pages)
-            .expect("touch working set");
-    }
-    os.kernel.exit(child, 0).expect("request done");
-    os.kernel.waitpid(parent, Some(child)).expect("reap");
-}
-
-/// Runs the open-loop service: Poisson arrivals, single front end, one
-/// child per request. The virtual clock advances to each arrival (the
-/// server idles when the queue is empty) and then by the measured cycles
-/// of the service; a request arriving while an earlier one is being
-/// served waits, which is exactly the queueing delay the sojourn
-/// histogram captures.
+/// Runs the open-loop service: Poisson arrivals at [`OFFERED_RATE`], a
+/// single front end, one child per request drawn from [`MIX`]; each child
+/// populates `WORK_PAGES` fresh pages, exits and is reaped, and the
+/// cycles that takes *is* its creation-to-exit latency.
 pub fn run_service(cfg: &ServiceConfig) -> ServiceOutcome {
-    let mut os = Os::boot(OsConfig {
-        machine: machine_for(cfg.parent_heap_pages),
-        seed: cfg.seed,
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape::with_heap(cfg.parent_heap_pages))
-        .expect("front end fits");
-    os.enable_spawn_fastpath().expect("fast path on");
-    os.pool_prefill(SERVICE_BIN, cfg.pool_target)
-        .expect("prefill");
+    let shape = ProcessShape::with_heap(cfg.parent_heap_pages);
+    let (mut os, parent) = world_seeded(machine_for(cfg.parent_heap_pages), cfg.seed, shape);
+    os.warm_pool(SERVICE_BIN, POOL_TARGET).expect("prefill");
 
-    // Independent deterministic streams: arrival gaps and mix draws must
-    // not perturb the ASLR draws `Os` makes per creation.
-    let mut seed_rng = Rng::seed_from_u64(cfg.seed);
-    let mut arrival_rng = seed_rng.fork_stream();
-    let mut mix_rng = seed_rng.fork_stream();
-
-    let mean_gap = CYCLES_PER_SEC / cfg.offered_rate;
-    let mut arrivals = Vec::with_capacity(cfg.requests);
-    let mut t = 0u64;
-    for _ in 0..cfg.requests {
-        t += exp_gap(&mut arrival_rng, mean_gap);
-        arrivals.push((t, draw_path(&mut mix_rng, &cfg.mix)));
-    }
-
-    let mut per_path: Vec<PathStats> = CreationPath::ALL
-        .iter()
-        .map(|&path| PathStats {
-            path,
-            served: 0,
-            hist: Histogram::default(),
-        })
-        .collect();
-    let mut sojourn = Histogram::default();
-    let mut clock = 0u64;
-    let mut busy = 0u64;
+    let mean_gap = CYCLES_PER_SEC / OFFERED_RATE;
     let mut autoscaled = 0u64;
-
-    for (i, &(arrival, path)) in arrivals.iter().enumerate() {
-        if clock < arrival {
-            clock = arrival; // idle until the request lands
-        }
-        if i % cfg.autoscale_every.max(1) == 0 {
-            // Maintenance tick: pressure-gated pool top-up, charged to
-            // the loop (it delays later requests, not this one's latency).
-            let (built, tick_cycles) = os.measure(|os| {
-                os.pool_autoscale(SERVICE_BIN, cfg.pool_target)
-                    .expect("autoscale tick")
-            });
-            autoscaled += built as u64;
-            clock += tick_cycles;
-        }
-        let ((), service_cycles) =
-            os.measure(|os| serve(os, parent, path, cfg.work_pages));
-        clock += service_cycles;
-        busy += service_cycles;
-        let st = per_path
-            .iter_mut()
-            .find(|s| s.path == path)
-            .expect("path present");
-        st.served += 1;
-        st.hist.record(service_cycles);
-        sojourn.record(clock - arrival);
-    }
+    let served = open_loop(
+        &MIX,
+        &arrivals(cfg.seed, cfg.requests, mean_gap, &MIX),
+        |i, path| {
+            let mut tick_cycles = 0;
+            if i % AUTOSCALE_EVERY == 0 {
+                // Maintenance tick: pressure-gated pool top-up, charged to
+                // the loop (it delays later requests, not this one's latency).
+                let (built, cycles) = os.measure(|os| {
+                    os.pool_autoscale(SERVICE_BIN, POOL_TARGET)
+                        .expect("autoscale tick")
+                });
+                autoscaled += built as u64;
+                tick_cycles = cycles;
+            }
+            let request = os
+                .serve(parent, path, Work::Populate(WORK_PAGES))
+                .expect("the request is served");
+            (tick_cycles, request.total())
+        },
+    );
 
     os.kernel.check_invariants().expect("invariants hold");
-    let completed = cfg.requests as u64;
-    let sustained_rate = completed as f64 / (clock as f64 / CYCLES_PER_SEC);
     ServiceOutcome {
-        config: cfg.clone(),
-        completed,
-        makespan_cycles: clock,
-        sustained_rate,
-        busy_cycles: busy,
-        per_path,
-        sojourn,
+        completed: served.sojourn.count,
+        sustained_rate: served.sustained_rate(),
+        makespan_cycles: served.makespan_cycles,
+        busy_cycles: served.busy_cycles,
+        per_path: served.per_path,
+        sojourn: served.sojourn,
         autoscaled,
         oom_kills: os.kernel.oom_kills.len(),
     }
 }
 
 // ---------------------------------------------------------------------
-// The degradation arm: the same serving loop under memory pressure.
+// The degradation arm: the same serving loop under memory pressure, on
+// the E12 storm world (machine, parent, pool and worker count).
 // ---------------------------------------------------------------------
 
-/// Frames of the degradation machine (matches the E12 storm scale).
-pub const DEGRADATION_FRAMES: u64 = 1024;
-/// Warm-pool target for the degradation arm.
-pub const DEGRADATION_POOL: usize = 8;
 /// Spawn-serve requests measured per phase.
 const PHASE_REQUESTS: usize = 12;
-/// Resident storm workers squeezing the machine.
-const STORM_WORKERS: usize = 4;
 
 /// What the pool-drain → classic-fallback → recovery sequence observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -345,24 +196,13 @@ pub struct DegradationOutcome {
     pub oom_kills: usize,
 }
 
-fn degradation_config() -> OsConfig {
-    OsConfig {
-        machine: MachineConfig {
-            frames: DEGRADATION_FRAMES,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    }
-}
-
 /// Spawn-serve latencies over [`PHASE_REQUESTS`] requests.
 fn phase_samples(os: &mut Os, parent: Pid) -> Vec<u64> {
     (0..PHASE_REQUESTS)
         .map(|_| {
-            let ((), cycles) =
-                os.measure(|os| serve(os, parent, CreationPath::SpawnFast, 0));
-            cycles
+            os.serve(parent, CreationPath::Spawn(SERVICE_BIN), Work::Nothing)
+                .expect("spawn serves the request")
+                .total()
         })
         .collect()
 }
@@ -374,16 +214,6 @@ fn phase_latency(os: &mut Os, parent: Pid) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// The classic-path reference on the degradation machine: same parent
-/// shape and request body, fast path never enabled.
-pub fn degraded_reference_cost() -> u64 {
-    let mut os = Os::boot(degradation_config());
-    let parent = os
-        .make_parent(ProcessShape::with_heap(32))
-        .expect("parent fits");
-    phase_latency(&mut os, parent)
-}
-
 /// Drives the serving loop through pool-drain and back: a calm phase
 /// (pool hits), a resident-worker storm that forces shrinker reclaim to
 /// drain the pool and image cache (spawn degrades to the classic path;
@@ -391,106 +221,54 @@ pub fn degraded_reference_cost() -> u64 {
 /// relief and an autoscale-driven recovery. Nobody is OOM-killed at any
 /// point — that is the whole point.
 pub fn run_degradation() -> DegradationOutcome {
-    let mut os = Os::boot(degradation_config());
-    let parent = os
-        .make_parent(ProcessShape::with_heap(32))
-        .expect("parent fits");
-    os.enable_spawn_fastpath().expect("fast path on");
-    os.pool_prefill(SERVICE_BIN, DEGRADATION_POOL)
-        .expect("prefill");
+    let (mut os, parent) = storm_world();
+    os.warm_pool(SERVICE_BIN, POOL_PREFILL).expect("prefill");
+    let tick = |os: &mut Os| {
+        os.pool_autoscale(SERVICE_BIN, POOL_PREFILL)
+            .expect("autoscale tick")
+    };
 
     // Phase 0 — calm: requests ride the pool; the tick keeps it topped.
     let calm = phase_latency(&mut os, parent);
-    os.pool_autoscale(SERVICE_BIN, DEGRADATION_POOL)
-        .expect("calm top-up");
+    tick(&mut os);
     let pool_calm = pool_parked(&os);
 
     // Phase 1 — storm: resident workers fault in pages until shrinker
     // reclaim has drained both fast-path caches dry.
-    let chunk = DEGRADATION_FRAMES / STORM_WORKERS as u64;
-    let workers: Vec<(Pid, fpr_mem::Vpn)> = (0..STORM_WORKERS)
-        .map(|i| {
-            let w = os
-                .kernel
-                .allocate_process(os.init, &format!("svc_worker{i}"))
-                .expect("worker");
-            let base = os
-                .kernel
-                .mmap_anon(w, chunk, Prot::RW, Share::Private)
-                .expect("admitted on credit");
-            (w, base)
-        })
-        .collect();
-    let mut touched = [0u64; STORM_WORKERS];
-    let mut peak = PressureLevel::None;
-    'storm: loop {
-        let drained = pool_parked(&os) == 0 && cached_frames(&os) == 0;
-        if drained {
-            break 'storm;
-        }
-        let mut progressed = false;
-        for (i, &(w, base)) in workers.iter().enumerate() {
-            if touched[i] >= chunk {
-                continue;
-            }
-            match os.kernel.write_mem(w, base.add(touched[i]), 1) {
-                Ok(_) => {
-                    touched[i] += 1;
-                    progressed = true;
-                }
-                Err(fpr_kernel::Errno::Enomem) => break 'storm,
-                Err(e) => panic!("unexpected storm error: {e}"),
-            }
-            peak = peak.max(os.kernel.memory_pressure());
-        }
-        if !progressed {
-            break;
-        }
-    }
+    let mut storm = Storm::admit(&mut os, WORKERS, STORM_FRAMES / WORKERS as u64);
+    storm.run(&mut os, |os, _| drained(os), |_, _| None);
     let pool_storm = pool_parked(&os);
     // The tick must refuse to grow the pool into the storm.
-    let storm_autoscale_built = os
-        .pool_autoscale(SERVICE_BIN, DEGRADATION_POOL)
-        .expect("storm tick");
+    let storm_autoscale_built = tick(&mut os);
     // The first post-drain request pays the full classic fallback (pool
     // and cache both empty). Later requests in the phase ride the cache
     // the fallback itself re-warms — real behaviour, but the headline
     // degradation number is that first hit.
-    let storm = phase_samples(&mut os, parent)[0];
+    let degraded = phase_samples(&mut os, parent)[0];
 
     // Phase 2 — relief: the storm passes, the tick restores the pool.
-    for &(w, _) in &workers {
-        os.kernel.exit(w, 0).expect("worker exit");
-        os.kernel.waitpid(os.init, Some(w)).expect("reap worker");
-    }
-    let recovery_autoscale_built = os
-        .pool_autoscale(SERVICE_BIN, DEGRADATION_POOL)
-        .expect("recovery tick");
+    let peak_pressure = storm.peak;
+    storm.relieve(&mut os);
+    let recovery_autoscale_built = tick(&mut os);
     let recovered = phase_latency(&mut os, parent);
     // The measurements consumed parked children; one more tick restores
     // the target before the occupancy snapshot.
-    os.pool_autoscale(SERVICE_BIN, DEGRADATION_POOL)
-        .expect("final top-up");
+    tick(&mut os);
 
     os.kernel.check_invariants().expect("invariants hold");
+    // The classic-path reference: same world and request, fast path
+    // never enabled.
+    let (mut classic, classic_parent) = storm_world();
     DegradationOutcome {
-        spawn_latency: [calm, storm, recovered],
+        spawn_latency: [calm, degraded, recovered],
         pool_parked: [pool_calm, pool_storm, pool_parked(&os)],
         storm_autoscale_built,
         recovery_autoscale_built,
-        classic_reference: degraded_reference_cost(),
-        peak_pressure: peak,
+        classic_reference: phase_latency(&mut classic, classic_parent),
+        peak_pressure,
         reclaim_passes: os.kernel.reclaim_stats().passes,
         oom_kills: os.kernel.oom_kills.len(),
     }
-}
-
-fn pool_parked(os: &Os) -> usize {
-    os.fastpath().expect("enabled").pool().total_parked()
-}
-
-fn cached_frames(os: &Os) -> u64 {
-    os.fastpath().expect("enabled").cache().cached_frames()
 }
 
 /// Builds the E15 figure from one [`run_service`] and one
@@ -507,7 +285,7 @@ pub fn figure(outcome: &ServiceOutcome, degraded: &DegradationOutcome) -> Figure
         "latency us / kreq per s / count",
     );
     for st in &outcome.per_path {
-        let mut s = Series::new(format!("{} us", st.path.label()));
+        let mut s = Series::new(format!("{} us", label(st.path)));
         for p in [50.0, 95.0, 99.0] {
             s.push(p, us(st.hist.percentile(p)));
         }
@@ -519,7 +297,7 @@ pub fn figure(outcome: &ServiceOutcome, degraded: &DegradationOutcome) -> Figure
     }
     fig.series.push(soj);
     let mut thr = Series::new("throughput (0=offered kreq/s, 1=sustained kreq/s, 2=oom kills)");
-    thr.push(0.0, outcome.config.offered_rate / 1_000.0);
+    thr.push(0.0, OFFERED_RATE / 1_000.0);
     thr.push(1.0, outcome.sustained_rate / 1_000.0);
     thr.push(2.0, outcome.oom_kills as f64);
     fig.series.push(thr);
@@ -560,34 +338,32 @@ mod tests {
     #[test]
     fn open_loop_orders_the_paths_and_kills_nobody() {
         let o = run_service(&ServiceConfig::default());
-        assert_eq!(o.completed, o.config.requests as u64);
+        assert_eq!(o.completed, ServiceConfig::default().requests as u64);
         assert_eq!(o.oom_kills, 0, "default rate must not OOM");
         for st in &o.per_path {
-            assert!(st.served > 0, "{} never drawn", st.path.label());
+            assert!(st.served > 0, "{} never drawn", label(st.path));
             assert_eq!(st.served, st.hist.count);
         }
         let p99 = |p| o.stats(p).hist.p99();
+        let spawn = p99(CreationPath::Spawn(SERVICE_BIN));
+        let odf = p99(CreationPath::ForkOnDemand(SERVICE_BIN));
+        let cow = p99(CreationPath::ForkCow(SERVICE_BIN));
         assert!(
-            p99(CreationPath::SpawnFast) < p99(CreationPath::ForkOnDemand),
-            "spawn fast path p99 {} must beat fork(OnDemand) p99 {}",
-            p99(CreationPath::SpawnFast),
-            p99(CreationPath::ForkOnDemand)
+            spawn < odf,
+            "spawn fast path p99 {spawn} must beat fork(OnDemand) p99 {odf}"
         );
         assert!(
-            p99(CreationPath::ForkOnDemand) < p99(CreationPath::ForkCow),
-            "fork(OnDemand) p99 {} must beat fork(Cow) p99 {}",
-            p99(CreationPath::ForkOnDemand),
-            p99(CreationPath::ForkCow)
+            odf < cow,
+            "fork(OnDemand) p99 {odf} must beat fork(Cow) p99 {cow}"
         );
         assert!(o.autoscaled > 0, "the tick kept the pool alive");
         // Open loop below saturation: the server keeps up with the
         // offered rate (sojourn includes waits, but completions track
         // arrivals).
         assert!(
-            o.sustained_rate > o.config.offered_rate * 0.8,
-            "sustained {} vs offered {}",
-            o.sustained_rate,
-            o.config.offered_rate
+            o.sustained_rate > OFFERED_RATE * 0.8,
+            "sustained {} vs offered {OFFERED_RATE}",
+            o.sustained_rate
         );
         assert!(o.busy_cycles <= o.makespan_cycles);
     }
@@ -597,7 +373,8 @@ mod tests {
         let o = run_service(&quick_config());
         // Sojourn = service + queueing: its p99 can never undercut the
         // fastest path's p50.
-        assert!(o.sojourn.p99() >= o.stats(CreationPath::SpawnFast).hist.p50());
+        let spawn = o.stats(CreationPath::Spawn(SERVICE_BIN));
+        assert!(o.sojourn.p99() >= spawn.hist.p50());
         assert_eq!(o.sojourn.count, o.completed);
     }
 
@@ -623,9 +400,9 @@ mod tests {
     fn degradation_drains_falls_back_and_recovers() {
         let d = run_degradation();
         assert_eq!(d.oom_kills, 0, "graceful degradation never kills");
-        assert_eq!(d.pool_parked[0], DEGRADATION_POOL, "calm pool full");
+        assert_eq!(d.pool_parked[0], POOL_PREFILL, "calm pool full");
         assert_eq!(d.pool_parked[1], 0, "storm drained the pool");
-        assert_eq!(d.pool_parked[2], DEGRADATION_POOL, "recovery refilled");
+        assert_eq!(d.pool_parked[2], POOL_PREFILL, "recovery refilled");
         assert_eq!(
             d.storm_autoscale_built, 0,
             "autoscale must refuse to fight reclaim"
@@ -650,11 +427,11 @@ mod tests {
     fn figure_has_all_series() {
         let fig = default_figure();
         assert_eq!(fig.series.len(), 10);
-        for path in CreationPath::ALL {
+        for (path, _) in MIX {
             assert!(
-                fig.series(&format!("{} us", path.label())).is_some(),
+                fig.series(&format!("{} us", label(path))).is_some(),
                 "missing series for {}",
-                path.label()
+                label(path)
             );
         }
         assert!(fig.series("degradation parked children").is_some());

@@ -21,11 +21,10 @@
 //! (mm vs pid vs buddy vs tlb). Single-threaded arms report zero
 //! contention by construction — a thread never waits on itself.
 
-use crate::os::OsConfig;
+use crate::kit::{smp_machine, CreationPath, Work};
 use crate::smp::SmpOs;
-use fpr_api::SpawnAttrs;
-use fpr_kernel::{MachineConfig, Pid};
-use fpr_mem::OvercommitPolicy;
+use fpr_kernel::Pid;
+use fpr_mem::ForkMode;
 use fpr_trace::{metrics, FigureData, ProcessShape, Series, TableData, CYCLES_PER_US};
 use std::collections::BTreeMap;
 
@@ -40,14 +39,6 @@ pub const OPS_PER_WORKER: u64 = 48;
 const PARENT_HEAP: u64 = 256;
 
 const SPAWN_BIN: &str = "/bin/sh";
-
-fn machine() -> MachineConfig {
-    MachineConfig {
-        frames: 65_536,
-        overcommit: OvercommitPolicy::Always,
-        ..MachineConfig::default()
-    }
-}
 
 /// One arm at one thread count.
 #[derive(Debug, Clone)]
@@ -96,72 +87,58 @@ fn measure(
     }
 }
 
-/// One fork+reap op against `parent` in the locked cell `c`.
-fn fork_op(smp: &SmpOs, c: usize, parent: Pid) {
-    let mut os = smp.cell(c).lock();
-    let child = os.fork(parent).expect("fork");
-    os.kernel.exit(child, 0).expect("exit");
-    os.kernel.waitpid(parent, Some(child)).expect("reap");
+/// A parent for the fork arms in cell `c`.
+fn parent_in(smp: &SmpOs, c: usize) -> Pid {
+    smp.cell(c)
+        .lock()
+        .make_parent(ProcessShape::with_heap(PARENT_HEAP))
+        .expect("parent fits")
+}
+
+/// [`OPS_PER_WORKER`] fork requests against `parent`, taking cell `c`'s
+/// lock for each one.
+fn fork_requests(smp: &SmpOs, c: usize, parent: Pid) {
+    for _ in 0..OPS_PER_WORKER {
+        smp.cell(c)
+            .lock()
+            .serve(parent, CreationPath::Fork(ForkMode::Cow), Work::Nothing)
+            .expect("fork, exit, reap");
+    }
 }
 
 /// fork_cow_shared: all workers fork one parent in one cell.
 pub fn fork_cow_shared(threads: usize) -> SmpPoint {
-    let smp = SmpOs::boot(OsConfig {
-        machine: machine(),
-        ..Default::default()
-    }, 1);
-    let parent = {
-        let mut os = smp.cell(0).lock();
-        os.make_parent(ProcessShape::with_heap(PARENT_HEAP))
-            .expect("parent fits")
-    };
+    let smp = SmpOs::boot(smp_machine(), 1);
+    let parent = parent_in(&smp, 0);
     measure("fork_cow_shared", threads, &smp, move |_, smp| {
-        for _ in 0..OPS_PER_WORKER {
-            fork_op(smp, 0, parent);
-        }
+        fork_requests(smp, 0, parent)
     })
 }
 
 /// fork_cow_private: one cell and one parent per worker.
 pub fn fork_cow_private(threads: usize) -> SmpPoint {
-    let smp = SmpOs::boot(OsConfig {
-        machine: machine(),
-        ..Default::default()
-    }, threads);
-    let parents: Vec<Pid> = (0..threads)
-        .map(|c| {
-            let mut os = smp.cell(c).lock();
-            os.make_parent(ProcessShape::with_heap(PARENT_HEAP))
-                .expect("parent fits")
-        })
-        .collect();
+    let smp = SmpOs::boot(smp_machine(), threads);
+    let parents: Vec<Pid> = (0..threads).map(|c| parent_in(&smp, c)).collect();
     measure("fork_cow_private", threads, &smp, move |t, smp| {
-        for _ in 0..OPS_PER_WORKER {
-            fork_op(smp, t, parents[t]);
-        }
+        fork_requests(smp, t, parents[t])
     })
 }
 
 /// spawn_fast: one cell per worker, warm-pool spawns instead of forks.
 pub fn spawn_fast(threads: usize) -> SmpPoint {
-    let smp = SmpOs::boot(OsConfig {
-        machine: machine(),
-        ..Default::default()
-    }, threads);
+    let smp = SmpOs::boot(smp_machine(), threads);
     for c in 0..threads {
-        let mut os = smp.cell(c).lock();
-        os.enable_spawn_fastpath().expect("fast path on");
-        os.pool_prefill(SPAWN_BIN, 4).expect("prefill");
+        smp.cell(c)
+            .lock()
+            .warm_pool(SPAWN_BIN, 4)
+            .expect("fast path on, pool prefilled");
     }
-    measure("spawn_fast", threads, &smp, move |t, smp| {
+    measure("spawn_fast", threads, &smp, |t, smp| {
         for _ in 0..OPS_PER_WORKER {
             let mut os = smp.cell(t).lock();
             let init = os.init;
-            let child = os
-                .spawn(init, SPAWN_BIN, &[], &SpawnAttrs::default())
-                .expect("spawn");
-            os.kernel.exit(child, 0).expect("exit");
-            os.kernel.waitpid(init, Some(child)).expect("reap");
+            os.serve(init, CreationPath::Spawn(SPAWN_BIN), Work::Nothing)
+                .expect("spawn, exit, reap");
             os.pool_autoscale(SPAWN_BIN, 4).expect("autoscale");
         }
     })

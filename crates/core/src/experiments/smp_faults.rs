@@ -30,12 +30,10 @@
 //! fail-stop alike — the failure paths take locks in the same order the
 //! happy paths do.
 
-use crate::os::OsConfig;
+use crate::kit::{smp_machine, CreationPath};
 use crate::smp::{CellFailure, SmpOs};
-use fpr_api::SpawnAttrs;
 use fpr_faults::{derive_cell_seed, FaultPlan, FaultSite, SiteCoverage};
-use fpr_kernel::MachineConfig;
-use fpr_mem::OvercommitPolicy;
+use fpr_mem::ForkMode;
 use fpr_rng::Rng;
 use fpr_trace::{smp as vsmp, FigureData, Series, TableData};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,33 +56,25 @@ pub const FAIL_SITE: FaultSite = FaultSite::PidAlloc;
 /// Ops worker 0 completes before killing cell 0.
 const OPS_BEFORE_FAILURE: usize = OPS_PER_WORKER / 2;
 
-fn machine() -> MachineConfig {
-    MachineConfig {
-        frames: 65_536,
-        overcommit: OvercommitPolicy::Always,
-        ..MachineConfig::default()
-    }
-}
+/// The creation mix every SMP storm draws from, uniformly.
+pub const CREATION_MIX: [CreationPath; 4] = [
+    CreationPath::Fork(ForkMode::Cow),
+    CreationPath::Vfork,
+    CreationPath::Spawn("/bin/cat"),
+    CreationPath::ForkCow("/bin/grep"),
+];
 
-/// One storm op against the locked cell: the E16 creation mix, with the
-/// creation itself wrapped in `plan`. Returns `true` if the plan
+/// One storm op against the locked cell: a draw from [`CREATION_MIX`],
+/// with the creation itself wrapped in `plan`. Returns `true` if the plan
 /// injected. Children are destroyed immediately — outside the plan, so
 /// cleanup can never be the thing that fails.
 fn storm_op(os: &mut crate::os::Os, rng: &mut Rng, plan: FaultPlan) -> bool {
     let init = os.init;
-    let kind = rng.gen_index(4);
-    let (child, trace) = fpr_faults::with_plan(plan, || match kind {
-        0 => os.fork(init),
-        1 => os.vfork(init),
-        2 => os.spawn(init, "/bin/cat", &[], &SpawnAttrs::default()),
-        _ => os.fork_exec(init, "/bin/grep", fpr_mem::ForkMode::Cow),
-    });
+    let path = CREATION_MIX[rng.gen_index(CREATION_MIX.len())];
+    let (child, trace) = fpr_faults::with_plan(plan, || os.create(init, path));
     let injected = !trace.injected().is_empty();
     match child {
-        Ok(c) => {
-            os.kernel.exit(c, 0).expect("exit");
-            os.kernel.waitpid(init, Some(c)).expect("reap");
-        }
+        Ok(c) => os.reap(init, c).expect("exit and reap"),
         Err(_) => {
             // Containment radius 1: the op failed clean — a transactional
             // creation leaves no half-made child. Radius 2: the injured
@@ -146,13 +136,7 @@ impl SweepOutcome {
 pub fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
     fpr_faults::reset_global_coverage();
     let order_before = vsmp::order_violations();
-    let smp = SmpOs::boot(
-        OsConfig {
-            machine: machine(),
-            ..Default::default()
-        },
-        THREADS,
-    );
+    let smp = SmpOs::boot(smp_machine(), THREADS);
     let injected_ops = AtomicU64::new(0);
     let elapsed = smp.run(THREADS, |worker, smp| {
         let mut rng = Rng::seed_from_u64(derive_cell_seed(root_seed, worker));
@@ -202,13 +186,7 @@ pub struct FailStopOutcome {
 /// through; survivors redirect and the machine quiesces clean at N−1.
 pub fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
     let order_before = vsmp::order_violations();
-    let smp = SmpOs::boot(
-        OsConfig {
-            machine: machine(),
-            ..Default::default()
-        },
-        THREADS,
-    );
+    let smp = SmpOs::boot(smp_machine(), THREADS);
     let failure = std::sync::Mutex::new(None);
     let ops_after_failure = AtomicU64::new(0);
     smp.run(THREADS, |worker, smp| {

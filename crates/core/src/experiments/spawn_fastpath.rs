@@ -17,11 +17,13 @@
 //! work), and the pooled path must beat `fork(OnDemand)` everywhere —
 //! including the small-parent end where fork used to win.
 
-use crate::experiments::fig1::machine_for;
+use crate::kit::{machine_for, world_seeded, CreationPath, Work};
 use crate::os::{Os, OsConfig};
-use fpr_api::SpawnAttrs;
 use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
+
+/// The binary every spawn runs.
+const BIN: &str = "/bin/tool";
 
 /// Which spawn configuration a cell measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,36 +46,21 @@ pub fn measure_spawn(mode: Mode, footprint: u64) -> u64 {
 /// [`measure_spawn`] with an explicit ASLR seed (the bench snapshot
 /// takes medians over a seed set).
 pub fn measure_spawn_seeded(mode: Mode, footprint: u64, seed: u64) -> u64 {
-    let mut os = Os::boot(OsConfig {
-        machine: machine_for(footprint),
-        seed,
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape::with_heap(footprint))
-        .expect("parent fits");
+    let shape = ProcessShape::with_heap(footprint);
+    let (mut os, parent) = world_seeded(machine_for(footprint), seed, shape);
     match mode {
         Mode::Plain => {}
         Mode::Cache => {
             os.enable_spawn_fastpath().expect("enable");
-            // Warm the cache with a throwaway spawn (the donor), then
-            // retire it so only the measured child exists.
-            let donor = os
-                .spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
+            // Warm the cache with a throwaway request (the donor), so
+            // only the measured child exists.
+            os.serve(parent, CreationPath::Spawn(BIN), Work::Nothing)
                 .expect("warm-up spawn");
-            os.kernel.exit(donor, 0).expect("exit");
-            os.kernel.waitpid(parent, Some(donor)).expect("reap");
         }
-        Mode::CachePool => {
-            os.enable_spawn_fastpath().expect("enable");
-            os.pool_prefill("/bin/tool", 1).expect("prefill");
-        }
+        Mode::CachePool => os.warm_pool(BIN, 1).expect("prefill"),
     }
-    let (_, cycles) = os.measure(|os| {
-        os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-            .expect("spawn")
-    });
-    cycles
+    let spawn = |os: &mut Os| os.create(parent, CreationPath::Spawn(BIN));
+    os.measure(|os| spawn(os).expect("spawn")).1
 }
 
 /// Cycles an on-demand fork of the same parent costs (the competitor).
@@ -83,16 +70,10 @@ pub fn measure_odf(footprint: u64) -> u64 {
 
 /// [`measure_odf`] with an explicit ASLR seed.
 pub fn measure_odf_seeded(footprint: u64, seed: u64) -> u64 {
-    let mut os = Os::boot(OsConfig {
-        machine: machine_for(footprint),
-        seed,
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape::with_heap(footprint))
-        .expect("parent fits");
-    let (_, cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::OnDemand).expect("fork"));
-    cycles
+    let shape = ProcessShape::with_heap(footprint);
+    let (mut os, parent) = world_seeded(machine_for(footprint), seed, shape);
+    os.measure(|os| os.fork_stats(parent, ForkMode::OnDemand).expect("fork"))
+        .1
 }
 
 /// Runs the E11 sweep over parent footprints (pages of populated heap).
@@ -122,7 +103,8 @@ pub fn run(footprints: &[u64]) -> FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpr_api::{posix_spawn, FileAction};
+    use crate::kit::world;
+    use fpr_api::{posix_spawn, FileAction, SpawnAttrs};
     use fpr_kernel::Fd;
 
     /// 1 MiB → 4 GiB in pages.
@@ -165,17 +147,10 @@ mod tests {
         // for free.
         let plain = measure_spawn(Mode::Plain, 4096);
         let cold = {
-            let mut os = Os::boot(OsConfig {
-                machine: machine_for(4096),
-                ..Default::default()
-            });
-            let parent = os.make_parent(ProcessShape::with_heap(4096)).unwrap();
+            let (mut os, parent) = world(machine_for(4096), ProcessShape::with_heap(4096));
             os.enable_spawn_fastpath().unwrap();
-            let (_, cycles) = os.measure(|os| {
-                os.spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-                    .expect("spawn")
-            });
-            cycles
+            let spawn = |os: &mut Os| os.create(parent, CreationPath::Spawn(BIN));
+            os.measure(|os| spawn(os).expect("spawn")).1
         };
         assert_eq!(plain, cold, "the pool-miss path is unchanged");
     }

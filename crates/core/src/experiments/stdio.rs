@@ -6,32 +6,18 @@
 //! cross-process builder it appears once. The duplicated byte count
 //! equals the unflushed buffer size — deterministically.
 
+use crate::kit::{CreationPath, Work};
 use crate::os::{Os, OsConfig};
-use fpr_api::{ProcessBuilder, SpawnAttrs};
 use fpr_kernel::{BufMode, Fd, FdEntry, OpenFlags, Pid};
+use fpr_mem::ForkMode;
 use fpr_trace::TableData;
 
-/// The APIs compared in this experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StdioApi {
-    /// fork + both exit.
-    Fork,
-    /// posix_spawn + both exit.
-    PosixSpawn,
-    /// cross-process builder + both exit.
-    Xproc,
-}
-
-impl StdioApi {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StdioApi::Fork => "fork",
-            StdioApi::PosixSpawn => "posix_spawn",
-            StdioApi::Xproc => "xproc",
-        }
-    }
-}
+/// The APIs compared in this experiment, by display name.
+pub const APIS: [(&str, CreationPath); 3] = [
+    ("fork", CreationPath::Fork(ForkMode::Cow)),
+    ("posix_spawn", CreationPath::Spawn("/bin/tool")),
+    ("xproc", CreationPath::Xproc("/bin/tool")),
+];
 
 /// One duplication measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,26 +68,15 @@ fn parent_with_buffer(os: &mut Os, fill: usize) -> (Pid, usize) {
 
 /// Runs one cell: parent buffers `fill` bytes, creates a child via `api`,
 /// both exit.
-pub fn run_cell(api: StdioApi, fill: usize) -> StdioCell {
+pub fn run_cell((api, path): (&'static str, CreationPath), fill: usize) -> StdioCell {
     let mut os = Os::boot(OsConfig::default());
     let (parent, _stream) = parent_with_buffer(&mut os, fill);
-    let child = match api {
-        StdioApi::Fork => os.fork(parent).expect("fork"),
-        StdioApi::PosixSpawn => os
-            .spawn(parent, "/bin/tool", &[], &SpawnAttrs::default())
-            .expect("spawn"),
-        StdioApi::Xproc => {
-            os.spawn_builder(parent, ProcessBuilder::new("/bin/tool"))
-                .expect("xproc")
-                .pid
-        }
-    };
-    os.kernel.exit(child, 0).expect("child exit");
-    let _ = os.kernel.waitpid(parent, Some(child));
+    os.serve(parent, path, Work::Nothing)
+        .expect("child created, exited and reaped");
     os.kernel.exit(parent, 0).expect("parent exit");
     let console = os.kernel.console.len();
     StdioCell {
-        api: api.name(),
+        api,
         buffered_bytes: fill,
         console_bytes: console,
         duplicated_bytes: console.saturating_sub(fill),
@@ -115,7 +90,7 @@ pub fn run(fills: &[usize]) -> TableData {
         "buffered output duplicated by process creation",
         &["api", "buffered", "console", "duplicated"],
     );
-    for api in [StdioApi::Fork, StdioApi::PosixSpawn, StdioApi::Xproc] {
+    for api in APIS {
         for &fill in fills {
             let c = run_cell(api, fill);
             t.push_row(vec![
@@ -136,7 +111,7 @@ mod tests {
     #[test]
     fn fork_duplicates_exactly_the_buffer() {
         for fill in [1usize, 64, 1000] {
-            let c = run_cell(StdioApi::Fork, fill);
+            let c = run_cell(APIS[0], fill);
             assert_eq!(c.duplicated_bytes, fill, "fork duplicates all {fill} bytes");
             assert_eq!(c.console_bytes, 2 * fill);
         }
@@ -144,7 +119,7 @@ mod tests {
 
     #[test]
     fn spawn_and_xproc_do_not_duplicate() {
-        for api in [StdioApi::PosixSpawn, StdioApi::Xproc] {
+        for api in [APIS[1], APIS[2]] {
             let c = run_cell(api, 512);
             assert_eq!(c.duplicated_bytes, 0, "{} duplicated output", c.api);
             assert_eq!(c.console_bytes, 512);
@@ -153,7 +128,7 @@ mod tests {
 
     #[test]
     fn empty_buffer_is_harmless_everywhere() {
-        for api in [StdioApi::Fork, StdioApi::PosixSpawn, StdioApi::Xproc] {
+        for api in APIS {
             let c = run_cell(api, 0);
             assert_eq!(c.duplicated_bytes, 0);
             assert_eq!(c.console_bytes, 0);

@@ -6,25 +6,18 @@
 //! (shared libraries, guard pages, arenas — thousands of VMAs), so this
 //! term matters even when page counts are modest.
 
-use crate::os::{Os, OsConfig};
+use crate::kit::{machine_for, world};
 use fpr_mem::{ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// Measures fork cost for a parent with `pages` resident spread over
 /// `vmas` mappings.
 pub fn measure(pages: u64, vmas: u64) -> u64 {
-    let mut os = Os::boot(OsConfig {
-        machine: super::fig1::machine_for(pages),
-        ..Default::default()
-    });
-    let parent = os
-        .make_parent(ProcessShape {
-            heap_pages: pages,
-            vma_count: vmas,
-            extra_fds: 0,
-            extra_threads: 0,
-        })
-        .expect("parent fits");
+    let shape = ProcessShape {
+        vma_count: vmas,
+        ..ProcessShape::with_heap(pages)
+    };
+    let (mut os, parent) = world(machine_for(pages), shape);
     let (_, cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
     cycles
 }

@@ -1,9 +1,11 @@
 //! # forkroad-core — the *fork() in the road* reproduction, assembled
 //!
-//! Ties the substrates together behind one facade ([`os::Os`]) and ships
-//! the experiment drivers ([`experiments`]) that regenerate every figure
-//! and table of the paper's evaluation. See DESIGN.md for the paper →
-//! module map and EXPERIMENTS.md for measured results.
+//! Ties the substrates together behind one facade ([`os::Os`]), defines
+//! the four moves every workload is made of once ([`kit`]: a world, a
+//! request, a storm, an open loop) and ships the experiment drivers
+//! ([`experiments`]) that regenerate every figure and table of the
+//! paper's evaluation from them. See DESIGN.md for the paper → module map
+//! and EXPERIMENTS.md for measured results.
 //!
 //! ## Quick start
 //!
@@ -22,6 +24,7 @@
 //! ```
 
 pub mod experiments;
+pub mod kit;
 pub mod os;
 pub mod smp;
 

@@ -369,7 +369,9 @@ impl Os {
 
     /// Builds a synthetic parent process matching `shape`: execs
     /// `/bin/tool`, maps and populates the heap across the requested VMA
-    /// count, opens descriptors, and starts threads.
+    /// count (the first `heap_pages % vma_count` mappings take the odd
+    /// pages; a heap smaller than the count gets one page a mapping),
+    /// opens descriptors, and starts threads.
     pub fn make_parent(&mut self, shape: ProcessShape) -> KResult<Pid> {
         let pid = self.kernel.allocate_process(self.init, "parent")?;
         let seed = self.fresh_seed();
@@ -381,15 +383,13 @@ impl Os {
             self.aslr,
             seed,
         )?;
-        let per_vma = shape.pages_per_vma();
-        let mut mapped = 0;
-        while mapped < shape.heap_pages {
-            let pages = per_vma.min(shape.heap_pages - mapped);
+        let vmas = shape.vma_count.max(1).min(shape.heap_pages);
+        for i in 0..vmas {
+            let pages = shape.heap_pages / vmas + u64::from(i < shape.heap_pages % vmas);
             let base = self
                 .kernel
                 .mmap_anon(pid, pages, Prot::RW, Share::Private)?;
             self.kernel.populate(pid, base, pages)?;
-            mapped += pages;
         }
         for i in 0..shape.extra_fds {
             self.kernel.open(
@@ -453,28 +453,37 @@ mod tests {
 
     #[test]
     fn make_parent_matches_shape() {
-        let mut os = Os::boot_default();
-        let shape = ProcessShape {
-            heap_pages: 64,
-            vma_count: 4,
-            extra_fds: 5,
-            extra_threads: 2,
-        };
-        let pid = os.make_parent(shape).unwrap();
-        let p = os.kernel.process(pid).unwrap();
-        assert!(p.resident_pages() >= 64);
-        assert_eq!(p.threads.len(), 3);
-        assert_eq!(
-            p.fds.open_count(),
-            5,
-            "exec'd process has no stdio; 5 opened"
-        );
-        let mmap_vmas = p
-            .aspace
-            .vmas()
-            .filter(|v| v.kind == fpr_mem::VmaKind::Mmap)
-            .count();
-        assert_eq!(mmap_vmas, 4);
+        // A heap that divides over its VMAs, and one that does not.
+        for (heap_pages, vma_count) in [(64, 4), (100, 8)] {
+            let mut os = Os::boot_default();
+            let shape = ProcessShape {
+                heap_pages,
+                vma_count,
+                extra_fds: 5,
+                extra_threads: 2,
+            };
+            let pid = os.make_parent(shape).unwrap();
+            let p = os.kernel.process(pid).unwrap();
+            assert!(p.resident_pages() >= heap_pages);
+            assert_eq!(p.threads.len(), 3);
+            assert_eq!(
+                p.fds.open_count(),
+                5,
+                "exec'd process has no stdio; 5 opened"
+            );
+            let mmaps: Vec<u64> = p
+                .aspace
+                .vmas()
+                .filter(|v| v.kind == fpr_mem::VmaKind::Mmap)
+                .map(|v| v.pages)
+                .collect();
+            assert_eq!(
+                mmaps.len() as u64,
+                vma_count,
+                "{heap_pages} pages: {mmaps:?}"
+            );
+            assert_eq!(mmaps.iter().sum::<u64>(), heap_pages);
+        }
     }
 
     #[test]
@@ -499,7 +508,6 @@ mod tests {
         os.exec(c, "/bin/grep").unwrap();
         assert_eq!(os.kernel.process(c).unwrap().name, "grep");
         let v = os.vfork(c).unwrap();
-        os.kernel.exit(v, 0).unwrap();
-        os.kernel.waitpid(c, Some(v)).unwrap();
+        os.reap(c, v).unwrap();
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::os::{Os, OsConfig};
 use fpr_faults::{FaultPlan, FaultSite};
-use fpr_kernel::{Kernel, KernelBaseline, SmpShared};
+use fpr_kernel::{Kernel, KernelBaseline, MachineConfig, SmpShared};
 use fpr_trace::smp::VLock;
 use fpr_trace::vclock;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,18 +86,19 @@ pub struct CellFailure {
 }
 
 impl SmpOs {
-    /// Boots `ncells` cells over one shared machine. Cell `c` seeds its
-    /// ASLR stream with `cfg.seed + c`, so runs are deterministic but
-    /// cells don't mirror each other's layouts. The booting thread's
+    /// Boots `ncells` cells over one shared `machine`. Cell `c` seeds its
+    /// ASLR stream with the default seed `+ c`, so runs are deterministic
+    /// but cells don't mirror each other's layouts. The booting thread's
     /// virtual clock is reset afterwards: virtual time zero is "machine
     /// booted".
-    pub fn boot(cfg: OsConfig, ncells: usize) -> SmpOs {
-        let shared = SmpShared::new(&cfg.machine, ncells);
+    pub fn boot(machine: MachineConfig, ncells: usize) -> SmpOs {
+        let shared = SmpShared::new(&machine, ncells);
         let cells: Vec<Arc<VLock<Os>>> = (0..ncells)
             .map(|c| {
                 let cell_cfg = OsConfig {
-                    seed: cfg.seed.wrapping_add(c as u64),
-                    ..cfg.clone()
+                    machine: machine.clone(),
+                    seed: OsConfig::default().seed + c as u64,
+                    ..Default::default()
                 };
                 Arc::new(VLock::new("mm", Os::boot_smp(cell_cfg, &shared, c)))
             })
@@ -321,11 +322,12 @@ impl SmpOs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpr_api::SpawnAttrs;
+    use crate::kit::{CreationPath, Work};
+    use fpr_mem::ForkMode;
 
     #[test]
     fn cells_boot_and_quiesce_clean() {
-        let smp = SmpOs::boot(OsConfig::default(), 2);
+        let smp = SmpOs::boot(MachineConfig::default(), 2);
         assert_eq!(smp.ncells(), 2);
         assert!(smp.violations().is_empty());
         smp.check_quiesced();
@@ -333,14 +335,13 @@ mod tests {
 
     #[test]
     fn workers_create_and_destroy_concurrently() {
-        let smp = SmpOs::boot(OsConfig::default(), 4);
+        let smp = SmpOs::boot(MachineConfig::default(), 4);
         let elapsed = smp.run(4, |t, smp| {
             let mut os = smp.cell(t).lock();
             let init = os.init;
             for _ in 0..8 {
-                let c = os.fork(init).expect("fork");
-                os.kernel.exit(c, 0).expect("exit");
-                os.kernel.waitpid(init, Some(c)).expect("reap");
+                os.serve(init, CreationPath::Fork(ForkMode::Cow), Work::Nothing)
+                    .expect("fork, exit, reap");
             }
         });
         assert_eq!(elapsed.len(), 4);
@@ -350,14 +351,13 @@ mod tests {
 
     #[test]
     fn failed_cell_recovers_to_empty_and_survivors_to_baseline() {
-        let smp = SmpOs::boot(OsConfig::default(), 3);
+        let smp = SmpOs::boot(MachineConfig::default(), 3);
         // Give the doomed cell something to lose: live children, a warm
         // pool, resident memory.
         {
             let mut os = smp.cell(0).lock();
             let init = os.init;
-            os.enable_spawn_fastpath().unwrap();
-            os.pool_prefill("/bin/sh", 2).unwrap();
+            os.warm_pool("/bin/sh", 2).unwrap();
             for _ in 0..3 {
                 os.fork(init).unwrap();
             }
@@ -382,9 +382,8 @@ mod tests {
         // Survivors keep working after the failure…
         let mut os = smp.cell(1).lock();
         let init = os.init;
-        let c = os.fork(init).unwrap();
-        os.kernel.exit(c, 0).unwrap();
-        os.kernel.waitpid(init, Some(c)).unwrap();
+        os.serve(init, CreationPath::Fork(ForkMode::Cow), Work::Nothing)
+            .unwrap();
         drop(os);
         // …and the machine quiesces clean at N−1.
         smp.check_quiesced();
@@ -392,7 +391,7 @@ mod tests {
 
     #[test]
     fn fail_cell_at_an_uncrossed_site_still_fail_stops_clean() {
-        let smp = SmpOs::boot(OsConfig::default(), 2);
+        let smp = SmpOs::boot(MachineConfig::default(), 2);
         // fork never touches the evacuation site, so the dying gasp
         // succeeds — the cell must die (and clean up the gasp's child)
         // all the same.
@@ -405,14 +404,13 @@ mod tests {
 
     #[test]
     fn workers_sharing_one_cell_serialize() {
-        let smp = SmpOs::boot(OsConfig::default(), 1);
+        let smp = SmpOs::boot(MachineConfig::default(), 1);
         let solo = smp.run(1, |_, smp| {
             let mut os = smp.cell(0).lock();
             let init = os.init;
             for _ in 0..8 {
-                let c = os.spawn(init, "/bin/sh", &[], &SpawnAttrs::default()).expect("spawn");
-                os.kernel.exit(c, 0).expect("exit");
-                os.kernel.waitpid(init, Some(c)).expect("reap");
+                os.serve(init, CreationPath::Spawn("/bin/sh"), Work::Nothing)
+                    .expect("spawn, exit, reap");
             }
         });
         // Four workers hammering the same cell: the slowest worker's
@@ -422,9 +420,8 @@ mod tests {
             for _ in 0..8 {
                 let mut os = smp.cell(0).lock();
                 let init = os.init;
-                let c = os.spawn(init, "/bin/sh", &[], &SpawnAttrs::default()).expect("spawn");
-                os.kernel.exit(c, 0).expect("exit");
-                os.kernel.waitpid(init, Some(c)).expect("reap");
+                os.serve(init, CreationPath::Spawn("/bin/sh"), Work::Nothing)
+                    .expect("spawn, exit, reap");
             }
         });
         let wall_solo = solo.iter().max().copied().unwrap();

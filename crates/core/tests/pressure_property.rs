@@ -14,20 +14,24 @@
 //! The workspace builds without proptest, so this is a hand-rolled
 //! generator over `fpr_rng` with fixed seeds: failures reproduce.
 
+use forkroad_core::kit::CreationPath;
 use forkroad_core::os::{Os, OsConfig};
-use fpr_api::SpawnAttrs;
 use fpr_kernel::{Errno, MachineConfig, Pid};
-use fpr_mem::{OvercommitPolicy, Prot, Share, Vpn};
+use fpr_mem::{ForkMode, OvercommitPolicy, Prot, Share};
 use fpr_rng::Rng;
 use fpr_trace::ProcessShape;
 
 const STEPS: usize = 60;
-const FRAMES: u64 = 2048;
+/// What a sequence's fork op creates with.
+const FORK: CreationPath = CreationPath::Fork(ForkMode::Cow);
 
-fn boot() -> Os {
+/// The machine with nothing on it yet — not a `kit::world`: the tests
+/// take their leak baseline here, before [`root`] goes on it.
+fn boot(swap_slots: u64) -> Os {
     Os::boot(OsConfig {
         machine: MachineConfig {
-            frames: FRAMES,
+            frames: 2048,
+            swap_slots,
             overcommit: OvercommitPolicy::Always,
             ..MachineConfig::default()
         },
@@ -35,10 +39,48 @@ fn boot() -> Os {
     })
 }
 
-/// One process the sequence owns, with the regions it mapped.
-struct Actor {
+/// The root process every sequence runs under.
+fn root(os: &mut Os) -> Pid {
+    os.make_parent(ProcessShape::with_heap(16))
+        .expect("root fits")
+}
+
+/// One process a sequence owns, with a record per region it mapped:
+/// `(base, pages)` in [`drive`]; base, pages, how many of them were written
+/// and the value written in [`drive_swap`].
+struct Actor<R> {
     pid: Pid,
-    regions: Vec<(Vpn, u64)>,
+    regions: Vec<R>,
+}
+
+/// Creates a child of `root` via `path` and, if that worked, makes it an
+/// actor.
+fn create_actor<R>(
+    os: &mut Os,
+    root: Pid,
+    path: CreationPath,
+    actors: &mut Vec<Actor<R>>,
+) -> String {
+    match os.create(root, path) {
+        Ok(pid) => {
+            actors.push(Actor {
+                pid,
+                regions: vec![],
+            });
+            format!("{} ok ({} actors)", path.label(), actors.len())
+        }
+        Err(e) => format!("{} failed {e}", path.label()),
+    }
+}
+
+/// Retires every actor (root last), so the caller can leak-check against
+/// its post-boot baseline.
+fn teardown(os: &mut Os, root: Pid, children: impl Iterator<Item = Pid>) {
+    for child in children {
+        os.reap(root, child).expect("exit and reap child");
+    }
+    let init = os.init;
+    os.reap(init, root).expect("exit and reap root");
 }
 
 /// Drives one random sequence. `fastpath` gates the pool-prefill arm of
@@ -47,9 +89,7 @@ struct Actor {
 /// total afterwards) for byte-identity comparison.
 fn drive(os: &mut Os, seed: u64, fastpath: bool, checked: bool) -> Vec<String> {
     let mut rng = Rng::seed_from_u64(seed);
-    let root = os
-        .make_parent(ProcessShape::with_heap(16))
-        .expect("root fits");
+    let root = root(os);
     let mut actors = vec![Actor {
         pid: root,
         regions: vec![],
@@ -102,28 +142,10 @@ fn drive(os: &mut Os, seed: u64, fastpath: bool, checked: bool) -> Vec<String> {
                 }
             }
             // spawn a fresh child of root.
-            2 => match os.spawn(root, "/bin/tool", &[], &SpawnAttrs::default()) {
-                Ok(c) => {
-                    actors.push(Actor {
-                        pid: c,
-                        regions: vec![],
-                    });
-                    format!("spawn ok ({} actors)", actors.len())
-                }
-                Err(e) => format!("spawn failed {e}"),
-            },
+            2 => create_actor(os, root, CreationPath::Spawn("/bin/tool"), &mut actors),
             // fork root (children of children would complicate reaping
             // without adding coverage: the clone path is the same).
-            3 => match os.fork(root) {
-                Ok(c) => {
-                    actors.push(Actor {
-                        pid: c,
-                        regions: vec![],
-                    });
-                    format!("fork ok ({} actors)", actors.len())
-                }
-                Err(e) => format!("fork failed {e}"),
-            },
+            3 => create_actor(os, root, FORK, &mut actors),
             // reclaim: run a balance pass; with the fast path on, also
             // occasionally restock the pool so there is something to
             // reclaim next time.
@@ -143,8 +165,7 @@ fn drive(os: &mut Os, seed: u64, fastpath: bool, checked: bool) -> Vec<String> {
                 } else {
                     let a = 1 + rng.gen_index(actors.len() - 1);
                     let victim = actors.remove(a);
-                    os.kernel.exit(victim.pid, 0).expect("exit");
-                    os.kernel.waitpid(root, Some(victim.pid)).expect("reap");
+                    os.reap(root, victim.pid).expect("exit and reap");
                     format!("exit actor {}", victim.pid.0)
                 }
             }
@@ -175,37 +196,11 @@ fn drive(os: &mut Os, seed: u64, fastpath: bool, checked: bool) -> Vec<String> {
         trace.push(format!("{step}:{desc}@{}", os.kernel.cycles.total()));
     }
 
-    // Teardown: retire every actor (root last) so the caller can leak-
-    // check against its post-boot baseline.
-    for a in actors.iter().skip(1) {
-        os.kernel.exit(a.pid, 0).expect("exit child");
-        os.kernel.waitpid(root, Some(a.pid)).expect("reap child");
-    }
-    os.kernel.exit(root, 0).expect("exit root");
-    os.kernel.waitpid(os.init, Some(root)).expect("reap root");
+    teardown(os, root, actors.iter().skip(1).map(|a| a.pid));
     trace
 }
 
 const SWAP_STEPS: usize = 80;
-
-fn boot_swap(slots: u64) -> Os {
-    Os::boot(OsConfig {
-        machine: MachineConfig {
-            frames: FRAMES,
-            swap_slots: slots,
-            overcommit: OvercommitPolicy::Always,
-            ..MachineConfig::default()
-        },
-        ..Default::default()
-    })
-}
-
-/// One process the swap sequence owns: per region, base, size, how many
-/// pages were written, and the value written.
-struct SwapActor {
-    pid: Pid,
-    regions: Vec<(Vpn, u64, u64, u64)>,
-}
 
 /// Like [`drive`], with the swap tier in the mix: direct swap-out
 /// passes, re-reads of previously written pages (swap-ins when the page
@@ -216,10 +211,8 @@ struct SwapActor {
 /// machine.
 fn drive_swap(os: &mut Os, seed: u64, call_swap: bool, checked: bool) -> Vec<String> {
     let mut rng = Rng::seed_from_u64(seed);
-    let root = os
-        .make_parent(ProcessShape::with_heap(16))
-        .expect("root fits");
-    let mut actors = vec![SwapActor {
+    let root = root(os);
+    let mut actors = vec![Actor {
         pid: root,
         regions: vec![],
     }];
@@ -298,16 +291,7 @@ fn drive_swap(os: &mut Os, seed: u64, call_swap: bool, checked: bool) -> Vec<Str
                 }
             }
             // fork root: swap entries are copied by reference count.
-            3 => match os.fork(root) {
-                Ok(c) => {
-                    actors.push(SwapActor {
-                        pid: c,
-                        regions: vec![],
-                    });
-                    format!("fork ok ({} actors)", actors.len())
-                }
-                Err(e) => format!("fork failed {e}"),
-            },
+            3 => create_actor(os, root, FORK, &mut actors),
             // swap-out: evict up to a small random target.
             4 => {
                 let t = 1 + rng.gen_below(8);
@@ -326,8 +310,7 @@ fn drive_swap(os: &mut Os, seed: u64, call_swap: bool, checked: bool) -> Vec<Str
                 } else {
                     let a = 1 + rng.gen_index(actors.len() - 1);
                     let victim = actors.remove(a);
-                    os.kernel.exit(victim.pid, 0).expect("exit");
-                    os.kernel.waitpid(root, Some(victim.pid)).expect("reap");
+                    os.reap(root, victim.pid).expect("exit and reap");
                     format!("exit actor {}", victim.pid.0)
                 }
             }
@@ -346,12 +329,7 @@ fn drive_swap(os: &mut Os, seed: u64, call_swap: bool, checked: bool) -> Vec<Str
         trace.push(format!("{step}:{desc}@{}", os.kernel.cycles.total()));
     }
 
-    for a in actors.iter().skip(1) {
-        os.kernel.exit(a.pid, 0).expect("exit child");
-        os.kernel.waitpid(root, Some(a.pid)).expect("reap child");
-    }
-    os.kernel.exit(root, 0).expect("exit root");
-    os.kernel.waitpid(os.init, Some(root)).expect("reap root");
+    teardown(os, root, actors.iter().skip(1).map(|a| a.pid));
     trace
 }
 
@@ -360,7 +338,7 @@ fn random_swap_sequences_hold_invariants_and_leak_nothing() {
     let mut total_out = 0;
     let mut total_in = 0;
     for case in 0..10u64 {
-        let mut os = boot_swap(512);
+        let mut os = boot(512);
         let boot_base = os.kernel.baseline();
         drive_swap(&mut os, 0xE13_000 + case, true, true);
         os.kernel
@@ -385,9 +363,9 @@ fn disabled_swap_replays_byte_identical_to_a_swapless_world() {
     // that never calls into the tier at all.
     for case in 0..6u64 {
         let seed = 0xE13_100 + case;
-        let mut called = boot_swap(0);
+        let mut called = boot(0);
         let called_trace = drive_swap(&mut called, seed, true, true);
-        let mut skipped = boot_swap(0);
+        let mut skipped = boot(0);
         let skipped_trace = drive_swap(&mut skipped, seed, false, true);
         assert_eq!(
             called_trace, skipped_trace,
@@ -409,8 +387,8 @@ fn disabled_swap_replays_byte_identical_to_a_swapless_world() {
 #[test]
 fn random_sequences_hold_invariants_and_leak_nothing() {
     for case in 0..10u64 {
-        let mut os = boot();
-        // Baseline after enabling: binding binaries to VFS backing files
+        let mut os = boot(0);
+        // Baseline after enable: binding binaries to VFS backing files
         // creates inodes that persist by design (they back the images).
         os.enable_spawn_fastpath().expect("enable");
         let boot_base = os.kernel.baseline();
@@ -430,10 +408,10 @@ fn random_sequences_hold_invariants_and_leak_nothing() {
 fn toggled_off_fastpath_replays_byte_identical_to_classic() {
     for case in 0..6u64 {
         let seed = 0xE12_100 + case;
-        let mut classic = boot();
+        let mut classic = boot(0);
         let classic_trace = drive(&mut classic, seed, false, true);
 
-        let mut toggled = boot();
+        let mut toggled = boot(0);
         toggled.enable_spawn_fastpath().expect("enable");
         toggled.disable_spawn_fastpath().expect("disable");
         assert!(!toggled.fastpath_enabled());

@@ -8,11 +8,12 @@
 //! magazine switched off is indistinguishable from an `Os::boot` world.
 
 use forkroad_core::experiments::service;
-use forkroad_core::os::{Os, OsConfig};
+use forkroad_core::experiments::smp_faults::CREATION_MIX;
+use forkroad_core::kit::{smp_machine, world, CreationPath};
+use forkroad_core::os::Os;
 use forkroad_core::smp::SmpOs;
-use fpr_api::SpawnAttrs;
-use fpr_kernel::{MachineConfig, Pid};
-use fpr_mem::{ForkMode, OvercommitPolicy};
+use fpr_kernel::Pid;
+use fpr_mem::ForkMode;
 use fpr_rng::Rng;
 use fpr_trace::ProcessShape;
 
@@ -20,12 +21,57 @@ const THREADS: usize = 4;
 const OPS: usize = 120;
 const SEED: u64 = 0xF02C_AD5E;
 
-fn stress_machine() -> MachineConfig {
-    MachineConfig {
-        frames: 65_536,
-        overcommit: OvercommitPolicy::Always,
-        ..MachineConfig::default()
+/// Takes a random child out of `live`, if there is one.
+fn pick(rng: &mut Rng, live: &mut Vec<Pid>) -> Option<Pid> {
+    (!live.is_empty()).then(|| live.swap_remove(rng.gen_index(live.len())))
+}
+
+/// What [`one_cell_smp_without_magazine_is_an_os_boot_world`] walks
+/// over: [`CREATION_MIX`] with the fork before the exec taken on demand —
+/// nothing else compares an on-demand fork on an SMP cell with an
+/// `Os::boot` world.
+const DIFFERENTIAL_MIX: [CreationPath; 4] = [
+    CreationPath::Fork(ForkMode::Cow),
+    CreationPath::Vfork,
+    CreationPath::Spawn("/bin/cat"),
+    CreationPath::ForkOnDemand("/bin/grep"),
+];
+
+/// One op of a random walk over `parent`'s children: creation number `op`
+/// of `mix` or, past its end, the reaping of `victim`. Returns the PID it
+/// created, if any. A vfork child borrows the parent's space, so it has
+/// given it back already: [`survivor`] says who is still alive.
+fn walk_op(
+    os: &mut Os,
+    parent: Pid,
+    mix: &[CreationPath],
+    op: usize,
+    victim: Option<Pid>,
+) -> Option<Pid> {
+    let Some(&path) = mix.get(op) else {
+        if let Some(victim) = victim {
+            os.reap(parent, victim).expect("exit and reap");
+        }
+        return None;
+    };
+    let child = os.create(parent, path).expect("creation");
+    if path == CreationPath::Vfork {
+        os.reap(parent, child).expect("exit and reap");
     }
+    Some(child)
+}
+
+/// `made` by op `op` of `mix`, unless [`walk_op`] reaped it on the spot.
+fn survivor(mix: &[CreationPath], op: usize, made: Option<Pid>) -> Option<Pid> {
+    made.filter(|_| mix.get(op) != Some(&CreationPath::Vfork))
+}
+
+/// Draws the next op of a walk over a mix of `paths` and, if it is the
+/// reaping op, its victim.
+fn draw_op(rng: &mut Rng, paths: usize, live: &mut Vec<Pid>) -> (usize, Option<Pid>) {
+    let op = rng.gen_index(paths + 1);
+    let victim = if op == paths { pick(rng, live) } else { None };
+    (op, victim)
 }
 
 /// One worker's random walk: mostly on its home cell, sometimes raiding
@@ -44,69 +90,28 @@ fn storm(worker: usize, smp: &SmpOs) {
         };
         let mut os = smp.cell(cell).lock();
         let init = os.init;
-        match rng.gen_index(5) {
-            0 => {
-                let c = os.fork(init).expect("fork");
-                live[cell].push(c);
-            }
-            1 => {
-                // vfork borrows the parent's space; give it back at once.
-                let c = os.vfork(init).expect("vfork");
-                os.kernel.exit(c, 0).expect("exit");
-                os.kernel.waitpid(init, Some(c)).expect("reap");
-            }
-            2 => {
-                let c = os
-                    .spawn(init, "/bin/cat", &[], &SpawnAttrs::default())
-                    .expect("spawn");
-                live[cell].push(c);
-            }
-            3 => {
-                let c = os
-                    .fork_exec(init, "/bin/grep", fpr_mem::ForkMode::Cow)
-                    .expect("fork_exec");
-                live[cell].push(c);
-            }
-            _ => {
-                if !live[cell].is_empty() {
-                    let i = rng.gen_index(live[cell].len());
-                    let c = live[cell].swap_remove(i);
-                    os.kernel.exit(c, 0).expect("exit");
-                    os.kernel.waitpid(init, Some(c)).expect("reap");
-                }
-            }
-        }
+        let (op, victim) = draw_op(&mut rng, CREATION_MIX.len(), &mut live[cell]);
+        let made = walk_op(&mut os, init, &CREATION_MIX, op, victim);
+        live[cell].extend(survivor(&CREATION_MIX, op, made));
         // Cap the live set so the storm churns instead of hoarding.
         while live[cell].len() > 8 {
-            let i = rng.gen_index(live[cell].len());
-            let c = live[cell].swap_remove(i);
-            os.kernel.exit(c, 0).expect("exit");
-            os.kernel.waitpid(init, Some(c)).expect("reap");
+            let victim = pick(&mut rng, &mut live[cell]).expect("non-empty");
+            os.reap(init, victim).expect("exit and reap");
         }
     }
     // Quiesce: destroy everything this worker still owns.
     for (cell, pids) in live.into_iter().enumerate() {
-        if pids.is_empty() {
-            continue;
-        }
         let mut os = smp.cell(cell).lock();
         let init = os.init;
         for c in pids {
-            os.kernel.exit(c, 0).expect("exit");
-            os.kernel.waitpid(init, Some(c)).expect("reap");
+            os.reap(init, c).expect("exit and reap");
         }
     }
 }
 
 #[test]
 fn seeded_multithread_storm_quiesces_clean() {
-    let smp = SmpOs::boot(
-        OsConfig {
-            machine: stress_machine(),
-            ..Default::default()
-        },
-        THREADS,
-    );
+    let smp = SmpOs::boot(smp_machine(), THREADS);
     let elapsed = smp.run(THREADS, storm);
     assert_eq!(elapsed.len(), THREADS);
     assert!(elapsed.iter().all(|&e| e > 0), "every worker did work");
@@ -131,66 +136,26 @@ fn single_thread_service_replays_byte_identical_to_seed() {
     );
 }
 
-/// One creation or exit op of the differential sequence; returns the
-/// PID it created, if any.
-fn differential_op(os: &mut Os, parent: Pid, op: usize, victim: Option<Pid>) -> Option<Pid> {
-    match op {
-        0 => Some(os.fork(parent).expect("fork")),
-        1 => {
-            let c = os.vfork(parent).expect("vfork");
-            os.kernel.exit(c, 0).expect("exit");
-            os.kernel.waitpid(parent, Some(c)).expect("reap");
-            Some(c)
-        }
-        2 => Some(
-            os.spawn(parent, "/bin/cat", &[], &SpawnAttrs::default())
-                .expect("spawn"),
-        ),
-        3 => Some(
-            os.fork_exec(parent, "/bin/grep", ForkMode::OnDemand)
-                .expect("fork_exec"),
-        ),
-        _ => {
-            if let Some(c) = victim {
-                os.kernel.exit(c, 0).expect("exit");
-                os.kernel.waitpid(parent, Some(c)).expect("reap");
-            }
-            None
-        }
-    }
-}
-
 /// The statement that the magazine is the *only* difference left between
 /// an `Os::boot` world and an SMP cell: switch it off on the single cell
 /// of a one-cell machine and the same seeded op sequence yields the same
 /// PIDs, the same cycle count after every op, and the same baseline.
 #[test]
 fn one_cell_smp_without_magazine_is_an_os_boot_world() {
-    let cfg = OsConfig {
-        machine: stress_machine(),
-        ..Default::default()
-    };
-    let mut solo = Os::boot(cfg.clone());
-    let smp = SmpOs::boot(cfg, 1);
+    let shape = ProcessShape::with_heap(64);
+    let (mut solo, parent) = world(smp_machine(), shape);
+    let smp = SmpOs::boot(smp_machine(), 1);
     let mut cell = smp.cell(0).lock();
     cell.kernel.phys.disable_frame_cache();
-
-    let shape = ProcessShape::with_heap(64);
-    let parent = solo.make_parent(shape).expect("parent fits");
     assert_eq!(cell.make_parent(shape).expect("parent fits"), parent);
 
     let mut rng = Rng::seed_from_u64(SEED);
     let mut live: Vec<Pid> = Vec::new();
     for step in 0..OPS {
-        let op = rng.gen_index(5);
-        let victim = if op == 4 && !live.is_empty() {
-            Some(live.swap_remove(rng.gen_index(live.len())))
-        } else {
-            None
-        };
-        let made = differential_op(&mut solo, parent, op, victim);
+        let (op, victim) = draw_op(&mut rng, DIFFERENTIAL_MIX.len(), &mut live);
+        let made = walk_op(&mut solo, parent, &DIFFERENTIAL_MIX, op, victim);
         assert_eq!(
-            differential_op(&mut cell, parent, op, victim),
+            walk_op(&mut cell, parent, &DIFFERENTIAL_MIX, op, victim),
             made,
             "step {step}: op {op} created different pids"
         );
@@ -199,10 +164,7 @@ fn one_cell_smp_without_magazine_is_an_os_boot_world() {
             solo.kernel.cycles.total(),
             "step {step}: op {op} charged different cycles"
         );
-        // A vfork child was reaped inside the op; everything else lives on.
-        if op != 1 {
-            live.extend(made);
-        }
+        live.extend(survivor(&DIFFERENTIAL_MIX, op, made));
     }
     assert_eq!(cell.kernel.baseline(), solo.kernel.baseline());
     assert!(solo.kernel.check_invariants().is_ok());

@@ -128,11 +128,6 @@ impl ShardedPidTable {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Translates shard-local PID `inner` of shard `s` to the machine-wide
     /// PID.
     fn global_pid(&self, s: usize, inner: Pid) -> Pid {

@@ -30,17 +30,10 @@
 //! owning subsystem (e.g. `Os::disable_spawn_fastpath`) unregisters
 //! automatically. Direct reclaim can fire while the fast path itself
 //! holds the cache lock (spawn under pressure); `try_lock` skips busy
-//! shrinkers instead of deadlocking.
-//!
-//! On a multi-cell machine a busy shrinker usually means *another cell*
-//! is mid-spawn, and that window is short — so the skip is softened into
-//! a bounded retry: up to [`SHRINKER_LOCK_ATTEMPTS`] `try_lock` polls with
-//! a deterministically jittered virtual-cycle pause between them (seeded
-//! from the pass counter and shrinker index, so two cells polling the
-//! same shrinker desynchronise instead of strobing in lockstep). A
-//! one-cell machine has no other cell to wait for — a busy shrinker there
-//! is the caller's own fast path further up the stack — so it keeps
-//! exactly one attempt: no retry, no charged pause.
+//! shrinkers instead of deadlocking. One attempt, no pause: a handle is
+//! registered with exactly one kernel and lives inside that cell's `Os`
+//! behind its `mm` lock, so whoever holds it is the caller's own fast
+//! path further up the stack, and waiting for it would wait forever.
 
 use crate::error::KResult;
 use crate::kernel::Kernel;
@@ -72,26 +65,6 @@ pub trait Shrinker {
 /// Strong handle to a registered shrinker; the owning subsystem keeps
 /// this alive, the kernel only holds a [`Weak`].
 pub type ShrinkerHandle = Arc<Mutex<dyn Shrinker + Send>>;
-
-/// `try_lock` polls per busy shrinker on a multi-cell machine before a
-/// pass gives up on it (one-cell machines always use exactly one).
-pub const SHRINKER_LOCK_ATTEMPTS: u32 = 3;
-
-/// Base virtual-cycle pause between shrinker lock polls; the actual
-/// pause is this plus a deterministic jitter in `[0, base)`.
-pub const SHRINKER_RETRY_BASE_CYCLES: u64 = 200;
-
-/// SplitMix64 finalizer: decorrelates (pass, shrinker, attempt) into a
-/// jitter so concurrent cells don't re-poll a busy lock in lockstep.
-fn retry_jitter(pass: u64, shrinker: u64, attempt: u64) -> u64 {
-    let mut z = pass
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(shrinker.rotate_left(32))
-        .wrapping_add(attempt);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) % SHRINKER_RETRY_BASE_CYCLES
-}
 
 /// Cumulative reclaim statistics, for experiments and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -153,36 +126,16 @@ impl Kernel {
         let handles: Vec<ShrinkerHandle> =
             self.shrinkers.iter().filter_map(Weak::upgrade).collect();
         // Phase 0: who can participate? Busy shrinkers (the fast path is
-        // mid-spawn holding the lock) and empty ones sit the pass out —
-        // after a bounded, jittered re-poll when the machine has other
-        // cells, where "busy" usually means one of their short spawn
-        // windows.
-        let attempts = if self.pid_table.shard_count() > 1 {
-            SHRINKER_LOCK_ATTEMPTS
-        } else {
-            1
-        };
-        let pass_key = self.reclaim_stats.passes + self.reclaim_stats.aborted_passes;
+        // mid-spawn holding the lock) and empty ones sit the pass out.
         let mut ready: Vec<ShrinkerHandle> = Vec::new();
-        for (idx, h) in handles.into_iter().enumerate() {
-            let mut can = false;
-            for attempt in 0..attempts {
-                match h.try_lock() {
-                    Ok(guard) => {
-                        can = guard.reclaimable(self) > 0;
-                        break;
-                    }
-                    Err(_) if attempt + 1 < attempts => {
-                        let pause = SHRINKER_RETRY_BASE_CYCLES
-                            + retry_jitter(pass_key, idx as u64, u64::from(attempt));
-                        self.cycles.charge(pause);
-                        metrics::incr("kernel.reclaim.lock_retry");
-                    }
-                    Err(_) => {
-                        metrics::incr("kernel.reclaim.lock_skip");
-                    }
+        for h in handles {
+            let can = match h.try_lock() {
+                Ok(guard) => guard.reclaimable(self) > 0,
+                Err(_) => {
+                    metrics::incr("kernel.reclaim.lock_skip");
+                    false
                 }
-            }
+            };
             if can {
                 ready.push(h);
             }
@@ -506,24 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_jitter_is_deterministic_and_bounded() {
-        for pass in 0..4u64 {
-            for idx in 0..3u64 {
-                for attempt in 0..2u64 {
-                    let a = retry_jitter(pass, idx, attempt);
-                    let b = retry_jitter(pass, idx, attempt);
-                    assert_eq!(a, b, "same key must jitter identically");
-                    assert!(a < SHRINKER_RETRY_BASE_CYCLES);
-                }
-            }
-        }
-        // Neighbouring keys decorrelate (no lockstep re-polling).
-        let spread: std::collections::BTreeSet<u64> =
-            (0..16u64).map(|i| retry_jitter(0, i, 0)).collect();
-        assert!(spread.len() > 8, "jitter collapsed: {spread:?}");
-    }
-
-    #[test]
     fn single_cell_busy_shrinker_costs_no_retry_cycles() {
         let mut k = small_kernel(64);
         let bag = bag_with(&mut k, 4);
@@ -534,42 +469,9 @@ mod tests {
         assert_eq!(
             k.cycles.total(),
             before,
-            "one attempt, no pause: the single-cell path replays byte-identically"
+            "one attempt, no pause, on every machine"
         );
         drop(guard);
-    }
-
-    #[test]
-    fn smp_busy_shrinker_pays_a_bounded_deterministic_pause() {
-        let cfg = MachineConfig {
-            frames: 256,
-            ..MachineConfig::default()
-        };
-        let shared = crate::kernel::SmpShared::new(&cfg, 2);
-        let mut k = Kernel::new_smp(cfg, &shared, 0);
-        let bag = bag_with(&mut k, 4);
-        k.register_shrinker(&(bag.clone() as ShrinkerHandle));
-        let guard = bag.lock().unwrap();
-        let polls = u64::from(SHRINKER_LOCK_ATTEMPTS - 1);
-
-        let before = k.cycles.total();
-        assert_eq!(k.reclaim(4), Ok(0), "still skipped, never deadlocked");
-        let first = k.cycles.total() - before;
-        assert!(
-            first >= polls * SHRINKER_RETRY_BASE_CYCLES
-                && first < polls * 2 * SHRINKER_RETRY_BASE_CYCLES,
-            "pause {first} outside [{}, {})",
-            polls * SHRINKER_RETRY_BASE_CYCLES,
-            polls * 2 * SHRINKER_RETRY_BASE_CYCLES
-        );
-        // A skipped pass doesn't advance the pass counter, so the same
-        // key replays the same jitter: determinism is observable.
-        let before = k.cycles.total();
-        assert_eq!(k.reclaim(4), Ok(0));
-        assert_eq!(k.cycles.total() - before, first);
-
-        drop(guard);
-        assert_eq!(k.reclaim(4), Ok(4), "released lock is found on retry");
     }
 
     #[test]

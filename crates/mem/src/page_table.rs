@@ -1271,27 +1271,6 @@ impl PageTable {
         }
     }
 
-    /// Mutably visits every leaf translation; the closure may rewrite the
-    /// entry (but not remove it). Huge blocks are visited once at their
-    /// block base. Panics if any leaf subtree is shared.
-    pub fn for_each_leaf_mut(&mut self, mut f: impl FnMut(Vpn, &mut Pte)) {
-        for (base, node, idx, kind) in self.leaf_slot_coords() {
-            match self.entry_at_mut(node, idx) {
-                Entry::Leaf(arc) => {
-                    let leaf =
-                        Arc::get_mut(arc).expect("mutating a shared leaf subtree (missed unshare)");
-                    for j in leaf.indices() {
-                        let mut p = leaf.get(j).expect("an entry the node holds");
-                        f(Vpn(base + j as u64 * kind.stride()), &mut p);
-                        leaf.set(j, Some(p));
-                    }
-                }
-                Entry::Huge(p) => f(Vpn(base), p),
-                Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
-            }
-        }
-    }
-
     /// Collects all leaves in a range `[start, start + pages)`. Huge
     /// blocks appear once at their block base; a block partially
     /// overlapping the range boundary must be demoted by the caller before
@@ -1715,15 +1694,16 @@ mod tests {
     }
 
     #[test]
-    fn for_each_leaf_mut_rewrites_flags() {
+    fn update_rewrites_flags_in_place() {
         let (mut pt, mut cy, cost) = fixture();
         for i in 0..100u64 {
             pt.map(Vpn(i), Pte::new(Pfn(i), PteFlags::WRITABLE), &mut cy, &cost)
                 .unwrap();
         }
-        pt.for_each_leaf_mut(|_, pte| {
-            pte.flags = pte.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW);
-        });
+        for i in 0..100u64 {
+            let old = pt.update(Vpn(i), Pte::new(Pfn(i), PteFlags::COW)).unwrap();
+            assert!(old.is_writable());
+        }
         let mut cows = 0;
         pt.for_each_leaf(|_, pte| {
             assert!(!pte.is_writable());
@@ -2150,11 +2130,6 @@ mod tests {
         assert_eq!(seen, vec![(5, false), (1024, true)]);
         let r = pt.leaves_in_range(Vpn(0), 4096);
         assert_eq!(r.len(), 2);
-        // Mutable walk flips the whole block once.
-        pt.for_each_leaf_mut(|_, p| {
-            p.flags = p.flags.union(PteFlags::COW);
-        });
-        assert!(pt.huge_block(Vpn(1024)).unwrap().is_cow());
         // Slot order is address order over a table mixing small leaves,
         // lone huge slots and a directory (the whole second GiB), and a
         // ranged walk yields nothing from a subtree outside its range.

@@ -17,7 +17,12 @@
 //! set of parent and child must agree, every page table's summaries must
 //! recount after every step, and tearing the world down must return
 //! `PhysMemory` to zero used frames. Each script runs with THP off
-//! and on, with every fork in one [`ForkMode`] and with the modes mixed.
+//! and on, with every fork in one [`ForkMode`] and with the modes mixed —
+//! three modes that each agree with the reference agree with each other,
+//! which is what the Cow/OnDemand/Eager twin-world test this file replaced
+//! compared directly. The `madvise` ranges land inside leaf nodes, so some
+//! on-demand fork must meet a node it cannot share whole and copy it entry
+//! by entry; a run in which none did fails as vacuous.
 //!
 //! A script's mappings are scattered over [`WINDOWS`]: windows of [`SPAN`]
 //! pages that differ in their 2 MiB, 1 GiB and 512 GiB slot, one of them
@@ -254,6 +259,9 @@ struct World {
     cycles: Cycles,
     tlb: TlbModel,
     procs: Vec<(AddressSpace, RefSpace)>,
+    /// PTEs on-demand forks copied one by one, for nodes they could not
+    /// share whole.
+    fallback_copies: u64,
 }
 
 impl World {
@@ -269,13 +277,14 @@ impl World {
             cycles: Cycles::new(),
             tlb: TlbModel::new(),
             procs: vec![(root, RefSpace::default())],
+            fallback_copies: 0,
         }
     }
 
     /// Runs `op` in process `who` of both models and returns their
     /// verdicts, `(simulator, reference)`.
     fn apply(&mut self, who: usize, op: &Op, ctx: &str) -> (Verdict, Verdict) {
-        let World { phys, cycles, tlb, procs } = self;
+        let World { phys, cycles, tlb, procs, fallback_copies } = self;
         let live = procs.len();
         let (sim, model) = &mut procs[who];
         match *op {
@@ -316,8 +325,12 @@ impl World {
                 (r.map(|(v, _)| Some(v)), model.read(vpn))
             }
             Op::Fork { mode } if live < MAX_PROCS => {
+                let copied_before = sim.stats.ptes_copied;
                 let child = AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1)
                     .unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
+                if mode == ForkMode::OnDemand {
+                    *fallback_copies += sim.stats.ptes_copied - copied_before;
+                }
                 let child = (child, model.fork());
                 // The mapped set of both sides, page by page.
                 check(&procs[who], phys, ctx);
@@ -346,7 +359,8 @@ fn check((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) 
     assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
 }
 
-fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) {
+/// Runs one script; returns the PTEs its on-demand forks copied one by one.
+fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut w = World::new(thp);
     let mut script: Vec<(usize, Op)> = gen_prologue(&mut rng).into_iter().map(|op| (0, op)).collect();
@@ -373,14 +387,20 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) {
     }
     assert_eq!(w.phys.used_frames(), 0, "seed {seed:#x} thp {thp}: frames survived teardown");
     assert_eq!(w.phys.free_frames(), w.phys.total_frames());
+    w.fallback_copies
 }
 
 fn run_cases(thp: bool) {
+    let mut fallback_copies = 0;
     for case in 0..CASES {
         for pinned in [None, Some(ForkMode::Cow), Some(ForkMode::OnDemand), Some(ForkMode::Eager)] {
-            run_script(0x4EF_0000 + case, thp, pinned);
+            fallback_copies += run_script(0x4EF_0000 + case, thp, pinned);
         }
     }
+    assert!(
+        fallback_copies > 0,
+        "no on-demand fork ever met a mixed node — the madvise step is vacuous"
+    );
 }
 
 // Two tests, so that the two halves run side by side.

@@ -61,11 +61,6 @@ impl ProcessShape {
             extra_threads: 0,
         }
     }
-
-    /// Pages per VMA (at least one).
-    pub fn pages_per_vma(&self) -> u64 {
-        (self.heap_pages / self.vma_count.max(1)).max(1)
-    }
 }
 
 /// Which pages a workload phase writes.
@@ -160,7 +155,6 @@ mod tests {
     fn shapes_scale_up() {
         assert!(ProcessShape::server().heap_pages > ProcessShape::shell().heap_pages);
         assert!(ProcessShape::jvm().heap_pages > ProcessShape::server().heap_pages);
-        assert!(ProcessShape::with_heap(100).pages_per_vma() >= 1);
     }
 
     #[test]

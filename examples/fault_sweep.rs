@@ -5,17 +5,16 @@
 //! ```
 
 use forkroad::faults::{count_crossings, with_plan, FaultPlan};
-use forkroad::{Os, OsConfig};
+use forkroad::kernel::MachineConfig;
+use forkroad::kit::world;
+use forkroad::trace::ProcessShape;
 
 fn main() {
-    let parent_of = |os: &mut Os| {
-        os.make_parent(forkroad::trace::ProcessShape::shell())
-            .expect("parent")
-    };
+    // A shell-sized parent on the default machine.
+    let boot = || world(MachineConfig::default(), ProcessShape::shell());
 
     // 1. How many ways can this fork die?
-    let mut os = Os::boot(OsConfig::default());
-    let parent = parent_of(&mut os);
+    let (mut os, parent) = boot();
     let trace = count_crossings(|| {
         os.fork(parent).expect("fault-free fork");
     });
@@ -28,8 +27,7 @@ fn main() {
     // 2. Die each way; the kernel must come back byte-identical.
     let mut clean = 0;
     for nth in 0..trace.len() {
-        let mut os = Os::boot(OsConfig::default());
-        let parent = parent_of(&mut os);
+        let (mut os, parent) = boot();
         let base = os.kernel.baseline();
         let (result, t) =
             with_plan(FaultPlan::passive().fail_nth_crossing(nth as u64), || {

@@ -9,7 +9,8 @@
 //! * [`audit`] — fork-safety and security analysis;
 //! * [`faults`] — deterministic fault injection (`FaultPlan`, fail-point sweeps);
 //! * [`trace`] — workloads and experiment records;
-//! * [`core`] — the [`core::Os`] facade and experiment drivers.
+//! * [`core`] — the [`core::Os`] facade, the workload [`kit`] and the
+//!   experiment drivers built from it.
 //!
 //! Start with [`core::Os::boot`]; see `examples/quickstart.rs`.
 
@@ -22,4 +23,5 @@ pub use fpr_kernel as kernel;
 pub use fpr_mem as mem;
 pub use fpr_trace as trace;
 
+pub use forkroad_core::kit;
 pub use forkroad_core::{Os, OsConfig};
