@@ -51,7 +51,10 @@ doclinks:
 # against a flat page map in every fork mode, THP on and off, ending with
 # every frame returned — and, under it, the buddy allocator against its
 # `BTreeSet` reference, frame for frame (which frame an allocation gets
-# decides every stamp and pfn in results/).
+# decides every stamp and pfn in results/). fork_fail_points pins, as one
+# digest per fork mode, what `fork_from` charges, counts, traces and leaves
+# behind at every one of its fail points, so that the walk may batch its
+# per-entry work but not move a fail point.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
@@ -60,6 +63,7 @@ leakcheck:
 	$(CARGO) test -q -p fpr-mem --test proptest_faults
 	$(CARGO) test -q -p fpr-mem --test proptest_reference
 	$(CARGO) test -q -p fpr-mem --test buddy_reference
+	$(CARGO) test -q -p fpr-mem --test fork_fail_points
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 

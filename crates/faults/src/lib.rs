@@ -39,6 +39,12 @@
 //! instrumentation can sit on per-page paths (one crossing per PTE a fork
 //! copies). Scoped and observed crossings count in the same slots.
 //!
+//! A loop that would cross one site `n` times in a row calls
+//! [`cross_n`] once instead: nobody listening, that is one add of `n`; a
+//! plan is still asked occurrence by occurrence — same trace, same
+//! occurrence and global indices as `n` calls of `cross` — and the caller
+//! learns how many crossings succeeded before the one that failed.
+//!
 //! The state is thread-local; the simulator is single-threaded per
 //! kernel, and this keeps parallel test binaries from interfering. SMP
 //! storms get a machine-wide view on top: workers call
@@ -53,8 +59,9 @@
 //!
 //! A thread-local [`Observer`] can be installed with [`set_observer`] to
 //! mirror every crossing into another subsystem — the tracing sink in
-//! `fpr-trace` uses this to turn each fault-site hit into a trace event,
-//! so no fault path is silent.
+//! `fpr-trace` uses this to turn fault-site hits into trace events, so no
+//! fault path is silent. It is told of crossings a run at a time: once per
+//! [`cross_n`] call that passes, and once more for a crossing that injects.
 //!
 //! ## Example
 //!
@@ -111,6 +118,14 @@ macro_rules! fault_sites {
             pub fn name(self) -> &'static str {
                 match self {
                     $( FaultSite::$variant => $name, )+
+                }
+            }
+
+            /// `fault.<name>`: what the trace event mirroring a crossing
+            /// of this site is called.
+            pub fn event_name(self) -> &'static str {
+                match self {
+                    $( FaultSite::$variant => concat!("fault.", $name), )+
                 }
             }
         }
@@ -346,7 +361,9 @@ pub struct SiteCoverage {
 
 struct ActiveScope {
     plan: FaultPlan,
-    counts: BTreeMap<FaultSite, u64>,
+    /// Crossings of each site so far: the occurrence index its next
+    /// crossing gets.
+    counts: [u64; FaultSite::COUNT],
     total: u64,
     trace: FaultTrace,
 }
@@ -373,13 +390,15 @@ fn update_listening() {
     LISTENING.with(|l| l.set(scope || observer));
 }
 
-/// A thread-local crossing callback: `(site, occurrence, injected)`.
+/// A thread-local crossing callback: `(site, first_occurrence, count,
+/// injected)` — `count` consecutive crossings of `site`, the first of them
+/// occurrence `first_occurrence`, all passed or (`count` = 1) one injected.
 ///
-/// Inside a [`with_plan`] scope `occurrence` is the 0-based per-site
+/// Inside a [`with_plan`] scope `first_occurrence` is the 0-based per-site
 /// index within that scope; outside any scope it is the cumulative
-/// per-thread coverage count minus one. The callback must not call
+/// per-thread coverage count before the run. The callback must not call
 /// [`cross`] itself — a reentrant crossing runs unobserved.
-pub type Observer = Box<dyn FnMut(FaultSite, u64, bool)>;
+pub type Observer = Box<dyn FnMut(FaultSite, u64, u64, bool)>;
 
 /// Installs (or, with `None`, removes) this thread's crossing observer,
 /// returning the previous one so scoped users can restore it.
@@ -391,7 +410,7 @@ pub type Observer = Box<dyn FnMut(FaultSite, u64, bool)>;
 ///
 /// let seen = Rc::new(Cell::new(0u64));
 /// let s = Rc::clone(&seen);
-/// let prev = set_observer(Some(Box::new(move |_, _, _| s.set(s.get() + 1))));
+/// let prev = set_observer(Some(Box::new(move |_, _, count, _| s.set(s.get() + count))));
 /// cross(FaultSite::VfsOp).unwrap();
 /// set_observer(prev);
 /// assert_eq!(seen.get(), 1);
@@ -409,55 +428,87 @@ pub fn set_observer(observer: Option<Observer>) -> Option<Observer> {
 /// and always succeeds.
 #[inline]
 pub fn cross(site: FaultSite) -> Result<(), InjectedFault> {
-    let cumulative = CROSSINGS.with(|c| {
-        let slot = &c[site.index()];
-        slot.set(slot.get() + 1);
-        slot.get() - 1
-    });
-    if !LISTENING.with(Cell::get) {
-        return Ok(());
-    }
-    cross_listening(site, cumulative)
+    cross_n(site, 1).map_err(|(_, fault)| fault)
 }
 
-/// The rest of a crossing when a scope or an observer is on the thread:
-/// the plan decides, the trace records, the observer is told.
+/// [`cross`], `n` times in a row: what a loop that crosses `site` once per
+/// item calls once per batch of `n` items. `Err((k, fault))` says the first
+/// `k` crossings passed and the next one injected — the `k + 1` crossings,
+/// and no more, that the loop would have made — so the caller can keep the
+/// work of the first `k` items and fail at item `k` as the loop would have.
+///
+/// ```
+/// use fpr_faults::{cross_n, with_plan, FaultPlan, FaultSite};
+///
+/// let plan = FaultPlan::passive().fail_at(FaultSite::PtNodeAlloc, 5);
+/// let (result, trace) = with_plan(plan, || {
+///     cross_n(FaultSite::PtNodeAlloc, 2).unwrap();
+///     cross_n(FaultSite::PtNodeAlloc, 512)
+/// });
+/// let (passed, fault) = result.unwrap_err();
+/// assert_eq!((passed, fault.occurrence), (3, 5));
+/// assert_eq!(trace.len(), 6, "crossings after the injected one were never made");
+/// ```
+#[inline]
+pub fn cross_n(site: FaultSite, n: u64) -> Result<(), (u64, InjectedFault)> {
+    if LISTENING.with(Cell::get) {
+        return cross_listening(site, n);
+    }
+    CROSSINGS.with(|c| {
+        let slot = &c[site.index()];
+        slot.set(slot.get() + n);
+    });
+    Ok(())
+}
+
+/// A run of crossings when a scope or an observer is on the thread: the
+/// plan decides each, the trace records each, the observer is told of the
+/// run.
 #[cold]
-fn cross_listening(site: FaultSite, cumulative: u64) -> Result<(), InjectedFault> {
-    let (result, occurrence, injected) = SCOPE.with(|s| {
+fn cross_listening(site: FaultSite, n: u64) -> Result<(), (u64, InjectedFault)> {
+    let cumulative = CROSSINGS.with(|c| c[site.index()].get());
+    // `made` counts the crossing that injected, if one did: the last.
+    let (first, made, fault) = SCOPE.with(|s| {
         let mut scope = s.borrow_mut();
         let Some(scope) = scope.as_mut() else {
-            return (Ok(()), cumulative, false);
+            return (cumulative, n, None);
         };
-        // counts[site] holds the last occurrence index handed out; the
-        // first crossing of a site is occurrence 0.
-        let occurrence = *scope
-            .counts
-            .entry(site)
-            .and_modify(|c| *c += 1)
-            .or_insert(0);
-        let global_index = scope.total;
-        scope.total += 1;
-        let injected = scope.plan.wants(site, occurrence, global_index);
-        scope.trace.crossings.push(Crossing {
-            site,
-            occurrence,
-            global_index,
-            injected,
-        });
-        if injected {
-            INJECTIONS.with(|i| i[site.index()].set(i[site.index()].get() + 1));
-            (Err(InjectedFault { site, occurrence }), occurrence, true)
-        } else {
-            (Ok(()), occurrence, false)
+        let first = scope.counts[site.index()];
+        let (mut occurrence, mut fault) = (first, None);
+        while occurrence < first + n && fault.is_none() {
+            let global_index = scope.total;
+            scope.total += 1;
+            let injected = scope.plan.wants(site, occurrence, global_index);
+            scope.trace.crossings.push(Crossing {
+                site,
+                occurrence,
+                global_index,
+                injected,
+            });
+            if injected {
+                fault = Some(InjectedFault { site, occurrence });
+            }
+            occurrence += 1;
         }
+        scope.counts[site.index()] = occurrence;
+        (first, occurrence - first, fault)
     });
+    let passed = made - u64::from(fault.is_some());
+    CROSSINGS.with(|c| c[site.index()].set(cumulative + made));
+    if fault.is_some() {
+        INJECTIONS.with(|i| i[site.index()].set(i[site.index()].get() + 1));
+    }
     // Notify outside the SCOPE borrow so the observer may inspect
     // coverage; it is taken out for the call so a reentrant crossing
     // cannot double-borrow.
     let mut observer = OBSERVER.with(|o| o.borrow_mut().take());
     if let Some(f) = observer.as_mut() {
-        f(site, occurrence, injected);
+        if passed > 0 {
+            f(site, first, passed, false);
+        }
+        if fault.is_some() {
+            f(site, first + passed, 1, true);
+        }
     }
     if observer.is_some() {
         OBSERVER.with(|o| {
@@ -467,7 +518,7 @@ fn cross_listening(site: FaultSite, cumulative: u64) -> Result<(), InjectedFault
             }
         });
     }
-    result
+    fault.map_or(Ok(()), |fault| Err((passed, fault)))
 }
 
 /// Runs `f` with `plan` active, returning its result and the full
@@ -479,7 +530,7 @@ pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultTrace) {
         assert!(scope.is_none(), "fpr-faults: with_plan scopes do not nest");
         *scope = Some(ActiveScope {
             plan,
-            counts: BTreeMap::new(),
+            counts: [0; FaultSite::COUNT],
             total: 0,
             trace: FaultTrace::default(),
         });
@@ -741,7 +792,8 @@ mod tests {
         use std::rc::Rc;
         let seen: Rc<StdRefCell<Vec<(FaultSite, u64, bool)>>> = Rc::default();
         let sink = Rc::clone(&seen);
-        let prev = set_observer(Some(Box::new(move |site, occ, injected| {
+        let prev = set_observer(Some(Box::new(move |site, occ, count, injected| {
+            assert_eq!(count, 1, "`cross` is a run of one");
             sink.borrow_mut().push((site, occ, injected));
         })));
         let plan = FaultPlan::passive().fail_at(FaultSite::FrameAlloc, 1);
@@ -768,7 +820,7 @@ mod tests {
         use std::rc::Rc;
         let last: Rc<Cell<u64>> = Rc::default();
         let sink = Rc::clone(&last);
-        let prev = set_observer(Some(Box::new(move |_, occ, _| sink.set(occ))));
+        let prev = set_observer(Some(Box::new(move |_, occ, _, _| sink.set(occ))));
         cross(FaultSite::VfsOp).unwrap();
         cross(FaultSite::VfsOp).unwrap();
         set_observer(prev);

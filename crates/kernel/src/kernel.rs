@@ -971,8 +971,7 @@ impl Kernel {
     /// stale translations.
     pub fn slide_vma(&mut self, pid: Pid, old: Vpn, new: Vpn) -> KResult<u64> {
         let m = self.mem_ctx(pid)?;
-        let cost = m.phys.cost().clone();
-        Ok(m.space.slide_vma(old, new, m.phys, m.cycles, &cost)?)
+        Ok(m.space.slide_vma(old, new, m.phys, m.cycles)?)
     }
 
     /// Maps an image-cache frame at `vpn` of `pid` copy-on-write (see

@@ -288,8 +288,7 @@ impl Kernel {
             for pid in affected {
                 max_cpus = max_cpus.max(k.cpus_running(pid));
             }
-            let cost = k.phys.cost().clone();
-            k.tlb.shootdown(max_cpus, &mut k.cycles, &cost);
+            k.tlb.shootdown(max_cpus, &mut k.cycles, k.phys.cost());
             k.reclaim_stats.swap_out_passes += 1;
             k.reclaim_stats.pages_swapped_out += evicted;
             let stalled = k.cycles.total() - stall_start;

@@ -20,6 +20,7 @@ use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::sink;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How fork duplicates private pages.
@@ -573,7 +574,6 @@ impl AddressSpace {
         new_start: Vpn,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-        cost: &CostModel,
     ) -> MemResult<u64> {
         if old_start == new_start {
             return Ok(0);
@@ -604,11 +604,12 @@ impl AddressSpace {
         if !(new_start.0.wrapping_sub(old_start.0)).is_multiple_of(HUGE_PAGES) {
             for (vpn, pte) in self.pt.leaves_in_range(old_start, vma.pages) {
                 if pte.is_huge() {
-                    self.pt.demote_block(vpn, cycles, cost)?;
+                    self.pt.demote_block(vpn, cycles, phys.cost())?;
                     phys.note_thp_demoted();
                 }
             }
         }
+        let cost = phys.cost();
         let present = self.pt.leaves_in_range(old_start, vma.pages);
         // Map into the destination first so a mid-slide allocation failure
         // (page-table node exhaustion, injected fault) can roll back by
@@ -1075,45 +1076,36 @@ impl AddressSpace {
     /// O(nodes), mirroring the cheap-exit property of on-demand fork.
     pub fn destroy(&mut self, phys: &mut PhysMemory, cycles: &mut Cycles) {
         for (_, taken) in self.pt.take_leaves() {
+            // A node still shared is dropped with its reference: the other
+            // table keeps the frames (and swap slots — references follow
+            // leaf identity) alive.
             match taken {
+                // A huge leaf's 512-frame run is released frame by frame
+                // (COW children may still hold references to individual
+                // frames); a lone one is never shared.
                 TakenLeaf::Huge(pte) => {
-                    // A lone huge leaf is never shared; its 512-frame run
-                    // is released frame by frame (COW children may still
-                    // hold references to individual frames).
-                    phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)
-                        .expect("run tracked");
+                    phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
                 }
-                TakenLeaf::Node(arc) => match Arc::try_unwrap(arc) {
-                    Ok(node) => {
-                        // The node's small frames go back in one release;
-                        // swap entries and huge runs, which are not one,
-                        // are set aside for after it.
-                        let mut rest = Vec::new();
-                        let small = node.iter().filter_map(|(_, pte)| {
-                            if pte.is_swap() || pte.is_huge() {
-                                rest.push(pte);
-                                None
-                            } else {
-                                Some(pte.pfn)
-                            }
-                        });
-                        phys.release(small, cycles).expect("frame tracked");
-                        for pte in rest {
-                            if pte.is_swap() {
-                                phys.swap_mut()
-                                    .dec_ref(pte.swap_slot())
-                                    .expect("slot tracked");
-                            } else {
-                                phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles)
-                                    .expect("run tracked");
-                            }
-                        }
+                TakenLeaf::Dir(arc) => {
+                    let Ok(dir) = Arc::try_unwrap(arc) else { continue };
+                    for (_, pte) in dir.iter() {
+                        phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
                     }
-                    Err(_) => {
-                        // Still shared: the other table keeps the frames (and
-                        // swap slots — references follow leaf identity) alive.
+                }
+                // A node's frames go back in one release — straight off
+                // its words where every one of them is a frame.
+                TakenLeaf::Node(arc) => {
+                    let Ok(node) = Arc::try_unwrap(arc) else { continue };
+                    if node.swap_entries() == 0 {
+                        phys.release(node.frames_in(0..PT_ENTRIES), cycles).expect("frame tracked");
+                        continue;
                     }
-                },
+                    let present = node.iter().filter(|(_, pte)| pte.is_present());
+                    phys.release(present.map(|(_, pte)| pte.pfn), cycles).expect("frame tracked");
+                    for (_, pte) in node.iter().filter(|(_, pte)| pte.is_swap()) {
+                        phys.swap_mut().dec_ref(pte.swap_slot()).expect("slot tracked");
+                    }
+                }
             }
         }
         self.swapped = 0;
@@ -1157,21 +1149,21 @@ impl AddressSpace {
             return Ok(());
         }
         let copy = self.pt.privatize_at(slot, cycles, phys.cost())?;
-        for (_, pte) in copy.iter() {
-            if pte.is_swap() {
-                // The privatized copy now references the slot from a
-                // second distinct leaf node.
-                phys.swap_mut()
-                    .inc_ref(pte.swap_slot())
-                    .expect("slot tracked by shared subtree");
-            } else if pte.is_huge() {
-                // A privatized huge directory references each member's
-                // whole 512-frame run independently.
-                phys.inc_ref_run(pte.pfn, HUGE_PAGES)
-                    .expect("run tracked by shared subtree");
-            } else {
-                phys.inc_ref(pte.pfn)
-                    .expect("frame tracked by shared subtree");
+        if slot.3 == SlotKind::Dir {
+            // A privatized huge directory references each member's whole
+            // 512-frame run independently.
+            for (_, pte) in copy.iter() {
+                phys.inc_ref_run(pte.pfn, HUGE_PAGES).expect("run tracked by shared subtree");
+            }
+        } else if copy.swap_entries() == 0 {
+            phys.retain(copy.frames_in(0..PT_ENTRIES)).expect("frame tracked by shared subtree");
+        } else {
+            // The privatized copy now references each swap slot from a
+            // second distinct leaf node.
+            let present = copy.iter().filter(|(_, pte)| pte.is_present());
+            phys.retain(present.map(|(_, pte)| pte.pfn)).expect("frame tracked by shared subtree");
+            for (_, pte) in copy.iter().filter(|(_, pte)| pte.is_swap()) {
+                phys.swap_mut().inc_ref(pte.swap_slot()).expect("slot tracked by shared subtree");
             }
         }
         let copied = copy.live();
@@ -1321,9 +1313,11 @@ impl AddressSpace {
     ///   parent forked before has nothing left to COW-mark, not one entry
     ///   is read; only a node that a hole or a fork-policy range reaches
     ///   into has its entries looked at;
-    /// * anything else is copied entry by entry
-    ///   ([`Self::fork_copy_entry`]): a small-PTE node is built in place
-    ///   and wired into the child with one descent.
+    /// * anything else is copied: a small-PTE node is built off to the side
+    ///   and wired into the child with one descent — a run at a time
+    ///   ([`Self::fork_copy_run`]), or, where the node holds swap entries
+    ///   or the mode is [`ForkMode::Eager`], entry by entry like a huge
+    ///   block ([`Self::fork_copy_entry`]).
     fn fork_walk(
         parent: &mut AddressSpace,
         child: &mut AddressSpace,
@@ -1352,9 +1346,9 @@ impl AddressSpace {
             (!vma.fork_policy.dont_fork && !vma.fork_policy.wipe_on_fork).then_some(vma.share)
         };
         let mut cursor = vmas.values().peekable();
-        // The rule's answers for the current slot: ascending runs of
-        // in-node positions, each `(end, answer)`.
-        let mut runs: Vec<(usize, Option<Share>)> = Vec::new();
+        // The rule's answers for the current slot: its *runs*, ascending
+        // ranges of in-node positions with one answer each.
+        let mut runs: Vec<(Range<usize>, Option<Share>)> = Vec::new();
         for slot in pt.leaf_slot_coords() {
             let (base, node, idx, kind) = slot;
             let stride = kind.stride();
@@ -1367,7 +1361,7 @@ impl AddressSpace {
             let mut answered = 0;
             let mut answer = |upto: usize, share: Option<Share>| {
                 if answered < upto {
-                    runs.push((upto, share));
+                    runs.push((answered..upto, share));
                     answered = upto;
                 }
             };
@@ -1385,7 +1379,7 @@ impl AddressSpace {
             let rule = || {
                 let (runs, mut run) = (&runs, 0);
                 move |j: usize| {
-                    while runs[run].0 <= j {
+                    while runs[run].0.end <= j {
                         run += 1;
                     }
                     runs[run].1
@@ -1410,13 +1404,10 @@ impl AddressSpace {
                 let unmarked =
                     Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
                 if let Some(leaf) = unmarked {
-                    let mut share_of = rule();
-                    for j in leaf.indices() {
-                        let pte = leaf.get(j).expect("an entry the node holds");
-                        if share_of(j) == Some(Share::Private) && pte.is_writable() {
-                            leaf.set(j, Some(cow_marked(pte)));
-                            downgrades.push((Vpn(base + j as u64 * stride), pte));
-                        }
+                    for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
+                        leaf.cow_mark_run(run.clone(), |j, pte| {
+                            downgrades.push((Vpn(base + j as u64 * stride), pte))
+                        });
                     }
                 }
                 let arc = Arc::clone(pt.leaf_at(node, idx));
@@ -1434,26 +1425,101 @@ impl AddressSpace {
             // even when an entry fails, so that the rollback, which destroys
             // the child, drops the references its entries hold.
             let mut leaf = LeafNode::new();
-            let first = downgrades.len();
-            let mut share_of = rule();
-            let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
-                let Some(share) = share_of(j) else { return Ok(()) };
-                let downgrade =
-                    Self::fork_copy_entry(child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles)?;
-                if downgrade {
-                    downgrades.push((vpn, pte));
+            // What the node holds decides how it is copied, never who is
+            // listening: a run at a time unless another fallible step — a
+            // swap-slot reference, an eager frame copy — comes between the
+            // entries.
+            let by_run = kind == SlotKind::Small
+                && mode != ForkMode::Eager
+                && pt.leaf_at(node, idx).swap_entries() == 0;
+            let copied = if by_run {
+                let parent = pt.leaf_at_mut(node, idx);
+                let mut inherited = runs.iter().filter_map(|(run, share)| Some((run, (*share)?)));
+                inherited.try_for_each(|(run, share)| {
+                    Self::fork_copy_run(parent, &mut leaf, run.clone(), base, share, stats, downgrades, phys, cycles)
+                })
+            } else {
+                let first = downgrades.len();
+                let mut share_of = rule();
+                let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
+                    let Some(share) = share_of(j) else { return Ok(()) };
+                    let downgrade =
+                        Self::fork_copy_entry(child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles)?;
+                    if downgrade {
+                        downgrades.push((vpn, pte));
+                    }
+                    Ok(())
+                });
+                for &(vpn, pte) in &downgrades[first..] {
+                    pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
                 }
-                Ok(())
-            });
+                copied
+            };
             if leaf.live() > 0 {
                 child.pt.install_leaf(base, leaf, cycles, phys.cost());
-            }
-            for &(vpn, pte) in &downgrades[first..] {
-                pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
             }
             copied?;
         }
         Ok(())
+    }
+
+    /// Copies one run — the entries of a small-PTE node that one VMA
+    /// covers, all inherited under `share` — from the parent's node into
+    /// `leaf`, the node the walk is building for the child. No entry is a
+    /// swap entry. Five steps, each one pass or one call where the entries
+    /// used to take one each:
+    ///
+    /// 1. count the run's entries, by the node's occupancy map;
+    /// 2. take a reference on the frame of each ([`PhysMemory::retain`]);
+    /// 3. cross [`FaultSite::PtNodeAlloc`] once per entry
+    ///    ([`fpr_faults::cross_n`]), charge [`CostModel::pte_copy`] and
+    ///    count `ptes_copied` for each entry *begun*;
+    /// 4. write the child's entries — a private mapping's write-protected
+    ///    and COW-marked, a `MAP_SHARED` one's as they are;
+    /// 5. write-protect and COW-mark the parent's writable entries of a
+    ///    private mapping, logging each in `downgrades`.
+    ///
+    /// A crossing that fails at the run's entry *k* cuts the run short
+    /// behind its first *k* entries: they are begun and copied, entry *k*
+    /// is begun and not copied, and the references taken on it and on the
+    /// entries after it are dropped again — what copying the run entry by
+    /// entry would have left when entry *k* failed.
+    #[allow(clippy::too_many_arguments)]
+    fn fork_copy_run(
+        parent: &mut Arc<LeafNode>,
+        leaf: &mut LeafNode,
+        mut run: Range<usize>,
+        base: u64,
+        share: Share,
+        stats: &mut AsStats,
+        downgrades: &mut Vec<(Vpn, Pte)>,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+    ) -> MemResult<()> {
+        let entries = parent.live_in(run.clone());
+        if entries == 0 {
+            return Ok(());
+        }
+        phys.retain(parent.frames_in(run.clone()))?;
+        let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
+        let begun = match crossed {
+            Ok(()) => entries,
+            Err((passed, _)) => {
+                let copied = parent.first_in(run.clone(), passed);
+                phys.release(parent.frames_in(copied.end..run.end), cycles).expect("references just taken");
+                run = copied;
+                passed + 1
+            }
+        };
+        cycles.charge_n(phys.cost().pte_copy, begun);
+        stats.ptes_copied += begun;
+        let private = share == Share::Private;
+        leaf.copy_run(parent, run.clone(), private);
+        // A node that is shared holds no writable private entry.
+        if let Some(own) = Arc::get_mut(parent).filter(|own| private && own.private_writable() > 0) {
+            own.cow_mark_run(run, |j, pte| downgrades.push((Vpn(base + j as u64), pte)));
+        }
+        crossed.map_err(|_| MemError::OutOfMemory)
     }
 
     /// Copies one inherited entry of the parent — a small page, a 2 MiB
@@ -1863,9 +1929,8 @@ mod tests {
         let pte_before = a.translate(Vpn(102)).unwrap();
         let frames_before = phys.used_frames();
         let refs_before = phys.refs(pte_before.pfn).unwrap();
-        let cost = phys.cost().clone();
         let moved = a
-            .slide_vma(Vpn(100), Vpn(5000), &mut phys, &mut cy, &cost)
+            .slide_vma(Vpn(100), Vpn(5000), &mut phys, &mut cy)
             .unwrap();
         assert_eq!(moved, 4);
         assert!(a.vma_at(Vpn(100)).is_none());
@@ -1883,13 +1948,12 @@ mod tests {
         let mut a = AddressSpace::new();
         a.mmap(anon(100, 8), &mut phys, &mut cy).unwrap();
         a.mmap(anon(200, 4), &mut phys, &mut cy).unwrap();
-        let cost = phys.cost().clone();
         assert_eq!(
-            a.slide_vma(Vpn(100), Vpn(198), &mut phys, &mut cy, &cost),
+            a.slide_vma(Vpn(100), Vpn(198), &mut phys, &mut cy),
             Err(MemError::Overlap)
         );
         assert_eq!(
-            a.slide_vma(Vpn(101), Vpn(400), &mut phys, &mut cy, &cost),
+            a.slide_vma(Vpn(101), Vpn(400), &mut phys, &mut cy),
             Err(MemError::NotMapped),
             "source must be an exact VMA start"
         );
@@ -1904,7 +1968,7 @@ mod tests {
         a.populate(Vpn(0), 8, &mut phys, &mut cy).unwrap();
         let cost = phys.cost().clone();
         let before = cy.total();
-        a.slide_vma(Vpn(0), Vpn(1024), &mut phys, &mut cy, &cost)
+        a.slide_vma(Vpn(0), Vpn(1024), &mut phys, &mut cy)
             .unwrap();
         // 8 PTE moves plus one fresh leaf + intermediate nodes at the
         // destination (the source leaf is reclaimed, not re-priced).

@@ -182,6 +182,14 @@ impl Cycles {
         fpr_trace::vclock::advance(n);
     }
 
+    /// Adds `each` cycles `n` times over, in one charge: what a loop
+    /// charging `each` per item costs for a batch of `n`. The product
+    /// saturates like the sum.
+    #[inline]
+    pub fn charge_n(&mut self, each: u64, n: u64) {
+        self.charge(each.saturating_mul(n));
+    }
+
     /// Returns the cycles accumulated so far.
     pub fn total(&self) -> u64 {
         self.total
@@ -229,5 +237,12 @@ mod tests {
         c.charge(u64::MAX);
         c.charge(10);
         assert_eq!(c.total(), u64::MAX);
+        // A batched charge saturates in its product too.
+        let mut c = Cycles::new();
+        c.charge_n(u64::MAX / 2, 3);
+        assert_eq!(c.total(), u64::MAX);
+        let mut c = Cycles::new();
+        c.charge_n(12, 512);
+        assert_eq!(c.total(), 12 * 512);
     }
 }

@@ -76,6 +76,7 @@ use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
 use crate::pte::{Pte, PteFlags};
 use fpr_faults::FaultSite;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which of a node's 512 slots hold an entry: what an ordered walk
@@ -100,14 +101,22 @@ impl Occupancy {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The held slots of `first..last`, ascending.
-    fn slots_in(mut self, first: usize, last: usize) -> HeldSlots {
+    /// The part of the map in `first..last`.
+    fn within(mut self, first: usize, last: usize) -> Occupancy {
+        if (first, last) == (0, PT_ENTRIES) {
+            return self;
+        }
         let ones_below = |n: usize| if n >= 64 { u64::MAX } else { (1 << n) - 1 };
         for (w, word) in self.0.iter_mut().enumerate() {
             let (from, to) = (first.saturating_sub(w * 64), last.saturating_sub(w * 64));
             *word &= ones_below(to) & !ones_below(from);
         }
-        HeldSlots { left: self.0, word: first / 64 }
+        self
+    }
+
+    /// The held slots of `first..last`, ascending.
+    fn slots_in(self, first: usize, last: usize) -> HeldSlots {
+        HeldSlots { left: self.within(first, last).0, word: first / 64 }
     }
 
     /// Every held slot, ascending.
@@ -302,6 +311,11 @@ impl LeafCounts {
 /// Bits of a packed leaf word below the frame number: the [`PteFlags`].
 const FLAG_BITS: u32 = 16;
 
+/// The flags a fork reads and rewrites in the packed word itself.
+const WRITABLE: u64 = PteFlags::WRITABLE.0 as u64;
+const COW: u64 = PteFlags::COW.0 as u64;
+const SHARED: u64 = PteFlags::SHARED.0 as u64;
+
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
 /// `Arc::strong_count > 1` means the subtree is shared by an on-demand
@@ -378,6 +392,83 @@ impl LeafNode {
         LeafEntries { words: &self.words[..], indices: self.indices() }
     }
 
+    /// How to pass over the entries in `range` — a *run*, the part of a
+    /// node one VMA covers, is what the fork walk works in — by the rule of
+    /// [`Self::indices`]: `(dense, sparse)`, the range itself to go through
+    /// word by word if it is full, else the map of its entries to go by.
+    /// The other of the two is empty.
+    fn split(&self, range: Range<usize>) -> (Range<usize>, Occupancy) {
+        let held = self.occupied.within(range.start, range.end);
+        if held.count() == range.len() {
+            (range, Occupancy::default())
+        } else {
+            (0..0, held)
+        }
+    }
+
+    /// Number of entries in `range`, by the map.
+    pub(crate) fn live_in(&self, range: Range<usize>) -> u64 {
+        self.occupied.within(range.start, range.end).count() as u64
+    }
+
+    /// `range` cut short behind its first `n` entries.
+    pub(crate) fn first_in(&self, range: Range<usize>, n: u64) -> Range<usize> {
+        let mut held = self.occupied.slots_in(range.start, range.end);
+        range.start..held.nth(n as usize).unwrap_or(range.end)
+    }
+
+    /// The frame of each entry in `range`, ascending. For a small-PTE node
+    /// without swap entries, whose every word holds a frame number.
+    pub(crate) fn frames_in(&self, range: Range<usize>) -> LeafFrames<'_> {
+        debug_assert_eq!(self.counts.swap_entries, 0, "a swap entry holds no frame");
+        let (dense, sparse) = self.split(range);
+        LeafFrames { words: &self.words, dense: self.words[dense].iter(), sparse: sparse.slots() }
+    }
+
+    /// Copies the entries `src` holds in `range` into this node, which
+    /// holds none there: the per-entry [`Self::set`] of a run in one pass,
+    /// with the map and the counts brought up to date once. With `cow`
+    /// each copy is write-protected and marked copy-on-write if the entry
+    /// was writable or marked already — what a fork leaves a child of a
+    /// private mapping — without a branch on the packed word.
+    pub(crate) fn copy_run(&mut self, src: &LeafNode, range: Range<usize>, cow: bool) {
+        let mut private_writable = 0;
+        let mut copy = |mine: &mut u64, theirs: u64| {
+            let marks = cow & (theirs & (WRITABLE | COW) != 0);
+            let word = if marks { theirs & !WRITABLE | COW } else { theirs };
+            debug_assert!(*mine == 0, "entry mapped twice");
+            *mine = word;
+            private_writable += ((word & WRITABLE != 0) & (word & SHARED == 0)) as u16;
+        };
+        let (dense, sparse) = src.split(range.clone());
+        let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense]);
+        pairs.for_each(|(mine, &theirs)| copy(mine, theirs));
+        sparse.slots().for_each(|j| copy(&mut self.words[j], src.words[j]));
+        let held = src.occupied.within(range.start, range.end);
+        for (mine, theirs) in self.occupied.0.iter_mut().zip(held.0) {
+            *mine |= theirs;
+        }
+        self.counts.live += held.count() as u16;
+        self.counts.private_writable += private_writable;
+    }
+
+    /// Write-protects and marks copy-on-write every writable entry in
+    /// `range`, in place, handing `undo` the index and the former value of
+    /// each: what a fork does to the parent's side of a private mapping.
+    pub(crate) fn cow_mark_run(&mut self, range: Range<usize>, mut undo: impl FnMut(usize, Pte)) {
+        let (dense, sparse) = self.split(range);
+        let mut private = 0;
+        for j in dense.chain(sparse.slots()) {
+            let word = self.words[j];
+            if word & WRITABLE != 0 {
+                undo(j, Self::unpack(word));
+                self.words[j] = word & !WRITABLE | COW;
+                private += (word & SHARED == 0) as u16;
+            }
+        }
+        self.counts.private_writable -= private;
+    }
+
     /// Writes entry `j` — the one way an entry changes — and returns what
     /// it held.
     #[inline]
@@ -406,10 +497,13 @@ impl LeafNode {
     }
 
     /// The per-entry step of [`PageTable::map`] on a node that is not wired
-    /// into a table yet: fork builds a child's node in place and installs
-    /// it with [`PageTable::install_leaf`]. Crosses
-    /// [`FaultSite::PtNodeAlloc`] where `map` does, once per entry, so a
-    /// fork's fail points do not depend on how the child's table is built.
+    /// into a table yet, to be installed with [`PageTable::install_leaf`].
+    /// Crosses [`FaultSite::PtNodeAlloc`] where `map` does. The fork walk
+    /// copies a run of entries with [`Self::copy_run`] behind one
+    /// `cross_n`; this is for the entries it still copies one at a time
+    /// because another fallible step comes between them — swap entries and
+    /// their neighbours, `ForkMode::Eager`'s frame copies, the pages of a
+    /// block an eager fork has to split.
     #[inline]
     pub(crate) fn map(&mut self, j: usize, pte: Pte) -> MemResult<()> {
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
@@ -449,6 +543,28 @@ impl Iterator for LeafIndices {
     #[inline]
     fn next(&mut self) -> Option<usize> {
         self.all.next().or_else(|| self.some.next())
+    }
+}
+
+/// The frames [`LeafNode::frames_in`] yields: a full range's word by word,
+/// any other's by its map.
+#[derive(Debug, Clone)]
+pub(crate) struct LeafFrames<'a> {
+    words: &'a [u64; PT_ENTRIES],
+    dense: std::slice::Iter<'a, u64>,
+    sparse: HeldSlots,
+}
+
+impl Iterator for LeafFrames<'_> {
+    type Item = Pfn;
+
+    #[inline]
+    fn next(&mut self) -> Option<Pfn> {
+        let word = match self.dense.next() {
+            Some(word) => word,
+            None => &self.words[self.sparse.next()?],
+        };
+        Some(Pfn(word >> FLAG_BITS))
     }
 }
 
@@ -516,9 +632,10 @@ pub(crate) type Slot = (u64, u32, usize, SlotKind);
 /// One drained leaf from [`PageTable::take_leaves`].
 #[derive(Debug)]
 pub(crate) enum TakenLeaf {
-    /// A leaf node: small PTEs (level-1 origin) or huge PTEs (directory).
-    /// Each PTE's `HUGE` flag says which release path it needs.
+    /// A node of small PTEs and swap entries.
     Node(Arc<LeafNode>),
+    /// A huge directory: every entry a 2 MiB block.
+    Dir(Arc<LeafNode>),
     /// A lone huge leaf.
     Huge(Pte),
 }
@@ -1303,11 +1420,11 @@ impl PageTable {
         }
     }
 
-    /// Wires the small-PTE node `leaf`, built entry by entry with
-    /// [`LeafNode::map`], into the empty level-1 slot at `base`: the one
-    /// descent, and the node charges, that mapping its first entry through
-    /// [`Self::map`] would have made. Infallible — every entry crossed its
-    /// fault site when it was written.
+    /// Wires the small-PTE node `leaf`, built off to the side with
+    /// [`LeafNode::copy_run`] and [`LeafNode::map`], into the empty level-1
+    /// slot at `base`: the one descent, and the node charges, that mapping
+    /// its first entry through [`Self::map`] would have made. Infallible —
+    /// every entry crossed its fault site when it was written.
     pub(crate) fn install_leaf(
         &mut self,
         base: u64,
@@ -1388,7 +1505,8 @@ impl PageTable {
         let Entry::Leaf(arc) = self.entry_at_mut(node, idx) else {
             return Err(MemError::NotMapped);
         };
-        cycles.charge(cost.pt_node_alloc + arc.live() * cost.pte_copy);
+        cycles.charge(cost.pt_node_alloc);
+        cycles.charge_n(cost.pte_copy, arc.live());
         *arc = Arc::new(LeafNode::clone(arc));
         Ok(arc)
     }
@@ -1425,13 +1543,13 @@ impl PageTable {
 
     /// Drains every leaf and leaves the table empty — O(nodes)
     /// address-space destruction. Returns `(base VPN, leaf)` pairs
-    /// ascending by base; huge directories come back as nodes of huge
-    /// PTEs and lone huge leaves as bare PTEs. The arena is kept: every
-    /// node but the root goes on the free list, for whatever the table maps
-    /// next.
+    /// ascending by base; lone huge leaves come back as bare PTEs. The
+    /// arena is kept: every node but the root goes on the free list, for
+    /// whatever the table maps next.
     pub(crate) fn take_leaves(&mut self) -> Vec<(u64, TakenLeaf)> {
         let slots = self.leaf_slot_coords();
-        let take = |(base, node, idx, _): Slot| match self.nodes[node as usize].take(idx) {
+        let take = |(base, node, idx, kind): Slot| match self.nodes[node as usize].take(idx) {
+            Entry::Leaf(arc) if kind == SlotKind::Dir => (base, TakenLeaf::Dir(arc)),
             Entry::Leaf(arc) => (base, TakenLeaf::Node(arc)),
             Entry::Huge(p) => (base, TakenLeaf::Huge(p)),
             Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
@@ -2182,7 +2300,7 @@ mod tests {
         assert_eq!(taken.len(), 2);
         assert!(matches!(taken[0].1, TakenLeaf::Huge(_)));
         match &taken[1].1 {
-            TakenLeaf::Node(arc) => {
+            TakenLeaf::Dir(arc) => {
                 assert_eq!(arc.live(), 512);
                 assert!(arc.iter().all(|(_, p)| p.is_huge()));
             }
@@ -2258,6 +2376,72 @@ mod tests {
         assert!(leaf.iter().enumerate().all(|(n, (j, pte))| n == j && pte.pfn == Pfn(j as u64)));
         assert_eq!(leaf.iter().count(), 512);
         leaf.check().unwrap();
+    }
+
+    /// A node whose entries take every shape a fork tells apart: writable,
+    /// read-only, COW-marked already and `MAP_SHARED`; full over 64..128,
+    /// every third position elsewhere.
+    fn mixed_leaf() -> LeafNode {
+        let flags = [
+            PteFlags::WRITABLE | PteFlags::DIRTY,
+            PteFlags::USER,
+            PteFlags::COW | PteFlags::ACCESSED,
+            PteFlags::WRITABLE | PteFlags::SHARED,
+        ];
+        let mut leaf = LeafNode::new();
+        for j in (0..PT_ENTRIES).filter(|j| (64..128).contains(j) || j % 3 == 0) {
+            leaf.set(j, Some(Pte::new(Pfn(1000 + j as u64), flags[j % 4])));
+        }
+        leaf
+    }
+
+    /// What is in a node: the entries, and the counts kept beside them.
+    fn contents(leaf: &LeafNode) -> (Vec<(usize, Pte)>, LeafCounts) {
+        leaf.check().unwrap();
+        (leaf.iter().collect(), leaf.counts)
+    }
+
+    #[test]
+    fn a_run_is_copied_and_marked_as_its_entries_would_be_one_by_one() {
+        let src = mixed_leaf();
+        let cow = |pte: Pte| Pte { flags: pte.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW), ..pte };
+        // Full, sparse, straddling both, empty, and the whole node.
+        for run in [64..128, 0..64, 100..300, 1..3, 0..PT_ENTRIES] {
+            let held: Vec<(usize, Pte)> = src.iter().filter(|(j, _)| run.contains(j)).collect();
+            assert_eq!(src.live_in(run.clone()), held.len() as u64);
+            let frames: Vec<Pfn> = src.frames_in(run.clone()).collect();
+            assert_eq!(frames, held.iter().map(|(_, pte)| pte.pfn).collect::<Vec<_>>());
+            for n in [0, 1, held.len() / 2, held.len(), held.len() + 1] {
+                let cut = src.first_in(run.clone(), n as u64);
+                let kept = held.iter().filter(|(j, _)| cut.contains(j)).count();
+                assert_eq!((cut.start, kept), (run.start, n.min(held.len())), "{run:?} cut behind {n}");
+                assert!(cut.end == run.end || src.get(cut.end).is_some(), "the cut falls before an entry");
+            }
+            for marking in [false, true] {
+                // Between two entries of other runs, as a fork leaves it.
+                let (mut by_run, mut by_entry) = (LeafNode::new(), LeafNode::new());
+                for leaf in [&mut by_run, &mut by_entry] {
+                    leaf.set(0, Some(Pte::new(Pfn(1), PteFlags::WRITABLE)));
+                    leaf.set(511, Some(Pte::swap_entry(9)));
+                }
+                let inner = run.start.max(1)..run.end.min(511);
+                by_run.copy_run(&src, inner.clone(), marking);
+                for &(j, pte) in held.iter().filter(|(j, _)| inner.contains(j)) {
+                    let marks = marking && (pte.is_writable() || pte.is_cow());
+                    by_entry.set(j, Some(if marks { cow(pte) } else { pte }));
+                }
+                assert_eq!(contents(&by_run), contents(&by_entry), "{run:?}, marking {marking}");
+            }
+            // The parent's side: every writable entry marked, each logged.
+            let (mut by_run, mut by_entry) = (src.clone(), src.clone());
+            let mut undo = Vec::new();
+            by_run.cow_mark_run(run.clone(), |j, pte| undo.push((j, pte)));
+            for &(j, pte) in held.iter().filter(|(_, pte)| pte.is_writable()) {
+                by_entry.set(j, Some(cow(pte)));
+            }
+            assert_eq!(contents(&by_run), contents(&by_entry), "{run:?}");
+            assert_eq!(undo, held.iter().copied().filter(|(_, pte)| pte.is_writable()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -41,7 +41,10 @@
 //! returns those that reach zero together: a `frame_free` charge and a
 //! `mem.frame_free` count per frame, but one acquisition of the pool per
 //! batch, so that a free costs the host a constant per frame as it does
-//! the model.
+//! the model. `retain` is its mirror: the references a fork or an unshare
+//! takes on the frames of a run of PTEs, in one pass. Both look the
+//! table's chunk up when it changes, not per frame — consecutive PTEs
+//! mostly map consecutive frames.
 //!
 //! Two layers sit on top of the pool:
 //!
@@ -523,6 +526,43 @@ impl PhysMemory {
         Ok(first)
     }
 
+    /// Hands `each` the reference count of every frame `frames` yields,
+    /// which must be one this cell holds — a count above zero. Stops at the
+    /// first that is not and says how many frames came before it.
+    fn each_held(
+        table: &mut [Option<Box<FrameChunk>>],
+        frames: impl IntoIterator<Item = Pfn>,
+        mut each: impl FnMut(Pfn, &mut u32),
+    ) -> Result<(), usize> {
+        // The chunk of the frame before, kept while the next is in it too.
+        let (mut at, mut chunk) = (usize::MAX, None);
+        for (n, pfn) in frames.into_iter().enumerate() {
+            let (c, i) = table_slot(pfn);
+            if c != at {
+                (at, chunk) = (c, table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()));
+            }
+            match chunk.as_deref_mut() {
+                Some(chunk) if chunk.refs[i] > 0 => each(pfn, &mut chunk.refs[i]),
+                _ => return Err(n),
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes a reference on each frame `frames` yields: the mirror of
+    /// [`Self::release`], for the frames of a run of PTEs a fork copies or
+    /// an unshare privatizes. All or nothing: at a frame this cell does
+    /// not hold it gives back what it took and reports
+    /// [`MemError::NotMapped`].
+    pub(crate) fn retain(&mut self, frames: impl IntoIterator<Item = Pfn, IntoIter: Clone>) -> MemResult<()> {
+        let frames = frames.into_iter();
+        Self::each_held(&mut self.table, frames.clone(), |_, refs| *refs += 1).map_err(|taken| {
+            Self::each_held(&mut self.table, frames.take(taken), |_, refs| *refs -= 1)
+                .expect("frames just retained");
+            MemError::NotMapped
+        })
+    }
+
     /// The one way a reference is dropped: takes one from each frame
     /// `frames` yields and frees those that reach zero, returning how many
     /// that was. The freed frames of a call go back together — under one
@@ -542,21 +582,12 @@ impl PhysMemory {
         cycles: &mut Cycles,
     ) -> MemResult<u64> {
         let mut released = std::mem::take(&mut self.released);
-        let mut result = Ok(());
-        for pfn in frames {
-            match self.held_mut(pfn) {
-                Ok((chunk, i)) => {
-                    chunk.refs[i] -= 1;
-                    if chunk.refs[i] == 0 {
-                        released.push(pfn);
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+        let result = Self::each_held(&mut self.table, frames, |pfn, refs| {
+            *refs -= 1;
+            if *refs == 0 {
+                released.push(pfn);
             }
-        }
+        });
         let freed = released.len() as u64;
         if freed > 0 {
             match self.cache.as_mut() {
@@ -570,12 +601,12 @@ impl PhysMemory {
                     }
                 }
             }
-            cycles.charge(self.cost.frame_free * freed);
+            cycles.charge_n(self.cost.frame_free, freed);
             metrics::add("mem.frame_free", freed);
             released.clear();
         }
         self.released = released;
-        result.map(|()| freed)
+        result.map(|()| freed).map_err(|_| MemError::NotMapped)
     }
 
     /// Machine-wide THP promotion/demotion counters.
@@ -619,7 +650,7 @@ impl PhysMemory {
         // One global-allocator acquisition for the whole run, then the
         // data cost of zeroing 2 MiB.
         cycles.charge(self.cost.frame_alloc);
-        cycles.charge(self.cost.page_zero * HUGE_PAGES);
+        cycles.charge_n(self.cost.page_zero, HUGE_PAGES);
         let head = run[0];
         debug_assert_eq!(head.0 % HUGE_PAGES, 0, "huge run must be aligned");
         for pfn in run {
@@ -630,12 +661,10 @@ impl PhysMemory {
         Ok(head)
     }
 
-    /// Increments the reference count of each frame in `[head, head+n)`.
+    /// Increments the reference count of each frame in `[head, head+n)`,
+    /// or of none if the cell does not hold them all.
     pub fn inc_ref_run(&mut self, head: Pfn, n: u64) -> MemResult<()> {
-        for i in 0..n {
-            self.inc_ref(Pfn(head.0 + i))?;
-        }
-        Ok(())
+        self.retain((head.0..head.0 + n).map(Pfn))
     }
 
     /// Decrements the reference count of each frame in `[head, head+n)`,
@@ -1064,6 +1093,29 @@ mod tests {
         b.disable_frame_cache();
         assert_eq!(a.drawn_frames(), 0);
         assert_eq!(pool.free_frames(), 1024, "everything returned");
+    }
+
+    #[test]
+    fn retain_takes_every_reference_or_none_and_release_gives_them_back() {
+        // 2 500 frames: three chunks of the frame table.
+        let (mut p, mut c) = pm(2500);
+        let frames: Vec<Pfn> = (0..2500).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        // A batch that wanders between the chunks, one frame in it twice.
+        let batch = [frames[7], frames[8], frames[2047], frames[1024], frames[8], frames[2499]];
+        p.retain(batch).unwrap();
+        let refs = |p: &PhysMemory| batch.map(|pfn| p.refs(pfn).unwrap());
+        assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
+        // One frame the cell does not hold, two thirds in: nothing is taken.
+        p.dec_ref(frames[1500], &mut c).unwrap();
+        let used = p.used_frames();
+        assert_eq!(p.retain([frames[7], frames[2047], frames[1500], frames[8]]), Err(MemError::NotMapped));
+        assert_eq!(p.inc_ref_run(frames[1498], 4), Err(MemError::NotMapped));
+        assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
+        assert_eq!((p.refs(frames[1498]), p.refs(frames[1501])), (Ok(1), Ok(1)));
+        // Released, the batch is as it was and nothing was freed.
+        assert_eq!(p.release(batch, &mut c), Ok(0));
+        assert_eq!(refs(&p), [1; 6]);
+        assert_eq!(p.used_frames(), used);
     }
 
     #[test]

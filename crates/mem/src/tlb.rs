@@ -132,7 +132,7 @@ impl TlbModel {
             let remote = (cpus_running - 1) as u64;
             self.remote_acks += remote;
             metrics::add("mem.tlb.remote_ack", remote);
-            cycles.charge(cost.tlb_shootdown_per_cpu * remote);
+            cycles.charge_n(cost.tlb_shootdown_per_cpu, remote);
             // IPI rounds that reach remote CPUs serialize on the
             // machine's interconnect.
             self.bus.serialize_round(remote);
@@ -165,7 +165,7 @@ impl TlbModel {
         }
         self.range_flushes += 1;
         self.range_pages_flushed += pages;
-        cycles.charge(cost.tlb_range_flush_page * pages.min(RANGE_FLUSH_CEILING));
+        cycles.charge_n(cost.tlb_range_flush_page, pages.min(RANGE_FLUSH_CEILING));
         metrics::incr("mem.tlb.range_flush");
         metrics::add("mem.tlb.range_pages", pages);
         self.shootdown(cpus_running, cycles, cost);
@@ -197,7 +197,7 @@ impl TlbModel {
         self.range_pages_flushed += small_pages;
         self.entries_flushed += entries;
         self.huge_entries_flushed += huge_entries;
-        cycles.charge(cost.tlb_range_flush_page * entries.min(RANGE_FLUSH_CEILING));
+        cycles.charge_n(cost.tlb_range_flush_page, entries.min(RANGE_FLUSH_CEILING));
         metrics::incr("mem.tlb.range_flush");
         metrics::add("mem.tlb.entries_flushed", entries);
         metrics::add("mem.tlb.huge_entries_flushed", huge_entries);

@@ -67,7 +67,7 @@ pub fn to_chrome_string(events: &[TraceEvent], cycles_per_us: u64) -> String {
 
 fn record(ev: &TraceEvent, scale: f64) -> Value {
     let mut members: Vec<(String, Value)> = vec![
-        ("name".into(), Value::Str(ev.name.clone())),
+        ("name".into(), Value::Str(ev.name.into())),
         ("cat".into(), Value::Str(ev.cat.into())),
         ("ph".into(), Value::Str(ev.ph.letter().into())),
         ("ts".into(), Value::Num(ev.ts as f64 / scale)),
@@ -110,6 +110,7 @@ mod tests {
             TraceEvent::new("clone_address_space", "mem", Phase::Begin, 3_300),
             TraceEvent::new("fault.frame_alloc", "fault", Phase::Instant, 3_400)
                 .arg("occurrence", 0u64)
+                .arg("count", 1u64)
                 .arg("injected", false),
             TraceEvent::new("clone_address_space", "", Phase::End, 5_000),
             TraceEvent::new("frames_used", "metric", Phase::Counter, 5_500).arg("value", 42u64),

@@ -97,8 +97,9 @@ impl From<String> for ArgValue {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (`"fork"`, `"clone_address_space"`, `"fault.frame_alloc"`).
-    pub name: String,
+    /// Event name (`"fork"`, `"clone_address_space"`, `"fault.frame_alloc"`):
+    /// one of a fixed vocabulary, so recording an event allocates no name.
+    pub name: &'static str,
     /// Category: the subsystem that emitted it (`"api"`, `"mem"`,
     /// `"kernel"`, `"exec"`, `"fault"`).
     pub cat: &'static str,
@@ -112,9 +113,9 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Creates an event with no arguments.
-    pub fn new(name: impl Into<String>, cat: &'static str, ph: Phase, ts: u64) -> TraceEvent {
+    pub fn new(name: &'static str, cat: &'static str, ph: Phase, ts: u64) -> TraceEvent {
         TraceEvent {
-            name: name.into(),
+            name,
             cat,
             ph,
             ts,

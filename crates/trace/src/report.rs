@@ -67,7 +67,7 @@ pub fn build_tree(events: &[TraceEvent]) -> Vec<SpanNode> {
         last_ts = last_ts.max(ev.ts);
         match ev.ph {
             Phase::Begin => stack.push(SpanNode {
-                name: ev.name.clone(),
+                name: ev.name.to_string(),
                 cat: ev.cat,
                 start: ev.ts,
                 end: ev.ts,
@@ -152,7 +152,7 @@ fn render_node(out: &mut String, node: &SpanNode, depth: usize, grand: u64) {
 mod tests {
     use super::*;
 
-    fn ev(name: &str, ph: Phase, ts: u64) -> TraceEvent {
+    fn ev(name: &'static str, ph: Phase, ts: u64) -> TraceEvent {
         TraceEvent::new(name, "api", ph, ts)
     }
 

@@ -10,8 +10,11 @@
 //! model — tracing charges **zero** simulated cycles by construction.
 //!
 //! While a sink is active, a `fpr_faults` observer is installed so every
-//! fault-site crossing is mirrored as an instant event named
-//! `fault.<site>` in category `"fault"` — no fault path is silent.
+//! fault-site crossing is mirrored in an instant event named
+//! `fault.<site>` in category `"fault"` — no fault path is silent. An
+//! event stands for `count` consecutive crossings of its site (a fork
+//! crosses `pt_node_alloc` once per PTE it copies, a run of a page-table
+//! node at a time); a crossing that injects is always an event of its own.
 //!
 //! ```
 //! use fpr_trace::{sink, Phase};
@@ -128,7 +131,8 @@ pub fn span_end(name: &'static str, ts: u64) {
 }
 
 /// Emits an instant (point) event.
-pub fn instant(name: impl Into<String>, cat: &'static str, ts: u64) {
+#[inline] // on every demand fill and COW break: keep the inactive check in the caller's crate
+pub fn instant(name: &'static str, cat: &'static str, ts: u64) {
     if is_active() {
         emit(TraceEvent::new(name, cat, Phase::Instant, ts));
     }
@@ -146,9 +150,9 @@ pub fn counter(name: &'static str, ts: u64, value: u64) {
 /// nested call panics, mirroring `fpr_faults::with_plan`.
 ///
 /// A fault observer is installed for the scope (and the previous one
-/// restored afterwards, even on panic), so each `fpr_faults` crossing
-/// appears as an instant event `fault.<site>` with `occurrence` and
-/// `injected` arguments.
+/// restored afterwards, even on panic), so each run of `fpr_faults`
+/// crossings appears as an instant event `fault.<site>` with `occurrence`
+/// (of the run's first crossing), `count` and `injected` arguments.
 pub fn with_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
     assert!(!is_active(), "fpr-trace: with_sink scopes do not nest");
     SINK.with(|s| {
@@ -158,16 +162,18 @@ pub fn with_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
         });
     });
     ACTIVE.with(|a| a.set(true));
-    let prev_observer = fpr_faults::set_observer(Some(Box::new(|site, occurrence, injected| {
-        if is_active() {
-            let ts = last_ts();
-            emit(
-                TraceEvent::new(format!("fault.{site}"), "fault", Phase::Instant, ts)
-                    .arg("occurrence", occurrence)
-                    .arg("injected", injected),
-            );
-        }
-    })));
+    let prev_observer =
+        fpr_faults::set_observer(Some(Box::new(|site, occurrence, count, injected| {
+            if is_active() {
+                let ts = last_ts();
+                emit(
+                    TraceEvent::new(site.event_name(), "fault", Phase::Instant, ts)
+                        .arg("occurrence", occurrence)
+                        .arg("count", count)
+                        .arg("injected", injected),
+                );
+            }
+        })));
     // The guard tears the sink down even if `f` panics, or later scopes
     // on this thread would inherit a stale observer and a poisoned flag.
     struct Teardown(Option<fpr_faults::Observer>);
@@ -212,10 +218,10 @@ pub fn spans_balanced(events: &[TraceEvent]) -> bool {
     let mut stack: Vec<&str> = Vec::new();
     for ev in events {
         match ev.ph {
-            Phase::Begin => stack.push(&ev.name),
+            Phase::Begin => stack.push(ev.name),
             // The guard pops unconditionally on `End`: a matching name
             // falls through to the no-op arm with the stack advanced.
-            Phase::End if stack.pop() != Some(ev.name.as_str()) => return false,
+            Phase::End if stack.pop() != Some(ev.name) => return false,
             _ => {}
         }
     }
@@ -271,12 +277,16 @@ mod tests {
         let ((), events) = with_sink(|| {
             span_begin("op", "api", 100);
             let _ = fpr_faults::cross(fpr_faults::FaultSite::FrameAlloc);
+            let _ = fpr_faults::cross_n(fpr_faults::FaultSite::PtNodeAlloc, 512);
             span_end("op", 200);
         });
         let faults = in_category(&events, "fault");
-        assert_eq!(faults.len(), 1);
+        assert_eq!(faults.len(), 2, "one event a run, however long");
         assert_eq!(faults[0].name, "fault.frame_alloc");
         assert_eq!(faults[0].ts, 100, "stamped with last known time");
+        assert_eq!(faults[0].arg_u64("count"), Some(1));
+        assert_eq!(faults[1].name, "fault.pt_node_alloc");
+        assert_eq!(faults[1].arg_u64("count"), Some(512));
     }
 
     #[test]
