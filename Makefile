@@ -20,6 +20,10 @@ build:
 test:
 	$(CARGO) test --workspace -q
 
+# Warnings are errors, and since every crate's `pub` means "somebody
+# else uses this" (docs/ARCHITECTURE.md, "The exported surface") that
+# includes a function nobody calls (`dead_code` can see it) and an export
+# nobody documented (`missing_docs` is on in every crate root).
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 

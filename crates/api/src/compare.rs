@@ -11,7 +11,7 @@
 
 /// The five creation APIs under study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Api {
+pub(crate) enum Api {
     /// `fork()` (+`exec` for a new image).
     Fork,
     /// `vfork()` (+`exec`).
@@ -25,7 +25,7 @@ pub enum Api {
 }
 
 /// All APIs in presentation order.
-pub const ALL_APIS: [Api; 5] = [
+pub(crate) const ALL_APIS: [Api; 5] = [
     Api::Fork,
     Api::Vfork,
     Api::Clone,
@@ -35,7 +35,7 @@ pub const ALL_APIS: [Api; 5] = [
 
 impl Api {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Api::Fork => "fork",
             Api::Vfork => "vfork",
@@ -46,7 +46,7 @@ impl Api {
     }
 
     /// Asymptotic creation cost in the size of the parent.
-    pub fn cost_class(self) -> CostClass {
+    pub(crate) fn cost_class(self) -> CostClass {
         match self {
             Api::Fork => CostClass::OParent,
             Api::Clone => CostClass::OParent, // default flags = fork
@@ -57,7 +57,7 @@ impl Api {
 
 /// Asymptotic creation cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostClass {
+pub(crate) enum CostClass {
     /// Grows with the parent's memory (page-table/VMA duplication).
     OParent,
     /// Depends only on the new image and explicit grants.
@@ -66,7 +66,7 @@ pub enum CostClass {
 
 /// Classes of child state a creation API may need to control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Capability {
+pub(crate) enum Capability {
     /// Child runs a different program image.
     NewImage,
     /// Child runs the same code/data as the parent (checkpoint-style).
@@ -98,7 +98,7 @@ pub enum Capability {
 }
 
 /// All capability rows in presentation order.
-pub const ALL_CAPABILITIES: [Capability; 14] = [
+pub(crate) const ALL_CAPABILITIES: [Capability; 14] = [
     Capability::NewImage,
     Capability::MemorySnapshot,
     Capability::FdSelection,
@@ -117,7 +117,7 @@ pub const ALL_CAPABILITIES: [Capability; 14] = [
 
 impl Capability {
     /// Row label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Capability::NewImage => "new image",
             Capability::MemorySnapshot => "memory snapshot",
@@ -139,7 +139,7 @@ impl Capability {
 
 /// How an API provides a capability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Support {
+pub(crate) enum Support {
     /// Happens by default (whether wanted or not); arbitrary code can run
     /// between fork and exec, so anything is *possible* — at the price of
     /// copying first.
@@ -151,7 +151,7 @@ pub enum Support {
 }
 
 /// The matrix entry for (`api`, `cap`).
-pub fn supports(api: Api, cap: Capability) -> Support {
+pub(crate) fn supports(api: Api, cap: Capability) -> Support {
     use Api::*;
     use Capability::*;
     use Support::*;
@@ -201,7 +201,7 @@ pub fn supports(api: Api, cap: Capability) -> Support {
 }
 
 /// Number of capabilities an API covers (implicit or explicit).
-pub fn coverage(api: Api) -> usize {
+pub(crate) fn coverage(api: Api) -> usize {
     ALL_CAPABILITIES
         .iter()
         .filter(|c| supports(api, **c) != Support::No)

@@ -30,13 +30,13 @@ use std::collections::BTreeMap;
 /// a segment from staging to any freshly drawn base can never overlap.
 mod staging {
     /// Text/data/bss park here.
-    pub const TEXT: u64 = 0x1_0000_0000;
+    pub(crate) const TEXT: u64 = 0x1_0000_0000;
     /// Heap parks here.
-    pub const HEAP: u64 = 0x1_1000_0000;
+    pub(crate) const HEAP: u64 = 0x1_1000_0000;
     /// Stack (top) parks here.
-    pub const STACK: u64 = 0x1_2000_0000;
+    pub(crate) const STACK: u64 = 0x1_2000_0000;
     /// The mmap arena base recorded while parked.
-    pub const MMAP: u64 = 0x1_3000_0000;
+    pub(crate) const MMAP: u64 = 0x1_3000_0000;
 }
 
 /// The fixed layout every parked child is built into. Deliberately *not*
@@ -78,10 +78,7 @@ pub struct WarmPool {
     tick: u64,
     checkouts: u64,
     refills: u64,
-    misses: u64,
     discards: u64,
-    reclaims: u64,
-    throttled: u64,
 }
 
 impl WarmPool {
@@ -93,10 +90,7 @@ impl WarmPool {
             tick: 0,
             checkouts: 0,
             refills: 0,
-            misses: 0,
             discards: 0,
-            reclaims: 0,
-            throttled: 0,
         }
     }
 
@@ -116,7 +110,6 @@ impl WarmPool {
         // working-set pages to park cache: refills wait out the storm
         // (spawns of the path degrade to the classic cost, nothing worse).
         if kernel.swap_thrashing() {
-            self.throttled += 1;
             metrics::incr("api.pool.throttled");
             return Ok(());
         }
@@ -172,7 +165,6 @@ impl WarmPool {
             return Ok(0);
         }
         if kernel.memory_pressure() >= PressureLevel::High {
-            self.throttled += 1;
             metrics::incr("api.pool.autoscale_skipped");
             return Ok(0);
         }
@@ -312,7 +304,7 @@ impl WarmPool {
     /// classic-path cost until a refill, but nobody gets OOM-killed. The
     /// reclaim pass crosses [`fpr_faults::FaultSite::PoolDrain`] before
     /// calling this.
-    pub fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
+    pub(crate) fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
         let free_before = kernel.phys.free_frames();
         while kernel.phys.free_frames() - free_before < target {
             let lru = self
@@ -330,7 +322,6 @@ impl WarmPool {
                 .expect("came from iteration");
             let child = list.remove(idx);
             kernel.abort_process_creation(child.pid)?;
-            self.reclaims += 1;
             metrics::incr("api.pool.reclaim");
         }
         self.parked.retain(|_, list| !list.is_empty());
@@ -357,39 +348,14 @@ impl WarmPool {
         self.parked.values().map(Vec::len).sum()
     }
 
-    /// The pool host process.
-    pub fn host(&self) -> Pid {
-        self.host
-    }
-
     /// Successful checkouts so far.
     pub fn checkouts(&self) -> u64 {
         self.checkouts
     }
 
-    /// Children pre-built so far.
-    pub fn refills(&self) -> u64 {
-        self.refills
-    }
-
-    /// Fast-path attempts that found no usable parked child.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Stale parked children discarded after a binary rewrite.
     pub fn discards(&self) -> u64 {
         self.discards
-    }
-
-    /// Parked children torn down by memory-pressure reclaim.
-    pub fn reclaims(&self) -> u64 {
-        self.reclaims
-    }
-
-    /// Prefills skipped because the swap tier was thrashing.
-    pub fn throttled(&self) -> u64 {
-        self.throttled
     }
 
     fn park(&mut self, path: &str, mut child: ParkedChild) {
@@ -544,7 +510,6 @@ pub fn spawn_fast(
             if let Some(pid) = hit {
                 return Ok(pid);
             }
-            pool.misses += 1;
             metrics::incr("api.pool.miss");
             posix_spawn_cached(
                 kernel,
@@ -577,15 +542,21 @@ mod tests {
         (k, init, reg)
     }
 
+    /// How far this thread's counter `name` has moved since `before`.
+    fn moved(before: &metrics::Snapshot, name: &str) -> u64 {
+        metrics::snapshot().delta(before).counter(name)
+    }
+
     #[test]
     fn prefill_parks_children_under_host() {
+        let before = metrics::snapshot();
         let (mut k, init, reg) = world();
         let mut cache = ImageCache::new();
         let mut pool = WarmPool::new(init);
         pool.prefill(&mut k, &reg, &mut cache, "/bin/tool", 3)
             .unwrap();
         assert_eq!(pool.available("/bin/tool"), 3);
-        assert_eq!(pool.refills(), 3);
+        assert_eq!(moved(&before, "api.pool.refill"), 3);
         assert_eq!(cache.misses(), 1, "first prefill donates to the cache");
         assert_eq!(cache.hits(), 2, "later prefills ride it");
         k.check_invariants().unwrap();
@@ -703,6 +674,7 @@ mod tests {
 
     #[test]
     fn empty_pool_falls_back_to_slow_path() {
+        let before = metrics::snapshot();
         let (mut k, init, reg) = world();
         let mut cache = ImageCache::new();
         let mut pool = WarmPool::new(init);
@@ -719,7 +691,7 @@ mod tests {
             &mut pool,
         )
         .unwrap();
-        assert_eq!(pool.misses(), 1);
+        assert_eq!(moved(&before, "api.pool.miss"), 1);
         assert_eq!(pool.checkouts(), 0);
         assert_eq!(k.process(c).unwrap().name, "tool");
         assert_eq!(cache.misses(), 1, "slow path still warms the cache");
@@ -863,10 +835,11 @@ mod tests {
             }
         }
         let procs_before = k.process_count();
+        let before = metrics::snapshot();
         let freed = pool.shrink(&mut k, 1).unwrap();
         assert!(freed >= 1, "a parked child has private frames to give");
         assert_eq!(pool.total_parked(), 2);
-        assert_eq!(pool.reclaims(), 1);
+        assert_eq!(moved(&before, "api.pool.reclaim"), 1);
         assert_eq!(k.process_count(), procs_before - 1);
 
         // A checked-out child becomes a normal process again: killable.
@@ -917,11 +890,12 @@ mod tests {
 
         let mut cache = ImageCache::new();
         let mut pool = WarmPool::new(init);
+        let before = metrics::snapshot();
         pool.prefill(&mut k, &reg, &mut cache, "/bin/tool", 3)
             .unwrap();
         assert_eq!(pool.available("/bin/tool"), 0, "refill waits out the storm");
-        assert_eq!(pool.throttled(), 1);
-        assert_eq!(pool.refills(), 0);
+        assert_eq!(moved(&before, "api.pool.throttled"), 1);
+        assert_eq!(moved(&before, "api.pool.refill"), 0);
         k.check_invariants().unwrap();
     }
 
@@ -984,12 +958,13 @@ mod tests {
 
         let mut cache = ImageCache::new();
         let mut pool = WarmPool::new(init);
+        let before = metrics::snapshot();
         let built = pool
             .autoscale(&mut k, &reg, &mut cache, "/bin/tool", 4)
             .unwrap();
         assert_eq!(built, 0, "autoscale must not fight reclaim");
         assert_eq!(pool.available("/bin/tool"), 0);
-        assert_eq!(pool.throttled(), 1);
+        assert_eq!(moved(&before, "api.pool.autoscale_skipped"), 1);
         k.check_invariants().unwrap();
     }
 

@@ -16,6 +16,8 @@
 //!
 //! [`compare`] encodes the capability matrix contrasting them (E7).
 
+#![warn(missing_docs)]
+
 pub mod batch;
 pub mod clone;
 pub mod compare;
@@ -28,10 +30,10 @@ pub mod xproc;
 
 pub use batch::{fork_exec, vfork_exec};
 pub use clone::{clone, CloneFlags, CloneResult};
-pub use compare::{coverage, render_matrix, supports, Api, Capability, CostClass, Support};
+pub use compare::render_matrix;
 pub use fastpath::{spawn_fast, WarmPool};
 pub use fork::{fork, fork_from_thread, fork_on_demand, ForkStats};
-pub use retry::{is_transient, retry_with_backoff, RetryPolicy, RetryStats};
+pub use retry::{retry_with_backoff, RetryStats};
 pub use spawn::{posix_spawn, posix_spawn_cached, FileAction, SpawnAttrs};
 pub use vfork::vfork;
 pub use xproc::{FdSource, MemOp, ProcessBuilder, Spawned};

@@ -13,7 +13,7 @@ use fpr_api::{
 };
 use fpr_exec::{execve, AslrConfig, Image, ImageCache, ImageRegistry};
 use fpr_kernel::{
-    AtforkRegistration, BufMode, Credentials, Disposition, Fd, FdEntry, HandlerId, Kernel,
+    AtforkRegistration, BufMode, Caps, Credentials, Disposition, Fd, FdEntry, HandlerId, Kernel,
     LayoutInfo, OpenFlags, Pid, Resource, Rlimit, Sig, SpaceRef,
 };
 use std::collections::BTreeMap;
@@ -179,6 +179,9 @@ struct Row {
     userspace: bool,
     mem: Mem,
     parks_parent: bool,
+    /// The call grants its child an argument, a variable, a capability
+    /// drop, a limit and a blocked signal (the builder's explicit half).
+    grants: bool,
     create: fn(&mut World) -> Pid,
 }
 
@@ -247,6 +250,7 @@ const FORK_FAMILY: Row = Row {
     userspace: true,
     mem: Mem::Copied,
     parks_parent: false,
+    grants: false,
     create: |_| unreachable!(),
 };
 
@@ -322,8 +326,15 @@ fn table() -> Vec<Row> {
             umask: false,
             signals: false,
             fds: Fds::None,
+            grants: true,
             create: |w| {
                 ProcessBuilder::new(TOOL)
+                    .arg(TOOL)
+                    .arg("--child")
+                    .env("LANG", "C")
+                    .drop_caps(Caps::KILL)
+                    .rlimit(Resource::Nproc, Rlimit::both(5))
+                    .sigmask(Sig::Usr1, true)
                     .aslr(AslrConfig::default(), CHILD_SEED)
                     .spawn(&mut w.k, w.parent, &w.reg)
                     .unwrap()
@@ -360,28 +371,35 @@ fn every_api_hands_over_exactly_its_row() {
         let api = row.api;
 
         // Identity is inherited by every API, xproc included: it is what
-        // makes the child *this* parent's child.
+        // makes the child *this* parent's child. Only a grant changes it.
         check(f, api, "ppid", w.k.process(child).unwrap().ppid, w.parent);
-        check(
-            f,
-            api,
-            "cwd/cred/rlimits/pgid/sid",
-            &c.identity,
-            &before.identity,
-        );
+        let identity = if row.grants {
+            let p = w.k.process(w.parent).unwrap();
+            let (mut cred, mut rlimits) = (p.cred, p.rlimits);
+            cred.caps = cred.caps.drop(Caps::KILL);
+            rlimits.set(Resource::Nproc, Rlimit::both(5));
+            format!("{:?}", (p.cwd, cred, rlimits, p.pgid, p.sid))
+        } else {
+            before.identity.clone()
+        };
+        check(f, api, "cwd/cred/rlimits/pgid/sid", &c.identity, &identity);
 
-        let (name, argv) = if row.parent_image {
+        let (name, mut argv) = if row.parent_image {
             (before.name.clone(), before.argv.clone())
         } else {
             ("tool".to_string(), vec![TOOL.to_string()])
         };
-        check(f, api, "name", &c.name, &name);
-        check(f, api, "argv", &c.argv, &argv);
-        let envp = if row.envp {
+        let mut envp = if row.envp {
             before.envp.clone()
         } else {
             BTreeMap::new()
         };
+        if row.grants {
+            argv.push("--child".to_string());
+            envp.insert("LANG".to_string(), "C".to_string());
+        }
+        check(f, api, "name", &c.name, &name);
+        check(f, api, "argv", &c.argv, &argv);
         check(f, api, "envp", &c.envp, &envp);
         check(
             f,
@@ -404,6 +422,8 @@ fn every_api_hands_over_exactly_its_row() {
         };
         check(f, api, "ignored signal", c.ignore_pipe, ignore);
         check(f, api, "signal mask", c.term_blocked, row.signals);
+        let usr1_blocked = w.k.process(child).unwrap().signals.is_blocked(Sig::Usr1);
+        check(f, api, "granted mask entry", usr1_blocked, row.grants);
         check(f, api, "pending signal", c.term_pending, false);
 
         let fds: Vec<(Fd, FdEntry)> = match row.fds {

@@ -141,7 +141,6 @@ mod tests {
         let (k, p) = boot();
         let r = audit_main_thread(&k, p).unwrap();
         assert!(r.is_safe());
-        assert_eq!(r.count(Severity::Critical), 0);
     }
 
     #[test]

@@ -7,17 +7,14 @@
 //!   (unflushed streams), race signals, or simply cost too much;
 //! * [`security`] quantifies what a child inherited that it shouldn't
 //!   have — leaked descriptors, ambient privilege, and shared ASLR
-//!   layouts (the zygote problem, experiment E8);
-//! * [`fault_coverage`] lints the fault-injection counters: any site a
-//!   workload crossed but never failed at is an untested error path
-//!   (E9's premise — cleanup code that has never once run).
+//!   layouts (the zygote problem, experiment E8).
 
-pub mod fault_coverage;
+#![warn(missing_docs)]
+
 pub mod fork_safety;
 pub mod report;
 pub mod security;
 
-pub use fault_coverage::{audit_fault_coverage, audit_sites};
 pub use fork_safety::{audit_fork_safety, audit_main_thread};
 pub use report::{Finding, Report, Severity};
 pub use security::{audit_inheritance, zygote_entropy, ZygoteReport, MAX_LAYOUT_BITS};

@@ -25,7 +25,7 @@ pub struct Finding {
 
 impl Finding {
     /// Creates a finding.
-    pub fn new(severity: Severity, code: &'static str, message: impl Into<String>) -> Finding {
+    pub(crate) fn new(severity: Severity, code: &'static str, message: impl Into<String>) -> Finding {
         Finding {
             severity,
             code,
@@ -43,27 +43,19 @@ pub struct Report {
 
 impl Report {
     /// Creates an empty report.
-    pub fn new() -> Report {
+    pub(crate) fn new() -> Report {
         Report::default()
     }
 
     /// Adds a finding, keeping the list sorted most-severe-first.
-    pub fn push(&mut self, f: Finding) {
+    pub(crate) fn push(&mut self, f: Finding) {
         self.findings.push(f);
         self.findings.sort_by_key(|f| std::cmp::Reverse(f.severity));
     }
 
     /// Highest severity present, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
+    pub(crate) fn max_severity(&self) -> Option<Severity> {
         self.findings.first().map(|f| f.severity)
-    }
-
-    /// Number of findings at `severity`.
-    pub fn count(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == severity)
-            .count()
     }
 
     /// True if nothing critical was found.
@@ -102,7 +94,7 @@ mod tests {
         assert_eq!(r.findings[0].code, "B");
         assert_eq!(r.max_severity(), Some(Severity::Critical));
         assert!(!r.is_safe());
-        assert_eq!(r.count(Severity::Warning), 1);
+        assert_eq!(r.findings[1].code, "C", "then the warning");
     }
 
     #[test]

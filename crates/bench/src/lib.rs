@@ -6,6 +6,8 @@
 //! and the repo root is what is committed there, and
 //! `make results-identity` gates the two against each other byte for byte.
 
+#![warn(missing_docs)]
+
 use forkroad_core::experiments::service::ServiceConfig;
 use forkroad_core::experiments::spawn_fastpath::Mode;
 use forkroad_core::experiments::{
@@ -127,7 +129,7 @@ fn snapshot<const N: usize>(id: &'static str, members: [(&str, Value); N]) -> Ar
 
 impl Artifact {
     /// The id the artifact is saved under (`<id>.json`).
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         match self {
             Artifact::Figure(f) => &f.id,
             Artifact::Table(t) => &t.id,
@@ -179,7 +181,7 @@ impl Artifact {
 /// # Panics
 ///
 /// Panics if the file cannot be written or does not read back.
-pub fn emit(artifact: &Artifact) {
+pub(crate) fn emit(artifact: &Artifact) {
     let id = artifact.id();
     println!("{}", artifact.render());
     let committed = match artifact {
@@ -227,7 +229,8 @@ pub struct Experiment {
     /// What `run_all <id>` selects.
     pub id: &'static str,
     /// Ids of the artifacts `run` emits, in order. A run emits exactly
-    /// these — or none, for a host measurement the host cannot take.
+    /// these — or none, for a host-kernel measurement on a host that is
+    /// not Linux.
     pub emits: &'static [&'static str],
     /// The experiment's one run, asserting its hard guarantees.
     pub run: fn() -> Output,
@@ -339,7 +342,8 @@ fn e1_fig1() -> Output {
     Output::of(fig).line(shape)
 }
 
-/// A host-kernel cross-check: the figure, or why the host cannot take it.
+/// A host-kernel cross-check: the figure, or — off Linux — why there is
+/// none.
 fn native(fig: Result<FigureData, fpr_native::NativeError>) -> Output {
     match fig {
         Ok(fig) => Output::of(fig),

@@ -14,7 +14,7 @@ use fpr_trace::TableData;
 
 /// Spawning strategy under audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
+pub(crate) enum Strategy {
     /// One exec, then fork per child (Android zygote).
     Zygote,
     /// posix_spawn per child.
@@ -26,7 +26,7 @@ pub enum Strategy {
 }
 
 /// Creates `n` children with the strategy and measures layout sharing.
-pub fn run_cell(strategy: Strategy, n: usize) -> ZygoteReport {
+pub(crate) fn run_cell(strategy: Strategy, n: usize) -> ZygoteReport {
     let mut os = Os::boot(OsConfig::default());
     let init = os.init;
     let children: Vec<Pid> = match strategy {

@@ -17,7 +17,7 @@ use fpr_trace::{metrics, ProcessShape, TableData};
 
 /// One decomposed fork measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Breakdown {
+pub(crate) struct Breakdown {
     /// Parent footprint in pages.
     pub pages: u64,
     /// Cycles spent copying leaf PTEs.
@@ -38,14 +38,14 @@ pub struct Breakdown {
 }
 
 /// Measures and decomposes one fork of a parent with `pages` populated.
-pub fn measure(pages: u64) -> Breakdown {
+pub(crate) fn measure(pages: u64) -> Breakdown {
     measure_with_fds(pages, 0, false)
 }
 
 /// Like [`measure`], with `extra_fds` files opened first. When `sparse`,
 /// the last one is also dup2'd to descriptor 1000, stretching the
 /// nominal table capacity without adding open descriptors.
-pub fn measure_with_fds(pages: u64, extra_fds: u32, sparse: bool) -> Breakdown {
+pub(crate) fn measure_with_fds(pages: u64, extra_fds: u32, sparse: bool) -> Breakdown {
     let (mut os, parent) = world(machine_for(pages), ProcessShape::with_heap(pages));
     for i in 0..extra_fds {
         let fd = os

@@ -13,7 +13,7 @@ use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
 
 /// Result of one COW-storm cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StormCell {
+pub(crate) struct StormCell {
     /// Fraction of parent pages the child wrote after fork.
     pub touch_fraction: f64,
     /// Fork cycles + post-fork write cycles under COW.
@@ -25,7 +25,7 @@ pub struct StormCell {
 }
 
 /// Measures one cell at `footprint` pages and `fraction` touched.
-pub fn measure(footprint: u64, fraction: f64, seed: u64) -> StormCell {
+pub(crate) fn measure(footprint: u64, fraction: f64, seed: u64) -> StormCell {
     let pages = TouchPattern::Random { fraction, seed }.expand(footprint);
     let mut totals = [0u64; 2];
     let mut cow_faults = 0;

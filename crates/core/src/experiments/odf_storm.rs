@@ -16,7 +16,7 @@ use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
 
 /// Result of one storm cell for a single fork mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OdfCell {
+pub(crate) struct OdfCell {
     /// Fraction of parent pages the child wrote after fork.
     pub touch_fraction: f64,
     /// Cycles the fork itself charged.
@@ -32,7 +32,7 @@ pub struct OdfCell {
 
 /// Measures one cell: fork `footprint` pages under `mode`, then write
 /// `fraction` of them in the child.
-pub fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) -> OdfCell {
+pub(crate) fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) -> OdfCell {
     let (mut os, parent) = world(machine_for(footprint), ProcessShape::with_heap(footprint));
     let heap = os.first_mmap_base(parent).expect("heap mapped");
     let pages = TouchPattern::Random { fraction, seed }.expand(footprint);

@@ -24,9 +24,9 @@ use fpr_mem::{PressureLevel, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// Warm-pool children parked before the storm (also the recovery target).
-pub const POOL_PREFILL: usize = 8;
+pub(crate) const POOL_PREFILL: usize = 8;
 /// Faulting workers the storm demand is spread across.
-pub const WORKERS: usize = 4;
+pub(crate) const WORKERS: usize = 4;
 /// The binary every spawn runs.
 const BIN: &str = "/bin/tool";
 
@@ -66,7 +66,7 @@ pub struct PressureOutcome {
 
 /// The storm world of E12 and E15's degradation arm: a 32-page parent on
 /// the storm machine, fast path off.
-pub fn storm_world() -> (Os, Pid) {
+pub(crate) fn storm_world() -> (Os, Pid) {
     world(storm_machine(), ProcessShape::with_heap(32))
 }
 
@@ -80,29 +80,29 @@ fn spawn_once(os: &mut Os, parent: Pid) -> u64 {
 
 /// The classic-path reference cost: same machine, same parent shape,
 /// fast path never enabled.
-pub fn classic_spawn_cost() -> u64 {
+pub(crate) fn classic_spawn_cost() -> u64 {
     let (mut os, parent) = storm_world();
     spawn_once(&mut os, parent)
 }
 
 /// Parked warm children.
-pub fn pool_parked(os: &Os) -> usize {
+pub(crate) fn pool_parked(os: &Os) -> usize {
     os.fastpath().expect("enabled").pool().total_parked()
 }
 
 /// Frames the image cache pins.
-pub fn cache_frames(os: &Os) -> u64 {
+pub(crate) fn cache_frames(os: &Os) -> u64 {
     os.fastpath().expect("enabled").cache().cached_frames()
 }
 
 /// True once shrinker reclaim has drained both fast-path caches dry.
-pub fn drained(os: &Os) -> bool {
+pub(crate) fn drained(os: &Os) -> bool {
     pool_parked(os) == 0 && cache_frames(os) == 0
 }
 
 /// Runs one storm arm. `demand` caps total pages touched; `None` means
 /// "until the reclaimable caches are exhausted" (shrinker arm only).
-pub fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
+pub(crate) fn run_storm(shrinkers: bool, demand: Option<u64>) -> PressureOutcome {
     let (mut os, parent) = storm_world();
     os.warm_pool(BIN, POOL_PREFILL).expect("prefill");
     if !shrinkers {
@@ -187,7 +187,7 @@ pub fn run_pair() -> (PressureOutcome, PressureOutcome) {
 
 /// Swap slots of the E13 machine: another machine's worth of backing
 /// store below the [`STORM_FRAMES`] of RAM.
-pub const SWAP_SLOTS: u64 = 1024;
+pub(crate) const SWAP_SLOTS: u64 = 1024;
 
 /// Everything one E13 arm observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +225,7 @@ pub struct SwapOutcome {
 /// The swap arm finishes with a deliberate refault loop — re-reading
 /// just-evicted pages until the thrash signal asserts — so the figure
 /// carries the pathological regime too, not only the win.
-pub fn run_swap_storm(swap: bool, demand: Option<u64>) -> SwapOutcome {
+pub(crate) fn run_swap_storm(swap: bool, demand: Option<u64>) -> SwapOutcome {
     let mut os = Os::boot(OsConfig {
         machine: MachineConfig {
             swap_slots: if swap { SWAP_SLOTS } else { 0 },

@@ -22,7 +22,7 @@
 
 use crate::kit::world_seeded;
 use crate::os::Os;
-use fpr_api::{retry_with_backoff, ProcessBuilder, RetryPolicy, SpawnAttrs};
+use fpr_api::{retry_with_backoff, ProcessBuilder, SpawnAttrs};
 use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultSite};
 use fpr_kernel::MachineConfig;
 use fpr_mem::{OvercommitPolicy, Prot, Share};
@@ -135,7 +135,7 @@ fn sweep_points(op: ApiOp<'_>) -> Vec<PointResult> {
 }
 
 /// Sweeps one creation API across every fail point it crosses.
-pub fn sweep_api(api: &'static str, op: ApiOp<'_>) -> SweepOutcome {
+pub(crate) fn sweep_api(api: &'static str, op: ApiOp<'_>) -> SweepOutcome {
     let points = sweep_points(op);
     SweepOutcome {
         api,
@@ -147,7 +147,7 @@ pub fn sweep_api(api: &'static str, op: ApiOp<'_>) -> SweepOutcome {
 }
 
 /// Runs the cleanliness sweep for fork, spawn, and xproc.
-pub fn sweep_all() -> Vec<SweepOutcome> {
+pub(crate) fn sweep_all() -> Vec<SweepOutcome> {
     apis().into_iter().map(|(api, op)| sweep_api(api, op)).collect()
 }
 
@@ -185,7 +185,7 @@ pub fn fault_matrix() -> TableData {
 
 /// Outcome of one API's creation attempt under memory pressure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PressureOutcome {
+pub(crate) struct PressureOutcome {
     /// API label.
     pub api: &'static str,
     /// Whether creation ultimately succeeded.
@@ -199,7 +199,7 @@ pub struct PressureOutcome {
 /// Creates a child with each API from a large parent under strict
 /// overcommit, with a hog releasing its memory before attempt
 /// `relief_at`. Fork needs the relief; spawn and xproc do not.
-pub fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
+pub(crate) fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
     let mut out = Vec::new();
     for api in ["fork", "posix_spawn", "xproc"] {
         let machine = MachineConfig {
@@ -226,34 +226,30 @@ pub fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
             .expect("hog fits");
         let mut attempt = 0;
         let init = os.init;
-        let (result, stats) = retry_with_backoff(
-            &mut os.kernel,
-            RetryPolicy::default(),
-            |k| {
-                attempt += 1;
-                if attempt == relief_at {
-                    k.munmap(init, hog, hog_pages).expect("hog unmaps");
-                }
-                match api {
-                    "fork" => fpr_api::fork(k, parent).map(|_| ()),
-                    "posix_spawn" => fpr_api::posix_spawn(
-                        k,
-                        parent,
-                        &os.images,
-                        "/bin/tool",
-                        &[],
-                        &SpawnAttrs::default(),
-                        os.aslr,
-                        11,
-                    )
+        let (result, stats) = retry_with_backoff(&mut os.kernel, |k| {
+            attempt += 1;
+            if attempt == relief_at {
+                k.munmap(init, hog, hog_pages).expect("hog unmaps");
+            }
+            match api {
+                "fork" => fpr_api::fork(k, parent).map(|_| ()),
+                "posix_spawn" => fpr_api::posix_spawn(
+                    k,
+                    parent,
+                    &os.images,
+                    "/bin/tool",
+                    &[],
+                    &SpawnAttrs::default(),
+                    os.aslr,
+                    11,
+                )
+                .map(|_| ()),
+                _ => ProcessBuilder::new("/bin/tool")
+                    .aslr(os.aslr, 11)
+                    .spawn(k, parent, &os.images)
                     .map(|_| ()),
-                    _ => ProcessBuilder::new("/bin/tool")
-                        .aslr(os.aslr, 11)
-                        .spawn(k, parent, &os.images)
-                        .map(|_| ()),
-                }
-            },
-        );
+            }
+        });
         out.push(PressureOutcome {
             api,
             succeeded: result.is_ok(),

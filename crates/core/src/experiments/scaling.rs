@@ -15,7 +15,7 @@ use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// One measurement at a given CPU occupancy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalePoint {
+pub(crate) struct ScalePoint {
     /// CPUs running the parent's threads during the fork.
     pub cpus_running: u32,
     /// Fork cycles with shootdowns charged.
@@ -49,7 +49,7 @@ fn setup(threads: u32, footprint: u64, thp: bool) -> (Os, Pid) {
 }
 
 /// Measures fork and COW-break cost with `threads` of the parent on CPU.
-pub fn measure(threads: u32, footprint: u64) -> ScalePoint {
+pub(crate) fn measure(threads: u32, footprint: u64) -> ScalePoint {
     let (mut os, parent) = setup(threads, footprint, false);
     let heap = os.first_mmap_base(parent).expect("heap");
     let (_, fork_cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
@@ -73,7 +73,7 @@ pub fn measure(threads: u32, footprint: u64) -> ScalePoint {
 /// write-protects and shares whole 2 MiB blocks: the shootdown becomes a
 /// short ranged flush of huge entries instead of a page-count-sized one,
 /// and the page-table pass touches block entries, not PTEs.
-pub fn measure_thp(threads: u32, footprint: u64) -> u64 {
+pub(crate) fn measure_thp(threads: u32, footprint: u64) -> u64 {
     let (mut os, parent) = setup(threads, footprint, true);
     let (_, cycles) = os.measure(|os| os.fork_stats(parent, ForkMode::Cow).expect("fork"));
     cycles

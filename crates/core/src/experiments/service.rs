@@ -44,7 +44,7 @@ pub const SERVICE_BIN: &str = "/bin/tool";
 /// Offered arrival rate, requests per simulated second.
 pub const OFFERED_RATE: f64 = 60_000.0;
 /// `(path, weight)` mix the per-request draw uses.
-pub const MIX: [(CreationPath, u32); 5] = [
+pub(crate) const MIX: [(CreationPath, u32); 5] = [
     (CreationPath::Spawn(SERVICE_BIN), 6),
     (CreationPath::ForkOnDemand(SERVICE_BIN), 4),
     (CreationPath::VforkExec(SERVICE_BIN), 3),
@@ -102,7 +102,7 @@ pub struct ServiceOutcome {
 }
 
 impl ServiceOutcome {
-    /// The stats for `path`, one of [`MIX`].
+    /// The stats for `path`, one of `MIX`.
     pub fn stats(&self, path: CreationPath) -> &PathStats {
         self.per_path
             .iter()
@@ -120,7 +120,7 @@ pub fn label(path: CreationPath) -> &'static str {
 }
 
 /// Runs the open-loop service: Poisson arrivals at [`OFFERED_RATE`], a
-/// single front end, one child per request drawn from [`MIX`]; each child
+/// single front end, one child per request drawn from `MIX`; each child
 /// populates `WORK_PAGES` fresh pages, exits and is reaped, and the
 /// cycles that takes *is* its creation-to-exit latency.
 pub fn run_service(cfg: &ServiceConfig) -> ServiceOutcome {

@@ -107,7 +107,7 @@ fn fork_requests(smp: &SmpOs, c: usize, parent: Pid) {
 }
 
 /// fork_cow_shared: all workers fork one parent in one cell.
-pub fn fork_cow_shared(threads: usize) -> SmpPoint {
+pub(crate) fn fork_cow_shared(threads: usize) -> SmpPoint {
     let smp = SmpOs::boot(smp_machine(), 1);
     let parent = parent_in(&smp, 0);
     measure("fork_cow_shared", threads, &smp, move |_, smp| {
@@ -116,7 +116,7 @@ pub fn fork_cow_shared(threads: usize) -> SmpPoint {
 }
 
 /// fork_cow_private: one cell and one parent per worker.
-pub fn fork_cow_private(threads: usize) -> SmpPoint {
+pub(crate) fn fork_cow_private(threads: usize) -> SmpPoint {
     let smp = SmpOs::boot(smp_machine(), threads);
     let parents: Vec<Pid> = (0..threads).map(|c| parent_in(&smp, c)).collect();
     measure("fork_cow_private", threads, &smp, move |t, smp| {
@@ -125,7 +125,7 @@ pub fn fork_cow_private(threads: usize) -> SmpPoint {
 }
 
 /// spawn_fast: one cell per worker, warm-pool spawns instead of forks.
-pub fn spawn_fast(threads: usize) -> SmpPoint {
+pub(crate) fn spawn_fast(threads: usize) -> SmpPoint {
     let smp = SmpOs::boot(smp_machine(), threads);
     for c in 0..threads {
         smp.cell(c)
@@ -223,7 +223,7 @@ pub fn run() -> SmpOutcome {
 }
 
 /// Runs every arm over the given thread counts.
-pub fn run_with(threads: &[usize]) -> SmpOutcome {
+pub(crate) fn run_with(threads: &[usize]) -> SmpOutcome {
     let mut points = Vec::new();
     for &t in threads {
         points.push(fork_cow_shared(t));

@@ -17,10 +17,10 @@
 //!   frame conservation. Site coverage is aggregated across threads via
 //!   [`fpr_faults::global_coverage`].
 //! * **fail_stop_storm** — the same storm, except worker 0 kills cell 0
-//!   mid-flight with [`SmpOs::fail_cell`]: a dying operation injected
+//!   mid-flight with `SmpOs::fail_cell`: a dying operation injected
 //!   at a chosen site, the machine-wide OOM lease deliberately stuck,
 //!   then recovery (evacuate every process, drain the frame magazine,
-//!   break the lease). Survivors poll [`SmpOs::is_dead`] and redirect;
+//!   break the lease). Survivors poll `SmpOs::is_dead` and redirect;
 //!   the machine must quiesce clean at N−1 cells with the dead cell
 //!   *empty*.
 //!
@@ -48,10 +48,10 @@ pub const OPS_PER_WORKER: usize = 96;
 pub const INJECT_PER_1024: u16 = 64;
 
 /// Root seed; every per-op plan derives from it deterministically.
-pub const SEED: u64 = 0xE17_0F41_157E;
+pub(crate) const SEED: u64 = 0xE17_0F41_157E;
 
 /// The site armed for the dying operation in the fail-stop arm.
-pub const FAIL_SITE: FaultSite = FaultSite::PidAlloc;
+pub(crate) const FAIL_SITE: FaultSite = FaultSite::PidAlloc;
 
 /// Ops worker 0 completes before killing cell 0.
 const OPS_BEFORE_FAILURE: usize = OPS_PER_WORKER / 2;
@@ -133,7 +133,7 @@ impl SweepOutcome {
 
 /// Arm 1: every worker storms with per-op random fault plans; the
 /// machine must quiesce clean afterwards (the call panics otherwise).
-pub fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
+pub(crate) fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
     fpr_faults::reset_global_coverage();
     let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
@@ -184,7 +184,7 @@ pub struct FailStopOutcome {
 
 /// Arm 2: the same storm, but worker 0 fail-stops cell 0 halfway
 /// through; survivors redirect and the machine quiesces clean at N−1.
-pub fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
+pub(crate) fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
     let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
     let failure = std::sync::Mutex::new(None);
@@ -302,7 +302,7 @@ pub fn run() -> CellFailureOutcome {
 }
 
 /// Runs both arms at a chosen root seed.
-pub fn run_with(root_seed: u64) -> CellFailureOutcome {
+pub(crate) fn run_with(root_seed: u64) -> CellFailureOutcome {
     CellFailureOutcome {
         sweep: faultsweep_storm(root_seed),
         failstop: fail_stop_storm(root_seed),

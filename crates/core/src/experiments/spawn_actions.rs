@@ -12,7 +12,7 @@ use fpr_mem::CYCLES_PER_US;
 use fpr_trace::TableData;
 
 /// Cycles of one `posix_spawn` carrying `actions` open-file actions.
-pub fn measure(actions: usize) -> u64 {
+pub(crate) fn measure(actions: usize) -> u64 {
     let mut os = Os::boot(OsConfig::default());
     let init = os.init;
     let actions: Vec<FileAction> = (0..actions)

@@ -39,11 +39,11 @@ pub enum Mode {
 /// Builds a world with a `footprint`-page parent, prepares the fast-path
 /// state for `mode`, and returns the cycles one spawn of `/bin/tool`
 /// costs from that parent.
-pub fn measure_spawn(mode: Mode, footprint: u64) -> u64 {
+pub(crate) fn measure_spawn(mode: Mode, footprint: u64) -> u64 {
     measure_spawn_seeded(mode, footprint, OsConfig::default().seed)
 }
 
-/// [`measure_spawn`] with an explicit ASLR seed (the bench snapshot
+/// `measure_spawn` with an explicit ASLR seed (the bench snapshot
 /// takes medians over a seed set).
 pub fn measure_spawn_seeded(mode: Mode, footprint: u64, seed: u64) -> u64 {
     let shape = ProcessShape::with_heap(footprint);
@@ -64,11 +64,11 @@ pub fn measure_spawn_seeded(mode: Mode, footprint: u64, seed: u64) -> u64 {
 }
 
 /// Cycles an on-demand fork of the same parent costs (the competitor).
-pub fn measure_odf(footprint: u64) -> u64 {
+pub(crate) fn measure_odf(footprint: u64) -> u64 {
     measure_odf_seeded(footprint, OsConfig::default().seed)
 }
 
-/// [`measure_odf`] with an explicit ASLR seed.
+/// `measure_odf` with an explicit ASLR seed.
 pub fn measure_odf_seeded(footprint: u64, seed: u64) -> u64 {
     let shape = ProcessShape::with_heap(footprint);
     let (mut os, parent) = world_seeded(machine_for(footprint), seed, shape);
@@ -109,6 +109,16 @@ mod tests {
 
     /// 1 MiB → 4 GiB in pages.
     const SWEEP: [u64; 4] = [256, 4096, 65_536, 1_048_576];
+
+    /// Rewrites the file behind `path` on the simulated disk, so cached
+    /// frames and parked children built from the old bytes are stale.
+    /// Returns the new generation.
+    fn rewrite_binary(os: &mut Os, path: &str) -> u64 {
+        let file_id = os.images.lookup(path).unwrap().file_id;
+        let ino = os.images.backing_ino(file_id).unwrap();
+        os.kernel.vfs.write_at(ino, 0, b"patched").unwrap();
+        os.kernel.vfs.generation(ino)
+    }
 
     #[test]
     fn pooled_spawn_flat_and_at_or_below_on_demand_fork_everywhere() {
@@ -189,7 +199,7 @@ mod tests {
     fn failed_fast_spawn_reports_cleanly_like_the_classic_one() {
         // Same contract posix_spawn has: a bad file action fails in the
         // parent with no child left behind — pool hit or miss alike.
-        let mut os = Os::boot_default();
+        let mut os = Os::boot(OsConfig::default());
         let init = os.init;
         os.enable_spawn_fastpath().unwrap();
         os.pool_prefill("/bin/tool", 1).unwrap();
@@ -206,14 +216,14 @@ mod tests {
     #[test]
     fn rewrite_between_spawns_never_serves_stale_segments() {
         use fpr_mem::{vma::file_stamp, Vpn};
-        let mut os = Os::boot_default();
+        let mut os = Os::boot(OsConfig::default());
         let init = os.init;
         os.enable_spawn_fastpath().unwrap();
         os.pool_prefill("/bin/tool", 2).unwrap();
         let before = os
             .spawn(init, "/bin/tool", &[], &SpawnAttrs::default())
             .unwrap();
-        let gen = os.rewrite_binary("/bin/tool").unwrap();
+        let gen = rewrite_binary(&mut os, "/bin/tool");
         assert!(gen > 0);
         let after = os
             .spawn(init, "/bin/tool", &[], &SpawnAttrs::default())
@@ -247,14 +257,14 @@ mod tests {
         use fpr_rng::Rng;
         for case in 0..24u64 {
             let mut rng = Rng::seed_from_u64(0xE11 + case);
-            let mut os = Os::boot_default();
+            let mut os = Os::boot(OsConfig::default());
             let init = os.init;
             os.enable_spawn_fastpath().unwrap();
             let mut generation = 0u64;
             for step in 0..20 {
                 match rng.gen_below(4) {
                     0 => {
-                        generation = os.rewrite_binary("/bin/tool").unwrap();
+                        generation = rewrite_binary(&mut os, "/bin/tool");
                     }
                     1 => {
                         let n = rng.gen_range(1, 3) as usize;

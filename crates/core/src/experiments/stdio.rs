@@ -13,7 +13,7 @@ use fpr_mem::ForkMode;
 use fpr_trace::TableData;
 
 /// The APIs compared in this experiment, by display name.
-pub const APIS: [(&str, CreationPath); 3] = [
+pub(crate) const APIS: [(&str, CreationPath); 3] = [
     ("fork", CreationPath::Fork(ForkMode::Cow)),
     ("posix_spawn", CreationPath::Spawn("/bin/tool")),
     ("xproc", CreationPath::Xproc("/bin/tool")),
@@ -21,7 +21,7 @@ pub const APIS: [(&str, CreationPath); 3] = [
 
 /// One duplication measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StdioCell {
+pub(crate) struct StdioCell {
     /// API used.
     pub api: &'static str,
     /// Bytes sitting in the parent's buffer at creation time.
@@ -68,7 +68,7 @@ fn parent_with_buffer(os: &mut Os, fill: usize) -> (Pid, usize) {
 
 /// Runs one cell: parent buffers `fill` bytes, creates a child via `api`,
 /// both exit.
-pub fn run_cell((api, path): (&'static str, CreationPath), fill: usize) -> StdioCell {
+pub(crate) fn run_cell((api, path): (&'static str, CreationPath), fill: usize) -> StdioCell {
     let mut os = Os::boot(OsConfig::default());
     let (parent, _stream) = parent_with_buffer(&mut os, fill);
     os.serve(parent, path, Work::Nothing)

@@ -14,7 +14,7 @@ use fpr_rng::Rng;
 
 /// Aggregated result for one (threads, hold probability) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreadSafetyCell {
+pub(crate) struct ThreadSafetyCell {
     /// Worker threads (besides main).
     pub threads: u32,
     /// Probability each worker held its lock at fork time.
@@ -30,7 +30,7 @@ pub struct ThreadSafetyCell {
 }
 
 /// Runs one cell of `trials` trials.
-pub fn run_cell(threads: u32, hold_prob: f64, trials: u32, seed: u64) -> ThreadSafetyCell {
+pub(crate) fn run_cell(threads: u32, hold_prob: f64, trials: u32, seed: u64) -> ThreadSafetyCell {
     let mut rng = Rng::seed_from_u64(seed);
     let mut deadlocks = 0;
     let mut flagged = 0;

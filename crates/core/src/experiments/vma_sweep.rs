@@ -12,7 +12,7 @@ use fpr_trace::{FigureData, ProcessShape, Series};
 
 /// Measures fork cost for a parent with `pages` resident spread over
 /// `vmas` mappings.
-pub fn measure(pages: u64, vmas: u64) -> u64 {
+pub(crate) fn measure(pages: u64, vmas: u64) -> u64 {
     let shape = ProcessShape {
         vma_count: vmas,
         ..ProcessShape::with_heap(pages)

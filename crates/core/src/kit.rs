@@ -2,15 +2,15 @@
 //! defined once (`docs/ARCHITECTURE.md` says which experiment uses which).
 //!
 //! * A **world** — a machine sized for the job, booted, with a synthetic
-//!   parent on it: [`world`] over [`machine_for`], [`storm_machine`] or
-//!   [`smp_machine`], plus [`Os::warm_pool`] where spawns ride the fast
+//!   parent on it: [`world`] over [`machine_for`], `storm_machine` or
+//!   [`smp_machine`], plus `Os::warm_pool` where spawns ride the fast
 //!   path.
 //! * A **request** — a child created one of N ways ([`CreationPath`],
-//!   [`Os::create`]) that works ([`Work`], or [`Os::touch`] where the
+//!   [`Os::create`]) that works ([`Work`], or `Os::touch` where the
 //!   caller wants every write timed), exits and is reaped ([`Os::reap`]);
 //!   [`Os::serve`] is the three in order, with the cycles of each phase.
 //! * A **storm** — resident workers admitted on credit that fault pages
-//!   in round-robin until the caller says stop ([`Storm`]).
+//!   in round-robin until the caller says stop (`Storm`).
 //! * An **open loop** — a seeded arrival stream ([`arrivals`]) fed
 //!   through a single-server queue ([`open_loop`]).
 
@@ -24,9 +24,9 @@ use fpr_trace::ProcessShape;
 use std::collections::BTreeMap;
 
 /// Simulated cycles per second (the cost model's 3 GHz clock).
-pub const CYCLES_PER_SEC: f64 = CYCLES_PER_US as f64 * 1_000_000.0;
+pub(crate) const CYCLES_PER_SEC: f64 = CYCLES_PER_US as f64 * 1_000_000.0;
 
-/// Physical frames of [`storm_machine`].
+/// Physical frames of `storm_machine`.
 pub const STORM_FRAMES: u64 = 1024;
 
 /// A machine big enough for a `footprint`-page parent plus slack.
@@ -41,7 +41,7 @@ pub fn machine_for(footprint: u64) -> MachineConfig {
 /// The pressure-storm machine (E12, E13, E15's degradation arm): small
 /// enough that the fast-path caches are a meaningful fraction of memory,
 /// and admitting every reservation on credit.
-pub fn storm_machine() -> MachineConfig {
+pub(crate) fn storm_machine() -> MachineConfig {
     MachineConfig {
         frames: STORM_FRAMES,
         overcommit: OvercommitPolicy::Always,
@@ -141,7 +141,7 @@ impl Served {
 
 impl Os {
     /// Turns the spawn fast path on and parks `n` warm children of `bin`.
-    pub fn warm_pool(&mut self, bin: &str, n: usize) -> KResult<()> {
+    pub(crate) fn warm_pool(&mut self, bin: &str, n: usize) -> KResult<()> {
         self.enable_spawn_fastpath()?;
         self.pool_prefill(bin, n)
     }
@@ -164,7 +164,7 @@ impl Os {
     /// Writes these page offsets of `child`'s mapping at `base` — the
     /// pages a forked child inherited, so each write is a first touch.
     /// Returns the cycles of the most expensive single write.
-    pub fn touch(&mut self, child: Pid, base: Vpn, offsets: &[u64]) -> KResult<u64> {
+    pub(crate) fn touch(&mut self, child: Pid, base: Vpn, offsets: &[u64]) -> KResult<u64> {
         let mut worst = 0;
         for &page in offsets {
             let before = self.kernel.cycles.total();
@@ -218,7 +218,7 @@ struct Worker {
 /// front (`Always`-mode overcommit admits them on credit) and then fault
 /// pages in round-robin, so the bill arrives one page at a time.
 #[derive(Debug)]
-pub struct Storm {
+pub(crate) struct Storm {
     workers: Vec<Worker>,
     chunk: u64,
     /// Pages the workers have faulted in so far.
@@ -229,7 +229,7 @@ pub struct Storm {
 
 impl Storm {
     /// Admits `workers` children of init, each reserving `chunk` pages.
-    pub fn admit(os: &mut Os, workers: usize, chunk: u64) -> Storm {
+    pub(crate) fn admit(os: &mut Os, workers: usize, chunk: u64) -> Storm {
         let workers = (0..workers)
             .map(|i| {
                 let pid = os
@@ -263,7 +263,7 @@ impl Storm {
     /// `None` ends the storm (the kernel already ran its reclaim ladder,
     /// memory is genuinely full), `Some(victim)` reports an `oom_kill` —
     /// the write is retried unless the victim was the faulting worker.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         os: &mut Os,
         mut stop: impl FnMut(&Os, u64) -> bool,
@@ -314,7 +314,7 @@ impl Storm {
     }
 
     /// The workers still alive: PID, region base, pages touched.
-    pub fn resident(&self) -> impl Iterator<Item = (Pid, Vpn, u64)> + '_ {
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (Pid, Vpn, u64)> + '_ {
         self.workers
             .iter()
             .filter(|w| w.alive)
@@ -323,7 +323,7 @@ impl Storm {
 
     /// Relief: the storm passes — survivors exit, init collects everyone
     /// (an OOM victim is already a zombie) and the frames return.
-    pub fn relieve(self, os: &mut Os) {
+    pub(crate) fn relieve(self, os: &mut Os) {
         let init = os.init;
         for w in self.workers {
             if w.alive {

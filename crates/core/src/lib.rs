@@ -23,6 +23,8 @@
 //! assert_eq!(os.kernel.process(spawned).unwrap().name, "sh");
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod experiments;
 pub mod kit;
 pub mod os;

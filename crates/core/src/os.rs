@@ -44,7 +44,7 @@ impl Default for OsConfig {
 /// Dropping this struct (fast-path disable) unregisters both
 /// automatically.
 #[derive(Debug)]
-pub struct SpawnFastpath {
+pub(crate) struct SpawnFastpath {
     /// Exec image cache consulted by every spawn while enabled.
     pub cache: Arc<Mutex<ImageCache>>,
     /// Warm pool of pre-built children.
@@ -53,12 +53,12 @@ pub struct SpawnFastpath {
 
 impl SpawnFastpath {
     /// Read access to the image cache (counters, occupancy).
-    pub fn cache(&self) -> MutexGuard<'_, ImageCache> {
+    pub(crate) fn cache(&self) -> MutexGuard<'_, ImageCache> {
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Read access to the warm pool (counters, occupancy).
-    pub fn pool(&self) -> MutexGuard<'_, WarmPool> {
+    pub(crate) fn pool(&self) -> MutexGuard<'_, WarmPool> {
         self.pool.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
@@ -118,18 +118,8 @@ impl Os {
         }
     }
 
-    /// Boots with defaults.
-    pub fn boot_default() -> Os {
-        Os::boot(OsConfig::default())
-    }
-
-    /// Registers an additional image.
-    pub fn register_image(&mut self, path: &str, image: Image) -> u64 {
-        self.images.register(path, image)
-    }
-
     /// Draws a fresh ASLR seed.
-    pub fn fresh_seed(&mut self) -> u64 {
+    pub(crate) fn fresh_seed(&mut self) -> u64 {
         self.rng.gen_u64()
     }
 
@@ -270,7 +260,7 @@ impl Os {
     }
 
     /// Read access to the fast-path state (counters, pool occupancy).
-    pub fn fastpath(&self) -> Option<&SpawnFastpath> {
+    pub(crate) fn fastpath(&self) -> Option<&SpawnFastpath> {
         self.fastpath.as_ref()
     }
 
@@ -305,23 +295,9 @@ impl Os {
         )
     }
 
-    /// Rewrites the backing file of the binary at `path`, bumping its
-    /// write generation — from then on its effective file id changes, so
-    /// cached frames and parked children built from the old bytes are
-    /// stale and will be discarded rather than served. Returns the new
-    /// generation.
-    pub fn rewrite_binary(&mut self, path: &str) -> KResult<u64> {
-        self.ensure_vfs_backing()?;
-        let img = self.images.lookup(path).ok_or(Errno::Enoent)?;
-        let file_id = img.file_id;
-        let ino = self.images.backing_ino(file_id).ok_or(Errno::Enoent)?;
-        self.kernel.vfs.write_at(ino, 0, b"patched")?;
-        Ok(self.kernel.vfs.generation(ino))
-    }
-
     /// Creates a VFS file behind every registered binary that lacks one
     /// and binds it in the registry. Run identity note: this is only
-    /// called from the fast-path/rewrite knobs, so default runs never
+    /// called when the fast path is switched on, so default runs never
     /// touch the VFS and stay byte-identical to the classic behaviour.
     fn ensure_vfs_backing(&mut self) -> KResult<()> {
         let root = self.kernel.vfs.root();
@@ -423,7 +399,7 @@ mod tests {
 
     #[test]
     fn boot_registers_standard_images() {
-        let os = Os::boot_default();
+        let os = Os::boot(OsConfig::default());
         assert!(os.images.lookup("/bin/sh").is_some());
         assert!(os.images.lookup("/bin/server").is_some());
         assert_eq!(os.kernel.process(os.init).unwrap().name, "init");
@@ -455,7 +431,7 @@ mod tests {
     fn make_parent_matches_shape() {
         // A heap that divides over its VMAs, and one that does not.
         for (heap_pages, vma_count) in [(64, 4), (100, 8)] {
-            let mut os = Os::boot_default();
+            let mut os = Os::boot(OsConfig::default());
             let shape = ProcessShape {
                 heap_pages,
                 vma_count,
@@ -488,7 +464,7 @@ mod tests {
 
     #[test]
     fn measure_counts_cycles() {
-        let mut os = Os::boot_default();
+        let mut os = Os::boot(OsConfig::default());
         let init = os.init;
         let (_, zero) = os.measure(|_| ());
         assert_eq!(zero, 0);
@@ -499,7 +475,7 @@ mod tests {
 
     #[test]
     fn facade_apis_compose() {
-        let mut os = Os::boot_default();
+        let mut os = Os::boot(OsConfig::default());
         let init = os.init;
         let c = os
             .spawn(init, "/bin/cat", &[], &SpawnAttrs::default())

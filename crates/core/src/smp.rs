@@ -26,7 +26,7 @@
 //!
 //! ## Fail-stop (E17)
 //!
-//! [`SmpOs::fail_cell`] models a cell dying mid-operation at a chosen
+//! `SmpOs::fail_cell` models a cell dying mid-operation at a chosen
 //! fault site: the cell takes one last doomed operation with the site
 //! armed, is marked dead, and is then *recovered* — its processes
 //! reaped (returning their PIDs to the shared table), its frame
@@ -67,7 +67,7 @@ pub struct SmpOs {
     dead: Vec<AtomicBool>,
 }
 
-/// What [`SmpOs::fail_cell`] did, for assertions and reports.
+/// What `SmpOs::fail_cell` did, for assertions and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellFailure {
     /// Which cell died.
@@ -127,12 +127,12 @@ impl SmpOs {
 
     /// True once [`SmpOs::fail_cell`] has killed cell `c`. Storm workers
     /// poll this and redirect work to a surviving cell.
-    pub fn is_dead(&self, c: usize) -> bool {
+    pub(crate) fn is_dead(&self, c: usize) -> bool {
         self.dead[c].load(Ordering::Acquire)
     }
 
     /// Number of cells still alive.
-    pub fn live_cells(&self) -> usize {
+    pub(crate) fn live_cells(&self) -> usize {
         self.dead
             .iter()
             .filter(|d| !d.load(Ordering::Acquire))
@@ -162,7 +162,7 @@ impl SmpOs {
     ///
     /// Afterwards [`SmpOs::check_quiesced`] holds the dead cell to the
     /// *empty* standard: zero processes, zero drawn frames.
-    pub fn fail_cell(&self, c: usize, site: FaultSite) -> CellFailure {
+    pub(crate) fn fail_cell(&self, c: usize, site: FaultSite) -> CellFailure {
         let mut os = self.cells[c].lock();
         let init = os.init;
         let (dying_gasp, trace) =

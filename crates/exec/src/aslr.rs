@@ -30,13 +30,13 @@ impl Default for AslrConfig {
 /// Fixed bases the randomised offsets are added to (VPNs).
 mod bases {
     /// Text around 0x0000_5555_5000_0000-ish, scaled into VPN space.
-    pub const TEXT: u64 = 0x0000_1000;
+    pub(crate) const TEXT: u64 = 0x0000_1000;
     /// Heap above text.
-    pub const HEAP: u64 = 0x0010_0000;
+    pub(crate) const HEAP: u64 = 0x0010_0000;
     /// The mmap arena.
-    pub const MMAP: u64 = 0x0400_0000;
+    pub(crate) const MMAP: u64 = 0x0400_0000;
     /// Stack near the top of the user half (grows down).
-    pub const STACK: u64 = 0x7000_0000;
+    pub(crate) const STACK: u64 = 0x7000_0000;
 }
 
 /// Draws a layout for one exec, using `seed` for determinism.

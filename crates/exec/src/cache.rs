@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 /// Mask extracting the registry-assigned base file id from an effective
 /// file id (the write generation lives above bit 32).
-pub const BASE_ID_MASK: u64 = 0xFFFF_FFFF;
+pub(crate) const BASE_ID_MASK: u64 = 0xFFFF_FFFF;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -44,7 +44,6 @@ pub struct ImageCache {
     tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl ImageCache {
@@ -58,7 +57,7 @@ impl ImageCache {
     /// binary under an older generation is stale: it is evicted on sight
     /// (unpinning its frames) and the lookup counts as a miss, so a
     /// rewritten binary is always re-read from the filesystem.
-    pub fn lookup(&mut self, kernel: &mut Kernel, eff_file_id: u64) -> Option<Vec<(u64, Pfn)>> {
+    pub(crate) fn lookup(&mut self, kernel: &mut Kernel, eff_file_id: u64) -> Option<Vec<(u64, Pfn)>> {
         let base = eff_file_id & BASE_ID_MASK;
         let stale = matches!(
             self.entries.get(&base),
@@ -91,7 +90,7 @@ impl ImageCache {
     /// cache and frame pins untouched. Charges no cycles: pinning is
     /// bookkeeping, and the insert must leave the donor's spawn cost
     /// exactly equal to the uncached path's.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         kernel: &mut Kernel,
         eff_file_id: u64,
@@ -123,7 +122,7 @@ impl ImageCache {
     /// survives through its mapping references and counts for nothing).
     /// This is the cache's [`fpr_kernel::Shrinker`] work; the reclaim
     /// pass crosses the fault site before calling it.
-    pub fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
+    pub(crate) fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
         let free_before = kernel.phys.free_frames();
         while kernel.phys.free_frames() - free_before < target {
             let lru = self
@@ -145,7 +144,6 @@ impl ImageCache {
                     .unpin(pfn, &mut kernel.cycles)
                     .expect("cached frame holds a pin");
             }
-            self.evictions += 1;
             metrics::incr("exec.image_cache.evict");
         }
     }
@@ -157,16 +155,6 @@ impl ImageCache {
         for b in bases {
             self.evict(kernel, b);
         }
-    }
-
-    /// Number of cached binaries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total pinned frames across all entries.
@@ -182,11 +170,6 @@ impl ImageCache {
     /// Lookup misses (including stale evictions) so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Entries evicted (stale generation or replacement) so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -320,7 +303,11 @@ mod tests {
         let b = k.allocate_process(init, "b").unwrap();
         let layout = randomize(AslrConfig::default(), 6);
         load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
-        assert_eq!(cache.evictions(), 1, "stale entry evicted on sight");
+        assert_eq!(
+            metrics::snapshot().counter("exec.image_cache.evict"),
+            1,
+            "stale entry evicted on sight"
+        );
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
         assert_eq!(
@@ -358,19 +345,19 @@ mod tests {
         let p = k.allocate_process(init, "p").unwrap();
         load(&mut k, p, &warm, randomize(AslrConfig::default(), 12), Some(&mut cache)).unwrap();
         k.abort_process_creation(p).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.cached_frames(), 4, "two entries of two frames");
 
         // Asking for one frame evicts exactly the cold entry (2 frames,
         // both pinned-only, so both come back).
         let freed = cache.shrink(&mut k, 1).unwrap();
         assert_eq!(freed, 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.cached_frames(), 2);
         assert!(cache.lookup(&mut k, warm.file_id).is_some(), "warm survived");
         assert!(cache.lookup(&mut k, cold.file_id).is_none(), "cold evicted");
         // Shrinking an empty-enough cache reports what it could do.
         let freed = cache.shrink(&mut k, 1000).unwrap();
         assert_eq!(freed, 2);
-        assert!(cache.is_empty());
+        assert_eq!(cache.cached_frames(), 0);
         k.check_invariants().unwrap();
     }
 
@@ -385,7 +372,7 @@ mod tests {
         let used = k.phys.used_frames();
         assert_eq!(cache.cached_frames(), 2);
         cache.clear(&mut k);
-        assert!(cache.is_empty());
+        assert_eq!(cache.cached_frames(), 0);
         assert_eq!(
             k.phys.used_frames(),
             used - 2,

@@ -7,6 +7,8 @@
 //! transitions (close-on-exec sweep, signal-handler reset, thread
 //! collapse) that undo most of what fork copied.
 
+#![warn(missing_docs)]
+
 pub mod aslr;
 pub mod cache;
 pub mod exec;
@@ -16,5 +18,5 @@ pub mod loader;
 pub use aslr::{randomize, shared_bits, AslrConfig};
 pub use cache::ImageCache;
 pub use exec::{effective_file_id, execve, execve_args, Env};
-pub use image::{Executable, Image, ImageRegistry};
-pub use loader::{load, STARTUP_TOUCHED_PAGES};
+pub use image::{Image, ImageRegistry};
+pub use loader::load;

@@ -10,10 +10,6 @@ use crate::image::Image;
 use fpr_kernel::{Errno, KResult, Kernel, LayoutInfo, Pid};
 use fpr_mem::{Backing, Pfn, Prot, Share, VmArea, VmaKind, Vpn};
 
-/// Pages the loader eagerly populates (entry page of text, first data
-/// page, first stack page) — the faults a real exec takes before main().
-pub const STARTUP_TOUCHED_PAGES: u64 = 3;
-
 /// Maps `image` into the (empty) address space of `pid` at the bases given
 /// by `layout`, then touches the startup pages.
 ///
@@ -200,7 +196,9 @@ mod tests {
         assert_eq!(p.aspace.vma_count(), 6);
         assert_eq!(p.name, "sh");
         assert_eq!(p.layout, layout);
-        assert_eq!(p.resident_pages(), STARTUP_TOUCHED_PAGES);
+        // The entry page of text, the first data page, the first stack
+        // page: the faults a real exec takes before main().
+        assert_eq!(p.resident_pages(), 3);
     }
 
     #[test]

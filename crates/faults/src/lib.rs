@@ -51,9 +51,8 @@
 //! [`flush_coverage`] before finishing and the driver reads
 //! [`global_coverage`] after join, so a concurrent sweep can assert
 //! which sites the whole machine crossed and injected. Per-cell plans
-//! derive from one root seed via [`derive_cell_seed`] /
-//! [`FaultPlan::random_for_cell`], keeping every thread's schedule
-//! deterministic and replayable.
+//! derive from one root seed via [`derive_cell_seed`], keeping every
+//! thread's schedule deterministic and replayable.
 //!
 //! ## Observers
 //!
@@ -272,15 +271,6 @@ impl FaultPlan {
             }),
             ..FaultPlan::default()
         }
-    }
-
-    /// A [`FaultPlan::random`] plan for one SMP cell, seeded from a
-    /// single machine-wide root seed via [`derive_cell_seed`]. Every
-    /// cell's schedule is deterministic, distinct, and reconstructible
-    /// from `(root_seed, cell)` alone — the concurrent faultsweep logs
-    /// only the root seed.
-    pub fn random_for_cell(root_seed: u64, cell: usize, per_1024: u16) -> FaultPlan {
-        FaultPlan::random(derive_cell_seed(root_seed, cell), per_1024)
     }
 
     fn wants(&self, site: FaultSite, occurrence: u64, global_index: u64) -> bool {
@@ -836,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn random_for_cell_matches_explicit_derivation() {
+    fn derived_cell_seeds_give_siblings_distinct_schedules() {
         let run = |plan: FaultPlan| {
             with_plan(plan, || {
                 (0..64)
@@ -845,12 +835,9 @@ mod tests {
             })
             .0
         };
-        let derived = run(FaultPlan::random(derive_cell_seed(7, 2), 256));
-        let for_cell = run(FaultPlan::random_for_cell(7, 2, 256));
-        assert_eq!(derived, for_cell);
         assert_ne!(
-            run(FaultPlan::random_for_cell(7, 0, 256)),
-            run(FaultPlan::random_for_cell(7, 1, 256)),
+            run(FaultPlan::random(derive_cell_seed(7, 0), 256)),
+            run(FaultPlan::random(derive_cell_seed(7, 1), 256)),
             "sibling cells must not mirror each other's schedules"
         );
     }

@@ -5,19 +5,14 @@
 //! cross-process API can instead start a child with reduced credentials.
 
 
-/// Capability bits (a deliberately small subset).
+/// Capability bits: a set of four, of which only the one something tests
+/// for has a name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Caps(pub u32);
 
 impl Caps {
-    /// Override file permission checks.
-    pub const DAC_OVERRIDE: Caps = Caps(1 << 0);
     /// Send signals to arbitrary processes.
     pub const KILL: Caps = Caps(1 << 1);
-    /// Exceed resource limits.
-    pub const SYS_RESOURCE: Caps = Caps(1 << 2);
-    /// Change credentials.
-    pub const SETUID: Caps = Caps(1 << 3);
 
     /// The empty capability set.
     pub const fn none() -> Caps {
@@ -30,13 +25,8 @@ impl Caps {
     }
 
     /// Returns true if every bit of `other` is held.
-    pub const fn has(self, other: Caps) -> bool {
+    pub(crate) const fn has(self, other: Caps) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// Returns the union of two sets.
-    pub const fn union(self, other: Caps) -> Caps {
-        Caps(self.0 | other.0)
     }
 
     /// Removes the bits of `other`.
@@ -77,17 +67,6 @@ impl Credentials {
         }
     }
 
-    /// Unprivileged user credentials.
-    pub fn user(uid: u32, gid: u32) -> Credentials {
-        Credentials {
-            uid,
-            euid: uid,
-            gid,
-            egid: gid,
-            caps: Caps::none(),
-        }
-    }
-
     /// Returns true if the credentials carry root or the given capability.
     pub fn can(self, cap: Caps) -> bool {
         self.euid == 0 || self.caps.has(cap)
@@ -98,36 +77,43 @@ impl Credentials {
 mod tests {
     use super::*;
 
+    fn user(caps: Caps) -> Credentials {
+        Credentials {
+            uid: 1000,
+            euid: 1000,
+            gid: 1000,
+            egid: 1000,
+            caps,
+        }
+    }
+
     #[test]
     fn root_can_everything() {
         let r = Credentials::root();
         assert!(r.can(Caps::KILL));
-        assert!(r.can(Caps::SETUID));
         assert_eq!(r.caps.count(), 4);
     }
 
     #[test]
     fn user_without_caps_cannot() {
-        let u = Credentials::user(1000, 1000);
+        let u = user(Caps::none());
         assert!(!u.can(Caps::KILL));
         assert_eq!(u.caps.count(), 0);
     }
 
     #[test]
     fn cap_algebra() {
-        let c = Caps::KILL.union(Caps::SETUID);
+        let c = Caps::all();
         assert!(c.has(Caps::KILL));
-        assert!(!c.has(Caps::DAC_OVERRIDE));
         let d = c.drop(Caps::KILL);
         assert!(!d.has(Caps::KILL));
-        assert!(d.has(Caps::SETUID));
+        assert_eq!(d.count(), 3);
     }
 
     #[test]
     fn user_with_explicit_cap() {
-        let mut u = Credentials::user(1000, 1000);
-        u.caps = u.caps.union(Caps::KILL);
+        let u = user(Caps::KILL);
         assert!(u.can(Caps::KILL));
-        assert!(!u.can(Caps::SYS_RESOURCE));
+        assert!(!u.can(Caps::all()));
     }
 }

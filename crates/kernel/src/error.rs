@@ -56,7 +56,7 @@ pub enum Errno {
 
 impl Errno {
     /// Short upper-case name, as `strerror` tooling prints it.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Errno::Eagain => "EAGAIN",
             Errno::Enomem => "ENOMEM",

@@ -19,9 +19,6 @@ pub struct Fd(pub u32);
 pub const STDIN: Fd = Fd(0);
 /// Standard output.
 pub const STDOUT: Fd = Fd(1);
-/// Standard error.
-pub const STDERR: Fd = Fd(2);
-
 /// One descriptor-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FdEntry {
@@ -45,13 +42,13 @@ pub struct FdTable {
 
 impl FdTable {
     /// Creates an empty table.
-    pub fn new() -> FdTable {
+    pub(crate) fn new() -> FdTable {
         FdTable::default()
     }
 
     /// Installs `entry` at the lowest free descriptor, enforcing `limit`
     /// (the `RLIMIT_NOFILE` soft limit).
-    pub fn install(&mut self, entry: FdEntry, limit: u64) -> KResult<Fd> {
+    pub(crate) fn install(&mut self, entry: FdEntry, limit: u64) -> KResult<Fd> {
         fpr_faults::cross(FaultSite::FdAlloc).map_err(|_| Errno::Emfile)?;
         // Keys iterate ascending: the first index not matching its rank is
         // the lowest free descriptor (POSIX lowest-fd rule).
@@ -86,7 +83,7 @@ impl FdTable {
     }
 
     /// Sets or clears `FD_CLOEXEC`.
-    pub fn set_cloexec(&mut self, fd: Fd, cloexec: bool) -> KResult<()> {
+    pub(crate) fn set_cloexec(&mut self, fd: Fd, cloexec: bool) -> KResult<()> {
         match self.slots.get_mut(&fd.0) {
             Some(e) => {
                 e.cloexec = cloexec;
@@ -97,7 +94,7 @@ impl FdTable {
     }
 
     /// Removes a descriptor, returning its entry for release.
-    pub fn remove(&mut self, fd: Fd) -> KResult<FdEntry> {
+    pub(crate) fn remove(&mut self, fd: Fd) -> KResult<FdEntry> {
         self.slots.remove(&fd.0).ok_or(Errno::Ebadf)
     }
 
@@ -128,11 +125,6 @@ impl FdTable {
     /// Number of open descriptors.
     pub fn open_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Highest open descriptor, if any.
-    pub fn highest(&self) -> Option<Fd> {
-        self.slots.last_key_value().map(|(i, _)| Fd(*i))
     }
 }
 
@@ -194,13 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_ascending_and_highest() {
+    fn iter_ascending() {
         let mut t = FdTable::new();
         t.install(e(0), 64).unwrap();
         t.install_at(Fd(5), e(5), 64).unwrap();
         let fds: Vec<u32> = t.iter().map(|(fd, _)| fd.0).collect();
         assert_eq!(fds, vec![0, 5]);
-        assert_eq!(t.highest(), Some(Fd(5)));
         assert_eq!(t.open_count(), 2);
     }
 

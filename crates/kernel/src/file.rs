@@ -69,7 +69,7 @@ pub enum FileObject {
 
 /// An open file description: object + cursor + flags.
 #[derive(Debug, Clone)]
-pub struct OpenFile {
+pub(crate) struct OpenFile {
     /// The underlying object.
     pub object: FileObject,
     /// Shared file offset (meaningful for vnodes).
@@ -88,7 +88,7 @@ pub struct OfdTable {
 
 impl OfdTable {
     /// Creates an empty table.
-    pub fn new() -> OfdTable {
+    pub(crate) fn new() -> OfdTable {
         OfdTable::default()
     }
 
@@ -110,7 +110,7 @@ impl OfdTable {
     }
 
     /// Borrows a live description.
-    pub fn get(&self, id: OfdId) -> KResult<&OpenFile> {
+    pub(crate) fn get(&self, id: OfdId) -> KResult<&OpenFile> {
         self.slots
             .get(id.0 as usize)
             .and_then(|s| s.as_ref())
@@ -118,7 +118,7 @@ impl OfdTable {
     }
 
     /// Mutably borrows a live description.
-    pub fn get_mut(&mut self, id: OfdId) -> KResult<&mut OpenFile> {
+    pub(crate) fn get_mut(&mut self, id: OfdId) -> KResult<&mut OpenFile> {
         self.slots
             .get_mut(id.0 as usize)
             .and_then(|s| s.as_mut())
@@ -126,7 +126,7 @@ impl OfdTable {
     }
 
     /// Adds a reference (dup, fork inheritance, spawn installation).
-    pub fn incref(&mut self, id: OfdId) -> KResult<()> {
+    pub(crate) fn incref(&mut self, id: OfdId) -> KResult<()> {
         self.get_mut(id)?.refs += 1;
         Ok(())
     }
@@ -134,7 +134,7 @@ impl OfdTable {
     /// Drops a reference. When the last reference dies, the description is
     /// destroyed and its object returned so the caller can release
     /// object-side state (pipe end counts).
-    pub fn decref(&mut self, id: OfdId) -> KResult<Option<FileObject>> {
+    pub(crate) fn decref(&mut self, id: OfdId) -> KResult<Option<FileObject>> {
         let f = self.get_mut(id)?;
         debug_assert!(f.refs > 0);
         f.refs -= 1;
@@ -148,18 +148,13 @@ impl OfdTable {
         }
     }
 
-    /// Current reference count (test aid).
-    pub fn refs(&self, id: OfdId) -> KResult<u32> {
-        Ok(self.get(id)?.refs)
-    }
-
     /// Number of live descriptions.
     pub fn live(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Iterates over live `(id, description)` pairs (invariant checking).
-    pub fn iter(&self) -> impl Iterator<Item = (OfdId, &OpenFile)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (OfdId, &OpenFile)> {
         self.slots
             .iter()
             .enumerate()
@@ -169,7 +164,7 @@ impl OfdTable {
 
 impl OpenFile {
     /// Current reference count.
-    pub fn ref_count(&self) -> u32 {
+    pub(crate) fn ref_count(&self) -> u32 {
         self.refs
     }
 }
@@ -183,7 +178,7 @@ mod tests {
         let mut t = OfdTable::new();
         let id = t.insert(FileObject::Null, OpenFlags::RDWR);
         assert_eq!(t.get(id).unwrap().object, FileObject::Null);
-        assert_eq!(t.refs(id), Ok(1));
+        assert_eq!(t.get(id).unwrap().refs, 1);
         assert_eq!(t.live(), 1);
     }
 

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// Default base VPN for the mmap arena when a process has no recorded
 /// layout (0x4000_0000 bytes ≫ 12).
-pub const DEFAULT_MMAP_BASE: u64 = 0x4000_0000 >> 12;
+pub(crate) const DEFAULT_MMAP_BASE: u64 = 0x4000_0000 >> 12;
 
 /// Machine configuration.
 #[derive(Debug, Clone)]
@@ -118,15 +118,13 @@ pub struct Kernel {
     /// leak check and the "PIDs held == process-table entries" invariant
     /// read this, since the table's own count is machine-wide.
     pub(crate) held_pids: usize,
-    /// The machine-wide OOM single-flight guard.
-    pub(crate) oom_guard: Arc<OomGuard>,
 }
 
 /// The services one machine shares across its cells: every cell is a
 /// [`Kernel`], drawing frames from one pool, PIDs from one striped
-/// table, shootdowns over one interconnect, and OOM decisions through
-/// one single-flight guard. A multi-cell (SMP) machine runs each cell on
-/// its own OS thread; [`Kernel::new`] is the one-cell machine.
+/// table, shootdowns over one interconnect, and one OOM-kill lease. A
+/// multi-cell (SMP) machine runs each cell on its own OS thread;
+/// [`Kernel::new`] is the one-cell machine.
 ///
 /// Build one `SmpShared`, then boot each cell with [`Kernel::new_smp`].
 #[derive(Debug, Clone)]
@@ -137,7 +135,7 @@ pub struct SmpShared {
     pub pids: Arc<ShardedPidTable>,
     /// The TLB-shootdown interconnect.
     pub tlb: Arc<TlbBus>,
-    /// The OOM-killer single-flight guard.
+    /// The OOM-kill lease.
     pub oom: Arc<OomGuard>,
 }
 
@@ -279,7 +277,6 @@ impl Kernel {
             pid_table: Arc::clone(&shared.pids),
             cell,
             held_pids: 0,
-            oom_guard: Arc::clone(&shared.oom),
         }
     }
 
@@ -396,7 +393,7 @@ impl Kernel {
 
     /// Fails with [`Errno::Esrch`] unless `pid` exists and is not a
     /// zombie — a zombie has no threads left to issue syscalls.
-    pub fn ensure_alive(&self, pid: Pid) -> KResult<()> {
+    pub(crate) fn ensure_alive(&self, pid: Pid) -> KResult<()> {
         if self.process(pid)?.is_zombie() {
             Err(Errno::Esrch)
         } else {
@@ -475,7 +472,7 @@ impl Kernel {
 
     /// Resolves the process whose address space `pid` actually operates
     /// on: itself normally, or the lender for a vfork borrower.
-    pub fn space_owner(&self, pid: Pid) -> KResult<Pid> {
+    pub(crate) fn space_owner(&self, pid: Pid) -> KResult<Pid> {
         let mut cur = pid;
         for _ in 0..16 {
             match self.process(cur)?.space_ref {
@@ -939,7 +936,7 @@ impl Kernel {
     }
 
     /// Returns a vfork borrow: unparks the parent.
-    pub fn vfork_return(&mut self, parent: Pid, child: Pid) -> KResult<()> {
+    pub(crate) fn vfork_return(&mut self, parent: Pid, child: Pid) -> KResult<()> {
         let p = self.process_mut(parent)?;
         p.vfork_children.retain(|c| *c != child);
         if p.vfork_children.is_empty() {
@@ -1146,9 +1143,11 @@ mod tests {
         let (mut k, init) = boot_with_init();
         let table = k.clone_fd_table(init).unwrap();
         assert_eq!(table.open_count(), 3);
-        // Each of the three stdio OFDs now has two references.
+        // Each of the three stdio OFDs now has two references: it
+        // survives the first drop and dies with the second.
         let entry = table.get(crate::fdtable::STDOUT).unwrap();
-        assert_eq!(k.ofds.refs(entry.ofd), Ok(2));
+        assert_eq!(k.ofds.decref(entry.ofd), Ok(None));
+        assert!(matches!(k.ofds.decref(entry.ofd), Ok(Some(_))));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! [`kernel::Kernel::clone_address_space`],
 //! [`kernel::Kernel::clone_fd_table`], …).
 
+#![warn(missing_docs)]
+
 pub mod atfork;
 pub mod cred;
 pub mod error;
@@ -45,12 +47,12 @@ pub mod vfs;
 pub use atfork::{AtforkPhase, AtforkRegistration, AtforkTable};
 pub use cred::{Caps, Credentials};
 pub use error::{Errno, KResult};
-pub use fdtable::{Fd, FdEntry, FdTable, STDERR, STDIN, STDOUT};
+pub use fdtable::{Fd, FdEntry, FdTable, STDIN, STDOUT};
 pub use file::{FileObject, OfdId, OpenFlags};
 pub use invariants::KernelBaseline;
 pub use io::ReadResult;
 pub use kernel::{Inherit, Kernel, MachineConfig, SmpShared};
-pub use lifecycle::{OomDecision, OomGuard, OOM_EXIT_STATUS, SIGBUS_EXIT_STATUS};
+pub use lifecycle::{OomGuard, SIGBUS_EXIT_STATUS};
 pub use mm::Madvice;
 pub use pgroup::{Pgid, Sid};
 pub use pid::{Pid, ShardedPidTable, Tid};

@@ -7,60 +7,34 @@ use crate::signal::{DefaultAction, Disposition, Sig};
 use crate::task::{ProcState, SpaceRef};
 use fpr_trace::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
-pub const OOM_EXIT_STATUS: i32 = 137;
+pub(crate) const OOM_EXIT_STATUS: i32 = 137;
 
 /// Exit status of a process killed by a fatal `SIGBUS` (128 + SIGBUS) —
 /// the fate of a process whose swapped-out page the device fails to read
 /// back.
 pub const SIGBUS_EXIT_STATUS: i32 = 135;
 
-/// Single-flight guard for the machine's OOM killer.
+/// The machine's OOM-kill lease.
 ///
-/// Memory pressure on a shared frame pool is machine-wide, so under a
-/// concurrent allocation storm several cells can conclude "someone must
-/// die" from the *same* exhaustion — and a naive per-cell killer would
-/// shoot one victim per cell where one kill machine-wide was enough. The
-/// guard is an epoch counter: a caller records the epoch when it first
-/// sees `ENOMEM`, and a kill only proceeds if it can advance that exact
-/// epoch ([`OomGuard::try_acquire`] is a compare-and-swap). Every
-/// concurrent attempt that observed the same exhaustion loses the race
-/// and retries its allocation against the memory the winner's kill just
-/// freed.
-///
-/// On top of the epoch sits a *lease*: the cell actually executing a
-/// kill holds it for the duration ([`OomGuard::try_lease`] /
-/// [`OomGuard::release_lease`]). The lease exists for the failure
-/// model: a cell that fail-stops mid-kill leaves it held, and recovery
-/// must explicitly release it (the SMP driver's `fail_cell` does) or
-/// the machine's OOM killer is wedged forever — exactly the "stuck
-/// lock" class of bug E17 tests for.
+/// Memory pressure on a shared frame pool is machine-wide, so a kill is
+/// a machine-wide act: the cell executing one holds the lease for its
+/// duration ([`OomGuard::try_lease`] / [`OomGuard::release_lease`]). The
+/// lease exists for the failure model: a cell that fail-stops mid-kill
+/// leaves it held, and recovery must explicitly release it (the SMP
+/// driver's `fail_cell` does) or the machine's OOM killer is wedged
+/// forever — exactly the "stuck lock" class of bug E17 tests for.
 #[derive(Debug, Default)]
 pub struct OomGuard {
-    epoch: AtomicU64,
     /// 0 = free; `cell + 1` = the cell currently executing a kill.
     owner: AtomicU64,
 }
 
 impl OomGuard {
     /// A fresh guard at epoch zero.
-    pub fn new() -> OomGuard {
+    pub(crate) fn new() -> OomGuard {
         OomGuard::default()
-    }
-
-    /// The current kill epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Attempts to claim the kill for `observed` — exactly one caller per
-    /// epoch succeeds.
-    pub fn try_acquire(&self, observed: u64) -> bool {
-        self.epoch
-            .compare_exchange(observed, observed + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
     }
 
     /// Attempts to take the kill lease for `cell`. Fails if any cell
@@ -87,21 +61,6 @@ impl OomGuard {
             c => Some(c as usize - 1),
         }
     }
-}
-
-/// What a guarded OOM-kill attempt did (see [`Kernel::oom_kill_guarded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OomDecision {
-    /// This caller won the epoch and killed the victim.
-    Killed(Pid),
-    /// This caller won the epoch but every process is exempt.
-    NoVictim,
-    /// Pressure already cleared — someone else's kill or reclaim freed
-    /// the frames; retry the allocation.
-    Relieved,
-    /// Another cell killed for the same observed exhaustion; retry the
-    /// allocation.
-    Raced,
 }
 
 impl Kernel {
@@ -135,7 +94,7 @@ impl Kernel {
 
     /// Delivers every deliverable pending signal of `target`:
     /// handlers are logged, defaults are applied (terminate/ignore).
-    pub fn deliver_pending(&mut self, target: Pid) -> KResult<()> {
+    pub(crate) fn deliver_pending(&mut self, target: Pid) -> KResult<()> {
         loop {
             let (sig, disp) = {
                 let p = self.process_mut(target)?;
@@ -332,51 +291,6 @@ impl Kernel {
         Some(score.max(0))
     }
 
-    /// The OOM killer, routed through the machine-wide single-flight
-    /// guard. `observed_epoch` is the guard epoch the caller read
-    /// ([`Kernel::oom_epoch`]) when it first hit `ENOMEM`: if another
-    /// cell has killed since (the epoch moved), or pressure has already
-    /// cleared, or a concurrent attempt wins the epoch race, no second
-    /// process dies — the caller gets [`OomDecision::Raced`] /
-    /// [`OomDecision::Relieved`] and should simply retry its allocation.
-    pub fn oom_kill_guarded(&mut self, observed_epoch: u64) -> OomDecision {
-        let guard = Arc::clone(&self.oom_guard);
-        // Re-check under the shared pool's pressure: a kill on another
-        // cell frees frames machine-wide, and killing again on stale
-        // information is exactly the double-fire this guard exists to
-        // prevent.
-        if self.phys.pressure() < fpr_mem::PressureLevel::Critical {
-            metrics::incr("kernel.oom.relieved");
-            return OomDecision::Relieved;
-        }
-        // Take the kill lease for the duration of the kill. A held lease
-        // means another cell is mid-kill (or died mid-kill and has not
-        // been recovered): treat it like losing the epoch race — retry
-        // the allocation rather than stacking a second victim.
-        let cell = self.cell;
-        if !guard.try_lease(cell) {
-            metrics::incr("kernel.oom.raced");
-            return OomDecision::Raced;
-        }
-        let decision = if !guard.try_acquire(observed_epoch) {
-            metrics::incr("kernel.oom.raced");
-            OomDecision::Raced
-        } else {
-            match self.oom_kill() {
-                Some(pid) => OomDecision::Killed(pid),
-                None => OomDecision::NoVictim,
-            }
-        };
-        guard.release_lease(cell);
-        decision
-    }
-
-    /// This kernel's cell index (its home PID shard); 0 on a
-    /// single-kernel machine.
-    pub fn cell_id(&self) -> usize {
-        self.cell
-    }
-
     /// Evacuates a fail-stopped cell: kills every process (including
     /// init), reaps every zombie, and drains the frame magazine back to
     /// the shared pool, so the machine continues degraded with nothing
@@ -420,11 +334,6 @@ impl Kernel {
         // the kills above this leaves the cell drawing zero frames.
         self.phys.disable_frame_cache();
         Ok(evacuated)
-    }
-
-    /// The OOM guard epoch to observe before attempting a guarded kill.
-    pub fn oom_epoch(&self) -> u64 {
-        self.oom_guard.epoch()
     }
 
     /// The OOM killer: kills the process with the highest badness (see
@@ -649,83 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn guarded_oom_kill_is_single_flight_across_cells() {
-        let cfg = crate::kernel::MachineConfig {
-            frames: 256,
-            ..Default::default()
-        };
-        let shared = crate::kernel::SmpShared::new(&cfg, 2);
-        let mut k1 = Kernel::new_smp(cfg.clone(), &shared, 0);
-        let mut k2 = Kernel::new_smp(cfg, &shared, 1);
-        let i1 = k1.create_init("init").unwrap();
-        let i2 = k2.create_init("init").unwrap();
-        assert_ne!(i1, i2, "cells draw disjoint pids from the shared table");
-
-        // Grows `pid` in 4-page bites until the shared pool hits the
-        // Critical watermark (min = 4 for 256 frames, so a bite always
-        // fits while pressure is still below Critical).
-        fn drive_critical(k: &mut Kernel, pid: Pid) {
-            while k.phys.pressure() < fpr_mem::PressureLevel::Critical {
-                let b = k.mmap_anon(pid, 4, Prot::RW, Share::Private).unwrap();
-                k.populate(pid, b, 4).unwrap();
-            }
-        }
-
-        let hog = k1.allocate_process(i1, "hog").unwrap();
-        drive_critical(&mut k1, hog);
-
-        // Both cells observed the emergency at the same guard epoch.
-        let stale = k1.oom_epoch();
-        assert_eq!(stale, k2.oom_epoch());
-
-        // Cell 0 wins and kills its hog.
-        assert_eq!(k1.oom_kill_guarded(stale), OomDecision::Killed(hog));
-        assert_eq!(k1.oom_kills, vec![hog]);
-
-        // That kill freed frames machine-wide: cell 1's attempt at the
-        // same (now stale) epoch finds pressure relieved and does nothing.
-        assert_eq!(k2.oom_kill_guarded(stale), OomDecision::Relieved);
-        assert!(k2.oom_kills.is_empty(), "no double kill after relief");
-
-        // Re-create pressure from cell 1. An attempt still quoting the
-        // old epoch loses the CAS — someone already acted on that
-        // sighting — so it must not fire a second kill either.
-        let hog2 = k2.allocate_process(i2, "hog2").unwrap();
-        drive_critical(&mut k2, hog2);
-        assert_eq!(k2.oom_kill_guarded(stale), OomDecision::Raced);
-        assert!(k2.oom_kills.is_empty(), "raced attempt must not kill");
-        assert!(!k2.process(hog2).unwrap().is_zombie());
-
-        // Quoting the current epoch is a fresh sighting: the kill fires.
-        let fresh = k2.oom_epoch();
-        assert_eq!(k2.oom_kill_guarded(fresh), OomDecision::Killed(hog2));
-    }
-
-    #[test]
-    fn one_cell_guarded_oom_kill_fires_only_at_critical() {
-        let mut k = Kernel::new(crate::kernel::MachineConfig {
-            frames: 256,
-            ..Default::default()
-        });
-        let init = k.create_init("init").unwrap();
-        let hog = k.allocate_process(init, "hog").unwrap();
-        let b = k.mmap_anon(hog, 4, Prot::RW, Share::Private).unwrap();
-        k.populate(hog, b, 4).unwrap();
-        // Plenty of memory left: the guard refuses to kill on a sighting
-        // that pressure no longer backs.
-        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Relieved);
-        assert!(k.oom_kills.is_empty());
-        while k.phys.pressure() < fpr_mem::PressureLevel::Critical {
-            let b = k.mmap_anon(hog, 4, Prot::RW, Share::Private).unwrap();
-            k.populate(hog, b, 4).unwrap();
-        }
-        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Killed(hog));
-        assert_eq!(k.oom_kills, vec![hog]);
-        assert_eq!(k.oom_guard.lease_holder(), None, "lease free afterwards");
-        assert_eq!(k.oom_kill_guarded(k.oom_epoch()), OomDecision::Relieved);
-    }
-
-    #[test]
     fn oom_lease_is_exclusive_and_releasable_by_owner_only() {
         let g = OomGuard::new();
         assert_eq!(g.lease_holder(), None);
@@ -736,35 +568,6 @@ mod tests {
         assert!(g.release_lease(2));
         assert_eq!(g.lease_holder(), None);
         assert!(g.try_lease(0), "released lease is takeable again");
-    }
-
-    #[test]
-    fn stuck_lease_makes_guarded_kill_race_until_broken() {
-        let cfg = crate::kernel::MachineConfig {
-            frames: 256,
-            ..Default::default()
-        };
-        let shared = crate::kernel::SmpShared::new(&cfg, 2);
-        let mut k1 = Kernel::new_smp(cfg, &shared, 0);
-        let i1 = k1.create_init("init").unwrap();
-        let hog = k1.allocate_process(i1, "hog").unwrap();
-        while k1.phys.pressure() < fpr_mem::PressureLevel::Critical {
-            let b = k1.mmap_anon(hog, 4, Prot::RW, Share::Private).unwrap();
-            k1.populate(hog, b, 4).unwrap();
-        }
-        // Cell 1 died mid-kill: its lease is stuck.
-        assert!(shared.oom.try_lease(1));
-        let epoch = k1.oom_epoch();
-        assert_eq!(
-            k1.oom_kill_guarded(epoch),
-            OomDecision::Raced,
-            "a stuck lease must not let a second kill stack"
-        );
-        assert!(k1.oom_kills.is_empty());
-        // Recovery breaks the dead cell's lease; the survivor proceeds.
-        assert!(shared.oom.release_lease(1));
-        assert_eq!(k1.oom_kill_guarded(epoch), OomDecision::Killed(hog));
-        assert_eq!(shared.oom.lease_holder(), None, "kill path releases after itself");
     }
 
     #[test]
@@ -867,7 +670,7 @@ mod tests {
         let _ = w;
         k.exit(c, 0).unwrap();
         // Child's write end died with it: parent sees EOF.
-        let pr = k.process(init).unwrap().fds.highest().unwrap();
+        let (pr, _) = k.process(init).unwrap().fds.iter().last().unwrap();
         assert_eq!(k.read_fd(init, pr, 8).unwrap(), crate::io::ReadResult::Eof);
     }
 

@@ -1,6 +1,6 @@
 //! Process and thread identifier allocation.
 //!
-//! Two layers: [`PidAllocator`] is the classic bitmap, and
+//! Two layers: `PidAllocator` is the classic bitmap, and
 //! [`ShardedPidTable`] — the machine's one PID space — stripes it across
 //! independently locked allocators, one per cell, so concurrent creators
 //! on different cells rarely touch the same lock — fork storms serialize
@@ -32,7 +32,7 @@ impl std::fmt::Display for Pid {
 
 /// Allocates PIDs with wraparound and recycling, like Linux's pid bitmap.
 #[derive(Debug, Clone)]
-pub struct PidAllocator {
+pub(crate) struct PidAllocator {
     next: u32,
     max: u32,
     in_use: BTreeSet<u32>,
@@ -40,7 +40,7 @@ pub struct PidAllocator {
 
 impl PidAllocator {
     /// Creates an allocator handing out PIDs `1..=max`.
-    pub fn new(max: u32) -> Self {
+    pub(crate) fn new(max: u32) -> Self {
         PidAllocator {
             next: 1,
             max,
@@ -55,7 +55,7 @@ impl PidAllocator {
     /// here: [`ShardedPidTable`] crosses [`FaultSite::PidAlloc`] once per
     /// machine-wide allocation (so an injected fault is never masked by
     /// the overflow scan) and then calls this on each candidate shard.
-    pub fn alloc(&mut self) -> KResult<Pid> {
+    pub(crate) fn alloc(&mut self) -> KResult<Pid> {
         if self.in_use.len() as u32 >= self.max {
             return Err(Errno::Eagain);
         }
@@ -77,7 +77,7 @@ impl PidAllocator {
     /// # Panics
     ///
     /// Panics if the PID was not allocated.
-    pub fn free(&mut self, pid: Pid) {
+    pub(crate) fn free(&mut self, pid: Pid) {
         assert!(
             self.in_use.remove(&pid.0),
             "freeing unallocated pid {}",
@@ -86,13 +86,8 @@ impl PidAllocator {
     }
 
     /// Number of live PIDs.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.in_use.len()
-    }
-
-    /// The maximum simultaneously live PIDs.
-    pub fn capacity(&self) -> u32 {
-        self.max
     }
 }
 
@@ -103,7 +98,7 @@ impl PidAllocator {
 /// 1, 5, 9, …; shard 1 hands out 2, 6, 10, …. Each cell allocates from
 /// its *home* shard first and only scans the others when that shard is
 /// exhausted, so uncontended creation storms never collide on a lock.
-/// Every shard is a [`PidAllocator`] underneath; the table crosses
+/// Every shard is a `PidAllocator` underneath; the table crosses
 /// [`FaultSite::PidAlloc`] once per allocation and exhaustion surfaces
 /// as [`Errno::Eagain`].
 #[derive(Debug)]
@@ -118,7 +113,7 @@ impl ShardedPidTable {
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(shards: usize, max_pids: u32) -> ShardedPidTable {
+    pub(crate) fn new(shards: usize, max_pids: u32) -> ShardedPidTable {
         assert!(shards > 0, "need at least one pid shard");
         let per = (max_pids / shards as u32).max(1);
         ShardedPidTable {
@@ -145,7 +140,7 @@ impl ShardedPidTable {
     /// the others only on exhaustion. Crosses [`FaultSite::PidAlloc`]
     /// exactly once. Fails with [`Errno::Eagain`] when every shard is
     /// dry.
-    pub fn alloc(&self, home: usize) -> KResult<Pid> {
+    pub(crate) fn alloc(&self, home: usize) -> KResult<Pid> {
         fpr_faults::cross(FaultSite::PidAlloc).map_err(|_| Errno::Eagain)?;
         let n = self.shards.len();
         let mut last = Err(Errno::Eagain);
@@ -164,7 +159,7 @@ impl ShardedPidTable {
     /// # Panics
     ///
     /// Panics if the PID was not allocated by this table.
-    pub fn free(&self, pid: Pid) {
+    pub(crate) fn free(&self, pid: Pid) {
         let (s, inner) = self.shard_of(pid);
         self.shards[s].lock().free(inner);
     }
@@ -177,18 +172,18 @@ impl ShardedPidTable {
 
 /// Allocates machine-wide thread IDs monotonically.
 #[derive(Debug, Clone, Default)]
-pub struct TidAllocator {
+pub(crate) struct TidAllocator {
     next: u64,
 }
 
 impl TidAllocator {
     /// Creates the allocator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Returns a fresh TID.
-    pub fn alloc(&mut self) -> Tid {
+    pub(crate) fn alloc(&mut self) -> Tid {
         self.next += 1;
         Tid(self.next)
     }

@@ -4,7 +4,7 @@ use crate::error::{Errno, KResult};
 use std::collections::VecDeque;
 
 /// Default pipe capacity in bytes (64 KiB, like Linux).
-pub const PIPE_CAPACITY: usize = 64 * 1024;
+pub(crate) const PIPE_CAPACITY: usize = 64 * 1024;
 
 /// Index of a pipe in the kernel pipe table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -12,7 +12,7 @@ pub struct PipeId(pub u32);
 
 /// One pipe: a byte queue plus open-end counts.
 #[derive(Debug)]
-pub struct Pipe {
+pub(crate) struct Pipe {
     buf: VecDeque<u8>,
     capacity: usize,
     /// Live read-end descriptions.
@@ -30,21 +30,11 @@ impl Pipe {
             writers: 1,
         }
     }
-
-    /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if no bytes are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// What a pipe read produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PipeRead {
+pub(crate) enum PipeRead {
     /// Bytes were available.
     Data(Vec<u8>),
     /// No data and live writers exist: the reader would block.
@@ -62,17 +52,17 @@ pub struct PipeTable {
 
 impl PipeTable {
     /// Creates an empty table.
-    pub fn new() -> PipeTable {
+    pub(crate) fn new() -> PipeTable {
         PipeTable::default()
     }
 
     /// Creates a pipe with the default capacity; both end counts start at 1.
-    pub fn create(&mut self) -> PipeId {
+    pub(crate) fn create(&mut self) -> PipeId {
         self.create_with_capacity(PIPE_CAPACITY)
     }
 
     /// Creates a pipe with a custom capacity.
-    pub fn create_with_capacity(&mut self, capacity: usize) -> PipeId {
+    pub(crate) fn create_with_capacity(&mut self, capacity: usize) -> PipeId {
         let p = Pipe::new(capacity);
         if let Some(i) = self.free.pop() {
             self.slots[i as usize] = Some(p);
@@ -90,16 +80,8 @@ impl PipeTable {
             .ok_or(Errno::Ebadf)
     }
 
-    /// Borrows a pipe.
-    pub fn pipe(&self, id: PipeId) -> KResult<&Pipe> {
-        self.slots
-            .get(id.0 as usize)
-            .and_then(|s| s.as_ref())
-            .ok_or(Errno::Ebadf)
-    }
-
     /// Iterates over live `(id, pipe)` pairs (invariant checking).
-    pub fn iter(&self) -> impl Iterator<Item = (PipeId, &Pipe)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PipeId, &Pipe)> {
         self.slots
             .iter()
             .enumerate()
@@ -109,7 +91,7 @@ impl PipeTable {
     /// Writes bytes to the pipe. Returns bytes accepted; 0 means the
     /// buffer is full (writer would block). Fails with [`Errno::Epipe`]
     /// when no read end is open — the simulated `SIGPIPE` case.
-    pub fn write(&mut self, id: PipeId, buf: &[u8]) -> KResult<usize> {
+    pub(crate) fn write(&mut self, id: PipeId, buf: &[u8]) -> KResult<usize> {
         let p = self.pipe_mut(id)?;
         if p.readers == 0 {
             return Err(Errno::Epipe);
@@ -121,7 +103,7 @@ impl PipeTable {
     }
 
     /// Reads up to `len` bytes.
-    pub fn read(&mut self, id: PipeId, len: usize) -> KResult<PipeRead> {
+    pub(crate) fn read(&mut self, id: PipeId, len: usize) -> KResult<PipeRead> {
         let p = self.pipe_mut(id)?;
         if p.buf.is_empty() {
             return Ok(if p.writers == 0 {
@@ -134,20 +116,9 @@ impl PipeTable {
         Ok(PipeRead::Data(p.buf.drain(..n).collect()))
     }
 
-    /// Registers another open description of one end (fork/dup).
-    pub fn add_end(&mut self, id: PipeId, write_end: bool) -> KResult<()> {
-        let p = self.pipe_mut(id)?;
-        if write_end {
-            p.writers += 1;
-        } else {
-            p.readers += 1;
-        }
-        Ok(())
-    }
-
     /// Drops one open description of one end; destroys the pipe when both
     /// counts reach zero.
-    pub fn drop_end(&mut self, id: PipeId, write_end: bool) -> KResult<()> {
+    pub(crate) fn drop_end(&mut self, id: PipeId, write_end: bool) -> KResult<()> {
         let p = self.pipe_mut(id)?;
         let c = if write_end {
             &mut p.writers
@@ -215,10 +186,8 @@ mod tests {
     fn destroyed_when_both_ends_closed() {
         let mut t = PipeTable::new();
         let p = t.create();
-        t.add_end(p, false).unwrap(); // forked reader
-        t.drop_end(p, false).unwrap();
         t.drop_end(p, true).unwrap();
-        assert_eq!(t.live(), 1, "one reader still open");
+        assert_eq!(t.live(), 1, "the reader still open");
         t.drop_end(p, false).unwrap();
         assert_eq!(t.live(), 0);
         assert_eq!(t.write(p, b"x"), Err(Errno::Ebadf));

@@ -97,7 +97,7 @@ impl Kernel {
     }
 
     /// Number of currently live (upgradable) shrinkers.
-    pub fn live_shrinker_count(&mut self) -> usize {
+    pub(crate) fn live_shrinker_count(&mut self) -> usize {
         self.shrinkers.retain(|w| w.strong_count() > 0);
         self.shrinkers.len()
     }
@@ -302,7 +302,7 @@ impl Kernel {
     /// True when the swap tier could make progress: the device has free
     /// slots, there is real pressure, and some live process owns an
     /// evictable page.
-    pub fn swap_could_help(&mut self) -> bool {
+    pub(crate) fn swap_could_help(&mut self) -> bool {
         if self.phys.swap().free_slots() == 0 {
             return false;
         }
@@ -320,7 +320,7 @@ impl Kernel {
     /// there is real pressure and at least one live shrinker with frames
     /// to give. Used by direct-reclaim call sites and by
     /// `fpr-api::retry_with_backoff` as backpressure.
-    pub fn reclaim_could_help(&mut self) -> bool {
+    pub(crate) fn reclaim_could_help(&mut self) -> bool {
         if self.live_shrinker_count() == 0 {
             return false;
         }

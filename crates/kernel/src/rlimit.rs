@@ -12,7 +12,7 @@ pub struct Rlimit {
 
 impl Rlimit {
     /// An effectively unlimited limit.
-    pub const INFINITY: Rlimit = Rlimit {
+    pub(crate) const INFINITY: Rlimit = Rlimit {
         soft: u64::MAX,
         hard: u64::MAX,
     };
@@ -78,11 +78,6 @@ impl RlimitSet {
             Resource::StackPages => self.stack_pages = lim,
         }
     }
-
-    /// Returns true if `value` is within the soft limit for `r`.
-    pub fn allows(&self, r: Resource, value: u64) -> bool {
-        value <= self.get(r).soft
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +87,8 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let s = RlimitSet::default();
-        assert!(s.allows(Resource::Nofile, 1024));
-        assert!(!s.allows(Resource::Nofile, 1025));
-        assert!(s.allows(Resource::AsPages, u64::MAX));
+        assert_eq!(s.get(Resource::Nofile).soft, 1024);
+        assert_eq!(s.get(Resource::AsPages), Rlimit::INFINITY);
     }
 
     #[test]
@@ -102,6 +96,5 @@ mod tests {
         let mut s = RlimitSet::default();
         s.set(Resource::Nproc, Rlimit::both(10));
         assert_eq!(s.get(Resource::Nproc), Rlimit::both(10));
-        assert!(!s.allows(Resource::Nproc, 11));
     }
 }

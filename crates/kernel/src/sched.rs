@@ -32,7 +32,7 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `ncpus` is zero.
-    pub fn new(ncpus: u32) -> Scheduler {
+    pub(crate) fn new(ncpus: u32) -> Scheduler {
         assert!(ncpus > 0, "need at least one CPU");
         Scheduler {
             cpus: vec![None; ncpus as usize],
@@ -40,13 +40,8 @@ impl Scheduler {
         }
     }
 
-    /// Number of CPUs.
-    pub fn ncpus(&self) -> u32 {
-        self.cpus.len() as u32
-    }
-
     /// Adds a task to the tail of the run queue.
-    pub fn enqueue(&mut self, t: Task) {
+    pub(crate) fn enqueue(&mut self, t: Task) {
         self.queue.push_back(t);
     }
 
@@ -61,7 +56,7 @@ impl Scheduler {
     }
 
     /// Removes every task of a process.
-    pub fn remove_process(&mut self, pid: Pid) {
+    pub(crate) fn remove_process(&mut self, pid: Pid) {
         self.queue.retain(|q| q.pid != pid);
         for slot in &mut self.cpus {
             if slot.map(|t| t.pid == pid).unwrap_or(false) {
@@ -85,22 +80,17 @@ impl Scheduler {
     }
 
     /// Tasks currently on CPUs.
-    pub fn running(&self) -> Vec<Task> {
+    pub(crate) fn running(&self) -> Vec<Task> {
         self.cpus.iter().filter_map(|s| *s).collect()
     }
 
     /// Number of CPUs currently running threads of `pid` — the shootdown
     /// fan-out for that process's address space.
-    pub fn cpus_running(&self, pid: Pid) -> u32 {
+    pub(crate) fn cpus_running(&self, pid: Pid) -> u32 {
         self.cpus
             .iter()
             .filter(|s| s.map(|t| t.pid == pid).unwrap_or(false))
             .count() as u32
-    }
-
-    /// Queued (runnable but off-CPU) task count.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -133,7 +123,7 @@ mod tests {
         }
         let running = s.tick();
         assert_eq!(running.len(), 2);
-        assert_eq!(s.queued(), 1);
+        assert!(s.tick().contains(&t(3, 3)), "the third thread was queued");
     }
 
     #[test]
@@ -157,7 +147,7 @@ mod tests {
         s.tick();
         s.remove_process(Pid(1));
         assert_eq!(s.running().len(), 0);
-        assert_eq!(s.queued(), 0);
+        assert!(s.tick().is_empty(), "nothing left queued either");
     }
 
     #[test]

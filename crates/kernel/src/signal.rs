@@ -56,7 +56,7 @@ pub const ALL_SIGS: [Sig; 13] = [
 
 impl Sig {
     /// Index into dispositions/masks.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         ALL_SIGS
             .iter()
             .position(|s| *s == self)
@@ -64,12 +64,12 @@ impl Sig {
     }
 
     /// True for signals whose disposition cannot be changed.
-    pub fn unblockable(self) -> bool {
+    pub(crate) fn unblockable(self) -> bool {
         matches!(self, Sig::Kill | Sig::Stop)
     }
 
     /// Default action when disposition is `Default`.
-    pub fn default_action(self) -> DefaultAction {
+    pub(crate) fn default_action(self) -> DefaultAction {
         match self {
             Sig::Chld | Sig::Cont => DefaultAction::Ignore,
             Sig::Stop => DefaultAction::Stop,
@@ -80,7 +80,7 @@ impl Sig {
 
 /// What the default disposition does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefaultAction {
+pub(crate) enum DefaultAction {
     /// Terminate the process.
     Terminate,
     /// Ignore the signal.
@@ -127,7 +127,7 @@ impl Default for SignalState {
 
 impl SignalState {
     /// Fresh state with all defaults.
-    pub fn new() -> SignalState {
+    pub(crate) fn new() -> SignalState {
         SignalState::default()
     }
 
@@ -137,7 +137,7 @@ impl SignalState {
     }
 
     /// Sets a disposition (`sigaction`). Ignored for unblockable signals.
-    pub fn set_disposition(&mut self, sig: Sig, d: Disposition) {
+    pub(crate) fn set_disposition(&mut self, sig: Sig, d: Disposition) {
         if !sig.unblockable() {
             self.dispositions[sig.index()] = d;
         }
@@ -155,7 +155,7 @@ impl SignalState {
 
     /// Blocks or unblocks a signal (`sigprocmask`). KILL/STOP stay
     /// unblockable.
-    pub fn set_blocked(&mut self, sig: Sig, blocked: bool) {
+    pub(crate) fn set_blocked(&mut self, sig: Sig, blocked: bool) {
         if sig.unblockable() {
             return;
         }
@@ -172,7 +172,7 @@ impl SignalState {
     }
 
     /// Takes the next deliverable (pending, unblocked) signal.
-    pub fn take_deliverable(&mut self) -> Option<Sig> {
+    pub(crate) fn take_deliverable(&mut self) -> Option<Sig> {
         for sig in ALL_SIGS {
             let bit = 1u32 << sig.index();
             if self.pending & bit != 0 && self.blocked & bit == 0 {
@@ -184,7 +184,7 @@ impl SignalState {
     }
 
     /// Fork semantics: dispositions and mask copied, pending cleared.
-    pub fn fork_clone(&self) -> SignalState {
+    pub(crate) fn fork_clone(&self) -> SignalState {
         fpr_trace::metrics::incr("kernel.signal_copy");
         SignalState {
             dispositions: self.dispositions,

@@ -35,11 +35,11 @@ pub struct UserStream {
 
 /// Bytes the stream wants written to its descriptor now.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FlushOut(pub Vec<u8>);
+pub(crate) struct FlushOut(pub Vec<u8>);
 
 impl UserStream {
     /// Creates a stream with a 4 KiB fully buffered default.
-    pub fn new(fd: Fd, mode: BufMode) -> UserStream {
+    pub(crate) fn new(fd: Fd, mode: BufMode) -> UserStream {
         UserStream {
             fd,
             mode,
@@ -50,7 +50,7 @@ impl UserStream {
 
     /// Buffers `data`, returning any bytes that must be written through to
     /// the descriptor according to the buffering discipline.
-    pub fn write(&mut self, data: &[u8]) -> FlushOut {
+    pub(crate) fn write(&mut self, data: &[u8]) -> FlushOut {
         match self.mode {
             BufMode::Unbuffered => FlushOut(data.to_vec()),
             BufMode::LineBuffered => {
@@ -76,12 +76,12 @@ impl UserStream {
     }
 
     /// Flushes everything buffered (called by `fflush` and at exit).
-    pub fn flush(&mut self) -> FlushOut {
+    pub(crate) fn flush(&mut self) -> FlushOut {
         FlushOut(std::mem::take(&mut self.buffer))
     }
 
     /// Bytes currently buffered — the data fork will duplicate.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.buffer.len()
     }
 }

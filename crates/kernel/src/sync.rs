@@ -50,7 +50,7 @@ impl LockTable {
     }
 
     /// Registers a lock and returns its id.
-    pub fn register(&mut self, name_id: u32) -> LockId {
+    pub(crate) fn register(&mut self, name_id: u32) -> LockId {
         let id = LockId(self.locks.len() as u32);
         self.locks.push(SimLock {
             id,
@@ -65,7 +65,7 @@ impl LockTable {
     /// Fails with [`Errno::Edeadlk`] if `tid` already owns it (non-recursive)
     /// and [`Errno::Ebusy`] if another thread owns it (the caller decides
     /// whether that means blocking or deadlock).
-    pub fn acquire(&mut self, lock: LockId, tid: Tid) -> KResult<()> {
+    pub(crate) fn acquire(&mut self, lock: LockId, tid: Tid) -> KResult<()> {
         let l = self.locks.get_mut(lock.0 as usize).ok_or(Errno::Einval)?;
         match l.owner {
             None => {
@@ -78,7 +78,7 @@ impl LockTable {
     }
 
     /// Releases `lock`, which must be owned by `tid`.
-    pub fn release(&mut self, lock: LockId, tid: Tid) -> KResult<()> {
+    pub(crate) fn release(&mut self, lock: LockId, tid: Tid) -> KResult<()> {
         let l = self.locks.get_mut(lock.0 as usize).ok_or(Errno::Einval)?;
         match l.owner {
             Some(o) if o == tid => {
@@ -106,13 +106,13 @@ impl LockTable {
     }
 
     /// Looks up a lock.
-    pub fn get(&self, lock: LockId) -> Option<&SimLock> {
+    pub(crate) fn get(&self, lock: LockId) -> Option<&SimLock> {
         self.locks.get(lock.0 as usize)
     }
 
     /// All lock ids (fork uses this to remap the calling thread's
     /// holdings onto the child's main thread).
-    pub fn iter_ids(&self) -> Vec<LockId> {
+    pub(crate) fn iter_ids(&self) -> Vec<LockId> {
         self.locks.iter().map(|l| l.id).collect()
     }
 
@@ -123,7 +123,7 @@ impl LockTable {
 
     /// Forcibly rewrites a lock's owner (fork's thread remap; not a
     /// synchronisation operation).
-    pub fn set_owner(&mut self, lock: LockId, owner: Option<Tid>) {
+    pub(crate) fn set_owner(&mut self, lock: LockId, owner: Option<Tid>) {
         if let Some(l) = self.locks.get_mut(lock.0 as usize) {
             l.owner = owner;
         }

@@ -18,7 +18,6 @@ use crate::sync::LockTable;
 use crate::thread::{Thread, ThreadState};
 use crate::vfs::Ino;
 use fpr_mem::AddressSpace;
-use fpr_mem::Vpn;
 
 /// Lifecycle state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +121,7 @@ pub const OOM_SCORE_ADJ_MIN: i64 = -1000;
 
 impl Process {
     /// Creates a fresh process shell; the kernel fills in pid/ppid/fds.
-    pub fn new(pid: Pid, ppid: Pid, name: impl Into<String>, main_tid: Tid, cwd: Ino) -> Process {
+    pub(crate) fn new(pid: Pid, ppid: Pid, name: impl Into<String>, main_tid: Tid, cwd: Ino) -> Process {
         Process {
             pid,
             ppid,
@@ -163,7 +162,7 @@ impl Process {
     }
 
     /// Finds a thread mutably.
-    pub fn thread_mut(&mut self, tid: Tid) -> Option<&mut Thread> {
+    pub(crate) fn thread_mut(&mut self, tid: Tid) -> Option<&mut Thread> {
         self.threads.iter_mut().find(|t| t.tid == tid)
     }
 
@@ -184,7 +183,7 @@ impl Process {
     }
 
     /// Parks every thread (used on the vfork parent).
-    pub fn park_all_threads(&mut self) {
+    pub(crate) fn park_all_threads(&mut self) {
         for t in &mut self.threads {
             if t.is_schedulable() {
                 t.state = ThreadState::VforkParked;
@@ -193,7 +192,7 @@ impl Process {
     }
 
     /// Unparks threads parked by [`Process::park_all_threads`].
-    pub fn unpark_all_threads(&mut self) {
+    pub(crate) fn unpark_all_threads(&mut self) {
         for t in &mut self.threads {
             if t.state == ThreadState::VforkParked {
                 t.state = ThreadState::Runnable;
@@ -204,11 +203,6 @@ impl Process {
     /// Convenience: resident pages of the owned address space.
     pub fn resident_pages(&self) -> u64 {
         self.aspace.resident_pages()
-    }
-
-    /// The heap base VPN recorded by the loader (0 if never exec'd).
-    pub fn heap_base(&self) -> Vpn {
-        Vpn(self.layout.heap_base)
     }
 }
 

@@ -34,7 +34,7 @@ pub struct Thread {
 
 impl Thread {
     /// Creates a runnable thread.
-    pub fn new(tid: Tid) -> Thread {
+    pub(crate) fn new(tid: Tid) -> Thread {
         Thread {
             tid,
             state: ThreadState::Runnable,
@@ -43,17 +43,17 @@ impl Thread {
     }
 
     /// True if the thread can make progress.
-    pub fn is_schedulable(&self) -> bool {
+    pub(crate) fn is_schedulable(&self) -> bool {
         matches!(self.state, ThreadState::Runnable | ThreadState::Running)
     }
 
     /// Records lock acquisition.
-    pub fn note_acquired(&mut self, l: LockId) {
+    pub(crate) fn note_acquired(&mut self, l: LockId) {
         self.holding.push(l);
     }
 
     /// Records lock release.
-    pub fn note_released(&mut self, l: LockId) {
+    pub(crate) fn note_released(&mut self, l: LockId) {
         if let Some(i) = self.holding.iter().position(|h| *h == l) {
             self.holding.swap_remove(i);
         }

@@ -1,11 +1,10 @@
-//! Virtual time, derived from the cycle counter.
-
-use fpr_mem::CYCLES_PER_US;
+//! Virtual time, advanced by timer ticks.
 
 /// A monotonic virtual clock.
 ///
-/// The kernel advances it from the cycle accumulator so that simulated
-/// timestamps are deterministic across runs and machines.
+/// Only timers move it ([`crate::Kernel::tick_us`]); it never reads the
+/// host clock, so simulated timestamps are deterministic across runs and
+/// machines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Clock {
     ns: u64,
@@ -13,29 +12,18 @@ pub struct Clock {
 
 impl Clock {
     /// Creates a clock at time zero.
-    pub fn new() -> Clock {
+    pub(crate) fn new() -> Clock {
         Clock::default()
     }
 
-    /// Advances by a number of simulated cycles.
-    pub fn advance_cycles(&mut self, cycles: u64) {
-        // CYCLES_PER_US cycles per µs → 1000 ns per CYCLES_PER_US cycles.
-        self.ns += cycles * 1_000 / CYCLES_PER_US;
-    }
-
     /// Advances by nanoseconds directly (timer ticks).
-    pub fn advance_ns(&mut self, ns: u64) {
+    pub(crate) fn advance_ns(&mut self, ns: u64) {
         self.ns += ns;
     }
 
     /// Current time in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.ns
-    }
-
-    /// Current time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.ns / 1_000
     }
 }
 
@@ -44,18 +32,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycles_convert_to_ns() {
-        let mut c = Clock::new();
-        c.advance_cycles(CYCLES_PER_US); // 1 µs
-        assert_eq!(c.now_ns(), 1_000);
-        assert_eq!(c.now_us(), 1);
-    }
-
-    #[test]
     fn direct_ns_advance() {
         let mut c = Clock::new();
         c.advance_ns(2_500);
-        assert_eq!(c.now_us(), 2);
         assert_eq!(c.now_ns(), 2_500);
     }
 }

@@ -12,7 +12,7 @@ use crate::signal::Sig;
 
 /// A pending alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Alarm {
+pub(crate) struct Alarm {
     /// Process to signal.
     pub pid: Pid,
     /// Absolute expiry, virtual nanoseconds.
@@ -61,7 +61,7 @@ impl Kernel {
     }
 
     /// Clears `pid`'s alarms (fork children and exiting processes).
-    pub fn clear_alarms(&mut self, pid: Pid) {
+    pub(crate) fn clear_alarms(&mut self, pid: Pid) {
         self.alarms.retain(|a| a.pid != pid);
     }
 }

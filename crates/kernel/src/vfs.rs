@@ -14,7 +14,7 @@ pub struct Ino(pub u64);
 
 /// What an inode is.
 #[derive(Debug, Clone)]
-pub enum InodeKind {
+pub(crate) enum InodeKind {
     /// Regular file with byte contents.
     File {
         /// File bytes.
@@ -31,15 +31,11 @@ pub enum InodeKind {
     },
 }
 
-/// An inode: identity plus content.
+/// An inode's content; its identity is its key in the filesystem's map.
 #[derive(Debug, Clone)]
-pub struct Inode {
-    /// Stable inode number.
-    pub ino: Ino,
+pub(crate) struct Inode {
     /// File or directory payload.
     pub kind: InodeKind,
-    /// Permission bits (simplified: 0oXYZ).
-    pub mode: u16,
 }
 
 /// The in-memory filesystem.
@@ -58,17 +54,15 @@ impl Default for Vfs {
 
 impl Vfs {
     /// Creates a filesystem containing only `/`.
-    pub fn new() -> Vfs {
+    pub(crate) fn new() -> Vfs {
         let root = Ino(1);
         let mut inodes = HashMap::new();
         inodes.insert(
             root,
             Inode {
-                ino: root,
                 kind: InodeKind::Dir {
                     entries: BTreeMap::new(),
                 },
-                mode: 0o755,
             },
         );
         Vfs {
@@ -90,7 +84,7 @@ impl Vfs {
     }
 
     /// Looks up an inode by number.
-    pub fn inode(&self, ino: Ino) -> KResult<&Inode> {
+    pub(crate) fn inode(&self, ino: Ino) -> KResult<&Inode> {
         self.inodes.get(&ino).ok_or(Errno::Enoent)
     }
 
@@ -159,11 +153,9 @@ impl Vfs {
         self.inodes.insert(
             ino,
             Inode {
-                ino,
                 kind: InodeKind::Dir {
                     entries: BTreeMap::new(),
                 },
-                mode: 0o755,
             },
         );
         Ok(ino)
@@ -187,12 +179,10 @@ impl Vfs {
         self.inodes.insert(
             ino,
             Inode {
-                ino,
                 kind: InodeKind::File {
                     data,
                     generation: 0,
                 },
-                mode: 0o644,
             },
         );
         Ok(ino)
@@ -259,23 +249,15 @@ impl Vfs {
     }
 
     /// Length of a regular file in bytes.
-    pub fn len(&self, ino: Ino) -> KResult<u64> {
+    pub(crate) fn len(&self, ino: Ino) -> KResult<u64> {
         match &self.inode(ino)?.kind {
             InodeKind::File { data, .. } => Ok(data.len() as u64),
             InodeKind::Dir { .. } => Err(Errno::Eisdir),
         }
     }
 
-    /// Lists the names in a directory.
-    pub fn readdir(&self, ino: Ino) -> KResult<Vec<String>> {
-        match &self.inode(ino)?.kind {
-            InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
-            InodeKind::File { .. } => Err(Errno::Enotdir),
-        }
-    }
-
     /// Number of live inodes (including the root).
-    pub fn inode_count(&self) -> usize {
+    pub(crate) fn inode_count(&self) -> usize {
         self.inodes.len()
     }
 }
@@ -358,15 +340,6 @@ mod tests {
         v.create("/f", v.root(), vec![]).unwrap();
         assert_eq!(v.resolve("/f/x", v.root()), Err(Errno::Enotdir));
         assert_eq!(v.create("/f/x", v.root(), vec![]), Err(Errno::Enotdir));
-    }
-
-    #[test]
-    fn readdir_lists_sorted() {
-        let mut v = fs();
-        v.create("/b", v.root(), vec![]).unwrap();
-        v.create("/a", v.root(), vec![]).unwrap();
-        v.mkdir("/c", v.root()).unwrap();
-        assert_eq!(v.readdir(v.root()).unwrap(), vec!["a", "b", "c"]);
     }
 
     #[test]

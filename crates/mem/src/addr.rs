@@ -7,96 +7,46 @@
 
 
 /// Base-2 logarithm of the page size.
-pub const PAGE_SHIFT: u64 = 12;
+pub(crate) const PAGE_SHIFT: u64 = 12;
 /// Size of one page in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// Number of page-table levels (PML4 → PDPT → PD → PT).
-pub const PT_LEVELS: usize = 4;
+pub(crate) const PT_LEVELS: usize = 4;
 /// Number of entries in one page-table node (9 index bits per level).
-pub const PT_ENTRIES: usize = 512;
+pub(crate) const PT_ENTRIES: usize = 512;
 /// Base-2 logarithm of the huge-page size (2 MiB: one full leaf table).
-pub const HUGE_SHIFT: u64 = 21;
+pub(crate) const HUGE_SHIFT: u64 = 21;
 /// Size of one huge page in bytes (2 MiB).
 pub const HUGE_PAGE_SIZE: u64 = 1 << HUGE_SHIFT;
 /// Number of small pages covered by one huge page.
 pub const HUGE_PAGES: u64 = HUGE_PAGE_SIZE / PAGE_SIZE;
 /// Number of virtual-address bits that are translated.
-pub const VA_BITS: u64 = 48;
+pub(crate) const VA_BITS: u64 = 48;
 /// Highest valid user virtual address (exclusive); the upper half is kernel.
-pub const USER_VA_END: u64 = 1 << (VA_BITS - 1);
-
-/// A physical byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PhysAddr(pub u64);
+pub(crate) const USER_VA_END: u64 = 1 << (VA_BITS - 1);
 
 /// A virtual byte address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VirtAddr(pub u64);
+pub(crate) struct VirtAddr(pub u64);
 
-/// A physical frame number (physical address >> [`PAGE_SHIFT`]).
+/// A physical frame number (physical address >> `PAGE_SHIFT`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pfn(pub u64);
 
-/// A virtual page number (virtual address >> [`PAGE_SHIFT`]).
+/// A virtual page number (virtual address >> `PAGE_SHIFT`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Vpn(pub u64);
 
-impl PhysAddr {
-    /// Returns the frame containing this address.
-    pub fn frame(self) -> Pfn {
-        Pfn(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Returns the offset of this address within its frame.
-    pub fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE - 1)
-    }
-}
-
 impl VirtAddr {
-    /// Returns the virtual page containing this address.
-    pub fn page(self) -> Vpn {
-        Vpn(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Returns the offset of this address within its page.
-    pub fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE - 1)
-    }
-
-    /// Rounds this address down to a page boundary.
-    pub fn align_down(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE - 1))
-    }
-
-    /// Rounds this address up to a page boundary.
-    ///
-    /// Saturates at `u64::MAX & !(PAGE_SIZE - 1)` rather than wrapping.
-    pub fn align_up(self) -> VirtAddr {
-        VirtAddr(self.0.saturating_add(PAGE_SIZE - 1) & !(PAGE_SIZE - 1))
-    }
-
-    /// Returns true if this address is page-aligned.
-    pub fn is_aligned(self) -> bool {
-        self.page_offset() == 0
-    }
-
     /// Returns true if this address lies in the translatable user half.
-    pub fn is_user(self) -> bool {
+    pub(crate) fn is_user(self) -> bool {
         self.0 < USER_VA_END
-    }
-}
-
-impl Pfn {
-    /// Returns the base physical address of this frame.
-    pub fn base(self) -> PhysAddr {
-        PhysAddr(self.0 << PAGE_SHIFT)
     }
 }
 
 impl Vpn {
     /// Returns the base virtual address of this page.
-    pub fn base(self) -> VirtAddr {
+    pub(crate) fn base(self) -> VirtAddr {
         VirtAddr(self.0 << PAGE_SHIFT)
     }
 
@@ -106,7 +56,7 @@ impl Vpn {
     /// # Panics
     ///
     /// Panics if `level >= PT_LEVELS`.
-    pub fn pt_index(self, level: usize) -> usize {
+    pub(crate) fn pt_index(self, level: usize) -> usize {
         assert!(level < PT_LEVELS, "page-table level out of range");
         ((self.0 >> (9 * level)) & 0x1ff) as usize
     }
@@ -121,58 +71,29 @@ impl Vpn {
     }
 
     /// Returns true if this page lies in the translatable user half.
-    pub fn is_user(self) -> bool {
+    pub(crate) fn is_user(self) -> bool {
         self.base().is_user()
     }
 
     /// Rounds this page down to the base of its 2 MiB huge-page block.
-    pub fn huge_base(self) -> Vpn {
+    pub(crate) fn huge_base(self) -> Vpn {
         Vpn(self.0 & !(HUGE_PAGES - 1))
     }
 
     /// Returns true if this page starts a 2 MiB huge-page block.
-    pub fn is_huge_aligned(self) -> bool {
+    pub(crate) fn is_huge_aligned(self) -> bool {
         self.0 & (HUGE_PAGES - 1) == 0
     }
 
     /// Offset of this page within its 2 MiB huge-page block.
-    pub fn huge_offset(self) -> u64 {
+    pub(crate) fn huge_offset(self) -> u64 {
         self.0 & (HUGE_PAGES - 1)
     }
-}
-
-/// Converts a byte length to the number of pages needed to cover it.
-pub fn pages_for(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phys_addr_frame_and_offset() {
-        let a = PhysAddr(0x1234_5678);
-        assert_eq!(a.frame(), Pfn(0x12345));
-        assert_eq!(a.page_offset(), 0x678);
-        assert_eq!(a.frame().base(), PhysAddr(0x1234_5000));
-    }
-
-    #[test]
-    fn virt_addr_alignment() {
-        let a = VirtAddr(0x1001);
-        assert_eq!(a.align_down(), VirtAddr(0x1000));
-        assert_eq!(a.align_up(), VirtAddr(0x2000));
-        assert!(!a.is_aligned());
-        assert!(VirtAddr(0x1000).is_aligned());
-        assert_eq!(VirtAddr(0x2000).align_up(), VirtAddr(0x2000));
-    }
-
-    #[test]
-    fn align_up_saturates() {
-        let a = VirtAddr(u64::MAX - 1);
-        assert_eq!(a.align_up().0, !(PAGE_SIZE - 1));
-    }
 
     #[test]
     fn pt_index_decomposition() {
@@ -207,13 +128,5 @@ mod tests {
         assert!(!v.is_huge_aligned());
         assert!(Vpn(1024).is_huge_aligned());
         assert!(Vpn(0).is_huge_aligned());
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(PAGE_SIZE), 1);
-        assert_eq!(pages_for(PAGE_SIZE + 1), 2);
     }
 }

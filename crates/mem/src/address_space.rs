@@ -220,7 +220,7 @@ impl AddressSpace {
     }
 
     /// Returns true if `[start, start+pages)` overlaps an existing VMA.
-    pub fn overlaps(&self, start: Vpn, pages: u64) -> bool {
+    pub(crate) fn overlaps(&self, start: Vpn, pages: u64) -> bool {
         // VMAs are disjoint, so the last one starting below the range's
         // end is the only one that can reach back into it.
         self.vmas
@@ -428,7 +428,7 @@ impl AddressSpace {
 
     /// Splits the VMA containing `at` so that `at` becomes a VMA boundary.
     /// No-op if `at` is already a boundary or unmapped.
-    pub fn split_at(&mut self, at: Vpn) {
+    pub(crate) fn split_at(&mut self, at: Vpn) {
         let key = match self
             .vmas
             .range(..at.0)
@@ -647,7 +647,7 @@ impl AddressSpace {
     /// Maps an already-allocated frame at `vpn` copy-on-write — the exec
     /// image-cache hit path. The caller keeps whatever reference it holds
     /// (a kernel pin); this call takes one more for the new mapping. The
-    /// page arrives write-protected with [`PteFlags::COW`] set, so a first
+    /// page arrives write-protected with `PteFlags::COW` set, so a first
     /// write breaks the share with an ordinary COW copy; `exec` governs
     /// the NX bit. Charges one PTE copy. On `Err` nothing changed.
     ///
@@ -1110,13 +1110,6 @@ impl AddressSpace {
         }
         self.swapped = 0;
         self.vmas.clear();
-    }
-
-    /// True if the leaf page-table subtree covering `vpn` is still shared
-    /// with another address space (an on-demand fork has not yet been
-    /// broken for that 512-page region). Verification aid.
-    pub fn subtree_shared(&self, vpn: Vpn) -> bool {
-        self.pt.leaf_shared(vpn)
     }
 
     /// Replaces the shared leaf subtree covering `vpn` with a private deep

@@ -186,18 +186,13 @@ impl Cycles {
     /// charging `each` per item costs for a batch of `n`. The product
     /// saturates like the sum.
     #[inline]
-    pub fn charge_n(&mut self, each: u64, n: u64) {
+    pub(crate) fn charge_n(&mut self, each: u64, n: u64) {
         self.charge(each.saturating_mul(n));
     }
 
     /// Returns the cycles accumulated so far.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Converts the accumulated cycles to microseconds of the nominal core.
-    pub fn as_micros(&self) -> f64 {
-        self.total as f64 / CYCLES_PER_US as f64
     }
 }
 
@@ -223,12 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn cycles_accumulate_and_convert() {
+    fn cycles_accumulate() {
         let mut c = Cycles::new();
         c.charge(CYCLES_PER_US);
         c.charge(CYCLES_PER_US * 2);
         assert_eq!(c.total(), 3 * CYCLES_PER_US);
-        assert!((c.as_micros() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! which reproduces the O(memory) duplication cost at the heart of the
 //! paper's Figure 1.
 
+#![warn(missing_docs)]
+
 pub mod addr;
 pub mod address_space;
 pub mod buddy;
@@ -30,15 +32,13 @@ pub mod swap;
 pub mod tlb;
 pub mod vma;
 
-pub use addr::{pages_for, Pfn, PhysAddr, VirtAddr, Vpn, HUGE_PAGES, HUGE_PAGE_SIZE, PAGE_SIZE};
+pub use addr::{Pfn, Vpn, HUGE_PAGES, HUGE_PAGE_SIZE, PAGE_SIZE};
 pub use address_space::{AddressSpace, AsStats, ForkMode};
 pub use cost::{CostModel, Cycles, CYCLES_PER_US};
 pub use error::{MemError, MemResult};
 pub use fault::FaultOutcome;
 pub use overcommit::{CommitAccount, OvercommitPolicy};
-pub use phys::{
-    PhysMemory, PressureLevel, SharedFramePool, ThpStats, Watermarks, CELL_MAGAZINE_BATCH,
-};
+pub use phys::{PhysMemory, PressureLevel, SharedFramePool, ThpStats, Watermarks};
 pub use pte::{Pte, PteFlags};
 pub use swap::{SwapDevice, SwapStats};
 pub use tlb::{TlbBus, TlbModel};

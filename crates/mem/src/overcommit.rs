@@ -63,11 +63,6 @@ impl CommitAccount {
         self.committed
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> OvercommitPolicy {
-        self.policy
-    }
-
     /// Replaces the policy (a `sysctl`, effectively).
     pub fn set_policy(&mut self, policy: OvercommitPolicy) {
         self.policy = policy;

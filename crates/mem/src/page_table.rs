@@ -67,7 +67,7 @@
 //! partial mprotect, and COW of a shared block require before they can
 //! operate at page granularity.
 //!
-//! Intermediate nodes are created lazily on [`PageTable::map`] and torn
+//! Intermediate nodes are created lazily on `PageTable::map` and torn
 //! down eagerly when their last entry is removed, so the node count always
 //! reflects the mapped footprint — the quantity an eager fork must copy.
 
@@ -653,7 +653,7 @@ enum Walked {
 
 /// A four-level page table mapping [`Vpn`]s to [`Pte`]s.
 #[derive(Debug, Clone)]
-pub struct PageTable {
+pub(crate) struct PageTable {
     nodes: Vec<Node>,
     /// Arena nodes that hold nothing and hang from nothing, ready for
     /// [`Self::alloc_node`] to hand out as they are.
@@ -675,7 +675,7 @@ impl Default for PageTable {
 
 impl PageTable {
     /// Creates an empty page table (root node only).
-    pub fn new() -> PageTable {
+    pub(crate) fn new() -> PageTable {
         // Room for the paths of a freshly exec'd process (text, heap and
         // stack hang from six intermediate nodes), so that mapping them
         // does not move the arena three times: +4 % `spawn_small` req/s.
@@ -769,19 +769,19 @@ impl PageTable {
 
     /// Number of leaf translations currently installed. A huge mapping
     /// counts as the [`HUGE_PAGES`] small pages it covers.
-    pub fn mapped_pages(&self) -> u64 {
+    pub(crate) fn mapped_pages(&self) -> u64 {
         self.mapped
     }
 
     /// Number of live 2 MiB huge mappings.
-    pub fn huge_mapped(&self) -> u64 {
+    pub(crate) fn huge_mapped(&self) -> u64 {
         self.huge
     }
 
     /// Number of live page-table nodes, including the root and leaf nodes
     /// (a shared leaf node counts in every table referencing it, as it
     /// would occupy a slot in each table's parent node on hardware).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len() + self.leaf_count as usize
     }
 
@@ -803,7 +803,7 @@ impl PageTable {
     /// TLB flush is a bug). Panics if the covering leaf subtree is shared —
     /// callers must privatize first. Mapping a small page into a hole of a
     /// huge directory degroups the directory back to a level-1 table.
-    pub fn map(
+    pub(crate) fn map(
         &mut self,
         vpn: Vpn,
         pte: Pte,
@@ -888,7 +888,7 @@ impl PageTable {
     /// Charges [`CostModel::huge_map`] — the price of *constructing* a
     /// block mapping (populate path). Fork-time duplication of an
     /// existing block is a single entry write; use [`Self::copy_huge`].
-    pub fn map_huge(
+    pub(crate) fn map_huge(
         &mut self,
         vpn: Vpn,
         pte: Pte,
@@ -901,7 +901,7 @@ impl PageTable {
     /// [`Self::map_huge`] priced as a copy of one already-built entry
     /// ([`CostModel::pte_copy`]): the fork paths duplicate a parent's
     /// huge PTE into the child, they do not build a mapping from scratch.
-    pub fn copy_huge(
+    pub(crate) fn copy_huge(
         &mut self,
         vpn: Vpn,
         pte: Pte,
@@ -1132,7 +1132,7 @@ impl PageTable {
     /// comes back as one huge PTE); unmapping an interior page of a huge
     /// block panics — callers must demote first. Panics if the covering
     /// leaf subtree or directory is shared — callers must privatize first.
-    pub fn unmap(&mut self, vpn: Vpn) -> MemResult<Pte> {
+    pub(crate) fn unmap(&mut self, vpn: Vpn) -> MemResult<Pte> {
         let (path, node, idx, dir) = self.walk_recording(vpn).ok_or(MemError::NotMapped)?;
         let n = &mut self.nodes[node as usize];
         // The entry's index in its leaf node, and the pages it maps.
@@ -1214,7 +1214,7 @@ impl PageTable {
     /// returned PTE is the per-page view (frame `head + offset`, `HUGE`
     /// flag set) so callers can both use the translation and recognise the
     /// block mapping behind it.
-    pub fn translate(&self, vpn: Vpn) -> Option<Pte> {
+    pub(crate) fn translate(&self, vpn: Vpn) -> Option<Pte> {
         self.pte_at(self.find(vpn)?, vpn)
     }
 
@@ -1233,7 +1233,7 @@ impl PageTable {
 
     /// The covering 2 MiB block PTE (frame = head of the run) if `vpn`
     /// falls inside a huge mapping.
-    pub fn huge_block(&self, vpn: Vpn) -> Option<Pte> {
+    pub(crate) fn huge_block(&self, vpn: Vpn) -> Option<Pte> {
         self.block_at(self.find(vpn)?, vpn)
     }
 
@@ -1247,15 +1247,9 @@ impl PageTable {
         }
     }
 
-    /// True if the leaf subtree (or huge directory) covering `vpn` exists
-    /// and is shared with another page table (on-demand fork has not yet
-    /// unshared it). A lone huge leaf is never shared — fork shares its
-    /// frames, not the entry.
-    pub fn leaf_shared(&self, vpn: Vpn) -> bool {
-        self.find(vpn).is_some_and(|slot| self.shared_at(slot))
-    }
-
-    /// [`Self::leaf_shared`] without the descent.
+    /// True if the leaf subtree at the slot is shared with another page
+    /// table (on-demand fork has not yet unshared it). A lone huge leaf is
+    /// never shared — fork shares its frames, not the entry.
     #[inline]
     pub(crate) fn shared_at(&self, (_, node, idx, _): Slot) -> bool {
         matches!(self.entry_at(node, idx), Entry::Leaf(arc) if Arc::strong_count(arc) > 1)
@@ -1266,7 +1260,7 @@ impl PageTable {
     /// and `vpn` block-aligned, else the caller missed a demote. Fails if
     /// `vpn` is not mapped. Panics if the covering leaf subtree or
     /// directory is shared — callers must privatize first.
-    pub fn update(&mut self, vpn: Vpn, pte: Pte) -> MemResult<Pte> {
+    pub(crate) fn update(&mut self, vpn: Vpn, pte: Pte) -> MemResult<Pte> {
         let slot = self.find(vpn).ok_or(MemError::NotMapped)?;
         self.update_at(slot, vpn, pte)
     }
@@ -1369,7 +1363,7 @@ impl PageTable {
 
     /// Visits every leaf translation in ascending VPN order. Huge blocks
     /// are yielded once at their block base with the `HUGE` flag set.
-    pub fn for_each_leaf(&self, mut f: impl FnMut(Vpn, Pte)) {
+    pub(crate) fn for_each_leaf(&self, mut f: impl FnMut(Vpn, Pte)) {
         self.for_each_leaf_keyed(|_, vpn, pte| f(vpn, pte));
     }
 
@@ -1378,7 +1372,7 @@ impl PageTable {
     /// recognise when two tables reference the *same* physical subtree.
     /// Lone huge leaves use the address of their entry in the arena node —
     /// a distinct allocation from every `Arc`, so identities never collide.
-    pub fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
+    pub(crate) fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
         for slot in self.leaf_slot_coords() {
             let id = match self.entry_at(slot.1, slot.2) {
                 Entry::Leaf(arc) => Arc::as_ptr(arc) as usize,
@@ -1392,7 +1386,7 @@ impl PageTable {
     /// blocks appear once at their block base; a block partially
     /// overlapping the range boundary must be demoted by the caller before
     /// this filter is meaningful.
-    pub fn leaves_in_range(&self, start: Vpn, pages: u64) -> Vec<(Vpn, Pte)> {
+    pub(crate) fn leaves_in_range(&self, start: Vpn, pages: u64) -> Vec<(Vpn, Pte)> {
         let range = start.0..start.0 + pages;
         self.leaf_slots_in(range.start, range.end)
             .into_iter()
@@ -1639,6 +1633,10 @@ mod tests {
         Pte::new(Pfn(pfn), PteFlags::WRITABLE | PteFlags::HUGE)
     }
 
+    fn leaf_shared(pt: &PageTable, vpn: Vpn) -> bool {
+        pt.find(vpn).is_some_and(|slot| pt.shared_at(slot))
+    }
+
     #[test]
     fn group_huge_tables_forms_partial_directories() {
         let (mut pt, mut cy, cost) = fixture();
@@ -1706,10 +1704,10 @@ mod tests {
     #[test]
     fn double_map_is_overlap() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map(Vpn(1), Pte::new(Pfn(1), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert_eq!(
-            pt.map(Vpn(1), Pte::new(Pfn(2), PteFlags::empty()), &mut cy, &cost),
+            pt.map(Vpn(1), Pte::new(Pfn(2), PteFlags::default()), &mut cy, &cost),
             Err(MemError::Overlap)
         );
     }
@@ -1725,7 +1723,7 @@ mod tests {
         let (mut pt, mut cy, cost) = fixture();
         let kvpn = Vpn(1 << 36); // above the 47-bit user split (VPN space)
         assert_eq!(
-            pt.map(kvpn, Pte::new(Pfn(0), PteFlags::empty()), &mut cy, &cost),
+            pt.map(kvpn, Pte::new(Pfn(0), PteFlags::default()), &mut cy, &cost),
             Err(MemError::BadAddress)
         );
     }
@@ -1736,7 +1734,7 @@ mod tests {
         assert_eq!(pt.node_count(), 1);
         pt.map(
             Vpn(0x40000),
-            Pte::new(Pfn(1), PteFlags::empty()),
+            Pte::new(Pfn(1), PteFlags::default()),
             &mut cy,
             &cost,
         )
@@ -1747,7 +1745,7 @@ mod tests {
         // Arena slots are recycled on the next map.
         pt.map(
             Vpn(0x80000),
-            Pte::new(Pfn(2), PteFlags::empty()),
+            Pte::new(Pfn(2), PteFlags::default()),
             &mut cy,
             &cost,
         )
@@ -1759,7 +1757,7 @@ mod tests {
     fn siblings_share_intermediates() {
         let (mut pt, mut cy, cost) = fixture();
         for i in 0..512u64 {
-            pt.map(Vpn(i), Pte::new(Pfn(i), PteFlags::empty()), &mut cy, &cost)
+            pt.map(Vpn(i), Pte::new(Pfn(i), PteFlags::default()), &mut cy, &cost)
                 .unwrap();
         }
         // 512 leaves fit in one leaf node: root + 2 intermediates + 1 leaf node.
@@ -1767,7 +1765,7 @@ mod tests {
         assert_eq!(pt.mapped_pages(), 512);
         pt.map(
             Vpn(512),
-            Pte::new(Pfn(600), PteFlags::empty()),
+            Pte::new(Pfn(600), PteFlags::default()),
             &mut cy,
             &cost,
         )
@@ -1781,12 +1779,12 @@ mod tests {
         pt.map(Vpn(3), Pte::new(Pfn(1), PteFlags::WRITABLE), &mut cy, &cost)
             .unwrap();
         let old = pt
-            .update(Vpn(3), Pte::new(Pfn(2), PteFlags::empty()))
+            .update(Vpn(3), Pte::new(Pfn(2), PteFlags::default()))
             .unwrap();
         assert_eq!(old.pfn, Pfn(1));
         assert_eq!(pt.translate(Vpn(3)).unwrap().pfn, Pfn(2));
         assert_eq!(
-            pt.update(Vpn(4), Pte::new(Pfn(9), PteFlags::empty())),
+            pt.update(Vpn(4), Pte::new(Pfn(9), PteFlags::default())),
             Err(MemError::NotMapped)
         );
     }
@@ -1798,7 +1796,7 @@ mod tests {
         for (i, v) in vpns.iter().enumerate() {
             pt.map(
                 *v,
-                Pte::new(Pfn(i as u64), PteFlags::empty()),
+                Pte::new(Pfn(i as u64), PteFlags::default()),
                 &mut cy,
                 &cost,
             )
@@ -1837,7 +1835,7 @@ mod tests {
         for i in 0..20u64 {
             pt.map(
                 Vpn(i * 10),
-                Pte::new(Pfn(i), PteFlags::empty()),
+                Pte::new(Pfn(i), PteFlags::default()),
                 &mut cy,
                 &cost,
             )
@@ -1851,7 +1849,7 @@ mod tests {
     #[test]
     fn node_alloc_charges_cycles() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map(Vpn(0), Pte::new(Pfn(0), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(0), Pte::new(Pfn(0), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert_eq!(
             cy.total(),
@@ -1865,7 +1863,7 @@ mod tests {
         let (mut parent, mut cy, cost) = fixture();
         for i in 0..512u64 {
             parent
-                .map(Vpn(i), Pte::new(Pfn(i), PteFlags::empty()), &mut cy, &cost)
+                .map(Vpn(i), Pte::new(Pfn(i), PteFlags::default()), &mut cy, &cost)
                 .unwrap();
         }
         let coords = parent.leaf_slot_coords();
@@ -1885,8 +1883,8 @@ mod tests {
         );
         assert_eq!(child.mapped_pages(), 512);
         assert_eq!(child.node_count(), 4);
-        assert!(parent.leaf_shared(Vpn(5)));
-        assert!(child.leaf_shared(Vpn(5)));
+        assert!(leaf_shared(&parent, Vpn(5)));
+        assert!(leaf_shared(&child, Vpn(5)));
         assert_eq!(child.translate(Vpn(7)).unwrap().pfn, Pfn(7));
     }
 
@@ -1895,7 +1893,7 @@ mod tests {
         let (mut parent, mut cy, cost) = fixture();
         for i in 0..8u64 {
             parent
-                .map(Vpn(i), Pte::new(Pfn(i), PteFlags::empty()), &mut cy, &cost)
+                .map(Vpn(i), Pte::new(Pfn(i), PteFlags::default()), &mut cy, &cost)
                 .unwrap();
         }
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
@@ -1908,10 +1906,10 @@ mod tests {
         let copy = child.privatize_at(slot, &mut ucy, &cost).unwrap();
         assert_eq!(copy.live(), 8);
         assert_eq!(ucy.total(), cost.pt_node_alloc + 8 * cost.pte_copy);
-        assert!(!child.leaf_shared(Vpn(3)), "child now private");
-        assert!(!parent.leaf_shared(Vpn(3)), "parent exclusive again");
+        assert!(!leaf_shared(&child, Vpn(3)), "child now private");
+        assert!(!leaf_shared(&parent, Vpn(3)), "parent exclusive again");
         // Mutating the private copy no longer affects the other side.
-        child.update(Vpn(3), Pte::new(Pfn(99), PteFlags::empty())).unwrap();
+        child.update(Vpn(3), Pte::new(Pfn(99), PteFlags::default())).unwrap();
         assert_eq!(parent.translate(Vpn(3)).unwrap().pfn, Pfn(3));
         assert_eq!(child.translate(Vpn(3)).unwrap().pfn, Pfn(99));
     }
@@ -1920,7 +1918,7 @@ mod tests {
     fn detach_tears_down_empty_intermediates() {
         let (mut pt, mut cy, cost) = fixture();
         for i in 0..4u64 {
-            pt.map(Vpn(i), Pte::new(Pfn(i), PteFlags::empty()), &mut cy, &cost)
+            pt.map(Vpn(i), Pte::new(Pfn(i), PteFlags::default()), &mut cy, &cost)
                 .unwrap();
         }
         assert_eq!(pt.node_count(), 4);
@@ -1934,11 +1932,11 @@ mod tests {
     #[test]
     fn take_leaves_drains_everything() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map(Vpn(1), Pte::new(Pfn(1), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         pt.map(
             Vpn(0x40000),
-            Pte::new(Pfn(2), PteFlags::empty()),
+            Pte::new(Pfn(2), PteFlags::default()),
             &mut cy,
             &cost,
         )
@@ -1956,13 +1954,13 @@ mod tests {
     fn mutating_shared_subtree_panics() {
         let (mut parent, mut cy, cost) = fixture();
         parent
-            .map(Vpn(0), Pte::new(Pfn(0), PteFlags::empty()), &mut cy, &cost)
+            .map(Vpn(0), Pte::new(Pfn(0), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
         let arc = Arc::clone(parent.leaf_at(l1, idx));
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
-        let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::empty()), &mut cy, &cost);
+        let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost);
     }
 
     /// The slot of one block, used for a page of the next: both slots hold
@@ -2011,7 +2009,7 @@ mod tests {
         let (mut pt, mut cy, cost) = fixture();
         pt.map_huge(Vpn(0), huge(0), &mut cy, &cost).unwrap();
         assert_eq!(
-            pt.map(Vpn(5), Pte::new(Pfn(9), PteFlags::empty()), &mut cy, &cost),
+            pt.map(Vpn(5), Pte::new(Pfn(9), PteFlags::default()), &mut cy, &cost),
             Err(MemError::Overlap),
             "small page under a huge block"
         );
@@ -2019,7 +2017,7 @@ mod tests {
             pt.map_huge(Vpn(0), huge(512), &mut cy, &cost),
             Err(MemError::Overlap)
         );
-        pt.map(Vpn(512), Pte::new(Pfn(3), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(512), Pte::new(Pfn(3), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert_eq!(
             pt.map_huge(Vpn(512), huge(1024), &mut cy, &cost),
@@ -2074,7 +2072,7 @@ mod tests {
                 .unwrap();
         }
         assert!(pt.promotable(Vpn(512)).is_none(), "hole in the block");
-        pt.map(Vpn(1023), Pte::new(Pfn(1535), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(1023), Pte::new(Pfn(1535), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert!(pt.promotable(Vpn(512)).is_none(), "mismatched flags");
         pt.unmap(Vpn(1023)).unwrap();
@@ -2151,16 +2149,16 @@ mod tests {
         );
         assert_eq!(child.mapped_pages(), 512 * 512);
         assert_eq!(child.huge_mapped(), 512);
-        assert!(parent.leaf_shared(Vpn(1000)));
-        assert!(child.leaf_shared(Vpn(1000)));
+        assert!(leaf_shared(&parent, Vpn(1000)));
+        assert!(leaf_shared(&child, Vpn(1000)));
         assert_eq!(child.translate(Vpn(777)).unwrap().pfn, Pfn(777));
         // Privatizing gives the child its own directory.
         let slot = child.find(Vpn(0)).unwrap();
         let copy = child.privatize_at(slot, &mut ccy, &cost).unwrap();
         assert_eq!(copy.live(), 512);
         assert!(copy.iter().all(|(_, p)| p.is_huge()));
-        assert!(!child.leaf_shared(Vpn(0)));
-        assert!(!parent.leaf_shared(Vpn(0)));
+        assert!(!leaf_shared(&child, Vpn(0)));
+        assert!(!leaf_shared(&parent, Vpn(0)));
     }
 
     #[test]
@@ -2176,7 +2174,7 @@ mod tests {
         assert_eq!(pt.huge_mapped(), 511);
         pt.map(
             Vpn(512 * 10 + 3),
-            Pte::new(Pfn(42), PteFlags::empty()),
+            Pte::new(Pfn(42), PteFlags::default()),
             &mut cy,
             &cost,
         )
@@ -2240,7 +2238,7 @@ mod tests {
     #[test]
     fn walkers_yield_huge_blocks_once_at_base() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map(Vpn(5), Pte::new(Pfn(5), PteFlags::empty()), &mut cy, &cost)
+        pt.map(Vpn(5), Pte::new(Pfn(5), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         pt.map_huge(Vpn(1024), huge(2048), &mut cy, &cost).unwrap();
         let mut seen = Vec::new();
@@ -2257,7 +2255,7 @@ mod tests {
                 .unwrap();
         }
         for v in [2 * gib + 7, 1 << 30] {
-            pt.map(Vpn(v), Pte::new(Pfn(v), PteFlags::empty()), &mut cy, &cost)
+            pt.map(Vpn(v), Pte::new(Pfn(v), PteFlags::default()), &mut cy, &cost)
                 .unwrap();
         }
         let slots: Vec<(u64, SlotKind)> =
@@ -2360,7 +2358,7 @@ mod tests {
         let wide = Pte::new(Pfn((1 << 48) - 1), PteFlags::WRITABLE | PteFlags::HUGE);
         leaf.set(9, Some(swapped));
         leaf.set(500, Some(wide));
-        leaf.set(130, Some(Pte::new(Pfn(0), PteFlags::empty())));
+        leaf.set(130, Some(Pte::new(Pfn(0), PteFlags::default())));
         assert_eq!((leaf.get(9), leaf.get(500), leaf.get(10)), (Some(swapped), Some(wide), None));
         assert_eq!(leaf.get(130).unwrap().pfn, Pfn(0), "frame 0 present is not an empty word");
         assert_eq!(leaf.iter().map(|(j, _)| j).collect::<Vec<_>>(), vec![9, 130, 500]);
@@ -2453,7 +2451,7 @@ mod tests {
     #[test]
     fn freed_arena_nodes_are_handed_out_as_they_are() {
         let (mut pt, mut cy, cost) = fixture();
-        let pte = Pte::new(Pfn(1), PteFlags::empty());
+        let pte = Pte::new(Pfn(1), PteFlags::default());
         // Two paths sharing the root only, then a third under the first's
         // level-2 node.
         for vpn in [Vpn(0), Vpn(1 << 27), Vpn(1 << 18)] {
@@ -2477,7 +2475,7 @@ mod tests {
     #[test]
     fn take_leaves_keeps_the_arena_it_drained() {
         let (mut pt, mut cy, cost) = fixture();
-        let pte = Pte::new(Pfn(1), PteFlags::empty());
+        let pte = Pte::new(Pfn(1), PteFlags::default());
         for vpn in [Vpn(3), Vpn(1 << 27), Vpn((1 << 27) | (1 << 18))] {
             pt.map(vpn, pte, &mut cy, &cost).unwrap();
         }

@@ -37,7 +37,7 @@
 //!
 //! References are dropped through one primitive, `release`, which takes a
 //! batch of frames — one for [`PhysMemory::dec_ref`], a run for
-//! [`PhysMemory::dec_ref_run`], a leaf node's worth from a teardown — and
+//! `PhysMemory::dec_ref_run`, a leaf node's worth from a teardown — and
 //! returns those that reach zero together: a `frame_free` charge and a
 //! `mem.frame_free` count per frame, but one acquisition of the pool per
 //! batch, so that a free costs the host a constant per frame as it does
@@ -59,7 +59,7 @@
 //!   ([`PhysMemory::new_cell`]) boot with it, one-cell worlds
 //!   ([`PhysMemory::new`]) without, because every checked-in
 //!   single-kernel result prices a frame at `frame_alloc`, not at
-//!   `frame_cache_hit`. [`PhysMemory::enable_frame_cache`] /
+//!   `frame_cache_hit`. `PhysMemory::enable_frame_cache` /
 //!   [`PhysMemory::disable_frame_cache`] are the public switch between
 //!   the two; with the magazine off the two kinds of cell charge
 //!   identical cycles.
@@ -96,7 +96,7 @@ impl Watermarks {
     /// Linux derives zone watermarks from `min_free_kbytes`: `min` is
     /// 1/64th of memory (at least 4 frames), `low` and `high` sit 25% and
     /// 50% above it.
-    pub fn for_total(total_frames: u64) -> Watermarks {
+    pub(crate) fn for_total(total_frames: u64) -> Watermarks {
         let min = (total_frames / 64).max(4).min(total_frames);
         Watermarks {
             min,
@@ -121,7 +121,7 @@ pub enum PressureLevel {
 
 /// Refill batch for the magazine an SMP cell boots with (see
 /// [`PhysMemory::new_cell`]).
-pub const CELL_MAGAZINE_BATCH: u64 = 64;
+pub(crate) const CELL_MAGAZINE_BATCH: u64 = 64;
 
 /// Frames per chunk of the frame table.
 const TABLE_CHUNK: usize = 1024;
@@ -147,7 +147,7 @@ fn table_slot(pfn: Pfn) -> (usize, usize) {
 /// free-list (its [`PhysMemory`] magazine, touched only by the cell's
 /// own thread) and refills it with *batched* allocations from this
 /// locked core, so concurrent creators pay the global serialization once
-/// per [`CELL_MAGAZINE_BATCH`] frames instead of once per frame. The
+/// per `CELL_MAGAZINE_BATCH` frames instead of once per frame. The
 /// lock is a [`VLock`] named `"buddy"`, so every contended acquisition
 /// is visible in [`fpr_trace::metrics::lock_stats`] and priced in
 /// virtual time.
@@ -291,8 +291,6 @@ pub struct PhysMemory {
     watermarks: Watermarks,
     /// PSI-style stall accounting: cycles spent in reclaim passes.
     stall_cycles_total: u64,
-    /// PSI-style stall accounting: number of reclaim stalls recorded.
-    stall_events_total: u64,
     /// The swap device (capacity 0 = no swap configured).
     swap: SwapDevice,
     /// Machine-wide THP promotion/demotion counters.
@@ -315,7 +313,7 @@ impl PhysMemory {
 
     /// Creates the physical-memory view of one SMP *cell*: all frames
     /// drawn from `pool` through a magazine of batch
-    /// [`CELL_MAGAZINE_BATCH`]. Watermarks and pressure are judged
+    /// `CELL_MAGAZINE_BATCH`. Watermarks and pressure are judged
     /// against the *pool's* free count, so every cell sees machine-wide
     /// pressure.
     pub fn new_cell(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
@@ -336,7 +334,6 @@ impl PhysMemory {
             frames_allocated_total: 0,
             pages_copied_total: 0,
             stall_cycles_total: 0,
-            stall_events_total: 0,
             swap: SwapDevice::new(0),
             thp: ThpStats::default(),
             drawn: 0,
@@ -390,7 +387,7 @@ impl PhysMemory {
     /// space, the device, and the frame pool untouched. The slot
     /// reference is still held on success; the caller drops it once the
     /// PTE points at the new frame.
-    pub fn swap_in_frame(&mut self, slot: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
+    pub(crate) fn swap_in_frame(&mut self, slot: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
         let stamp = {
             let PhysMemory { swap, cost, .. } = self;
             swap.read_slot(slot, cycles, cost)?
@@ -456,7 +453,6 @@ impl PhysMemory {
     /// reclaim instead of making progress.
     pub fn note_stall(&mut self, cycles: u64) {
         self.stall_cycles_total += cycles;
-        self.stall_events_total += 1;
     }
 
     /// Cumulative cycles recorded as memory-pressure stalls.
@@ -464,15 +460,10 @@ impl PhysMemory {
         self.stall_cycles_total
     }
 
-    /// Cumulative number of memory-pressure stalls recorded.
-    pub fn stall_events_total(&self) -> u64 {
-        self.stall_events_total
-    }
-
     /// Switches the magazine on with the given refill batch size (frames
     /// per pool acquisition). Hits and refills are priced differently
     /// from the frame-at-a-time path; all other accounting is unchanged.
-    pub fn enable_frame_cache(&mut self, batch: u64) {
+    pub(crate) fn enable_frame_cache(&mut self, batch: u64) {
         assert!(batch > 0, "frame cache needs batch > 0");
         if self.cache.is_none() {
             self.cache = Some(FrameCache {
@@ -491,7 +482,7 @@ impl PhysMemory {
     }
 
     /// Frames currently parked in the magazine.
-    pub fn cached_frames(&self) -> u64 {
+    pub(crate) fn cached_frames(&self) -> u64 {
         self.cache.as_ref().map_or(0, |c| c.frames.len() as u64)
     }
 
@@ -615,19 +606,19 @@ impl PhysMemory {
     }
 
     /// Records a successful huge-page promotion.
-    pub fn note_thp_promoted(&mut self) {
+    pub(crate) fn note_thp_promoted(&mut self) {
         self.thp.promoted += 1;
         metrics::incr("mem.thp.promote");
     }
 
     /// Records a huge-page demotion (split back to small PTEs).
-    pub fn note_thp_demoted(&mut self) {
+    pub(crate) fn note_thp_demoted(&mut self) {
         self.thp.demoted += 1;
         metrics::incr("mem.thp.demote");
     }
 
     /// Records a promotion attempt that fell back to small pages.
-    pub fn note_thp_promote_failed(&mut self) {
+    pub(crate) fn note_thp_promote_failed(&mut self) {
         self.thp.failed += 1;
         metrics::incr("mem.thp.promote_failed_fragmented");
     }
@@ -643,7 +634,7 @@ impl PhysMemory {
     /// caller falls back to small pages. No fault site is crossed here —
     /// promotion attempts are guarded by `pt_promote` at the call site and
     /// a natural allocation failure is already an absorbed fallback.
-    pub fn alloc_zeroed_huge_run(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
+    pub(crate) fn alloc_zeroed_huge_run(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
         let order = HUGE_PAGES.trailing_zeros() as usize;
         let run = self.pool.alloc_aligned_run(order)?;
         self.drawn += run.len() as u64;
@@ -663,13 +654,13 @@ impl PhysMemory {
 
     /// Increments the reference count of each frame in `[head, head+n)`,
     /// or of none if the cell does not hold them all.
-    pub fn inc_ref_run(&mut self, head: Pfn, n: u64) -> MemResult<()> {
+    pub(crate) fn inc_ref_run(&mut self, head: Pfn, n: u64) -> MemResult<()> {
         self.retain((head.0..head.0 + n).map(Pfn))
     }
 
     /// Decrements the reference count of each frame in `[head, head+n)`,
     /// freeing those that reach zero.
-    pub fn dec_ref_run(&mut self, head: Pfn, n: u64, cycles: &mut Cycles) -> MemResult<()> {
+    pub(crate) fn dec_ref_run(&mut self, head: Pfn, n: u64, cycles: &mut Cycles) -> MemResult<()> {
         self.release((head.0..head.0 + n).map(Pfn), cycles)
             .map(|_| ())
     }
@@ -685,7 +676,7 @@ impl PhysMemory {
 
     /// Allocates a frame holding `content` with reference count 1,
     /// charging a file-read rather than a zero-fill.
-    pub fn alloc_filled(&mut self, content: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
+    pub(crate) fn alloc_filled(&mut self, content: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let pfn = self.take_frame(cycles)?;
         cycles.charge(self.cost.file_read_page);
@@ -695,7 +686,7 @@ impl PhysMemory {
 
     /// Allocates a new frame that duplicates `src`'s content (COW break or
     /// eager fork copy).
-    pub fn copy_frame(&mut self, src: Pfn, cycles: &mut Cycles) -> MemResult<Pfn> {
+    pub(crate) fn copy_frame(&mut self, src: Pfn, cycles: &mut Cycles) -> MemResult<Pfn> {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let content = self.content(src)?;
         let pfn = self.take_frame(cycles)?;
@@ -744,7 +735,7 @@ impl PhysMemory {
     }
 
     /// Increments the COW reference count of `pfn`.
-    pub fn inc_ref(&mut self, pfn: Pfn) -> MemResult<()> {
+    pub(crate) fn inc_ref(&mut self, pfn: Pfn) -> MemResult<()> {
         let (chunk, i) = self.held_mut(pfn)?;
         chunk.refs[i] += 1;
         Ok(())
@@ -804,7 +795,7 @@ impl PhysMemory {
     /// The caller (the fault handler / address space) is responsible for
     /// ensuring the frame is exclusively owned or the write is to a shared
     /// mapping; this is a raw store.
-    pub fn write_content(&mut self, pfn: Pfn, content: u64) -> MemResult<()> {
+    pub(crate) fn write_content(&mut self, pfn: Pfn, content: u64) -> MemResult<()> {
         let (chunk, i) = self.held_mut(pfn)?;
         chunk.content[i] = content;
         Ok(())
@@ -1006,7 +997,6 @@ mod tests {
         p.note_stall(100);
         p.note_stall(250);
         assert_eq!(p.stall_cycles_total(), 350);
-        assert_eq!(p.stall_events_total(), 2);
     }
 
     #[test]

@@ -11,52 +11,47 @@ pub struct PteFlags(pub u16);
 
 impl PteFlags {
     /// The translation is valid.
-    pub const PRESENT: PteFlags = PteFlags(1 << 0);
+    pub(crate) const PRESENT: PteFlags = PteFlags(1 << 0);
     /// Writes are permitted.
-    pub const WRITABLE: PteFlags = PteFlags(1 << 1);
+    pub(crate) const WRITABLE: PteFlags = PteFlags(1 << 1);
     /// User-mode access is permitted.
-    pub const USER: PteFlags = PteFlags(1 << 2);
+    pub(crate) const USER: PteFlags = PteFlags(1 << 2);
     /// The page has been read or written since the bit was cleared.
-    pub const ACCESSED: PteFlags = PteFlags(1 << 3);
+    pub(crate) const ACCESSED: PteFlags = PteFlags(1 << 3);
     /// The page has been written since the bit was cleared.
-    pub const DIRTY: PteFlags = PteFlags(1 << 4);
+    pub(crate) const DIRTY: PteFlags = PteFlags(1 << 4);
     /// Instruction fetch is forbidden.
-    pub const NX: PteFlags = PteFlags(1 << 5);
+    pub(crate) const NX: PteFlags = PteFlags(1 << 5);
     /// Software bit: write-protected copy-on-write page.
-    pub const COW: PteFlags = PteFlags(1 << 6);
+    pub(crate) const COW: PteFlags = PteFlags(1 << 6);
     /// Software bit: the frame backs a MAP_SHARED mapping.
-    pub const SHARED: PteFlags = PteFlags(1 << 7);
+    pub(crate) const SHARED: PteFlags = PteFlags(1 << 7);
     /// Software bit: a non-present swap entry. The `pfn` field holds a
     /// swap-slot index, not a frame number (real kernels encode swap
     /// entries in the non-present PTE format the same way).
-    pub const SWAP: PteFlags = PteFlags(1 << 8);
+    pub(crate) const SWAP: PteFlags = PteFlags(1 << 8);
     /// The entry maps a 2 MiB huge page (x86-64's PS bit): `pfn` is the
     /// head of a naturally aligned 512-frame run and the translation
     /// covers the whole block.
-    pub const HUGE: PteFlags = PteFlags(1 << 9);
-
-    /// Empty flag set.
-    pub const fn empty() -> PteFlags {
-        PteFlags(0)
-    }
+    pub(crate) const HUGE: PteFlags = PteFlags(1 << 9);
 
     /// Returns the union of `self` and `other`.
-    pub const fn union(self, other: PteFlags) -> PteFlags {
+    pub(crate) const fn union(self, other: PteFlags) -> PteFlags {
         PteFlags(self.0 | other.0)
     }
 
     /// Returns `self` with the bits of `other` removed.
-    pub const fn minus(self, other: PteFlags) -> PteFlags {
+    pub(crate) const fn minus(self, other: PteFlags) -> PteFlags {
         PteFlags(self.0 & !other.0)
     }
 
     /// Returns true if every bit of `other` is set in `self`.
-    pub const fn contains(self, other: PteFlags) -> bool {
+    pub(crate) const fn contains(self, other: PteFlags) -> bool {
         self.0 & other.0 == other.0
     }
 
     /// Returns true if any bit of `other` is set in `self`.
-    pub const fn intersects(self, other: PteFlags) -> bool {
+    pub(crate) const fn intersects(self, other: PteFlags) -> bool {
         self.0 & other.0 != 0
     }
 }
@@ -79,7 +74,7 @@ pub struct Pte {
 
 impl Pte {
     /// Creates a present entry for `pfn` with the given extra flags.
-    pub fn new(pfn: Pfn, flags: PteFlags) -> Pte {
+    pub(crate) fn new(pfn: Pfn, flags: PteFlags) -> Pte {
         Pte {
             pfn,
             flags: flags | PteFlags::PRESENT,
@@ -87,12 +82,12 @@ impl Pte {
     }
 
     /// Returns true if the entry permits writes.
-    pub fn is_writable(self) -> bool {
+    pub(crate) fn is_writable(self) -> bool {
         self.flags.contains(PteFlags::WRITABLE)
     }
 
     /// Returns true if the entry is marked copy-on-write.
-    pub fn is_cow(self) -> bool {
+    pub(crate) fn is_cow(self) -> bool {
         self.flags.contains(PteFlags::COW)
     }
 
@@ -101,7 +96,7 @@ impl Pte {
     /// The slot index rides in the `pfn` field; no permission bits are
     /// kept — swap-in rederives them from the owning VMA, exactly like a
     /// fresh demand fill.
-    pub fn swap_entry(slot: u64) -> Pte {
+    pub(crate) fn swap_entry(slot: u64) -> Pte {
         Pte {
             pfn: Pfn(slot),
             flags: PteFlags::SWAP,
@@ -109,17 +104,17 @@ impl Pte {
     }
 
     /// Returns true if the translation is valid (maps a frame).
-    pub fn is_present(self) -> bool {
+    pub(crate) fn is_present(self) -> bool {
         self.flags.contains(PteFlags::PRESENT)
     }
 
     /// Returns true if the entry is a non-present swap entry.
-    pub fn is_swap(self) -> bool {
+    pub(crate) fn is_swap(self) -> bool {
         self.flags.contains(PteFlags::SWAP)
     }
 
     /// Returns true if the entry maps a 2 MiB huge page.
-    pub fn is_huge(self) -> bool {
+    pub(crate) fn is_huge(self) -> bool {
         self.flags.contains(PteFlags::HUGE)
     }
 
@@ -130,7 +125,7 @@ impl Pte {
     /// Panics if the entry is not a swap entry — reading the `pfn` field
     /// of a present entry as a slot index would silently corrupt both
     /// refcount domains.
-    pub fn swap_slot(self) -> u64 {
+    pub(crate) fn swap_slot(self) -> u64 {
         assert!(self.is_swap(), "swap_slot() on a present PTE");
         self.pfn.0
     }
@@ -186,6 +181,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "swap_slot")]
     fn swap_slot_of_present_pte_panics() {
-        Pte::new(Pfn(3), PteFlags::empty()).swap_slot();
+        Pte::new(Pfn(3), PteFlags::default()).swap_slot();
     }
 }

@@ -95,7 +95,7 @@ pub struct SwapDevice {
 
 impl SwapDevice {
     /// Creates a device with `capacity` one-page slots (0 = no swap).
-    pub fn new(capacity: u64) -> SwapDevice {
+    pub(crate) fn new(capacity: u64) -> SwapDevice {
         SwapDevice {
             bitmap: vec![0u64; capacity.div_ceil(64) as usize],
             capacity,
@@ -137,7 +137,7 @@ impl SwapDevice {
     /// bitmap scan plus the device write. Crosses
     /// [`FaultSite::SwapSlotAlloc`] before touching anything, so an
     /// injected failure leaves the device byte-identical.
-    pub fn alloc_slot(&mut self, stamp: u64, cycles: &mut Cycles, cost: &CostModel) -> MemResult<u64> {
+    pub(crate) fn alloc_slot(&mut self, stamp: u64, cycles: &mut Cycles, cost: &CostModel) -> MemResult<u64> {
         if self.free_slots() == 0 {
             return Err(MemError::OutOfMemory);
         }
@@ -170,7 +170,7 @@ impl SwapDevice {
     /// The slot reference is *not* dropped here; the caller releases it
     /// with [`SwapDevice::dec_ref`] only after the page is safely
     /// resident, so a failure between read and map leaks nothing.
-    pub fn read_slot(&mut self, slot: u64, cycles: &mut Cycles, cost: &CostModel) -> MemResult<u64> {
+    pub(crate) fn read_slot(&mut self, slot: u64, cycles: &mut Cycles, cost: &CostModel) -> MemResult<u64> {
         let s = *self.slots.get(&slot).ok_or(MemError::NotMapped)?;
         fpr_faults::cross(FaultSite::SwapIn).map_err(|_| {
             self.stats.io_errors += 1;
@@ -191,7 +191,7 @@ impl SwapDevice {
 
     /// Content stamp of a used slot, without device cost or statistics
     /// (the observation path tests use to compare logical memory).
-    pub fn peek(&self, slot: u64) -> MemResult<u64> {
+    pub(crate) fn peek(&self, slot: u64) -> MemResult<u64> {
         self.slots.get(&slot).map(|s| s.stamp).ok_or(MemError::NotMapped)
     }
 
@@ -202,7 +202,7 @@ impl SwapDevice {
 
     /// Adds a reference to a used slot (fork copying a swap entry, or a
     /// shared leaf being privatized).
-    pub fn inc_ref(&mut self, slot: u64) -> MemResult<()> {
+    pub(crate) fn inc_ref(&mut self, slot: u64) -> MemResult<()> {
         let s = self.slots.get_mut(&slot).ok_or(MemError::NotMapped)?;
         s.refs += 1;
         Ok(())
@@ -210,7 +210,7 @@ impl SwapDevice {
 
     /// Drops a reference, freeing the slot at zero. Returns `true` if
     /// the slot was freed.
-    pub fn dec_ref(&mut self, slot: u64) -> MemResult<bool> {
+    pub(crate) fn dec_ref(&mut self, slot: u64) -> MemResult<bool> {
         let s = self.slots.get_mut(&slot).ok_or(MemError::NotMapped)?;
         debug_assert!(s.refs > 0);
         s.refs -= 1;
@@ -226,7 +226,7 @@ impl SwapDevice {
     }
 
     /// Frees a slot outright regardless of refcount — the rollback path
-    /// of an aborted swap-out pass, undoing [`SwapDevice::alloc_slot`]
+    /// of an aborted swap-out pass, undoing `SwapDevice::alloc_slot`
     /// exactly (including the epoch, so an aborted pass leaves the
     /// device byte-identical).
     pub fn unalloc_slot(&mut self, slot: u64) {

@@ -12,14 +12,13 @@ use fpr_trace::metrics;
 use fpr_trace::sink;
 use fpr_trace::smp::VLock;
 use fpr_trace::{Phase, TraceEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Pages above which a ranged flush stops paying per-page invalidation
 /// cost: past this many entries a full-context flush is cheaper, so the
 /// per-page term is capped (Linux's `tlb_single_page_flush_ceiling` plays
 /// the same role).
-pub const RANGE_FLUSH_CEILING: u64 = 64;
+pub(crate) const RANGE_FLUSH_CEILING: u64 = 64;
 
 /// The machine-wide shootdown interconnect every kernel cell shares (a
 /// single-kernel machine is its only user).
@@ -31,40 +30,23 @@ pub const RANGE_FLUSH_CEILING: u64 = 64;
 /// actually reaches remote CPUs holds the bus for its IPI round, so
 /// concurrent fork storms on different cells queue up in virtual time
 /// and the contention shows in [`fpr_trace::metrics::lock_stats`].
-/// Machine-wide tallies are atomics so any cell can read them lock-free.
 #[derive(Debug)]
 pub struct TlbBus {
     round: VLock<()>,
-    shootdowns: AtomicU64,
-    remote_acks: AtomicU64,
 }
 
 impl TlbBus {
-    /// A fresh bus with zeroed tallies.
+    /// A fresh, idle bus.
     #[allow(clippy::new_without_default)]
     pub fn new() -> TlbBus {
         TlbBus {
             round: VLock::new("tlb", ()),
-            shootdowns: AtomicU64::new(0),
-            remote_acks: AtomicU64::new(0),
         }
     }
 
-    /// Machine-wide count of shootdown rounds that reached remote CPUs.
-    pub fn shootdowns_total(&self) -> u64 {
-        self.shootdowns.load(Ordering::Relaxed)
-    }
-
-    /// Machine-wide count of remote acknowledgements.
-    pub fn remote_acks_total(&self) -> u64 {
-        self.remote_acks.load(Ordering::Relaxed)
-    }
-
-    /// Serializes one IPI round of `remote` acknowledgements on the bus.
-    fn serialize_round(&self, remote: u64) {
+    /// Serializes one IPI round on the bus.
+    fn serialize_round(&self) {
         let _guard = self.round.lock();
-        self.shootdowns.fetch_add(1, Ordering::Relaxed);
-        self.remote_acks.fetch_add(remote, Ordering::Relaxed);
     }
 }
 
@@ -117,7 +99,7 @@ impl TlbModel {
     }
 
     /// Charges a local single-entry invalidation (`invlpg`).
-    pub fn invalidate_local(&mut self, cycles: &mut Cycles, cost: &CostModel) {
+    pub(crate) fn invalidate_local(&mut self, cycles: &mut Cycles, cost: &CostModel) {
         self.local_invalidations += 1;
         cycles.charge(cost.tlb_invlpg);
         metrics::incr("mem.tlb.invlpg");
@@ -135,7 +117,7 @@ impl TlbModel {
             cycles.charge_n(cost.tlb_shootdown_per_cpu, remote);
             // IPI rounds that reach remote CPUs serialize on the
             // machine's interconnect.
-            self.bus.serialize_round(remote);
+            self.bus.serialize_round();
         }
         metrics::incr("mem.tlb.shootdown");
         if sink::is_active() {
@@ -146,42 +128,16 @@ impl TlbModel {
         }
     }
 
-    /// Charges one batched ranged flush covering `pages` entries: a single
-    /// shootdown round (one IPI per remote CPU, not one per page) plus a
-    /// per-page invalidation term capped at [`RANGE_FLUSH_CEILING`] — past
-    /// the ceiling the flush degrades to a full-context flush and the
-    /// per-page cost stops growing.
-    ///
-    /// With `pages == 0` nothing is flushed and nothing is charged.
-    pub fn shootdown_range(
-        &mut self,
-        cpus_running: u32,
-        pages: u64,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) {
-        if pages == 0 {
-            return;
-        }
-        self.range_flushes += 1;
-        self.range_pages_flushed += pages;
-        cycles.charge_n(cost.tlb_range_flush_page, pages.min(RANGE_FLUSH_CEILING));
-        metrics::incr("mem.tlb.range_flush");
-        metrics::add("mem.tlb.range_pages", pages);
-        self.shootdown(cpus_running, cycles, cost);
-    }
-
     /// Huge-aware ranged flush: one batched shootdown round invalidating
     /// `small_pages` single-page entries plus `huge_entries` 2 MiB-leaf
     /// entries. Each huge leaf costs *one* entry invalidation — the whole
     /// point of huge mappings is that a block occupies one TLB entry — so
     /// tearing down a fully-huge region charges 512× fewer per-entry
     /// invalidations than the same region mapped with small pages. The
-    /// per-entry term is capped at [`RANGE_FLUSH_CEILING`] like
-    /// [`TlbModel::shootdown_range`].
+    /// per-entry term is capped at [`RANGE_FLUSH_CEILING`].
     ///
     /// With no entries at all nothing is flushed and nothing is charged.
-    pub fn shootdown_entries(
+    pub(crate) fn shootdown_entries(
         &mut self,
         cpus_running: u32,
         small_pages: u64,
@@ -242,7 +198,7 @@ mod tests {
         let cost = CostModel::default();
         let mut t = TlbModel::new();
         let mut cy = Cycles::new();
-        t.shootdown_range(4, 16, &mut cy, &cost);
+        t.shootdown_entries(4, 16, 0, &mut cy, &cost);
         assert_eq!(
             cy.total(),
             cost.tlb_shootdown_base + 3 * cost.tlb_shootdown_per_cpu + 16 * cost.tlb_range_flush_page,
@@ -258,26 +214,15 @@ mod tests {
         let cost = CostModel::default();
         let mut t = TlbModel::new();
         let mut big = Cycles::new();
-        t.shootdown_range(1, 100_000, &mut big, &cost);
+        t.shootdown_entries(1, 100_000, 0, &mut big, &cost);
         let mut ceil = Cycles::new();
-        t.shootdown_range(1, RANGE_FLUSH_CEILING, &mut ceil, &cost);
+        t.shootdown_entries(1, RANGE_FLUSH_CEILING, 0, &mut ceil, &cost);
         assert_eq!(
             big.total(),
             ceil.total(),
             "past the ceiling a full flush is charged instead"
         );
         assert_eq!(t.range_pages_flushed, 100_000 + RANGE_FLUSH_CEILING);
-    }
-
-    #[test]
-    fn ranged_flush_of_zero_pages_is_free() {
-        let cost = CostModel::default();
-        let mut t = TlbModel::new();
-        let mut cy = Cycles::new();
-        t.shootdown_range(8, 0, &mut cy, &cost);
-        assert_eq!(cy.total(), 0);
-        assert_eq!(t.range_flushes, 0);
-        assert_eq!(t.shootdowns, 0);
     }
 
     #[test]
@@ -307,26 +252,6 @@ mod tests {
         t.shootdown_entries(8, 0, 0, &mut cy, &cost);
         assert_eq!(cy.total(), 0);
         assert_eq!(t.shootdowns, 0);
-    }
-
-    #[test]
-    fn shared_bus_tallies_remote_rounds_machine_wide() {
-        let cost = CostModel::default();
-        let bus = Arc::new(TlbBus::new());
-        let mut a = TlbModel::new();
-        a.bus = Arc::clone(&bus);
-        let mut b = TlbModel::new();
-        b.bus = Arc::clone(&bus);
-        let mut cy = Cycles::new();
-        a.shootdown(1, &mut cy, &cost); // local only: never touches the bus
-        assert_eq!(bus.shootdowns_total(), 0);
-        a.shootdown(4, &mut cy, &cost);
-        b.shootdown(2, &mut cy, &cost);
-        assert_eq!(bus.shootdowns_total(), 2);
-        assert_eq!(bus.remote_acks_total(), 3 + 1);
-        // Per-model tallies still accumulate independently.
-        assert_eq!(a.remote_acks, 3);
-        assert_eq!(b.remote_acks, 1);
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl VmArea {
     }
 
     /// Returns true if `vpn` lies inside the mapping.
-    pub fn contains(&self, vpn: Vpn) -> bool {
+    pub(crate) fn contains(&self, vpn: Vpn) -> bool {
         vpn.0 >= self.start.0 && vpn.0 < self.end().0
     }
 
@@ -165,7 +165,7 @@ impl VmArea {
     /// # Panics
     ///
     /// Panics if `vpn` is outside the mapping.
-    pub fn initial_content(&self, vpn: Vpn) -> u64 {
+    pub(crate) fn initial_content(&self, vpn: Vpn) -> u64 {
         assert!(self.contains(vpn), "vpn outside VMA");
         match self.backing {
             Backing::Anon => 0,

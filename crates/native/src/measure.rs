@@ -1,52 +1,49 @@
-//! Only compiled with the `host-libc` feature (needs the libc crate).
-#![cfg(feature = "host-libc")]
+//! Linux timing primitives for the native Figure 1 sweep.
+//!
+//! `std` already links the platform libc, so the six calls the harness
+//! makes are declared here by hand instead of pulling in the `libc` crate.
 
-//! Unix timing primitives for the native Figure 1 sweep.
-
-use crate::NativeError;
-use std::ffi::CString;
+use crate::{NativeApi, NativeError};
+use std::ffi::{c_char, c_int, c_void, CString};
 use std::time::Instant;
 
-/// The native APIs under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NativeApi {
-    /// `fork()` then `execv("/bin/true")` in the child.
-    ForkExec,
-    /// `vfork()` then `execv("/bin/true")` in the child.
-    VforkExec,
-    /// `posix_spawn("/bin/true")`.
-    PosixSpawn,
-}
+/// `pid_t` on every Linux target.
+#[allow(non_camel_case_types)]
+type pid_t = c_int;
 
-/// Allocates `bytes` of anonymous memory and writes one byte per page so
-/// it is resident (and private-dirty: exactly what fork must account).
-pub fn touch_buffer(bytes: usize) -> Vec<u8> {
-    let mut v = vec![0u8; bytes];
-    let mut i = 0;
-    while i < bytes {
-        v[i] = 1;
-        i += 4096;
-    }
-    v
+extern "C" {
+    fn fork() -> pid_t;
+    fn vfork() -> pid_t;
+    fn execv(path: *const c_char, argv: *const *const c_char) -> c_int;
+    fn posix_spawn(
+        pid: *mut pid_t,
+        path: *const c_char,
+        file_actions: *const c_void,
+        attrp: *const c_void,
+        argv: *const *mut c_char,
+        envp: *const *mut c_char,
+    ) -> c_int;
+    fn waitpid(pid: pid_t, status: *mut c_int, options: c_int) -> pid_t;
+    fn _exit(status: c_int) -> !;
 }
 
 fn last_errno() -> NativeError {
     NativeError::Sys(std::io::Error::last_os_error().raw_os_error().unwrap_or(-1))
 }
 
-fn wait_child(pid: libc::pid_t) -> Result<(), NativeError> {
+fn wait_child(pid: pid_t) -> Result<(), NativeError> {
     let mut status = 0;
     // SAFETY: waiting on a child we just created; status is a valid out-pointer.
-    let r = unsafe { libc::waitpid(pid, &mut status, 0) };
+    let r = unsafe { waitpid(pid, &mut status, 0) };
     if r < 0 {
         return Err(last_errno());
     }
     Ok(())
 }
 
-fn child_argv() -> (CString, [*mut libc::c_char; 2]) {
+fn child_argv() -> (CString, [*mut c_char; 2]) {
     let path = CString::new("/bin/true").expect("static path");
-    let argv = [path.as_ptr() as *mut libc::c_char, std::ptr::null_mut()];
+    let argv = [path.as_ptr() as *mut c_char, std::ptr::null_mut()];
     (path, argv)
 }
 
@@ -55,34 +52,33 @@ fn one_fork_exec() -> Result<(), NativeError> {
     // SAFETY: standard fork/exec/wait sequence. The child only calls
     // async-signal-safe functions (execv, _exit) before exec.
     unsafe {
-        let pid = libc::fork();
+        let pid = fork();
         if pid < 0 {
             return Err(last_errno());
         }
         if pid == 0 {
-            libc::execv(path.as_ptr(), argv.as_ptr() as *const *const libc::c_char);
-            libc::_exit(127);
+            execv(path.as_ptr(), argv.as_ptr() as *const *const c_char);
+            _exit(127);
         }
         wait_child(pid)
     }
 }
 
-// The libc crate deprecates `vfork` because general use corrupts memory;
-// the exec-immediately-or-_exit pattern below is the single sound use, and
-// measuring exactly that pattern is the point of this harness.
-#[allow(deprecated)]
+// General use of `vfork` corrupts memory; the exec-immediately-or-_exit
+// pattern below is the single sound use, and measuring exactly that
+// pattern is the point of this harness.
 fn one_vfork_exec() -> Result<(), NativeError> {
     let (path, argv) = child_argv();
     // SAFETY: the vfork child immediately execs or _exits, touching only
     // pre-computed locals, which is the only sound use of vfork.
     unsafe {
-        let pid = libc::vfork();
+        let pid = vfork();
         if pid < 0 {
             return Err(last_errno());
         }
         if pid == 0 {
-            libc::execv(path.as_ptr(), argv.as_ptr() as *const *const libc::c_char);
-            libc::_exit(127);
+            execv(path.as_ptr(), argv.as_ptr() as *const *const c_char);
+            _exit(127);
         }
         wait_child(pid)
     }
@@ -90,10 +86,10 @@ fn one_vfork_exec() -> Result<(), NativeError> {
 
 fn one_posix_spawn() -> Result<(), NativeError> {
     let (path, argv) = child_argv();
-    let mut pid: libc::pid_t = 0;
+    let mut pid: pid_t = 0;
     // SAFETY: posix_spawn with null attrs/file-actions and a valid argv.
     let rc = unsafe {
-        libc::posix_spawn(
+        posix_spawn(
             &mut pid,
             path.as_ptr(),
             std::ptr::null(),
@@ -110,7 +106,7 @@ fn one_posix_spawn() -> Result<(), NativeError> {
 
 /// Times `iters` iterations of `api` and returns the median latency in
 /// microseconds.
-pub fn time_api(api: NativeApi, iters: u32) -> Result<f64, NativeError> {
+pub(crate) fn time_api(api: NativeApi, iters: u32) -> Result<f64, NativeError> {
     let mut samples = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
         let t0 = Instant::now();
@@ -129,12 +125,12 @@ pub fn time_api(api: NativeApi, iters: u32) -> Result<f64, NativeError> {
 /// inherited `ballast` buffer (the native COW-storm probe). The child
 /// signals completion by exiting; the measurement includes the wait.
 /// Returns microseconds.
-pub fn time_fork_touch(ballast: &mut [u8], touch_bytes: usize) -> Result<f64, crate::NativeError> {
+pub(crate) fn time_fork_touch(ballast: &mut [u8], touch_bytes: usize) -> Result<f64, NativeError> {
     let t0 = Instant::now();
     // SAFETY: standard fork; the child only dirties its (COW) heap and
     // calls _exit.
     unsafe {
-        let pid = libc::fork();
+        let pid = fork();
         if pid < 0 {
             return Err(last_errno());
         }
@@ -146,7 +142,7 @@ pub fn time_fork_touch(ballast: &mut [u8], touch_bytes: usize) -> Result<f64, cr
                 std::ptr::write_volatile(ballast.as_mut_ptr().add(i), 2);
                 i += 4096;
             }
-            libc::_exit(0);
+            _exit(0);
         }
         wait_child(pid)?;
     }
@@ -172,7 +168,7 @@ mod tests {
 
     #[test]
     fn fork_touch_probe_runs() {
-        let mut ballast = touch_buffer(1024 * 1024);
+        let mut ballast = crate::touch_buffer(1024 * 1024);
         let us = time_fork_touch(&mut ballast, 512 * 1024).unwrap();
         assert!(us > 0.0);
         // The parent's buffer is untouched (the child wrote its COW copy).

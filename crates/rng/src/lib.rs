@@ -11,6 +11,8 @@
 //! Not cryptographically secure; never use it for anything
 //! security-sensitive beyond *modelling* entropy (as the ASLR audit does).
 
+#![warn(missing_docs)]
+
 /// Deterministic pseudo-random number generator (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct Rng {

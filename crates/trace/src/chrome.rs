@@ -38,7 +38,7 @@ pub const CYCLES_PER_US: u64 = 3_000;
 /// Converts one recorded event stream into a Chrome trace-event JSON
 /// document. `cycles_per_us` scales simulated cycles to microseconds
 /// (the kernel's cost model uses 3000).
-pub fn to_chrome_json(events: &[TraceEvent], cycles_per_us: u64) -> Value {
+pub(crate) fn to_chrome_json(events: &[TraceEvent], cycles_per_us: u64) -> Value {
     let scale = cycles_per_us.max(1) as f64;
     let records: Vec<Value> = events.iter().map(|ev| record(ev, scale)).collect();
     Value::Obj(vec![
@@ -57,7 +57,7 @@ pub fn to_chrome_json(events: &[TraceEvent], cycles_per_us: u64) -> Value {
     ])
 }
 
-/// Like [`to_chrome_json`], rendered to a string ready to be written to
+/// Like `to_chrome_json`, rendered to a string ready to be written to
 /// a `.json` file and dropped into `about:tracing` or Perfetto.
 pub fn to_chrome_string(events: &[TraceEvent], cycles_per_us: u64) -> String {
     let mut s = to_chrome_json(events, cycles_per_us).pretty();

@@ -136,14 +136,6 @@ impl TraceEvent {
             _ => None,
         })
     }
-
-    /// Looks up an argument as a string slice, if present.
-    pub fn arg_str(&self, key: &str) -> Option<&str> {
-        self.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-            ArgValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +157,6 @@ mod tests {
             .arg("mode", "eager")
             .arg("ok", true);
         assert_eq!(ev.arg_u64("count"), Some(3));
-        assert_eq!(ev.arg_str("mode"), Some("eager"));
         assert_eq!(ev.arg_u64("mode"), None);
         assert_eq!(ev.arg_u64("missing"), None);
     }

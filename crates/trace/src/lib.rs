@@ -21,8 +21,9 @@
 //!   - [`chrome`]: a Chrome trace-event / Perfetto JSON exporter;
 //!   - [`report`]: a flamegraph-style text cost-attribution report.
 //!
-//! * **Benchmark plumbing** — [`workload`] generates the synthetic
-//!   parents and touch patterns every experiment sweeps over; [`records`]
+//! * **Benchmark plumbing** — [`workload`] holds the two parent shapes
+//!   (shell-sized, or a given heap) and the touch patterns every
+//!   experiment sweeps over; [`records`]
 //!   defines the figure/table result types all bench binaries print and
 //!   serialise, so EXPERIMENTS.md can be regenerated mechanically;
 //!   [`json`] is the hermetic JSON value type both halves serialise

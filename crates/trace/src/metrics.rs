@@ -54,7 +54,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Number of log2 buckets: one for zero, one per bit position of `u64`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log-scale histogram: counts, sum, extrema, and per-bucket tallies.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,11 +114,6 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Inclusive value range `[lo, hi]` covered by bucket `i`.
@@ -195,7 +190,7 @@ impl Histogram {
     }
 
     /// Folds `other` into `self`: counts and buckets add, extrema widen.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -250,11 +245,6 @@ impl Snapshot {
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// The change from `earlier` to `self` (counter-wise saturating
@@ -725,7 +715,6 @@ mod tests {
         assert_eq!(h.buckets[2], 2, "[2,4)");
         assert_eq!(h.buckets[3], 1, "[4,8)");
         assert_eq!(h.buckets[11], 1, "[1024,2048)");
-        assert_eq!(h.mean(), 1034 / 6);
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 use crate::event::{Phase, TraceEvent};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct SinkState {
     events: Vec<TraceEvent>,
@@ -42,18 +41,6 @@ struct SinkState {
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
-}
-
-/// Process-wide tally of events recorded by every thread's sink — the
-/// sink's `Sync` surface. The per-thread collector itself stays
-/// thread-local (events are returned to the scope that opened the sink),
-/// so concurrent cells never share event buffers; this counter is what a
-/// multithreaded driver can observe globally.
-static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
-
-/// Total events recorded across all threads since process start.
-pub fn events_recorded_total() -> u64 {
-    EVENTS_RECORDED.load(Ordering::Relaxed)
 }
 
 /// True while a [`with_sink`] scope is active on this thread.
@@ -77,7 +64,7 @@ pub fn is_active() -> bool {
 ///
 /// Used by emitters that have no cycle accumulator in reach — e.g. the
 /// fault observer — to stamp events with the best-known current time.
-pub fn last_ts() -> u64 {
+pub(crate) fn last_ts() -> u64 {
     SINK.with(|s| s.borrow().as_ref().map(|st| st.last_ts).unwrap_or(0))
 }
 
@@ -90,7 +77,6 @@ pub fn emit(ev: TraceEvent) {
         if let Some(st) = s.borrow_mut().as_mut() {
             st.last_ts = st.last_ts.max(ev.ts);
             st.events.push(ev);
-            EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
         }
     });
 }
@@ -242,18 +228,6 @@ mod tests {
         emit(TraceEvent::new("x", "api", Phase::Instant, 1));
         let ((), events) = with_sink(|| {});
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn recorded_events_tick_the_global_counter() {
-        let before = events_recorded_total();
-        let ((), events) = with_sink(|| {
-            instant("a", "api", 1);
-            instant("b", "api", 2);
-        });
-        assert_eq!(events.len(), 2);
-        // ≥, not ==: sibling test threads record concurrently.
-        assert!(events_recorded_total() >= before + 2);
     }
 
     #[test]

@@ -146,15 +146,10 @@ fn graph_lock() -> std::sync::MutexGuard<'static, WaitGraph> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Process-wide count of lock-order violations since the last
-/// [`reset_order_violations`]. The E17 gate requires zero.
+/// Process-wide count of lock-order violations since the process
+/// started. The E17 gate requires zero.
 pub fn order_violations() -> u64 {
     ORDER_VIOLATIONS.load(Ordering::Relaxed)
-}
-
-/// Clears the process-wide violation counter.
-pub fn reset_order_violations() {
-    ORDER_VIOLATIONS.store(0, Ordering::Relaxed);
 }
 
 /// Process-wide count of would-block cycles the deadlock detector has
@@ -190,11 +185,6 @@ impl<T> VLock<T> {
             free_at: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
-    }
-
-    /// The name contention is recorded under.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Acquires the lock, advancing this thread's virtual clock to the
@@ -268,13 +258,6 @@ impl<T> VLock<T> {
         self.holder.store(me, Ordering::Release);
         note_held(rank, 1);
         guard
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -375,12 +358,6 @@ mod tests {
         // cannot race with a sibling test's recording.
         metrics::reset_lock_stats();
         assert!(!metrics::lock_stats().contains_key("t.smp.pair"));
-    }
-
-    #[test]
-    fn into_inner_returns_value() {
-        let l = VLock::new("t.smp.inner", 7u64);
-        assert_eq!(l.into_inner(), 7);
     }
 
     #[test]

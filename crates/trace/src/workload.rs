@@ -2,8 +2,10 @@
 //!
 //! The experiments sweep over synthetic parents whose footprint and
 //! behaviour are controlled. A [`ProcessShape`] says how big the parent
-//! is; a [`TouchPattern`] says which of its pages a phase writes, which
-//! drives the COW-fault-storm experiment.
+//! is — a shell-sized one ([`ProcessShape::shell`]) or one of a given
+//! heap ([`ProcessShape::with_heap`]), the two every experiment uses; a
+//! [`TouchPattern`] expands to the pages a phase writes, which drives
+//! the COW-fault-storm experiment.
 
 use fpr_rng::Rng;
 
@@ -29,26 +31,6 @@ impl ProcessShape {
             vma_count: 8,
             extra_fds: 4,
             extra_threads: 0,
-        }
-    }
-
-    /// A server: hundreds of MiB, many descriptors, many threads.
-    pub fn server() -> ProcessShape {
-        ProcessShape {
-            heap_pages: 65_536,
-            vma_count: 64,
-            extra_fds: 200,
-            extra_threads: 16,
-        }
-    }
-
-    /// A JVM-like giant: multi-GiB heap.
-    pub fn jvm() -> ProcessShape {
-        ProcessShape {
-            heap_pages: 524_288,
-            vma_count: 128,
-            extra_fds: 64,
-            extra_threads: 32,
         }
     }
 
@@ -127,14 +109,6 @@ impl TouchPattern {
             }
         }
     }
-
-    /// Number of *distinct* pages the expansion touches.
-    pub fn distinct_pages(&self, pages: u64) -> u64 {
-        let mut v = self.expand(pages);
-        v.sort_unstable();
-        v.dedup();
-        v.len() as u64
-    }
 }
 
 fn scaled(pages: u64, fraction: f64) -> u64 {
@@ -151,17 +125,17 @@ pub fn fig1_footprints() -> Vec<u64> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shapes_scale_up() {
-        assert!(ProcessShape::server().heap_pages > ProcessShape::shell().heap_pages);
-        assert!(ProcessShape::jvm().heap_pages > ProcessShape::server().heap_pages);
+    /// Number of distinct pages among the ones a pattern touched.
+    fn distinct(mut touched: Vec<u64>) -> usize {
+        touched.sort_unstable();
+        touched.dedup();
+        touched.len()
     }
 
     #[test]
     fn sequential_touch_is_prefix() {
         let t = TouchPattern::Sequential { fraction: 0.5 };
         assert_eq!(t.expand(10), vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.distinct_pages(10), 5);
     }
 
     #[test]
@@ -173,7 +147,7 @@ mod tests {
         let v = t.expand(100);
         assert_eq!(v.len(), 30);
         assert!(v.iter().all(|p| *p < 100));
-        assert_eq!(t.distinct_pages(100), 30, "random sample has no repeats");
+        assert_eq!(distinct(v), 30, "random sample has no repeats");
     }
 
     #[test]
@@ -210,7 +184,7 @@ mod tests {
             hot_hits as f64 / v.len() as f64 > 0.8,
             "hot set under-hit: {hot_hits}"
         );
-        assert!(t.distinct_pages(1000) < 500, "zipfian repeats pages");
+        assert!(distinct(v) < 500, "zipfian repeats pages");
     }
 
     #[test]

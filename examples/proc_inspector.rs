@@ -1,5 +1,6 @@
 //! Inspect what fork actually duplicated, through the simulator's
-//! /proc-style views: maps, status, meminfo and a ps listing.
+//! /proc-style views: maps, status, meminfo, memory pressure and a ps
+//! listing.
 //!
 //! Run with: `cargo run --example proc_inspector`
 
@@ -50,6 +51,9 @@ fn main() {
 
     println!("=== /proc/meminfo ===");
     println!("{}", os.kernel.proc_meminfo());
+
+    println!("=== /proc/pressure/memory ===");
+    println!("{}", os.kernel.proc_pressure_memory());
 
     println!("=== ps ===");
     println!("{}", os.kernel.ps());

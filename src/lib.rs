@@ -14,6 +14,8 @@
 //!
 //! Start with [`core::Os::boot`]; see `examples/quickstart.rs`.
 
+#![warn(missing_docs)]
+
 pub use forkroad_core as core;
 pub use fpr_api as api;
 pub use fpr_audit as audit;
