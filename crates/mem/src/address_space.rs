@@ -589,6 +589,10 @@ impl AddressSpace {
         if self.overlaps(new_start, vma.pages) {
             return Err(MemError::Overlap);
         }
+        // A huge block the mapping covers only part of — a fork-policy
+        // range split the mapping inside it — cannot move with it.
+        self.demote_straddling(old_start, phys, cycles)?;
+        self.demote_straddling(Vpn(old_start.0 + vma.pages), phys, cycles)?;
         // Leaf subtrees still shared with another space cannot be mutated
         // in place; privatize them first (no-op for a private space).
         let span = PT_ENTRIES as u64;
@@ -609,7 +613,6 @@ impl AddressSpace {
                 }
             }
         }
-        let cost = phys.cost();
         let present = self.pt.leaves_in_range(old_start, vma.pages);
         // Map into the destination first so a mid-slide allocation failure
         // (page-table node exhaustion, injected fault) can roll back by
@@ -618,13 +621,17 @@ impl AddressSpace {
         let mut moved: Vec<Vpn> = Vec::with_capacity(present.len());
         for (vpn, pte) in &present {
             let nv = Vpn(vpn.0 - old_start.0 + new_start.0);
-            // One pte_copy per moved entry: copy_huge charges it itself.
-            let mapped = if pte.is_huge() {
-                self.pt.copy_huge(nv, *pte, cycles, cost)
-            } else {
-                cycles.charge(cost.pte_copy);
-                self.pt.map(nv, *pte, cycles, cost)
-            };
+            // The node the entry lands in may be one a fork still shares.
+            let mapped = self.unshare_subtree(nv, phys, cycles).and_then(|()| {
+                let cost = phys.cost();
+                // One pte_copy per moved entry: copy_huge charges it itself.
+                if pte.is_huge() {
+                    self.pt.copy_huge(nv, *pte, cycles, cost)
+                } else {
+                    cycles.charge(cost.pte_copy);
+                    self.pt.map(nv, *pte, cycles, cost)
+                }
+            });
             if let Err(e) = mapped {
                 for m in moved {
                     self.pt.unmap(m).expect("destination entry just mapped");
@@ -1968,6 +1975,44 @@ mod tests {
         let delta = cy.total() - before;
         assert!(delta >= 8 * cost.pte_copy);
         assert!(delta <= 8 * cost.pte_copy + 4 * cost.pt_node_alloc);
+    }
+
+    #[test]
+    fn slide_vma_into_a_node_a_fork_shares_unshares_it() {
+        let (mut phys, mut cy, mut tlb) = world(64);
+        let mut a = AddressSpace::new();
+        a.mmap(anon(0, 4), &mut phys, &mut cy).unwrap();
+        a.mmap(anon(100, 4), &mut phys, &mut cy).unwrap();
+        a.populate(Vpn(0), 4, &mut phys, &mut cy).unwrap();
+        a.populate(Vpn(100), 4, &mut phys, &mut cy).unwrap();
+        let mut child =
+            AddressSpace::fork_from(&mut a, ForkMode::OnDemand, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        // Source and destination lie in the one leaf node both spaces hold.
+        assert_eq!(a.slide_vma(Vpn(0), Vpn(200), &mut phys, &mut cy), Ok(4));
+        assert_eq!(a.stats.pt_unshares, 1);
+        assert!(a.translate(Vpn(200)).is_some() && a.translate(Vpn(0)).is_none());
+        assert!(child.translate(Vpn(0)).is_some() && child.translate(Vpn(200)).is_none());
+        child.destroy(&mut phys, &mut cy);
+        a.destroy(&mut phys, &mut cy);
+        assert_eq!(phys.used_frames(), 0);
+    }
+
+    #[test]
+    fn slide_vma_of_part_of_a_huge_block_splits_the_block() {
+        let (mut phys, mut cy, mut tlb) = world(2048);
+        let mut a = AddressSpace::new();
+        a.set_thp(true);
+        a.mmap(anon(1024, 512), &mut phys, &mut cy).unwrap();
+        a.populate(Vpn(1024), 512, &mut phys, &mut cy).unwrap();
+        assert_eq!(a.huge_pages(), 1);
+        a.write(Vpn(1030), 77, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        a.set_fork_policy(Vpn(1028), 4, |p| p.wipe_on_fork = true).unwrap();
+        assert_eq!(a.slide_vma(Vpn(1028), Vpn(9000), &mut phys, &mut cy), Ok(4));
+        assert_eq!(a.huge_pages(), 0);
+        assert_eq!(a.observe(Vpn(9002), &phys), Ok(77));
+        assert_eq!(a.resident_pages(), 512);
+        a.destroy(&mut phys, &mut cy);
+        assert_eq!(phys.used_frames(), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! What `fork_from` leaves behind at every one of its fail points, pinned.
+//! What `fork_from` — and, below it, `slide_vma` — leaves behind at every
+//! one of its fail points, pinned.
 //!
 //! A ≈ 40-page parent built to reach every arm of the fork walk is forked
 //! in each mode passively, under `count_crossings`, and then once per fail
@@ -9,6 +10,12 @@
 //! reference count and `used_frames()`. The records fold into one digest
 //! per mode, pinned below: however the walk batches its per-entry work, a
 //! failure at crossing *k* must leave exactly this.
+//!
+//! The second half does the same for `slide_vma`, the warm pool's
+//! re-randomising move: a space of its own ([`slide_world`]), a list of
+//! slides that between them reach every arm ([`SLIDES`]), each run
+//! passively, counted and once per fail point of `PtNodeAlloc`, `PtUnshare`
+//! and `PtDemote`, one digest over all of it.
 
 use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultTrace};
 use fpr_mem::address_space::{heap_vma, ForkMode};
@@ -117,22 +124,38 @@ enum Listening {
     FailingCrossing(u64),
 }
 
+impl Listening {
+    /// Runs `op` with this on the thread.
+    fn to<T>(self, op: impl FnOnce() -> T) -> (T, Option<FaultTrace>) {
+        match self {
+            Listening::Nobody => (op(), None),
+            Listening::Counting => {
+                let mut result = None;
+                let trace = count_crossings(|| result = Some(op()));
+                (result.expect("the scope ran"), Some(trace))
+            }
+            Listening::FailingCrossing(k) => {
+                let (result, trace) = with_plan(FaultPlan::passive().fail_nth_crossing(k), op);
+                (result, Some(trace))
+            }
+        }
+    }
+}
+
+fn fold_trace(trace: &Option<FaultTrace>, d: &mut Digest) {
+    for c in trace.iter().flat_map(|t| &t.crossings) {
+        d.word(c.site.index() as u64);
+        d.word(c.occurrence);
+        d.word(c.global_index);
+        d.word(c.injected as u64);
+    }
+}
+
 fn run(mode: ForkMode, listening: Listening) -> Run {
     let mut w = world();
     let (at, copied, cloned) = (w.cycles.total(), w.parent.stats.ptes_copied, w.parent.stats.vmas_cloned);
-    let mut fork = || AddressSpace::fork_from(&mut w.parent, mode, &mut w.phys, &mut w.cycles, &mut w.tlb, 2);
-    let (result, trace) = match listening {
-        Listening::Nobody => (fork(), None),
-        Listening::Counting => {
-            let mut result = None;
-            let trace = count_crossings(|| result = Some(fork()));
-            (result.expect("the scope ran"), Some(trace))
-        }
-        Listening::FailingCrossing(k) => {
-            let (result, trace) = with_plan(FaultPlan::passive().fail_nth_crossing(k), fork);
-            (result, Some(trace))
-        }
-    };
+    let fork = || AddressSpace::fork_from(&mut w.parent, mode, &mut w.phys, &mut w.cycles, &mut w.tlb, 2);
+    let (result, trace) = listening.to(fork);
     Run {
         result,
         trace,
@@ -153,12 +176,7 @@ impl Run {
         d.word(self.charged);
         d.word(self.ptes_copied);
         d.word(self.vmas_cloned);
-        for c in self.trace.iter().flat_map(|t| &t.crossings) {
-            d.word(c.site.index() as u64);
-            d.word(c.occurrence);
-            d.word(c.global_index);
-            d.word(c.injected as u64);
-        }
+        fold_trace(&self.trace, d);
         let spaces = [Some(&self.world.parent), self.result.as_ref().ok()];
         for space in spaces.into_iter().flatten() {
             mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
@@ -240,4 +258,215 @@ fn every_fail_point_leaves_what_it_left_before() {
         (mode, fail_points, digest)
     });
     assert_eq!(got, pinned, "got {got:#x?}");
+}
+
+// ------------------------------------------------------------------ slides
+
+const SLIDE_FRAMES: u64 = 2048;
+/// Pages of user space: the lower half of a 48-bit address space.
+const USER_END: u64 = 1 << 35;
+/// A page whose path shares no node but the root with anything mapped.
+const FAR: u64 = (1 << 27) | (3 << 18) | (5 << 9);
+
+struct SlideWorld {
+    phys: PhysMemory,
+    cycles: Cycles,
+    space: AddressSpace,
+    /// An on-demand fork of `space`, kept alive for the nodes it shares.
+    fork: AddressSpace,
+}
+
+/// The space whose mappings slide, THP on. By leaf node:
+///
+/// * node 0 — `A`, six pages at 500..506, and the head of `B`, 506..520:
+///   two mappings in one node;
+/// * node 1 — the rest of `B`, whose pages 510..513, either side of the
+///   node boundary, were never touched;
+/// * node 2 — `C` at 1024..1030;
+/// * node 4 — `H` at 2048..2560, populated at once: one 2 MiB block;
+/// * node 16 — `P` at 8192..8704, another;
+/// * `E` at 3000..3004, nothing resident.
+///
+/// Then the space is forked on demand, and writes to 500 and 515 make
+/// nodes 0 and 1 its own again: node 2 stays shared with the fork, and the
+/// blocks' frames are referenced twice. Last, a `WIPEONFORK` range makes
+/// 8292..8300 a mapping of its own in the middle of `P`.
+fn slide_world() -> SlideWorld {
+    let mut phys = PhysMemory::new(SLIDE_FRAMES, CostModel::default());
+    let (mut cycles, mut tlb, mut space) = (Cycles::new(), TlbModel::new(), AddressSpace::new());
+    space.set_thp(true);
+    for (start, pages) in [(500, 6), (506, 14), (1024, 6), (2048, 512), (3000, 4), (8192, 512)] {
+        space.mmap(heap_vma(Vpn(start), pages), &mut phys, &mut cycles).unwrap();
+    }
+    for vpn in [500..510, 513..520, 1024..1030].into_iter().flatten() {
+        space.write(Vpn(vpn), 7000 + vpn, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    }
+    for block in [2048, 8192] {
+        space.populate(Vpn(block), 512, &mut phys, &mut cycles).unwrap();
+    }
+    assert_eq!((space.huge_pages(), space.resident_pages()), (2, 23 + 1024));
+    let fork = AddressSpace::fork_from(&mut space, ForkMode::OnDemand, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    for vpn in [500, 515] {
+        space.write(Vpn(vpn), 8000 + vpn, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    }
+    assert_eq!(space.stats.pt_unshares, 2);
+    // After the fork, which would have split the block for it.
+    space.set_fork_policy(Vpn(8292), 8, |p| p.wipe_on_fork = true).unwrap();
+    assert_eq!(space.huge_pages(), 2);
+    SlideWorld { phys, cycles, space, fork }
+}
+
+/// `(mapping, destination)`: every arm of `slide_vma`.
+const SLIDES: [(u64, u64); 14] = [
+    // Into a node the space owns, next to what is there.
+    (500, 600),
+    // Into the node the fork shares: the destination is unshared.
+    (500, 1100),
+    // Out of two nodes, the hole between them, by a distance that is no
+    // multiple of a node: into the shared node and one that does not exist,
+    // under the level-1 node everything hangs from.
+    (506, 1531),
+    // The same where there is no path at all, across a node boundary.
+    (506, FAR + 509),
+    // Out of the shared node.
+    (1024, 1700),
+    // The block, whole.
+    (2048, 4096),
+    // The block, split: 512 entries into two nodes.
+    (2048, 5003),
+    // Eight pages out of the middle of a block, which is split for it.
+    (8292, 12_000),
+    // Nothing resident: nothing to do but re-key the mapping.
+    (3000, 9000),
+    // Nowhere, onto itself, into a neighbour, off the end, and from a page
+    // no mapping starts at.
+    (500, 500),
+    (500, 503),
+    (500, 515),
+    (500, USER_END - 3),
+    (501, 9000),
+];
+
+/// Every entry `space` maps, by mapping.
+fn mapped_by_vma(space: &AddressSpace) -> Vec<(u64, Pte)> {
+    let pages = space.vmas().flat_map(|v| v.start.0..v.start.0 + v.pages);
+    pages.filter_map(|vpn| space.translate(Vpn(vpn)).map(|pte| (vpn, pte))).collect()
+}
+
+/// Where the mappings are — `(start, pages)` — and which frame every page
+/// translates to — `(page, frame)`: what a failed slide leaves as it was
+/// even where it split a block or unshared a node before it failed.
+#[derive(Debug, PartialEq)]
+struct Layout {
+    vmas: Vec<(u64, u64)>,
+    frames: Vec<(u64, u64)>,
+}
+
+fn layout(space: &AddressSpace) -> Layout {
+    Layout {
+        vmas: space.vmas().map(|v| (v.start.0, v.pages)).collect(),
+        frames: mapped_by_vma(space).into_iter().map(|(vpn, pte)| (vpn, pte.pfn.0)).collect(),
+    }
+}
+
+struct SlideRun {
+    result: Result<u64, MemError>,
+    trace: Option<FaultTrace>,
+    world: SlideWorld,
+    charged: u64,
+}
+
+fn slide((from, to): (u64, u64), listening: Listening) -> SlideRun {
+    let mut w = slide_world();
+    let at = w.cycles.total();
+    let (result, trace) = listening.to(|| w.space.slide_vma(Vpn(from), Vpn(to), &mut w.phys, &mut w.cycles));
+    SlideRun { result, trace, charged: w.cycles.total() - at, world: w }
+}
+
+impl SlideRun {
+    fn fold_into(&self, d: &mut Digest) {
+        match &self.result {
+            Ok(moved) => [0, *moved],
+            Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress]
+                .iter()
+                .position(|known| known == e)
+                .unwrap_or_else(|| panic!("a slide does not fail with {e:?}")) as u64],
+        }
+        .into_iter()
+        .for_each(|w| d.word(w));
+        d.word(self.charged);
+        fold_trace(&self.trace, d);
+        for space in [&self.world.space, &self.world.fork] {
+            mapped_by_vma(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
+            d.word(space.resident_pages());
+            d.word(space.pt_nodes() as u64);
+            d.word(space.stats.pt_unshares);
+        }
+        let frames = (0..SLIDE_FRAMES).map(|pfn| self.world.phys.refs(Pfn(pfn)).unwrap_or(0));
+        frames.for_each(|r| d.word(r as u64));
+        d.word(self.world.phys.used_frames());
+    }
+
+    /// Tears both spaces down; nothing may be left.
+    fn finish(mut self) {
+        let SlideWorld { phys, cycles, space, fork } = &mut self.world;
+        for space in [space, fork] {
+            assert_eq!(space.check_page_table(), Ok(()));
+            space.destroy(phys, cycles);
+        }
+        assert_eq!(phys.used_frames(), 0);
+    }
+}
+
+#[test]
+fn every_slide_fail_point_leaves_what_it_left_before() {
+    let mut digest = Digest::new();
+    let mut fail_points = 0;
+    let untouched = slide_world();
+    let (space_before, fork_before) = (layout(&untouched.space), layout(&untouched.fork));
+    for pair in SLIDES {
+        let passive = slide(pair, Listening::Nobody);
+        let counted = slide(pair, Listening::Counting);
+        assert_eq!(passive.result, counted.result, "{pair:?}: the verdict depends on who listens");
+        assert_eq!(passive.charged, counted.charged, "{pair:?}");
+        assert_eq!(mapped_by_vma(&passive.world.space), mapped_by_vma(&counted.world.space), "{pair:?}");
+        assert_eq!(layout(&passive.world.fork), fork_before, "{pair:?}: the fork saw the slide");
+        if let Ok(moved) = passive.result {
+            // Every frame is where it was, or `to - from` pages further on.
+            let (from, to) = pair;
+            let slid = |vpn: u64| untouched.space.vma_at(Vpn(vpn)).unwrap().start.0 == from;
+            let mut expected = space_before.frames.clone();
+            expected.iter_mut().filter(|(vpn, _)| slid(*vpn)).for_each(|(vpn, _)| *vpn = *vpn - from + to);
+            expected.sort_unstable();
+            let mut got = layout(&passive.world.space).frames;
+            got.sort_unstable();
+            assert_eq!(got, expected, "{pair:?}");
+            assert!(moved <= 512, "{pair:?}");
+        } else {
+            assert_eq!(layout(&passive.world.space), space_before, "{pair:?}: a refused slide moved something");
+            assert_eq!(passive.charged, 0, "{pair:?}: a refused slide cost something");
+        }
+        let points = counted.trace.as_ref().unwrap().len() as u64;
+        for r in [passive, counted] {
+            r.fold_into(&mut digest);
+            r.finish();
+        }
+        for k in 0..points {
+            let failed = slide(pair, Listening::FailingCrossing(k));
+            assert_eq!(failed.result, Err(MemError::OutOfMemory), "{pair:?} point {k}");
+            assert_eq!(failed.trace.as_ref().unwrap().len() as u64, k + 1, "{pair:?} point {k}: the slide went on");
+            assert_eq!(layout(&failed.world.space), space_before, "{pair:?} point {k}: the space");
+            assert_eq!(layout(&failed.world.fork), fork_before, "{pair:?} point {k}: the fork");
+            // The destination's path is gone again; a block split on the
+            // way stays split, in a node of its own.
+            let split = (untouched.space.huge_pages() - failed.world.space.huge_pages()) as usize;
+            assert_eq!(failed.world.space.pt_nodes(), untouched.space.pt_nodes() + split, "{pair:?} point {k}");
+            failed.fold_into(&mut digest);
+            failed.finish();
+        }
+        fail_points += points;
+    }
+    // Obtained from the slide that enumerates with `leaves_in_range` and
+    // keeps a second list of what it moved.
+    assert_eq!((fail_points, digest.0), (566, 0xb7fc_c157_1c35_a3b9), "got ({fail_points}, {:#x})", digest.0);
 }

@@ -12,7 +12,7 @@
 //! not depend on the mechanism behind it.
 //!
 //! Seeded scripts of `mmap / munmap / mprotect / madvise / populate / write /
-//! read / fork(mode) / exit` run through both. Every verdict (`Ok`, or which
+//! read / slide / fork(mode) / exit` run through both. Every verdict (`Ok`, or which
 //! error) and every value read must agree, after each fork the whole mapped
 //! set of parent and child must agree, every page table's summaries must
 //! recount after every step, and tearing the world down must return
@@ -24,12 +24,26 @@
 //! on-demand fork must meet a node it cannot share whole and copy it entry
 //! by entry; a run in which none did fails as vacuous.
 //!
+//! `slide` moves a whole *mapping* — what one `mmap` made, cut wherever a
+//! later `munmap`, `mprotect` or `madvise` range began or ended inside it —
+//! to a new start, pages and all. The reference keeps the cuts as a set of
+//! page numbers beside the pages and re-keys the pages of the mapping; it
+//! says `NotMapped` where no mapping starts, `BadAddress` past the end of
+//! user space and `Overlap` where anything is in the way. The runs must
+//! between them slide a mapping that lies across two leaf nodes by a
+//! distance that is no multiple of a node, a mapping in a node an on-demand
+//! fork still shares, and — under THP — a huge block by a distance that
+//! keeps its alignment and by one that does not; a run in which one of
+//! these never happened fails as vacuous too.
+//!
 //! A script's mappings are scattered over [`WINDOWS`]: windows of [`SPAN`]
 //! pages that differ in their 2 MiB, 1 GiB and 512 GiB slot, one of them
 //! lying across a 1 GiB boundary. The root then holds several entries, one
 //! level-2 node holds two, and tearing a mapping down reclaims some
 //! intermediate nodes of its path while their siblings stay — which a single
-//! window, a chain of one-entry nodes, never asks of the table.
+//! window, a chain of one-entry nodes, never asks of the table. The last
+//! window starts out empty: room for slides to land in, and for mappings
+//! that lie across a node boundary.
 
 use fpr_mem::address_space::ForkMode;
 use fpr_mem::cost::{CostModel, Cycles};
@@ -39,7 +53,7 @@ use fpr_mem::vma::{Prot, Share, VmArea, VmaKind};
 use fpr_mem::{AddressSpace, ForkPolicy, MemError, Vpn};
 use fpr_rng::Rng;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 const CASES: u64 = 24;
@@ -51,7 +65,14 @@ const BLOCK: u64 = 512;
 /// the low corner of the address space; somewhere in the middle of every
 /// node of its path; and two blocks either side of a 1 GiB boundary, so
 /// that one window hangs from two level-1 nodes.
-const WINDOWS: [u64; 3] = [window(0, 0, 0), window(1, 3, 5), window(2, 7, 510)];
+const WINDOWS: [u64; 4] = [window(0, 0, 0), window(1, 3, 5), window(2, 7, 510), LANDING];
+/// The window the first process maps nothing of.
+const LANDING: u64 = window(3, 5, 100);
+/// The flag of a PTE that maps a 2 MiB block (`PteFlags::HUGE`, which the
+/// crate keeps to itself).
+const HUGE_BIT: u16 = 1 << 9;
+/// Pages of user space: the lower half of a 48-bit address space.
+const USER_END: u64 = 1 << 35;
 
 const fn window(l3: u64, l2: u64, l1: u64) -> u64 {
     (l3 << 27) | (l2 << 18) | (l1 << 9)
@@ -69,14 +90,20 @@ struct Page {
 }
 
 #[derive(Clone, Default)]
-struct RefSpace(BTreeMap<u64, Page>);
+struct RefSpace {
+    pages: BTreeMap<u64, Page>,
+    /// Where mappings begin and end: both ends of every range `mmap`,
+    /// `munmap`, `mprotect`, `madvise` or `slide` was given and acted on.
+    /// A mapping runs from a cut on a mapped page to the next cut.
+    cuts: BTreeSet<u64>,
+}
 
 type Verdict = Result<Option<u64>, MemError>;
 
 impl RefSpace {
     /// The pages of `[start, start + pages)`, or `NotMapped` at a hole.
     fn all_mapped(&mut self, start: u64, pages: u64) -> Result<Vec<&mut Page>, MemError> {
-        let found: Vec<&mut Page> = self.0.range_mut(start..start + pages).map(|(_, p)| p).collect();
+        let found: Vec<&mut Page> = self.pages.range_mut(start..start + pages).map(|(_, p)| p).collect();
         if found.len() as u64 == pages {
             Ok(found)
         } else {
@@ -84,10 +111,37 @@ impl RefSpace {
         }
     }
 
+    /// Cuts at both ends of `[start, start + pages)`.
+    fn cut(&mut self, start: u64, pages: u64) {
+        self.cuts.extend([start, start + pages]);
+    }
+
+    /// Cuts at both ends of `[start, start + pages)` and nowhere inside it:
+    /// the range is one mapping, or none.
+    fn cut_out(&mut self, start: u64, pages: u64) {
+        self.cuts.retain(|&c| c <= start || c >= start + pages);
+        self.cut(start, pages);
+    }
+
+    /// Length of the mapping that starts at `start`, if one does.
+    fn mapping_at(&self, start: u64) -> Option<u64> {
+        if !(self.pages.contains_key(&start) && self.cuts.contains(&start)) {
+            return None;
+        }
+        let end = self.cuts.range(start + 1..).next().expect("a mapping ends at a cut");
+        Some(end - start)
+    }
+
+    /// Where mappings start, ascending.
+    fn starts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cuts.iter().copied().filter(|c| self.pages.contains_key(c))
+    }
+
     fn mmap(&mut self, start: u64, pages: u64, prot: Prot, share: Share) -> Verdict {
-        if self.0.range(start..start + pages).next().is_some() {
+        if self.pages.range(start..start + pages).next().is_some() {
             return Err(MemError::Overlap);
         }
+        self.cut_out(start, pages);
         for vpn in start..start + pages {
             let page = Page {
                 content: Rc::new(Cell::new(0)),
@@ -95,18 +149,40 @@ impl RefSpace {
                 share,
                 policy: ForkPolicy::default(),
             };
-            self.0.insert(vpn, page);
+            self.pages.insert(vpn, page);
         }
         Ok(None)
     }
 
     fn munmap(&mut self, start: u64, pages: u64) -> Verdict {
-        self.0.retain(|vpn, _| !(start..start + pages).contains(vpn));
+        self.pages.retain(|vpn, _| !(start..start + pages).contains(vpn));
+        self.cut_out(start, pages);
         Ok(None)
     }
 
     fn mprotect(&mut self, start: u64, pages: u64, prot: Prot) -> Verdict {
         self.all_mapped(start, pages)?.into_iter().for_each(|p| p.prot = prot);
+        self.cut(start, pages);
+        Ok(None)
+    }
+
+    /// Moves the mapping that starts at `from` to `to`.
+    fn slide(&mut self, from: u64, to: u64) -> Verdict {
+        if from == to {
+            return Ok(None);
+        }
+        let pages = self.mapping_at(from).ok_or(MemError::NotMapped)?;
+        if to + pages > USER_END {
+            return Err(MemError::BadAddress);
+        }
+        if self.pages.range(to..to + pages).next().is_some() {
+            return Err(MemError::Overlap);
+        }
+        for i in 0..pages {
+            let page = self.pages.remove(&(from + i)).expect("a mapping has no holes");
+            self.pages.insert(to + i, page);
+        }
+        self.cut_out(to, pages);
         Ok(None)
     }
 
@@ -118,6 +194,7 @@ impl RefSpace {
                 p.policy.dont_fork = true;
             }
         }
+        self.cut(start, pages);
         Ok(None)
     }
 
@@ -127,7 +204,7 @@ impl RefSpace {
     }
 
     fn write(&mut self, vpn: u64, val: u64) -> Verdict {
-        let page = self.0.get(&vpn).ok_or(MemError::NotMapped)?;
+        let page = self.pages.get(&vpn).ok_or(MemError::NotMapped)?;
         if !page.prot.write {
             return Err(MemError::Protection);
         }
@@ -136,7 +213,7 @@ impl RefSpace {
     }
 
     fn read(&self, vpn: u64) -> Verdict {
-        let page = self.0.get(&vpn).ok_or(MemError::NotMapped)?;
+        let page = self.pages.get(&vpn).ok_or(MemError::NotMapped)?;
         if !page.prot.read {
             return Err(MemError::Protection);
         }
@@ -153,8 +230,8 @@ impl RefSpace {
             };
             Page { content, ..page.clone() }
         };
-        let pages = self.0.iter().filter(|(_, p)| !p.policy.dont_fork);
-        RefSpace(pages.map(|(&vpn, p)| (vpn, inherit(p))).collect())
+        let pages = self.pages.iter().filter(|(_, p)| !p.policy.dont_fork);
+        RefSpace { pages: pages.map(|(&vpn, p)| (vpn, inherit(p))).collect(), cuts: self.cuts.clone() }
     }
 }
 
@@ -169,8 +246,22 @@ enum Op {
     Populate { start: u64, pages: u64 },
     Write { vpn: u64, val: u64 },
     Read { vpn: u64 },
+    /// Slide the mapping `from` picks out to `to`, or — `keep_alignment` —
+    /// to the page of `to`'s 2 MiB block that the mapping starts at in its
+    /// own.
+    Slide { from: Pick, to: u64, keep_alignment: bool },
     Fork { mode: ForkMode },
     Exit,
+}
+
+/// Which mapping to slide. The script is written before it runs, so it
+/// names a mapping by its rank among the reference's, not by an address.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// The start of the `n`-th mapping, counting round.
+    Mapping(u64),
+    /// This page, whatever is there: most often not the start of anything.
+    Page(u64),
 }
 
 const MODES: [ForkMode; 3] = [ForkMode::Cow, ForkMode::OnDemand, ForkMode::Eager];
@@ -222,7 +313,8 @@ fn gen_share(rng: &mut Rng) -> Share {
 /// THP, huge — memory more often than on holes.
 fn gen_prologue(rng: &mut Rng) -> Vec<Op> {
     let mut ops = Vec::new();
-    let blocks = WINDOWS.iter().flat_map(|w| (0..SPAN / BLOCK).map(move |b| w + b * BLOCK));
+    let mapped = WINDOWS.iter().filter(|&&w| w != LANDING);
+    let blocks = mapped.flat_map(|w| (0..SPAN / BLOCK).map(move |b| w + b * BLOCK));
     for start in blocks {
         let pages = BLOCK - rng.gen_below(2) * rng.gen_below(64);
         if rng.gen_bool(0.85) {
@@ -239,7 +331,18 @@ fn gen_op(rng: &mut Rng) -> Op {
     let (start, pages) = gen_range(rng);
     let few = pages.min(24);
     let prot = [Prot::RW, Prot::RW, Prot::R, Prot::NONE][rng.gen_index(4)];
-    match rng.gen_below(24) {
+    match rng.gen_below(27) {
+        24..=26 => {
+            let from = if rng.gen_bool(0.9) { Pick::Mapping(rng.gen_u64()) } else { Pick::Page(gen_vpn(rng)) };
+            // Half of them into the window that began empty, a few off the
+            // end of user space.
+            let to = match rng.gen_below(16) {
+                0 => USER_END - rng.gen_below(32),
+                1..=8 => LANDING + gen_offset(rng),
+                _ => gen_vpn(rng),
+            };
+            Op::Slide { from, to, keep_alignment: rng.gen_bool(0.5) }
+        }
         0 => Op::Mmap { start, pages, share: gen_share(rng) },
         // Whole blocks now and then: the unmap that empties leaf nodes, and
         // with them the intermediate nodes that held nothing else.
@@ -259,9 +362,34 @@ struct World {
     cycles: Cycles,
     tlb: TlbModel,
     procs: Vec<(AddressSpace, RefSpace)>,
+    seen: Seen,
+}
+
+/// What a script has to have done for its agreement to mean something.
+#[derive(Debug, Default, Clone, Copy)]
+struct Seen {
     /// PTEs on-demand forks copied one by one, for nodes they could not
     /// share whole.
     fallback_copies: u64,
+    /// Slides that moved pages of a mapping lying across two leaf nodes by
+    /// a distance that is no multiple of a node.
+    slid_across_nodes: u64,
+    /// Slides out of a node a fork still shared.
+    slid_shared_node: u64,
+    /// Slides of a huge block by a multiple of its size, and by any other
+    /// distance.
+    slid_block_aligned: u64,
+    slid_block_unaligned: u64,
+}
+
+impl std::ops::AddAssign for Seen {
+    fn add_assign(&mut self, o: Seen) {
+        self.fallback_copies += o.fallback_copies;
+        self.slid_across_nodes += o.slid_across_nodes;
+        self.slid_shared_node += o.slid_shared_node;
+        self.slid_block_aligned += o.slid_block_aligned;
+        self.slid_block_unaligned += o.slid_block_unaligned;
+    }
 }
 
 impl World {
@@ -277,14 +405,14 @@ impl World {
             cycles: Cycles::new(),
             tlb: TlbModel::new(),
             procs: vec![(root, RefSpace::default())],
-            fallback_copies: 0,
+            seen: Seen::default(),
         }
     }
 
     /// Runs `op` in process `who` of both models and returns their
     /// verdicts, `(simulator, reference)`.
     fn apply(&mut self, who: usize, op: &Op, ctx: &str) -> (Verdict, Verdict) {
-        let World { phys, cycles, tlb, procs, fallback_copies } = self;
+        let World { phys, cycles, tlb, procs, seen } = self;
         let live = procs.len();
         let (sim, model) = &mut procs[who];
         match *op {
@@ -324,12 +452,42 @@ impl World {
                 let r = sim.read(Vpn(vpn), phys, cycles);
                 (r.map(|(v, _)| Some(v)), model.read(vpn))
             }
+            Op::Slide { from, to, keep_alignment } => {
+                let from = match from {
+                    Pick::Page(vpn) => vpn,
+                    Pick::Mapping(n) => {
+                        let starts: Vec<u64> = model.starts().collect();
+                        // Nothing mapped: any page will do for a `NotMapped`.
+                        starts.get((n % starts.len().max(1) as u64) as usize).copied().unwrap_or(to + 1)
+                    }
+                };
+                let to = if keep_alignment { to - to % BLOCK + from % BLOCK } else { to };
+                let pages = model.mapping_at(from).unwrap_or(0);
+                let last = from + pages.saturating_sub(1);
+                // Pages nobody wrote read the same wherever they are: the
+                // mapping's last page is written first.
+                let written = (sim.write(Vpn(last), to | 1, phys, cycles, tlb, 1).map(|_| None), model.write(last, to | 1));
+                assert_eq!(written.0, written.1, "{ctx}: the write before the slide");
+                let holds_block = (from..from + pages).any(|v| sim.translate(Vpn(v)).is_some_and(|p| p.flags.0 & HUGE_BIT != 0));
+                let (resident, unshares) = (sim.resident_pages(), sim.stats.pt_unshares);
+                let r = sim.slide_vma(Vpn(from), Vpn(to), phys, cycles);
+                assert_eq!(sim.resident_pages(), resident, "{ctx}: a slide changed what is resident");
+                if let Ok(moved) = r {
+                    assert!(moved <= pages, "{ctx}: moved {moved} entries of a {pages}-page mapping");
+                    let aligned = to.abs_diff(from) % BLOCK == 0;
+                    seen.slid_across_nodes += (moved > 0 && from / BLOCK != last / BLOCK && !aligned) as u64;
+                    seen.slid_shared_node += (sim.stats.pt_unshares > unshares) as u64;
+                    seen.slid_block_aligned += (holds_block && aligned) as u64;
+                    seen.slid_block_unaligned += (holds_block && !aligned) as u64;
+                }
+                (r.map(|_| None), model.slide(from, to))
+            }
             Op::Fork { mode } if live < MAX_PROCS => {
                 let copied_before = sim.stats.ptes_copied;
                 let child = AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1)
                     .unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
                 if mode == ForkMode::OnDemand {
-                    *fallback_copies += sim.stats.ptes_copied - copied_before;
+                    seen.fallback_copies += sim.stats.ptes_copied - copied_before;
                 }
                 let child = (child, model.fork());
                 // The mapped set of both sides, page by page.
@@ -353,14 +511,14 @@ impl World {
 fn check((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) {
     for vpn in WINDOWS.iter().flat_map(|&w| w..w + SPAN) {
         let seen = sim.observe(Vpn(vpn), phys).ok();
-        let expected = model.0.get(&vpn).map(|p| p.content.get());
+        let expected = model.pages.get(&vpn).map(|p| p.content.get());
         assert_eq!(seen, expected, "{ctx}: page {vpn} diverged (simulator left, reference right)");
     }
     assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
 }
 
-/// Runs one script; returns the PTEs its on-demand forks copied one by one.
-fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> u64 {
+/// Runs one script; returns what it got to see.
+fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> Seen {
     let mut rng = Rng::seed_from_u64(seed);
     let mut w = World::new(thp);
     let mut script: Vec<(usize, Op)> = gen_prologue(&mut rng).into_iter().map(|op| (0, op)).collect();
@@ -387,20 +545,29 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> u64 {
     }
     assert_eq!(w.phys.used_frames(), 0, "seed {seed:#x} thp {thp}: frames survived teardown");
     assert_eq!(w.phys.free_frames(), w.phys.total_frames());
-    w.fallback_copies
+    w.seen
 }
 
 fn run_cases(thp: bool) {
-    let mut fallback_copies = 0;
+    let mut seen = Seen::default();
     for case in 0..CASES {
         for pinned in [None, Some(ForkMode::Cow), Some(ForkMode::OnDemand), Some(ForkMode::Eager)] {
-            fallback_copies += run_script(0x4EF_0000 + case, thp, pinned);
+            seen += run_script(0x4EF_0000 + case, thp, pinned);
         }
     }
     assert!(
-        fallback_copies > 0,
+        seen.fallback_copies > 0,
         "no on-demand fork ever met a mixed node — the madvise step is vacuous"
     );
+    assert!(
+        seen.slid_across_nodes > 0 && seen.slid_shared_node > 0,
+        "no slide of a mapping across two nodes, or out of a shared one — the slide step is vacuous: {seen:?}"
+    );
+    assert!(
+        !thp || (seen.slid_block_aligned > 0 && seen.slid_block_unaligned > 0),
+        "no slide moved a huge block whole, or none split one — the slide step is vacuous under THP: {seen:?}"
+    );
+    println!("thp {thp}: {seen:?}");
 }
 
 // Two tests, so that the two halves run side by side.
@@ -426,7 +593,7 @@ fn reference_fork_copies_private_aliases_shared_and_honours_policy() {
     parent.madvise(1, 1, false).unwrap();
     parent.madvise(2, 1, true).unwrap();
     let mut child = parent.fork();
-    let seen: Vec<(u64, u64)> = child.0.iter().map(|(&vpn, p)| (vpn, p.content.get())).collect();
+    let seen: Vec<(u64, u64)> = child.pages.iter().map(|(&vpn, p)| (vpn, p.content.get())).collect();
     assert_eq!(seen, vec![(0, 7), (2, 0), (3, 7), (10, 7)]);
     child.write(0, 8).unwrap();
     child.write(10, 9).unwrap();
