@@ -58,7 +58,12 @@ doclinks:
 # decides every stamp and pfn in results/). fork_fail_points pins, as one
 # digest per fork mode, what `fork_from` charges, counts, traces and leaves
 # behind at every one of its fail points, so that the walk may batch its
-# per-entry work but not move a fail point.
+# per-entry work but not move a fail point — and, as one digest more, the
+# same for fourteen slides of `slide_vma`. alloc_census counts what a
+# steady-state request of each creation path asks of the host allocator:
+# the same on two runs, nothing of a page or more (page-table nodes are
+# recycled), a warm-pool checkout within 24 allocations; it runs in
+# release, the build whose allocations are the ones that cost.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
@@ -68,6 +73,7 @@ leakcheck:
 	$(CARGO) test -q -p fpr-mem --test proptest_reference
 	$(CARGO) test -q -p fpr-mem --test buddy_reference
 	$(CARGO) test -q -p fpr-mem --test fork_fail_points
+	$(CARGO) test --release -q -p fpr-api --test alloc_census
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 

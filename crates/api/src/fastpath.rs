@@ -197,10 +197,9 @@ impl WarmPool {
         aslr: AslrConfig,
         aslr_seed: u64,
     ) -> KResult<Option<Pid>> {
-        let Some((img, interp_prefix)) = registry.resolve(path) else {
+        let Some((image, interp_prefix)) = registry.resolve(path) else {
             return Ok(None);
         };
-        let image = img.clone();
         let eff = effective_file_id(kernel, registry, image.file_id);
         // A rewritten binary strands its parked children on the old
         // bytes: discard them so nothing stale can ever be checked out.
@@ -238,7 +237,8 @@ impl WarmPool {
             (c.name.clone(), c.signals.clone(), c.umask)
         };
         let fresh = randomize(aslr, aslr_seed);
-        let pairs = slide_pairs(&image, &parked.layout, &fresh);
+        let (pairs, segments) = slide_pairs(image, &parked.layout, &fresh);
+        let pairs = &pairs[..segments];
         let mut slid = 0usize;
         let mut created = Vec::new();
         let built = build_checked_out_child(
@@ -251,7 +251,7 @@ impl WarmPool {
             actions,
             attrs,
             fresh,
-            &pairs,
+            pairs,
             &mut slid,
             &mut created,
         );
@@ -361,7 +361,13 @@ impl WarmPool {
     fn park(&mut self, path: &str, mut child: ParkedChild) {
         self.tick += 1;
         child.parked_at = self.tick;
-        self.parked.entry(path.to_string()).or_default().push(child);
+        // The path is copied when its first child parks, not on every park.
+        match self.parked.get_mut(path) {
+            Some(list) => list.push(child),
+            None => {
+                self.parked.insert(path.to_string(), vec![child]);
+            }
+        }
     }
 
     fn pop_stale(&mut self, path: &str, eff: u64) -> Option<ParkedChild> {
@@ -461,24 +467,31 @@ fn build_checked_out_child(
 }
 
 /// `(from, to)` VMA start pairs for sliding an image between two layouts,
-/// in the order the loader created them.
-fn slide_pairs(img: &Image, from: &LayoutInfo, to: &LayoutInfo) -> Vec<(Vpn, Vpn)> {
-    let mut v = vec![(Vpn(from.text_base), Vpn(to.text_base))];
+/// in the order the loader created them: text, data, bss, heap, the stack's
+/// guard page and the stack, of which the first `usize` are in use (an
+/// image may have no data, bss or heap).
+fn slide_pairs(img: &Image, from: &LayoutInfo, to: &LayoutInfo) -> ([(Vpn, Vpn); 6], usize) {
+    let (mut pairs, mut n) = ([(Vpn(0), Vpn(0)); 6], 0);
+    let mut push = |old: u64, new: u64| {
+        pairs[n] = (Vpn(old), Vpn(new));
+        n += 1;
+    };
+    push(from.text_base, to.text_base);
     if img.data_pages > 0 {
         let off = img.text_pages;
-        v.push((Vpn(from.text_base + off), Vpn(to.text_base + off)));
+        push(from.text_base + off, to.text_base + off);
     }
     if img.bss_pages > 0 {
         let off = img.text_pages + img.data_pages;
-        v.push((Vpn(from.text_base + off), Vpn(to.text_base + off)));
+        push(from.text_base + off, to.text_base + off);
     }
     if img.heap_pages > 0 {
-        v.push((Vpn(from.heap_base), Vpn(to.heap_base)));
+        push(from.heap_base, to.heap_base);
     }
     let low = |l: &LayoutInfo| l.stack_base - img.stack_pages;
-    v.push((Vpn(low(from) - 1), Vpn(low(to) - 1)));
-    v.push((Vpn(low(from)), Vpn(low(to))));
-    v
+    push(low(from) - 1, low(to) - 1);
+    push(low(from), low(to));
+    (pairs, n)
 }
 
 /// `posix_spawn` through the fast path: try a warm-pool checkout, fall

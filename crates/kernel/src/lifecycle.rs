@@ -236,24 +236,18 @@ impl Kernel {
     /// [`Errno::Echild`] means there is nothing to wait for.
     pub fn waitpid(&mut self, parent: Pid, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
         self.charge_syscall();
-        let children = self.process(parent)?.children.clone();
-        if children.is_empty() {
-            return Err(Errno::Echild);
-        }
-        let candidates: Vec<Pid> = match target {
-            Some(t) if children.contains(&t) => vec![t],
-            Some(_) => return Err(Errno::Echild),
-            None => children,
+        let children = &self.process(parent)?.children;
+        let is_zombie = |c: &Pid| self.procs.get(c).is_some_and(|p| p.is_zombie());
+        let zombie = match target {
+            _ if children.is_empty() => return Err(Errno::Echild),
+            Some(t) if !children.contains(&t) => return Err(Errno::Echild),
+            Some(t) => Some(t).filter(is_zombie),
+            None => children.iter().copied().find(is_zombie),
         };
-        for c in candidates {
-            let zombie = self.procs.get(&c).map(|p| p.is_zombie()).unwrap_or(false);
-            if zombie {
-                let status = self.reap(c)?;
-                self.process_mut(parent)?.children.retain(|x| *x != c);
-                return Ok(Some((c, status)));
-            }
-        }
-        Ok(None)
+        let Some(c) = zombie else { return Ok(None) };
+        let status = self.reap(c)?;
+        self.process_mut(parent)?.children.retain(|x| *x != c);
+        Ok(Some((c, status)))
     }
 
     /// OOM badness of one process: how much memory killing it would

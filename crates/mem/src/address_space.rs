@@ -372,34 +372,35 @@ impl AddressSpace {
             // Detach/privatize invalidate arena coordinates, so rescan
             // after each mutation; shared nodes are rare and the scan is
             // O(nodes).
-            let mut target: Option<(u64, bool, SlotKind)> = None;
-            for slot in self.pt.leaf_slots_in(start.0, start.0 + pages) {
-                let (base, l1, idx, kind) = slot;
-                // Lone huge leaves are never shared — fork shares their
-                // frames, not the entry — so only Arc-backed slots matter.
-                if kind == SlotKind::Huge || Arc::strong_count(self.pt.leaf_at(l1, idx)) == 1 {
-                    continue;
-                }
-                let stride = kind.stride();
-                let mut any_in = false;
-                let mut all_in = true;
-                for (_, Vpn(lo), _) in self.pt.slot_entries(slot) {
-                    // A huge-directory member counts as inside only when
-                    // its whole 2 MiB block is inside.
-                    if lo >= start.0 && lo + stride <= start.0 + pages {
-                        any_in = true;
-                    } else {
-                        all_in = false;
-                        if lo + stride > start.0 && lo < start.0 + pages {
+            let target = self.pt.with_leaf_slots(start.0, start.0 + pages, |pt, slots| {
+                for &slot in slots {
+                    let (base, l1, idx, kind) = slot;
+                    // Lone huge leaves are never shared — fork shares their
+                    // frames, not the entry — so only Arc-backed slots matter.
+                    if kind == SlotKind::Huge || Arc::strong_count(pt.leaf_at(l1, idx)) == 1 {
+                        continue;
+                    }
+                    let stride = kind.stride();
+                    let mut any_in = false;
+                    let mut all_in = true;
+                    for (_, Vpn(lo), _) in pt.slot_entries(slot) {
+                        // A huge-directory member counts as inside only when
+                        // its whole 2 MiB block is inside.
+                        if lo >= start.0 && lo + stride <= start.0 + pages {
                             any_in = true;
+                        } else {
+                            all_in = false;
+                            if lo + stride > start.0 && lo < start.0 + pages {
+                                any_in = true;
+                            }
                         }
                     }
+                    if any_in {
+                        return Some((base, all_in, kind));
+                    }
                 }
-                if any_in {
-                    target = Some((base, all_in, kind));
-                    break;
-                }
-            }
+                None
+            });
             match target {
                 None => return Ok(tally),
                 Some((base, true, kind)) => {
@@ -565,9 +566,26 @@ impl AddressSpace {
     /// invalidation; a never-scheduled address space (no CPU ever loaded
     /// its root) needs none.
     ///
+    /// The entries are found by a *span visit*: each 2 MiB span the mapping
+    /// reaches into is looked up once, its node unshared if a fork still
+    /// holds it, and its entries inside the mapping read off the node by
+    /// its occupancy map. A mapping with nothing resident is re-keyed and
+    /// that is all. Only a table that holds a huge mapping is enumerated the
+    /// long way, after the blocks the mapping covers part of, or would move
+    /// off their alignment, have been split. Each entry is then mapped at
+    /// its destination — one [`FaultSite::PtNodeAlloc`] crossing and one
+    /// [`CostModel::pte_copy`] each, ascending, the destination's nodes
+    /// allocated while the source's path still stands — and only when all
+    /// of them are, unmapped at its source.
+    ///
     /// The destination range must be entirely free (including of the
     /// source VMA itself — overlapping slides are rejected). On `Err` the
-    /// space is unchanged.
+    /// space is as it was, whatever state does not depend on the cycles
+    /// charged included: every mapping, every translation's frame, every
+    /// reference count, the page table's node count. Entries mapped before
+    /// entry *k* failed are unmapped again, which takes the nodes allocated
+    /// for them with it. What stays is what nobody can observe: a node
+    /// unshared or a block split on the way, and the cycles all of it cost.
     pub fn slide_vma(
         &mut self,
         old_start: Vpn,
@@ -578,70 +596,75 @@ impl AddressSpace {
         if old_start == new_start {
             return Ok(0);
         }
-        let vma = self
-            .vmas
-            .get(&old_start.0)
-            .cloned()
-            .ok_or(MemError::NotMapped)?;
-        if !new_start.is_user() || !Vpn(new_start.0 + vma.pages - 1).is_user() {
+        let pages = self.vmas.get(&old_start.0).ok_or(MemError::NotMapped)?.pages;
+        if !new_start.is_user() || !Vpn(new_start.0 + pages - 1).is_user() {
             return Err(MemError::BadAddress);
         }
-        if self.overlaps(new_start, vma.pages) {
+        if self.overlaps(new_start, pages) {
             return Err(MemError::Overlap);
         }
-        // A huge block the mapping covers only part of — a fork-policy
-        // range split the mapping inside it — cannot move with it.
-        self.demote_straddling(old_start, phys, cycles)?;
-        self.demote_straddling(Vpn(old_start.0 + vma.pages), phys, cycles)?;
-        // Leaf subtrees still shared with another space cannot be mutated
-        // in place; privatize them first (no-op for a private space).
-        let span = PT_ENTRIES as u64;
-        let first_base = old_start.0 & !(span - 1);
-        let mut base = first_base;
-        while base < old_start.0 + vma.pages {
-            self.unshare_subtree(Vpn(base), phys, cycles)?;
-            base += span;
+        let old = old_start.0..old_start.0 + pages;
+        let blocks = self.pt.huge_mapped() > 0;
+        if blocks {
+            // A huge block the mapping covers only part of — a fork-policy
+            // range split the mapping inside it — cannot move with it.
+            self.demote_straddling(old_start, phys, cycles)?;
+            self.demote_straddling(Vpn(old.end), phys, cycles)?;
         }
-        // A huge block can move as a unit only if the slide preserves its
-        // 2 MiB alignment; otherwise split it and let the THP machinery
-        // re-promote at the new home.
-        if !(new_start.0.wrapping_sub(old_start.0)).is_multiple_of(HUGE_PAGES) {
-            for (vpn, pte) in self.pt.leaves_in_range(old_start, vma.pages) {
-                if pte.is_huge() {
-                    self.pt.demote_block(vpn, cycles, phys.cost())?;
-                    phys.note_thp_demoted();
-                }
+        // What moves: `(source page, entry)`, ascending. Leaf subtrees still
+        // shared with another space cannot be mutated in place; they are
+        // privatized first (no-op for a private space).
+        let mut present: Vec<(Vpn, Pte)> = Vec::new();
+        for span in (old.start / HUGE_PAGES..old.end.div_ceil(HUGE_PAGES)).map(|b| Vpn(b * HUGE_PAGES)) {
+            let Some(slot) = self.pt.find(span) else { continue };
+            self.unshare_at(slot, phys, cycles)?;
+            if !blocks {
+                present.extend(self.pt.small_entries_in(slot, old.clone()));
             }
         }
-        let present = self.pt.leaves_in_range(old_start, vma.pages);
+        if blocks {
+            // A huge block can move as a unit only if the slide preserves
+            // its 2 MiB alignment; otherwise split it and let the THP
+            // machinery re-promote at the new home.
+            if !new_start.0.abs_diff(old_start.0).is_multiple_of(HUGE_PAGES) {
+                let whole = old.start.div_ceil(HUGE_PAGES)..old.end / HUGE_PAGES;
+                for block in whole.map(|b| Vpn(b * HUGE_PAGES)) {
+                    if self.pt.huge_block(block).is_some() {
+                        self.pt.demote_block(block, cycles, phys.cost())?;
+                        phys.note_thp_demoted();
+                    }
+                }
+            }
+            present = self.pt.leaves_in_range(old_start, pages);
+        }
         // Map into the destination first so a mid-slide allocation failure
         // (page-table node exhaustion, injected fault) can roll back by
         // unmapping only what was just mapped — the source is untouched
         // until every destination entry exists.
-        let mut moved: Vec<Vpn> = Vec::with_capacity(present.len());
-        for (vpn, pte) in &present {
-            let nv = Vpn(vpn.0 - old_start.0 + new_start.0);
+        let to = |vpn: Vpn| Vpn(vpn.0 - old_start.0 + new_start.0);
+        for (k, &(vpn, pte)) in present.iter().enumerate() {
             // The node the entry lands in may be one a fork still shares.
-            let mapped = self.unshare_subtree(nv, phys, cycles).and_then(|()| {
+            let found = self.pt.find(to(vpn));
+            let unshared = found.map_or(Ok(()), |slot| self.unshare_at(slot, phys, cycles));
+            let mapped = unshared.and_then(|()| {
                 let cost = phys.cost();
                 // One pte_copy per moved entry: copy_huge charges it itself.
                 if pte.is_huge() {
-                    self.pt.copy_huge(nv, *pte, cycles, cost)
+                    self.pt.copy_huge(to(vpn), pte, cycles, cost)
                 } else {
                     cycles.charge(cost.pte_copy);
-                    self.pt.map(nv, *pte, cycles, cost)
+                    self.pt.map_at(to(vpn), pte, found, cycles, cost).map(|_| ())
                 }
             });
             if let Err(e) = mapped {
-                for m in moved {
-                    self.pt.unmap(m).expect("destination entry just mapped");
+                for &(vpn, _) in &present[..k] {
+                    self.pt.unmap(to(vpn)).expect("destination entry just mapped");
                 }
                 return Err(e);
             }
-            moved.push(nv);
         }
-        for (vpn, _) in &present {
-            self.pt.unmap(*vpn).expect("source entry just enumerated");
+        for &(vpn, _) in &present {
+            self.pt.unmap(vpn).expect("source entry just enumerated");
         }
         let mut vma = self.vmas.remove(&old_start.0).expect("looked up above");
         vma.start = new_start;
@@ -1082,39 +1105,42 @@ impl AddressSpace {
     /// a child that exits without touching its memory tears down in
     /// O(nodes), mirroring the cheap-exit property of on-demand fork.
     pub fn destroy(&mut self, phys: &mut PhysMemory, cycles: &mut Cycles) {
-        for (_, taken) in self.pt.take_leaves() {
-            // A node still shared is dropped with its reference: the other
-            // table keeps the frames (and swap slots — references follow
-            // leaf identity) alive.
-            match taken {
-                // A huge leaf's 512-frame run is released frame by frame
-                // (COW children may still hold references to individual
-                // frames); a lone one is never shared.
-                TakenLeaf::Huge(pte) => {
-                    phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
-                }
-                TakenLeaf::Dir(arc) => {
-                    let Ok(dir) = Arc::try_unwrap(arc) else { continue };
+        // A node still shared is dropped with its reference: the other
+        // table keeps the frames (and swap slots — references follow leaf
+        // identity) alive. One that is this table's alone gives up what it
+        // references and goes back to the spares.
+        self.pt.take_leaves(|_, taken| match taken {
+            // A huge leaf's 512-frame run is released frame by frame
+            // (COW children may still hold references to individual
+            // frames); a lone one is never shared.
+            TakenLeaf::Huge(pte) => {
+                phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
+            }
+            TakenLeaf::Dir(dir) => {
+                if Arc::strong_count(&dir) == 1 {
                     for (_, pte) in dir.iter() {
                         phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
                     }
                 }
-                // A node's frames go back in one release — straight off
-                // its words where every one of them is a frame.
-                TakenLeaf::Node(arc) => {
-                    let Ok(node) = Arc::try_unwrap(arc) else { continue };
+                LeafNode::retire(dir);
+            }
+            // A node's frames go back in one release — straight off its
+            // words where every one of them is a frame.
+            TakenLeaf::Node(node) => {
+                if Arc::strong_count(&node) == 1 {
                     if node.swap_entries() == 0 {
                         phys.release(node.frames_in(0..PT_ENTRIES), cycles).expect("frame tracked");
-                        continue;
-                    }
-                    let present = node.iter().filter(|(_, pte)| pte.is_present());
-                    phys.release(present.map(|(_, pte)| pte.pfn), cycles).expect("frame tracked");
-                    for (_, pte) in node.iter().filter(|(_, pte)| pte.is_swap()) {
-                        phys.swap_mut().dec_ref(pte.swap_slot()).expect("slot tracked");
+                    } else {
+                        let present = node.iter().filter(|(_, pte)| pte.is_present());
+                        phys.release(present.map(|(_, pte)| pte.pfn), cycles).expect("frame tracked");
+                        for (_, pte) in node.iter().filter(|(_, pte)| pte.is_swap()) {
+                            phys.swap_mut().dec_ref(pte.swap_slot()).expect("slot tracked");
+                        }
                     }
                 }
+                LeafNode::retire(node);
             }
-        }
+        });
         self.swapped = 0;
         self.vmas.clear();
     }
@@ -1349,118 +1375,123 @@ impl AddressSpace {
         // The rule's answers for the current slot: its *runs*, ascending
         // ranges of in-node positions with one answer each.
         let mut runs: Vec<(Range<usize>, Option<Share>)> = Vec::new();
-        for slot in pt.leaf_slot_coords() {
-            let (base, node, idx, kind) = slot;
-            let stride = kind.stride();
-            let end = base + PT_ENTRIES as u64 * stride;
-            // An entry goes by the VMA holding its first page; where there
-            // is none, nothing is inherited.
-            let position = |vpn: u64| (vpn.clamp(base, end) - base).div_ceil(stride) as usize;
-            while cursor.next_if(|v| v.end().0 <= base).is_some() {}
-            runs.clear();
-            let mut answered = 0;
-            let mut answer = |upto: usize, share: Option<Share>| {
-                if answered < upto {
-                    runs.push((answered..upto, share));
-                    answered = upto;
-                }
-            };
-            // The last VMA reaching in may reach on into later slots: it
-            // stays under the cursor.
-            for vma in cursor.clone().take_while(|v| v.start.0 < end) {
-                answer(position(vma.start.0), None);
-                answer(position(vma.end().0), inherited(vma));
-            }
-            answer(PT_ENTRIES, None);
-            if runs.iter().all(|r| r.1.is_none()) {
-                continue;
-            }
-            // A lookup of the answer for position `j`, for ascending `j`.
-            let rule = || {
-                let (runs, mut run) = (&runs, 0);
-                move |j: usize| {
-                    while runs[run].0.end <= j {
-                        run += 1;
+        pt.with_leaf_slots(0, u64::MAX, |pt, slots| {
+            for &slot in slots {
+                let (base, node, idx, kind) = slot;
+                let stride = kind.stride();
+                let end = base + PT_ENTRIES as u64 * stride;
+                // An entry goes by the VMA holding its first page; where there
+                // is none, nothing is inherited.
+                let position = |vpn: u64| (vpn.clamp(base, end) - base).div_ceil(stride) as usize;
+                while cursor.next_if(|v| v.end().0 <= base).is_some() {}
+                runs.clear();
+                let mut answered = 0;
+                let mut answer = |upto: usize, share: Option<Share>| {
+                    if answered < upto {
+                        runs.push((answered..upto, share));
+                        answered = upto;
                     }
-                    runs[run].1
+                };
+                // The last VMA reaching in may reach on into later slots: it
+                // stays under the cursor.
+                for vma in cursor.clone().take_while(|v| v.start.0 < end) {
+                    answer(position(vma.start.0), None);
+                    answer(position(vma.end().0), inherited(vma));
                 }
-            };
-            // A lone huge block is an entry of its level-1 table, not a
-            // node of its own: there is nothing to attach.
-            let attach = mode == ForkMode::OnDemand
-                && kind != SlotKind::Huge
-                && (runs.iter().all(|r| r.1.is_some()) || {
+                answer(PT_ENTRIES, None);
+                if runs.iter().all(|r| r.1.is_none()) {
+                    continue;
+                }
+                // A lookup of the answer for position `j`, for ascending `j`.
+                let rule = || {
+                    let (runs, mut run) = (&runs, 0);
+                    move |j: usize| {
+                        while runs[run].0.end <= j {
+                            run += 1;
+                        }
+                        runs[run].1
+                    }
+                };
+                // A lone huge block is an entry of its level-1 table, not a
+                // node of its own: there is nothing to attach.
+                let attach = mode == ForkMode::OnDemand
+                    && kind != SlotKind::Huge
+                    && (runs.iter().all(|r| r.1.is_some()) || {
+                        let mut share_of = rule();
+                        pt.slot_entries(slot).all(|(j, ..)| share_of(j).is_some())
+                    });
+                if attach {
+                    // First sharing of this node: COW-mark its private
+                    // writable PTEs in place (one marking serves both tables —
+                    // that is what sharing means). A node that is *already*
+                    // shared holds none (they were marked when it was first
+                    // shared), so re-sharing needs no marking — and must not
+                    // mutate it; nor does a node this parent has forked before,
+                    // which its count says without a look at the entries.
+                    let unmarked =
+                        Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
+                    if let Some(leaf) = unmarked {
+                        for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
+                            leaf.cow_mark_run(run.clone(), |j, pte| {
+                                downgrades.push((Vpn(base + j as u64 * stride), pte))
+                            });
+                        }
+                    }
+                    let arc = Arc::clone(pt.leaf_at(node, idx));
+                    // Sharing the node shares its swap entries by identity —
+                    // no slot refcount change, but the child's residency
+                    // accounting must know they hold no frames.
+                    let swapped = arc.swap_entries();
+                    child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, phys.cost())?;
+                    child.swapped += swapped;
+                    stats.pt_subtrees_shared += 1;
+                    sink::instant("pt_subtree_share", "mem", cycles.total());
+                    continue;
+                }
+                // The child's node for this slot's small PTEs. It is wired in
+                // even when an entry fails, so that the rollback, which destroys
+                // the child, drops the references its entries hold.
+                let mut built = LeafNode::new();
+                let leaf = Arc::get_mut(&mut built).expect("a new node has one holder");
+                // What the node holds decides how it is copied, never who is
+                // listening: a run at a time unless another fallible step — a
+                // swap-slot reference, an eager frame copy — comes between the
+                // entries.
+                let by_run = kind == SlotKind::Small
+                    && mode != ForkMode::Eager
+                    && pt.leaf_at(node, idx).swap_entries() == 0;
+                let copied = if by_run {
+                    let parent = pt.leaf_at_mut(node, idx);
+                    let mut inherited = runs.iter().filter_map(|(run, share)| Some((run, (*share)?)));
+                    inherited.try_for_each(|(run, share)| {
+                        Self::fork_copy_run(parent, leaf, run.clone(), base, share, stats, downgrades, phys, cycles)
+                    })
+                } else {
+                    let first = downgrades.len();
                     let mut share_of = rule();
-                    pt.slot_entries(slot).all(|(j, ..)| share_of(j).is_some())
-                });
-            if attach {
-                // First sharing of this node: COW-mark its private
-                // writable PTEs in place (one marking serves both tables —
-                // that is what sharing means). A node that is *already*
-                // shared holds none (they were marked when it was first
-                // shared), so re-sharing needs no marking — and must not
-                // mutate it; nor does a node this parent has forked before,
-                // which its count says without a look at the entries.
-                let unmarked =
-                    Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
-                if let Some(leaf) = unmarked {
-                    for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
-                        leaf.cow_mark_run(run.clone(), |j, pte| {
-                            downgrades.push((Vpn(base + j as u64 * stride), pte))
-                        });
+                    let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
+                        let Some(share) = share_of(j) else { return Ok(()) };
+                        let downgrade =
+                            Self::fork_copy_entry(child, leaf, stats, mode, share, vpn, pte, phys, cycles)?;
+                        if downgrade {
+                            downgrades.push((vpn, pte));
+                        }
+                        Ok(())
+                    });
+                    for &(vpn, pte) in &downgrades[first..] {
+                        pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
                     }
+                    copied
+                };
+                if built.live() > 0 {
+                    child.pt.install_leaf(base, built, cycles, phys.cost());
+                } else {
+                    LeafNode::retire(built);
                 }
-                let arc = Arc::clone(pt.leaf_at(node, idx));
-                // Sharing the node shares its swap entries by identity —
-                // no slot refcount change, but the child's residency
-                // accounting must know they hold no frames.
-                let swapped = arc.swap_entries();
-                child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, phys.cost())?;
-                child.swapped += swapped;
-                stats.pt_subtrees_shared += 1;
-                sink::instant("pt_subtree_share", "mem", cycles.total());
-                continue;
+                copied?;
             }
-            // The child's node for this slot's small PTEs. It is wired in
-            // even when an entry fails, so that the rollback, which destroys
-            // the child, drops the references its entries hold.
-            let mut leaf = LeafNode::new();
-            // What the node holds decides how it is copied, never who is
-            // listening: a run at a time unless another fallible step — a
-            // swap-slot reference, an eager frame copy — comes between the
-            // entries.
-            let by_run = kind == SlotKind::Small
-                && mode != ForkMode::Eager
-                && pt.leaf_at(node, idx).swap_entries() == 0;
-            let copied = if by_run {
-                let parent = pt.leaf_at_mut(node, idx);
-                let mut inherited = runs.iter().filter_map(|(run, share)| Some((run, (*share)?)));
-                inherited.try_for_each(|(run, share)| {
-                    Self::fork_copy_run(parent, &mut leaf, run.clone(), base, share, stats, downgrades, phys, cycles)
-                })
-            } else {
-                let first = downgrades.len();
-                let mut share_of = rule();
-                let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
-                    let Some(share) = share_of(j) else { return Ok(()) };
-                    let downgrade =
-                        Self::fork_copy_entry(child, &mut leaf, stats, mode, share, vpn, pte, phys, cycles)?;
-                    if downgrade {
-                        downgrades.push((vpn, pte));
-                    }
-                    Ok(())
-                });
-                for &(vpn, pte) in &downgrades[first..] {
-                    pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
-                }
-                copied
-            };
-            if leaf.live() > 0 {
-                child.pt.install_leaf(base, leaf, cycles, phys.cost());
-            }
-            copied?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Copies one run — the entries of a small-PTE node that one VMA
@@ -1632,13 +1663,16 @@ impl AddressSpace {
             }
             Err(MemError::Fragmented) => {
                 let flags = pte.flags.minus(PteFlags::HUGE);
-                let mut split = LeafNode::new();
+                let mut built = LeafNode::new();
+                let split = Arc::get_mut(&mut built).expect("a new node has one holder");
                 let copied = (0..HUGE_PAGES).try_for_each(|k| {
                     let page = Pte { pfn: Pfn(pte.pfn.0 + k), flags };
-                    Self::fork_eager_copy(child, &mut split, stats, vpn.add(k), page, phys, cycles)
+                    Self::fork_eager_copy(child, split, stats, vpn.add(k), page, phys, cycles)
                 });
-                if split.live() > 0 {
-                    child.pt.install_leaf(vpn.0, split, cycles, phys.cost());
+                if built.live() > 0 {
+                    child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
+                } else {
+                    LeafNode::retire(built);
                 }
                 copied
             }

@@ -21,8 +21,9 @@
 //!
 //! * a **leaf node** is the hardware's 4 KiB: 512 packed 8-byte words
 //!   (`pfn << 16 | flags`, zero where nothing is mapped — a held entry
-//!   always carries `PRESENT` or `SWAP`, so its word never is), allocated
-//!   zeroed, cloned with one `memcpy` and dropped with one `free`. [`Pte`]
+//!   always carries `PRESENT` or `SWAP`, so its word never is), handed out
+//!   zeroed, copied with one `memcpy` and kept when it is let go of
+//!   ("Spare nodes" below). [`Pte`]
 //!   is the unpacked view, converted in `LeafNode::get`/`set`. Beside the
 //!   words sit a 512-bit occupancy map and three counts. A full node is
 //!   scanned word by word, a sparse one by its map;
@@ -44,6 +45,23 @@
 //! is handed out again without being rebuilt; it keeps the capacity of its
 //! `Vec`. `take_leaves` likewise drains the table it has instead of
 //! building another.
+//!
+//! # Spare nodes
+//!
+//! Page-table memory has a life cycle of its own, which does not go through
+//! the host's allocator once it is warm: a bare-metal kernel takes a table
+//! frame off a free list, and so does this one. A leaf node nobody holds any
+//! more — torn down, emptied by `unmap`, traded for a huge PTE — is zeroed
+//! by what it held (off its occupancy map when sparse, with one `fill` when
+//! not) and kept on a thread's list of spares, whole: frame, map, counts and the
+//! `Arc` around them. `LeafNode::new` takes from that list, and asserts in
+//! debug builds that what it got is zero. An arena goes on a second list
+//! when its table drops, every node cleared and every node but the root on
+//! the free list, for `PageTable::new` to start from. The lists are
+//! per-thread (a cell is a thread; nothing is shared, so nothing is locked)
+//! and bounded by `SPARE_LEAVES` and `SPARE_ARENAS` × `SPARE_ARENA_NODES`;
+//! what does not fit goes back to the host (`docs/ARCHITECTURE.md`, "Life
+//! of a page-table node").
 //!
 //! # Huge mappings
 //!
@@ -76,6 +94,7 @@ use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
 use crate::pte::{Pte, PteFlags};
 use fpr_faults::FaultSite;
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -281,6 +300,37 @@ impl Node {
     }
 }
 
+/// Spare leaf nodes a thread keeps: the 32 a `fork(Cow)` child of a 64 MiB
+/// parent is built from and torn down into, and as many again for a warm
+/// pool being refilled while it exits. 4 KiB each.
+const SPARE_LEAVES: usize = 64;
+/// Spare arenas a thread keeps: a warm pool's worth of children and the
+/// requests in flight beside them.
+const SPARE_ARENAS: usize = 8;
+/// Nodes a spare arena keeps, ≈ 1 KiB each: ten times the paths of an
+/// exec'd image. A bigger table's arena is cut down to this, and so is the
+/// room each node keeps for entries and the arena for slot coordinates, so
+/// that a spare arena is 0.2 MiB at most whatever table it came from.
+const SPARE_ARENA_NODES: usize = 64;
+
+/// Entries below which a retired leaf is zeroed word by word off its
+/// occupancy map instead of with one `fill`: the 4 KiB `fill` takes 24 ns,
+/// the map 1 ns an entry (2 ns for one entry, 31 for 32, 600 for 256).
+const SPARSE_LEAF: u16 = 32;
+
+/// What a thread keeps of the page tables it has torn down.
+struct Spares {
+    /// Leaf nodes, all zero, each the only holder of itself.
+    leaves: Vec<Arc<LeafNode>>,
+    /// Arenas with their free list and their scratch list: every node
+    /// empty, node 0 the root, all others free, the scratch list empty.
+    arenas: Vec<(Vec<Node>, Vec<u32>, Vec<Slot>)>,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = const { RefCell::new(Spares { leaves: Vec::new(), arenas: Vec::new() }) };
+}
+
 /// What a [`LeafNode`] keeps count of beside its entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LeafCounts {
@@ -327,7 +377,7 @@ const SHARED: u64 = PteFlags::SHARED.0 as u64;
 /// how many there are, how many a first share still has to COW-mark, and
 /// how many hold no frame. Every write goes through [`LeafNode::set`],
 /// which keeps all of it; [`PageTable::check_summaries`] recounts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LeafNode {
     words: Box<[u64; PT_ENTRIES]>,
     occupied: Occupancy,
@@ -335,14 +385,63 @@ pub(crate) struct LeafNode {
 }
 
 impl LeafNode {
-    pub(crate) fn new() -> LeafNode {
-        // `vec!` of zeroes asks the allocator for zeroed memory.
-        let words = vec![0u64; PT_ENTRIES].into_boxed_slice();
-        LeafNode {
-            words: words.try_into().expect("a node of PT_ENTRIES words"),
-            occupied: Occupancy::default(),
-            counts: LeafCounts::default(),
-        }
+    /// An empty node with one holder: a spare of this thread's if it has
+    /// one, else 4 KiB of the host's. To be filled through
+    /// [`Arc::get_mut`] and wired into a table, or handed back with
+    /// [`Self::retire`].
+    pub(crate) fn new() -> Arc<LeafNode> {
+        let spare = SPARES.with(|s| s.borrow_mut().leaves.pop());
+        let leaf = spare.unwrap_or_else(|| {
+            // `vec!` of zeroes asks the allocator for zeroed memory.
+            let words = vec![0u64; PT_ENTRIES].into_boxed_slice();
+            Arc::new(LeafNode {
+                words: words.try_into().expect("a node of PT_ENTRIES words"),
+                occupied: Occupancy::default(),
+                counts: LeafCounts::default(),
+            })
+        });
+        debug_assert!(leaf.is_zero(), "a new node holds nothing");
+        leaf
+    }
+
+    /// Whether the node holds nothing and says so: every word zero, the
+    /// map empty, the counts zero.
+    fn is_zero(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+            && self.occupied == Occupancy::default()
+            && self.counts == LeafCounts::default()
+    }
+
+    /// Lets go of `leaf`, which no table of the caller's links any more. If
+    /// nobody else holds it either it becomes a spare — zeroed by what it
+    /// holds, off its map when sparse and with one `fill` when not, never
+    /// both — unless the thread has its fill of them.
+    pub(crate) fn retire(mut leaf: Arc<LeafNode>) {
+        SPARES.with(|s| {
+            let spares = &mut s.borrow_mut().leaves;
+            if spares.len() == SPARE_LEAVES {
+                return;
+            }
+            // Held by another table still, that one lets go of it last.
+            let Some(node) = Arc::get_mut(&mut leaf) else { return };
+            if node.counts.live < SPARSE_LEAF {
+                node.occupied.slots().for_each(|j| node.words[j] = 0);
+            } else {
+                node.words.fill(0);
+            }
+            (node.occupied, node.counts) = Default::default();
+            spares.push(leaf);
+        });
+    }
+
+    /// A node of this table's own holding what `self` holds: the deferred
+    /// copy of a node a fork shared.
+    fn private_copy(&self) -> Arc<LeafNode> {
+        let mut copy = LeafNode::new();
+        let own = Arc::get_mut(&mut copy).expect("a new node has one holder");
+        own.words.copy_from_slice(&self.words[..]);
+        (own.occupied, own.counts) = (self.occupied, self.counts);
+        copy
     }
 
     fn unpack(word: u64) -> Pte {
@@ -665,6 +764,9 @@ pub(crate) struct PageTable {
     leaf_count: u64,
     /// Live 2 MiB huge mappings (lone leaves plus directory members).
     huge: u64,
+    /// The list [`Self::with_leaf_slots`] enumerates into, kept for its
+    /// capacity; empty between calls.
+    scratch: Vec<Slot>,
 }
 
 impl Default for PageTable {
@@ -673,21 +775,53 @@ impl Default for PageTable {
     }
 }
 
+impl Drop for PageTable {
+    /// Keeps the arena as a spare of this thread's, emptied: whatever is
+    /// still wired is let go of, node 0 is the root again and every other
+    /// node free.
+    fn drop(&mut self) {
+        let (mut nodes, mut free) = (std::mem::take(&mut self.nodes), std::mem::take(&mut self.free));
+        nodes.truncate(SPARE_ARENA_NODES);
+        for node in &mut nodes {
+            node.clear();
+            node.held.shrink_to(SPARE_ARENA_NODES);
+        }
+        free.clear();
+        free.shrink_to(SPARE_ARENA_NODES);
+        free.extend(1..nodes.len() as u32);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.shrink_to(SPARE_ARENA_NODES);
+        SPARES.with(|s| {
+            let spares = &mut s.borrow_mut().arenas;
+            if spares.len() < SPARE_ARENAS {
+                spares.push((nodes, free, scratch));
+            }
+        });
+    }
+}
+
 impl PageTable {
     /// Creates an empty page table (root node only).
     pub(crate) fn new() -> PageTable {
-        // Room for the paths of a freshly exec'd process (text, heap and
-        // stack hang from six intermediate nodes), so that mapping them
-        // does not move the arena three times: +4 % `spawn_small` req/s.
-        let mut nodes = Vec::with_capacity(8);
-        nodes.push(Node::new());
+        // The arena of a table this thread dropped, if it kept one: its
+        // nodes are empty and have the capacity they grew to. Else room
+        // for the paths of a freshly exec'd process (text, heap and stack
+        // hang from six intermediate nodes), so that mapping them does not
+        // move the arena three times.
+        let spare = SPARES.with(|s| s.borrow_mut().arenas.pop());
+        let (nodes, free, scratch) = spare.unwrap_or_else(|| {
+            let mut nodes = Vec::with_capacity(8);
+            nodes.push(Node::new());
+            (nodes, Vec::new(), Vec::new())
+        });
         PageTable {
             nodes,
-            free: Vec::new(),
+            free,
             root: 0,
             mapped: 0,
             leaf_count: 0,
             huge: 0,
+            scratch,
         }
     }
 
@@ -872,7 +1006,7 @@ impl PageTable {
             Some(_) => {}
             None => {
                 cycles.charge(cost.pt_node_alloc);
-                n.put(idx1, Entry::Leaf(Arc::new(LeafNode::new())));
+                n.put(idx1, Entry::Leaf(LeafNode::new()));
                 self.leaf_count += 1;
             }
         }
@@ -961,12 +1095,13 @@ impl PageTable {
     /// `mapped`, `huge` and `n2`'s live count are unchanged.
     fn swap_in_directory(&mut self, n2: u32, i2: usize, l1: u32) {
         let mut dir = LeafNode::new();
+        let members = Arc::get_mut(&mut dir).expect("a new node has one holder");
         let n = &mut self.nodes[l1 as usize];
         for (j, p) in n.all_huge().expect("a directory's members are huge") {
-            dir.set(j, Some(p));
+            members.set(j, Some(p));
         }
         n.clear();
-        let linked = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Leaf(Arc::new(dir)));
+        let linked = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Leaf(dir));
         debug_assert!(matches!(linked, Entry::Table(t) if t == l1));
         self.free_node(l1);
         self.leaf_count += 1;
@@ -1024,14 +1159,12 @@ impl PageTable {
         else {
             unreachable!("degroup of a non-directory slot");
         };
-        let dir = match Arc::try_unwrap(arc) {
-            Ok(node) => node,
-            Err(_) => panic!("degrouping a shared huge directory (missed unshare)"),
-        };
+        assert_eq!(Arc::strong_count(&arc), 1, "degrouping a shared huge directory (missed unshare)");
         let n = &mut self.nodes[l1 as usize];
-        for (j, p) in dir.iter() {
+        for (j, p) in arc.iter() {
             n.put(j, Entry::Huge(p));
         }
+        LeafNode::retire(arc);
         self.leaf_count -= 1;
         l1
     }
@@ -1077,11 +1210,11 @@ impl PageTable {
             return Err(MemError::NotMapped);
         };
         let entry = self.entry_at_mut(node, idx1);
-        if let Entry::Leaf(arc) = entry {
-            debug_assert_eq!(Arc::strong_count(arc), 1, "promoting a shared leaf (missed unshare)");
+        if let Entry::Leaf(arc) = std::mem::replace(entry, Entry::Huge(pte)) {
+            debug_assert_eq!(Arc::strong_count(&arc), 1, "promoting a shared leaf (missed unshare)");
             debug_assert_eq!(arc.live(), PT_ENTRIES as u64);
+            LeafNode::retire(arc);
         }
-        *entry = Entry::Huge(pte);
         self.leaf_count -= 1;
         self.huge += 1;
         // `mapped` is unchanged: 512 small pages became one 512-page block.
@@ -1114,12 +1247,13 @@ impl PageTable {
             return Err(MemError::NotMapped);
         };
         let mut leaf = LeafNode::new();
+        let pages = Arc::get_mut(&mut leaf).expect("a new node has one holder");
         let flags = hpte.flags.minus(PteFlags::HUGE);
         for j in 0..PT_ENTRIES {
             let pfn = Pfn(hpte.pfn.0 + j as u64);
-            leaf.set(j, Some(Pte { pfn, flags }));
+            pages.set(j, Some(Pte { pfn, flags }));
         }
-        *self.entry_at_mut(l1, idx1) = Entry::Leaf(Arc::new(leaf));
+        *self.entry_at_mut(l1, idx1) = Entry::Leaf(leaf);
         self.leaf_count += 1;
         self.huge -= 1;
         cycles.charge(cost.pt_demote);
@@ -1162,7 +1296,9 @@ impl PageTable {
                 if leaf.live() != 0 {
                     return Ok(pte);
                 }
-                n.take(idx);
+                if let Entry::Leaf(emptied) = n.take(idx) {
+                    LeafNode::retire(emptied);
+                }
                 self.leaf_count -= 1;
                 pte
             }
@@ -1344,6 +1480,25 @@ impl PageTable {
         self.leaf_slots_in(0, u64::MAX)
     }
 
+    /// [`Self::leaf_slots_in`] for the walks a request makes — fork,
+    /// teardown, the release scan of `munmap` — which hands `visit` the
+    /// coordinates in a list the table keeps, and the table to work on by
+    /// them: nothing is allocated once the list has grown to the table's
+    /// size. The coordinates are as good as `visit` keeps them.
+    pub(crate) fn with_leaf_slots<R>(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        visit: impl FnOnce(&mut PageTable, &[Slot]) -> R,
+    ) -> R {
+        let mut slots = std::mem::take(&mut self.scratch);
+        self.collect_slots(self.root, PT_LEVELS - 1, 0, lo, hi, &mut slots);
+        let out = visit(self, &slots);
+        slots.clear();
+        self.scratch = slots;
+        out
+    }
+
     /// Present entries of the slot at coordinates from
     /// [`Self::leaf_slots_in`], ascending: `(in-node index, VPN, PTE)`. A
     /// huge block — lone, or a directory member — appears once at its
@@ -1359,6 +1514,21 @@ impl PageTable {
         };
         let members = members.map(move |(j, p)| (j, Vpn(base + j as u64 * kind.stride()), p));
         lone.into_iter().map(move |p| (0, Vpn(base), p)).chain(members)
+    }
+
+    /// The entries of the small-PTE node at coordinates from [`Self::find`]
+    /// that map a page of `vpns`, ascending, by the node's occupancy map:
+    /// what a mapping holds in one 2 MiB span, at the cost of what it holds.
+    pub(crate) fn small_entries_in(
+        &self,
+        (base, node, idx, kind): Slot,
+        vpns: Range<u64>,
+    ) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
+        debug_assert_eq!(kind, SlotKind::Small, "small_entries_in: a block is not read entry by entry");
+        let leaf = self.leaf_at(node, idx);
+        let within = |vpn: u64| (vpn.clamp(base, base + PT_ENTRIES as u64) - base) as usize;
+        let held = leaf.occupied.slots_in(within(vpns.start), within(vpns.end));
+        held.map(move |j| (Vpn(base + j as u64), LeafNode::unpack(leaf.words[j])))
     }
 
     /// Visits every leaf translation in ascending VPN order. Huge blocks
@@ -1422,14 +1592,14 @@ impl PageTable {
     pub(crate) fn install_leaf(
         &mut self,
         base: u64,
-        leaf: LeafNode,
+        leaf: Arc<LeafNode>,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) {
         let vpn = Vpn(base);
         let node = self.walk_alloc_l1(vpn, cycles, cost);
         cycles.charge(cost.pt_node_alloc);
-        self.wire_leaf(node, vpn.pt_index(1), Arc::new(leaf), false);
+        self.wire_leaf(node, vpn.pt_index(1), leaf, false);
     }
 
     /// Puts `arc` into the empty slot `idx` of arena node `node` and counts
@@ -1501,7 +1671,8 @@ impl PageTable {
         };
         cycles.charge(cost.pt_node_alloc);
         cycles.charge_n(cost.pte_copy, arc.live());
-        *arc = Arc::new(LeafNode::clone(arc));
+        let shared = std::mem::replace(arc, arc.private_copy());
+        LeafNode::retire(shared);
         Ok(arc)
     }
 
@@ -1535,26 +1706,28 @@ impl PageTable {
         Ok(arc)
     }
 
-    /// Drains every leaf and leaves the table empty — O(nodes)
-    /// address-space destruction. Returns `(base VPN, leaf)` pairs
-    /// ascending by base; lone huge leaves come back as bare PTEs. The
-    /// arena is kept: every node but the root goes on the free list, for
-    /// whatever the table maps next.
-    pub(crate) fn take_leaves(&mut self) -> Vec<(u64, TakenLeaf)> {
-        let slots = self.leaf_slot_coords();
-        let take = |(base, node, idx, kind): Slot| match self.nodes[node as usize].take(idx) {
-            Entry::Leaf(arc) if kind == SlotKind::Dir => (base, TakenLeaf::Dir(arc)),
-            Entry::Leaf(arc) => (base, TakenLeaf::Node(arc)),
-            Entry::Huge(p) => (base, TakenLeaf::Huge(p)),
-            Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
-        };
-        let out = slots.into_iter().map(take).collect();
+    /// Drains every leaf into `sink` — `(base VPN, leaf)`, ascending by
+    /// base; lone huge leaves come as bare PTEs — and leaves the table
+    /// empty: O(nodes) address-space destruction. The arena is kept: every
+    /// node but the root goes on the free list, for whatever the table maps
+    /// next — or, if it drops first, for the next table of this thread.
+    pub(crate) fn take_leaves(&mut self, mut sink: impl FnMut(u64, TakenLeaf)) {
+        self.with_leaf_slots(0, u64::MAX, |pt, slots| {
+            for &(base, node, idx, kind) in slots {
+                let taken = match pt.nodes[node as usize].take(idx) {
+                    Entry::Leaf(arc) if kind == SlotKind::Dir => TakenLeaf::Dir(arc),
+                    Entry::Leaf(arc) => TakenLeaf::Node(arc),
+                    Entry::Huge(p) => TakenLeaf::Huge(p),
+                    Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
+                };
+                sink(base, taken);
+            }
+        });
         // What is left is links between intermediate nodes.
         self.nodes.iter_mut().for_each(Node::clear);
         self.free.clear();
         self.free.extend((0..self.nodes.len() as u32).filter(|&n| n != self.root));
         (self.mapped, self.leaf_count, self.huge) = (0, 0, 0);
-        out
     }
 
     /// Recounts every summary the table keeps beside its entries and
@@ -1631,6 +1804,18 @@ mod tests {
 
     fn huge(pfn: u64) -> Pte {
         Pte::new(Pfn(pfn), PteFlags::WRITABLE | PteFlags::HUGE)
+    }
+
+    /// A new node, to write: this test holds it alone.
+    fn own(leaf: &mut Arc<LeafNode>) -> &mut LeafNode {
+        Arc::get_mut(leaf).expect("held once")
+    }
+
+    /// What [`PageTable::take_leaves`] hands over, in the order it does.
+    fn taken(pt: &mut PageTable) -> Vec<(u64, TakenLeaf)> {
+        let mut out = Vec::new();
+        pt.take_leaves(|base, leaf| out.push((base, leaf)));
+        out
     }
 
     fn leaf_shared(pt: &PageTable, vpn: Vpn) -> bool {
@@ -1941,7 +2126,7 @@ mod tests {
             &cost,
         )
         .unwrap();
-        let leaves = pt.take_leaves();
+        let leaves = taken(&mut pt);
         assert_eq!(leaves.len(), 2);
         assert_eq!(leaves[0].0, 0);
         assert_eq!(leaves[1].0, 0x40000);
@@ -2294,10 +2479,10 @@ mod tests {
             pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
-        let taken = pt.take_leaves();
-        assert_eq!(taken.len(), 2);
-        assert!(matches!(taken[0].1, TakenLeaf::Huge(_)));
-        match &taken[1].1 {
+        let leaves = taken(&mut pt);
+        assert_eq!(leaves.len(), 2);
+        assert!(matches!(leaves[0].1, TakenLeaf::Huge(_)));
+        match &leaves[1].1 {
             TakenLeaf::Dir(arc) => {
                 assert_eq!(arc.live(), 512);
                 assert!(arc.iter().all(|(_, p)| p.is_huge()));
@@ -2354,6 +2539,7 @@ mod tests {
     #[test]
     fn leaf_words_round_trip_and_scan_by_map_or_by_count() {
         let mut leaf = LeafNode::new();
+        let leaf = own(&mut leaf);
         let swapped = Pte::swap_entry(0xABCD);
         let wide = Pte::new(Pfn((1 << 48) - 1), PteFlags::WRITABLE | PteFlags::HUGE);
         leaf.set(9, Some(swapped));
@@ -2379,7 +2565,7 @@ mod tests {
     /// A node whose entries take every shape a fork tells apart: writable,
     /// read-only, COW-marked already and `MAP_SHARED`; full over 64..128,
     /// every third position elsewhere.
-    fn mixed_leaf() -> LeafNode {
+    fn mixed_leaf() -> Arc<LeafNode> {
         let flags = [
             PteFlags::WRITABLE | PteFlags::DIRTY,
             PteFlags::USER,
@@ -2388,7 +2574,7 @@ mod tests {
         ];
         let mut leaf = LeafNode::new();
         for j in (0..PT_ENTRIES).filter(|j| (64..128).contains(j) || j % 3 == 0) {
-            leaf.set(j, Some(Pte::new(Pfn(1000 + j as u64), flags[j % 4])));
+            own(&mut leaf).set(j, Some(Pte::new(Pfn(1000 + j as u64), flags[j % 4])));
         }
         leaf
     }
@@ -2418,7 +2604,8 @@ mod tests {
             for marking in [false, true] {
                 // Between two entries of other runs, as a fork leaves it.
                 let (mut by_run, mut by_entry) = (LeafNode::new(), LeafNode::new());
-                for leaf in [&mut by_run, &mut by_entry] {
+                let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
+                for leaf in [&mut *by_run, &mut *by_entry] {
                     leaf.set(0, Some(Pte::new(Pfn(1), PteFlags::WRITABLE)));
                     leaf.set(511, Some(Pte::swap_entry(9)));
                 }
@@ -2428,16 +2615,17 @@ mod tests {
                     let marks = marking && (pte.is_writable() || pte.is_cow());
                     by_entry.set(j, Some(if marks { cow(pte) } else { pte }));
                 }
-                assert_eq!(contents(&by_run), contents(&by_entry), "{run:?}, marking {marking}");
+                assert_eq!(contents(by_run), contents(by_entry), "{run:?}, marking {marking}");
             }
             // The parent's side: every writable entry marked, each logged.
-            let (mut by_run, mut by_entry) = (src.clone(), src.clone());
+            let (mut by_run, mut by_entry) = (src.private_copy(), src.private_copy());
+            let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
             let mut undo = Vec::new();
             by_run.cow_mark_run(run.clone(), |j, pte| undo.push((j, pte)));
             for &(j, pte) in held.iter().filter(|(_, pte)| pte.is_writable()) {
                 by_entry.set(j, Some(cow(pte)));
             }
-            assert_eq!(contents(&by_run), contents(&by_entry), "{run:?}");
+            assert_eq!(contents(by_run), contents(by_entry), "{run:?}");
             assert_eq!(undo, held.iter().copied().filter(|(_, pte)| pte.is_writable()).collect::<Vec<_>>());
         }
     }
@@ -2445,7 +2633,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "present or swapped")]
     fn an_entry_whose_word_could_be_zero_is_refused() {
-        LeafNode::new().set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
+        own(&mut LeafNode::new()).set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
     }
 
     #[test]
@@ -2481,7 +2669,7 @@ mod tests {
         }
         pt.map_huge(Vpn(512), huge(512), &mut cy, &cost).unwrap();
         let arena = pt.nodes.len();
-        assert_eq!(pt.take_leaves().len(), 4);
+        assert_eq!(taken(&mut pt).len(), 4);
         assert_eq!((pt.nodes.len(), pt.free.len()), (arena, arena - 1));
         assert_eq!((pt.node_count(), pt.mapped_pages(), pt.huge_mapped()), (1, 0, 0));
         pt.check_summaries().unwrap();
@@ -2490,6 +2678,161 @@ mod tests {
         assert_eq!(cy.total() - before, 3 * cost.pt_node_alloc, "reuse is charged like allocation");
         assert_eq!(pt.nodes.len(), arena);
         pt.check_summaries().unwrap();
+    }
+
+    /// Empties this thread's spare lists, so that a test sees only what it
+    /// retires itself.
+    fn drain_spares() {
+        SPARES.with(|s| *s.borrow_mut() = Spares { leaves: Vec::new(), arenas: Vec::new() });
+    }
+
+    fn spare_counts() -> (usize, usize) {
+        SPARES.with(|s| (s.borrow().leaves.len(), s.borrow().arenas.len()))
+    }
+
+    #[test]
+    fn a_retired_leaf_comes_back_zero() {
+        drain_spares();
+        let (mut full, mut sparse, mut shared) = (LeafNode::new(), LeafNode::new(), LeafNode::new());
+        let mut half = LeafNode::new();
+        for j in 0..PT_ENTRIES {
+            own(&mut full).set(j, Some(Pte::new(Pfn(j as u64), PteFlags::WRITABLE)));
+            if j % 2 == 1 {
+                own(&mut half).set(j, Some(Pte::new(Pfn(j as u64), PteFlags::USER)));
+            }
+        }
+        for leaf in [&mut sparse, &mut shared] {
+            own(leaf).set(3, Some(Pte::new(Pfn(9), PteFlags::WRITABLE)));
+            own(leaf).set(64, Some(Pte::swap_entry(5)));
+            own(leaf).set(511, Some(Pte::new(Pfn(7), PteFlags::USER)));
+        }
+        let retired = [&full, &half, &sparse, &shared].map(Arc::as_ptr);
+        // A node another table still holds is let go of, not kept: the
+        // last holder retires it.
+        let other = Arc::clone(&shared);
+        LeafNode::retire(shared);
+        assert_eq!(spare_counts().0, 0);
+        assert_eq!(other.live(), 3, "the other holder's node is as it was");
+        for leaf in [full, half, sparse, other] {
+            LeafNode::retire(leaf);
+        }
+        assert_eq!(spare_counts().0, 4);
+        for _ in 0..4 {
+            let leaf = LeafNode::new();
+            assert!(retired.contains(&Arc::as_ptr(&leaf)), "a spare is the node retired, Arc and all");
+            assert!(leaf.is_zero());
+            assert_eq!((leaf.live(), leaf.private_writable(), leaf.swap_entries()), (0, 0, 0));
+            assert_eq!(leaf.iter().count(), 0);
+            leaf.check().unwrap();
+        }
+        assert_eq!(spare_counts().0, 0);
+        assert!(LeafNode::new().is_zero(), "an empty list falls back on the host");
+    }
+
+    #[test]
+    fn a_retired_arena_comes_back_empty() {
+        drain_spares();
+        let (mut pt, mut cy, cost) = fixture();
+        let pte = Pte::new(Pfn(1), PteFlags::default());
+        for vpn in [Vpn(3), Vpn(1 << 27), Vpn((1 << 27) | (1 << 18)), Vpn(5 << 27)] {
+            pt.map(vpn, pte, &mut cy, &cost).unwrap();
+        }
+        pt.map_huge(Vpn(512), huge(512), &mut cy, &cost).unwrap();
+        pt.unmap(Vpn(5 << 27)).unwrap();
+        let arena = pt.nodes.len();
+        assert!(arena > 6 && !pt.free.is_empty());
+        // Dropped as it stands, leaves and all.
+        drop(pt);
+        assert_eq!(spare_counts(), (1, 1), "the leaf `unmap` emptied, and the arena");
+        let mut pt = PageTable::new();
+        assert_eq!(spare_counts().1, 0);
+        assert_eq!((pt.root, pt.nodes.len(), pt.node_count()), (0, arena, 1));
+        assert_eq!(pt.free, (1..arena as u32).collect::<Vec<_>>());
+        for node in &pt.nodes {
+            assert!(node.held.is_empty() && node.occupied == Occupancy::default());
+            assert!(node.index.iter().all(|&at| at == 0));
+        }
+        assert_eq!((pt.mapped_pages(), pt.huge_mapped()), (0, 0));
+        pt.check_summaries().unwrap();
+        let before = cy.total();
+        pt.map(Vpn(7 << 27), pte, &mut cy, &cost).unwrap();
+        assert_eq!(cy.total() - before, 3 * cost.pt_node_alloc, "a spare node is charged like a new one");
+        assert_eq!(pt.nodes.len(), arena);
+        pt.check_summaries().unwrap();
+    }
+
+    #[test]
+    fn the_spare_lists_keep_to_their_bounds() {
+        drain_spares();
+        let (mut cy, cost) = (Cycles::new(), CostModel::default());
+        let pte = Pte::new(Pfn(1), PteFlags::default());
+        // What `AddressSpace::destroy` does with a table.
+        let destroy = |mut pt: PageTable| {
+            pt.take_leaves(|_, leaf| match leaf {
+                TakenLeaf::Node(leaf) | TakenLeaf::Dir(leaf) => LeafNode::retire(leaf),
+                TakenLeaf::Huge(_) => {}
+            });
+        };
+        for cycle in 0..10_000 {
+            let mut pt = PageTable::new();
+            for leaf in 0..32 {
+                pt.map(Vpn(leaf * 512 + cycle % 512), pte, &mut cy, &cost).unwrap();
+            }
+            destroy(pt);
+            assert_eq!(spare_counts(), (32, 1), "cycle {cycle}: what one table needs, and no more");
+        }
+        // More tables at once than there is room for spares of, one of them
+        // bigger than a spare arena may be.
+        let mut tables: Vec<PageTable> = (0..2 * SPARE_ARENAS).map(|_| PageTable::new()).collect();
+        for (t, pt) in tables.iter_mut().enumerate() {
+            let leaves = if t == 0 { 3 * SPARE_ARENA_NODES as u64 } else { 12 };
+            for leaf in 0..leaves {
+                // One level-1 node per leaf.
+                pt.map(Vpn(leaf << 18), pte, &mut cy, &cost).unwrap();
+            }
+        }
+        assert!(tables[0].nodes.len() > SPARE_ARENA_NODES);
+        tables.into_iter().for_each(destroy);
+        assert_eq!(spare_counts(), (SPARE_LEAVES, SPARE_ARENAS));
+        SPARES.with(|s| {
+            for (nodes, free, scratch) in &s.borrow().arenas {
+                assert!(nodes.len() <= SPARE_ARENA_NODES && free.len() == nodes.len() - 1);
+                assert!(scratch.is_empty() && scratch.capacity() <= SPARE_ARENA_NODES);
+            }
+        });
+        // Every spare is a good start.
+        let mut started: Vec<PageTable> = (0..SPARE_ARENAS).map(|_| PageTable::new()).collect();
+        assert_eq!(spare_counts().1, 0);
+        for pt in &mut started {
+            pt.map(Vpn(9), pte, &mut cy, &cost).unwrap();
+            pt.check_summaries().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_clone_of_a_table_aliases_no_spare() {
+        drain_spares();
+        let (mut pt, mut cy, cost) = fixture();
+        let pte = Pte::new(Pfn(4), PteFlags::WRITABLE);
+        pt.map(Vpn(8), pte, &mut cy, &cost).unwrap();
+        let (_, node, idx, _) = pt.find(Vpn(8)).unwrap();
+        let held = Arc::as_ptr(pt.leaf_at(node, idx));
+        // A clone holds the same leaf nodes, as an on-demand fork would.
+        let snapshot = pt.clone();
+        assert!(leaf_shared(&pt, Vpn(8)));
+        LeafNode::retire(Arc::clone(pt.leaf_at(node, idx)));
+        assert_eq!(spare_counts(), (0, 0), "a node two tables hold is nobody's spare");
+        drop(snapshot);
+        // The clone's arena is a spare; the leaf it shared is not.
+        assert_eq!(spare_counts(), (0, 1));
+        assert!(!leaf_shared(&pt, Vpn(8)));
+        let mut next = PageTable::new();
+        next.map(Vpn(8), Pte::new(Pfn(5), PteFlags::default()), &mut cy, &cost).unwrap();
+        let (_, node, idx, _) = next.find(Vpn(8)).unwrap();
+        assert_ne!(Arc::as_ptr(next.leaf_at(node, idx)), held);
+        assert_eq!(pt.translate(Vpn(8)), Some(pte));
+        pt.check_summaries().unwrap();
+        next.check_summaries().unwrap();
     }
 
     #[test]
@@ -2518,7 +2861,10 @@ mod tests {
         let in_leaf = |f: &dyn Fn(&mut LeafNode)| {
             broken(&|pt| {
                 let (_, node, idx, _) = pt.find(Vpn(0)).unwrap();
-                f(Arc::make_mut(pt.leaf_at_mut(node, idx)))
+                // The clone shares the node with the table it is a clone of.
+                let leaf = pt.leaf_at_mut(node, idx);
+                *leaf = leaf.private_copy();
+                f(own(leaf))
             })
         };
         assert!(in_leaf(&|leaf| leaf.words[5] = 1 << FLAG_BITS | 1).contains("entry 5"));

@@ -33,7 +33,10 @@
 //! first — so the host pays resident memory for the frames in use, not
 //! for the machine's size. (One zeroed allocation for the whole pool is
 //! lazily touched only the first time: the allocator recycles it, and the
-//! next machine the process boots gets a zero-*filled* table.)
+//! next machine the process boots gets a zero-*filled* table.) Page-table
+//! nodes are host memory too, 4 KiB a leaf like the frames they would
+//! occupy, and are not in this table: the ones no table holds any more wait
+//! on per-thread spare lists in [`crate::page_table`] ("Spare nodes").
 //!
 //! References are dropped through one primitive, `release`, which takes a
 //! batch of frames — one for [`PhysMemory::dec_ref`], a run for
