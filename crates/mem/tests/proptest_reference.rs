@@ -22,7 +22,11 @@
 //! which is what the Cow/OnDemand/Eager twin-world test this file replaced
 //! compared directly. The `madvise` ranges land inside leaf nodes, so some
 //! on-demand fork must meet a node it cannot share whole and copy it entry
-//! by entry; a run in which none did fails as vacuous.
+//! by entry; a run in which none did fails as vacuous. Forks and teardowns
+//! take and drop frame references a run of consecutive frames at a time,
+//! cut where the frame table's chunk ends: counted off the PTEs, they must
+//! between them go over a leaf node whose frames run on across a chunk
+//! boundary and one whose frames do not run at all, under THP and without.
 //!
 //! `slide` moves a whole *mapping* — what one `mmap` made, cut wherever a
 //! later `munmap`, `mprotect` or `madvise` range began or ended inside it —
@@ -73,6 +77,9 @@ const LANDING: u64 = window(3, 5, 100);
 const HUGE_BIT: u16 = 1 << 9;
 /// Pages of user space: the lower half of a 48-bit address space.
 const USER_END: u64 = 1 << 35;
+/// Frames per chunk of `PhysMemory`'s frame table (`TABLE_CHUNK`, which
+/// the crate keeps to itself).
+const FRAME_CHUNK: u64 = 1024;
 
 const fn window(l3: u64, l2: u64, l1: u64) -> u64 {
     (l3 << 27) | (l2 << 18) | (l1 << 9)
@@ -380,6 +387,12 @@ struct Seen {
     /// distance.
     slid_block_aligned: u64,
     slid_block_unaligned: u64,
+    /// Small-page leaf nodes a fork or a teardown went over, read off the
+    /// PTEs: one with neighbouring pages on consecutive frames across a
+    /// multiple of [`FRAME_CHUNK`], and one with neighbouring pages on
+    /// frames that are not consecutive.
+    leaves_across_chunk: u64,
+    leaves_scattered: u64,
 }
 
 impl std::ops::AddAssign for Seen {
@@ -389,6 +402,32 @@ impl std::ops::AddAssign for Seen {
         self.slid_shared_node += o.slid_shared_node;
         self.slid_block_aligned += o.slid_block_aligned;
         self.slid_block_unaligned += o.slid_block_unaligned;
+        self.leaves_across_chunk += o.leaves_across_chunk;
+        self.leaves_scattered += o.leaves_scattered;
+    }
+}
+
+impl Seen {
+    /// Counts the kinds of small-page leaf node `sim` holds, which a fork or
+    /// a teardown is about to take or drop the references of.
+    fn leaves_of(&mut self, sim: &AddressSpace) {
+        // Per leaf node: (neighbours across a chunk, scattered neighbours).
+        let mut leaves: BTreeMap<u64, (bool, bool)> = BTreeMap::new();
+        let mut before: Option<(u64, u64)> = None;
+        sim.for_each_resident(|vpn, pte| {
+            if pte.flags.0 & HUGE_BIT != 0 {
+                return;
+            }
+            let (vpn, pfn) = (vpn.0, pte.pfn.0);
+            if let Some((v, p)) = before.filter(|&(v, _)| v + 1 == vpn && v / BLOCK == vpn / BLOCK) {
+                let kind = leaves.entry(v / BLOCK).or_default();
+                kind.0 |= pfn == p + 1 && pfn % FRAME_CHUNK == 0;
+                kind.1 |= pfn != p + 1;
+            }
+            before = Some((vpn, pfn));
+        });
+        self.leaves_across_chunk += leaves.values().filter(|k| k.0).count() as u64;
+        self.leaves_scattered += leaves.values().filter(|k| k.1).count() as u64;
     }
 }
 
@@ -483,6 +522,7 @@ impl World {
                 (r.map(|_| None), model.slide(from, to))
             }
             Op::Fork { mode } if live < MAX_PROCS => {
+                seen.leaves_of(sim);
                 let copied_before = sim.stats.ptes_copied;
                 let child = AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1)
                     .unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
@@ -498,6 +538,7 @@ impl World {
             }
             Op::Exit if live > 1 => {
                 let (mut sim, _) = procs.swap_remove(who);
+                seen.leaves_of(&sim);
                 sim.destroy(phys, cycles);
                 (Ok(None), Ok(None))
             }
@@ -541,6 +582,7 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> Seen {
     let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} at the end");
     w.procs.iter().for_each(|p| check(p, &w.phys, &ctx));
     for (mut sim, _) in std::mem::take(&mut w.procs) {
+        w.seen.leaves_of(&sim);
         sim.destroy(&mut w.phys, &mut w.cycles);
     }
     assert_eq!(w.phys.used_frames(), 0, "seed {seed:#x} thp {thp}: frames survived teardown");
@@ -566,6 +608,11 @@ fn run_cases(thp: bool) {
     assert!(
         !thp || (seen.slid_block_aligned > 0 && seen.slid_block_unaligned > 0),
         "no slide moved a huge block whole, or none split one — the slide step is vacuous under THP: {seen:?}"
+    );
+    assert!(
+        seen.leaves_across_chunk > 0 && seen.leaves_scattered > 0,
+        "no fork or teardown met a leaf whose frames run across a frame-table chunk, or none met one whose \
+         frames do not run — the refcount runs are vacuous: {seen:?}"
     );
     println!("thp {thp}: {seen:?}");
 }
