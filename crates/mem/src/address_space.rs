@@ -1129,10 +1129,10 @@ impl AddressSpace {
             TakenLeaf::Node(node) => {
                 if Arc::strong_count(&node) == 1 {
                     if node.swap_entries() == 0 {
-                        phys.release(node.frames_in(0..PT_ENTRIES), cycles).expect("frame tracked");
+                        phys.release(node.frame_runs(0..PT_ENTRIES), cycles).expect("frame tracked");
                     } else {
                         let present = node.iter().filter(|(_, pte)| pte.is_present());
-                        phys.release(present.map(|(_, pte)| pte.pfn), cycles).expect("frame tracked");
+                        phys.release(present.map(|(_, pte)| pte.pfn.0..pte.pfn.0 + 1), cycles).expect("frame tracked");
                         for (_, pte) in node.iter().filter(|(_, pte)| pte.is_swap()) {
                             phys.swap_mut().dec_ref(pte.swap_slot()).expect("slot tracked");
                         }
@@ -1182,12 +1182,12 @@ impl AddressSpace {
                 phys.inc_ref_run(pte.pfn, HUGE_PAGES).expect("run tracked by shared subtree");
             }
         } else if copy.swap_entries() == 0 {
-            phys.retain(copy.frames_in(0..PT_ENTRIES)).expect("frame tracked by shared subtree");
+            phys.retain(copy.frame_runs(0..PT_ENTRIES)).expect("frame tracked by shared subtree");
         } else {
             // The privatized copy now references each swap slot from a
             // second distinct leaf node.
             let present = copy.iter().filter(|(_, pte)| pte.is_present());
-            phys.retain(present.map(|(_, pte)| pte.pfn)).expect("frame tracked by shared subtree");
+            phys.retain(present.map(|(_, pte)| pte.pfn.0..pte.pfn.0 + 1)).expect("frame tracked by shared subtree");
             for (_, pte) in copy.iter().filter(|(_, pte)| pte.is_swap()) {
                 phys.swap_mut().inc_ref(pte.swap_slot()).expect("slot tracked by shared subtree");
             }
@@ -1501,7 +1501,8 @@ impl AddressSpace {
     /// used to take one each:
     ///
     /// 1. count the run's entries, by the node's occupancy map;
-    /// 2. take a reference on the frame of each ([`PhysMemory::retain`]);
+    /// 2. take a reference on the frame of each ([`PhysMemory::retain`]), a
+    ///    run of consecutive frames at a time (`LeafNode::frame_runs`);
     /// 3. cross [`FaultSite::PtNodeAlloc`] once per entry
     ///    ([`fpr_faults::cross_n`]), charge [`CostModel::pte_copy`] and
     ///    count `ptes_copied` for each entry *begun*;
@@ -1531,13 +1532,13 @@ impl AddressSpace {
         if entries == 0 {
             return Ok(());
         }
-        phys.retain(parent.frames_in(run.clone()))?;
+        phys.retain(parent.frame_runs(run.clone()))?;
         let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
         let begun = match crossed {
             Ok(()) => entries,
             Err((passed, _)) => {
                 let copied = parent.first_in(run.clone(), passed);
-                phys.release(parent.frames_in(copied.end..run.end), cycles).expect("references just taken");
+                phys.release(parent.frame_runs(copied.end..run.end), cycles).expect("references just taken");
                 run = copied;
                 passed + 1
             }

@@ -260,12 +260,12 @@ impl AddressSpace {
             };
             let (pfn, outcome) = if phys.refs(pte.pfn)? == 1 {
                 // Sole owner: reclaim the frame in place.
+                phys.write_content(pte.pfn, value)?;
                 self.stats.cow_reuses += 1;
                 metrics::incr("mem.fault.cow_reuse");
                 (pte.pfn, FaultOutcome::CowReuse)
             } else {
-                let new_pfn = phys.copy_frame(pte.pfn, cycles)?;
-                phys.dec_ref(pte.pfn, cycles)?;
+                let new_pfn = phys.break_cow(pte.pfn, value, cycles)?;
                 self.stats.cow_copies += 1;
                 metrics::incr("mem.fault.cow_copy");
                 (new_pfn, FaultOutcome::CowCopy)
@@ -287,7 +287,6 @@ impl AddressSpace {
             // The stale read-only translation may be cached on any CPU
             // running this space.
             tlb.shootdown(cpus_running, cycles, phys.cost());
-            phys.write_content(pfn, value)?;
             return Ok(outcome);
         }
         // Present, not writable, nobody to break from — but the VMA permits

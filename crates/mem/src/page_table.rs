@@ -142,6 +142,25 @@ impl Occupancy {
     fn slots(self) -> HeldSlots {
         HeldSlots { left: self.0, word: 0 }
     }
+
+    /// The first stretch of neighbouring held slots that starts at or after
+    /// `at`, cut short at `end`.
+    #[inline(always)]
+    fn span_from(&self, at: usize, end: usize) -> Option<Range<usize>> {
+        let (mut w, mut bits) = (at / 64, self.0.get(at / 64)? & u64::MAX << (at % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.0.get(w)?;
+        }
+        let start = w * 64 + bits.trailing_zeros() as usize;
+        // The stretch runs on to the first empty slot above its start.
+        let mut empty = !self.0[w] & u64::MAX << (start % 64);
+        while empty == 0 {
+            w += 1;
+            empty = self.0.get(w).map_or(1, |bits| !bits);
+        }
+        (start < end).then(|| start..end.min(w * 64 + empty.trailing_zeros() as usize))
+    }
 }
 
 /// Ascending iterator over the set bits of an [`Occupancy`].
@@ -516,12 +535,13 @@ impl LeafNode {
         range.start..held.nth(n as usize).unwrap_or(range.end)
     }
 
-    /// The frame of each entry in `range`, ascending. For a small-PTE node
-    /// without swap entries, whose every word holds a frame number.
-    pub(crate) fn frames_in(&self, range: Range<usize>) -> LeafFrames<'_> {
+    /// The frames of the entries in `range`, ascending, as runs of
+    /// consecutive frame numbers: what [`crate::phys::PhysMemory::retain`]
+    /// and `release` take. For a small-PTE node without swap entries, whose
+    /// every word holds a frame number.
+    pub(crate) fn frame_runs(&self, range: Range<usize>) -> LeafRuns<'_> {
         debug_assert_eq!(self.counts.swap_entries, 0, "a swap entry holds no frame");
-        let (dense, sparse) = self.split(range);
-        LeafFrames { words: &self.words, dense: self.words[dense].iter(), sparse: sparse.slots() }
+        LeafRuns { words: &self.words, map: &self.occupied, end: range.end, left: range.start..range.start, singles: 0 }
     }
 
     /// Copies the entries `src` holds in `range` into this node, which
@@ -645,25 +665,120 @@ impl Iterator for LeafIndices {
     }
 }
 
-/// The frames [`LeafNode::frames_in`] yields: a full range's word by word,
-/// any other's by its map.
-#[derive(Debug, Clone)]
-pub(crate) struct LeafFrames<'a> {
-    words: &'a [u64; PT_ENTRIES],
-    dense: std::slice::Iter<'a, u64>,
-    sparse: HeldSlots,
+/// Entries checked together once a quarter of their stretch has failed
+/// its check. A block that fails as well hands its frames out as runs of
+/// one, which cost about what a frame cost before there were runs; a
+/// finder that tests frame by frame where a run ends costs more.
+const RUN_BLOCK: usize = 8;
+
+/// Whether the frames of `words` are `first`, `first + 1`, …, after a look
+/// at the last, which scattered frames fail for nothing. The rest is one
+/// OR over all of them, which vectorises on baseline x86-64 where a `&&` of
+/// compares does not — but a [`RUN_BLOCK`], whose length the compiler
+/// knows, it turns into compares that stop at the first that fails.
+#[inline]
+fn runs_from(words: &[u64], first: u64) -> bool {
+    let last = words.len() as u64 - 1;
+    if words[last as usize] >> FLAG_BITS != first + last {
+        return false;
+    }
+    let off = words.iter().enumerate().fold(0, |off, (k, &word)| off | (word >> FLAG_BITS) ^ (first + k as u64));
+    off == 0
 }
 
-impl Iterator for LeafFrames<'_> {
-    type Item = Pfn;
+/// The frames [`LeafNode::frame_runs`] yields, a run at a time. Each
+/// stretch of neighbouring entries is checked whole first, a quarter of a
+/// node at a time, and is one run if its frames are consecutive — a
+/// populated heap's are. From the first quarter that fails it is cut where
+/// the check fails: into runs of whole [`RUN_BLOCK`]s that pass the same
+/// check, and runs of one for the frames of each block that does not. (In
+/// one check of the whole stretch, a node of a `cow_touch` child — one
+/// page in 16 written — paid for 512 entries to learn what its first
+/// quarter says, and its teardown cost 5 % more than frame by frame.)
+///
+/// All of it is scalars and two references, so that the compiler keeps it
+/// in registers: with a copy of the occupancy map in it, it lived on the
+/// stack and a scattered node's runs of one cost 1.4× a frame before runs.
+#[derive(Debug, Clone)]
+pub(crate) struct LeafRuns<'a> {
+    words: &'a [u64; PT_ENTRIES],
+    map: &'a Occupancy,
+    /// The end of the range the runs are of.
+    end: usize,
+    /// What is left of the stretch being cut; empty between stretches,
+    /// where it marks how far the map has been gone through.
+    left: Range<usize>,
+    /// Where the entries stop that go out as runs of one: the end of the
+    /// block that failed its check.
+    singles: usize,
+}
 
-    #[inline]
-    fn next(&mut self) -> Option<Pfn> {
-        let word = match self.dense.next() {
-            Some(word) => word,
-            None => &self.words[self.sparse.next()?],
-        };
-        Some(Pfn(word >> FLAG_BITS))
+impl LeafRuns<'_> {
+    /// The next entry's frame as a run of one, if it is one of a block
+    /// that failed its check.
+    #[inline(always)]
+    fn single(&mut self) -> Option<Range<u64>> {
+        let j = self.left.start;
+        (j < self.singles).then(|| {
+            self.left.start += 1;
+            let pfn = self.words[j] >> FLAG_BITS;
+            pfn..pfn + 1
+        })
+    }
+}
+
+impl Iterator for LeafRuns<'_> {
+    type Item = Range<u64>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Range<u64>> {
+        if let Some(single) = self.single() {
+            return Some(single);
+        }
+        // A new stretch a quarter of a node at a time; from where a quarter
+        // failed, a RUN_BLOCK at a time.
+        let mut block = RUN_BLOCK;
+        if self.left.is_empty() {
+            self.left = self.map.span_from(self.left.end, self.end)?;
+            block = PT_ENTRIES / 4;
+        }
+        let (start, first) = (self.left.start, self.words[self.left.start] >> FLAG_BITS);
+        let mut end = start;
+        while end < self.left.end {
+            let next = (end + block).min(self.left.end);
+            let words = &self.words[end..next];
+            let expect = first + (end - start) as u64;
+            let runs = match <&[u64; RUN_BLOCK]>::try_from(words) {
+                Ok(whole) => runs_from(whole, expect),
+                Err(_) => runs_from(words, expect),
+            };
+            if runs {
+                end = next;
+            } else if block > RUN_BLOCK {
+                block = RUN_BLOCK;
+            } else {
+                self.singles = next;
+                break;
+            }
+        }
+        // The first frame of a block that failed is a run of one.
+        end += (end == start) as usize;
+        self.left.start = end;
+        Some(first..first + (end - start) as u64)
+    }
+
+    /// [`Self::next`] in a loop, with the runs of one of a block that
+    /// failed handed out from a loop of their own, which the compiler
+    /// specialises for them: how `retain` and `release` go through a node.
+    #[inline(always)]
+    fn fold<B, F: FnMut(B, Range<u64>) -> B>(mut self, mut acc: B, mut f: F) -> B {
+        while let Some(run) = self.next() {
+            acc = f(acc, run);
+            while let Some(single) = self.single() {
+                acc = f(acc, single);
+            }
+        }
+        acc
     }
 }
 
@@ -2593,8 +2708,13 @@ mod tests {
         for run in [64..128, 0..64, 100..300, 1..3, 0..PT_ENTRIES] {
             let held: Vec<(usize, Pte)> = src.iter().filter(|(j, _)| run.contains(j)).collect();
             assert_eq!(src.live_in(run.clone()), held.len() as u64);
-            let frames: Vec<Pfn> = src.frames_in(run.clone()).collect();
+            let frames: Vec<Pfn> = src.frame_runs(run.clone()).flatten().map(Pfn).collect();
             assert_eq!(frames, held.iter().map(|(_, pte)| pte.pfn).collect::<Vec<_>>());
+            // The node's frames run on wherever its entries do, whatever
+            // their flags: one run a stretch of neighbouring entries.
+            let runs: Vec<Range<u64>> = src.frame_runs(run.clone()).collect();
+            let spans = std::iter::successors(src.occupied.span_from(run.start, run.end), |s| src.occupied.span_from(s.end, run.end));
+            assert_eq!(runs, spans.map(|s| 1000 + s.start as u64..1000 + s.end as u64).collect::<Vec<_>>());
             for n in [0, 1, held.len() / 2, held.len(), held.len() + 1] {
                 let cut = src.first_in(run.clone(), n as u64);
                 let kept = held.iter().filter(|(j, _)| cut.contains(j)).count();

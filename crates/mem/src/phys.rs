@@ -38,16 +38,22 @@
 //! occupy, and are not in this table: the ones no table holds any more wait
 //! on per-thread spare lists in [`crate::page_table`] ("Spare nodes").
 //!
-//! References are dropped through one primitive, `release`, which takes a
-//! batch of frames — one for [`PhysMemory::dec_ref`], a run for
-//! `PhysMemory::dec_ref_run`, a leaf node's worth from a teardown — and
-//! returns those that reach zero together: a `frame_free` charge and a
-//! `mem.frame_free` count per frame, but one acquisition of the pool per
-//! batch, so that a free costs the host a constant per frame as it does
-//! the model. `retain` is its mirror: the references a fork or an unshare
-//! takes on the frames of a run of PTEs, in one pass. Both look the
-//! table's chunk up when it changes, not per frame — consecutive PTEs
-//! mostly map consecutive frames.
+//! References are dropped through one primitive, `release`, and taken
+//! through its mirror, `retain`. Both work in *runs of frames*: ranges of
+//! consecutive frame numbers, as a freshly populated heap maps them — one
+//! run for [`PhysMemory::dec_ref`], a 512-frame run for a huge block's
+//! `PhysMemory::dec_ref_run`, a leaf node's frames as the runs
+//! `LeafNode::frame_runs` finds in them from a fork, an unshare or a
+//! teardown. Each run is cut where a chunk of the table ends; each piece
+//! gets one check that every count in it is above zero, then one slice add
+//! or subtract, and `release` one more scan for the counts that reached
+//! zero. The frames come in the order the per-frame loop before them took
+//! them — runs in order, each ascending — so the frames a release frees go
+//! back in the same order as before and no later allocation moves:
+//! `retain` is still all or nothing, `release` still stops at the first
+//! frame the cell does not hold after dropping the ones before it, and the
+//! frames of a call go back together, a `frame_free` charge for each and
+//! one `mem.frame_free` count and one acquisition of the pool for all.
 //!
 //! Two layers sit on top of the pool:
 //!
@@ -76,6 +82,7 @@ use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::smp::VLock;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -226,6 +233,8 @@ impl SharedFramePool {
         if pfns.is_empty() {
             return;
         }
+        #[cfg(test)]
+        tests::POOL_FREES.with(|n| n.set(n.get() + 1));
         let mut core = self.core.lock();
         for &pfn in pfns {
             core.free(pfn);
@@ -520,66 +529,106 @@ impl PhysMemory {
         Ok(first)
     }
 
-    /// Hands `each` the reference count of every frame `frames` yields,
-    /// which must be one this cell holds — a count above zero. Stops at the
-    /// first that is not and says how many frames came before it.
-    fn each_held(
+    /// Hands `each` the reference counts of the frames of `runs` — ranges
+    /// of frame numbers — a piece at a time, each piece the part of a run
+    /// that lies in one chunk of the table, with the number of its first
+    /// frame. Every frame must be one this cell holds, a count above zero:
+    /// one check of the piece's counts says whether they all are. Where one
+    /// is not, `each` gets the frames before it and the call stops, saying
+    /// how many frames came before it in all.
+    fn each_run(
         table: &mut [Option<Box<FrameChunk>>],
-        frames: impl IntoIterator<Item = Pfn>,
-        mut each: impl FnMut(Pfn, &mut u32),
-    ) -> Result<(), usize> {
-        // The chunk of the frame before, kept while the next is in it too.
-        let (mut at, mut chunk) = (usize::MAX, None);
-        for (n, pfn) in frames.into_iter().enumerate() {
-            let (c, i) = table_slot(pfn);
-            if c != at {
-                (at, chunk) = (c, table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()));
+        runs: impl IntoIterator<Item = Range<u64>>,
+        mut each: impl FnMut(u64, &mut [u32]),
+    ) -> Result<(), u64> {
+        // Frames gone through; `Err` from the first that was not held on,
+        // and nothing is done after it. `for_each` rather than `for`: a leaf
+        // node hands its runs out from a loop of its own (`LeafRuns::fold`).
+        let mut done: Result<u64, u64> = Ok(0);
+        runs.into_iter().for_each(|Range { start: mut pfn, end }| {
+            let Ok(mut frames) = done else { return };
+            if end - pfn == 1 {
+                // A run of one, as most of a scattered node's are: a slice
+                // the compiler knows the length of, for what a frame cost
+                // before there were runs.
+                let (c, i) = table_slot(Pfn(pfn));
+                done = match table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()) {
+                    Some(chunk) if chunk.refs[i] > 0 => {
+                        each(pfn, std::slice::from_mut(&mut chunk.refs[i]));
+                        Ok(frames + 1)
+                    }
+                    _ => Err(frames),
+                };
+                return;
             }
-            match chunk.as_deref_mut() {
-                Some(chunk) if chunk.refs[i] > 0 => each(pfn, &mut chunk.refs[i]),
-                _ => return Err(n),
+            while pfn < end {
+                let (c, i) = table_slot(Pfn(pfn));
+                let Some(chunk) = table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()) else { break };
+                let n = ((end - pfn) as usize).min(TABLE_CHUNK - i);
+                let refs = &mut chunk.refs[i..i + n];
+                let held = match refs.iter().fold(false, |unheld, &r| unheld | (r == 0)) {
+                    false => n,
+                    true => refs.iter().position(|&r| r == 0).expect("a count of zero"),
+                };
+                each(pfn, &mut refs[..held]);
+                frames += held as u64;
+                if held < n {
+                    break;
+                }
+                pfn += n as u64;
             }
-        }
-        Ok(())
+            done = if pfn < end { Err(frames) } else { Ok(frames) };
+        });
+        done.map(|_| ())
     }
 
-    /// Takes a reference on each frame `frames` yields: the mirror of
-    /// [`Self::release`], for the frames of a run of PTEs a fork copies or
-    /// an unshare privatizes. All or nothing: at a frame this cell does
-    /// not hold it gives back what it took and reports
+    /// Takes a reference on each frame of `runs`, ranges of frame numbers:
+    /// the mirror of [`Self::release`], for the frames of a run of PTEs a
+    /// fork copies or an unshare privatizes. All or nothing: at a frame
+    /// this cell does not hold it gives back what it took and reports
     /// [`MemError::NotMapped`].
-    pub(crate) fn retain(&mut self, frames: impl IntoIterator<Item = Pfn, IntoIter: Clone>) -> MemResult<()> {
-        let frames = frames.into_iter();
-        Self::each_held(&mut self.table, frames.clone(), |_, refs| *refs += 1).map_err(|taken| {
-            Self::each_held(&mut self.table, frames.take(taken), |_, refs| *refs -= 1)
-                .expect("frames just retained");
+    pub(crate) fn retain(&mut self, runs: impl IntoIterator<Item = Range<u64>, IntoIter: Clone>) -> MemResult<()> {
+        let runs = runs.into_iter();
+        let add = |_, refs: &mut [u32]| refs.iter_mut().for_each(|r| *r += 1);
+        Self::each_run(&mut self.table, runs.clone(), add).map_err(|mut taken| {
+            // The runs cut short behind the frames just taken.
+            let taken = runs.map(|run| {
+                let n = (run.end - run.start).min(taken);
+                taken -= n;
+                run.start..run.start + n
+            });
+            let sub = |_, refs: &mut [u32]| refs.iter_mut().for_each(|r| *r -= 1);
+            Self::each_run(&mut self.table, taken, sub).expect("frames just retained");
             MemError::NotMapped
         })
     }
 
-    /// The one way a reference is dropped: takes one from each frame
-    /// `frames` yields and frees those that reach zero, returning how many
-    /// that was. The freed frames of a call go back together — under one
-    /// pool acquisition with the magazine off, pushed one by one (draining
-    /// when overfull) with it on — and each is charged `frame_free` and
-    /// counted in `mem.frame_free`. A teardown hands in a leaf node's
-    /// frames at a time, so the pool lock is taken per node, not per frame;
-    /// the buddy's state after a set of frees does not depend on their
-    /// order, so batching moves no later allocation.
+    /// The one way a reference is dropped: takes one from each frame of
+    /// `runs`, ranges of frame numbers, and frees those that reach zero,
+    /// returning how many that was — in the order they come in `runs`, which
+    /// within a run is ascending. The freed frames of a call go back
+    /// together — under one pool acquisition with the magazine off, pushed
+    /// one by one (draining when overfull) with it on — and each is charged
+    /// `frame_free`, while `mem.frame_free` is counted once for all of
+    /// them. A teardown hands in a leaf node's frames at a time, so the
+    /// pool lock is taken per node, not per frame; the buddy's state after
+    /// a set of frees does not depend on their order, so batching moves no
+    /// later allocation.
     ///
     /// Stops at the first frame this cell does not hold and reports
     /// [`MemError::NotMapped`]; the references dropped before it stay
     /// dropped and their frames freed.
     pub(crate) fn release(
         &mut self,
-        frames: impl IntoIterator<Item = Pfn>,
+        runs: impl IntoIterator<Item = Range<u64>>,
         cycles: &mut Cycles,
     ) -> MemResult<u64> {
         let mut released = std::mem::take(&mut self.released);
-        let result = Self::each_held(&mut self.table, frames, |pfn, refs| {
-            *refs -= 1;
-            if *refs == 0 {
-                released.push(pfn);
+        let result = Self::each_run(&mut self.table, runs, |first, refs| {
+            refs.iter_mut().for_each(|r| *r -= 1);
+            if refs.iter().fold(false, |freed, &r| freed | (r == 0)) {
+                let freed = refs.iter().enumerate().filter(|&(_, &r)| r == 0);
+                released.extend(freed.map(|(k, _)| Pfn(first + k as u64)));
             }
         });
         let freed = released.len() as u64;
@@ -658,14 +707,13 @@ impl PhysMemory {
     /// Increments the reference count of each frame in `[head, head+n)`,
     /// or of none if the cell does not hold them all.
     pub(crate) fn inc_ref_run(&mut self, head: Pfn, n: u64) -> MemResult<()> {
-        self.retain((head.0..head.0 + n).map(Pfn))
+        self.retain(std::iter::once(head.0..head.0 + n))
     }
 
     /// Decrements the reference count of each frame in `[head, head+n)`,
     /// freeing those that reach zero.
     pub(crate) fn dec_ref_run(&mut self, head: Pfn, n: u64, cycles: &mut Cycles) -> MemResult<()> {
-        self.release((head.0..head.0 + n).map(Pfn), cycles)
-            .map(|_| ())
+        self.release(std::iter::once(head.0..head.0 + n), cycles).map(|_| ())
     }
 
     /// Allocates a zeroed frame with reference count 1.
@@ -687,8 +735,31 @@ impl PhysMemory {
         Ok(pfn)
     }
 
-    /// Allocates a new frame that duplicates `src`'s content (COW break or
-    /// eager fork copy).
+    /// A COW break's copy of `src`, which someone else holds too: a new
+    /// frame holding `value`, the write that broke it, and one reference
+    /// less on `src` — [`Self::copy_frame`], [`Self::dec_ref`] and the
+    /// write in one visit to each frame's slot of the table. Crosses
+    /// [`FaultSite::FrameAlloc`] first and checks `src` is held before
+    /// taking a frame, as `copy_frame` does; on `Err` nothing changed.
+    pub(crate) fn break_cow(&mut self, src: Pfn, value: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
+        fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
+        let (chunk, i) = self.held_mut(src)?;
+        debug_assert!(chunk.refs[i] > 1, "a COW break copies a frame someone else holds");
+        // Above one, so it frees nothing; given back if no frame comes.
+        chunk.refs[i] -= 1;
+        let pfn = self.take_frame(cycles).inspect_err(|_| {
+            let (c, i) = table_slot(src);
+            self.table[c].as_mut().expect("held above").refs[i] += 1;
+        })?;
+        cycles.charge(self.cost.page_copy);
+        self.hand_out(pfn, value);
+        self.pages_copied_total += 1;
+        metrics::incr("mem.page_copy");
+        Ok(pfn)
+    }
+
+    /// Allocates a new frame that duplicates `src`'s content (eager fork
+    /// copy).
     pub(crate) fn copy_frame(&mut self, src: Pfn, cycles: &mut Cycles) -> MemResult<Pfn> {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let content = self.content(src)?;
@@ -739,15 +810,13 @@ impl PhysMemory {
 
     /// Increments the COW reference count of `pfn`.
     pub(crate) fn inc_ref(&mut self, pfn: Pfn) -> MemResult<()> {
-        let (chunk, i) = self.held_mut(pfn)?;
-        chunk.refs[i] += 1;
-        Ok(())
+        self.inc_ref_run(pfn, 1)
     }
 
     /// Decrements the reference count, freeing the frame when it reaches
     /// zero. Returns `true` if the frame was freed.
     pub fn dec_ref(&mut self, pfn: Pfn, cycles: &mut Cycles) -> MemResult<bool> {
-        self.release([pfn], cycles).map(|freed| freed == 1)
+        self.release(std::iter::once(pfn.0..pfn.0 + 1), cycles).map(|freed| freed == 1)
     }
 
     /// Takes a kernel pin on `pfn`: one additional reference held by a
@@ -808,9 +877,23 @@ impl PhysMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PT_ENTRIES;
+    use crate::page_table::LeafNode;
+    use crate::pte::{Pte, PteFlags};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Times this thread has taken the pool's lock to give frames back.
+        pub(super) static POOL_FREES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn pm(frames: u64) -> (PhysMemory, Cycles) {
         (PhysMemory::new(frames, CostModel::default()), Cycles::new())
+    }
+
+    /// `frames` as runs of one.
+    fn ones(frames: &[Pfn]) -> Vec<Range<u64>> {
+        frames.iter().map(|pfn| pfn.0..pfn.0 + 1).collect()
     }
 
     #[test]
@@ -1095,18 +1178,18 @@ mod tests {
         let frames: Vec<Pfn> = (0..2500).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
         // A batch that wanders between the chunks, one frame in it twice.
         let batch = [frames[7], frames[8], frames[2047], frames[1024], frames[8], frames[2499]];
-        p.retain(batch).unwrap();
+        p.retain(ones(&batch)).unwrap();
         let refs = |p: &PhysMemory| batch.map(|pfn| p.refs(pfn).unwrap());
         assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
         // One frame the cell does not hold, two thirds in: nothing is taken.
         p.dec_ref(frames[1500], &mut c).unwrap();
         let used = p.used_frames();
-        assert_eq!(p.retain([frames[7], frames[2047], frames[1500], frames[8]]), Err(MemError::NotMapped));
+        assert_eq!(p.retain(ones(&[frames[7], frames[2047], frames[1500], frames[8]])), Err(MemError::NotMapped));
         assert_eq!(p.inc_ref_run(frames[1498], 4), Err(MemError::NotMapped));
         assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
         assert_eq!((p.refs(frames[1498]), p.refs(frames[1501])), (Ok(1), Ok(1)));
         // Released, the batch is as it was and nothing was freed.
-        assert_eq!(p.release(batch, &mut c), Ok(0));
+        assert_eq!(p.release(ones(&batch), &mut c), Ok(0));
         assert_eq!(refs(&p), [1; 6]);
         assert_eq!(p.used_frames(), used);
     }
@@ -1166,5 +1249,154 @@ mod tests {
         assert_eq!(a.used_frames(), HUGE_PAGES);
         a.dec_ref_run(head, HUGE_PAGES, &mut c).unwrap();
         assert_conserved(&pool, &[&a]);
+    }
+
+    /// A cell holding frames `0..n`, each once.
+    fn holding(n: u64) -> (PhysMemory, Cycles) {
+        let (mut p, mut c) = pm(2 * TABLE_CHUNK as u64);
+        for pfn in 0..n {
+            assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(pfn)), "the buddy hands out low frames first");
+        }
+        (p, c)
+    }
+
+    fn counts(p: &PhysMemory, frames: Range<u64>) -> Vec<MemResult<u32>> {
+        frames.map(|pfn| p.refs(Pfn(pfn))).collect()
+    }
+
+    /// What the per-frame loop did, frame by frame: the frames freed, in
+    /// order, their charge, and the `mem.frame_free` count.
+    fn freeing(p: &mut PhysMemory, runs: &[Range<u64>], c: &mut Cycles) -> (MemResult<u64>, u64, u64) {
+        let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
+        let freed = p.release(runs.to_vec(), c);
+        let counted = metrics::snapshot().counter("mem.frame_free") - counted;
+        (freed, c.total() - cycles, counted)
+    }
+
+    #[test]
+    fn a_run_across_a_chunk_boundary_is_taken_and_dropped_whole() {
+        let (mut p, mut c) = holding(1040);
+        let run = 1020..1031;
+        assert_eq!(table_slot(Pfn(run.start)).0 + 1, table_slot(Pfn(run.end)).0, "two chunks");
+        p.retain([run.clone()]).unwrap();
+        assert_eq!(counts(&p, run.clone()), [Ok(2); 11]);
+        assert_eq!((p.refs(Pfn(1019)), p.refs(Pfn(1031))), (Ok(1), Ok(1)));
+        assert_eq!(p.release([run.clone()], &mut c), Ok(0));
+        assert_eq!(counts(&p, run.clone()), [Ok(1); 11]);
+        assert_eq!(p.release([run.clone()], &mut c), Ok(11));
+        assert_eq!(counts(&p, run), [Err(MemError::NotMapped); 11]);
+        assert_eq!(p.used_frames(), 1040 - 11);
+    }
+
+    #[test]
+    fn an_unheld_frame_inside_a_run_stops_retain_before_and_release_after_the_prefix() {
+        let (mut p, mut c) = holding(1040);
+        assert_eq!(p.dec_ref(Pfn(1025), &mut c), Ok(true));
+        let runs = [1010..1015, 1020..1030];
+        let before = counts(&p, 1000..1040);
+        assert_eq!(p.retain(runs.clone()), Err(MemError::NotMapped));
+        assert_eq!(counts(&p, 1000..1040), before, "retain is all or nothing");
+        // Release drops and frees 1010..1015 and 1020..1025, then stops.
+        let (freed, charged, counted) = freeing(&mut p, &runs, &mut c);
+        assert_eq!(freed, Err(MemError::NotMapped));
+        assert_eq!((charged, counted), (10 * p.cost().frame_free, 10));
+        let gone = |frames: Range<u64>| counts(&p, frames).iter().all(|r| *r == Err(MemError::NotMapped));
+        assert!(gone(1010..1015) && gone(1020..1026));
+        assert_eq!(counts(&p, 1026..1030), [Ok(1); 4]);
+        assert_eq!(p.used_frames(), 1040 - 11);
+    }
+
+    #[test]
+    fn frames_a_release_frees_go_back_in_the_order_they_came_together() {
+        // With the magazine on, the order the frames were freed in is the
+        // order they were parked in.
+        let (mut p, mut c) = holding(1040);
+        p.enable_frame_cache(1024);
+        p.retain(std::iter::once(1020..1022)).unwrap();
+        let runs = [1030..1034, 1018..1026];
+        let (freed, charged, counted) = freeing(&mut p, &runs, &mut c);
+        // 1020 and 1021 were held twice: they stay.
+        let expect: Vec<Pfn> = [1030, 1031, 1032, 1033, 1018, 1019, 1022, 1023, 1024, 1025].map(Pfn).to_vec();
+        assert_eq!((freed, charged, counted), (Ok(10), 10 * p.cost().frame_free, 10));
+        assert_eq!(p.cache.as_ref().unwrap().frames, expect);
+        assert_eq!(counts(&p, 1020..1022), [Ok(1); 2]);
+        // With it off, the pool is taken once for the call.
+        p.disable_frame_cache();
+        let frees = POOL_FREES.with(Cell::get);
+        assert_eq!(freeing(&mut p, &[900..1001, 1026..1030, 5..6], &mut c).0, Ok(106));
+        assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+    }
+
+    /// A leaf node holding `frames` at slots `0..`, with a different mix of
+    /// flags on each entry.
+    fn leaf_of(frames: impl IntoIterator<Item = u64>) -> std::sync::Arc<LeafNode> {
+        let flags = [
+            PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::DIRTY,
+            PteFlags::PRESENT | PteFlags::ACCESSED,
+            PteFlags::PRESENT | PteFlags::COW | PteFlags::ACCESSED | PteFlags::DIRTY,
+        ];
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        for (j, pfn) in frames.into_iter().enumerate() {
+            node.set(j, Some(Pte::new(Pfn(pfn), flags[j % 3])));
+        }
+        leaf
+    }
+
+    #[test]
+    fn a_leaf_hands_its_frames_out_as_runs_whatever_their_flags() {
+        let (mut p, mut c) = holding(1040);
+        // Dirty, accessed and COW-marked in turn: still one run, across a
+        // chunk boundary.
+        let leaf = leaf_of(1020..1031);
+        assert!(leaf.frame_runs(0..PT_ENTRIES).eq(std::iter::once(1020..1031)));
+        assert!(leaf.frame_runs(3..5).eq(std::iter::once(1023..1025)));
+        p.retain(leaf.frame_runs(0..PT_ENTRIES)).unwrap();
+        assert_eq!(counts(&p, 1020..1031), [Ok(2); 11]);
+        // Alternating frames: runs of one.
+        let alternating = leaf_of((0..100).map(|k| 2 * k));
+        let runs: Vec<Range<u64>> = alternating.frame_runs(0..PT_ENTRIES).collect();
+        assert_eq!(runs, (0..100).map(|k| 2 * k..2 * k + 1).collect::<Vec<_>>());
+        assert_eq!(freeing(&mut p, &runs, &mut c).0, Ok(100));
+        // A run cut short anywhere still yields every frame once, in order.
+        let frames: Vec<u64> = (0..40).chain(600..700).chain([5, 3]).chain(800..900).collect();
+        let mixed = leaf_of(frames.iter().copied());
+        assert_eq!(mixed.frame_runs(0..PT_ENTRIES).flatten().collect::<Vec<_>>(), frames);
+        for leaf in [leaf, alternating, mixed] {
+            LeafNode::retire(leaf);
+        }
+    }
+
+    #[test]
+    fn a_huge_block_is_one_run_with_the_magazine_on_and_off() {
+        for magazine in [false, true] {
+            let (mut p, mut c) = pm(4 * HUGE_PAGES);
+            if magazine {
+                p.enable_frame_cache(CELL_MAGAZINE_BATCH);
+            }
+            p.alloc_zeroed(&mut c).unwrap();
+            let head = p.alloc_zeroed_huge_run(&mut c).unwrap();
+            let frees = POOL_FREES.with(Cell::get);
+            let parked = |p: &PhysMemory| p.cache.as_ref().map(|m| m.frames.clone());
+            let mut expect = parked(&p);
+            let block = head.0..head.0 + HUGE_PAGES;
+            let (freed, charged, counted) = freeing(&mut p, std::slice::from_ref(&block), &mut c);
+            assert_eq!((freed, charged, counted), (Ok(HUGE_PAGES), HUGE_PAGES * p.cost().frame_free, HUGE_PAGES));
+            assert_eq!(p.used_frames(), 1, "magazine {magazine}");
+            if let Some(expect) = expect.as_mut() {
+                // Parked in ascending order, a batch drained whenever the
+                // magazine overfilled: what freeing frame by frame left.
+                for pfn in block.clone().map(Pfn) {
+                    expect.push(pfn);
+                    if expect.len() as u64 > 2 * CELL_MAGAZINE_BATCH {
+                        expect.truncate(expect.len() - CELL_MAGAZINE_BATCH as usize);
+                    }
+                }
+                assert_eq!(parked(&p), Some(expect.clone()));
+            } else {
+                assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+                assert_eq!(p.free_frames(), 4 * HUGE_PAGES - 1);
+            }
+        }
     }
 }
