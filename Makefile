@@ -52,14 +52,17 @@ doclinks:
 # the per-API inheritance table (what each child does and does not
 # receive), the vfork-borrower mmap regression, which ends in a leak
 # check of its own, and the reference-model proptest: `AddressSpace`
-# against a flat page map in every fork mode, THP on and off, ending with
-# every frame returned — and, under it, the buddy allocator against its
-# `BTreeSet` reference, frame for frame (which frame an allocation gets
-# decides every stamp and pfn in results/). fork_fail_points pins, as one
-# digest per fork mode, what `fork_from` charges, counts, traces and leaves
-# behind at every one of its fail points, so that the walk may batch its
-# per-entry work but not move a fail point — and, as one digest more, the
-# same for fourteen slides of `slide_vma`. alloc_census counts what a
+# against a flat page map in every fork mode, THP on and off, pages swapped
+# out and back in, ending with every frame and swap slot returned — and,
+# under it, the buddy allocator against its `BTreeSet` reference, frame for
+# frame (which frame an allocation gets decides every stamp and pfn in
+# results/). fork_fail_points pins, as one digest per fork mode, what
+# `fork_from` charges, counts, traces and leaves behind at every one of its
+# fail points, so that the walk may batch its per-entry work but not move a
+# fail point — the same again for a THP parent, per mode — and, a digest
+# each, the same for fourteen slides of `slide_vma` and for `munmap`,
+# `discard` and `mprotect` over ranges that cut a block, cover or straddle
+# a node a fork shares and hold swap entries. alloc_census counts what a
 # steady-state request of each creation path asks of the host allocator:
 # the same on two runs, nothing of a page or more (page-table nodes are
 # recycled), a warm-pool checkout within 24 allocations; it runs in

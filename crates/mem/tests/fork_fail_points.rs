@@ -11,11 +11,18 @@
 //! per mode, pinned below: however the walk batches its per-entry work, a
 //! failure at crossing *k* must leave exactly this.
 //!
+//! A THP parent ([`thp_world`]) is swept the same way, for the arms a huge
+//! block takes through the walk: a lone block, a directory an on-demand fork
+//! shares, and the eager fork's copy of a block page by page.
+//!
 //! The second half does the same for `slide_vma`, the warm pool's
 //! re-randomising move: a space of its own ([`slide_world`]), a list of
 //! slides that between them reach every arm ([`SLIDES`]), each run
 //! passively, counted and once per fail point of `PtNodeAlloc`, `PtUnshare`
-//! and `PtDemote`, one digest over all of it.
+//! and `PtDemote`, one digest over all of it. Last, `munmap`, `discard` and
+//! `mprotect` ([`RANGES`]) over a space with a block, nodes an on-demand fork
+//! shares and swap entries ([`range_world`]), pinned the same way: what they
+//! charge, flush and leave.
 
 use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultTrace};
 use fpr_mem::address_space::{heap_vma, ForkMode};
@@ -24,8 +31,6 @@ use fpr_mem::{TlbModel, VmArea, VmaKind, Vpn};
 
 const FRAMES: u64 = 128;
 const SWAP_SLOTS: u64 = 4;
-/// Every page the parent maps lies below this (four leaf nodes).
-const WINDOW: u64 = 4 * 512;
 
 struct World {
     phys: PhysMemory,
@@ -95,15 +100,16 @@ impl Digest {
     }
 }
 
-/// Every entry `space` maps in the window, swap entries included.
+/// Every entry `space` maps, swap entries included, by mapping.
 fn mapped(space: &AddressSpace) -> Vec<(u64, Pte)> {
-    (0..WINDOW).filter_map(|vpn| space.translate(Vpn(vpn)).map(|pte| (vpn, pte))).collect()
+    let pages = space.vmas().flat_map(|v| v.start.0..v.start.0 + v.pages);
+    pages.filter_map(|vpn| space.translate(Vpn(vpn)).map(|pte| (vpn, pte))).collect()
 }
 
 /// Reference count of every frame and every swap slot, zero where unheld.
 fn refs(phys: &PhysMemory) -> Vec<u32> {
-    let frames = (0..FRAMES).map(|pfn| phys.refs(Pfn(pfn)).unwrap_or(0));
-    let slots = (0..SWAP_SLOTS).map(|slot| phys.swap().refs(slot).unwrap_or(0));
+    let frames = (0..phys.total_frames()).map(|pfn| phys.refs(Pfn(pfn)).unwrap_or(0));
+    let slots = (0..phys.swap().capacity()).map(|slot| phys.swap().refs(slot).unwrap_or(0));
     frames.chain(slots).collect()
 }
 
@@ -151,8 +157,8 @@ fn fold_trace(trace: &Option<FaultTrace>, d: &mut Digest) {
     }
 }
 
-fn run(mode: ForkMode, listening: Listening) -> Run {
-    let mut w = world();
+fn run(build: fn() -> World, mode: ForkMode, listening: Listening) -> Run {
+    let mut w = build();
     let (at, copied, cloned) = (w.cycles.total(), w.parent.stats.ptes_copied, w.parent.stats.vmas_cloned);
     let fork = || AddressSpace::fork_from(&mut w.parent, mode, &mut w.phys, &mut w.cycles, &mut w.tlb, 2);
     let (result, trace) = listening.to(fork);
@@ -201,17 +207,17 @@ impl Run {
     }
 }
 
-/// Forks the parent in `mode` every way a fork can end and returns the
-/// number of fail points with the digest of everything observed.
-fn sweep(mode: ForkMode) -> (u64, u64) {
+/// Forks the parent `build` makes in `mode` every way a fork can end and
+/// returns the number of fail points with the digest of everything observed.
+fn sweep(build: fn() -> World, mode: ForkMode) -> (u64, u64) {
     let mut digest = Digest::new();
-    let untouched = world();
+    let untouched = build();
     let (parent_before, refs_before) = (mapped(&untouched.parent), refs(&untouched.phys));
     let used_before = untouched.phys.used_frames();
 
     // Nobody listening, and a scope that only counts: the same fork.
-    let passive = run(mode, Listening::Nobody);
-    let counted = run(mode, Listening::Counting);
+    let passive = run(build, mode, Listening::Nobody);
+    let counted = run(build, mode, Listening::Counting);
     let (a, b) = (passive.result.as_ref().unwrap(), counted.result.as_ref().unwrap());
     assert_eq!(mapped(a), mapped(b), "{mode:?}: the child's entries depend on who listens");
     assert_eq!(mapped(&passive.world.parent), mapped(&counted.world.parent), "{mode:?}");
@@ -229,7 +235,7 @@ fn sweep(mode: ForkMode) -> (u64, u64) {
     }
 
     for k in 0..fail_points {
-        let failed = run(mode, Listening::FailingCrossing(k));
+        let failed = run(build, mode, Listening::FailingCrossing(k));
         let trace = failed.trace.as_ref().unwrap();
         assert_eq!(failed.result.as_ref().err(), Some(&MemError::OutOfMemory), "{mode:?} point {k}");
         assert_eq!(trace.len() as u64, k + 1, "{mode:?} point {k}: the walk went on after the fault");
@@ -254,7 +260,82 @@ fn every_fail_point_leaves_what_it_left_before() {
         (ForkMode::Eager, 69, 0x63b3_809f_6d39_0e43),
     ];
     let got = pinned.map(|(mode, ..)| {
-        let (fail_points, digest) = sweep(mode);
+        let (fail_points, digest) = sweep(world, mode);
+        (mode, fail_points, digest)
+    });
+    assert_eq!(got, pinned, "got {got:#x?}");
+}
+
+// -------------------------------------------------------------- huge blocks
+
+/// Frames of the THP parent's machine: six 2 MiB windows and a tail of
+/// [`THP_TAIL`] frames.
+const THP_FRAMES: u64 = 6 * 512 + THP_TAIL;
+const THP_TAIL: u64 = 32;
+/// The first page of the second GiB.
+const GIB: u64 = 512 * 512;
+
+/// A THP parent with three 2 MiB blocks, each reaching an arm of the fork
+/// walk of its own:
+///
+/// * a lone block at 0..512, whose level-1 node also links the leaf node of
+///   the small pages at 512..520: it stays a lone block in every mode;
+/// * two blocks at `GIB`..`GIB + 1024` and nothing else under their level-1
+///   node, which an on-demand fork groups into a directory of two and
+///   shares whole;
+/// * and frames laid out so that an eager fork, which copies each block
+///   into a 2 MiB run of its own, finds runs for the first two blocks and
+///   none for the third: it copies that one page by page, into a node of
+///   the block's own.
+///
+/// The buddy hands a frame out of its smallest free block. So a mapping
+/// holds the tail while the small pages split a window, the blocks take
+/// three windows, and the tail comes back: two windows are free, and the
+/// frames left of the split one with the tail are enough for the pages of
+/// one block and no more blocks.
+fn thp_world() -> World {
+    let phys = PhysMemory::new(THP_FRAMES, CostModel::default());
+    let mut w = World { phys, cycles: Cycles::new(), tlb: TlbModel::new(), parent: AddressSpace::new() };
+    let World { phys, cycles, tlb, parent } = &mut w;
+    parent.set_thp(true);
+    let tail = Vpn(4096);
+    parent.mmap(heap_vma(tail, THP_TAIL), phys, cycles).unwrap();
+    parent.populate(tail, THP_TAIL, phys, cycles).unwrap();
+    parent.mmap(heap_vma(Vpn(0), 1024), phys, cycles).unwrap();
+    parent.mmap(heap_vma(Vpn(GIB), 1024), phys, cycles).unwrap();
+    for vpn in 512..520 {
+        parent.write(Vpn(vpn), 7000 + vpn, phys, cycles, tlb, 1).unwrap();
+    }
+    for block in [0, GIB, GIB + 512] {
+        parent.populate(Vpn(block), 512, phys, cycles).unwrap();
+        parent.write(Vpn(block + 3), 9000 + block, phys, cycles, tlb, 1).unwrap();
+    }
+    parent.munmap(tail, THP_TAIL, phys, cycles, tlb, 1).unwrap();
+    assert_eq!((parent.huge_pages(), parent.resident_pages()), (3, 3 * 512 + 8));
+    assert_eq!(parent.check_page_table(), Ok(()));
+    w
+}
+
+#[test]
+fn every_thp_fork_fail_point_leaves_what_it_left_before() {
+    // (mode, fail points, digest), obtained from the fork walk that copies
+    // blocks and small pages entry by entry.
+    let pinned = [
+        (ForkMode::Cow, 13, 0x7143_22cb_6635_6c0b_u64),
+        (ForkMode::OnDemand, 5, 0x211a_fec1_d2dc_5be8),
+        (ForkMode::Eager, 1044, 0x3731_9213_21ee_48b5),
+    ];
+    // What the child gets: its blocks and the nodes it shares — none but
+    // the directory, and the small pages' node under `OnDemand`.
+    for (mode, arms) in [(ForkMode::Cow, (3, 0)), (ForkMode::OnDemand, (3, 2)), (ForkMode::Eager, (2, 0))] {
+        let forked = run(thp_world, mode, Listening::Nobody);
+        let child = forked.result.as_ref().unwrap();
+        assert_eq!((child.huge_pages(), forked.world.parent.stats.pt_subtrees_shared), arms, "{mode:?}");
+        assert_eq!(child.resident_pages(), 3 * 512 + 8, "{mode:?}");
+        forked.finish();
+    }
+    let got = pinned.map(|(mode, ..)| {
+        let (fail_points, digest) = sweep(thp_world, mode);
         (mode, fail_points, digest)
     });
     assert_eq!(got, pinned, "got {got:#x?}");
@@ -268,11 +349,13 @@ const USER_END: u64 = 1 << 35;
 /// A page whose path shares no node but the root with anything mapped.
 const FAR: u64 = (1 << 27) | (3 << 18) | (5 << 9);
 
-struct SlideWorld {
+/// A space and an on-demand fork of it, kept alive for the nodes it shares:
+/// what a slide, and a range operation, runs on.
+struct Pair {
     phys: PhysMemory,
     cycles: Cycles,
+    tlb: TlbModel,
     space: AddressSpace,
-    /// An on-demand fork of `space`, kept alive for the nodes it shares.
     fork: AddressSpace,
 }
 
@@ -291,7 +374,7 @@ struct SlideWorld {
 /// nodes 0 and 1 its own again: node 2 stays shared with the fork, and the
 /// blocks' frames are referenced twice. Last, a `WIPEONFORK` range makes
 /// 8292..8300 a mapping of its own in the middle of `P`.
-fn slide_world() -> SlideWorld {
+fn slide_world() -> Pair {
     let mut phys = PhysMemory::new(SLIDE_FRAMES, CostModel::default());
     let (mut cycles, mut tlb, mut space) = (Cycles::new(), TlbModel::new(), AddressSpace::new());
     space.set_thp(true);
@@ -313,7 +396,7 @@ fn slide_world() -> SlideWorld {
     // After the fork, which would have split the block for it.
     space.set_fork_policy(Vpn(8292), 8, |p| p.wipe_on_fork = true).unwrap();
     assert_eq!(space.huge_pages(), 2);
-    SlideWorld { phys, cycles, space, fork }
+    Pair { phys, cycles, tlb, space, fork }
 }
 
 /// `(mapping, destination)`: every arm of `slide_vma`.
@@ -347,12 +430,6 @@ const SLIDES: [(u64, u64); 14] = [
     (501, 9000),
 ];
 
-/// Every entry `space` maps, by mapping.
-fn mapped_by_vma(space: &AddressSpace) -> Vec<(u64, Pte)> {
-    let pages = space.vmas().flat_map(|v| v.start.0..v.start.0 + v.pages);
-    pages.filter_map(|vpn| space.translate(Vpn(vpn)).map(|pte| (vpn, pte))).collect()
-}
-
 /// Where the mappings are — `(start, pages)` — and which frame every page
 /// translates to — `(page, frame)`: what a failed slide leaves as it was
 /// even where it split a block or unshared a node before it failed.
@@ -365,56 +442,62 @@ struct Layout {
 fn layout(space: &AddressSpace) -> Layout {
     Layout {
         vmas: space.vmas().map(|v| (v.start.0, v.pages)).collect(),
-        frames: mapped_by_vma(space).into_iter().map(|(vpn, pte)| (vpn, pte.pfn.0)).collect(),
+        frames: mapped(space).into_iter().map(|(vpn, pte)| (vpn, pte.pfn.0)).collect(),
     }
 }
 
-struct SlideRun {
+/// What one operation on a [`Pair`] did.
+struct PairRun {
     result: Result<u64, MemError>,
     trace: Option<FaultTrace>,
-    world: SlideWorld,
+    world: Pair,
     charged: u64,
 }
 
-fn slide((from, to): (u64, u64), listening: Listening) -> SlideRun {
-    let mut w = slide_world();
+/// Runs `op` on the pair `build` makes, with `listening` on the thread.
+fn on_pair(build: fn() -> Pair, op: impl FnOnce(&mut Pair) -> Result<u64, MemError>, listening: Listening) -> PairRun {
+    let mut w = build();
     let at = w.cycles.total();
-    let (result, trace) = listening.to(|| w.space.slide_vma(Vpn(from), Vpn(to), &mut w.phys, &mut w.cycles));
-    SlideRun { result, trace, charged: w.cycles.total() - at, world: w }
+    let (result, trace) = listening.to(|| op(&mut w));
+    PairRun { result, trace, charged: w.cycles.total() - at, world: w }
 }
 
-impl SlideRun {
+fn slide((from, to): (u64, u64), listening: Listening) -> PairRun {
+    on_pair(slide_world, |w| w.space.slide_vma(Vpn(from), Vpn(to), &mut w.phys, &mut w.cycles), listening)
+}
+
+impl PairRun {
     fn fold_into(&self, d: &mut Digest) {
         match &self.result {
             Ok(moved) => [0, *moved],
             Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress]
                 .iter()
                 .position(|known| known == e)
-                .unwrap_or_else(|| panic!("a slide does not fail with {e:?}")) as u64],
+                .unwrap_or_else(|| panic!("no slide or range operation fails with {e:?}")) as u64],
         }
         .into_iter()
         .for_each(|w| d.word(w));
         d.word(self.charged);
         fold_trace(&self.trace, d);
         for space in [&self.world.space, &self.world.fork] {
-            mapped_by_vma(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
+            mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
             d.word(space.resident_pages());
             d.word(space.pt_nodes() as u64);
             d.word(space.stats.pt_unshares);
         }
-        let frames = (0..SLIDE_FRAMES).map(|pfn| self.world.phys.refs(Pfn(pfn)).unwrap_or(0));
+        let frames = (0..self.world.phys.total_frames()).map(|pfn| self.world.phys.refs(Pfn(pfn)).unwrap_or(0));
         frames.for_each(|r| d.word(r as u64));
         d.word(self.world.phys.used_frames());
     }
 
     /// Tears both spaces down; nothing may be left.
     fn finish(mut self) {
-        let SlideWorld { phys, cycles, space, fork } = &mut self.world;
+        let Pair { phys, cycles, space, fork, .. } = &mut self.world;
         for space in [space, fork] {
             assert_eq!(space.check_page_table(), Ok(()));
             space.destroy(phys, cycles);
         }
-        assert_eq!(phys.used_frames(), 0);
+        assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
     }
 }
 
@@ -429,7 +512,7 @@ fn every_slide_fail_point_leaves_what_it_left_before() {
         let counted = slide(pair, Listening::Counting);
         assert_eq!(passive.result, counted.result, "{pair:?}: the verdict depends on who listens");
         assert_eq!(passive.charged, counted.charged, "{pair:?}");
-        assert_eq!(mapped_by_vma(&passive.world.space), mapped_by_vma(&counted.world.space), "{pair:?}");
+        assert_eq!(mapped(&passive.world.space), mapped(&counted.world.space), "{pair:?}");
         assert_eq!(layout(&passive.world.fork), fork_before, "{pair:?}: the fork saw the slide");
         if let Ok(moved) = passive.result {
             // Every frame is where it was, or `to - from` pages further on.
@@ -469,4 +552,128 @@ fn every_slide_fail_point_leaves_what_it_left_before() {
     // Obtained from the slide that enumerates with `leaves_in_range` and
     // keeps a second list of what it moved.
     assert_eq!((fail_points, digest.0), (566, 0xb7fc_c157_1c35_a3b9), "got ({fail_points}, {:#x})", digest.0);
+}
+
+// -------------------------------------------------------- range operations
+
+/// The space whose ranges are unmapped, discarded and write-protected, THP
+/// on, and its on-demand fork. By leaf node:
+///
+/// * node 0 — a 2 MiB block at 0..512, and node 1 the small pages at
+///   512..520 of the same mapping, 0..1024: the block stays a lone block,
+///   which the fork shares by its frames, and node 1 is shared;
+/// * node 2 — a `MAP_SHARED` mapping at 1024..1040, shared with the fork
+///   and writable in both;
+/// * node 3 — nine pages at 1536..1545, of which 1538 and 1541 are swapped
+///   out, shared with the fork.
+fn range_world() -> Pair {
+    let mut phys = PhysMemory::new(SLIDE_FRAMES, CostModel::default());
+    phys.set_swap_capacity(SWAP_SLOTS);
+    let (mut cycles, mut tlb, mut space) = (Cycles::new(), TlbModel::new(), AddressSpace::new());
+    space.set_thp(true);
+    let mut shared = VmArea::anon(Vpn(1024), 16, Prot::RW, VmaKind::Mmap);
+    shared.share = Share::Shared;
+    for area in [heap_vma(Vpn(0), 1024), shared, heap_vma(Vpn(1536), 9)] {
+        space.mmap(area, &mut phys, &mut cycles).unwrap();
+    }
+    space.populate(Vpn(0), 512, &mut phys, &mut cycles).unwrap();
+    for vpn in [0..4, 512..520, 1024..1028, 1536..1545].into_iter().flatten() {
+        space.write(Vpn(vpn), 7000 + vpn, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    }
+    for vpn in [1538, 1541] {
+        let slot = phys.swap_out_page(7000 + vpn, &mut cycles).unwrap();
+        space.swap_out_commit(Vpn(vpn), slot, &mut phys, &mut cycles);
+    }
+    let fork = AddressSpace::fork_from(&mut space, ForkMode::OnDemand, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    assert_eq!((space.huge_pages(), space.resident_pages(), space.swapped_pages()), (1, 512 + 8 + 16 + 7, 2));
+    assert_eq!(space.stats.pt_subtrees_shared, 3);
+    Pair { phys, cycles, tlb, space, fork }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RangeOp {
+    Munmap,
+    Discard,
+    ProtectRead,
+}
+
+/// `(operation, start, pages, THP)`: each range operation over a range that
+/// cuts a block, one that covers a shared node's entries whole, one that
+/// straddles a shared node, one that holds swap entries, one that reaches
+/// over all of it and one with a hole — a space with THP on flushes entry
+/// by entry, one with it off in one round.
+const RANGES: [(RangeOp, u64, u64, bool); 19] = [
+    (RangeOp::Munmap, 100, 200, true),
+    (RangeOp::Discard, 100, 200, true),
+    (RangeOp::ProtectRead, 100, 200, true),
+    (RangeOp::Munmap, 1024, 16, true),
+    (RangeOp::Discard, 1024, 16, true),
+    (RangeOp::ProtectRead, 1024, 16, true),
+    (RangeOp::Munmap, 1026, 5, true),
+    (RangeOp::Discard, 1026, 5, true),
+    (RangeOp::ProtectRead, 1026, 5, true),
+    (RangeOp::Munmap, 1537, 5, true),
+    (RangeOp::Discard, 1537, 5, true),
+    (RangeOp::ProtectRead, 1537, 5, false),
+    (RangeOp::Munmap, 1537, 5, false),
+    (RangeOp::Munmap, 300, 1240, true),
+    (RangeOp::Munmap, 300, 1240, false),
+    (RangeOp::Discard, 300, 1240, true),
+    (RangeOp::ProtectRead, 300, 1240, false),
+    (RangeOp::Discard, 300, 724, true),
+    (RangeOp::ProtectRead, 300, 724, true),
+];
+
+fn range_op((op, start, pages, thp): (RangeOp, u64, u64, bool), listening: Listening) -> PairRun {
+    let run = |w: &mut Pair| {
+        let Pair { phys, cycles, tlb, space, .. } = w;
+        space.set_thp(thp);
+        let (start, prot) = (Vpn(start), Prot::R);
+        match op {
+            RangeOp::Munmap => space.munmap(start, pages, phys, cycles, tlb, 2),
+            RangeOp::Discard => space.discard(start, pages, phys, cycles, tlb, 2),
+            RangeOp::ProtectRead => space.mprotect(start, pages, prot, cycles, phys, tlb, 2).map(|()| 0),
+        }
+    };
+    on_pair(range_world, run, listening)
+}
+
+impl PairRun {
+    /// What a range operation changes that a slide does not: swap entries,
+    /// swap slots and the flushes.
+    fn fold_range_into(&self, d: &mut Digest) {
+        self.fold_into(d);
+        let Pair { phys, tlb, space, fork, .. } = &self.world;
+        [space.swapped_pages(), fork.swapped_pages(), phys.swap().used_slots()].into_iter().for_each(|w| d.word(w));
+        (0..SWAP_SLOTS).for_each(|slot| d.word(phys.swap().refs(slot).unwrap_or(0) as u64));
+        [tlb.shootdowns, tlb.entries_flushed, tlb.huge_entries_flushed].into_iter().for_each(|w| d.word(w));
+    }
+}
+
+#[test]
+fn every_range_operation_fail_point_leaves_what_it_left_before() {
+    let mut digest = Digest::new();
+    let mut fail_points = 0;
+    let fork_before = layout(&range_world().fork);
+    for case in RANGES {
+        let passive = range_op(case, Listening::Nobody);
+        let counted = range_op(case, Listening::Counting);
+        assert_eq!((passive.result, passive.charged), (counted.result, counted.charged), "{case:?}");
+        assert_eq!(mapped(&passive.world.space), mapped(&counted.world.space), "{case:?}");
+        let points = counted.trace.as_ref().unwrap().len() as u64;
+        for r in [passive, counted] {
+            r.fold_range_into(&mut digest);
+            r.finish();
+        }
+        for k in 0..points {
+            let failed = range_op(case, Listening::FailingCrossing(k));
+            assert_eq!(failed.result, Err(MemError::OutOfMemory), "{case:?} point {k}");
+            assert_eq!(layout(&failed.world.fork), fork_before, "{case:?} point {k}: the fork saw it");
+            failed.fold_range_into(&mut digest);
+            failed.finish();
+        }
+        fail_points += points;
+    }
+    // Obtained from the range operations that go entry by entry.
+    assert_eq!((fail_points, digest.0), (16, 0x19db_75e8_4cf0_b48d), "got ({fail_points}, {:#x})", digest.0);
 }

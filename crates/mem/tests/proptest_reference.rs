@@ -4,7 +4,7 @@
 //! The reference is a flat address space: one `BTreeMap<vpn, Page>` per
 //! process, a page being what a process can observe of it — content,
 //! protection, sharing mode, fork policy — and nothing else. There are no
-//! page tables, frames, reference counts, huge pages or swap in it. `fork`
+//! page tables, frames, reference counts or huge pages in it. `fork`
 //! copies the map by value: a `MAP_PRIVATE` page gets a content cell of its
 //! own, a `MAP_SHARED` page keeps pointing at the parent's, `MADV_DONTFORK`
 //! pages are left out and `MADV_WIPEONFORK` pages arrive zeroed. μFork
@@ -12,7 +12,7 @@
 //! not depend on the mechanism behind it.
 //!
 //! Seeded scripts of `mmap / munmap / mprotect / madvise / populate / write /
-//! read / slide / fork(mode) / exit` run through both. Every verdict (`Ok`, or which
+//! read / slide / swap-out / fork(mode) / exit` run through both. Every verdict (`Ok`, or which
 //! error) and every value read must agree, after each fork the whole mapped
 //! set of parent and child must agree, every page table's summaries must
 //! recount after every step, and tearing the world down must return
@@ -39,6 +39,14 @@
 //! fork still shares, and — under THP — a huge block by a distance that
 //! keeps its alignment and by one that does not; a run in which one of
 //! these never happened fails as vacuous too.
+//!
+//! `swap-out` evicts a drawn subset of what `swap_out_candidates` offers
+//! to the swap device; the page comes back in on its next touch. Swap is
+//! invisible to content, so the reference does nothing for it. Counted off
+//! the PTEs, the runs must between them fork a copy of a leaf node holding
+//! swap entries, unshare one for a touch of a swap entry in it, tear one
+//! down whose entries nobody else holds and `munmap` a range holding a swap
+//! entry, under THP and without.
 //!
 //! A script's mappings are scattered over [`WINDOWS`]: windows of [`SPAN`]
 //! pages that differ in their 2 MiB, 1 GiB and 512 GiB slot, one of them
@@ -75,6 +83,13 @@ const LANDING: u64 = window(3, 5, 100);
 /// The flag of a PTE that maps a 2 MiB block (`PteFlags::HUGE`, which the
 /// crate keeps to itself).
 const HUGE_BIT: u16 = 1 << 9;
+/// The flag of a swap entry (`PteFlags::SWAP`).
+const SWAP_BIT: u16 = 1 << 8;
+/// Slots of the swap device: more than a script can fill before it swaps
+/// pages back in, unmaps them or exits.
+const SWAP_SLOTS: u64 = 4096;
+/// The most pages one swap-out is offered.
+const SWAP_BATCH: usize = 64;
 /// Pages of user space: the lower half of a 48-bit address space.
 const USER_END: u64 = 1 << 35;
 /// Frames per chunk of `PhysMemory`'s frame table (`TABLE_CHUNK`, which
@@ -257,6 +272,9 @@ enum Op {
     /// to the page of `to`'s 2 MiB block that the mapping starts at in its
     /// own.
     Slide { from: Pick, to: u64, keep_alignment: bool },
+    /// Swap out each page `swap_out_candidates` offers with even odds,
+    /// drawn from `seed`.
+    SwapOut { seed: u64 },
     Fork { mode: ForkMode },
     Exit,
 }
@@ -338,7 +356,8 @@ fn gen_op(rng: &mut Rng) -> Op {
     let (start, pages) = gen_range(rng);
     let few = pages.min(24);
     let prot = [Prot::RW, Prot::RW, Prot::R, Prot::NONE][rng.gen_index(4)];
-    match rng.gen_below(27) {
+    match rng.gen_below(29) {
+        27..=28 => Op::SwapOut { seed: rng.gen_u64() },
         24..=26 => {
             let from = if rng.gen_bool(0.9) { Pick::Mapping(rng.gen_u64()) } else { Pick::Page(gen_vpn(rng)) };
             // Half of them into the window that began empty, a few off the
@@ -393,6 +412,14 @@ struct Seen {
     /// frames that are not consecutive.
     leaves_across_chunk: u64,
     leaves_scattered: u64,
+    /// Leaf nodes holding swap entries that a fork copied into the child,
+    /// that a touch of a swap entry in them unshared, that a teardown went
+    /// over as their last holder; and `munmap`s of a range holding a swap
+    /// entry.
+    forks_copying_swap: u64,
+    unshares_over_swap: u64,
+    teardowns_over_swap: u64,
+    munmaps_over_swap: u64,
 }
 
 impl std::ops::AddAssign for Seen {
@@ -404,7 +431,25 @@ impl std::ops::AddAssign for Seen {
         self.slid_block_unaligned += o.slid_block_unaligned;
         self.leaves_across_chunk += o.leaves_across_chunk;
         self.leaves_scattered += o.leaves_scattered;
+        self.forks_copying_swap += o.forks_copying_swap;
+        self.unshares_over_swap += o.unshares_over_swap;
+        self.teardowns_over_swap += o.teardowns_over_swap;
+        self.munmaps_over_swap += o.munmaps_over_swap;
     }
+}
+
+/// The leaf nodes of `sim` that hold a swap entry, by identity.
+fn swap_nodes(sim: &AddressSpace) -> BTreeSet<usize> {
+    let mut nodes = BTreeSet::new();
+    sim.for_each_swap_entry_keyed(|id, _, _| {
+        nodes.insert(id);
+    });
+    nodes
+}
+
+/// Whether `vpn` of `sim` is a swap entry.
+fn swapped(sim: &AddressSpace, vpn: u64) -> bool {
+    sim.translate(Vpn(vpn)).is_some_and(|pte| pte.flags.0 & SWAP_BIT != 0)
 }
 
 impl Seen {
@@ -429,18 +474,24 @@ impl Seen {
         self.leaves_across_chunk += leaves.values().filter(|k| k.0).count() as u64;
         self.leaves_scattered += leaves.values().filter(|k| k.1).count() as u64;
     }
+
+    /// Counts the leaf nodes holding swap entries that tearing `sim` down
+    /// releases: the ones no process of `others` holds too.
+    fn teardown_of(&mut self, sim: &AddressSpace, others: &[(AddressSpace, RefSpace)]) {
+        let held: BTreeSet<usize> = others.iter().flat_map(|(o, _)| swap_nodes(o)).collect();
+        self.teardowns_over_swap += swap_nodes(sim).difference(&held).count() as u64;
+    }
 }
 
 impl World {
     fn new(thp: bool) -> World {
         let mut root = AddressSpace::new();
         root.set_thp(thp);
+        // Room for MAX_PROCS eager copies of every window.
+        let mut phys = PhysMemory::new(2 * (MAX_PROCS * WINDOWS.len()) as u64 * SPAN, CostModel::default());
+        phys.set_swap_capacity(SWAP_SLOTS);
         World {
-            // Room for MAX_PROCS eager copies of every window.
-            phys: PhysMemory::new(
-                2 * (MAX_PROCS * WINDOWS.len()) as u64 * SPAN,
-                CostModel::default(),
-            ),
+            phys,
             cycles: Cycles::new(),
             tlb: TlbModel::new(),
             procs: vec![(root, RefSpace::default())],
@@ -462,6 +513,7 @@ impl World {
                 (r.map(|()| None), model.mmap(start, pages, Prot::RW, share))
             }
             Op::Munmap { start, pages } => {
+                seen.munmaps_over_swap += (start..start + pages).any(|vpn| swapped(sim, vpn)) as u64;
                 let r = sim.munmap(Vpn(start), pages, phys, cycles, tlb, 1);
                 (r.map(|_| None), model.munmap(start, pages))
             }
@@ -484,12 +536,30 @@ impl World {
                 (r.map(|()| None), model.populate(start, pages))
             }
             Op::Write { vpn, val } => {
+                let (swap, unshares) = (swapped(sim, vpn), sim.stats.pt_unshares);
                 let r = sim.write(Vpn(vpn), val, phys, cycles, tlb, 1);
+                // The node the touch unshared is the one holding the entry.
+                seen.unshares_over_swap += (swap && sim.stats.pt_unshares > unshares) as u64;
                 (r.map(|_| None), model.write(vpn, val))
             }
             Op::Read { vpn } => {
+                let (swap, unshares) = (swapped(sim, vpn), sim.stats.pt_unshares);
                 let r = sim.read(Vpn(vpn), phys, cycles);
+                seen.unshares_over_swap += (swap && sim.stats.pt_unshares > unshares) as u64;
                 (r.map(|(v, _)| Some(v)), model.read(vpn))
+            }
+            Op::SwapOut { seed } => {
+                let mut pick = Rng::seed_from_u64(seed);
+                for vpn in sim.swap_out_candidates(phys, SWAP_BATCH) {
+                    if !pick.gen_bool(0.5) {
+                        continue;
+                    }
+                    let stamp = sim.observe(vpn, phys).expect("a candidate is resident");
+                    // A full device takes no more.
+                    let Ok(slot) = phys.swap_out_page(stamp, cycles) else { break };
+                    sim.swap_out_commit(vpn, slot, phys, cycles);
+                }
+                (Ok(None), Ok(None))
             }
             Op::Slide { from, to, keep_alignment } => {
                 let from = match from {
@@ -529,6 +599,7 @@ impl World {
                 if mode == ForkMode::OnDemand {
                     seen.fallback_copies += sim.stats.ptes_copied - copied_before;
                 }
+                seen.forks_copying_swap += swap_nodes(&child).difference(&swap_nodes(sim)).count() as u64;
                 let child = (child, model.fork());
                 // The mapped set of both sides, page by page.
                 check(&procs[who], phys, ctx);
@@ -539,6 +610,7 @@ impl World {
             Op::Exit if live > 1 => {
                 let (mut sim, _) = procs.swap_remove(who);
                 seen.leaves_of(&sim);
+                seen.teardown_of(&sim, procs);
                 sim.destroy(phys, cycles);
                 (Ok(None), Ok(None))
             }
@@ -581,11 +653,13 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> Seen {
     }
     let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} at the end");
     w.procs.iter().for_each(|p| check(p, &w.phys, &ctx));
-    for (mut sim, _) in std::mem::take(&mut w.procs) {
+    while let Some((mut sim, _)) = w.procs.pop() {
         w.seen.leaves_of(&sim);
+        w.seen.teardown_of(&sim, &w.procs);
         sim.destroy(&mut w.phys, &mut w.cycles);
     }
     assert_eq!(w.phys.used_frames(), 0, "seed {seed:#x} thp {thp}: frames survived teardown");
+    assert_eq!(w.phys.swap().used_slots(), 0, "seed {seed:#x} thp {thp}: swap slots survived teardown");
     assert_eq!(w.phys.free_frames(), w.phys.total_frames());
     w.seen
 }
@@ -613,6 +687,14 @@ fn run_cases(thp: bool) {
         seen.leaves_across_chunk > 0 && seen.leaves_scattered > 0,
         "no fork or teardown met a leaf whose frames run across a frame-table chunk, or none met one whose \
          frames do not run — the refcount runs are vacuous: {seen:?}"
+    );
+    assert!(
+        seen.forks_copying_swap > 0
+            && seen.unshares_over_swap > 0
+            && seen.teardowns_over_swap > 0
+            && seen.munmaps_over_swap > 0,
+        "no fork copied, no unshare or teardown went over, or no munmap met a leaf holding swap entries — \
+         the swap step is vacuous: {seen:?}"
     );
     println!("thp {thp}: {seen:?}");
 }
