@@ -10,7 +10,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress examples results-identity bench-repo-smoke bench-pair clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress examples results-identity bench-repo-smoke bench-pair loc clean
 
 verify: build test clippy doc doctest doclinks stress examples results-identity bench-repo-smoke
 
@@ -174,6 +174,17 @@ bench-pair:
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-traced.json $(PAIR_DIR)/change-$$w-traced.json || true; \
 	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
+
+# The size a simplicity change is judged by: per crate, then per file, the
+# lines of crates/*/src that are neither blank nor a comment, counting each
+# file only above its `#[cfg(test)]`.
+loc:
+	@for c in crates/*; do \
+		find $$c/src -name '*.rs' | sort | xargs awk ' \
+			FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } \
+			!skip && !/^[[:space:]]*(\/\/|$$)/ { n[FILENAME]++; total++ } \
+			END { printf "%6d  %s\n", total, "'$$c'"; for (f in n) printf "%6d    %s\n", n[f], f | "sort -k2"; }'; \
+	done
 
 clean:
 	$(CARGO) clean

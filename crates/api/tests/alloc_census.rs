@@ -12,8 +12,8 @@
 //!
 //! Counts repeat exactly, so two runs must agree to the last allocation. No
 //! steady-state request may ask for a page or more at once: a page-table
-//! node is a page, and those are recycled (`docs/ARCHITECTURE.md`, "Life of
-//! a page-table node"). And a warm-pool checkout with the refill behind it
+//! node is a page, and those are recycled (`docs/ARCHITECTURE.md`, "Spare
+//! lists"). And a warm-pool checkout with the refill behind it
 //! stays within 24 allocations — the two processes took 56, six of them of
 //! a page or more, before page-table memory got a life cycle of its own.
 

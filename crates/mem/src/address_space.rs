@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{LeafNode, Slot, SlotKind, TakenLeaf};
+use crate::page_table::{LeafNode, PageTable, Slot, SlotKind, Unmapped};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -20,6 +20,7 @@ use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::sink;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,15 +74,11 @@ struct ReleaseTally {
 }
 
 impl ReleaseTally {
-    /// Counts the translation `pte` provided: one entry, one page or 512.
-    fn add(&mut self, pte: Pte) {
-        if pte.is_huge() {
-            self.pages += HUGE_PAGES;
-            self.huge_entries += 1;
-        } else {
-            self.pages += 1;
-            self.small_entries += 1;
-        }
+    /// Counts `small` translations of a page and `huge` of a 2 MiB block.
+    fn add(&mut self, small: u64, huge: u64) {
+        self.pages += small + huge * HUGE_PAGES;
+        self.small_entries += small;
+        self.huge_entries += huge;
     }
 }
 
@@ -207,11 +204,7 @@ impl AddressSpace {
             if let Err(e) = self.populate(start, pages, phys, cycles) {
                 // Roll back the partial population and the VMA record so a
                 // failed mmap leaves the space untouched.
-                let mut tally = ReleaseTally::default();
-                for (vpn, pte) in self.pt.leaves_in_range(start, pages) {
-                    self.release_leaf(vpn, pte, &mut tally, phys, cycles)
-                        .expect("leaf just installed");
-                }
+                self.release_range(start, pages, &mut ReleaseTally::default(), phys, cycles);
                 self.vmas.remove(&start.0);
                 return Err(e);
             }
@@ -272,39 +265,55 @@ impl AddressSpace {
             .map(|(k, _)| *k)
             .collect();
         let mut tally = self.prepare_release_range(start, pages, phys, cycles)?;
+        self.release_range(start, pages, &mut tally, phys, cycles);
         for k in doomed {
-            let v = self.vmas.remove(&k).expect("key just enumerated");
-            for (vpn, pte) in self.pt.leaves_in_range(v.start, v.pages) {
-                self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
-            }
+            self.vmas.remove(&k);
         }
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(tally.pages)
     }
 
-    /// Unmaps the leaf `pte` just enumerated at `vpn` and drops the one
-    /// reference it held — a swap slot, a 512-frame run or a frame —
-    /// counting a resident translation into `tally` for the shootdown.
-    fn release_leaf(
+    /// Removes every entry of `[start, start + pages)`, a node's run at a
+    /// time, as `destroy` does a node: what the run holds is dropped in one
+    /// pass over its frames — 512 a block — and one over its swap slots.
+    /// The translations that were resident are counted into `tally` for
+    /// the shootdown; a swap entry was never in any TLB. A node a fork
+    /// shares must have been detached or privatized first
+    /// ([`Self::prepare_release_range`]), a block the range cuts demoted.
+    fn release_range(
         &mut self,
-        vpn: Vpn,
-        pte: Pte,
+        start: Vpn,
+        pages: u64,
         tally: &mut ReleaseTally,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-    ) -> MemResult<()> {
-        self.pt.unmap(vpn).expect("leaf just enumerated");
-        if pte.is_swap() {
-            // A swap entry holds a device slot, not a frame, and was never
-            // in any TLB (non-present).
-            phys.swap_mut().dec_ref(pte.swap_slot())?;
-            self.swapped -= 1;
-            return Ok(());
-        }
-        let run = if pte.is_huge() { HUGE_PAGES } else { 1 };
-        phys.dec_ref_run(pte.pfn, run, cycles)?;
-        tally.add(pte);
-        Ok(())
+    ) {
+        let AddressSpace { pt, swapped, .. } = self;
+        pt.unmap_range(start.0, start.0 + pages, |gone| {
+            Self::let_go(&gone, phys, cycles);
+            match gone {
+                Unmapped::Block(_) => tally.add(0, 1),
+                Unmapped::Run(leaf, run, dir) => {
+                    let present = leaf.present_in(run.clone());
+                    *swapped -= leaf.live_in(run) - present;
+                    if dir { tally.add(0, present) } else { tally.add(present, 0) }
+                }
+            }
+        });
+    }
+
+    /// Drops what the entries `gone` held reference: the frames of a block
+    /// as one run, a node run's frames — 512 a block of a directory — in
+    /// one release and its swap slots in the same call.
+    fn let_go(gone: &Unmapped, phys: &mut PhysMemory, cycles: &mut Cycles) {
+        let released = match gone {
+            Unmapped::Block(pte) => phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles),
+            Unmapped::Run(leaf, run, dir) => {
+                let (runs, slots) = (leaf.frame_runs(run.clone(), *dir), leaf.swap_slots(run.clone()));
+                phys.release(runs, slots, cycles).map(|_| ())
+            }
+        };
+        released.expect("frames and slots tracked");
     }
 
     /// If `boundary` cuts through the interior of a huge block, demotes
@@ -367,64 +376,38 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<ReleaseTally> {
-        let mut tally = ReleaseTally::default();
-        loop {
-            // Detach/privatize invalidate arena coordinates, so rescan
-            // after each mutation; shared nodes are rare and the scan is
-            // O(nodes).
-            let target = self.pt.with_leaf_slots(start.0, start.0 + pages, |pt, slots| {
-                for &slot in slots {
-                    let (base, l1, idx, kind) = slot;
-                    // Lone huge leaves are never shared — fork shares their
-                    // frames, not the entry — so only Arc-backed slots matter.
-                    if kind == SlotKind::Huge || Arc::strong_count(pt.leaf_at(l1, idx)) == 1 {
-                        continue;
-                    }
-                    let stride = kind.stride();
-                    let mut any_in = false;
-                    let mut all_in = true;
-                    for (_, Vpn(lo), _) in pt.slot_entries(slot) {
-                        // A huge-directory member counts as inside only when
-                        // its whole 2 MiB block is inside.
-                        if lo >= start.0 && lo + stride <= start.0 + pages {
-                            any_in = true;
-                        } else {
-                            all_in = false;
-                            if lo + stride > start.0 && lo < start.0 + pages {
-                                any_in = true;
-                            }
-                        }
-                    }
-                    if any_in {
-                        return Some((base, all_in, kind));
-                    }
+        let (lo, hi, mut tally) = (start.0, start.0 + pages, ReleaseTally::default());
+        let AddressSpace { pt, stats, swapped, .. } = self;
+        // Neither a detach nor a privatization moves another slot.
+        pt.with_leaf_slots(lo, hi, |pt, slots| {
+            for &slot @ (base, node, idx, kind) in slots {
+                // Lone huge leaves are never shared — fork shares their
+                // frames, not the entry — so only Arc-backed slots matter.
+                let Some(leaf) = (kind != SlotKind::Huge).then(|| pt.leaf_at(node, idx)) else { continue };
+                let inside = leaf.live_in(kind.positions(base, lo, hi));
+                if Arc::strong_count(leaf) == 1 || inside == 0 {
+                    continue;
                 }
-                None
-            });
-            match target {
-                None => return Ok(tally),
-                Some((base, true, kind)) => {
-                    let arc = self.pt.detach_leaf(base).expect("node just enumerated");
-                    if matches!(kind, SlotKind::Dir) {
-                        // Huge pages never swap, so every member is a
-                        // resident 512-page block.
-                        tally.pages += arc.live() * HUGE_PAGES;
-                        tally.huge_entries += arc.live();
-                    } else {
-                        // Slot references follow leaf-node identity, so the
-                        // surviving owner keeps the swap slots too.
-                        self.swapped -= arc.swap_entries();
-                        tally.pages += arc.live() - arc.swap_entries();
-                        tally.small_entries += arc.live() - arc.swap_entries();
-                    }
-                    // Still referenced by the other space, which releases
-                    // the frames when it drops its copy; our drop is free.
+                if inside < leaf.live() {
+                    Self::unshare(pt, stats, slot, phys, cycles)?;
+                    continue;
                 }
-                Some((base, false, _)) => {
-                    self.unshare_subtree(Vpn(base), phys, cycles)?;
+                // Still referenced by the other space, which releases what
+                // it references when it drops its copy; our drop is free.
+                let arc = pt.detach_leaf(base).expect("node just enumerated");
+                if kind == SlotKind::Dir {
+                    // Huge pages never swap: every member is a resident
+                    // 512-page block.
+                    tally.add(0, arc.live());
+                } else {
+                    // Slot references follow leaf-node identity, so the
+                    // surviving owner keeps the swap slots too.
+                    *swapped -= arc.swap_entries();
+                    tally.add(arc.live() - arc.swap_entries(), 0);
                 }
             }
-        }
+            Ok(tally)
+        })
     }
 
     /// Splits the VMA containing `at` so that `at` becomes a VMA boundary.
@@ -474,16 +457,7 @@ impl AddressSpace {
         tlb: &mut TlbModel,
         cpus_running: u32,
     ) -> MemResult<()> {
-        // The whole range must be mapped.
-        let mut covered = 0;
-        for v in self.vmas.values().filter(|v| v.overlaps(start, pages)) {
-            covered += v
-                .pages
-                .min(start.0 + pages - v.start.0)
-                .min(v.end().0 - start.0)
-                .min(pages);
-        }
-        if covered < pages {
+        if !self.covered(start, pages) {
             return Err(MemError::NotMapped);
         }
         // A protection boundary inside a huge block forces a split: the
@@ -503,24 +477,46 @@ impl AddressSpace {
             let removing_write = v.prot.write && !prot.write;
             v.prot = prot;
             if removing_write {
-                let vs = v.start;
-                let vp = v.pages;
-                for (vpn, pte) in self.pt.leaves_in_range(vs, vp) {
-                    tally.add(pte);
-                    let mut new = pte;
-                    new.flags = new.flags.minus(PteFlags::WRITABLE);
-                    if new != pte {
-                        // A shared subtree must be privatized before its
-                        // PTEs change: the child keeps its permissions.
-                        let slot = self.pt.find(vpn).expect("leaf just enumerated");
-                        self.unshare_at(slot, phys, cycles)?;
-                        self.pt.update_at(slot, vpn, new).expect("leaf just enumerated");
-                    }
-                }
+                let range = v.start.0..v.end().0;
+                self.write_protect_range(range, &mut tally, phys, cycles)?;
             }
         }
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(())
+    }
+
+    /// Takes writes away from every entry of `range`, a node's run at a
+    /// time, counting the resident translations into `tally` for the flush
+    /// — a swap entry was never in any TLB. A node a fork shares is
+    /// privatized first if its run holds a writable entry: the other space
+    /// keeps its permissions.
+    fn write_protect_range(
+        &mut self,
+        range: Range<u64>,
+        tally: &mut ReleaseTally,
+        phys: &mut PhysMemory,
+        cycles: &mut Cycles,
+    ) -> MemResult<()> {
+        let AddressSpace { pt, stats, .. } = self;
+        pt.with_leaf_slots(range.start, range.end, |pt, slots| {
+            for &slot @ (base, _, _, kind) in slots {
+                let run = kind.positions(base, range.start, range.end);
+                let (present, writable) = pt.run_at(slot, run.clone());
+                if kind == SlotKind::Small { tally.add(present, 0) } else { tally.add(0, present) }
+                if writable {
+                    Self::unshare(pt, stats, slot, phys, cycles)?;
+                    pt.write_protect_at(slot, run, false, |_, _| {});
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Whether every page of `[start, start + pages)` lies in a mapping.
+    fn covered(&self, start: Vpn, pages: u64) -> bool {
+        let end = start.0 + pages;
+        let reaching_in = self.vmas.range(..end).rev().map(|(_, v)| v).take_while(|v| v.end().0 > start.0);
+        reaching_in.map(|v| v.end().0.min(end) - v.start.0.max(start.0)).sum::<u64>() == pages
     }
 
     /// Discards the resident pages of `[start, start+pages)` without
@@ -538,18 +534,13 @@ impl AddressSpace {
         if pages == 0 {
             return Err(MemError::BadAlignment);
         }
-        // Every page of the range must be covered by some VMA.
-        for i in 0..pages {
-            if self.vma_at(start.add(i)).is_none() {
-                return Err(MemError::NotMapped);
-            }
+        if !self.covered(start, pages) {
+            return Err(MemError::NotMapped);
         }
         self.demote_straddling(start, phys, cycles)?;
         self.demote_straddling(Vpn(start.0 + pages), phys, cycles)?;
         let mut tally = self.prepare_release_range(start, pages, phys, cycles)?;
-        for (vpn, pte) in self.pt.leaves_in_range(start, pages) {
-            self.release_leaf(vpn, pte, &mut tally, phys, cycles)?;
-        }
+        self.release_range(start, pages, &mut tally, phys, cycles);
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(tally.pages)
     }
@@ -566,17 +557,16 @@ impl AddressSpace {
     /// invalidation; a never-scheduled address space (no CPU ever loaded
     /// its root) needs none.
     ///
-    /// The entries are found by a *span visit*: each 2 MiB span the mapping
-    /// reaches into is looked up once, its node unshared if a fork still
-    /// holds it, and its entries inside the mapping read off the node by
-    /// its occupancy map. A mapping with nothing resident is re-keyed and
-    /// that is all. Only a table that holds a huge mapping is enumerated the
-    /// long way, after the blocks the mapping covers part of, or would move
-    /// off their alignment, have been split. Each entry is then mapped at
-    /// its destination — one [`FaultSite::PtNodeAlloc`] crossing and one
-    /// [`CostModel::pte_copy`] each, ascending, the destination's nodes
-    /// allocated while the source's path still stands — and only when all
-    /// of them are, unmapped at its source.
+    /// The entries move a node's run at a time: each 2 MiB span the mapping
+    /// reaches into is looked up, its node unshared if a fork still holds
+    /// it; blocks the mapping covers part of, or whose alignment the slide
+    /// would break, are split; then each node's run is mapped at its
+    /// destination with an index shift — one [`FaultSite::PtNodeAlloc`]
+    /// crossing and one [`CostModel::pte_copy`] an entry, ascending, the
+    /// destination's nodes allocated while the source's path still stands
+    /// (`slide_entries`) — and only when all of it is, taken out of
+    /// its source. A mapping with nothing resident is re-keyed and that is
+    /// all.
     ///
     /// The destination range must be entirely free (including of the
     /// source VMA itself — overlapping slides are rejected). On `Err` the
@@ -611,67 +601,101 @@ impl AddressSpace {
             self.demote_straddling(old_start, phys, cycles)?;
             self.demote_straddling(Vpn(old.end), phys, cycles)?;
         }
-        // What moves: `(source page, entry)`, ascending. Leaf subtrees still
-        // shared with another space cannot be mutated in place; they are
-        // privatized first (no-op for a private space).
-        let mut present: Vec<(Vpn, Pte)> = Vec::new();
+        // Leaf subtrees still shared with another space cannot be mutated
+        // in place; they are privatized first (no-op for a private space).
         for span in (old.start / HUGE_PAGES..old.end.div_ceil(HUGE_PAGES)).map(|b| Vpn(b * HUGE_PAGES)) {
-            let Some(slot) = self.pt.find(span) else { continue };
-            self.unshare_at(slot, phys, cycles)?;
-            if !blocks {
-                present.extend(self.pt.small_entries_in(slot, old.clone()));
+            if let Some(slot) = self.pt.find(span) {
+                self.unshare_at(slot, phys, cycles)?;
             }
         }
-        if blocks {
-            // A huge block can move as a unit only if the slide preserves
-            // its 2 MiB alignment; otherwise split it and let the THP
-            // machinery re-promote at the new home.
-            if !new_start.0.abs_diff(old_start.0).is_multiple_of(HUGE_PAGES) {
-                let whole = old.start.div_ceil(HUGE_PAGES)..old.end / HUGE_PAGES;
-                for block in whole.map(|b| Vpn(b * HUGE_PAGES)) {
-                    if self.pt.huge_block(block).is_some() {
-                        self.pt.demote_block(block, cycles, phys.cost())?;
-                        phys.note_thp_demoted();
-                    }
+        // A huge block can move as a unit only if the slide preserves its
+        // 2 MiB alignment; otherwise split it and let the THP machinery
+        // re-promote at the new home.
+        if blocks && !new_start.0.abs_diff(old_start.0).is_multiple_of(HUGE_PAGES) {
+            let whole = old.start.div_ceil(HUGE_PAGES)..old.end / HUGE_PAGES;
+            for block in whole.map(|b| Vpn(b * HUGE_PAGES)) {
+                if self.pt.huge_block(block).is_some() {
+                    self.pt.demote_block(block, cycles, phys.cost())?;
+                    phys.note_thp_demoted();
                 }
             }
-            present = self.pt.leaves_in_range(old_start, pages);
         }
         // Map into the destination first so a mid-slide allocation failure
         // (page-table node exhaustion, injected fault) can roll back by
-        // unmapping only what was just mapped — the source is untouched
-        // until every destination entry exists.
-        let to = |vpn: Vpn| Vpn(vpn.0 - old_start.0 + new_start.0);
-        for (k, &(vpn, pte)) in present.iter().enumerate() {
-            // The node the entry lands in may be one a fork still shares.
-            let found = self.pt.find(to(vpn));
-            let unshared = found.map_or(Ok(()), |slot| self.unshare_at(slot, phys, cycles));
-            let mapped = unshared.and_then(|()| {
-                let cost = phys.cost();
-                // One pte_copy per moved entry: copy_huge charges it itself.
-                if pte.is_huge() {
-                    self.pt.copy_huge(to(vpn), pte, cycles, cost)
-                } else {
-                    cycles.charge(cost.pte_copy);
-                    self.pt.map_at(to(vpn), pte, found, cycles, cost).map(|_| ())
-                }
-            });
-            if let Err(e) = mapped {
-                for &(vpn, _) in &present[..k] {
-                    self.pt.unmap(to(vpn)).expect("destination entry just mapped");
-                }
+        // unmapping what the destination holds, which is only what was just
+        // mapped — the source is untouched until every destination entry
+        // exists.
+        let moved = match self.slide_entries(old.clone(), new_start.0.wrapping_sub(old_start.0), phys, cycles) {
+            Ok(moved) => moved,
+            Err(e) => {
+                self.pt.unmap_range(new_start.0, new_start.0 + pages, |_| {});
                 return Err(e);
             }
-        }
-        for &(vpn, _) in &present {
-            self.pt.unmap(vpn).expect("source entry just enumerated");
+        };
+        // The source, a node at a time, as the destination was mapped.
+        let spans = (old.start / HUGE_PAGES..old.end.div_ceil(HUGE_PAGES)).filter(|_| moved > 0);
+        for span in spans.map(|b| Vpn(b * HUGE_PAGES)) {
+            if let Some(slot) = self.pt.find(span) {
+                self.pt.unmap_run(slot, (old.start, old.end), &mut |_| {});
+            }
         }
         let mut vma = self.vmas.remove(&old_start.0).expect("looked up above");
         vma.start = new_start;
         self.vmas.insert(new_start.0, vma);
-        metrics::add("mem.slide.pte_move", present.len() as u64);
+        metrics::add("mem.slide.pte_move", moved);
         sink::instant("vma_slide", "mem", cycles.total());
-        Ok(present.len() as u64)
+        Ok(moved)
+    }
+
+    /// The destination half of [`Self::slide_vma`]: maps the entries of the
+    /// pages `old` again `delta` pages further on, ascending, and returns
+    /// how many it mapped. A node's run moves with an index shift, a part
+    /// for each destination node it lands in:
+    /// the destination node is unshared if a fork still holds it, then one
+    /// [`FaultSite::PtNodeAlloc`] crossing and one [`CostModel::pte_copy`]
+    /// go to each entry begun. A block moves whole, into the table
+    /// ([`PageTable::map_huge`]).
+    fn slide_entries(&mut self, old: Range<u64>, delta: u64, phys: &mut PhysMemory, cycles: &mut Cycles) -> MemResult<u64> {
+        let AddressSpace { pt, stats, .. } = self;
+        let mut moved = 0;
+        for span in (old.start / HUGE_PAGES..old.end.div_ceil(HUGE_PAGES)).map(|b| Vpn(b * HUGE_PAGES)) {
+            let Some(slot) = pt.find(span) else { continue };
+            let (base, node, idx, kind) = slot;
+            if kind == SlotKind::Small {
+                // Cut where the destination's node boundary falls.
+                let run = kind.positions(base, old.start, old.end);
+                let split = (PT_ENTRIES - delta as usize % PT_ENTRIES).clamp(run.start, run.end);
+                for part in [run.start..split, split..run.end] {
+                    let leaf = pt.leaf_at(node, idx);
+                    if !leaf.holds_in(part.clone()) {
+                        continue;
+                    }
+                    let entries = leaf.live_in(part.clone());
+                    let to = Vpn((base + part.start as u64).wrapping_add(delta));
+                    let found = pt.find(to);
+                    if let Some(dest) = found {
+                        Self::unshare(pt, stats, dest, phys, cycles)?;
+                    }
+                    let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
+                    let (n, begun) = crossed.map_or_else(|(passed, _)| (passed, passed + 1), |()| (entries, entries));
+                    cycles.charge_n(phys.cost().pte_copy, begun);
+                    pt.map_moved(slot, part, n, (to, found), cycles, phys.cost())?;
+                    moved += n;
+                    crossed.map_err(|_| MemError::OutOfMemory)?;
+                }
+                continue;
+            }
+            // A block the mapping holds lies inside it: one that did not
+            // was split above.
+            let Some(block) = pt.block_at(slot, span) else { continue };
+            let to = Vpn(span.0.wrapping_add(delta));
+            if let Some(dest) = pt.find(to) {
+                Self::unshare(pt, stats, dest, phys, cycles)?;
+            }
+            pt.map_huge(to, block, phys.cost().pte_copy, cycles, phys.cost())?;
+            moved += 1;
+        }
+        Ok(moved)
     }
 
     /// Maps an already-allocated frame at `vpn` copy-on-write — the exec
@@ -698,9 +722,9 @@ impl AddressSpace {
         if !exec {
             flags = flags | PteFlags::NX;
         }
-        phys.inc_ref(pfn)?;
+        phys.inc_ref_run(pfn, 1)?;
         cycles.charge(phys.cost().pte_copy);
-        if let Err(e) = self.pt.map(vpn, Pte::new(pfn, flags), cycles, phys.cost()) {
+        if let Err(e) = self.pt.map_at(vpn, Pte::new(pfn, flags), None, cycles, phys.cost()) {
             phys.dec_ref(pfn, cycles).expect("reference just taken");
             return Err(e);
         }
@@ -752,10 +776,8 @@ impl AddressSpace {
         if pages == 0 {
             return Err(MemError::BadAlignment);
         }
-        for i in 0..pages {
-            if self.vma_at(start.add(i)).is_none() {
-                return Err(MemError::NotMapped);
-            }
+        if !self.covered(start, pages) {
+            return Err(MemError::NotMapped);
         }
         self.split_at(start);
         self.split_at(Vpn(start.0 + pages));
@@ -824,10 +846,9 @@ impl AddressSpace {
             return Ok(false);
         }
         let vma = vma.clone();
-        for k in 0..HUGE_PAGES {
-            if self.pt.translate(base.add(k)).is_some() {
-                return Ok(false);
-            }
+        let holds = |slot| self.pt.slot_entries(slot).any(|(_, vpn, _)| vpn.huge_base() == base);
+        if self.pt.find(base).is_some_and(holds) {
+            return Ok(false);
         }
         // The injected-failure contract for promotion is absorption: the
         // operation still succeeds, the block just stays small.
@@ -853,7 +874,7 @@ impl AddressSpace {
         // The empty block may sit in a hole of a huge directory another
         // space still shares; writing the member PTE mutates the node.
         self.unshare_subtree(base, phys, cycles)?;
-        if let Err(e) = self.pt.map_huge(base, Pte::new(head, flags), cycles, phys.cost()) {
+        if let Err(e) = self.pt.map_huge(base, Pte::new(head, flags), phys.cost().huge_map, cycles, phys.cost()) {
             phys.dec_ref_run(head, HUGE_PAGES, cycles)
                 .expect("run just allocated");
             return Err(e);
@@ -945,27 +966,7 @@ impl AddressSpace {
     /// hold no frame and are skipped; see
     /// [`Self::for_each_swap_entry_keyed`].
     pub fn for_each_resident(&self, mut f: impl FnMut(Vpn, Pte)) {
-        self.pt.for_each_leaf(|vpn, pte| {
-            if !pte.is_present() {
-                return;
-            }
-            if pte.is_huge() {
-                // Expand a block into its 512 constituent pages so
-                // per-frame accounting (invariants, residency audits)
-                // needs no huge-awareness of its own.
-                for k in 0..HUGE_PAGES {
-                    f(
-                        Vpn(vpn.0 + k),
-                        Pte {
-                            pfn: Pfn(pte.pfn.0 + k),
-                            flags: pte.flags,
-                        },
-                    );
-                }
-            } else {
-                f(vpn, pte)
-            }
-        })
+        self.for_each_resident_keyed(|_, vpn, pte| f(vpn, pte))
     }
 
     /// Like [`Self::for_each_resident`], but also yields a stable identity
@@ -977,19 +978,12 @@ impl AddressSpace {
             if !pte.is_present() {
                 return;
             }
-            if pte.is_huge() {
-                for k in 0..HUGE_PAGES {
-                    f(
-                        id,
-                        Vpn(vpn.0 + k),
-                        Pte {
-                            pfn: Pfn(pte.pfn.0 + k),
-                            flags: pte.flags,
-                        },
-                    );
-                }
-            } else {
-                f(id, vpn, pte)
+            // A block is expanded into its 512 pages, so that per-frame
+            // accounting (invariants, residency audits) needs no
+            // huge-awareness of its own.
+            let pages = if pte.is_huge() { HUGE_PAGES } else { 1 };
+            for k in 0..pages {
+                f(id, Vpn(vpn.0 + k), Pte { pfn: Pfn(pte.pfn.0 + k), ..pte });
             }
         })
     }
@@ -1109,38 +1103,7 @@ impl AddressSpace {
         // table keeps the frames (and swap slots — references follow leaf
         // identity) alive. One that is this table's alone gives up what it
         // references and goes back to the spares.
-        self.pt.take_leaves(|_, taken| match taken {
-            // A huge leaf's 512-frame run is released frame by frame
-            // (COW children may still hold references to individual
-            // frames); a lone one is never shared.
-            TakenLeaf::Huge(pte) => {
-                phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
-            }
-            TakenLeaf::Dir(dir) => {
-                if Arc::strong_count(&dir) == 1 {
-                    for (_, pte) in dir.iter() {
-                        phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("run tracked");
-                    }
-                }
-                LeafNode::retire(dir);
-            }
-            // A node's frames go back in one release — straight off its
-            // words where every one of them is a frame.
-            TakenLeaf::Node(node) => {
-                if Arc::strong_count(&node) == 1 {
-                    if node.swap_entries() == 0 {
-                        phys.release(node.frame_runs(0..PT_ENTRIES), cycles).expect("frame tracked");
-                    } else {
-                        let present = node.iter().filter(|(_, pte)| pte.is_present());
-                        phys.release(present.map(|(_, pte)| pte.pfn.0..pte.pfn.0 + 1), cycles).expect("frame tracked");
-                        for (_, pte) in node.iter().filter(|(_, pte)| pte.is_swap()) {
-                            phys.swap_mut().dec_ref(pte.swap_slot()).expect("slot tracked");
-                        }
-                    }
-                }
-                LeafNode::retire(node);
-            }
-        });
+        self.pt.take_leaves(|gone| Self::let_go(&gone, phys, cycles));
         self.swapped = 0;
         self.vmas.clear();
     }
@@ -1171,30 +1134,23 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        if !self.pt.shared_at(slot) {
+        Self::unshare(&mut self.pt, &mut self.stats, slot, phys, cycles)
+    }
+
+    /// [`Self::unshare_at`] on the parts of a space a walk of its table
+    /// holds apart.
+    fn unshare(pt: &mut PageTable, stats: &mut AsStats, slot: Slot, phys: &mut PhysMemory, cycles: &mut Cycles) -> MemResult<()> {
+        if !pt.shared_at(slot) {
             return Ok(());
         }
-        let copy = self.pt.privatize_at(slot, cycles, phys.cost())?;
-        if slot.3 == SlotKind::Dir {
-            // A privatized huge directory references each member's whole
-            // 512-frame run independently.
-            for (_, pte) in copy.iter() {
-                phys.inc_ref_run(pte.pfn, HUGE_PAGES).expect("run tracked by shared subtree");
-            }
-        } else if copy.swap_entries() == 0 {
-            phys.retain(copy.frame_runs(0..PT_ENTRIES)).expect("frame tracked by shared subtree");
-        } else {
-            // The privatized copy now references each swap slot from a
-            // second distinct leaf node.
-            let present = copy.iter().filter(|(_, pte)| pte.is_present());
-            phys.retain(present.map(|(_, pte)| pte.pfn.0..pte.pfn.0 + 1)).expect("frame tracked by shared subtree");
-            for (_, pte) in copy.iter().filter(|(_, pte)| pte.is_swap()) {
-                phys.swap_mut().inc_ref(pte.swap_slot()).expect("slot tracked by shared subtree");
-            }
-        }
+        let copy = pt.privatize_at(slot, cycles, phys.cost())?;
+        // The copy references every frame — 512 a block of a directory —
+        // and every swap slot from a second leaf node.
+        let (runs, slots) = (copy.frame_runs(0..PT_ENTRIES, slot.3 == SlotKind::Dir), copy.swap_slots(0..PT_ENTRIES));
+        phys.retain(runs, slots).expect("tracked by the shared subtree");
         let copied = copy.live();
-        self.stats.pt_unshares += 1;
-        self.stats.ptes_unshare_copied += copied;
+        stats.pt_unshares += 1;
+        stats.ptes_unshare_copied += copied;
         metrics::incr("mem.unshare.pt_node");
         metrics::add("mem.unshare.pte_copy", copied);
         sink::instant("pt_unshare", "mem", cycles.total());
@@ -1338,12 +1294,15 @@ impl AddressSpace {
     ///   almost free. Where inheritable VMAs cover every position, and a
     ///   parent forked before has nothing left to COW-mark, not one entry
     ///   is read; only a node that a hole or a fork-policy range reaches
-    ///   into has its entries looked at;
-    /// * anything else is copied: a small-PTE node is built off to the side
-    ///   and wired into the child with one descent — a run at a time
-    ///   ([`Self::fork_copy_run`]), or, where the node holds swap entries
-    ///   or the mode is [`ForkMode::Eager`], entry by entry like a huge
-    ///   block ([`Self::fork_copy_entry`]).
+    ///   into has its runs counted;
+    /// * anything else is copied a run at a time: a small-PTE node's runs
+    ///   into a node built off to the side and wired into the child with
+    ///   one descent ([`Self::fork_copy_run`]), a block's 512 frames as one
+    ///   run into the child's table ([`Self::fork_copy_block`]).
+    ///
+    /// Last, the parent's entries of each private run the child got a
+    /// reference to — all of it, or the part before an entry that failed —
+    /// are write-protected and COW-marked in one pass.
     fn fork_walk(
         parent: &mut AddressSpace,
         child: &mut AddressSpace,
@@ -1371,6 +1330,7 @@ impl AddressSpace {
         let inherited = |vma: &VmArea| {
             (!vma.fork_policy.dont_fork && !vma.fork_policy.wipe_on_fork).then_some(vma.share)
         };
+        let eager = mode == ForkMode::Eager;
         let mut cursor = vmas.values().peekable();
         // The rule's answers for the current slot: its *runs*, ascending
         // ranges of in-node positions with one answer each.
@@ -1380,9 +1340,6 @@ impl AddressSpace {
                 let (base, node, idx, kind) = slot;
                 let stride = kind.stride();
                 let end = base + PT_ENTRIES as u64 * stride;
-                // An entry goes by the VMA holding its first page; where there
-                // is none, nothing is inherited.
-                let position = |vpn: u64| (vpn.clamp(base, end) - base).div_ceil(stride) as usize;
                 while cursor.next_if(|v| v.end().0 <= base).is_some() {}
                 runs.clear();
                 let mut answered = 0;
@@ -1392,34 +1349,25 @@ impl AddressSpace {
                         answered = upto;
                     }
                 };
-                // The last VMA reaching in may reach on into later slots: it
-                // stays under the cursor.
+                // An entry goes by the VMA holding its first page; where
+                // there is none, nothing is inherited. The last VMA reaching
+                // in may reach on into later slots: it stays under the cursor.
                 for vma in cursor.clone().take_while(|v| v.start.0 < end) {
-                    answer(position(vma.start.0), None);
-                    answer(position(vma.end().0), inherited(vma));
+                    let run = kind.positions(base, vma.start.0, vma.end().0);
+                    answer(run.start, None);
+                    answer(run.end, inherited(vma));
                 }
                 answer(PT_ENTRIES, None);
                 if runs.iter().all(|r| r.1.is_none()) {
                     continue;
                 }
-                // A lookup of the answer for position `j`, for ascending `j`.
-                let rule = || {
-                    let (runs, mut run) = (&runs, 0);
-                    move |j: usize| {
-                        while runs[run].0.end <= j {
-                            run += 1;
-                        }
-                        runs[run].1
-                    }
-                };
                 // A lone huge block is an entry of its level-1 table, not a
                 // node of its own: there is nothing to attach.
-                let attach = mode == ForkMode::OnDemand
-                    && kind != SlotKind::Huge
-                    && (runs.iter().all(|r| r.1.is_some()) || {
-                        let mut share_of = rule();
-                        pt.slot_entries(slot).all(|(j, ..)| share_of(j).is_some())
-                    });
+                let attach = mode == ForkMode::OnDemand && kind != SlotKind::Huge && {
+                    let leaf = pt.leaf_at(node, idx);
+                    runs.iter().all(|(run, share)| share.is_some() || !leaf.holds_in(run.clone()))
+                };
+                let mut log = |j: usize, pte: Pte| downgrades.push((Vpn(base + j as u64 * stride), pte));
                 if attach {
                     // First sharing of this node: COW-mark its private
                     // writable PTEs in place (one marking serves both tables —
@@ -1428,14 +1376,8 @@ impl AddressSpace {
                     // shared), so re-sharing needs no marking — and must not
                     // mutate it; nor does a node this parent has forked before,
                     // which its count says without a look at the entries.
-                    let unmarked =
-                        Arc::get_mut(pt.leaf_at_mut(node, idx)).filter(|l| l.private_writable() > 0);
-                    if let Some(leaf) = unmarked {
-                        for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
-                            leaf.cow_mark_run(run.clone(), |j, pte| {
-                                downgrades.push((Vpn(base + j as u64 * stride), pte))
-                            });
-                        }
+                    for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
+                        pt.write_protect_at(slot, run.clone(), true, &mut log);
                     }
                     let arc = Arc::clone(pt.leaf_at(node, idx));
                     // Sharing the node shares its swap entries by identity —
@@ -1448,45 +1390,45 @@ impl AddressSpace {
                     sink::instant("pt_subtree_share", "mem", cycles.total());
                     continue;
                 }
-                // The child's node for this slot's small PTEs. It is wired in
-                // even when an entry fails, so that the rollback, which destroys
-                // the child, drops the references its entries hold.
-                let mut built = LeafNode::new();
-                let leaf = Arc::get_mut(&mut built).expect("a new node has one holder");
-                // What the node holds decides how it is copied, never who is
-                // listening: a run at a time unless another fallible step — a
-                // swap-slot reference, an eager frame copy — comes between the
-                // entries.
-                let by_run = kind == SlotKind::Small
-                    && mode != ForkMode::Eager
-                    && pt.leaf_at(node, idx).swap_entries() == 0;
-                let copied = if by_run {
-                    let parent = pt.leaf_at_mut(node, idx);
-                    let mut inherited = runs.iter().filter_map(|(run, share)| Some((run, (*share)?)));
-                    inherited.try_for_each(|(run, share)| {
-                        Self::fork_copy_run(parent, leaf, run.clone(), base, share, stats, downgrades, phys, cycles)
-                    })
-                } else {
-                    let first = downgrades.len();
-                    let mut share_of = rule();
-                    let copied = pt.slot_entries(slot).try_for_each(|(j, vpn, pte)| {
-                        let Some(share) = share_of(j) else { return Ok(()) };
-                        let downgrade =
-                            Self::fork_copy_entry(child, leaf, stats, mode, share, vpn, pte, phys, cycles)?;
-                        if downgrade {
-                            downgrades.push((vpn, pte));
+                // The child's node for a slot of small PTEs. It is wired in
+                // even when an entry fails, so that the rollback, which
+                // destroys the child, drops the references its entries hold.
+                let mut built = (kind == SlotKind::Small).then(LeafNode::new);
+                let mut copied = Ok(());
+                for (run, share) in runs.iter().filter_map(|(run, share)| Some((run.clone(), (*share)?))) {
+                    let (done, result) = match built.as_mut() {
+                        Some(built) => {
+                            let leaf = Arc::get_mut(built).expect("a new node has one holder");
+                            Self::fork_copy_run(pt.leaf_at(node, idx), leaf, run, share, eager, stats, phys, cycles)
                         }
-                        Ok(())
-                    });
-                    for &(vpn, pte) in &downgrades[first..] {
-                        pt.update_at(slot, vpn, cow_marked(pte)).expect("entry just copied");
+                        None => {
+                            let mut done = run.start;
+                            let blocks = pt.slot_entries(slot).filter(|(j, ..)| run.contains(j));
+                            let result = blocks.into_iter().try_for_each(|(j, vpn, pte)| {
+                                Self::fork_copy_block(child, vpn, pte, share, eager, stats, phys, cycles)?;
+                                done = j + 1;
+                                Ok(())
+                            });
+                            (run.start..done, result)
+                        }
+                    };
+                    // An eager fork copied the private frames: the parent
+                    // keeps writing its own.
+                    if share == Share::Private && !eager {
+                        pt.write_protect_at(slot, done, true, &mut log);
                     }
-                    copied
-                };
-                if built.live() > 0 {
-                    child.pt.install_leaf(base, built, cycles, phys.cost());
-                } else {
-                    LeafNode::retire(built);
+                    copied = result;
+                    if copied.is_err() {
+                        break;
+                    }
+                }
+                match built {
+                    Some(built) if built.live() > 0 => {
+                        child.swapped += built.swap_entries();
+                        child.pt.install_leaf(base, built, cycles, phys.cost());
+                    }
+                    Some(built) => LeafNode::retire(built),
+                    None => {}
                 }
                 copied?;
             }
@@ -1496,156 +1438,150 @@ impl AddressSpace {
 
     /// Copies one run — the entries of a small-PTE node that one VMA
     /// covers, all inherited under `share` — from the parent's node into
-    /// `leaf`, the node the walk is building for the child. No entry is a
-    /// swap entry. Five steps, each one pass or one call where the entries
-    /// used to take one each:
+    /// `leaf`, the node the walk is building for the child, and returns
+    /// the part of the run that was copied with how the copy ended. A run
+    /// is copied in a few passes, where the entries used to take a call
+    /// each:
     ///
     /// 1. count the run's entries, by the node's occupancy map;
-    /// 2. take a reference on the frame of each ([`PhysMemory::retain`]), a
-    ///    run of consecutive frames at a time (`LeafNode::frame_runs`);
+    /// 2. take a reference on what each holds
+    ///    ([`PhysMemory::retain`]): a run of consecutive frames at a
+    ///    time (`LeafNode::frame_runs`), then the swap slots of its swap
+    ///    entries;
     /// 3. cross [`FaultSite::PtNodeAlloc`] once per entry
     ///    ([`fpr_faults::cross_n`]), charge [`CostModel::pte_copy`] and
     ///    count `ptes_copied` for each entry *begun*;
     /// 4. write the child's entries — a private mapping's write-protected
-    ///    and COW-marked, a `MAP_SHARED` one's as they are;
-    /// 5. write-protect and COW-mark the parent's writable entries of a
-    ///    private mapping, logging each in `downgrades`.
+    ///    and COW-marked, a `MAP_SHARED` one's as they are.
     ///
     /// A crossing that fails at the run's entry *k* cuts the run short
     /// behind its first *k* entries: they are begun and copied, entry *k*
     /// is begun and not copied, and the references taken on it and on the
     /// entries after it are dropped again — what copying the run entry by
     /// entry would have left when entry *k* failed.
+    ///
+    /// An eager fork (`eager`) of a private run copies each present entry's
+    /// frame instead, in the word loop that writes the child's entries
+    /// ([`Self::fork_copy_frame`]): a [`FaultSite::FrameAlloc`] crossing
+    /// and then a [`FaultSite::PtNodeAlloc`] one an entry.
     #[allow(clippy::too_many_arguments)]
     fn fork_copy_run(
-        parent: &mut Arc<LeafNode>,
+        parent: &LeafNode,
         leaf: &mut LeafNode,
-        mut run: Range<usize>,
-        base: u64,
+        run: Range<usize>,
         share: Share,
+        eager: bool,
         stats: &mut AsStats,
-        downgrades: &mut Vec<(Vpn, Pte)>,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-    ) -> MemResult<()> {
-        let entries = parent.live_in(run.clone());
+    ) -> (Range<usize>, MemResult<()>) {
+        let (entries, pte_copy) = (parent.live_in(run.clone()), phys.cost().pte_copy);
         if entries == 0 {
-            return Ok(());
+            return (run, Ok(()));
         }
-        phys.retain(parent.frame_runs(run.clone()))?;
+        let none = run.start..run.start;
+        if eager && share == Share::Private {
+            // Swapped pages stay swapped (fork must not block on device
+            // I/O): the child's node shares their slots.
+            if let Err(e) = phys.swap_mut().retain(parent.swap_slots(run.clone())) {
+                return (none, Err(e));
+            }
+            let mut begun = 0;
+            let copied = leaf.copy_run(parent, run.clone(), false, |word| {
+                begun += 1;
+                Self::fork_copy_frame(LeafNode::unpack(word), stats, phys, cycles).map(LeafNode::pack)
+            });
+            cycles.charge_n(pte_copy, begun);
+            stats.ptes_copied += begun;
+            let Err((k, e)) = copied else { return (run, Ok(())) };
+            phys.swap_mut().release(parent.swap_slots(k..run.end)).expect("slots just retained");
+            return (run.start..k, Err(e));
+        }
+        if let Err(e) = phys.retain(parent.frame_runs(run.clone(), false), parent.swap_slots(run.clone())) {
+            return (none, Err(e));
+        }
         let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
-        let begun = match crossed {
-            Ok(()) => entries,
+        let (copied, begun) = match crossed {
+            Ok(()) => (run, entries),
             Err((passed, _)) => {
                 let copied = parent.first_in(run.clone(), passed);
-                phys.release(parent.frame_runs(copied.end..run.end), cycles).expect("references just taken");
-                run = copied;
-                passed + 1
+                let rest = copied.end..run.end;
+                let (runs, slots) = (parent.frame_runs(rest.clone(), false), parent.swap_slots(rest));
+                phys.release(runs, slots, cycles).expect("references just taken");
+                (copied, passed + 1)
             }
         };
-        cycles.charge_n(phys.cost().pte_copy, begun);
+        cycles.charge_n(pte_copy, begun);
         stats.ptes_copied += begun;
-        let private = share == Share::Private;
-        leaf.copy_run(parent, run.clone(), private);
-        // A node that is shared holds no writable private entry.
-        if let Some(own) = Arc::get_mut(parent).filter(|own| private && own.private_writable() > 0) {
-            own.cow_mark_run(run, |j, pte| downgrades.push((Vpn(base + j as u64), pte)));
-        }
-        crossed.map_err(|_| MemError::OutOfMemory)
+        let Ok(()) = leaf.copy_run(parent, copied.clone(), share == Share::Private, Ok::<u64, Infallible>);
+        (copied, crossed.map_err(|_| MemError::OutOfMemory))
     }
 
-    /// Copies one inherited entry of the parent — a small page, a 2 MiB
-    /// block or a swap entry — into `child`: a block goes into the child's
-    /// table, a small entry into `leaf`, the node the walk is building for
-    /// the entry's slot. A `MAP_SHARED` entry aliases the same frames; a
-    /// private one is copied outright by [`ForkMode::Eager`] and otherwise
-    /// shares its frames write-protected and COW-marked. Returns whether
-    /// the parent could write the entry, and so must have its own copy
-    /// downgraded to the COW-marked one. On `Err` the references taken
-    /// for this entry have been dropped again.
+    /// An eager fork's copy of one private entry of a small-PTE node: a
+    /// frame of its own holding what `pte`'s holds, or for a swap entry the
+    /// entry itself. Crosses [`FaultSite::FrameAlloc`] for the frame and
+    /// then [`FaultSite::PtNodeAlloc`] for the entry, as mapping it would;
+    /// on `Err` the frame copied is freed again.
+    fn fork_copy_frame(pte: Pte, stats: &mut AsStats, phys: &mut PhysMemory, cycles: &mut Cycles) -> MemResult<Pte> {
+        let pfn = match pte.is_swap() {
+            true => pte.pfn,
+            false => phys.copy_frame(pte.pfn, cycles)?,
+        };
+        stats.pages_eager_copied += !pte.is_swap() as u64;
+        if fpr_faults::cross(FaultSite::PtNodeAlloc).is_err() {
+            if !pte.is_swap() {
+                phys.dec_ref(pfn, cycles).expect("frame just copied");
+            }
+            return Err(MemError::OutOfMemory);
+        }
+        Ok(Pte { pfn, ..pte })
+    }
+
+    /// Copies one inherited 2 MiB block — a run of [`HUGE_PAGES`] frames —
+    /// into the child's table, charged as one entry: `huge_cow` for the one
+    /// flip of its PTE that shares it, and `map_huge` charges the child's
+    /// entry write itself. A private block is shared write-protected and
+    /// COW-marked, a `MAP_SHARED` one as it is; an eager fork of a private
+    /// block copies it instead ([`Self::fork_eager_block`]). On `Err` the
+    /// references taken for it have been dropped again.
     #[allow(clippy::too_many_arguments)]
-    #[inline] // into the walk's per-entry loop: 13.7 -> 8.3 host ns per PTE
-    fn fork_copy_entry(
+    fn fork_copy_block(
         child: &mut AddressSpace,
-        leaf: &mut LeafNode,
-        stats: &mut AsStats,
-        mode: ForkMode,
-        share: Share,
         vpn: Vpn,
         pte: Pte,
+        share: Share,
+        eager: bool,
+        stats: &mut AsStats,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-    ) -> MemResult<bool> {
-        let eager = mode == ForkMode::Eager && share == Share::Private && !pte.is_swap();
-        // A block shares as a single unit: one flip of its huge PTE
-        // (`huge_cow`) instead of 512, and `copy_huge` charges the child's
-        // entry write itself.
+    ) -> MemResult<()> {
+        let copies = eager && share == Share::Private;
         let cost = phys.cost();
-        cycles.charge(if pte.is_huge() && !eager { cost.huge_cow } else { cost.pte_copy });
+        cycles.charge(if copies { cost.pte_copy } else { cost.huge_cow });
         stats.ptes_copied += 1;
-        if pte.is_swap() {
-            // Swapped pages stay swapped across every fork mode (even
-            // Eager: fork must not block on fallible device I/O); the
-            // child's distinct leaf node takes its own slot reference,
-            // exactly as a present PTE copy takes a frame reference.
-            let slot = pte.swap_slot();
-            phys.swap_mut().inc_ref(slot)?;
-            if let Err(e) = leaf.map(vpn.pt_index(0), pte) {
-                phys.swap_mut().dec_ref(slot).expect("ref just taken");
-                return Err(e);
-            }
-            child.swapped += 1;
-            return Ok(false);
+        if copies {
+            return Self::fork_eager_block(child, stats, vpn, pte, phys, cycles);
         }
-        if eager {
-            return Self::fork_eager_copy(child, leaf, stats, vpn, pte, phys, cycles).map(|()| false);
-        }
-        let private = share == Share::Private;
-        // The leaf summaries tell private from shared by this bit alone.
-        debug_assert!(
-            !pte.is_writable() || pte.flags.contains(PteFlags::SHARED) != private,
-            "a writable PTE's SHARED bit disagrees with its VMA"
-        );
-        let run = if pte.is_huge() { HUGE_PAGES } else { 1 };
-        phys.inc_ref_run(pte.pfn, run)?;
-        let marks = private && (pte.is_writable() || pte.is_cow());
+        phys.inc_ref_run(pte.pfn, HUGE_PAGES)?;
+        let marks = share == Share::Private && (pte.is_writable() || pte.is_cow());
         let new = if marks { cow_marked(pte) } else { pte };
-        let mapped = if pte.is_huge() {
-            child.pt.copy_huge(vpn, new, cycles, phys.cost())
-        } else {
-            leaf.map(vpn.pt_index(0), new)
-        };
-        if let Err(e) = mapped {
-            phys.dec_ref_run(pte.pfn, run, cycles).expect("refs just taken");
-            return Err(e);
-        }
-        Ok(private && pte.is_writable())
+        let copied = child.pt.map_huge(vpn, new, phys.cost().pte_copy, cycles, phys.cost());
+        copied.inspect_err(|_| phys.dec_ref_run(pte.pfn, HUGE_PAGES, cycles).expect("refs just taken"))
     }
 
-    /// Eager-fork copy of one private entry. A huge block is copied into a
-    /// fresh 512-frame run so the child stays huge; a small page gets a
-    /// frame copy of its own, mapped into `leaf` — and so does, when
-    /// physical memory is too fragmented for a run, every page of a block,
-    /// into a node of the block's own, while the parent keeps its block.
-    #[allow(clippy::too_many_arguments)]
-    fn fork_eager_copy(
+    /// Eager-fork copy of one private block: into a fresh 512-frame run so
+    /// the child stays huge — or, when physical memory is too fragmented
+    /// for a run, page by page into a node of the block's own, as
+    /// [`Self::fork_copy_frame`] copies a page, while the parent keeps its
+    /// block.
+    fn fork_eager_block(
         child: &mut AddressSpace,
-        leaf: &mut LeafNode,
         stats: &mut AsStats,
         vpn: Vpn,
         pte: Pte,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        if !pte.is_huge() {
-            let new = phys.copy_frame(pte.pfn, cycles)?;
-            stats.pages_eager_copied += 1;
-            if let Err(e) = leaf.map(vpn.pt_index(0), Pte { pfn: new, ..pte }) {
-                phys.dec_ref(new, cycles).expect("frame just copied");
-                return Err(e);
-            }
-            return Ok(());
-        }
         match phys.alloc_zeroed_huge_run(cycles) {
             Ok(head) => {
                 for k in 0..HUGE_PAGES {
@@ -1655,9 +1591,8 @@ impl AddressSpace {
                 }
                 stats.pages_eager_copied += HUGE_PAGES;
                 let copy = Pte { pfn: head, ..pte };
-                if let Err(e) = child.pt.copy_huge(vpn, copy, cycles, phys.cost()) {
-                    phys.dec_ref_run(head, HUGE_PAGES, cycles)
-                        .expect("run just allocated");
+                if let Err(e) = child.pt.map_huge(vpn, copy, phys.cost().pte_copy, cycles, phys.cost()) {
+                    phys.dec_ref_run(head, HUGE_PAGES, cycles).expect("run just allocated");
                     return Err(e);
                 }
                 Ok(())
@@ -1668,7 +1603,8 @@ impl AddressSpace {
                 let split = Arc::get_mut(&mut built).expect("a new node has one holder");
                 let copied = (0..HUGE_PAGES).try_for_each(|k| {
                     let page = Pte { pfn: Pfn(pte.pfn.0 + k), flags };
-                    Self::fork_eager_copy(child, split, stats, vpn.add(k), page, phys, cycles)
+                    split.set(k as usize, Some(Self::fork_copy_frame(page, stats, phys, cycles)?));
+                    Ok(())
                 });
                 if built.live() > 0 {
                     child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
@@ -2137,6 +2073,36 @@ mod tests {
                 space.destroy(&mut phys, &mut cy);
             }
             assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn mprotect_flushes_no_swap_entry() {
+        for thp in [false, true] {
+            let (mut phys, mut cy, mut tlb) = world(64);
+            phys.set_swap_capacity(8);
+            let mut a = AddressSpace::new();
+            a.set_thp(thp);
+            a.mmap(anon(0, 4), &mut phys, &mut cy).unwrap();
+            for i in 0..4 {
+                a.write(Vpn(i), 100 + i, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            }
+            for vpn in [Vpn(1), Vpn(2)] {
+                let slot = phys.swap_out_page(100 + vpn.0, &mut cy).unwrap();
+                a.swap_out_commit(vpn, slot, &mut phys, &mut cy);
+            }
+            let flushed = |tlb: &TlbModel| (tlb.shootdowns, tlb.entries_flushed);
+            // Swap entries alone: nothing of them was ever in a TLB.
+            let before = flushed(&tlb);
+            a.mprotect(Vpn(1), 2, Prot::R, &mut cy, &mut phys, &mut tlb, 2).unwrap();
+            assert_eq!(flushed(&tlb), before, "thp {thp}");
+            // Beside the two pages still resident, only those are flushed.
+            a.mprotect(Vpn(0), 4, Prot::R, &mut cy, &mut phys, &mut tlb, 2).unwrap();
+            let after = flushed(&tlb);
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, if thp { 2 } else { 0 }), "thp {thp}");
+            assert_eq!(a.observe(Vpn(2), &phys), Ok(102));
+            a.destroy(&mut phys, &mut cy);
+            assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
         }
     }
 

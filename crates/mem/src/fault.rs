@@ -146,7 +146,7 @@ impl AddressSpace {
         let pfn = phys.swap_in_frame(device_slot, cycles)?;
         let new = Pte::new(pfn, flags);
         self.pt.update_at(slot, vpn, new).expect("swap entry translated");
-        phys.swap_mut().dec_ref(device_slot).expect("slot read above");
+        phys.swap_mut().release([device_slot]).expect("slot read above");
         self.swapped -= 1;
         metrics::incr("mem.fault.swap_in");
         sink::instant("swap_in", "mem", cycles.total());

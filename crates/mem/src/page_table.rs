@@ -25,8 +25,8 @@
 //!   zeroed, copied with one `memcpy` and kept when it is let go of
 //!   ("Spare nodes" below). [`Pte`]
 //!   is the unpacked view, converted in `LeafNode::get`/`set`. Beside the
-//!   words sit a 512-bit occupancy map and three counts. A full node is
-//!   scanned word by word, a sparse one by its map;
+//!   words sit two 512-bit maps — the entries, and those holding a frame —
+//!   and three counts;
 //! * an **interior node** holds only what is linked: its entries stored
 //!   densely in a `Vec` (so `live` is its length and a new node owns no
 //!   heap memory), a 512-bit occupancy map that ordered walks enumerate
@@ -37,8 +37,17 @@
 //!
 //! A walk therefore visits the entries a node holds and nothing else:
 //! `collect_slots` (behind every leaf enumeration — fork, `destroy`,
-//! `leaves_in_range`, `check_summaries`), the directory grouping and
-//! collapse, and drop glue.
+//! `unmap_range`, `check_summaries`), the directory grouping
+//! and collapse, and drop glue.
+//!
+//! # Runs
+//!
+//! Every leaf-level operation works a *run* at a time: the positions of one
+//! slot whose entries begin in one VMA or one range
+//! (`SlotKind::positions`). A full run is gone through word by word, any
+//! other by its map; its frames go to the frame table as runs of
+//! consecutive frame numbers (`LeafNode::frame_runs`) and its swap slots
+//! to the swap device in a second pass (`LeafNode::swap_slots`).
 //!
 //! An arena node that empties goes on the free list as it is — `take`
 //! leaves no trace of an entry behind, so an empty node is a new node — and
@@ -60,8 +69,8 @@
 //! the free list, for `PageTable::new` to start from. The lists are
 //! per-thread (a cell is a thread; nothing is shared, so nothing is locked)
 //! and bounded by `SPARE_LEAVES` and `SPARE_ARENAS` × `SPARE_ARENA_NODES`;
-//! what does not fit goes back to the host (`docs/ARCHITECTURE.md`, "Life
-//! of a page-table node").
+//! what does not fit goes back to the host (`docs/ARCHITECTURE.md`, "Spare
+//! lists").
 //!
 //! # Huge mappings
 //!
@@ -85,7 +94,7 @@
 //! partial mprotect, and COW of a shared block require before they can
 //! operate at page granularity.
 //!
-//! Intermediate nodes are created lazily on `PageTable::map` and torn
+//! Intermediate nodes are created lazily on `PageTable::map_at` and torn
 //! down eagerly when their last entry is removed, so the node count always
 //! reflects the mapped footprint — the quantity an eager fork must copy.
 
@@ -117,20 +126,40 @@ impl Occupancy {
     }
 
     fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
+        // Baseline x86-64 counts bits without an instruction for it: what
+        // is mostly a few pages is counted a nonzero word at a time.
+        self.0.iter().filter(|&&w| w != 0).map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The part of the map in `first..last`.
-    fn within(mut self, first: usize, last: usize) -> Occupancy {
+    /// Whether no slot is held: cheaper than a count, which baseline
+    /// x86-64 has no instruction for.
+    fn is_empty(&self) -> bool {
+        self.0 == [0; PT_ENTRIES / 64]
+    }
+
+    /// The part of the map in `first..last`, going through the words the
+    /// range reaches into only: a run is mostly a few pages.
+    fn within(self, first: usize, last: usize) -> Occupancy {
         if (first, last) == (0, PT_ENTRIES) {
             return self;
         }
-        let ones_below = |n: usize| if n >= 64 { u64::MAX } else { (1 << n) - 1 };
-        for (w, word) in self.0.iter_mut().enumerate() {
-            let (from, to) = (first.saturating_sub(w * 64), last.saturating_sub(w * 64));
-            *word &= ones_below(to) & !ones_below(from);
+        let mut part = Occupancy::default();
+        for w in first / 64..last.div_ceil(64) {
+            let (from, to) = (first.saturating_sub(w * 64), (last - w * 64).min(64));
+            part.0[w] = self.0[w] & u64::MAX << from & u64::MAX >> (64 - to);
         }
+        part
+    }
+
+    /// The slots held here and not in `other`.
+    fn minus(mut self, other: Occupancy) -> Occupancy {
+        self.0.iter_mut().zip(other.0).for_each(|(mine, theirs)| *mine &= !theirs);
         self
+    }
+
+    /// Adds the slots `other` holds.
+    fn merge(&mut self, other: Occupancy) {
+        self.0.iter_mut().zip(other.0).for_each(|(mine, theirs)| *mine |= theirs);
     }
 
     /// The held slots of `first..last`, ascending.
@@ -165,7 +194,7 @@ impl Occupancy {
 
 /// Ascending iterator over the set bits of an [`Occupancy`].
 #[derive(Debug, Clone, Default)]
-struct HeldSlots {
+pub(crate) struct HeldSlots {
     left: [u64; PT_ENTRIES / 64],
     word: usize,
 }
@@ -377,6 +406,11 @@ impl LeafCounts {
     }
 }
 
+/// Whether a packed word is a writable entry that is not `MAP_SHARED`.
+fn private_writable(word: u64) -> bool {
+    (word & WRITABLE != 0) & (word & SHARED == 0)
+}
+
 /// Bits of a packed leaf word below the frame number: the [`PteFlags`].
 const FLAG_BITS: u32 = 16;
 
@@ -391,15 +425,18 @@ const SHARED: u64 = PteFlags::SHARED.0 as u64;
 /// fork and must be privatized before any mutation.
 ///
 /// The entries are 512 packed words, zero where nothing is mapped. Beside
-/// them a node keeps the map of the words that are not, and three counts
-/// of them, so that the fork walk can share the node without reading one:
-/// how many there are, how many a first share still has to COW-mark, and
-/// how many hold no frame. Every write goes through [`LeafNode::set`],
-/// which keeps all of it; [`PageTable::check_summaries`] recounts.
+/// them a node keeps the map of the words that are not, the map of those
+/// that hold a frame — the others are swap entries — and three counts, so
+/// that the fork walk can share the node without reading one: how many
+/// entries there are, how many a first share still has to COW-mark, and
+/// how many hold no frame.
+/// Every write goes through [`LeafNode::set`] or a run method, which keep
+/// all of it; [`PageTable::check_summaries`] recounts.
 #[derive(Debug)]
 pub(crate) struct LeafNode {
     words: Box<[u64; PT_ENTRIES]>,
     occupied: Occupancy,
+    present: Occupancy,
     counts: LeafCounts,
 }
 
@@ -416,6 +453,7 @@ impl LeafNode {
             Arc::new(LeafNode {
                 words: words.try_into().expect("a node of PT_ENTRIES words"),
                 occupied: Occupancy::default(),
+                present: Occupancy::default(),
                 counts: LeafCounts::default(),
             })
         });
@@ -424,10 +462,10 @@ impl LeafNode {
     }
 
     /// Whether the node holds nothing and says so: every word zero, the
-    /// map empty, the counts zero.
+    /// maps empty, the counts zero.
     fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-            && self.occupied == Occupancy::default()
+            && (self.occupied, self.present) == Default::default()
             && self.counts == LeafCounts::default()
     }
 
@@ -448,7 +486,7 @@ impl LeafNode {
             } else {
                 node.words.fill(0);
             }
-            (node.occupied, node.counts) = Default::default();
+            (node.occupied, node.present, node.counts) = Default::default();
             spares.push(leaf);
         });
     }
@@ -459,11 +497,16 @@ impl LeafNode {
         let mut copy = LeafNode::new();
         let own = Arc::get_mut(&mut copy).expect("a new node has one holder");
         own.words.copy_from_slice(&self.words[..]);
-        (own.occupied, own.counts) = (self.occupied, self.counts);
+        (own.occupied, own.present, own.counts) = (self.occupied, self.present, self.counts);
         copy
     }
 
-    fn unpack(word: u64) -> Pte {
+    /// `pte` as a packed word, and back.
+    pub(crate) fn pack(pte: Pte) -> u64 {
+        pte.pfn.0 << FLAG_BITS | pte.flags.0 as u64
+    }
+
+    pub(crate) fn unpack(word: u64) -> Pte {
         Pte {
             pfn: Pfn(word >> FLAG_BITS),
             flags: PteFlags(word as u16),
@@ -494,27 +537,16 @@ impl LeafNode {
         self.counts.swap_entries as u64
     }
 
-    /// In-node indices of the entries, ascending: every index of a full
-    /// node, the occupancy map's of any other. Borrows nothing, so the
-    /// entries may be rewritten on the way.
-    pub(crate) fn indices(&self) -> LeafIndices {
-        if self.counts.live as usize == PT_ENTRIES {
-            LeafIndices { all: 0..PT_ENTRIES, some: HeldSlots::default() }
-        } else {
-            LeafIndices { all: 0..0, some: self.occupied.slots() }
-        }
-    }
-
     /// The entries with their in-node indices, ascending.
-    pub(crate) fn iter(&self) -> LeafEntries<'_> {
-        LeafEntries { words: &self.words[..], indices: self.indices() }
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, Pte)> + '_ {
+        self.occupied.slots().map(|j| (j, Self::unpack(self.words[j])))
     }
 
     /// How to pass over the entries in `range` — a *run*, the part of a
-    /// node one VMA covers, is what the fork walk works in — by the rule of
-    /// [`Self::indices`]: `(dense, sparse)`, the range itself to go through
-    /// word by word if it is full, else the map of its entries to go by.
-    /// The other of the two is empty.
+    /// node one VMA covers, is what every leaf-level operation works in:
+    /// `(dense, sparse)`, the range itself to go through word by word if it
+    /// is full, else the map of its entries to go by. The other of the two
+    /// is empty.
     fn split(&self, range: Range<usize>) -> (Range<usize>, Occupancy) {
         let held = self.occupied.within(range.start, range.end);
         if held.count() == range.len() {
@@ -522,6 +554,11 @@ impl LeafNode {
         } else {
             (0..0, held)
         }
+    }
+
+    /// Whether an entry lies in `range`, by the map.
+    pub(crate) fn holds_in(&self, range: Range<usize>) -> bool {
+        !self.occupied.within(range.start, range.end).is_empty()
     }
 
     /// Number of entries in `range`, by the map.
@@ -535,57 +572,111 @@ impl LeafNode {
         range.start..held.nth(n as usize).unwrap_or(range.end)
     }
 
+    /// Number of entries in `range` that hold a frame, by the map.
+    pub(crate) fn present_in(&self, range: Range<usize>) -> u64 {
+        self.present.within(range.start, range.end).count() as u64
+    }
+
+    /// Whether an entry in `range` is writable.
+    pub(crate) fn writable_in(&self, range: Range<usize>) -> bool {
+        let (dense, sparse) = self.split(range);
+        dense.chain(sparse.slots()).any(|j| self.words[j] & WRITABLE != 0)
+    }
+
     /// The frames of the entries in `range`, ascending, as runs of
     /// consecutive frame numbers: what [`crate::phys::PhysMemory::retain`]
-    /// and `release` take. For a small-PTE node without swap entries, whose
-    /// every word holds a frame number.
-    pub(crate) fn frame_runs(&self, range: Range<usize>) -> LeafRuns<'_> {
-        debug_assert_eq!(self.counts.swap_entries, 0, "a swap entry holds no frame");
-        LeafRuns { words: &self.words, map: &self.occupied, end: range.end, left: range.start..range.start, singles: 0 }
+    /// and `release` take. A swap entry holds no frame and ends a run. In
+    /// a huge directory (`dir`) each entry is a 2 MiB block, a run of
+    /// [`HUGE_PAGES`] frames of its own.
+    pub(crate) fn frame_runs(&self, range: Range<usize>, dir: bool) -> FrameRuns<'_> {
+        if dir {
+            let blocks = self.present.slots_in(range.start, range.end);
+            return FrameRuns::Blocks(blocks, &self.words);
+        }
+        let left = range.start..range.start;
+        FrameRuns::Pages(LeafRuns { words: &self.words, map: &self.present, end: range.end, left, singles: 0 })
+    }
+
+    /// The swap slots of the swap entries in `range`, ascending: the second
+    /// pass beside [`Self::frame_runs`].
+    pub(crate) fn swap_slots(&self, range: Range<usize>) -> impl Iterator<Item = u64> + Clone + '_ {
+        // Most nodes hold none, and then not one word of the map is read.
+        let swapped = match self.swap_entries() {
+            0 => HeldSlots { left: Default::default(), word: PT_ENTRIES / 64 },
+            _ => self.occupied.minus(self.present).slots_in(range.start, range.end),
+        };
+        swapped.map(|j| self.words[j] >> FLAG_BITS)
     }
 
     /// Copies the entries `src` holds in `range` into this node, which
-    /// holds none there: the per-entry [`Self::set`] of a run in one pass,
-    /// with the map and the counts brought up to date once. With `cow`
-    /// each copy is write-protected and marked copy-on-write if the entry
-    /// was writable or marked already — what a fork leaves a child of a
-    /// private mapping — without a branch on the packed word.
-    pub(crate) fn copy_run(&mut self, src: &LeafNode, range: Range<usize>, cow: bool) {
-        let mut private_writable = 0;
-        let mut copy = |mine: &mut u64, theirs: u64| {
+    /// holds none there, each packed word through `copy` — the word itself,
+    /// or for an eager fork the frame copied — with the maps and the counts
+    /// brought up to date once. With `cow` each copy is write-protected and
+    /// marked copy-on-write if the entry was writable or marked already —
+    /// what a fork leaves a child of a private mapping — without a branch on
+    /// the packed word. Where `copy` fails, that entry and those after it
+    /// are not copied, and the error comes back with the entry's index.
+    pub(crate) fn copy_run<E>(
+        &mut self,
+        src: &LeafNode,
+        range: Range<usize>,
+        cow: bool,
+        mut copy: impl FnMut(u64) -> Result<u64, E>,
+    ) -> Result<(), (usize, E)> {
+        let mut private = 0;
+        let mut copy = |j: usize, mine: &mut u64, theirs: u64| {
+            let theirs = copy(theirs).map_err(|e| (j, e))?;
             let marks = cow & (theirs & (WRITABLE | COW) != 0);
             let word = if marks { theirs & !WRITABLE | COW } else { theirs };
             debug_assert!(*mine == 0, "entry mapped twice");
             *mine = word;
-            private_writable += ((word & WRITABLE != 0) & (word & SHARED == 0)) as u16;
+            private += private_writable(word) as u16;
+            Ok(())
         };
         let (dense, sparse) = src.split(range.clone());
-        let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense]);
-        pairs.for_each(|(mine, &theirs)| copy(mine, theirs));
-        sparse.slots().for_each(|j| copy(&mut self.words[j], src.words[j]));
-        let held = src.occupied.within(range.start, range.end);
-        for (mine, theirs) in self.occupied.0.iter_mut().zip(held.0) {
-            *mine |= theirs;
-        }
+        let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense.clone()]);
+        let copied = (dense.start..).zip(pairs).try_for_each(|(j, (mine, &theirs))| copy(j, mine, theirs));
+        let copied = copied.and_then(|()| sparse.slots().try_for_each(|j| copy(j, &mut self.words[j], src.words[j])));
+        let end = copied.as_ref().map_or_else(|(j, _)| *j, |()| range.end);
+        let held = src.occupied.within(range.start, end);
+        let present = if src.counts.swap_entries == 0 { held } else { src.present.within(range.start, end) };
+        self.occupied.merge(held);
+        self.present.merge(present);
         self.counts.live += held.count() as u16;
-        self.counts.private_writable += private_writable;
+        self.counts.private_writable += private;
+        self.counts.swap_entries += if src.counts.swap_entries == 0 { 0 } else { held.minus(present).count() as u16 };
+        copied
     }
 
-    /// Write-protects and marks copy-on-write every writable entry in
-    /// `range`, in place, handing `undo` the index and the former value of
-    /// each: what a fork does to the parent's side of a private mapping.
-    pub(crate) fn cow_mark_run(&mut self, range: Range<usize>, mut undo: impl FnMut(usize, Pte)) {
+    /// Write-protects every writable entry in `range`, in place — and with
+    /// `cow` marks it copy-on-write — handing `undo` the index and the
+    /// former value of each: what a fork does to the parent's side of a
+    /// private mapping, and `mprotect` to a mapping it takes writes from.
+    pub(crate) fn write_protect_run(&mut self, range: Range<usize>, cow: bool, mut undo: impl FnMut(usize, Pte)) {
         let (dense, sparse) = self.split(range);
         let mut private = 0;
         for j in dense.chain(sparse.slots()) {
             let word = self.words[j];
             if word & WRITABLE != 0 {
                 undo(j, Self::unpack(word));
-                self.words[j] = word & !WRITABLE | COW;
-                private += (word & SHARED == 0) as u16;
+                self.words[j] = word & !WRITABLE | if cow { COW } else { 0 };
+                private += private_writable(word) as u16;
             }
         }
         self.counts.private_writable -= private;
+    }
+
+    /// Removes the entries in `range` and returns how many there were.
+    pub(crate) fn clear_run(&mut self, range: Range<usize>) -> u64 {
+        let held = self.occupied.within(range.start, range.end);
+        let mut cleared = 0;
+        for j in held.slots() {
+            self.counts.add(self.get(j), -1);
+            (self.words[j], cleared) = (0, cleared + 1);
+        }
+        self.occupied = self.occupied.minus(held);
+        self.present = self.present.minus(held);
+        cleared
     }
 
     /// Writes entry `j` — the one way an entry changes — and returns what
@@ -602,12 +693,17 @@ impl LeafNode {
                     "an entry is present or swapped"
                 );
                 assert!(p.pfn.0 >> (64 - FLAG_BITS) == 0, "frame number too wide for a PTE");
-                self.words[j] = p.pfn.0 << FLAG_BITS | p.flags.0 as u64;
+                self.words[j] = Self::pack(p);
                 self.occupied.set(j);
+                match p.is_present() {
+                    true => self.present.set(j),
+                    false => self.present.clear(j),
+                }
             }
             None => {
                 self.words[j] = 0;
                 self.occupied.clear(j);
+                self.present.clear(j);
             }
         }
         self.counts.add(old, -1);
@@ -615,28 +711,13 @@ impl LeafNode {
         old
     }
 
-    /// The per-entry step of [`PageTable::map`] on a node that is not wired
-    /// into a table yet, to be installed with [`PageTable::install_leaf`].
-    /// Crosses [`FaultSite::PtNodeAlloc`] where `map` does. The fork walk
-    /// copies a run of entries with [`Self::copy_run`] behind one
-    /// `cross_n`; this is for the entries it still copies one at a time
-    /// because another fallible step comes between them — swap entries and
-    /// their neighbours, `ForkMode::Eager`'s frame copies, the pages of a
-    /// block an eager fork has to split.
-    #[inline]
-    pub(crate) fn map(&mut self, j: usize, pte: Pte) -> MemResult<()> {
-        fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        debug_assert!(self.words[j] == 0, "entry mapped twice");
-        self.set(j, Some(pte));
-        Ok(())
-    }
-
-    /// Recounts the map and the counts against the words.
+    /// Recounts the maps and the counts against the words.
     fn check(&self) -> Result<(), String> {
         let mut held = LeafCounts::default();
         for (j, &word) in self.words.iter().enumerate() {
-            if (word != 0) != self.occupied.test(j) {
-                return Err(format!("entry {j}: word {word:#x}, map {}", self.occupied.test(j)));
+            let maps = (self.occupied.test(j), self.present.test(j));
+            if maps != (word != 0, self.get(j).is_some_and(Pte::is_present)) {
+                return Err(format!("entry {j}: word {word:#x}, maps {maps:?}"));
             }
             held.add(self.get(j), 1);
         }
@@ -644,24 +725,6 @@ impl LeafNode {
             return Err(format!("keeps {:?}, holds {held:?}", self.counts));
         }
         Ok(())
-    }
-}
-
-/// The in-node indices [`LeafNode::indices`] yields: a full node's by
-/// counting, any other's by its map. By the map alone, `fork(Cow)` of full
-/// leaves runs 13 % slower per PTE and `destroy` 29 %.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LeafIndices {
-    all: std::ops::Range<usize>,
-    some: HeldSlots,
-}
-
-impl Iterator for LeafIndices {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        self.all.next().or_else(|| self.some.next())
     }
 }
 
@@ -686,12 +749,13 @@ fn runs_from(words: &[u64], first: u64) -> bool {
     off == 0
 }
 
-/// The frames [`LeafNode::frame_runs`] yields, a run at a time. Each
-/// stretch of neighbouring entries is checked whole first, a quarter of a
-/// node at a time, and is one run if its frames are consecutive — a
-/// populated heap's are. From the first quarter that fails it is cut where
-/// the check fails: into runs of whole [`RUN_BLOCK`]s that pass the same
-/// check, and runs of one for the frames of each block that does not. (In
+/// The frames [`LeafNode::frame_runs`] yields for a small-page node, a run
+/// at a time. Each stretch of neighbouring present entries (a swap entry
+/// ends one) is checked whole first, a quarter of a node at a time, and is
+/// one run if its frames are consecutive — a populated heap's are. From
+/// the first quarter that fails it is cut where the check fails: into runs
+/// of whole [`RUN_BLOCK`]s that pass the same check, and runs of one for
+/// the frames of each block that does not. (In
 /// one check of the whole stretch, a node of a `cow_touch` child — one
 /// page in 16 written — paid for 512 entries to learn what its first
 /// quarter says, and its teardown cost 5 % more than frame by frame.)
@@ -782,21 +846,38 @@ impl Iterator for LeafRuns<'_> {
     }
 }
 
-/// The entries [`LeafNode::iter`] yields; none at all by default.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LeafEntries<'a> {
-    words: &'a [u64],
-    indices: LeafIndices,
+/// The frames [`LeafNode::frame_runs`] yields: a small-page node's as
+/// [`LeafRuns`] finds them, a huge directory's a block at a time.
+#[derive(Debug, Clone)]
+pub(crate) enum FrameRuns<'a> {
+    Pages(LeafRuns<'a>),
+    Blocks(HeldSlots, &'a [u64; PT_ENTRIES]),
 }
 
-impl Iterator for LeafEntries<'_> {
-    type Item = (usize, Pte);
+impl Iterator for FrameRuns<'_> {
+    type Item = Range<u64>;
 
-    #[inline]
-    fn next(&mut self) -> Option<(usize, Pte)> {
-        let j = self.indices.next()?;
-        Some((j, LeafNode::unpack(self.words[j])))
+    #[inline(always)]
+    fn next(&mut self) -> Option<Range<u64>> {
+        match self {
+            FrameRuns::Pages(runs) => runs.next(),
+            FrameRuns::Blocks(held, words) => held.next().map(|j| block(words[j] >> FLAG_BITS)),
+        }
     }
+
+    /// The two kinds' own loops: [`LeafRuns::fold`] for pages.
+    #[inline(always)]
+    fn fold<B, F: FnMut(B, Range<u64>) -> B>(self, acc: B, mut f: F) -> B {
+        match self {
+            FrameRuns::Pages(runs) => runs.fold(acc, f),
+            FrameRuns::Blocks(held, words) => held.fold(acc, |acc, j| f(acc, block(words[j] >> FLAG_BITS))),
+        }
+    }
+}
+
+/// The frames of the 2 MiB block whose head is `pfn`.
+fn block(pfn: u64) -> Range<u64> {
+    pfn..pfn + HUGE_PAGES
 }
 
 /// What occupies a leaf-bearing slot, as reported by
@@ -821,6 +902,15 @@ impl SlotKind {
         }
     }
 
+    /// The in-node positions of the entries of the slot of this kind at
+    /// `base` that begin at a page of `[lo, hi)`: a *run*. A lone block is
+    /// the entry at position 0.
+    pub(crate) fn positions(self, base: u64, lo: u64, hi: u64) -> Range<usize> {
+        let (stride, end) = (self.stride(), base + PT_ENTRIES as u64 * self.stride());
+        let at = |vpn: u64| (vpn.clamp(base, end) - base).div_ceil(stride) as usize;
+        at(lo)..at(hi)
+    }
+
     /// Base VPN of the slot of this kind whose span covers `vpn`: the GiB
     /// of a directory, the 2 MiB block of everything else.
     fn base_of(self, vpn: Vpn) -> u64 {
@@ -843,15 +933,15 @@ fn covers((base, _, _, kind): Slot, vpn: Vpn) -> bool {
 /// demotion; rewriting an entry, or privatizing the node, keeps them.
 pub(crate) type Slot = (u64, u32, usize, SlotKind);
 
-/// One drained leaf from [`PageTable::take_leaves`].
+/// What [`PageTable::unmap_range`] takes out of a slot, as it is about to,
+/// and [`PageTable::take_leaves`] out of a table.
 #[derive(Debug)]
-pub(crate) enum TakenLeaf {
-    /// A node of small PTEs and swap entries.
-    Node(Arc<LeafNode>),
-    /// A huge directory: every entry a 2 MiB block.
-    Dir(Arc<LeafNode>),
-    /// A lone huge leaf.
-    Huge(Pte),
+pub(crate) enum Unmapped<'a> {
+    /// The entries of a node at a run of positions; a huge directory's,
+    /// 2 MiB blocks, with `true`.
+    Run(&'a LeafNode, Range<usize>, bool),
+    /// A lone 2 MiB block.
+    Block(Pte),
 }
 
 /// The link a descent followed at each level, by level: `(node, slot)`.
@@ -1044,7 +1134,8 @@ impl PageTable {
         }
     }
 
-    /// Installs a small leaf translation for `vpn`.
+    /// Installs a small leaf translation for `vpn`, returning the
+    /// coordinates of the slot it went into.
     ///
     /// Fails with [`MemError::Overlap`] if a translation is already present
     /// (including coverage by a huge block); callers must unmap first
@@ -1052,20 +1143,10 @@ impl PageTable {
     /// TLB flush is a bug). Panics if the covering leaf subtree is shared —
     /// callers must privatize first. Mapping a small page into a hole of a
     /// huge directory degroups the directory back to a level-1 table.
-    pub(crate) fn map(
-        &mut self,
-        vpn: Vpn,
-        pte: Pte,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) -> MemResult<()> {
-        self.map_at(vpn, pte, None, cycles, cost).map(|_| ())
-    }
-
-    /// [`Self::map`], returning the coordinates of the slot the translation
-    /// went into. `found` is what a caller's own [`Self::find`] returned for
-    /// `vpn`, if it made one: where that found the small-PTE node the entry
-    /// goes into, the descent is not made again. Otherwise the walk that
+    ///
+    /// `found` is what a caller's own [`Self::find`] returned for `vpn`, if
+    /// it made one: where that found the small-PTE node the entry goes
+    /// into, the descent is not made again. Otherwise the walk that
     /// allocates is the walk that finds.
     pub(crate) fn map_at(
         &mut self,
@@ -1134,39 +1215,16 @@ impl PageTable {
     /// falls in a hole of an exclusive huge directory the PTE is written
     /// straight into the directory; collapsing is attempted otherwise.
     ///
-    /// Charges [`CostModel::huge_map`] — the price of *constructing* a
-    /// block mapping (populate path). Fork-time duplication of an
-    /// existing block is a single entry write; use [`Self::copy_huge`].
+    /// Charges `charge` for the entry: [`CostModel::huge_map`] to
+    /// *construct* a block mapping (populate path), [`CostModel::pte_copy`]
+    /// to duplicate one that exists (fork, slide).
     pub(crate) fn map_huge(
         &mut self,
         vpn: Vpn,
         pte: Pte,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) -> MemResult<()> {
-        self.install_huge(vpn, pte, cycles, cost, cost.huge_map)
-    }
-
-    /// [`Self::map_huge`] priced as a copy of one already-built entry
-    /// ([`CostModel::pte_copy`]): the fork paths duplicate a parent's
-    /// huge PTE into the child, they do not build a mapping from scratch.
-    pub(crate) fn copy_huge(
-        &mut self,
-        vpn: Vpn,
-        pte: Pte,
-        cycles: &mut Cycles,
-        cost: &CostModel,
-    ) -> MemResult<()> {
-        self.install_huge(vpn, pte, cycles, cost, cost.pte_copy)
-    }
-
-    fn install_huge(
-        &mut self,
-        vpn: Vpn,
-        pte: Pte,
-        cycles: &mut Cycles,
-        cost: &CostModel,
         charge: u64,
+        cycles: &mut Cycles,
+        cost: &CostModel,
     ) -> MemResult<()> {
         if !vpn.is_user() {
             return Err(MemError::BadAddress);
@@ -1375,57 +1433,9 @@ impl PageTable {
         Ok(())
     }
 
-    /// Removes the translation for `vpn`, returning the old entry and
-    /// tearing down any intermediate nodes that become empty. A huge block
-    /// unmaps as a unit at its block base (the whole 512-page translation
-    /// comes back as one huge PTE); unmapping an interior page of a huge
-    /// block panics — callers must demote first. Panics if the covering
-    /// leaf subtree or directory is shared — callers must privatize first.
-    pub(crate) fn unmap(&mut self, vpn: Vpn) -> MemResult<Pte> {
-        let (path, node, idx, dir) = self.walk_recording(vpn).ok_or(MemError::NotMapped)?;
-        let n = &mut self.nodes[node as usize];
-        // The entry's index in its leaf node, and the pages it maps.
-        let (j, pages) = if dir { (vpn.pt_index(1), HUGE_PAGES) } else { (vpn.pt_index(0), 1) };
-        let pte = match n.get_mut(idx) {
-            Some(Entry::Huge(hpte)) => {
-                let hpte = *hpte;
-                assert!(vpn.is_huge_aligned(), "unmap inside a huge block (missed demote)");
-                n.take(idx);
-                self.mapped -= HUGE_PAGES;
-                self.huge -= 1;
-                hpte
-            }
-            Some(Entry::Leaf(arc)) => {
-                if arc.get(j).is_none() {
-                    return Err(MemError::NotMapped);
-                }
-                assert!(!dir || vpn.is_huge_aligned(), "unmap inside a huge block (missed demote)");
-                let leaf = Arc::get_mut(arc).expect(if dir {
-                    "unmap inside a shared directory (missed unshare)"
-                } else {
-                    "unmap inside a shared leaf subtree (missed unshare)"
-                });
-                let pte = leaf.set(j, None).expect("presence checked above");
-                self.mapped -= pages;
-                self.huge -= dir as u64;
-                if leaf.live() != 0 {
-                    return Ok(pte);
-                }
-                if let Entry::Leaf(emptied) = n.take(idx) {
-                    LeafNode::retire(emptied);
-                }
-                self.leaf_count -= 1;
-                pte
-            }
-            _ => return Err(MemError::NotMapped),
-        };
-        self.reclaim_path(&path, node, if dir { 3 } else { 2 });
-        Ok(pte)
-    }
-
     /// The one read-only descent: walks to the leaf-bearing slot covering
     /// `vpn`, recording the link followed at each level so that empty
-    /// ancestors can be reclaimed ([`Self::unmap`], [`Self::detach_leaf`])
+    /// ancestors can be reclaimed ([`Self::unlink`])
     /// or the parent of a level-1 node found ([`Self::try_collapse`]):
     /// `(path, node, slot, whether the slot is a huge directory's)`. The
     /// slot of a level-1 node may turn out to be empty; a path that breaks
@@ -1623,38 +1633,19 @@ impl PageTable {
         (base, node, idx, kind): Slot,
     ) -> impl Iterator<Item = (usize, Vpn, Pte)> + '_ {
         let (lone, members) = match self.entry_at(node, idx) {
-            Entry::Leaf(arc) => (None, arc.iter()),
-            Entry::Huge(p) => (Some(*p), LeafEntries::default()),
+            Entry::Leaf(arc) => (None, Some(arc.iter())),
+            Entry::Huge(p) => (Some(*p), None),
             Entry::Table(_) => panic!("slot_entries: stale coordinates"),
         };
-        let members = members.map(move |(j, p)| (j, Vpn(base + j as u64 * kind.stride()), p));
+        let members = members.into_iter().flatten().map(move |(j, p)| (j, Vpn(base + j as u64 * kind.stride()), p));
         lone.into_iter().map(move |p| (0, Vpn(base), p)).chain(members)
     }
 
-    /// The entries of the small-PTE node at coordinates from [`Self::find`]
-    /// that map a page of `vpns`, ascending, by the node's occupancy map:
-    /// what a mapping holds in one 2 MiB span, at the cost of what it holds.
-    pub(crate) fn small_entries_in(
-        &self,
-        (base, node, idx, kind): Slot,
-        vpns: Range<u64>,
-    ) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        debug_assert_eq!(kind, SlotKind::Small, "small_entries_in: a block is not read entry by entry");
-        let leaf = self.leaf_at(node, idx);
-        let within = |vpn: u64| (vpn.clamp(base, base + PT_ENTRIES as u64) - base) as usize;
-        let held = leaf.occupied.slots_in(within(vpns.start), within(vpns.end));
-        held.map(move |j| (Vpn(base + j as u64), LeafNode::unpack(leaf.words[j])))
-    }
-
-    /// Visits every leaf translation in ascending VPN order. Huge blocks
-    /// are yielded once at their block base with the `HUGE` flag set.
-    pub(crate) fn for_each_leaf(&self, mut f: impl FnMut(Vpn, Pte)) {
-        self.for_each_leaf_keyed(|_, vpn, pte| f(vpn, pte));
-    }
-
-    /// Visits every leaf translation along with the identity of the leaf
-    /// node holding it (stable address of the shared node), so callers can
-    /// recognise when two tables reference the *same* physical subtree.
+    /// Visits every leaf translation in ascending VPN order — a huge block
+    /// once at its block base, with the `HUGE` flag set — along with the
+    /// identity of the leaf node holding it (stable address of the shared
+    /// node), so callers can recognise when two tables reference the
+    /// *same* physical subtree.
     /// Lone huge leaves use the address of their entry in the arena node —
     /// a distinct allocation from every `Arc`, so identities never collide.
     pub(crate) fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
@@ -1667,18 +1658,109 @@ impl PageTable {
         }
     }
 
-    /// Collects all leaves in a range `[start, start + pages)`. Huge
-    /// blocks appear once at their block base; a block partially
-    /// overlapping the range boundary must be demoted by the caller before
-    /// this filter is meaningful.
-    pub(crate) fn leaves_in_range(&self, start: Vpn, pages: u64) -> Vec<(Vpn, Pte)> {
-        let range = start.0..start.0 + pages;
-        self.leaf_slots_in(range.start, range.end)
-            .into_iter()
-            .flat_map(|slot| self.slot_entries(slot))
-            .filter(|(_, vpn, _)| range.contains(&vpn.0))
-            .map(|(_, vpn, pte)| (vpn, pte))
-            .collect()
+    /// What the slot holds at a run of positions: how many of its entries
+    /// there hold a frame, and whether one of them is writable.
+    pub(crate) fn run_at(&self, (_, node, idx, _): Slot, run: Range<usize>) -> (u64, bool) {
+        match self.entry_at(node, idx) {
+            Entry::Huge(p) if run.contains(&0) => (1, p.is_writable()),
+            Entry::Huge(_) => (0, false),
+            Entry::Leaf(leaf) => (leaf.present_in(run.clone()), leaf.writable_in(run)),
+            Entry::Table(_) => panic!("run_at: stale coordinates"),
+        }
+    }
+
+    /// [`LeafNode::write_protect_run`] on the slot, a lone block included.
+    /// A fork's marking (`cow`) only ever meets writable entries that are
+    /// not `MAP_SHARED`, so a node whose count says it holds none is not
+    /// read; and a node another table holds has none to write-protect.
+    pub(crate) fn write_protect_at(&mut self, (_, node, idx, _): Slot, run: Range<usize>, cow: bool, mut undo: impl FnMut(usize, Pte)) {
+        match self.entry_at_mut(node, idx) {
+            Entry::Huge(p) if run.contains(&0) && p.is_writable() => {
+                undo(0, *p);
+                p.flags = p.flags.minus(PteFlags::WRITABLE).union(if cow { PteFlags::COW } else { PteFlags(0) });
+            }
+            Entry::Huge(_) => {}
+            Entry::Leaf(arc) if cow && arc.private_writable() == 0 => {}
+            Entry::Leaf(arc) => match Arc::get_mut(arc) {
+                Some(leaf) => leaf.write_protect_run(run, cow, undo),
+                None => debug_assert!(!arc.writable_in(run), "write-protecting a shared leaf subtree (missed unshare)"),
+            },
+            Entry::Table(_) => panic!("write_protect_at: stale coordinates"),
+        }
+    }
+
+    /// Removes every entry that begins at a page of `[lo, hi)` — a huge
+    /// block only whole, which the caller has seen to — a slot's run at a
+    /// time, ascending ([`Self::unmap_run`]).
+    pub(crate) fn unmap_range(&mut self, lo: u64, hi: u64, mut gone: impl FnMut(Unmapped)) {
+        self.with_leaf_slots(lo, hi, |pt, slots| slots.iter().for_each(|&slot| pt.unmap_run(slot, (lo, hi), &mut gone)));
+    }
+
+    /// Removes the entries of the slot at coordinates from a walk that
+    /// begin at a page of `[lo, hi)`: `gone` is shown what the slot loses
+    /// just before it does. A leaf node, and then the intermediate nodes
+    /// above it, that this leaves empty are let go of. Panics if the node is
+    /// shared — callers must privatize first.
+    pub(crate) fn unmap_run(&mut self, (base, node, idx, kind): Slot, (lo, hi): (u64, u64), gone: &mut impl FnMut(Unmapped)) {
+        let run = kind.positions(base, lo, hi);
+        let PageTable { nodes, mapped, huge, .. } = self;
+        let emptied = match nodes[node as usize].get_mut(idx).expect("stale slot coordinates") {
+            Entry::Huge(_) if !run.contains(&0) => return,
+            Entry::Huge(p) => {
+                debug_assert!(base + HUGE_PAGES <= hi, "unmap of part of a huge block (missed demote)");
+                gone(Unmapped::Block(*p));
+                true
+            }
+            Entry::Leaf(arc) if !arc.holds_in(run.clone()) => return,
+            Entry::Leaf(arc) => {
+                let dir = kind == SlotKind::Dir;
+                gone(Unmapped::Run(arc, run.clone(), dir));
+                let leaf = Arc::get_mut(arc).expect("unmap inside a shared leaf subtree (missed unshare)");
+                let n = leaf.clear_run(run);
+                *mapped -= n * kind.stride();
+                *huge -= if dir { n } else { 0 };
+                leaf.live() == 0
+            }
+            Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
+        };
+        if let Some(Entry::Leaf(leaf)) = emptied.then(|| self.unlink(Vpn(base))).flatten() {
+            LeafNode::retire(leaf);
+        }
+    }
+
+    /// Maps the first `n` entries that the small-PTE node at `src` holds at
+    /// positions `part` again at `to` on, with an index shift: into the
+    /// small-PTE node at `found`, what a [`Self::find`] of `to` said, or one
+    /// made, with its path, as [`Self::map_at`] makes it. The part lands in
+    /// one node.
+    pub(crate) fn map_moved(
+        &mut self,
+        (_, node, idx, _): Slot,
+        part: Range<usize>,
+        n: u64,
+        (to, found): (Vpn, Option<Slot>),
+        cycles: &mut Cycles,
+        cost: &CostModel,
+    ) -> MemResult<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        let dest = match found {
+            Some(slot @ (.., SlotKind::Small)) => slot,
+            _ => self.small_node_for(to, cycles, cost)?,
+        };
+        // The source, where it is another node than the destination (a node
+        // holds the pages it moves and those it moves to apart).
+        let src = ((dest.1, dest.2) != (node, idx)).then(|| Arc::clone(self.leaf_at(node, idx)));
+        let held = src.as_deref().unwrap_or(self.leaf_at(node, idx)).occupied.within(part.start, part.end);
+        let leaf = Arc::get_mut(self.leaf_at_mut(dest.1, dest.2)).expect("map into a shared leaf subtree (missed unshare)");
+        for j in held.slots().take(n as usize) {
+            let (at, word) = (to.pt_index(0) + j - part.start, src.as_ref().map_or(leaf.words[j], |src| src.words[j]));
+            debug_assert!(leaf.words[at] == 0, "entry mapped twice");
+            leaf.set(at, Some(LeafNode::unpack(word)));
+        }
+        self.mapped += n;
+        Ok(())
     }
 
     /// The leaf node at arena coordinates from [`Self::leaf_slot_coords`]
@@ -1700,9 +1782,9 @@ impl PageTable {
     }
 
     /// Wires the small-PTE node `leaf`, built off to the side with
-    /// [`LeafNode::copy_run`] and [`LeafNode::map`], into the empty level-1
+    /// [`LeafNode::copy_run`] or [`LeafNode::set`], into the empty level-1
     /// slot at `base`: the one descent, and the node charges, that mapping
-    /// its first entry through [`Self::map`] would have made. Infallible —
+    /// its first entry through [`Self::map_at`] would have made. Infallible —
     /// every entry crossed its fault site when it was written.
     pub(crate) fn install_leaf(
         &mut self,
@@ -1797,45 +1879,51 @@ impl PageTable {
     /// (drop it cheaply if still shared, release its frames if this was
     /// the last owner). Lone huge leaves are not `Arc`s — unmap those.
     pub(crate) fn detach_leaf(&mut self, base: u64) -> MemResult<Arc<LeafNode>> {
-        let vpn = Vpn(base);
-        let (path, node, idx, dir) = self.walk_recording(vpn).ok_or(MemError::NotMapped)?;
-        let n = &mut self.nodes[node as usize];
-        if !matches!(n.get(idx), Some(Entry::Leaf(_))) {
-            return Err(MemError::NotMapped);
+        match self.unlink(Vpn(base)) {
+            Some(Entry::Leaf(arc)) => Ok(arc),
+            _ => Err(MemError::NotMapped),
         }
-        debug_assert!(
-            !dir || (vpn.pt_index(1) == 0 && vpn.pt_index(0) == 0),
-            "detach of a directory must use its own base"
-        );
-        let Entry::Leaf(arc) = n.take(idx) else {
-            unreachable!("matched above");
-        };
-        self.leaf_count -= 1;
-        if dir {
-            self.mapped -= arc.live() * HUGE_PAGES;
-            self.huge -= arc.live();
-        } else {
-            self.mapped -= arc.live();
-        }
-        self.reclaim_path(&path, node, if dir { 3 } else { 2 });
-        Ok(arc)
     }
 
-    /// Drains every leaf into `sink` — `(base VPN, leaf)`, ascending by
-    /// base; lone huge leaves come as bare PTEs — and leaves the table
-    /// empty: O(nodes) address-space destruction. The arena is kept: every
-    /// node but the root goes on the free list, for whatever the table maps
-    /// next — or, if it drops first, for the next table of this thread.
-    pub(crate) fn take_leaves(&mut self, mut sink: impl FnMut(u64, TakenLeaf)) {
+    /// Takes what the leaf-bearing slot covering `vpn` holds out of the
+    /// table, with the pages it maps, and lets go of the intermediate nodes
+    /// this leaves empty.
+    fn unlink(&mut self, vpn: Vpn) -> Option<Entry> {
+        let (path, node, idx, dir) = self.walk_recording(vpn)?;
+        self.nodes[node as usize].get(idx)?;
+        let taken = self.nodes[node as usize].take(idx);
+        let (pages, blocks) = match &taken {
+            Entry::Huge(_) => (HUGE_PAGES, 1),
+            Entry::Leaf(arc) if dir => (arc.live() * HUGE_PAGES, arc.live()),
+            Entry::Leaf(arc) => (arc.live(), 0),
+            Entry::Table(_) => unreachable!("a walk ends at a leaf-bearing slot"),
+        };
+        self.leaf_count -= matches!(taken, Entry::Leaf(_)) as u64;
+        (self.mapped, self.huge) = (self.mapped - pages, self.huge - blocks);
+        self.reclaim_path(&path, node, if dir { 3 } else { 2 });
+        Some(taken)
+    }
+
+    /// Drains every leaf and leaves the table empty: O(nodes) address-space
+    /// destruction. A node this table holds alone is shown to `gone` whole
+    /// before it goes to the spares, and so is a lone block; a node another
+    /// table still holds is let go of unseen — the other holder keeps what
+    /// it references. The arena is kept: every node but the root goes on
+    /// the free list, for whatever the table maps next — or, if it drops
+    /// first, for the next table of this thread.
+    pub(crate) fn take_leaves(&mut self, mut gone: impl FnMut(Unmapped)) {
         self.with_leaf_slots(0, u64::MAX, |pt, slots| {
-            for &(base, node, idx, kind) in slots {
-                let taken = match pt.nodes[node as usize].take(idx) {
-                    Entry::Leaf(arc) if kind == SlotKind::Dir => TakenLeaf::Dir(arc),
-                    Entry::Leaf(arc) => TakenLeaf::Node(arc),
-                    Entry::Huge(p) => TakenLeaf::Huge(p),
+            for &(_, node, idx, kind) in slots {
+                match pt.nodes[node as usize].take(idx) {
+                    Entry::Huge(p) => gone(Unmapped::Block(p)),
+                    Entry::Leaf(leaf) => {
+                        if Arc::strong_count(&leaf) == 1 {
+                            gone(Unmapped::Run(&leaf, 0..PT_ENTRIES, kind == SlotKind::Dir));
+                        }
+                        LeafNode::retire(leaf);
+                    }
                     Entry::Table(_) => unreachable!("coordinates name leaf-bearing slots"),
-                };
-                sink(base, taken);
+                }
             }
         });
         // What is left is links between intermediate nodes.
@@ -1917,6 +2005,18 @@ mod tests {
         (PageTable::new(), Cycles::new(), CostModel::default())
     }
 
+    impl PageTable {
+        /// [`PageTable::map_at`] without a lookup of the caller's.
+        fn map(&mut self, vpn: Vpn, pte: Pte, cycles: &mut Cycles, cost: &CostModel) -> MemResult<()> {
+            self.map_at(vpn, pte, None, cycles, cost).map(|_| ())
+        }
+
+        /// [`PageTable::map_huge`] of a block built from scratch.
+        fn map_huge_built(&mut self, vpn: Vpn, pte: Pte, cycles: &mut Cycles, cost: &CostModel) -> MemResult<()> {
+            self.map_huge(vpn, pte, cost.huge_map, cycles, cost)
+        }
+    }
+
     fn huge(pfn: u64) -> Pte {
         Pte::new(Pfn(pfn), PteFlags::WRITABLE | PteFlags::HUGE)
     }
@@ -1926,11 +2026,51 @@ mod tests {
         Arc::get_mut(leaf).expect("held once")
     }
 
-    /// What [`PageTable::take_leaves`] hands over, in the order it does.
-    fn taken(pt: &mut PageTable) -> Vec<(u64, TakenLeaf)> {
+    /// What [`PageTable::take_leaves`] shows of what it drains, in the order
+    /// it does: each node's entries, and whether it is a directory; a lone
+    /// block as its one entry.
+    fn taken(pt: &mut PageTable) -> Vec<(Vec<Pte>, bool)> {
         let mut out = Vec::new();
-        pt.take_leaves(|base, leaf| out.push((base, leaf)));
+        pt.take_leaves(|gone| {
+            out.push(match gone {
+                Unmapped::Block(pte) => (vec![pte], false),
+                Unmapped::Run(leaf, _, dir) => (leaf.iter().map(|(_, pte)| pte).collect(), dir),
+            })
+        });
         out
+    }
+
+    /// Unmaps the entry that begins at `vpn` — a block whole — and returns
+    /// it.
+    fn unmap(pt: &mut PageTable, vpn: Vpn) -> MemResult<Pte> {
+        let hi = match pt.find(vpn).ok_or(MemError::NotMapped)?.3 {
+            SlotKind::Small => vpn.0 + 1,
+            SlotKind::Dir | SlotKind::Huge => vpn.0 + HUGE_PAGES,
+        };
+        let mut got = Err(MemError::NotMapped);
+        pt.unmap_range(vpn.0, hi, |gone| {
+            got = Ok(match gone {
+                Unmapped::Block(pte) => pte,
+                Unmapped::Run(leaf, run, _) => leaf.get(run.start).expect("an entry begins at the page"),
+            })
+        });
+        got
+    }
+
+    /// The pages, by where their entries begin, that `unmap_range(lo, hi)`
+    /// takes out of the table `build` makes.
+    fn unmapped_by(build: &dyn Fn() -> PageTable, lo: u64, hi: u64) -> Vec<u64> {
+        let leaves = |pt: &PageTable| {
+            let mut vpns = Vec::new();
+            pt.for_each_leaf_keyed(|_, vpn, _| vpns.push(vpn.0));
+            vpns
+        };
+        let mut pt = build();
+        let before = leaves(&pt);
+        pt.unmap_range(lo, hi, |_| {});
+        pt.check_summaries().unwrap();
+        let after = leaves(&pt);
+        before.into_iter().filter(|vpn| !after.contains(vpn)).collect()
     }
 
     fn leaf_shared(pt: &PageTable, vpn: Vpn) -> bool {
@@ -1942,11 +2082,11 @@ mod tests {
         let (mut pt, mut cy, cost) = fixture();
         // Three loose blocks in one GiB region, one lone block far away.
         for b in 0..3u64 {
-            pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+            pt.map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         let far = Vpn(512 * 512 * 3);
-        pt.map_huge(far, huge(1 << 30), &mut cy, &cost).unwrap();
+        pt.map_huge_built(far, huge(1 << 30), &mut cy, &cost).unwrap();
         let before = pt.node_count();
         pt.group_huge_tables();
         // The all-huge table traded its arena node for a leaf node.
@@ -1995,7 +2135,7 @@ mod tests {
         assert_eq!(got.pfn, Pfn(7));
         assert!(got.is_writable());
         assert_eq!(pt.mapped_pages(), 1);
-        let old = pt.unmap(vpn).unwrap();
+        let old = unmap(&mut pt, vpn).unwrap();
         assert_eq!(old.pfn, Pfn(7));
         assert_eq!(pt.translate(vpn), None);
         assert_eq!(pt.mapped_pages(), 0);
@@ -2015,7 +2155,7 @@ mod tests {
     #[test]
     fn unmap_missing_is_not_mapped() {
         let (mut pt, _, _) = fixture();
-        assert_eq!(pt.unmap(Vpn(99)), Err(MemError::NotMapped));
+        assert_eq!(unmap(&mut pt, Vpn(99)), Err(MemError::NotMapped));
     }
 
     #[test]
@@ -2040,7 +2180,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pt.node_count(), 4, "three intermediates + root");
-        pt.unmap(Vpn(0x40000)).unwrap();
+        unmap(&mut pt, Vpn(0x40000)).unwrap();
         assert_eq!(pt.node_count(), 1, "empty intermediates torn down");
         // Arena slots are recycled on the next map.
         pt.map(
@@ -2103,7 +2243,7 @@ mod tests {
             .unwrap();
         }
         let mut seen = Vec::new();
-        pt.for_each_leaf(|v, _| seen.push(v.0));
+        pt.for_each_leaf_keyed(|_, v, _| seen.push(v.0));
         let mut expect: Vec<u64> = vpns.iter().map(|v| v.0).collect();
         expect.sort();
         assert_eq!(seen, expect);
@@ -2121,7 +2261,7 @@ mod tests {
             assert!(old.is_writable());
         }
         let mut cows = 0;
-        pt.for_each_leaf(|_, pte| {
+        pt.for_each_leaf_keyed(|_, _, pte| {
             assert!(!pte.is_writable());
             assert!(pte.is_cow());
             cows += 1;
@@ -2130,20 +2270,26 @@ mod tests {
     }
 
     #[test]
-    fn leaves_in_range_filters() {
-        let (mut pt, mut cy, cost) = fixture();
-        for i in 0..20u64 {
-            pt.map(
-                Vpn(i * 10),
-                Pte::new(Pfn(i), PteFlags::default()),
-                &mut cy,
-                &cost,
-            )
-            .unwrap();
-        }
-        let r = pt.leaves_in_range(Vpn(50), 51); // VPNs 50..101
-        let vpns: Vec<u64> = r.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(vpns, vec![50, 60, 70, 80, 90, 100]);
+    fn unmap_range_takes_the_entries_in_range() {
+        let build = || {
+            let (mut pt, mut cy, cost) = fixture();
+            for i in 0..20u64 {
+                pt.map(Vpn(i * 10), Pte::new(Pfn(i), PteFlags::default()), &mut cy, &cost).unwrap();
+            }
+            pt
+        };
+        assert_eq!(unmapped_by(&build, 50, 101), vec![50, 60, 70, 80, 90, 100]);
+        // What the node loses is shown it first, as one run.
+        let mut pt = build();
+        let mut runs = Vec::new();
+        pt.unmap_range(50, 101, |gone| match gone {
+            Unmapped::Run(leaf, run, dir) => runs.push((leaf.live_in(run.clone()), run, dir)),
+            Unmapped::Block(_) => panic!("no block here"),
+        });
+        assert_eq!(runs, vec![(6, 50..101, false)]);
+        assert_eq!(pt.mapped_pages(), 14);
+        pt.unmap_range(0, 200, |_| {});
+        assert_eq!((pt.mapped_pages(), pt.node_count()), (0, 1), "the emptied node and its path are let go of");
     }
 
     #[test]
@@ -2242,9 +2388,8 @@ mod tests {
         )
         .unwrap();
         let leaves = taken(&mut pt);
-        assert_eq!(leaves.len(), 2);
-        assert_eq!(leaves[0].0, 0);
-        assert_eq!(leaves[1].0, 0x40000);
+        let frames: Vec<Pfn> = leaves.iter().flat_map(|(entries, _)| entries.iter().map(|pte| pte.pfn)).collect();
+        assert_eq!(frames, vec![Pfn(1), Pfn(2)], "one node each, in address order");
         assert_eq!(pt.node_count(), 1);
         assert_eq!(pt.mapped_pages(), 0);
     }
@@ -2282,7 +2427,7 @@ mod tests {
     #[test]
     fn map_huge_translates_every_interior_page() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(512), huge(1024), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(512), huge(1024), &mut cy, &cost).unwrap();
         assert_eq!(pt.mapped_pages(), 512);
         assert_eq!(pt.huge_mapped(), 1);
         // Block base and interior pages all translate, offset into the run.
@@ -2296,7 +2441,7 @@ mod tests {
         assert_eq!(pt.translate(Vpn(1024)), None);
         assert_eq!(pt.huge_block(Vpn(700)).unwrap().pfn, Pfn(1024));
         // The whole block unmaps as one entry.
-        let old = pt.unmap(Vpn(512)).unwrap();
+        let old = unmap(&mut pt, Vpn(512)).unwrap();
         assert_eq!(old.pfn, Pfn(1024));
         assert!(old.is_huge());
         assert_eq!(pt.mapped_pages(), 0);
@@ -2307,31 +2452,32 @@ mod tests {
     #[test]
     fn huge_and_small_overlap_is_rejected_both_ways() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(0), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(0), huge(0), &mut cy, &cost).unwrap();
         assert_eq!(
             pt.map(Vpn(5), Pte::new(Pfn(9), PteFlags::default()), &mut cy, &cost),
             Err(MemError::Overlap),
             "small page under a huge block"
         );
         assert_eq!(
-            pt.map_huge(Vpn(0), huge(512), &mut cy, &cost),
+            pt.map_huge_built(Vpn(0), huge(512), &mut cy, &cost),
             Err(MemError::Overlap)
         );
         pt.map(Vpn(512), Pte::new(Pfn(3), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert_eq!(
-            pt.map_huge(Vpn(512), huge(1024), &mut cy, &cost),
+            pt.map_huge_built(Vpn(512), huge(1024), &mut cy, &cost),
             Err(MemError::Overlap),
             "huge block over an existing small page"
         );
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "missed demote")]
-    fn unmapping_interior_of_huge_block_panics() {
+    fn unmapping_part_of_a_huge_block_panics() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(0), &mut cy, &cost).unwrap();
-        let _ = pt.unmap(Vpn(3));
+        pt.map_huge_built(Vpn(0), huge(0), &mut cy, &cost).unwrap();
+        pt.unmap_range(0, 3, |_| {});
     }
 
     #[test]
@@ -2375,12 +2521,12 @@ mod tests {
         pt.map(Vpn(1023), Pte::new(Pfn(1535), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         assert!(pt.promotable(Vpn(512)).is_none(), "mismatched flags");
-        pt.unmap(Vpn(1023)).unwrap();
+        unmap(&mut pt, Vpn(1023)).unwrap();
         pt.map(Vpn(1023), Pte::new(Pfn(1535), flags), &mut cy, &cost)
             .unwrap();
         assert!(pt.promotable(Vpn(512)).is_some(), "fixed block promotes");
         // Discontiguous frame kills it.
-        pt.unmap(Vpn(515)).unwrap();
+        unmap(&mut pt, Vpn(515)).unwrap();
         pt.map(Vpn(515), Pte::new(Pfn(9000), flags), &mut cy, &cost)
             .unwrap();
         assert!(pt.promotable(Vpn(512)).is_none(), "discontiguous frames");
@@ -2389,7 +2535,7 @@ mod tests {
     #[test]
     fn demote_restores_per_page_ptes_aliasing_the_run() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(2048), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(0), huge(2048), &mut cy, &cost).unwrap();
         let mut dcy = Cycles::new();
         pt.demote_block(Vpn(7), &mut dcy, &cost).unwrap();
         assert_eq!(dcy.total(), cost.pt_demote);
@@ -2402,7 +2548,7 @@ mod tests {
             assert!(p.is_writable());
         }
         // Pages are now individually unmappable.
-        pt.unmap(Vpn(3)).unwrap();
+        unmap(&mut pt, Vpn(3)).unwrap();
         assert_eq!(pt.mapped_pages(), 511);
     }
 
@@ -2411,7 +2557,7 @@ mod tests {
         let (mut pt, mut cy, cost) = fixture();
         // 512 huge blocks = 1 GiB: fills the level-1 node completely.
         for b in 0..512u64 {
-            pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+            pt.map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         assert_eq!(pt.huge_mapped(), 512);
@@ -2433,7 +2579,7 @@ mod tests {
         let (mut parent, mut cy, cost) = fixture();
         for b in 0..512u64 {
             parent
-                .map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+                .map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         let (base, n2, idx, kind) = parent.leaf_slot_coords()[0];
@@ -2465,12 +2611,12 @@ mod tests {
     fn small_map_into_directory_hole_degroups() {
         let (mut pt, mut cy, cost) = fixture();
         for b in 0..512u64 {
-            pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+            pt.map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         assert_eq!(pt.leaf_slot_coords()[0].3, SlotKind::Dir);
         // Open a block-aligned hole, then drop a small page into it.
-        pt.unmap(Vpn(512 * 10)).unwrap();
+        unmap(&mut pt, Vpn(512 * 10)).unwrap();
         assert_eq!(pt.huge_mapped(), 511);
         pt.map(
             Vpn(512 * 10 + 3),
@@ -2492,7 +2638,7 @@ mod tests {
     fn demote_of_directory_member_degroups_then_splits() {
         let (mut pt, mut cy, cost) = fixture();
         for b in 0..512u64 {
-            pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+            pt.map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         pt.demote_block(Vpn(512 * 5 + 9), &mut cy, &cost).unwrap();
@@ -2511,20 +2657,20 @@ mod tests {
         let (mut parent, mut cy, cost) = fixture();
         for b in 0..512u64 {
             parent
-                .map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+                .map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         let (base, n2, idx, _) = parent.leaf_slot_coords()[0];
         let arc = Arc::clone(parent.leaf_at(n2, idx));
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, true, &mut cy, &cost).unwrap();
-        let _ = parent.unmap(Vpn(0));
+        let _ = unmap(&mut parent, Vpn(0));
     }
 
     #[test]
     fn whole_block_update_flips_huge_pte_in_place() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(1024), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(0), huge(1024), &mut cy, &cost).unwrap();
         let cow = Pte::new(
             Pfn(1024),
             PteFlags::USER | PteFlags::COW | PteFlags::HUGE,
@@ -2537,27 +2683,32 @@ mod tests {
 
     #[test]
     fn walkers_yield_huge_blocks_once_at_base() {
+        let small = |pt: &mut PageTable, cy: &mut Cycles, cost: &CostModel, v: u64| {
+            pt.map(Vpn(v), Pte::new(Pfn(v), PteFlags::default()), cy, cost).unwrap()
+        };
         let (mut pt, mut cy, cost) = fixture();
-        pt.map(Vpn(5), Pte::new(Pfn(5), PteFlags::default()), &mut cy, &cost)
-            .unwrap();
-        pt.map_huge(Vpn(1024), huge(2048), &mut cy, &cost).unwrap();
+        small(&mut pt, &mut cy, &cost, 5);
+        pt.map_huge_built(Vpn(1024), huge(2048), &mut cy, &cost).unwrap();
         let mut seen = Vec::new();
-        pt.for_each_leaf(|v, p| seen.push((v.0, p.is_huge())));
+        pt.for_each_leaf_keyed(|_, v, p| seen.push((v.0, p.is_huge())));
         assert_eq!(seen, vec![(5, false), (1024, true)]);
-        let r = pt.leaves_in_range(Vpn(0), 4096);
-        assert_eq!(r.len(), 2);
         // Slot order is address order over a table mixing small leaves,
         // lone huge slots and a directory (the whole second GiB), and a
         // ranged walk yields nothing from a subtree outside its range.
         let gib = 512 * 512u64;
-        for b in 0..512u64 {
-            pt.map_huge(Vpn(gib + b * 512), huge(gib + b * 512), &mut cy, &cost)
-                .unwrap();
-        }
-        for v in [2 * gib + 7, 1 << 30] {
-            pt.map(Vpn(v), Pte::new(Pfn(v), PteFlags::default()), &mut cy, &cost)
-                .unwrap();
-        }
+        let build = || {
+            let (mut pt, mut cy, cost) = fixture();
+            small(&mut pt, &mut cy, &cost, 5);
+            pt.map_huge_built(Vpn(1024), huge(2048), &mut cy, &cost).unwrap();
+            for b in 0..512u64 {
+                pt.map_huge_built(Vpn(gib + b * 512), huge(gib + b * 512), &mut cy, &cost).unwrap();
+            }
+            for v in [2 * gib + 7, 1 << 30] {
+                small(&mut pt, &mut cy, &cost, v);
+            }
+            pt
+        };
+        let pt = build();
         let slots: Vec<(u64, SlotKind)> =
             pt.leaf_slot_coords().iter().map(|c| (c.0, c.3)).collect();
         assert_eq!(
@@ -2571,17 +2722,17 @@ mod tests {
             ]
         );
         let mut all = Vec::new();
-        pt.for_each_leaf(|v, _| all.push(v.0));
+        pt.for_each_leaf_keyed(|_, v, _| all.push(v.0));
         assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending VPN order");
         assert_eq!(all.len(), 2 + 512 + 2);
-        let vpns = |start: u64, pages: u64| -> Vec<u64> {
-            pt.leaves_in_range(Vpn(start), pages).iter().map(|(v, _)| v.0).collect()
-        };
-        assert_eq!(vpns(1024, 512), vec![1024]);
-        assert_eq!(vpns(6, 1018), Vec::<u64>::new(), "gap between slots");
-        assert_eq!(vpns(gib + 3 * 512, 1024), vec![gib + 3 * 512, gib + 4 * 512]);
-        assert_eq!(vpns(2 * gib, gib), vec![2 * gib + 7]);
-        assert_eq!(vpns(3 * gib, 1 << 29), Vec::<u64>::new(), "empty subtrees");
+        // A range takes the blocks that begin in it, each whole.
+        let taken = |start: u64, pages: u64| unmapped_by(&build, start, start + pages);
+        assert_eq!(taken(0, 4096), vec![5, 1024]);
+        assert_eq!(taken(1024, 512), vec![1024]);
+        assert_eq!(taken(6, 1018), Vec::<u64>::new(), "gap between slots");
+        assert_eq!(taken(gib + 3 * 512, 1024), vec![gib + 3 * 512, gib + 4 * 512]);
+        assert_eq!(taken(2 * gib, gib), vec![2 * gib + 7]);
+        assert_eq!(taken(3 * gib, 1 << 29), Vec::<u64>::new(), "empty subtrees");
         let dir_only: Vec<u64> = pt.leaf_slots_in(gib, 2 * gib).iter().map(|c| c.0).collect();
         assert_eq!(dir_only, vec![gib], "neighbouring subtrees are not entered");
     }
@@ -2589,21 +2740,16 @@ mod tests {
     #[test]
     fn take_leaves_returns_lone_huges_and_directories() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(0), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(0), huge(0), &mut cy, &cost).unwrap();
         for b in 512..1024u64 {
-            pt.map_huge(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
+            pt.map_huge_built(Vpn(b * 512), huge(b * 512), &mut cy, &cost)
                 .unwrap();
         }
         let leaves = taken(&mut pt);
         assert_eq!(leaves.len(), 2);
-        assert!(matches!(leaves[0].1, TakenLeaf::Huge(_)));
-        match &leaves[1].1 {
-            TakenLeaf::Dir(arc) => {
-                assert_eq!(arc.live(), 512);
-                assert!(arc.iter().all(|(_, p)| p.is_huge()));
-            }
-            _ => panic!("directory expected"),
-        }
+        assert!(leaves[0].0[0].is_huge() && !leaves[0].1, "a lone block first");
+        assert_eq!((leaves[1].0.len(), leaves[1].1), (512, true), "then the directory");
+        assert!(leaves[1].0.iter().all(|p| p.is_huge()));
         assert_eq!(pt.mapped_pages(), 0);
         assert_eq!(pt.huge_mapped(), 0);
     }
@@ -2611,7 +2757,7 @@ mod tests {
     #[test]
     fn injected_demote_failure_leaves_block_huge() {
         let (mut pt, mut cy, cost) = fixture();
-        pt.map_huge(Vpn(0), huge(1024), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(0), huge(1024), &mut cy, &cost).unwrap();
         let plan = fpr_faults::FaultPlan::passive().fail_at(FaultSite::PtDemote, 0);
         let (r, _) = fpr_faults::with_plan(plan, || pt.demote_block(Vpn(3), &mut cy, &cost));
         assert_eq!(r, Err(MemError::OutOfMemory));
@@ -2652,7 +2798,7 @@ mod tests {
     }
 
     #[test]
-    fn leaf_words_round_trip_and_scan_by_map_or_by_count() {
+    fn leaf_words_round_trip_and_scan_by_map() {
         let mut leaf = LeafNode::new();
         let leaf = own(&mut leaf);
         let swapped = Pte::swap_entry(0xABCD);
@@ -2666,8 +2812,8 @@ mod tests {
         assert_eq!((leaf.live(), leaf.swap_entries(), leaf.private_writable()), (3, 1, 1));
         leaf.check().unwrap();
         assert_eq!(leaf.set(9, None), Some(swapped));
-        assert_eq!(leaf.indices().collect::<Vec<_>>(), vec![130, 500]);
-        // A full node is scanned by counting, and yields the same.
+        assert_eq!(leaf.iter().map(|(j, _)| j).collect::<Vec<_>>(), vec![130, 500]);
+        // A full node yields every entry.
         for j in 0..PT_ENTRIES {
             leaf.set(j, Some(Pte::new(Pfn(j as u64), PteFlags::USER)));
         }
@@ -2678,8 +2824,8 @@ mod tests {
     }
 
     /// A node whose entries take every shape a fork tells apart: writable,
-    /// read-only, COW-marked already and `MAP_SHARED`; full over 64..128,
-    /// every third position elsewhere.
+    /// read-only, COW-marked already, `MAP_SHARED` and swapped out (every
+    /// eleventh); full over 64..128, every third position elsewhere.
     fn mixed_leaf() -> Arc<LeafNode> {
         let flags = [
             PteFlags::WRITABLE | PteFlags::DIRTY,
@@ -2689,7 +2835,11 @@ mod tests {
         ];
         let mut leaf = LeafNode::new();
         for j in (0..PT_ENTRIES).filter(|j| (64..128).contains(j) || j % 3 == 0) {
-            own(&mut leaf).set(j, Some(Pte::new(Pfn(1000 + j as u64), flags[j % 4])));
+            let pte = match j % 11 {
+                0 => Pte::swap_entry(5000 + j as u64),
+                _ => Pte::new(Pfn(1000 + j as u64), flags[j % 4]),
+            };
+            own(&mut leaf).set(j, Some(pte));
         }
         leaf
     }
@@ -2703,25 +2853,33 @@ mod tests {
     #[test]
     fn a_run_is_copied_and_marked_as_its_entries_would_be_one_by_one() {
         let src = mixed_leaf();
-        let cow = |pte: Pte| Pte { flags: pte.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW), ..pte };
+        let protect = |pte: Pte, cow: bool| {
+            let flags = pte.flags.minus(PteFlags::WRITABLE);
+            Pte { flags: if cow { flags.union(PteFlags::COW) } else { flags }, ..pte }
+        };
         // Full, sparse, straddling both, empty, and the whole node.
         for run in [64..128, 0..64, 100..300, 1..3, 0..PT_ENTRIES] {
             let held: Vec<(usize, Pte)> = src.iter().filter(|(j, _)| run.contains(j)).collect();
-            assert_eq!(src.live_in(run.clone()), held.len() as u64);
-            let frames: Vec<Pfn> = src.frame_runs(run.clone()).flatten().map(Pfn).collect();
-            assert_eq!(frames, held.iter().map(|(_, pte)| pte.pfn).collect::<Vec<_>>());
-            // The node's frames run on wherever its entries do, whatever
-            // their flags: one run a stretch of neighbouring entries.
-            let runs: Vec<Range<u64>> = src.frame_runs(run.clone()).collect();
-            let spans = std::iter::successors(src.occupied.span_from(run.start, run.end), |s| src.occupied.span_from(s.end, run.end));
+            let (present, swapped): (Vec<_>, Vec<_>) = held.iter().partition(|(_, pte)| pte.is_present());
+            assert_eq!((src.live_in(run.clone()), src.present_in(run.clone())), (held.len() as u64, present.len() as u64));
+            let frames: Vec<Pfn> = src.frame_runs(run.clone(), false).flatten().map(Pfn).collect();
+            assert_eq!(frames, present.iter().map(|(_, pte)| pte.pfn).collect::<Vec<_>>());
+            let slots: Vec<u64> = src.swap_slots(run.clone()).collect();
+            assert_eq!(slots, swapped.iter().map(|(_, pte)| pte.swap_slot()).collect::<Vec<_>>());
+            // The node's frames run on wherever its present entries do,
+            // whatever their flags: one run a stretch of neighbouring
+            // entries, which a swap entry ends.
+            let runs: Vec<Range<u64>> = src.frame_runs(run.clone(), false).collect();
+            let spans = std::iter::successors(src.present.span_from(run.start, run.end), |s| src.present.span_from(s.end, run.end));
             assert_eq!(runs, spans.map(|s| 1000 + s.start as u64..1000 + s.end as u64).collect::<Vec<_>>());
+            assert_eq!(src.writable_in(run.clone()), held.iter().any(|(_, pte)| pte.is_writable()));
             for n in [0, 1, held.len() / 2, held.len(), held.len() + 1] {
                 let cut = src.first_in(run.clone(), n as u64);
                 let kept = held.iter().filter(|(j, _)| cut.contains(j)).count();
                 assert_eq!((cut.start, kept), (run.start, n.min(held.len())), "{run:?} cut behind {n}");
                 assert!(cut.end == run.end || src.get(cut.end).is_some(), "the cut falls before an entry");
             }
-            for marking in [false, true] {
+            for (marking, refusing) in [(false, None), (true, None), (true, Some(held.len() / 2)), (false, Some(0))] {
                 // Between two entries of other runs, as a fork leaves it.
                 let (mut by_run, mut by_entry) = (LeafNode::new(), LeafNode::new());
                 let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
@@ -2730,23 +2888,37 @@ mod tests {
                     leaf.set(511, Some(Pte::swap_entry(9)));
                 }
                 let inner = run.start.max(1)..run.end.min(511);
-                by_run.copy_run(&src, inner.clone(), marking);
-                for &(j, pte) in held.iter().filter(|(j, _)| inner.contains(j)) {
+                let inner_held: Vec<(usize, Pte)> = held.iter().copied().filter(|(j, _)| inner.contains(j)).collect();
+                // A copy that refuses the entry it is handed `refusing`-th.
+                let mut handed = 0;
+                let copied = by_run.copy_run(&src, inner.clone(), marking, |pte| {
+                    handed += 1;
+                    if Some(handed - 1) == refusing { Err(()) } else { Ok(pte) }
+                });
+                let refused = refusing.and_then(|k| inner_held.get(k)).map(|&(j, _)| j);
+                assert_eq!(copied, refused.map_or(Ok(()), |j| Err((j, ()))), "{run:?}");
+                for &(j, pte) in inner_held.iter().filter(|(j, _)| refused.is_none_or(|r| *j < r)) {
                     let marks = marking && (pte.is_writable() || pte.is_cow());
-                    by_entry.set(j, Some(if marks { cow(pte) } else { pte }));
+                    by_entry.set(j, Some(if marks { protect(pte, true) } else { pte }));
                 }
-                assert_eq!(contents(by_run), contents(by_entry), "{run:?}, marking {marking}");
+                assert_eq!(contents(by_run), contents(by_entry), "{run:?}, marking {marking}, refusing {refusing:?}");
             }
-            // The parent's side: every writable entry marked, each logged.
-            let (mut by_run, mut by_entry) = (src.private_copy(), src.private_copy());
-            let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
-            let mut undo = Vec::new();
-            by_run.cow_mark_run(run.clone(), |j, pte| undo.push((j, pte)));
-            for &(j, pte) in held.iter().filter(|(_, pte)| pte.is_writable()) {
-                by_entry.set(j, Some(cow(pte)));
+            // The parent's side: every writable entry write-protected — for
+            // a fork also marked — each logged; and the run taken out.
+            for cow in [false, true] {
+                let (mut by_run, mut by_entry) = (src.private_copy(), src.private_copy());
+                let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
+                let mut undo = Vec::new();
+                by_run.write_protect_run(run.clone(), cow, |j, pte| undo.push((j, pte)));
+                for &(j, pte) in held.iter().filter(|(_, pte)| pte.is_writable()) {
+                    by_entry.set(j, Some(protect(pte, cow)));
+                }
+                assert_eq!(contents(by_run), contents(by_entry), "{run:?}");
+                assert_eq!(undo, held.iter().copied().filter(|(_, pte)| pte.is_writable()).collect::<Vec<_>>());
+                assert_eq!(by_run.clear_run(run.clone()), held.len() as u64);
+                held.iter().for_each(|&(j, _)| _ = by_entry.set(j, None));
+                assert_eq!(contents(by_run), contents(by_entry), "{run:?} cleared");
             }
-            assert_eq!(contents(by_run), contents(by_entry), "{run:?}");
-            assert_eq!(undo, held.iter().copied().filter(|(_, pte)| pte.is_writable()).collect::<Vec<_>>());
         }
     }
 
@@ -2767,8 +2939,8 @@ mod tests {
         }
         let arena = pt.nodes.len();
         assert_eq!((arena, pt.node_count()), (6, 9));
-        pt.unmap(Vpn(1 << 27)).unwrap();
-        pt.unmap(Vpn(1 << 18)).unwrap();
+        unmap(&mut pt, Vpn(1 << 27)).unwrap();
+        unmap(&mut pt, Vpn(1 << 18)).unwrap();
         assert_eq!((pt.free.len(), pt.node_count()), (3, 4), "siblings stay, the emptied go");
         pt.check_summaries().unwrap();
         // The next mappings take the freed nodes, which were not rebuilt.
@@ -2787,7 +2959,7 @@ mod tests {
         for vpn in [Vpn(3), Vpn(1 << 27), Vpn((1 << 27) | (1 << 18))] {
             pt.map(vpn, pte, &mut cy, &cost).unwrap();
         }
-        pt.map_huge(Vpn(512), huge(512), &mut cy, &cost).unwrap();
+        pt.map_huge_built(Vpn(512), huge(512), &mut cy, &cost).unwrap();
         let arena = pt.nodes.len();
         assert_eq!(taken(&mut pt).len(), 4);
         assert_eq!((pt.nodes.len(), pt.free.len()), (arena, arena - 1));
@@ -2857,8 +3029,8 @@ mod tests {
         for vpn in [Vpn(3), Vpn(1 << 27), Vpn((1 << 27) | (1 << 18)), Vpn(5 << 27)] {
             pt.map(vpn, pte, &mut cy, &cost).unwrap();
         }
-        pt.map_huge(Vpn(512), huge(512), &mut cy, &cost).unwrap();
-        pt.unmap(Vpn(5 << 27)).unwrap();
+        pt.map_huge_built(Vpn(512), huge(512), &mut cy, &cost).unwrap();
+        unmap(&mut pt, Vpn(5 << 27)).unwrap();
         let arena = pt.nodes.len();
         assert!(arena > 6 && !pt.free.is_empty());
         // Dropped as it stands, leaves and all.
@@ -2888,10 +3060,7 @@ mod tests {
         let pte = Pte::new(Pfn(1), PteFlags::default());
         // What `AddressSpace::destroy` does with a table.
         let destroy = |mut pt: PageTable| {
-            pt.take_leaves(|_, leaf| match leaf {
-                TakenLeaf::Node(leaf) | TakenLeaf::Dir(leaf) => LeafNode::retire(leaf),
-                TakenLeaf::Huge(_) => {}
-            });
+            pt.take_leaves(|_| {});
         };
         for cycle in 0..10_000 {
             let mut pt = PageTable::new();
@@ -2962,7 +3131,7 @@ mod tests {
         for vpn in [Vpn(0), Vpn(1 << 27)] {
             pt.map(vpn, pte, &mut cy, &cost).unwrap();
         }
-        pt.unmap(Vpn(1 << 27)).unwrap();
+        unmap(&mut pt, Vpn(1 << 27)).unwrap();
         pt.check_summaries().unwrap();
         let broken = |f: &dyn Fn(&mut PageTable)| {
             let mut pt = pt.clone();

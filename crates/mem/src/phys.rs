@@ -42,18 +42,18 @@
 //! through its mirror, `retain`. Both work in *runs of frames*: ranges of
 //! consecutive frame numbers, as a freshly populated heap maps them — one
 //! run for [`PhysMemory::dec_ref`], a 512-frame run for a huge block's
-//! `PhysMemory::dec_ref_run`, a leaf node's frames as the runs
-//! `LeafNode::frame_runs` finds in them from a fork, an unshare or a
-//! teardown. Each run is cut where a chunk of the table ends; each piece
-//! gets one check that every count in it is above zero, then one slice add
-//! or subtract, and `release` one more scan for the counts that reached
-//! zero. The frames come in the order the per-frame loop before them took
-//! them — runs in order, each ascending — so the frames a release frees go
-//! back in the same order as before and no later allocation moves:
-//! `retain` is still all or nothing, `release` still stops at the first
-//! frame the cell does not hold after dropping the ones before it, and the
-//! frames of a call go back together, a `frame_free` charge for each and
-//! one `mem.frame_free` count and one acquisition of the pool for all.
+//! `PhysMemory::dec_ref_run`, and for the run of a leaf node that a fork,
+//! an unshare, a teardown or a range operation goes over, the runs
+//! `LeafNode::frame_runs` finds in it, with the swap slots of its swap
+//! entries as a second pass on the swap device. Each run is cut where a
+//! chunk of the table ends; each piece gets one check that every count in
+//! it is above zero, then one slice add or subtract, and `release` one more
+//! scan for the counts that reached zero. The frames come in order — runs
+//! in order, each ascending — so the frames a release frees go back in that
+//! order: `retain` is all or nothing, `release` stops at the first frame
+//! the cell does not hold after dropping the ones before it, and the frames
+//! of a call go back together, a `frame_free` charge for each and one
+//! `mem.frame_free` count and one acquisition of the pool for all.
 //!
 //! Two layers sit on top of the pool:
 //!
@@ -582,45 +582,58 @@ impl PhysMemory {
         done.map(|_| ())
     }
 
-    /// Takes a reference on each frame of `runs`, ranges of frame numbers:
-    /// the mirror of [`Self::release`], for the frames of a run of PTEs a
-    /// fork copies or an unshare privatizes. All or nothing: at a frame
-    /// this cell does not hold it gives back what it took and reports
-    /// [`MemError::NotMapped`].
-    pub(crate) fn retain(&mut self, runs: impl IntoIterator<Item = Range<u64>, IntoIter: Clone>) -> MemResult<()> {
+    /// Takes a reference on each frame of `runs`, ranges of frame numbers,
+    /// and then on each swap slot of `slots`: what the entries of a run of
+    /// PTEs a fork copies or an unshare privatizes hold, frames in one pass
+    /// and slots in a second on the swap device. All or nothing: at a frame
+    /// this cell does not hold, or a slot the device does not, it gives back
+    /// what it took and reports [`MemError::NotMapped`].
+    pub(crate) fn retain(
+        &mut self,
+        runs: impl IntoIterator<Item = Range<u64>, IntoIter: Clone>,
+        slots: impl IntoIterator<Item = u64, IntoIter: Clone>,
+    ) -> MemResult<()> {
         let runs = runs.into_iter();
         let add = |_, refs: &mut [u32]| refs.iter_mut().for_each(|r| *r += 1);
-        Self::each_run(&mut self.table, runs.clone(), add).map_err(|mut taken| {
-            // The runs cut short behind the frames just taken.
-            let taken = runs.map(|run| {
-                let n = (run.end - run.start).min(taken);
-                taken -= n;
-                run.start..run.start + n
-            });
-            let sub = |_, refs: &mut [u32]| refs.iter_mut().for_each(|r| *r -= 1);
-            Self::each_run(&mut self.table, taken, sub).expect("frames just retained");
-            MemError::NotMapped
-        })
+        let sub = |_, refs: &mut [u32]| refs.iter_mut().for_each(|r| *r -= 1);
+        let mut taken = match Self::each_run(&mut self.table, runs.clone(), add) {
+            Ok(()) => {
+                return self.swap.retain(slots).inspect_err(|_| {
+                    Self::each_run(&mut self.table, runs, sub).expect("frames just retained");
+                })
+            }
+            Err(taken) => taken,
+        };
+        // The runs cut short behind the frames just taken.
+        let taken = runs.map(|run| {
+            let n = (run.end - run.start).min(taken);
+            taken -= n;
+            run.start..run.start + n
+        });
+        Self::each_run(&mut self.table, taken, sub).expect("frames just retained");
+        Err(MemError::NotMapped)
     }
 
     /// The one way a reference is dropped: takes one from each frame of
     /// `runs`, ranges of frame numbers, and frees those that reach zero,
     /// returning how many that was — in the order they come in `runs`, which
-    /// within a run is ascending. The freed frames of a call go back
-    /// together — under one pool acquisition with the magazine off, pushed
-    /// one by one (draining when overfull) with it on — and each is charged
+    /// within a run is ascending; then the same on the swap device for the
+    /// slots of `slots`. The freed frames of a call go back together —
+    /// under one pool acquisition with the magazine off, pushed one by one
+    /// (draining when overfull) with it on — and each is charged
     /// `frame_free`, while `mem.frame_free` is counted once for all of
     /// them. A teardown hands in a leaf node's frames at a time, so the
     /// pool lock is taken per node, not per frame; the buddy's state after
     /// a set of frees does not depend on their order, so batching moves no
     /// later allocation.
     ///
-    /// Stops at the first frame this cell does not hold and reports
-    /// [`MemError::NotMapped`]; the references dropped before it stay
-    /// dropped and their frames freed.
+    /// Stops at the first frame this cell does not hold, or slot the device
+    /// does not, and reports [`MemError::NotMapped`]; the references
+    /// dropped before it stay dropped and their frames freed.
     pub(crate) fn release(
         &mut self,
         runs: impl IntoIterator<Item = Range<u64>>,
+        slots: impl IntoIterator<Item = u64>,
         cycles: &mut Cycles,
     ) -> MemResult<u64> {
         let mut released = std::mem::take(&mut self.released);
@@ -649,7 +662,9 @@ impl PhysMemory {
             released.clear();
         }
         self.released = released;
-        result.map(|()| freed).map_err(|_| MemError::NotMapped)
+        result.map_err(|_| MemError::NotMapped)?;
+        self.swap.release(slots)?;
+        Ok(freed)
     }
 
     /// Machine-wide THP promotion/demotion counters.
@@ -707,13 +722,13 @@ impl PhysMemory {
     /// Increments the reference count of each frame in `[head, head+n)`,
     /// or of none if the cell does not hold them all.
     pub(crate) fn inc_ref_run(&mut self, head: Pfn, n: u64) -> MemResult<()> {
-        self.retain(std::iter::once(head.0..head.0 + n))
+        self.retain(std::iter::once(head.0..head.0 + n), [])
     }
 
     /// Decrements the reference count of each frame in `[head, head+n)`,
     /// freeing those that reach zero.
     pub(crate) fn dec_ref_run(&mut self, head: Pfn, n: u64, cycles: &mut Cycles) -> MemResult<()> {
-        self.release(std::iter::once(head.0..head.0 + n), cycles).map(|_| ())
+        self.release(std::iter::once(head.0..head.0 + n), [], cycles).map(|_| ())
     }
 
     /// Allocates a zeroed frame with reference count 1.
@@ -808,22 +823,17 @@ impl PhysMemory {
         }
     }
 
-    /// Increments the COW reference count of `pfn`.
-    pub(crate) fn inc_ref(&mut self, pfn: Pfn) -> MemResult<()> {
-        self.inc_ref_run(pfn, 1)
-    }
-
     /// Decrements the reference count, freeing the frame when it reaches
     /// zero. Returns `true` if the frame was freed.
     pub fn dec_ref(&mut self, pfn: Pfn, cycles: &mut Cycles) -> MemResult<bool> {
-        self.release(std::iter::once(pfn.0..pfn.0 + 1), cycles).map(|freed| freed == 1)
+        self.release(std::iter::once(pfn.0..pfn.0 + 1), [], cycles).map(|freed| freed == 1)
     }
 
     /// Takes a kernel pin on `pfn`: one additional reference held by a
     /// kernel-side owner (e.g. the exec image cache) rather than a PTE.
     /// The invariant checker accounts pins separately from mappings.
     pub fn pin(&mut self, pfn: Pfn) -> MemResult<()> {
-        self.inc_ref(pfn)?;
+        self.inc_ref_run(pfn, 1)?;
         *self.pins.entry(pfn.0).or_insert(0) += 1;
         Ok(())
     }
@@ -922,7 +932,7 @@ mod tests {
     fn refcount_frees_only_at_zero() {
         let (mut p, mut c) = pm(16);
         let f = p.alloc_zeroed(&mut c).unwrap();
-        p.inc_ref(f).unwrap();
+        p.inc_ref_run(f, 1).unwrap();
         assert_eq!(p.refs(f), Ok(2));
         assert_eq!(p.dec_ref(f, &mut c), Ok(false));
         assert_eq!(p.used_frames(), 1);
@@ -1178,18 +1188,18 @@ mod tests {
         let frames: Vec<Pfn> = (0..2500).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
         // A batch that wanders between the chunks, one frame in it twice.
         let batch = [frames[7], frames[8], frames[2047], frames[1024], frames[8], frames[2499]];
-        p.retain(ones(&batch)).unwrap();
+        p.retain(ones(&batch), []).unwrap();
         let refs = |p: &PhysMemory| batch.map(|pfn| p.refs(pfn).unwrap());
         assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
         // One frame the cell does not hold, two thirds in: nothing is taken.
         p.dec_ref(frames[1500], &mut c).unwrap();
         let used = p.used_frames();
-        assert_eq!(p.retain(ones(&[frames[7], frames[2047], frames[1500], frames[8]])), Err(MemError::NotMapped));
+        assert_eq!(p.retain(ones(&[frames[7], frames[2047], frames[1500], frames[8]]), []), Err(MemError::NotMapped));
         assert_eq!(p.inc_ref_run(frames[1498], 4), Err(MemError::NotMapped));
         assert_eq!(refs(&p), [2, 3, 2, 2, 3, 2]);
         assert_eq!((p.refs(frames[1498]), p.refs(frames[1501])), (Ok(1), Ok(1)));
         // Released, the batch is as it was and nothing was freed.
-        assert_eq!(p.release(ones(&batch), &mut c), Ok(0));
+        assert_eq!(p.release(ones(&batch), [], &mut c), Ok(0));
         assert_eq!(refs(&p), [1; 6]);
         assert_eq!(p.used_frames(), used);
     }
@@ -1268,7 +1278,7 @@ mod tests {
     /// order, their charge, and the `mem.frame_free` count.
     fn freeing(p: &mut PhysMemory, runs: &[Range<u64>], c: &mut Cycles) -> (MemResult<u64>, u64, u64) {
         let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
-        let freed = p.release(runs.to_vec(), c);
+        let freed = p.release(runs.to_vec(), [], c);
         let counted = metrics::snapshot().counter("mem.frame_free") - counted;
         (freed, c.total() - cycles, counted)
     }
@@ -1278,12 +1288,12 @@ mod tests {
         let (mut p, mut c) = holding(1040);
         let run = 1020..1031;
         assert_eq!(table_slot(Pfn(run.start)).0 + 1, table_slot(Pfn(run.end)).0, "two chunks");
-        p.retain([run.clone()]).unwrap();
+        p.retain([run.clone()], []).unwrap();
         assert_eq!(counts(&p, run.clone()), [Ok(2); 11]);
         assert_eq!((p.refs(Pfn(1019)), p.refs(Pfn(1031))), (Ok(1), Ok(1)));
-        assert_eq!(p.release([run.clone()], &mut c), Ok(0));
+        assert_eq!(p.release([run.clone()], [], &mut c), Ok(0));
         assert_eq!(counts(&p, run.clone()), [Ok(1); 11]);
-        assert_eq!(p.release([run.clone()], &mut c), Ok(11));
+        assert_eq!(p.release([run.clone()], [], &mut c), Ok(11));
         assert_eq!(counts(&p, run), [Err(MemError::NotMapped); 11]);
         assert_eq!(p.used_frames(), 1040 - 11);
     }
@@ -1294,7 +1304,7 @@ mod tests {
         assert_eq!(p.dec_ref(Pfn(1025), &mut c), Ok(true));
         let runs = [1010..1015, 1020..1030];
         let before = counts(&p, 1000..1040);
-        assert_eq!(p.retain(runs.clone()), Err(MemError::NotMapped));
+        assert_eq!(p.retain(runs.clone(), []), Err(MemError::NotMapped));
         assert_eq!(counts(&p, 1000..1040), before, "retain is all or nothing");
         // Release drops and frees 1010..1015 and 1020..1025, then stops.
         let (freed, charged, counted) = freeing(&mut p, &runs, &mut c);
@@ -1312,7 +1322,7 @@ mod tests {
         // order they were parked in.
         let (mut p, mut c) = holding(1040);
         p.enable_frame_cache(1024);
-        p.retain(std::iter::once(1020..1022)).unwrap();
+        p.retain(std::iter::once(1020..1022), []).unwrap();
         let runs = [1030..1034, 1018..1026];
         let (freed, charged, counted) = freeing(&mut p, &runs, &mut c);
         // 1020 and 1021 were held twice: they stay.
@@ -1349,19 +1359,19 @@ mod tests {
         // Dirty, accessed and COW-marked in turn: still one run, across a
         // chunk boundary.
         let leaf = leaf_of(1020..1031);
-        assert!(leaf.frame_runs(0..PT_ENTRIES).eq(std::iter::once(1020..1031)));
-        assert!(leaf.frame_runs(3..5).eq(std::iter::once(1023..1025)));
-        p.retain(leaf.frame_runs(0..PT_ENTRIES)).unwrap();
+        assert!(leaf.frame_runs(0..PT_ENTRIES, false).eq(std::iter::once(1020..1031)));
+        assert!(leaf.frame_runs(3..5, false).eq(std::iter::once(1023..1025)));
+        p.retain(leaf.frame_runs(0..PT_ENTRIES, false), []).unwrap();
         assert_eq!(counts(&p, 1020..1031), [Ok(2); 11]);
         // Alternating frames: runs of one.
         let alternating = leaf_of((0..100).map(|k| 2 * k));
-        let runs: Vec<Range<u64>> = alternating.frame_runs(0..PT_ENTRIES).collect();
+        let runs: Vec<Range<u64>> = alternating.frame_runs(0..PT_ENTRIES, false).collect();
         assert_eq!(runs, (0..100).map(|k| 2 * k..2 * k + 1).collect::<Vec<_>>());
         assert_eq!(freeing(&mut p, &runs, &mut c).0, Ok(100));
         // A run cut short anywhere still yields every frame once, in order.
         let frames: Vec<u64> = (0..40).chain(600..700).chain([5, 3]).chain(800..900).collect();
         let mixed = leaf_of(frames.iter().copied());
-        assert_eq!(mixed.frame_runs(0..PT_ENTRIES).flatten().collect::<Vec<_>>(), frames);
+        assert_eq!(mixed.frame_runs(0..PT_ENTRIES, false).flatten().collect::<Vec<_>>(), frames);
         for leaf in [leaf, alternating, mixed] {
             LeafNode::retire(leaf);
         }

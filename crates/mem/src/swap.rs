@@ -168,7 +168,7 @@ impl SwapDevice {
     /// so a retry can still succeed.
     ///
     /// The slot reference is *not* dropped here; the caller releases it
-    /// with [`SwapDevice::dec_ref`] only after the page is safely
+    /// with [`SwapDevice::release`] only after the page is safely
     /// resident, so a failure between read and map leaks nothing.
     pub(crate) fn read_slot(&mut self, slot: u64, cycles: &mut Cycles, cost: &CostModel) -> MemResult<u64> {
         let s = *self.slots.get(&slot).ok_or(MemError::NotMapped)?;
@@ -200,29 +200,42 @@ impl SwapDevice {
         self.slots.get(&slot).map(|s| s.refs).ok_or(MemError::NotMapped)
     }
 
-    /// Adds a reference to a used slot (fork copying a swap entry, or a
-    /// shared leaf being privatized).
-    pub(crate) fn inc_ref(&mut self, slot: u64) -> MemResult<()> {
-        let s = self.slots.get_mut(&slot).ok_or(MemError::NotMapped)?;
-        s.refs += 1;
+    /// Takes a reference on each slot of `slots`: what a fork copying a
+    /// node's swap entries, or an unshare privatizing it, does beside the
+    /// frames of its present entries. All or nothing: at a slot the device
+    /// does not hold it gives back what it took and reports
+    /// [`MemError::NotMapped`].
+    pub(crate) fn retain(&mut self, slots: impl IntoIterator<Item = u64, IntoIter: Clone>) -> MemResult<()> {
+        let slots = slots.into_iter();
+        if slots.clone().any(|slot| !self.slots.contains_key(&slot)) {
+            return Err(MemError::NotMapped);
+        }
+        slots.for_each(|slot| self.slots.get_mut(&slot).expect("held above").refs += 1);
         Ok(())
     }
 
-    /// Drops a reference, freeing the slot at zero. Returns `true` if
-    /// the slot was freed.
-    pub(crate) fn dec_ref(&mut self, slot: u64) -> MemResult<bool> {
-        let s = self.slots.get_mut(&slot).ok_or(MemError::NotMapped)?;
-        debug_assert!(s.refs > 0);
-        s.refs -= 1;
-        if s.refs == 0 {
-            self.slots.remove(&slot);
-            self.clear_bit(slot);
-            self.used -= 1;
-            metrics::incr("mem.swap.slot_free");
-            Ok(true)
-        } else {
-            Ok(false)
+    /// Drops a reference from each slot of `slots`, freeing those that
+    /// reach zero in the order they come — ascending, from a node — and
+    /// returns how many that was. Stops at the first slot the device does
+    /// not hold and reports [`MemError::NotMapped`]; the slots before it
+    /// stay released.
+    pub(crate) fn release(&mut self, slots: impl IntoIterator<Item = u64>) -> MemResult<u64> {
+        let mut freed = 0;
+        for slot in slots {
+            let s = self.slots.get_mut(&slot).ok_or(MemError::NotMapped)?;
+            debug_assert!(s.refs > 0);
+            s.refs -= 1;
+            if s.refs == 0 {
+                self.slots.remove(&slot);
+                self.clear_bit(slot);
+                self.used -= 1;
+                freed += 1;
+            }
         }
+        if freed > 0 {
+            metrics::add("mem.swap.slot_free", freed);
+        }
+        Ok(freed)
     }
 
     /// Frees a slot outright regardless of refcount — the rollback path
@@ -311,7 +324,7 @@ mod tests {
         assert_eq!(d.used_slots(), 1);
         assert_eq!(d.peek(slot), Ok(0xAB));
         assert_eq!(d.read_slot(slot, &mut c, &cost), Ok(0xAB));
-        assert_eq!(d.dec_ref(slot), Ok(true));
+        assert_eq!(d.release([slot]), Ok(1));
         assert_eq!(d.used_slots(), 0);
         assert_eq!(d.peek(slot), Err(MemError::NotMapped));
         assert!(c.total() >= cost.swap_out_page + cost.swap_in_page);
@@ -371,11 +384,40 @@ mod tests {
     fn slot_refs_share_and_release() {
         let (mut d, mut c, cost) = dev(4);
         let slot = d.alloc_slot(9, &mut c, &cost).unwrap();
-        d.inc_ref(slot).unwrap();
+        d.retain([slot]).unwrap();
         assert_eq!(d.refs(slot), Ok(2));
-        assert_eq!(d.dec_ref(slot), Ok(false));
+        assert_eq!(d.release([slot]), Ok(0));
         assert_eq!(d.used_slots(), 1, "shared slot survives one release");
-        assert_eq!(d.dec_ref(slot), Ok(true));
+        assert_eq!(d.release([slot]), Ok(1));
+        assert_eq!(d.used_slots(), 0);
+    }
+
+    #[test]
+    fn retain_takes_every_slot_or_none() {
+        let (mut d, mut c, cost) = dev(8);
+        let held: Vec<u64> = (0..3).map(|i| d.alloc_slot(i, &mut c, &cost).unwrap()).collect();
+        d.release([held[1]]).unwrap();
+        // Slot 1 is nobody's now: nothing is taken, not even slot 0.
+        assert_eq!(d.retain([held[0], held[1], held[2]]), Err(MemError::NotMapped));
+        assert_eq!((d.refs(held[0]), d.refs(held[2])), (Ok(1), Ok(1)));
+        // A slot listed twice is taken twice.
+        d.retain([held[2], held[0], held[2]]).unwrap();
+        assert_eq!((d.refs(held[0]), d.refs(held[2])), (Ok(2), Ok(3)));
+    }
+
+    #[test]
+    fn release_frees_in_the_order_given_and_stops_at_an_unheld_slot() {
+        let (mut d, mut c, cost) = dev(8);
+        let held: Vec<u64> = (0..5).map(|i| d.alloc_slot(i, &mut c, &cost).unwrap()).collect();
+        d.retain([held[1]]).unwrap();
+        d.release([held[3]]).unwrap();
+        // 0 and 2 free, 1 keeps a reference, 3 stops the pass: 4 is untouched.
+        assert_eq!(d.release([held[0], held[1], held[2], held[3], held[4]]), Err(MemError::NotMapped));
+        assert_eq!(d.used_slot_refs(), vec![(held[1], 1), (held[4], 1)]);
+        // The slots freed are the lowest free ones again, first fit.
+        let again: Vec<u64> = (0..3).map(|i| d.alloc_slot(i, &mut c, &cost).unwrap()).collect();
+        assert_eq!(again, vec![held[0], held[2], held[3]]);
+        assert_eq!(d.release(held.iter().copied()), Ok(5));
         assert_eq!(d.used_slots(), 0);
     }
 
@@ -385,7 +427,7 @@ mod tests {
         let a = d.alloc_slot(1, &mut c, &cost).unwrap();
         let b = d.alloc_slot(2, &mut c, &cost).unwrap();
         assert_eq!((a, b), (0, 1));
-        d.dec_ref(a).unwrap();
+        d.release([a]).unwrap();
         let c2 = d.alloc_slot(3, &mut c, &cost).unwrap();
         assert_eq!(c2, 0, "first-fit reuses the lowest free slot");
     }
@@ -399,7 +441,7 @@ mod tests {
         for i in 0..THRASH_MIN_SAMPLES as u64 {
             let slot = d.alloc_slot(i, &mut c, &cost).unwrap();
             d.read_slot(slot, &mut c, &cost).unwrap();
-            d.dec_ref(slot).unwrap();
+            d.release([slot]).unwrap();
         }
         assert!(d.thrashing(), "all-refault window is thrash");
         // A long run of cold swap-ins clears the signal: age the slots
@@ -409,11 +451,11 @@ mod tests {
             .collect();
         for _ in 0..2 * d.capacity() {
             let s = d.alloc_slot(0, &mut c, &cost).unwrap();
-            d.dec_ref(s).unwrap();
+            d.release([s]).unwrap();
         }
         for s in survivors {
             d.read_slot(s, &mut c, &cost).unwrap();
-            d.dec_ref(s).unwrap();
+            d.release([s]).unwrap();
         }
         assert!(!d.thrashing(), "cold swap-ins are not thrash");
     }
