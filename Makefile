@@ -53,7 +53,8 @@ doclinks:
 # receive), the vfork-borrower mmap regression, which ends in a leak
 # check of its own, and the reference-model proptest: `AddressSpace`
 # against a flat page map in every fork mode, THP on and off, pages swapped
-# out and back in, ending with every frame and swap slot returned — and,
+# out and back in, a step in four under an injected failure whose refusal
+# the flat model judges, ending with every frame and swap slot returned — and,
 # under it, the buddy allocator against its `BTreeSet` reference, frame for
 # frame (which frame an allocation gets decides every stamp and pfn in
 # results/). fork_fail_points pins, as one digest per fork mode, what

@@ -257,6 +257,9 @@ impl AddressSpace {
         // small PTEs before any of it can be unmapped.
         self.demote_straddling(start, phys, cycles)?;
         self.demote_straddling(Vpn(start.0 + pages), phys, cycles)?;
+        let mut tally = self.prepare_release_range(start, pages, phys, cycles)?;
+        // Nothing fails from here on: a refused munmap leaves the mappings
+        // as they were, so they are cut only now.
         self.split_at(start);
         self.split_at(Vpn(start.0 + pages));
         let doomed: Vec<u64> = self
@@ -264,7 +267,6 @@ impl AddressSpace {
             .range(start.0..start.0 + pages)
             .map(|(k, _)| *k)
             .collect();
-        let mut tally = self.prepare_release_range(start, pages, phys, cycles)?;
         self.release_range(start, pages, &mut tally, phys, cycles);
         for k in doomed {
             self.vmas.remove(&k);
@@ -464,23 +466,26 @@ impl AddressSpace {
         // block's single PTE cannot carry two protections.
         self.demote_straddling(start, phys, cycles)?;
         self.demote_straddling(Vpn(start.0 + pages), phys, cycles)?;
-        self.split_at(start);
-        self.split_at(Vpn(start.0 + pages));
-        let keys: Vec<u64> = self
+        // Writes are taken away first, from each mapping's part of the range
+        // that had them: the last step that can fail. A refused mprotect
+        // leaves the mappings as they were — an entry it write-protected
+        // before failing gets its write back from a fault, as an upgrade
+        // does — so they are cut and reprotected only after it.
+        let (lo, hi) = (start.0, start.0 + pages);
+        let losing: Vec<Range<u64>> = self
             .vmas
-            .range(start.0..start.0 + pages)
-            .map(|(k, _)| *k)
+            .range(..hi)
+            .map(|(_, v)| v)
+            .filter(|v| v.end().0 > lo && v.prot.write && !prot.write)
+            .map(|v| v.start.0.max(lo)..v.end().0.min(hi))
             .collect();
         let mut tally = ReleaseTally::default();
-        for k in keys {
-            let v = self.vmas.get_mut(&k).expect("key just enumerated");
-            let removing_write = v.prot.write && !prot.write;
-            v.prot = prot;
-            if removing_write {
-                let range = v.start.0..v.end().0;
-                self.write_protect_range(range, &mut tally, phys, cycles)?;
-            }
+        for range in losing {
+            self.write_protect_range(range, &mut tally, phys, cycles)?;
         }
+        self.split_at(start);
+        self.split_at(Vpn(hi));
+        self.vmas.range_mut(lo..hi).for_each(|(_, v)| v.prot = prot);
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(())
     }
@@ -2166,5 +2171,38 @@ mod tests {
         a.split_at(Vpn(104));
         assert_eq!(a.vma_count(), 2);
         assert_eq!(a.observe(Vpn(107), &phys).unwrap(), before);
+    }
+
+    /// A munmap or mprotect refused when it comes to privatize a node an
+    /// on-demand fork shares leaves every mapping as it was: not cut at the
+    /// range's ends, and not reprotected. The mapping is `MAP_SHARED`, so
+    /// that the shared node keeps writable entries for mprotect to take.
+    #[test]
+    fn refused_range_operations_leave_the_mappings_as_they_were() {
+        use fpr_faults::{with_plan, FaultPlan};
+        let (mut phys, mut cy, mut tlb) = world(64);
+        let mut a = AddressSpace::new();
+        let mut shared = anon(0, 16);
+        shared.share = Share::Shared;
+        a.mmap(shared, &mut phys, &mut cy).unwrap();
+        for vpn in 0..16 {
+            a.write(Vpn(vpn), vpn, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        }
+        let mut child = AddressSpace::fork_from(&mut a, ForkMode::OnDemand, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        let layout = |a: &AddressSpace| a.vmas().map(|v| (v.start.0, v.pages, v.prot)).collect::<Vec<_>>();
+        let before = layout(&a);
+        let refuse = || FaultPlan::passive().fail_at(FaultSite::PtUnshare, 0);
+        let (r, _) = with_plan(refuse(), || a.munmap(Vpn(4), 4, &mut phys, &mut cy, &mut tlb, 1));
+        assert_eq!(r, Err(MemError::OutOfMemory));
+        assert_eq!(layout(&a), before, "a refused munmap cut the mapping");
+        let (r, _) = with_plan(refuse(), || a.mprotect(Vpn(4), 4, Prot::R, &mut cy, &mut phys, &mut tlb, 1));
+        assert_eq!(r, Err(MemError::OutOfMemory));
+        assert_eq!(layout(&a), before, "a refused mprotect cut or reprotected the mapping");
+        a.write(Vpn(5), 55, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+        assert_eq!(child.observe(Vpn(5), &phys), Ok(55));
+        for space in [&mut child, &mut a] {
+            space.destroy(&mut phys, &mut cy);
+        }
+        assert_eq!(phys.used_frames(), 0);
     }
 }

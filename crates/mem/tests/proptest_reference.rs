@@ -48,6 +48,22 @@
 //! down whose entries nobody else holds and `munmap` a range holding a swap
 //! entry, under THP and without.
 //!
+//! A step may run with a fault injected: one in four, under
+//! `FaultPlan::fail_nth_crossing(k)` for a drawn `k`. A step the injected
+//! failure refuses is judged by the model's rule for refusals, written down
+//! once ([`Keeps`]): the simulator answers `OutOfMemory` (`SwapIo` for the
+//! swap device's failure), and whatever a process can see — every page the
+//! step reached, its content, protection, sharing and fork policy, and where
+//! every mapping begins and ends — is as it was; a refused fork leaves no
+//! child and a parent equal to the model. Of what nobody can see, a refused
+//! step keeps only what the rule says it may: the pages a `populate`
+//! faulted in, the blocks an operation split on the way. Counted off the
+//! fork's `ptes_copied` — the entries it began, in the order its walk begins
+//! them — the runs must between them see a refusal inside an eager fork's
+//! copy of a private small-page run, at a frame and at an entry; inside a
+//! COW fork's run; in a slide; and under THP inside an eager fork's copy of
+//! a block.
+//!
 //! A script's mappings are scattered over [`WINDOWS`]: windows of [`SPAN`]
 //! pages that differ in their 2 MiB, 1 GiB and 512 GiB slot, one of them
 //! lying across a 1 GiB boundary. The root then holds several entries, one
@@ -57,6 +73,10 @@
 //! window starts out empty: room for slides to land in, and for mappings
 //! that lie across a node boundary.
 
+// The pages a step reached are a list of ranges, most often of one.
+#![allow(clippy::single_range_in_vec_init)]
+
+use fpr_faults::{with_plan, FaultPlan, FaultSite};
 use fpr_mem::address_space::ForkMode;
 use fpr_mem::cost::{CostModel, Cycles};
 use fpr_mem::phys::PhysMemory;
@@ -66,9 +86,12 @@ use fpr_mem::{AddressSpace, ForkPolicy, MemError, Vpn};
 use fpr_rng::Rng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::rc::Rc;
 
 const CASES: u64 = 24;
+/// A step runs with a fault injected with odds of one in this.
+const FAULT_ODDS: u64 = 4;
 /// Four leaf page-table nodes: room for 2 MiB blocks, for nodes lying
 /// inside one mapping and for nodes a mapping boundary crosses.
 const SPAN: u64 = 2048;
@@ -257,6 +280,68 @@ impl RefSpace {
     }
 }
 
+/// The error a step refused by a failure injected at `site` answers with.
+fn refused_with(site: FaultSite) -> MemError {
+    match site {
+        FaultSite::SwapIn => MemError::SwapIo,
+        _ => MemError::OutOfMemory,
+    }
+}
+
+/// Of what no process can see, what a refused step may leave changed: the
+/// one way the simulator is meant to be partial. Everything a process can
+/// see is as it was after any refusal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Keeps {
+    /// Nothing: the pages resident, swapped out and in 2 MiB blocks are as
+    /// they were.
+    Nothing,
+    /// The blocks it split on the way stay split.
+    Splits,
+    /// The pages it faulted in before the failure — swapped back in, or
+    /// mapped as whole blocks — stay resident.
+    FaultedIn,
+}
+
+/// The model's rule for a refused step, as data.
+fn keeps(op: &Op) -> Keeps {
+    match op {
+        Op::Populate { .. } => Keeps::FaultedIn,
+        // A block the range cuts, one a fork-policy range cuts (fork), one
+        // whose alignment the slide would break, one a write breaks
+        // copy-on-write in: split before anything can fail.
+        Op::Munmap { .. } | Op::Mprotect { .. } | Op::Slide { .. } | Op::Fork { .. } | Op::Write { .. } => Keeps::Splits,
+        Op::Mmap { .. } | Op::Madvise { .. } | Op::Read { .. } | Op::SwapOut { .. } | Op::Exit => Keeps::Nothing,
+    }
+}
+
+/// What a refusal may change of a space without a process seeing it.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    resident: u64,
+    swapped: u64,
+    huge: u64,
+}
+
+impl Footprint {
+    fn of(sim: &AddressSpace) -> Footprint {
+        Footprint { resident: sim.resident_pages(), swapped: sim.swapped_pages(), huge: sim.huge_pages() }
+    }
+}
+
+impl Keeps {
+    /// Asserts that a refused step changed no more of `before` than this.
+    fn judge(self, before: Footprint, after: Footprint, ctx: &str) {
+        let (b, a) = (before, after);
+        let kept = match self {
+            Keeps::Nothing => (a.resident, a.swapped, a.huge) == (b.resident, b.swapped, b.huge),
+            Keeps::Splits => (a.resident, a.swapped) == (b.resident, b.swapped) && a.huge <= b.huge,
+            Keeps::FaultedIn => a.resident >= b.resident && a.swapped <= b.swapped && a.huge >= b.huge,
+        };
+        assert!(kept, "{ctx}: refused, it may keep {self:?}, but went from {before:?} to {after:?}");
+    }
+}
+
 // ------------------------------------------------------------------- script
 
 #[derive(Debug, Clone)]
@@ -420,6 +505,16 @@ struct Seen {
     unshares_over_swap: u64,
     teardowns_over_swap: u64,
     munmaps_over_swap: u64,
+    /// Steps an injected failure refused; and of them, eager forks refused
+    /// copying a private small-page run, at a frame and at an entry; COW
+    /// forks refused inside a run; slides; and eager forks refused copying
+    /// a block.
+    refused: u64,
+    eager_run_frames_refused: u64,
+    eager_run_entries_refused: u64,
+    cow_runs_refused: u64,
+    slides_refused: u64,
+    eager_blocks_refused: u64,
 }
 
 impl std::ops::AddAssign for Seen {
@@ -435,7 +530,30 @@ impl std::ops::AddAssign for Seen {
         self.unshares_over_swap += o.unshares_over_swap;
         self.teardowns_over_swap += o.teardowns_over_swap;
         self.munmaps_over_swap += o.munmaps_over_swap;
+        self.refused += o.refused;
+        self.eager_run_frames_refused += o.eager_run_frames_refused;
+        self.eager_run_entries_refused += o.eager_run_entries_refused;
+        self.cow_runs_refused += o.cow_runs_refused;
+        self.slides_refused += o.slides_refused;
+        self.eager_blocks_refused += o.eager_blocks_refused;
     }
+}
+
+/// The `n`-th entry (from 1) a fork of `sim` begins, as `(is a block, the
+/// sharing of its mapping)`; `None` for none. The walk goes up the entries
+/// of the mappings a child inherits — neither `DONTFORK` nor `WIPEONFORK` —
+/// and begins each, a 2 MiB block as one, before it crosses a fault site
+/// for it: `ptes_copied` counts them, so after a refused fork it names the
+/// entry the walk was at.
+fn nth_begun(sim: &AddressSpace, n: u64) -> Option<(bool, Share)> {
+    let inherited = sim.vmas().filter(|v| !v.fork_policy.dont_fork && !v.fork_policy.wipe_on_fork);
+    let mut entries = inherited.flat_map(|v| {
+        (v.start.0..v.end().0).filter_map(move |vpn| {
+            let block = sim.translate(Vpn(vpn))?.flags.0 & HUGE_BIT != 0;
+            (!block || vpn % BLOCK == 0).then_some((block, v.share))
+        })
+    });
+    entries.nth(n.checked_sub(1)? as usize)
 }
 
 /// The leaf nodes of `sim` that hold a swap entry, by identity.
@@ -481,6 +599,23 @@ impl Seen {
         let held: BTreeSet<usize> = others.iter().flat_map(|(o, _)| swap_nodes(o)).collect();
         self.teardowns_over_swap += swap_nodes(sim).difference(&held).count() as u64;
     }
+
+    /// Counts where a fork of `sim` in `mode` was refused: at a crossing of
+    /// `site`, after beginning `begun` entries. Only an eager copy crosses
+    /// for frames, a block's after the block is begun and before any later
+    /// entry is — so a frame refused when the last entry begun is no block
+    /// was a run's. An entry is crossed for once it is begun.
+    fn refused_fork(&mut self, sim: &AddressSpace, mode: ForkMode, site: FaultSite, begun: u64) {
+        let last = nth_begun(sim, begun);
+        let counter = match (mode, site, last) {
+            (ForkMode::Eager, FaultSite::FrameAlloc, None | Some((false, _))) => &mut self.eager_run_frames_refused,
+            (ForkMode::Eager, FaultSite::PtNodeAlloc, Some((false, Share::Private))) => &mut self.eager_run_entries_refused,
+            (ForkMode::Eager, FaultSite::PtNodeAlloc, Some((true, Share::Private))) => &mut self.eager_blocks_refused,
+            (ForkMode::Cow, FaultSite::PtNodeAlloc, Some((false, _))) => &mut self.cow_runs_refused,
+            _ => return,
+        };
+        *counter += 1;
+    }
 }
 
 impl World {
@@ -499,9 +634,9 @@ impl World {
         }
     }
 
-    /// Runs `op` in process `who` of both models and returns their
-    /// verdicts, `(simulator, reference)`.
-    fn apply(&mut self, who: usize, op: &Op, ctx: &str) -> (Verdict, Verdict) {
+    /// Runs `op` in process `who` of both models — the simulator's half
+    /// with `fault` injected, if the step has one — and says what each did.
+    fn apply(&mut self, who: usize, op: &Op, fault: Option<u64>, ctx: &str) -> Step {
         let World { phys, cycles, tlb, procs, seen } = self;
         let live = procs.len();
         let (sim, model) = &mut procs[who];
@@ -509,44 +644,45 @@ impl World {
             Op::Mmap { start, pages, share } => {
                 let mut area = VmArea::anon(Vpn(start), pages, Prot::RW, VmaKind::Mmap);
                 area.share = share;
-                let r = sim.mmap(area, phys, cycles);
-                (r.map(|()| None), model.mmap(start, pages, Prot::RW, share))
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.mmap(area, phys, cycles));
+                Step::judged(r.map(|()| None), refused, vec![start..start + pages], || model.mmap(start, pages, Prot::RW, share))
             }
             Op::Munmap { start, pages } => {
                 seen.munmaps_over_swap += (start..start + pages).any(|vpn| swapped(sim, vpn)) as u64;
-                let r = sim.munmap(Vpn(start), pages, phys, cycles, tlb, 1);
-                (r.map(|_| None), model.munmap(start, pages))
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.munmap(Vpn(start), pages, phys, cycles, tlb, 1));
+                Step::judged(r.map(|_| None), refused, vec![start..start + pages], || model.munmap(start, pages))
             }
             Op::Mprotect { start, pages, prot } => {
-                let r = sim.mprotect(Vpn(start), pages, prot, cycles, phys, tlb, 1);
-                (r.map(|()| None), model.mprotect(start, pages, prot))
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.mprotect(Vpn(start), pages, prot, cycles, phys, tlb, 1));
+                Step::judged(r.map(|()| None), refused, vec![start..start + pages], || model.mprotect(start, pages, prot))
             }
             Op::Madvise { start, pages, wipe } => {
-                let r = sim.set_fork_policy(Vpn(start), pages, |p| {
+                let policy = |p: &mut ForkPolicy| {
                     if wipe {
                         p.wipe_on_fork = true;
                     } else {
                         p.dont_fork = true;
                     }
-                });
-                (r.map(|()| None), model.madvise(start, pages, wipe))
+                };
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.set_fork_policy(Vpn(start), pages, policy));
+                Step::judged(r.map(|()| None), refused, vec![start..start + pages], || model.madvise(start, pages, wipe))
             }
             Op::Populate { start, pages } => {
-                let r = sim.populate(Vpn(start), pages, phys, cycles);
-                (r.map(|()| None), model.populate(start, pages))
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.populate(Vpn(start), pages, phys, cycles));
+                Step::judged(r.map(|()| None), refused, vec![start..start + pages], || model.populate(start, pages))
             }
             Op::Write { vpn, val } => {
                 let (swap, unshares) = (swapped(sim, vpn), sim.stats.pt_unshares);
-                let r = sim.write(Vpn(vpn), val, phys, cycles, tlb, 1);
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.write(Vpn(vpn), val, phys, cycles, tlb, 1));
                 // The node the touch unshared is the one holding the entry.
                 seen.unshares_over_swap += (swap && sim.stats.pt_unshares > unshares) as u64;
-                (r.map(|_| None), model.write(vpn, val))
+                Step::judged(r.map(|_| None), refused, vec![vpn..vpn + 1], || model.write(vpn, val))
             }
             Op::Read { vpn } => {
                 let (swap, unshares) = (swapped(sim, vpn), sim.stats.pt_unshares);
-                let r = sim.read(Vpn(vpn), phys, cycles);
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.read(Vpn(vpn), phys, cycles));
                 seen.unshares_over_swap += (swap && sim.stats.pt_unshares > unshares) as u64;
-                (r.map(|(v, _)| Some(v)), model.read(vpn))
+                Step::judged(r.map(|(v, _)| Some(v)), refused, vec![vpn..vpn + 1], || model.read(vpn))
             }
             Op::SwapOut { seed } => {
                 let mut pick = Rng::seed_from_u64(seed);
@@ -559,7 +695,7 @@ impl World {
                     let Ok(slot) = phys.swap_out_page(stamp, cycles) else { break };
                     sim.swap_out_commit(vpn, slot, phys, cycles);
                 }
-                (Ok(None), Ok(None))
+                Step::judged(Ok(None), None, Vec::new(), || Ok(None))
             }
             Op::Slide { from, to, keep_alignment } => {
                 let from = match from {
@@ -579,7 +715,7 @@ impl World {
                 assert_eq!(written.0, written.1, "{ctx}: the write before the slide");
                 let holds_block = (from..from + pages).any(|v| sim.translate(Vpn(v)).is_some_and(|p| p.flags.0 & HUGE_BIT != 0));
                 let (resident, unshares) = (sim.resident_pages(), sim.stats.pt_unshares);
-                let r = sim.slide_vma(Vpn(from), Vpn(to), phys, cycles);
+                let (r, refused) = under(fault, op, sim, ctx, |sim| sim.slide_vma(Vpn(from), Vpn(to), phys, cycles));
                 assert_eq!(sim.resident_pages(), resident, "{ctx}: a slide changed what is resident");
                 if let Ok(moved) = r {
                     assert!(moved <= pages, "{ctx}: moved {moved} entries of a {pages}-page mapping");
@@ -589,13 +725,20 @@ impl World {
                     seen.slid_block_aligned += (holds_block && aligned) as u64;
                     seen.slid_block_unaligned += (holds_block && !aligned) as u64;
                 }
-                (r.map(|_| None), model.slide(from, to))
+                seen.slides_refused += refused.is_some() as u64;
+                let reach = vec![from..from + pages, to..to.saturating_add(pages).min(USER_END)];
+                Step::judged(r.map(|_| None), refused, reach, || model.slide(from, to))
             }
             Op::Fork { mode } if live < MAX_PROCS => {
                 seen.leaves_of(sim);
                 let copied_before = sim.stats.ptes_copied;
-                let child = AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1)
-                    .unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
+                let (forked, refused) = under(fault, op, sim, ctx, |sim| AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1));
+                if let Some(site) = refused {
+                    seen.refused_fork(sim, mode, site, sim.stats.ptes_copied - copied_before);
+                    let everything = WINDOWS.iter().map(|&w| w..w + SPAN).collect();
+                    return Step::judged(forked.map(|_| unreachable!("refused")), refused, everything, || unreachable!());
+                }
+                let child = forked.unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
                 if mode == ForkMode::OnDemand {
                     seen.fallback_copies += sim.stats.ptes_copied - copied_before;
                 }
@@ -605,29 +748,93 @@ impl World {
                 check(&procs[who], phys, ctx);
                 check(&child, phys, ctx);
                 procs.push(child);
-                (Ok(None), Ok(None))
+                Step::judged(Ok(None), None, Vec::new(), || Ok(None))
             }
             Op::Exit if live > 1 => {
                 let (mut sim, _) = procs.swap_remove(who);
                 seen.leaves_of(&sim);
                 seen.teardown_of(&sim, procs);
                 sim.destroy(phys, cycles);
-                (Ok(None), Ok(None))
+                Step::judged(Ok(None), None, Vec::new(), || Ok(None))
             }
-            Op::Fork { .. } | Op::Exit => (Ok(None), Ok(None)),
+            Op::Fork { .. } | Op::Exit => Step::judged(Ok(None), None, Vec::new(), || Ok(None)),
         }
     }
 }
 
-/// Every page of every window: mapped in both models or in neither, with
-/// the same content; and the page table's summaries recount.
-fn check((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) {
-    for vpn in WINDOWS.iter().flat_map(|&w| w..w + SPAN) {
+/// Runs the simulator's half of `op` on `sim` — `act` — under a plan that
+/// fails crossing `fault`, if the step has one: its result, and the site of
+/// the injected failure if it refused the step, having judged by [`keeps`]
+/// what the refusal left of what no process sees. A failure the step
+/// absorbed — a promotion, which falls back to small pages — refuses
+/// nothing.
+fn under<T>(
+    fault: Option<u64>,
+    op: &Op,
+    sim: &mut AddressSpace,
+    ctx: &str,
+    act: impl FnOnce(&mut AddressSpace) -> Result<T, MemError>,
+) -> (Result<T, MemError>, Option<FaultSite>) {
+    let Some(k) = fault else { return (act(sim), None) };
+    let before = Footprint::of(sim);
+    let (r, trace) = with_plan(FaultPlan::passive().fail_nth_crossing(k), || act(sim));
+    let refused = trace.injected().first().map(|c| c.site).filter(|_| r.is_err());
+    if refused.is_some() {
+        keeps(op).judge(before, Footprint::of(sim), ctx);
+    }
+    (r, refused)
+}
+
+/// What a step did in both models.
+struct Step {
+    sim: Verdict,
+    model: Verdict,
+    /// For a step the simulator refused, the pages it reached: what the
+    /// refusal must have left as it was.
+    refused: Option<Vec<Range<u64>>>,
+}
+
+impl Step {
+    /// The model acts on a step the simulator did not refuse; one it did, the
+    /// model answers as the rule says and leaves as it was.
+    fn judged(sim: Verdict, refused: Option<FaultSite>, reach: Vec<Range<u64>>, model: impl FnOnce() -> Verdict) -> Step {
+        match refused {
+            Some(site) => Step { sim, model: Err(refused_with(site)), refused: Some(reach) },
+            None => Step { sim, model: model(), refused: None },
+        }
+    }
+}
+
+/// The pages of `pages` are mapped in both models or in neither, with the
+/// same content.
+fn agree_on((sim, model): &(AddressSpace, RefSpace), phys: &PhysMemory, pages: impl Iterator<Item = u64>, ctx: &str) {
+    for vpn in pages {
         let seen = sim.observe(Vpn(vpn), phys).ok();
         let expected = model.pages.get(&vpn).map(|p| p.content.get());
         assert_eq!(seen, expected, "{ctx}: page {vpn} diverged (simulator left, reference right)");
     }
-    assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
+}
+
+/// Every mapping — where it starts, its length, protection, sharing and
+/// fork policy — is the same in both models.
+fn layout_agrees((sim, model): &(AddressSpace, RefSpace), ctx: &str) {
+    let sim_maps: Vec<_> = sim.vmas().map(|v| (v.start.0, v.pages, v.prot, v.share, v.fork_policy)).collect();
+    let model_maps: Vec<_> = model
+        .starts()
+        .map(|start| {
+            let p = &model.pages[&start];
+            (start, model.mapping_at(start).expect("a start"), p.prot, p.share, p.policy)
+        })
+        .collect();
+    assert_eq!(sim_maps, model_maps, "{ctx}: the mappings diverged (simulator left, reference right)");
+}
+
+/// Every page of every window agrees, every mapping does, and the page
+/// table's summaries recount.
+fn check(pair: &(AddressSpace, RefSpace), phys: &PhysMemory, ctx: &str) {
+    agree_on(pair, phys, WINDOWS.iter().flat_map(|&w| w..w + SPAN), ctx);
+    layout_agrees(pair, ctx);
+    assert_eq!(pair.0.check_page_table(), Ok(()), "{ctx}");
 }
 
 /// Runs one script; returns what it got to see.
@@ -635,17 +842,35 @@ fn run_script(seed: u64, thp: bool, pinned: Option<ForkMode>) -> Seen {
     let mut rng = Rng::seed_from_u64(seed);
     let mut w = World::new(thp);
     let mut script: Vec<(usize, Op)> = gen_prologue(&mut rng).into_iter().map(|op| (0, op)).collect();
+    let prologue = script.len();
     // As many operations to a window as the single window used to get.
     let ops = WINDOWS.len() as u64 * rng.gen_range(80, 200);
     script.extend((0..ops).map(|_| (rng.gen_index(MAX_PROCS), gen_op(&mut rng))));
+    // Drawn apart from the script, which stays what it was without them.
+    // Log-uniform, so that the crossings of a large fork get their share.
+    let mut faults = Rng::seed_from_u64(seed ^ 0xFA17);
     for (i, (who, mut op)) in script.into_iter().enumerate() {
         if let (Op::Fork { mode }, Some(m)) = (&mut op, pinned) {
             *mode = m;
         }
         let who = who % w.procs.len();
-        let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} step {i} (process {who}: {op:?})");
-        let (sim, model) = w.apply(who, &op, &ctx);
-        assert_eq!(sim, model, "{ctx}: simulator (left) and reference (right) disagree");
+        let fault = (i >= prologue && faults.gen_below(FAULT_ODDS) == 0).then(|| {
+            let bits = faults.gen_below(15);
+            let k = faults.gen_below(1 << bits);
+            // A fork crosses once for each mapping it clones before its walk
+            // begins an entry: half its draws count from the walk's start.
+            let walk = matches!(op, Op::Fork { .. }) && faults.gen_bool(0.5);
+            k + if walk { w.procs[who].0.vmas().count() as u64 } else { 0 }
+        });
+        let ctx = format!("seed {seed:#x} thp {thp} pinned {pinned:?} step {i} (process {who}: {op:?}, fault {fault:?})");
+        let step = w.apply(who, &op, fault, &ctx);
+        assert_eq!(step.sim, step.model, "{ctx}: simulator (left) and reference (right) disagree");
+        if let Some(reach) = step.refused {
+            w.seen.refused += 1;
+            let pair = &w.procs[who];
+            agree_on(pair, &w.phys, reach.into_iter().flatten(), &ctx);
+            layout_agrees(pair, &ctx);
+        }
         // The counts the table keeps of its entries survive every mutator.
         if let Some((sim, _)) = w.procs.get(who) {
             assert_eq!(sim.check_page_table(), Ok(()), "{ctx}");
@@ -695,6 +920,15 @@ fn run_cases(thp: bool) {
             && seen.munmaps_over_swap > 0,
         "no fork copied, no unshare or teardown went over, or no munmap met a leaf holding swap entries — \
          the swap step is vacuous: {seen:?}"
+    );
+    assert!(
+        seen.eager_run_frames_refused > 0
+            && seen.eager_run_entries_refused > 0
+            && seen.cow_runs_refused > 0
+            && seen.slides_refused > 0
+            && (!thp || seen.eager_blocks_refused > 0),
+        "no refusal inside an eager fork's copy of a run (at a frame, at an entry), a COW fork's run, a slide or \
+         — under THP — an eager fork's copy of a block: the injection is vacuous: {seen:?}"
     );
     println!("thp {thp}: {seen:?}");
 }
