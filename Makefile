@@ -58,9 +58,10 @@ doclinks:
 # under it, the buddy allocator against its `BTreeSet` reference, frame for
 # frame (which frame an allocation gets decides every stamp and pfn in
 # results/). fork_fail_points pins, as one digest per fork mode, what
-# `fork_from` charges, counts, traces and leaves behind at every one of its
-# fail points, so that the walk may batch its per-entry work but not move a
-# fail point — the same again for a THP parent, per mode — and, a digest
+# `fork_from` charges, counts, traces and — but for an eager fork, which the
+# flat model judges — leaves behind at every one of its fail points, so
+# that the walk may batch its per-entry work but not move a fail point
+# unnoticed — the same again for a THP parent, per mode — and, a digest
 # each, the same for fourteen slides of `slide_vma` and for `munmap`,
 # `discard` and `mprotect` over ranges that cut a block, cover or straddle
 # a node a fork shares and hold swap entries. alloc_census counts what a

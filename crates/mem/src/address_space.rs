@@ -20,7 +20,6 @@ use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::sink;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -1449,26 +1448,24 @@ impl AddressSpace {
     /// each:
     ///
     /// 1. count the run's entries, by the node's occupancy map;
-    /// 2. take a reference on what each holds
-    ///    ([`PhysMemory::retain`]): a run of consecutive frames at a
-    ///    time (`LeafNode::frame_runs`), then the swap slots of its swap
-    ///    entries;
+    /// 2. take what the child's entries hold: a reference on each frame
+    ///    and on each swap slot the parent's hold ([`PhysMemory::retain`]),
+    ///    a run of consecutive frames at a time (`LeafNode::frame_runs`) —
+    ///    or, for an eager fork (`eager`) of a private run, a copy of each
+    ///    frame instead ([`PhysMemory::copy_frames`]: one
+    ///    [`FaultSite::FrameAlloc`] crossing a frame, made together), a
+    ///    swapped page staying swapped;
     /// 3. cross [`FaultSite::PtNodeAlloc`] once per entry
     ///    ([`fpr_faults::cross_n`]), charge [`CostModel::pte_copy`] and
     ///    count `ptes_copied` for each entry *begun*;
-    /// 4. write the child's entries — a private mapping's write-protected
-    ///    and COW-marked, a `MAP_SHARED` one's as they are.
+    /// 4. write the child's entries — an eager copy's with their frames'
+    ///    copies, a private mapping's otherwise write-protected and
+    ///    COW-marked, a `MAP_SHARED` one's as they are.
     ///
     /// A crossing that fails at the run's entry *k* cuts the run short
     /// behind its first *k* entries: they are begun and copied, entry *k*
-    /// is begun and not copied, and the references taken on it and on the
-    /// entries after it are dropped again — what copying the run entry by
-    /// entry would have left when entry *k* failed.
-    ///
-    /// An eager fork (`eager`) of a private run copies each present entry's
-    /// frame instead, in the word loop that writes the child's entries
-    /// ([`Self::fork_copy_frame`]): a [`FaultSite::FrameAlloc`] crossing
-    /// and then a [`FaultSite::PtNodeAlloc`] one an entry.
+    /// is begun and not copied, and what was taken for it and for the
+    /// entries after it is given back.
     #[allow(clippy::too_many_arguments)]
     fn fork_copy_run(
         parent: &LeafNode,
@@ -1485,61 +1482,42 @@ impl AddressSpace {
             return (run, Ok(()));
         }
         let none = run.start..run.start;
-        if eager && share == Share::Private {
-            // Swapped pages stay swapped (fork must not block on device
-            // I/O): the child's node shares their slots.
-            if let Err(e) = phys.swap_mut().retain(parent.swap_slots(run.clone())) {
-                return (none, Err(e));
-            }
-            let mut begun = 0;
-            let copied = leaf.copy_run(parent, run.clone(), false, |word| {
-                begun += 1;
-                Self::fork_copy_frame(LeafNode::unpack(word), stats, phys, cycles).map(LeafNode::pack)
-            });
-            cycles.charge_n(pte_copy, begun);
-            stats.ptes_copied += begun;
-            let Err((k, e)) = copied else { return (run, Ok(())) };
-            phys.swap_mut().release(parent.swap_slots(k..run.end)).expect("slots just retained");
-            return (run.start..k, Err(e));
-        }
-        if let Err(e) = phys.retain(parent.frame_runs(run.clone(), false), parent.swap_slots(run.clone())) {
+        let eager = eager && share == Share::Private;
+        // The parent's frames of `range` the child's entries share.
+        let shared = |range: Range<usize>| (!eager).then(|| parent.frame_runs(range, false)).into_iter().flatten();
+        if let Err(e) = phys.retain(shared(run.clone()), parent.swap_slots(run.clone())) {
             return (none, Err(e));
         }
+        let copies = if eager { phys.copy_frames(parent.frame_runs(run.clone(), false), parent.present_in(run.clone()), cycles) } else { Ok(Vec::new()) };
+        let copies = match copies {
+            Ok(copies) => copies,
+            Err(e) => {
+                phys.release(shared(run.clone()), parent.swap_slots(run), cycles).expect("references just taken");
+                return (none, Err(e));
+            }
+        };
+        stats.pages_eager_copied += copies.len() as u64;
         let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
         let (copied, begun) = match crossed {
             Ok(()) => (run, entries),
             Err((passed, _)) => {
                 let copied = parent.first_in(run.clone(), passed);
                 let rest = copied.end..run.end;
-                let (runs, slots) = (parent.frame_runs(rest.clone(), false), parent.swap_slots(rest));
-                phys.release(runs, slots, cycles).expect("references just taken");
+                let kept = parent.present_in(copied.clone()) as usize;
+                let frames = copies.iter().skip(kept).map(|pfn| pfn.0..pfn.0 + 1).chain(shared(rest.clone()));
+                phys.release(frames, parent.swap_slots(rest), cycles).expect("references just taken");
                 (copied, passed + 1)
             }
         };
         cycles.charge_n(pte_copy, begun);
         stats.ptes_copied += begun;
-        let Ok(()) = leaf.copy_run(parent, copied.clone(), share == Share::Private, Ok::<u64, Infallible>);
+        // An eager copy's present entries take the copies, in order.
+        let (mut copies, present) = (copies.into_iter(), |word| LeafNode::unpack(word).is_present());
+        leaf.copy_run(parent, copied.clone(), share == Share::Private && !eager, |word| match eager && present(word) {
+            true => LeafNode::pack(Pte { pfn: copies.next().expect("a copy a present entry"), ..LeafNode::unpack(word) }),
+            false => word,
+        });
         (copied, crossed.map_err(|_| MemError::OutOfMemory))
-    }
-
-    /// An eager fork's copy of one private entry of a small-PTE node: a
-    /// frame of its own holding what `pte`'s holds, or for a swap entry the
-    /// entry itself. Crosses [`FaultSite::FrameAlloc`] for the frame and
-    /// then [`FaultSite::PtNodeAlloc`] for the entry, as mapping it would;
-    /// on `Err` the frame copied is freed again.
-    fn fork_copy_frame(pte: Pte, stats: &mut AsStats, phys: &mut PhysMemory, cycles: &mut Cycles) -> MemResult<Pte> {
-        let pfn = match pte.is_swap() {
-            true => pte.pfn,
-            false => phys.copy_frame(pte.pfn, cycles)?,
-        };
-        stats.pages_eager_copied += !pte.is_swap() as u64;
-        if fpr_faults::cross(FaultSite::PtNodeAlloc).is_err() {
-            if !pte.is_swap() {
-                phys.dec_ref(pfn, cycles).expect("frame just copied");
-            }
-            return Err(MemError::OutOfMemory);
-        }
-        Ok(Pte { pfn, ..pte })
     }
 
     /// Copies one inherited 2 MiB block — a run of [`HUGE_PAGES`] frames —
@@ -1576,9 +1554,10 @@ impl AddressSpace {
 
     /// Eager-fork copy of one private block: into a fresh 512-frame run so
     /// the child stays huge — or, when physical memory is too fragmented
-    /// for a run, page by page into a node of the block's own, as
-    /// [`Self::fork_copy_frame`] copies a page, while the parent keeps its
-    /// block.
+    /// for a run, into 512 frames taken as a run's copies are
+    /// ([`PhysMemory::copy_frames`]) and a node of the block's own, with a
+    /// [`FaultSite::PtNodeAlloc`] crossing an entry, while the parent keeps
+    /// its block.
     fn fork_eager_block(
         child: &mut AddressSpace,
         stats: &mut AsStats,
@@ -1587,7 +1566,7 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        match phys.alloc_zeroed_huge_run(cycles) {
+        let copy = match phys.alloc_zeroed_huge_run(cycles) {
             Ok(head) => {
                 for k in 0..HUGE_PAGES {
                     let c = phys.content(Pfn(pte.pfn.0 + k))?;
@@ -1600,26 +1579,24 @@ impl AddressSpace {
                     phys.dec_ref_run(head, HUGE_PAGES, cycles).expect("run just allocated");
                     return Err(e);
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(MemError::Fragmented) => {
-                let flags = pte.flags.minus(PteFlags::HUGE);
-                let mut built = LeafNode::new();
-                let split = Arc::get_mut(&mut built).expect("a new node has one holder");
-                let copied = (0..HUGE_PAGES).try_for_each(|k| {
-                    let page = Pte { pfn: Pfn(pte.pfn.0 + k), flags };
-                    split.set(k as usize, Some(Self::fork_copy_frame(page, stats, phys, cycles)?));
-                    Ok(())
-                });
-                if built.live() > 0 {
-                    child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
-                } else {
-                    LeafNode::retire(built);
-                }
-                copied
-            }
-            Err(e) => Err(e),
+            Err(MemError::Fragmented) => phys.copy_frames(std::iter::once(pte.pfn.0..pte.pfn.0 + HUGE_PAGES), HUGE_PAGES, cycles)?,
+            Err(e) => return Err(e),
+        };
+        stats.pages_eager_copied += HUGE_PAGES;
+        if fpr_faults::cross_n(FaultSite::PtNodeAlloc, HUGE_PAGES).is_err() {
+            phys.release(copy.iter().map(|pfn| pfn.0..pfn.0 + 1), [], cycles).expect("frames just copied");
+            return Err(MemError::OutOfMemory);
         }
+        let flags = pte.flags.minus(PteFlags::HUGE);
+        let mut built = LeafNode::new();
+        let split = Arc::get_mut(&mut built).expect("a new node has one holder");
+        for (k, pfn) in copy.into_iter().enumerate() {
+            split.set(k, Some(Pte { pfn, flags }));
+        }
+        child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
+        Ok(())
     }
 }
 

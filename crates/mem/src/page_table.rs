@@ -610,42 +610,32 @@ impl LeafNode {
 
     /// Copies the entries `src` holds in `range` into this node, which
     /// holds none there, each packed word through `copy` — the word itself,
-    /// or for an eager fork the frame copied — with the maps and the counts
+    /// or for an eager fork its frame's copy — with the maps and the counts
     /// brought up to date once. With `cow` each copy is write-protected and
     /// marked copy-on-write if the entry was writable or marked already —
     /// what a fork leaves a child of a private mapping — without a branch on
-    /// the packed word. Where `copy` fails, that entry and those after it
-    /// are not copied, and the error comes back with the entry's index.
-    pub(crate) fn copy_run<E>(
-        &mut self,
-        src: &LeafNode,
-        range: Range<usize>,
-        cow: bool,
-        mut copy: impl FnMut(u64) -> Result<u64, E>,
-    ) -> Result<(), (usize, E)> {
+    /// the packed word. The entries go to `copy` in ascending order.
+    pub(crate) fn copy_run(&mut self, src: &LeafNode, range: Range<usize>, cow: bool, mut copy: impl FnMut(u64) -> u64) {
         let mut private = 0;
-        let mut copy = |j: usize, mine: &mut u64, theirs: u64| {
-            let theirs = copy(theirs).map_err(|e| (j, e))?;
+        let mut copy = |mine: &mut u64, theirs: u64| {
+            let theirs = copy(theirs);
             let marks = cow & (theirs & (WRITABLE | COW) != 0);
             let word = if marks { theirs & !WRITABLE | COW } else { theirs };
             debug_assert!(*mine == 0, "entry mapped twice");
             *mine = word;
             private += private_writable(word) as u16;
-            Ok(())
         };
         let (dense, sparse) = src.split(range.clone());
-        let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense.clone()]);
-        let copied = (dense.start..).zip(pairs).try_for_each(|(j, (mine, &theirs))| copy(j, mine, theirs));
-        let copied = copied.and_then(|()| sparse.slots().try_for_each(|j| copy(j, &mut self.words[j], src.words[j])));
-        let end = copied.as_ref().map_or_else(|(j, _)| *j, |()| range.end);
-        let held = src.occupied.within(range.start, end);
-        let present = if src.counts.swap_entries == 0 { held } else { src.present.within(range.start, end) };
+        let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense]);
+        pairs.for_each(|(mine, &theirs)| copy(mine, theirs));
+        sparse.slots().for_each(|j| copy(&mut self.words[j], src.words[j]));
+        let held = src.occupied.within(range.start, range.end);
+        let present = if src.counts.swap_entries == 0 { held } else { src.present.within(range.start, range.end) };
         self.occupied.merge(held);
         self.present.merge(present);
         self.counts.live += held.count() as u16;
         self.counts.private_writable += private;
         self.counts.swap_entries += if src.counts.swap_entries == 0 { 0 } else { held.minus(present).count() as u16 };
-        copied
     }
 
     /// Write-protects every writable entry in `range`, in place — and with
@@ -2879,7 +2869,7 @@ mod tests {
                 assert_eq!((cut.start, kept), (run.start, n.min(held.len())), "{run:?} cut behind {n}");
                 assert!(cut.end == run.end || src.get(cut.end).is_some(), "the cut falls before an entry");
             }
-            for (marking, refusing) in [(false, None), (true, None), (true, Some(held.len() / 2)), (false, Some(0))] {
+            for marking in [false, true] {
                 // Between two entries of other runs, as a fork leaves it.
                 let (mut by_run, mut by_entry) = (LeafNode::new(), LeafNode::new());
                 let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
@@ -2889,19 +2879,22 @@ mod tests {
                 }
                 let inner = run.start.max(1)..run.end.min(511);
                 let inner_held: Vec<(usize, Pte)> = held.iter().copied().filter(|(j, _)| inner.contains(j)).collect();
-                // A copy that refuses the entry it is handed `refusing`-th.
-                let mut handed = 0;
-                let copied = by_run.copy_run(&src, inner.clone(), marking, |pte| {
-                    handed += 1;
-                    if Some(handed - 1) == refusing { Err(()) } else { Ok(pte) }
+                // A copy that moves each frame on by 100, as an eager fork's
+                // copies a frame, and is handed the entries in order.
+                let moved = |pte: Pte| Pte { pfn: Pfn(pte.pfn.0 + 100 * pte.is_present() as u64), ..pte };
+                let mut handed = Vec::new();
+                by_run.copy_run(&src, inner.clone(), marking, |word| {
+                    let pte = LeafNode::unpack(word);
+                    handed.push(pte);
+                    LeafNode::pack(moved(pte))
                 });
-                let refused = refusing.and_then(|k| inner_held.get(k)).map(|&(j, _)| j);
-                assert_eq!(copied, refused.map_or(Ok(()), |j| Err((j, ()))), "{run:?}");
-                for &(j, pte) in inner_held.iter().filter(|(j, _)| refused.is_none_or(|r| *j < r)) {
+                assert_eq!(handed, inner_held.iter().map(|&(_, pte)| pte).collect::<Vec<_>>(), "{run:?}");
+                for &(j, pte) in &inner_held {
+                    let pte = moved(pte);
                     let marks = marking && (pte.is_writable() || pte.is_cow());
                     by_entry.set(j, Some(if marks { protect(pte, true) } else { pte }));
                 }
-                assert_eq!(contents(by_run), contents(by_entry), "{run:?}, marking {marking}, refusing {refusing:?}");
+                assert_eq!(contents(by_run), contents(by_entry), "{run:?}, marking {marking}");
             }
             // The parent's side: every writable entry write-protected — for
             // a fork also marked — each logged; and the run taken out.

@@ -752,10 +752,11 @@ impl PhysMemory {
 
     /// A COW break's copy of `src`, which someone else holds too: a new
     /// frame holding `value`, the write that broke it, and one reference
-    /// less on `src` — [`Self::copy_frame`], [`Self::dec_ref`] and the
-    /// write in one visit to each frame's slot of the table. Crosses
-    /// [`FaultSite::FrameAlloc`] first and checks `src` is held before
-    /// taking a frame, as `copy_frame` does; on `Err` nothing changed.
+    /// less on `src` — a frame's [`Self::copy_frames`], [`Self::dec_ref`]
+    /// and the write in one visit to each frame's slot of the table.
+    /// Crosses [`FaultSite::FrameAlloc`] first and checks `src` is held
+    /// before taking a frame, as `copy_frames` does; on `Err` nothing
+    /// changed.
     pub(crate) fn break_cow(&mut self, src: Pfn, value: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let (chunk, i) = self.held_mut(src)?;
@@ -773,17 +774,37 @@ impl PhysMemory {
         Ok(pfn)
     }
 
-    /// Allocates a new frame that duplicates `src`'s content (eager fork
-    /// copy).
-    pub(crate) fn copy_frame(&mut self, src: Pfn, cycles: &mut Cycles) -> MemResult<Pfn> {
-        fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
-        let content = self.content(src)?;
-        let pfn = self.take_frame(cycles)?;
-        cycles.charge(self.cost.page_copy);
-        self.hand_out(pfn, content);
-        self.pages_copied_total += 1;
-        metrics::incr("mem.page_copy");
-        Ok(pfn)
+    /// An eager fork's copies of the `n` frames of `runs`, ranges of frame
+    /// numbers: a new frame for each, holding what it holds, in order. The
+    /// frames are the ones, and in the order, that copying one at a time
+    /// would take, each charged a frame's allocation and `page_copy`; the
+    /// [`FaultSite::FrameAlloc`] crossings — one a frame — are made
+    /// together before any frame is taken ([`fpr_faults::cross_n`]), and
+    /// the allocation and copy statistics counted together after. On `Err`
+    /// — a crossing refused, a source frame not held, the pool dry — the
+    /// frames taken are given back.
+    pub(crate) fn copy_frames(&mut self, runs: impl IntoIterator<Item = Range<u64>>, n: u64, cycles: &mut Cycles) -> MemResult<Vec<Pfn>> {
+        fpr_faults::cross_n(FaultSite::FrameAlloc, n).map_err(|_| MemError::OutOfMemory)?;
+        let mut copies = Vec::with_capacity(n as usize);
+        let copied = runs.into_iter().flatten().try_for_each(|src| {
+            let content = self.content(Pfn(src))?;
+            let pfn = self.take_frame(cycles)?;
+            cycles.charge(self.cost.page_copy);
+            self.set_frame(pfn, content);
+            copies.push(pfn);
+            Ok(())
+        });
+        let taken = copies.len() as u64;
+        self.frames_allocated_total += taken;
+        self.pages_copied_total += taken;
+        metrics::add("mem.frame_alloc", taken);
+        metrics::add("mem.page_copy", taken);
+        if let Err(e) = copied {
+            self.release(copies.iter().map(|pfn| pfn.0..pfn.0 + 1), [], cycles).expect("frames just taken");
+            return Err(e);
+        }
+        debug_assert_eq!(taken, n, "n counts the frames of the runs");
+        Ok(copies)
     }
 
     /// Enters the frame just taken from the pool into the frame table with
@@ -917,15 +938,30 @@ mod tests {
     }
 
     #[test]
-    fn copy_frame_duplicates_content_independently() {
+    fn copy_frames_duplicates_content_independently_in_allocation_order() {
         let (mut p, mut c) = pm(16);
-        let a = p.alloc_zeroed(&mut c).unwrap();
-        p.write_content(a, 42).unwrap();
-        let b = p.copy_frame(a, &mut c).unwrap();
-        assert_eq!(p.content(b), Ok(42));
-        p.write_content(a, 7).unwrap();
-        assert_eq!(p.content(b), Ok(42), "copy must not alias source");
-        assert_eq!(p.pages_copied_total, 1);
+        let src: Vec<Pfn> = (0..3).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        for (k, &pfn) in src.iter().enumerate() {
+            p.write_content(pfn, 40 + k as u64).unwrap();
+        }
+        // What three frames taken one at a time would be: the twin's.
+        let (mut twin, mut tc) = pm(16);
+        (0..3).for_each(|_| _ = twin.alloc_zeroed(&mut tc).unwrap());
+        let one_by_one: Vec<Pfn> = (0..3).map(|_| twin.alloc_zeroed(&mut tc).unwrap()).collect();
+        let before = c.total();
+        let copies = p.copy_frames(ones(&src), 3, &mut c).unwrap();
+        assert_eq!(copies, one_by_one);
+        assert_eq!(c.total() - before, 3 * (p.cost().frame_alloc + p.cost().page_copy));
+        let contents: Vec<_> = copies.iter().map(|&pfn| p.content(pfn)).collect();
+        assert_eq!(contents, [Ok(40), Ok(41), Ok(42)]);
+        p.write_content(src[0], 7).unwrap();
+        assert_eq!(p.content(copies[0]), Ok(40), "copy must not alias source");
+        assert_eq!((p.pages_copied_total, p.used_frames()), (3, 6));
+        // A pool that runs dry part-way gives back what it took.
+        let (mut small, mut sc) = pm(5);
+        let src: Vec<Pfn> = (0..3).map(|_| small.alloc_zeroed(&mut sc).unwrap()).collect();
+        assert_eq!(small.copy_frames(ones(&src), 3, &mut sc), Err(MemError::OutOfMemory));
+        assert_eq!(small.used_frames(), 3);
     }
 
     #[test]
