@@ -280,17 +280,12 @@ impl ProcessBuilder {
         {
             let c = kernel.process_mut(child)?;
             c.cred.caps = c.cred.caps.drop(self.drop_caps);
-            if let Some(uid) = self.set_uid {
-                c.cred.uid = uid;
-                c.cred.euid = uid;
-            }
             for (r, lim) in &self.rlimits {
                 c.rlimits.set(*r, *lim);
             }
         }
-        // uid accounting: moving the child to a new uid updates NPROC books.
         if let Some(uid) = self.set_uid {
-            kernel.move_uid_accounting(child, uid)?;
+            kernel.set_process_uid(child, uid)?;
         }
 
         // 5. Signal mask.

@@ -1006,13 +1006,7 @@ impl Kernel {
         if let Some(np) = self.procs.get_mut(&new_parent) {
             np.children.push(child);
         }
-        let new_uid = identity.cred.uid;
-        if new_uid != old_uid {
-            if let Some(c) = self.user_counts.get_mut(&old_uid) {
-                *c = c.saturating_sub(1);
-            }
-            *self.user_counts.entry(new_uid).or_insert(0) += 1;
-        }
+        self.rebook_uid(old_uid, identity.cred.uid);
         identity.give(self.process_mut(child)?, new_parent);
         Ok(())
     }
@@ -1023,30 +1017,25 @@ impl Kernel {
         crate::io::release_entry(&mut self.ofds, &mut self.pipes, entry)
     }
 
-    /// Moves `pid`'s per-uid process accounting to `new_uid` (after a
-    /// credential change). The PCB's credential fields are the caller's
-    /// responsibility.
-    pub fn move_uid_accounting(&mut self, pid: Pid, new_uid: u32) -> KResult<()> {
-        let old_uid = {
-            // The PCB may already carry the new uid; account by what the
-            // books say, decrementing whichever entry this pid was under.
-            // Since books are per-uid counters (not per-pid), use ppid
-            // lineage: decrement the parent's uid bucket.
-            let p = self.process(pid)?;
-            let parent = self
-                .process(p.ppid)
-                .map(|pp| pp.cred.uid)
-                .unwrap_or(p.cred.uid);
-            parent
-        };
-        if old_uid == new_uid {
-            return Ok(());
+    /// Gives `pid` the uid `uid`, real and effective, and moves it from its
+    /// old uid's per-uid process books to `uid`'s.
+    pub fn set_process_uid(&mut self, pid: Pid, uid: u32) -> KResult<()> {
+        let cred = &mut self.process_mut(pid)?.cred;
+        let old = std::mem::replace(&mut cred.uid, uid);
+        cred.euid = uid;
+        self.rebook_uid(old, uid);
+        Ok(())
+    }
+
+    /// Moves one process in the per-uid books from `old` to `new`.
+    fn rebook_uid(&mut self, old: u32, new: u32) {
+        if old == new {
+            return;
         }
-        if let Some(c) = self.user_counts.get_mut(&old_uid) {
+        if let Some(c) = self.user_counts.get_mut(&old) {
             *c = c.saturating_sub(1);
         }
-        *self.user_counts.entry(new_uid).or_insert(0) += 1;
-        Ok(())
+        *self.user_counts.entry(new).or_insert(0) += 1;
     }
 }
 
@@ -1186,6 +1175,21 @@ mod tests {
         k.adopt_process(parked, init).unwrap();
         assert_eq!(k.process(parked).unwrap().ppid, init);
         assert!(!k.process(adopter).unwrap().children.contains(&parked));
+    }
+
+    /// The books move from the uid the process had, not from its parent's:
+    /// a second change of a child whose uid already differs from its
+    /// parent's leaves the parent's uid booked as it was.
+    #[test]
+    fn set_process_uid_moves_the_books_from_the_process_own_uid() {
+        let (mut k, init) = boot_with_init();
+        let child = k.allocate_process(init, "child").unwrap();
+        k.set_process_uid(child, 5).unwrap();
+        k.set_process_uid(child, 9).unwrap();
+        let cred = k.process(child).unwrap().cred;
+        assert_eq!((cred.uid, cred.euid), (9, 9));
+        assert_eq!((k.nproc_of(0), k.nproc_of(5), k.nproc_of(9)), (1, 0, 1));
+        assert_eq!(k.check_invariants(), Ok(()));
     }
 
     #[test]
