@@ -19,7 +19,7 @@
 //! full image build.
 
 use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn_cached, FileAction, SpawnAttrs};
-use fpr_exec::{effective_file_id, load, randomize, AslrConfig, Image, ImageCache, ImageRegistry};
+use fpr_exec::{effective_file_id, load, randomize, reset_pcb, AslrConfig, Env, Image, ImageCache, ImageRegistry};
 use fpr_kernel::{Errno, Inherit, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
 use fpr_mem::{PressureLevel, Vpn};
 use fpr_trace::{metrics, sink};
@@ -434,28 +434,16 @@ fn build_checked_out_child(
     kernel.inherit(parent, child, Inherit::Spawn)?;
     apply_file_actions(kernel, child, actions, created)?;
     apply_attrs(kernel, child, attrs)?;
-    // Close-on-exec sweep (in posix_spawn it runs inside execve, i.e.
-    // after the file actions).
-    let swept = kernel.process_mut(child)?.fds.take_cloexec();
-    for (_, entry) in swept {
-        kernel.release_fd_entry(entry)?;
+    // Descriptors, handlers, argv and env exactly as execve would leave
+    // them (in posix_spawn it runs after the file actions, too).
+    let mut argv = interp_prefix.to_vec();
+    if attrs.argv.is_empty() {
+        argv.push(path.to_string());
+    } else {
+        argv.extend(attrs.argv.iter().cloned());
     }
-    // Handlers, name, argv and env exactly as execve would leave them.
-    {
-        let c = kernel.process_mut(child)?;
-        c.signals.exec_reset();
-        c.name = image_name.to_string();
-        let mut full = interp_prefix.to_vec();
-        if attrs.argv.is_empty() {
-            full.push(path.to_string());
-        } else {
-            full.extend(attrs.argv.iter().cloned());
-        }
-        c.argv = full;
-        if let Some(map) = &attrs.env {
-            c.envp = map.clone();
-        }
-    }
+    reset_pcb(kernel, child, argv, attrs.env.clone().map_or(Env::Keep, Env::Replace))?;
+    kernel.process_mut(child)?.name = image_name.to_string();
     // Re-randomise: slide every segment from staging to the fresh draw.
     sink::instant("aslr_randomize", "api", kernel.cycles.total());
     for (old, new) in pairs {

@@ -91,38 +91,8 @@ pub fn execve_args(
             //    parent its space back) and start with a fresh one.
             kernel.destroy_address_space(pid)?;
 
-            // 2. Close close-on-exec descriptors.
-            let swept = kernel.process_mut(pid)?.fds.take_cloexec();
-            for (_, entry) in swept {
-                kernel.release_fd_entry(entry)?;
-            }
-
-            // 3. Reset caught signals; keep ignored/default and the mask.
-            kernel.process_mut(pid)?.signals.exec_reset();
-
-            // 4. Only the calling thread survives; userspace state is wiped.
-            let doomed_tids: Vec<fpr_kernel::Tid> = {
-                let p = kernel.process_mut(pid)?;
-                let main = p.threads.remove(0);
-                let doomed = p.threads.drain(..).map(|t| t.tid).collect();
-                p.threads.push(main);
-                p.locks = fpr_kernel::LockTable::new();
-                p.streams.clear();
-                p.atfork = fpr_kernel::AtforkTable::new();
-                doomed
-            };
-            for tid in doomed_tids {
-                kernel.sched.remove(fpr_kernel::sched::Task { pid, tid });
-            }
-
-            // 5. New argv; environment per policy.
-            {
-                let p = kernel.process_mut(pid)?;
-                p.argv = full_argv;
-                if let Env::Replace(map) = env {
-                    p.envp = map;
-                }
-            }
+            // 2–5. Descriptors, signals, threads, argv and environment.
+            reset_pcb(kernel, pid, full_argv, env)?;
 
             // 6. Load the new image under a fresh layout.
             let layout = randomize(aslr, aslr_seed);
@@ -130,6 +100,40 @@ pub fn execve_args(
             load(kernel, pid, &image, layout, cache)
         },
     )
+}
+
+/// What exec does to the process control block of `pid`, the memory and
+/// the image aside: closes its close-on-exec descriptors, resets caught
+/// signals (ignored and default dispositions and the mask stay), keeps only
+/// the calling thread and wipes userspace state — locks, streams, atfork
+/// handlers — then installs `argv` (the interpreter prefix of a `#!` chain
+/// included) and the environment per `env`. The spawn fast path's checkout
+/// leaves a warm child as this leaves an exec'd one.
+pub fn reset_pcb(kernel: &mut Kernel, pid: Pid, argv: Vec<String>, env: Env) -> KResult<()> {
+    let swept = kernel.process_mut(pid)?.fds.take_cloexec();
+    for (_, entry) in swept {
+        kernel.release_fd_entry(entry)?;
+    }
+    kernel.process_mut(pid)?.signals.exec_reset();
+    let doomed_tids: Vec<fpr_kernel::Tid> = {
+        let p = kernel.process_mut(pid)?;
+        let main = p.threads.remove(0);
+        let doomed = p.threads.drain(..).map(|t| t.tid).collect();
+        p.threads.push(main);
+        p.locks = fpr_kernel::LockTable::new();
+        p.streams.clear();
+        p.atfork = fpr_kernel::AtforkTable::new();
+        doomed
+    };
+    for tid in doomed_tids {
+        kernel.sched.remove(fpr_kernel::sched::Task { pid, tid });
+    }
+    let p = kernel.process_mut(pid)?;
+    p.argv = argv;
+    if let Env::Replace(map) = env {
+        p.envp = map;
+    }
+    Ok(())
 }
 
 /// The *effective* file id of a registered binary: its registry-assigned

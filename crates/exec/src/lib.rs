@@ -17,6 +17,6 @@ pub mod loader;
 
 pub use aslr::{randomize, shared_bits, AslrConfig};
 pub use cache::ImageCache;
-pub use exec::{effective_file_id, execve, execve_args, Env};
+pub use exec::{effective_file_id, execve, execve_args, reset_pcb, Env};
 pub use image::{Image, ImageRegistry};
 pub use loader::load;
