@@ -305,8 +305,11 @@ impl WarmPool {
     /// reclaim pass crosses [`fpr_faults::FaultSite::PoolDrain`] before
     /// calling this.
     pub(crate) fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
-        let free_before = kernel.phys.free_frames();
-        while kernel.phys.free_frames() - free_before < target {
+        // This cell's own drop: the machine's free count moves with what
+        // other cells draw from the shared pool meanwhile.
+        let used_before = kernel.phys.used_frames();
+        let freed = |kernel: &Kernel| used_before.saturating_sub(kernel.phys.used_frames());
+        while freed(kernel) < target {
             let lru = self
                 .parked
                 .iter()
@@ -325,7 +328,7 @@ impl WarmPool {
             metrics::incr("api.pool.reclaim");
         }
         self.parked.retain(|_, list| !list.is_empty());
-        Ok(kernel.phys.free_frames() - free_before)
+        Ok(freed(kernel))
     }
 
     /// Tears down every parked child (pool disable / shutdown).
@@ -967,6 +970,51 @@ mod tests {
         assert_eq!(pool.available("/bin/tool"), 0);
         assert_eq!(moved(&before, "api.pool.autoscale_skipped"), 1);
         k.check_invariants().unwrap();
+    }
+
+    /// A shrinker reports the frames its own cell gave back, whatever a
+    /// neighbour cell draws from the shared pool meanwhile: cell 0 shrinks
+    /// its warm pool a child at a time and then its image cache while
+    /// cell 1 demand-fills pages on another thread. Counting off the
+    /// machine's free frames instead, a refill of cell 1's magazine between
+    /// two reads made the count underflow — which only an interleaving of
+    /// the two threads shows.
+    #[test]
+    fn shrinkers_count_their_own_cells_frames_while_a_neighbour_allocates() {
+        use fpr_kernel::{MachineConfig, Shrinker, SmpShared};
+        let cfg = MachineConfig { frames: 1 << 15, ..MachineConfig::default() };
+        let shared = SmpShared::new(&cfg, 2);
+        let (mut k0, mut k1) = (Kernel::new_smp(cfg.clone(), &shared, 0), Kernel::new_smp(cfg, &shared, 1));
+        let (init0, init1) = (k0.create_init("init").unwrap(), k1.create_init("init").unwrap());
+        let mut reg = ImageRegistry::new();
+        reg.register("/bin/tool", Image::small("tool"));
+        let (mut cache, mut pool) = (ImageCache::new(), WarmPool::new(init0));
+        pool.prefill(&mut k0, &reg, &mut cache, "/bin/tool", 48).unwrap();
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let base = k1.mmap_anon(init1, 8192, fpr_mem::Prot::RW, fpr_mem::Share::Private).unwrap();
+                for i in (0..8192).take_while(|_| !done.load(Relaxed)) {
+                    k1.write_mem(init1, Vpn(base.0 + i), i).unwrap();
+                    started.store(true, Relaxed);
+                }
+            });
+            while !started.load(Relaxed) {
+                std::hint::spin_loop();
+            }
+            let shrink = |shrinker: &mut dyn Shrinker, k0: &mut Kernel| {
+                let used = k0.phys.used_frames();
+                let freed = shrinker.shrink(k0, 1).unwrap();
+                assert_eq!(freed, used - k0.phys.used_frames(), "{}", shrinker.name());
+                freed > 0
+            };
+            while shrink(&mut pool, &mut k0) {}
+            while shrink(&mut cache, &mut k0) {}
+            done.store(true, Relaxed);
+        });
+        assert_eq!((pool.total_parked(), cache.cached_frames()), (0, 0));
+        k0.check_invariants().unwrap();
     }
 
     #[test]

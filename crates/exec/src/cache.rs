@@ -123,8 +123,11 @@ impl ImageCache {
     /// This is the cache's [`fpr_kernel::Shrinker`] work; the reclaim
     /// pass crosses the fault site before calling it.
     pub(crate) fn shrink(&mut self, kernel: &mut Kernel, target: u64) -> KResult<u64> {
-        let free_before = kernel.phys.free_frames();
-        while kernel.phys.free_frames() - free_before < target {
+        // This cell's own drop: the machine's free count moves with what
+        // other cells draw from the shared pool meanwhile.
+        let used_before = kernel.phys.used_frames();
+        let freed = |kernel: &Kernel| used_before.saturating_sub(kernel.phys.used_frames());
+        while freed(kernel) < target {
             let lru = self
                 .entries
                 .iter()
@@ -133,7 +136,7 @@ impl ImageCache {
             let Some(base) = lru else { break };
             self.evict(kernel, base);
         }
-        Ok(kernel.phys.free_frames() - free_before)
+        Ok(freed(kernel))
     }
 
     fn evict(&mut self, kernel: &mut Kernel, base: u64) {
