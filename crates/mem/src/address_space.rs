@@ -1483,18 +1483,19 @@ impl AddressSpace {
         }
         let none = run.start..run.start;
         let eager = eager && share == Share::Private;
-        // The parent's frames of `range` the child's entries share.
-        let shared = |range: Range<usize>| (!eager).then(|| parent.frame_runs(range, false)).into_iter().flatten();
-        if let Err(e) = phys.retain(shared(run.clone()), parent.swap_slots(run.clone())) {
-            return (none, Err(e));
-        }
-        let copies = if eager { phys.copy_frames(parent.frame_runs(run.clone(), false), parent.present_in(run.clone()), cycles) } else { Ok(Vec::new()) };
+        let copies = match eager {
+            false => phys.retain(parent.frame_runs(run.clone(), false), parent.swap_slots(run.clone())).map(|()| Vec::new()),
+            // Swapped pages stay swapped: the child's entries share the slots.
+            true => phys.swap_mut().retain(parent.swap_slots(run.clone())).and_then(|()| {
+                let (frames, present) = (parent.frame_runs(run.clone(), false), parent.present_in(run.clone()));
+                phys.copy_frames(frames, present, cycles).inspect_err(|_| {
+                    phys.swap_mut().release(parent.swap_slots(run.clone())).expect("slots just retained");
+                })
+            }),
+        };
         let copies = match copies {
             Ok(copies) => copies,
-            Err(e) => {
-                phys.release(shared(run.clone()), parent.swap_slots(run), cycles).expect("references just taken");
-                return (none, Err(e));
-            }
+            Err(e) => return (none, Err(e)),
         };
         stats.pages_eager_copied += copies.len() as u64;
         let crossed = fpr_faults::cross_n(FaultSite::PtNodeAlloc, entries);
@@ -1503,20 +1504,27 @@ impl AddressSpace {
             Err((passed, _)) => {
                 let copied = parent.first_in(run.clone(), passed);
                 let rest = copied.end..run.end;
+                // What was taken for the rest: its frames' copies, or
+                // references on the frames; and on its slots.
                 let kept = parent.present_in(copied.clone()) as usize;
-                let frames = copies.iter().skip(kept).map(|pfn| pfn.0..pfn.0 + 1).chain(shared(rest.clone()));
+                let shared = (!eager).then(|| parent.frame_runs(rest.clone(), false)).into_iter().flatten();
+                let frames = copies.iter().skip(kept).map(|pfn| pfn.0..pfn.0 + 1).chain(shared);
                 phys.release(frames, parent.swap_slots(rest), cycles).expect("references just taken");
                 (copied, passed + 1)
             }
         };
         cycles.charge_n(pte_copy, begun);
         stats.ptes_copied += begun;
-        // An eager copy's present entries take the copies, in order.
-        let (mut copies, present) = (copies.into_iter(), |word| LeafNode::unpack(word).is_present());
-        leaf.copy_run(parent, copied.clone(), share == Share::Private && !eager, |word| match eager && present(word) {
-            true => LeafNode::pack(Pte { pfn: copies.next().expect("a copy a present entry"), ..LeafNode::unpack(word) }),
-            false => word,
-        });
+        if !eager {
+            leaf.copy_run(parent, copied.clone(), share == Share::Private, |word| word);
+        } else {
+            // The copies are in the order of the present entries they copy.
+            let mut copies = copies.into_iter();
+            leaf.copy_run(parent, copied.clone(), false, |word| match LeafNode::unpack(word) {
+                pte if pte.is_present() => LeafNode::pack(Pte { pfn: copies.next().expect("a copy a present entry"), ..pte }),
+                _ => word,
+            });
+        }
         (copied, crossed.map_err(|_| MemError::OutOfMemory))
     }
 

@@ -783,7 +783,12 @@ impl PhysMemory {
     /// the allocation and copy statistics counted together after. On `Err`
     /// — a crossing refused, a source frame not held, the pool dry — the
     /// frames taken are given back.
-    pub(crate) fn copy_frames(&mut self, runs: impl IntoIterator<Item = Range<u64>>, n: u64, cycles: &mut Cycles) -> MemResult<Vec<Pfn>> {
+    pub(crate) fn copy_frames(
+        &mut self,
+        runs: impl IntoIterator<Item = Range<u64>>,
+        n: u64,
+        cycles: &mut Cycles,
+    ) -> MemResult<Vec<Pfn>> {
         fpr_faults::cross_n(FaultSite::FrameAlloc, n).map_err(|_| MemError::OutOfMemory)?;
         let mut copies = Vec::with_capacity(n as usize);
         let copied = runs.into_iter().flatten().try_for_each(|src| {
