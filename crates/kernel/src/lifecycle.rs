@@ -110,7 +110,7 @@ impl Kernel {
                     DefaultAction::Ignore => {}
                     DefaultAction::Stop => { /* job control not modelled further */ }
                     DefaultAction::Terminate => {
-                        self.exit(target, 128 + sig.index() as i32)?;
+                        self.exit(target, 128 + sig.number())?;
                         return Ok(());
                     }
                 },
@@ -447,6 +447,20 @@ mod tests {
         let c = child_of(&mut k, init);
         k.kill(c, Sig::Term).unwrap();
         assert!(k.process(c).unwrap().is_zombie());
+    }
+
+    /// A signal's death reports `128 +` the signal's number, as the OOM
+    /// killer's SIGKILL and a failed swap-in's SIGBUS do: SIGTERM must not
+    /// read as SIGBUS, nor `kill -9` as anything but the OOM killer's 137.
+    #[test]
+    fn a_signal_death_reports_128_plus_the_signal_number() {
+        let (mut k, init) = boot();
+        let (term, kill) = (child_of(&mut k, init), child_of(&mut k, init));
+        k.kill(term, Sig::Term).unwrap();
+        k.kill(kill, Sig::Kill).unwrap();
+        assert_eq!(k.process(term).unwrap().state, ProcState::Zombie(128 + 15));
+        assert_ne!(128 + 15, SIGBUS_EXIT_STATUS);
+        assert_eq!(k.process(kill).unwrap().state, ProcState::Zombie(OOM_EXIT_STATUS));
     }
 
     #[test]

@@ -63,6 +63,26 @@ impl Sig {
             .expect("signal in ALL_SIGS")
     }
 
+    /// The signal's number on Linux x86-64, which a death by it reports
+    /// as exit status `128 + number`.
+    pub(crate) fn number(self) -> i32 {
+        match self {
+            Sig::Hup => 1,
+            Sig::Int => 2,
+            Sig::Quit => 3,
+            Sig::Kill => 9,
+            Sig::Segv => 11,
+            Sig::Pipe => 13,
+            Sig::Alrm => 14,
+            Sig::Term => 15,
+            Sig::Chld => 17,
+            Sig::Cont => 18,
+            Sig::Stop => 19,
+            Sig::Usr1 => 10,
+            Sig::Usr2 => 12,
+        }
+    }
+
     /// True for signals whose disposition cannot be changed.
     pub(crate) fn unblockable(self) -> bool {
         matches!(self, Sig::Kill | Sig::Stop)
