@@ -219,13 +219,13 @@ impl Kernel {
         Ok(())
     }
 
-    /// Removes a zombie from the table and frees its PID.
+    /// Removes a zombie from the table and frees its PID. A running
+    /// process is refused with [`Errno::Ebusy`] and left as it was.
     fn reap(&mut self, pid: Pid) -> KResult<i32> {
-        let p = self.procs.remove(&pid).ok_or(Errno::Esrch)?;
-        let status = match p.state {
-            ProcState::Zombie(s) => s,
-            ProcState::Running => return Err(Errno::Ebusy),
+        let ProcState::Zombie(status) = self.process(pid)?.state else {
+            return Err(Errno::Ebusy);
         };
+        self.procs.remove(&pid);
         self.free_pid(pid);
         Ok(status)
     }
@@ -381,6 +381,21 @@ mod tests {
         assert_eq!((pid, status), (c, 3));
         assert_eq!(k.process(c).err(), Some(Errno::Esrch));
         assert_eq!(k.waitpid(init, None), Err(Errno::Echild));
+    }
+
+    /// `evacuate`'s stranded sweep reaps every PID and ignores the error:
+    /// a refusal must leave the process, its memory and its PID in place.
+    #[test]
+    fn reaping_a_running_child_is_refused_and_takes_nothing() {
+        let (mut k, init) = boot();
+        let c = child_of(&mut k, init);
+        let base = k.mmap_anon(c, 8, Prot::RW, Share::Private).unwrap();
+        k.populate(c, base, 8).unwrap();
+        let before = k.baseline();
+        assert_eq!(k.reap(c), Err(Errno::Ebusy));
+        assert!(k.process(c).is_ok(), "the child is still in the table");
+        k.check_invariants().unwrap();
+        k.leak_check(&before).unwrap();
     }
 
     #[test]
