@@ -14,7 +14,6 @@
 use crate::error::{Errno, KResult};
 use fpr_faults::FaultSite;
 use fpr_trace::smp::VLock;
-use std::collections::BTreeSet;
 
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,12 +29,17 @@ impl std::fmt::Display for Pid {
     }
 }
 
-/// Allocates PIDs with wraparound and recycling, like Linux's pid bitmap.
+/// Allocates PIDs with wraparound and recycling, like Linux's pid bitmap:
+/// one bit per PID, searched next-fit from just past the PID handed out
+/// last.
 #[derive(Debug, Clone)]
 pub(crate) struct PidAllocator {
+    /// Where the next search starts.
     next: u32,
     max: u32,
-    in_use: BTreeSet<u32>,
+    /// Bit `p - 1` is set while PID `p` is held.
+    bits: Vec<u64>,
+    live: u32,
 }
 
 impl PidAllocator {
@@ -44,8 +48,23 @@ impl PidAllocator {
         PidAllocator {
             next: 1,
             max,
-            in_use: BTreeSet::new(),
+            bits: vec![0; max.div_ceil(64) as usize],
+            live: 0,
         }
+    }
+
+    /// The first free PID in `from..=max`, if there is one.
+    fn free_from(&self, from: u32) -> Option<u32> {
+        let first = (from - 1) as usize;
+        let mut w = first / 64;
+        let mut free = !self.bits[w] & (u64::MAX << (first % 64));
+        while free == 0 {
+            w += 1;
+            free = !*self.bits.get(w)?;
+        }
+        // Bits past `max` in the last word read free.
+        let bit = w * 64 + free.trailing_zeros() as usize;
+        (bit < self.max as usize).then_some(bit as u32 + 1)
     }
 
     /// Allocates the next free PID, wrapping at `max`.
@@ -56,20 +75,18 @@ impl PidAllocator {
     /// machine-wide allocation (so an injected fault is never masked by
     /// the overflow scan) and then calls this on each candidate shard.
     pub(crate) fn alloc(&mut self) -> KResult<Pid> {
-        if self.in_use.len() as u32 >= self.max {
+        if self.live >= self.max {
             return Err(Errno::Eagain);
         }
-        loop {
-            let candidate = self.next;
-            self.next = if self.next >= self.max {
-                1
-            } else {
-                self.next + 1
-            };
-            if self.in_use.insert(candidate) {
-                return Ok(Pid(candidate));
-            }
-        }
+        let pid = self
+            .free_from(self.next)
+            .or_else(|| self.free_from(1))
+            .expect("fewer than max pids held");
+        let (w, bit) = bit_of(pid);
+        self.bits[w] |= bit;
+        self.live += 1;
+        self.next = if pid >= self.max { 1 } else { pid + 1 };
+        Ok(Pid(pid))
     }
 
     /// Returns a PID to the pool.
@@ -78,17 +95,24 @@ impl PidAllocator {
     ///
     /// Panics if the PID was not allocated.
     pub(crate) fn free(&mut self, pid: Pid) {
-        assert!(
-            self.in_use.remove(&pid.0),
-            "freeing unallocated pid {}",
-            pid.0
-        );
+        let (w, bit) = bit_of(pid.0);
+        let held = (1..=self.max).contains(&pid.0) && self.bits[w] & bit != 0;
+        assert!(held, "freeing unallocated pid {}", pid.0);
+        self.bits[w] &= !bit;
+        self.live -= 1;
     }
 
     /// Number of live PIDs.
     pub(crate) fn live(&self) -> usize {
-        self.in_use.len()
+        self.live as usize
     }
+}
+
+/// The word of a [`PidAllocator`]'s bitmap holding PID `pid`'s bit, and
+/// the bit. PID 0 is never handed out; it wraps to a word past the end.
+fn bit_of(pid: u32) -> (usize, u64) {
+    let b = pid.wrapping_sub(1);
+    ((b / 64) as usize, 1 << (b % 64))
 }
 
 /// A machine-wide PID space striped across independently locked shards.
@@ -221,6 +245,32 @@ mod tests {
         // next wrapped to 1; both 1 and 3 free.
         assert_eq!(a.alloc().unwrap(), Pid(1));
         assert_eq!(a.alloc().unwrap(), Pid(3));
+    }
+
+    /// The bitmap against the rule written out, over 130 PIDs: three
+    /// words, the last of them mostly past `max`.
+    #[test]
+    fn bitmap_hands_out_next_fit_across_words() {
+        const MAX: u32 = 130;
+        let mut a = PidAllocator::new(MAX);
+        let mut held = vec![false; MAX as usize + 1];
+        let mut last = 0;
+        let mut rng = fpr_rng::Rng::seed_from_u64(0x61D);
+        for _ in 0..4000 {
+            let holding: Vec<u32> = (1..=MAX).filter(|&p| held[p as usize]).collect();
+            if holding.is_empty() || rng.gen_bool(0.55) {
+                let expect = (0..MAX).map(|i| (last + i) % MAX + 1).find(|&p| !held[p as usize]);
+                assert_eq!(a.alloc().ok(), expect.map(Pid));
+                if let Some(p) = expect {
+                    (held[p as usize], last) = (true, p);
+                }
+            } else {
+                let p = holding[rng.gen_index(holding.len())];
+                a.free(Pid(p));
+                held[p as usize] = false;
+            }
+            assert_eq!(a.live(), held.iter().filter(|h| **h).count());
+        }
     }
 
     #[test]
