@@ -122,7 +122,7 @@ impl Kernel {
         // space referencing it.
         let mut pte_refs: BTreeMap<u64, u32> = BTreeMap::new();
         let mut seen_nodes: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for p in self.procs.values() {
+        for p in self.procs.iter() {
             if p.space_ref != SpaceRef::Owned {
                 continue;
             }
@@ -176,7 +176,7 @@ impl Kernel {
         let mut slot_refs: BTreeMap<u64, u32> = BTreeMap::new();
         let mut seen_swap_nodes: std::collections::BTreeSet<usize> =
             std::collections::BTreeSet::new();
-        for p in self.procs.values() {
+        for p in self.procs.iter() {
             if p.space_ref != SpaceRef::Owned {
                 continue;
             }
@@ -221,7 +221,7 @@ impl Kernel {
 
         // --- Descriptors: fd -> ofd edges and reference counts. ---
         let mut fd_refs: BTreeMap<u32, u32> = BTreeMap::new();
-        for p in self.procs.values() {
+        for p in self.procs.iter() {
             for (fd, entry) in p.fds.iter() {
                 *fd_refs.entry(entry.ofd.0).or_insert(0) += 1;
                 if self.ofds.get(entry.ofd).is_err() {
@@ -263,19 +263,18 @@ impl Kernel {
 
         // --- Process tree and accounting. ---
         let mut live_by_uid: BTreeMap<u32, u64> = BTreeMap::new();
-        for p in self.procs.values() {
+        for p in self.procs.iter() {
             if !p.is_zombie() {
                 *live_by_uid.entry(p.cred.uid).or_insert(0) += 1;
             }
-            if p.ppid != p.pid && !self.procs.contains_key(&p.ppid) {
+            if p.ppid != p.pid && self.procs.get(p.ppid).is_none() {
                 v.push(format!("pid {}: parent {} does not exist", p.pid, p.ppid));
             }
             if p.ppid != p.pid {
                 let listed = self
                     .procs
-                    .get(&p.ppid)
-                    .map(|pp| pp.children.contains(&p.pid))
-                    .unwrap_or(false);
+                    .get(p.ppid)
+                    .is_some_and(|pp| pp.children.contains(&p.pid));
                 if !listed {
                     v.push(format!(
                         "pid {}: not in parent {}'s child list",
@@ -284,7 +283,7 @@ impl Kernel {
                 }
             }
             for c in &p.children {
-                if !self.procs.contains_key(c) {
+                if self.procs.get(*c).is_none() {
                     v.push(format!("pid {}: lists dead child {}", p.pid, c));
                 }
             }

@@ -68,6 +68,59 @@ impl Default for MachineConfig {
     }
 }
 
+/// The process table: a slot for every PID the machine can hand out,
+/// allocated once at boot and indexed by the PID itself, each PCB boxed
+/// in its slot. A PID another cell holds leaves its slot here empty.
+/// Iteration is in PID order.
+#[derive(Debug)]
+pub(crate) struct ProcTable {
+    slots: Vec<Option<Box<Process>>>,
+    len: usize,
+}
+
+impl ProcTable {
+    /// An empty table for PIDs `1..=max_pid`.
+    fn new(max_pid: u32) -> ProcTable {
+        ProcTable {
+            slots: (0..=max_pid).map(|_| None).collect(),
+            len: 0,
+        }
+    }
+
+    pub(crate) fn get(&self, pid: Pid) -> Option<&Process> {
+        self.slots.get(pid.0 as usize)?.as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        self.slots.get_mut(pid.0 as usize)?.as_deref_mut()
+    }
+
+    /// Puts `proc` in the slot of its PID, which the PID table has just
+    /// handed out: the slot is empty.
+    fn insert(&mut self, proc: Process) {
+        let slot = &mut self.slots[proc.pid.0 as usize];
+        debug_assert!(slot.is_none(), "pid {} is in the table twice", proc.pid);
+        *slot = Some(Box::new(proc));
+        self.len += 1;
+    }
+
+    pub(crate) fn remove(&mut self, pid: Pid) -> Option<Box<Process>> {
+        let proc = self.slots.get_mut(pid.0 as usize)?.take()?;
+        self.len -= 1;
+        Some(proc)
+    }
+
+    /// Every process, in PID order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Process> {
+        self.slots.iter().filter_map(|s| s.as_deref())
+    }
+
+    /// Processes in the table, zombies included.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// The simulated machine and kernel.
 #[derive(Debug)]
 pub struct Kernel {
@@ -100,7 +153,7 @@ pub struct Kernel {
     /// Pending alarms (see `timer`).
     pub(crate) alarms: Vec<crate::timer::Alarm>,
     pub(crate) tids: TidAllocator,
-    pub(crate) procs: BTreeMap<Pid, Process>,
+    pub(crate) procs: ProcTable,
     /// Live process count per real uid (RLIMIT_NPROC accounting).
     pub(crate) user_counts: BTreeMap<u32, u64>,
     /// Registered shrinkers, held weakly: subsystems own the strong
@@ -269,7 +322,7 @@ impl Kernel {
             atfork_log: Vec::new(),
             alarms: Vec::new(),
             tids: TidAllocator::new(),
-            procs: BTreeMap::new(),
+            procs: ProcTable::new(shared.pids.max_pid),
             user_counts: BTreeMap::new(),
             shrinkers: Vec::new(),
             reclaim_stats: crate::reclaim::ReclaimStats::default(),
@@ -377,18 +430,18 @@ impl Kernel {
         }
         *self.user_counts.entry(proc.cred.uid).or_insert(0) += 1;
         self.sched.enqueue(Task { pid, tid });
-        self.procs.insert(pid, proc);
+        self.procs.insert(proc);
         Ok(pid)
     }
 
     /// Borrows a process.
     pub fn process(&self, pid: Pid) -> KResult<&Process> {
-        self.procs.get(&pid).ok_or(Errno::Esrch)
+        self.procs.get(pid).ok_or(Errno::Esrch)
     }
 
     /// Mutably borrows a process.
     pub fn process_mut(&mut self, pid: Pid) -> KResult<&mut Process> {
-        self.procs.get_mut(&pid).ok_or(Errno::Esrch)
+        self.procs.get_mut(pid).ok_or(Errno::Esrch)
     }
 
     /// Fails with [`Errno::Esrch`] unless `pid` exists and is not a
@@ -401,9 +454,9 @@ impl Kernel {
         }
     }
 
-    /// All live PIDs in order.
+    /// Every PID in the process table, zombies included, in order.
     pub fn pids(&self) -> Vec<Pid> {
-        self.procs.keys().copied().collect()
+        self.procs.iter().map(|p| p.pid).collect()
     }
 
     /// Number of processes in the table (including zombies).
@@ -456,8 +509,8 @@ impl Kernel {
             identity.give(&mut proc, ppid);
             *k.user_counts.entry(proc.cred.uid).or_insert(0) += 1;
             k.sched.enqueue(Task { pid, tid });
-            k.procs.insert(pid, proc);
-            if let Some(parent) = k.procs.get_mut(&ppid) {
+            k.procs.insert(proc);
+            if let Some(parent) = k.procs.get_mut(ppid) {
                 parent.children.push(pid);
             }
             Ok(pid)
@@ -498,7 +551,7 @@ impl Kernel {
             procs,
             ..
         } = self;
-        let space = &mut procs.get_mut(&owner).ok_or(Errno::Esrch)?.aspace;
+        let space = &mut procs.get_mut(owner).ok_or(Errno::Esrch)?.aspace;
         Ok(MemCtx {
             space,
             phys,
@@ -542,7 +595,7 @@ impl Kernel {
                 ..
             } = &mut *k;
             let proc = procs
-                .get_mut(&pid)
+                .get_mut(pid)
                 .filter(|p| !p.is_zombie())
                 .ok_or(Errno::Esrch)?;
             if proc.space_ref == crate::task::SpaceRef::Owned {
@@ -744,10 +797,10 @@ impl Kernel {
         self.teardown(child)?;
         // Unlink from the parent and the PID space.
         let ppid = self.process(child)?.ppid;
-        if let Some(pp) = self.procs.get_mut(&ppid) {
+        if let Some(pp) = self.procs.get_mut(ppid) {
             pp.children.retain(|c| *c != child);
         }
-        self.procs.remove(&child);
+        self.procs.remove(child);
         self.free_pid(child);
         Ok(())
     }
@@ -1000,10 +1053,10 @@ impl Kernel {
             let p = self.process(child)?;
             (p.ppid, p.cred.uid)
         };
-        if let Some(pp) = self.procs.get_mut(&old_ppid) {
+        if let Some(pp) = self.procs.get_mut(old_ppid) {
             pp.children.retain(|c| *c != child);
         }
-        if let Some(np) = self.procs.get_mut(&new_parent) {
+        if let Some(np) = self.procs.get_mut(new_parent) {
             np.children.push(child);
         }
         self.rebook_uid(old_uid, identity.cred.uid);
@@ -1056,6 +1109,68 @@ mod tests {
         assert_eq!(p.fds.open_count(), 3);
         assert_eq!(p.pid, Pid(1));
         assert_eq!(k.ofds.live(), 3);
+    }
+
+    /// Inserts and removes out of PID order leave iteration in PID order.
+    #[test]
+    fn the_process_table_iterates_in_pid_order() {
+        let mut t = ProcTable::new(16);
+        let root = Vfs::new().root();
+        let put = |t: &mut ProcTable, pid: u32| t.insert(Process::new(Pid(pid), Pid(1), "p", Tid(pid.into()), root));
+        for pid in [9, 3, 12, 1, 7] {
+            put(&mut t, pid);
+        }
+        assert!(t.remove(Pid(3)).is_some());
+        assert!(t.remove(Pid(12)).is_some());
+        assert!(t.remove(Pid(12)).is_none(), "an empty slot removes nothing");
+        for pid in [16, 5, 12] {
+            put(&mut t, pid);
+        }
+        let order: Vec<u32> = t.iter().map(|p| p.pid.0).collect();
+        assert_eq!(order, [1, 5, 7, 9, 12, 16]);
+        assert_eq!(t.len(), 6);
+        assert!(t.get(Pid(17)).is_none(), "past the last slot is nobody");
+    }
+
+    /// A PID freed at the top of a wrapped space comes back in the slot it
+    /// had, and the table never grows past its boot size.
+    #[test]
+    fn a_pid_slot_is_reused_after_the_pids_wrap() {
+        let mut k = Kernel::new(MachineConfig {
+            max_pids: 4,
+            ..MachineConfig::default()
+        });
+        let init = k.create_init("init").unwrap();
+        let kids: Vec<Pid> = ["a", "b", "c"].iter().map(|n| k.allocate_process(init, n).unwrap()).collect();
+        assert_eq!(kids, [Pid(2), Pid(3), Pid(4)]);
+        k.exit(Pid(3), 0).unwrap();
+        k.waitpid(init, Some(Pid(3))).unwrap();
+        assert_eq!(k.allocate_process(init, "d"), Ok(Pid(3)), "wrapped past 4 to the one free pid");
+        assert_eq!(k.process(Pid(3)).unwrap().name, "d");
+        assert_eq!(k.allocate_process(init, "e"), Err(Errno::Eagain));
+        assert_eq!(k.pids(), [Pid(1), Pid(2), Pid(3), Pid(4)]);
+        assert_eq!(k.procs.slots.len(), 5);
+        k.check_invariants().unwrap();
+    }
+
+    /// Each cell's table holds the PIDs of its own stripe and no other.
+    #[test]
+    fn a_cell_table_holds_only_its_stripe() {
+        let cfg = MachineConfig::default();
+        let shared = SmpShared::new(&cfg, 2);
+        let mut cells: Vec<Kernel> = (0..2).map(|c| Kernel::new_smp(cfg.clone(), &shared, c)).collect();
+        for k in &mut cells {
+            let init = k.create_init("init").unwrap();
+            for _ in 0..3 {
+                k.allocate_process(init, "worker").unwrap();
+            }
+        }
+        assert_eq!(cells[0].pids(), [Pid(1), Pid(3), Pid(5), Pid(7)]);
+        assert_eq!(cells[1].pids(), [Pid(2), Pid(4), Pid(6), Pid(8)]);
+        assert!(cells[1].process(Pid(3)).is_err(), "cell 0's pid is not in cell 1's table");
+        for k in &cells {
+            k.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -1286,7 +1401,7 @@ mod tests {
         for k in &mut cells {
             let victims: Vec<Pid> = k
                 .procs
-                .values()
+                .iter()
                 .filter(|p| p.ppid != p.pid) // init is its own parent
                 .map(|p| p.pid)
                 .collect();

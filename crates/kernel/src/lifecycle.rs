@@ -147,7 +147,7 @@ impl Kernel {
                 )
             };
             for c in vfork_children {
-                if k.procs.contains_key(&c) {
+                if k.procs.get(c).is_some() {
                     k.exit(c, OOM_EXIT_STATUS)?;
                 }
             }
@@ -155,9 +155,9 @@ impl Kernel {
             // 4. Reparent children to init (PID 1).
             let init = Pid(1);
             for c in children {
-                if let Some(cp) = k.procs.get_mut(&c) {
+                if let Some(cp) = k.procs.get_mut(c) {
                     cp.ppid = init;
-                    if let Some(ip) = k.procs.get_mut(&init) {
+                    if let Some(ip) = k.procs.get_mut(init) {
                         ip.children.push(c);
                     }
                 }
@@ -171,7 +171,7 @@ impl Kernel {
             }
 
             // 6. Tell the parent (or auto-reap if the parent is gone/self).
-            if ppid != pid && k.procs.contains_key(&ppid) {
+            if ppid != pid && k.procs.get(ppid).is_some() {
                 let _ = k.kill(ppid, Sig::Chld);
             } else {
                 k.reap(pid)?;
@@ -225,7 +225,7 @@ impl Kernel {
         let ProcState::Zombie(status) = self.process(pid)?.state else {
             return Err(Errno::Ebusy);
         };
-        self.procs.remove(&pid);
+        self.procs.remove(pid);
         self.free_pid(pid);
         Ok(status)
     }
@@ -237,7 +237,7 @@ impl Kernel {
     pub fn waitpid(&mut self, parent: Pid, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
         self.charge_syscall();
         let children = &self.process(parent)?.children;
-        let is_zombie = |c: &Pid| self.procs.get(c).is_some_and(|p| p.is_zombie());
+        let is_zombie = |c: &Pid| self.procs.get(*c).is_some_and(|p| p.is_zombie());
         let zombie = match target {
             _ if children.is_empty() => return Err(Errno::Echild),
             Some(t) if !children.contains(&t) => return Err(Errno::Echild),
@@ -263,7 +263,7 @@ impl Kernel {
     /// that committed gigabytes but touched nothing is a prime victim,
     /// where resident-only scoring saw zero) plus `oom_score_adj`.
     pub fn oom_badness(&self, pid: Pid) -> Option<i64> {
-        let p = self.procs.get(&pid)?;
+        let p = self.procs.get(pid)?;
         if p.is_zombie() || p.pid == Pid(1) || p.space_ref != SpaceRef::Owned {
             return None;
         }
@@ -306,22 +306,21 @@ impl Kernel {
         let mut victims: Vec<Pid> = self
             .procs
             .iter()
-            .filter(|(_, p)| !p.is_zombie())
-            .map(|(&pid, _)| pid)
+            .filter(|p| !p.is_zombie())
+            .map(|p| p.pid)
             .collect();
         victims.sort_unstable_by(|a, b| b.cmp(a));
         for pid in victims {
             // A vfork cascade may have taken this process down along
             // with an earlier victim; skip what is already dead.
-            let alive = self.procs.get(&pid).map(|p| !p.is_zombie()).unwrap_or(false);
+            let alive = self.procs.get(pid).is_some_and(|p| !p.is_zombie());
             if alive && self.exit(pid, OOM_EXIT_STATUS).is_ok() {
                 evacuated += 1;
             }
         }
         // Zombies whose parent died unreaping (the parent's exit removed
         // it from the table before it could wait) are swept here.
-        let stranded: Vec<Pid> = self.procs.keys().copied().collect();
-        for pid in stranded {
+        for pid in self.pids() {
             let _ = self.reap(pid);
         }
         // Give the cell's magazine frames back to the shared pool; after
@@ -337,12 +336,11 @@ impl Kernel {
     pub fn oom_kill(&mut self) -> Option<Pid> {
         let victim = self
             .procs
-            .keys()
-            .copied()
-            .filter_map(|pid| self.oom_badness(pid).map(|score| (score, pid)))
+            .iter()
+            .filter_map(|p| self.oom_badness(p.pid).map(|score| (score, p.pid)))
             .max_by_key(|&(score, pid)| (score, pid))?
             .1;
-        if let Some(p) = self.procs.get_mut(&victim) {
+        if let Some(p) = self.procs.get_mut(victim) {
             p.oom_killed = true;
         }
         self.oom_kills.push(victim);
@@ -623,7 +621,7 @@ mod tests {
 
         let evacuated = k1.evacuate().unwrap();
         assert!(evacuated >= 3, "init, a, grand all exited here");
-        assert!(k1.procs.is_empty(), "no process survives evacuation");
+        assert_eq!(k1.process_count(), 0, "no process survives evacuation");
         assert_eq!(k1.phys.drawn_frames(), 0, "magazine drained, nothing resident");
         assert_eq!(k1.held_pids, 0, "cell-local pid accounting emptied");
         assert_eq!(
@@ -649,7 +647,7 @@ mod tests {
         let c = k.allocate_process(init, "c").unwrap();
         let base = k.mmap_anon(c, 8, Prot::RW, Share::Private).unwrap();
         k.populate(c, base, 8).unwrap();
-        let procs_before = k.procs.len();
+        let procs_before = k.process_count();
         let drawn_before = k.phys.drawn_frames();
 
         let (res, trace) = fpr_faults::with_plan(
@@ -658,13 +656,13 @@ mod tests {
         );
         assert_eq!(res, Err(Errno::Eagain), "injected failure surfaces cleanly");
         assert_eq!(trace.injected().len(), 1);
-        assert_eq!(k.procs.len(), procs_before, "nothing was killed");
+        assert_eq!(k.process_count(), procs_before, "nothing was killed");
         assert_eq!(k.phys.drawn_frames(), drawn_before, "nothing was freed");
         k.check_invariants().unwrap();
 
         // The retry completes the evacuation.
         assert!(k.evacuate().unwrap() >= 2);
-        assert!(k.procs.is_empty());
+        assert_eq!(k.process_count(), 0);
         assert_eq!(k.phys.drawn_frames(), 0);
     }
 

@@ -128,6 +128,8 @@ fn bit_of(pid: u32) -> (usize, u64) {
 #[derive(Debug)]
 pub struct ShardedPidTable {
     shards: Vec<VLock<PidAllocator>>,
+    /// The highest PID the table can hand out.
+    pub(crate) max_pid: u32,
 }
 
 impl ShardedPidTable {
@@ -144,6 +146,7 @@ impl ShardedPidTable {
             shards: (0..shards)
                 .map(|_| VLock::new("pid", PidAllocator::new(per)))
                 .collect(),
+            max_pid: per * shards as u32,
         }
     }
 

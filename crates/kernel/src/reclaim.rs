@@ -226,18 +226,16 @@ impl Kernel {
         }
         // Phase 0: gather eviction candidates across live processes.
         let mut work: Vec<(crate::pid::Pid, fpr_mem::Vpn)> = Vec::new();
-        let pids: Vec<crate::pid::Pid> = self.procs.keys().copied().collect();
-        for pid in pids {
+        for p in self.procs.iter() {
             let room = budget as usize - work.len();
             if room == 0 {
                 break;
             }
-            let p = &self.procs[&pid];
             if p.is_zombie() || p.space_ref != crate::task::SpaceRef::Owned {
                 continue;
             }
             for vpn in p.aspace.swap_out_candidates(&self.phys, room) {
-                work.push((pid, vpn));
+                work.push((p.pid, vpn));
             }
         }
         if work.is_empty() {
@@ -255,7 +253,9 @@ impl Kernel {
             let stall_start = k.cycles.total();
             let mut reserved: Vec<(crate::pid::Pid, fpr_mem::Vpn, u64)> = Vec::new();
             for (pid, vpn) in work {
-                let pte = k.procs[&pid]
+                let pte = k
+                    .process(pid)
+                    .expect("candidate process live")
                     .aspace
                     .translate(vpn)
                     .expect("candidate just enumerated");
@@ -309,7 +309,7 @@ impl Kernel {
         if self.phys.pressure() == PressureLevel::None {
             return false;
         }
-        self.procs.values().any(|p| {
+        self.procs.iter().any(|p| {
             !p.is_zombie()
                 && p.space_ref == crate::task::SpaceRef::Owned
                 && !p.aspace.swap_out_candidates(&self.phys, 1).is_empty()
