@@ -19,7 +19,6 @@ use crate::vma::{Backing, Share, VmArea, VmaKind};
 use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::sink;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -81,11 +80,16 @@ impl ReleaseTally {
     }
 }
 
+/// Room a space's first mapping makes in its VMA vector: an exec'd image
+/// is six mappings (text, data, bss, heap, guard, stack), and a request
+/// maps one or two more.
+const FIRST_VMAS: usize = 8;
+
 /// A process address space.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
-    /// VMAs keyed by start VPN.
-    pub(crate) vmas: BTreeMap<u64, VmArea>,
+    /// The mappings, disjoint, sorted by start page.
+    pub(crate) vmas: Vec<VmArea>,
     pub(crate) pt: crate::page_table::PageTable,
     /// Installed PTEs that are swap entries rather than frames. The page
     /// table counts both kinds as "mapped"; residency subtracts this.
@@ -109,7 +113,7 @@ impl AddressSpace {
     /// Creates an empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            vmas: BTreeMap::new(),
+            vmas: Vec::new(),
             pt: crate::page_table::PageTable::new(),
             swapped: 0,
             thp: false,
@@ -131,16 +135,36 @@ impl AddressSpace {
 
     /// Returns the VMA covering `vpn`, if any.
     pub fn vma_at(&self, vpn: Vpn) -> Option<&VmArea> {
-        self.vmas
-            .range(..=vpn.0)
-            .next_back()
-            .map(|(_, v)| v)
+        self.vmas[..self.vmas_below(vpn.0 + 1)]
+            .last()
             .filter(|v| v.contains(vpn))
     }
 
     /// Iterates over all VMAs in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &VmArea> {
-        self.vmas.values()
+        self.vmas.iter()
+    }
+
+    /// How many mappings start below page `vpn`: the index of the first
+    /// that starts at or above it.
+    fn vmas_below(&self, vpn: u64) -> usize {
+        self.vmas.partition_point(|v| v.start.0 < vpn)
+    }
+
+    /// The indices of the mappings that start in `[lo, hi)`.
+    fn vmas_starting_in(&self, lo: u64, hi: u64) -> Range<usize> {
+        self.vmas_below(lo)..self.vmas_below(hi)
+    }
+
+    /// Adds `area`, which overlaps no mapping, in address order. The first
+    /// mapping makes room for [`FIRST_VMAS`], so a typical space allocates
+    /// its vector once.
+    fn insert_vma(&mut self, area: VmArea) {
+        if self.vmas.capacity() == 0 {
+            self.vmas.reserve_exact(FIRST_VMAS);
+        }
+        let at = self.vmas_below(area.start.0);
+        self.vmas.insert(at, area);
     }
 
     /// Number of VMAs.
@@ -161,7 +185,7 @@ impl AddressSpace {
 
     /// Total pages covered by VMAs (virtual size).
     pub fn virtual_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.pages).sum()
+        self.vmas.iter().map(|v| v.pages).sum()
     }
 
     /// Page-table nodes in use (what fork must allocate for the child).
@@ -172,7 +196,7 @@ impl AddressSpace {
     /// Commit charge of this space: pages whose frames the kernel may have
     /// to materialise (private-writable or anonymous mappings).
     pub fn commit_pages(&self) -> u64 {
-        self.vmas.values().map(VmArea::commit_charge).sum()
+        self.vmas.iter().map(VmArea::commit_charge).sum()
     }
 
     /// Installs a new mapping.
@@ -198,13 +222,13 @@ impl AddressSpace {
         let eager_shared = area.share == Share::Shared;
         let start = area.start;
         let pages = area.pages;
-        self.vmas.insert(area.start.0, area);
+        self.insert_vma(area);
         if eager_shared {
             if let Err(e) = self.populate(start, pages, phys, cycles) {
                 // Roll back the partial population and the VMA record so a
                 // failed mmap leaves the space untouched.
                 self.release_range(start, pages, &mut ReleaseTally::default(), phys, cycles);
-                self.vmas.remove(&start.0);
+                self.vmas.remove(self.vmas_below(start.0));
                 return Err(e);
             }
         }
@@ -215,18 +239,17 @@ impl AddressSpace {
     pub(crate) fn overlaps(&self, start: Vpn, pages: u64) -> bool {
         // VMAs are disjoint, so the last one starting below the range's
         // end is the only one that can reach back into it.
-        self.vmas
-            .range(..start.0 + pages)
-            .next_back()
-            .is_some_and(|(_, v)| v.end().0 > start.0)
+        self.vmas[..self.vmas_below(start.0 + pages)]
+            .last()
+            .is_some_and(|v| v.end().0 > start.0)
     }
 
     /// Finds a free run of `pages` pages at or above `hint`: first fit,
     /// walking the VMAs in address order from the one at or below the hint.
     pub fn find_free_range(&self, pages: u64, hint: Vpn) -> MemResult<Vpn> {
         let mut candidate = hint.0;
-        let below = self.vmas.range(..candidate).next_back();
-        for (_, v) in below.into_iter().chain(self.vmas.range(candidate..)) {
+        let below = self.vmas_below(candidate).saturating_sub(1);
+        for v in &self.vmas[below..] {
             if v.start.0 >= candidate + pages {
                 break;
             }
@@ -261,15 +284,8 @@ impl AddressSpace {
         // as they were, so they are cut only now.
         self.split_at(start);
         self.split_at(Vpn(start.0 + pages));
-        let doomed: Vec<u64> = self
-            .vmas
-            .range(start.0..start.0 + pages)
-            .map(|(k, _)| *k)
-            .collect();
         self.release_range(start, pages, &mut tally, phys, cycles);
-        for k in doomed {
-            self.vmas.remove(&k);
-        }
+        self.vmas.drain(self.vmas_starting_in(start.0, start.0 + pages));
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(tally.pages)
     }
@@ -414,17 +430,10 @@ impl AddressSpace {
     /// Splits the VMA containing `at` so that `at` becomes a VMA boundary.
     /// No-op if `at` is already a boundary or unmapped.
     pub(crate) fn split_at(&mut self, at: Vpn) {
-        let key = match self
-            .vmas
-            .range(..at.0)
-            .next_back()
-            .filter(|(_, v)| v.contains(at))
-            .map(|(k, _)| *k)
-        {
-            Some(k) => k,
-            None => return,
+        let Some(i) = self.vmas_below(at.0).checked_sub(1).filter(|&i| self.vmas[i].contains(at)) else {
+            return;
         };
-        let mut low = self.vmas.remove(&key).expect("key just found");
+        let low = &mut self.vmas[i];
         let mut high = low.clone();
         let split_pages = at.0 - low.start.0;
         low.pages = split_pages;
@@ -440,8 +449,7 @@ impl AddressSpace {
                 page_offset: page_offset + split_pages,
             };
         }
-        self.vmas.insert(low.start.0, low);
-        self.vmas.insert(high.start.0, high);
+        self.vmas.insert(i + 1, high);
     }
 
     /// Changes protection on `[start, start+pages)`, splitting VMAs as
@@ -471,10 +479,8 @@ impl AddressSpace {
         // before failing gets its write back from a fault, as an upgrade
         // does — so they are cut and reprotected only after it.
         let (lo, hi) = (start.0, start.0 + pages);
-        let losing: Vec<Range<u64>> = self
-            .vmas
-            .range(..hi)
-            .map(|(_, v)| v)
+        let losing: Vec<Range<u64>> = self.vmas[..self.vmas_below(hi)]
+            .iter()
             .filter(|v| v.end().0 > lo && v.prot.write && !prot.write)
             .map(|v| v.start.0.max(lo)..v.end().0.min(hi))
             .collect();
@@ -484,7 +490,8 @@ impl AddressSpace {
         }
         self.split_at(start);
         self.split_at(Vpn(hi));
-        self.vmas.range_mut(lo..hi).for_each(|(_, v)| v.prot = prot);
+        let cut = self.vmas_starting_in(lo, hi);
+        self.vmas[cut].iter_mut().for_each(|v| v.prot = prot);
         self.release_shootdown(&tally, tlb, cpus_running, cycles, phys.cost());
         Ok(())
     }
@@ -519,7 +526,7 @@ impl AddressSpace {
     /// Whether every page of `[start, start + pages)` lies in a mapping.
     fn covered(&self, start: Vpn, pages: u64) -> bool {
         let end = start.0 + pages;
-        let reaching_in = self.vmas.range(..end).rev().map(|(_, v)| v).take_while(|v| v.end().0 > start.0);
+        let reaching_in = self.vmas[..self.vmas_below(end)].iter().rev().take_while(|v| v.end().0 > start.0);
         reaching_in.map(|v| v.end().0.min(end) - v.start.0.max(start.0)).sum::<u64>() == pages
     }
 
@@ -590,7 +597,8 @@ impl AddressSpace {
         if old_start == new_start {
             return Ok(0);
         }
-        let pages = self.vmas.get(&old_start.0).ok_or(MemError::NotMapped)?.pages;
+        let i = self.vmas_below(old_start.0);
+        let pages = self.vmas.get(i).filter(|v| v.start == old_start).ok_or(MemError::NotMapped)?.pages;
         if !new_start.is_user() || !Vpn(new_start.0 + pages - 1).is_user() {
             return Err(MemError::BadAddress);
         }
@@ -643,9 +651,9 @@ impl AddressSpace {
                 self.pt.unmap_run(slot, (old.start, old.end), &mut |_| {});
             }
         }
-        let mut vma = self.vmas.remove(&old_start.0).expect("looked up above");
+        let mut vma = self.vmas.remove(i);
         vma.start = new_start;
-        self.vmas.insert(new_start.0, vma);
+        self.insert_vma(vma);
         metrics::add("mem.slide.pte_move", moved);
         sink::instant("vma_slide", "mem", cycles.total());
         Ok(moved)
@@ -785,9 +793,8 @@ impl AddressSpace {
         }
         self.split_at(start);
         self.split_at(Vpn(start.0 + pages));
-        for (_, v) in self.vmas.range_mut(start.0..start.0 + pages) {
-            f(&mut v.fork_policy);
-        }
+        let cut = self.vmas_starting_in(start.0, start.0 + pages);
+        self.vmas[cut].iter_mut().for_each(|v| f(&mut v.fork_policy));
         Ok(())
     }
 
@@ -1316,11 +1323,12 @@ impl AddressSpace {
         cycles: &mut Cycles,
     ) -> MemResult<()> {
         let AddressSpace { vmas, pt, stats, .. } = parent;
-        for vma in vmas.values().filter(|v| !v.fork_policy.dont_fork) {
+        child.vmas.reserve_exact(vmas.len());
+        for vma in vmas.iter().filter(|v| !v.fork_policy.dont_fork) {
             fpr_faults::cross(FaultSite::VmaClone).map_err(|_| MemError::OutOfMemory)?;
             cycles.charge(phys.cost().vma_clone);
             stats.vmas_cloned += 1;
-            child.vmas.insert(vma.start.0, vma.clone());
+            child.vmas.push(vma.clone());
         }
         if mode == ForkMode::OnDemand {
             // Gather loose huge blocks into (partial) directories first:
@@ -1335,7 +1343,7 @@ impl AddressSpace {
             (!vma.fork_policy.dont_fork && !vma.fork_policy.wipe_on_fork).then_some(vma.share)
         };
         let eager = mode == ForkMode::Eager;
-        let mut cursor = vmas.values().peekable();
+        let mut cursor = vmas.iter().peekable();
         // The rule's answers for the current slot: its *runs*, ascending
         // ranges of in-node positions with one answer each.
         let mut runs: Vec<(Range<usize>, Option<Share>)> = Vec::new();
@@ -1665,6 +1673,33 @@ mod tests {
         assert_eq!(a.vma_at(Vpn(101)).unwrap().start, Vpn(100));
     }
 
+    /// The sorted vector's searches at a mapping's first page, its last
+    /// page and one past its end: `[10, 15)` with `[15, 17)` right after
+    /// it, then a gap of three pages before `[20, 24)`.
+    #[test]
+    fn vma_searches_at_a_mappings_edges() {
+        let mut a = AddressSpace::new();
+        for (start, len) in [(20, 4), (10, 5), (15, 2)] {
+            a.insert_vma(anon(start, len));
+        }
+        let starts: Vec<u64> = a.vmas().map(|v| v.start.0).collect();
+        assert_eq!(starts, [10, 15, 20], "inserted out of order, kept in order");
+        let at = |vpn| a.vma_at(Vpn(vpn)).map(|v| v.start.0);
+        assert_eq!([at(9), at(10), at(14), at(15), at(16), at(17)], [None, Some(10), Some(10), Some(15), Some(15), None]);
+        assert_eq!([at(20), at(23), at(24)], [Some(20), Some(20), None]);
+        let overlaps = |vpn, pages| a.overlaps(Vpn(vpn), pages);
+        assert!(overlaps(10, 1) && overlaps(23, 1) && overlaps(5, 6) && overlaps(17, 4));
+        assert!(!overlaps(24, 1) && !overlaps(9, 1) && !overlaps(5, 5) && !overlaps(17, 3));
+        let free = |pages, hint| a.find_free_range(pages, Vpn(hint));
+        assert_eq!(free(1, 10), Ok(Vpn(17)), "from a first page");
+        assert_eq!(free(3, 14), Ok(Vpn(17)), "from a last page, into a gap that fits");
+        assert_eq!(free(4, 17), Ok(Vpn(24)), "past a gap that does not");
+        assert_eq!(free(1, 23), Ok(Vpn(24)), "from the last mapping's last page");
+        assert_eq!(free(1, 24), Ok(Vpn(24)), "one past the end is free");
+        assert_eq!(free(2, 8), Ok(Vpn(8)), "ending on the page before a first page");
+        assert_eq!(free(3, 8), Ok(Vpn(17)));
+    }
+
     #[test]
     fn find_free_range_skips_existing() {
         let (mut phys, mut cy, _) = world(64);
@@ -1711,7 +1746,7 @@ mod tests {
         for _ in 0..n {
             at += rng.gen_below(max_gap + 1);
             let len = rng.gen_range(1, max_len + 1);
-            a.vmas.insert(at, anon(at, len));
+            a.insert_vma(anon(at, len));
             at += len;
         }
         a
@@ -1763,7 +1798,7 @@ mod tests {
         // A back-to-back run straight from the hint is skipped whole.
         let mut a = AddressSpace::new();
         for i in 0..32 {
-            a.vmas.insert(100 + 2 * i, anon(100 + 2 * i, 2));
+            a.insert_vma(anon(100 + 2 * i, 2));
         }
         assert_eq!(a.find_free_range(2, Vpn(100)), Ok(Vpn(164)));
         assert_agrees(&a, 2, 100, "run");
@@ -1773,7 +1808,7 @@ mod tests {
         // fits is taken.
         let mut a = AddressSpace::new();
         for (start, len) in [(10, 5), (17, 3), (23, 1), (30, 2)] {
-            a.vmas.insert(start, anon(start, len));
+            a.insert_vma(anon(start, len));
         }
         assert_eq!(a.find_free_range(2, Vpn(10)), Ok(Vpn(15)));
         assert_eq!(a.find_free_range(3, Vpn(10)), Ok(Vpn(20)));
@@ -1787,7 +1822,7 @@ mod tests {
         let mut a = AddressSpace::new();
         assert_eq!(a.find_free_range(8, Vpn(CEILING - 8)), Ok(Vpn(CEILING - 8)));
         assert_eq!(a.find_free_range(9, Vpn(CEILING - 8)), Err(MemError::Fragmented));
-        a.vmas.insert(CEILING - 8, anon(CEILING - 8, 4));
+        a.insert_vma(anon(CEILING - 8, 4));
         assert_eq!(a.find_free_range(4, Vpn(CEILING - 10)), Ok(Vpn(CEILING - 4)));
         assert_eq!(a.find_free_range(5, Vpn(CEILING - 10)), Err(MemError::Fragmented));
         for pages in 1..8 {
@@ -1807,8 +1842,8 @@ mod tests {
             let hint = Vpn(0x10_0000 + (i % 512) * 1024);
             let w = walked.find_free_range(pages, hint).unwrap();
             let s = find_free_range_full_scan(&scanned, pages, hint).unwrap();
-            walked.vmas.insert(w.0, anon(w.0, pages));
-            scanned.vmas.insert(s.0, anon(s.0, pages));
+            walked.insert_vma(anon(w.0, pages));
+            scanned.insert_vma(anon(s.0, pages));
         }
         assert_eq!(walked.vmas, scanned.vmas);
         // `make_parent`'s shape: every mapping from one hint, so the n-th
@@ -1821,7 +1856,7 @@ mod tests {
             }
             let base = a.find_free_range(2, Vpn(0x10_0000)).unwrap();
             assert_eq!(base, Vpn(0x10_0000 + 2 * i));
-            a.vmas.insert(base.0, anon(base.0, 2));
+            a.insert_vma(anon(base.0, 2));
         }
     }
 
