@@ -135,7 +135,7 @@ impl AddressSpace {
 
     /// Returns the VMA covering `vpn`, if any.
     pub fn vma_at(&self, vpn: Vpn) -> Option<&VmArea> {
-        self.vmas[..self.vmas_below(vpn.0 + 1)]
+        self.vmas[..self.vmas_below(vpn.0.saturating_add(1))]
             .last()
             .filter(|v| v.contains(vpn))
     }
