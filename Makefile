@@ -68,7 +68,11 @@ doclinks:
 # steady-state request of each creation path asks of the host allocator:
 # the same on two runs, nothing of a page or more (page-table nodes are
 # recycled), a warm-pool checkout within 24 allocations; it runs in
-# release, the build whose allocations are the ones that cost.
+# release, the build whose allocations are the ones that cost. Above
+# `AddressSpace`, process_table_reference drives create / exit / kill /
+# waitpid scripts through the kernel and a flat process table with the
+# PID rule written out, comparing every PID, parent, child list, zombie
+# and wait verdict after each step.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
@@ -79,6 +83,7 @@ leakcheck:
 	$(CARGO) test -q -p fpr-mem --test buddy_reference
 	$(CARGO) test -q -p fpr-mem --test fork_fail_points
 	$(CARGO) test --release -q -p fpr-api --test alloc_census
+	$(CARGO) test -q -p forkroad-core --test process_table_reference
 	$(CARGO) test -q -p forkroad-core --test pressure_property
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
 
