@@ -21,6 +21,9 @@
 //! 2. replay it K times, failing at each point in turn, asserting a clean
 //!    `Err` and an intact kernel every time.
 //!
+//! [`sweep`] is that harness, written once: it runs both steps on fresh
+//! worlds and hands every run to the caller's judge.
+//!
 //! Everything is deterministic: no clocks, no global RNG. Random plans
 //! ([`FaultPlan::random`]) derive from an explicit `u64` seed via an
 //! embedded SplitMix64 step, so any failing schedule replays exactly.
@@ -310,6 +313,12 @@ pub struct Crossing {
     pub injected: bool,
 }
 
+impl std::fmt::Display for Crossing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}#{}", self.site, self.occurrence)
+    }
+}
+
 /// Ordered record of every crossing of one [`with_plan`] run.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTrace {
@@ -545,6 +554,90 @@ pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultTrace) {
 /// Convenience: runs `f` under a passive plan and returns only the trace.
 pub fn count_crossings(f: impl FnOnce()) -> FaultTrace {
     with_plan(FaultPlan::passive(), f).1
+}
+
+/// One run of a [`sweep`]: the world `op` ran on, what it returned and
+/// every crossing it made.
+#[derive(Debug)]
+pub struct Point<W, R> {
+    /// The crossing the run failed: `None` for the counting run.
+    pub fault: Option<Crossing>,
+    /// The world, handed over so the judge can inspect it and retry `op`.
+    pub world: W,
+    /// What `op` returned.
+    pub result: R,
+    /// The run's crossings, in order.
+    pub trace: FaultTrace,
+}
+
+/// The exhaustive fail-point sweep: every un-duplicate path an operation
+/// has, run once.
+///
+/// Runs `op` on a world from `fresh` under a passive plan — the counting
+/// run — and then once per crossing it made (or, with `only`, per crossing
+/// of that site), each time on a new world from `fresh` with exactly that
+/// crossing failed: `fail_nth_crossing` by its global index, or `fail_at`
+/// by its occurrence. Every run goes to `judge`, the counting run first.
+/// Returns the counting run's trace.
+///
+/// # Panics
+///
+/// Panics if a replay injects anything but exactly one fault: `op` crossed
+/// fewer times than when it was counted.
+///
+/// ```
+/// use fpr_faults::{cross, sweep, FaultSite, InjectedFault};
+///
+/// // Three allocations, all undone if one fails.
+/// let op = |held: &mut Vec<u32>| -> Result<(), InjectedFault> {
+///     for frame in 0..3 {
+///         if let Err(fault) = cross(FaultSite::FrameAlloc) {
+///             held.clear();
+///             return Err(fault);
+///         }
+///         held.push(frame);
+///     }
+///     Ok(())
+/// };
+/// let mut clean = 0;
+/// let trace = sweep(None, Vec::new, op, |point| match point.fault {
+///     None => assert_eq!(point.result, Ok(())),
+///     Some(_) => {
+///         assert!(point.result.is_err() && point.world.is_empty());
+///         clean += 1;
+///     }
+/// });
+/// assert_eq!((clean, trace.len()), (3, 3));
+/// ```
+pub fn sweep<W, R>(
+    only: Option<FaultSite>,
+    mut fresh: impl FnMut() -> W,
+    op: impl Fn(&mut W) -> R,
+    mut judge: impl FnMut(Point<W, R>),
+) -> FaultTrace {
+    let mut world = fresh();
+    let (result, counted) = with_plan(FaultPlan::passive(), || op(&mut world));
+    let trace = counted.clone();
+    judge(Point { fault: None, world, result, trace });
+    let points = counted.crossings.iter();
+    for point in points.filter(|c| only.is_none_or(|site| c.site == site)) {
+        let plan = match only {
+            Some(site) => FaultPlan::passive().fail_at(site, point.occurrence),
+            None => FaultPlan::passive().fail_nth_crossing(point.global_index),
+        };
+        let mut world = fresh();
+        let (result, trace) = with_plan(plan, || op(&mut world));
+        let injected = trace.injected();
+        let [fault] = injected[..] else {
+            panic!(
+                "fpr-faults: sweep point {point} (crossing {}) injected {} faults on replay, not one",
+                point.global_index,
+                injected.len()
+            );
+        };
+        judge(Point { fault: Some(fault), world, result, trace });
+    }
+    counted
 }
 
 /// Cumulative coverage for this thread, keyed by site (stable order).
@@ -872,6 +965,75 @@ mod tests {
         // flush_coverage cleared the workers' locals; the registry holds all.
         reset_global_coverage();
         assert!(global_coverage().iter().all(|(_, c)| c.crossings == 0));
+    }
+
+    /// Crosses `FrameAlloc`, then `PtNodeAlloc` three times in one run,
+    /// then `FrameAlloc` again.
+    fn toy_op(_: &mut u64) -> Result<(), InjectedFault> {
+        cross(FaultSite::FrameAlloc)?;
+        cross_n(FaultSite::PtNodeAlloc, 3).map_err(|(_, fault)| fault)?;
+        cross(FaultSite::FrameAlloc)
+    }
+
+    /// The `(site, occurrence)` of every point `only` makes a sweep of
+    /// [`toy_op`] visit, counting run left out.
+    fn toy_points(only: Option<FaultSite>) -> Vec<(FaultSite, u64)> {
+        let mut visited = Vec::new();
+        let counted = sweep(only, || 0, toy_op, |point| match point.fault {
+            None => assert_eq!(point.result, Ok(())),
+            Some(fault) => {
+                assert_eq!(point.result, Err(InjectedFault { site: fault.site, occurrence: fault.occurrence }));
+                assert_eq!(point.trace.crossings.last(), Some(&fault), "the op stops at its fault");
+                visited.push((fault.site, fault.occurrence));
+            }
+        });
+        assert_eq!(counted.len(), 5);
+        visited
+    }
+
+    #[test]
+    fn sweep_visits_every_crossing_in_order() {
+        use FaultSite::{FrameAlloc, PtNodeAlloc};
+        let every = [(FrameAlloc, 0), (PtNodeAlloc, 0), (PtNodeAlloc, 1), (PtNodeAlloc, 2), (FrameAlloc, 1)];
+        assert_eq!(toy_points(None), every);
+    }
+
+    #[test]
+    fn sweep_of_one_site_visits_only_its_crossings() {
+        let site = FaultSite::PtNodeAlloc;
+        assert_eq!(toy_points(Some(site)), [(site, 0), (site, 1), (site, 2)]);
+    }
+
+    #[test]
+    fn every_sweep_point_gets_a_fresh_world() {
+        let mut built = 0;
+        let mut worlds = Vec::new();
+        let fresh = || {
+            built += 1;
+            built
+        };
+        let op = |world: &mut u64| {
+            *world *= 100;
+            toy_op(world)
+        };
+        sweep(None, fresh, op, |point| worlds.push(point.world));
+        assert_eq!(worlds, [100, 200, 300, 400, 500, 600], "counting run first, then one world a point");
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point frame_alloc#1 (crossing 1) injected 0 faults on replay")]
+    fn sweep_panics_naming_a_point_the_replay_never_reached() {
+        // The counted world crosses twice, every later one once.
+        let mut built = 0;
+        let fresh = || {
+            built += 1;
+            built
+        };
+        let op = |world: &mut u64| {
+            let crossings = if *world == 1 { 2 } else { 1 };
+            (0..crossings).try_for_each(|_| cross(FaultSite::FrameAlloc))
+        };
+        sweep(None, fresh, op, drop);
     }
 
     #[test]
