@@ -382,8 +382,8 @@ mod tests {
     fn same_seed_runs_are_byte_identical() {
         // The determinism contract the bench JSON relies on: two
         // identically seeded E15 figures serialize to the same bytes.
-        let a = default_figure().to_json();
-        let b = default_figure().to_json();
+        let a = default_figure().to_value().pretty();
+        let b = default_figure().to_value().pretty();
         assert_eq!(a, b, "same-seed fig_service JSON must be byte-identical");
     }
 

@@ -128,7 +128,7 @@ fn single_thread_service_replays_byte_identical_to_seed() {
     );
     let want = std::fs::read_to_string(path).expect("checked-in fig_service.json");
     let outcome = service::run_service(&service::ServiceConfig::default());
-    let got = service::figure(&outcome, &service::run_degradation()).to_json();
+    let got = service::figure(&outcome, &service::run_degradation()).to_value().pretty();
     assert_eq!(
         got, want,
         "E15 must replay byte-identical to the checked-in seed figure; \

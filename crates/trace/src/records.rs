@@ -3,7 +3,7 @@
 //! Every bench binary produces one of these and renders it the same way,
 //! so EXPERIMENTS.md rows can be regenerated mechanically and diffed.
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use std::fmt::Write as _;
 
 /// One (x, y) measurement.
@@ -121,8 +121,8 @@ impl FigureData {
         out
     }
 
-    /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
+    /// The figure as a JSON value (`.pretty()` is what `results/` holds).
+    pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("id".into(), Value::Str(self.id.clone())),
             ("title".into(), Value::Str(self.title.clone())),
@@ -156,50 +156,6 @@ impl FigureData {
                 ),
             ),
         ])
-        .pretty()
-    }
-
-    /// Parses the JSON produced by [`FigureData::to_json`].
-    pub fn from_json(text: &str) -> Result<FigureData, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{k}'"))
-        };
-        let mut fig = FigureData {
-            id: field("id")?,
-            title: field("title")?,
-            xlabel: field("xlabel")?,
-            ylabel: field("ylabel")?,
-            series: Vec::new(),
-        };
-        for s in v
-            .get("series")
-            .and_then(Value::as_arr)
-            .ok_or("missing 'series' array")?
-        {
-            let mut series = Series::new(
-                s.get("label")
-                    .and_then(Value::as_str)
-                    .ok_or("series missing 'label'")?,
-            );
-            for p in s
-                .get("points")
-                .and_then(Value::as_arr)
-                .ok_or("series missing 'points'")?
-            {
-                let coord = |k: &str| {
-                    p.get(k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("point missing '{k}'"))
-                };
-                series.push(coord("x")?, coord("y")?);
-            }
-            fig.series.push(series);
-        }
-        Ok(fig)
     }
 }
 
@@ -260,8 +216,8 @@ impl TableData {
         out
     }
 
-    /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
+    /// The table as a JSON value (`.pretty()` is what `results/` holds).
+    pub fn to_value(&self) -> Value {
         let strs = |xs: &[String]| Value::Arr(xs.iter().cloned().map(Value::Str).collect());
         Value::Obj(vec![
             ("id".into(), Value::Str(self.id.clone())),
@@ -272,43 +228,6 @@ impl TableData {
                 Value::Arr(self.rows.iter().map(|r| strs(r)).collect()),
             ),
         ])
-        .pretty()
-    }
-
-    /// Parses the JSON produced by [`TableData::to_json`].
-    pub fn from_json(text: &str) -> Result<TableData, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let str_arr = |val: &Value, what: &str| -> Result<Vec<String>, String> {
-            val.as_arr()
-                .ok_or_else(|| format!("'{what}' is not an array"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("non-string in '{what}'"))
-                })
-                .collect()
-        };
-        Ok(TableData {
-            id: v
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("missing 'id'")?
-                .to_string(),
-            title: v
-                .get("title")
-                .and_then(Value::as_str)
-                .ok_or("missing 'title'")?
-                .to_string(),
-            columns: str_arr(v.get("columns").ok_or("missing 'columns'")?, "columns")?,
-            rows: v
-                .get("rows")
-                .and_then(Value::as_arr)
-                .ok_or("missing 'rows'")?
-                .iter()
-                .map(|r| str_arr(r, "rows"))
-                .collect::<Result<_, _>>()?,
-        })
     }
 }
 
@@ -348,17 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn figure_json_roundtrip() {
-        let mut f = FigureData::new("f", "t", "x", "y");
-        let mut s = Series::new("a");
-        s.push(1.0, 1.5);
-        f.series.push(s);
-        let j = f.to_json();
-        let back = FigureData::from_json(&j).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
     fn table_render_and_arity() {
         let mut t = TableData::new("tab", "demo", &["policy", "result"]);
         t.push_row(vec!["never".into(), "ENOMEM".into()]);
@@ -366,8 +274,6 @@ mod tests {
         let r = t.render();
         assert!(r.contains("policy"));
         assert!(r.contains("OOM-kill"));
-        let back = TableData::from_json(&t.to_json()).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]
