@@ -1,11 +1,12 @@
 //! Exhaustive fail-point sweep over the five creation APIs.
 //!
-//! For each API: run once under a passive plan to learn the K instrumented
-//! crossings the operation makes, then replay K times from a fresh world,
-//! failing at crossing 0, 1, …, K-1. Every injected failure must surface
-//! as a clean `Err`, leave the kernel byte-identical to the pre-call
-//! baseline (`leak_check`) and structurally sound (`check_invariants`),
-//! and the same operation must succeed once the fault clears.
+//! For each API, `fpr_faults::sweep` runs the operation once under a
+//! passive plan to learn the K instrumented crossings it makes, then
+//! replays it K times from a fresh world, failing at crossing 0, 1, …,
+//! K-1. Every injected failure must surface as a clean `Err`, leave the
+//! kernel byte-identical to the pre-call baseline (`leak_check`) and
+//! structurally sound (`check_invariants`), and the same operation must
+//! succeed once the fault clears ([`judge`]).
 //!
 //! This is the transactional guarantee the paper says fork-based systems
 //! never test: the un-duplicate paths, all of them, executed on demand.
@@ -13,13 +14,27 @@
 use fpr_api::{clone, fork, posix_spawn, posix_spawn_cached, vfork, CloneFlags, ProcessBuilder};
 use fpr_api::{FdSource, FileAction, MemOp, SpawnAttrs, WarmPool};
 use fpr_exec::{AslrConfig, Image, ImageCache, ImageRegistry};
-use fpr_faults::{count_crossings, with_plan, FaultPlan};
-use fpr_kernel::{Errno, Kernel, OpenFlags, Pid, STDOUT};
-use fpr_mem::{Prot, Share};
+use fpr_faults::{sweep, FaultSite, FaultTrace, Point};
+use fpr_kernel::{Errno, Kernel, KernelBaseline, OpenFlags, Pid, STDOUT};
+use fpr_mem::{Prot, Share, Vpn};
+
+/// What a sweep runs on: a kernel, its baseline as the world was built,
+/// and whatever else the operation needs.
+struct World<T> {
+    k: Kernel,
+    base: KernelBaseline,
+    at: T,
+}
+
+impl<T> World<T> {
+    fn new(k: Kernel, at: T) -> World<T> {
+        World { base: k.baseline(), k, at }
+    }
+}
 
 /// A parent rich enough to make every API cross several sites: private
 /// populated memory, a second VMA, an open file, and a pipe.
-fn world() -> (Kernel, Pid, ImageRegistry) {
+fn world() -> World<(Pid, ImageRegistry)> {
     let mut k = Kernel::boot();
     let init = k.create_init("init").unwrap();
     let a = k.mmap_anon(init, 6, Prot::RW, Share::Private).unwrap();
@@ -31,7 +46,7 @@ fn world() -> (Kernel, Pid, ImageRegistry) {
     k.pipe(init).unwrap();
     let mut reg = ImageRegistry::new();
     reg.register("/bin/tool", Image::small("tool"));
-    (k, init, reg)
+    World::new(k, (init, reg))
 }
 
 /// Errors a rolled-back creation is allowed to report.
@@ -39,67 +54,70 @@ fn clean_creation_error(e: Errno) -> bool {
     matches!(e, Errno::Enomem | Errno::Eagain | Errno::Emfile)
 }
 
-/// Sweeps one operation: fail each of its crossings in turn, asserting a
-/// clean error, an intact kernel, and success on retry.
-fn sweep(label: &str, op: impl Fn(&mut Kernel, Pid, &ImageRegistry) -> Result<(), Errno>) {
-    let k_count = {
-        let (mut k, p, reg) = world();
-        let trace = count_crossings(|| {
-            op(&mut k, p, &reg).unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"))
-        });
-        assert!(
-            !trace.is_empty(),
-            "{label}: operation crossed no instrumented site"
-        );
-        trace.len()
+/// Judges one run of a sweep of `op`: the counting run must succeed; a
+/// replay must fail with a clean error, leave the kernel at its baseline
+/// and structurally sound, pass `extra`, and succeed on retry.
+fn judge<T>(
+    label: &str,
+    mut point: Point<World<T>, Result<(), Errno>>,
+    op: &impl Fn(&mut World<T>) -> Result<(), Errno>,
+    extra: &impl Fn(&mut World<T>, &str),
+) {
+    let Some(fault) = point.fault else {
+        return point.result.unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"));
     };
+    let at = format!("{label}: fault at {fault}");
+    let err = point.result.expect_err(&format!("{at} was swallowed"));
+    assert!(clean_creation_error(err), "{at} surfaced as {err:?}");
+    let w = &mut point.world;
+    if let Err(v) = w.k.leak_check(&w.base) {
+        panic!("{at} leaked:\n  {}", v.join("\n  "));
+    }
+    if let Err(v) = w.k.check_invariants() {
+        panic!("{at} broke invariants:\n  {}", v.join("\n  "));
+    }
+    extra(w, &at);
+    // The fault was transient; with it cleared the same call succeeds.
+    op(w).unwrap_or_else(|e| panic!("{at}: retry failed: {e:?}"));
+    w.k.check_invariants()
+        .unwrap_or_else(|v| panic!("{at}: retry broke invariants: {v:?}"));
+}
 
-    for nth in 0..k_count {
-        let (mut k, p, reg) = world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || op(&mut k, p, &reg));
-        let injected = trace.injected();
-        assert_eq!(
-            injected.len(),
-            1,
-            "{label}: crossing {nth} of {k_count} did not inject exactly once"
-        );
-        let site = injected[0].site;
-        let err = result.expect_err(&format!(
-            "{label}: injected fault at {site}#{nth} was swallowed — op returned Ok"
-        ));
-        assert!(
-            clean_creation_error(err),
-            "{label}: fault at {site}#{nth} surfaced as {err:?}, not a clean creation error"
-        );
-        if let Err(v) = k.leak_check(&base) {
-            panic!(
-                "{label}: fault at {site}#{nth} leaked:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        // The fault was transient; with it cleared the same call succeeds.
-        op(&mut k, p, &reg).unwrap_or_else(|e| {
-            panic!("{label}: retry after fault at {site}#{nth} cleared failed: {e:?}")
-        });
+/// Sweeps `op` over the crossings of `only` (every site if `None`) on
+/// worlds `fresh` builds, judging each run by [`judge`]; returns the
+/// counting run's trace.
+fn sweep_clean<T>(
+    label: &str,
+    only: Option<FaultSite>,
+    fresh: impl FnMut() -> World<T>,
+    op: impl Fn(&mut World<T>) -> Result<(), Errno>,
+    extra: impl Fn(&mut World<T>, &str),
+) -> FaultTrace {
+    sweep(only, fresh, &op, |point| judge(label, point, &op, &extra))
+}
+
+/// Sweeps one creation on [`world`]'s parent.
+fn sweep_creation(label: &str, op: impl Fn(&mut Kernel, Pid, &ImageRegistry) -> Result<(), Errno>) {
+    let op = |w: &mut World<(Pid, ImageRegistry)>| op(&mut w.k, w.at.0, &w.at.1);
+    let trace = sweep_clean(label, None, world, op, |_, _| {});
+    assert!(!trace.is_empty(), "{label}: operation crossed no instrumented site");
+}
+
+/// Asserts a counting run crossed every one of `sites`.
+fn assert_crossed(label: &str, trace: &FaultTrace, sites: &[FaultSite]) {
+    for site in sites {
+        assert!(trace.sites().contains(site), "{label}: never crossed {site}");
     }
 }
 
 #[test]
 fn fork_survives_every_fail_point() {
-    sweep("fork", |k, p, _| fork(k, p).map(|_| ()));
+    sweep_creation("fork", |k, p, _| fork(k, p).map(|_| ()));
 }
 
 #[test]
 fn on_demand_fork_survives_every_fail_point() {
-    sweep("fork(on_demand)", |k, p, _| {
+    sweep_creation("fork(on_demand)", |k, p, _| {
         fpr_api::fork_on_demand(k, p).map(|_| ())
     });
 }
@@ -109,7 +127,7 @@ fn on_demand_fork_survives_every_fail_point() {
 /// half still demand-zero. Every post-fork operation that touches a
 /// shared subtree (write, mprotect, munmap) crosses the `pt_unshare`
 /// site and must be as transactional as creation itself.
-fn storm_world() -> (Kernel, Pid, fpr_mem::Vpn, fpr_mem::Vpn) {
+fn storm_world() -> World<(Pid, Vpn, Vpn)> {
     let mut k = Kernel::boot();
     let init = k.create_init("init").unwrap();
     let a = k.mmap_anon(init, 600, Prot::RW, Share::Private).unwrap();
@@ -119,64 +137,14 @@ fn storm_world() -> (Kernel, Pid, fpr_mem::Vpn, fpr_mem::Vpn) {
     let b = k.mmap_anon(init, 64, Prot::RW, Share::Shared).unwrap();
     k.populate(init, b, 64).unwrap();
     let child = fpr_api::fork_on_demand(&mut k, init).unwrap();
-    (k, child, a, b)
+    World::new(k, (child, a, b))
 }
 
-/// Sweeps one post-fork storm operation the way [`sweep`] does creation:
-/// fail each crossing in turn; the op must error cleanly, leave the
-/// kernel at its pre-op baseline and structurally sound, and succeed on
-/// retry.
-fn sweep_storm(
-    label: &str,
-    op: impl Fn(&mut Kernel, Pid, fpr_mem::Vpn, fpr_mem::Vpn) -> Result<(), Errno>,
-) {
-    let k_count = {
-        let (mut k, child, a, b) = storm_world();
-        let trace = count_crossings(|| {
-            op(&mut k, child, a, b)
-                .unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"))
-        });
-        assert!(
-            trace
-                .crossings
-                .iter()
-                .any(|c| c.site == fpr_faults::FaultSite::PtUnshare),
-            "{label}: storm op never crossed pt_unshare"
-        );
-        trace.len()
-    };
-
-    for nth in 0..k_count {
-        let (mut k, child, a, b) = storm_world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || op(&mut k, child, a, b));
-        let injected = trace.injected();
-        assert_eq!(injected.len(), 1, "{label}: crossing {nth} did not inject");
-        let site = injected[0].site;
-        let err = result.expect_err(&format!(
-            "{label}: injected fault at {site}#{nth} was swallowed"
-        ));
-        assert!(
-            clean_creation_error(err),
-            "{label}: fault at {site}#{nth} surfaced as {err:?}"
-        );
-        if let Err(v) = k.leak_check(&base) {
-            panic!(
-                "{label}: fault at {site}#{nth} leaked:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        op(&mut k, child, a, b).unwrap_or_else(|e| {
-            panic!("{label}: retry after fault at {site}#{nth} cleared failed: {e:?}")
-        });
-    }
+/// Sweeps one post-fork storm operation the way creation is swept.
+fn sweep_storm(label: &str, op: impl Fn(&mut Kernel, Pid, Vpn, Vpn) -> Result<(), Errno>) {
+    let op = |w: &mut World<(Pid, Vpn, Vpn)>| op(&mut w.k, w.at.0, w.at.1, w.at.2);
+    let trace = sweep_clean(label, None, storm_world, op, |_, _| {});
+    assert_crossed(label, &trace, &[FaultSite::PtUnshare]);
 }
 
 #[test]
@@ -215,7 +183,7 @@ fn storm_partial_munmap_survives_every_fail_point() {
 
 #[test]
 fn eager_fork_survives_every_fail_point() {
-    sweep("fork(eager)", |k, p, _| {
+    sweep_creation("fork(eager)", |k, p, _| {
         let tid = k.process(p)?.main_tid();
         fpr_api::fork_from_thread(k, p, tid, fpr_mem::ForkMode::Eager).map(|_| ())
     });
@@ -225,7 +193,7 @@ fn eager_fork_survives_every_fail_point() {
 fn vfork_survives_every_fail_point() {
     // vfork parks the parent on success; each iteration uses a fresh
     // world, and the retry's success is the last thing checked.
-    sweep("vfork", |k, p, _| {
+    sweep_creation("vfork", |k, p, _| {
         vfork(k, p).map(|c| {
             // Unpark for the next call in this iteration.
             k.exit(c, 0).unwrap();
@@ -236,7 +204,7 @@ fn vfork_survives_every_fail_point() {
 
 #[test]
 fn clone_survives_every_fail_point() {
-    sweep("clone(files)", |k, p, _| {
+    sweep_creation("clone(files)", |k, p, _| {
         clone(
             k,
             p,
@@ -260,7 +228,7 @@ fn posix_spawn_survives_every_fail_point() {
         },
         FileAction::Close { fd: fpr_kernel::STDIN },
     ];
-    sweep("posix_spawn", move |k, p, reg| {
+    sweep_creation("posix_spawn", move |k, p, reg| {
         posix_spawn(
             k,
             p,
@@ -287,7 +255,7 @@ fn cached_spawn_survives_every_fail_point() {
         flags: OpenFlags::WRONLY,
         create: true,
     }];
-    sweep("posix_spawn(image cache)", move |k, p, reg| {
+    sweep_creation("posix_spawn(image cache)", move |k, p, reg| {
         let mut cache = ImageCache::new();
         let r = posix_spawn_cached(
             k,
@@ -306,23 +274,23 @@ fn cached_spawn_survives_every_fail_point() {
     });
 }
 
-/// Sweeps a warm-pool checkout the way [`sweep`] does creation. The
-/// world includes a prefilled pool (and the image cache the prefill
-/// warmed), and the baseline is taken *after* the prefill: an injected
-/// failure anywhere in the checkout — including at the `pool_checkout`
-/// site itself and in every file action applied to the parked child —
-/// must re-park the child and leave the kernel byte-identical to that
+/// Sweeps a warm-pool checkout the way creation is swept. The world
+/// includes a prefilled pool (and the image cache the prefill warmed),
+/// and the baseline is taken *after* the prefill: an injected failure
+/// anywhere in the checkout — including at the `pool_checkout` site
+/// itself and in every file action applied to the parked child — must
+/// re-park the child and leave the kernel byte-identical to that
 /// post-prefill baseline.
 #[test]
 fn pool_checkout_survives_every_fail_point() {
     let label = "warm-pool checkout";
     let pool_world = || {
-        let (mut k, init, reg) = world();
+        let World { mut k, at: (init, reg), .. } = world();
         let mut cache = ImageCache::new();
         let mut pool = WarmPool::new(init);
         pool.prefill(&mut k, &reg, &mut cache, "/bin/tool", 1)
             .unwrap();
-        (k, init, reg, cache, pool)
+        World::new(k, (init, reg, cache, pool))
     };
     let actions = vec![
         FileAction::Open {
@@ -333,11 +301,12 @@ fn pool_checkout_survives_every_fail_point() {
         },
         FileAction::Close { fd: fpr_kernel::STDIN },
     ];
-    let op = |k: &mut Kernel, p: Pid, reg: &ImageRegistry, pool: &mut WarmPool| {
+    let op = |w: &mut World<(Pid, ImageRegistry, ImageCache, WarmPool)>| {
+        let (p, reg, _, pool) = &mut w.at;
         pool.checkout(
-            k,
+            &mut w.k,
             reg,
-            p,
+            *p,
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
@@ -346,60 +315,12 @@ fn pool_checkout_survives_every_fail_point() {
         )
         .map(|c| assert!(c.is_some(), "{label}: parked child available, must hit"))
     };
-
-    let k_count = {
-        let (mut k, p, reg, _cache, mut pool) = pool_world();
-        let trace = count_crossings(|| {
-            op(&mut k, p, &reg, &mut pool)
-                .unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"))
-        });
-        assert!(
-            trace
-                .crossings
-                .iter()
-                .any(|c| c.site == fpr_faults::FaultSite::PoolCheckout),
-            "{label}: checkout never crossed pool_checkout"
-        );
-        trace.len()
+    // The re-parked child serves the retry once the fault clears.
+    let parked = |w: &mut World<(Pid, ImageRegistry, ImageCache, WarmPool)>, at: &str| {
+        assert_eq!(w.at.3.available("/bin/tool"), 1, "{at} lost the parked child");
     };
-
-    for nth in 0..k_count {
-        let (mut k, p, reg, _cache, mut pool) = pool_world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || op(&mut k, p, &reg, &mut pool));
-        let injected = trace.injected();
-        assert_eq!(injected.len(), 1, "{label}: crossing {nth} did not inject");
-        let site = injected[0].site;
-        let err = result.expect_err(&format!(
-            "{label}: injected fault at {site}#{nth} was swallowed"
-        ));
-        assert!(
-            clean_creation_error(err),
-            "{label}: fault at {site}#{nth} surfaced as {err:?}"
-        );
-        assert_eq!(
-            pool.available("/bin/tool"),
-            1,
-            "{label}: fault at {site}#{nth} lost the parked child"
-        );
-        if let Err(v) = k.leak_check(&base) {
-            panic!(
-                "{label}: fault at {site}#{nth} leaked:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        // The re-parked child serves the retry once the fault clears.
-        op(&mut k, p, &reg, &mut pool).unwrap_or_else(|e| {
-            panic!("{label}: retry after fault at {site}#{nth} cleared failed: {e:?}")
-        });
-    }
+    let trace = sweep_clean(label, None, pool_world, op, parked);
+    assert_crossed(label, &trace, &[FaultSite::PoolCheckout]);
 }
 
 /// Sweeps a kernel reclaim pass over both fast-path shrinkers. The pass
@@ -412,9 +333,10 @@ fn pool_checkout_survives_every_fail_point() {
 fn reclaim_pass_survives_every_fail_point() {
     use fpr_kernel::ShrinkerHandle;
     use std::sync::{Arc, Mutex};
+    type Shrinkers = (Arc<Mutex<ImageCache>>, Arc<Mutex<WarmPool>>);
     let label = "reclaim pass";
     let reclaim_world = || {
-        let (mut k, init, reg) = world();
+        let World { mut k, at: (init, reg), .. } = world();
         let cache = Arc::new(Mutex::new(ImageCache::new()));
         let pool = Arc::new(Mutex::new(WarmPool::new(init)));
         pool.lock().unwrap()
@@ -422,83 +344,28 @@ fn reclaim_pass_survives_every_fail_point() {
             .unwrap();
         k.register_shrinker(&(pool.clone() as ShrinkerHandle));
         k.register_shrinker(&(cache.clone() as ShrinkerHandle));
-        (k, cache, pool)
+        World::new(k, (cache, pool))
     };
-
-    let k_count = {
-        let (mut k, _cache, _pool) = reclaim_world();
-        let trace = count_crossings(|| {
-            let freed = k.reclaim(u64::MAX).expect("fault-free reclaim");
+    // A pass that goes through drains everything.
+    let op = |w: &mut World<Shrinkers>| {
+        w.k.reclaim(u64::MAX).map(|freed| {
             assert!(freed > 0, "{label}: nothing reclaimed from a warm world");
-        });
-        for site in [
-            fpr_faults::FaultSite::PoolDrain,
-            fpr_faults::FaultSite::ReclaimShrink,
-        ] {
-            assert!(
-                trace.crossings.iter().any(|c| c.site == site),
-                "{label}: pass never crossed {site}"
-            );
-        }
-        trace.len()
+            assert_eq!(w.at.1.lock().unwrap().available("/bin/tool"), 0);
+            assert_eq!(w.at.0.lock().unwrap().cached_frames(), 0);
+        })
     };
-
-    for nth in 0..k_count {
-        let (mut k, cache, pool) = reclaim_world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || k.reclaim(u64::MAX));
-        let injected = trace.injected();
-        assert_eq!(injected.len(), 1, "{label}: crossing {nth} did not inject");
-        let site = injected[0].site;
-        let err = result.expect_err(&format!(
-            "{label}: injected fault at {site}#{nth} was swallowed"
-        ));
-        assert!(
-            clean_creation_error(err),
-            "{label}: fault at {site}#{nth} surfaced as {err:?}"
-        );
-        assert_eq!(
-            pool.lock().unwrap().available("/bin/tool"),
-            2,
-            "{label}: fault at {site}#{nth} lost parked children"
-        );
-        assert!(
-            cache.lock().unwrap().cached_frames() > 0,
-            "{label}: fault at {site}#{nth} dropped the cache early"
-        );
-        if let Err(v) = k.leak_check(&base) {
-            panic!(
-                "{label}: fault at {site}#{nth} leaked:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        assert_eq!(
-            k.reclaim_stats().aborted_passes,
-            1,
-            "{label}: abort at {site}#{nth} not accounted"
-        );
-        // The fault was transient: the retried pass drains everything.
-        let freed = k
-            .reclaim(u64::MAX)
-            .unwrap_or_else(|e| panic!("{label}: retry after {site}#{nth} failed: {e:?}"));
-        assert!(freed > 0, "{label}: retry after {site}#{nth} freed nothing");
-        assert_eq!(pool.lock().unwrap().available("/bin/tool"), 0);
-        assert_eq!(cache.lock().unwrap().cached_frames(), 0);
-        k.check_invariants()
-            .unwrap_or_else(|v| panic!("{label}: post-retry invariants: {v:?}"));
-    }
+    let untouched = |w: &mut World<Shrinkers>, at: &str| {
+        assert_eq!(w.at.1.lock().unwrap().available("/bin/tool"), 2, "{at} lost parked children");
+        assert!(w.at.0.lock().unwrap().cached_frames() > 0, "{at} dropped the cache early");
+        assert_eq!(w.k.reclaim_stats().aborted_passes, 1, "{at}: abort not accounted");
+    };
+    let trace = sweep_clean(label, None, reclaim_world, op, untouched);
+    assert_crossed(label, &trace, &[FaultSite::PoolDrain, FaultSite::ReclaimShrink]);
 }
 
 /// A machine with a swap device and sixteen dirty private pages to
 /// evict: the swap sweeps' common fixture.
-fn swap_world() -> (Kernel, Pid, fpr_mem::Vpn) {
+fn swap_world() -> World<(Pid, Vpn)> {
     let mut k = Kernel::new(fpr_kernel::MachineConfig {
         frames: 256,
         swap_slots: 64,
@@ -509,7 +376,7 @@ fn swap_world() -> (Kernel, Pid, fpr_mem::Vpn) {
     for i in 0..16 {
         k.write_mem(init, base.add(i), 0xAB00 + i).unwrap();
     }
-    (k, init, base)
+    World::new(k, (init, base))
 }
 
 /// Sweeps the swap-out pass: it crosses `swap_out` once and
@@ -520,71 +387,18 @@ fn swap_world() -> (Kernel, Pid, fpr_mem::Vpn) {
 #[test]
 fn swap_out_pass_survives_every_fail_point() {
     let label = "swap-out pass";
-    let k_count = {
-        let (mut k, _, _) = swap_world();
-        let trace = count_crossings(|| {
-            assert_eq!(k.swap_out_pass(8), Ok(8), "{label}: fault-free run");
-        });
-        for site in [
-            fpr_faults::FaultSite::SwapOut,
-            fpr_faults::FaultSite::SwapSlotAlloc,
-        ] {
-            assert!(
-                trace.crossings.iter().any(|c| c.site == site),
-                "{label}: pass never crossed {site}"
-            );
-        }
-        trace.len()
-    };
-
-    for nth in 0..k_count {
-        let (mut k, init, vbase) = swap_world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || k.swap_out_pass(8));
-        let injected = trace.injected();
-        assert_eq!(injected.len(), 1, "{label}: crossing {nth} did not inject");
-        let site = injected[0].site;
-        let err = result.expect_err(&format!(
-            "{label}: injected fault at {site}#{nth} was swallowed"
-        ));
-        assert!(
-            clean_creation_error(err),
-            "{label}: fault at {site}#{nth} surfaced as {err:?}"
-        );
-        assert_eq!(
-            k.process(init).unwrap().aspace.swapped_pages(),
-            0,
-            "{label}: fault at {site}#{nth} left pages evicted"
-        );
-        assert_eq!(
-            k.phys.swap().used_slots(),
-            0,
-            "{label}: fault at {site}#{nth} leaked reserved slots"
-        );
-        if let Err(v) = k.leak_check(&base) {
-            panic!(
-                "{label}: fault at {site}#{nth} leaked:\n  {}",
-                v.join("\n  ")
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
+    let op = |w: &mut World<(Pid, Vpn)>| w.k.swap_out_pass(8).map(|n| assert_eq!(n, 8, "{label}"));
+    let resident = |w: &mut World<(Pid, Vpn)>, at: &str| {
+        let (init, vbase) = w.at;
+        assert_eq!(w.k.process(init).unwrap().aspace.swapped_pages(), 0, "{at} left pages evicted");
+        assert_eq!(w.k.phys.swap().used_slots(), 0, "{at} leaked reserved slots");
         // Byte-identical includes the bytes: every page still reads back.
         for i in 0..16 {
-            assert_eq!(k.read_mem(init, vbase.add(i)), Ok(0xAB00 + i));
+            assert_eq!(w.k.read_mem(init, vbase.add(i)), Ok(0xAB00 + i));
         }
-        // The fault was transient; the identical pass succeeds.
-        assert_eq!(
-            k.swap_out_pass(8),
-            Ok(8),
-            "{label}: retry after fault at {site}#{nth} cleared"
-        );
-    }
+    };
+    let trace = sweep_clean(label, None, swap_world, op, resident);
+    assert_crossed(label, &trace, &[FaultSite::SwapOut, FaultSite::SwapSlotAlloc]);
 }
 
 /// Sweeps a fault-in of a swapped page. Two regimes: an injected
@@ -609,91 +423,44 @@ fn swap_in_sweep_contains_io_failure_to_the_faulting_process() {
             k.write_mem(victim, base.add(i), 0xAB00 + i).unwrap();
         }
         assert_eq!(k.swap_out_pass(4), Ok(4));
-        (k, init, victim, base)
+        World::new(k, (init, victim, base))
     };
-
-    let k_count = {
-        let (mut k, _, victim, vbase) = victim_world();
-        let trace = count_crossings(|| {
-            assert_eq!(k.read_mem(victim, vbase), Ok(0xAB00), "{label}: fault-free");
-        });
+    let op = |w: &mut World<(Pid, Pid, Vpn)>| {
+        let (_, victim, vbase) = w.at;
+        w.k.read_mem(victim, vbase).map(|v| assert_eq!(v, 0xAB00, "{label}"))
+    };
+    let trace = sweep(None, victim_world, op, |mut point| {
+        if point.fault.is_none_or(|f| f.site != FaultSite::SwapIn) {
+            return judge(label, point, &op, &|_, _| {});
+        }
+        // The device lost the page: SIGBUS containment, not rollback.
+        let (init, victim, _) = point.world.at;
+        let k = &mut point.world.k;
+        assert_eq!(point.result, Err(Errno::Efault), "{label}: EIO surfaced wrong");
+        assert!(k.process(victim).unwrap().is_zombie(), "{label}: faulting process survived a lost page");
         assert!(
-            trace
-                .crossings
-                .iter()
-                .any(|c| c.site == fpr_faults::FaultSite::SwapIn),
-            "{label}: fault-in never crossed swap_in"
+            !k.process(init).unwrap().is_zombie(),
+            "{label}: I/O error must not spread beyond the faulter"
         );
-        trace.len()
-    };
-
-    for nth in 0..k_count {
-        let (mut k, init, victim, vbase) = victim_world();
-        let base = k.baseline();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let (result, trace) = with_plan(plan, || k.read_mem(victim, vbase));
-        let injected = trace.injected();
-        assert_eq!(injected.len(), 1, "{label}: crossing {nth} did not inject");
-        let site = injected[0].site;
-        if site == fpr_faults::FaultSite::SwapIn {
-            // The device lost the page: SIGBUS containment, not rollback.
-            assert_eq!(result, Err(Errno::Efault), "{label}: EIO surfaced wrong");
-            assert!(
-                k.process(victim).unwrap().is_zombie(),
-                "{label}: faulting process survived a lost page"
-            );
-            assert!(
-                !k.process(init).unwrap().is_zombie(),
-                "{label}: I/O error must not spread beyond the faulter"
-            );
-            let (pid, status) = k.waitpid(init, Some(victim)).unwrap().unwrap();
-            assert_eq!(pid, victim);
-            assert_eq!(status, fpr_kernel::SIGBUS_EXIT_STATUS);
-            assert_eq!(
-                k.phys.swap().used_slots(),
-                0,
-                "{label}: dead process leaked swap slots"
-            );
-        } else {
-            // Transient failure: byte-identical rollback, retry works.
-            let err = result.expect_err(&format!(
-                "{label}: injected fault at {site}#{nth} was swallowed"
-            ));
-            assert!(
-                clean_creation_error(err),
-                "{label}: fault at {site}#{nth} surfaced as {err:?}"
-            );
-            if let Err(v) = k.leak_check(&base) {
-                panic!(
-                    "{label}: fault at {site}#{nth} leaked:\n  {}",
-                    v.join("\n  ")
-                );
-            }
-            assert_eq!(
-                k.read_mem(victim, vbase),
-                Ok(0xAB00),
-                "{label}: retry after fault at {site}#{nth} cleared"
-            );
-        }
-        if let Err(v) = k.check_invariants() {
-            panic!(
-                "{label}: fault at {site}#{nth} broke invariants:\n  {}",
-                v.join("\n  ")
-            );
-        }
-    }
+        let (pid, status) = k.waitpid(init, Some(victim)).unwrap().unwrap();
+        assert_eq!((pid, status), (victim, fpr_kernel::SIGBUS_EXIT_STATUS));
+        assert_eq!(k.phys.swap().used_slots(), 0, "{label}: dead process leaked swap slots");
+        k.check_invariants()
+            .unwrap_or_else(|v| panic!("{label}: SIGBUS broke invariants: {v:?}"));
+    });
+    assert_crossed(label, &trace, &[FaultSite::SwapIn]);
 }
 
 /// A THP machine with a huge-aligned private anonymous span big enough
 /// for two 2 MiB blocks.
-fn thp_world() -> (Kernel, Pid, fpr_mem::Vpn) {
+fn thp_world() -> World<(Pid, Vpn)> {
     let mut k = Kernel::new(fpr_kernel::MachineConfig {
         thp: true,
         ..fpr_kernel::MachineConfig::default()
     });
     let init = k.create_init("init").unwrap();
     let base = k.mmap_anon(init, 1024, Prot::RW, Share::Private).unwrap();
-    (k, init, base)
+    World::new(k, (init, base))
 }
 
 /// Sweeps the promotion site. Promotion is an *optimisation*: an
@@ -704,45 +471,28 @@ fn thp_world() -> (Kernel, Pid, fpr_mem::Vpn) {
 #[test]
 fn thp_promotion_failure_is_absorbed() {
     let label = "thp promote";
-    let k_count = {
-        let (mut k, p, base) = thp_world();
-        let trace = count_crossings(|| {
-            k.populate(p, base, 1024).unwrap();
+    // Baseline from a world identical up to (but excluding) the mmap:
+    // populate + munmap below must return to it exactly.
+    let pre_mmap = {
+        let mut k = Kernel::new(fpr_kernel::MachineConfig {
+            thp: true,
+            ..fpr_kernel::MachineConfig::default()
         });
-        let promotes = trace
-            .crossings
-            .iter()
-            .filter(|c| c.site == fpr_faults::FaultSite::PtPromote)
-            .count();
-        assert_eq!(promotes, 2, "{label}: one promotion attempt per block");
-        promotes
+        k.create_init("init").unwrap();
+        k.baseline()
     };
-
-    for nth in 0..k_count {
-        let (mut k, p, base) = thp_world();
-        let pre_mmap = {
-            // Baseline from a world identical up to (but excluding) the
-            // mmap: populate + munmap below must return to it exactly.
-            let mut k2 = Kernel::new(fpr_kernel::MachineConfig {
-                thp: true,
-                ..fpr_kernel::MachineConfig::default()
-            });
-            k2.create_init("init").unwrap();
-            k2.baseline()
+    let populate = |w: &mut World<(Pid, Vpn)>| w.k.populate(w.at.0, w.at.1, 1024);
+    let trace = sweep(Some(FaultSite::PtPromote), thp_world, populate, |mut point| {
+        let Some(fault) = point.fault else {
+            return point.result.unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"));
         };
-        let plan =
-            FaultPlan::passive().fail_at(fpr_faults::FaultSite::PtPromote, nth as u64);
-        let (result, trace) = with_plan(plan, || k.populate(p, base, 1024));
-        assert_eq!(trace.injected().len(), 1, "{label}: crossing {nth} injected");
-        result.unwrap_or_else(|e| {
-            panic!("{label}: promotion failure at #{nth} must be absorbed, got {e:?}")
-        });
-        assert!(
-            k.phys.thp_stats().failed >= 1,
-            "{label}: absorbed failure not accounted"
-        );
+        let at = format!("{label}: fault at {fault}");
+        point.result.unwrap_or_else(|e| panic!("{at} must be absorbed, got {e:?}"));
+        let (p, base) = point.world.at;
+        let k = &mut point.world.k;
+        assert!(k.phys.thp_stats().failed >= 1, "{at}: absorbed failure not accounted");
         if let Err(v) = k.check_invariants() {
-            panic!("{label}: fault at #{nth} broke invariants:\n  {}", v.join("\n  "));
+            panic!("{at} broke invariants:\n  {}", v.join("\n  "));
         }
         // The block that stayed small behaves byte-identically.
         for i in [0u64, 511, 512, 1023] {
@@ -751,9 +501,11 @@ fn thp_promotion_failure_is_absorbed() {
         }
         k.munmap(p, base, 1024).unwrap();
         if let Err(v) = k.leak_check(&pre_mmap) {
-            panic!("{label}: fault at #{nth} leaked:\n  {}", v.join("\n  "));
+            panic!("{at} leaked:\n  {}", v.join("\n  "));
         }
-    }
+    });
+    let promotes = trace.crossings.iter().filter(|c| c.site == FaultSite::PtPromote).count();
+    assert_eq!(promotes, 2, "{label}: one promotion attempt per block");
 }
 
 /// Sweeps the demotion site through the operations that must split a
@@ -763,25 +515,25 @@ fn thp_promotion_failure_is_absorbed() {
 /// leave the kernel byte-identical, and succeed on retry.
 #[test]
 fn thp_demotion_failure_rolls_back_cleanly() {
-    type DemoteWorld = fn() -> (Kernel, Pid, fpr_mem::Vpn);
-    type DemoteOp = Box<dyn Fn(&mut Kernel, Pid, fpr_mem::Vpn) -> Result<(), Errno>>;
+    type DemoteWorld = fn() -> World<(Pid, Vpn)>;
+    type DemoteOp = Box<dyn Fn(&mut Kernel, Pid, Vpn) -> Result<(), Errno>>;
     /// A promoted 2 MiB block owned by init.
-    fn promoted_world() -> (Kernel, Pid, fpr_mem::Vpn) {
-        let (mut k, p, base) = thp_world();
+    fn promoted_world() -> World<(Pid, Vpn)> {
+        let World { mut k, at: (p, base), .. } = thp_world();
         k.populate(p, base, 512).unwrap();
         assert_eq!(
             k.process(p).unwrap().aspace.huge_pages(),
             1,
             "fixture block promoted"
         );
-        (k, p, base)
+        World::new(k, (p, base))
     }
     /// The same block after a fork: huge in both spaces, COW-shared, so
     /// the first write must demote before it can break a single page.
-    fn forked_world() -> (Kernel, Pid, fpr_mem::Vpn) {
-        let (mut k, p, base) = promoted_world();
+    fn forked_world() -> World<(Pid, Vpn)> {
+        let World { mut k, at: (p, base), .. } = promoted_world();
         let child = fork(&mut k, p).unwrap();
-        (k, child, base)
+        World::new(k, (child, base))
     }
     let ops: Vec<(&str, DemoteWorld, DemoteOp)> = vec![
         (
@@ -801,56 +553,16 @@ fn thp_demotion_failure_rolls_back_cleanly() {
         ),
     ];
 
-    for (label, world, op) in &ops {
-        let k_count = {
-            let (mut k, p, base) = world();
-            let trace = count_crossings(|| {
-                op(&mut k, p, base)
-                    .unwrap_or_else(|e| panic!("{label}: fault-free run failed: {e:?}"))
-            });
-            let demotes = trace
-                .crossings
-                .iter()
-                .filter(|c| c.site == fpr_faults::FaultSite::PtDemote)
-                .count();
-            assert!(demotes >= 1, "{label}: op never crossed pt_demote");
-            demotes
-        };
-
-        for nth in 0..k_count {
-            let (mut k, p, base) = world();
-            let pre_op = k.baseline();
-            let plan =
-                FaultPlan::passive().fail_at(fpr_faults::FaultSite::PtDemote, nth as u64);
-            let (result, trace) = with_plan(plan, || op(&mut k, p, base));
-            assert_eq!(trace.injected().len(), 1, "{label}: crossing {nth} injected");
-            let err = result.expect_err(&format!(
-                "{label}: injected demote failure #{nth} was swallowed"
-            ));
-            assert!(
-                clean_creation_error(err),
-                "{label}: fault #{nth} surfaced as {err:?}"
-            );
-            if let Err(v) = k.leak_check(&pre_op) {
-                panic!("{label}: fault #{nth} leaked:\n  {}", v.join("\n  "));
-            }
-            if let Err(v) = k.check_invariants() {
-                panic!(
-                    "{label}: fault #{nth} broke invariants:\n  {}",
-                    v.join("\n  ")
-                );
-            }
-            // The fault was transient; the identical op succeeds.
-            op(&mut k, p, base).unwrap_or_else(|e| {
-                panic!("{label}: retry after fault #{nth} cleared failed: {e:?}")
-            });
-        }
+    for (label, world, op) in ops {
+        let op = |w: &mut World<(Pid, Vpn)>| op(&mut w.k, w.at.0, w.at.1);
+        let trace = sweep_clean(label, Some(FaultSite::PtDemote), world, op, |_, _| {});
+        assert_crossed(label, &trace, &[FaultSite::PtDemote]);
     }
 }
 
 #[test]
 fn xproc_builder_survives_every_fail_point() {
-    sweep("xproc", |k, p, reg| {
+    sweep_creation("xproc", |k, p, reg| {
         ProcessBuilder::new("/bin/tool")
             .fd(STDOUT, FdSource::Inherit(STDOUT))
             .fd(

@@ -16,7 +16,7 @@
 use fpr_api::{clone, fork, posix_spawn, vfork, CloneFlags, ProcessBuilder};
 use fpr_api::{FdSource, FileAction, MemOp, SpawnAttrs};
 use fpr_exec::{AslrConfig, Image, ImageRegistry};
-use fpr_faults::{with_plan, FaultPlan, FaultTrace};
+use fpr_faults::{sweep, with_plan, FaultPlan, FaultTrace};
 use fpr_kernel::{Errno, Kernel, OpenFlags, Pid, STDOUT};
 use fpr_mem::{Prot, Share};
 use fpr_rng::Rng;
@@ -166,21 +166,17 @@ fn xproc_crossings_all_traced() {
 /// aborted creation must still close every span it opened.
 #[test]
 fn aborted_fork_closes_spans_and_records_injection() {
-    let k_count = {
-        let (mut k, p, _) = world();
-        fpr_faults::count_crossings(|| {
-            fork(&mut k, p).expect("fault-free fork");
-        })
-        .len()
-    };
-    for nth in 0..k_count {
-        let (mut k, p, _) = world();
-        let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-        let ((result, trace), events) = sink::with_sink(|| with_plan(plan, || fork(&mut k, p)));
-        assert!(result.is_err(), "crossing {nth}: fault was swallowed");
+    let traced_fork = |(k, p, _): &mut (Kernel, Pid, ImageRegistry)| sink::with_sink(|| fork(k, *p));
+    sweep(None, world, traced_fork, |point| {
+        let (result, events) = point.result;
+        let Some(fault) = point.fault else {
+            result.expect("fault-free fork");
+            return;
+        };
+        assert!(result.is_err(), "{fault}: fault was swallowed");
         // Once the PID exists the fault lands inside the creation
         // transaction, which rolls the child back exactly once.
-        let in_transaction = trace.injected()[0].site != fpr_faults::FaultSite::PidAlloc;
+        let in_transaction = fault.site != fpr_faults::FaultSite::PidAlloc;
         let aborts = events
             .iter()
             .filter(|e| e.name == "abort_process_creation")
@@ -188,19 +184,19 @@ fn aborted_fork_closes_spans_and_records_injection() {
         assert_eq!(
             aborts,
             usize::from(in_transaction),
-            "crossing {nth}: one abort_process_creation instant per rolled-back child"
+            "{fault}: one abort_process_creation instant per rolled-back child"
         );
         assert!(
             sink::spans_balanced(&events),
-            "crossing {nth}: aborted creation left an open span"
+            "{fault}: aborted creation left an open span"
         );
         let injected = events
             .iter()
             .filter(|e| e.cat == "fault" && injected_arg(e) == Some(true))
             .count();
-        assert_eq!(injected, 1, "crossing {nth}: injection not traced");
-        assert_events_cover_trace(&format!("crossing {nth}"), &events, &trace);
-    }
+        assert_eq!(injected, 1, "{fault}: injection not traced");
+        assert_events_cover_trace(&fault.to_string(), &events, &point.trace);
+    });
 }
 
 /// Property test: across seeded random workloads — mixed creation APIs,

@@ -459,13 +459,13 @@ fn e8b_forkbomb() -> Output {
 
 /// E9: API × fail-site sweep plus retry-under-pressure comparison.
 fn e9_faultmatrix() -> Output {
-    let m = robustness::fault_matrix();
+    let (m, summary) = robustness::run();
     let dirty = m.rows.iter().filter(|r| r[4] != "clean").count();
     let shape = format!(
         "shape check: {} (api, site) cells swept, {dirty} dirty (must be 0)",
         m.rows.len()
     );
-    Output::of(m).and(robustness::run()).line(shape)
+    Output::of(m).and(summary).line(shape)
 }
 
 /// Parent footprint (pages) the E10/E11 snapshots take their medians at.

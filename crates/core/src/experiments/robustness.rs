@@ -5,9 +5,10 @@
 //! and those paths never run in testing. This experiment runs them, all
 //! of them, for fork, `posix_spawn`, and the cross-process builder:
 //!
-//! 1. **Cleanliness sweep** — count the K instrumented fault-injection
-//!    points each API crosses creating a child from a standard parent,
-//!    then replay K times failing at each point. Record how many produced
+//! 1. **Cleanliness sweep** — `fpr_faults::sweep` counts the K
+//!    instrumented fault-injection points each API crosses creating a
+//!    child from a standard parent, then replays K times failing at each
+//!    point. Record how many produced
 //!    a clean error with zero leaked resources
 //!    ([`fpr_kernel::Kernel::leak_check`] +
 //!    [`fpr_kernel::Kernel::check_invariants`] both green).
@@ -23,7 +24,7 @@
 use crate::kit::world_seeded;
 use crate::os::Os;
 use fpr_api::{retry_with_backoff, ProcessBuilder, SpawnAttrs};
-use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultSite};
+use fpr_faults::{sweep, FaultSite};
 use fpr_kernel::MachineConfig;
 use fpr_mem::{OvercommitPolicy, Prot, Share};
 use fpr_trace::{ProcessShape, TableData};
@@ -80,21 +81,6 @@ fn apis() -> [(&'static str, ApiOp<'static>); 3] {
     ]
 }
 
-/// Outcome of sweeping every fail point of one API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepOutcome {
-    /// API label.
-    pub api: &'static str,
-    /// Instrumented crossings the fault-free operation makes.
-    pub injection_points: usize,
-    /// Injections that surfaced as a clean `Err` in the parent.
-    pub clean_errors: usize,
-    /// Injections after which `leak_check` + `check_invariants` passed.
-    pub clean_state: usize,
-    /// Injections that leaked or corrupted state (must be zero).
-    pub dirty: usize,
-}
-
 fn standard_os() -> (Os, fpr_kernel::Pid) {
     world_seeded(MachineConfig::default(), 9, ProcessShape::shell())
 }
@@ -110,77 +96,24 @@ struct PointResult {
 /// Replays one API once per fail point it crosses, from a fresh world
 /// each time, recording per-point cleanliness.
 fn sweep_points(op: ApiOp<'_>) -> Vec<PointResult> {
-    let sites: Vec<FaultSite> = {
-        let (mut os, parent) = standard_os();
-        let trace = count_crossings(|| op(&mut os, parent).expect("fault-free run"));
-        trace.crossings.iter().map(|c| c.site).collect()
+    let fresh = || {
+        let (os, parent) = standard_os();
+        let base = os.kernel.baseline();
+        (os, parent, base)
     };
-    sites
-        .into_iter()
-        .enumerate()
-        .map(|(nth, site)| {
-            let (mut os, parent) = standard_os();
-            let base = os.kernel.baseline();
-            let plan = FaultPlan::passive().fail_nth_crossing(nth as u64);
-            let (result, _) = with_plan(plan, || op(&mut os, parent));
-            let intact =
-                os.kernel.leak_check(&base).is_ok() && os.kernel.check_invariants().is_ok();
-            PointResult {
-                site,
-                failed: result.is_err(),
-                intact,
-            }
-        })
-        .collect()
-}
-
-/// Sweeps one creation API across every fail point it crosses.
-pub(crate) fn sweep_api(api: &'static str, op: ApiOp<'_>) -> SweepOutcome {
-    let points = sweep_points(op);
-    SweepOutcome {
-        api,
-        injection_points: points.len(),
-        clean_errors: points.iter().filter(|p| p.failed).count(),
-        clean_state: points.iter().filter(|p| p.failed && p.intact).count(),
-        dirty: points.iter().filter(|p| !(p.failed && p.intact)).count(),
-    }
-}
-
-/// Runs the cleanliness sweep for fork, spawn, and xproc.
-pub(crate) fn sweep_all() -> Vec<SweepOutcome> {
-    apis().into_iter().map(|(api, op)| sweep_api(api, op)).collect()
-}
-
-/// The API × fail-site matrix: per (API, site), how many of that API's
-/// crossings hit the site and how many injections failed clean. Every
-/// `clean` cell must equal its `crossings` cell — a `DIRTY` row is an
-/// error path whose cleanup is broken.
-pub fn fault_matrix() -> TableData {
-    let mut t = TableData::new(
-        "tab_faultmatrix",
-        "API × fail-site sweep (clean = injected faults with Err + intact kernel)",
-        &["api", "site", "crossings", "clean", "status"],
-    );
-    for (api, op) in apis() {
-        let mut per: BTreeMap<FaultSite, (u64, u64)> = BTreeMap::new();
-        for p in sweep_points(op) {
-            let e = per.entry(p.site).or_insert((0, 0));
-            e.0 += 1;
-            if p.failed && p.intact {
-                e.1 += 1;
-            }
-        }
-        for (site, (crossings, clean)) in per {
-            t.push_row(vec![
-                api.to_string(),
-                site.name().to_string(),
-                crossings.to_string(),
-                format!("{clean}/{crossings}"),
-                if clean == crossings { "clean" } else { "DIRTY" }.to_string(),
-            ]);
-        }
-    }
-    t
+    let mut points = Vec::new();
+    sweep(None, fresh, |(os, parent, _)| op(os, *parent), |point| {
+        let Some(fault) = point.fault else {
+            return point.result.expect("fault-free run");
+        };
+        let (os, _, base) = &point.world;
+        points.push(PointResult {
+            site: fault.site,
+            failed: point.result.is_err(),
+            intact: os.kernel.leak_check(base).is_ok() && os.kernel.check_invariants().is_ok(),
+        });
+    });
+    points
 }
 
 /// Outcome of one API's creation attempt under memory pressure.
@@ -260,8 +193,17 @@ pub(crate) fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
     out
 }
 
-/// Runs E9 and renders both parts as one table.
-pub fn run() -> TableData {
+/// Runs E9 from one sweep of each API: the API × fail-site matrix
+/// (`tab_faultmatrix`) — per (API, site), how many of that API's
+/// crossings hit the site and how many injections failed clean, so a
+/// `DIRTY` row is an error path whose cleanup is broken — and the per-API
+/// table with the retries under pressure (`tab_e9_robustness`).
+pub fn run() -> (TableData, TableData) {
+    let mut matrix = TableData::new(
+        "tab_faultmatrix",
+        "API × fail-site sweep (clean = injected faults with Err + intact kernel)",
+        &["api", "site", "crossings", "clean", "status"],
+    );
     let mut t = TableData::new(
         "tab_e9_robustness",
         "E9: partial-failure cleanliness and retry under memory pressure",
@@ -276,45 +218,45 @@ pub fn run() -> TableData {
             "pressure_outcome",
         ],
     );
-    let sweeps = sweep_all();
+    let sweeps: Vec<_> = apis().into_iter().map(|(api, op)| (api, sweep_points(op))).collect();
     let pressure = under_pressure(3);
-    for (s, p) in sweeps.iter().zip(pressure.iter()) {
-        assert_eq!(s.api, p.api, "row pairing");
+    for ((api, points), p) in sweeps.iter().zip(pressure.iter()) {
+        assert_eq!(*api, p.api, "row pairing");
+        let mut per: BTreeMap<FaultSite, (u64, u64)> = BTreeMap::new();
+        for point in points {
+            let e = per.entry(point.site).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += u64::from(point.failed && point.intact);
+        }
+        for (site, (crossings, clean)) in per {
+            matrix.push_row(vec![
+                api.to_string(),
+                site.name().to_string(),
+                crossings.to_string(),
+                format!("{clean}/{crossings}"),
+                if clean == crossings { "clean" } else { "DIRTY" }.to_string(),
+            ]);
+        }
+        let n = points.len();
+        let clean_errors = points.iter().filter(|p| p.failed).count();
+        let clean_state = points.iter().filter(|p| p.failed && p.intact).count();
         t.push_row(vec![
-            s.api.to_string(),
-            s.injection_points.to_string(),
-            format!("{}/{}", s.clean_errors, s.injection_points),
-            format!("{}/{}", s.clean_state, s.injection_points),
-            s.dirty.to_string(),
+            api.to_string(),
+            n.to_string(),
+            format!("{clean_errors}/{n}"),
+            format!("{clean_state}/{n}"),
+            (n - clean_state).to_string(),
             p.attempts.to_string(),
             p.backoff_cycles.to_string(),
             if p.succeeded { "ok" } else { "failed" }.to_string(),
         ]);
     }
-    t
+    (matrix, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_fail_point_is_clean_for_all_apis() {
-        for s in sweep_all() {
-            assert!(
-                s.injection_points > 0,
-                "{}: no instrumented crossings",
-                s.api
-            );
-            assert_eq!(
-                s.dirty, 0,
-                "{}: {} of {} fail points leaked or corrupted state",
-                s.api, s.dirty, s.injection_points
-            );
-            assert_eq!(s.clean_errors, s.injection_points);
-            assert_eq!(s.clean_state, s.injection_points);
-        }
-    }
 
     #[test]
     fn fork_needs_the_retry_spawn_does_not() {
@@ -337,29 +279,24 @@ mod tests {
     }
 
     #[test]
-    fn fault_matrix_is_all_clean() {
-        let t = fault_matrix();
-        assert!(t.rows.len() >= 3, "at least one site row per API");
-        for row in &t.rows {
+    fn every_fail_point_is_clean_for_all_apis() {
+        let (matrix, t) = run();
+        assert!(matrix.rows.len() >= 3, "at least one site row per API");
+        for row in &matrix.rows {
             assert_eq!(row[4], "clean", "dirty matrix cell: {row:?}");
         }
         // fork must exercise the memory sites; spawn the file-action site.
-        assert!(t
-            .rows
-            .iter()
-            .any(|r| r[0] == "fork" && r[1] == "pt_node_alloc"));
-        assert!(t
-            .rows
-            .iter()
-            .any(|r| r[0] == "posix_spawn" && r[1] == "spawn_file_action"));
-        assert!(t.rows.iter().any(|r| r[0] == "xproc" && r[1] == "xproc_step"));
-    }
+        let cell = |api: &str, site: &str| matrix.rows.iter().any(|r| r[0] == api && r[1] == site);
+        assert!(cell("fork", "pt_node_alloc"));
+        assert!(cell("posix_spawn", "spawn_file_action"));
+        assert!(cell("xproc", "xproc_step"));
 
-    #[test]
-    fn table_has_one_row_per_api() {
-        let t = run();
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {
+            let points = &row[1];
+            assert_ne!(points, "0", "{}: no instrumented crossings", row[0]);
+            assert_eq!(row[2], format!("{points}/{points}"), "clean errors: {row:?}");
+            assert_eq!(row[3], format!("{points}/{points}"), "clean state: {row:?}");
             assert_eq!(row[4], "0", "dirty column must be zero: {row:?}");
             assert_eq!(row[7], "ok");
         }

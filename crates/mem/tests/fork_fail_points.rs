@@ -2,8 +2,9 @@
 //! one of its fail points, pinned.
 //!
 //! A ≈ 40-page parent built to reach every arm of the fork walk is forked
-//! in each mode passively, under `count_crossings`, and then once per fail
-//! point *k* under `FaultPlan::fail_nth_crossing(k)`. Every run records what
+//! in each mode passively, and then through `fpr_faults::sweep`: under a
+//! scope that only counts, and once per fail point *k* under
+//! `FaultPlan::fail_nth_crossing(k)`. Every run records what
 //! a caller — and the rollback — can observe: the result, the cycles the
 //! call charged, the `ptes_copied` / `vmas_cloned` deltas, the `FaultTrace`,
 //! and afterwards every PTE of the parent, every frame's and swap slot's
@@ -27,7 +28,7 @@
 //! shares and swap entries ([`range_world`]), pinned the same way: what they
 //! charge, flush and leave.
 
-use fpr_faults::{count_crossings, with_plan, FaultPlan, FaultTrace};
+use fpr_faults::{sweep, FaultTrace, Point};
 use fpr_mem::address_space::{heap_vma, ForkMode};
 use fpr_mem::{AddressSpace, CostModel, Cycles, MemError, Pfn, PhysMemory, Prot, Pte, Share};
 use fpr_mem::{TlbModel, VmArea, VmaKind, Vpn};
@@ -116,43 +117,14 @@ fn refs(phys: &PhysMemory) -> Vec<u32> {
     frames.chain(slots).collect()
 }
 
-/// What one `fork_from` call did, as far as anyone can tell afterwards.
-struct Run {
-    result: Result<AddressSpace, MemError>,
-    trace: Option<FaultTrace>,
-    world: World,
-    charged: u64,
-    ptes_copied: u64,
-    vmas_cloned: u64,
+/// Runs `op` on `world` with nobody listening: a run without a trace.
+fn unobserved<W, R>(mut world: W, op: impl FnOnce(&mut W) -> R) -> Point<W, R> {
+    let result = op(&mut world);
+    Point { fault: None, world, result, trace: FaultTrace::default() }
 }
 
-/// Who is on the thread while the fork runs.
-enum Listening {
-    Nobody,
-    Counting,
-    FailingCrossing(u64),
-}
-
-impl Listening {
-    /// Runs `op` with this on the thread.
-    fn to<T>(self, op: impl FnOnce() -> T) -> (T, Option<FaultTrace>) {
-        match self {
-            Listening::Nobody => (op(), None),
-            Listening::Counting => {
-                let mut result = None;
-                let trace = count_crossings(|| result = Some(op()));
-                (result.expect("the scope ran"), Some(trace))
-            }
-            Listening::FailingCrossing(k) => {
-                let (result, trace) = with_plan(FaultPlan::passive().fail_nth_crossing(k), op);
-                (result, Some(trace))
-            }
-        }
-    }
-}
-
-fn fold_trace(trace: &Option<FaultTrace>, d: &mut Digest) {
-    for c in trace.iter().flat_map(|t| &t.crossings) {
+fn fold_trace(trace: &FaultTrace, d: &mut Digest) {
+    for c in &trace.crossings {
         d.word(c.site.index() as u64);
         d.word(c.occurrence);
         d.word(c.global_index);
@@ -160,18 +132,26 @@ fn fold_trace(trace: &Option<FaultTrace>, d: &mut Digest) {
     }
 }
 
-fn run(build: fn() -> World, mode: ForkMode, listening: Listening) -> Run {
-    let mut w = build();
+/// What one `fork_from` call did, as far as anyone can tell afterwards,
+/// besides the world it left.
+struct Forked {
+    child: Result<AddressSpace, MemError>,
+    charged: u64,
+    ptes_copied: u64,
+    vmas_cloned: u64,
+}
+
+/// A fork, its world and what it crossed.
+type Run = Point<World, Forked>;
+
+fn fork(w: &mut World, mode: ForkMode) -> Forked {
     let (at, copied, cloned) = (w.cycles.total(), w.parent.stats.ptes_copied, w.parent.stats.vmas_cloned);
-    let fork = || AddressSpace::fork_from(&mut w.parent, mode, &mut w.phys, &mut w.cycles, &mut w.tlb, 2);
-    let (result, trace) = listening.to(fork);
-    Run {
-        result,
-        trace,
+    let child = AddressSpace::fork_from(&mut w.parent, mode, &mut w.phys, &mut w.cycles, &mut w.tlb, 2);
+    Forked {
+        child,
         charged: w.cycles.total() - at,
         ptes_copied: w.parent.stats.ptes_copied - copied,
         vmas_cloned: w.parent.stats.vmas_cloned - cloned,
-        world: w,
     }
 }
 
@@ -181,88 +161,81 @@ fn pins_state(mode: ForkMode) -> bool {
     mode != ForkMode::Eager
 }
 
-impl Run {
-    /// Folds what the fork charged, counted and crossed, and — with
-    /// `state` — what it left.
-    fn fold_into(&self, d: &mut Digest, state: bool) {
-        d.word(match &self.result {
-            Ok(_) => 0,
-            Err(MemError::OutOfMemory) => 1,
-            Err(e) => panic!("a fork fails with OutOfMemory or not at all, not {e:?}"),
-        });
-        d.word(self.charged);
-        d.word(self.ptes_copied);
-        d.word(self.vmas_cloned);
-        fold_trace(&self.trace, d);
-        if !state {
-            return;
-        }
-        let spaces = [Some(&self.world.parent), self.result.as_ref().ok()];
-        for space in spaces.into_iter().flatten() {
-            mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
-            d.word(space.resident_pages());
-            d.word(space.swapped_pages());
-            d.word(space.pt_nodes() as u64);
-        }
-        refs(&self.world.phys).into_iter().for_each(|r| d.word(r as u64));
-        d.word(self.world.phys.used_frames());
+/// Folds what the fork charged, counted and crossed, and — with `state` —
+/// what it left.
+fn fold_fork(run: &Run, d: &mut Digest, state: bool) {
+    let forked = &run.result;
+    d.word(match &forked.child {
+        Ok(_) => 0,
+        Err(MemError::OutOfMemory) => 1,
+        Err(e) => panic!("a fork fails with OutOfMemory or not at all, not {e:?}"),
+    });
+    d.word(forked.charged);
+    d.word(forked.ptes_copied);
+    d.word(forked.vmas_cloned);
+    fold_trace(&run.trace, d);
+    if !state {
+        return;
     }
+    let spaces = [Some(&run.world.parent), forked.child.as_ref().ok()];
+    for space in spaces.into_iter().flatten() {
+        mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
+        d.word(space.resident_pages());
+        d.word(space.swapped_pages());
+        d.word(space.pt_nodes() as u64);
+    }
+    refs(&run.world.phys).into_iter().for_each(|r| d.word(r as u64));
+    d.word(run.world.phys.used_frames());
+}
 
-    /// Tears both spaces down; nothing may be left.
-    fn finish(mut self) {
-        let World { phys, cycles, parent, .. } = &mut self.world;
-        if let Ok(child) = &mut self.result {
-            assert_eq!(child.check_page_table(), Ok(()));
-            child.destroy(phys, cycles);
-        }
-        assert_eq!(parent.check_page_table(), Ok(()));
-        parent.destroy(phys, cycles);
-        assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
+/// Tears both spaces down; nothing may be left.
+fn finish_fork(mut run: Run) {
+    let World { phys, cycles, parent, .. } = &mut run.world;
+    if let Ok(child) = &mut run.result.child {
+        assert_eq!(child.check_page_table(), Ok(()));
+        child.destroy(phys, cycles);
     }
+    assert_eq!(parent.check_page_table(), Ok(()));
+    parent.destroy(phys, cycles);
+    assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
 }
 
 /// Forks the parent `build` makes in `mode` every way a fork can end and
 /// returns the number of fail points with the digest of everything observed.
-fn sweep(build: fn() -> World, mode: ForkMode) -> (u64, u64) {
+fn fork_points(build: fn() -> World, mode: ForkMode) -> (u64, u64) {
     let mut digest = Digest::new();
     let untouched = build();
     let (parent_before, refs_before) = (mapped(&untouched.parent), refs(&untouched.phys));
     let used_before = untouched.phys.used_frames();
 
-    // Nobody listening, and a scope that only counts: the same fork.
-    let passive = run(build, mode, Listening::Nobody);
-    let counted = run(build, mode, Listening::Counting);
-    let (a, b) = (passive.result.as_ref().unwrap(), counted.result.as_ref().unwrap());
-    assert_eq!(mapped(a), mapped(b), "{mode:?}: the child's entries depend on who listens");
-    assert_eq!(mapped(&passive.world.parent), mapped(&counted.world.parent), "{mode:?}");
-    assert_eq!(refs(&passive.world.phys), refs(&counted.world.phys), "{mode:?}");
-    assert_eq!(
-        (passive.charged, passive.ptes_copied, passive.vmas_cloned),
-        (counted.charged, counted.ptes_copied, counted.vmas_cloned),
-        "{mode:?}"
-    );
-    assert_eq!((a.resident_pages(), a.swapped_pages()), (b.resident_pages(), b.swapped_pages()));
-    let fail_points = counted.trace.as_ref().unwrap().len() as u64;
-    for r in [passive, counted] {
-        r.fold_into(&mut digest, pins_state(mode));
-        r.finish();
-    }
-
-    for k in 0..fail_points {
-        let failed = run(build, mode, Listening::FailingCrossing(k));
-        let trace = failed.trace.as_ref().unwrap();
-        assert_eq!(failed.result.as_ref().err(), Some(&MemError::OutOfMemory), "{mode:?} point {k}");
-        assert_eq!(trace.len() as u64, k + 1, "{mode:?} point {k}: the walk went on after the fault");
-        assert_eq!(trace.injected().len(), 1);
-        // The rollback is complete — which the digest pins too, but says
-        // less clearly when it breaks.
-        assert_eq!(mapped(&failed.world.parent), parent_before, "{mode:?} point {k}: parent PTEs");
-        assert_eq!(refs(&failed.world.phys), refs_before, "{mode:?} point {k}: reference counts");
-        assert_eq!(failed.world.phys.used_frames(), used_before, "{mode:?} point {k}");
-        failed.fold_into(&mut digest, pins_state(mode));
-        failed.finish();
-    }
-    (fail_points, digest.0)
+    // Nobody listening, and (the sweep's first run) a scope that only
+    // counts: the same fork.
+    let passive = unobserved(build(), |w| fork(w, mode));
+    fold_fork(&passive, &mut digest, pins_state(mode));
+    let counted = sweep(None, build, |w| fork(w, mode), |run| {
+        if let Some(fault) = run.fault {
+            let k = fault.global_index;
+            assert_eq!(run.result.child.as_ref().err(), Some(&MemError::OutOfMemory), "{mode:?} point {k}");
+            assert_eq!(run.trace.len() as u64, k + 1, "{mode:?} point {k}: the walk went on after the fault");
+            // The rollback is complete — which the digest pins too, but says
+            // less clearly when it breaks.
+            assert_eq!(mapped(&run.world.parent), parent_before, "{mode:?} point {k}: parent PTEs");
+            assert_eq!(refs(&run.world.phys), refs_before, "{mode:?} point {k}: reference counts");
+            assert_eq!(run.world.phys.used_frames(), used_before, "{mode:?} point {k}");
+        } else {
+            let (p, c) = (&passive.result, &run.result);
+            let (a, b) = (p.child.as_ref().unwrap(), c.child.as_ref().unwrap());
+            assert_eq!(mapped(a), mapped(b), "{mode:?}: the child's entries depend on who listens");
+            assert_eq!(mapped(&passive.world.parent), mapped(&run.world.parent), "{mode:?}");
+            assert_eq!(refs(&passive.world.phys), refs(&run.world.phys), "{mode:?}");
+            assert_eq!((p.charged, p.ptes_copied, p.vmas_cloned), (c.charged, c.ptes_copied, c.vmas_cloned), "{mode:?}");
+            assert_eq!((a.resident_pages(), a.swapped_pages()), (b.resident_pages(), b.swapped_pages()));
+        }
+        fold_fork(&run, &mut digest, pins_state(mode));
+        finish_fork(run);
+    });
+    finish_fork(passive);
+    (counted.len() as u64, digest.0)
 }
 
 #[test]
@@ -275,7 +248,7 @@ fn every_fail_point_leaves_what_it_left_before() {
         (ForkMode::Eager, 69, 0x2b5a_fea1_b87d_f9a5),
     ];
     let got = pinned.map(|(mode, ..)| {
-        let (fail_points, digest) = sweep(world, mode);
+        let (fail_points, digest) = fork_points(world, mode);
         (mode, fail_points, digest)
     });
     assert_eq!(got, pinned, "got {got:#x?}");
@@ -343,14 +316,14 @@ fn every_thp_fork_fail_point_leaves_what_it_left_before() {
     // What the child gets: its blocks and the nodes it shares — none but
     // the directory, and the small pages' node under `OnDemand`.
     for (mode, arms) in [(ForkMode::Cow, (3, 0)), (ForkMode::OnDemand, (3, 2)), (ForkMode::Eager, (2, 0))] {
-        let forked = run(thp_world, mode, Listening::Nobody);
-        let child = forked.result.as_ref().unwrap();
+        let forked = unobserved(thp_world(), |w| fork(w, mode));
+        let child = forked.result.child.as_ref().unwrap();
         assert_eq!((child.huge_pages(), forked.world.parent.stats.pt_subtrees_shared), arms, "{mode:?}");
         assert_eq!(child.resident_pages(), 3 * 512 + 8, "{mode:?}");
-        forked.finish();
+        finish_fork(forked);
     }
     let got = pinned.map(|(mode, ..)| {
-        let (fail_points, digest) = sweep(thp_world, mode);
+        let (fail_points, digest) = fork_points(thp_world, mode);
         (mode, fail_points, digest)
     });
     assert_eq!(got, pinned, "got {got:#x?}");
@@ -461,59 +434,52 @@ fn layout(space: &AddressSpace) -> Layout {
     }
 }
 
-/// What one operation on a [`Pair`] did.
-struct PairRun {
-    result: Result<u64, MemError>,
-    trace: Option<FaultTrace>,
-    world: Pair,
-    charged: u64,
-}
+/// An operation on a [`Pair`]: what it returned and the cycles it charged.
+type PairRun = Point<Pair, (Result<u64, MemError>, u64)>;
 
-/// Runs `op` on the pair `build` makes, with `listening` on the thread.
-fn on_pair(build: fn() -> Pair, op: impl FnOnce(&mut Pair) -> Result<u64, MemError>, listening: Listening) -> PairRun {
-    let mut w = build();
+/// Runs `op` on `w`, returning what it returned and the cycles it charged.
+fn charged(w: &mut Pair, op: impl FnOnce(&mut Pair) -> Result<u64, MemError>) -> (Result<u64, MemError>, u64) {
     let at = w.cycles.total();
-    let (result, trace) = listening.to(|| op(&mut w));
-    PairRun { result, trace, charged: w.cycles.total() - at, world: w }
+    let result = op(w);
+    (result, w.cycles.total() - at)
 }
 
-fn slide((from, to): (u64, u64), listening: Listening) -> PairRun {
-    on_pair(slide_world, |w| w.space.slide_vma(Vpn(from), Vpn(to), &mut w.phys, &mut w.cycles), listening)
+fn slide(w: &mut Pair, (from, to): (u64, u64)) -> (Result<u64, MemError>, u64) {
+    charged(w, |w| w.space.slide_vma(Vpn(from), Vpn(to), &mut w.phys, &mut w.cycles))
 }
 
-impl PairRun {
-    fn fold_into(&self, d: &mut Digest) {
-        match &self.result {
-            Ok(moved) => [0, *moved],
-            Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress]
-                .iter()
-                .position(|known| known == e)
-                .unwrap_or_else(|| panic!("no slide or range operation fails with {e:?}")) as u64],
-        }
-        .into_iter()
-        .for_each(|w| d.word(w));
-        d.word(self.charged);
-        fold_trace(&self.trace, d);
-        for space in [&self.world.space, &self.world.fork] {
-            mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
-            d.word(space.resident_pages());
-            d.word(space.pt_nodes() as u64);
-            d.word(space.stats.pt_unshares);
-        }
-        let frames = (0..self.world.phys.total_frames()).map(|pfn| self.world.phys.refs(Pfn(pfn)).unwrap_or(0));
-        frames.for_each(|r| d.word(r as u64));
-        d.word(self.world.phys.used_frames());
+fn fold_pair(run: &PairRun, d: &mut Digest) {
+    let (result, charged) = &run.result;
+    match result {
+        Ok(moved) => [0, *moved],
+        Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress]
+            .iter()
+            .position(|known| known == e)
+            .unwrap_or_else(|| panic!("no slide or range operation fails with {e:?}")) as u64],
     }
+    .into_iter()
+    .for_each(|w| d.word(w));
+    d.word(*charged);
+    fold_trace(&run.trace, d);
+    for space in [&run.world.space, &run.world.fork] {
+        mapped(space).into_iter().for_each(|(vpn, pte)| d.pte(vpn, pte));
+        d.word(space.resident_pages());
+        d.word(space.pt_nodes() as u64);
+        d.word(space.stats.pt_unshares);
+    }
+    let frames = (0..run.world.phys.total_frames()).map(|pfn| run.world.phys.refs(Pfn(pfn)).unwrap_or(0));
+    frames.for_each(|r| d.word(r as u64));
+    d.word(run.world.phys.used_frames());
+}
 
-    /// Tears both spaces down; nothing may be left.
-    fn finish(mut self) {
-        let Pair { phys, cycles, space, fork, .. } = &mut self.world;
-        for space in [space, fork] {
-            assert_eq!(space.check_page_table(), Ok(()));
-            space.destroy(phys, cycles);
-        }
-        assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
+/// Tears both spaces down; nothing may be left.
+fn finish_pair(mut run: PairRun) {
+    let Pair { phys, cycles, space, fork, .. } = &mut run.world;
+    for space in [space, fork] {
+        assert_eq!(space.check_page_table(), Ok(()));
+        space.destroy(phys, cycles);
     }
+    assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
 }
 
 #[test]
@@ -523,13 +489,8 @@ fn every_slide_fail_point_leaves_what_it_left_before() {
     let untouched = slide_world();
     let (space_before, fork_before) = (layout(&untouched.space), layout(&untouched.fork));
     for pair in SLIDES {
-        let passive = slide(pair, Listening::Nobody);
-        let counted = slide(pair, Listening::Counting);
-        assert_eq!(passive.result, counted.result, "{pair:?}: the verdict depends on who listens");
-        assert_eq!(passive.charged, counted.charged, "{pair:?}");
-        assert_eq!(mapped(&passive.world.space), mapped(&counted.world.space), "{pair:?}");
-        assert_eq!(layout(&passive.world.fork), fork_before, "{pair:?}: the fork saw the slide");
-        if let Ok(moved) = passive.result {
+        let passive = unobserved(slide_world(), |w| slide(w, pair));
+        if let Ok(moved) = passive.result.0 {
             // Every frame is where it was, or `to - from` pages further on.
             let (from, to) = pair;
             let slid = |vpn: u64| untouched.space.vma_at(Vpn(vpn)).unwrap().start.0 == from;
@@ -542,27 +503,31 @@ fn every_slide_fail_point_leaves_what_it_left_before() {
             assert!(moved <= 512, "{pair:?}");
         } else {
             assert_eq!(layout(&passive.world.space), space_before, "{pair:?}: a refused slide moved something");
-            assert_eq!(passive.charged, 0, "{pair:?}: a refused slide cost something");
+            assert_eq!(passive.result.1, 0, "{pair:?}: a refused slide cost something");
         }
-        let points = counted.trace.as_ref().unwrap().len() as u64;
-        for r in [passive, counted] {
-            r.fold_into(&mut digest);
-            r.finish();
-        }
-        for k in 0..points {
-            let failed = slide(pair, Listening::FailingCrossing(k));
-            assert_eq!(failed.result, Err(MemError::OutOfMemory), "{pair:?} point {k}");
-            assert_eq!(failed.trace.as_ref().unwrap().len() as u64, k + 1, "{pair:?} point {k}: the slide went on");
-            assert_eq!(layout(&failed.world.space), space_before, "{pair:?} point {k}: the space");
-            assert_eq!(layout(&failed.world.fork), fork_before, "{pair:?} point {k}: the fork");
-            // The destination's path is gone again; a block split on the
-            // way stays split, in a node of its own.
-            let split = (untouched.space.huge_pages() - failed.world.space.huge_pages()) as usize;
-            assert_eq!(failed.world.space.pt_nodes(), untouched.space.pt_nodes() + split, "{pair:?} point {k}");
-            failed.fold_into(&mut digest);
-            failed.finish();
-        }
-        fail_points += points;
+        fold_pair(&passive, &mut digest);
+        let counted = sweep(None, slide_world, |w| slide(w, pair), |run| {
+            if let Some(fault) = run.fault {
+                let k = fault.global_index;
+                assert_eq!(run.result.0, Err(MemError::OutOfMemory), "{pair:?} point {k}");
+                assert_eq!(run.trace.len() as u64, k + 1, "{pair:?} point {k}: the slide went on");
+                assert_eq!(layout(&run.world.space), space_before, "{pair:?} point {k}: the space");
+                assert_eq!(layout(&run.world.fork), fork_before, "{pair:?} point {k}: the fork");
+                // The destination's path is gone again; a block split on the
+                // way stays split, in a node of its own.
+                let split = (untouched.space.huge_pages() - run.world.space.huge_pages()) as usize;
+                assert_eq!(run.world.space.pt_nodes(), untouched.space.pt_nodes() + split, "{pair:?} point {k}");
+            } else {
+                assert_eq!(passive.result.0, run.result.0, "{pair:?}: the verdict depends on who listens");
+                assert_eq!(passive.result.1, run.result.1, "{pair:?}");
+                assert_eq!(mapped(&passive.world.space), mapped(&run.world.space), "{pair:?}");
+                assert_eq!(layout(&passive.world.fork), fork_before, "{pair:?}: the fork saw the slide");
+            }
+            fold_pair(&run, &mut digest);
+            finish_pair(run);
+        });
+        finish_pair(passive);
+        fail_points += counted.len() as u64;
     }
     // Obtained from the slide that enumerates with `leaves_in_range` and
     // keeps a second list of what it moved.
@@ -639,8 +604,8 @@ const RANGES: [(RangeOp, u64, u64, bool); 19] = [
     (RangeOp::ProtectRead, 300, 724, true),
 ];
 
-fn range_op((op, start, pages, thp): (RangeOp, u64, u64, bool), listening: Listening) -> PairRun {
-    let run = |w: &mut Pair| {
+fn range_op(w: &mut Pair, (op, start, pages, thp): (RangeOp, u64, u64, bool)) -> (Result<u64, MemError>, u64) {
+    charged(w, |w| {
         let Pair { phys, cycles, tlb, space, .. } = w;
         space.set_thp(thp);
         let (start, prot) = (Vpn(start), Prot::R);
@@ -649,20 +614,17 @@ fn range_op((op, start, pages, thp): (RangeOp, u64, u64, bool), listening: Liste
             RangeOp::Discard => space.discard(start, pages, phys, cycles, tlb, 2),
             RangeOp::ProtectRead => space.mprotect(start, pages, prot, cycles, phys, tlb, 2).map(|()| 0),
         }
-    };
-    on_pair(range_world, run, listening)
+    })
 }
 
-impl PairRun {
-    /// What a range operation changes that a slide does not: swap entries,
-    /// swap slots and the flushes.
-    fn fold_range_into(&self, d: &mut Digest) {
-        self.fold_into(d);
-        let Pair { phys, tlb, space, fork, .. } = &self.world;
-        [space.swapped_pages(), fork.swapped_pages(), phys.swap().used_slots()].into_iter().for_each(|w| d.word(w));
-        (0..SWAP_SLOTS).for_each(|slot| d.word(phys.swap().refs(slot).unwrap_or(0) as u64));
-        [tlb.shootdowns, tlb.entries_flushed, tlb.huge_entries_flushed].into_iter().for_each(|w| d.word(w));
-    }
+/// Folds what [`fold_pair`] does and what a range operation changes that a
+/// slide does not: swap entries, swap slots and the flushes.
+fn fold_range(run: &PairRun, d: &mut Digest) {
+    fold_pair(run, d);
+    let Pair { phys, tlb, space, fork, .. } = &run.world;
+    [space.swapped_pages(), fork.swapped_pages(), phys.swap().used_slots()].into_iter().for_each(|w| d.word(w));
+    (0..SWAP_SLOTS).for_each(|slot| d.word(phys.swap().refs(slot).unwrap_or(0) as u64));
+    [tlb.shootdowns, tlb.entries_flushed, tlb.huge_entries_flushed].into_iter().for_each(|w| d.word(w));
 }
 
 #[test]
@@ -671,23 +633,22 @@ fn every_range_operation_fail_point_leaves_what_it_left_before() {
     let mut fail_points = 0;
     let fork_before = layout(&range_world().fork);
     for case in RANGES {
-        let passive = range_op(case, Listening::Nobody);
-        let counted = range_op(case, Listening::Counting);
-        assert_eq!((passive.result, passive.charged), (counted.result, counted.charged), "{case:?}");
-        assert_eq!(mapped(&passive.world.space), mapped(&counted.world.space), "{case:?}");
-        let points = counted.trace.as_ref().unwrap().len() as u64;
-        for r in [passive, counted] {
-            r.fold_range_into(&mut digest);
-            r.finish();
-        }
-        for k in 0..points {
-            let failed = range_op(case, Listening::FailingCrossing(k));
-            assert_eq!(failed.result, Err(MemError::OutOfMemory), "{case:?} point {k}");
-            assert_eq!(layout(&failed.world.fork), fork_before, "{case:?} point {k}: the fork saw it");
-            failed.fold_range_into(&mut digest);
-            failed.finish();
-        }
-        fail_points += points;
+        let passive = unobserved(range_world(), |w| range_op(w, case));
+        fold_range(&passive, &mut digest);
+        let counted = sweep(None, range_world, |w| range_op(w, case), |run| {
+            if let Some(fault) = run.fault {
+                let k = fault.global_index;
+                assert_eq!(run.result.0, Err(MemError::OutOfMemory), "{case:?} point {k}");
+                assert_eq!(layout(&run.world.fork), fork_before, "{case:?} point {k}: the fork saw it");
+            } else {
+                assert_eq!(passive.result, run.result, "{case:?}");
+                assert_eq!(mapped(&passive.world.space), mapped(&run.world.space), "{case:?}");
+            }
+            fold_range(&run, &mut digest);
+            finish_pair(run);
+        });
+        finish_pair(passive);
+        fail_points += counted.len() as u64;
     }
     // Obtained from the range operations that go entry by entry.
     assert_eq!((fail_points, digest.0), (16, 0x19db_75e8_4cf0_b48d), "got ({fail_points}, {:#x})", digest.0);
