@@ -45,7 +45,10 @@ doclinks:
 # The fault-injection acceptance gate on its own: every fail point of
 # every creation API and of the swap tier (slot alloc, swap-out,
 # swap-in) must produce a clean error — or, for a swap-in I/O failure,
-# kill only the faulting process — and leave an intact kernel. The
+# kill only the faulting process — and leave an intact kernel. Its
+# exhaustive sweeps (faultsweep, fork_fail_points) all run through one
+# driver, fpr_faults::sweep: count an operation's crossings, then replay
+# it on a fresh world once per crossing with that one failed. The
 # pressure proptests replay random swap/reclaim schedules under the
 # same leak checks, and the SMP sweep (E17) repeats the exercise with
 # injections landing concurrently on four real OS threads. Alongside:
