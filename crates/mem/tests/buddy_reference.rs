@@ -10,12 +10,21 @@
 //! `largest_free_order()` after each step — on totals that are not powers
 //! of two and bases that are not zero, where block indices stop being
 //! frame numbers shifted down.
+//!
+//! A second arm holds a one-cell [`PhysMemory`] to the same model: however
+//! the cell draws its frames from the pool, every frame it hands out —
+//! to `alloc_zeroed`, and to the small and huge pages a `populate` maps,
+//! read back with `AddressSpace::translate` — is the one the model's
+//! `alloc(0)` or `alloc_run(9)` gives, and `free_frames()`, `used_frames()`
+//! and `pressure()` agree after every step, while frames go back through
+//! `dec_ref`, `unpin` and the batched frees of `munmap` and `destroy`.
 
+use fpr_mem::address_space::heap_vma;
 use fpr_mem::buddy::{BuddyAllocator, MAX_ORDER};
 use fpr_mem::error::{MemError, MemResult};
-use fpr_mem::Pfn;
+use fpr_mem::{AddressSpace, CostModel, Cycles, Pfn, PhysMemory, PressureLevel, TlbModel, Vpn, HUGE_PAGES};
 use fpr_rng::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The reference: one ordered set of free block bases per order.
 struct Model {
@@ -306,4 +315,323 @@ fn freeing_the_interior_of_a_block_panics() {
     let mut b = BuddyAllocator::new(Pfn(1_000), 64);
     let p = b.alloc(3).unwrap();
     b.free(Pfn(p.0 + 1));
+}
+
+/// The order of a 2 MiB block.
+const HUGE_ORDER: usize = HUGE_PAGES.trailing_zeros() as usize;
+
+/// Where every script's space maps its heap: a huge-page boundary.
+const HEAP: u64 = 64 * HUGE_PAGES;
+
+/// What the `PhysMemory` scripts must have met, summed over all of them.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Runs of more than 512 small allocations with no frame freed between.
+    long_runs: u64,
+    /// A frame freed part-way through an allocation run of more than 512.
+    mid_run_frees: u64,
+    /// A small allocation when no free block was 2 MiB or smaller.
+    above_huge: u64,
+    /// A huge block taken right after a small allocation and right before
+    /// the next one.
+    thp_between_small: u64,
+    /// A small allocation refused because no frame was free.
+    exhausted: u64,
+}
+
+/// A one-cell [`PhysMemory`] beside the [`Model`], with a reference count
+/// per frame the model handed out, so it knows which drop frees a frame.
+struct Machine {
+    phys: PhysMemory,
+    cycles: Cycles,
+    tlb: TlbModel,
+    model: Model,
+    refs: BTreeMap<u64, u32>,
+    /// Frames from `alloc_zeroed`, one reference each held by the script.
+    loose: Vec<Pfn>,
+    /// One entry per pin the script holds.
+    pins: Vec<Pfn>,
+    /// Spaces the script populated and the pages of their heap.
+    spaces: Vec<(AddressSpace, u64)>,
+    /// Small allocations since a frame last went back.
+    streak: u64,
+    /// The last frame the pool saw go out was a small allocation's.
+    after_small: bool,
+    /// A huge block went out right after a small allocation.
+    huge_after_small: bool,
+    seen: Seen,
+}
+
+impl Machine {
+    fn new(total: u64) -> Machine {
+        Machine {
+            phys: PhysMemory::new(total, CostModel::default()),
+            cycles: Cycles::new(),
+            tlb: TlbModel::new(),
+            model: Model::new(Pfn(0), total),
+            refs: BTreeMap::new(),
+            loose: Vec::new(),
+            pins: Vec::new(),
+            spaces: Vec::new(),
+            streak: 0,
+            after_small: false,
+            huge_after_small: false,
+            seen: Seen::default(),
+        }
+    }
+
+    /// The model's next small frame against `got`, what the cell handed out.
+    fn small(&mut self, got: MemResult<Pfn>, what: &str) -> MemResult<Pfn> {
+        if self.model.free_lists[..=HUGE_ORDER].iter().all(BTreeSet::is_empty) && self.model.free_frames > 0 {
+            self.seen.above_huge += 1;
+        }
+        let want = self.model.alloc(0);
+        assert_eq!(got, want, "{what}: a small frame");
+        match want {
+            Ok(pfn) => {
+                self.refs.insert(pfn.0, 1);
+                self.streak += 1;
+                self.seen.long_runs += u64::from(self.streak == 513);
+                self.seen.thp_between_small += u64::from(self.huge_after_small);
+                self.after_small = true;
+                self.huge_after_small = false;
+            }
+            Err(e) => {
+                assert_eq!(e, MemError::OutOfMemory, "{what}");
+                self.seen.exhausted += 1;
+            }
+        }
+        want
+    }
+
+    /// The model's next huge block, if it has one: the head frame of the
+    /// run a cell that tried to map one must have mapped.
+    fn huge(&mut self) -> Option<Pfn> {
+        let run = self.model.alloc_run(HUGE_ORDER).ok()?;
+        self.refs.extend(run.iter().map(|pfn| (pfn.0, 1)));
+        self.huge_after_small = self.after_small;
+        self.after_small = false;
+        Some(run[0])
+    }
+
+    /// Drops one reference the model holds on each of `frames`, freeing
+    /// those that reach zero; returns how many did.
+    fn drop_refs(&mut self, frames: impl IntoIterator<Item = Pfn>) -> u64 {
+        let mut freed = 0;
+        for pfn in frames {
+            let n = self.refs.get_mut(&pfn.0).expect("a frame the model handed out");
+            *n -= 1;
+            if *n == 0 {
+                self.refs.remove(&pfn.0);
+                self.model.free(pfn);
+                freed += 1;
+            }
+        }
+        if freed > 0 {
+            self.streak = 0;
+            (self.after_small, self.huge_after_small) = (false, false);
+        }
+        freed
+    }
+
+    fn check(&self, what: &str) {
+        let free = self.model.free_frames;
+        assert_eq!(self.phys.free_frames(), free, "{what}: free_frames");
+        assert_eq!(self.phys.used_frames(), self.model.total - free, "{what}: used_frames");
+        let w = self.phys.watermarks();
+        let level = match free {
+            f if f >= w.high => PressureLevel::None,
+            f if f >= w.low => PressureLevel::Low,
+            f if f >= w.min => PressureLevel::High,
+            _ => PressureLevel::Critical,
+        };
+        assert_eq!(self.phys.pressure(), level, "{what}: pressure");
+    }
+
+    /// `n` frames through `alloc_zeroed`, and at `free_at` allocations in,
+    /// one loose frame dropped; stops at the first refusal.
+    fn alloc_run(&mut self, n: u64, free_at: Option<u64>, rng: &mut Rng, what: &str) {
+        for k in 0..n {
+            if free_at == Some(k) && !self.loose.is_empty() {
+                let freed = self.dec_ref(rng, what);
+                self.seen.mid_run_frees += u64::from(freed && n > 512);
+            }
+            let got = self.phys.alloc_zeroed(&mut self.cycles);
+            let Ok(pfn) = self.small(got, what) else { return };
+            self.loose.push(pfn);
+            self.check(what);
+        }
+    }
+
+    /// Drops a random loose frame; `true` if that freed it.
+    fn dec_ref(&mut self, rng: &mut Rng, what: &str) -> bool {
+        let pfn = self.loose.swap_remove(rng.gen_index(self.loose.len()));
+        let freed = self.phys.dec_ref(pfn, &mut self.cycles);
+        assert_eq!(freed, Ok(self.drop_refs([pfn]) == 1), "{what}: dec_ref");
+        freed == Ok(true)
+    }
+
+    /// A new space with a heap of `pages`, populated with huge pages or
+    /// without: frame by frame, what the model hands out.
+    fn map(&mut self, pages: u64, thp: bool, what: &str) {
+        let mut space = AddressSpace::new();
+        space.set_thp(thp);
+        space.mmap(heap_vma(Vpn(HEAP), pages), &mut self.phys, &mut self.cycles).unwrap();
+        let populated = space.populate(Vpn(HEAP), pages, &mut self.phys, &mut self.cycles);
+        let pfn = |k: u64| space.translate(Vpn(HEAP + k)).map(|pte| pte.pfn);
+        let mut k = 0;
+        while k < pages {
+            if thp && k % HUGE_PAGES == 0 && pages - k >= HUGE_PAGES {
+                if let Some(head) = self.huge() {
+                    for j in 0..HUGE_PAGES {
+                        assert_eq!(pfn(k + j), Some(Pfn(head.0 + j)), "{what}: page {j} of a huge block");
+                    }
+                    k += HUGE_PAGES;
+                    continue;
+                }
+            }
+            if self.small(pfn(k).ok_or(MemError::OutOfMemory), what).is_err() {
+                assert_eq!(populated, Err(MemError::OutOfMemory), "{what}: populate");
+                break;
+            }
+            k += 1;
+        }
+        if k == pages {
+            assert_eq!(populated, Ok(()), "{what}: populate");
+        }
+        self.spaces.push((space, pages));
+    }
+
+    /// The frames of pages `range` of `space`'s heap that are resident.
+    fn resident(space: &AddressSpace, range: std::ops::Range<u64>) -> Vec<Pfn> {
+        range.filter_map(|k| space.translate(Vpn(HEAP + k)).map(|pte| pte.pfn)).collect()
+    }
+
+    fn munmap(&mut self, rng: &mut Rng, what: &str) {
+        let i = rng.gen_index(self.spaces.len());
+        let pages = self.spaces[i].1;
+        let start = rng.gen_below(pages);
+        let len = rng.gen_range(1, pages - start + 1);
+        let gone = Self::resident(&self.spaces[i].0, start..start + len);
+        let Machine { phys, cycles, tlb, spaces, .. } = self;
+        let unmapped = spaces[i].0.munmap(Vpn(HEAP + start), len, phys, cycles, tlb, 1);
+        assert!(unmapped.is_ok(), "{what}: munmap {unmapped:?}");
+        self.drop_refs(gone);
+    }
+
+    fn destroy(&mut self, i: usize) {
+        let (mut space, pages) = self.spaces.swap_remove(i);
+        let gone = Self::resident(&space, 0..pages);
+        space.destroy(&mut self.phys, &mut self.cycles);
+        self.drop_refs(gone);
+    }
+
+    /// Pins a random frame the script holds, loose or mapped.
+    fn pin(&mut self, rng: &mut Rng, what: &str) {
+        let pfn = if !self.spaces.is_empty() && (self.loose.is_empty() || rng.gen_bool(0.5)) {
+            let (space, pages) = &self.spaces[rng.gen_index(self.spaces.len())];
+            match space.translate(Vpn(HEAP + rng.gen_below(*pages))) {
+                Some(pte) => pte.pfn,
+                None => return,
+            }
+        } else if !self.loose.is_empty() {
+            self.loose[rng.gen_index(self.loose.len())]
+        } else {
+            return;
+        };
+        assert_eq!(self.phys.pin(pfn), Ok(()), "{what}: pin");
+        *self.refs.get_mut(&pfn.0).expect("held") += 1;
+        self.pins.push(pfn);
+    }
+
+    fn unpin(&mut self, i: usize, what: &str) {
+        let pfn = self.pins.swap_remove(i);
+        let freed = self.phys.unpin(pfn, &mut self.cycles);
+        assert_eq!(freed, Ok(self.drop_refs([pfn]) == 1), "{what}: unpin");
+    }
+}
+
+/// One seeded script on a one-cell machine of `total` frames, in phases
+/// that lean towards allocating and then towards freeing, as
+/// [`run_script`]'s do.
+fn run_phys_script(total: u64, seed: u64, steps: u64) -> Seen {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut m = Machine::new(total);
+    m.check(&format!("total {total} seed {seed:#x}: fresh"));
+    let phase_len = (steps / 6).max(1);
+    for step in 0..steps {
+        let what = format!("total {total} seed {seed:#x} step {step}");
+        let filling = (step / phase_len) & 1 == 0;
+        if rng.gen_bool(if filling { 0.7 } else { 0.2 }) {
+            match rng.gen_below(8) {
+                0..=2 => {
+                    let pages = match rng.gen_below(3) {
+                        0 => rng.gen_range(1, 64),
+                        1 => HUGE_PAGES * rng.gen_range(1, 3) + rng.gen_below(40),
+                        _ => rng.gen_range(HUGE_PAGES / 2, 3 * HUGE_PAGES),
+                    };
+                    m.map(pages, rng.gen_bool(0.6), &what);
+                }
+                3 => {
+                    let n = rng.gen_range(513, 1_400);
+                    let free_at = rng.gen_bool(0.5).then(|| rng.gen_range(1, n));
+                    m.alloc_run(n, free_at, &mut rng, &what);
+                }
+                _ => {
+                    let n = rng.gen_range(1, 48);
+                    let free_at = rng.gen_bool(0.2).then(|| rng.gen_range(1, n + 1));
+                    m.alloc_run(n, free_at, &mut rng, &what);
+                }
+            }
+        } else {
+            match rng.gen_below(10) {
+                0..=2 if !m.loose.is_empty() => {
+                    for _ in 0..rng.gen_range(1, 400).min(m.loose.len() as u64) {
+                        m.dec_ref(&mut rng, &what);
+                    }
+                }
+                3 => m.pin(&mut rng, &what),
+                4 if !m.pins.is_empty() => m.unpin(rng.gen_index(m.pins.len()), &what),
+                5..=6 if !m.spaces.is_empty() => m.munmap(&mut rng, &what),
+                7..=9 if !m.spaces.is_empty() => m.destroy(rng.gen_index(m.spaces.len())),
+                _ => {}
+            }
+        }
+        m.check(&what);
+    }
+    // Everything back: the machine must be as free as at boot.
+    while !m.spaces.is_empty() {
+        m.destroy(0);
+    }
+    while !m.loose.is_empty() {
+        m.dec_ref(&mut rng, "drain");
+    }
+    while !m.pins.is_empty() {
+        m.unpin(0, "drain");
+    }
+    let what = format!("total {total} seed {seed:#x}: drained");
+    m.check(&what);
+    assert_eq!(m.phys.free_frames(), total, "{what}");
+    assert!(m.refs.is_empty(), "{what}");
+    m.seen
+}
+
+#[test]
+fn a_one_cell_phys_memory_hands_out_the_models_frames() {
+    let mut seen = Seen::default();
+    for (ti, &total) in [2_561u64, 3_072, 6_000].iter().enumerate() {
+        for case in 0..4u64 {
+            let s = run_phys_script(total, 0x9E75_0000 + ((ti as u64) << 8) + case, 320);
+            seen.long_runs += s.long_runs;
+            seen.mid_run_frees += s.mid_run_frees;
+            seen.above_huge += s.above_huge;
+            seen.thp_between_small += s.thp_between_small;
+            seen.exhausted += s.exhausted;
+        }
+    }
+    let Seen { long_runs, mid_run_frees, above_huge, thp_between_small, exhausted } = seen;
+    assert!(
+        long_runs > 20 && mid_run_frees > 10 && above_huge > 10 && thp_between_small > 10 && exhausted > 10,
+        "the scripts must meet every case the reservation has: {seen:?}"
+    );
 }
