@@ -60,7 +60,9 @@ doclinks:
 # the flat model judges, ending with every frame and swap slot returned — and,
 # under it, the buddy allocator against its `BTreeSet` reference, frame for
 # frame (which frame an allocation gets decides every stamp and pfn in
-# results/). fork_fail_points pins, as one digest per fork mode, what
+# results/), with a `PhysMemory` arm holding a one-cell machine's
+# allocations, pins, populates and batched frees to the same reference,
+# however the cell draws its frames from the pool. fork_fail_points pins, as one digest per fork mode, what
 # `fork_from` charges, counts, traces and — but for an eager fork, which the
 # flat model judges — leaves behind at every one of its fail points, so
 # that the walk may batch its per-entry work but not move a fail point

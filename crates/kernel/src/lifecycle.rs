@@ -639,6 +639,18 @@ mod tests {
     }
 
     #[test]
+    fn evacuate_settles_the_block_a_one_cell_machine_holds_back() {
+        let (mut k, init) = boot();
+        let c = child_of(&mut k, init);
+        let base = k.mmap_anon(c, 40, Prot::RW, Share::Private).unwrap();
+        k.populate(c, base, 40).unwrap();
+        assert!(k.phys.drawn_frames() > k.phys.used_frames(), "the rest of a block is held back");
+        k.evacuate().unwrap();
+        assert_eq!(k.phys.drawn_frames(), 0);
+        assert_eq!(k.phys.free_frames(), k.phys.total_frames());
+    }
+
+    #[test]
     fn injected_evacuation_fault_is_clean_and_retryable() {
         let cfg = crate::kernel::MachineConfig::default();
         let shared = crate::kernel::SmpShared::new(&cfg, 1);

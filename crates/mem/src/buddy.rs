@@ -17,12 +17,30 @@
 //! the free lists are ordered bitmaps and not intrusive LIFO lists, which
 //! would be simpler still; `tests/buddy_reference.rs` holds the allocator
 //! to it frame by frame against an ordered-set model.
+//!
+//! ## Reserving what `alloc(0)` would carve next
+//!
+//! `BuddyAllocator::reserve` hands a caller the block `alloc(0)` would
+//! carve its next frames from — the lowest block of the smallest order
+//! that has one, a block above 2 MiB split down to one `HUGE_PAGES` block
+//! first, its upper halves inserted as `alloc`'s split inserts them — and
+//! `BuddyAllocator::settle` takes it back, the frames handed out so far
+//! as order-0 allocations and the rest as the pieces the split would have
+//! left free. Every order below the block's was empty when it was chosen,
+//! so while nothing else touches the allocator, `alloc(0)` would hand the
+//! block out in ascending order and leave the free lists as the settle
+//! does: a caller may hand the frames out itself, without coming back here
+//! for each ([`crate::phys`], "One machine").
 
-use crate::addr::Pfn;
+use crate::addr::{Pfn, HUGE_PAGES};
 use crate::error::{MemError, MemResult};
+use std::ops::Range;
 
 /// Maximum order supported (2^MAX_ORDER frames per block).
 pub const MAX_ORDER: usize = 16;
+
+/// The order of the largest block [`BuddyAllocator::reserve`] hands out.
+const RESERVE_ORDER: usize = HUGE_PAGES.trailing_zeros() as usize;
 
 /// Bits per bitmap word.
 const WORD: usize = u64::BITS as usize;
@@ -235,6 +253,39 @@ impl BuddyAllocator {
         Ok((0..n).map(|i| Pfn(base.0 + i)).collect())
     }
 
+    /// Takes the block `alloc(0)` would carve its next frames from off the
+    /// free lists, split down to `HUGE_PAGES` frames if it is larger, and
+    /// returns its frames; see the module docs. The frames count as
+    /// allocated until [`BuddyAllocator::settle`] takes the block back.
+    pub(crate) fn reserve(&mut self) -> MemResult<Range<u64>> {
+        // `alloc(0)` carves the lowest block of the smallest order that has
+        // one; asking for that order, or for 2 MiB when it is larger, takes
+        // the same block and splits it no further.
+        let order = (self.nonempty.trailing_zeros() as usize).min(RESERVE_ORDER);
+        let blk = self.alloc(order)?.0;
+        Ok(blk..blk + (1u64 << order))
+    }
+
+    /// Takes back `block`, reserved by [`BuddyAllocator::reserve`], of
+    /// which the first `taken` frames were handed out: they become order-0
+    /// allocations, and the rest goes back as the pieces that many
+    /// `alloc(0)` calls would have left free.
+    pub(crate) fn settle(&mut self, block: Range<u64>, taken: u64) {
+        let first = (block.start - self.base) as usize;
+        self.allocated[first] = 0;
+        self.allocated[first..first + taken as usize].fill(1);
+        let len = block.end - block.start;
+        let mut at = taken;
+        while at < len {
+            // The largest aligned block from `at` (the whole one from 0):
+            // its buddy below was handed out, so only a block given back
+            // whole can coalesce.
+            let order = (at | len).trailing_zeros() as usize;
+            self.give_back(block.start + at, order);
+            at += 1u64 << order;
+        }
+    }
+
     /// Frees a block previously returned by [`BuddyAllocator::alloc`],
     /// coalescing with its buddy as far as possible. The free lists after a
     /// set of frees do not depend on the order the frees came in.
@@ -243,14 +294,20 @@ impl BuddyAllocator {
     ///
     /// Panics if `pfn` is not the base of a live allocation.
     pub fn free(&mut self, pfn: Pfn) {
-        let mut blk = pfn.0;
+        let blk = pfn.0;
         let slot = blk
             .checked_sub(self.base)
             .and_then(|i| self.allocated.get_mut(i as usize))
             .filter(|slot| **slot != 0)
             .unwrap_or_else(|| panic!("buddy free of unallocated block {}", blk));
-        let mut order = (*slot - 1) as usize;
+        let order = (*slot - 1) as usize;
         *slot = 0;
+        self.give_back(blk, order);
+    }
+
+    /// Puts the `order` block at `blk` on the free lists, coalescing it
+    /// with its buddy as far as possible.
+    fn give_back(&mut self, mut blk: u64, mut order: usize) {
         self.free_frames += 1u64 << order;
         // Coalesce upward while the buddy is free.
         while order < MAX_ORDER {
@@ -407,6 +464,72 @@ mod tests {
         assert_eq!(b.free_frames(), 4);
         assert_eq!(b.alloc(2), Err(MemError::Fragmented));
         assert!(b.alloc(0).is_ok());
+    }
+
+    /// The whole state of `a` and `b` is the same, and so are the next ten
+    /// frames each hands out.
+    fn assert_same(mut a: BuddyAllocator, mut b: BuddyAllocator, what: &str) {
+        let words = |x: &BuddyAllocator| x.free_lists.iter().map(|l| l.words.clone()).collect::<Vec<_>>();
+        assert_eq!(words(&a), words(&b), "{what}: free lists");
+        assert_eq!((a.nonempty, a.free_frames), (b.nonempty, b.free_frames), "{what}");
+        assert_eq!(a.allocated, b.allocated, "{what}: allocations");
+        assert_eq!(a.largest_free_order(), b.largest_free_order(), "{what}");
+        let next = |x: &mut BuddyAllocator| (0..10).map(|_| x.alloc(0)).collect::<Vec<_>>();
+        assert_eq!(next(&mut a), next(&mut b), "{what}: the next ten frames");
+    }
+
+    #[test]
+    fn a_settled_reservation_is_what_that_many_single_frames_leave() {
+        // A 4 096-frame block split down to 512; the order-9 block above a
+        // free order-10 one, taken as it is; an order-9 block that 512
+        // frames going back one at a time put together.
+        let mut freed = BuddyAllocator::new(Pfn(0), 2_048);
+        let run = freed.alloc_run(9).unwrap();
+        freed.alloc(9).unwrap();
+        run.into_iter().for_each(|pfn| freed.free(pfn));
+        let starts = [
+            (BuddyAllocator::new(Pfn(0), 4_096), "split"),
+            (BuddyAllocator::new(Pfn(0), 1_536), "whole"),
+            (freed, "coalesced"),
+        ];
+        for (start, what) in starts {
+            for n in [0, 1, 511, 512] {
+                let what = format!("{what}, {n} frames");
+                let mut one_by_one = start.clone();
+                let frames: Vec<u64> = (0..n).map(|_| one_by_one.alloc(0).unwrap().0).collect();
+                let mut reserved = start.clone();
+                let block = reserved.reserve().unwrap();
+                assert_eq!(block.end - block.start, HUGE_PAGES, "{what}");
+                assert_eq!(reserved.free_frames() + HUGE_PAGES, start.free_frames(), "{what}");
+                assert!(frames.iter().copied().eq(block.start..block.start + n), "{what}: in ascending order");
+                reserved.settle(block, n);
+                assert_same(reserved, one_by_one, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn reservations_serve_small_blocks_at_unaligned_ends_to_exhaustion() {
+        // Frames 1 000..1 100 tile as 8, 16, 64, 8 and 4: the smallest, and
+        // so the first reserved, is the 4 at the region's unaligned end.
+        let start = BuddyAllocator::new(Pfn(1_000), 100);
+        let mut one_by_one = start.clone();
+        let mut reserved = start.clone();
+        let mut blocks = Vec::new();
+        while let Ok(block) = reserved.reserve() {
+            for pfn in block.clone() {
+                assert_eq!(one_by_one.alloc(0), Ok(Pfn(pfn)));
+            }
+            let len = block.end - block.start;
+            blocks.push((block.start, len));
+            // Half of it back, then the other half taken one at a time.
+            reserved.settle(block.clone(), len / 2);
+            (len / 2..len).for_each(|_| _ = reserved.alloc(0).unwrap());
+        }
+        assert_eq!(blocks, [(1_096, 4), (1_000, 8), (1_088, 8), (1_008, 16), (1_024, 64)]);
+        assert_eq!(reserved.reserve(), Err(MemError::OutOfMemory));
+        assert_eq!(one_by_one.alloc(0), Err(MemError::OutOfMemory));
+        assert_same(reserved, one_by_one, "exhausted");
     }
 
     #[test]

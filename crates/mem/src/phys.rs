@@ -20,6 +20,28 @@
 //! over the common pool, plus a count of the frames it has `drawn`, which
 //! the machine-wide conservation check sums (Σ drawn + pool free = total).
 //!
+//! A cell reaches the pool through its `CellPool`, which takes the lock
+//! once per call. With the magazine off it does not take it once per
+//! frame: under one acquisition the pool *reserves* the cell the block
+//! `alloc(0)` would carve next (`BuddyAllocator::reserve`: the lowest
+//! block of the smallest order that has one, a block above 2 MiB split
+//! down to `HUGE_PAGES` frames first), which the cell hands out in
+//! ascending order without the lock, charging `frame_alloc` for each
+//! frame. Before anything else touches the pool the cell *settles* the
+//! block (`BuddyAllocator::settle`): the frames handed out become order-0
+//! allocations and the unused rest goes back as the pieces the buddy's own
+//! split would hold. That happens under the acquisition of whatever comes
+//! next — the free batch of a `release`, a huge-run or magazine
+//! allocation, the next reservation — and when the magazine is switched on
+//! or off. Every order below the block was empty when it was chosen, so
+//! while nothing else touches the pool `alloc(0)` would take the block in
+//! that same ascending order and leave the free lists as the settle does:
+//! on a one-cell machine, where nothing else touches the pool, every frame
+//! is the one `alloc(0)` would hand out. The frames a block still holds back count as drawn and as
+//! free, like magazine-parked frames, so `free_frames`, pressure,
+//! watermarks, `used_frames` and conservation read as if the frames were
+//! still in the pool.
+//!
 //! ## The frame table
 //!
 //! Per-frame state — reference count and content stamp — lives in arrays
@@ -65,13 +87,14 @@
 //!   allocations, so concurrent creators pay the pool's serialization
 //!   once per batch instead of once per frame. It is the single boot-time
 //!   difference between the two ways a cell comes up: SMP cells
-//!   ([`PhysMemory::new_cell`]) boot with it, one-cell worlds
+//!   ([`PhysMemory::new_cell`], the only caller of the crate-private
+//!   `PhysMemory::enable_frame_cache`) boot with it, one-cell worlds
 //!   ([`PhysMemory::new`]) without, because every checked-in
 //!   single-kernel result prices a frame at `frame_alloc`, not at
-//!   `frame_cache_hit`. `PhysMemory::enable_frame_cache` /
-//!   [`PhysMemory::disable_frame_cache`] are the public switch between
-//!   the two; with the magazine off the two kinds of cell charge
-//!   identical cycles.
+//!   `frame_cache_hit`. Without it a cell reserves blocks instead ("One
+//!   machine"), which moves no charge.
+//!   [`PhysMemory::disable_frame_cache`] switches it off; with the
+//!   magazine off the two kinds of cell charge identical cycles.
 
 use crate::addr::{Pfn, HUGE_PAGES};
 use crate::buddy::BuddyAllocator;
@@ -153,14 +176,14 @@ fn table_slot(pfn: Pfn) -> (usize, usize) {
 /// The machine's buddy core, shared by every kernel cell (one cell on a
 /// single-kernel machine, several on different OS threads under SMP).
 ///
-/// A cell either takes frames one at a time or keeps a genuinely private
-/// free-list (its [`PhysMemory`] magazine, touched only by the cell's
-/// own thread) and refills it with *batched* allocations from this
-/// locked core, so concurrent creators pay the global serialization once
-/// per `CELL_MAGAZINE_BATCH` frames instead of once per frame. The
-/// lock is a [`VLock`] named `"buddy"`, so every contended acquisition
-/// is visible in [`fpr_trace::metrics::lock_stats`] and priced in
-/// virtual time.
+/// A cell reaches it through its `CellPool`, which either holds back the
+/// block the buddy would carve next and hands it out a frame at a time, or
+/// keeps a genuinely private free-list (its [`PhysMemory`] magazine,
+/// touched only by the cell's own thread) refilled with *batched*
+/// allocations; either way the cell pays the global serialization once per
+/// block or batch instead of once per frame. The lock is a [`VLock`] named
+/// `"buddy"`, so every contended acquisition is visible in
+/// [`fpr_trace::metrics::lock_stats`] and priced in virtual time.
 ///
 /// A free-count mirror is kept in an atomic — written only under the
 /// lock, from the buddy's own count — so pressure reads
@@ -189,57 +212,104 @@ impl SharedFramePool {
     }
 
     /// Frames currently free in the pool core (excluding frames parked
-    /// in any cell's magazine). Lock-free read of the atomic mirror.
+    /// in any cell's magazine or held back in its reservation). Lock-free
+    /// read of the atomic mirror.
     pub fn free_frames(&self) -> u64 {
         self.free.load(Ordering::Relaxed)
     }
+}
 
-    /// One frame off the locked core.
-    fn alloc_one(&self) -> MemResult<Pfn> {
-        let mut core = self.core.lock();
-        let pfn = core.alloc(0)?;
-        self.free.store(core.free_frames(), Ordering::Relaxed);
-        Ok(pfn)
+/// One cell's end of the [`SharedFramePool`]: every frame the cell takes
+/// from the pool or gives back goes through here, under one acquisition
+/// of the core per call. With the magazine off it also holds the block the
+/// pool reserved for the cell ([`BuddyAllocator::reserve`]), handed out a
+/// frame at a time without the lock, and settles it first whenever it
+/// takes the lock for anything else.
+#[derive(Debug)]
+struct CellPool {
+    shared: Arc<SharedFramePool>,
+    /// The reserved block's frames not handed out yet, in ascending order.
+    left: Range<u64>,
+    /// Where the reserved block begins: `start..left.start` are handed out.
+    /// `start == left.end` when the cell holds no block.
+    start: u64,
+}
+
+impl CellPool {
+    fn new(shared: Arc<SharedFramePool>) -> CellPool {
+        CellPool { shared, left: 0..0, start: 0 }
+    }
+
+    /// Frames the reserved block still holds back: drawn by the cell, and
+    /// free.
+    fn held_back(&self) -> u64 {
+        self.left.end - self.left.start
+    }
+
+    /// Runs `op` on the locked core, after settling the reserved block —
+    /// the frames handed out become order-0 allocations, the rest goes
+    /// back — so `op` finds the core as taking those frames one at a time
+    /// would have left it; then refreshes the free-count mirror.
+    fn with_core<T>(&mut self, op: impl FnOnce(&mut BuddyAllocator) -> T) -> T {
+        #[cfg(test)]
+        tests::POOL_LOCKS.with(|n| n.set(n.get() + 1));
+        let mut core = self.shared.core.lock();
+        if self.start < self.left.end {
+            core.settle(self.start..self.left.end, self.left.start - self.start);
+            (self.left, self.start) = (0..0, 0);
+        }
+        let out = op(&mut core);
+        self.shared.free.store(core.free_frames(), Ordering::Relaxed);
+        out
+    }
+
+    /// Settles the reserved block, if the cell holds one.
+    fn settle(&mut self) {
+        if self.start < self.left.end {
+            self.with_core(|_| ());
+        }
+    }
+
+    /// One frame with the magazine off: the reserved block's next, or the
+    /// first of the block the pool reserves once that one is handed out.
+    fn take_one(&mut self) -> MemResult<Pfn> {
+        if self.left.is_empty() {
+            let block = self.with_core(BuddyAllocator::reserve)?;
+            (self.start, self.left) = (block.start, block);
+        }
+        let pfn = self.left.start;
+        self.left.start += 1;
+        Ok(Pfn(pfn))
     }
 
     /// A refill run of up to `2^max_order` frames, degrading to smaller
     /// runs under fragmentation — the whole descent happens under one
     /// lock acquisition, unlike a naive per-order retry loop.
-    fn alloc_run_best(&self, max_order: usize) -> MemResult<Vec<Pfn>> {
-        let mut core = self.core.lock();
-        let mut order = max_order;
-        loop {
-            match core.alloc_run(order) {
-                Ok(run) => {
-                    self.free.store(core.free_frames(), Ordering::Relaxed);
-                    return Ok(run);
+    fn alloc_run_best(&mut self, max_order: usize) -> MemResult<Vec<Pfn>> {
+        self.with_core(|core| {
+            let mut order = max_order;
+            loop {
+                match core.alloc_run(order) {
+                    Err(_) if order > 0 => order -= 1,
+                    run => return run,
                 }
-                Err(_) if order > 0 => order -= 1,
-                Err(e) => return Err(e),
             }
-        }
+        })
     }
 
     /// An exactly-`2^order` naturally aligned run (huge mappings).
-    fn alloc_aligned_run(&self, order: usize) -> MemResult<Vec<Pfn>> {
-        let mut core = self.core.lock();
-        let run = core.alloc_run(order)?;
-        self.free.store(core.free_frames(), Ordering::Relaxed);
-        Ok(run)
+    fn alloc_aligned_run(&mut self, order: usize) -> MemResult<Vec<Pfn>> {
+        self.with_core(|core| core.alloc_run(order))
     }
 
     /// Returns `pfns` to the core under one lock acquisition.
-    fn free_many(&self, pfns: &[Pfn]) {
+    fn free_many(&mut self, pfns: &[Pfn]) {
         if pfns.is_empty() {
             return;
         }
         #[cfg(test)]
         tests::POOL_FREES.with(|n| n.set(n.get() + 1));
-        let mut core = self.core.lock();
-        for &pfn in pfns {
-            core.free(pfn);
-        }
-        self.free.store(core.free_frames(), Ordering::Relaxed);
+        self.with_core(|core| pfns.iter().for_each(|&pfn| core.free(pfn)));
     }
 }
 
@@ -270,7 +340,7 @@ impl FrameCache {
     /// Parks one freed frame. An overfull magazine drains a batch back to
     /// `pool`, so one cell freeing heavily cannot strand the whole
     /// machine's memory; returns how many frames left the cell that way.
-    fn park(&mut self, pfn: Pfn, pool: &SharedFramePool) -> u64 {
+    fn park(&mut self, pfn: Pfn, pool: &mut CellPool) -> u64 {
         self.frames.push(pfn);
         if self.frames.len() as u64 <= 2 * self.batch {
             return 0;
@@ -286,8 +356,8 @@ impl FrameCache {
 /// One cell's view of the machine's physical memory.
 #[derive(Debug)]
 pub struct PhysMemory {
-    /// The machine-wide frame pool this cell draws from.
-    pool: Arc<SharedFramePool>,
+    /// The cell's end of the machine-wide frame pool it draws from.
+    pool: CellPool,
     /// The frame table: one slot per [`TABLE_CHUNK`] frames of the pool,
     /// empty until a frame of the chunk is handed out.
     table: Vec<Option<Box<FrameChunk>>>,
@@ -308,7 +378,8 @@ pub struct PhysMemory {
     /// Machine-wide THP promotion/demotion counters.
     thp: ThpStats,
     /// Frames currently drawn from the pool by this cell — resident (a
-    /// reference count in the frame table) plus magazine-parked.
+    /// reference count in the frame table) plus magazine-parked; the
+    /// frames its reserved block still holds back come on top.
     drawn: u64,
     /// Where [`Self::release`] gathers the frames of one call whose count
     /// reached zero; empty between calls, kept for its allocation.
@@ -317,8 +388,8 @@ pub struct PhysMemory {
 
 impl PhysMemory {
     /// Creates the physical memory of a one-cell machine: a pool of
-    /// `total_frames` frames of its own, drawn from one frame at a time
-    /// (no magazine).
+    /// `total_frames` frames of its own, handed out one frame at a time
+    /// out of reserved blocks (no magazine).
     pub fn new(total_frames: u64, cost: CostModel) -> Self {
         PhysMemory::over(Arc::new(SharedFramePool::new(total_frames)), cost)
     }
@@ -339,7 +410,7 @@ impl PhysMemory {
         PhysMemory {
             watermarks: Watermarks::for_total(pool.total_frames()),
             table: std::iter::repeat_with(|| None).take(chunks).collect(),
-            pool,
+            pool: CellPool::new(pool),
             cost,
             pins: HashMap::new(),
             cache: None,
@@ -353,11 +424,12 @@ impl PhysMemory {
         }
     }
 
-    /// Frames this cell currently holds out of the pool (resident plus
-    /// magazine-parked). The machine-wide conservation check sums this
-    /// across cells against the pool's free count.
+    /// Frames this cell currently holds out of the pool (resident,
+    /// magazine-parked, or held back in its reserved block). The
+    /// machine-wide conservation check sums this across cells against the
+    /// pool's free count.
     pub fn drawn_frames(&self) -> u64 {
-        self.drawn
+        self.drawn + self.pool.held_back()
     }
 
     /// Attaches a swap device of `slots` one-page slots (replacing the
@@ -416,21 +488,21 @@ impl PhysMemory {
     }
 
     /// Number of frames currently free: the pool's free count plus this
-    /// cell's magazine.
+    /// cell's magazine and the frames its reserved block holds back.
     pub fn free_frames(&self) -> u64 {
-        self.pool.free_frames() + self.cached_frames()
+        self.pool.shared.free_frames() + self.pool.held_back() + self.cached_frames()
     }
 
     /// Total number of frames in the machine.
     pub fn total_frames(&self) -> u64 {
-        self.pool.total_frames()
+        self.pool.shared.total_frames()
     }
 
     /// Number of frames currently in use *by this cell*: the frames
-    /// drawn from the pool minus those parked in the magazine — i.e.
-    /// exactly the frames carrying live metadata — so the per-cell
-    /// invariant (PTE references = used frames) holds however many cells
-    /// share the pool.
+    /// drawn from the pool minus those parked in the magazine or held
+    /// back in the reserved block — i.e. exactly the frames carrying live
+    /// metadata — so the per-cell invariant (PTE references = used
+    /// frames) holds however many cells share the pool.
     pub fn used_frames(&self) -> u64 {
         self.drawn - self.cached_frames()
     }
@@ -473,10 +545,12 @@ impl PhysMemory {
     }
 
     /// Switches the magazine on with the given refill batch size (frames
-    /// per pool acquisition). Hits and refills are priced differently
-    /// from the frame-at-a-time path; all other accounting is unchanged.
+    /// per pool acquisition), settling the reserved block first. Hits and
+    /// refills are priced differently from the frame-at-a-time path; all
+    /// other accounting is unchanged.
     pub(crate) fn enable_frame_cache(&mut self, batch: u64) {
         assert!(batch > 0, "frame cache needs batch > 0");
+        self.pool.settle();
         if self.cache.is_none() {
             self.cache = Some(FrameCache {
                 frames: Vec::new(),
@@ -485,12 +559,15 @@ impl PhysMemory {
         }
     }
 
-    /// Switches the magazine off, draining it back to the pool.
+    /// Switches the magazine off, draining it back to the pool, and
+    /// settles the reserved block: the cell then draws exactly the frames
+    /// it holds.
     pub fn disable_frame_cache(&mut self) {
         if let Some(cache) = self.cache.take() {
             self.drawn -= cache.frames.len() as u64;
             self.pool.free_many(&cache.frames);
         }
+        self.pool.settle();
     }
 
     /// Frames currently parked in the magazine.
@@ -498,10 +575,11 @@ impl PhysMemory {
         self.cache.as_ref().map_or(0, |c| c.frames.len() as u64)
     }
 
-    /// One frame, through the magazine when it is on.
+    /// One frame, through the magazine when it is on, out of the reserved
+    /// block when it is off.
     fn take_frame(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
         let Some(cache) = self.cache.as_mut() else {
-            let pfn = self.pool.alloc_one()?;
+            let pfn = self.pool.take_one()?;
             self.drawn += 1;
             cycles.charge(self.cost.frame_alloc);
             return Ok(pfn);
@@ -653,7 +731,7 @@ impl PhysMemory {
                 }
                 Some(cache) => {
                     for &pfn in &released {
-                        self.drawn -= cache.park(pfn, &self.pool);
+                        self.drawn -= cache.park(pfn, &mut self.pool);
                     }
                 }
             }
@@ -921,6 +999,8 @@ mod tests {
     thread_local! {
         /// Times this thread has taken the pool's lock to give frames back.
         pub(super) static POOL_FREES: Cell<u64> = const { Cell::new(0) };
+        /// Times this thread has taken the pool's lock for anything.
+        pub(super) static POOL_LOCKS: Cell<u64> = const { Cell::new(0) };
     }
 
     fn pm(frames: u64) -> (PhysMemory, Cycles) {
@@ -1220,6 +1300,61 @@ mod tests {
         b.disable_frame_cache();
         assert_eq!(a.drawn_frames(), 0);
         assert_eq!(pool.free_frames(), 1024, "everything returned");
+    }
+
+    #[test]
+    fn a_one_cell_run_takes_the_pool_lock_once_a_reserved_block() {
+        let (mut p, mut c) = pm(4_096);
+        let locks = POOL_LOCKS.with(Cell::get);
+        for pfn in 0..1_000 {
+            assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(pfn)));
+        }
+        assert_eq!(POOL_LOCKS.with(Cell::get) - locks, 2, "blocks 0..512 and 512..1024");
+        assert_eq!(c.total(), 1_000 * (p.cost().frame_alloc + p.cost().page_zero));
+        // Held back, the block's last 24 frames still count as drawn and
+        // as free.
+        assert_eq!((p.drawn_frames(), p.used_frames(), p.free_frames()), (1_024, 1_000, 3_096));
+        // A release settles the block under the acquisition of its batch.
+        let frees = POOL_FREES.with(Cell::get);
+        assert_eq!(p.dec_ref(Pfn(7), &mut c), Ok(true));
+        assert_eq!(POOL_LOCKS.with(Cell::get) - locks, 3);
+        assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+        assert_eq!((p.drawn_frames(), p.pool.held_back()), (999, 0));
+        assert_eq!(p.pool.shared.free_frames(), 3_097);
+        assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(7)), "the frame the buddy would hand out next");
+    }
+
+    #[test]
+    fn two_cells_without_magazines_hold_back_a_block_each_and_conserve_frames() {
+        let pool = Arc::new(SharedFramePool::new(3_000));
+        let mut cells = [0, 1].map(|_| PhysMemory::over(Arc::clone(&pool), CostModel::free()));
+        let mut held: [Vec<Pfn>; 2] = [Vec::new(), Vec::new()];
+        let mut rng = fpr_rng::Rng::seed_from_u64(0xCE11);
+        let (mut c, mut both) = (Cycles::new(), 0);
+        for step in 0..4_000 {
+            let i = rng.gen_index(2);
+            if held[i].is_empty() || rng.gen_bool(0.6) {
+                match cells[i].alloc_zeroed(&mut c) {
+                    Ok(pfn) => held[i].push(pfn),
+                    Err(e) => assert_eq!(e, MemError::OutOfMemory, "step {step}"),
+                }
+            } else {
+                let pfn = held[i].swap_remove(rng.gen_index(held[i].len()));
+                assert_eq!(cells[i].dec_ref(pfn, &mut c), Ok(true), "step {step}");
+            }
+            assert!(cells.iter().all(|cell| cell.pool.held_back() <= HUGE_PAGES), "step {step}");
+            both += u64::from(cells.iter().all(|cell| cell.pool.held_back() > 0));
+            assert_conserved(&pool, &[&cells[0], &cells[1]]);
+        }
+        assert!(both > 100, "both cells held a block back at once: {both} steps");
+        let [a, b] = &held;
+        assert!(a.iter().all(|pfn| !b.contains(pfn)), "cells never hand out the same frame");
+        for (cell, frames) in cells.iter_mut().zip(held) {
+            frames.into_iter().for_each(|pfn| _ = cell.dec_ref(pfn, &mut c).unwrap());
+            cell.disable_frame_cache();
+            assert_eq!(cell.drawn_frames(), 0);
+        }
+        assert_eq!(pool.free_frames(), 3_000, "everything returned");
     }
 
     #[test]
