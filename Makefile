@@ -77,12 +77,17 @@ doclinks:
 # `AddressSpace`, process_table_reference drives create / exit / kill /
 # waitpid scripts through the kernel and a flat process table with the
 # PID rule written out, comparing every PID, parent, child list, zombie
-# and wait verdict after each step.
+# and wait verdict after each step. invariants_reference holds
+# `check_invariants` to the per-PTE pass it was first written as, message
+# for message, on seeded fork trees, THP, swap entries in shared nodes,
+# image-cache pins, zombies and a vfork borrower, clean and with one
+# corruption each.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
 	$(CARGO) test -q -p fpr-api --test inheritance
 	$(CARGO) test -q -p fpr-kernel --test proptest_faults
 	$(CARGO) test -q -p fpr-kernel --test vfork_borrow
+	$(CARGO) test -q -p fpr-kernel --test invariants_reference
 	$(CARGO) test -q -p fpr-mem --test proptest_faults
 	$(CARGO) test -q -p fpr-mem --test proptest_reference
 	$(CARGO) test -q -p fpr-mem --test buddy_reference
