@@ -19,7 +19,47 @@
 use crate::file::FileObject;
 use crate::kernel::Kernel;
 use crate::task::SpaceRef;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
+
+/// Numbers an [`Expected`] block counts.
+const BLOCK: usize = 1024;
+
+/// Expected references by frame or swap-slot number, in blocks of [`BLOCK`]
+/// numbers, each allocated when a number in it is first counted: dense
+/// within a block, so that a run of numbers is one slice add, and nothing
+/// for the ranges nobody maps. Read back in ascending order.
+#[derive(Debug, Default)]
+struct Expected(Vec<Option<Box<[u32; BLOCK]>>>);
+
+impl Expected {
+    /// Expects `n` more references to each number of `run`.
+    fn add(&mut self, run: Range<u64>, n: u32) {
+        let (mut at, end) = (run.start as usize, run.end as usize);
+        while at < end {
+            let (b, first) = (at / BLOCK, at / BLOCK * BLOCK);
+            if self.0.len() <= b {
+                self.0.resize_with(b + 1, || None);
+            }
+            let block = self.0[b].get_or_insert_with(|| Box::new([0; BLOCK]));
+            let stop = end.min(first + BLOCK);
+            block[at - first..stop - first].iter_mut().for_each(|refs| *refs += n);
+            at = stop;
+        }
+    }
+
+    /// The blocks counted into, ascending, each with its first number.
+    fn blocks(&self) -> impl Iterator<Item = (u64, &[u32; BLOCK])> + '_ {
+        let blocks = self.0.iter().enumerate();
+        blocks.filter_map(|(b, block)| Some(((b * BLOCK) as u64, &**block.as_ref()?)))
+    }
+
+    /// Every number expected to be referenced, ascending, with its count.
+    fn held(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let numbered = self.blocks().flat_map(|(first, block)| (first..).zip(block.iter().copied()));
+        numbered.filter(|&(_, refs)| refs > 0)
+    }
+}
 
 /// A snapshot of every leak-prone global resource count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +119,9 @@ impl Kernel {
         cmp("pipes", base.live_pipes as u64, now.live_pipes as u64);
         cmp("inodes", base.inodes as u64, now.inodes as u64);
         cmp("swap slots", base.swap_used, now.swap_used);
-        for uid in base.nproc.keys().chain(now.nproc.keys()) {
+        // Every uid of either snapshot, once.
+        let new_uids = now.nproc.keys().filter(|uid| !base.nproc.contains_key(uid));
+        for uid in base.nproc.keys().chain(new_uids) {
             let b = base.nproc.get(uid).copied().unwrap_or(0);
             let a = now.nproc.get(uid).copied().unwrap_or(0);
             if b != a {
@@ -108,114 +150,118 @@ impl Kernel {
     /// 5. the process tree is well-linked (parents exist or are init,
     ///    parent/child edges are symmetric, no orphan PIDs in the
     ///    allocator) and per-uid accounting matches the live process set.
+    ///
+    /// Swap slots are held to the swap entries naming them as frames are
+    /// to PTEs, and every page table to the counts it keeps beside its
+    /// entries.
+    ///
+    /// The memory half costs one visit per leaf node of every owned space
+    /// and one slice add per run: a node's frames go, a run of consecutive
+    /// frames at a time, into a table of expected references indexed by
+    /// frame number — dense blocks of 1 024, allocated where a frame is
+    /// counted — its swap slots into a second, and each stretch of its
+    /// entries is held to the VMAs once. The tables are then read against
+    /// the frame table and the swap device in ascending order. On a
+    /// populated parent that is a few `fork(Cow)`s of it
+    /// (`tests/invariants_shape.rs`).
     pub fn check_invariants(&self) -> Result<(), Vec<String>> {
         fpr_trace::metrics::incr("kernel.invariant_check");
         let mut v = Vec::new();
 
-        // --- Memory: frame refcounts vs page tables, PTEs vs VMAs. ---
-        // A leaf page-table node shared by an on-demand fork appears in
-        // several spaces but holds each frame reference *once* (the frame
-        // refcount counts table slots, not spaces). Deduplicate by node
-        // identity: only the first space presenting a node contributes its
-        // PTEs to the expected refcounts. The VMA-coverage check still
-        // runs per space — a shared subtree must be covered in every
-        // space referencing it.
-        let mut pte_refs: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut seen_nodes: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for p in self.procs.iter() {
-            if p.space_ref != SpaceRef::Owned {
-                continue;
+        // --- Memory and swap: references vs page tables, PTEs vs VMAs. ---
+        // One visit per leaf node of every owned space. A node an on-demand
+        // fork shares appears in several spaces but holds each frame and
+        // slot reference *once* (the refcounts count table slots, not
+        // spaces): only the first space presenting it adds its runs to the
+        // expected counts. The VMA coverage check still runs per space — a
+        // shared subtree must be covered in every space referencing it.
+        let (mut frames, mut slots) = (Expected::default(), Expected::default());
+        let mut seen_shared: HashSet<usize> = HashSet::new();
+        let mut swap_v = Vec::new();
+        for p in self.procs.iter().filter(|p| p.space_ref == SpaceRef::Owned) {
+            let (pid, space) = (p.pid, &p.aspace);
+            let (mut entries, mut uncovered) = (0, false);
+            for leaf in space.leaf_slots() {
+                let first = leaf.shared().is_none_or(|id| seen_shared.insert(id));
+                if first {
+                    leaf.frame_runs().for_each(|run| frames.add(run, 1));
+                }
+                for slot in leaf.swap_slots() {
+                    entries += 1;
+                    if first {
+                        slots.add(slot..slot + 1, 1);
+                    }
+                }
+                uncovered |= !leaf.spans().all(|span| space.covers(span));
             }
-            let pid = p.pid;
-            // Stage this space's nodes separately: a node yields many PTEs
-            // and all of them must count, not just those before the node
-            // is marked seen.
-            let mut new_nodes: Vec<usize> = Vec::new();
-            p.aspace.for_each_resident_keyed(|nid, vpn, pte| {
-                if !seen_nodes.contains(&nid) {
-                    *pte_refs.entry(pte.pfn.0).or_insert(0) += 1;
-                    new_nodes.push(nid);
-                }
-                if p.aspace.vma_at(vpn).is_none() {
-                    v.push(format!("pid {pid}: resident page {} outside any VMA", vpn.0));
-                }
-            });
-            seen_nodes.extend(new_nodes);
+            // Only a space with a span some VMA leaves uncovered is gone
+            // through a page at a time, for the messages.
+            if uncovered {
+                space.for_each_resident(|vpn, _| {
+                    if space.vma_at(vpn).is_none() {
+                        v.push(format!("pid {pid}: resident page {} outside any VMA", vpn.0));
+                    }
+                });
+                space.for_each_swap_entry_keyed(|_, vpn, _| {
+                    if space.vma_at(vpn).is_none() {
+                        swap_v.push(format!("pid {pid}: swap entry {} outside any VMA", vpn.0));
+                    }
+                });
+            }
             // The counts the table keeps beside its entries (fork shares a
             // node, and teardown drops one, on their word alone).
-            if let Err(e) = p.aspace.check_page_table() {
+            if let Err(e) = space.check_page_table() {
                 v.push(format!("pid {pid}: page table: {e}"));
+            }
+            if entries != space.swapped_pages() {
+                swap_v.push(format!(
+                    "pid {pid}: swapped counter {} but {entries} swap entries present",
+                    space.swapped_pages()
+                ));
             }
         }
         // Kernel pins (exec image cache) hold references too; a frame held
         // only by pins must still balance and count as used.
         for (pfn, pins) in self.phys.pinned() {
-            *pte_refs.entry(pfn.0).or_insert(0) += pins;
+            frames.add(pfn.0..pfn.0 + 1, pins);
         }
-        for (pfn, expect) in &pte_refs {
-            match self.phys.refs(fpr_mem::Pfn(*pfn)) {
-                Ok(actual) if actual == *expect => {}
-                Ok(actual) => v.push(format!(
-                    "frame {pfn}: refcount {actual} but {expect} PTEs map it"
-                )),
-                Err(_) => v.push(format!("frame {pfn}: mapped by a PTE but not allocated")),
+        let mut mapped = 0;
+        for (first, block) in frames.blocks() {
+            let actual = self.phys.refs_in(first..first + BLOCK as u64);
+            for ((pfn, &expect), actual) in (first..).zip(block).zip(actual) {
+                match (expect, actual) {
+                    (0, _) => continue,
+                    _ if actual == expect => {}
+                    (_, 0) => v.push(format!("frame {pfn}: mapped by a PTE but not allocated")),
+                    _ => v.push(format!(
+                        "frame {pfn}: refcount {actual} but {expect} PTEs map it"
+                    )),
+                }
+                mapped += 1;
             }
         }
-        if pte_refs.len() as u64 != self.phys.used_frames() {
+        if mapped != self.phys.used_frames() {
             v.push(format!(
-                "{} frames in use but {} distinct frames mapped",
-                self.phys.used_frames(),
-                pte_refs.len()
+                "{} frames in use but {mapped} distinct frames mapped",
+                self.phys.used_frames()
             ));
         }
-
-        // --- Swap: slot refcounts vs swap-entry PTEs. ---
-        // Same node-identity dedup as frames: a leaf subtree shared by an
-        // on-demand fork holds each slot reference once, and each space's
-        // `swapped` counter must match its own swap-entry population.
-        let mut slot_refs: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut seen_swap_nodes: std::collections::BTreeSet<usize> =
-            std::collections::BTreeSet::new();
-        for p in self.procs.iter() {
-            if p.space_ref != SpaceRef::Owned {
-                continue;
-            }
-            let pid = p.pid;
-            let mut new_nodes: Vec<usize> = Vec::new();
-            let mut entries: u64 = 0;
-            p.aspace.for_each_swap_entry_keyed(|nid, vpn, slot| {
-                entries += 1;
-                if !seen_swap_nodes.contains(&nid) {
-                    *slot_refs.entry(slot).or_insert(0) += 1;
-                    new_nodes.push(nid);
-                }
-                if p.aspace.vma_at(vpn).is_none() {
-                    v.push(format!("pid {pid}: swap entry {} outside any VMA", vpn.0));
-                }
-            });
-            seen_swap_nodes.extend(new_nodes);
-            if entries != p.aspace.swapped_pages() {
-                v.push(format!(
-                    "pid {pid}: swapped counter {} but {entries} swap entries present",
-                    p.aspace.swapped_pages()
-                ));
-            }
-        }
-        let device: BTreeMap<u64, u32> = self.phys.swap().used_slot_refs().into_iter().collect();
-        for (slot, expect) in &slot_refs {
-            match device.get(slot) {
-                Some(actual) if actual == expect => {}
-                Some(actual) => v.push(format!(
+        v.append(&mut swap_v);
+        let mut named = 0;
+        for (slot, expect) in slots.held() {
+            named += 1;
+            match self.phys.swap().refs(slot) {
+                Ok(actual) if actual == expect => {}
+                Ok(actual) => v.push(format!(
                     "swap slot {slot}: refcount {actual} but {expect} swap entries name it"
                 )),
-                None => v.push(format!("swap slot {slot}: named by a PTE but not allocated")),
+                Err(_) => v.push(format!("swap slot {slot}: named by a PTE but not allocated")),
             }
         }
-        if slot_refs.len() as u64 != self.phys.swap().used_slots() {
+        if named != self.phys.swap().used_slots() {
             v.push(format!(
-                "{} swap slots in use but {} distinct slots referenced",
-                self.phys.swap().used_slots(),
-                slot_refs.len()
+                "{} swap slots in use but {named} distinct slots referenced",
+                self.phys.swap().used_slots()
             ));
         }
 
@@ -373,6 +419,16 @@ mod tests {
         k.mmap_anon(init, 4, Prot::RW, Share::Private).unwrap();
         let err = k.leak_check(&base).unwrap_err();
         assert!(err.iter().any(|m| m.contains("commit charge")));
+    }
+
+    #[test]
+    fn leak_check_reports_a_changed_nproc_once() {
+        let (mut k, init) = boot();
+        let base = k.baseline();
+        k.allocate_process(init, "extra").unwrap();
+        let err = k.leak_check(&base).unwrap_err();
+        let nproc: Vec<_> = err.iter().filter(|m| m.starts_with("nproc of uid")).collect();
+        assert_eq!(nproc, ["nproc of uid 0: 1 before vs 2 after"]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{LeafNode, PageTable, Slot, SlotKind, Unmapped};
+use crate::page_table::{LeafNode, LeafSlot, PageTable, Slot, SlotKind, Unmapped};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -1010,6 +1010,32 @@ impl AddressSpace {
         })
     }
 
+    /// Every leaf-bearing slot of the page table, ascending by base — a
+    /// small-page node, a huge directory or a lone 2 MiB block — to be read
+    /// a node at a time: whether another table shares it, its frame runs,
+    /// swap slots and the spans of its entries ([`LeafSlot`]). The kernel's
+    /// invariant check is the walk.
+    pub fn leaf_slots(&self) -> impl Iterator<Item = LeafSlot<'_>> {
+        self.pt.leaf_slot_coords().into_iter().map(|slot| self.pt.leaf_slot(slot))
+    }
+
+    /// Whether a mapping covers every page of `pages`: one search for the
+    /// mapping of its first page, then a step along the sorted mappings
+    /// for each further one the range runs on into.
+    pub fn covers(&self, pages: Range<Vpn>) -> bool {
+        let Some(mut i) = self.vmas_below(pages.start.0.saturating_add(1)).checked_sub(1) else {
+            return pages.is_empty();
+        };
+        let mut at = pages.start;
+        while at < pages.end {
+            match self.vmas.get(i) {
+                Some(v) if v.contains(at) => (at, i) = (v.end(), i + 1),
+                _ => return false,
+            }
+        }
+        true
+    }
+
     /// Recounts what the page table keeps beside its entries, which lookups,
     /// walks, fork and teardown trust instead of reading every slot: the
     /// mapped, huge and leaf-node totals; each leaf node's occupancy map
@@ -1698,6 +1724,9 @@ mod tests {
         assert_eq!(free(1, 24), Ok(Vpn(24)), "one past the end is free");
         assert_eq!(free(2, 8), Ok(Vpn(8)), "ending on the page before a first page");
         assert_eq!(free(3, 8), Ok(Vpn(17)));
+        let covers = |lo, hi| a.covers(Vpn(lo)..Vpn(hi));
+        assert!(covers(10, 17) && covers(14, 16) && covers(20, 24) && covers(8, 8), "across a mapping's end into the next");
+        assert!(!covers(9, 11) && !covers(14, 18) && !covers(17, 18) && !covers(23, 25) && !covers(30, 31));
     }
 
     #[test]
@@ -2098,6 +2127,67 @@ mod tests {
                 space.destroy(&mut phys, &mut cy);
             }
             assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0), "{mode:?}");
+        }
+    }
+
+    /// The node walk reads what the per-entry walks read: every frame and
+    /// swap slot of a space once, a node an on-demand fork shares under one
+    /// identity in both spaces, and of each span of entries what `vma_at`
+    /// says of its pages — with a mapping taken out from under the table too.
+    #[test]
+    fn leaf_slots_read_what_the_per_entry_walks_read() {
+        for thp in [false, true] {
+            let (mut phys, mut cy, mut tlb) = world(4096);
+            phys.set_swap_capacity(16);
+            let mut parent = AddressSpace::new();
+            parent.set_thp(thp);
+            for area in [anon(0, 512), anon(1024, 100), anon(1124, 50)] {
+                parent.mmap(area, &mut phys, &mut cy).unwrap();
+            }
+            for (start, pages) in [(0, 512), (1024, 60), (1100, 74)] {
+                parent.populate(Vpn(start), pages, &mut phys, &mut cy).unwrap();
+            }
+            for vpn in [Vpn(1030), Vpn(1031), Vpn(1140)] {
+                parent.write(vpn, vpn.0, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+                let slot = phys.swap_out_page(vpn.0, &mut cy).unwrap();
+                parent.swap_out_commit(vpn, slot, &mut phys, &mut cy);
+            }
+            assert_eq!(parent.huge_pages(), u64::from(thp));
+            let mut child =
+                AddressSpace::fork_from(&mut parent, ForkMode::OnDemand, &mut phys, &mut cy, &mut tlb, 1).unwrap();
+            let shared = |space: &AddressSpace| -> Vec<usize> { space.leaf_slots().filter_map(|leaf| leaf.shared()).collect() };
+            for space in [&parent, &child] {
+                let mut runs: Vec<u64> = space.leaf_slots().flat_map(|leaf| leaf.frame_runs().flatten()).collect();
+                let mut frames = Vec::new();
+                space.for_each_resident(|_, pte| frames.push(pte.pfn.0));
+                runs.sort();
+                frames.sort();
+                assert_eq!(runs, frames, "thp {thp}");
+                let slots: Vec<u64> = space.leaf_slots().flat_map(|leaf| leaf.swap_slots()).collect();
+                let mut named = Vec::new();
+                space.for_each_swap_entry_keyed(|_, _, slot| named.push(slot));
+                assert_eq!((slots.len(), &slots), (3, &named), "thp {thp}");
+                // Small-page nodes are shared; a lone block is the table's own.
+                assert_eq!(shared(space).len(), if thp { 1 } else { 2 }, "thp {thp}");
+            }
+            assert_eq!(shared(&parent), shared(&child), "a node under one identity in both");
+
+            // A copy of the table without the mapping at 1 124.
+            let mut torn = parent.clone();
+            torn.vmas.remove(2);
+            for space in [&parent, &torn] {
+                for span in space.leaf_slots().flat_map(|leaf| leaf.spans().collect::<Vec<_>>()) {
+                    let each = (span.start.0..span.end.0).all(|vpn| space.vma_at(Vpn(vpn)).is_some());
+                    assert_eq!(space.covers(span.clone()), each, "thp {thp}, span {span:?}");
+                }
+            }
+            let uncovered = |space: &AddressSpace| space.leaf_slots().flat_map(|leaf| leaf.spans().collect::<Vec<_>>()).filter(|span| !space.covers(span.clone())).count();
+            assert_eq!((uncovered(&parent), uncovered(&torn)), (0, 1), "thp {thp}");
+            drop(torn);
+            for space in [&mut child, &mut parent] {
+                space.destroy(&mut phys, &mut cy);
+            }
+            assert_eq!((phys.used_frames(), phys.swap().used_slots()), (0, 0));
         }
     }
 

@@ -923,6 +923,65 @@ fn covers((base, _, _, kind): Slot, vpn: Vpn) -> bool {
 /// demotion; rewriting an entry, or privatizing the node, keeps them.
 pub(crate) type Slot = (u64, u32, usize, SlotKind);
 
+/// One leaf-bearing slot of a table, read-only: what a pass that goes a
+/// node at a time over a whole table reads of it
+/// ([`crate::AddressSpace::leaf_slots`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LeafSlot<'a> {
+    base: u64,
+    kind: SlotKind,
+    entry: &'a Entry,
+}
+
+impl<'a> LeafSlot<'a> {
+    /// The node's identity if another table holds it too — an on-demand
+    /// fork shared it, and its entries' references are held once for all
+    /// of them — the same in each such table. A lone block is never shared.
+    pub fn shared(&self) -> Option<usize> {
+        match self.entry {
+            Entry::Leaf(arc) if Arc::strong_count(arc) > 1 => Some(Arc::as_ptr(arc) as usize),
+            _ => None,
+        }
+    }
+
+    /// The frames of the present entries, ascending, as runs of consecutive
+    /// frame numbers — a 2 MiB block is one run of [`HUGE_PAGES`] — the
+    /// runs `retain` and `release` take.
+    pub fn frame_runs(&self) -> impl Iterator<Item = Range<u64>> + 'a {
+        let (lone, members) = match *self.entry {
+            Entry::Leaf(ref leaf) => (None, Some(leaf.frame_runs(0..PT_ENTRIES, self.kind == SlotKind::Dir))),
+            Entry::Huge(p) => (p.is_present().then(|| block(p.pfn.0)), None),
+            Entry::Table(_) => unreachable!("a leaf slot holds no table"),
+        };
+        lone.into_iter().chain(members.into_iter().flatten())
+    }
+
+    /// The swap slots of the swap entries, ascending.
+    pub fn swap_slots(&self) -> impl Iterator<Item = u64> + 'a {
+        let leaf = match self.entry {
+            Entry::Leaf(leaf) => Some(leaf.swap_slots(0..PT_ENTRIES)),
+            _ => None,
+        };
+        leaf.into_iter().flatten()
+    }
+
+    /// The stretches of neighbouring entries, ascending, as the pages they
+    /// span: every page of one is mapped, present or swapped.
+    pub fn spans(&self) -> impl Iterator<Item = Range<Vpn>> + 'a {
+        let (map, stride) = match self.entry {
+            Entry::Leaf(leaf) => (leaf.occupied, self.kind.stride()),
+            // A lone block: one entry, a block wide.
+            _ => (Occupancy([1, 0, 0, 0, 0, 0, 0, 0]), HUGE_PAGES),
+        };
+        let (base, mut at) = (self.base, 0);
+        std::iter::from_fn(move || {
+            let span = map.span_from(at, PT_ENTRIES)?;
+            at = span.end;
+            Some(Vpn(base + span.start as u64 * stride)..Vpn(base + span.end as u64 * stride))
+        })
+    }
+}
+
 /// What [`PageTable::unmap_range`] takes out of a slot, as it is about to,
 /// and [`PageTable::take_leaves`] out of a table.
 #[derive(Debug)]
@@ -1595,6 +1654,12 @@ impl PageTable {
         self.leaf_slots_in(0, u64::MAX)
     }
 
+    /// What the slot at coordinates from [`Self::leaf_slots_in`] holds, to
+    /// be read a node at a time.
+    pub(crate) fn leaf_slot(&self, (base, node, idx, kind): Slot) -> LeafSlot<'_> {
+        LeafSlot { base, kind, entry: self.entry_at(node, idx) }
+    }
+
     /// [`Self::leaf_slots_in`] for the walks a request makes — fork,
     /// teardown, the release scan of `munmap` — which hands `visit` the
     /// coordinates in a list the table keeps, and the table to work on by
@@ -1954,22 +2019,19 @@ impl PageTable {
             return Err(format!("{links} links into {nodes} nodes, {freed} of them free"));
         }
         let (mut mapped, mut huge, mut leaf_count) = (0, 0, 0);
-        for slot in self.leaf_slot_coords() {
-            let (base, node, idx, kind) = slot;
-            let entries = self.slot_entries(slot).count() as u64;
-            match kind {
-                SlotKind::Small => mapped += entries,
-                SlotKind::Dir | SlotKind::Huge => {
-                    mapped += entries * HUGE_PAGES;
-                    huge += entries;
-                }
-            }
+        for (base, node, idx, kind) in self.leaf_slot_coords() {
             if kind == SlotKind::Huge {
+                (mapped, huge) = (mapped + HUGE_PAGES, huge + 1);
                 continue;
             }
             leaf_count += 1;
             let leaf = self.leaf_at(node, idx);
             leaf.check().map_err(|e| format!("leaf at {base:#x}: {e}"))?;
+            // Its entry count, recounted just now.
+            match kind {
+                SlotKind::Small => mapped += leaf.live(),
+                _ => (mapped, huge) = (mapped + leaf.live() * HUGE_PAGES, huge + leaf.live()),
+            }
             if leaf.live() == 0 {
                 return Err(format!("leaf at {base:#x} is linked but empty"));
             }
@@ -2562,6 +2624,12 @@ mod tests {
         let p = pt.translate(Vpn(512 * 300 + 44)).unwrap();
         assert_eq!(p.pfn, Pfn(512 * 300 + 44));
         assert!(p.is_huge());
+        // Read a node at a time: a run of 512 frames a block, one stretch.
+        let dir = pt.leaf_slot(coords[0]);
+        let runs: Vec<Range<u64>> = dir.frame_runs().collect();
+        assert_eq!((runs.len(), runs[300].clone()), (512, 512 * 300..512 * 301));
+        assert_eq!(dir.spans().collect::<Vec<_>>(), [Vpn(0)..Vpn(512 * 512)]);
+        assert_eq!((dir.swap_slots().count(), dir.shared()), (0, None));
     }
 
     #[test]

@@ -971,6 +971,21 @@ impl PhysMemory {
         self.held(pfn).map(|(chunk, i)| chunk.refs[i])
     }
 
+    /// The reference counts of the frames of `pfns`, ascending, zero for a
+    /// frame this cell does not hold: the frame table read a chunk at a
+    /// time, for a pass over many frames in order.
+    pub fn refs_in(&self, pfns: Range<u64>) -> impl Iterator<Item = u32> + '_ {
+        let (first, last) = (pfns.start as usize, pfns.end as usize);
+        (first / TABLE_CHUNK..last.div_ceil(TABLE_CHUNK)).flat_map(move |c| {
+            let refs: &[u32; TABLE_CHUNK] = match self.table.get(c) {
+                Some(Some(chunk)) => &chunk.refs,
+                _ => &[0; TABLE_CHUNK],
+            };
+            let at = |pfn: usize| pfn.clamp(c * TABLE_CHUNK, (c + 1) * TABLE_CHUNK) - c * TABLE_CHUNK;
+            refs[at(first)..at(last)].iter().copied()
+        })
+    }
+
     /// Reads the logical content stamp of `pfn`.
     pub fn content(&self, pfn: Pfn) -> MemResult<u64> {
         self.held(pfn).map(|(chunk, i)| chunk.content[i])
