@@ -570,6 +570,18 @@ impl PhysMemory {
         self.pool.settle();
     }
 
+    /// Gives back every frame the cell holds back — the magazine's parked
+    /// frames and the rest of its reserved block — leaving the magazine
+    /// on: the cell then draws exactly the frames it holds.
+    pub fn drain(&mut self) {
+        if let Some(cache) = self.cache.as_mut() {
+            let parked = std::mem::take(&mut cache.frames);
+            self.drawn -= parked.len() as u64;
+            self.pool.free_many(&parked);
+        }
+        self.pool.settle();
+    }
+
     /// Frames currently parked in the magazine.
     pub(crate) fn cached_frames(&self) -> u64 {
         self.cache.as_ref().map_or(0, |c| c.frames.len() as u64)

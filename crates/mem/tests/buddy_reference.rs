@@ -18,13 +18,24 @@
 //! `alloc(0)` or `alloc_run(9)` gives, and `free_frames()`, `used_frames()`
 //! and `pressure()` agree after every step, while frames go back through
 //! `dec_ref`, `unpin` and the batched frees of `munmap` and `destroy`.
+//!
+//! A third arm puts two [`PhysMemory::new_cell`] cells over one
+//! [`SharedFramePool`] and steps them in turn on one thread: the same
+//! allocations, populates, pins and frees, and `drain`. Which frame a cell
+//! gets there depends on what the other did, so the arm holds the machine
+//! to what must be true whatever the frames: after every step the cells'
+//! drawn frames and the pool's free ones add up to the total, no frame is
+//! handed out by both cells, neither cell holds back more than
+//! 3 × [`CELL_BATCH`] frames it holds no reference on, and an allocation
+//! is refused only when the pool is dry and the cell holds nothing back.
 
 use fpr_mem::address_space::heap_vma;
 use fpr_mem::buddy::{BuddyAllocator, MAX_ORDER};
 use fpr_mem::error::{MemError, MemResult};
-use fpr_mem::{AddressSpace, CostModel, Cycles, Pfn, PhysMemory, PressureLevel, TlbModel, Vpn, HUGE_PAGES};
+use fpr_mem::{AddressSpace, CostModel, Cycles, Pfn, PhysMemory, PressureLevel, SharedFramePool, TlbModel, Vpn, HUGE_PAGES};
 use fpr_rng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The reference: one ordered set of free block bases per order.
 struct Model {
@@ -633,5 +644,338 @@ fn a_one_cell_phys_memory_hands_out_the_models_frames() {
     assert!(
         long_runs > 20 && mid_run_frees > 10 && above_huge > 10 && thp_between_small > 10 && exhausted > 10,
         "the scripts must meet every case the reservation has: {seen:?}"
+    );
+}
+
+/// The unit a shared cell's private frames are bounded in: what a cell of
+/// a machine of several may hold back — frames it freed and keeps for
+/// itself, and frames of the pool it has reserved — stays within three of
+/// it.
+const CELL_BATCH: u64 = 64;
+
+/// What the two-cell scripts must have met, summed over all of them.
+#[derive(Debug, Default)]
+struct SharedSeen {
+    /// Small allocations refused, the pool and the cell both dry.
+    exhausted: u64,
+    /// Frees after which the cell drew fewer frames: what it kept for
+    /// itself passed the limit and part of it went back to the pool.
+    drained: u64,
+    /// Small allocations that handed out a frame the cell itself had freed
+    /// while the pool's free count stayed where it was: a frame reused
+    /// without the pool.
+    reused: u64,
+}
+
+/// One cell of a two-cell machine and what the script holds of it.
+struct Side {
+    phys: PhysMemory,
+    /// A reference count per frame the cell handed out that the script
+    /// still holds.
+    refs: BTreeMap<u64, u32>,
+    /// Frames from `alloc_zeroed`, one reference each held by the script.
+    loose: Vec<Pfn>,
+    /// One entry per pin the script holds.
+    pins: Vec<Pfn>,
+    /// Spaces the script populated and the pages of their heap.
+    spaces: Vec<(AddressSpace, u64)>,
+    /// Frames the cell freed since frames last left it for the pool.
+    freed: BTreeSet<u64>,
+}
+
+impl Side {
+    /// Frames the cell draws from the pool but holds no reference on.
+    fn held_back(&self) -> u64 {
+        self.phys.drawn_frames() - self.phys.used_frames()
+    }
+}
+
+/// Two [`PhysMemory::new_cell`] cells over one [`SharedFramePool`], stepped
+/// alternately on one thread.
+struct TwoCells {
+    pool: Arc<SharedFramePool>,
+    cells: [Side; 2],
+    cycles: Cycles,
+    tlb: TlbModel,
+    seen: SharedSeen,
+}
+
+impl TwoCells {
+    fn new(total: u64) -> TwoCells {
+        let pool = Arc::new(SharedFramePool::new(total));
+        let side = || Side {
+            phys: PhysMemory::new_cell(Arc::clone(&pool), CostModel::default()),
+            refs: BTreeMap::new(),
+            loose: Vec::new(),
+            pins: Vec::new(),
+            spaces: Vec::new(),
+            freed: BTreeSet::new(),
+        };
+        TwoCells {
+            cells: [side(), side()],
+            pool,
+            cycles: Cycles::new(),
+            tlb: TlbModel::new(),
+            seen: SharedSeen::default(),
+        }
+    }
+
+    /// Records `pfn`, just handed out by cell `i`: a frame neither cell
+    /// holds.
+    fn take(&mut self, i: usize, pfn: Pfn, what: &str) {
+        assert!(
+            self.cells.iter().all(|side| !side.refs.contains_key(&pfn.0)),
+            "{what}: cell {i} handed out frame {} a cell already holds",
+            pfn.0
+        );
+        self.cells[i].refs.insert(pfn.0, 1);
+    }
+
+    /// A small allocation of cell `i` was refused: only a dry pool, with
+    /// nothing held back in the cell, may refuse one.
+    fn refused(&mut self, i: usize, got: MemError, what: &str) {
+        assert_eq!(got, MemError::OutOfMemory, "{what}");
+        assert_eq!(self.pool.free_frames(), 0, "{what}: refused with frames in the pool");
+        assert_eq!(self.cells[i].held_back(), 0, "{what}: refused with frames held back");
+        self.seen.exhausted += 1;
+    }
+
+    /// Runs `free` on cell `i`, which gives back the references the
+    /// script holds on `gone`, and drops them from the script's counts;
+    /// returns what `free` did and how many frames that freed. If frames
+    /// left the cell for the pool, counts it and forgets what the cell
+    /// freed: none of it need be the cell's own any more.
+    fn freeing<T>(&mut self, i: usize, gone: impl IntoIterator<Item = Pfn>, free: impl FnOnce(&mut Self) -> T) -> (T, u64) {
+        let before = self.cells[i].phys.drawn_frames();
+        let out = free(self);
+        let freed = self.drop_refs(i, gone);
+        if self.cells[i].phys.drawn_frames() < before {
+            self.seen.drained += 1;
+            self.cells[i].freed.clear();
+        }
+        (out, freed)
+    }
+
+    /// Drops one reference the script holds on each of `frames` of cell
+    /// `i`, noting those that reach zero; returns how many did.
+    fn drop_refs(&mut self, i: usize, frames: impl IntoIterator<Item = Pfn>) -> u64 {
+        let side = &mut self.cells[i];
+        let mut freed = 0;
+        for pfn in frames {
+            let n = side.refs.get_mut(&pfn.0).expect("a frame the cell handed out");
+            *n -= 1;
+            if *n == 0 {
+                side.refs.remove(&pfn.0);
+                side.freed.insert(pfn.0);
+                freed += 1;
+            }
+        }
+        freed
+    }
+
+    /// `n` frames through cell `i`'s `alloc_zeroed`, and at `free_at`
+    /// allocations in, one loose frame dropped; stops at the first refusal.
+    fn alloc_run(&mut self, i: usize, n: u64, free_at: Option<u64>, rng: &mut Rng, what: &str) {
+        for k in 0..n {
+            if free_at == Some(k) && !self.cells[i].loose.is_empty() {
+                self.dec_ref(i, rng, what);
+            }
+            let pool_free = self.pool.free_frames();
+            match self.cells[i].phys.alloc_zeroed(&mut self.cycles) {
+                Ok(pfn) => {
+                    self.take(i, pfn, what);
+                    let side = &mut self.cells[i];
+                    if side.freed.remove(&pfn.0) && self.pool.free_frames() == pool_free {
+                        self.seen.reused += 1;
+                    }
+                    side.loose.push(pfn);
+                }
+                Err(e) => return self.refused(i, e, what),
+            }
+            self.check(what);
+        }
+    }
+
+    /// Drops a random loose frame of cell `i`.
+    fn dec_ref(&mut self, i: usize, rng: &mut Rng, what: &str) {
+        let side = &mut self.cells[i];
+        let pfn = side.loose.swap_remove(rng.gen_index(side.loose.len()));
+        let (got, freed) = self.freeing(i, [pfn], |m| m.cells[i].phys.dec_ref(pfn, &mut m.cycles));
+        assert_eq!(got, Ok(freed == 1), "{what}: dec_ref");
+    }
+
+    /// A new space in cell `i` with a heap of `pages`, populated with huge
+    /// pages or without; every frame it maps is one neither cell held.
+    fn map(&mut self, i: usize, pages: u64, thp: bool, what: &str) {
+        let mut space = AddressSpace::new();
+        space.set_thp(thp);
+        let TwoCells { cells, cycles, .. } = self;
+        space.mmap(heap_vma(Vpn(HEAP), pages), &mut cells[i].phys, cycles).unwrap();
+        let populated = space.populate(Vpn(HEAP), pages, &mut cells[i].phys, cycles);
+        for pfn in Machine::resident(&space, 0..pages) {
+            self.take(i, pfn, what);
+            self.cells[i].freed.remove(&pfn.0);
+        }
+        if let Err(e) = populated {
+            self.refused(i, e, what);
+        }
+        self.cells[i].spaces.push((space, pages));
+    }
+
+    fn munmap(&mut self, i: usize, rng: &mut Rng, what: &str) {
+        let side = &self.cells[i];
+        let k = rng.gen_index(side.spaces.len());
+        let pages = side.spaces[k].1;
+        let start = rng.gen_below(pages);
+        let len = rng.gen_range(1, pages - start + 1);
+        let gone = Machine::resident(&side.spaces[k].0, start..start + len);
+        let (unmapped, _) = self.freeing(i, gone, |m| {
+            let TwoCells { cells, cycles, tlb, .. } = m;
+            let Side { phys, spaces, .. } = &mut cells[i];
+            spaces[k].0.munmap(Vpn(HEAP + start), len, phys, cycles, tlb, 1)
+        });
+        assert!(unmapped.is_ok(), "{what}: munmap {unmapped:?}");
+    }
+
+    fn destroy(&mut self, i: usize, k: usize) {
+        let (mut space, pages) = self.cells[i].spaces.swap_remove(k);
+        let gone = Machine::resident(&space, 0..pages);
+        self.freeing(i, gone, |m| space.destroy(&mut m.cells[i].phys, &mut m.cycles));
+    }
+
+    /// Pins a random frame cell `i` holds for the script, loose or mapped.
+    fn pin(&mut self, i: usize, rng: &mut Rng, what: &str) {
+        let side = &mut self.cells[i];
+        let pfn = if !side.spaces.is_empty() && (side.loose.is_empty() || rng.gen_bool(0.5)) {
+            let (space, pages) = &side.spaces[rng.gen_index(side.spaces.len())];
+            match space.translate(Vpn(HEAP + rng.gen_below(*pages))) {
+                Some(pte) => pte.pfn,
+                None => return,
+            }
+        } else if !side.loose.is_empty() {
+            side.loose[rng.gen_index(side.loose.len())]
+        } else {
+            return;
+        };
+        assert_eq!(side.phys.pin(pfn), Ok(()), "{what}: pin");
+        *side.refs.get_mut(&pfn.0).expect("held") += 1;
+        side.pins.push(pfn);
+    }
+
+    fn unpin(&mut self, i: usize, k: usize, what: &str) {
+        let pfn = self.cells[i].pins.swap_remove(k);
+        let (got, freed) = self.freeing(i, [pfn], |m| m.cells[i].phys.unpin(pfn, &mut m.cycles));
+        assert_eq!(got, Ok(freed == 1), "{what}: unpin");
+    }
+
+    /// Cell `i` gives back everything it holds back.
+    fn drain(&mut self, i: usize, what: &str) {
+        let side = &mut self.cells[i];
+        side.phys.drain();
+        side.freed.clear();
+        assert_eq!(side.held_back(), 0, "{what}: drained");
+    }
+
+    fn check(&self, what: &str) {
+        let drawn: u64 = self.cells.iter().map(|side| side.phys.drawn_frames()).sum();
+        assert_eq!(drawn + self.pool.free_frames(), self.pool.total_frames(), "{what}: Σ drawn + pool free");
+        for (i, side) in self.cells.iter().enumerate() {
+            assert_eq!(side.phys.used_frames(), side.refs.len() as u64, "{what}: cell {i} used_frames");
+            assert!(
+                side.held_back() <= 3 * CELL_BATCH,
+                "{what}: cell {i} holds back {} frames",
+                side.held_back()
+            );
+            assert_eq!(side.phys.free_frames(), self.pool.free_frames() + side.held_back(), "{what}: cell {i} free_frames");
+        }
+    }
+}
+
+/// One seeded script on a two-cell machine of `total` frames, in the
+/// phases [`run_phys_script`]'s have, each step on the cells in turn.
+fn run_two_cell_script(total: u64, seed: u64, steps: u64) -> SharedSeen {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut m = TwoCells::new(total);
+    m.check(&format!("total {total} seed {seed:#x}: fresh"));
+    let phase_len = (steps / 6).max(1);
+    for step in 0..steps {
+        let i = (step % 2) as usize;
+        let what = format!("total {total} seed {seed:#x} step {step} cell {i}");
+        let filling = (step / phase_len) & 1 == 0;
+        if rng.gen_bool(if filling { 0.7 } else { 0.25 }) {
+            match rng.gen_below(8) {
+                0..=1 => {
+                    let pages = match rng.gen_below(3) {
+                        0 => rng.gen_range(1, 64),
+                        1 => HUGE_PAGES + rng.gen_below(40),
+                        _ => rng.gen_range(CELL_BATCH, HUGE_PAGES),
+                    };
+                    m.map(i, pages, rng.gen_bool(0.5), &what);
+                }
+                2..=3 => {
+                    let n = rng.gen_range(CELL_BATCH + 1, 400);
+                    let free_at = rng.gen_bool(0.5).then(|| rng.gen_range(1, n));
+                    m.alloc_run(i, n, free_at, &mut rng, &what);
+                }
+                _ => {
+                    let n = rng.gen_range(1, 48);
+                    let free_at = rng.gen_bool(0.2).then(|| rng.gen_range(1, n + 1));
+                    m.alloc_run(i, n, free_at, &mut rng, &what);
+                }
+            }
+        } else {
+            let side = &m.cells[i];
+            match rng.gen_below(12) {
+                0..=1 if !side.loose.is_empty() => m.dec_ref(i, &mut rng, &what),
+                2..=3 if !side.loose.is_empty() => {
+                    for _ in 0..rng.gen_range(1, 300).min(side.loose.len() as u64) {
+                        m.dec_ref(i, &mut rng, &what);
+                    }
+                }
+                4 => m.pin(i, &mut rng, &what),
+                5 if !side.pins.is_empty() => m.unpin(i, rng.gen_index(side.pins.len()), &what),
+                6..=7 if !side.spaces.is_empty() => m.munmap(i, &mut rng, &what),
+                8..=10 if !side.spaces.is_empty() => m.destroy(i, rng.gen_index(side.spaces.len())),
+                11 => m.drain(i, &what),
+                _ => {}
+            }
+        }
+        m.check(&what);
+    }
+    // Everything back: the machine must be as free as at boot.
+    for i in 0..2 {
+        while !m.cells[i].spaces.is_empty() {
+            m.destroy(i, 0);
+        }
+        while !m.cells[i].loose.is_empty() {
+            m.dec_ref(i, &mut rng, "drain");
+        }
+        while !m.cells[i].pins.is_empty() {
+            m.unpin(i, 0, "drain");
+        }
+        m.drain(i, "drain");
+    }
+    let what = format!("total {total} seed {seed:#x}: drained");
+    m.check(&what);
+    assert_eq!(m.pool.free_frames(), total, "{what}");
+    assert!(m.cells.iter().all(|side| side.refs.is_empty()), "{what}");
+    m.seen
+}
+
+#[test]
+fn two_cells_over_one_pool_conserve_frames_and_bound_what_they_hold_back() {
+    let mut seen = SharedSeen::default();
+    for (ti, &total) in [1_500u64, 2_561, 4_000].iter().enumerate() {
+        for case in 0..4u64 {
+            let s = run_two_cell_script(total, 0x2CE1_0000 + ((ti as u64) << 8) + case, 400);
+            seen.exhausted += s.exhausted;
+            seen.drained += s.drained;
+            seen.reused += s.reused;
+        }
+    }
+    let SharedSeen { exhausted, drained, reused } = seen;
+    assert!(
+        exhausted > 100 && drained > 100 && reused > 1_000,
+        "the scripts must run the pool dry, drain past the limit and reuse freed frames: {seen:?}"
     );
 }
