@@ -62,7 +62,9 @@ doclinks:
 # frame (which frame an allocation gets decides every stamp and pfn in
 # results/), with a `PhysMemory` arm holding a one-cell machine's
 # allocations, pins, populates and batched frees to the same reference,
-# however the cell draws its frames from the pool. fork_fail_points pins, as one digest per fork mode, what
+# however the cell draws its frames from the pool, and a two-cell arm
+# holding two cells over one pool to frame conservation and a bound on
+# what each holds back. fork_fail_points pins, as one digest per fork mode, what
 # `fork_from` charges, counts, traces and — but for an eager fork, which the
 # flat model judges — leaves behind at every one of its fail points, so
 # that the walk may batch its per-entry work but not move a fail point
@@ -103,9 +105,11 @@ leakcheck:
 # The SMP gate on its own: four real OS threads hammer the shared
 # machine with a seeded fork/vfork/spawn/exec storm, then every cell
 # must pass check_invariants + leak_check and the shared frame pool
-# must conserve; plus the determinism regression — the single-threaded
+# must conserve; plus the determinism regressions — the single-threaded
 # E15 service figure must replay byte-identical to the checked-in
-# seed results. smp_faults adds E17: the same storm under concurrent
+# seed results, and one_cell_smp_is_an_os_boot_world: the single cell
+# of a one-cell SMP machine, which parks the frames it frees, must match
+# an Os::boot world PID for PID, cycle for cycle and in its baseline. smp_faults adds E17: the same storm under concurrent
 # fault injection (all contained, zero lock-order violations) and a
 # mid-storm cell fail-stop that must recover to a clean N-1 quiesce.
 # Release mode: the storms are the slow part.

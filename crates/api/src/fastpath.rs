@@ -976,9 +976,9 @@ mod tests {
     /// neighbour cell draws from the shared pool meanwhile: cell 0 shrinks
     /// its warm pool a child at a time and then its image cache while
     /// cell 1 demand-fills pages on another thread. Counting off the
-    /// machine's free frames instead, a refill of cell 1's magazine between
-    /// two reads made the count underflow — which only an interleaving of
-    /// the two threads shows.
+    /// machine's free frames instead, a block cell 1 reserved between two
+    /// reads made the count underflow — which only an interleaving of the
+    /// two threads shows.
     #[test]
     fn shrinkers_count_their_own_cells_frames_while_a_neighbour_allocates() {
         use fpr_kernel::{MachineConfig, Shrinker, SmpShared};

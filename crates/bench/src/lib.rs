@@ -893,6 +893,22 @@ fn e16_smp() -> Output {
         spawn > shared,
         "spawn fastpath must outscale shared-mm fork: {spawn:.2} vs {shared:.2}"
     );
+    // A cell per worker scales with the workers, and the cells never meet
+    // on the frame pool: each takes back the frames it freed.
+    for arm in &SMP_ARMS[1..] {
+        for t in smp::THREADS {
+            let speedup = out.speedup(arm, t);
+            assert!(
+                speedup >= 0.9 * t as f64,
+                "{arm} must reach 0.9x per thread at {t} threads: {speedup:.2}"
+            );
+            let buddy = out.point(arm, t).and_then(|p| p.contention.get("buddy"));
+            assert!(
+                buddy.is_none_or(|s| s.contended_acquires == 0),
+                "{arm} at {t} threads waited on the frame pool: {buddy:?}"
+            );
+        }
+    }
     for arm in SMP_ARMS {
         assert_eq!(
             out.contended(arm, 1),

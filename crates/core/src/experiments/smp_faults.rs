@@ -19,8 +19,8 @@
 //! * **fail_stop_storm** — the same storm, except worker 0 kills cell 0
 //!   mid-flight with `SmpOs::fail_cell`: a dying operation injected
 //!   at a chosen site, the machine-wide OOM lease deliberately stuck,
-//!   then recovery (evacuate every process, drain the frame magazine,
-//!   break the lease). Survivors poll `SmpOs::is_dead` and redirect;
+//!   then recovery (evacuate every process, settle the cell's block and
+//!   drain its parked frames, break the lease). Survivors poll `SmpOs::is_dead` and redirect;
 //!   the machine must quiesce clean at N−1 cells with the dead cell
 //!   *empty*.
 //!

@@ -29,8 +29,9 @@
 //! `SmpOs::fail_cell` models a cell dying mid-operation at a chosen
 //! fault site: the cell takes one last doomed operation with the site
 //! armed, is marked dead, and is then *recovered* — its processes
-//! reaped (returning their PIDs to the shared table), its frame
-//! magazine drained back to the [`SharedFramePool`], and its stuck
+//! reaped (returning their PIDs to the shared table), its reserved block
+//! settled and its parked frames drained back to the [`SharedFramePool`],
+//! and its stuck
 //! machine-wide OOM lease broken — so the machine degrades from N cells
 //! to N−1 with zero leaked frames and zero stuck locks. Dead cells are
 //! thereafter held to a stricter quiesce standard than survivors: not
@@ -157,8 +158,9 @@ impl SmpOs {
     /// 3. **Mark dead** so storm workers stop routing work here.
     /// 4. **Recover**: drain the spawn fast path (warm children are
     ///    real processes), then [`Kernel::evacuate`] — every process
-    ///    reaped (PIDs back to the shared table), the frame magazine
-    ///    drained back to the shared pool — then break the stuck lease.
+    ///    reaped (PIDs back to the shared table), the reserved block
+    ///    settled and the parked frames drained back to the shared pool —
+    ///    then break the stuck lease.
     ///
     /// Afterwards [`SmpOs::check_quiesced`] holds the dead cell to the
     /// *empty* standard: zero processes, zero drawn frames.

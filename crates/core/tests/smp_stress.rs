@@ -4,8 +4,9 @@
 //! leaked, and every frame is back in the shared pool or accounted to a
 //! cell. Plus the determinism regressions the one-machine design rests
 //! on: the single-threaded E15 service figure replays byte-identical to
-//! the checked-in seed results, and a one-cell SMP machine with its
-//! magazine switched off is indistinguishable from an `Os::boot` world.
+//! the checked-in seed results, and a one-cell SMP machine — whose cell
+//! parks the frames it frees, as every SMP cell does — is
+//! indistinguishable from an `Os::boot` world, whose cell parks none.
 
 use forkroad_core::experiments::service;
 use forkroad_core::experiments::smp_faults::CREATION_MIX;
@@ -26,7 +27,7 @@ fn pick(rng: &mut Rng, live: &mut Vec<Pid>) -> Option<Pid> {
     (!live.is_empty()).then(|| live.swap_remove(rng.gen_index(live.len())))
 }
 
-/// What [`one_cell_smp_without_magazine_is_an_os_boot_world`] walks
+/// What [`one_cell_smp_is_an_os_boot_world`] walks
 /// over: [`CREATION_MIX`] with the fork before the exec taken on demand —
 /// nothing else compares an on-demand fork on an SMP cell with an
 /// `Os::boot` world.
@@ -136,17 +137,17 @@ fn single_thread_service_replays_byte_identical_to_seed() {
     );
 }
 
-/// The statement that the magazine is the *only* difference left between
-/// an `Os::boot` world and an SMP cell: switch it off on the single cell
-/// of a one-cell machine and the same seeded op sequence yields the same
-/// PIDs, the same cycle count after every op, and the same baseline.
+/// The statement that an SMP cell is an `Os::boot` world: every frame
+/// costs `frame_alloc` on either, so the frames an SMP cell parks and takes
+/// again move nothing the kernel shows — the single cell of a one-cell
+/// machine and an `Os::boot` world walk the same seeded op sequence to the
+/// same PIDs, the same cycle count after every op, and the same baseline.
 #[test]
-fn one_cell_smp_without_magazine_is_an_os_boot_world() {
+fn one_cell_smp_is_an_os_boot_world() {
     let shape = ProcessShape::with_heap(64);
     let (mut solo, parent) = world(smp_machine(), shape);
     let smp = SmpOs::boot(smp_machine(), 1);
     let mut cell = smp.cell(0).lock();
-    cell.kernel.phys.disable_frame_cache();
     assert_eq!(cell.make_parent(shape).expect("parent fits"), parent);
 
     let mut rng = Rng::seed_from_u64(SEED);

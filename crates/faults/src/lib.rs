@@ -135,7 +135,9 @@ macro_rules! fault_sites {
 }
 
 fault_sites! {
-    /// Physical frame allocation (`fpr-mem::phys`).
+    /// Physical frame allocation (`fpr-mem::phys`), crossed for every
+    /// frame before a cell takes it — off its parked frames, out of its
+    /// reserved block or from the pool — and before anything changes.
     FrameAlloc => "frame_alloc",
     /// Page-table intermediate node allocation (`fpr-mem::page_table`).
     PtNodeAlloc => "pt_node_alloc",
@@ -195,12 +197,6 @@ fault_sites! {
     /// so an injected failure fails the enclosing operation cleanly with
     /// the huge mapping intact.
     PtDemote => "pt_demote",
-    /// Refilling a cell's frame magazine from the machine-wide
-    /// `SharedFramePool` (`fpr-mem::phys`), crossed before the buddy
-    /// lock is taken. Only a cell with its magazine on crosses it: a
-    /// single-kernel machine boots with the magazine off, so its fail
-    /// points are unchanged.
-    PoolRefill => "pool_refill",
     /// Evacuating a fail-stopped kernel cell (`fpr-kernel::lifecycle`),
     /// crossed before any process is killed, so an injected failure
     /// leaves the dying cell untouched and cleanly retryable.
@@ -734,12 +730,10 @@ mod tests {
                 site.index()
             );
         }
-        // The SMP sites (E17) are registered like any other: reachable
-        // by index, named, and therefore swept by every harness that
+        // The SMP site (E17) is registered like any other: reachable by
+        // index, named, and therefore swept by every harness that
         // iterates `ALL`.
-        assert!(FaultSite::ALL.contains(&FaultSite::PoolRefill));
         assert!(FaultSite::ALL.contains(&FaultSite::CellEvacuate));
-        assert_eq!(FaultSite::PoolRefill.name(), "pool_refill");
         assert_eq!(FaultSite::CellEvacuate.name(), "cell_evacuate");
     }
 

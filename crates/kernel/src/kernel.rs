@@ -182,7 +182,7 @@ pub struct Kernel {
 /// Build one `SmpShared`, then boot each cell with [`Kernel::new_smp`].
 #[derive(Debug, Clone)]
 pub struct SmpShared {
-    /// The machine-wide frame pool cells draw magazines from.
+    /// The machine-wide frame pool every cell draws its frames from.
     pub pool: Arc<SharedFramePool>,
     /// The striped PID space (one home shard per cell).
     pub pids: Arc<ShardedPidTable>,
@@ -273,16 +273,15 @@ impl Identity {
 }
 
 impl Kernel {
-    /// Boots a single-kernel machine: cell 0 of a private one-cell
-    /// [`SmpShared`]. The only difference from an SMP cell is the one
-    /// every checked-in single-kernel result prices in: no frame
-    /// magazine, so each frame costs `frame_alloc`, not
-    /// `frame_cache_hit`.
+    /// Boots a single-kernel machine: cell 0 of a one-cell machine, with
+    /// a PID table and a shootdown interconnect of its own. Its frames
+    /// come from [`PhysMemory::new`]'s pool of its own, which parks no
+    /// freed frame — the one difference from an SMP cell, and one no
+    /// charge, PID or baseline shows.
     pub fn new(cfg: MachineConfig) -> Kernel {
-        let shared = SmpShared::new(&cfg, 1);
-        let mut k = Kernel::new_smp(cfg, &shared, 0);
-        k.phys.disable_frame_cache();
-        k
+        let phys = PhysMemory::new(cfg.frames, cfg.cost.clone());
+        let pids = Arc::new(ShardedPidTable::new(1, cfg.max_pids));
+        Kernel::cell(cfg, phys, pids, Arc::new(TlbBus::new()), 0)
     }
 
     /// Boots with the default configuration.
@@ -291,14 +290,21 @@ impl Kernel {
     }
 
     /// Boots cell `cell` of a machine: a full kernel whose physical
-    /// memory is a magazine over `shared.pool`, whose PIDs come from
-    /// `shared.pids` (home shard `cell`), whose remote shootdowns
-    /// serialize on `shared.tlb`, and whose OOM kills go through
-    /// `shared.oom`. Everything else (process table, VFS, scheduler) is
-    /// private to the cell, so cells only meet at the explicitly shared
-    /// services — exactly where real SMP kernels contend.
+    /// memory is a [`PhysMemory::new_cell`] over `shared.pool`, whose PIDs
+    /// come from `shared.pids` (home shard `cell`), whose remote
+    /// shootdowns serialize on `shared.tlb`, and whose OOM kills go
+    /// through `shared.oom`. Everything else (process table, VFS,
+    /// scheduler) is private to the cell, so cells only meet at the
+    /// explicitly shared services — exactly where real SMP kernels
+    /// contend.
     pub fn new_smp(cfg: MachineConfig, shared: &SmpShared, cell: usize) -> Kernel {
-        let mut phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost);
+        let phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost.clone());
+        Kernel::cell(cfg, phys, Arc::clone(&shared.pids), Arc::clone(&shared.tlb), cell)
+    }
+
+    /// Boots cell `cell` over `phys`, taking PIDs from `pids` and sending
+    /// remote shootdowns over `tlb`.
+    fn cell(cfg: MachineConfig, mut phys: PhysMemory, pids: Arc<ShardedPidTable>, tlb: Arc<TlbBus>, cell: usize) -> Kernel {
         phys.set_swap_capacity(cfg.swap_slots);
         let mut commit = CommitAccount::new(cfg.overcommit, cfg.frames);
         // CommitLimit = ratio * RAM + SwapTotal (Linux `Never` mode).
@@ -306,7 +312,7 @@ impl Kernel {
         Kernel {
             phys,
             tlb: TlbModel {
-                bus: Arc::clone(&shared.tlb),
+                bus: tlb,
                 ..TlbModel::new()
             },
             cycles: Cycles::new(),
@@ -322,12 +328,12 @@ impl Kernel {
             atfork_log: Vec::new(),
             alarms: Vec::new(),
             tids: TidAllocator::new(),
-            procs: ProcTable::new(shared.pids.max_pid),
+            procs: ProcTable::new(pids.max_pid),
             user_counts: BTreeMap::new(),
             shrinkers: Vec::new(),
             reclaim_stats: crate::reclaim::ReclaimStats::default(),
             thp: cfg.thp,
-            pid_table: Arc::clone(&shared.pids),
+            pid_table: pids,
             cell,
             held_pids: 0,
         }
@@ -1389,7 +1395,7 @@ mod tests {
         assert_eq!(shared.pids.live(), pids.len());
 
         // Machine-wide conservation: every frame is either free in the
-        // pool or drawn by exactly one cell (resident or magazine-parked).
+        // pool or drawn by exactly one cell (resident or held back).
         let drawn: u64 = cells.iter().map(|k| k.phys.drawn_frames()).sum();
         assert_eq!(drawn + shared.pool.free_frames(), shared.pool.total_frames());
 
@@ -1408,7 +1414,7 @@ mod tests {
             for pid in victims {
                 let _ = k.kill(pid, crate::signal::Sig::Kill);
             }
-            k.phys.disable_frame_cache();
+            k.phys.drain();
         }
         let drawn_after: u64 = cells.iter().map(|k| k.phys.drawn_frames()).sum();
         assert!(

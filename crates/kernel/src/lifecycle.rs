@@ -286,9 +286,10 @@ impl Kernel {
     }
 
     /// Evacuates a fail-stopped cell: kills every process (including
-    /// init), reaps every zombie, and drains the frame magazine back to
-    /// the shared pool, so the machine continues degraded with nothing
-    /// leaked — no frames, no PIDs, no swap slots.
+    /// init), reaps every zombie, and drains the frames the cell holds
+    /// back — its reserved block and its parked frames — to the shared
+    /// pool, so the machine continues degraded with nothing leaked — no
+    /// frames, no PIDs, no swap slots.
     ///
     /// Crosses [`fpr_faults::FaultSite::CellEvacuate`] *before* touching
     /// anything, so an injected failure leaves the cell exactly as it
@@ -323,9 +324,10 @@ impl Kernel {
         for pid in self.pids() {
             let _ = self.reap(pid);
         }
-        // Give the cell's magazine frames back to the shared pool; after
-        // the kills above this leaves the cell drawing zero frames.
-        self.phys.disable_frame_cache();
+        // Settle the cell's block and give its parked frames back to the
+        // shared pool; after the kills above this leaves the cell drawing
+        // zero frames.
+        self.phys.drain();
         Ok(evacuated)
     }
 
@@ -622,7 +624,7 @@ mod tests {
         let evacuated = k1.evacuate().unwrap();
         assert!(evacuated >= 3, "init, a, grand all exited here");
         assert_eq!(k1.process_count(), 0, "no process survives evacuation");
-        assert_eq!(k1.phys.drawn_frames(), 0, "magazine drained, nothing resident");
+        assert_eq!(k1.phys.drawn_frames(), 0, "nothing held back, nothing resident");
         assert_eq!(k1.held_pids, 0, "cell-local pid accounting emptied");
         assert_eq!(
             shared.pids.live(),

@@ -22,25 +22,23 @@
 //!
 //! `BuddyAllocator::reserve` hands a caller the block `alloc(0)` would
 //! carve its next frames from — the lowest block of the smallest order
-//! that has one, a block above 2 MiB split down to one `HUGE_PAGES` block
+//! that has one, a block above the caller's cap (2 MiB on a one-cell
+//! machine, 64 frames on a cell that shares its pool) split down to it
 //! first, its upper halves inserted as `alloc`'s split inserts them — and
 //! `BuddyAllocator::settle` takes it back, the frames handed out so far
 //! as order-0 allocations and the rest as the pieces the split would have
 //! left free. Every order below the block's was empty when it was chosen,
 //! so while nothing else touches the allocator, `alloc(0)` would hand the
 //! block out in ascending order and leave the free lists as the settle
-//! does: a caller may hand the frames out itself, without coming back here
-//! for each ([`crate::phys`], "One machine").
+//! does, whatever the cap: a caller may hand the frames out itself,
+//! without coming back here for each ([`crate::phys`], "One machine").
 
-use crate::addr::{Pfn, HUGE_PAGES};
+use crate::addr::Pfn;
 use crate::error::{MemError, MemResult};
 use std::ops::Range;
 
 /// Maximum order supported (2^MAX_ORDER frames per block).
 pub const MAX_ORDER: usize = 16;
-
-/// The order of the largest block [`BuddyAllocator::reserve`] hands out.
-const RESERVE_ORDER: usize = HUGE_PAGES.trailing_zeros() as usize;
 
 /// Bits per bitmap word.
 const WORD: usize = u64::BITS as usize;
@@ -242,9 +240,8 @@ impl BuddyAllocator {
     /// Allocates a `2^order` run like [`BuddyAllocator::alloc`], but
     /// records each frame of the run as its own order-0 allocation, so the
     /// caller may free frames one at a time (coalescing still reassembles
-    /// the block once all of them come back). This is the per-CPU
-    /// frame-cache refill primitive: one global-allocator acquisition
-    /// yields a batch of independently-freeable frames.
+    /// the block once all of them come back). A huge mapping takes its 512
+    /// frames this way: contiguous, and each with its own reference count.
     pub fn alloc_run(&mut self, order: usize) -> MemResult<Vec<Pfn>> {
         let base = self.alloc(order)?;
         let n = 1u64 << order;
@@ -254,14 +251,14 @@ impl BuddyAllocator {
     }
 
     /// Takes the block `alloc(0)` would carve its next frames from off the
-    /// free lists, split down to `HUGE_PAGES` frames if it is larger, and
+    /// free lists, split down to `2^max_order` frames if it is larger, and
     /// returns its frames; see the module docs. The frames count as
     /// allocated until [`BuddyAllocator::settle`] takes the block back.
-    pub(crate) fn reserve(&mut self) -> MemResult<Range<u64>> {
+    pub(crate) fn reserve(&mut self, max_order: usize) -> MemResult<Range<u64>> {
         // `alloc(0)` carves the lowest block of the smallest order that has
-        // one; asking for that order, or for 2 MiB when it is larger, takes
-        // the same block and splits it no further.
-        let order = (self.nonempty.trailing_zeros() as usize).min(RESERVE_ORDER);
+        // one; asking for that order, or for `max_order` when it is larger,
+        // takes the same block and splits it no further.
+        let order = (self.nonempty.trailing_zeros() as usize).min(max_order);
         let blk = self.alloc(order)?.0;
         Ok(blk..blk + (1u64 << order))
     }
@@ -344,6 +341,7 @@ impl BuddyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::HUGE_PAGES;
 
     #[test]
     fn free_map_finds_the_lowest_block_through_every_summary_level() {
@@ -492,18 +490,22 @@ mod tests {
             (BuddyAllocator::new(Pfn(0), 1_536), "whole"),
             (freed, "coalesced"),
         ];
+        // Capped at 2 MiB and at 64 frames, the block splits further and is
+        // still what `alloc(0)` hands out next.
         for (start, what) in starts {
-            for n in [0, 1, 511, 512] {
-                let what = format!("{what}, {n} frames");
-                let mut one_by_one = start.clone();
-                let frames: Vec<u64> = (0..n).map(|_| one_by_one.alloc(0).unwrap().0).collect();
-                let mut reserved = start.clone();
-                let block = reserved.reserve().unwrap();
-                assert_eq!(block.end - block.start, HUGE_PAGES, "{what}");
-                assert_eq!(reserved.free_frames() + HUGE_PAGES, start.free_frames(), "{what}");
-                assert!(frames.iter().copied().eq(block.start..block.start + n), "{what}: in ascending order");
-                reserved.settle(block, n);
-                assert_same(reserved, one_by_one, &what);
+            for (cap, len) in [(9, HUGE_PAGES), (6, 64)] {
+                for n in [0, 1, len - 1, len] {
+                    let what = format!("{what}, cap {len}, {n} frames");
+                    let mut one_by_one = start.clone();
+                    let frames: Vec<u64> = (0..n).map(|_| one_by_one.alloc(0).unwrap().0).collect();
+                    let mut reserved = start.clone();
+                    let block = reserved.reserve(cap).unwrap();
+                    assert_eq!(block.end - block.start, len, "{what}");
+                    assert_eq!(reserved.free_frames() + len, start.free_frames(), "{what}");
+                    assert!(frames.iter().copied().eq(block.start..block.start + n), "{what}: in ascending order");
+                    reserved.settle(block, n);
+                    assert_same(reserved, one_by_one, &what);
+                }
             }
         }
     }
@@ -516,7 +518,7 @@ mod tests {
         let mut one_by_one = start.clone();
         let mut reserved = start.clone();
         let mut blocks = Vec::new();
-        while let Ok(block) = reserved.reserve() {
+        while let Ok(block) = reserved.reserve(9) {
             for pfn in block.clone() {
                 assert_eq!(one_by_one.alloc(0), Ok(Pfn(pfn)));
             }
@@ -527,7 +529,7 @@ mod tests {
             (len / 2..len).for_each(|_| _ = reserved.alloc(0).unwrap());
         }
         assert_eq!(blocks, [(1_096, 4), (1_000, 8), (1_088, 8), (1_008, 16), (1_024, 64)]);
-        assert_eq!(reserved.reserve(), Err(MemError::OutOfMemory));
+        assert_eq!(reserved.reserve(9), Err(MemError::OutOfMemory));
         assert_eq!(one_by_one.alloc(0), Err(MemError::OutOfMemory));
         assert_same(reserved, one_by_one, "exhausted");
     }

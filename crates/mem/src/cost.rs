@@ -36,7 +36,9 @@ pub struct CostModel {
     pub page_copy: u64,
     /// Zeroing one 4 KiB page (demand-zero fill).
     pub page_zero: u64,
-    /// Allocating one physical frame from the allocator.
+    /// Allocating one physical frame: the one price of every frame any
+    /// cell takes, out of its reserved block or off its parked frames
+    /// ([`crate::phys`], "One machine").
     pub frame_alloc: u64,
     /// Freeing one physical frame.
     pub frame_free: u64,
@@ -56,12 +58,6 @@ pub struct CostModel {
     /// Duplicating one open file descriptor at fork (slot copy + open-file
     /// refcount bump).
     pub fd_clone: u64,
-    /// Popping one frame off a per-CPU free-list magazine (no global lock,
-    /// no list walk — a local stack pop).
-    pub frame_cache_hit: u64,
-    /// Refilling a per-CPU magazine with one batched buddy allocation:
-    /// a single global-allocator acquisition amortized over the batch.
-    pub frame_cache_refill: u64,
     /// Per-page increment of a batched ranged TLB flush: one INVLPG-class
     /// invalidation broadcast inside a single shootdown IPI, instead of
     /// one IPI per page.
@@ -108,8 +104,6 @@ impl Default for CostModel {
             file_read_page: 1_000,
             pt_subtree_share: 4,
             fd_clone: 150,
-            frame_cache_hit: 20,
-            frame_cache_refill: 400,
             tlb_range_flush_page: 40,
             swap_slot_alloc: 150,
             swap_out_page: 24_000,
@@ -142,8 +136,6 @@ impl CostModel {
             file_read_page: 0,
             pt_subtree_share: 0,
             fd_clone: 0,
-            frame_cache_hit: 0,
-            frame_cache_refill: 0,
             tlb_range_flush_page: 0,
             swap_slot_alloc: 0,
             swap_out_page: 0,

@@ -20,27 +20,43 @@
 //! over the common pool, plus a count of the frames it has `drawn`, which
 //! the machine-wide conservation check sums (Σ drawn + pool free = total).
 //!
-//! A cell reaches the pool through its `CellPool`, which takes the lock
-//! once per call. With the magazine off it does not take it once per
-//! frame: under one acquisition the pool *reserves* the cell the block
-//! `alloc(0)` would carve next (`BuddyAllocator::reserve`: the lowest
-//! block of the smallest order that has one, a block above 2 MiB split
-//! down to `HUGE_PAGES` frames first), which the cell hands out in
-//! ascending order without the lock, charging `frame_alloc` for each
-//! frame. Before anything else touches the pool the cell *settles* the
-//! block (`BuddyAllocator::settle`): the frames handed out become order-0
+//! Every cell takes every frame the same way, and charges `frame_alloc`
+//! for it. A cell reaches the pool through its `CellPool`, which takes
+//! the lock once per call, not once per frame: under one acquisition the
+//! pool *reserves* the cell the block `alloc(0)` would carve next
+//! (`BuddyAllocator::reserve`: the lowest block of the smallest order
+//! that has one, a larger block split down to the cell's cap first),
+//! which the cell hands out in ascending order without the lock. Before
+//! anything else touches the pool the cell *settles* the block
+//! (`BuddyAllocator::settle`): the frames handed out become order-0
 //! allocations and the unused rest goes back as the pieces the buddy's own
 //! split would hold. That happens under the acquisition of whatever comes
-//! next — the free batch of a `release`, a huge-run or magazine
-//! allocation, the next reservation — and when the magazine is switched on
-//! or off. Every order below the block was empty when it was chosen, so
-//! while nothing else touches the pool `alloc(0)` would take the block in
-//! that same ascending order and leave the free lists as the settle does:
-//! on a one-cell machine, where nothing else touches the pool, every frame
-//! is the one `alloc(0)` would hand out. The frames a block still holds back count as drawn and as
-//! free, like magazine-parked frames, so `free_frames`, pressure,
-//! watermarks, `used_frames` and conservation read as if the frames were
-//! still in the pool.
+//! next — the free batch of a `release`, a huge-run allocation, the next
+//! reservation, a [`PhysMemory::drain`]. Every order below the block was
+//! empty when it was chosen, so while nothing else touches the pool
+//! `alloc(0)` would take the block in that same ascending order and leave
+//! the free lists as the settle does.
+//!
+//! What differs between cells is fixed when the cell is built:
+//!
+//! * **A one-cell machine** ([`PhysMemory::new`]) reserves blocks of up to
+//!   `HUGE_PAGES` frames and gives the frames a `release` frees straight
+//!   back to the pool. Nothing else touches its pool, so every frame is the
+//!   one `alloc(0)` would hand out.
+//! * **A cell that shares its pool** ([`PhysMemory::new_cell`]) reserves
+//!   blocks of up to `SHARED_BATCH` (64) frames, and *parks* the frames a
+//!   `release` frees on a private stack that it takes from first, without
+//!   the lock, as Linux's per-CPU page lists do. Once more than 2 × 64 are
+//!   parked it gives back all but 64 under one acquisition, so it holds
+//!   back at most 64 + 128 frames. A cell that reuses what it freed does
+//!   not meet the other cells on the `"buddy"` lock once it is warm:
+//!   without the stack, E16's per-cell arms waited on `buddy` and neither
+//!   scaled nor came out the same twice.
+//!
+//! The frames a cell holds back — the rest of its block and its parked
+//! frames — count as drawn and as free, so `free_frames`, pressure,
+//! watermarks, `used_frames` and conservation read as if they were still
+//! in the pool; [`PhysMemory::drain`] gives them all back.
 //!
 //! ## The frame table
 //!
@@ -75,26 +91,12 @@
 //! order: `retain` is all or nothing, `release` stops at the first frame
 //! the cell does not hold after dropping the ones before it, and the frames
 //! of a call go back together, a `frame_free` charge for each and one
-//! `mem.frame_free` count and one acquisition of the pool for all.
+//! `mem.frame_free` count and at most one acquisition of the pool for all.
 //!
-//! Two layers sit on top of the pool:
-//!
-//! * **Pins** — a kernel-side reference (e.g. the exec image cache) that
-//!   keeps a frame alive independent of page-table mappings. Pins are
-//!   tracked separately from PTE references so the structural invariant
-//!   checker can account for them.
-//! * **The magazine** — a private free-list refilled by *batched* pool
-//!   allocations, so concurrent creators pay the pool's serialization
-//!   once per batch instead of once per frame. It is the single boot-time
-//!   difference between the two ways a cell comes up: SMP cells
-//!   ([`PhysMemory::new_cell`], the only caller of the crate-private
-//!   `PhysMemory::enable_frame_cache`) boot with it, one-cell worlds
-//!   ([`PhysMemory::new`]) without, because every checked-in
-//!   single-kernel result prices a frame at `frame_alloc`, not at
-//!   `frame_cache_hit`. Without it a cell reserves blocks instead ("One
-//!   machine"), which moves no charge.
-//!   [`PhysMemory::disable_frame_cache`] switches it off; with the
-//!   magazine off the two kinds of cell charge identical cycles.
+//! On top of the pool sit *pins*: a kernel-side reference (e.g. the exec
+//! image cache) that keeps a frame alive independent of page-table
+//! mappings. Pins are tracked separately from PTE references so the
+//! structural invariant checker can account for them.
 
 use crate::addr::{Pfn, HUGE_PAGES};
 use crate::buddy::BuddyAllocator;
@@ -152,9 +154,10 @@ pub enum PressureLevel {
     Critical,
 }
 
-/// Refill batch for the magazine an SMP cell boots with (see
-/// [`PhysMemory::new_cell`]).
-pub(crate) const CELL_MAGAZINE_BATCH: u64 = 64;
+/// What a cell that shares its pool keeps to itself, in frames: it
+/// reserves blocks of at most this many, and once more than twice this
+/// many freed frames are parked it gives back all but this many.
+const SHARED_BATCH: u64 = 64;
 
 /// Frames per chunk of the frame table.
 const TABLE_CHUNK: usize = 1024;
@@ -176,12 +179,12 @@ fn table_slot(pfn: Pfn) -> (usize, usize) {
 /// The machine's buddy core, shared by every kernel cell (one cell on a
 /// single-kernel machine, several on different OS threads under SMP).
 ///
-/// A cell reaches it through its `CellPool`, which either holds back the
-/// block the buddy would carve next and hands it out a frame at a time, or
-/// keeps a genuinely private free-list (its [`PhysMemory`] magazine,
-/// touched only by the cell's own thread) refilled with *batched*
-/// allocations; either way the cell pays the global serialization once per
-/// block or batch instead of once per frame. The lock is a [`VLock`] named
+/// A cell reaches it through its `CellPool`, which holds back the block
+/// the buddy would carve next and hands it out a frame at a time, and on a
+/// cell that shares the pool also parks the frames the cell freed (see the
+/// [module docs](self), "One machine"); either way the cell pays the
+/// global serialization once per block instead of once per frame. The
+/// lock is a [`VLock`] named
 /// `"buddy"`, so every contended acquisition is visible in
 /// [`fpr_trace::metrics::lock_stats`] and priced in virtual time.
 ///
@@ -211,9 +214,9 @@ impl SharedFramePool {
         self.total
     }
 
-    /// Frames currently free in the pool core (excluding frames parked
-    /// in any cell's magazine or held back in its reservation). Lock-free
-    /// read of the atomic mirror.
+    /// Frames currently free in the pool core (excluding frames any cell
+    /// holds back, parked or reserved). Lock-free read of the atomic
+    /// mirror.
     pub fn free_frames(&self) -> u64 {
         self.free.load(Ordering::Relaxed)
     }
@@ -221,10 +224,10 @@ impl SharedFramePool {
 
 /// One cell's end of the [`SharedFramePool`]: every frame the cell takes
 /// from the pool or gives back goes through here, under one acquisition
-/// of the core per call. With the magazine off it also holds the block the
-/// pool reserved for the cell ([`BuddyAllocator::reserve`]), handed out a
-/// frame at a time without the lock, and settles it first whenever it
-/// takes the lock for anything else.
+/// of the core per call. It holds the block the pool reserved for the cell
+/// ([`BuddyAllocator::reserve`]), handed out a frame at a time without the
+/// lock, and settles it first whenever it takes the lock for anything
+/// else; on a cell that shares the pool it also holds the parked frames.
 #[derive(Debug)]
 struct CellPool {
     shared: Arc<SharedFramePool>,
@@ -233,17 +236,21 @@ struct CellPool {
     /// Where the reserved block begins: `start..left.start` are handed out.
     /// `start == left.end` when the cell holds no block.
     start: u64,
+    /// The frames the cell freed and keeps, taken again last in, first out;
+    /// `None` on a one-cell machine, which parks nothing.
+    parked: Option<Vec<Pfn>>,
 }
 
 impl CellPool {
-    fn new(shared: Arc<SharedFramePool>) -> CellPool {
-        CellPool { shared, left: 0..0, start: 0 }
+    fn new(shared: Arc<SharedFramePool>, parked: Option<Vec<Pfn>>) -> CellPool {
+        CellPool { shared, left: 0..0, start: 0, parked }
     }
 
-    /// Frames the reserved block still holds back: drawn by the cell, and
-    /// free.
+    /// Frames the cell holds back, in its reserved block and parked: drawn
+    /// by the cell, and free.
     fn held_back(&self) -> u64 {
-        self.left.end - self.left.start
+        let parked = self.parked.as_ref().map_or(0, |p| p.len() as u64);
+        self.left.end - self.left.start + parked
     }
 
     /// Runs `op` on the locked core, after settling the reserved block —
@@ -263,38 +270,21 @@ impl CellPool {
         out
     }
 
-    /// Settles the reserved block, if the cell holds one.
-    fn settle(&mut self) {
-        if self.start < self.left.end {
-            self.with_core(|_| ());
-        }
-    }
-
-    /// One frame with the magazine off: the reserved block's next, or the
-    /// first of the block the pool reserves once that one is handed out.
+    /// One frame: the last one parked, or the reserved block's next, or
+    /// the first of the block the pool reserves once that one is handed
+    /// out.
     fn take_one(&mut self) -> MemResult<Pfn> {
+        if let Some(pfn) = self.parked.as_mut().and_then(Vec::pop) {
+            return Ok(pfn);
+        }
         if self.left.is_empty() {
-            let block = self.with_core(BuddyAllocator::reserve)?;
+            let cap = if self.parked.is_some() { SHARED_BATCH } else { HUGE_PAGES };
+            let block = self.with_core(|core| core.reserve(cap.trailing_zeros() as usize))?;
             (self.start, self.left) = (block.start, block);
         }
         let pfn = self.left.start;
         self.left.start += 1;
         Ok(Pfn(pfn))
-    }
-
-    /// A refill run of up to `2^max_order` frames, degrading to smaller
-    /// runs under fragmentation — the whole descent happens under one
-    /// lock acquisition, unlike a naive per-order retry loop.
-    fn alloc_run_best(&mut self, max_order: usize) -> MemResult<Vec<Pfn>> {
-        self.with_core(|core| {
-            let mut order = max_order;
-            loop {
-                match core.alloc_run(order) {
-                    Err(_) if order > 0 => order -= 1,
-                    run => return run,
-                }
-            }
-        })
     }
 
     /// An exactly-`2^order` naturally aligned run (huge mappings).
@@ -310,6 +300,28 @@ impl CellPool {
         #[cfg(test)]
         tests::POOL_FREES.with(|n| n.set(n.get() + 1));
         self.with_core(|core| pfns.iter().for_each(|&pfn| core.free(pfn)));
+    }
+
+    /// Takes back the frames a release freed: parks them on a cell that
+    /// shares the pool — giving back all but [`SHARED_BATCH`] once more
+    /// than twice that many are parked — and returns them to the core on a
+    /// one-cell machine.
+    fn give_back(&mut self, pfns: &[Pfn]) {
+        let Some(parked) = self.parked.as_mut() else { return self.free_many(pfns) };
+        parked.extend_from_slice(pfns);
+        if parked.len() as u64 > 2 * SHARED_BATCH {
+            let over = parked.split_off(SHARED_BATCH as usize);
+            self.free_many(&over);
+        }
+    }
+
+    /// Gives back everything the cell holds back — the reserved block and
+    /// the parked frames — under one acquisition.
+    fn drain(&mut self) {
+        if self.held_back() > 0 {
+            let parked = self.parked.as_mut().map(std::mem::take).unwrap_or_default();
+            self.with_core(|core| parked.iter().for_each(|&pfn| core.free(pfn)));
+        }
     }
 }
 
@@ -327,32 +339,6 @@ pub struct ThpStats {
     pub failed: u64,
 }
 
-/// A cell's private free-frame magazine over the shared pool.
-#[derive(Debug, Clone)]
-struct FrameCache {
-    /// Parked free frames (counted as free), popped LIFO.
-    frames: Vec<Pfn>,
-    /// Target refill batch (frames fetched per pool acquisition).
-    batch: u64,
-}
-
-impl FrameCache {
-    /// Parks one freed frame. An overfull magazine drains a batch back to
-    /// `pool`, so one cell freeing heavily cannot strand the whole
-    /// machine's memory; returns how many frames left the cell that way.
-    fn park(&mut self, pfn: Pfn, pool: &mut CellPool) -> u64 {
-        self.frames.push(pfn);
-        if self.frames.len() as u64 <= 2 * self.batch {
-            return 0;
-        }
-        let keep = self.frames.len() - self.batch as usize;
-        let drained = self.frames.split_off(keep);
-        pool.free_many(&drained);
-        metrics::incr("mem.frame_cache.drain");
-        drained.len() as u64
-    }
-}
-
 /// One cell's view of the machine's physical memory.
 #[derive(Debug)]
 pub struct PhysMemory {
@@ -364,7 +350,6 @@ pub struct PhysMemory {
     cost: CostModel,
     /// Kernel pins per frame (image cache etc.); each pin holds one ref.
     pins: HashMap<u64, u32>,
-    cache: Option<FrameCache>,
     /// Cumulative count of frames ever allocated (statistics).
     pub frames_allocated_total: u64,
     /// Cumulative count of 4 KiB page copies performed (statistics).
@@ -377,9 +362,8 @@ pub struct PhysMemory {
     swap: SwapDevice,
     /// Machine-wide THP promotion/demotion counters.
     thp: ThpStats,
-    /// Frames currently drawn from the pool by this cell — resident (a
-    /// reference count in the frame table) plus magazine-parked; the
-    /// frames its reserved block still holds back come on top.
+    /// Frames resident in this cell, each with a reference count in the
+    /// frame table; [`Self::drawn_frames`] adds the frames it holds back.
     drawn: u64,
     /// Where [`Self::release`] gathers the frames of one call whose count
     /// reached zero; empty between calls, kept for its allocation.
@@ -389,31 +373,29 @@ pub struct PhysMemory {
 impl PhysMemory {
     /// Creates the physical memory of a one-cell machine: a pool of
     /// `total_frames` frames of its own, handed out one frame at a time
-    /// out of reserved blocks (no magazine).
+    /// out of reserved blocks of up to 2 MiB; freed frames go straight back.
     pub fn new(total_frames: u64, cost: CostModel) -> Self {
-        PhysMemory::over(Arc::new(SharedFramePool::new(total_frames)), cost)
+        PhysMemory::over(CellPool::new(Arc::new(SharedFramePool::new(total_frames)), None), cost)
     }
 
     /// Creates the physical-memory view of one SMP *cell*: all frames
-    /// drawn from `pool` through a magazine of batch
-    /// `CELL_MAGAZINE_BATCH`. Watermarks and pressure are judged
-    /// against the *pool's* free count, so every cell sees machine-wide
-    /// pressure.
+    /// drawn from `pool`, which other cells share, out of reserved blocks
+    /// of up to 64 frames, and the frames it frees parked for it to take
+    /// again first (see the [module docs](self), "One machine").
+    /// Watermarks and pressure are judged against the *pool's* free count,
+    /// so every cell sees machine-wide pressure.
     pub fn new_cell(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
-        let mut pm = PhysMemory::over(pool, cost);
-        pm.enable_frame_cache(CELL_MAGAZINE_BATCH);
-        pm
+        PhysMemory::over(CellPool::new(pool, Some(Vec::new())), cost)
     }
 
-    fn over(pool: Arc<SharedFramePool>, cost: CostModel) -> Self {
-        let chunks = (pool.total_frames() as usize).div_ceil(TABLE_CHUNK);
+    fn over(pool: CellPool, cost: CostModel) -> Self {
+        let chunks = (pool.shared.total_frames() as usize).div_ceil(TABLE_CHUNK);
         PhysMemory {
-            watermarks: Watermarks::for_total(pool.total_frames()),
+            watermarks: Watermarks::for_total(pool.shared.total_frames()),
             table: std::iter::repeat_with(|| None).take(chunks).collect(),
-            pool: CellPool::new(pool),
+            pool,
             cost,
             pins: HashMap::new(),
-            cache: None,
             frames_allocated_total: 0,
             pages_copied_total: 0,
             stall_cycles_total: 0,
@@ -424,10 +406,10 @@ impl PhysMemory {
         }
     }
 
-    /// Frames this cell currently holds out of the pool (resident,
-    /// magazine-parked, or held back in its reserved block). The
-    /// machine-wide conservation check sums this across cells against the
-    /// pool's free count.
+    /// Frames this cell currently holds out of the pool (resident, or held
+    /// back: parked or in its reserved block). The machine-wide
+    /// conservation check sums this across cells against the pool's free
+    /// count.
     pub fn drawn_frames(&self) -> u64 {
         self.drawn + self.pool.held_back()
     }
@@ -487,10 +469,10 @@ impl PhysMemory {
         &self.cost
     }
 
-    /// Number of frames currently free: the pool's free count plus this
-    /// cell's magazine and the frames its reserved block holds back.
+    /// Number of frames currently free: the pool's free count plus the
+    /// frames this cell holds back.
     pub fn free_frames(&self) -> u64 {
-        self.pool.shared.free_frames() + self.pool.held_back() + self.cached_frames()
+        self.pool.shared.free_frames() + self.pool.held_back()
     }
 
     /// Total number of frames in the machine.
@@ -499,12 +481,11 @@ impl PhysMemory {
     }
 
     /// Number of frames currently in use *by this cell*: the frames
-    /// drawn from the pool minus those parked in the magazine or held
-    /// back in the reserved block — i.e. exactly the frames carrying live
-    /// metadata — so the per-cell invariant (PTE references = used
-    /// frames) holds however many cells share the pool.
+    /// drawn from the pool minus those it holds back — i.e. exactly the
+    /// frames carrying live metadata — so the per-cell invariant (PTE
+    /// references = used frames) holds however many cells share the pool.
     pub fn used_frames(&self) -> u64 {
-        self.drawn - self.cached_frames()
+        self.drawn
     }
 
     /// The active free-frame watermarks.
@@ -544,79 +525,20 @@ impl PhysMemory {
         self.stall_cycles_total
     }
 
-    /// Switches the magazine on with the given refill batch size (frames
-    /// per pool acquisition), settling the reserved block first. Hits and
-    /// refills are priced differently from the frame-at-a-time path; all
-    /// other accounting is unchanged.
-    pub(crate) fn enable_frame_cache(&mut self, batch: u64) {
-        assert!(batch > 0, "frame cache needs batch > 0");
-        self.pool.settle();
-        if self.cache.is_none() {
-            self.cache = Some(FrameCache {
-                frames: Vec::new(),
-                batch,
-            });
-        }
-    }
-
-    /// Switches the magazine off, draining it back to the pool, and
-    /// settles the reserved block: the cell then draws exactly the frames
-    /// it holds.
-    pub fn disable_frame_cache(&mut self) {
-        if let Some(cache) = self.cache.take() {
-            self.drawn -= cache.frames.len() as u64;
-            self.pool.free_many(&cache.frames);
-        }
-        self.pool.settle();
-    }
-
-    /// Gives back every frame the cell holds back — the magazine's parked
-    /// frames and the rest of its reserved block — leaving the magazine
-    /// on: the cell then draws exactly the frames it holds.
+    /// Gives back every frame the cell holds back — its parked frames and
+    /// the rest of its reserved block — under one acquisition of the pool:
+    /// the cell then draws exactly the frames it holds.
     pub fn drain(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            let parked = std::mem::take(&mut cache.frames);
-            self.drawn -= parked.len() as u64;
-            self.pool.free_many(&parked);
-        }
-        self.pool.settle();
+        self.pool.drain();
     }
 
-    /// Frames currently parked in the magazine.
-    pub(crate) fn cached_frames(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.frames.len() as u64)
-    }
-
-    /// One frame, through the magazine when it is on, out of the reserved
-    /// block when it is off.
+    /// One frame, charged `frame_alloc`: the cell's last parked one, or
+    /// its reserved block's next.
     fn take_frame(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
-        let Some(cache) = self.cache.as_mut() else {
-            let pfn = self.pool.take_one()?;
-            self.drawn += 1;
-            cycles.charge(self.cost.frame_alloc);
-            return Ok(pfn);
-        };
-        if let Some(pfn) = cache.frames.pop() {
-            cycles.charge(self.cost.frame_cache_hit);
-            metrics::incr("mem.frame_cache.hit");
-            return Ok(pfn);
-        }
-        // Refill: one batched pool acquisition pays the global
-        // serialization once for the whole batch; the pool falls back to
-        // smaller runs under fragmentation or near-exhaustion. Cross the
-        // refill site before touching the buddy lock: an injected failure
-        // models a dry pool — the cell stays consistent and the caller
-        // sees an ordinary transient OutOfMemory.
-        fpr_faults::cross(FaultSite::PoolRefill).map_err(|_| MemError::OutOfMemory)?;
-        let order = 63 - cache.batch.leading_zeros() as usize;
-        let run = self.pool.alloc_run_best(order)?;
-        self.drawn += run.len() as u64;
-        cycles.charge(self.cost.frame_cache_refill);
-        metrics::incr("mem.frame_cache.refill");
-        let mut run = run.into_iter();
-        let first = run.next().expect("alloc_run returns at least one frame");
-        cache.frames.extend(run);
-        Ok(first)
+        let pfn = self.pool.take_one()?;
+        self.drawn += 1;
+        cycles.charge(self.cost.frame_alloc);
+        Ok(pfn)
     }
 
     /// Hands `each` the reference counts of the frames of `runs` — ranges
@@ -709,10 +631,10 @@ impl PhysMemory {
     /// returning how many that was — in the order they come in `runs`, which
     /// within a run is ascending; then the same on the swap device for the
     /// slots of `slots`. The freed frames of a call go back together —
-    /// under one pool acquisition with the magazine off, pushed one by one
-    /// (draining when overfull) with it on — and each is charged
-    /// `frame_free`, while `mem.frame_free` is counted once for all of
-    /// them. A teardown hands in a leaf node's frames at a time, so the
+    /// under one pool acquisition on a one-cell machine, parked on a cell
+    /// that shares its pool (taking the pool once if that overfills the
+    /// stack) — and each is charged `frame_free`, while `mem.frame_free`
+    /// is counted once for all of them. A teardown hands in a leaf node's frames at a time, so the
     /// pool lock is taken per node, not per frame; the buddy's state after
     /// a set of frees does not depend on their order, so batching moves no
     /// later allocation.
@@ -736,17 +658,8 @@ impl PhysMemory {
         });
         let freed = released.len() as u64;
         if freed > 0 {
-            match self.cache.as_mut() {
-                None => {
-                    self.drawn -= freed;
-                    self.pool.free_many(&released);
-                }
-                Some(cache) => {
-                    for &pfn in &released {
-                        self.drawn -= cache.park(pfn, &mut self.pool);
-                    }
-                }
-            }
+            self.drawn -= freed;
+            self.pool.give_back(&released);
             cycles.charge_n(self.cost.frame_free, freed);
             metrics::add("mem.frame_free", freed);
             released.clear();
@@ -784,8 +697,8 @@ impl PhysMemory {
     /// zeroed frames for one 2 MiB huge mapping, returning the head frame.
     /// Every frame of the run has its own reference count and can be freed
     /// individually (demotion hands each page its own PTE), so the run is
-    /// taken with [`BuddyAllocator::alloc_run`], bypassing the magazine —
-    /// contiguity is the whole point.
+    /// taken with [`BuddyAllocator::alloc_run`], not out of the reserved
+    /// block or the parked frames — contiguity is the whole point.
     ///
     /// Fails with [`MemError::Fragmented`] when no aligned run exists; the
     /// caller falls back to small pages. No fault site is crossed here —
@@ -1125,22 +1038,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_is_cheaper_than_global_alloc_and_refill_batches() {
-        let cost = CostModel::default();
-        let (mut p, mut c) = pm(1024);
-        p.enable_frame_cache(8);
-        let before = c.total();
-        p.alloc_zeroed(&mut c).unwrap(); // miss: one batched refill
-        let refill_cost = c.total() - before;
-        assert_eq!(refill_cost, cost.frame_cache_refill + cost.page_zero);
-        assert_eq!(p.cached_frames(), 7, "batch of 8 minus the one returned");
-        let before = c.total();
-        p.alloc_zeroed(&mut c).unwrap(); // hit
-        assert_eq!(c.total() - before, cost.frame_cache_hit + cost.page_zero);
-        assert!(cost.frame_cache_hit < cost.frame_alloc);
-    }
-
-    #[test]
     fn huge_run_is_aligned_contiguous_and_individually_freeable() {
         let (mut p, mut c) = pm(2048);
         let head = p.alloc_zeroed_huge_run(&mut c).unwrap();
@@ -1243,54 +1140,88 @@ mod tests {
         assert_eq!(p.stall_cycles_total(), 350);
     }
 
-    #[test]
-    fn cache_disabled_costs_are_identical_to_plain_path() {
-        let cost = CostModel::default();
-        let (mut p, mut c) = pm(64);
-        p.alloc_zeroed(&mut c).unwrap();
-        assert_eq!(c.total(), cost.frame_alloc + cost.page_zero);
+    /// A cell of its own over a fresh pool of `frames`, as an SMP machine
+    /// builds each of its cells.
+    fn shared(frames: u64) -> (PhysMemory, Cycles) {
+        (PhysMemory::new_cell(Arc::new(SharedFramePool::new(frames)), CostModel::default()), Cycles::new())
     }
 
     #[test]
-    fn cached_frames_count_as_free_and_drain_on_disable() {
-        let (mut p, mut c) = pm(64);
-        p.enable_frame_cache(8);
+    fn a_shared_cell_and_a_one_cell_machine_charge_the_same() {
+        let (mut one, mut c1) = pm(4_096);
+        let (mut cell, mut c2) = shared(4_096);
+        let mut rng = fpr_rng::Rng::seed_from_u64(0xC057);
+        let mut held: [Vec<Pfn>; 2] = [Vec::new(), Vec::new()];
+        for step in 0..2_000 {
+            if held[0].is_empty() || rng.gen_bool(0.55) {
+                held[0].push(one.alloc_zeroed(&mut c1).unwrap());
+                held[1].push(cell.alloc_zeroed(&mut c2).unwrap());
+            } else {
+                let k = rng.gen_index(held[0].len());
+                let [a, b] = held.each_mut().map(|frames| frames.swap_remove(k));
+                assert_eq!((one.dec_ref(a, &mut c1), cell.dec_ref(b, &mut c2)), (Ok(true), Ok(true)));
+            }
+            assert_eq!(c1.total(), c2.total(), "step {step}");
+            assert_eq!(one.used_frames(), cell.used_frames(), "step {step}");
+        }
+        assert_eq!(c1.total() % (one.cost().frame_alloc + one.cost().page_zero), 0);
+    }
+
+    #[test]
+    fn a_shared_cell_takes_back_the_frame_it_freed_without_the_pool() {
+        let (mut p, mut c) = shared(1_024);
         let f = p.alloc_zeroed(&mut c).unwrap();
-        assert_eq!(p.free_frames(), 63, "magazine frames are still free");
+        p.write_content(f, 9).unwrap();
+        assert_eq!(p.dec_ref(f, &mut c), Ok(true));
+        let locks = POOL_LOCKS.with(Cell::get);
+        let before = c.total();
+        assert_eq!(p.alloc_zeroed(&mut c), Ok(f), "the frame it parked");
+        assert_eq!(POOL_LOCKS.with(Cell::get), locks, "no pool acquisition");
+        assert_eq!(c.total() - before, p.cost().frame_alloc + p.cost().page_zero);
+        assert_eq!(p.content(f), Ok(0), "recycled frame must be zeroed");
+    }
+
+    #[test]
+    fn held_back_frames_count_as_free_and_drain_gives_them_back() {
+        let (mut p, mut c) = shared(64);
+        let f = p.alloc_zeroed(&mut c).unwrap();
+        assert_eq!(p.free_frames(), 63, "reserved frames are still free");
         assert_eq!(p.used_frames(), 1);
         p.dec_ref(f, &mut c).unwrap();
         assert_eq!(p.used_frames(), 0);
-        p.disable_frame_cache();
-        assert_eq!(p.cached_frames(), 0);
-        assert_eq!(p.free_frames(), 64, "drain returned everything to buddy");
+        assert_eq!((p.drawn_frames(), p.free_frames()), (64, 64), "parked frames are still free");
+        p.drain();
+        assert_eq!(p.drawn_frames(), 0);
+        assert_eq!(p.pool.shared.free_frames(), 64, "drain returned everything to buddy");
     }
 
     #[test]
-    fn dry_pool_with_empty_magazine_is_oom() {
-        let (mut p, mut c) = pm(8);
-        p.enable_frame_cache(8);
-        // The first refill parks the whole pool in the magazine; the
-        // magazine then serves every remaining frame.
+    fn dry_pool_with_nothing_parked_is_oom() {
+        let (mut p, mut c) = shared(8);
+        // The first reservation holds back the whole pool; the block then
+        // serves every remaining frame.
         for _ in 0..8 {
             p.alloc_zeroed(&mut c).unwrap();
         }
+        assert_eq!(p.pool.shared.free_frames(), 0);
         assert_eq!(p.alloc_zeroed(&mut c), Err(MemError::OutOfMemory));
         assert_eq!(p.used_frames(), 8);
     }
 
     #[test]
-    fn overfull_magazine_drains_a_batch_back_to_the_pool() {
-        let (mut p, mut c) = pm(64);
-        let held: Vec<Pfn> = (0..17).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
-        p.enable_frame_cache(8);
-        for f in held {
+    fn an_overfull_stack_gives_all_but_a_batch_back_to_the_pool() {
+        let (mut p, mut c) = shared(1_024);
+        let held: Vec<Pfn> = (0..2 * SHARED_BATCH + 1).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        let frees = POOL_FREES.with(Cell::get);
+        for &f in &held {
             p.dec_ref(f, &mut c).unwrap();
         }
-        // The 17th free overfilled the magazine (> 2 × batch): one batch
-        // went back to the pool, the rest stay parked.
-        assert_eq!(p.cached_frames(), 9);
-        assert_eq!(p.drawn_frames(), 9);
-        assert_eq!(p.free_frames(), 64);
+        // The 129th free overfilled the stack (> 2 × 64): under one
+        // acquisition all but the 64 parked first went back, with the rest
+        // of the reserved block.
+        assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+        assert_eq!(p.pool.parked.as_deref(), Some(&held[..SHARED_BATCH as usize]));
+        assert_eq!((p.drawn_frames(), p.free_frames()), (SHARED_BATCH, 1_024));
     }
 
     /// Σ cell.drawn + pool.free == pool.total — the conservation law the
@@ -1315,16 +1246,16 @@ mod tests {
         assert_ne!(fa, fb, "cells never hand out the same frame");
         assert_eq!(a.used_frames(), 1);
         assert_eq!(b.used_frames(), 1);
-        // Each cell's first allocation pulled a whole magazine batch.
-        assert_eq!(a.drawn_frames(), CELL_MAGAZINE_BATCH);
+        // Each cell's first allocation reserved a block of 64.
+        assert_eq!(a.drawn_frames(), SHARED_BATCH);
         assert_conserved(&pool, &[&a, &b]);
         a.dec_ref(fa, &mut c).unwrap();
         b.dec_ref(fb, &mut c).unwrap();
         assert_eq!(a.used_frames(), 0);
         assert_eq!(b.used_frames(), 0);
         assert_conserved(&pool, &[&a, &b]);
-        a.disable_frame_cache();
-        b.disable_frame_cache();
+        a.drain();
+        b.drain();
         assert_eq!(a.drawn_frames(), 0);
         assert_eq!(pool.free_frames(), 1024, "everything returned");
     }
@@ -1352,9 +1283,9 @@ mod tests {
     }
 
     #[test]
-    fn two_cells_without_magazines_hold_back_a_block_each_and_conserve_frames() {
+    fn two_shared_cells_hold_back_a_block_each_and_conserve_frames() {
         let pool = Arc::new(SharedFramePool::new(3_000));
-        let mut cells = [0, 1].map(|_| PhysMemory::over(Arc::clone(&pool), CostModel::free()));
+        let mut cells = [0, 1].map(|_| PhysMemory::new_cell(Arc::clone(&pool), CostModel::free()));
         let mut held: [Vec<Pfn>; 2] = [Vec::new(), Vec::new()];
         let mut rng = fpr_rng::Rng::seed_from_u64(0xCE11);
         let (mut c, mut both) = (Cycles::new(), 0);
@@ -1369,8 +1300,8 @@ mod tests {
                 let pfn = held[i].swap_remove(rng.gen_index(held[i].len()));
                 assert_eq!(cells[i].dec_ref(pfn, &mut c), Ok(true), "step {step}");
             }
-            assert!(cells.iter().all(|cell| cell.pool.held_back() <= HUGE_PAGES), "step {step}");
-            both += u64::from(cells.iter().all(|cell| cell.pool.held_back() > 0));
+            assert!(cells.iter().all(|cell| cell.pool.held_back() <= 3 * SHARED_BATCH), "step {step}");
+            both += u64::from(cells.iter().all(|cell| cell.pool.left.start < cell.pool.left.end));
             assert_conserved(&pool, &[&cells[0], &cells[1]]);
         }
         assert!(both > 100, "both cells held a block back at once: {both} steps");
@@ -1378,7 +1309,7 @@ mod tests {
         assert!(a.iter().all(|pfn| !b.contains(pfn)), "cells never hand out the same frame");
         for (cell, frames) in cells.iter_mut().zip(held) {
             frames.into_iter().for_each(|pfn| _ = cell.dec_ref(pfn, &mut c).unwrap());
-            cell.disable_frame_cache();
+            cell.drain();
             assert_eq!(cell.drawn_frames(), 0);
         }
         assert_eq!(pool.free_frames(), 3_000, "everything returned");
@@ -1409,23 +1340,24 @@ mod tests {
 
     #[test]
     fn shared_cell_exhaustion_is_machine_wide() {
-        let pool = Arc::new(SharedFramePool::new(CELL_MAGAZINE_BATCH));
+        let pool = Arc::new(SharedFramePool::new(SHARED_BATCH));
         let mut a = PhysMemory::new_cell(Arc::clone(&pool), CostModel::free());
         let mut b = PhysMemory::new_cell(Arc::clone(&pool), CostModel::free());
         let mut c = Cycles::new();
-        // Cell A drains the whole pool into its magazine and uses it up.
+        // Cell A reserves the whole pool as one block and uses it up.
         let mut held = Vec::new();
-        for _ in 0..CELL_MAGAZINE_BATCH {
+        for _ in 0..SHARED_BATCH {
             held.push(a.alloc_zeroed(&mut c).unwrap());
         }
         assert_eq!(pool.free_frames(), 0);
-        // Cell B sees a dry machine (its own magazine is empty and it
+        // Cell B sees a dry machine (nothing of its own is parked and it
         // cannot reach into A's).
         assert_eq!(b.alloc_zeroed(&mut c), Err(MemError::OutOfMemory));
-        // A freeing one frame parks it in A's magazine; only a drain or
-        // disable returns it to the pool where B can see it.
+        // A freeing one frame parks it; only a drain returns it to the pool
+        // where B can see it.
         a.dec_ref(held.pop().unwrap(), &mut c).unwrap();
-        a.disable_frame_cache();
+        assert_eq!(pool.free_frames(), 0);
+        a.drain();
         assert_eq!(pool.free_frames(), 1);
         let f = b.alloc_zeroed(&mut c).unwrap();
         b.dec_ref(f, &mut c).unwrap();
@@ -1521,20 +1453,22 @@ mod tests {
 
     #[test]
     fn frames_a_release_frees_go_back_in_the_order_they_came_together() {
-        // With the magazine on, the order the frames were freed in is the
-        // order they were parked in.
-        let (mut p, mut c) = holding(1040);
-        p.enable_frame_cache(1024);
+        // On a cell that shares its pool, the order the frames were freed
+        // in is the order they are parked in.
+        let (mut p, mut c) = shared(2 * TABLE_CHUNK as u64);
+        for pfn in 0..1040 {
+            assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(pfn)), "the buddy hands out low frames first");
+        }
         p.retain(std::iter::once(1020..1022), []).unwrap();
         let runs = [1030..1034, 1018..1026];
         let (freed, charged, counted) = freeing(&mut p, &runs, &mut c);
         // 1020 and 1021 were held twice: they stay.
         let expect: Vec<Pfn> = [1030, 1031, 1032, 1033, 1018, 1019, 1022, 1023, 1024, 1025].map(Pfn).to_vec();
         assert_eq!((freed, charged, counted), (Ok(10), 10 * p.cost().frame_free, 10));
-        assert_eq!(p.cache.as_ref().unwrap().frames, expect);
+        assert_eq!(p.pool.parked, Some(expect));
         assert_eq!(counts(&p, 1020..1022), [Ok(1); 2]);
-        // With it off, the pool is taken once for the call.
-        p.disable_frame_cache();
+        // On a one-cell machine, the pool is taken once for the call.
+        let (mut p, mut c) = holding(1040);
         let frees = POOL_FREES.with(Cell::get);
         assert_eq!(freeing(&mut p, &[900..1001, 1026..1030, 5..6], &mut c).0, Ok(106));
         assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
@@ -1581,34 +1515,21 @@ mod tests {
     }
 
     #[test]
-    fn a_huge_block_is_one_run_with_the_magazine_on_and_off() {
-        for magazine in [false, true] {
-            let (mut p, mut c) = pm(4 * HUGE_PAGES);
-            if magazine {
-                p.enable_frame_cache(CELL_MAGAZINE_BATCH);
-            }
+    fn a_huge_block_is_one_run_on_either_kind_of_cell() {
+        for (mut p, mut c) in [pm(4 * HUGE_PAGES), shared(4 * HUGE_PAGES)] {
             p.alloc_zeroed(&mut c).unwrap();
             let head = p.alloc_zeroed_huge_run(&mut c).unwrap();
             let frees = POOL_FREES.with(Cell::get);
-            let parked = |p: &PhysMemory| p.cache.as_ref().map(|m| m.frames.clone());
-            let mut expect = parked(&p);
             let block = head.0..head.0 + HUGE_PAGES;
             let (freed, charged, counted) = freeing(&mut p, std::slice::from_ref(&block), &mut c);
             assert_eq!((freed, charged, counted), (Ok(HUGE_PAGES), HUGE_PAGES * p.cost().frame_free, HUGE_PAGES));
-            assert_eq!(p.used_frames(), 1, "magazine {magazine}");
-            if let Some(expect) = expect.as_mut() {
-                // Parked in ascending order, a batch drained whenever the
-                // magazine overfilled: what freeing frame by frame left.
-                for pfn in block.clone().map(Pfn) {
-                    expect.push(pfn);
-                    if expect.len() as u64 > 2 * CELL_MAGAZINE_BATCH {
-                        expect.truncate(expect.len() - CELL_MAGAZINE_BATCH as usize);
-                    }
-                }
-                assert_eq!(parked(&p), Some(expect.clone()));
-            } else {
-                assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
-                assert_eq!(p.free_frames(), 4 * HUGE_PAGES - 1);
+            assert_eq!(p.used_frames(), 1);
+            // One acquisition for the block: all of it back on a one-cell
+            // machine, all but the first 64 parked on a shared cell.
+            assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+            assert_eq!(p.free_frames(), 4 * HUGE_PAGES - 1);
+            if let Some(parked) = &p.pool.parked {
+                assert!(parked.iter().map(|pfn| pfn.0).eq(head.0..head.0 + SHARED_BATCH));
             }
         }
     }
