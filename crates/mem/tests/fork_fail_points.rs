@@ -26,12 +26,17 @@
 //! and `PtDemote`, one digest over all of it. Last, `munmap`, `discard` and
 //! `mprotect` ([`RANGES`]) over a space with a block, nodes an on-demand fork
 //! shares and swap entries ([`range_world`]), pinned the same way: what they
-//! charge, flush and leave.
+//! charge, flush and leave. And `populate` ([`POPULATES`]) over the holes of
+//! that space and over a file mapping of a space of its own
+//! ([`file_world`]), with a digest of its own that folds the frame and
+//! demand-fill counters it moves and what every page holds besides.
 
-use fpr_faults::{sweep, FaultTrace, Point};
+use fpr_faults::{sweep, FaultSite, FaultTrace, Point};
 use fpr_mem::address_space::{heap_vma, ForkMode};
-use fpr_mem::{AddressSpace, CostModel, Cycles, MemError, Pfn, PhysMemory, Prot, Pte, Share};
+use fpr_mem::{AddressSpace, Backing, CostModel, Cycles, MemError, Pfn, PhysMemory, Prot, Pte, Share};
 use fpr_mem::{TlbModel, VmArea, VmaKind, Vpn};
+use fpr_trace::metrics;
+use std::cell::Cell;
 
 const FRAMES: u64 = 128;
 const SWAP_SLOTS: u64 = 4;
@@ -452,10 +457,10 @@ fn fold_pair(run: &PairRun, d: &mut Digest) {
     let (result, charged) = &run.result;
     match result {
         Ok(moved) => [0, *moved],
-        Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress]
+        Err(e) => [1, [MemError::OutOfMemory, MemError::NotMapped, MemError::Overlap, MemError::BadAddress, MemError::SwapIo]
             .iter()
             .position(|known| known == e)
-            .unwrap_or_else(|| panic!("no slide or range operation fails with {e:?}")) as u64],
+            .unwrap_or_else(|| panic!("no slide, range operation or populate fails with {e:?}")) as u64],
     }
     .into_iter()
     .for_each(|w| d.word(w));
@@ -652,4 +657,127 @@ fn every_range_operation_fail_point_leaves_what_it_left_before() {
     }
     // Obtained from the range operations that go entry by entry.
     assert_eq!((fail_points, digest.0), (16, 0x19db_75e8_4cf0_b48d), "got ({fail_points}, {:#x})", digest.0);
+}
+
+// ---------------------------------------------------------------- populate
+
+/// `(start, pages, THP)` over [`range_world`]: `populate` over the holes of
+/// node 1, which the fork shares, so the space unshares it first; over the
+/// `MAP_SHARED` holes of node 2; over node 3, whose swap entries 1538 and
+/// 1541 are swapped in; and from node 1 to node 3, which fills node 1 and
+/// node 2's holes and stops with `NotMapped` at 1040, where no mapping is —
+/// each with THP on and off.
+const POPULATES: [(u64, u64, bool); 8] = [
+    (520, 504, true),
+    (520, 504, false),
+    (1028, 12, true),
+    (1028, 12, false),
+    (1536, 9, true),
+    (1536, 9, false),
+    (512, 1033, true),
+    (512, 1033, false),
+];
+
+/// A space with one file-backed private mapping, 700..1100 across nodes 1
+/// and 2, of which 700..704 and 1030..1034 were read in, and an on-demand
+/// fork of it that shares both nodes: what a populate fills with
+/// `alloc_filled`, each page its stamp.
+fn file_world() -> Pair {
+    let mut phys = PhysMemory::new(SLIDE_FRAMES, CostModel::default());
+    let (mut cycles, mut tlb, mut space) = (Cycles::new(), TlbModel::new(), AddressSpace::new());
+    let backing = Backing::File { file_id: 7, page_offset: 3 };
+    let file = VmArea { backing, ..VmArea::anon(Vpn(700), 400, Prot::RW, VmaKind::Data) };
+    space.mmap(file, &mut phys, &mut cycles).unwrap();
+    for vpn in [700..704, 1030..1034].into_iter().flatten() {
+        space.read(Vpn(vpn), &mut phys, &mut cycles).unwrap();
+    }
+    let fork = AddressSpace::fork_from(&mut space, ForkMode::OnDemand, &mut phys, &mut cycles, &mut tlb, 1).unwrap();
+    assert_eq!((space.resident_pages(), space.stats.pt_subtrees_shared), (8, 2));
+    Pair { phys, cycles, tlb, space, fork }
+}
+
+/// The file mapping whole, THP on and off.
+const FILE_POPULATES: [(u64, u64, bool); 2] = [(700, 400, true), (700, 400, false)];
+
+/// Populates a range of `w`'s space, keeping in `counted` what the call
+/// added to `mem.frame_alloc` and `mem.fault.demand_fill`.
+fn populate(w: &mut Pair, (start, pages, thp): (u64, u64, bool), counted: &Cell<[u64; 2]>) -> (Result<u64, MemError>, u64) {
+    let read = || {
+        let now = metrics::snapshot();
+        [now.counter("mem.frame_alloc"), now.counter("mem.fault.demand_fill")]
+    };
+    let before = read();
+    let out = charged(w, |w| {
+        w.space.set_thp(thp);
+        w.space.populate(Vpn(start), pages, &mut w.phys, &mut w.cycles).map(|()| 0)
+    });
+    let after = read();
+    counted.set([after[0] - before[0], after[1] - before[1]]);
+    out
+}
+
+/// Folds what [`fold_range`] does, the counters a populate moves and what
+/// every page of the space holds.
+fn fold_populate(run: &PairRun, counted: [u64; 2], d: &mut Digest) {
+    fold_range(run, d);
+    counted.into_iter().for_each(|w| d.word(w));
+    let Pair { phys, space, .. } = &run.world;
+    for (vpn, _) in mapped(space) {
+        d.word(space.observe(Vpn(vpn), phys).unwrap());
+    }
+}
+
+/// Sweeps `populate` over each case on the worlds `build` makes, folding
+/// every run into `digest`; returns the number of fail points.
+fn populate_points(build: fn() -> Pair, cases: &[(u64, u64, bool)], digest: &mut Digest) -> u64 {
+    let untouched = build();
+    let (before, fork_before) = (mapped(&untouched.space), layout(&untouched.fork));
+    let held: Vec<u64> = before.iter().map(|&(vpn, _)| vpn).collect();
+    let mut fail_points = 0;
+    for &case in cases {
+        let (start, pages, _) = case;
+        // The pages the populate has to fill, in the order it fills them.
+        let holes: Vec<u64> = (start..start + pages)
+            .filter(|&vpn| untouched.space.vma_at(Vpn(vpn)).is_some() && !held.contains(&vpn))
+            .collect();
+        let counted = Cell::new([0; 2]);
+        let passive = unobserved(build(), |w| populate(w, case, &counted));
+        let passive_counted = counted.get();
+        fold_populate(&passive, passive_counted, digest);
+        let points = sweep(None, build, |w| populate(w, case, &counted), |run| {
+            let filled: Vec<u64> = mapped(&run.world.space)
+                .into_iter()
+                .map(|(vpn, _)| vpn)
+                .filter(|vpn| !held.contains(vpn))
+                .collect();
+            if let Some(fault) = run.fault {
+                let k = fault.global_index;
+                // A swap-in's device error is an I/O error, every other an
+                // allocation's.
+                let refusal = if fault.site == FaultSite::SwapIn { MemError::SwapIo } else { MemError::OutOfMemory };
+                assert_eq!(run.result.0, Err(refusal), "{case:?} point {k}");
+                assert_eq!(run.trace.len() as u64, k + 1, "{case:?} point {k}: the populate went on");
+                // The pages before the refused one stay filled, and no other.
+                assert_eq!(filled[..], holes[..filled.len()], "{case:?} point {k}");
+                assert_eq!(layout(&run.world.fork), fork_before, "{case:?} point {k}: the fork saw it");
+            } else {
+                assert_eq!(passive.result, run.result, "{case:?}: the verdict depends on who listens");
+                assert_eq!(passive_counted, counted.get(), "{case:?}");
+                assert_eq!(mapped(&passive.world.space), mapped(&run.world.space), "{case:?}");
+            }
+            fold_populate(&run, counted.get(), digest);
+            finish_pair(run);
+        });
+        finish_pair(passive);
+        fail_points += points.len() as u64;
+    }
+    fail_points
+}
+
+#[test]
+fn every_populate_fail_point_leaves_what_it_left_before() {
+    let mut digest = Digest::new();
+    let fail_points = populate_points(range_world, &POPULATES, &mut digest) + populate_points(file_world, &FILE_POPULATES, &mut digest);
+    // Obtained from the populate that demand-fills page by page.
+    assert_eq!((fail_points, digest.0), (5618, 0x6860_fcb2_8fba_773d), "got ({fail_points}, {:#x})", digest.0);
 }
