@@ -71,7 +71,13 @@ doclinks:
 # unnoticed — the same again for a THP parent, per mode — and, a digest
 # each, the same for fourteen slides of `slide_vma` and for `munmap`,
 # `discard` and `mprotect` over ranges that cut a block, cover or straddle
-# a node a fork shares and hold swap entries. alloc_census counts what a
+# a node a fork shares and hold swap entries — and, in a digest of its own
+# that folds the frame and demand-fill counters too, for `populate` over
+# the holes of that space and over a file mapping, so that populate may go
+# a node's run at a time but not move a fail point; fork_shape, in
+# release, holds a 16 384-page populate within 16 fork(Cow)s of what it
+# built and no dearer per page than at 1 024 pages, and counts a FrameAlloc
+# then a PtNodeAlloc crossing and a frame's charges per page. alloc_census counts what a
 # steady-state request of each creation path asks of the host allocator:
 # the same on two runs, nothing of a page or more (page-table nodes are
 # recycled), a warm-pool checkout within 24 allocations; it runs in
@@ -97,6 +103,7 @@ leakcheck:
 	$(CARGO) test -q -p fpr-mem --test proptest_reference
 	$(CARGO) test -q -p fpr-mem --test buddy_reference
 	$(CARGO) test -q -p fpr-mem --test fork_fail_points
+	$(CARGO) test --release -q -p fpr-mem --test fork_shape
 	$(CARGO) test --release -q -p fpr-api --test alloc_census
 	$(CARGO) test -q -p forkroad-core --test process_table_reference
 	$(CARGO) test -q -p forkroad-core --test pressure_property

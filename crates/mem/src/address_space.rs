@@ -800,6 +800,20 @@ impl AddressSpace {
 
     /// Pre-faults every page of `[start, start+pages)` (like
     /// `MAP_POPULATE` / `mlock`), making them resident.
+    ///
+    /// With THP on, an aligned 2 MiB window the range covers whole is
+    /// first offered to a huge block. Otherwise the range goes a leaf
+    /// node's run at a time — the stretch of a node one mapping covers:
+    /// one walk, one unshare, one VMA lookup and one update of the node's
+    /// counts a run, and for each empty entry of it the frame, the charges
+    /// and the crossings a demand fault would make, in a fault's order. A
+    /// swap entry swaps in on its own, one at a time. Every frame, charge
+    /// and crossing is the one filling page by page would make.
+    ///
+    /// On `Err` — an injected failure, the pool dry, a page no mapping
+    /// covers — the pages before the one that failed stay resident, and
+    /// the frame taken for that one, if any, is given back: the prefix
+    /// rule.
     pub fn populate(
         &mut self,
         start: Vpn,
@@ -807,27 +821,25 @@ impl AddressSpace {
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
     ) -> MemResult<()> {
-        let mut i = 0;
-        while i < pages {
-            let vpn = start.add(i);
+        let end = start.0.saturating_add(pages);
+        let mut vpn = start;
+        while vpn.0 < end {
             if self.thp
                 && vpn.is_huge_aligned()
-                && pages - i >= HUGE_PAGES
+                && end - vpn.0 >= HUGE_PAGES
                 && self.try_populate_huge(vpn, phys, cycles)?
             {
-                i += HUGE_PAGES;
+                vpn = vpn.add(HUGE_PAGES);
                 continue;
             }
-            match self.lookup(vpn) {
+            vpn = match self.lookup(vpn) {
                 (Some(slot), Some(pte)) if pte.is_swap() => {
                     self.swap_in(vpn, pte, slot, false, phys, cycles)?;
+                    vpn.add(1)
                 }
-                (_, Some(_)) => {}
-                (slot, None) => {
-                    self.demand_fill(vpn, slot, false, phys, cycles)?;
-                }
-            }
-            i += 1;
+                (_, Some(_)) => vpn.add(1),
+                (slot, None) => self.demand_fill(vpn, end, slot, false, phys, cycles)?.1,
+            };
         }
         Ok(())
     }

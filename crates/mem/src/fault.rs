@@ -15,6 +15,7 @@ use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
 use crate::vma::Share;
+use fpr_faults::FaultSite;
 use fpr_trace::metrics;
 use fpr_trace::sink;
 use fpr_trace::{Phase, TraceEvent};
@@ -38,20 +39,40 @@ pub enum FaultOutcome {
 const WRITTEN: PteFlags = PteFlags::DIRTY.union(PteFlags::ACCESSED);
 
 impl AddressSpace {
-    /// Installs the initial frame for an untouched page (demand-zero or
-    /// file fill) and returns its PTE. `slot` is what the caller's lookup
-    /// found covering `vpn`; `written` says the fault was a store, which
-    /// leaves the new entry dirty.
+    /// Fills a run: the empty entries of the small-PTE node covering
+    /// `vpn` from `vpn` — which the caller's lookup found empty, in `slot`
+    /// if that found one — up to `end`, the end of `vpn`'s mapping or the
+    /// end of the node if either comes first, with frames demand-zeroed or
+    /// read from the mapping's file. It goes past the entries there are and
+    /// stops short of a swap entry, which swaps in on its own. Returns the
+    /// PTE it gave `vpn` and the page it stopped at; a fault is a run of
+    /// one page, a populate one a node at a time. `written` says the fault
+    /// was a store, which leaves the new entry dirty.
+    ///
+    /// Once per run: the VMA lookup, the unshare of a node an on-demand
+    /// fork shares — installing into it would mutate the shared node — and
+    /// the walk to the node, which allocates it and its path where mapping
+    /// one page (`map_at`) would: once the first entry's frame is taken and
+    /// its `PtNodeAlloc` crossed. Per entry, in
+    /// a fault's order: the [`fpr_faults::FaultSite::FrameAlloc`]
+    /// crossing, the frame and its charges, the `PtNodeAlloc` crossing, the
+    /// word, and a `demand_fill` instant if a sink listens. Then, once
+    /// again, the node's maps and counts, the counters, and a promotion if
+    /// the run completed a 2 MiB block. A refusal at a page — a crossing,
+    /// or the pool dry — leaves the pages before it mapped (the prefix
+    /// rule) and gives its frame back, if it had one.
     pub(crate) fn demand_fill(
         &mut self,
         vpn: Vpn,
+        end: u64,
         slot: Option<Slot>,
         written: bool,
         phys: &mut PhysMemory,
         cycles: &mut Cycles,
-    ) -> MemResult<Pte> {
+    ) -> MemResult<(Pte, Vpn)> {
         let vma = self.vma_at(vpn).ok_or(MemError::NotMapped)?;
-        let content = vma.initial_content(vpn);
+        let base = vpn.huge_base().0;
+        let end = end.min(vma.end().0).min(base + HUGE_PAGES);
         let mut flags = PteFlags::USER | PteFlags::ACCESSED;
         if vma.prot.write {
             flags = flags | PteFlags::WRITABLE;
@@ -62,35 +83,53 @@ impl AddressSpace {
         if vma.share == Share::Shared {
             flags = flags | PteFlags::SHARED;
         }
-        // An absent PTE can still sit inside a leaf subtree that an
-        // on-demand fork shares with another space; installing it would
-        // mutate the shared node. Privatize first. The node swap preserves
-        // every existing translation bit-for-bit, so no TLB invalidation
-        // is needed (the TLB caches leaf translations, not subtree
-        // pointers, at this model's granularity).
+        let vma = vma.clone();
+        // The node swap of an unshare preserves every existing translation
+        // bit-for-bit, so no TLB invalidation is needed (the TLB caches leaf
+        // translations, not subtree pointers, at this model's granularity).
         if let Some(slot) = slot {
             self.unshare_at(slot, phys, cycles)?;
         }
-        let pfn = if content == 0 {
-            phys.alloc_zeroed(cycles)?
-        } else {
-            phys.alloc_filled(content, cycles)?
-        };
-        let pte = Pte::new(pfn, flags);
-        let at = match self.pt.map_at(vpn, pte, slot, cycles, phys.cost()) {
-            Ok(at) => at,
-            Err(e) => {
-                // The freshly filled frame was never mapped; free it or the
-                // failed fault leaks a frame.
+        let listening = sink::is_active();
+        let mut taken = 0;
+        let mut entry = |vpn: Vpn, phys: &mut PhysMemory, cycles: &mut Cycles| {
+            let pfn = phys.fill_frame(vma.initial_content(vpn), cycles)?;
+            taken += 1;
+            if fpr_faults::cross(FaultSite::PtNodeAlloc).is_err() {
+                // The frame was never mapped; give it back or the refusal
+                // leaks it.
                 phys.dec_ref(pfn, cycles).expect("frame allocated above");
-                return Err(e);
+                return Err(MemError::OutOfMemory);
             }
+            Ok(Pte::new(pfn, flags))
         };
-        self.stats.demand_faults += 1;
-        metrics::incr("mem.fault.demand_fill");
-        sink::instant("demand_fill", "mem", cycles.total());
+        let filled = entry(vpn, phys, cycles).and_then(|pte| {
+            let at = self.pt.small_node_at(vpn, slot, cycles, phys.cost()).inspect_err(|_| {
+                phys.dec_ref(pte.pfn, cycles).expect("frame allocated above");
+            })?;
+            let mut first = Some(pte);
+            let run = vpn.pt_index(0)..(end - base) as usize;
+            let (stop, pages, refused) = self.pt.fill_run(at, run, |j| {
+                let pte = match first.take() {
+                    Some(pte) => pte,
+                    None => entry(Vpn(base + j as u64), phys, cycles)?,
+                };
+                if listening {
+                    sink::instant("demand_fill", "mem", cycles.total());
+                }
+                Ok(pte)
+            });
+            Ok((pte, at, stop, pages, refused))
+        });
+        phys.count_allocs(taken);
+        let (pte, at, stop, pages, refused) = filled?;
+        self.stats.demand_faults += pages;
+        metrics::add("mem.fault.demand_fill", pages);
+        // A refusal came before an empty entry of the node: no block was
+        // completed.
+        refused?;
         self.finish_fill(vpn, at, written, phys, cycles);
-        Ok(pte)
+        Ok((pte, Vpn(base + stop as u64)))
     }
 
     /// The tail of a fault that made the page at `vpn` resident, in the
@@ -175,7 +214,7 @@ impl AddressSpace {
             (_, Some(pte)) => Ok((phys.content(pte.pfn)?, FaultOutcome::Hit)),
             (slot, None) => {
                 cycles.charge(phys.cost().fault_entry);
-                let pte = self.demand_fill(vpn, slot, false, phys, cycles)?;
+                let (pte, _) = self.demand_fill(vpn, vpn.0 + 1, slot, false, phys, cycles)?;
                 Ok((phys.content(pte.pfn)?, FaultOutcome::DemandFill))
             }
         }
@@ -209,7 +248,7 @@ impl AddressSpace {
             (Some(slot), Some(pte)) => (slot, pte),
             (slot, _) => {
                 cycles.charge(fault_entry);
-                let pte = self.demand_fill(vpn, slot, true, phys, cycles)?;
+                let (pte, _) = self.demand_fill(vpn, vpn.0 + 1, slot, true, phys, cycles)?;
                 phys.write_content(pte.pfn, value)?;
                 return Ok(FaultOutcome::DemandFill);
             }

@@ -418,6 +418,7 @@ const FLAG_BITS: u32 = 16;
 const WRITABLE: u64 = PteFlags::WRITABLE.0 as u64;
 const COW: u64 = PteFlags::COW.0 as u64;
 const SHARED: u64 = PteFlags::SHARED.0 as u64;
+const PRESENT: u64 = PteFlags::PRESENT.0 as u64;
 
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
@@ -667,6 +668,48 @@ impl LeafNode {
         self.occupied = self.occupied.minus(held);
         self.present = self.present.minus(held);
         cleared
+    }
+
+    /// Writes an entry into each empty position of `range`, ascending, as
+    /// `entry` makes it for that position, going past the entries there
+    /// are and stopping before a swap entry or at the first position
+    /// `entry` refuses; brings the maps and the counts up to date once.
+    /// Returns the position it stopped at — `range.end` if it went through
+    /// — how many entries it wrote, and the refusal. What a run of demand
+    /// fills writes: a present entry each.
+    #[inline]
+    pub(crate) fn fill_run(&mut self, range: Range<usize>, mut entry: impl FnMut(usize) -> MemResult<Pte>) -> (usize, u64, MemResult<()>) {
+        let (mut filled, mut written, mut private) = (Occupancy::default(), 0, 0);
+        let mut at = range.start;
+        let result = loop {
+            if at == range.end {
+                break Ok(());
+            }
+            match self.words[at] {
+                0 => {}
+                word if word & PRESENT == 0 => break Ok(()),
+                _ => {
+                    at += 1;
+                    continue;
+                }
+            }
+            let pte = match entry(at) {
+                Ok(pte) => pte,
+                Err(e) => break Err(e),
+            };
+            debug_assert!(pte.is_present(), "a fill writes a present entry");
+            assert!(pte.pfn.0 >> (64 - FLAG_BITS) == 0, "frame number too wide for a PTE");
+            let word = Self::pack(pte);
+            self.words[at] = word;
+            filled.set(at);
+            private += private_writable(word) as u16;
+            (at, written) = (at + 1, written + 1);
+        };
+        self.occupied.merge(filled);
+        self.present.merge(filled);
+        self.counts.live += written;
+        self.counts.private_writable += private;
+        (at, written as u64, result)
     }
 
     /// Writes entry `j` — the one way an entry changes — and returns what
@@ -1212,11 +1255,7 @@ impl PageTable {
         // intermediate node anywhere along the walk. Crossing before any
         // mutation keeps the table untouched on injected failure.
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
-        let slot = match found {
-            Some(slot @ (.., SlotKind::Small)) => slot,
-            _ => self.small_node_for(vpn, cycles, cost)?,
-        };
-        debug_assert!(covers(slot, vpn), "map_at: slot {slot:?} does not cover {vpn:?}");
+        let slot = self.small_node_at(vpn, found, cycles, cost)?;
         let arc = self.leaf_at_mut(slot.1, slot.2);
         let idx0 = vpn.pt_index(0);
         if arc.get(idx0).is_some() {
@@ -1226,6 +1265,32 @@ impl PageTable {
         leaf.set(idx0, Some(pte));
         self.mapped += 1;
         Ok(slot)
+    }
+
+    /// The small-PTE node covering `vpn`: at `found`, what a caller's own
+    /// [`Self::find`] returned, if that is one, else [`Self::small_node_for`]
+    /// — the walk that allocates is the walk that finds.
+    pub(crate) fn small_node_at(&mut self, vpn: Vpn, found: Option<Slot>, cycles: &mut Cycles, cost: &CostModel) -> MemResult<Slot> {
+        let slot = match found {
+            Some(slot @ (.., SlotKind::Small)) => slot,
+            _ => self.small_node_for(vpn, cycles, cost)?,
+        };
+        debug_assert!(covers(slot, vpn), "slot {slot:?} does not cover {vpn:?}");
+        Ok(slot)
+    }
+
+    /// [`LeafNode::fill_run`] on the small-PTE node at `slot`, which must
+    /// be this table's own, counting what it maps.
+    pub(crate) fn fill_run(
+        &mut self,
+        (_, node, idx, _): Slot,
+        range: Range<usize>,
+        entry: impl FnMut(usize) -> MemResult<Pte>,
+    ) -> (usize, u64, MemResult<()>) {
+        let leaf = Arc::get_mut(self.leaf_at_mut(node, idx)).expect("map into a shared leaf subtree (missed unshare)");
+        let filled = leaf.fill_run(range, entry);
+        self.mapped += filled.1;
+        filled
     }
 
     /// Walks to the small-PTE node covering `vpn`, allocating it and the
@@ -1800,10 +1865,7 @@ impl PageTable {
         if n == 0 {
             return Ok(());
         }
-        let dest = match found {
-            Some(slot @ (.., SlotKind::Small)) => slot,
-            _ => self.small_node_for(to, cycles, cost)?,
-        };
+        let dest = self.small_node_at(to, found, cycles, cost)?;
         // The source, where it is another node than the destination (a node
         // holds the pages it moves and those it moves to apart).
         let src = ((dest.1, dest.2) != (node, idx)).then(|| Arc::clone(self.leaf_at(node, idx)));

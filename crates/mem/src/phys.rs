@@ -273,6 +273,7 @@ impl CellPool {
     /// One frame: the last one parked, or the reserved block's next, or
     /// the first of the block the pool reserves once that one is handed
     /// out.
+    #[inline]
     fn take_one(&mut self) -> MemResult<Pfn> {
         if let Some(pfn) = self.parked.as_mut().and_then(Vec::pop) {
             return Ok(pfn);
@@ -534,6 +535,7 @@ impl PhysMemory {
 
     /// One frame, charged `frame_alloc`: the cell's last parked one, or
     /// its reserved block's next.
+    #[inline]
     fn take_frame(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
         let pfn = self.pool.take_one()?;
         self.drawn += 1;
@@ -717,8 +719,7 @@ impl PhysMemory {
         for pfn in run {
             self.set_frame(pfn, 0);
         }
-        self.frames_allocated_total += HUGE_PAGES;
-        metrics::add("mem.frame_alloc", HUGE_PAGES);
+        self.count_allocs(HUGE_PAGES);
         Ok(head)
     }
 
@@ -736,21 +737,30 @@ impl PhysMemory {
 
     /// Allocates a zeroed frame with reference count 1.
     pub fn alloc_zeroed(&mut self, cycles: &mut Cycles) -> MemResult<Pfn> {
-        fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
-        let pfn = self.take_frame(cycles)?;
-        cycles.charge(self.cost.page_zero);
-        self.hand_out(pfn, 0);
+        let pfn = self.fill_frame(0, cycles)?;
+        self.count_allocs(1);
         Ok(pfn)
     }
 
-    /// Allocates a frame holding `content` with reference count 1,
-    /// charging a file-read rather than a zero-fill.
-    pub(crate) fn alloc_filled(&mut self, content: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
+    /// A frame with reference count 1 holding `content`: zero-filled if
+    /// that is 0, charged `page_zero`, else read from its file, charged
+    /// `file_read_page` — a demand fill's frame. Crosses
+    /// [`FaultSite::FrameAlloc`] before it takes the frame. The allocation
+    /// statistics are left to [`Self::count_allocs`], which a run of fills
+    /// calls once for all of its frames.
+    #[inline]
+    pub(crate) fn fill_frame(&mut self, content: u64, cycles: &mut Cycles) -> MemResult<Pfn> {
         fpr_faults::cross(FaultSite::FrameAlloc).map_err(|_| MemError::OutOfMemory)?;
         let pfn = self.take_frame(cycles)?;
-        cycles.charge(self.cost.file_read_page);
-        self.hand_out(pfn, content);
+        cycles.charge(if content == 0 { self.cost.page_zero } else { self.cost.file_read_page });
+        self.set_frame(pfn, content);
         Ok(pfn)
+    }
+
+    /// Counts `n` frames handed out in the allocation statistics.
+    pub(crate) fn count_allocs(&mut self, n: u64) {
+        self.frames_allocated_total += n;
+        metrics::add("mem.frame_alloc", n);
     }
 
     /// A COW break's copy of `src`, which someone else holds too: a new
@@ -803,9 +813,8 @@ impl PhysMemory {
             Ok(())
         });
         let taken = copies.len() as u64;
-        self.frames_allocated_total += taken;
+        self.count_allocs(taken);
         self.pages_copied_total += taken;
-        metrics::add("mem.frame_alloc", taken);
         metrics::add("mem.page_copy", taken);
         if let Err(e) = copied {
             self.release(copies.iter().map(|pfn| pfn.0..pfn.0 + 1), [], cycles).expect("frames just taken");
@@ -830,8 +839,7 @@ impl PhysMemory {
     /// [`Self::set_frame`] plus the single-frame allocation statistics.
     fn hand_out(&mut self, pfn: Pfn, content: u64) {
         self.set_frame(pfn, content);
-        self.frames_allocated_total += 1;
-        metrics::incr("mem.frame_alloc");
+        self.count_allocs(1);
     }
 
     /// The chunk and in-chunk index of a frame this cell holds.
