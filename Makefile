@@ -119,10 +119,15 @@ leakcheck:
 # an Os::boot world PID for PID, cycle for cycle and in its baseline. smp_faults adds E17: the same storm under concurrent
 # fault injection (all contained, zero lock-order violations) and a
 # mid-storm cell fail-stop that must recover to a clean N-1 quiesce.
-# Release mode: the storms are the slow part.
+# vlock_contention holds the tally E16 reads to what real threads saw:
+# eight threads take one VLock with virtual work inside, and the lock's
+# stats() must equal the acquisitions across which a thread's clock
+# jumped and the sum of those jumps. Release mode: the storms are the
+# slow part.
 stress:
 	$(CARGO) test --release -q -p forkroad-core --test smp_stress
 	$(CARGO) test --release -q -p forkroad-core --test smp_faults
+	$(CARGO) test --release -q -p fpr-trace --test vlock_contention
 
 # `cargo test` compiles examples/ but runs none of them. They are the only
 # code that reaches the simulator through the `forkroad::` facade alone

@@ -65,10 +65,9 @@ fn flags_label(flags: CloneFlags) -> String {
 
 /// Clones the calling process/thread according to `flags`.
 pub fn clone(kernel: &mut Kernel, parent: Pid, flags: CloneFlags) -> KResult<CloneResult> {
-    kernel.timed_span(
+    kernel.span_with(
         "clone",
         "api",
-        "api.clone_cycles",
         |ev| {
             ev.arg("parent", parent.0 as u64)
                 .arg("flags", flags_label(flags))

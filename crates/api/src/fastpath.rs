@@ -502,10 +502,9 @@ pub fn spawn_fast(
     cache: &mut ImageCache,
     pool: &mut WarmPool,
 ) -> KResult<Pid> {
-    kernel.timed_span(
+    kernel.span_with(
         "spawn_fast",
         "api",
-        "api.spawn_fast_cycles",
         |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
         |kernel| {
             let hit = pool.checkout(

@@ -72,10 +72,9 @@ pub fn fork_from_thread(
     calling_tid: Tid,
     mode: ForkMode,
 ) -> KResult<(Pid, ForkStats)> {
-    kernel.timed_span(
+    kernel.span_with(
         "fork",
         "api",
-        "api.fork_cycles",
         |ev| {
             ev.arg("parent", parent.0 as u64)
                 .arg("mode", mode_name(mode))

@@ -106,10 +106,9 @@ pub fn posix_spawn_cached(
     aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<Pid> {
-    kernel.timed_span(
+    kernel.span_with(
         "spawn",
         "api",
-        "api.spawn_cycles",
         |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
         |kernel| {
             kernel.charge_syscall();

@@ -23,10 +23,9 @@ pub fn vfork(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
         files: true,
         ..CloneFlags::default()
     };
-    kernel.timed_span(
+    kernel.span_with(
         "vfork",
         "api",
-        "api.vfork_cycles",
         |ev| ev.arg("parent", parent.0 as u64),
         |kernel| clone_process(kernel, parent, flags),
     )

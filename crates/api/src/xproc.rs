@@ -165,10 +165,9 @@ impl ProcessBuilder {
         parent: Pid,
         registry: &ImageRegistry,
     ) -> KResult<Spawned> {
-        kernel.timed_span(
+        kernel.span_with(
             "xproc_spawn",
             "api",
-            "api.xproc_cycles",
             |ev| {
                 ev.arg("parent", parent.0 as u64)
                     .arg("path", self.image_path.as_str())

@@ -15,17 +15,18 @@
 //!   while doing less work per op: the fork-free design the paper
 //!   recommends composes with multicore instead of fighting it.
 //!
-//! Each arm also reports the named-lock contention counters
-//! ([`fpr_trace::metrics::lock_stats`]) accumulated during its measured
-//! window, so the figure can say *where* the serialized arms waited
-//! (mm vs pid vs buddy vs tlb). Single-threaded arms report zero
-//! contention by construction — a thread never waits on itself.
+//! Each arm also reports the contention its machine's locks counted
+//! ([`SmpOs::lock_stats`]) during its measured window, so the figure can
+//! say *where* the serialized arms waited (mm vs pid vs buddy vs tlb).
+//! Single-threaded arms report zero contention by construction — a
+//! thread never waits on itself.
 
 use crate::kit::{smp_machine, CreationPath, Work};
 use crate::smp::SmpOs;
 use fpr_kernel::Pid;
 use fpr_mem::ForkMode;
-use fpr_trace::{metrics, FigureData, ProcessShape, Series, TableData, CYCLES_PER_US};
+use fpr_trace::smp::LockStats;
+use fpr_trace::{FigureData, ProcessShape, Series, TableData, CYCLES_PER_US};
 use std::collections::BTreeMap;
 
 /// Thread counts swept by [`run`].
@@ -54,7 +55,7 @@ pub struct SmpPoint {
     /// `ops / wall`, in ops per virtual millisecond.
     pub throughput: f64,
     /// Per-lock contention accumulated during the measured window.
-    pub contention: BTreeMap<&'static str, metrics::LockStats>,
+    pub contention: BTreeMap<&'static str, LockStats>,
     /// Structural violations found after the run (must be empty).
     pub violations: usize,
 }
@@ -72,7 +73,9 @@ fn measure(
     smp: &SmpOs,
     f: impl Fn(usize, &SmpOs) + Send + Sync,
 ) -> SmpPoint {
-    metrics::reset_lock_stats();
+    // Setup can wait: the booting thread's clock restarts at zero after
+    // boot, behind the release stamps boot left on the PID shards.
+    let setup = smp.lock_stats();
     let elapsed = smp.run(threads, f);
     let wall = elapsed.into_iter().max().unwrap_or(0);
     let ops = OPS_PER_WORKER * threads as u64;
@@ -82,9 +85,29 @@ fn measure(
         ops,
         wall_cycles: wall,
         throughput: throughput(ops, wall),
-        contention: metrics::lock_stats(),
+        contention: waits_since(smp, &setup),
         violations: smp.violations().len(),
     }
+}
+
+/// The contention `smp`'s locks counted since `before` was read, by lock
+/// name; a lock nobody waited on in between is left out.
+fn waits_since(
+    smp: &SmpOs,
+    before: &BTreeMap<&'static str, LockStats>,
+) -> BTreeMap<&'static str, LockStats> {
+    smp.lock_stats()
+        .into_iter()
+        .map(|(name, now)| {
+            let was = before[name];
+            let waited = LockStats {
+                contended_acquires: now.contended_acquires - was.contended_acquires,
+                wait_cycles: now.wait_cycles - was.wait_cycles,
+            };
+            (name, waited)
+        })
+        .filter(|(_, s)| s.contended_acquires > 0)
+        .collect()
 }
 
 /// A parent for the fork arms in cell `c`.
@@ -236,15 +259,30 @@ pub(crate) fn run_with(threads: &[usize]) -> SmpOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // lock_stats is process-global and every arm resets it, so the E16
-    // tests must not overlap in one test binary.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    #[test]
+    fn a_point_reads_only_its_own_machines_waits() {
+        // Machine A: two workers forking one parent in one cell wait on
+        // its mm lock, inside the window of a one-thread point on B.
+        let a = SmpOs::boot(smp_machine(), 1);
+        let a_parent = parent_in(&a, 0);
+        let b = SmpOs::boot(smp_machine(), 1);
+        let b_parent = parent_in(&b, 0);
+        let point = measure("b", 1, &b, |_, b| {
+            a.run(2, |_, a| fork_requests(a, 0, a_parent));
+            fork_requests(b, 0, b_parent);
+        });
+        assert!(a.lock_stats()["mm"].contended_acquires > 0, "A's workers waited");
+        assert!(
+            point.contention.is_empty(),
+            "B's one thread never waited: {:?}",
+            point.contention
+        );
+        assert_eq!(point.violations, 0);
+    }
 
     #[test]
     fn shared_mm_collapses_private_scales() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = run_with(&[1, 4]);
         let shared = out.speedup("fork_cow_shared", 4);
         let private = out.speedup("fork_cow_private", 4);
@@ -261,7 +299,6 @@ mod tests {
 
     #[test]
     fn spawn_fastpath_outscales_shared_fork() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = run_with(&[1, 4]);
         let spawn = out.speedup("spawn_fast", 4);
         let shared = out.speedup("fork_cow_shared", 4);
@@ -274,7 +311,6 @@ mod tests {
 
     #[test]
     fn contention_appears_only_under_multicore() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = run_with(&[1, 4]);
         for arm in ["fork_cow_shared", "fork_cow_private", "spawn_fast"] {
             assert_eq!(
@@ -291,7 +327,6 @@ mod tests {
 
     #[test]
     fn figure_and_table_have_the_shape() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = run_with(&[1, 2]);
         let fig = out.figure();
         assert_eq!(fig.series.len(), 3);

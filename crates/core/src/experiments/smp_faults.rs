@@ -14,8 +14,8 @@
 //!   passes `check_invariants` immediately (under its own mm lock,
 //!   before the next op), and after the storm the whole machine passes
 //!   [`SmpOs::check_quiesced`] — per-cell leak checks plus machine-wide
-//!   frame conservation. Site coverage is aggregated across threads via
-//!   [`fpr_faults::global_coverage`].
+//!   frame conservation. Site coverage is the booting thread's
+//!   [`fpr_faults::coverage`] plus every worker's, added up in the arm.
 //! * **fail_stop_storm** — the same storm, except worker 0 kills cell 0
 //!   mid-flight with `SmpOs::fail_cell`: a dying operation injected
 //!   at a chosen site, the machine-wide OOM lease deliberately stuck,
@@ -37,6 +37,7 @@ use fpr_mem::ForkMode;
 use fpr_rng::Rng;
 use fpr_trace::{smp as vsmp, FigureData, Series, TableData};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Worker threads (and cells) in both arms.
 pub const THREADS: usize = 4;
@@ -131,13 +132,25 @@ impl SweepOutcome {
     }
 }
 
+/// Adds `more` into `total`, site by site; both list every site in
+/// [`FaultSite::ALL`] order, as [`fpr_faults::coverage`] does.
+fn add_coverage(total: &mut [(FaultSite, SiteCoverage)], more: &[(FaultSite, SiteCoverage)]) {
+    for ((_, t), (_, m)) in total.iter_mut().zip(more) {
+        t.crossings += m.crossings;
+        t.injections += m.injections;
+    }
+}
+
 /// Arm 1: every worker storms with per-op random fault plans; the
 /// machine must quiesce clean afterwards (the call panics otherwise).
 pub(crate) fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
-    fpr_faults::reset_global_coverage();
+    // The coverage window opens before boot: what booting the machine
+    // crosses counts with what the storm crosses.
+    fpr_faults::reset_coverage();
     let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
     let injected_ops = AtomicU64::new(0);
+    let workers_coverage = Mutex::new(FaultSite::ALL.map(|site| (site, SiteCoverage::default())));
     let elapsed = smp.run(THREADS, |worker, smp| {
         let mut rng = Rng::seed_from_u64(derive_cell_seed(root_seed, worker));
         // Home cell only: with one worker per cell, each cell's op
@@ -155,15 +168,19 @@ pub(crate) fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
                 injected_ops.fetch_add(1, Ordering::Relaxed);
             }
         }
-        fpr_faults::flush_coverage();
+        let mut total = workers_coverage.lock().expect("no worker panics while adding");
+        add_coverage(&mut *total, &fpr_faults::coverage());
     });
     // Containment radius 3: machine-wide — per-cell leak checks against
     // boot baselines plus shared-pool frame conservation.
     smp.check_quiesced();
+    let mut coverage = fpr_faults::coverage();
+    let workers_coverage = workers_coverage.into_inner().expect("no worker panics while adding");
+    add_coverage(&mut coverage, &workers_coverage);
     SweepOutcome {
         ops: (THREADS * OPS_PER_WORKER) as u64,
         injected_ops: injected_ops.into_inner(),
-        coverage: fpr_faults::global_coverage(),
+        coverage,
         wall_cycles: elapsed.into_iter().max().unwrap_or(0),
         order_violations: vsmp::order_violations() - order_before,
     }
@@ -187,7 +204,7 @@ pub struct FailStopOutcome {
 pub(crate) fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
     let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
-    let failure = std::sync::Mutex::new(None);
+    let failure = Mutex::new(None);
     let ops_after_failure = AtomicU64::new(0);
     smp.run(THREADS, |worker, smp| {
         let mut rng = Rng::seed_from_u64(derive_cell_seed(root_seed, worker) ^ 0xFA11);
@@ -312,10 +329,10 @@ pub(crate) fn run_with(root_seed: u64) -> CellFailureOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // Global coverage and the order-violation counter are process-wide;
-    // these tests must not overlap in one test binary.
+    // The order-violation counter is process-wide and every arm reads it
+    // as a before/after delta; these tests must not overlap in one test
+    // binary.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]

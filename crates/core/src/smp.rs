@@ -42,8 +42,9 @@
 use crate::os::{Os, OsConfig};
 use fpr_faults::{FaultPlan, FaultSite};
 use fpr_kernel::{Kernel, KernelBaseline, MachineConfig, SmpShared};
-use fpr_trace::smp::VLock;
+use fpr_trace::smp::{LockStats, VLock};
 use fpr_trace::vclock;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -210,10 +211,9 @@ impl SmpOs {
     /// Runs `f(worker_index, self)` on `threads` real OS threads and
     /// returns each worker's *virtual* elapsed cycles.
     ///
-    /// Every worker's clock starts at the caller's current virtual time
-    /// (so release stamps written during setup never read as future
-    /// contention), and each worker flushes its thread-local metrics into
-    /// the global snapshot before finishing.
+    /// Every worker's clock starts at the caller's current virtual time,
+    /// so release stamps written during setup never read as future
+    /// contention.
     pub fn run<F>(&self, threads: usize, f: F) -> Vec<u64>
     where
         F: Fn(usize, &SmpOs) + Send + Sync,
@@ -227,7 +227,6 @@ impl SmpOs {
                         vclock::reset();
                         vclock::advance_to(epoch);
                         f(t, self);
-                        fpr_trace::metrics::flush();
                         vclock::now() - epoch
                     })
                 })
@@ -237,6 +236,19 @@ impl SmpOs {
                 .map(|h| h.join().expect("smp worker panicked"))
                 .collect()
         })
+    }
+
+    /// Contention on this machine's locks since it booted, summed by lock
+    /// name: `mm` over the cells, `pid` over the PID shards, `buddy` and
+    /// `tlb`.
+    pub fn lock_stats(&self) -> BTreeMap<&'static str, LockStats> {
+        let shared = &self.shared;
+        BTreeMap::from([
+            ("mm", self.cells.iter().map(|c| c.stats()).sum()),
+            ("pid", shared.pids.lock_stats()),
+            ("buddy", shared.pool.lock_stats()),
+            ("tlb", shared.tlb.lock_stats()),
+        ])
     }
 
     /// Structural violations right now: every cell's
@@ -415,6 +427,7 @@ mod tests {
                     .expect("spawn, exit, reap");
             }
         });
+        assert_eq!(smp.cell(0).stats(), LockStats::default(), "one worker never waits");
         // Four workers hammering the same cell: the slowest worker's
         // virtual time covers (almost) all the work, because every op
         // holds the one mm lock.
@@ -432,6 +445,11 @@ mod tests {
             wall_four > wall_solo * 3,
             "4 workers on one mm lock must serialize: {wall_four} vs {wall_solo}"
         );
+        // The waits are counted by the cell's lock, and the machine's sum
+        // by name is that lock's.
+        let mm = smp.cell(0).stats();
+        assert!(mm.contended_acquires > 0 && mm.wait_cycles > 0, "{mm:?}");
+        assert_eq!(smp.lock_stats()["mm"], mm);
         smp.check_quiesced();
     }
 }

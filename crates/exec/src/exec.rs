@@ -72,11 +72,9 @@ pub fn execve_args(
     aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
-    kernel.timed_span(
+    kernel.span(
         "exec",
         "exec",
-        "exec.exec_cycles",
-        |ev| ev,
         |kernel| {
             kernel.charge_syscall();
             let (mut image, interp_prefix) = {

@@ -49,11 +49,9 @@
 //! learns how many crossings succeeded before the one that failed.
 //!
 //! The state is thread-local; the simulator is single-threaded per
-//! kernel, and this keeps parallel test binaries from interfering. SMP
-//! storms get a machine-wide view on top: workers call
-//! [`flush_coverage`] before finishing and the driver reads
-//! [`global_coverage`] after join, so a concurrent sweep can assert
-//! which sites the whole machine crossed and injected. Per-cell plans
+//! kernel, and this keeps parallel test binaries from interfering. An
+//! SMP storm that wants the machine's coverage has each worker hand its
+//! [`coverage`] back to the thread that spawned it, which adds them up. Per-cell plans
 //! derive from one root seed via [`derive_cell_seed`], keeping every
 //! thread's schedule deterministic and replayable.
 //!
@@ -663,55 +661,6 @@ pub fn derive_cell_seed(root_seed: u64, cell: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// No site crossed.
-const NO_COVERAGE: [SiteCoverage; FaultSite::COUNT] =
-    [SiteCoverage { crossings: 0, injections: 0 }; FaultSite::COUNT];
-
-/// What every [`flush_coverage`] call has merged so far.
-static GLOBAL_COVERAGE: std::sync::Mutex<[SiteCoverage; FaultSite::COUNT]> =
-    std::sync::Mutex::new(NO_COVERAGE);
-
-/// Merges this thread's cumulative coverage into the process-wide
-/// registry and clears the thread-local counters. SMP storm workers call
-/// this before finishing so [`global_coverage`] sees the whole machine;
-/// single-threaded code never needs it.
-pub fn flush_coverage() {
-    let local = coverage();
-    reset_coverage();
-    let mut global = GLOBAL_COVERAGE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (site, cov) in local {
-        let g = &mut global[site.index()];
-        g.crossings += cov.crossings;
-        g.injections += cov.injections;
-    }
-}
-
-/// Machine-wide coverage: the sum of every [`flush_coverage`] call plus
-/// the calling thread's (unflushed) counters, keyed by site in stable
-/// order. The SMP analogue of [`coverage`].
-pub fn global_coverage() -> Vec<(FaultSite, SiteCoverage)> {
-    let global = *GLOBAL_COVERAGE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut out = coverage();
-    for (site, cov) in &mut out {
-        cov.crossings += global[site.index()].crossings;
-        cov.injections += global[site.index()].injections;
-    }
-    out
-}
-
-/// Clears the process-wide coverage registry *and* the calling thread's
-/// counters (other threads' unflushed counters are untouched).
-pub fn reset_global_coverage() {
-    *GLOBAL_COVERAGE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = NO_COVERAGE;
-    reset_coverage();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,38 +876,6 @@ mod tests {
             run(FaultPlan::random(derive_cell_seed(7, 1), 256)),
             "sibling cells must not mirror each other's schedules"
         );
-    }
-
-    #[test]
-    fn flushed_coverage_sums_across_threads() {
-        reset_global_coverage();
-        let workers: Vec<_> = (0..4)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    reset_coverage();
-                    let plan = FaultPlan::passive().fail_at(FaultSite::CellEvacuate, 0);
-                    let _ = with_plan(plan, || {
-                        for _ in 0..=t {
-                            let _ = cross(FaultSite::CellEvacuate);
-                        }
-                    });
-                    flush_coverage();
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let cov = global_coverage()
-            .into_iter()
-            .find(|(s, _)| *s == FaultSite::CellEvacuate)
-            .unwrap()
-            .1;
-        assert_eq!(cov.crossings, 1 + 2 + 3 + 4);
-        assert_eq!(cov.injections, 4, "each worker injected its first crossing");
-        // flush_coverage cleared the workers' locals; the registry holds all.
-        reset_global_coverage();
-        assert!(global_coverage().iter().all(|(_, c)| c.crossings == 0));
     }
 
     /// Crosses `FrameAlloc`, then `PtNodeAlloc` three times in one run,

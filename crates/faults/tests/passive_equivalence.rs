@@ -9,12 +9,12 @@
 //! `count_crossings`, under an observer and under a plan failing each
 //! crossing in turn: it must leave the same coverage, write the same
 //! `FaultTrace`, stop at the same crossing and show the observer the same
-//! stream, and be visible to the machine-wide registry. One test function:
-//! the registry is process-wide.
+//! stream, and be counted on the thread that made it, whichever thread
+//! that is.
 
 use fpr_faults::{
-    count_crossings, coverage, cross, cross_n, flush_coverage, global_coverage, reset_coverage,
-    reset_global_coverage, set_observer, with_plan, FaultPlan, FaultSite, InjectedFault, SiteCoverage,
+    count_crossings, coverage, cross, cross_n, reset_coverage, set_observer, with_plan, FaultPlan,
+    FaultSite, InjectedFault, SiteCoverage,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -132,8 +132,6 @@ fn under_plan(plan: FaultPlan, batched: bool) -> UnderPlan {
 
 #[test]
 fn passive_scoped_observed_and_batched_crossings_agree() {
-    reset_global_coverage();
-
     // The three ways of listening leave the same per-site coverage, batched
     // or not.
     let passive = coverage_delta(|| run_clean(true));
@@ -204,33 +202,30 @@ fn passive_scoped_observed_and_batched_crossings_agree() {
     let total = |cov: Vec<(FaultSite, SiteCoverage)>| cov.iter().map(|(_, c)| c.crossings).sum::<u64>();
     let so_far = total(coverage());
     assert!(so_far > 7 * TOTAL);
-    // ... and in the machine-wide view, before and after a flush; a worker
-    // that only ever crossed passively, in batches, is seen too.
-    assert_eq!(total(global_coverage()), so_far);
-    flush_coverage();
-    assert_eq!(total(coverage()), 0, "flushing clears the thread's counters");
-    assert_eq!(total(global_coverage()), so_far);
-    std::thread::spawn(|| {
-        run_clean(true);
-        flush_coverage();
-    })
-    .join()
-    .expect("worker finished");
-    assert_eq!(total(global_coverage()), so_far + TOTAL);
-    let before = global_coverage()[FaultSite::PtNodeAlloc.index()].1;
-    std::thread::spawn(|| {
+    // ... and a worker's are in its own, which it hands back through
+    // `join`: one that only ever crossed passively, in batches, counted
+    // every crossing ...
+    let worker = |f: fn()| {
+        std::thread::spawn(move || {
+            f();
+            coverage()
+        })
+        .join()
+        .expect("worker finished")
+    };
+    assert_eq!(total(worker(|| run_clean(true))), TOTAL);
+    // ... and one whose batch was cut short counted the crossings made.
+    let cut = worker(|| {
         let plan = FaultPlan::passive().fail_at(FaultSite::PtNodeAlloc, 7);
         assert!(with_plan(plan, || run_seq(true)).0.is_some());
-        flush_coverage();
-    })
-    .join()
-    .expect("worker finished");
-    let after = global_coverage()[FaultSite::PtNodeAlloc.index()].1;
+    })[FaultSite::PtNodeAlloc.index()]
+    .1;
     assert_eq!(
-        (after.crossings - before.crossings, after.injections - before.injections),
+        (cut.crossings, cut.injections),
         (8, 1),
         "a batch cut short counts the crossings made, not the crossings asked for"
     );
+    assert_eq!(total(coverage()), so_far, "the workers' crossings are not this thread's");
 
     // `reset_coverage` forgets passive crossings like any others, and the
     // observer's numbering starts over with them.
@@ -238,6 +233,4 @@ fn passive_scoped_observed_and_batched_crossings_agree() {
     reset_coverage();
     assert_eq!(total(coverage()), 0);
     assert_eq!(observed(|| run_clean(true)).0, expected_stream(|_| 0));
-    reset_global_coverage();
-    assert_eq!(total(global_coverage()), 0);
 }

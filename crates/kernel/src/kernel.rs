@@ -376,7 +376,7 @@ impl Kernel {
     /// Runs `f` as one span: a `Begin` event at the current cycle count,
     /// the body, then the matching `End` — on every path out of `f`, `?`
     /// included, so spans balance on error paths by construction. This
-    /// (with [`Kernel::timed_span`]) is the one way instrumented
+    /// (with [`Kernel::span_with`]) is the one way instrumented
     /// operations in `fpr-kernel`, `fpr-exec` and `fpr-api` open a span.
     pub fn span<R>(
         &mut self,
@@ -392,24 +392,19 @@ impl Kernel {
 
     /// [`Kernel::span`] for an API-level operation: `args` decorates the
     /// `Begin` event (it runs only while a sink listens, so building the
-    /// arguments costs nothing otherwise), and the span's duration in
-    /// cycles feeds `histogram` whether or not anyone is tracing.
-    pub fn timed_span<R>(
+    /// arguments costs nothing otherwise).
+    pub fn span_with<R>(
         &mut self,
         name: &'static str,
         cat: &'static str,
-        histogram: &'static str,
         args: impl FnOnce(TraceEvent) -> TraceEvent,
         f: impl FnOnce(&mut Kernel) -> R,
     ) -> R {
-        let start = self.cycles.total();
         if sink::is_active() {
-            sink::emit(args(TraceEvent::new(name, cat, Phase::Begin, start)));
+            sink::emit(args(TraceEvent::new(name, cat, Phase::Begin, self.cycles.total())));
         }
         let r = f(self);
-        let end = self.cycles.total();
-        metrics::observe(histogram, end - start);
-        sink::span_end(name, end);
+        sink::span_end(name, self.cycles.total());
         r
     }
 

@@ -9,11 +9,11 @@
 //! like the bare bitmap. Each shard's lock is a
 //! [`fpr_trace::smp::VLock`] named `"pid"`, so residual contention (the
 //! overflow scan when a home shard runs dry) is visible in
-//! [`fpr_trace::metrics::lock_stats`].
+//! [`ShardedPidTable::lock_stats`].
 
 use crate::error::{Errno, KResult};
 use fpr_faults::FaultSite;
-use fpr_trace::smp::VLock;
+use fpr_trace::smp::{LockStats, VLock};
 
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,6 +189,11 @@ impl ShardedPidTable {
     pub(crate) fn free(&self, pid: Pid) {
         let (s, inner) = self.shard_of(pid);
         self.shards[s].lock().free(inner);
+    }
+
+    /// The shard locks' contention since the table was made, summed.
+    pub fn lock_stats(&self) -> LockStats {
+        self.shards.iter().map(VLock::stats).sum()
     }
 
     /// Machine-wide count of live PIDs.

@@ -177,7 +177,6 @@ impl Kernel {
             k.phys.note_stall(stalled);
             metrics::incr("kernel.reclaim.passes");
             metrics::add("kernel.reclaim.frames", freed);
-            metrics::observe("kernel.reclaim.stall_cycles", stalled);
             Ok(freed)
         })
     }
@@ -294,7 +293,6 @@ impl Kernel {
             let stalled = k.cycles.total() - stall_start;
             k.phys.note_stall(stalled);
             metrics::add("kernel.swap.out_pages", evicted);
-            metrics::observe("kernel.swap.stall_cycles", stalled);
             Ok(evicted)
         })
     }

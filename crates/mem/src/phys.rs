@@ -105,7 +105,7 @@ use crate::error::{MemError, MemResult};
 use crate::swap::SwapDevice;
 use fpr_faults::FaultSite;
 use fpr_trace::metrics;
-use fpr_trace::smp::VLock;
+use fpr_trace::smp::{LockStats, VLock};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,8 +185,8 @@ fn table_slot(pfn: Pfn) -> (usize, usize) {
 /// [module docs](self), "One machine"); either way the cell pays the
 /// global serialization once per block instead of once per frame. The
 /// lock is a [`VLock`] named
-/// `"buddy"`, so every contended acquisition is visible in
-/// [`fpr_trace::metrics::lock_stats`] and priced in virtual time.
+/// `"buddy"`, so every contended acquisition is priced in virtual time
+/// and counted in [`SharedFramePool::lock_stats`].
 ///
 /// A free-count mirror is kept in an atomic — written only under the
 /// lock, from the buddy's own count — so pressure reads
@@ -212,6 +212,11 @@ impl SharedFramePool {
     /// Total frames in the pool.
     pub fn total_frames(&self) -> u64 {
         self.total
+    }
+
+    /// The buddy lock's contention since the pool was made.
+    pub fn lock_stats(&self) -> LockStats {
+        self.core.stats()
     }
 
     /// Frames currently free in the pool core (excluding frames any cell

@@ -10,7 +10,7 @@
 use crate::cost::{CostModel, Cycles};
 use fpr_trace::metrics;
 use fpr_trace::sink;
-use fpr_trace::smp::VLock;
+use fpr_trace::smp::{LockStats, VLock};
 use fpr_trace::{Phase, TraceEvent};
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ pub(crate) const RANGE_FLUSH_CEILING: u64 = 64;
 /// serialization with a [`VLock`] named `"tlb"` — each shootdown that
 /// actually reaches remote CPUs holds the bus for its IPI round, so
 /// concurrent fork storms on different cells queue up in virtual time
-/// and the contention shows in [`fpr_trace::metrics::lock_stats`].
+/// and the contention shows in [`TlbBus::lock_stats`].
 #[derive(Debug)]
 pub struct TlbBus {
     round: VLock<()>,
@@ -42,6 +42,11 @@ impl TlbBus {
         TlbBus {
             round: VLock::new("tlb", ()),
         }
+    }
+
+    /// The bus lock's contention since the bus was made.
+    pub fn lock_stats(&self) -> LockStats {
+        self.round.stats()
     }
 
     /// Serializes one IPI round on the bus.

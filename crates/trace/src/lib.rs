@@ -10,14 +10,13 @@
 //!     that records events around one operation, mirrors every
 //!     `fpr_faults` crossing as a `fault.<site>` event, and costs one
 //!     flag check when inactive;
-//!   - [`metrics`]: always-on counters and log-scale histograms, read by
-//!     snapshot-diff ([`metrics::Snapshot::delta`]); thread-local on the
-//!     hot path, with a process-wide merge ([`metrics::flush`] /
-//!     [`metrics::global_snapshot`]) and per-named-lock contention
-//!     tallies ([`metrics::lock_stats`]) for multithreaded drivers;
+//!   - [`metrics`]: always-on thread-local counters, read by
+//!     snapshot-diff ([`metrics::Snapshot::delta`]), and the log-scale
+//!     [`metrics::Histogram`] value type;
 //!   - [`vclock`] and [`smp`]: the per-thread virtual clock and the
 //!     named virtual-time lock ([`smp::VLock`]) the SMP experiments
-//!     price contention with;
+//!     price contention with, each lock counting its own waits
+//!     ([`smp::VLock::stats`]);
 //!   - [`chrome`]: a Chrome trace-event / Perfetto JSON exporter;
 //!   - [`report`]: a flamegraph-style text cost-attribution report.
 //!

@@ -1,12 +1,14 @@
-//! Hermetic metrics: named counters and log-scale histograms, kept in a
-//! thread-local registry that is always on.
+//! Hermetic metrics: named counters, kept in a thread-local registry that
+//! is always on, and the log-scale [`Histogram`] value type.
 //!
-//! Unlike the scoped [`crate::sink`], metrics accumulate continuously —
+//! Unlike the scoped [`crate::sink`], counters accumulate continuously —
 //! the intended pattern is *snapshot-diff*: take a [`snapshot`] before an
 //! operation, another after, and [`Snapshot::delta`] isolates exactly the
 //! work that operation performed. `tab_fork_breakdown` reconstructs its
 //! entire cost decomposition this way, with no bespoke counters in the
-//! experiment code.
+//! experiment code. Code that runs several threads takes the
+//! snapshot-diff on each of them and adds the deltas up with
+//! [`Snapshot::merge`].
 //!
 //! Counter names are namespaced `&'static str` keys —
 //! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_load"` — and
@@ -16,42 +18,32 @@
 //! so bumping one is a hash of two words and a pointer comparison; the
 //! table is allocated at the thread's first update and doubles (one
 //! rehash) when it is half full, and no other update allocates. Names
-//! are read by [`snapshot`] and [`flush`] alone, which walk the table and
-//! build the name-ordered [`Snapshot`]: the same text at two addresses
-//! (two crates' copies of a literal, a leaked `String`) is one counter
-//! there, summed. Histograms bucket by `floor(log2(value))`, which spans
-//! the full `u64` range in 65 buckets: right for latency-like quantities
-//! that vary over orders of magnitude; they are updated a few times per
-//! request, not per page, and stay in a name-ordered map.
+//! are read by [`snapshot`] alone, which walks the table and builds the
+//! name-ordered [`Snapshot`]: the same text at two addresses (two crates'
+//! copies of a literal, a leaked `String`) is one counter there, summed.
+//!
+//! A [`Histogram`] is a value its owner records into, not a registry
+//! entry: the workload kit's open loop keeps one per creation path
+//! and one of sojourn times, and E15 reads its tails from them. It
+//! buckets by `floor(log2(value))`, which spans the full `u64` range in
+//! 65 buckets: right for latency-like quantities that vary over orders of
+//! magnitude.
 //!
 //! Updating a metric charges **zero** simulated cycles: the cycle model
 //! is never touched from this module.
-//!
-//! The registry is `Sync` in layers: the hot path stays thread-local
-//! (no atomics on per-page counters), and two process-wide surfaces sit
-//! behind it for the SMP driver — [`flush`] merges a thread's registry
-//! into a global [`Snapshot`] (worker threads flush before joining, the
-//! driver reads [`global_snapshot`]), and [`lock_contended`] /
-//! [`lock_stats`] keep per-named-lock contention tallies (`mm`, `pid`,
-//! `buddy`, `tlb`) that [`crate::smp::VLock`] records into on every
-//! contended acquisition.
 //!
 //! ```
 //! use fpr_trace::metrics;
 //!
 //! let before = metrics::snapshot();
 //! metrics::add("mem.fork.pte_copy", 259);
-//! metrics::observe("api.fork_cycles", 12_258);
 //! let delta = metrics::snapshot().delta(&before);
 //! assert_eq!(delta.counter("mem.fork.pte_copy"), 259);
 //! assert_eq!(delta.counter("mem.fork.page_copy"), 0, "absent reads zero");
-//! let h = delta.histogram("api.fork_cycles").unwrap();
-//! assert_eq!((h.count, h.sum), (1, 12_258));
 //! ```
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Number of log2 buckets: one for zero, one per bit position of `u64`.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
@@ -188,58 +180,18 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
-
-    /// Folds `other` into `self`: counts and buckets add, extrema widen.
-    pub(crate) fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
-    /// Bucket-wise difference `self - earlier` (for snapshot deltas).
-    fn delta(&self, earlier: &Histogram) -> Histogram {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        Histogram {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            // Extrema are not differentiable; report the later window's.
-            min: self.min,
-            max: self.max,
-            buckets,
-        }
-    }
 }
 
 /// A point-in-time copy of the registry; also the type of a delta.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Snapshot {
     /// Reads a counter; absent counters read zero.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a histogram, if any values were recorded under `name`.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters in name order.
@@ -256,30 +208,13 @@ impl Snapshot {
             .iter()
             .map(|(k, v)| (*k, v.saturating_sub(earlier.counter(k))))
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let d = match earlier.histograms.get(k) {
-                    Some(e) => h.delta(e),
-                    None => h.clone(),
-                };
-                (*k, d)
-            })
-            .collect();
-        Snapshot {
-            counters,
-            histograms,
-        }
+        Snapshot { counters }
     }
 
-    /// Folds `other` into `self`: counters add, histograms merge.
+    /// Folds `other` into `self`: counters add.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
         }
     }
 }
@@ -369,31 +304,9 @@ impl CounterTable {
     }
 }
 
-/// What a thread accumulates between [`reset`]s and [`flush`]es.
-#[derive(Debug)]
-struct Registry {
-    counters: CounterTable,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl Registry {
-    const fn new() -> Registry {
-        Registry {
-            counters: CounterTable::new(),
-            histograms: BTreeMap::new(),
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.by_name(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
 thread_local! {
-    static REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
+    /// What this thread has counted since its last [`reset`].
+    static REGISTRY: RefCell<CounterTable> = const { RefCell::new(CounterTable::new()) };
 }
 
 /// Adds `n` to counter `name`. The first nonzero `n` makes the counter;
@@ -402,191 +315,26 @@ pub fn add(name: &'static str, n: u64) {
     if n == 0 {
         return;
     }
-    REGISTRY.with(|r| r.borrow_mut().counters.bump(name, n));
+    REGISTRY.with(|r| r.borrow_mut().bump(name, n));
 }
 
 /// Adds one to counter `name`.
 pub fn incr(name: &'static str) {
-    REGISTRY.with(|r| r.borrow_mut().counters.bump(name, 1));
+    REGISTRY.with(|r| r.borrow_mut().bump(name, 1));
 }
 
-/// Records `value` into histogram `name`.
-pub fn observe(name: &'static str, value: u64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut()
-            .histograms
-            .entry(name)
-            .or_default()
-            .record(value)
-    });
-}
-
-/// Copies the current registry state: a walk of the counter table (every
-/// slot, held or not) plus an ordered-map insert per counter, and a clone
-/// of the histograms — for once-per-operation use, not per page.
+/// Copies this thread's counters: a walk of the counter table (every
+/// slot, held or not) plus an ordered-map insert per counter — for
+/// once-per-operation use, not per page.
 pub fn snapshot() -> Snapshot {
-    REGISTRY.with(|r| r.borrow().snapshot())
+    REGISTRY.with(|r| Snapshot {
+        counters: r.borrow().by_name(),
+    })
 }
 
-/// Clears every counter and histogram on this thread.
+/// Clears every counter on this thread.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = Registry::new());
-}
-
-// ---------------------------------------------------------------------
-// The process-wide (`Sync`) layer: a merge target for worker-thread
-// registries, and per-named-lock contention tallies for the SMP driver.
-// ---------------------------------------------------------------------
-
-fn global() -> &'static Mutex<Snapshot> {
-    static GLOBAL: OnceLock<Mutex<Snapshot>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Snapshot::default()))
-}
-
-/// Merges this thread's registry into the process-wide snapshot and
-/// clears the thread-local state. Worker threads call this before they
-/// join so no per-thread counters are lost; the driver then reads the
-/// union with [`global_snapshot`].
-pub fn flush() {
-    let local = REGISTRY.with(|r| r.replace(Registry::new()));
-    global()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .merge(&local.snapshot());
-    flush_lock_stats();
-}
-
-/// The union of every [`flush`]ed registry since the last
-/// [`reset_global`].
-pub fn global_snapshot() -> Snapshot {
-    global()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
-}
-
-/// Clears the process-wide snapshot (not any thread's local registry).
-pub fn reset_global() {
-    *global()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Snapshot::default();
-}
-
-/// Contention tallies for one named lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Acquisitions that found the lock virtually held.
-    pub contended_acquires: u64,
-    /// Total virtual cycles spent waiting across those acquisitions.
-    pub wait_cycles: u64,
-}
-
-fn lock_registry() -> &'static Mutex<BTreeMap<&'static str, LockStats>> {
-    static LOCKS: OnceLock<Mutex<BTreeMap<&'static str, LockStats>>> = OnceLock::new();
-    LOCKS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn merge_lock_stats(into: &mut BTreeMap<&'static str, LockStats>, name: &'static str, s: LockStats) {
-    let e = into.entry(name).or_default();
-    e.contended_acquires += s.contended_acquires;
-    e.wait_cycles = e.wait_cycles.saturating_add(s.wait_cycles);
-}
-
-/// Per-thread contention buffer. Like the counter registry, the hot
-/// path stays thread-local: events merge into the global registry only
-/// on [`flush`] — or, as a backstop for threads that never flush, from
-/// the buffer's TLS destructor, which runs before `join` returns.
-struct LocalLockStats(RefCell<BTreeMap<&'static str, LockStats>>);
-
-impl Drop for LocalLockStats {
-    fn drop(&mut self) {
-        let local = std::mem::take(&mut *self.0.borrow_mut());
-        if local.is_empty() {
-            return;
-        }
-        let mut global = lock_registry()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (name, s) in local {
-            merge_lock_stats(&mut global, name, s);
-        }
-    }
-}
-
-thread_local! {
-    static LOCAL_LOCKS: LocalLockStats =
-        const { LocalLockStats(RefCell::new(BTreeMap::new())) };
-}
-
-/// Records one contended acquisition of the lock named `name` that
-/// waited `wait_cycles` of virtual time. Called by
-/// [`crate::smp::VLock`] only on contention. Buffered thread-locally
-/// (no shared state touched); [`flush`] — or thread exit — publishes
-/// the buffer into the global registry exactly once, so concurrent
-/// flushes can neither lose nor double-count an event.
-pub fn lock_contended(name: &'static str, wait_cycles: u64) {
-    let event = LockStats {
-        contended_acquires: 1,
-        wait_cycles,
-    };
-    let buffered = LOCAL_LOCKS.try_with(|l| {
-        merge_lock_stats(&mut l.0.borrow_mut(), name, event);
-    });
-    if buffered.is_err() {
-        // TLS already destroyed (a lock released during thread teardown):
-        // fall back to the global registry directly.
-        merge_lock_stats(
-            &mut lock_registry()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            name,
-            event,
-        );
-    }
-}
-
-/// Publishes this thread's buffered lock-contention events into the
-/// global registry and clears the buffer. Called from [`flush`].
-fn flush_lock_stats() {
-    let local = LOCAL_LOCKS
-        .try_with(|l| std::mem::take(&mut *l.0.borrow_mut()))
-        .unwrap_or_default();
-    if local.is_empty() {
-        return;
-    }
-    let mut global = lock_registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (name, s) in local {
-        merge_lock_stats(&mut global, name, s);
-    }
-}
-
-/// Per-lock contention tallies since the last [`reset_lock_stats`], in
-/// name order: everything published to the global registry plus the
-/// calling thread's unflushed buffer. Locks never contended are absent.
-pub fn lock_stats() -> BTreeMap<&'static str, LockStats> {
-    let mut m = lock_registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    let _ = LOCAL_LOCKS.try_with(|l| {
-        for (name, s) in l.0.borrow().iter() {
-            merge_lock_stats(&mut m, name, *s);
-        }
-    });
-    m
-}
-
-/// Clears every lock's contention tally — the global registry and the
-/// calling thread's buffer (storm drivers call this between arms;
-/// other threads' unflushed buffers are untouched).
-pub fn reset_lock_stats() {
-    lock_registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
-    let _ = LOCAL_LOCKS.try_with(|l| l.0.borrow_mut().clear());
+    REGISTRY.with(|r| *r.borrow_mut() = CounterTable::new());
 }
 
 #[cfg(test)]
@@ -676,29 +424,19 @@ mod tests {
         let listed: Vec<_> = s.counters().map(|(k, _)| k).collect();
         assert_eq!(listed, names, "zero-padded, so made in name order");
         REGISTRY.with(|r| {
-            let table = &r.borrow().counters;
+            let table = r.borrow();
             assert_eq!(table.held, names.len());
             assert!(table.slots.len() >= 2 * table.held, "at most half full");
         });
     }
 
     #[test]
-    fn reset_and_flush_leave_the_registry_empty() {
-        let empty = || REGISTRY.with(|r| r.borrow().counters.held == 0);
+    fn reset_leaves_the_registry_empty() {
         incr("t.empty.reset");
-        observe("t.empty.hist", 1);
+        add("t.empty.add", 4);
         reset();
-        assert!(empty());
+        assert_eq!(REGISTRY.with(|r| r.borrow().held), 0);
         assert_eq!(snapshot(), Snapshot::default());
-
-        add("t.empty.flush", 4);
-        flush();
-        assert!(empty());
-        assert_eq!(snapshot(), Snapshot::default());
-        // Nothing is left to publish a second time.
-        flush();
-        assert_eq!(global_snapshot().counter("t.empty.flush"), 4);
-        assert_eq!(global_snapshot().counter("t.empty.reset"), 0);
     }
 
     #[test]
@@ -715,31 +453,6 @@ mod tests {
         assert_eq!(h.buckets[2], 2, "[2,4)");
         assert_eq!(h.buckets[3], 1, "[4,8)");
         assert_eq!(h.buckets[11], 1, "[1024,2048)");
-    }
-
-    #[test]
-    fn histogram_delta_subtracts_windows() {
-        reset();
-        observe("t.h", 8);
-        let mid = snapshot();
-        observe("t.h", 16);
-        observe("t.h", 16);
-        let d = snapshot().delta(&mid);
-        let h = d.histogram("t.h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 32);
-        assert_eq!(h.buckets[5], 2, "[16,32)");
-        assert_eq!(h.buckets[4], 0, "the earlier 8 subtracted out");
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        incr("t.x");
-        observe("t.y", 3);
-        reset();
-        let s = snapshot();
-        assert_eq!(s.counter("t.x"), 0);
-        assert!(s.histogram("t.y").is_none());
     }
 
     #[test]
@@ -768,60 +481,6 @@ mod tests {
         // Clamping to [min, max] makes single-value histograms exact.
         assert_eq!(h.p50(), 777);
         assert_eq!(h.p99(), 777);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts_and_widens_extrema() {
-        let mut a = Histogram::default();
-        a.record(4);
-        a.record(100);
-        let mut b = Histogram::default();
-        b.record(1);
-        b.record(4000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 4105);
-        assert_eq!((a.min, a.max), (1, 4000));
-        let mut empty = Histogram::default();
-        empty.merge(&a);
-        assert_eq!(empty, a, "merge into empty copies");
-        a.merge(&Histogram::default());
-        assert_eq!(a.count, 4, "merging empty is a no-op");
-    }
-
-    #[test]
-    fn flush_merges_thread_registries_into_global() {
-        // Names are unique to this test, so the exact values survive
-        // concurrent flushes from sibling tests.
-        incr("t.global.main");
-        flush();
-        std::thread::spawn(|| {
-            add("t.global.worker", 5);
-            observe("t.global.hist", 32);
-            flush();
-        })
-        .join()
-        .unwrap();
-        let g = global_snapshot();
-        assert_eq!(g.counter("t.global.main"), 1);
-        assert_eq!(g.counter("t.global.worker"), 5);
-        assert_eq!(g.histogram("t.global.hist").unwrap().count, 1);
-        assert_eq!(
-            snapshot().counter("t.global.main"),
-            0,
-            "flush clears the local registry"
-        );
-    }
-
-    #[test]
-    fn lock_stats_accumulate_per_name() {
-        lock_contended("t.lock.a", 100);
-        lock_contended("t.lock.a", 50);
-        let s = lock_stats();
-        let a = s.get("t.lock.a").unwrap();
-        assert_eq!(a.contended_acquires, 2);
-        assert_eq!(a.wait_cycles, 150);
-        assert!(!s.contains_key("t.lock.never"), "uncontended locks absent");
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! *virtual* time using the per-thread [`crate::vclock`]: when a thread
 //! whose clock reads `t` acquires a lock last released at virtual time
 //! `free_at > t`, the acquirer's clock jumps to `free_at` and the wait
-//! (`free_at - t`) is recorded against the lock's name in
-//! [`crate::metrics::lock_stats`] as one contended acquisition. On
-//! release, `free_at` is set to the holder's clock *after* its critical
-//! section, so the next contender inherits the serialization cost.
+//! (`free_at - t`) is counted by the lock itself, in [`VLock::stats`],
+//! as one contended acquisition. On release, `free_at` is set to the
+//! holder's clock *after* its critical section, so the next contender
+//! inherits the serialization cost.
 //!
 //! This makes lock contention measurable and deterministic-ish on a
 //! single host core: the experiment's "where does fork serialize" answer
-//! comes from these counters (mm vs pid vs buddy vs tlb), not from
-//! wall-clock jitter. A single thread acquiring its own locks never
-//! waits — its clock is already at or past every `free_at` it wrote —
-//! so single-threaded arms report zero contention by construction.
+//! comes from these tallies (mm vs pid vs buddy vs tlb), summed by name
+//! over the locks one machine owns, not from wall-clock jitter. A single
+//! thread acquiring its own locks never waits — its clock is already at
+//! or past every `free_at` it wrote — so single-threaded arms report zero
+//! contention by construction.
 //!
 //! ## Lock-order validation
 //!
@@ -23,10 +24,15 @@
 //! for exactly those four names. Each thread tracks which ranked locks
 //! it holds; acquiring a ranked lock whose rank is not strictly greater
 //! than every rank already held (which also catches taking two `mm`
-//! locks at once) counts one violation in [`order_violations`] and in
-//! the `lock.order.violation` metric, then proceeds. The E17 gate
-//! asserts the counter stays at zero across every storm. Locks with any
-//! other name (tests, scratch structures) are exempt.
+//! locks at once) counts one violation in [`order_violations`], then
+//! proceeds. The E17 gate asserts the counter stays at zero across every
+//! storm. Locks with any other name (tests, ad-hoc structures) are
+//! exempt.
+//!
+//! The violation and deadlock counts and the wait-for graph are the
+//! module's only process-wide state, and they stay so on purpose: a lock
+//! order is a property of the code, not of one machine, and a wait cycle
+//! can close across the locks of any number of machines.
 //!
 //! ## Deadlock detection
 //!
@@ -42,9 +48,9 @@
 //! reports the panic instead of timing out).
 //!
 //! ```
-//! use fpr_trace::{metrics, smp::VLock, vclock};
+//! use fpr_trace::smp::{LockStats, VLock};
+//! use fpr_trace::vclock;
 //!
-//! metrics::reset_lock_stats();
 //! vclock::reset();
 //! let l = VLock::new("mm", 0u64);
 //! {
@@ -54,10 +60,10 @@
 //! }
 //! // Same thread, clock already past free_at: no contention recorded.
 //! drop(l.lock());
-//! assert!(!metrics::lock_stats().contains_key("mm"));
+//! assert_eq!(l.stats(), LockStats::default());
 //! ```
 
-use crate::{metrics, vclock};
+use crate::vclock;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +164,24 @@ pub fn deadlocks_detected() -> u64 {
     DEADLOCKS.load(Ordering::Relaxed)
 }
 
+/// Contention tallies of one [`VLock`], or a sum of several.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockStats {
+    /// Acquisitions that found the lock virtually held.
+    pub contended_acquires: u64,
+    /// Total virtual cycles spent waiting across those acquisitions.
+    pub wait_cycles: u64,
+}
+
+impl std::iter::Sum for LockStats {
+    fn sum<I: Iterator<Item = LockStats>>(iter: I) -> LockStats {
+        iter.fold(LockStats::default(), |a, b| LockStats {
+            contended_acquires: a.contended_acquires + b.contended_acquires,
+            wait_cycles: a.wait_cycles + b.wait_cycles,
+        })
+    }
+}
+
 /// A named mutex that models contention in virtual time.
 #[derive(Debug, Default)]
 pub struct VLock<T> {
@@ -172,6 +196,10 @@ pub struct VLock<T> {
     holder: Arc<AtomicU64>,
     /// Virtual time at which the last holder released the lock.
     free_at: AtomicU64,
+    /// [`LockStats::contended_acquires`] and [`LockStats::wait_cycles`]:
+    /// bumped only on a wait, while the mutex is held.
+    contended: AtomicU64,
+    waited: AtomicU64,
     inner: Mutex<T>,
 }
 
@@ -183,7 +211,18 @@ impl<T> VLock<T> {
             rank: rank_of(name),
             holder: Arc::new(AtomicU64::new(0)),
             free_at: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
+            waited: AtomicU64::new(0),
             inner: Mutex::new(value),
+        }
+    }
+
+    /// This lock's contended acquisitions and the virtual cycles they
+    /// waited, since it was made; exact once no thread is acquiring it.
+    pub fn stats(&self) -> LockStats {
+        LockStats {
+            contended_acquires: self.contended.load(Ordering::Relaxed),
+            wait_cycles: self.waited.load(Ordering::Relaxed),
         }
     }
 
@@ -214,7 +253,8 @@ impl<T> VLock<T> {
         let free_at = self.free_at.load(Ordering::Acquire);
         if free_at > now {
             vclock::advance_to(free_at);
-            metrics::lock_contended(self.name, free_at - now);
+            self.contended.fetch_add(1, Ordering::Relaxed);
+            self.waited.fetch_add(free_at - now, Ordering::Relaxed);
         }
         VLockGuard { lock: self, guard }
     }
@@ -225,7 +265,6 @@ impl<T> VLock<T> {
     fn lock_ranked(&self, rank: usize) -> MutexGuard<'_, T> {
         if HELD.with(|h| h.get()[rank..].iter().any(|&n| n > 0)) {
             ORDER_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-            metrics::incr("lock.order.violation");
         }
         let me = THREAD_ID.with(|&t| t);
         let guard = match self.inner.try_lock() {
@@ -239,7 +278,6 @@ impl<T> VLock<T> {
                         g.waiting.remove(&me);
                         drop(g);
                         DEADLOCKS.fetch_add(1, Ordering::Relaxed);
-                        metrics::incr("lock.deadlock.detected");
                         panic!(
                             "deadlock detected: blocking on \"{}\" closes the wait cycle [{}]",
                             self.name,
@@ -319,8 +357,9 @@ mod tests {
             vclock::advance(100);
         }
         assert_eq!(*l.lock(), 10);
-        assert!(
-            !metrics::lock_stats().contains_key("t.smp.solo"),
+        assert_eq!(
+            l.stats(),
+            LockStats::default(),
             "a single thread never contends with itself"
         );
     }
@@ -350,14 +389,13 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(waited, 1000, "clock advanced to the release time");
-        let stats = metrics::lock_stats();
-        let s = stats.get("t.smp.pair").expect("contention recorded");
-        assert_eq!(s.contended_acquires, 1);
-        assert_eq!(s.wait_cycles, 900);
-        // The only resetter in this test binary, so the absence check
-        // cannot race with a sibling test's recording.
-        metrics::reset_lock_stats();
-        assert!(!metrics::lock_stats().contains_key("t.smp.pair"));
+        assert_eq!(
+            l.stats(),
+            LockStats {
+                contended_acquires: 1,
+                wait_cycles: 900
+            }
+        );
     }
 
     #[test]
