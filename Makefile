@@ -117,7 +117,7 @@ leakcheck:
 # seed results, and one_cell_smp_is_an_os_boot_world: the single cell
 # of a one-cell SMP machine, which parks the frames it frees, must match
 # an Os::boot world PID for PID, cycle for cycle and in its baseline. smp_faults adds E17: the same storm under concurrent
-# fault injection (all contained, zero lock-order violations) and a
+# fault injection (all contained, no acquisition refused by the lock order) and a
 # mid-storm cell fail-stop that must recover to a clean N-1 quiesce.
 # vlock_contention holds the tally E16 reads to what real threads saw:
 # eight threads take one VLock with virtual work inside, and the lock's

@@ -384,10 +384,6 @@ impl WarmPool {
 /// first: the fast path degrades toward classic-spawn latency instead of
 /// the OOM killer picking a victim.
 impl fpr_kernel::Shrinker for WarmPool {
-    fn name(&self) -> &'static str {
-        "warm_pool"
-    }
-
     fn fault_site(&self) -> fpr_faults::FaultSite {
         fpr_faults::FaultSite::PoolDrain
     }
@@ -1005,7 +1001,7 @@ mod tests {
             let shrink = |shrinker: &mut dyn Shrinker, k0: &mut Kernel| {
                 let used = k0.phys.used_frames();
                 let freed = shrinker.shrink(k0, 1).unwrap();
-                assert_eq!(freed, used - k0.phys.used_frames(), "{}", shrinker.name());
+                assert_eq!(freed, used - k0.phys.used_frames(), "{}", shrinker.fault_site());
                 freed > 0
             };
             while shrink(&mut pool, &mut k0) {}

@@ -969,8 +969,9 @@ fn e16_smp() -> Output {
 
 /// E17: concurrent fault injection across four storming cells, then a
 /// cell fail-stop recovered to a clean N−1 quiesce. Either arm panics at
-/// quiesce on an uncontained fault or a leaked frame or PID, so reaching
-/// the snapshot is what makes `contained` and `clean_quiesce` true.
+/// quiesce on an uncontained fault or a leaked frame or PID, and at any
+/// lock taken out of order, so reaching the snapshot is what makes
+/// `contained` and `clean_quiesce` true and proves the lock order held.
 fn e17_cell_failure() -> Output {
     let out = smp_faults::run();
     let (sweep, failstop, failure) = (&out.sweep, &out.failstop, &out.failstop.failure);
@@ -979,10 +980,6 @@ fn e17_cell_failure() -> Output {
         sweep.sites_injected() >= 5,
         "injection must spread across the creation surface: {} sites",
         sweep.sites_injected()
-    );
-    assert_eq!(
-        sweep.order_violations, 0,
-        "lock-order violations under concurrent injection"
     );
     assert_eq!(
         failstop.live_cells,
@@ -997,16 +994,11 @@ fn e17_cell_failure() -> Output {
         failstop.ops_after_failure > 0,
         "survivors must keep working after the failure"
     );
-    assert_eq!(
-        failstop.order_violations, 0,
-        "lock-order violations through fail-stop recovery"
-    );
     let sweep = rec([
         ("ops", int(sweep.ops)),
         ("injected_ops", int(sweep.injected_ops)),
         ("sites_crossed", int(sweep.sites_crossed())),
         ("sites_injected", int(sweep.sites_injected())),
-        ("order_violations", int(sweep.order_violations)),
         ("contained", Value::Bool(true)),
     ]);
     let fail_stop = rec([
@@ -1015,7 +1007,6 @@ fn e17_cell_failure() -> Output {
         ("lease_was_stuck", Value::Bool(failure.lease_was_stuck)),
         ("ops_after_failure", int(failstop.ops_after_failure)),
         ("live_cells", int(failstop.live_cells)),
-        ("order_violations", int(failstop.order_violations)),
         ("clean_quiesce", Value::Bool(true)),
     ]);
     let snap = snapshot(

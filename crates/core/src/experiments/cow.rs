@@ -7,9 +7,9 @@
 //! fork against an eager-copying fork: past a crossover fraction, the
 //! deferred machinery is the more expensive way to copy.
 
-use crate::kit::{machine_for, world, CreationPath};
+use super::odf_storm;
 use fpr_mem::{ForkMode, CYCLES_PER_US};
-use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
+use fpr_trace::{FigureData, Series};
 
 /// Result of one COW-storm cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,32 +24,17 @@ pub(crate) struct StormCell {
     pub cow_faults: u64,
 }
 
-/// Measures one cell at `footprint` pages and `fraction` touched.
+/// Measures one cell at `footprint` pages and `fraction` touched. A
+/// total is the fork's cycles plus the writes': nothing is charged
+/// between the two.
 pub(crate) fn measure(footprint: u64, fraction: f64, seed: u64) -> StormCell {
-    let pages = TouchPattern::Random { fraction, seed }.expand(footprint);
-    let mut totals = [0u64; 2];
-    let mut cow_faults = 0;
-    for (i, mode) in [ForkMode::Cow, ForkMode::Eager].into_iter().enumerate() {
-        let (mut os, parent) = world(machine_for(footprint), ProcessShape::with_heap(footprint));
-        let heap = os.first_mmap_base(parent).expect("heap mapped");
-        let (child, cycles) = os.measure(|os| {
-            let child = os
-                .create(parent, CreationPath::Fork(mode))
-                .expect("fork fits");
-            os.touch(child, heap, &pages).expect("write");
-            child
-        });
-        totals[i] = cycles;
-        if mode == ForkMode::Cow {
-            let stats = &os.kernel.process(child).unwrap().aspace.stats;
-            cow_faults = stats.cow_copies + stats.cow_reuses;
-        }
-    }
+    let [cow, eager] = [ForkMode::Cow, ForkMode::Eager]
+        .map(|mode| odf_storm::measure(footprint, fraction, mode, seed));
     StormCell {
         touch_fraction: fraction,
-        cow_total: totals[0],
-        eager_total: totals[1],
-        cow_faults,
+        cow_total: cow.fork_cycles + cow.storm_cycles,
+        eager_total: eager.fork_cycles + eager.storm_cycles,
+        cow_faults: cow.child.cow_copies + cow.child.cow_reuses,
     }
 }
 

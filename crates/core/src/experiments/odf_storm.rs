@@ -11,14 +11,13 @@
 //! (fork + storm) cost — which must be conserved, not reduced.
 
 use crate::kit::{machine_for, world, CreationPath};
-use fpr_mem::{ForkMode, CYCLES_PER_US};
+use fpr_mem::{AsStats, ForkMode, CYCLES_PER_US};
 use fpr_trace::{FigureData, ProcessShape, Series, TouchPattern};
 
-/// Result of one storm cell for a single fork mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OdfCell {
-    /// Fraction of parent pages the child wrote after fork.
-    pub touch_fraction: f64,
+/// One fork-then-touch: what a fork under one mode charged, and what the
+/// child's writes into the inherited heap charged after it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ForkTouch {
     /// Cycles the fork itself charged.
     pub fork_cycles: u64,
     /// Cycles the post-fork writes charged.
@@ -26,13 +25,15 @@ pub(crate) struct OdfCell {
     /// Cycles of the single most expensive post-fork write (the
     /// first-touch latency the paper's tail-latency complaint is about).
     pub worst_touch_cycles: u64,
-    /// Subtrees the storm privatised (0 under COW).
-    pub unshares: u64,
+    /// The child's address-space counters after the writes: COW breaks,
+    /// and the subtrees the storm privatised (none under COW).
+    pub child: AsStats,
 }
 
 /// Measures one cell: fork `footprint` pages under `mode`, then write
-/// `fraction` of them in the child.
-pub(crate) fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) -> OdfCell {
+/// `fraction` of them in the child. E3a's COW storm is this with
+/// `ForkMode::Cow` and `ForkMode::Eager`.
+pub(crate) fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) -> ForkTouch {
     let (mut os, parent) = world(machine_for(footprint), ProcessShape::with_heap(footprint));
     let heap = os.first_mmap_base(parent).expect("heap mapped");
     let pages = TouchPattern::Random { fraction, seed }.expand(footprint);
@@ -42,12 +43,11 @@ pub(crate) fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) 
     });
     let (worst_touch_cycles, storm_cycles) =
         os.measure(|os| os.touch(child, heap, &pages).expect("write"));
-    OdfCell {
-        touch_fraction: fraction,
+    ForkTouch {
         fork_cycles,
         storm_cycles,
         worst_touch_cycles,
-        unshares: os.kernel.process(child).unwrap().aspace.stats.pt_unshares,
+        child: os.kernel.process(child).unwrap().aspace.stats.clone(),
     }
 }
 
@@ -98,12 +98,12 @@ mod tests {
         // The storm privatised every heap subtree (the ASLR'd heap base
         // is rarely node-aligned, so the span may straddle one extra).
         assert!(
-            odf.unshares == FP / 512 || odf.unshares == FP / 512 + 1,
+            odf.child.pt_unshares == FP / 512 || odf.child.pt_unshares == FP / 512 + 1,
             "expected ~{} unshares, got {}",
             FP / 512,
-            odf.unshares
+            odf.child.pt_unshares
         );
-        assert_eq!(cow.unshares, 0);
+        assert_eq!(cow.child.pt_unshares, 0);
         // Total work is conserved: deferring the PTE copies does not
         // change what a fully-written child ends up paying (within 5%).
         let cow_total = cow.fork_cycles + cow.storm_cycles;
@@ -134,7 +134,7 @@ mod tests {
     fn untouched_child_never_pays_the_deferred_copy() {
         let odf = measure(FP, 0.0, ForkMode::OnDemand, 3);
         assert_eq!(odf.storm_cycles, 0);
-        assert_eq!(odf.unshares, 0);
+        assert_eq!(odf.child.pt_unshares, 0);
     }
 
     #[test]

@@ -24,18 +24,17 @@
 //!   the machine must quiesce clean at N−1 cells with the dead cell
 //!   *empty*.
 //!
-//! Both arms also gate on the lock-order enforcement added to
-//! [`fpr_trace::smp::VLock`]: the documented `mm → pid → buddy → tlb`
-//! order must see **zero** violations under storm, injection, and
-//! fail-stop alike — the failure paths take locks in the same order the
-//! happy paths do.
+//! Both arms also hold the failure paths to the documented
+//! `mm → pid → buddy → tlb` lock order: [`fpr_trace::smp::VLock`] refuses
+//! an acquisition that breaks it by panicking, so an arm that returns
+//! took its locks in order under storm, injection and fail-stop alike.
 
 use crate::kit::{smp_machine, CreationPath};
 use crate::smp::{CellFailure, SmpOs};
 use fpr_faults::{derive_cell_seed, FaultPlan, FaultSite, SiteCoverage};
 use fpr_mem::ForkMode;
 use fpr_rng::Rng;
-use fpr_trace::{smp as vsmp, FigureData, Series, TableData};
+use fpr_trace::{FigureData, Series, TableData};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -116,8 +115,6 @@ pub struct SweepOutcome {
     pub coverage: Vec<(FaultSite, SiteCoverage)>,
     /// Slowest worker's virtual elapsed cycles.
     pub wall_cycles: u64,
-    /// Lock-order violations recorded during the arm (gate: 0).
-    pub order_violations: u64,
 }
 
 impl SweepOutcome {
@@ -147,7 +144,6 @@ pub(crate) fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
     // The coverage window opens before boot: what booting the machine
     // crosses counts with what the storm crosses.
     fpr_faults::reset_coverage();
-    let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
     let injected_ops = AtomicU64::new(0);
     let workers_coverage = Mutex::new(FaultSite::ALL.map(|site| (site, SiteCoverage::default())));
@@ -182,7 +178,6 @@ pub(crate) fn faultsweep_storm(root_seed: u64) -> SweepOutcome {
         injected_ops: injected_ops.into_inner(),
         coverage,
         wall_cycles: elapsed.into_iter().max().unwrap_or(0),
-        order_violations: vsmp::order_violations() - order_before,
     }
 }
 
@@ -195,14 +190,11 @@ pub struct FailStopOutcome {
     pub ops_after_failure: u64,
     /// Cells still alive at quiesce (gate: [`THREADS`] − 1).
     pub live_cells: usize,
-    /// Lock-order violations recorded during the arm (gate: 0).
-    pub order_violations: u64,
 }
 
 /// Arm 2: the same storm, but worker 0 fail-stops cell 0 halfway
 /// through; survivors redirect and the machine quiesces clean at N−1.
 pub(crate) fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
-    let order_before = vsmp::order_violations();
     let smp = SmpOs::boot(smp_machine(), THREADS);
     let failure = Mutex::new(None);
     let ops_after_failure = AtomicU64::new(0);
@@ -239,7 +231,6 @@ pub(crate) fn fail_stop_storm(root_seed: u64) -> FailStopOutcome {
         failure: failure.into_inner().unwrap().expect("worker 0 killed cell 0"),
         ops_after_failure: ops_after_failure.into_inner(),
         live_cells: smp.live_cells(),
-        order_violations: vsmp::order_violations() - order_before,
     }
 }
 
@@ -295,18 +286,17 @@ impl CellFailureOutcome {
             "sweep".into(),
             self.sweep.ops.to_string(),
             self.sweep.injected_ops.to_string(),
-            format!("order_violations={}", self.sweep.order_violations),
+            String::new(),
         ]);
         t.push_row(vec![
             "fail_stop".into(),
             self.failstop.ops_after_failure.to_string(),
             self.failstop.failure.evacuated.to_string(),
             format!(
-                "live_cells={} site={} lease_stuck={} order_violations={}",
+                "live_cells={} site={} lease_stuck={}",
                 self.failstop.live_cells,
                 self.failstop.failure.site.name(),
                 self.failstop.failure.lease_was_stuck,
-                self.failstop.order_violations,
             ),
         ]);
         t
@@ -330,14 +320,8 @@ pub(crate) fn run_with(root_seed: u64) -> CellFailureOutcome {
 mod tests {
     use super::*;
 
-    // The order-violation counter is process-wide and every arm reads it
-    // as a before/after delta; these tests must not overlap in one test
-    // binary.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
     #[test]
     fn concurrent_sweep_injects_widely_and_quiesces_clean() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = faultsweep_storm(SEED);
         assert_eq!(out.ops, (THREADS * OPS_PER_WORKER) as u64);
         assert!(
@@ -352,13 +336,11 @@ mod tests {
             out.sites_injected()
         );
         assert!(out.sites_crossed() >= out.sites_injected());
-        assert_eq!(out.order_violations, 0, "lock order held under injection");
         assert!(out.wall_cycles > 0);
     }
 
     #[test]
     fn sweep_replays_deterministic_injection_counts() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         // Thread interleaving varies; the per-(worker, op) plans do not.
         // Injection decisions depend only on the plan and each op's own
         // crossing sequence, so totals replay exactly.
@@ -370,7 +352,6 @@ mod tests {
 
     #[test]
     fn fail_stop_recovers_to_n_minus_one_mid_storm() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = fail_stop_storm(SEED);
         assert_eq!(out.live_cells, THREADS - 1);
         assert!(out.failure.died_at_site, "fork always crosses pid_alloc");
@@ -380,12 +361,10 @@ mod tests {
             out.ops_after_failure > 0,
             "survivors kept creating processes after the failure"
         );
-        assert_eq!(out.order_violations, 0, "lock order held through fail-stop");
     }
 
     #[test]
     fn figure_and_table_have_the_shape() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         let out = run();
         let fig = out.figure();
         assert_eq!(fig.series.len(), 2);

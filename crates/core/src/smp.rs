@@ -20,9 +20,9 @@
 //! Lock order (documented in ARCHITECTURE.md): `mm` → `pid` → `buddy` →
 //! `tlb`. Workers only ever hold one `mm` lock at a time, and the shared
 //! subsystems never call back up into a cell, so the order is acyclic.
-//! The order is *enforced* at runtime by [`VLock`]'s per-thread rank
-//! tracker; any out-of-order acquisition bumps a process-global counter
-//! the E17 gate asserts is zero.
+//! [`VLock`] *refuses* any acquisition that breaks it: the acquiring
+//! thread panics before it can block, so no run that completes took a
+//! lock out of order, and no wait-for cycle among these locks can form.
 //!
 //! ## Fail-stop (E17)
 //!
@@ -172,20 +172,15 @@ impl SmpOs {
             fpr_faults::with_plan(FaultPlan::passive().fail_at(site, 0), || {
                 os.fork(init)
             });
+        // If the armed site wasn't on fork's path, the op survived its own
+        // death: its child dies with the cell — evacuation reaps it below.
         let died_at_site = !trace.injected().is_empty();
-        if let Ok(orphan) = dying_gasp {
-            // The armed site wasn't on fork's path: the op survived its
-            // own death. The child dies with the cell — evacuation
-            // reaps it below.
-            let _ = orphan;
-        }
         debug_assert!(
             !died_at_site || dying_gasp.is_err(),
             "an injected fault must fail the dying operation"
         );
         let lease_was_stuck = self.shared.oom.try_lease(c);
         self.dead[c].store(true, Ordering::Release);
-        fpr_trace::metrics::incr("smp.cell.failed");
         // Recovery. Evacuation crosses its own fault site; no plan is
         // armed on this thread anymore, so it cannot be injected here.
         let _ = os.disable_spawn_fastpath();
@@ -413,6 +408,19 @@ mod tests {
         assert!(!f.died_at_site);
         assert!(f.evacuated >= 2, "init plus the dying gasp's child");
         assert!(smp.is_dead(1));
+        smp.check_quiesced();
+    }
+
+    #[test]
+    fn holding_one_cells_mm_refuses_another() {
+        let smp = SmpOs::boot(MachineConfig::default(), 2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _zero = smp.cell(0).lock();
+            let _one = smp.cell(1).lock();
+        }));
+        let msg = refused.expect_err("a second mm lock is refused");
+        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("lock order refused: \"mm\""), "{msg}");
         smp.check_quiesced();
     }
 

@@ -180,10 +180,6 @@ impl ImageCache {
 /// first: spawn latency for the evicted binaries degrades to the classic
 /// uncached path instead of some process being OOM-killed.
 impl fpr_kernel::Shrinker for ImageCache {
-    fn name(&self) -> &'static str {
-        "image_cache"
-    }
-
     fn fault_site(&self) -> fpr_faults::FaultSite {
         fpr_faults::FaultSite::ReclaimShrink
     }

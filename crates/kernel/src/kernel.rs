@@ -716,7 +716,6 @@ impl Kernel {
     /// kernel-wide state stay consistent (real kernels deliver `SIGBUS`
     /// on exactly this path: a swap-in that the device fails).
     fn swap_io_sigbus<T>(&mut self, pid: Pid) -> KResult<T> {
-        metrics::incr("kernel.swap.sigbus");
         sink::instant("swap_sigbus", "kernel", self.cycles.total());
         self.exit(pid, crate::lifecycle::SIGBUS_EXIT_STATUS)?;
         Err(Errno::Efault)

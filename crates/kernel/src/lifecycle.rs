@@ -302,7 +302,6 @@ impl Kernel {
     /// number of processes evacuated.
     pub fn evacuate(&mut self) -> KResult<u64> {
         fpr_faults::cross(fpr_faults::FaultSite::CellEvacuate).map_err(|_| Errno::Eagain)?;
-        metrics::incr("kernel.cell.evacuated");
         let mut evacuated = 0u64;
         let mut victims: Vec<Pid> = self
             .procs
@@ -346,7 +345,6 @@ impl Kernel {
             p.oom_killed = true;
         }
         self.oom_kills.push(victim);
-        fpr_trace::metrics::incr("kernel.oom.kills");
         fpr_trace::sink::instant("oom_kill", "kernel", self.cycles.total());
         self.exit(victim, OOM_EXIT_STATUS).ok()?;
         Some(victim)

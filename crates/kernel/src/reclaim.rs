@@ -39,15 +39,11 @@ use crate::error::KResult;
 use crate::kernel::Kernel;
 use fpr_faults::FaultSite;
 use fpr_mem::PressureLevel;
-use fpr_trace::metrics;
 use std::sync::{Arc, Mutex, Weak};
 
 /// A subsystem that can give frames back to the kernel under memory
 /// pressure.
 pub trait Shrinker {
-    /// Stable name for metrics and traces.
-    fn name(&self) -> &'static str;
-
     /// The fault site a reclaim pass crosses on this shrinker's behalf
     /// *before* any shrinker mutates (see the module docs).
     fn fault_site(&self) -> FaultSite;
@@ -123,23 +119,14 @@ impl Kernel {
         if self.shrinkers.is_empty() {
             return Ok(0);
         }
-        let handles: Vec<ShrinkerHandle> =
-            self.shrinkers.iter().filter_map(Weak::upgrade).collect();
         // Phase 0: who can participate? Busy shrinkers (the fast path is
         // mid-spawn holding the lock) and empty ones sit the pass out.
-        let mut ready: Vec<ShrinkerHandle> = Vec::new();
-        for h in handles {
-            let can = match h.try_lock() {
-                Ok(guard) => guard.reclaimable(self) > 0,
-                Err(_) => {
-                    metrics::incr("kernel.reclaim.lock_skip");
-                    false
-                }
-            };
-            if can {
-                ready.push(h);
-            }
-        }
+        let ready: Vec<ShrinkerHandle> = self
+            .shrinkers
+            .iter()
+            .filter_map(Weak::upgrade)
+            .filter(|h| h.try_lock().is_ok_and(|guard| guard.reclaimable(self) > 0))
+            .collect();
         if ready.is_empty() {
             return Ok(0);
         }
@@ -148,7 +135,6 @@ impl Kernel {
             let site = h.lock().unwrap_or_else(|p| p.into_inner()).fault_site();
             if let Err(e) = fpr_faults::cross(site).map_err(|_| crate::error::Errno::Enomem) {
                 self.reclaim_stats.aborted_passes += 1;
-                metrics::incr("kernel.reclaim.aborted");
                 return Err(e);
             }
         }
@@ -161,22 +147,12 @@ impl Kernel {
                     break;
                 }
                 let mut guard = h.lock().unwrap_or_else(|p| p.into_inner());
-                let got = guard.shrink(k, target - freed);
-                metrics::add(
-                    match guard.name() {
-                        "warm_pool" => "kernel.reclaim.pool_frames",
-                        _ => "kernel.reclaim.cache_frames",
-                    },
-                    *got.as_ref().unwrap_or(&0),
-                );
-                freed += got?;
+                freed += guard.shrink(k, target - freed)?;
             }
             k.reclaim_stats.passes += 1;
             k.reclaim_stats.frames_reclaimed += freed;
             let stalled = k.cycles.total() - stall_start;
             k.phys.note_stall(stalled);
-            metrics::incr("kernel.reclaim.passes");
-            metrics::add("kernel.reclaim.frames", freed);
             Ok(freed)
         })
     }
@@ -243,7 +219,6 @@ impl Kernel {
         // Phase 1: the pass-level fault site, before any mutation.
         if fpr_faults::cross(FaultSite::SwapOut).is_err() {
             self.reclaim_stats.aborted_swap_passes += 1;
-            metrics::incr("kernel.swap.aborted");
             return Err(crate::error::Errno::Enomem);
         }
         // Phase 2: reserve one slot per page (each crossing
@@ -266,7 +241,6 @@ impl Kernel {
                             k.phys.swap_mut().unalloc_slot(slot);
                         }
                         k.reclaim_stats.aborted_swap_passes += 1;
-                        metrics::incr("kernel.swap.aborted");
                         return Err(crate::error::Errno::Enomem);
                     }
                 }
@@ -292,7 +266,6 @@ impl Kernel {
             k.reclaim_stats.pages_swapped_out += evicted;
             let stalled = k.cycles.total() - stall_start;
             k.phys.note_stall(stalled);
-            metrics::add("kernel.swap.out_pages", evicted);
             Ok(evicted)
         })
     }
@@ -353,11 +326,9 @@ impl Kernel {
         let target = self.phys.reclaim_target().max(1);
         let mut freed = 0;
         if self.reclaim_could_help() {
-            metrics::incr("kernel.reclaim.direct");
             freed = self.reclaim(target).unwrap_or(0);
         }
         if freed < target && self.swap_could_help() {
-            metrics::incr("kernel.swap.direct");
             freed += self.swap_out_pass(target - freed).unwrap_or(0);
         }
         freed > 0
@@ -376,9 +347,6 @@ mod tests {
     }
 
     impl Shrinker for FrameBag {
-        fn name(&self) -> &'static str {
-            "frame_bag"
-        }
         fn fault_site(&self) -> FaultSite {
             FaultSite::ReclaimShrink
         }

@@ -39,7 +39,7 @@ pub enum ForkMode {
 }
 
 /// Counters describing the work an address space has performed.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AsStats {
     /// Demand-zero / file-fill faults served.
     pub demand_faults: u64,

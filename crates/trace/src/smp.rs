@@ -17,35 +17,24 @@
 //! or past every `free_at` it wrote — so single-threaded arms report zero
 //! contention by construction.
 //!
-//! ## Lock-order validation
+//! ## Lock order
 //!
 //! The SMP machine documents one lock order — `mm` → `pid` → `buddy` →
-//! `tlb` (ARCHITECTURE.md) — and this module *enforces* it at runtime
-//! for exactly those four names. Each thread tracks which ranked locks
-//! it holds; acquiring a ranked lock whose rank is not strictly greater
-//! than every rank already held (which also catches taking two `mm`
-//! locks at once) counts one violation in [`order_violations`], then
-//! proceeds. The E17 gate asserts the counter stays at zero across every
-//! storm. Locks with any other name (tests, ad-hoc structures) are
-//! exempt.
+//! `tlb` (ARCHITECTURE.md) — and [`VLock::lock`] *refuses* to break it
+//! for exactly those four names: a thread that already holds a ranked
+//! lock of the same or a later rank panics before it can block, naming
+//! the lock it wanted and the ranks it holds. Locks with any other name
+//! (tests, ad-hoc structures) have no rank and are never refused.
 //!
-//! The violation and deadlock counts and the wait-for graph are the
-//! module's only process-wide state, and they stay so on purpose: a lock
-//! order is a property of the code, not of one machine, and a wait cycle
-//! can close across the locks of any number of machines.
+//! Refusal is what makes the machine deadlock-free. A thread waits on a
+//! ranked lock only while every lock it holds ranks lower, so along any
+//! chain of waiters the ranks strictly rise, and no chain can come back
+//! to where it started: no wait-for cycle among ranked locks can form.
+//! The refusal's unwind releases the locks the thread held, so the
+//! panic reaches the test harness and nothing hangs.
 //!
-//! ## Deadlock detection
-//!
-//! Every ranked lock records its holder's thread id in an atomic of its
-//! own, so an uncontended acquire/release pair touches nothing
-//! process-global. Only an acquisition that *would block* takes the
-//! process-wide wait-for graph mutex: it registers a waiting edge
-//! (thread → lock → holding thread) and looks for a cycle. A cycle means
-//! the machine *would* hang; instead of hanging, the acquirer increments
-//! [`deadlocks_detected`], and panics with the full cycle — a
-//! deterministic, reportable event. The unwind releases the acquirer's
-//! own locks, so surviving threads keep running (and the test harness
-//! reports the panic instead of timing out).
+//! The set of ranks a thread holds is thread-local; nothing in this
+//! module is process-wide.
 //!
 //! ```
 //! use fpr_trace::smp::{LockStats, VLock};
@@ -65,103 +54,22 @@
 
 use crate::vclock;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Mutex, MutexGuard};
 
 /// The documented SMP lock order; a ranked lock may only be acquired
 /// while every held ranked lock has a strictly smaller rank.
 const LOCK_ORDER: [&str; 4] = ["mm", "pid", "buddy", "tlb"];
 
-/// Rank of `name` in the documented order, `None` for exempt names.
+/// Rank of `name` in the documented order, `None` for unranked names.
 fn rank_of(name: &str) -> Option<usize> {
     LOCK_ORDER.iter().position(|&n| n == name)
 }
 
-/// Process-wide count of lock-order violations (see module docs).
-static ORDER_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of would-block cycles caught by the detector.
-static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
-
-/// Monotone thread ids, assigned lazily the first time a thread touches
-/// a ranked lock; 0 is never handed out (it means "no holder").
-static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// How many locks of each rank this thread currently holds.
-    static HELD: Cell<[u8; LOCK_ORDER.len()]> = const { Cell::new([0; LOCK_ORDER.len()]) };
-    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Adjusts this thread's held count for `rank` by `delta`.
-fn note_held(rank: usize, delta: i8) {
-    HELD.with(|h| {
-        let mut held = h.get();
-        held[rank] = held[rank].wrapping_add_signed(delta);
-        h.set(held);
-    });
-}
-
-/// The process-wide wait-for graph over *ranked* locks: who is blocked
-/// on what. "Who holds what" lives in each lock's own holder cell, which
-/// a waiting edge carries along. Waiting edges are only mutated under
-/// the graph mutex, and a thread stores every holder id before it
-/// registers a wait, so the last thread to close a cycle sees all of it:
-/// every thread on the cycle holds its lock and has registered its wait.
-#[derive(Default)]
-struct WaitGraph {
-    /// thread id → (holder cell of the lock it is blocked on, lock name).
-    waiting: BTreeMap<u64, (Arc<AtomicU64>, &'static str)>,
-}
-
-impl WaitGraph {
-    /// Follows `start`'s wait chain; returns the lock names on the cycle
-    /// if the chain leads back to `start`.
-    fn find_cycle(&self, start: u64) -> Option<Vec<&'static str>> {
-        let mut path = Vec::new();
-        let mut cur = start;
-        loop {
-            let (holder, name) = self.waiting.get(&cur)?;
-            path.push(*name);
-            // Acquire pairs with the Release stores in `lock_ranked` and
-            // the guard's drop; 0 means "between holders".
-            let holder = holder.load(Ordering::Acquire);
-            if holder == 0 {
-                return None;
-            }
-            if holder == start {
-                return Some(path);
-            }
-            if path.len() > self.waiting.len() {
-                return None; // a loop not involving `start`
-            }
-            cur = holder;
-        }
-    }
-}
-
-fn wait_graph() -> &'static Mutex<WaitGraph> {
-    static GRAPH: OnceLock<Mutex<WaitGraph>> = OnceLock::new();
-    GRAPH.get_or_init(|| Mutex::new(WaitGraph::default()))
-}
-
-fn graph_lock() -> std::sync::MutexGuard<'static, WaitGraph> {
-    wait_graph()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Process-wide count of lock-order violations since the process
-/// started. The E17 gate requires zero.
-pub fn order_violations() -> u64 {
-    ORDER_VIOLATIONS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of would-block cycles the deadlock detector has
-/// turned into panics.
-pub fn deadlocks_detected() -> u64 {
-    DEADLOCKS.load(Ordering::Relaxed)
+    /// The ranks of the ranked locks this thread holds, bit `r` for rank
+    /// `r`: under refusal a thread holds at most one lock of each rank.
+    static HELD: Cell<u8> = const { Cell::new(0) };
 }
 
 /// Contention tallies of one [`VLock`], or a sum of several.
@@ -183,17 +91,12 @@ impl std::iter::Sum for LockStats {
 }
 
 /// A named mutex that models contention in virtual time.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VLock<T> {
     name: &'static str,
-    /// Rank of `name` in the documented order, `None` for exempt names
+    /// Rank of `name` in the documented order, `None` for unranked names
     /// (which are never tracked).
     rank: Option<usize>,
-    /// Thread id of the current holder of a ranked lock, 0 when free:
-    /// stored after the mutex is acquired, cleared before it is released,
-    /// so a nonzero value read by the cycle detector names a thread that
-    /// genuinely holds the mutex.
-    holder: Arc<AtomicU64>,
     /// Virtual time at which the last holder released the lock.
     free_at: AtomicU64,
     /// [`LockStats::contended_acquires`] and [`LockStats::wait_cycles`]:
@@ -209,7 +112,6 @@ impl<T> VLock<T> {
         VLock {
             name,
             rank: rank_of(name),
-            holder: Arc::new(AtomicU64::new(0)),
             free_at: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             waited: AtomicU64::new(0),
@@ -229,26 +131,36 @@ impl<T> VLock<T> {
     /// Acquires the lock, advancing this thread's virtual clock to the
     /// lock's release time and recording the wait if it had to "spin".
     ///
-    /// For the four ranked names the acquisition also checks the
-    /// documented lock order and registers in the wait-for graph; see
-    /// the module docs.
-    ///
     /// Poisoning is ignored: the simulated kernel's own invariants are
     /// checked explicitly at quiesce, and a panicking test thread must
     /// not cascade into every other cell.
     ///
     /// # Panics
     ///
-    /// Panics (deterministically, with the cycle) if blocking here would
-    /// deadlock the machine.
+    /// For the four ranked names, panics before it can block if this
+    /// thread already holds a ranked lock of the same or a later rank
+    /// (see the module docs).
     pub fn lock(&self) -> VLockGuard<'_, T> {
-        let guard = match self.rank {
-            None => self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            Some(rank) => self.lock_ranked(rank),
-        };
+        if let Some(rank) = self.rank {
+            let held = HELD.get();
+            if held >> rank != 0 {
+                let names: Vec<&str> = (0..LOCK_ORDER.len())
+                    .filter(|&r| held >> r & 1 != 0)
+                    .map(|r| LOCK_ORDER[r])
+                    .collect();
+                panic!(
+                    "lock order refused: \"{}\" taken while holding [{}]; the order is {}",
+                    self.name,
+                    names.join(", "),
+                    LOCK_ORDER.join(" -> ")
+                );
+            }
+            HELD.set(held | 1 << rank);
+        }
+        let guard = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let now = vclock::now();
         let free_at = self.free_at.load(Ordering::Acquire);
         if free_at > now {
@@ -257,45 +169,6 @@ impl<T> VLock<T> {
             self.waited.fetch_add(free_at - now, Ordering::Relaxed);
         }
         VLockGuard { lock: self, guard }
-    }
-
-    /// The ranked path: order check, then acquire. The uncontended case
-    /// is a `try_lock` and one atomic store; only a would-block takes
-    /// the graph mutex, to register the wait and look for a cycle.
-    fn lock_ranked(&self, rank: usize) -> MutexGuard<'_, T> {
-        if HELD.with(|h| h.get()[rank..].iter().any(|&n| n > 0)) {
-            ORDER_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        let me = THREAD_ID.with(|&t| t);
-        let guard = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                {
-                    let mut g = graph_lock();
-                    g.waiting.insert(me, (Arc::clone(&self.holder), self.name));
-                    if let Some(cycle) = g.find_cycle(me) {
-                        g.waiting.remove(&me);
-                        drop(g);
-                        DEADLOCKS.fetch_add(1, Ordering::Relaxed);
-                        panic!(
-                            "deadlock detected: blocking on \"{}\" closes the wait cycle [{}]",
-                            self.name,
-                            cycle.join(" -> ")
-                        );
-                    }
-                }
-                let guard = self
-                    .inner
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                graph_lock().waiting.remove(&me);
-                guard
-            }
-        };
-        self.holder.store(me, Ordering::Release);
-        note_held(rank, 1);
-        guard
     }
 }
 
@@ -325,11 +198,7 @@ impl<T> Drop for VLockGuard<'_, T> {
         // body), so the next acquirer always observes our release time.
         self.lock.free_at.store(vclock::now(), Ordering::Release);
         if let Some(rank) = self.lock.rank {
-            // Clear the holder before the mutex releases too: a holder
-            // id present implies the mutex is genuinely held, which is
-            // what makes a found cycle trustworthy.
-            self.lock.holder.store(0, Ordering::Release);
-            note_held(rank, -1);
+            HELD.set(HELD.get() & !(1 << rank));
         }
     }
 }
@@ -338,14 +207,6 @@ impl<T> Drop for VLockGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    /// The violation/deadlock counters are process-global; tests that
-    /// read them as before/after deltas must not interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn uncontended_same_thread_records_nothing() {
@@ -398,77 +259,81 @@ mod tests {
         );
     }
 
+    /// Runs `f` and returns its panic message, or `None` if it returned.
+    fn refusal(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(err.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
     #[test]
-    fn documented_order_is_violation_free() {
-        let _s = serial();
-        let before = order_violations();
+    fn inverted_or_repeated_rank_is_refused() {
+        let mm = VLock::new("mm", ());
+        let buddy = VLock::new("buddy", ());
+        let msg = refusal(|| {
+            let _b = buddy.lock();
+            let _a = mm.lock(); // buddy held while taking mm: inversion
+        })
+        .expect("an inversion is refused");
+        assert!(msg.contains("lock order refused: \"mm\""), "{msg}");
+        assert!(msg.contains("[buddy]"), "names the ranks held: {msg}");
+
+        let other_mm = VLock::new("mm", ());
+        let msg = refusal(|| {
+            let _a = mm.lock();
+            let _b = other_mm.lock(); // second mm while the first is held
+        })
+        .expect("a second lock of one rank is refused");
+        assert!(msg.contains("lock order refused: \"mm\""), "{msg}");
+        assert!(msg.contains("[mm]"), "names the ranks held: {msg}");
+    }
+
+    #[test]
+    fn documented_order_sequential_ranks_and_unranked_names_proceed() {
         let mm = VLock::new("mm", ());
         let pid = VLock::new("pid", ());
         let buddy = VLock::new("buddy", ());
         let tlb = VLock::new("tlb", ());
+        {
+            let _a = mm.lock();
+            let _b = pid.lock();
+            let _c = buddy.lock();
+            let _d = tlb.lock();
+        }
+        let other_pid = VLock::new("pid", ());
+        drop(pid.lock());
+        drop(other_pid.lock()); // sequential same-rank acquisitions
+        let x = VLock::new("t.smp.x", ());
+        let y = VLock::new("t.smp.y", ());
+        let _gy = y.lock();
+        let _gt = tlb.lock(); // a ranked lock under an unranked one
+        let _gx = x.lock(); // unranked locks have no order
+    }
+
+    #[test]
+    fn a_caught_refusal_leaves_nothing_held() {
+        let mm = VLock::new("mm", ());
+        let pid = VLock::new("pid", ());
+        let buddy = VLock::new("buddy", ());
+        let tlb = VLock::new("tlb", ());
+        assert!(refusal(|| {
+            let _a = pid.lock();
+            let _b = tlb.lock();
+            let _c = buddy.lock();
+        })
+        .is_some());
+        assert_eq!(HELD.get(), 0, "the unwind released every rank");
         let _a = mm.lock();
         let _b = pid.lock();
         let _c = buddy.lock();
         let _d = tlb.lock();
-        assert_eq!(
-            order_violations(),
-            before,
-            "mm -> pid -> buddy -> tlb is the documented order"
-        );
     }
 
     #[test]
-    fn inverted_acquisition_counts_a_violation() {
-        let _s = serial();
-        let before = order_violations();
-        let mm = VLock::new("mm", ());
-        let buddy = VLock::new("buddy", ());
-        let _b = buddy.lock();
-        let _a = mm.lock(); // buddy held while taking mm: inversion
-        assert_eq!(order_violations(), before + 1);
-    }
-
-    #[test]
-    fn two_same_rank_locks_count_a_violation() {
-        let _s = serial();
-        let before = order_violations();
-        let a = VLock::new("mm", ());
-        let b = VLock::new("mm", ());
-        let _ga = a.lock();
-        let _gb = b.lock(); // second mm while the first is held
-        assert_eq!(order_violations(), before + 1);
-    }
-
-    #[test]
-    fn release_clears_held_tracking() {
-        let _s = serial();
-        let before = order_violations();
-        let a = VLock::new("pid", ());
-        let b = VLock::new("pid", ());
-        drop(a.lock());
-        drop(b.lock()); // sequential same-rank acquisitions are fine
-        assert_eq!(order_violations(), before);
-    }
-
-    #[test]
-    fn unranked_names_are_exempt() {
-        let _s = serial();
-        let before = order_violations();
-        let x = VLock::new("t.smp.x", ());
-        let y = VLock::new("t.smp.y", ());
-        let _gy = y.lock();
-        let _gx = x.lock();
-        assert_eq!(order_violations(), before, "unranked locks have no order");
-    }
-
-    #[test]
-    fn would_block_cycle_panics_deterministically_instead_of_hanging() {
+    fn crossed_pair_is_refused_on_both_threads_instead_of_hanging() {
         use std::sync::Barrier;
-        let _s = serial();
         let a = Arc::new(VLock::new("mm", 0u32));
         let b = Arc::new(VLock::new("mm", 0u32));
         let gate = Arc::new(Barrier::new(2));
-        let before = deadlocks_detected();
         let spawn = |first: Arc<VLock<u32>>, second: Arc<VLock<u32>>, gate: Arc<Barrier>| {
             std::thread::spawn(move || {
                 let _g1 = first.lock();
@@ -478,22 +343,10 @@ mod tests {
         };
         let t1 = spawn(Arc::clone(&a), Arc::clone(&b), Arc::clone(&gate));
         let t2 = spawn(Arc::clone(&b), Arc::clone(&a), Arc::clone(&gate));
-        let r1 = t1.join();
-        let r2 = t2.join();
-        assert!(
-            r1.is_err() ^ r2.is_err(),
-            "exactly one thread panics out of the cycle; the other completes"
-        );
-        assert_eq!(deadlocks_detected(), before + 1);
-        let panicked = if r1.is_err() { r1 } else { r2 };
-        let msg = panicked.unwrap_err();
-        let msg = msg
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("deadlock detected"),
-            "panic names the event: {msg}"
-        );
+        for r in [t1.join(), t2.join()] {
+            let msg = r.expect_err("each thread is refused its second mm");
+            let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("lock order refused"), "{msg}");
+        }
     }
 }
