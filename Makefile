@@ -213,14 +213,14 @@ bench-pair:
 
 # The size a simplicity change is judged by: per crate, then per file, the
 # lines of crates/*/src that are neither blank nor a comment, counting each
-# file only above its `#[cfg(test)]`.
+# file only above its `#[cfg(test)]`; the last line is the workspace total.
 loc:
 	@for c in crates/*; do \
 		find $$c/src -name '*.rs' | sort | xargs awk ' \
 			FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } \
 			!skip && !/^[[:space:]]*(\/\/|$$)/ { n[FILENAME]++; total++ } \
 			END { printf "%6d  %s\n", total, "'$$c'"; for (f in n) printf "%6d    %s\n", n[f], f | "sort -k2"; }'; \
-	done
+	done | awk '{ print } $$2 ~ /^crates\/[^\/]+$$/ { total += $$1 } END { printf "%6d  TOTAL\n", total }'
 
 clean:
 	$(CARGO) clean

@@ -14,7 +14,7 @@
 
 use crate::fork::fork_from_thread;
 use crate::vfork::vfork;
-use fpr_exec::{execve, AslrConfig, ImageRegistry};
+use fpr_exec::{execve, ImageRegistry};
 use fpr_kernel::{KResult, Kernel, Pid};
 use fpr_mem::ForkMode;
 
@@ -43,12 +43,11 @@ pub fn fork_exec(
     registry: &ImageRegistry,
     path: &str,
     mode: ForkMode,
-    aslr: AslrConfig,
     aslr_seed: u64,
 ) -> KResult<Pid> {
     let tid = kernel.process(parent)?.main_tid();
     let (child, _) = fork_from_thread(kernel, parent, tid, mode)?;
-    let exec = execve(kernel, child, registry, path, aslr, aslr_seed);
+    let exec = execve(kernel, child, registry, path, aslr_seed);
     child_or_reap(kernel, parent, child, exec)
 }
 
@@ -62,11 +61,10 @@ pub fn vfork_exec(
     parent: Pid,
     registry: &ImageRegistry,
     path: &str,
-    aslr: AslrConfig,
     aslr_seed: u64,
 ) -> KResult<Pid> {
     let child = vfork(kernel, parent)?;
-    let exec = execve(kernel, child, registry, path, aslr, aslr_seed);
+    let exec = execve(kernel, child, registry, path, aslr_seed);
     child_or_reap(kernel, parent, child, exec)
 }
 
@@ -94,7 +92,6 @@ mod tests {
                 &reg,
                 "/bin/tool",
                 mode,
-                AslrConfig::default(),
                 7,
             )
             .unwrap();
@@ -115,7 +112,6 @@ mod tests {
             &reg,
             "/bin/missing",
             ForkMode::OnDemand,
-            AslrConfig::default(),
             7,
         );
         assert_eq!(r, Err(Errno::Enoexec));
@@ -126,10 +122,10 @@ mod tests {
     #[test]
     fn vfork_exec_resumes_the_parent() {
         let (mut k, init, reg) = world();
-        let c = vfork_exec(&mut k, init, &reg, "/bin/tool", AslrConfig::default(), 9).unwrap();
+        let c = vfork_exec(&mut k, init, &reg, "/bin/tool", 9).unwrap();
         assert_eq!(k.process(c).unwrap().name, "tool");
         // The parent is runnable again: a second creation works.
-        let d = vfork_exec(&mut k, init, &reg, "/bin/tool", AslrConfig::default(), 10).unwrap();
+        let d = vfork_exec(&mut k, init, &reg, "/bin/tool", 10).unwrap();
         for pid in [c, d] {
             k.exit(pid, 0).unwrap();
             k.waitpid(init, Some(pid)).unwrap();
@@ -141,11 +137,11 @@ mod tests {
     fn vfork_exec_failure_reaps_and_resumes() {
         let (mut k, init, reg) = world();
         let before = k.process_count();
-        let r = vfork_exec(&mut k, init, &reg, "/bin/nope", AslrConfig::default(), 9);
+        let r = vfork_exec(&mut k, init, &reg, "/bin/nope", 9);
         assert_eq!(r, Err(Errno::Enoexec));
         assert_eq!(k.process_count(), before);
         // Parent not left suspended by the dead vfork child.
-        let c = vfork_exec(&mut k, init, &reg, "/bin/tool", AslrConfig::default(), 11).unwrap();
+        let c = vfork_exec(&mut k, init, &reg, "/bin/tool", 11).unwrap();
         k.exit(c, 0).unwrap();
         k.waitpid(init, Some(c)).unwrap();
         k.check_invariants().unwrap();

@@ -18,8 +18,8 @@
 //! hot path costs one syscall plus a handful of PTE moves instead of a
 //! full image build.
 
-use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn_cached, FileAction, SpawnAttrs};
-use fpr_exec::{effective_file_id, load, randomize, reset_pcb, AslrConfig, Env, Image, ImageCache, ImageRegistry};
+use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn, FileAction, SpawnAttrs};
+use fpr_exec::{effective_file_id, load, randomize, reset_pcb, Env, Image, ImageCache, ImageRegistry};
 use fpr_kernel::{Errno, Inherit, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
 use fpr_mem::{PressureLevel, Vpn};
 use fpr_trace::{metrics, sink};
@@ -48,7 +48,6 @@ fn staging_layout() -> LayoutInfo {
         heap_base: staging::HEAP,
         stack_base: staging::STACK,
         mmap_base: staging::MMAP,
-        entropy_bits: 0,
         aslr_seed: 0,
     }
 }
@@ -171,11 +170,7 @@ impl WarmPool {
         let want = target - have;
         let before = self.refills;
         self.prefill(kernel, registry, cache, path, want)?;
-        let built = (self.refills - before) as usize;
-        if built > 0 {
-            metrics::incr("api.pool.autoscale");
-        }
-        Ok(built)
+        Ok((self.refills - before) as usize)
     }
 
     /// Checks a parked child of `path` out to `parent`, or returns
@@ -194,7 +189,6 @@ impl WarmPool {
         path: &str,
         actions: &[FileAction],
         attrs: &SpawnAttrs,
-        aslr: AslrConfig,
         aslr_seed: u64,
     ) -> KResult<Option<Pid>> {
         let Some((image, interp_prefix)) = registry.resolve(path) else {
@@ -206,7 +200,6 @@ impl WarmPool {
         while let Some(stale) = self.pop_stale(path, eff) {
             kernel.abort_process_creation(stale.pid)?;
             self.discards += 1;
-            metrics::incr("api.pool.discard");
         }
         if self.parked.get(path).is_none_or(|v| v.is_empty()) {
             return Ok(None);
@@ -236,7 +229,7 @@ impl WarmPool {
             let c = kernel.process(parked.pid)?;
             (c.name.clone(), c.signals.clone(), c.umask)
         };
-        let fresh = randomize(aslr, aslr_seed);
+        let fresh = randomize(aslr_seed);
         let (pairs, segments) = slide_pairs(image, &parked.layout, &fresh);
         let pairs = &pairs[..segments];
         let mut slid = 0usize;
@@ -493,7 +486,6 @@ pub fn spawn_fast(
     path: &str,
     actions: &[FileAction],
     attrs: &SpawnAttrs,
-    aslr: AslrConfig,
     aslr_seed: u64,
     cache: &mut ImageCache,
     pool: &mut WarmPool,
@@ -503,24 +495,12 @@ pub fn spawn_fast(
         "api",
         |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
         |kernel| {
-            let hit = pool.checkout(
-                kernel, registry, parent, path, actions, attrs, aslr, aslr_seed,
-            )?;
+            let hit = pool.checkout(kernel, registry, parent, path, actions, attrs, aslr_seed)?;
             if let Some(pid) = hit {
                 return Ok(pid);
             }
             metrics::incr("api.pool.miss");
-            posix_spawn_cached(
-                kernel,
-                parent,
-                registry,
-                path,
-                actions,
-                attrs,
-                aslr,
-                aslr_seed,
-                Some(cache),
-            )
+            posix_spawn(kernel, parent, registry, path, actions, attrs, aslr_seed, Some(cache))
         },
     )
 }
@@ -528,7 +508,6 @@ pub fn spawn_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spawn::posix_spawn;
     use fpr_exec::{shared_bits, Image};
     use fpr_kernel::{Fd, Resource, Rlimit, STDOUT};
     use fpr_mem::vma::file_stamp;
@@ -577,8 +556,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             5,
+            None,
         )
         .unwrap();
         let slow_cost = k.cycles.total() - c0;
@@ -591,7 +570,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             6,
             &mut cache,
             &mut pool,
@@ -639,7 +617,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1001,
             &mut cache,
             &mut pool,
@@ -652,7 +629,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1002,
             &mut cache,
             &mut pool,
@@ -668,7 +644,15 @@ mod tests {
             "pool children must not share their layout ({} bits)",
             shared_bits(&la, &lb)
         );
-        assert!(la.entropy_bits > 0);
+        // Each checkout drew its own layout: no base is left where the
+        // child was parked.
+        let staged = staging_layout();
+        for l in [la, lb] {
+            assert_ne!(l.text_base, staged.text_base);
+            assert_ne!(l.heap_base, staged.heap_base);
+            assert_ne!(l.mmap_base, staged.mmap_base);
+            assert_ne!(l.stack_base, staged.stack_base);
+        }
     }
 
     #[test]
@@ -684,7 +668,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             3,
             &mut cache,
             &mut pool,
@@ -714,7 +697,6 @@ mod tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             4,
             &mut cache,
             &mut pool,
@@ -732,7 +714,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             5,
             &mut cache,
             &mut pool,
@@ -763,8 +744,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             7,
+            None,
         )
         .unwrap();
         k.process_mut(parent)
@@ -778,7 +759,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             8,
             &mut cache,
             &mut pool,
@@ -808,7 +788,6 @@ mod tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             9,
             &mut cache,
             &mut pool,
@@ -849,7 +828,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             21,
             &mut cache,
             &mut pool,
@@ -921,7 +899,6 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             31,
             &mut cache,
             &mut pool,

@@ -34,6 +34,6 @@ pub use compare::render_matrix;
 pub use fastpath::{spawn_fast, WarmPool};
 pub use fork::{fork, fork_from_thread, fork_on_demand, ForkStats};
 pub use retry::{retry_with_backoff, RetryStats};
-pub use spawn::{posix_spawn, posix_spawn_cached, FileAction, SpawnAttrs};
+pub use spawn::{posix_spawn, FileAction, SpawnAttrs};
 pub use vfork::vfork;
 pub use xproc::{FdSource, MemOp, ProcessBuilder, Spawned};

@@ -11,7 +11,7 @@
 //! vocabulary simply cannot be expressed (the paper's complaint about
 //! spawn-style APIs, quantified by experiment E7).
 
-use fpr_exec::{AslrConfig, ImageCache, ImageRegistry};
+use fpr_exec::{ImageCache, ImageRegistry};
 use fpr_kernel::{Errno, Fd, Inherit, KResult, Kernel, OpenFlags, Pid, Sig};
 
 /// A `posix_spawn_file_actions_t` entry.
@@ -73,8 +73,13 @@ pub struct SpawnAttrs {
 /// apply file actions → apply attributes → exec the image. Any failure
 /// tears the half-built child down and reports the error in the parent —
 /// the error-reporting cleanliness fork+exec lacks.
+///
+/// `aslr_seed` draws the child's layout. With `Some(cache)`, the exec
+/// [`ImageCache`] is threaded through to the loader, so repeat execs of the
+/// same binary skip their startup faults and file reads; `None` is the
+/// plain spawn.
 // Mirrors the C `posix_spawn` signature (pid, path, actions, attrs, argv,
-// envp) plus the simulator's kernel/ASLR handles.
+// envp) plus the simulator's kernel, layout seed and cache.
 #[allow(clippy::too_many_arguments)]
 pub fn posix_spawn(
     kernel: &mut Kernel,
@@ -83,26 +88,6 @@ pub fn posix_spawn(
     path: &str,
     actions: &[FileAction],
     attrs: &SpawnAttrs,
-    aslr: AslrConfig,
-    aslr_seed: u64,
-) -> KResult<Pid> {
-    posix_spawn_cached(
-        kernel, parent, registry, path, actions, attrs, aslr, aslr_seed, None,
-    )
-}
-
-/// [`posix_spawn`] with an optional exec [`ImageCache`] threaded through to
-/// the loader. `None` is byte-for-byte the plain spawn; `Some` lets repeat
-/// execs of the same binary skip their startup faults and file reads.
-#[allow(clippy::too_many_arguments)]
-pub fn posix_spawn_cached(
-    kernel: &mut Kernel,
-    parent: Pid,
-    registry: &ImageRegistry,
-    path: &str,
-    actions: &[FileAction],
-    attrs: &SpawnAttrs,
-    aslr: AslrConfig,
     aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<Pid> {
@@ -137,7 +122,7 @@ pub fn posix_spawn_cached(
                     Some(map) => fpr_exec::Env::Replace(map.clone()),
                     None => fpr_exec::Env::Keep,
                 };
-                fpr_exec::execve_args(k, child, registry, path, argv, env, aslr, aslr_seed, cache)
+                fpr_exec::execve_args(k, child, registry, path, argv, env, aslr_seed, cache)
             })?;
             Ok(child)
         },
@@ -250,8 +235,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             3,
+            None,
         )
         .unwrap();
         let cp = k.process(c).unwrap();
@@ -272,8 +257,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let small = k.cycles.total() - c0;
@@ -290,8 +275,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let big = k.cycles.total() - c1;
@@ -314,8 +299,8 @@ mod tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         k.write_fd(c, STDOUT, b"to file").unwrap();
@@ -343,8 +328,8 @@ mod tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         k.write_fd(c, STDOUT, b"piped").unwrap();
@@ -371,8 +356,8 @@ mod tests {
             "/bin/tool",
             &[],
             &attrs,
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let s = &k.process(c).unwrap().signals;
@@ -397,8 +382,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -418,8 +403,8 @@ mod tests {
             "/bin/ghost",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         );
         assert_eq!(err, Err(Errno::Enoexec));
         assert_eq!(k.process_count(), before, "no zombie left behind");
@@ -432,8 +417,8 @@ mod tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         );
         assert_eq!(err2, Err(Errno::Ebadf));
         assert_eq!(k.process_count(), before);
@@ -449,8 +434,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             101,
+            None,
         )
         .unwrap();
         let b = posix_spawn(
@@ -460,8 +445,8 @@ mod tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             102,
+            None,
         )
         .unwrap();
         assert_ne!(k.process(a).unwrap().layout, k.process(b).unwrap().layout);
@@ -495,8 +480,8 @@ mod ext_tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let work = k.vfs.resolve("/work", k.vfs.root()).unwrap();
@@ -526,8 +511,8 @@ mod ext_tests {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         );
         assert_eq!(r, Err(Errno::Enoent));
         assert_eq!(k.process_count(), before);
@@ -547,8 +532,8 @@ mod ext_tests {
             "/bin/tool",
             &[],
             &attrs,
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         let cp = k.process(c).unwrap();
@@ -568,8 +553,8 @@ mod ext_tests {
             "/bin/tool",
             &[],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             1,
+            None,
         )
         .unwrap();
         assert_eq!(k.getpgid(c).unwrap(), k.getpgid(p).unwrap());

@@ -34,7 +34,7 @@ pub fn vfork(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpr_exec::{AslrConfig, Image, ImageRegistry};
+    use fpr_exec::{Image, ImageRegistry};
     use fpr_kernel::SpaceRef;
     use fpr_mem::{Prot, Share};
 
@@ -97,7 +97,7 @@ mod tests {
         let base = k.mmap_anon(p, 4, Prot::RW, Share::Private).unwrap();
         k.write_mem(p, base, 7).unwrap();
         let c = vfork(&mut k, p).unwrap();
-        fpr_exec::execve(&mut k, c, &reg, "/bin/tool", AslrConfig::default(), 5).unwrap();
+        fpr_exec::execve(&mut k, c, &reg, "/bin/tool", 5).unwrap();
         assert_eq!(k.process(p).unwrap().schedulable_threads(), 1);
         // After exec the spaces are disjoint again.
         k.write_mem(c, fpr_mem::Vpn(k.process(c).unwrap().layout.heap_base), 3)

@@ -11,7 +11,7 @@
 //! picoprocesses, Windows `CreateProcess` attribute lists, Zircon).
 
 use crate::spawn::open_at;
-use fpr_exec::{AslrConfig, ImageRegistry};
+use fpr_exec::ImageRegistry;
 use fpr_kernel::{
     Caps, Errno, Fd, FdEntry, KResult, Kernel, OpenFlags, Pid, Resource, Rlimit, Sig,
 };
@@ -70,7 +70,6 @@ pub struct ProcessBuilder {
     sigmask: Vec<(Sig, bool)>,
     argv: Vec<String>,
     env: std::collections::BTreeMap<String, String>,
-    aslr: AslrConfig,
     aslr_seed: u64,
 }
 
@@ -96,7 +95,6 @@ impl ProcessBuilder {
             sigmask: Vec::new(),
             argv: Vec::new(),
             env: std::collections::BTreeMap::new(),
-            aslr: AslrConfig::default(),
             aslr_seed: 0,
         }
     }
@@ -151,9 +149,8 @@ impl ProcessBuilder {
         self
     }
 
-    /// Configures ASLR for the child's layout.
-    pub fn aslr(mut self, cfg: AslrConfig, seed: u64) -> Self {
-        self.aslr = cfg;
+    /// Sets the seed the child's randomised layout is drawn from.
+    pub fn aslr_seed(mut self, seed: u64) -> Self {
         self.aslr_seed = seed;
         self
     }
@@ -212,7 +209,6 @@ impl ProcessBuilder {
             &self.image_path,
             argv,
             fpr_exec::Env::Replace(self.env.clone()),
-            self.aslr,
             self.aslr_seed,
             None,
         )?;
@@ -410,11 +406,11 @@ mod tests {
     fn fresh_aslr_per_child() {
         let (mut k, p, reg) = world();
         let a = ProcessBuilder::new("/bin/tool")
-            .aslr(AslrConfig::default(), 11)
+            .aslr_seed(11)
             .spawn(&mut k, p, &reg)
             .unwrap();
         let b = ProcessBuilder::new("/bin/tool")
-            .aslr(AslrConfig::default(), 12)
+            .aslr_seed(12)
             .spawn(&mut k, p, &reg)
             .unwrap();
         assert_ne!(

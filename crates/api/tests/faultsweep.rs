@@ -11,9 +11,9 @@
 //! This is the transactional guarantee the paper says fork-based systems
 //! never test: the un-duplicate paths, all of them, executed on demand.
 
-use fpr_api::{clone, fork, posix_spawn, posix_spawn_cached, vfork, CloneFlags, ProcessBuilder};
+use fpr_api::{clone, fork, posix_spawn, vfork, CloneFlags, ProcessBuilder};
 use fpr_api::{FdSource, FileAction, MemOp, SpawnAttrs, WarmPool};
-use fpr_exec::{AslrConfig, Image, ImageCache, ImageRegistry};
+use fpr_exec::{Image, ImageCache, ImageRegistry};
 use fpr_faults::{sweep, FaultSite, FaultTrace, Point};
 use fpr_kernel::{Errno, Kernel, KernelBaseline, OpenFlags, Pid, STDOUT};
 use fpr_mem::{Prot, Share, Vpn};
@@ -236,8 +236,8 @@ fn posix_spawn_survives_every_fail_point() {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             7,
+            None,
         )
         .map(|_| ())
     });
@@ -257,14 +257,13 @@ fn cached_spawn_survives_every_fail_point() {
     }];
     sweep_creation("posix_spawn(image cache)", move |k, p, reg| {
         let mut cache = ImageCache::new();
-        let r = posix_spawn_cached(
+        let r = posix_spawn(
             k,
             p,
             reg,
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             7,
             Some(&mut cache),
         )
@@ -310,7 +309,6 @@ fn pool_checkout_survives_every_fail_point() {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             7,
         )
         .map(|c| assert!(c.is_some(), "{label}: parked child available, must hit"))

@@ -11,7 +11,7 @@ use fpr_api::{
     clone, fork, fork_on_demand, posix_spawn, spawn_fast, vfork, CloneFlags, CloneResult,
     ProcessBuilder, SpawnAttrs, WarmPool,
 };
-use fpr_exec::{execve, AslrConfig, Image, ImageCache, ImageRegistry};
+use fpr_exec::{execve, Image, ImageCache, ImageRegistry};
 use fpr_kernel::{
     AtforkRegistration, BufMode, Caps, Credentials, Disposition, Fd, FdEntry, HandlerId, Kernel,
     LayoutInfo, OpenFlags, Pid, Resource, Rlimit, Sig, SpaceRef,
@@ -45,7 +45,6 @@ fn world() -> World {
         parent,
         &reg,
         "/bin/parent",
-        AslrConfig::default(),
         41,
     )
     .unwrap();
@@ -209,8 +208,8 @@ fn classic_spawn(w: &mut World) -> Pid {
         TOOL,
         &[],
         &SpawnAttrs::default(),
-        AslrConfig::default(),
         CHILD_SEED,
+        None,
     )
     .unwrap()
 }
@@ -229,7 +228,6 @@ fn fast_spawn(w: &mut World, prefill: usize) -> Pid {
         TOOL,
         &[],
         &SpawnAttrs::default(),
-        AslrConfig::default(),
         CHILD_SEED,
         &mut cache,
         &mut pool,
@@ -335,7 +333,7 @@ fn table() -> Vec<Row> {
                     .drop_caps(Caps::KILL)
                     .rlimit(Resource::Nproc, Rlimit::both(5))
                     .sigmask(Sig::Usr1, true)
-                    .aslr(AslrConfig::default(), CHILD_SEED)
+                    .aslr_seed(CHILD_SEED)
                     .spawn(&mut w.k, w.parent, &w.reg)
                     .unwrap()
                     .pid

@@ -15,7 +15,7 @@
 
 use fpr_api::{clone, fork, posix_spawn, vfork, CloneFlags, ProcessBuilder};
 use fpr_api::{FdSource, FileAction, MemOp, SpawnAttrs};
-use fpr_exec::{AslrConfig, Image, ImageRegistry};
+use fpr_exec::{Image, ImageRegistry};
 use fpr_faults::{sweep, with_plan, FaultPlan, FaultTrace};
 use fpr_kernel::{Errno, Kernel, OpenFlags, Pid, STDOUT};
 use fpr_mem::{Prot, Share};
@@ -140,8 +140,8 @@ fn posix_spawn_crossings_all_traced() {
             "/bin/tool",
             &actions,
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             7,
+            None,
         )
         .map(|_| ())
     });
@@ -241,8 +241,8 @@ fn spans_balanced_under_random_workloads() {
                                 "/bin/tool",
                                 &[],
                                 &SpawnAttrs::default(),
-                                AslrConfig::default(),
                                 rng.gen_u64(),
+                                None,
                             );
                         }
                         3 => {

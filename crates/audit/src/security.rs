@@ -117,7 +117,7 @@ pub fn zygote_entropy(kernel: &Kernel, pids: &[Pid]) -> KResult<ZygoteReport> {
 mod tests {
     use super::*;
     use fpr_api::{fork, posix_spawn, SpawnAttrs};
-    use fpr_exec::{AslrConfig, Image, ImageRegistry};
+    use fpr_exec::{Image, ImageRegistry};
     use fpr_kernel::OpenFlags;
 
     fn world() -> (Kernel, Pid, ImageRegistry) {
@@ -132,7 +132,7 @@ mod tests {
     fn forked_child_flags_shared_aslr_and_fd_leak() {
         let (mut k, p, reg) = world();
         // Give the parent a real layout and an extra fd.
-        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", AslrConfig::default(), 9).unwrap();
+        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", 9).unwrap();
         k.open(p, "/secret", OpenFlags::RDWR, true).unwrap();
         let c = fork(&mut k, p).unwrap();
         let r = audit_inheritance(&k, p, c).unwrap();
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn spawned_child_is_clean() {
         let (mut k, p, reg) = world();
-        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", AslrConfig::default(), 9).unwrap();
+        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", 9).unwrap();
         k.open(p, "/secret", OpenFlags::RDWR, true).unwrap();
         // posix_spawn inherits stdio but the secret fd is closed via action.
         let c = posix_spawn(
@@ -156,8 +156,8 @@ mod tests {
                 fd: fpr_kernel::Fd(3),
             }],
             &SpawnAttrs::default(),
-            AslrConfig::default(),
             10,
+            None,
         )
         .unwrap();
         let r = audit_inheritance(&k, p, c).unwrap();
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn zygote_children_share_everything() {
         let (mut k, p, reg) = world();
-        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", 1).unwrap();
         let children: Vec<Pid> = (0..5).map(|_| fork(&mut k, p).unwrap()).collect();
         let z = zygote_entropy(&k, &children).unwrap();
         assert_eq!(z.identical_pairs, 10, "all pairs identical");
@@ -188,8 +188,8 @@ mod tests {
                     "/bin/tool",
                     &[],
                     &SpawnAttrs::default(),
-                    AslrConfig::default(),
                     1000 + i,
+                    None,
                 )
                 .unwrap()
             })

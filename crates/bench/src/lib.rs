@@ -1050,8 +1050,7 @@ fn trace_demo() -> Output {
     let ((), events) = k.trace_scope(|k| {
         let (child, _stats) =
             fpr_api::fork_from_thread(k, init, tid, ForkMode::OnDemand).expect("fork fits");
-        let aslr = fpr_exec::AslrConfig::default();
-        fpr_exec::execve(k, child, &reg, "/bin/tool", aslr, 42).expect("exec child");
+        fpr_exec::execve(k, child, &reg, "/bin/tool", 42).expect("exec child");
         // Touch a shared page: the deferred page-table copy and the COW
         // machinery fire and show up as instants in the trace.
         k.write_mem(init, base, 7).expect("write heap");

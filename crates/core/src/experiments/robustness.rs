@@ -173,12 +173,12 @@ pub(crate) fn under_pressure(relief_at: u32) -> Vec<PressureOutcome> {
                     "/bin/tool",
                     &[],
                     &SpawnAttrs::default(),
-                    os.aslr,
                     11,
+                    None,
                 )
                 .map(|_| ()),
                 _ => ProcessBuilder::new("/bin/tool")
-                    .aslr(os.aslr, 11)
+                    .aslr_seed(11)
                     .spawn(k, parent, &os.images)
                     .map(|_| ()),
             }

@@ -65,11 +65,7 @@ pub fn world(machine: MachineConfig, shape: ProcessShape) -> (Os, Pid) {
 
 /// [`world`] with an explicit seed for every ASLR draw.
 pub fn world_seeded(machine: MachineConfig, seed: u64, shape: ProcessShape) -> (Os, Pid) {
-    let mut os = Os::boot(OsConfig {
-        machine,
-        seed,
-        ..Default::default()
-    });
+    let mut os = Os::boot(OsConfig { machine, seed });
     let parent = os.make_parent(shape).expect("the machine fits the parent");
     (os, parent)
 }

@@ -1,13 +1,13 @@
 //! The `Os` facade: one object bundling the kernel, the image registry
-//! and the ASLR source, with convenience wrappers over the five creation
-//! APIs.
+//! and the source of layout seeds, with convenience wrappers over the five
+//! creation APIs.
 //!
 //! Everything the examples and experiments need goes through here, so a
 //! downstream user writes `os.fork(pid)` / `os.spawn(pid, "/bin/tool")`
 //! instead of threading four subsystems by hand.
 
 use fpr_api::{FileAction, ProcessBuilder, SpawnAttrs, WarmPool};
-use fpr_exec::{AslrConfig, Image, ImageCache, ImageRegistry};
+use fpr_exec::{Image, ImageCache, ImageRegistry};
 use fpr_kernel::{Errno, KResult, Kernel, MachineConfig, Pid, ShrinkerHandle};
 use fpr_mem::{ForkMode, Prot, Share, Vpn};
 use fpr_trace::ProcessShape;
@@ -19,8 +19,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct OsConfig {
     /// Machine parameters (frames, CPUs, overcommit, cost model).
     pub machine: MachineConfig,
-    /// ASLR policy for exec/spawn layouts.
-    pub aslr: AslrConfig,
     /// Seed for all randomness (layouts, workloads) — same seed, same run.
     pub seed: u64,
 }
@@ -29,7 +27,6 @@ impl Default for OsConfig {
     fn default() -> Self {
         OsConfig {
             machine: MachineConfig::default(),
-            aslr: AslrConfig::default(),
             seed: 42,
         }
     }
@@ -70,8 +67,6 @@ pub struct Os {
     pub kernel: Kernel,
     /// Registered executable images.
     pub images: ImageRegistry,
-    /// ASLR policy.
-    pub aslr: AslrConfig,
     /// PID of init.
     pub init: Pid,
     rng: Rng,
@@ -111,7 +106,6 @@ impl Os {
         Os {
             kernel,
             images,
-            aslr: cfg.aslr,
             init,
             rng: Rng::seed_from_u64(cfg.seed),
             fastpath: None,
@@ -149,35 +143,20 @@ impl Os {
     /// the E15 service loop uses for its fork-family paths.
     pub fn fork_exec(&mut self, parent: Pid, path: &str, mode: ForkMode) -> KResult<Pid> {
         let seed = self.fresh_seed();
-        fpr_api::fork_exec(
-            &mut self.kernel,
-            parent,
-            &self.images,
-            path,
-            mode,
-            self.aslr,
-            seed,
-        )
+        fpr_api::fork_exec(&mut self.kernel, parent, &self.images, path, mode, seed)
     }
 
     /// vfork and exec `path` as one call ([`fpr_api::vfork_exec`]); the
     /// parent is suspended only inside the call.
     pub fn vfork_exec(&mut self, parent: Pid, path: &str) -> KResult<Pid> {
         let seed = self.fresh_seed();
-        fpr_api::vfork_exec(
-            &mut self.kernel,
-            parent,
-            &self.images,
-            path,
-            self.aslr,
-            seed,
-        )
+        fpr_api::vfork_exec(&mut self.kernel, parent, &self.images, path, seed)
     }
 
     /// `execve(2)` with a fresh random layout.
     pub fn exec(&mut self, pid: Pid, path: &str) -> KResult<()> {
         let seed = self.fresh_seed();
-        fpr_exec::execve(&mut self.kernel, pid, &self.images, path, self.aslr, seed)
+        fpr_exec::execve(&mut self.kernel, pid, &self.images, path, seed)
     }
 
     /// `posix_spawn(3)` with a fresh random layout. While the spawn fast
@@ -199,7 +178,6 @@ impl Os {
                 path,
                 actions,
                 attrs,
-                self.aslr,
                 seed,
                 &mut f.cache.lock().unwrap_or_else(|p| p.into_inner()),
                 &mut f.pool.lock().unwrap_or_else(|p| p.into_inner()),
@@ -211,8 +189,8 @@ impl Os {
                 path,
                 actions,
                 attrs,
-                self.aslr,
                 seed,
+                None,
             ),
         }
     }
@@ -332,7 +310,7 @@ impl Os {
     ) -> KResult<fpr_api::Spawned> {
         let seed = self.fresh_seed();
         builder
-            .aslr(self.aslr, seed)
+            .aslr_seed(seed)
             .spawn(&mut self.kernel, parent, &self.images)
     }
 
@@ -351,14 +329,7 @@ impl Os {
     pub fn make_parent(&mut self, shape: ProcessShape) -> KResult<Pid> {
         let pid = self.kernel.allocate_process(self.init, "parent")?;
         let seed = self.fresh_seed();
-        fpr_exec::execve(
-            &mut self.kernel,
-            pid,
-            &self.images,
-            "/bin/tool",
-            self.aslr,
-            seed,
-        )?;
+        fpr_exec::execve(&mut self.kernel, pid, &self.images, "/bin/tool", seed)?;
         let vmas = shape.vma_count.max(1).min(shape.heap_pages);
         for i in 0..vmas {
             let pages = shape.heap_pages / vmas + u64::from(i < shape.heap_pages % vmas);

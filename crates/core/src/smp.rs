@@ -100,7 +100,6 @@ impl SmpOs {
                 let cell_cfg = OsConfig {
                     machine: machine.clone(),
                     seed: OsConfig::default().seed + c as u64,
-                    ..Default::default()
                 };
                 Arc::new(VLock::new("mm", Os::boot_smp(cell_cfg, &shared, c)))
             })

@@ -9,23 +9,9 @@
 use fpr_kernel::LayoutInfo;
 use fpr_rng::Rng;
 
-/// ASLR configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AslrConfig {
-    /// Randomise at all (off = fixed classic layout).
-    pub enabled: bool,
-    /// Bits of entropy per randomised base (Linux mmap default is 28).
-    pub entropy_bits: u32,
-}
-
-impl Default for AslrConfig {
-    fn default() -> Self {
-        AslrConfig {
-            enabled: true,
-            entropy_bits: 28,
-        }
-    }
-}
+/// Most random bits any base may take (the Linux mmap default). Each
+/// arena below is narrower, so in practice its span bounds the draw.
+const ENTROPY_BITS: u32 = 28;
 
 /// Fixed bases the randomised offsets are added to (VPNs).
 mod bases {
@@ -44,20 +30,9 @@ mod bases {
 /// The same seed yields the same layout — which is exactly how the zygote
 /// hazard is modelled: forked children inherit the parent's draw, while
 /// spawned/exec'd processes get a fresh seed.
-pub fn randomize(cfg: AslrConfig, seed: u64) -> LayoutInfo {
-    fpr_trace::metrics::incr("exec.aslr_randomize");
-    if !cfg.enabled {
-        return LayoutInfo {
-            text_base: bases::TEXT,
-            heap_base: bases::HEAP,
-            mmap_base: bases::MMAP,
-            stack_base: bases::STACK,
-            entropy_bits: 0,
-            aslr_seed: 0,
-        };
-    }
+pub fn randomize(seed: u64) -> LayoutInfo {
     let mut rng = Rng::seed_from_u64(seed);
-    let mask = (1u64 << cfg.entropy_bits.min(34)) - 1;
+    let mask = (1u64 << ENTROPY_BITS) - 1;
     // Offsets are page-granular and kept within disjoint arenas so the
     // regions cannot collide regardless of the draw.
     let draw = |rng: &mut Rng, span: u64| rng.gen_u64() & mask & (span - 1);
@@ -66,7 +41,6 @@ pub fn randomize(cfg: AslrConfig, seed: u64) -> LayoutInfo {
         heap_base: bases::HEAP + draw(&mut rng, 0x40_0000),
         mmap_base: bases::MMAP + draw(&mut rng, 0x100_0000),
         stack_base: bases::STACK + draw(&mut rng, 0x800_0000),
-        entropy_bits: cfg.entropy_bits,
         aslr_seed: seed,
     }
 }
@@ -91,37 +65,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_aslr_is_fixed() {
-        let cfg = AslrConfig {
-            enabled: false,
-            entropy_bits: 28,
+    fn layouts_are_pinned() {
+        let bases = |seed| {
+            let l = randomize(seed);
+            [l.text_base, l.heap_base, l.mmap_base, l.stack_base]
         };
-        let a = randomize(cfg, 1);
-        let b = randomize(cfg, 2);
-        assert_eq!(a, b);
-        assert_eq!(a.entropy_bits, 0);
+        assert_eq!(bases(0), [0x1ddaf, 0x4965f4, 0x409454f, 0x724c81ec]);
+        assert_eq!(bases(1), [0x26cc1, 0x1eec67, 0x432555e, 0x7642c90b]);
+        assert_eq!(bases(42), [0x37e95, 0x36f103, 0x40f9f52, 0x764ae394]);
+        assert_eq!(bases(u64::MAX), [0x13c20, 0x4682c9, 0x47281e9, 0x73a982d2]);
     }
 
     #[test]
     fn same_seed_same_layout() {
-        let cfg = AslrConfig::default();
-        assert_eq!(randomize(cfg, 42), randomize(cfg, 42));
+        assert_eq!(randomize(42), randomize(42));
     }
 
     #[test]
     fn different_seeds_differ() {
-        let cfg = AslrConfig::default();
-        let a = randomize(cfg, 1);
-        let b = randomize(cfg, 2);
+        let a = randomize(1);
+        let b = randomize(2);
         assert_ne!(a, b);
         assert_ne!(a.stack_base, b.stack_base);
     }
 
     #[test]
     fn regions_stay_ordered_and_disjoint() {
-        let cfg = AslrConfig::default();
         for seed in 0..200 {
-            let l = randomize(cfg, seed);
+            let l = randomize(seed);
             assert!(l.text_base < l.heap_base, "seed {seed}");
             assert!(l.heap_base < l.mmap_base, "seed {seed}");
             assert!(l.mmap_base < l.stack_base, "seed {seed}");
@@ -130,10 +101,9 @@ mod tests {
 
     #[test]
     fn shared_bits_full_for_identical() {
-        let cfg = AslrConfig::default();
-        let l = randomize(cfg, 9);
+        let l = randomize(9);
         assert_eq!(shared_bits(&l, &l), 4 * 34);
-        let other = randomize(cfg, 10);
+        let other = randomize(10);
         assert!(shared_bits(&l, &other) < 4 * 34);
     }
 }

@@ -102,8 +102,6 @@ impl ImageCache {
         for (_, pfn) in &frames {
             kernel.phys.pin(*pfn).map_err(|_| Errno::Enomem)?;
         }
-        metrics::incr("exec.image_cache.insert");
-        metrics::add("exec.image_cache.frames", frames.len() as u64);
         self.tick += 1;
         self.entries.insert(
             base,
@@ -196,7 +194,7 @@ impl fpr_kernel::Shrinker for ImageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aslr::{randomize, AslrConfig};
+    use crate::aslr::randomize;
     use crate::image::Image;
     use crate::loader::load;
     use fpr_kernel::Pid;
@@ -223,14 +221,14 @@ mod tests {
 
         let a = k.allocate_process(init, "a").unwrap();
         let c0 = k.cycles.total();
-        load(&mut k, a, &img, randomize(AslrConfig::default(), 1), Some(&mut cache)).unwrap();
+        load(&mut k, a, &img, randomize(1), Some(&mut cache)).unwrap();
         let first = k.cycles.total() - c0;
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.cached_frames(), 2, "entry text page + first data page");
 
         let b = k.allocate_process(init, "b").unwrap();
         let c1 = k.cycles.total();
-        let layout = randomize(AslrConfig::default(), 2);
+        let layout = randomize(2);
         load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         let second = k.cycles.total() - c1;
         assert_eq!(cache.hits(), 1);
@@ -255,14 +253,14 @@ mod tests {
         let (mut k1, i1) = world();
         let p1 = k1.allocate_process(i1, "x").unwrap();
         let c = k1.cycles.total();
-        load(&mut k1, p1, &img, randomize(AslrConfig::default(), 9), None).unwrap();
+        load(&mut k1, p1, &img, randomize(9), None).unwrap();
         let plain = k1.cycles.total() - c;
 
         let (mut k2, i2) = world();
         let p2 = k2.allocate_process(i2, "x").unwrap();
         let mut cache = ImageCache::new();
         let c = k2.cycles.total();
-        load(&mut k2, p2, &img, randomize(AslrConfig::default(), 9), Some(&mut cache)).unwrap();
+        load(&mut k2, p2, &img, randomize(9), Some(&mut cache)).unwrap();
         let missed = k2.cycles.total() - c;
         assert_eq!(plain, missed, "cold cache adds zero cycles");
     }
@@ -273,12 +271,12 @@ mod tests {
         let mut cache = ImageCache::new();
         let img = tool();
         let donor = k.allocate_process(init, "donor").unwrap();
-        load(&mut k, donor, &img, randomize(AslrConfig::default(), 3), Some(&mut cache)).unwrap();
+        load(&mut k, donor, &img, randomize(3), Some(&mut cache)).unwrap();
         k.abort_process_creation(donor).unwrap();
         assert_eq!(cache.cached_frames(), 2);
 
         let b = k.allocate_process(init, "b").unwrap();
-        let layout = randomize(AslrConfig::default(), 4);
+        let layout = randomize(4);
         load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         assert_eq!(cache.hits(), 1, "donor death does not evict");
         assert_eq!(
@@ -294,13 +292,13 @@ mod tests {
         let mut cache = ImageCache::new();
         let mut img = tool();
         let a = k.allocate_process(init, "a").unwrap();
-        load(&mut k, a, &img, randomize(AslrConfig::default(), 5), Some(&mut cache)).unwrap();
+        load(&mut k, a, &img, randomize(5), Some(&mut cache)).unwrap();
         let used_before = k.phys.used_frames();
 
         // The binary is rewritten: generation 1 → new effective id.
         img.file_id = tool().file_id + (1 << 32);
         let b = k.allocate_process(init, "b").unwrap();
-        let layout = randomize(AslrConfig::default(), 6);
+        let layout = randomize(6);
         load(&mut k, b, &img, layout, Some(&mut cache)).unwrap();
         assert_eq!(
             metrics::snapshot().counter("exec.image_cache.evict"),
@@ -334,7 +332,7 @@ mod tests {
                 &mut k,
                 donor,
                 img,
-                randomize(AslrConfig::default(), 10 + i as u64),
+                randomize(10 + i as u64),
                 Some(&mut cache),
             )
             .unwrap();
@@ -342,7 +340,7 @@ mod tests {
         }
         // Touch `warm` so `cold` is the LRU entry.
         let p = k.allocate_process(init, "p").unwrap();
-        load(&mut k, p, &warm, randomize(AslrConfig::default(), 12), Some(&mut cache)).unwrap();
+        load(&mut k, p, &warm, randomize(12), Some(&mut cache)).unwrap();
         k.abort_process_creation(p).unwrap();
         assert_eq!(cache.cached_frames(), 4, "two entries of two frames");
 
@@ -366,7 +364,7 @@ mod tests {
         let mut cache = ImageCache::new();
         let img = tool();
         let donor = k.allocate_process(init, "donor").unwrap();
-        load(&mut k, donor, &img, randomize(AslrConfig::default(), 7), Some(&mut cache)).unwrap();
+        load(&mut k, donor, &img, randomize(7), Some(&mut cache)).unwrap();
         k.abort_process_creation(donor).unwrap();
         let used = k.phys.used_frames();
         assert_eq!(cache.cached_frames(), 2);

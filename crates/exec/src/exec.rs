@@ -7,7 +7,7 @@
 //! paper's point: for the dominant fork+exec pattern, all of fork's
 //! duplication work between these two calls is pure waste.
 
-use crate::aslr::{randomize, AslrConfig};
+use crate::aslr::randomize;
 use crate::cache::ImageCache;
 use crate::image::ImageRegistry;
 use crate::loader::load;
@@ -35,21 +35,10 @@ pub fn execve(
     pid: Pid,
     registry: &ImageRegistry,
     path: &str,
-    aslr: AslrConfig,
     aslr_seed: u64,
 ) -> KResult<()> {
     let argv = vec![path.to_string()];
-    execve_args(
-        kernel,
-        pid,
-        registry,
-        path,
-        argv,
-        Env::Keep,
-        aslr,
-        aslr_seed,
-        None,
-    )
+    execve_args(kernel, pid, registry, path, argv, Env::Keep, aslr_seed, None)
 }
 
 /// Full `execve`: explicit argv and environment policy. `#!` scripts are
@@ -68,7 +57,6 @@ pub fn execve_args(
     path: &str,
     argv: Vec<String>,
     env: Env,
-    aslr: AslrConfig,
     aslr_seed: u64,
     cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
@@ -93,7 +81,7 @@ pub fn execve_args(
             reset_pcb(kernel, pid, full_argv, env)?;
 
             // 6. Load the new image under a fresh layout.
-            let layout = randomize(aslr, aslr_seed);
+            let layout = randomize(aslr_seed);
             sink::instant("aslr_randomize", "exec", kernel.cycles.total());
             load(kernel, pid, &image, layout, cache)
         },
@@ -170,7 +158,7 @@ mod tests {
         k.populate(pid, base, 64).unwrap();
         let resident_before = k.process(pid).unwrap().resident_pages();
         assert!(resident_before >= 64);
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 7).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 7).unwrap();
         let p = k.process(pid).unwrap();
         assert_eq!(p.name, "tool");
         assert!(p.resident_pages() < resident_before, "old pages gone");
@@ -186,7 +174,7 @@ mod tests {
         let (mut k, pid, reg) = world();
         let before = k.process(pid).unwrap().name.clone();
         assert_eq!(
-            execve(&mut k, pid, &reg, "/bin/ghost", AslrConfig::default(), 1),
+            execve(&mut k, pid, &reg, "/bin/ghost", 1),
             Err(Errno::Enoexec)
         );
         assert_eq!(k.process(pid).unwrap().name, before);
@@ -198,7 +186,7 @@ mod tests {
         let keep = k.open(pid, "/keep", OpenFlags::RDWR, true).unwrap();
         let gone = k.open(pid, "/gone", OpenFlags::RDWR, true).unwrap();
         k.set_cloexec(pid, gone, true).unwrap();
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
         let p = k.process(pid).unwrap();
         assert!(p.fds.get(keep).is_ok());
         assert!(p.fds.get(gone).is_err());
@@ -211,7 +199,7 @@ mod tests {
         k.sigaction(pid, Sig::Int, Disposition::Handler(HandlerId(5)))
             .unwrap();
         k.sigaction(pid, Sig::Hup, Disposition::Ignore).unwrap();
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
         let p = k.process(pid).unwrap();
         assert_eq!(p.signals.disposition(Sig::Int), Disposition::Default);
         assert_eq!(p.signals.disposition(Sig::Hup), Disposition::Ignore);
@@ -224,7 +212,7 @@ mod tests {
         k.spawn_thread(pid).unwrap();
         let s = k.stream_open(pid, STDOUT, BufMode::FullyBuffered).unwrap();
         k.stream_write(pid, s, b"lost on exec").unwrap();
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
         let p = k.process(pid).unwrap();
         assert_eq!(p.threads.len(), 1);
         assert!(p.streams.is_empty());
@@ -236,9 +224,9 @@ mod tests {
     #[test]
     fn exec_layouts_differ_per_seed() {
         let (mut k, pid, reg) = world();
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
         let l1 = k.process(pid).unwrap().layout;
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 2).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 2).unwrap();
         let l2 = k.process(pid).unwrap().layout;
         assert_ne!(l1, l2);
     }
@@ -250,7 +238,7 @@ mod tests {
             .unwrap()
             .envp
             .insert("HOME".into(), "/root".into());
-        execve(&mut k, pid, &reg, "/bin/tool", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
         let p = k.process(pid).unwrap();
         assert_eq!(p.argv, vec!["/bin/tool"]);
         assert_eq!(p.envp.get("HOME").map(String::as_str), Some("/root"));
@@ -272,7 +260,6 @@ mod tests {
             "/bin/tool",
             vec!["tool".into(), "-v".into(), "input".into()],
             Env::Replace(env),
-            AslrConfig::default(),
             1,
             None,
         )
@@ -295,7 +282,6 @@ mod tests {
             "/app/main.py",
             vec!["/app/main.py".into(), "--flag".into()],
             Env::Keep,
-            AslrConfig::default(),
             1,
             None,
         )
@@ -311,14 +297,14 @@ mod tests {
         // A script whose interpreter is itself: unresolvable.
         reg.register_script("/loop", "/loop");
         assert_eq!(
-            execve(&mut k, pid, &reg, "/loop", AslrConfig::default(), 1),
+            execve(&mut k, pid, &reg, "/loop", 1),
             Err(Errno::Enoexec)
         );
         // Two-level chains resolve fine.
         reg.register("/bin/interp", Image::small("interp"));
         reg.register_script("/stage2", "/bin/interp");
         reg.register_script("/stage1", "/stage2");
-        execve(&mut k, pid, &reg, "/stage1", AslrConfig::default(), 1).unwrap();
+        execve(&mut k, pid, &reg, "/stage1", 1).unwrap();
         assert_eq!(
             k.process(pid).unwrap().argv,
             vec!["/bin/interp", "/stage2", "/stage1"]

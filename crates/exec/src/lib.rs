@@ -15,7 +15,7 @@ pub mod exec;
 pub mod image;
 pub mod loader;
 
-pub use aslr::{randomize, shared_bits, AslrConfig};
+pub use aslr::{randomize, shared_bits};
 pub use cache::ImageCache;
 pub use exec::{effective_file_id, execve, execve_args, reset_pcb, Env};
 pub use image::{Image, ImageRegistry};

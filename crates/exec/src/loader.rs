@@ -31,7 +31,6 @@ pub fn load(
     cache: Option<&mut ImageCache>,
 ) -> KResult<()> {
     kernel.span("image_load", "exec", |kernel| {
-        fpr_trace::metrics::incr("exec.image_load");
         map_segments(kernel, pid, image, layout)?;
         let Some(cache) = cache else {
             return touch_startup(kernel, pid, image, layout);
@@ -174,7 +173,7 @@ fn map_segments(kernel: &mut Kernel, pid: Pid, image: &Image, layout: LayoutInfo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aslr::{randomize, AslrConfig};
+    use crate::aslr::randomize;
     use fpr_kernel::MachineConfig;
     use fpr_mem::vma::file_stamp;
 
@@ -189,7 +188,7 @@ mod tests {
         let (mut k, pid) = boot();
         let mut img = Image::small("sh");
         img.file_id = 77;
-        let layout = randomize(AslrConfig::default(), 1);
+        let layout = randomize(1);
         load(&mut k, pid, &img, layout, None).unwrap();
         let p = k.process(pid).unwrap();
         // text, data, bss, heap, guard, stack = 6 VMAs.
@@ -206,7 +205,7 @@ mod tests {
         let (mut k, pid) = boot();
         let mut img = Image::small("sh");
         img.file_id = 77;
-        let layout = randomize(AslrConfig::default(), 1);
+        let layout = randomize(1);
         load(&mut k, pid, &img, layout, None).unwrap();
         let got = k.read_mem(pid, Vpn(layout.text_base + 3)).unwrap();
         assert_eq!(
@@ -220,7 +219,7 @@ mod tests {
     fn stack_guard_faults() {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
-        let layout = randomize(AslrConfig::default(), 2);
+        let layout = randomize(2);
         load(&mut k, pid, &img, layout, None).unwrap();
         let guard = Vpn(layout.stack_base - img.stack_pages - 1);
         assert_eq!(k.read_mem(pid, guard), Err(Errno::Efault));
@@ -231,7 +230,7 @@ mod tests {
     fn text_is_not_writable() {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
-        let layout = randomize(AslrConfig::default(), 3);
+        let layout = randomize(3);
         load(&mut k, pid, &img, layout, None).unwrap();
         assert_eq!(
             k.write_mem(pid, Vpn(layout.text_base), 1),
@@ -246,7 +245,7 @@ mod tests {
         let (mut k, pid) = boot();
         let img = Image::small("sh");
         let c0 = k.cycles.total();
-        load(&mut k, pid, &img, randomize(AslrConfig::default(), 4), None).unwrap();
+        load(&mut k, pid, &img, randomize(4), None).unwrap();
         let small_cost = k.cycles.total() - c0;
 
         let (mut k2, busy) = boot();
@@ -258,7 +257,7 @@ mod tests {
             &mut k2,
             pid2,
             &img,
-            randomize(AslrConfig::default(), 4),
+            randomize(4),
             None,
         )
         .unwrap();

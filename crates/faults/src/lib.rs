@@ -31,10 +31,11 @@
 //! ## Coverage
 //!
 //! Independent of any active plan, `cross` keeps cumulative per-thread
-//! counters of crossings and injections per site ([`coverage`]). The
-//! audit crate turns these into an *untested-error-path lint*: a site a
-//! workload crossed but never failed is an error path that has never
-//! executed.
+//! counters of crossings and injections per site ([`coverage`]). E17's
+//! arms (`forkroad-core`'s `smp_faults`) add them up across their worker
+//! threads for the fault-site table, `fpr-mem`'s `fork_shape` test counts
+//! a fork's crossings with them, and the repo benchmark reports them as
+//! `faults.crossings.count`.
 //!
 //! Counting is also *all* a crossing does when nobody is listening: with
 //! no [`with_plan`] scope and no [`Observer`] on the thread, `cross` bumps

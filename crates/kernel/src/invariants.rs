@@ -165,7 +165,6 @@ impl Kernel {
     /// populated parent that is a few `fork(Cow)`s of it
     /// (`tests/invariants_shape.rs`).
     pub fn check_invariants(&self) -> Result<(), Vec<String>> {
-        fpr_trace::metrics::incr("kernel.invariant_check");
         let mut v = Vec::new();
 
         // --- Memory and swap: references vs page tables, PTEs vs VMAs. ---

@@ -782,7 +782,6 @@ impl Kernel {
     /// (descriptors, address space, commit charge, PID, scheduler slot,
     /// per-uid process accounting) returns to its pre-creation state.
     pub fn abort_process_creation(&mut self, child: Pid) -> KResult<()> {
-        metrics::incr("kernel.process_abort");
         if sink::is_active() {
             sink::emit(
                 TraceEvent::new(

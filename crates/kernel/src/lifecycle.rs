@@ -5,7 +5,6 @@ use crate::kernel::Kernel;
 use crate::pid::Pid;
 use crate::signal::{DefaultAction, Disposition, Sig};
 use crate::task::{ProcState, SpaceRef};
-use fpr_trace::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
@@ -123,7 +122,6 @@ impl Kernel {
     /// signals the parent with `SIGCHLD`.
     pub fn exit(&mut self, pid: Pid, status: i32) -> KResult<()> {
         self.span("exit", "kernel", |k| {
-            metrics::incr("kernel.exit");
             // 1. Userspace atexit: flush buffered streams (this is where
             //    fork-duplicated buffer contents become duplicated output).
             let nstreams = k.process(pid)?.streams.len();

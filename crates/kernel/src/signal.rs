@@ -205,7 +205,6 @@ impl SignalState {
 
     /// Fork semantics: dispositions and mask copied, pending cleared.
     pub(crate) fn fork_clone(&self) -> SignalState {
-        fpr_trace::metrics::incr("kernel.signal_copy");
         SignalState {
             dispositions: self.dispositions,
             pending: 0,

@@ -29,7 +29,8 @@ pub enum ProcState {
 }
 
 /// Address-space layout summary recorded at exec/spawn time (filled in by
-/// the loader; consumed by the security audit).
+/// the loader; `fpr_exec::shared_bits` and the security experiment, E8,
+/// read its bases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayoutInfo {
     /// Base VPN of the text segment.
@@ -40,8 +41,6 @@ pub struct LayoutInfo {
     pub stack_base: u64,
     /// Base VPN of the mmap arena.
     pub mmap_base: u64,
-    /// Bits of randomness that went into this layout.
-    pub entropy_bits: u32,
     /// Seed value actually used (for the shared-entropy audit).
     pub aslr_seed: u64,
 }

@@ -654,7 +654,6 @@ impl AddressSpace {
         let mut vma = self.vmas.remove(i);
         vma.start = new_start;
         self.insert_vma(vma);
-        metrics::add("mem.slide.pte_move", moved);
         sink::instant("vma_slide", "mem", cycles.total());
         Ok(moved)
     }
@@ -1261,10 +1260,6 @@ impl AddressSpace {
                 metrics::add(
                     "mem.fork.pt_subtree_share",
                     s.pt_subtrees_shared - stats_base.pt_subtrees_shared,
-                );
-                metrics::add(
-                    "mem.fork.page_copy",
-                    s.pages_eager_copied - stats_base.pages_eager_copied,
                 );
                 metrics::add(
                     "mem.fork.pt_node",

@@ -187,7 +187,6 @@ impl AddressSpace {
         self.pt.update_at(slot, vpn, new).expect("swap entry translated");
         phys.swap_mut().release([device_slot]).expect("slot read above");
         self.swapped -= 1;
-        metrics::incr("mem.fault.swap_in");
         sink::instant("swap_in", "mem", cycles.total());
         self.finish_fill(vpn, slot, written, phys, cycles);
         Ok(new)
@@ -301,7 +300,6 @@ impl AddressSpace {
                 // Sole owner: reclaim the frame in place.
                 phys.write_content(pte.pfn, value)?;
                 self.stats.cow_reuses += 1;
-                metrics::incr("mem.fault.cow_reuse");
                 (pte.pfn, FaultOutcome::CowReuse)
             } else {
                 let new_pfn = phys.break_cow(pte.pfn, value, cycles)?;
@@ -377,7 +375,6 @@ impl AddressSpace {
             self.pt.update_at(slot, base, new).expect("block translated above");
             cycles.charge(phys.cost().huge_cow);
             self.stats.cow_reuses += 1;
-            metrics::incr("mem.fault.cow_reuse");
             tlb.shootdown(cpus_running, cycles, phys.cost());
             phys.write_content(Pfn(block.pfn.0 + vpn.huge_offset()), value)?;
             return Ok(Some(FaultOutcome::CowReuse));

@@ -685,19 +685,16 @@ impl PhysMemory {
     /// Records a successful huge-page promotion.
     pub(crate) fn note_thp_promoted(&mut self) {
         self.thp.promoted += 1;
-        metrics::incr("mem.thp.promote");
     }
 
     /// Records a huge-page demotion (split back to small PTEs).
     pub(crate) fn note_thp_demoted(&mut self) {
         self.thp.demoted += 1;
-        metrics::incr("mem.thp.demote");
     }
 
     /// Records a promotion attempt that fell back to small pages.
     pub(crate) fn note_thp_promote_failed(&mut self) {
         self.thp.failed += 1;
-        metrics::incr("mem.thp.promote_failed_fragmented");
     }
 
     /// Allocates a naturally aligned, physically contiguous run of 512

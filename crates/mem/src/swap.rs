@@ -40,7 +40,6 @@
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
 use fpr_faults::FaultSite;
-use fpr_trace::metrics;
 use std::collections::BTreeMap;
 
 /// Sliding-window length (swap-ins) over which the refault rate is
@@ -157,7 +156,6 @@ impl SwapDevice {
         self.stats.swap_outs += 1;
         cycles.charge(cost.swap_slot_alloc);
         cycles.charge(cost.swap_out_page);
-        metrics::incr("mem.swap.out");
         Ok(slot)
     }
 
@@ -174,7 +172,6 @@ impl SwapDevice {
         let s = *self.slots.get(&slot).ok_or(MemError::NotMapped)?;
         fpr_faults::cross(FaultSite::SwapIn).map_err(|_| {
             self.stats.io_errors += 1;
-            metrics::incr("mem.swap.io_error");
             MemError::SwapIo
         })?;
         cycles.charge(cost.swap_in_page);
@@ -183,9 +180,7 @@ impl SwapDevice {
         self.stats.swap_ins += 1;
         if refault {
             self.stats.refaults += 1;
-            metrics::incr("mem.swap.refault");
         }
-        metrics::incr("mem.swap.in");
         Ok(s.stamp)
     }
 
@@ -231,9 +226,6 @@ impl SwapDevice {
                 self.used -= 1;
                 freed += 1;
             }
-        }
-        if freed > 0 {
-            metrics::add("mem.swap.slot_free", freed);
         }
         Ok(freed)
     }

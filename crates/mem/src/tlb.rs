@@ -107,7 +107,6 @@ impl TlbModel {
     pub(crate) fn invalidate_local(&mut self, cycles: &mut Cycles, cost: &CostModel) {
         self.local_invalidations += 1;
         cycles.charge(cost.tlb_invlpg);
-        metrics::incr("mem.tlb.invlpg");
     }
 
     /// Charges a shootdown visible to `cpus_running` CPUs (including the
@@ -118,7 +117,6 @@ impl TlbModel {
         if self.shootdowns_enabled && cpus_running > 1 {
             let remote = (cpus_running - 1) as u64;
             self.remote_acks += remote;
-            metrics::add("mem.tlb.remote_ack", remote);
             cycles.charge_n(cost.tlb_shootdown_per_cpu, remote);
             // IPI rounds that reach remote CPUs serialize on the
             // machine's interconnect.
@@ -159,9 +157,7 @@ impl TlbModel {
         self.entries_flushed += entries;
         self.huge_entries_flushed += huge_entries;
         cycles.charge_n(cost.tlb_range_flush_page, entries.min(RANGE_FLUSH_CEILING));
-        metrics::incr("mem.tlb.range_flush");
         metrics::add("mem.tlb.entries_flushed", entries);
-        metrics::add("mem.tlb.huge_entries_flushed", huge_entries);
         self.shootdown(cpus_running, cycles, cost);
     }
 }

@@ -11,7 +11,7 @@
 //! [`Snapshot::merge`].
 //!
 //! Counter names are namespaced `&'static str` keys —
-//! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_load"` — and
+//! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_cache.hit"` — and
 //! there is no registration step: the first update under a name makes the
 //! counter. An update never reads the name. The thread's counters sit in
 //! a small open-addressed table keyed by the name's *address and length*,
@@ -39,7 +39,7 @@
 //! metrics::add("mem.fork.pte_copy", 259);
 //! let delta = metrics::snapshot().delta(&before);
 //! assert_eq!(delta.counter("mem.fork.pte_copy"), 259);
-//! assert_eq!(delta.counter("mem.fork.page_copy"), 0, "absent reads zero");
+//! assert_eq!(delta.counter("mem.page_copy"), 0, "absent reads zero");
 //! ```
 
 use std::cell::RefCell;
@@ -220,7 +220,7 @@ impl Snapshot {
 }
 
 /// Slots a thread's counter table starts with; a power of two. The
-/// simulator has some seventy counter names, so this one is rarely outgrown.
+/// simulator has two dozen counter names, so this one is rarely outgrown.
 const INITIAL_SLOTS: usize = 256;
 
 /// A thread's counters: open addressing with linear probing over a
