@@ -18,6 +18,11 @@
 //! `alloc(0)` or `alloc_run(9)` gives, and `free_frames()`, `used_frames()`
 //! and `pressure()` agree after every step, while frames go back through
 //! `dec_ref`, `unpin` and the batched frees of `munmap` and `destroy`.
+//! Among them is `cow_touch`'s request, fork's deferred cost: a `fork(Cow)`
+//! of a populated space, writes to a random subset of the child's pages —
+//! each copy a small frame — and the child's teardown, which gives back
+//! exactly the frames its writes took last, or, in a variant where the
+//! parent unmaps a page the child still maps, those and one older frame.
 //!
 //! A third arm puts two [`PhysMemory::new_cell`] cells over one
 //! [`SharedFramePool`] and steps them in turn on one thread: the same
@@ -30,6 +35,7 @@
 //! is refused only when the pool is dry and the cell holds nothing back.
 
 use fpr_mem::address_space::heap_vma;
+use fpr_mem::ForkMode;
 use fpr_mem::buddy::{BuddyAllocator, MAX_ORDER};
 use fpr_mem::error::{MemError, MemResult};
 use fpr_mem::{AddressSpace, CostModel, Cycles, Pfn, PhysMemory, PressureLevel, SharedFramePool, TlbModel, Vpn, HUGE_PAGES};
@@ -348,6 +354,12 @@ struct Seen {
     thp_between_small: u64,
     /// A small allocation refused because no frame was free.
     exhausted: u64,
+    /// Teardowns of a COW child that freed exactly the last frames handed
+    /// out, with nothing freed and no huge block taken since, all within
+    /// one aligned 2 MiB window: the tail of the block they came from.
+    tail_teardowns: u64,
+    /// Teardowns of a COW child that freed a frame older than those.
+    older_teardowns: u64,
 }
 
 /// A one-cell [`PhysMemory`] beside the [`Model`], with a reference count
@@ -370,6 +382,9 @@ struct Machine {
     after_small: bool,
     /// A huge block went out right after a small allocation.
     huge_after_small: bool,
+    /// The small frames handed out since a frame last went back or a huge
+    /// block went out, in order.
+    recent: Vec<u64>,
     seen: Seen,
 }
 
@@ -387,6 +402,7 @@ impl Machine {
             streak: 0,
             after_small: false,
             huge_after_small: false,
+            recent: Vec::new(),
             seen: Seen::default(),
         }
     }
@@ -401,6 +417,7 @@ impl Machine {
         match want {
             Ok(pfn) => {
                 self.refs.insert(pfn.0, 1);
+                self.recent.push(pfn.0);
                 self.streak += 1;
                 self.seen.long_runs += u64::from(self.streak == 513);
                 self.seen.thp_between_small += u64::from(self.huge_after_small);
@@ -422,6 +439,7 @@ impl Machine {
         self.refs.extend(run.iter().map(|pfn| (pfn.0, 1)));
         self.huge_after_small = self.after_small;
         self.after_small = false;
+        self.recent.clear();
         Some(run[0])
     }
 
@@ -441,6 +459,7 @@ impl Machine {
         if freed > 0 {
             self.streak = 0;
             (self.after_small, self.huge_after_small) = (false, false);
+            self.recent.clear();
         }
         freed
     }
@@ -537,6 +556,65 @@ impl Machine {
         self.drop_refs(gone);
     }
 
+    /// `cow_touch`'s request on space `i`, which holds no huge block: a
+    /// `fork(Cow)`, a write to each of a random subset of the child's pages
+    /// in random order — a copy of a shared frame, or a demand-zero fill
+    /// where nothing was resident — and the child's teardown. With `older`,
+    /// the parent first unmaps a resident page the child did not write, so
+    /// that the teardown frees that frame too.
+    fn cow_touch(&mut self, i: usize, older: bool, rng: &mut Rng, what: &str) {
+        let Machine { phys, cycles, tlb, spaces, .. } = self;
+        let (parent, pages) = &mut spaces[i];
+        let pages = *pages;
+        let shared = Self::resident(parent, 0..pages);
+        let forked = AddressSpace::fork_from(parent, ForkMode::Cow, phys, cycles, tlb, 1);
+        let mut child = forked.unwrap_or_else(|e| panic!("{what}: fork(Cow) {e:?}"));
+        child.set_thp(false);
+        for pfn in &shared {
+            *self.refs.get_mut(&pfn.0).expect("held") += 1;
+        }
+        let mut touched: Vec<u64> = (0..pages).filter(|_| rng.gen_bool(0.4)).collect();
+        rng.shuffle(&mut touched);
+        for &k in &touched {
+            let vpn = Vpn(HEAP + k);
+            if child.vma_at(vpn).is_none() {
+                continue;
+            }
+            let before = child.translate(vpn).map(|pte| pte.pfn);
+            let wrote = child.write(vpn, k | 1, &mut self.phys, &mut self.cycles, &mut self.tlb, 1);
+            let got = wrote.map(|_| child.translate(vpn).expect("just written").pfn);
+            if self.small(got, what).is_err() {
+                break;
+            }
+            self.drop_refs(before);
+        }
+        if older {
+            let untouched = (0..pages).filter(|k| !touched.contains(k));
+            let parent = &self.spaces[i].0;
+            let old = untouched.filter_map(|k| Some((k, parent.translate(Vpn(HEAP + k))?.pfn))).next();
+            if let Some((k, pfn)) = old {
+                let Machine { phys, cycles, tlb, spaces, .. } = self;
+                let unmapped = spaces[i].0.munmap(Vpn(HEAP + k), 1, phys, cycles, tlb, 1);
+                assert!(unmapped.is_ok(), "{what}: munmap {unmapped:?}");
+                assert_eq!(self.drop_refs([pfn]), 0, "{what}: the child still maps it");
+            }
+        }
+        self.check(what);
+        let gone = Self::resident(&child, 0..pages);
+        let freed: BTreeSet<u64> = gone.iter().map(|pfn| pfn.0).filter(|pfn| self.refs[pfn] == 1).collect();
+        if let Some(&first) = freed.first() {
+            let last = &self.recent[self.recent.len().saturating_sub(freed.len())..];
+            let one_window = last.iter().all(|pfn| pfn / HUGE_PAGES == first / HUGE_PAGES);
+            if last.len() == freed.len() && one_window && last.iter().all(|pfn| freed.contains(pfn)) {
+                self.seen.tail_teardowns += 1;
+            } else if freed.iter().any(|pfn| !self.recent.contains(pfn)) {
+                self.seen.older_teardowns += 1;
+            }
+        }
+        child.destroy(&mut self.phys, &mut self.cycles);
+        assert_eq!(self.drop_refs(gone), freed.len() as u64, "{what}: frames the teardown freed");
+    }
+
     /// Pins a random frame the script holds, loose or mapped.
     fn pin(&mut self, rng: &mut Rng, what: &str) {
         let pfn = if !self.spaces.is_empty() && (self.loose.is_empty() || rng.gen_bool(0.5)) {
@@ -582,6 +660,13 @@ fn run_phys_script(total: u64, seed: u64, steps: u64) -> Seen {
                         _ => rng.gen_range(HUGE_PAGES / 2, 3 * HUGE_PAGES),
                     };
                     m.map(pages, rng.gen_bool(0.6), &what);
+                }
+                3 if rng.gen_bool(0.5) => {
+                    let plain = (0..m.spaces.len()).filter(|&i| m.spaces[i].0.huge_pages() == 0);
+                    let plain: Vec<usize> = plain.collect();
+                    if !plain.is_empty() {
+                        m.cow_touch(plain[rng.gen_index(plain.len())], rng.gen_bool(0.3), &mut rng, &what);
+                    }
                 }
                 3 => {
                     let n = rng.gen_range(513, 1_400);
@@ -638,13 +723,21 @@ fn a_one_cell_phys_memory_hands_out_the_models_frames() {
             seen.above_huge += s.above_huge;
             seen.thp_between_small += s.thp_between_small;
             seen.exhausted += s.exhausted;
+            seen.tail_teardowns += s.tail_teardowns;
+            seen.older_teardowns += s.older_teardowns;
         }
     }
-    let Seen { long_runs, mid_run_frees, above_huge, thp_between_small, exhausted } = seen;
+    let Seen { long_runs, mid_run_frees, above_huge, thp_between_small, exhausted, tail_teardowns, older_teardowns } = seen;
     assert!(
         long_runs > 20 && mid_run_frees > 10 && above_huge > 10 && thp_between_small > 10 && exhausted > 10,
         "the scripts must meet every case the reservation has: {seen:?}"
     );
+    assert!(
+        tail_teardowns > 0 && older_teardowns > 0,
+        "no COW child's teardown freed exactly the tail of the frames handed out, or none freed an older \
+         frame with them: {seen:?}"
+    );
+    println!("{seen:?}");
 }
 
 /// The unit a shared cell's private frames are bounded in: what a cell of
