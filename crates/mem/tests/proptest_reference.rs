@@ -28,6 +28,16 @@
 //! between them go over a leaf node whose frames run on across a chunk
 //! boundary and one whose frames do not run at all, under THP and without.
 //!
+//! Every fork that goes through is also held to the count rule: what its
+//! walk must count is a pure function of the parent's VMA list, its
+//! entries — present, swapped or 2 MiB blocks, and which are writable — and
+//! the GiB regions it holds as huge directories ([`ForkRule`], stated once
+//! as data, as SarOS's `clone_address_space` states it in code). The
+//! `AsStats` deltas `vmas_cloned`, `ptes_copied`, `pt_subtrees_shared` and
+//! `pages_eager_copied`, the child's page-table nodes and the parent
+//! entries the fork write-protected (the TLB term) must equal what the rule
+//! says, in every mode, with THP off and on.
+//!
 //! `slide` moves a whole *mapping* — what one `mmap` made, cut wherever a
 //! later `munmap`, `mprotect` or `madvise` range began or ended inside it —
 //! to a new start, pages and all. The reference keeps the cuts as a set of
@@ -82,7 +92,7 @@ use fpr_mem::cost::{CostModel, Cycles};
 use fpr_mem::phys::PhysMemory;
 use fpr_mem::tlb::TlbModel;
 use fpr_mem::vma::{Prot, Share, VmArea, VmaKind};
-use fpr_mem::{AddressSpace, ForkPolicy, MemError, Vpn};
+use fpr_mem::{AddressSpace, AsStats, ForkPolicy, MemError, Vpn};
 use fpr_rng::Rng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -108,6 +118,11 @@ const LANDING: u64 = window(3, 5, 100);
 const HUGE_BIT: u16 = 1 << 9;
 /// The flag of a swap entry (`PteFlags::SWAP`).
 const SWAP_BIT: u16 = 1 << 8;
+/// The flag of a writable entry (`PteFlags::WRITABLE`).
+const WRITABLE_BIT: u16 = 1 << 1;
+/// Pages a level-1 node spans (1 GiB), and a level-2 node (512 GiB).
+const GIB: u64 = BLOCK * 512;
+const L2_SPAN: u64 = GIB * 512;
 /// Slots of the swap device: more than a script can fill before it swaps
 /// pages back in, unmaps them or exits.
 const SWAP_SLOTS: u64 = 4096;
@@ -420,18 +435,21 @@ fn gen_share(rng: &mut Rng) -> Share {
 
 /// The first process maps most of every window, block by block, and
 /// pre-faults some of it, so that what follows lands on mapped — and, with
-/// THP, huge — memory more often than on holes.
+/// THP, huge — memory more often than on holes. A window in four it maps
+/// and pre-faults whole, so that with THP every block of it is huge and an
+/// on-demand fork gathers its level-1 table into a huge directory.
 fn gen_prologue(rng: &mut Rng) -> Vec<Op> {
     let mut ops = Vec::new();
-    let mapped = WINDOWS.iter().filter(|&&w| w != LANDING);
-    let blocks = mapped.flat_map(|w| (0..SPAN / BLOCK).map(move |b| w + b * BLOCK));
-    for start in blocks {
-        let pages = BLOCK - rng.gen_below(2) * rng.gen_below(64);
-        if rng.gen_bool(0.85) {
-            ops.push(Op::Mmap { start, pages, share: gen_share(rng) });
-        }
-        if rng.gen_bool(0.6) {
-            ops.push(Op::Populate { start, pages });
+    for &w in WINDOWS.iter().filter(|&&w| w != LANDING) {
+        let whole = rng.gen_bool(0.25);
+        for start in (0..SPAN / BLOCK).map(|b| w + b * BLOCK) {
+            let pages = if whole { BLOCK } else { BLOCK - rng.gen_below(2) * rng.gen_below(64) };
+            if whole || rng.gen_bool(0.85) {
+                ops.push(Op::Mmap { start, pages, share: gen_share(rng) });
+            }
+            if whole || rng.gen_bool(0.6) {
+                ops.push(Op::Populate { start, pages });
+            }
         }
     }
     ops
@@ -515,6 +533,12 @@ struct Seen {
     cow_runs_refused: u64,
     slides_refused: u64,
     eager_blocks_refused: u64,
+    /// Forks held to the count rule; and of them, forks whose walk met a
+    /// huge directory, and forks of a parent holding a block that more than
+    /// one mapping covers.
+    forks_counted: u64,
+    forks_over_directories: u64,
+    forks_demoting_blocks: u64,
 }
 
 impl std::ops::AddAssign for Seen {
@@ -536,6 +560,9 @@ impl std::ops::AddAssign for Seen {
         self.cow_runs_refused += o.cow_runs_refused;
         self.slides_refused += o.slides_refused;
         self.eager_blocks_refused += o.eager_blocks_refused;
+        self.forks_counted += o.forks_counted;
+        self.forks_over_directories += o.forks_over_directories;
+        self.forks_demoting_blocks += o.forks_demoting_blocks;
     }
 }
 
@@ -568,6 +595,182 @@ fn swap_nodes(sim: &AddressSpace) -> BTreeSet<usize> {
 /// Whether `vpn` of `sim` is a swap entry.
 fn swapped(sim: &AddressSpace, vpn: u64) -> bool {
     sim.translate(Vpn(vpn)).is_some_and(|pte| pte.flags.0 & SWAP_BIT != 0)
+}
+
+// --------------------------------------------------------------- count rule
+
+/// What a fork's walk counts: the `AsStats` deltas it makes on the parent,
+/// the child's page-table nodes, and the parent entries it write-protects.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ForkCounts {
+    vmas_cloned: u64,
+    ptes_copied: u64,
+    pt_subtrees_shared: u64,
+    pages_eager_copied: u64,
+    child_nodes: u64,
+    write_protected: u64,
+}
+
+/// One entry of a parent before its fork, as `translate` shows it — a
+/// 2 MiB block as one, at its first page — with what the mapping holding
+/// that page says of it.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    vpn: u64,
+    present: bool,
+    writable: bool,
+    huge: bool,
+    private: bool,
+    /// The child inherits it: its mapping is neither `DONTFORK` nor
+    /// `WIPEONFORK`.
+    inherited: bool,
+}
+
+/// What the count rule reads of a parent before it forks: its mappings,
+/// its entries, ascending, and the GiB regions it holds as huge
+/// directories.
+struct ForkRule {
+    /// Per mapping: where it starts and ends, its sharing and fork policy.
+    vmas: Vec<(u64, u64, Share, ForkPolicy)>,
+    entries: Vec<Entry>,
+    dirs: BTreeSet<u64>,
+}
+
+impl ForkRule {
+    fn of(sim: &AddressSpace) -> ForkRule {
+        let vmas: Vec<_> = sim.vmas().map(|v| (v.start.0, v.end().0, v.share, v.fork_policy)).collect();
+        let mut rule = ForkRule { vmas, entries: Vec::new(), dirs: BTreeSet::new() };
+        let mut entries = Vec::new();
+        sim.for_each_resident(|vpn, pte| {
+            let (writable, huge) = (pte.flags.0 & WRITABLE_BIT != 0, pte.flags.0 & HUGE_BIT != 0);
+            if !huge || vpn.0 % BLOCK == 0 {
+                entries.push(rule.entry(vpn.0, true, writable, huge));
+            }
+        });
+        sim.for_each_swap_entry_keyed(|_, vpn, _| entries.push(rule.entry(vpn.0, false, false, false)));
+        entries.sort_by_key(|e| e.vpn);
+        rule.entries = entries;
+        if sim.huge_pages() > 0 {
+            // A lone block is never shared, and every leaf node of a table
+            // is shared with a copy of it: in the copy, a block in a shared
+            // slot is a directory's.
+            let copy = sim.clone();
+            let blocks = copy.leaf_slots().filter(|slot| slot.shared().is_some()).filter_map(|slot| slot.spans().next());
+            let huge = |vpn: u64| sim.translate(Vpn(vpn)).is_some_and(|pte| pte.flags.0 & HUGE_BIT != 0);
+            rule.dirs = blocks.filter(|span| huge(span.start.0)).map(|span| span.start.0 / GIB).collect();
+        }
+        rule
+    }
+
+    /// The entry at `vpn`, with what its mapping says of it.
+    fn entry(&self, vpn: u64, present: bool, writable: bool, huge: bool) -> Entry {
+        let at = self.vmas.partition_point(|v| v.1 <= vpn);
+        let &(_, _, share, policy) = self.vmas.get(at).filter(|v| v.0 <= vpn).expect("an entry lies in a mapping");
+        let (private, inherited) = (share == Share::Private, !policy.dont_fork && !policy.wipe_on_fork);
+        Entry { vpn, present, writable, huge, private, inherited }
+    }
+
+    /// The first pages of the blocks that more than one mapping covers.
+    fn mixed_blocks(&self) -> Vec<u64> {
+        let whole = |b: u64| self.vmas.iter().any(|v| v.0 <= b && b + BLOCK <= v.1);
+        self.entries.iter().filter(|e| e.huge && !whole(e.vpn)).map(|e| e.vpn).collect()
+    }
+
+    /// The counts a fork in `mode` must make, and the huge directories its
+    /// walk meets. `split(block)` says whether an eager fork copied the
+    /// block at page `block` into small pages, which it does only when the
+    /// buddy has no free 2 MiB run: the one thing the rule takes from the
+    /// outcome.
+    fn counts(&self, mode: ForkMode, split: impl Fn(u64) -> bool) -> (ForkCounts, usize) {
+        let (eager, on_demand) = (mode == ForkMode::Eager, mode == ForkMode::OnDemand);
+        let cloned = self.vmas.iter().filter(|v| !v.3.dont_fork).count();
+        let mut c = ForkCounts { vmas_cloned: cloned as u64, ..ForkCounts::default() };
+        // A block that more than one mapping covers is demoted before the
+        // walk, which takes apart the directory it is in.
+        let (mixed, mut dirs) = (self.mixed_blocks(), self.dirs.clone());
+        let mut entries = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            match e.huge && mixed.contains(&e.vpn) {
+                true => entries.extend((e.vpn..e.vpn + BLOCK).map(|v| self.entry(v, true, e.writable, false))),
+                false => entries.push(*e),
+            }
+        }
+        mixed.iter().for_each(|b| _ = dirs.remove(&(b / GIB)));
+        // The slots the walk goes over: a 2 MiB region's entries, small
+        // ones or a block; a GiB region's slots, or one directory of blocks.
+        let regions: Vec<&[Entry]> = entries.chunk_by(|a, b| a.vpn / BLOCK == b.vpn / BLOCK).collect();
+        let gibs: Vec<&[&[Entry]]> = regions.chunk_by(|a, b| a[0].vpn / GIB == b[0].vpn / GIB).collect();
+        if on_demand {
+            // An on-demand fork first gathers every level-1 table of two or
+            // more entries, all blocks, into a directory.
+            dirs.extend(gibs.iter().filter(|g| g.len() >= 2 && g.iter().all(|r| r[0].huge)).map(|g| g[0][0].vpn / GIB));
+        }
+        // What the child's table holds: small-page nodes and lone blocks by
+        // 2 MiB region, directories by GiB region.
+        let (mut leaves, mut lone, mut child_dirs) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for g in gibs {
+            let dir = dirs.contains(&(g[0][0].vpn / GIB));
+            let slots: Vec<Vec<Entry>> = match dir {
+                true => vec![g.concat()],
+                false => g.iter().map(|r| r.to_vec()).collect(),
+            };
+            for slot in slots {
+                let attach = on_demand && (dir || !slot[0].huge) && slot.iter().all(|e| e.inherited);
+                for e in slot.iter().filter(|e| e.inherited) {
+                    c.write_protected += u64::from(e.private && !eager && e.writable);
+                    if attach {
+                        continue;
+                    }
+                    c.ptes_copied += 1;
+                    let pages = if e.huge { BLOCK } else { 1 };
+                    c.pages_eager_copied += if eager && e.private && e.present { pages } else { 0 };
+                    let small = !e.huge || (eager && e.private && split(e.vpn));
+                    _ = if small { leaves.insert(e.vpn / BLOCK) } else { lone.insert(e.vpn / BLOCK) };
+                }
+                if attach {
+                    c.pt_subtrees_shared += 1;
+                    _ = if dir { child_dirs.insert(slot[0].vpn / GIB) } else { leaves.insert(slot[0].vpn / BLOCK) };
+                }
+            }
+        }
+        // A root; a level-2 node per 512 GiB, a level-1 node or a directory
+        // per GiB, and a node per small-page region the child holds.
+        let pages = leaves.iter().chain(&lone).map(|r| r * BLOCK).chain(child_dirs.iter().map(|g| g * GIB));
+        let (l2, gib): (BTreeSet<u64>, BTreeSet<u64>) = (pages.clone().map(|v| v / L2_SPAN).collect(), pages.map(|v| v / GIB).collect());
+        c.child_nodes = 1 + (l2.len() + gib.len() + leaves.len()) as u64;
+        (c, dirs.len())
+    }
+
+    /// The parent entries a fork write-protected: writable before it and
+    /// not after, a block's counted once.
+    fn write_protected(&self, sim: &AddressSpace) -> u64 {
+        let mut lost = 0;
+        sim.for_each_resident(|vpn, pte| {
+            let (now_writable, huge) = (pte.flags.0 & WRITABLE_BIT != 0, pte.flags.0 & HUGE_BIT != 0);
+            if now_writable || (huge && vpn.0 % BLOCK != 0) {
+                return;
+            }
+            // A page of a block the fork demoted was its block's entry.
+            let at = |v: u64| self.entries.binary_search_by_key(&v, |e| e.vpn).ok().map(|i| self.entries[i]);
+            let was = at(vpn.0).or_else(|| at(vpn.0 - vpn.0 % BLOCK).filter(|e| e.huge));
+            lost += u64::from(was.is_some_and(|e| e.writable));
+        });
+        lost
+    }
+}
+
+/// What a fork of `parent` into `child` counted, `before` being the
+/// parent's stats before it.
+fn fork_counts(rule: &ForkRule, before: &AsStats, parent: &AddressSpace, child: &AddressSpace) -> ForkCounts {
+    let after = &parent.stats;
+    ForkCounts {
+        vmas_cloned: after.vmas_cloned - before.vmas_cloned,
+        ptes_copied: after.ptes_copied - before.ptes_copied,
+        pt_subtrees_shared: after.pt_subtrees_shared - before.pt_subtrees_shared,
+        pages_eager_copied: after.pages_eager_copied - before.pages_eager_copied,
+        child_nodes: child.pt_nodes() as u64,
+        write_protected: rule.write_protected(parent),
+    }
 }
 
 impl Seen {
@@ -731,7 +934,7 @@ impl World {
             }
             Op::Fork { mode } if live < MAX_PROCS => {
                 seen.leaves_of(sim);
-                let copied_before = sim.stats.ptes_copied;
+                let (copied_before, stats_before, rule) = (sim.stats.ptes_copied, sim.stats.clone(), ForkRule::of(sim));
                 let (forked, refused) = under(fault, op, sim, ctx, |sim| AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1));
                 if let Some(site) = refused {
                     seen.refused_fork(sim, mode, site, sim.stats.ptes_copied - copied_before);
@@ -739,6 +942,13 @@ impl World {
                     return Step::judged(forked.map(|_| unreachable!("refused")), refused, everything, || unreachable!());
                 }
                 let child = forked.unwrap_or_else(|e| panic!("{ctx}: fork failed on a roomy machine: {e}"));
+                let split = |b: u64| child.translate(Vpn(b)).is_some_and(|pte| pte.flags.0 & HUGE_BIT == 0);
+                let (rule_says, dirs) = rule.counts(mode, split);
+                let counted = fork_counts(&rule, &stats_before, sim, &child);
+                assert_eq!(counted, rule_says, "{ctx}: the fork counted (left) what the rule (right) does not");
+                seen.forks_counted += 1;
+                seen.forks_over_directories += u64::from(dirs > 0);
+                seen.forks_demoting_blocks += u64::from(!rule.mixed_blocks().is_empty());
                 if mode == ForkMode::OnDemand {
                     seen.fallback_copies += sim.stats.ptes_copied - copied_before;
                 }
@@ -920,6 +1130,11 @@ fn run_cases(thp: bool) {
             && seen.munmaps_over_swap > 0,
         "no fork copied, no unshare or teardown went over, or no munmap met a leaf holding swap entries — \
          the swap step is vacuous: {seen:?}"
+    );
+    assert!(
+        seen.forks_counted > 0 && (!thp || (seen.forks_over_directories > 0 && seen.forks_demoting_blocks > 0)),
+        "no fork was held to the count rule, or — under THP — none met a huge directory or a block two \
+         mappings cover: the rule is vacuous: {seen:?}"
     );
     assert!(
         seen.eager_run_frames_refused > 0
