@@ -182,12 +182,24 @@ results-identity:
 # pairs of benchmark/README.md. After a workload's pairs, one
 # `--trace 1 --seconds 8` run a side on seed 1 and their `compare`: the
 # per-layer metrics that moved most, which is where the PR notes' per-layer
-# table comes from. That half is informational and fails nothing.
+# table comes from. That half is informational and fails nothing. Last, one
+# summary line a workload, read back from the pairs' reports: each side's
+# median host_req_per_s with its quartiles, the change's wins out of PAIRS
+# and the ratio of the medians — the numbers a perf claim quotes.
 BASE ?= HEAD
 W ?= svc_mix fork_big spawn_small cow_touch
 PAIRS ?= 3
 PAIR_DIR := target/bench-pair
 PAIR_BIN := benchmark/target/release/forkroad-benchmark
+# Reads `parent change` per line, one line a pair; prints the summary.
+# Quartiles interpolate between the sorted runs.
+PAIR_SUMMARY := function sorted(a, s,   i, j, t) { for (i = 1; i <= NR; i++) s[i] = a[i]; \
+	for (i = 2; i <= NR; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t } } \
+	function q(s, p,   h, i) { h = (NR - 1) * p; i = int(h); return i + 1 < NR ? s[i + 1] + (h - i) * (s[i + 2] - s[i + 1]) : s[NR] } \
+	{ b[NR] = $$1; c[NR] = $$2; wins += ($$2 > $$1) } \
+	END { sorted(b, sb); sorted(c, sc); \
+	printf "== %s, host_req_per_s, median [quartiles] of %d pairs: parent %.0f [%.0f-%.0f], change %.0f [%.0f-%.0f]; change higher in %d of %d; medians %.3fx\n", \
+	w, NR, q(sb, 0.5), q(sb, 0.25), q(sb, 0.75), q(sc, 0.5), q(sc, 0.25), q(sc, 0.75), wins, NR, q(sc, 0.5) / q(sb, 0.5) }
 
 bench-pair:
 	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
@@ -196,6 +208,7 @@ bench-pair:
 	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 	@worse=""; traced="--seed 1 --trace 1 --seconds 8"; \
 	side() { $$1/$(PAIR_BIN) run --workload $$3 $$5 --out $(PAIR_DIR)/$$2-$$3-$$4.json > /dev/null 2>&1; }; \
+	rate() { awk '/"host_req_per_s": [{]/ { getline; gsub(/[^0-9.]/, ""); print; exit }' $(PAIR_DIR)/$$1-$$2-$$3.json; }; \
 	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
 		plain="--seed $$i --trace 0"; \
 		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$w $$i "$$plain" && side . change $$w $$i "$$plain"; \
@@ -208,6 +221,7 @@ bench-pair:
 			|| { echo "$$w: a traced run failed; run it by hand to see why"; exit 1; }; \
 		echo "== $$w, per layer (informational): one run a side with $$traced"; \
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-traced.json $(PAIR_DIR)/change-$$w-traced.json || true; \
+		for i in $$(seq 1 $(PAIRS)); do echo "$$(rate base $$w $$i) $$(rate change $$w $$i)"; done | awk -v w=$$w '$(PAIR_SUMMARY)'; \
 	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
 

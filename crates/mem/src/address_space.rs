@@ -1150,8 +1150,9 @@ impl AddressSpace {
         // A node still shared is dropped with its reference: the other
         // table keeps the frames (and swap slots — references follow leaf
         // identity) alive. One that is this table's alone gives up what it
-        // references and goes back to the spares.
-        self.pt.take_leaves(|gone| Self::let_go(&gone, phys, cycles));
+        // references and goes back to the spares. The frames freed go back
+        // together, once the last node is let go of.
+        phys.batched(|phys| self.pt.take_leaves(|gone| Self::let_go(&gone, phys, cycles)));
         self.swapped = 0;
         self.vmas.clear();
     }

@@ -40,9 +40,13 @@
 //! What differs between cells is fixed when the cell is built:
 //!
 //! * **A one-cell machine** ([`PhysMemory::new`]) reserves blocks of up to
-//!   `HUGE_PAGES` frames and gives the frames a `release` frees straight
-//!   back to the pool. Nothing else touches its pool, so every frame is the
-//!   one `alloc(0)` would hand out.
+//!   `HUGE_PAGES` frames and gives the frames a `release` frees back to the
+//!   pool, unless they are exactly the last `n` its reserved block handed
+//!   out. Then the block *takes them back*, without the lock, by moving its
+//!   next frame down by `n`: freeing the last `n` of the `k` handed out
+//!   after `settle(taken = k)` leaves the buddy as `settle(taken = k − n)`
+//!   does. Nothing else touches its pool, so every frame is the one
+//!   `alloc(0)` would hand out.
 //! * **A cell that shares its pool** ([`PhysMemory::new_cell`]) reserves
 //!   blocks of up to `SHARED_BATCH` (64) frames, and *parks* the frames a
 //!   `release` frees on a private stack that it takes from first, without
@@ -52,6 +56,17 @@
 //!   not meet the other cells on the `"buddy"` lock once it is warm:
 //!   without the stack, E16's per-cell arms waited on `buddy` and neither
 //!   scaled nor came out the same twice.
+//!
+//! A teardown ([`crate::AddressSpace::destroy`]) gives back every frame it
+//! freed in one batch at its end (`PhysMemory::batched`), not a leaf node
+//! at a time, on either kind of cell. A COW child's copies come out of the
+//! reserved block in the order they are written, and its teardown frees
+//! them in address order, so on a one-cell machine they come back as the
+//! block's tail, and the next request is handed the same frames again.
+//! A cell that shares its pool parks the whole batch at once, and gives
+//! back all but `SHARED_BATCH` if that overfills its stack. Which frames
+//! it keeps can differ from parking per `release`; E16's `fig_smp`, which
+//! runs on such cells, comes out byte-identical either way.
 //!
 //! The frames a cell holds back — the rest of its block and its parked
 //! frames — count as drawn and as free, so `free_frames`, pressure,
@@ -91,7 +106,8 @@
 //! order: `retain` is all or nothing, `release` stops at the first frame
 //! the cell does not hold after dropping the ones before it, and the frames
 //! of a call go back together, a `frame_free` charge for each and one
-//! `mem.frame_free` count and at most one acquisition of the pool for all.
+//! `mem.frame_free` count and at most one acquisition of the pool for all —
+//! or, in a teardown, at most one for the whole teardown.
 //!
 //! On top of the pool sit *pins*: a kernel-side reference (e.g. the exec
 //! image cache) that keeps a frame alive independent of page-table
@@ -308,12 +324,21 @@ impl CellPool {
         self.with_core(|core| pfns.iter().for_each(|&pfn| core.free(pfn)));
     }
 
-    /// Takes back the frames a release freed: parks them on a cell that
-    /// shares the pool — giving back all but [`SHARED_BATCH`] once more
-    /// than twice that many are parked — and returns them to the core on a
-    /// one-cell machine.
+    /// Takes back the frames a release freed, each once: parks them on a
+    /// cell that shares the pool — giving back all but [`SHARED_BATCH`] once
+    /// more than twice that many are parked. On a one-cell machine, frames
+    /// that are exactly the last ones the reserved block handed out go back
+    /// into the block, without the lock; any others return to the core.
     fn give_back(&mut self, pfns: &[Pfn]) {
-        let Some(parked) = self.parked.as_mut() else { return self.free_many(pfns) };
+        let Some(parked) = self.parked.as_mut() else {
+            // `n` distinct frames all among the last `n` handed out are them.
+            let tail = self.left.start.saturating_sub(pfns.len() as u64)..self.left.start;
+            if tail.start >= self.start && pfns.iter().all(|pfn| tail.contains(&pfn.0)) {
+                self.left.start = tail.start;
+                return;
+            }
+            return self.free_many(pfns);
+        };
         parked.extend_from_slice(pfns);
         if parked.len() as u64 > 2 * SHARED_BATCH {
             let over = parked.split_off(SHARED_BATCH as usize);
@@ -371,9 +396,12 @@ pub struct PhysMemory {
     /// Frames resident in this cell, each with a reference count in the
     /// frame table; [`Self::drawn_frames`] adds the frames it holds back.
     drawn: u64,
-    /// Where [`Self::release`] gathers the frames of one call whose count
-    /// reached zero; empty between calls, kept for its allocation.
+    /// Where [`Self::release`] gathers the frames whose count reached zero
+    /// — of one call, or of every call of a [`Self::batched`] teardown —
+    /// until they go back; empty between calls, kept for its allocation.
     released: Vec<Pfn>,
+    /// Inside [`Self::batched`]: `release` leaves its frames in `released`.
+    batching: bool,
 }
 
 impl PhysMemory {
@@ -409,6 +437,7 @@ impl PhysMemory {
             thp: ThpStats::default(),
             drawn: 0,
             released: Vec::new(),
+            batching: false,
         }
     }
 
@@ -637,14 +666,19 @@ impl PhysMemory {
     /// `runs`, ranges of frame numbers, and frees those that reach zero,
     /// returning how many that was — in the order they come in `runs`, which
     /// within a run is ascending; then the same on the swap device for the
-    /// slots of `slots`. The freed frames of a call go back together —
-    /// under one pool acquisition on a one-cell machine, parked on a cell
-    /// that shares its pool (taking the pool once if that overfills the
-    /// stack) — and each is charged `frame_free`, while `mem.frame_free`
-    /// is counted once for all of them. A teardown hands in a leaf node's frames at a time, so the
-    /// pool lock is taken per node, not per frame; the buddy's state after
-    /// a set of frees does not depend on their order, so batching moves no
-    /// later allocation.
+    /// slots of `slots`. Each frame freed is charged `frame_free`, and
+    /// `mem.frame_free` is counted once for the call.
+    ///
+    /// The frames freed go back together: those of the call, or, inside
+    /// [`Self::batched`], those of the whole teardown at its end. A teardown
+    /// hands in a leaf node's frames at a time, so the pool is taken at most
+    /// once a teardown, not once a node or a frame. On a one-cell machine,
+    /// frames that are exactly the last ones the reserved block handed out
+    /// go back into the block without the pool, and any others go to the
+    /// pool under one acquisition; a cell that shares its pool parks them,
+    /// taking the pool once if that overfills the stack. The buddy's state
+    /// after a set of frees does not depend on their order, so batching
+    /// moves no later allocation.
     ///
     /// Stops at the first frame this cell does not hold, or slot the device
     /// does not, and reports [`MemError::NotMapped`]; the references
@@ -656,6 +690,7 @@ impl PhysMemory {
         cycles: &mut Cycles,
     ) -> MemResult<u64> {
         let mut released = std::mem::take(&mut self.released);
+        let before = released.len();
         let result = Self::each_run(&mut self.table, runs, |first, refs| {
             refs.iter_mut().for_each(|r| *r -= 1);
             if refs.iter().fold(false, |freed, &r| freed | (r == 0)) {
@@ -663,18 +698,40 @@ impl PhysMemory {
                 released.extend(freed.map(|(k, _)| Pfn(first + k as u64)));
             }
         });
-        let freed = released.len() as u64;
+        let freed = (released.len() - before) as u64;
         if freed > 0 {
             self.drawn -= freed;
-            self.pool.give_back(&released);
             cycles.charge_n(self.cost.frame_free, freed);
             metrics::add("mem.frame_free", freed);
-            released.clear();
         }
         self.released = released;
+        if !self.batching {
+            self.give_back_released();
+        }
         result.map_err(|_| MemError::NotMapped)?;
         self.swap.release(slots)?;
         Ok(freed)
+    }
+
+    /// Runs `op` — a teardown — with the frames every [`Self::release`] in
+    /// it frees held until it ends, and gives them back then, together. The
+    /// charges and the `mem.frame_free` count stay each release's, and
+    /// nothing takes a frame in between, so batching moves no cycle, count
+    /// or later frame.
+    pub(crate) fn batched<T>(&mut self, op: impl FnOnce(&mut Self) -> T) -> T {
+        self.batching = true;
+        let out = op(self);
+        self.batching = false;
+        self.give_back_released();
+        out
+    }
+
+    /// Gives back the frames [`Self::release`] gathered, if any.
+    fn give_back_released(&mut self) {
+        if !self.released.is_empty() {
+            self.pool.give_back(&self.released);
+            self.released.clear();
+        }
     }
 
     /// Machine-wide THP promotion/demotion counters.
@@ -1290,6 +1347,35 @@ mod tests {
         assert_eq!((p.drawn_frames(), p.pool.held_back()), (999, 0));
         assert_eq!(p.pool.shared.free_frames(), 3_097);
         assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(7)), "the frame the buddy would hand out next");
+    }
+
+    #[test]
+    fn a_one_cell_block_takes_back_the_frames_it_handed_out_last_without_the_pool() {
+        let (mut p, mut c) = pm(4_096);
+        let older: Vec<Pfn> = (0..100).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        let tail: Vec<Pfn> = (0..30).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        // The last 30 handed out, in any order, in two releases of one
+        // teardown: back into the block, and handed out again in order.
+        let locks = POOL_LOCKS.with(Cell::get);
+        let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
+        let freed = p.batched(|p| [p.release(ones(&tail[20..]), [], &mut c), p.release(ones(&tail[..20]), [], &mut c)]);
+        assert_eq!(freed, [Ok(10), Ok(20)]);
+        assert_eq!(c.total() - cycles, 30 * p.cost().frame_free);
+        assert_eq!(metrics::snapshot().counter("mem.frame_free") - counted, 30);
+        assert_eq!(POOL_LOCKS.with(Cell::get), locks, "no pool acquisition");
+        assert_eq!((p.used_frames(), p.drawn_frames()), (100, 512));
+        let again: Vec<Pfn> = (0..30).map(|_| p.alloc_zeroed(&mut c).unwrap()).collect();
+        assert_eq!(again, tail);
+        assert_eq!(POOL_LOCKS.with(Cell::get), locks, "no pool acquisition");
+        // The tail and an older frame: the pool, once for the teardown.
+        let frees = POOL_FREES.with(Cell::get);
+        let freed = p.batched(|p| [p.release(ones(&older[3..4]), [], &mut c), p.release(ones(&tail), [], &mut c)]);
+        assert_eq!(freed, [Ok(1), Ok(30)]);
+        assert_eq!(POOL_FREES.with(Cell::get), frees + 1);
+        assert_eq!(p.alloc_zeroed(&mut c), Ok(older[3]), "the frame the buddy would hand out next");
+        p.release(ones(&older), [], &mut c).unwrap();
+        p.drain();
+        assert_eq!((p.drawn_frames(), p.pool.shared.free_frames()), (0, 4_096), "everything back");
     }
 
     #[test]
