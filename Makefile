@@ -145,10 +145,12 @@ examples:
 # dependencies on crates/*: no workspace build or test compiles it, so a
 # signature change under it would go unnoticed until the driver ran it.
 # Its unit tests and a --smoke pass over all four workloads (output
-# checks on) keep it building and serving.
+# checks on) keep it building and serving. Both run --locked: a workspace
+# change that would rewrite the tracked benchmark/Cargo.lock (a crate or
+# a dependency added or removed) fails here instead of dirtying the file.
 bench-repo-smoke:
-	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
-	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
+	$(CARGO) test --offline --locked --manifest-path benchmark/Cargo.toml
+	$(CARGO) run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 # The evaluation, mechanically: `run_all` runs every row of the catalogue
 # (crates/bench/src/lib.rs, one run each), asserts each row's hard

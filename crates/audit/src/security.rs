@@ -1,71 +1,12 @@
-//! Security audits: descriptor leaks, privilege inheritance, and shared
-//! ASLR layouts (the zygote problem).
+//! Shared ASLR layouts: how many layout bits sibling processes have in
+//! common (the zygote problem).
 
-use crate::report::{Finding, Report, Severity};
 use fpr_exec::shared_bits;
 use fpr_kernel::{KResult, Kernel, Pid};
 
 /// Maximum comparable layout bits (4 bases × 34 bits, see
 /// [`fpr_exec::shared_bits`]).
 pub const MAX_LAYOUT_BITS: u32 = 4 * 34;
-
-/// Audits what `child` inherited from `parent` that it plausibly should
-/// not have.
-pub fn audit_inheritance(kernel: &Kernel, parent: Pid, child: Pid) -> KResult<Report> {
-    let p = kernel.process(parent)?;
-    let c = kernel.process(child)?;
-    let mut report = Report::new();
-
-    // Descriptors beyond stdio that came across.
-    let leaked: Vec<u32> = c
-        .fds
-        .iter()
-        .filter(|(fd, entry)| fd.0 > 2 && p.fds.iter().any(|(_, pe)| pe.ofd == entry.ofd))
-        .map(|(fd, _)| fd.0)
-        .collect();
-    if !leaked.is_empty() {
-        report.push(Finding::new(
-            Severity::Warning,
-            "FD_LEAK",
-            format!(
-                "child shares {} non-stdio descriptor(s) with the parent: fds {:?}",
-                leaked.len(),
-                leaked
-            ),
-        ));
-    }
-
-    // Full-privilege inheritance.
-    if c.cred.euid == 0 && c.cred.caps.count() > 0 {
-        report.push(Finding::new(
-            Severity::Warning,
-            "PRIVILEGE_INHERITED",
-            format!(
-                "child runs as euid 0 with {} capability bit(s)",
-                c.cred.caps.count()
-            ),
-        ));
-    }
-
-    // Shared address-space layout.
-    let bits = shared_bits(&p.layout, &c.layout);
-    if bits == MAX_LAYOUT_BITS {
-        report.push(Finding::new(
-            Severity::Critical,
-            "SHARED_ASLR",
-            "child shares the parent's entire address-space layout; one info-leak in either \
-             defeats ASLR for both"
-                .to_string(),
-        ));
-    } else if bits > MAX_LAYOUT_BITS / 2 {
-        report.push(Finding::new(
-            Severity::Warning,
-            "PARTIAL_SHARED_ASLR",
-            format!("child shares {bits}/{MAX_LAYOUT_BITS} layout bits with the parent"),
-        ));
-    }
-    Ok(report)
-}
 
 /// Summary of layout diversity across a set of sibling processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +59,6 @@ mod tests {
     use super::*;
     use fpr_api::{fork, posix_spawn, SpawnAttrs};
     use fpr_exec::{Image, ImageRegistry};
-    use fpr_kernel::OpenFlags;
 
     fn world() -> (Kernel, Pid, ImageRegistry) {
         let mut k = Kernel::boot();
@@ -126,43 +66,6 @@ mod tests {
         let mut reg = ImageRegistry::new();
         reg.register("/bin/tool", Image::small("tool"));
         (k, init, reg)
-    }
-
-    #[test]
-    fn forked_child_flags_shared_aslr_and_fd_leak() {
-        let (mut k, p, reg) = world();
-        // Give the parent a real layout and an extra fd.
-        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", 9).unwrap();
-        k.open(p, "/secret", OpenFlags::RDWR, true).unwrap();
-        let c = fork(&mut k, p).unwrap();
-        let r = audit_inheritance(&k, p, c).unwrap();
-        assert!(r.findings.iter().any(|f| f.code == "SHARED_ASLR"));
-        assert!(r.findings.iter().any(|f| f.code == "FD_LEAK"));
-        assert!(!r.is_safe());
-    }
-
-    #[test]
-    fn spawned_child_is_clean() {
-        let (mut k, p, reg) = world();
-        fpr_exec::execve(&mut k, p, &reg, "/bin/tool", 9).unwrap();
-        k.open(p, "/secret", OpenFlags::RDWR, true).unwrap();
-        // posix_spawn inherits stdio but the secret fd is closed via action.
-        let c = posix_spawn(
-            &mut k,
-            p,
-            &reg,
-            "/bin/tool",
-            &[fpr_api::FileAction::Close {
-                fd: fpr_kernel::Fd(3),
-            }],
-            &SpawnAttrs::default(),
-            10,
-            None,
-        )
-        .unwrap();
-        let r = audit_inheritance(&k, p, c).unwrap();
-        assert!(!r.findings.iter().any(|f| f.code == "SHARED_ASLR"));
-        assert!(!r.findings.iter().any(|f| f.code == "FD_LEAK"));
     }
 
     #[test]

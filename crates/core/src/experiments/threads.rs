@@ -1,121 +1,116 @@
-//! E5: fork isn't thread-safe — deadlock incidence and auditor accuracy.
+//! E5: fork isn't thread-safe — what a child finds of its parent's locks,
+//! by creation path.
 //!
-//! Synthesises multithreaded parents whose worker threads hold locks with
-//! a given probability, forks them, and has the child exercise every
-//! lock. Counts actual post-fork deadlocks and compares against what the
-//! fork-safety auditor predicted *before* the fork. The reproduction
-//! requirement: the auditor has zero false negatives.
+//! Synthesises multithreaded parents whose worker threads each hold one
+//! lock with a given probability, and creates a child of each such parent
+//! five ways (`PATHS`). The witness is the child itself: at the first
+//! point it can run code — straight after fork, after exec for the paths
+//! that exec — it tries to take every lock in its own lock table. A trial
+//! deadlocks when some lock refuses with `EDEADLK` (its owner does not
+//! exist in the child), and is refused when creation itself returns an
+//! error (an atfork prepare handler finding its lock held by a worker).
 
+use crate::kit::CreationPath;
 use crate::os::{Os, OsConfig};
-use fpr_audit::audit_fork_safety;
-use fpr_kernel::{sync, Errno};
-use fpr_trace::TableData;
+use fpr_kernel::{sync, AtforkRegistration, Errno, KResult};
+use fpr_mem::ForkMode;
 use fpr_rng::Rng;
+use fpr_trace::TableData;
 
-/// Aggregated result for one (threads, hold probability) cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ThreadSafetyCell {
-    /// Worker threads (besides main).
-    pub threads: u32,
-    /// Probability each worker held its lock at fork time.
-    pub hold_prob: f64,
-    /// Trials run.
-    pub trials: u32,
-    /// Trials in which the child deadlocked on ≥1 lock.
+/// The creation paths compared, in table order: a name, the call, and
+/// whether the parent first registers a `pthread_atfork` handler covering
+/// every one of its locks.
+pub(crate) const PATHS: [(&str, CreationPath, bool); 5] = [
+    ("fork", CreationPath::Fork(ForkMode::Cow), false),
+    ("fork+atfork", CreationPath::Fork(ForkMode::Cow), true),
+    ("vfork+exec", CreationPath::VforkExec("/bin/tool"), false),
+    ("posix_spawn", CreationPath::Spawn("/bin/tool"), false),
+    ("xproc", CreationPath::Xproc("/bin/tool"), false),
+];
+
+/// One path's tally over the trials of one (threads, hold probability) cell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PathCell {
+    /// Trials whose child met `EDEADLK` on some lock.
     pub deadlocks: u32,
-    /// Trials the auditor flagged as critical before the fork.
-    pub flagged: u32,
-    /// Deadlocking trials the auditor missed (must be zero).
-    pub false_negatives: u32,
+    /// Trials whose creation call returned an error.
+    pub refused: u32,
 }
 
-/// Runs one cell of `trials` trials.
-pub(crate) fn run_cell(threads: u32, hold_prob: f64, trials: u32, seed: u64) -> ThreadSafetyCell {
+/// One trial of one path: a fresh parent whose worker `i` holds its lock
+/// iff `holds[i]`, a child of it made by `path`, and the child's attempt
+/// on every lock it has. `Ok(true)` is a child that deadlocked, `Err`
+/// the creation call's refusal.
+fn trial(holds: &[bool], (_, path, atfork): (&str, CreationPath, bool)) -> KResult<bool> {
+    let mut os = Os::boot(OsConfig::default());
+    let parent = os.kernel.allocate_process(os.init, "mt").expect("alloc");
+    for (i, &held) in holds.iter().enumerate() {
+        let name = [sync::names::MALLOC_ARENA, sync::names::STDIO, sync::names::APP][i % 3];
+        let lock = os.kernel.register_lock(parent, name).expect("lock");
+        let tid = os.kernel.spawn_thread(parent).expect("thread");
+        if held {
+            os.kernel.lock_acquire(parent, tid, lock).expect("acquire");
+        }
+        if atfork {
+            let reg = AtforkRegistration { token: i as u64, lock: Some(lock) };
+            os.kernel.process_mut(parent).expect("parent").atfork.register(reg);
+        }
+    }
+    let child = os.create(parent, path)?;
+    let c = os.kernel.process(child).expect("child");
+    let main = c.main_tid();
+    let locks: Vec<_> = c.locks.iter().map(|l| l.id).collect();
+    let mut deadlocked = false;
+    for lock in locks {
+        match os.kernel.lock_acquire(child, main, lock) {
+            Err(Errno::Edeadlk) => deadlocked = true,
+            Ok(()) => os.kernel.lock_release(child, main, lock).expect("release"),
+            Err(e) => panic!("unexpected lock error {e}"),
+        }
+    }
+    Ok(deadlocked)
+}
+
+/// Runs `trials` trials over parents with `threads` workers, each holding
+/// its lock with probability `hold_prob`; every path sees the same parents.
+/// Entry `i` is `PATHS[i]`'s tally.
+pub(crate) fn run_cell(threads: u32, hold_prob: f64, trials: u32, seed: u64) -> [PathCell; 5] {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut deadlocks = 0;
-    let mut flagged = 0;
-    let mut false_negatives = 0;
+    let mut cells = [PathCell::default(); 5];
     for _ in 0..trials {
-        let mut os = Os::boot(OsConfig::default());
-        let parent = os.kernel.allocate_process(os.init, "mt").expect("alloc");
-        let main = os.kernel.process(parent).expect("proc").main_tid();
-        // Each worker registers one lock and maybe holds it.
-        let mut locks = Vec::new();
-        for i in 0..threads {
-            let name = match i % 3 {
-                0 => sync::names::MALLOC_ARENA,
-                1 => sync::names::STDIO,
-                _ => sync::names::APP,
-            };
-            let lock = os.kernel.register_lock(parent, name).expect("lock");
-            let tid = os.kernel.spawn_thread(parent).expect("thread");
-            if rng.gen_bool(hold_prob) {
-                os.kernel.lock_acquire(parent, tid, lock).expect("acquire");
-            }
-            locks.push(lock);
-        }
-        let report = audit_fork_safety(&os.kernel, parent, main).expect("audit");
-        let predicted = !report.is_safe();
-        if predicted {
-            flagged += 1;
-        }
-        let child = os.fork(parent).expect("fork");
-        let c_main = os.kernel.process(child).expect("child").main_tid();
-        let mut deadlocked = false;
-        for lock in &locks {
-            match os.kernel.lock_acquire(child, c_main, *lock) {
-                Err(Errno::Edeadlk) => deadlocked = true,
-                Ok(()) => os
-                    .kernel
-                    .lock_release(child, c_main, *lock)
-                    .expect("release"),
-                Err(e) => panic!("unexpected lock error {e}"),
-            }
-        }
-        if deadlocked {
-            deadlocks += 1;
-            if !predicted {
-                false_negatives += 1;
+        let holds: Vec<bool> = (0..threads).map(|_| rng.gen_bool(hold_prob)).collect();
+        for (cell, path) in cells.iter_mut().zip(PATHS) {
+            match trial(&holds, path) {
+                Ok(deadlocked) => cell.deadlocks += u32::from(deadlocked),
+                Err(_) => cell.refused += 1,
             }
         }
     }
-    ThreadSafetyCell {
-        threads,
-        hold_prob,
-        trials,
-        deadlocks,
-        flagged,
-        false_negatives,
-    }
+    cells
 }
 
-/// Runs the grid and formats the table.
+/// Runs the grid and formats the table: one row per cell and path.
 pub fn run(thread_counts: &[u32], hold_probs: &[f64], trials: u32) -> TableData {
     let mut t = TableData::new(
         "tab_thread_safety",
-        "post-fork deadlock incidence and auditor detection",
-        &[
-            "threads",
-            "hold_prob",
-            "trials",
-            "deadlock_rate",
-            "auditor_flag_rate",
-            "false_negatives",
-        ],
+        "what a child finds of locks its parent's other threads held, per creation path",
+        &["threads", "hold_prob", "trials", "path", "deadlock_rate", "refused_rate"],
     );
+    let rate = |n: u32| format!("{:.2}", n as f64 / trials as f64);
     let mut seed = 9000;
     for &n in thread_counts {
         for &p in hold_probs {
             seed += 1;
-            let c = run_cell(n, p, trials, seed);
-            t.push_row(vec![
-                c.threads.to_string(),
-                format!("{:.2}", c.hold_prob),
-                c.trials.to_string(),
-                format!("{:.2}", c.deadlocks as f64 / c.trials as f64),
-                format!("{:.2}", c.flagged as f64 / c.trials as f64),
-                c.false_negatives.to_string(),
-            ]);
+            for ((name, ..), c) in PATHS.iter().zip(run_cell(n, p, trials, seed)) {
+                t.push_row(vec![
+                    n.to_string(),
+                    format!("{p:.2}"),
+                    trials.to_string(),
+                    name.to_string(),
+                    rate(c.deadlocks),
+                    rate(c.refused),
+                ]);
+            }
         }
     }
     t
@@ -126,38 +121,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_threads_no_deadlocks() {
-        let c = run_cell(0, 1.0, 5, 1);
-        assert_eq!(c.deadlocks, 0);
-        assert_eq!(c.false_negatives, 0);
+    fn every_path_gives_its_verdict_for_every_hold_pattern() {
+        for pattern in 0u32..8 {
+            let holds: Vec<bool> = (0..3).map(|i| pattern & (1 << i) != 0).collect();
+            let held = pattern != 0;
+            let verdicts = PATHS.map(|path| trial(&holds, path));
+            assert_eq!(verdicts[0], Ok(held), "fork deadlocks iff a worker held: {holds:?}");
+            let atfork = if held { Err(Errno::Ebusy) } else { Ok(false) };
+            assert_eq!(verdicts[1], atfork, "fork+atfork refuses iff a worker held: {holds:?}");
+            for ((name, ..), v) in PATHS.iter().zip(&verdicts).skip(2) {
+                assert_eq!(*v, Ok(false), "{name} child takes every lock: {holds:?}");
+            }
+        }
     }
 
     #[test]
-    fn certain_hold_always_deadlocks_and_is_always_flagged() {
-        let c = run_cell(4, 1.0, 10, 2);
-        assert_eq!(c.deadlocks, 10);
-        assert_eq!(c.flagged, 10);
-        assert_eq!(c.false_negatives, 0);
+    fn a_cell_tallies_each_path() {
+        let clean = PathCell::default();
+        let all = |deadlocks, refused| PathCell { deadlocks, refused };
+        assert_eq!(run_cell(4, 1.0, 5, 2), [all(5, 0), all(0, 5), clean, clean, clean]);
+        assert_eq!(run_cell(0, 1.0, 5, 1), [clean; 5]);
+        assert_eq!(run_cell(4, 0.0, 5, 3), [clean; 5]);
     }
 
     #[test]
     fn deadlock_rate_grows_with_threads() {
-        let few = run_cell(1, 0.3, 40, 3);
-        let many = run_cell(16, 0.3, 40, 3);
-        assert!(
-            many.deadlocks > few.deadlocks,
-            "{} vs {}",
-            many.deadlocks,
-            few.deadlocks
-        );
-    }
-
-    #[test]
-    fn auditor_never_misses() {
-        for (n, p, s) in [(2u32, 0.5, 10u64), (8, 0.25, 11), (16, 0.75, 12)] {
-            let c = run_cell(n, p, 20, s);
-            assert_eq!(c.false_negatives, 0, "auditor missed at n={n} p={p}");
-            assert!(c.flagged >= c.deadlocks, "flags must cover deadlocks");
-        }
+        let few = run_cell(1, 0.3, 40, 3)[0].deadlocks;
+        let many = run_cell(16, 0.3, 40, 3)[0].deadlocks;
+        assert!(many > few, "{many} vs {few}");
     }
 }

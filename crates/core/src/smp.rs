@@ -10,8 +10,8 @@
 //! virtual elapsed time, not from wall-clock (which on a 1-core CI host
 //! would measure the host scheduler, not the simulated machine).
 //!
-//! A cell is one `Os` facade whose kernel draws frames, PIDs, TLB rounds
-//! and the OOM trigger from a machine-wide [`SmpShared`]. The cell itself
+//! A cell is one `Os` facade whose kernel draws frames, PIDs and TLB
+//! rounds from a machine-wide [`SmpShared`]. The cell itself
 //! sits behind a `VLock` named `"mm"` — the per-address-space lock every
 //! fork-family call holds — so arms that funnel all workers into one cell
 //! reproduce fork's mm-serialization, and arms with a cell per worker
@@ -30,10 +30,9 @@
 //! fault site: the cell takes one last doomed operation with the site
 //! armed, is marked dead, and is then *recovered* — its processes
 //! reaped (returning their PIDs to the shared table), its reserved block
-//! settled and its parked frames drained back to the [`SharedFramePool`],
-//! and its stuck
-//! machine-wide OOM lease broken — so the machine degrades from N cells
-//! to N−1 with zero leaked frames and zero stuck locks. Dead cells are
+//! settled and its parked frames drained back to the [`SharedFramePool`]
+//! — so the machine degrades from N cells to N−1 with zero leaked
+//! frames and zero leaked PIDs. Dead cells are
 //! thereafter held to a stricter quiesce standard than survivors: not
 //! "back at boot baseline" but *empty*.
 //!
@@ -59,8 +58,7 @@ const _: () = {
 /// logical core.
 #[derive(Debug)]
 pub struct SmpOs {
-    /// Machine-wide shared subsystems (frame pool, PID table, TLB bus,
-    /// OOM single-flight guard).
+    /// Machine-wide shared subsystems (frame pool, PID table, TLB bus).
     pub shared: SmpShared,
     cells: Vec<Arc<VLock<Os>>>,
     baselines: Vec<KernelBaseline>,
@@ -82,9 +80,6 @@ pub struct CellFailure {
     pub died_at_site: bool,
     /// Processes reaped during evacuation.
     pub evacuated: u64,
-    /// Whether the dead cell held the machine-wide OOM lease at death
-    /// (recovery broke it; survivors' OOM kills were never blocked).
-    pub lease_was_stuck: bool,
 }
 
 impl SmpOs {
@@ -152,15 +147,11 @@ impl SmpOs {
     ///    exactly where the sweep points. (Creation ops are
     ///    transactional, so even the dying gasp leaves no half-made
     ///    state for recovery to trip over.)
-    /// 2. **Stick the lease**: if the machine-wide OOM lease is free,
-    ///    the dying cell grabs it — modelling the worst case, death
-    ///    while holding a cross-cell resource.
-    /// 3. **Mark dead** so storm workers stop routing work here.
-    /// 4. **Recover**: drain the spawn fast path (warm children are
+    /// 2. **Mark dead** so storm workers stop routing work here.
+    /// 3. **Recover**: drain the spawn fast path (warm children are
     ///    real processes), then [`Kernel::evacuate`] — every process
     ///    reaped (PIDs back to the shared table), the reserved block
-    ///    settled and the parked frames drained back to the shared pool —
-    ///    then break the stuck lease.
+    ///    settled and the parked frames drained back to the shared pool.
     ///
     /// Afterwards [`SmpOs::check_quiesced`] holds the dead cell to the
     /// *empty* standard: zero processes, zero drawn frames.
@@ -178,7 +169,6 @@ impl SmpOs {
             !died_at_site || dying_gasp.is_err(),
             "an injected fault must fail the dying operation"
         );
-        let lease_was_stuck = self.shared.oom.try_lease(c);
         self.dead[c].store(true, Ordering::Release);
         // Recovery. Evacuation crosses its own fault site; no plan is
         // armed on this thread anymore, so it cannot be injected here.
@@ -187,18 +177,11 @@ impl SmpOs {
             .kernel
             .evacuate()
             .expect("evacuation runs outside any armed fault plan");
-        if lease_was_stuck {
-            assert!(
-                self.shared.oom.release_lease(c),
-                "recovery breaks the dead cell's OOM lease"
-            );
-        }
         CellFailure {
             cell: c,
             site,
             died_at_site,
             evacuated,
-            lease_was_stuck,
         }
     }
 
@@ -270,9 +253,6 @@ impl SmpOs {
                 let held = os.kernel.phys.drawn_frames();
                 if held != 0 {
                     v.push(format!("dead cell {i}: {held} frames not returned"));
-                }
-                if self.shared.oom.lease_holder() == Some(i) {
-                    v.push(format!("dead cell {i}: OOM lease still stuck"));
                 }
             }
             drawn += os.kernel.phys.drawn_frames();
@@ -377,7 +357,6 @@ mod tests {
         assert_eq!(f.cell, 0);
         assert!(f.died_at_site, "every fork crosses pid_alloc");
         assert!(f.evacuated >= 4, "init + 3 children at least: {f:?}");
-        assert!(f.lease_was_stuck, "the lease was free, so the dying cell stuck it");
         assert!(smp.is_dead(0));
         assert!(!smp.is_dead(1) && !smp.is_dead(2));
         assert_eq!(smp.live_cells(), 2);
@@ -385,7 +364,6 @@ mod tests {
             smp.shared.pids.live() < shared_live_before,
             "the dead cell's PIDs went back to the shared table"
         );
-        assert_eq!(smp.shared.oom.lease_holder(), None, "no stuck lease");
 
         // Survivors keep working after the failure…
         let mut os = smp.cell(1).lock();

@@ -46,7 +46,7 @@ pub fn randomize(seed: u64) -> LayoutInfo {
 }
 
 /// Counts the layout base bits shared between two layouts — the measure
-/// the security audit reports. Identical layouts share everything.
+/// E8's `zygote_entropy` reports. Identical layouts share everything.
 pub fn shared_bits(a: &LayoutInfo, b: &LayoutInfo) -> u32 {
     let fields = [
         (a.text_base, b.text_base),

@@ -62,11 +62,6 @@ impl AtforkTable {
         self.regs.clone()
     }
 
-    /// The set of locks covered by some registration.
-    pub fn covered_locks(&self) -> Vec<LockId> {
-        self.regs.iter().filter_map(|r| r.lock).collect()
-    }
-
     /// Number of registrations.
     pub fn len(&self) -> usize {
         self.regs.len()
@@ -102,13 +97,12 @@ mod tests {
     }
 
     #[test]
-    fn covered_locks_filters() {
+    fn len_counts_registrations() {
         let mut t = AtforkTable::new();
+        assert!(t.is_empty());
         t.register(reg(1, Some(7)));
         t.register(reg(2, None));
-        t.register(reg(3, Some(9)));
-        assert_eq!(t.covered_locks(), vec![LockId(7), LockId(9)]);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }
 }

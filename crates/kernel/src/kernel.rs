@@ -10,7 +10,6 @@
 use crate::error::{Errno, KResult};
 use crate::fdtable::{Fd, FdEntry, FdTable};
 use crate::file::{FileObject, OfdTable, OpenFlags};
-use crate::lifecycle::OomGuard;
 use crate::pid::{Pid, ShardedPidTable, Tid, TidAllocator};
 use crate::pipe::PipeTable;
 use crate::rlimit::Resource;
@@ -175,7 +174,7 @@ pub struct Kernel {
 
 /// The services one machine shares across its cells: every cell is a
 /// [`Kernel`], drawing frames from one pool, PIDs from one striped
-/// table, shootdowns over one interconnect, and one OOM-kill lease. A
+/// table and shootdowns over one interconnect. A
 /// multi-cell (SMP) machine runs each cell on its own OS thread;
 /// [`Kernel::new`] is the one-cell machine.
 ///
@@ -188,8 +187,6 @@ pub struct SmpShared {
     pub pids: Arc<ShardedPidTable>,
     /// The TLB-shootdown interconnect.
     pub tlb: Arc<TlbBus>,
-    /// The OOM-kill lease.
-    pub oom: Arc<OomGuard>,
 }
 
 impl SmpShared {
@@ -200,7 +197,6 @@ impl SmpShared {
             pool: Arc::new(SharedFramePool::new(cfg.frames)),
             pids: Arc::new(ShardedPidTable::new(cells.max(1), cfg.max_pids)),
             tlb: Arc::new(TlbBus::new()),
-            oom: Arc::new(OomGuard::new()),
         }
     }
 }
@@ -291,9 +287,8 @@ impl Kernel {
 
     /// Boots cell `cell` of a machine: a full kernel whose physical
     /// memory is a [`PhysMemory::new_cell`] over `shared.pool`, whose PIDs
-    /// come from `shared.pids` (home shard `cell`), whose remote
-    /// shootdowns serialize on `shared.tlb`, and whose OOM kills go
-    /// through `shared.oom`. Everything else (process table, VFS,
+    /// come from `shared.pids` (home shard `cell`), and whose remote
+    /// shootdowns serialize on `shared.tlb`. Everything else (process table, VFS,
     /// scheduler) is private to the cell, so cells only meet at the
     /// explicitly shared services — exactly where real SMP kernels
     /// contend.

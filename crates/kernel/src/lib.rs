@@ -52,7 +52,7 @@ pub use file::{FileObject, OfdId, OpenFlags};
 pub use invariants::KernelBaseline;
 pub use io::ReadResult;
 pub use kernel::{Inherit, Kernel, MachineConfig, SmpShared};
-pub use lifecycle::{OomGuard, SIGBUS_EXIT_STATUS};
+pub use lifecycle::SIGBUS_EXIT_STATUS;
 pub use mm::Madvice;
 pub use pgroup::{Pgid, Sid};
 pub use pid::{Pid, ShardedPidTable, Tid};

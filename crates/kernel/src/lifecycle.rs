@@ -5,7 +5,6 @@ use crate::kernel::Kernel;
 use crate::pid::Pid;
 use crate::signal::{DefaultAction, Disposition, Sig};
 use crate::task::{ProcState, SpaceRef};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
 pub(crate) const OOM_EXIT_STATUS: i32 = 137;
@@ -14,53 +13,6 @@ pub(crate) const OOM_EXIT_STATUS: i32 = 137;
 /// the fate of a process whose swapped-out page the device fails to read
 /// back.
 pub const SIGBUS_EXIT_STATUS: i32 = 135;
-
-/// The machine's OOM-kill lease.
-///
-/// Memory pressure on a shared frame pool is machine-wide, so a kill is
-/// a machine-wide act: the cell executing one holds the lease for its
-/// duration ([`OomGuard::try_lease`] / [`OomGuard::release_lease`]). The
-/// lease exists for the failure model: a cell that fail-stops mid-kill
-/// leaves it held, and recovery must explicitly release it (the SMP
-/// driver's `fail_cell` does) or the machine's OOM killer is wedged
-/// forever — exactly the "stuck lock" class of bug E17 tests for.
-#[derive(Debug, Default)]
-pub struct OomGuard {
-    /// 0 = free; `cell + 1` = the cell currently executing a kill.
-    owner: AtomicU64,
-}
-
-impl OomGuard {
-    /// A fresh guard at epoch zero.
-    pub(crate) fn new() -> OomGuard {
-        OomGuard::default()
-    }
-
-    /// Attempts to take the kill lease for `cell`. Fails if any cell
-    /// (including a dead one) holds it.
-    pub fn try_lease(&self, cell: usize) -> bool {
-        self.owner
-            .compare_exchange(0, cell as u64 + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Releases the lease if — and only if — `cell` holds it. Recovery
-    /// calls this on behalf of a fail-stopped cell; the normal kill path
-    /// calls it for itself. Returns whether anything was released.
-    pub fn release_lease(&self, cell: usize) -> bool {
-        self.owner
-            .compare_exchange(cell as u64 + 1, 0, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// The cell currently holding the kill lease, if any.
-    pub fn lease_holder(&self) -> Option<usize> {
-        match self.owner.load(Ordering::Acquire) {
-            0 => None,
-            c => Some(c as usize - 1),
-        }
-    }
-}
 
 impl Kernel {
     /// Installs a signal disposition (`sigaction`).
@@ -576,18 +528,6 @@ mod tests {
         assert_eq!(k.oom_kill(), None, "init and the exempt child survive");
     }
 
-    #[test]
-    fn oom_lease_is_exclusive_and_releasable_by_owner_only() {
-        let g = OomGuard::new();
-        assert_eq!(g.lease_holder(), None);
-        assert!(g.try_lease(2));
-        assert_eq!(g.lease_holder(), Some(2));
-        assert!(!g.try_lease(0), "lease is exclusive");
-        assert!(!g.release_lease(0), "only the holder's cell releases");
-        assert!(g.release_lease(2));
-        assert_eq!(g.lease_holder(), None);
-        assert!(g.try_lease(0), "released lease is takeable again");
-    }
 
     #[test]
     fn evacuate_returns_the_cell_to_zero_without_touching_neighbours() {

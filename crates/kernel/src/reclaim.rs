@@ -71,12 +71,6 @@ pub struct ReclaimStats {
     pub frames_reclaimed: u64,
     /// Passes aborted by an injected fault before any mutation.
     pub aborted_passes: u64,
-    /// Swap-out passes that evicted at least one page.
-    pub swap_out_passes: u64,
-    /// Pages evicted to the swap device, cumulative.
-    pub pages_swapped_out: u64,
-    /// Swap-out passes aborted by an injected fault, byte-identically.
-    pub aborted_swap_passes: u64,
 }
 
 impl Kernel {
@@ -90,12 +84,6 @@ impl Kernel {
     /// frames sit pinned while the OOM killer picks victims).
     pub fn clear_shrinkers(&mut self) {
         self.shrinkers.clear();
-    }
-
-    /// Number of currently live (upgradable) shrinkers.
-    pub(crate) fn live_shrinker_count(&mut self) -> usize {
-        self.shrinkers.retain(|w| w.strong_count() > 0);
-        self.shrinkers.len()
     }
 
     /// The machine's current memory-pressure level.
@@ -167,18 +155,28 @@ impl Kernel {
     /// reclaim failing must not fail the foreground operation); use
     /// [`Kernel::reclaim`] directly to observe them.
     pub fn balance_pressure(&mut self) -> u64 {
-        if self.shrinkers.is_empty() && !self.phys.swap().enabled() {
-            return 0;
-        }
         if self.phys.free_frames() >= self.phys.watermarks().low {
             return 0;
         }
-        let target = self.phys.reclaim_target();
-        let mut freed = self.reclaim(target).unwrap_or(0);
-        if freed < target && self.swap_could_help() {
-            freed += self.swap_out_pass(target - freed).unwrap_or(0);
+        self.reclaim_ladder()
+    }
+
+    /// The one reclaim ladder under [`Kernel::balance_pressure`] and
+    /// direct reclaim: shrinkers first, then the swap tier for whatever
+    /// they left short of the high watermark. Without pressure it does
+    /// nothing; a rung with nothing to give crosses no fault site, and an
+    /// injected failure on a rung frees nothing there. Returns the frames
+    /// freed.
+    fn reclaim_ladder(&mut self) -> u64 {
+        if self.phys.pressure() == PressureLevel::None {
+            return 0;
         }
-        freed
+        let target = self.phys.reclaim_target();
+        let freed = self.reclaim(target).unwrap_or(0);
+        if freed >= target {
+            return freed;
+        }
+        freed + self.swap_out_pass(target - freed).unwrap_or(0)
     }
 
     /// The reclaim tier *below* the shrinkers: evicts sole-owner private
@@ -218,7 +216,6 @@ impl Kernel {
         }
         // Phase 1: the pass-level fault site, before any mutation.
         if fpr_faults::cross(FaultSite::SwapOut).is_err() {
-            self.reclaim_stats.aborted_swap_passes += 1;
             return Err(crate::error::Errno::Enomem);
         }
         // Phase 2: reserve one slot per page (each crossing
@@ -240,7 +237,6 @@ impl Kernel {
                         for (_, _, slot) in reserved {
                             k.phys.swap_mut().unalloc_slot(slot);
                         }
-                        k.reclaim_stats.aborted_swap_passes += 1;
                         return Err(crate::error::Errno::Enomem);
                     }
                 }
@@ -262,47 +258,9 @@ impl Kernel {
                 max_cpus = max_cpus.max(k.cpus_running(pid));
             }
             k.tlb.shootdown(max_cpus, &mut k.cycles, k.phys.cost());
-            k.reclaim_stats.swap_out_passes += 1;
-            k.reclaim_stats.pages_swapped_out += evicted;
             let stalled = k.cycles.total() - stall_start;
             k.phys.note_stall(stalled);
             Ok(evicted)
-        })
-    }
-
-    /// True when the swap tier could make progress: the device has free
-    /// slots, there is real pressure, and some live process owns an
-    /// evictable page.
-    pub(crate) fn swap_could_help(&mut self) -> bool {
-        if self.phys.swap().free_slots() == 0 {
-            return false;
-        }
-        if self.phys.pressure() == PressureLevel::None {
-            return false;
-        }
-        self.procs.iter().any(|p| {
-            !p.is_zombie()
-                && p.space_ref == crate::task::SpaceRef::Owned
-                && !p.aspace.swap_out_candidates(&self.phys, 1).is_empty()
-        })
-    }
-
-    /// True when a failed allocation is worth retrying after reclaim:
-    /// there is real pressure and at least one live shrinker with frames
-    /// to give. Used by direct-reclaim call sites and by
-    /// `fpr-api::retry_with_backoff` as backpressure.
-    pub(crate) fn reclaim_could_help(&mut self) -> bool {
-        if self.live_shrinker_count() == 0 {
-            return false;
-        }
-        if self.phys.pressure() == PressureLevel::None {
-            return false;
-        }
-        let handles: Vec<ShrinkerHandle> =
-            self.shrinkers.iter().filter_map(Weak::upgrade).collect();
-        handles.iter().any(|h| match h.try_lock() {
-            Ok(guard) => guard.reclaimable(self) > 0,
-            Err(_) => false,
         })
     }
 
@@ -311,27 +269,18 @@ impl Kernel {
         self.reclaim_stats
     }
 
-    /// Direct reclaim on an allocation failure: shrinks caches first,
-    /// then falls through to the swap tier if the shrinkers came up
-    /// short, returning true when any frames were actually freed — the
-    /// caller's cue to retry the failed operation exactly once. The OOM
-    /// killer is never invoked from here; it remains the policy of the
-    /// layer above, and with a working swap tier it fires only when swap
-    /// is full *and* this path returns false.
+    /// Direct reclaim on an allocation failure: the reclaim ladder,
+    /// returning true when any frames were actually freed — the caller's
+    /// cue to retry the failed operation exactly once. The OOM killer is
+    /// never invoked from here; it remains the policy of the layer above,
+    /// and with a working swap tier it fires only when swap is full *and*
+    /// this path returns false.
     ///
-    /// The pressure gates matter for fault injection: an *injected*
+    /// The pressure gate matters for fault injection: an *injected*
     /// `ENOMEM` in an unpressured world must surface to its sweep, not be
     /// papered over by a retry.
     pub(crate) fn direct_reclaim(&mut self) -> bool {
-        let target = self.phys.reclaim_target().max(1);
-        let mut freed = 0;
-        if self.reclaim_could_help() {
-            freed = self.reclaim(target).unwrap_or(0);
-        }
-        if freed < target && self.swap_could_help() {
-            freed += self.swap_out_pass(target - freed).unwrap_or(0);
-        }
-        freed > 0
+        self.reclaim_ladder() > 0
     }
 }
 
@@ -404,12 +353,11 @@ mod tests {
         let mut k = small_kernel(64);
         let bag = bag_with(&mut k, 4);
         k.register_shrinker(&(bag.clone() as ShrinkerHandle));
-        assert_eq!(k.live_shrinker_count(), 1);
         // Give the frames back so dropping the bag doesn't leak them.
         assert_eq!(k.reclaim(4), Ok(4));
         drop(bag);
-        assert_eq!(k.live_shrinker_count(), 0);
         assert_eq!(k.reclaim(10), Ok(0));
+        assert!(k.shrinkers.is_empty(), "the pass dropped the dead handle");
     }
 
     #[test]
@@ -485,7 +433,6 @@ mod tests {
         assert_eq!(k.swap_out_pass(16), Ok(16));
         assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 16);
         assert_eq!(k.phys.swap().used_slots(), 16);
-        assert_eq!(k.reclaim_stats().pages_swapped_out, 16);
         k.assert_consistent();
         // Faulting every page back restores the exact contents and frees
         // the slots.
@@ -517,10 +464,12 @@ mod tests {
         assert!(res.is_err());
         k.leak_check(&base).unwrap();
         k.assert_consistent();
-        assert_eq!(k.reclaim_stats().aborted_swap_passes, 1);
-        assert_eq!(k.reclaim_stats().swap_out_passes, 0);
+        assert_eq!(k.phys.swap().used_slots(), 0);
+        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 0);
         // And the identical pass succeeds on retry.
         assert_eq!(k.swap_out_pass(8), Ok(8));
+        assert_eq!(k.phys.swap().used_slots(), 8);
+        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 8);
     }
 
     #[test]
@@ -540,9 +489,9 @@ mod tests {
         assert_eq!(trace.injected().len(), 1);
         assert!(res.is_err());
         assert_eq!(k.phys.swap().used_slots(), 0);
+        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 0);
         k.leak_check(&base).unwrap();
         k.assert_consistent();
-        assert_eq!(k.reclaim_stats().aborted_swap_passes, 1);
     }
 
     #[test]
@@ -578,8 +527,9 @@ mod tests {
             .mmap_anon(init, 8, fpr_mem::Prot::RW, fpr_mem::Share::Private)
             .unwrap();
         write_pages(&mut k, init, vbase, 8);
-        assert!(!k.swap_could_help(), "no pressure, no eviction");
-        assert!(!k.direct_reclaim());
+        let before = k.cycles.total();
+        assert!(!k.direct_reclaim(), "no pressure, no eviction");
+        assert_eq!(k.cycles.total(), before);
         assert_eq!(k.phys.swap().used_slots(), 0);
     }
 
@@ -605,7 +555,8 @@ mod tests {
             160,
             "every page is resident or swapped"
         );
-        assert!(k.reclaim_stats().pages_swapped_out > 0);
+        assert!(p.aspace.swapped_pages() > 0);
+        assert_eq!(k.phys.swap().used_slots(), p.aspace.swapped_pages());
         k.assert_consistent();
         // Spot-check contents across the resident/swapped split.
         for i in [0u64, 42, 79] {

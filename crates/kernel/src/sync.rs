@@ -6,8 +6,8 @@
 //! at fork time is copied in its locked state into the child — where the
 //! owning thread does not exist, so the lock can never be released. The
 //! child deadlocks the first time it touches that lock. [`LockTable`]
-//! records ownership so the fork implementation and the auditor can detect
-//! exactly this situation.
+//! records ownership so that a child's `lock_acquire` meets exactly this
+//! situation as `EDEADLK`.
 
 use crate::error::{Errno, KResult};
 use crate::pid::Tid;
@@ -21,7 +21,7 @@ pub struct LockId(pub u32);
 pub struct SimLock {
     /// Stable identifier.
     pub id: LockId,
-    /// Human-readable role (for audit reports): e.g. "malloc-arena".
+    /// Human-readable role: e.g. "malloc-arena".
     pub name_id: u32,
     /// Current owner, if held.
     pub owner: Option<Tid>,

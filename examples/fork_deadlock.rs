@@ -1,11 +1,12 @@
 //! The thread-safety trap: fork a process while another thread holds the
 //! allocator lock, and the child deadlocks on its first allocation. The
-//! fork-safety auditor predicts it before the fork happens.
+//! POSIX workaround, a `pthread_atfork` handler covering the lock, does not
+//! rescue that fork: its prepare handler cannot take a lock another thread
+//! holds, so the fork is refused until the owner lets go.
 //!
 //! Run with: `cargo run --example fork_deadlock`
 
-use forkroad::audit::audit_main_thread;
-use forkroad::kernel::{sync, Errno};
+use forkroad::kernel::{sync, AtforkRegistration, Errno};
 use forkroad::{Os, OsConfig};
 
 fn main() {
@@ -22,11 +23,6 @@ fn main() {
     os.kernel.lock_acquire(app, worker, malloc_lock).unwrap();
     println!("worker thread {worker:?} holds the malloc arena lock\n");
 
-    // Ask the auditor first.
-    let report = audit_main_thread(&os.kernel, app).unwrap();
-    println!("fork-safety audit before forking:\n{}", report.render());
-    assert!(!report.is_safe());
-
     // Fork anyway — exactly what a library deep in some dependency does.
     let child = os.fork(app).unwrap();
     let child_main = os.kernel.process(child).unwrap().main_tid();
@@ -42,10 +38,33 @@ fn main() {
         other => panic!("expected a deadlock, got {other:?}"),
     }
 
-    // Meanwhile the parent is fine: the worker finishes and releases.
+    // The workaround: an atfork handler that takes the lock before the
+    // snapshot. With the worker still inside malloc, the prepare handler
+    // cannot have it, and the fork does not happen.
+    let reg = AtforkRegistration {
+        token: 1,
+        lock: Some(malloc_lock),
+    };
+    os.kernel.process_mut(app).unwrap().atfork.register(reg);
+    match os.fork(app) {
+        Err(Errno::Ebusy) => println!(
+            "\nwith an atfork handler covering the lock: fork → EBUSY. The prepare\n\
+             handler waits on the worker; a real fork would block right here."
+        ),
+        other => panic!("expected the atfork prepare to be refused, got {other:?}"),
+    }
+
+    // Once the worker releases, the covered fork goes through and the new
+    // child can allocate.
     os.kernel.lock_release(app, worker, malloc_lock).unwrap();
-    let app_main = os.kernel.process(app).unwrap().main_tid();
-    os.kernel.lock_acquire(app, app_main, malloc_lock).unwrap();
-    println!("\nparent {app}: same acquire succeeds once the worker releases.");
-    println!("\nthe auditor flagged this fork as CRITICAL before it happened — use it.");
+    let child = os.fork(app).unwrap();
+    let child_main = os.kernel.process(child).unwrap().main_tid();
+    os.kernel
+        .lock_acquire(child, child_main, malloc_lock)
+        .unwrap();
+    println!(
+        "\nafter the worker releases: the covered fork succeeds, and child {child}'s\n\
+         first malloc takes the lock. `run_all -- tab_thread_safety` measures both\n\
+         outcomes over many parents, next to vfork+exec, posix_spawn and xproc."
+    );
 }

@@ -7,13 +7,14 @@
 //! ASLR layout and inherits every descriptor. This example runs the
 //! pattern three ways:
 //!
-//! 1. **Fork a worker per request** — the zygote proper. The security
-//!    auditor quantifies the damage: all worker pairs share the
-//!    complete layout (zero residual entropy — leak one child, own
-//!    them all) and the private-key descriptor leaks into every one.
-//! 2. **Spawn a worker per request** — the fix. Fresh ASLR draw per
-//!    worker, inherit-nothing descriptors, at the cost of rebuilding
-//!    each child from scratch.
+//! 1. **Fork a worker per request** — the zygote proper. Reading the
+//!    workers shows the damage: all worker pairs share the complete
+//!    layout (zero residual entropy — leak one child, own them all) and
+//!    the private-key descriptor, close-on-exec or not, is open in every
+//!    one.
+//! 2. **Spawn a worker per request** — the fix. A fresh ASLR draw per
+//!    worker, and exec closes the key, at the cost of rebuilding each
+//!    child from scratch.
 //! 3. **An open-loop service burst** — E15 in miniature: 24 Poisson
 //!    arrivals, each served by a short-lived child created one of three
 //!    ways, through the same workload kit the full experiment is built
@@ -26,8 +27,9 @@
 //! Run with: `cargo run --example zygote_server`
 
 use forkroad::api::SpawnAttrs;
-use forkroad::audit::{audit_inheritance, zygote_entropy, MAX_LAYOUT_BITS};
-use forkroad::kernel::OpenFlags;
+use forkroad::audit::{zygote_entropy, MAX_LAYOUT_BITS};
+use forkroad::exec::shared_bits;
+use forkroad::kernel::{Fd, OpenFlags, Pid};
 use forkroad::kit::{arrivals, open_loop, CreationPath, Work};
 use forkroad::mem::{ForkMode, CYCLES_PER_US};
 use forkroad::{Os, OsConfig};
@@ -52,10 +54,13 @@ fn main() {
     let zygote = os
         .spawn(init, "/bin/server", &[], &SpawnAttrs::default())
         .unwrap();
-    // The zygote holds a private key file — a descriptor workers must not see.
-    os.kernel
+    // The zygote holds a private key file — a descriptor workers must not
+    // see. It is opened close-on-exec, as careful code does.
+    let key = os
+        .kernel
         .open(zygote, "/private_key", OpenFlags::RDWR, true)
         .unwrap();
+    os.kernel.set_cloexec(zygote, key, true).unwrap();
     let warm = os.kernel.process(zygote).unwrap().resident_pages();
     println!("zygote warmed: {warm} resident pages, 1 secret fd\n");
 
@@ -77,8 +82,7 @@ fn main() {
         WORKERS * (WORKERS - 1) / 2,
         z.effective_entropy_bits
     );
-    let r = audit_inheritance(&os.kernel, zygote, fork_children[0]).unwrap();
-    println!("  audit of worker 0:\n{}", indent(&r.render()));
+    println!("  {}\n", inherited(&os, zygote, key, fork_children[0]));
 
     // ---- Spawn a worker per request ------------------------------------
     let mut spawn_children = Vec::new();
@@ -99,8 +103,7 @@ fn main() {
         "  layout sharing: {} identical pairs, residual entropy {:.1}/{} bits",
         z2.identical_pairs, z2.effective_entropy_bits, MAX_LAYOUT_BITS
     );
-    let r2 = audit_inheritance(&os.kernel, zygote, spawn_children[0]).unwrap();
-    println!("  audit of worker 0:\n{}", indent(&r2.render()));
+    println!("  {}\n", inherited(&os, zygote, key, spawn_children[0]));
 
     println!(
         "the zygote trades {:.0}x faster worker creation for zero ASLR diversity —\n\
@@ -141,6 +144,14 @@ fn main() {
     );
 }
 
-fn indent(s: &str) -> String {
-    s.lines().map(|l| format!("    {l}\n")).collect()
+/// What `worker` holds of the zygote: the layout bits the two share, and
+/// whether the zygote's private-key description is open in the worker.
+fn inherited(os: &Os, zygote: Pid, key: Fd, worker: Pid) -> String {
+    let (z, w) = (os.kernel.process(zygote).unwrap(), os.kernel.process(worker).unwrap());
+    let key = z.fds.get(key).unwrap().ofd;
+    let leaked = w.fds.iter().any(|(_, entry)| entry.ofd == key);
+    format!(
+        "worker 0 shares {}/{MAX_LAYOUT_BITS} layout bits with the zygote; private key open in it: {leaked}",
+        shared_bits(&z.layout, &w.layout)
+    )
 }

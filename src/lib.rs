@@ -6,7 +6,7 @@
 //! * [`kernel`] — processes, descriptors, VFS, pipes, signals, threads;
 //! * [`exec`] — images, loader, ASLR, execve;
 //! * [`api`] — fork, vfork, clone, posix_spawn, the cross-process builder;
-//! * [`audit`] — fork-safety and security analysis;
+//! * [`audit`] — ASLR layout entropy shared across sibling processes;
 //! * [`faults`] — deterministic fault injection (`FaultPlan`, fail-point sweeps);
 //! * [`trace`] — workloads and experiment records;
 //! * [`core`] — the [`core::Os`] facade, the workload [`kit`] and the
