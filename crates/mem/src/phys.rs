@@ -1610,6 +1610,137 @@ mod tests {
         }
     }
 
+    /// Frames of the COW-child leaves below: three chunks of the table.
+    const UNIVERSE: u64 = 3 * TABLE_CHUNK as u64;
+
+    /// A leaf shaped like a COW child's: entries `0..512` hold the parent's
+    /// run `base..base + 512`, COW-marked, but for `k` of them — the pages
+    /// the child wrote — which hold frames of their own, writable. Around
+    /// that, what real leaves hold too: a few swap entries and empty slots,
+    /// a written page left COW-marked, an unwritten one writable, and
+    /// sometimes a hole frame that is not unrelated (in the parent's run,
+    /// or another hole's). One hole frame is in a chunk the run is not in.
+    fn cow_child_leaf(k: usize, rng: &mut fpr_rng::Rng) -> std::sync::Arc<LeafNode> {
+        let base = rng.gen_below(UNIVERSE - PT_ENTRIES as u64);
+        let mut holes: Vec<usize> = (0..PT_ENTRIES).collect();
+        rng.shuffle(&mut holes);
+        holes.truncate(k);
+        // Unrelated frames: outside the parent's run, distinct.
+        let mut others: Vec<u64> = (0..UNIVERSE).filter(|f| !(base..base + PT_ENTRIES as u64).contains(f)).collect();
+        rng.shuffle(&mut others);
+        if let Some(far) = others.iter().position(|&f| f / TABLE_CHUNK as u64 != base / TABLE_CHUNK as u64) {
+            others.swap(0, far);
+        }
+        let (cow, written) = (PteFlags::PRESENT | PteFlags::COW, PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::DIRTY);
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        for j in 0..PT_ENTRIES {
+            let pte = match holes.iter().position(|&h| h == j) {
+                Some(n) => {
+                    let own = match rng.gen_below(40) {
+                        0 => rng.gen_below(UNIVERSE),
+                        _ => others[n],
+                    };
+                    Pte::new(Pfn(own), if rng.gen_bool(0.02) { cow } else { written })
+                }
+                None => Pte::new(Pfn(base + j as u64), if rng.gen_bool(0.02) { written } else { cow }),
+            };
+            match rng.gen_below(100) {
+                0 => node.set(j, Some(Pte::swap_entry(j as u64))),
+                1 => node.set(j, None),
+                _ => node.set(j, Some(pte)),
+            };
+        }
+        leaf
+    }
+
+    /// What retain and release must do to the counts of `refs` (0: not
+    /// held), taking the entries' frames one at a time in entry order.
+    /// `retain` takes all or none; `release` stops at the first frame not
+    /// held, and returns the frames freed, in order.
+    fn by_entry(refs: &mut [u32], frames: &[u64], drop: bool) -> (Result<(), ()>, Vec<Pfn>) {
+        let mut freed = Vec::new();
+        for (n, &f) in frames.iter().enumerate() {
+            if refs[f as usize] == 0 {
+                if !drop {
+                    frames[..n].iter().for_each(|&f| refs[f as usize] -= 1);
+                }
+                return (Err(()), freed);
+            }
+            match drop {
+                false => refs[f as usize] += 1,
+                true => {
+                    refs[f as usize] -= 1;
+                    if refs[f as usize] == 0 {
+                        freed.push(Pfn(f));
+                    }
+                }
+            }
+        }
+        (Ok(()), freed)
+    }
+
+    #[test]
+    fn a_cow_childs_leaf_is_retained_and_released_as_entry_by_entry() {
+        let mut rng = fpr_rng::Rng::seed_from_u64(0xC0_70C4);
+        for round in 0..40 {
+            for k in [0, 1, 32, 255, 511] {
+                let what = format!("round {round}, {k} holes");
+                let (mut p, mut c) = pm(4 * TABLE_CHUNK as u64);
+                let mut refs = vec![0u32; UNIVERSE as usize];
+                for f in 0..UNIVERSE {
+                    assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(f)), "the buddy hands out low frames first");
+                    let extra = rng.gen_below(3);
+                    (0..extra).for_each(|_| p.inc_ref_run(Pfn(f), 1).unwrap());
+                    refs[f as usize] = 1 + extra as u32;
+                }
+                let leaf = cow_child_leaf(k, &mut rng);
+                // Sometimes a frame the leaf maps is not held any more.
+                if rng.gen_bool(0.3) {
+                    let j = rng.gen_index(PT_ENTRIES);
+                    if let Some(pte) = leaf.get(j).filter(|pte| pte.is_present()) {
+                        while refs[pte.pfn.0 as usize] > 0 {
+                            p.dec_ref(pte.pfn, &mut c).unwrap();
+                            refs[pte.pfn.0 as usize] -= 1;
+                        }
+                    }
+                }
+                for step in 0..6 {
+                    let what = format!("{what}, step {step}");
+                    let (lo, hi) = match rng.gen_below(3) {
+                        0 => (0, PT_ENTRIES),
+                        _ => {
+                            let (a, b) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
+                            (a.min(b), a.max(b))
+                        }
+                    };
+                    let frames: Vec<u64> = (lo..hi).filter_map(|j| leaf.get(j)).filter(|pte| pte.is_present()).map(|pte| pte.pfn.0).collect();
+                    let drop = rng.gen_bool(0.5);
+                    let (expect, expect_freed) = by_entry(&mut refs, &frames, drop);
+                    let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
+                    let (got, freed) = match drop {
+                        false => (p.retain(leaf.frame_runs(lo..hi, false), []).map(|_| 0), Vec::new()),
+                        true => p.batched(|p| {
+                            let got = p.release(leaf.frame_runs(lo..hi, false), [], &mut c);
+                            (got, p.released.clone())
+                        }),
+                    };
+                    assert_eq!(got.is_ok(), expect.is_ok(), "{what}: retain {}: the result", !drop);
+                    assert_eq!(freed, expect_freed, "{what}: the frames freed, in order");
+                    if let Ok(n) = got {
+                        assert_eq!(n, expect_freed.len() as u64, "{what}: the count freed");
+                    }
+                    let charged = expect_freed.len() as u64;
+                    assert_eq!(c.total() - cycles, charged * p.cost().frame_free, "{what}: the charge");
+                    assert_eq!(metrics::snapshot().counter("mem.frame_free") - counted, charged, "{what}: the count");
+                    let held: Vec<u32> = (0..UNIVERSE).map(|f| p.refs(Pfn(f)).unwrap_or(0)).collect();
+                    assert!(held == refs, "{what}: the counts after (where the call stopped)");
+                }
+                LeafNode::retire(leaf);
+            }
+        }
+    }
+
     #[test]
     fn a_huge_block_is_one_run_on_either_kind_of_cell() {
         for (mut p, mut c) in [pm(4 * HUGE_PAGES), shared(4 * HUGE_PAGES)] {
