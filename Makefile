@@ -76,8 +76,10 @@ doclinks:
 # the holes of that space and over a file mapping, so that populate may go
 # a node's run at a time but not move a fail point; fork_shape, in
 # release, holds a 16 384-page populate within 16 fork(Cow)s of what it
-# built and no dearer per page than at 1 024 pages, and counts a FrameAlloc
-# then a PtNodeAlloc crossing and a frame's charges per page. alloc_census counts what a
+# built and no dearer per page than at 1 024 pages, counts a FrameAlloc
+# then a PtNodeAlloc crossing and a frame's charges per page, and holds the
+# teardown of a COW child that wrote 256 of 4 096 pages one in 16 within 2x
+# of one that wrote them side by side, at the same charge. alloc_census counts what a
 # steady-state request of each creation path asks of the host allocator:
 # the same on two runs, nothing of a page or more (page-table nodes are
 # recycled), a warm-pool checkout within 24 allocations; it runs in
@@ -184,24 +186,29 @@ results-identity:
 # pairs of benchmark/README.md. After a workload's pairs, one
 # `--trace 1 --seconds 8` run a side on seed 1 and their `compare`: the
 # per-layer metrics that moved most, which is where the PR notes' per-layer
-# table comes from. That half is informational and fails nothing. Last, one
-# summary line a workload, read back from the pairs' reports: each side's
-# median host_req_per_s with its quartiles, the change's wins out of PAIRS
-# and the ratio of the medians — the numbers a perf claim quotes.
+# table comes from. That half is informational and fails nothing. Last, a
+# summary a workload, read back from the pairs' reports — the numbers a perf
+# claim quotes: for each host-timed end-to-end metric (setup_s,
+# host_req_per_s, host_peak_rss_mib) each side's median with its quartiles,
+# the pairs the change was better in, by the metric's own direction, and the
+# ratio of the medians; then one line saying whether every virt_* metric and
+# ok_ops_ratio came out equal on each seed, or on which they did not.
 BASE ?= HEAD
 W ?= svc_mix fork_big spawn_small cow_touch
 PAIRS ?= 3
 PAIR_DIR := target/bench-pair
 PAIR_BIN := benchmark/target/release/forkroad-benchmark
-# Reads `parent change` per line, one line a pair; prints the summary.
-# Quartiles interpolate between the sorted runs.
+# Reads `parent change` per line, one line a pair, for metric `m`, better
+# `higher` or `lower`; prints its summary line. Quartiles interpolate
+# between the sorted runs.
 PAIR_SUMMARY := function sorted(a, s,   i, j, t) { for (i = 1; i <= NR; i++) s[i] = a[i]; \
 	for (i = 2; i <= NR; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t } } \
 	function q(s, p,   h, i) { h = (NR - 1) * p; i = int(h); return i + 1 < NR ? s[i + 1] + (h - i) * (s[i + 2] - s[i + 1]) : s[NR] } \
-	{ b[NR] = $$1; c[NR] = $$2; wins += ($$2 > $$1) } \
+	{ b[NR] = $$1; c[NR] = $$2; wins += better == "higher" ? $$2 > $$1 : $$2 < $$1 } \
 	END { sorted(b, sb); sorted(c, sc); \
-	printf "== %s, host_req_per_s, median [quartiles] of %d pairs: parent %.0f [%.0f-%.0f], change %.0f [%.0f-%.0f]; change higher in %d of %d; medians %.3fx\n", \
-	w, NR, q(sb, 0.5), q(sb, 0.25), q(sb, 0.75), q(sc, 0.5), q(sc, 0.25), q(sc, 0.75), wins, NR, q(sc, 0.5) / q(sb, 0.5) }
+	printf "== %s, %s, median [quartiles] of %d pairs: parent %.6g [%.6g-%.6g], change %.6g [%.6g-%.6g]; change %s in %d of %d; medians %.3fx\n", \
+	w, m, NR, q(sb, 0.5), q(sb, 0.25), q(sb, 0.75), q(sc, 0.5), q(sc, 0.25), q(sc, 0.75), better, wins, NR, q(sc, 0.5) / q(sb, 0.5) }
+PAIR_EQUAL := virt_cycles_p50 virt_cycles_p99 virt_capacity_req_per_s virt_sojourn_p99_cycles ok_ops_ratio
 
 bench-pair:
 	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
@@ -210,7 +217,7 @@ bench-pair:
 	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 	@worse=""; traced="--seed 1 --trace 1 --seconds 8"; \
 	side() { $$1/$(PAIR_BIN) run --workload $$3 $$5 --out $(PAIR_DIR)/$$2-$$3-$$4.json > /dev/null 2>&1; }; \
-	rate() { awk '/"host_req_per_s": [{]/ { getline; gsub(/[^0-9.]/, ""); print; exit }' $(PAIR_DIR)/$$1-$$2-$$3.json; }; \
+	val() { awk -v m="\"$$4\": [{]" '$$0 ~ m { getline; sub(/.*: */, ""); sub(/,.*/, ""); print; exit }' $(PAIR_DIR)/$$1-$$2-$$3.json; }; \
 	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
 		plain="--seed $$i --trace 0"; \
 		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$w $$i "$$plain" && side . change $$w $$i "$$plain"; \
@@ -223,7 +230,14 @@ bench-pair:
 			|| { echo "$$w: a traced run failed; run it by hand to see why"; exit 1; }; \
 		echo "== $$w, per layer (informational): one run a side with $$traced"; \
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-traced.json $(PAIR_DIR)/change-$$w-traced.json || true; \
-		for i in $$(seq 1 $(PAIRS)); do echo "$$(rate base $$w $$i) $$(rate change $$w $$i)"; done | awk -v w=$$w '$(PAIR_SUMMARY)'; \
+		for m in setup_s:lower host_req_per_s:higher host_peak_rss_mib:lower; do \
+			for i in $$(seq 1 $(PAIRS)); do echo "$$(val base $$w $$i $${m%:*}) $$(val change $$w $$i $${m%:*})"; done \
+				| awk -v w=$$w -v m=$${m%:*} -v better=$${m#*:} '$(PAIR_SUMMARY)'; \
+		done; \
+		moved=""; for i in $$(seq 1 $(PAIRS)); do for m in $(PAIR_EQUAL); do \
+			[ "$$(val base $$w $$i $$m)" = "$$(val change $$w $$i $$m)" ] || moved="$$moved seed $$i $$m;"; \
+		done; done; \
+		echo "== $$w, virt_* and ok_ops_ratio, parent against change on each seed: $${moved:-equal on all $(PAIRS)}"; \
 	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
 

@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{LeafNode, LeafSlot, PageTable, Slot, SlotKind, Unmapped};
+use crate::page_table::{FrameRuns, LeafNode, LeafSlot, PageTable, Slot, SlotKind, Unmapped};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -1049,11 +1049,11 @@ impl AddressSpace {
 
     /// Recounts what the page table keeps beside its entries, which lookups,
     /// walks, fork and teardown trust instead of reading every slot: the
-    /// mapped, huge and leaf-node totals; each leaf node's occupancy map
-    /// and entry, private-writable and swap-entry counts, from the words of
-    /// every leaf, shared ones included; each intermediate node's occupancy
-    /// map and index against the entries it holds; and that a free-listed
-    /// node holds none. Verification aid: `Err` names the first summary
+    /// mapped, huge and leaf-node totals; each leaf node's occupancy,
+    /// present and private-writable maps and its entry and swap-entry
+    /// counts, from the words of every leaf, shared ones included; each
+    /// intermediate node's occupancy map and index against the entries it
+    /// holds; and that a free-listed node holds none. Verification aid: `Err` names the first summary
     /// that is off.
     pub fn check_page_table(&self) -> Result<(), String> {
         self.pt.check_summaries()
@@ -1529,7 +1529,7 @@ impl AddressSpace {
             false => phys.retain(parent.frame_runs(run.clone(), false), parent.swap_slots(run.clone())).map(|()| Vec::new()),
             // Swapped pages stay swapped: the child's entries share the slots.
             true => phys.swap_mut().retain(parent.swap_slots(run.clone())).and_then(|()| {
-                let (frames, present) = (parent.frame_runs(run.clone(), false), parent.present_in(run.clone()));
+                let (frames, present) = (parent.frame_runs(run.clone(), false).ranges(), parent.present_in(run.clone()));
                 phys.copy_frames(frames, present, cycles).inspect_err(|_| {
                     phys.swap_mut().release(parent.swap_slots(run.clone())).expect("slots just retained");
                 })
@@ -1549,7 +1549,7 @@ impl AddressSpace {
                 // What was taken for the rest: its frames' copies, or
                 // references on the frames; and on its slots.
                 let kept = parent.present_in(copied.clone()) as usize;
-                let shared = (!eager).then(|| parent.frame_runs(rest.clone(), false)).into_iter().flatten();
+                let shared = (!eager).then(|| parent.frame_runs(rest.clone(), false)).into_iter().flat_map(FrameRuns::ranges);
                 let frames = copies.iter().skip(kept).map(|pfn| pfn.0..pfn.0 + 1).chain(shared);
                 phys.release(frames, parent.swap_slots(rest), cycles).expect("references just taken");
                 (copied, passed + 1)
