@@ -162,7 +162,10 @@ bench-repo-smoke:
 # reading each file back. The deterministic ones must come out
 # byte-for-byte as committed — a cycle, a verdict string, a span or a
 # sweep that moved without its file being regenerated in the same change
-# fails here. HOST_SCHEDULED names the outputs left out of the diff, in
+# fails here. So does a file it writes that was never committed: `git
+# diff` cannot see an untracked file, so the gate also lists the untracked
+# files under results/ and the untracked BENCH_*.json and fails on any.
+# HOST_SCHEDULED names the outputs left out of both checks, in
 # both directories, here and nowhere else: the two tables and two
 # snapshots carrying host-scheduling counts (lock contention, ops after
 # a cell failure) and the two fpr-native host-kernel timings. Every run
@@ -173,6 +176,8 @@ HOST_SCHEDULED := tab_smp_contention tab_cell_failure fig_cow_native fig1_native
 results-identity:
 	$(CARGO) run --release -q -p fpr-bench --bin run_all
 	git diff --exit-code -- results/ 'BENCH_*.json' $(HOST_SCHEDULED:%=':!*%.json')
+	@untracked=$$(git ls-files --others -- results/ 'BENCH_*.json' $(HOST_SCHEDULED:%=':!*%.json')); \
+	[ -z "$$untracked" ] || { echo "written but never committed:"; echo "$$untracked"; exit 1; }
 
 # A perf change's before/after in one command (docs/BENCHMARKS.md):
 #   make bench-pair BASE=<rev> [W="<workload> ..."] [PAIRS=3]

@@ -14,13 +14,13 @@
 //!   API: an empty child populated explicitly (O(image + grants),
 //!   inherit-nothing by default).
 //!
-//! [`compare`] encodes the capability matrix contrasting them (E7).
+//! What each can give its child is measured, not declared: E7's
+//! witnesses live with the experiments (`forkroad_core`'s `api_matrix`).
 
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod clone;
-pub mod compare;
 pub mod fastpath;
 pub mod fork;
 pub mod retry;
@@ -30,7 +30,6 @@ pub mod xproc;
 
 pub use batch::{fork_exec, vfork_exec};
 pub use clone::{clone, CloneFlags, CloneResult};
-pub use compare::render_matrix;
 pub use fastpath::{spawn_fast, WarmPool};
 pub use fork::{fork, fork_from_thread, fork_on_demand, ForkStats};
 pub use retry::{retry_with_backoff, RetryStats};

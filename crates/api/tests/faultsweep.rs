@@ -4,7 +4,8 @@
 //! passive plan to learn the K instrumented crossings it makes, then
 //! replays it K times from a fresh world, failing at crossing 0, 1, …,
 //! K-1. Every injected failure must surface as a clean `Err`, leave the
-//! kernel byte-identical to the pre-call baseline (`leak_check`) and
+//! kernel as every process observed it before the call (`Observed::diff`
+//! empty), with the pre-call resource counts (`leak_check`) and
 //! structurally sound (`check_invariants`), and the same operation must
 //! succeed once the fault clears ([`judge`]).
 //!
@@ -15,20 +16,21 @@ use fpr_api::{clone, fork, posix_spawn, vfork, CloneFlags, ProcessBuilder};
 use fpr_api::{FdSource, FileAction, MemOp, SpawnAttrs, WarmPool};
 use fpr_exec::{Image, ImageCache, ImageRegistry};
 use fpr_faults::{sweep, FaultSite, FaultTrace, Point};
-use fpr_kernel::{Errno, Kernel, KernelBaseline, OpenFlags, Pid, STDOUT};
+use fpr_kernel::{Errno, Kernel, KernelBaseline, Observed, OpenFlags, Pid, STDOUT};
 use fpr_mem::{Prot, Share, Vpn};
 
-/// What a sweep runs on: a kernel, its baseline as the world was built,
-/// and whatever else the operation needs.
+/// What a sweep runs on: a kernel, its baseline and observation as the
+/// world was built, and whatever else the operation needs.
 struct World<T> {
     k: Kernel,
     base: KernelBaseline,
+    seen: Observed,
     at: T,
 }
 
 impl<T> World<T> {
     fn new(k: Kernel, at: T) -> World<T> {
-        World { base: k.baseline(), k, at }
+        World { base: k.baseline(), seen: k.observe(), k, at }
     }
 }
 
@@ -55,8 +57,9 @@ fn clean_creation_error(e: Errno) -> bool {
 }
 
 /// Judges one run of a sweep of `op`: the counting run must succeed; a
-/// replay must fail with a clean error, leave the kernel at its baseline
-/// and structurally sound, pass `extra`, and succeed on retry.
+/// replay must fail with a clean error, leave the kernel observed as it
+/// was, at its baseline and structurally sound, pass `extra`, and succeed
+/// on retry.
 fn judge<T>(
     label: &str,
     mut point: Point<World<T>, Result<(), Errno>>,
@@ -70,6 +73,8 @@ fn judge<T>(
     let err = point.result.expect_err(&format!("{at} was swallowed"));
     assert!(clean_creation_error(err), "{at} surfaced as {err:?}");
     let w = &mut point.world;
+    let moved = w.seen.diff(&w.k.observe());
+    assert!(moved.is_empty(), "{at} changed what processes see:\n  {}", moved.join("\n  "));
     if let Err(v) = w.k.leak_check(&w.base) {
         panic!("{at} leaked:\n  {}", v.join("\n  "));
     }

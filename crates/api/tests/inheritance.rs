@@ -1,20 +1,27 @@
 //! What each creation API hands its child, field by field.
 //!
 //! One parent carries a distinctive value in every piece of PCB state
-//! the paper lists under "what fork copies"; every API then creates a
-//! child from an identical copy of that world and one table says, per
-//! API and per field, what the child must and must not have received.
-//! The table is the executable form of `Kernel::inherit`'s contract
-//! (see the "what each API inherits" table in `docs/ARCHITECTURE.md`).
+//! the paper lists under "what fork copies" — a non-default disposition
+//! on every catchable signal, a blocked subset with one signal pending, a
+//! pending alarm, descriptors with and without `FD_CLOEXEC`, a stream
+//! buffer, locks, an atfork registration; every API then creates a child
+//! from an identical copy of that world. Parent and child are both read
+//! through `Kernel::observe`, and one table says, per API, how the
+//! child's observation follows from the parent's: what the child must and
+//! must not have received, and that the parent and the rest of the world
+//! are as they were. The table is the executable form of
+//! `Kernel::inherit`'s contract (see the "what each API inherits" table
+//! in `docs/ARCHITECTURE.md`).
 
 use fpr_api::{
     clone, fork, fork_on_demand, posix_spawn, spawn_fast, vfork, CloneFlags, CloneResult,
     ProcessBuilder, SpawnAttrs, WarmPool,
 };
-use fpr_exec::{execve, Image, ImageCache, ImageRegistry};
+use fpr_exec::{execve, randomize, Image, ImageCache, ImageRegistry};
+use fpr_kernel::signal::ALL_SIGS;
 use fpr_kernel::{
-    AtforkRegistration, BufMode, Caps, Credentials, Disposition, Fd, FdEntry, HandlerId, Kernel,
-    LayoutInfo, OpenFlags, Pid, Resource, Rlimit, Sig, SpaceRef,
+    AtforkRegistration, BufMode, Caps, Credentials, Disposition, HandlerId, Kernel, Observed,
+    OpenFlags, Pid, Resource, Rlimit, RlimitSet, Sig, SpaceRef, Tid,
 };
 use std::collections::BTreeMap;
 
@@ -26,7 +33,37 @@ struct World {
     init: Pid,
     parent: Pid,
     reg: ImageRegistry,
+    /// The parent's second thread, which holds a lock of its own.
+    other: Tid,
 }
+
+/// The parent's credentials: root's, with distinctive group ids.
+fn parent_cred() -> Credentials {
+    Credentials {
+        gid: 7,
+        egid: 8,
+        ..Credentials::root()
+    }
+}
+
+/// The parent's limits: the defaults but for `RLIMIT_NOFILE`.
+fn parent_rlimits() -> RlimitSet {
+    let mut r = RlimitSet::default();
+    r.set(Resource::Nofile, Rlimit::both(77));
+    r
+}
+
+/// What the parent does on `sig`: every catchable signal caught or
+/// ignored, none left at its default.
+fn parent_disposition(sig: Sig) -> Disposition {
+    match sig {
+        Sig::Pipe | Sig::Chld | Sig::Usr2 => Disposition::Ignore,
+        _ => Disposition::Handler(HandlerId(sig as u64 + 1)),
+    }
+}
+
+/// The signals the parent blocks (`Sig::Term` is also pending).
+const BLOCKED: [Sig; 4] = [Sig::Hup, Sig::Alrm, Sig::Term, Sig::Usr2];
 
 /// Boots a world whose `parent` differs from a fresh process in every
 /// inheritable field.
@@ -40,44 +77,37 @@ fn world() -> World {
 
     let parent = k.allocate_process(init, "").unwrap();
     // name and layout from a real exec; argv/envp set on top of it.
-    execve(
-        &mut k,
-        parent,
-        &reg,
-        "/bin/parent",
-        41,
-    )
-    .unwrap();
+    execve(&mut k, parent, &reg, "/bin/parent", 41).unwrap();
     k.setsid(parent).unwrap();
     {
         let work = k.vfs.resolve("/work", k.vfs.root()).unwrap();
         let p = k.process_mut(parent).unwrap();
         p.argv = vec!["parentprog".into(), "--flag".into()];
-        p.envp = BTreeMap::from([("HOME".to_string(), "/root".to_string())]);
+        p.envp = BTreeMap::from([("HOME".to_string(), "/home/op".to_string())]);
         p.umask = 0o077;
         p.cwd = work;
-        p.cred = Credentials {
-            gid: 7,
-            egid: 8,
-            ..Credentials::root()
-        };
-        p.rlimits.set(Resource::Nofile, Rlimit::both(77));
+        p.cred = parent_cred();
+        p.rlimits = parent_rlimits();
         p.atfork.register(AtforkRegistration {
             token: 9,
             lock: None,
         });
     }
-    // Signals: a handler, an ignore, a blocked signal that stays pending.
-    k.sigaction(parent, Sig::Hup, Disposition::Handler(HandlerId(5)))
-        .unwrap();
-    k.sigaction(parent, Sig::Pipe, Disposition::Ignore).unwrap();
-    k.sigprocmask(parent, Sig::Term, true).unwrap();
+    // Signals: every catchable one caught or ignored, a blocked subset,
+    // one blocked signal pending; and an alarm on the way.
+    for sig in ALL_SIGS.into_iter().filter(|s| !matches!(s, Sig::Kill | Sig::Stop)) {
+        k.sigaction(parent, sig, parent_disposition(sig)).unwrap();
+    }
+    for sig in BLOCKED {
+        k.sigprocmask(parent, sig, true).unwrap();
+    }
     k.kill(parent, Sig::Term).unwrap();
+    k.alarm(parent, Some(1_000)).unwrap();
     // Descriptors: fd 0 plain, fd 1 close-on-exec.
     let plain = k.open(parent, "/data", OpenFlags::RDWR, true).unwrap();
     let secret = k.open(parent, "/secret", OpenFlags::RDWR, true).unwrap();
     k.set_cloexec(parent, secret, true).unwrap();
-    assert_eq!((plain, secret), (Fd(0), Fd(1)));
+    assert_eq!((plain.0, secret.0), (0, 1));
     // An unflushed stream.
     let s = k
         .stream_open(parent, plain, BufMode::FullyBuffered)
@@ -96,51 +126,7 @@ fn world() -> World {
         init,
         parent,
         reg,
-    }
-}
-
-/// Every inheritable field of a PCB, rendered comparable. Non-`Eq`
-/// members go through `Debug`; the address space is summarised by its
-/// VMA list.
-#[derive(Debug, PartialEq, Eq)]
-struct Pcb {
-    name: String,
-    argv: Vec<String>,
-    envp: BTreeMap<String, String>,
-    umask: u16,
-    identity: String,
-    layout: LayoutInfo,
-    handler_hup: Disposition,
-    ignore_pipe: Disposition,
-    term_blocked: bool,
-    term_pending: bool,
-    fds: Vec<(Fd, FdEntry)>,
-    unflushed: usize,
-    locks: String,
-    atfork: usize,
-    space_ref: SpaceRef,
-    vmas: Vec<(u64, u64)>,
-}
-
-fn pcb(k: &Kernel, pid: Pid) -> Pcb {
-    let p = k.process(pid).unwrap();
-    Pcb {
-        name: p.name.clone(),
-        argv: p.argv.clone(),
-        envp: p.envp.clone(),
-        umask: p.umask,
-        identity: format!("{:?}", (p.cwd, p.cred, p.rlimits, p.pgid, p.sid)),
-        layout: p.layout,
-        handler_hup: p.signals.disposition(Sig::Hup),
-        ignore_pipe: p.signals.disposition(Sig::Pipe),
-        term_blocked: p.signals.is_blocked(Sig::Term),
-        term_pending: p.signals.is_pending(Sig::Term),
-        fds: p.fds.iter().collect(),
-        unflushed: p.unflushed_bytes(),
-        locks: format!("{:?}", p.locks),
-        atfork: p.atfork.len(),
-        space_ref: p.space_ref.clone(),
-        vmas: p.aspace.vmas().map(|v| (v.start.0, v.pages)).collect(),
+        other,
     }
 }
 
@@ -343,18 +329,91 @@ fn table() -> Vec<Row> {
     ]
 }
 
-/// Compares one field, recording a mismatch instead of panicking so a
-/// single run names every (API, field) pair that is off.
-fn check<T: PartialEq + std::fmt::Debug>(
-    failures: &mut Vec<String>,
-    api: &str,
-    field: &str,
-    got: T,
-    want: T,
-) {
-    if got != want {
-        failures.push(format!("{api}: {field}: got {got:?}, want {want:?}"));
+/// The child's observation as `row` says it follows from the parent's
+/// (`p`, observed before the call), entry by entry. A fresh image's
+/// mappings are its loader's, not the parent's: those entries are left
+/// out here, and of the child's observation by the caller.
+fn expected(row: &Row, w: &World, p: &Observed) -> Observed {
+    let debug = |v: &dyn std::fmt::Debug| format!("{v:?}");
+    let mut want: BTreeMap<String, String> = p
+        .iter()
+        .filter_map(|(path, value)| {
+            let (field, sig) = path.split_once(' ').unwrap_or((path, ""));
+            let value = match field {
+                "alarm" | "thread" | "vma" => return None,
+                "stream" | "lock" | "atfork" if !row.userspace => return None,
+                "fd" if row.fds == Fds::None => return None,
+                "fd" if row.fds == Fds::MinusCloexec && value.ends_with("cloexec true") => return None,
+                // "disposition, blocked, pending": pending signals never cross.
+                "sig" => {
+                    let (action, rest) = value.split_once(", ").unwrap();
+                    let reset = !row.signals || (!row.handlers && action.starts_with("Handler"));
+                    let action = if reset { "Default" } else { action };
+                    let granted = row.grants && sig == "Usr1";
+                    let blocked = match row.signals {
+                        true => rest.split_once(", ").unwrap().0,
+                        false if granted => "blocked",
+                        false => "unblocked",
+                    };
+                    format!("{action}, {blocked}, not pending")
+                }
+                // The other thread's lock is orphaned in place.
+                "lock" => {
+                    let orphaned = format!("held by {:?}, not a thread of this process", w.other);
+                    value.replace("held by thread 1", &orphaned)
+                }
+                _ => value.to_string(),
+            };
+            Some((path.to_string(), value))
+        })
+        .collect();
+    let mut set = |path: &str, value: String| want.insert(path.to_string(), value);
+    set("ppid", debug(&w.parent));
+    set("children", "[]".to_string());
+    // Only the calling thread exists in the child, its holdings with it.
+    let main = p.get("thread 0").unwrap();
+    set("thread 0", if row.userspace { main.to_string() } else { "Runnable holding []".to_string() });
+    let (name, mut argv) = match row.parent_image {
+        true => ("parentprog", vec!["parentprog", "--flag"]),
+        false => ("tool", vec![TOOL]),
+    };
+    let mut envp = BTreeMap::new();
+    if row.envp {
+        envp.insert("HOME", "/home/op");
     }
+    let umask: u16 = if row.umask { 0o077 } else { 0o022 };
+    let (mut cred, mut rlimits) = (parent_cred(), parent_rlimits());
+    if row.grants {
+        argv.push("--child");
+        envp.insert("LANG", "C");
+        cred.caps = cred.caps.drop(Caps::KILL);
+        rlimits.set(Resource::Nproc, Rlimit::both(5));
+    }
+    set("name", debug(&name));
+    set("argv", debug(&argv));
+    set("envp", debug(&envp));
+    set("umask", debug(&umask));
+    set("cred", debug(&cred));
+    set("rlimits", debug(&rlimits));
+    match row.mem {
+        Mem::Copied => {
+            let vmas = p.iter().filter(|(path, _)| path.starts_with("vma "));
+            want.extend(vmas.map(|(k, v)| (k.to_string(), v.to_string())));
+        }
+        Mem::Borrowed => {
+            want.insert("space".to_string(), debug(&SpaceRef::BorrowedFrom(w.parent)));
+        }
+        // The parent's layout was drawn from another seed.
+        Mem::Fresh => {
+            want.insert("layout".to_string(), debug(&randomize(CHILD_SEED)));
+        }
+    }
+    want.into_iter().collect()
+}
+
+/// The entries of `o` whose path `keep` accepts.
+fn only(o: &Observed, keep: impl Fn(&str) -> bool) -> Observed {
+    o.iter().filter(|(path, _)| keep(path)).map(|(k, v)| (k.to_string(), v.to_string())).collect()
 }
 
 #[test]
@@ -362,140 +421,33 @@ fn every_api_hands_over_exactly_its_row() {
     let mut failures = Vec::new();
     for row in table() {
         let mut w = world();
-        let before = pcb(&w.k, w.parent);
+        let before = w.k.observe();
+        let p = before.process(w.parent);
         let child = (row.create)(&mut w);
-        let c = pcb(&w.k, child);
-        let f = &mut failures;
+        let after = w.k.observe();
         let api = row.api;
+        let got = only(&after.process(child), |path| row.mem != Mem::Fresh || !path.starts_with("vma "));
+        let child_diff = expected(&row, &w, &p).diff(&got);
+        failures.extend(child_diff.into_iter().map(|d| format!("{api}: child: {d}")));
 
-        // Identity is inherited by every API, xproc included: it is what
-        // makes the child *this* parent's child. Only a grant changes it.
-        check(f, api, "ppid", w.k.process(child).unwrap().ppid, w.parent);
-        let identity = if row.grants {
-            let p = w.k.process(w.parent).unwrap();
-            let (mut cred, mut rlimits) = (p.cred, p.rlimits);
-            cred.caps = cred.caps.drop(Caps::KILL);
-            rlimits.set(Resource::Nproc, Rlimit::both(5));
-            format!("{:?}", (p.cwd, cred, rlimits, p.pgid, p.sid))
-        } else {
-            before.identity.clone()
-        };
-        check(f, api, "cwd/cred/rlimits/pgid/sid", &c.identity, &identity);
-
-        let (name, mut argv) = if row.parent_image {
-            (before.name.clone(), before.argv.clone())
-        } else {
-            ("tool".to_string(), vec![TOOL.to_string()])
-        };
-        let mut envp = if row.envp {
-            before.envp.clone()
-        } else {
-            BTreeMap::new()
-        };
-        if row.grants {
-            argv.push("--child".to_string());
-            envp.insert("LANG".to_string(), "C".to_string());
-        }
-        check(f, api, "name", &c.name, &name);
-        check(f, api, "argv", &c.argv, &argv);
-        check(f, api, "envp", &c.envp, &envp);
-        check(
-            f,
-            api,
-            "umask",
-            c.umask,
-            if row.umask { 0o077 } else { 0o022 },
-        );
-
-        let handler = if row.signals && row.handlers {
-            Disposition::Handler(HandlerId(5))
-        } else {
-            Disposition::Default
-        };
-        check(f, api, "caught handler", c.handler_hup, handler);
-        let ignore = if row.signals {
-            Disposition::Ignore
-        } else {
-            Disposition::Default
-        };
-        check(f, api, "ignored signal", c.ignore_pipe, ignore);
-        check(f, api, "signal mask", c.term_blocked, row.signals);
-        let usr1_blocked = w.k.process(child).unwrap().signals.is_blocked(Sig::Usr1);
-        check(f, api, "granted mask entry", usr1_blocked, row.grants);
-        check(f, api, "pending signal", c.term_pending, false);
-
-        let fds: Vec<(Fd, FdEntry)> = match row.fds {
-            Fds::All => before.fds.clone(),
-            Fds::MinusCloexec => before
-                .fds
-                .iter()
-                .copied()
-                .filter(|(_, e)| !e.cloexec)
-                .collect(),
-            Fds::None => Vec::new(),
-        };
-        check(f, api, "descriptors", &c.fds, &fds);
-
-        check(
-            f,
-            api,
-            "unflushed stream bytes",
-            c.unflushed,
-            if row.userspace { 7 } else { 0 },
-        );
-        check(
-            f,
-            api,
-            "atfork registrations",
-            c.atfork,
-            usize::from(row.userspace),
-        );
-        let cp = w.k.process(child).unwrap();
-        if row.userspace {
-            // The forking thread's lock follows it into the child's only
-            // thread; the other thread's lock is orphaned in place.
-            let owners: Vec<_> = cp.locks.iter().map(|l| l.owner).collect();
-            let other = w.k.process(w.parent).unwrap().threads[1].tid;
-            check(
-                f,
-                api,
-                "lock owners",
-                owners,
-                vec![Some(cp.main_tid()), Some(other)],
-            );
-        } else {
-            check(f, api, "lock table", cp.locks.len(), 0);
-        }
-        check(f, api, "threads", cp.threads.len(), 1);
-
-        match row.mem {
-            Mem::Copied => {
-                check(f, api, "space_ref", &c.space_ref, &SpaceRef::Owned);
-                check(f, api, "vmas", &c.vmas, &before.vmas);
-                check(f, api, "layout", c.layout, before.layout);
-            }
-            Mem::Borrowed => {
-                check(
-                    f,
-                    api,
-                    "space_ref",
-                    &c.space_ref,
-                    &SpaceRef::BorrowedFrom(w.parent),
-                );
-                check(f, api, "vmas", c.vmas.len(), 0);
-                check(f, api, "layout", c.layout, before.layout);
-            }
-            Mem::Fresh => {
-                check(f, api, "space_ref", &c.space_ref, &SpaceRef::Owned);
-                check(f, api, "layout is fresh", c.layout != before.layout, true);
-                check(f, api, "layout seed", c.layout.aslr_seed, CHILD_SEED);
-            }
-        }
-        let parked = w.k.process(w.parent).unwrap().schedulable_threads() == 0;
-        check(f, api, "parent parked", parked, row.parks_parent);
-
-        // Creation must not have disturbed the parent's own PCB.
-        check(f, api, "parent PCB untouched", pcb(&w.k, w.parent), before);
+        // Creation must not have disturbed the parent's own state — but
+        // for the child in its list, and its threads parked by a borrower
+        // — nor anything else in the world.
+        let parent: Observed = p
+            .iter()
+            .map(|(path, value)| match path {
+                "children" => (path.to_string(), format!("{:?}", [child])),
+                _ if row.parks_parent && path.starts_with("thread ") => {
+                    (path.to_string(), value.replace("Runnable", "VforkParked"))
+                }
+                _ => (path.to_string(), value.to_string()),
+            })
+            .collect();
+        let parent_diff = parent.diff(&after.process(w.parent));
+        failures.extend(parent_diff.into_iter().map(|d| format!("{api}: parent: {d}")));
+        let theirs = |path: &str| [w.parent, child].iter().any(|pid| path.starts_with(&format!("pid {}/", pid.0)));
+        let rest = only(&before, |path| !theirs(path)).diff(&only(&after, |path| !theirs(path)));
+        failures.extend(rest.into_iter().map(|d| format!("{api}: world: {d}")));
         w.k.check_invariants()
             .unwrap_or_else(|v| panic!("{api}: invariants: {v:?}"));
     }
@@ -508,8 +460,8 @@ fn every_api_hands_over_exactly_its_row() {
 }
 
 /// `vfork()` is `clone(vm|vfork|files)` under another span: from
-/// identical worlds the two children are the same PCB, down to PIDs,
-/// TIDs and the parent they leave behind.
+/// identical worlds the two observe equal, down to PIDs and the parent
+/// they leave behind.
 #[test]
 fn vfork_is_clone_vm_vfork_files() {
     let mut a = world();
@@ -517,44 +469,19 @@ fn vfork_is_clone_vm_vfork_files() {
     let va = vfork(&mut a.k, a.parent).unwrap();
     let vb = clone_process(&mut b, VM_VFORK_FILES);
     assert_eq!(va, vb);
-    same_debug(
-        "child PCB",
-        a.k.process(va).unwrap(),
-        b.k.process(vb).unwrap(),
-    );
-    same_debug(
-        "parent PCB",
-        a.k.process(a.parent).unwrap(),
-        b.k.process(b.parent).unwrap(),
-    );
+    assert_eq!(a.k.observe().diff(&b.k.observe()), Vec::<String>::new());
 }
 
-/// Asserts two values render identically under `{:#?}`, naming only the
-/// lines that differ (a PCB dump runs to thousands of lines).
-fn same_debug<T: std::fmt::Debug>(what: &str, a: &T, b: &T) {
-    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
-    let diff: Vec<String> = a
-        .lines()
-        .zip(b.lines())
-        .filter(|(x, y)| x != y)
-        .map(|(x, y)| format!("{} vs {}", x.trim(), y.trim()))
-        .collect();
-    assert!(
-        diff.is_empty() && a.lines().count() == b.lines().count(),
-        "{what} differs ({} vs {} lines): {diff:?}",
-        a.lines().count(),
-        b.lines().count()
-    );
-}
-
-/// A pool hit, a pool miss and a classic spawn differ in cycles only.
+/// A pool hit, a pool miss and a classic spawn differ in cycles only:
+/// the three worlds observe equal.
 #[test]
 fn pool_hit_is_pool_miss_is_classic_spawn() {
     let (mut classic, mut hit, mut miss) = (world(), world(), world());
     let pc = classic_spawn(&mut classic);
     let ph = fast_spawn(&mut hit, 1);
     let pm = fast_spawn(&mut miss, 0);
-    let want = pcb(&classic.k, pc);
-    assert_eq!(pcb(&hit.k, ph), want, "pool hit vs classic");
-    assert_eq!(pcb(&miss.k, pm), want, "pool miss vs classic");
+    assert_eq!((ph, pm), (pc, pc));
+    let want = classic.k.observe();
+    assert_eq!(want.diff(&hit.k.observe()), Vec::<String>::new(), "pool hit vs classic");
+    assert_eq!(want.diff(&miss.k.observe()), Vec::<String>::new(), "pool miss vs classic");
 }

@@ -11,8 +11,8 @@
 use forkroad_core::experiments::service::ServiceConfig;
 use forkroad_core::experiments::spawn_fastpath::Mode;
 use forkroad_core::experiments::{
-    aslr, breakdown, cow, fig1, forkbomb, odf_storm, overcommit, pressure, robustness, scaling,
-    service, smp, smp_faults, spawn_actions, spawn_fastpath, stdio, threads, vma_sweep,
+    api_matrix, aslr, breakdown, cow, fig1, forkbomb, odf_storm, overcommit, pressure, robustness,
+    scaling, service, smp, smp_faults, spawn_actions, spawn_fastpath, stdio, threads, vma_sweep,
 };
 use forkroad_core::kit::{machine_for, world, world_seeded, CreationPath};
 use fpr_mem::{ForkMode, CYCLES_PER_US};
@@ -279,7 +279,7 @@ pub static CATALOGUE: &[Experiment] = &[
         e5_thread_safety,
     ),
     Experiment::new("tab_stdio_dup", &["tab_stdio_dup"], e6_stdio_dup),
-    Experiment::new("tab_api_matrix", &[], e7_api_matrix),
+    Experiment::new("tab_api_matrix", &["tab_api_matrix"], e7_api_matrix),
     Experiment::new(
         "tab_spawn_actions",
         &["tab_spawn_actions"],
@@ -462,10 +462,23 @@ fn e6_stdio_dup() -> Output {
     Output::of(stdio::run(&[0, 64, 2_048]))
 }
 
-/// E7: the API capability matrix (printed, not saved: it is a constant
-/// of `fpr-api`, not a measurement).
+/// E7: what each creation API can give its child, measured cell by cell.
 fn e7_api_matrix() -> Output {
-    Output::default().line(fpr_api::render_matrix().trim_end().to_string())
+    let t = api_matrix::run();
+    let cell = |cap: &str, api: &str| t.rows.iter().find(|r| r[0] == cap && r[1] == api).expect("E7 cell");
+    let support = |cap: &str, api: &str| cell(cap, api)[4].as_str();
+    let coverage = |api: &str| t.rows.iter().filter(|r| r[1] == api && r[4] != "-").count();
+    let apis = ["fork", "vfork", "clone", "posix_spawn", "xproc"];
+    for api in apis {
+        // Only the fork family hands its child the parent's memory by default.
+        let snapshot = support("memory snapshot", api) == "implicit";
+        assert!(!snapshot || ["fork", "vfork", "clone"].contains(&api), "E7: {api} snapshots implicitly");
+        assert!(coverage("xproc") >= coverage(api), "E7: {api} covers more than xproc");
+    }
+    assert_eq!(support("memory snapshot", "fork"), "implicit", "E7: fork must snapshot");
+    assert_eq!(support("memory setup", "posix_spawn"), "-", "E7: posix_spawn cannot express memory setup");
+    let covered: Vec<String> = apis.iter().map(|api| format!("{api} {}/14", coverage(api))).collect();
+    Output::of(t).line(format!("shape check: coverage {} (xproc must be highest)", covered.join(", ")))
 }
 
 /// E7, cost side: posix_spawn latency as the file-action list grows.

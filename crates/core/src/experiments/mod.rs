@@ -5,6 +5,7 @@
 //! them, and the in-crate tests pin each experiment's required *shape*
 //! (who wins, by what factor, where crossovers fall).
 
+pub mod api_matrix;
 pub mod aslr;
 pub mod breakdown;
 pub mod cow;

@@ -8,10 +8,11 @@
 //! 1. **Cleanliness sweep** — `fpr_faults::sweep` counts the K
 //!    instrumented fault-injection points each API crosses creating a
 //!    child from a standard parent, then replays K times failing at each
-//!    point. Record how many produced
-//!    a clean error with zero leaked resources
-//!    ([`fpr_kernel::Kernel::leak_check`] +
-//!    [`fpr_kernel::Kernel::check_invariants`] both green).
+//!    point. Record how many produced a clean error that left the world
+//!    as it was: observed equal to before the call
+//!    ([`fpr_kernel::Kernel::observe`]), no resource leaked
+//!    ([`fpr_kernel::Kernel::leak_check`]) and
+//!    [`fpr_kernel::Kernel::check_invariants`] green.
 //! 2. **Retry under pressure** — under strict overcommit, a large parent
 //!    cannot fork (the up-front O(parent) commit charge exceeds the
 //!    headroom) but can spawn (O(image) charge). Bounded retry with
@@ -96,21 +97,25 @@ struct PointResult {
 /// Replays one API once per fail point it crosses, from a fresh world
 /// each time, recording per-point cleanliness.
 fn sweep_points(op: ApiOp<'_>) -> Vec<PointResult> {
+    // `fresh` is deterministic: every world it builds observes as this one.
+    let seen = standard_os().0.kernel.observe();
     let fresh = || {
         let (os, parent) = standard_os();
         let base = os.kernel.baseline();
-        (os, parent, base)
+        (os, parent, base, &seen)
     };
     let mut points = Vec::new();
-    sweep(None, fresh, |(os, parent, _)| op(os, *parent), |point| {
+    sweep(None, fresh, |(os, parent, ..)| op(os, *parent), |point| {
         let Some(fault) = point.fault else {
             return point.result.expect("fault-free run");
         };
-        let (os, _, base) = &point.world;
+        let (os, _, base, seen) = &point.world;
+        let k = &os.kernel;
+        let as_before = seen.diff(&k.observe()).is_empty();
         points.push(PointResult {
             site: fault.site,
             failed: point.result.is_err(),
-            intact: os.kernel.leak_check(base).is_ok() && os.kernel.check_invariants().is_ok(),
+            intact: as_before && k.leak_check(base).is_ok() && k.check_invariants().is_ok(),
         });
     });
     points

@@ -1,14 +1,16 @@
 //! E6: fork doesn't compose with buffered I/O.
 //!
 //! A parent buffers some output, creates a child with each API, and both
-//! exit (flushing at exit, as libc does). With fork and vfork the
-//! buffered prefix appears twice on the console; with posix_spawn and the
-//! cross-process builder it appears once. The duplicated byte count
-//! equals the unflushed buffer size — deterministically.
+//! exit (flushing at exit, as libc does). With fork the buffered prefix
+//! appears twice on the console; with posix_spawn and the cross-process
+//! builder it appears once. The duplicated byte count equals the
+//! unflushed buffer size — deterministically. (A simulated vfork child
+//! gets no copy of the parent's streams, so it duplicates nothing either:
+//! E7 measures that.)
 
-use crate::kit::{CreationPath, Work};
+use crate::kit::CreationPath;
 use crate::os::{Os, OsConfig};
-use fpr_kernel::{BufMode, Fd, FdEntry, OpenFlags, Pid};
+use fpr_kernel::{BufMode, Fd, FdEntry, KResult, OpenFlags, Pid};
 use fpr_mem::ForkMode;
 use fpr_trace::TableData;
 
@@ -19,86 +21,38 @@ pub(crate) const APIS: [(&str, CreationPath); 3] = [
     ("xproc", CreationPath::Xproc("/bin/tool")),
 ];
 
-/// One duplication measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StdioCell {
-    /// API used.
-    pub api: &'static str,
-    /// Bytes sitting in the parent's buffer at creation time.
-    pub buffered_bytes: usize,
-    /// Bytes that reached the console in total.
-    pub console_bytes: usize,
-    /// Bytes emitted more than once.
-    pub duplicated_bytes: usize,
-}
-
-fn parent_with_buffer(os: &mut Os, fill: usize) -> (Pid, usize) {
-    let parent = os
-        .kernel
-        .allocate_process(os.init, "writer")
-        .expect("alloc");
-    // Give the parent a console stdout (allocate_process starts empty).
-    let ofd = os
-        .kernel
-        .ofds
-        .insert(fpr_kernel::FileObject::Tty, OpenFlags::WRONLY);
-    os.kernel
-        .process_mut(parent)
-        .expect("proc")
-        .fds
-        .install_at(
-            Fd(1),
-            FdEntry {
-                ofd,
-                cloexec: false,
-            },
-            64,
-        )
-        .expect("stdout");
-    let stream = os
-        .kernel
-        .stream_open(parent, Fd(1), BufMode::FullyBuffered)
-        .expect("stream");
-    let data = vec![b'x'; fill];
-    os.kernel
-        .stream_write(parent, stream, &data)
-        .expect("write");
-    (parent, stream)
-}
-
-/// Runs one cell: parent buffers `fill` bytes, creates a child via `api`,
-/// both exit.
-pub(crate) fn run_cell((api, path): (&'static str, CreationPath), fill: usize) -> StdioCell {
+/// Bytes that reach the console when a parent with `fill` bytes in a
+/// fully buffered stdout stream creates a child with `create` and both
+/// exit, the child first (collected by the parent).
+pub(crate) fn console_bytes(fill: usize, create: impl FnOnce(&mut Os, Pid) -> KResult<Pid>) -> usize {
     let mut os = Os::boot(OsConfig::default());
-    let (parent, _stream) = parent_with_buffer(&mut os, fill);
-    os.serve(parent, path, Work::Nothing)
-        .expect("child created, exited and reaped");
+    let k = &mut os.kernel;
+    let parent = k.allocate_process(os.init, "writer").expect("alloc");
+    // Give the parent a console stdout (allocate_process starts empty).
+    let ofd = k.ofds.insert(fpr_kernel::FileObject::Tty, OpenFlags::WRONLY);
+    let stdout = FdEntry { ofd, cloexec: false };
+    k.process_mut(parent).expect("proc").fds.install_at(Fd(1), stdout, 64).expect("stdout");
+    let stream = k.stream_open(parent, Fd(1), BufMode::FullyBuffered).expect("stream");
+    k.stream_write(parent, stream, &vec![b'x'; fill]).expect("write");
+    let child = create(&mut os, parent).expect("child created");
+    os.reap(parent, child).expect("child exited and reaped");
     os.kernel.exit(parent, 0).expect("parent exit");
-    let console = os.kernel.console.len();
-    StdioCell {
-        api,
-        buffered_bytes: fill,
-        console_bytes: console,
-        duplicated_bytes: console.saturating_sub(fill),
-    }
+    os.kernel.console.len()
 }
 
-/// Runs the grid.
+/// Runs the grid: per API and fill, the bytes buffered, those that
+/// reached the console and those emitted twice.
 pub fn run(fills: &[usize]) -> TableData {
     let mut t = TableData::new(
         "tab_stdio_dup",
         "buffered output duplicated by process creation",
         &["api", "buffered", "console", "duplicated"],
     );
-    for api in APIS {
+    for (api, path) in APIS {
         for &fill in fills {
-            let c = run_cell(api, fill);
-            t.push_row(vec![
-                c.api.to_string(),
-                c.buffered_bytes.to_string(),
-                c.console_bytes.to_string(),
-                c.duplicated_bytes.to_string(),
-            ]);
+            let console = console_bytes(fill, |os, parent| os.create(parent, path));
+            let cells = [fill, console, console.saturating_sub(fill)].map(|n| n.to_string());
+            t.push_row([vec![api.to_string()], cells.to_vec()].concat());
         }
     }
     t
@@ -108,30 +62,29 @@ pub fn run(fills: &[usize]) -> TableData {
 mod tests {
     use super::*;
 
+    /// Bytes of the console via `APIS[api]` with `fill` bytes buffered.
+    fn console(api: usize, fill: usize) -> usize {
+        console_bytes(fill, |os, parent| os.create(parent, APIS[api].1))
+    }
+
     #[test]
     fn fork_duplicates_exactly_the_buffer() {
         for fill in [1usize, 64, 1000] {
-            let c = run_cell(APIS[0], fill);
-            assert_eq!(c.duplicated_bytes, fill, "fork duplicates all {fill} bytes");
-            assert_eq!(c.console_bytes, 2 * fill);
+            assert_eq!(console(0, fill), 2 * fill, "fork duplicates all {fill} bytes");
         }
     }
 
     #[test]
     fn spawn_and_xproc_do_not_duplicate() {
-        for api in [APIS[1], APIS[2]] {
-            let c = run_cell(api, 512);
-            assert_eq!(c.duplicated_bytes, 0, "{} duplicated output", c.api);
-            assert_eq!(c.console_bytes, 512);
+        for api in [1, 2] {
+            assert_eq!(console(api, 512), 512, "{} duplicated output", APIS[api].0);
         }
     }
 
     #[test]
     fn empty_buffer_is_harmless_everywhere() {
-        for api in APIS {
-            let c = run_cell(api, 0);
-            assert_eq!(c.duplicated_bytes, 0);
-            assert_eq!(c.console_bytes, 0);
+        for api in 0..APIS.len() {
+            assert_eq!(console(api, 0), 0);
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::kit::CreationPath;
 use crate::os::{Os, OsConfig};
-use fpr_kernel::{sync, AtforkRegistration, Errno, KResult};
+use fpr_kernel::{sync, AtforkRegistration, Errno, KResult, Pid};
 use fpr_mem::ForkMode;
 use fpr_rng::Rng;
 use fpr_trace::TableData;
@@ -37,11 +37,12 @@ pub(crate) struct PathCell {
     pub refused: u32,
 }
 
-/// One trial of one path: a fresh parent whose worker `i` holds its lock
-/// iff `holds[i]`, a child of it made by `path`, and the child's attempt
-/// on every lock it has. `Ok(true)` is a child that deadlocked, `Err`
-/// the creation call's refusal.
-fn trial(holds: &[bool], (_, path, atfork): (&str, CreationPath, bool)) -> KResult<bool> {
+/// One trial: a fresh parent whose worker `i` holds its lock iff
+/// `holds[i]` (with `atfork`, under a prepare handler covering every
+/// lock), a child of it made by `create`, and the child's attempt on
+/// every lock it has. `Ok(true)` is a child that deadlocked, `Err` the
+/// creation call's refusal.
+pub(crate) fn trial(holds: &[bool], atfork: bool, create: impl FnOnce(&mut Os, Pid) -> KResult<Pid>) -> KResult<bool> {
     let mut os = Os::boot(OsConfig::default());
     let parent = os.kernel.allocate_process(os.init, "mt").expect("alloc");
     for (i, &held) in holds.iter().enumerate() {
@@ -56,7 +57,7 @@ fn trial(holds: &[bool], (_, path, atfork): (&str, CreationPath, bool)) -> KResu
             os.kernel.process_mut(parent).expect("parent").atfork.register(reg);
         }
     }
-    let child = os.create(parent, path)?;
+    let child = create(&mut os, parent)?;
     let c = os.kernel.process(child).expect("child");
     let main = c.main_tid();
     let locks: Vec<_> = c.locks.iter().map(|l| l.id).collect();
@@ -79,8 +80,8 @@ pub(crate) fn run_cell(threads: u32, hold_prob: f64, trials: u32, seed: u64) -> 
     let mut cells = [PathCell::default(); 5];
     for _ in 0..trials {
         let holds: Vec<bool> = (0..threads).map(|_| rng.gen_bool(hold_prob)).collect();
-        for (cell, path) in cells.iter_mut().zip(PATHS) {
-            match trial(&holds, path) {
+        for (cell, (_, path, atfork)) in cells.iter_mut().zip(PATHS) {
+            match trial(&holds, atfork, |os, parent| os.create(parent, path)) {
                 Ok(deadlocked) => cell.deadlocks += u32::from(deadlocked),
                 Err(_) => cell.refused += 1,
             }
@@ -125,7 +126,7 @@ mod tests {
         for pattern in 0u32..8 {
             let holds: Vec<bool> = (0..3).map(|i| pattern & (1 << i) != 0).collect();
             let held = pattern != 0;
-            let verdicts = PATHS.map(|path| trial(&holds, path));
+            let verdicts = PATHS.map(|(_, path, atfork)| trial(&holds, atfork, |os, p| os.create(p, path)));
             assert_eq!(verdicts[0], Ok(held), "fork deadlocks iff a worker held: {holds:?}");
             let atfork = if held { Err(Errno::Ebusy) } else { Ok(false) };
             assert_eq!(verdicts[1], atfork, "fork+atfork refuses iff a worker held: {holds:?}");

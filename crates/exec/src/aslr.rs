@@ -9,10 +9,6 @@
 use fpr_kernel::LayoutInfo;
 use fpr_rng::Rng;
 
-/// Most random bits any base may take (the Linux mmap default). Each
-/// arena below is narrower, so in practice its span bounds the draw.
-const ENTROPY_BITS: u32 = 28;
-
 /// Fixed bases the randomised offsets are added to (VPNs).
 mod bases {
     /// Text around 0x0000_5555_5000_0000-ish, scaled into VPN space.
@@ -32,10 +28,10 @@ mod bases {
 /// spawned/exec'd processes get a fresh seed.
 pub fn randomize(seed: u64) -> LayoutInfo {
     let mut rng = Rng::seed_from_u64(seed);
-    let mask = (1u64 << ENTROPY_BITS) - 1;
     // Offsets are page-granular and kept within disjoint arenas so the
-    // regions cannot collide regardless of the draw.
-    let draw = |rng: &mut Rng, span: u64| rng.gen_u64() & mask & (span - 1);
+    // regions cannot collide regardless of the draw; the widest arena
+    // spans 2^27 pages, within Linux's 28 bits of mmap entropy.
+    let draw = |rng: &mut Rng, span: u64| rng.gen_u64() & (span - 1);
     LayoutInfo {
         text_base: bases::TEXT + draw(&mut rng, 0x4_0000),
         heap_base: bases::HEAP + draw(&mut rng, 0x40_0000),

@@ -1,6 +1,6 @@
-//! Kernel-wide consistency checks and leak detection.
+//! Kernel-wide consistency checks, leak detection and observation.
 //!
-//! Two complementary tools back the transactional process-creation
+//! Three complementary tools back the transactional process-creation
 //! guarantee:
 //!
 //! * [`Kernel::check_invariants`] verifies *structural* consistency at any
@@ -12,14 +12,24 @@
 //!   cleanliness: snapshot before an operation, and after a failed (or
 //!   fully undone) operation assert that nothing — frames, commit charge,
 //!   PIDs, descriptions, pipes, inodes — was left behind.
+//! * [`Kernel::observe`] records what the processes themselves could see —
+//!   every PCB field, every signal, descriptor and mapping, page contents,
+//!   the process tree and the files — and [`Observed::diff`] names each
+//!   path where two observations differ. It judges by *equality with the
+//!   world before*: a refused creation must leave an empty diff, and a
+//!   child's observation says what its creation API handed it, whatever
+//!   the mechanism.
 //!
-//! Both return every violation found rather than the first, so a failing
-//! test names the full damage.
+//! The checks return every violation found rather than the first, so a
+//! failing test names the full damage.
 
 use crate::file::FileObject;
 use crate::kernel::Kernel;
-use crate::task::SpaceRef;
-use std::collections::{BTreeMap, HashSet};
+use crate::pid::Pid;
+use crate::signal::ALL_SIGS;
+use crate::task::{Process, SpaceRef};
+use crate::vfs::InodeKind;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::Range;
 
 /// Numbers an [`Expected`] block counts.
@@ -371,11 +381,211 @@ impl Kernel {
     }
 }
 
+/// What the processes of a kernel could see of it, by path: every entry
+/// is one piece of state — `pid 3/sig Usr1`, `pid 3/fd 1`,
+/// `pid 3/vma 0x4000/content`, `vfs 7` — with its value rendered as text
+/// (the `Debug` form of the kernel's own type where there is one). Built
+/// by [`Kernel::observe`]; two observations compare path by path
+/// ([`Observed::diff`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Observed(BTreeMap<String, String>);
+
+impl Observed {
+    /// One line per path whose value differs between `self` and `other`,
+    /// ascending by path: the path, then its value in each (`-` where it
+    /// is absent). Empty iff the two are equal.
+    pub fn diff(&self, other: &Observed) -> Vec<String> {
+        if self == other {
+            return Vec::new();
+        }
+        let paths: BTreeSet<&String> = self.0.keys().chain(other.0.keys()).collect();
+        let shown = |v: Option<&String>| v.map_or("-", |v| v.as_str()).to_string();
+        paths
+            .into_iter()
+            .filter(|p| self.0.get(*p) != other.0.get(*p))
+            .map(|p| format!("{p}: {} -> {}", shown(self.0.get(p)), shown(other.0.get(p))))
+            .collect()
+    }
+
+    /// The value at `path`, if it was observed.
+    pub fn get(&self, path: &str) -> Option<&str> {
+        self.0.get(path).map(String::as_str)
+    }
+
+    /// The entries of process `pid`, with its `pid N/` prefix taken off,
+    /// so that two processes' observations compare as two worlds do.
+    pub fn process(&self, pid: Pid) -> Observed {
+        let prefix = format!("pid {}/", pid.0);
+        let under = self.0.range(prefix.clone()..).take_while(|(k, _)| k.starts_with(&prefix));
+        under.map(|(k, v)| (k[prefix.len()..].to_string(), v.clone())).collect()
+    }
+
+    /// Every (path, value), ascending by path.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+}
+
+impl FromIterator<(String, String)> for Observed {
+    fn from_iter<I: IntoIterator<Item = (String, String)>>(entries: I) -> Observed {
+        Observed(entries.into_iter().collect())
+    }
+}
+
+/// The splitmix64 finaliser: spreads one word over all 64 bits.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// One number standing for `bytes` (a file's data, the console).
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(bytes.len() as u64, |h, &b| mix(h ^ u64::from(b)))
+}
+
+impl Kernel {
+    /// Observes every process in the table — zombies too — and the
+    /// machine around them ([`Observed`]). Per PID:
+    ///
+    /// * identity: name, argv, envp, umask, cwd, credentials, rlimits,
+    ///   pgid, sid, OOM adjustment, parent, children and state (a
+    ///   zombie's exit status with it), and a pending alarm;
+    /// * every signal's disposition, mask bit and pending bit;
+    /// * each descriptor: its description's identity, object, offset and
+    ///   flags, and `FD_CLOEXEC`;
+    /// * userspace state: threads by their place in the process, stream
+    ///   buffers, locks and who holds them, atfork registrations;
+    /// * memory: how the space is held, the layout, every VMA with its
+    ///   protection, sharing, fork policy, backing and kind, and one
+    ///   content digest per VMA.
+    ///
+    /// Machine-wide: the pipes with what they buffer, the console and the
+    /// VFS. Cycles, statistics, metrics and frame numbers are left out,
+    /// so two worlds that differ only in how they got there observe
+    /// equal. A VMA's digest folds only the resident and swapped pages
+    /// whose content differs from what a fault would install, each read
+    /// without faulting — a resident page from its frame, a swapped one
+    /// through [`fpr_mem::AddressSpace::observe`]: an observation costs
+    /// O(VMAs + resident pages), and a populate that wrote nothing new is
+    /// invisible. Reads only — it charges no cycle, crosses no fault site
+    /// and emits no trace event.
+    pub fn observe(&self) -> Observed {
+        let mut o = Vec::new();
+        for p in self.procs.iter() {
+            let prefix = format!("pid {}/", p.pid.0);
+            self.observe_process(p, &mut |path, value| o.push((prefix.clone() + path, value)));
+        }
+        for (id, pipe) in self.pipes.iter() {
+            o.push((format!("pipe {}", id.0), format!("{pipe:?}")));
+        }
+        for (ino, kind) in self.vfs.inodes() {
+            let value = match kind {
+                InodeKind::File { data, generation } => {
+                    format!("file of {} bytes, generation {generation}, digest {:#x}", data.len(), digest(data))
+                }
+                InodeKind::Dir { entries } => format!("dir {entries:?}"),
+            };
+            o.push((format!("vfs {}", ino.0), value));
+        }
+        let console = format!("{} bytes, digest {:#x}", self.console.len(), digest(&self.console));
+        o.push(("console".to_string(), console));
+        o.into_iter().collect()
+    }
+
+    /// [`Kernel::observe`]'s entries for one process, each handed to `put`
+    /// as (path under the process, value).
+    fn observe_process(&self, p: &Process, put: &mut dyn FnMut(&str, String)) {
+        let identity: [(&str, &dyn std::fmt::Debug); 13] = [
+            ("name", &p.name),
+            ("argv", &p.argv),
+            ("envp", &p.envp),
+            ("umask", &p.umask),
+            ("cwd", &p.cwd),
+            ("cred", &p.cred),
+            ("rlimits", &p.rlimits),
+            ("pgid", &p.pgid),
+            ("sid", &p.sid),
+            ("oom_score_adj", &p.oom_score_adj),
+            ("ppid", &p.ppid),
+            ("children", &p.children),
+            ("state", &p.state),
+        ];
+        for (path, value) in identity {
+            put(path, format!("{value:?}"));
+        }
+        for alarm in self.alarms.iter().filter(|a| a.pid == p.pid) {
+            put("alarm", format!("at {} ns", alarm.deadline_ns));
+        }
+        for sig in ALL_SIGS {
+            let s = &p.signals;
+            let blocked = if s.is_blocked(sig) { "blocked" } else { "unblocked" };
+            let pending = if s.is_pending(sig) { "pending" } else { "not pending" };
+            put(&format!("sig {sig:?}"), format!("{:?}, {blocked}, {pending}", s.disposition(sig)));
+        }
+        for (fd, e) in p.fds.iter() {
+            let what = match self.ofds.get(e.ofd) {
+                Ok(d) => format!("{:?} at {} {:?}", d.object, d.offset, d.flags),
+                Err(_) => "dead".to_string(),
+            };
+            put(&format!("fd {}", fd.0), format!("ofd {} {what}, cloexec {}", e.ofd.0, e.cloexec));
+        }
+        // A thread is named by its place in the process, so a child's copy
+        // of its parent's forking thread reads as that thread did.
+        for (i, t) in p.threads.iter().enumerate() {
+            put(&format!("thread {i}"), format!("{:?} holding {:?}", t.state, t.holding));
+        }
+        for (i, s) in p.streams.iter().enumerate() {
+            put(&format!("stream {i}"), format!("{s:?}"));
+        }
+        for l in p.locks.iter() {
+            let owner = match l.owner {
+                None => "nobody".to_string(),
+                Some(tid) => match p.threads.iter().position(|t| t.tid == tid) {
+                    Some(i) => format!("thread {i}"),
+                    None => format!("{tid:?}, not a thread of this process"),
+                },
+            };
+            put(&format!("lock {}", l.id.0), format!("name {} held by {owner}", l.name_id));
+        }
+        for (i, reg) in p.atfork.completion_order().iter().enumerate() {
+            put(&format!("atfork {i}"), format!("{reg:?}"));
+        }
+        put("space", format!("{:?}", p.space_ref));
+        put("layout", format!("{:?}", p.layout));
+        // Resident pages come in ascending order, so a cursor finds each
+        // one's VMA; a swapped page is read through `observe`.
+        let (space, vmas) = (&p.aspace, p.aspace.vmas().collect::<Vec<_>>());
+        let mut content = vec![0u64; vmas.len()];
+        let mut fold = |at: &mut usize, vpn: fpr_mem::Vpn, now: Option<u64>| {
+            while vmas.get(*at).is_some_and(|v| v.end() <= vpn) {
+                *at += 1;
+            }
+            let Some(vma) = vmas.get(*at).filter(|v| v.start <= vpn) else { return };
+            let now = now.or_else(|| space.observe(vpn, &self.phys).ok());
+            if let Some(now) = now.filter(|&now| now != vma.initial_content(vpn)) {
+                content[*at] = content[*at].wrapping_add(mix(mix(vpn.0) ^ now));
+            }
+        };
+        let mut at = 0;
+        space.for_each_resident(|vpn, pte| fold(&mut at, vpn, self.phys.content(pte.pfn).ok()));
+        let mut at = 0;
+        space.for_each_swap_entry_keyed(|_, vpn, _| fold(&mut at, vpn, None));
+        for (v, content) in vmas.iter().zip(content) {
+            let (prot, share, policy) = (v.prot, v.share, v.fork_policy);
+            let record = format!("{} pages {prot:?} {share:?} {policy:?} {:?} {:?}", v.pages, v.backing, v.kind);
+            let path = format!("vma {:#x}", v.start.0);
+            put(&format!("{path}/content"), format!("{content:#018x}"));
+            put(&path, record);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pid::Pid;
-    use fpr_mem::{ForkMode, Prot, Share};
+    use crate::signal::Sig;
+    use fpr_mem::{ForkMode, Prot, Share, Vpn};
 
     fn boot() -> (Kernel, Pid) {
         let mut k = Kernel::boot();
@@ -445,5 +655,77 @@ mod tests {
         k.abort_process_creation(child).unwrap();
         k.leak_check(&base).unwrap();
         k.assert_consistent();
+    }
+
+    /// A world with something of every class [`Kernel::observe`] records:
+    /// init with a populated private mapping holding a written page and an
+    /// open file, and a zombie child.
+    fn observed_world() -> (Kernel, Pid, Pid, Vpn) {
+        let (mut k, init) = boot();
+        let base = k.mmap_anon(init, 4, Prot::RW, Share::Private).unwrap();
+        k.populate(init, base, 4).unwrap();
+        k.write_mem(init, base, 7).unwrap();
+        k.open(init, "/f", crate::file::OpenFlags::RDWR, true).unwrap();
+        let child = k.allocate_process(init, "c").unwrap();
+        k.exit(child, 3).unwrap();
+        (k, init, child, base)
+    }
+
+    #[test]
+    fn a_world_observes_equal_to_itself() {
+        let (k, ..) = observed_world();
+        assert_eq!(k.observe().diff(&k.observe()), Vec::<String>::new());
+        assert!(k.observe().get("pid 2/state").is_some_and(|s| s == "Zombie(3)"));
+    }
+
+    #[test]
+    fn one_edit_of_each_class_is_one_entry_naming_its_path() {
+        type Edit = fn(&mut Kernel, Pid, Pid, Vpn);
+        let (_, init, child, base) = observed_world();
+        let vma = format!("pid {}/vma {:#x}", init.0, base.0);
+        let edits: [(String, Edit); 5] = [
+            (format!("pid {}/sig Usr1", init.0), |k, init, _, _| {
+                k.sigprocmask(init, Sig::Usr1, true).unwrap()
+            }),
+            (format!("pid {}/fd 0", init.0), |k, init, _, _| {
+                k.set_cloexec(init, crate::fdtable::Fd(0), true).unwrap()
+            }),
+            (vma.clone(), |k, init, _, base| k.mprotect(init, base, 4, Prot::R).unwrap()),
+            (format!("{vma}/content"), |k, init, _, base| {
+                k.write_mem(init, base.add(1), 9).unwrap();
+            }),
+            (format!("pid {}/state", child.0), |k, _, child, _| {
+                k.process_mut(child).unwrap().state = crate::task::ProcState::Zombie(4)
+            }),
+        ];
+        for (path, edit) in edits {
+            let (mut k, init, child, base) = observed_world();
+            let before = k.observe();
+            edit(&mut k, init, child, base);
+            let diff = before.diff(&k.observe());
+            assert_eq!(diff.len(), 1, "{path}: {diff:?}");
+            assert!(diff[0].starts_with(&format!("{path}: ")), "{path}: {diff:?}");
+        }
+    }
+
+    #[test]
+    fn a_populate_that_writes_nothing_new_is_invisible() {
+        let (mut k, init, ..) = observed_world();
+        let base = k.mmap_anon(init, 8, Prot::RW, Share::Private).unwrap();
+        let before = k.observe();
+        k.populate(init, base, 8).unwrap();
+        assert_eq!(before.diff(&k.observe()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn observing_charges_crosses_and_emits_nothing() {
+        let (k, ..) = observed_world();
+        let cycles = k.cycles.total();
+        let ((o, events), trace) = fpr_faults::with_plan(fpr_faults::FaultPlan::passive(), || {
+            fpr_trace::sink::with_sink(|| k.observe())
+        });
+        assert!(o.iter().count() > 0);
+        assert_eq!((trace.len(), events.len()), (0, 0), "crossings {trace:?}, events {events:?}");
+        assert_eq!(k.cycles.total(), cycles);
     }
 }

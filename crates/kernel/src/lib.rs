@@ -49,7 +49,7 @@ pub use cred::{Caps, Credentials};
 pub use error::{Errno, KResult};
 pub use fdtable::{Fd, FdEntry, FdTable, STDIN, STDOUT};
 pub use file::{FileObject, OfdId, OpenFlags};
-pub use invariants::KernelBaseline;
+pub use invariants::{KernelBaseline, Observed};
 pub use io::ReadResult;
 pub use kernel::{Inherit, Kernel, MachineConfig, SmpShared};
 pub use lifecycle::SIGBUS_EXIT_STATUS;

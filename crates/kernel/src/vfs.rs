@@ -256,6 +256,11 @@ impl Vfs {
         }
     }
 
+    /// Every live inode with its payload, in no particular order.
+    pub(crate) fn inodes(&self) -> impl Iterator<Item = (Ino, &InodeKind)> {
+        self.inodes.iter().map(|(ino, inode)| (*ino, &inode.kind))
+    }
+
     /// Number of live inodes (including the root).
     pub(crate) fn inode_count(&self) -> usize {
         self.inodes.len()

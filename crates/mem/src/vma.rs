@@ -165,7 +165,7 @@ impl VmArea {
     /// # Panics
     ///
     /// Panics if `vpn` is outside the mapping.
-    pub(crate) fn initial_content(&self, vpn: Vpn) -> u64 {
+    pub fn initial_content(&self, vpn: Vpn) -> u64 {
         assert!(self.contains(vpn), "vpn outside VMA");
         match self.backing {
             Backing::Anon => 0,
