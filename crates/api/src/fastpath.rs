@@ -22,7 +22,8 @@ use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn, FileAction, Spa
 use fpr_exec::{effective_file_id, load, randomize, reset_pcb, Env, Image, ImageCache, ImageRegistry};
 use fpr_kernel::{Errno, Inherit, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
 use fpr_mem::{PressureLevel, Vpn};
-use fpr_trace::{metrics, sink};
+use fpr_trace::metrics::Counter;
+use fpr_trace::sink;
 use std::collections::BTreeMap;
 
 /// Staging bases (VPNs) for parked children, far above every ASLR arena
@@ -109,7 +110,7 @@ impl WarmPool {
         // working-set pages to park cache: refills wait out the storm
         // (spawns of the path degrade to the classic cost, nothing worse).
         if kernel.swap_thrashing() {
-            metrics::incr("api.pool.throttled");
+            Counter::PoolThrottled.incr();
             return Ok(());
         }
         for _ in 0..n {
@@ -124,7 +125,7 @@ impl WarmPool {
                 Ok(())
             })?;
             self.refills += 1;
-            metrics::incr("api.pool.refill");
+            Counter::PoolRefill.incr();
             self.park(
                 path,
                 ParkedChild {
@@ -164,7 +165,7 @@ impl WarmPool {
             return Ok(0);
         }
         if kernel.memory_pressure() >= PressureLevel::High {
-            metrics::incr("api.pool.autoscale_skipped");
+            Counter::PoolAutoscaleSkipped.incr();
             return Ok(0);
         }
         let want = target - have;
@@ -251,7 +252,7 @@ impl WarmPool {
         match built {
             Ok(()) => {
                 self.checkouts += 1;
-                metrics::incr("api.pool.checkout");
+                Counter::PoolCheckout.incr();
                 Ok(Some(parked.pid))
             }
             Err(e) => {
@@ -318,7 +319,7 @@ impl WarmPool {
                 .expect("came from iteration");
             let child = list.remove(idx);
             kernel.abort_process_creation(child.pid)?;
-            metrics::incr("api.pool.reclaim");
+            Counter::PoolReclaim.incr();
         }
         self.parked.retain(|_, list| !list.is_empty());
         Ok(freed(kernel))
@@ -493,13 +494,13 @@ pub fn spawn_fast(
     kernel.span_with(
         "spawn_fast",
         "api",
-        |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
+        |ev| ev.arg("parent", parent.0 as u64).arg("path", path.to_string()),
         |kernel| {
             let hit = pool.checkout(kernel, registry, parent, path, actions, attrs, aslr_seed)?;
             if let Some(pid) = hit {
                 return Ok(pid);
             }
-            metrics::incr("api.pool.miss");
+            Counter::PoolMiss.incr();
             posix_spawn(kernel, parent, registry, path, actions, attrs, aslr_seed, Some(cache))
         },
     )
@@ -508,6 +509,7 @@ pub fn spawn_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpr_trace::metrics;
     use fpr_exec::{shared_bits, Image};
     use fpr_kernel::{Fd, Resource, Rlimit, STDOUT};
     use fpr_mem::vma::file_stamp;

@@ -94,7 +94,7 @@ pub fn posix_spawn(
     kernel.span_with(
         "spawn",
         "api",
-        |ev| ev.arg("parent", parent.0 as u64).arg("path", path),
+        |ev| ev.arg("parent", parent.0 as u64).arg("path", path.to_string()),
         |kernel| {
             kernel.charge_syscall();
             // A failure anywhere below rolls the partial child back — PID,

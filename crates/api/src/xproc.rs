@@ -167,7 +167,7 @@ impl ProcessBuilder {
             "api",
             |ev| {
                 ev.arg("parent", parent.0 as u64)
-                    .arg("path", self.image_path.as_str())
+                    .arg("path", self.image_path.clone())
                     .arg("fd_grants", self.fds.len() as u64)
                     .arg("mem_ops", self.mem_ops.len() as u64)
             },

@@ -18,7 +18,7 @@
 
 use fpr_kernel::{Errno, KResult, Kernel};
 use fpr_mem::Pfn;
-use fpr_trace::metrics;
+use fpr_trace::metrics::Counter;
 use std::collections::BTreeMap;
 
 /// Mask extracting the registry-assigned base file id from an effective
@@ -72,12 +72,12 @@ impl ImageCache {
             Some(e) => {
                 e.last_used = tick;
                 self.hits += 1;
-                metrics::incr("exec.image_cache.hit");
+                Counter::ImageCacheHit.incr();
                 Some(e.frames.clone())
             }
             None => {
                 self.misses += 1;
-                metrics::incr("exec.image_cache.miss");
+                Counter::ImageCacheMiss.incr();
                 None
             }
         }
@@ -145,7 +145,7 @@ impl ImageCache {
                     .unpin(pfn, &mut kernel.cycles)
                     .expect("cached frame holds a pin");
             }
-            metrics::incr("exec.image_cache.evict");
+            Counter::ImageCacheEvict.incr();
         }
     }
 
@@ -194,6 +194,7 @@ impl fpr_kernel::Shrinker for ImageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpr_trace::metrics;
     use crate::aslr::randomize;
     use crate::image::Image;
     use crate::loader::load;

@@ -21,7 +21,8 @@ use fpr_mem::{
     AddressSpace, CommitAccount, CostModel, Cycles, FaultOutcome, OvercommitPolicy, Pfn,
     PhysMemory, Prot, Pte, Share, SharedFramePool, TlbBus, TlbModel, VmArea, VmaKind, Vpn,
 };
-use fpr_trace::{metrics, sink, Phase, TraceEvent};
+use fpr_trace::metrics::Counter;
+use fpr_trace::{sink, Phase, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -742,7 +743,7 @@ impl Kernel {
                 // table's sparse storage means closed slots cost nothing, so
                 // fork's FD work scales with open descriptors, not max fd.
                 k.cycles.charge(fd_cost);
-                metrics::incr("kernel.fd_clone");
+                Counter::FdClone.incr();
                 // Shares the description (and therefore the offset); pipe end
                 // counts follow descriptions, not descriptors, so they are
                 // untouched here.

@@ -17,7 +17,7 @@ use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
 use crate::vma::{Backing, Share, VmArea, VmaKind};
 use fpr_faults::FaultSite;
-use fpr_trace::metrics;
+use fpr_trace::metrics::Counter;
 use fpr_trace::sink;
 use std::ops::Range;
 use std::sync::Arc;
@@ -1200,8 +1200,8 @@ impl AddressSpace {
         let copied = copy.live();
         stats.pt_unshares += 1;
         stats.ptes_unshare_copied += copied;
-        metrics::incr("mem.unshare.pt_node");
-        metrics::add("mem.unshare.pte_copy", copied);
+        Counter::UnsharePtNode.incr();
+        Counter::UnsharePteCopy.add(copied);
         sink::instant("pt_unshare", "mem", cycles.total());
         Ok(())
     }
@@ -1256,16 +1256,10 @@ impl AddressSpace {
                     tlb.shootdown(cpus_running, cycles, phys.cost());
                 }
                 let s = &parent.stats;
-                metrics::add("mem.fork.vma_clone", s.vmas_cloned - stats_base.vmas_cloned);
-                metrics::add("mem.fork.pte_copy", s.ptes_copied - stats_base.ptes_copied);
-                metrics::add(
-                    "mem.fork.pt_subtree_share",
-                    s.pt_subtrees_shared - stats_base.pt_subtrees_shared,
-                );
-                metrics::add(
-                    "mem.fork.pt_node",
-                    (child.pt.node_count() as u64).saturating_sub(1),
-                );
+                Counter::ForkVmaClone.add(s.vmas_cloned - stats_base.vmas_cloned);
+                Counter::ForkPteCopy.add(s.ptes_copied - stats_base.ptes_copied);
+                Counter::ForkPtSubtreeShare.add(s.pt_subtrees_shared - stats_base.pt_subtrees_shared);
+                Counter::ForkPtNode.add((child.pt.node_count() as u64).saturating_sub(1));
                 Ok(child)
             }
             Err(e) => {

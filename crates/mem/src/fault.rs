@@ -16,7 +16,7 @@ use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
 use crate::vma::Share;
 use fpr_faults::FaultSite;
-use fpr_trace::metrics;
+use fpr_trace::metrics::Counter;
 use fpr_trace::sink;
 use fpr_trace::{Phase, TraceEvent};
 
@@ -124,7 +124,7 @@ impl AddressSpace {
         phys.count_allocs(taken);
         let (pte, at, stop, pages, refused) = filled?;
         self.stats.demand_faults += pages;
-        metrics::add("mem.fault.demand_fill", pages);
+        Counter::DemandFill.add(pages);
         // A refusal came before an empty entry of the node: no block was
         // completed.
         refused?;
@@ -304,7 +304,7 @@ impl AddressSpace {
             } else {
                 let new_pfn = phys.break_cow(pte.pfn, value, cycles)?;
                 self.stats.cow_copies += 1;
-                metrics::incr("mem.fault.cow_copy");
+                Counter::CowCopy.incr();
                 (new_pfn, FaultOutcome::CowCopy)
             };
             let flags = pte.flags.minus(PteFlags::COW).union(PteFlags::WRITABLE | PteFlags::DIRTY);

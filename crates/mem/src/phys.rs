@@ -126,7 +126,7 @@ use crate::error::{MemError, MemResult};
 use crate::page_table::Run;
 use crate::swap::SwapDevice;
 use fpr_faults::FaultSite;
-use fpr_trace::metrics;
+use fpr_trace::metrics::Counter;
 use fpr_trace::smp::{LockStats, VLock};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -811,7 +811,7 @@ impl PhysMemory {
         if freed > 0 {
             self.drawn -= freed;
             cycles.charge_n(self.cost.frame_free, freed);
-            metrics::add("mem.frame_free", freed);
+            Counter::FrameFree.add(freed);
         }
         self.released = released;
         if !self.batching {
@@ -928,7 +928,7 @@ impl PhysMemory {
     /// Counts `n` frames handed out in the allocation statistics.
     pub(crate) fn count_allocs(&mut self, n: u64) {
         self.frames_allocated_total += n;
-        metrics::add("mem.frame_alloc", n);
+        Counter::FrameAlloc.add(n);
     }
 
     /// A COW break's copy of `src`, which someone else holds too: a new
@@ -951,7 +951,7 @@ impl PhysMemory {
         cycles.charge(self.cost.page_copy);
         self.hand_out(pfn, value);
         self.pages_copied_total += 1;
-        metrics::incr("mem.page_copy");
+        Counter::PageCopy.incr();
         Ok(pfn)
     }
 
@@ -983,7 +983,7 @@ impl PhysMemory {
         let taken = copies.len() as u64;
         self.count_allocs(taken);
         self.pages_copied_total += taken;
-        metrics::add("mem.page_copy", taken);
+        Counter::PageCopy.add(taken);
         if let Err(e) = copied {
             self.release(copies.iter().map(|pfn| pfn.0..pfn.0 + 1), [], cycles).expect("frames just taken");
             return Err(e);
@@ -1107,6 +1107,7 @@ impl PhysMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpr_trace::metrics;
     use crate::addr::PT_ENTRIES;
     use crate::page_table::LeafNode;
     use crate::pte::{Pte, PteFlags};

@@ -8,7 +8,7 @@
 //! per-remote-CPU cost and counts events for the scaling experiments.
 
 use crate::cost::{CostModel, Cycles};
-use fpr_trace::metrics;
+use fpr_trace::metrics::Counter;
 use fpr_trace::sink;
 use fpr_trace::smp::{LockStats, VLock};
 use fpr_trace::{Phase, TraceEvent};
@@ -122,7 +122,7 @@ impl TlbModel {
             // machine's interconnect.
             self.bus.serialize_round();
         }
-        metrics::incr("mem.tlb.shootdown");
+        Counter::TlbShootdown.incr();
         if sink::is_active() {
             sink::emit(
                 TraceEvent::new("tlb_shootdown", "mem", Phase::Instant, cycles.total())
@@ -157,7 +157,7 @@ impl TlbModel {
         self.entries_flushed += entries;
         self.huge_entries_flushed += huge_entries;
         cycles.charge_n(cost.tlb_range_flush_page, entries.min(RANGE_FLUSH_CEILING));
-        metrics::add("mem.tlb.entries_flushed", entries);
+        Counter::TlbEntriesFlushed.add(entries);
         self.shootdown(cpus_running, cycles, cost);
     }
 }

@@ -94,7 +94,7 @@ fn arg_value(v: &ArgValue) -> Value {
     match v {
         ArgValue::U64(n) => Value::Num(*n as f64),
         ArgValue::F64(n) => Value::Num(*n),
-        ArgValue::Str(s) => Value::Str(s.clone()),
+        ArgValue::Str(s) => Value::Str(s.to_string()),
         ArgValue::Bool(b) => Value::Bool(*b),
     }
 }

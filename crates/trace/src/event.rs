@@ -10,6 +10,8 @@
 //! accumulator), not wall-clock time; the exporter scales them to the
 //! microseconds Chrome expects.
 
+use std::borrow::Cow;
+
 /// Event phase, matching the Chrome trace-event `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -47,8 +49,8 @@ pub enum ArgValue {
     U64(u64),
     /// A floating-point value (ratios, percentages).
     F64(f64),
-    /// A string (mode names, paths).
-    Str(String),
+    /// A string (mode names, paths): a literal is borrowed, not copied.
+    Str(Cow<'static, str>),
     /// A boolean flag.
     Bool(bool),
 }
@@ -71,15 +73,15 @@ impl From<bool> for ArgValue {
     }
 }
 
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> ArgValue {
-        ArgValue::Str(v.to_string())
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> ArgValue {
+        ArgValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for ArgValue {
     fn from(v: String) -> ArgValue {
-        ArgValue::Str(v)
+        ArgValue::Str(Cow::Owned(v))
     }
 }
 

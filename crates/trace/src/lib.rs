@@ -10,7 +10,8 @@
 //!     that records events around one operation, mirrors every
 //!     `fpr_faults` crossing as a `fault.<site>` event, and costs one
 //!     flag check when inactive;
-//!   - [`metrics`]: always-on thread-local counters, read by
+//!   - [`metrics`]: always-on thread-local counters, one
+//!     [`metrics::Counter`] each, bumped by an indexed add and read by
 //!     snapshot-diff ([`metrics::Snapshot::delta`]), and the log-scale
 //!     [`metrics::Histogram`] value type;
 //!   - [`vclock`] and [`smp`]: the per-thread virtual clock and the
@@ -32,12 +33,13 @@
 //! Chrome-trace example.
 //!
 //! ```
-//! use fpr_trace::{chrome, json, metrics, sink};
+//! use fpr_trace::metrics::{self, Counter};
+//! use fpr_trace::{chrome, json, sink};
 //!
 //! let before = metrics::snapshot();
 //! let ((), events) = sink::with_sink(|| {
 //!     sink::span_begin("fork", "api", 0);
-//!     metrics::add("mem.fork.pte_copy", 259);
+//!     Counter::ForkPteCopy.add(259);
 //!     sink::span_end("fork", 12_258);
 //! });
 //! assert_eq!(metrics::snapshot().delta(&before).counter("mem.fork.pte_copy"), 259);

@@ -1,5 +1,5 @@
-//! Hermetic metrics: named counters, kept in a thread-local registry that
-//! is always on, and the log-scale [`Histogram`] value type.
+//! Hermetic metrics: counters, kept per thread and always on, and the
+//! log-scale [`Histogram`] value type.
 //!
 //! Unlike the scoped [`crate::sink`], counters accumulate continuously —
 //! the intended pattern is *snapshot-diff*: take a [`snapshot`] before an
@@ -10,17 +10,19 @@
 //! snapshot-diff on each of them and adds the deltas up with
 //! [`Snapshot::merge`].
 //!
-//! Counter names are namespaced `&'static str` keys —
-//! `"mem.fork.pte_copy"`, `"kernel.fd_clone"`, `"exec.image_cache.hit"` — and
-//! there is no registration step: the first update under a name makes the
-//! counter. An update never reads the name. The thread's counters sit in
-//! a small open-addressed table keyed by the name's *address and length*,
-//! so bumping one is a hash of two words and a pointer comparison; the
-//! table is allocated at the thread's first update and doubles (one
-//! rehash) when it is half full, and no other update allocates. Names
-//! are read by [`snapshot`] alone, which walks the table and builds the
-//! name-ordered [`Snapshot`]: the same text at two addresses (two crates'
-//! copies of a literal, a leaked `String`) is one counter there, summed.
+//! Every counter the simulator keeps is a [`Counter`]: a variant and a
+//! dotted name — `"mem.fork.pte_copy"`, `"kernel.fd_clone"`,
+//! `"exec.image_cache.hit"`. A thread's counters are a const-initialised
+//! thread-local array of `Cell<u64>` indexed by the variant, so
+//! `Counter::PageCopy.incr()` is one add: no hash, no probe, no borrow
+//! flag, no allocation. Names are read by [`snapshot`] alone, which lists
+//! the counters that read nonzero in name order — the order of
+//! [`Counter::ALL`].
+//!
+//! The by-name [`add`] and [`incr`] serve code outside the workspace. A
+//! name that is a [`Counter`]'s adds to that counter, so equal text is
+//! one counter; any other name goes to a per-thread map keyed by its
+//! text.
 //!
 //! A [`Histogram`] is a value its owner records into, not a registry
 //! entry: the workload kit's open loop keeps one per creation path
@@ -33,16 +35,16 @@
 //! is never touched from this module.
 //!
 //! ```
-//! use fpr_trace::metrics;
+//! use fpr_trace::metrics::{self, Counter};
 //!
 //! let before = metrics::snapshot();
-//! metrics::add("mem.fork.pte_copy", 259);
+//! Counter::ForkPteCopy.add(259);
 //! let delta = metrics::snapshot().delta(&before);
 //! assert_eq!(delta.counter("mem.fork.pte_copy"), 259);
 //! assert_eq!(delta.counter("mem.page_copy"), 0, "absent reads zero");
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 /// Number of log2 buckets: one for zero, one per bit position of `u64`.
@@ -219,122 +221,154 @@ impl Snapshot {
     }
 }
 
-/// Slots a thread's counter table starts with; a power of two. The
-/// simulator has two dozen counter names, so this one is rarely outgrown.
-const INITIAL_SLOTS: usize = 256;
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// Every counter the simulator keeps, by its index in this thread's
+        /// array: bumping one is an indexed add. The variants are in the
+        /// order of their names, the order [`snapshot`] lists them in.
+        ///
+        /// ```
+        /// use fpr_trace::metrics::Counter;
+        ///
+        /// assert_eq!(Counter::CowCopy.name(), "mem.fault.cow_copy");
+        /// assert_eq!(Counter::ALL[Counter::CowCopy as usize], Counter::CowCopy);
+        /// assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        /// ```
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
 
-/// A thread's counters: open addressing with linear probing over a
-/// power-of-two number of slots, keyed by the *identity* of the name —
-/// where the `&'static str` points and how long it is — never its text.
-/// At most half the slots are held, so a probe ends at a vacant one.
-#[derive(Debug)]
-struct CounterTable {
-    /// Empty until the first update.
-    slots: Vec<Option<(&'static str, u64)>>,
-    held: usize,
+        impl Counter {
+            /// Every counter, in index order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant,)*];
+            /// How many counters there are.
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// The counter's dotted name, the one a [`Snapshot`] reads it by.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+
+            /// Adds `n` to this counter on this thread.
+            #[inline]
+            pub fn add(self, n: u64) {
+                COUNTS.with(|counts| counts[self as usize].update(|v| v + n));
+            }
+
+            /// Adds one to this counter on this thread.
+            #[inline]
+            pub fn incr(self) {
+                self.add(1);
+            }
+        }
+    };
 }
 
-impl CounterTable {
-    const fn new() -> CounterTable {
-        CounterTable {
-            slots: Vec::new(),
-            held: 0,
-        }
-    }
-
-    /// Where the probe for `name` starts in a table of `mask + 1` slots.
-    fn home(name: &'static str, mask: usize) -> usize {
-        let key = (name.as_ptr() as usize as u64) ^ (name.len() as u64).rotate_left(48);
-        // Fibonacci hashing: the high bits of the product mix all of `key`.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
-
-    /// Adds `n` to the counter `name` identifies, making it if need be.
-    #[inline]
-    fn bump(&mut self, name: &'static str, n: u64) {
-        if self.slots.is_empty() {
-            self.slots = vec![None; INITIAL_SLOTS];
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::home(name, mask);
-        loop {
-            match &mut self.slots[i] {
-                Some((held, value)) if std::ptr::eq(*held, name) => {
-                    *value += n;
-                    return;
-                }
-                Some(_) => i = (i + 1) & mask,
-                vacant => {
-                    *vacant = Some((name, n));
-                    break;
-                }
-            }
-        }
-        self.held += 1;
-        if self.held * 2 > self.slots.len() {
-            self.grow();
-        }
-    }
-
-    /// Doubles the table, probing every held slot into its new place.
-    #[cold]
-    fn grow(&mut self) {
-        let doubled = vec![None; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for slot in old.into_iter().flatten() {
-            let mut i = Self::home(slot.0, mask);
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some(slot);
-        }
-    }
-
-    /// The counters by name, equal names summed; a counter is there if it
-    /// reads nonzero, as one is made only by adding to it.
-    fn by_name(&self) -> BTreeMap<&'static str, u64> {
-        let mut counters = BTreeMap::new();
-        for &(name, value) in self.slots.iter().flatten() {
-            if value != 0 {
-                *counters.entry(name).or_insert(0) += value;
-            }
-        }
-        counters
-    }
+counters! {
+    /// An autoscale step skipped under memory pressure.
+    PoolAutoscaleSkipped => "api.pool.autoscale_skipped",
+    /// A spawn served from the pre-built pool.
+    PoolCheckout => "api.pool.checkout",
+    /// A fast spawn the pool could not serve.
+    PoolMiss => "api.pool.miss",
+    /// A parked process reclaimed.
+    PoolReclaim => "api.pool.reclaim",
+    /// A process parked by a refill.
+    PoolRefill => "api.pool.refill",
+    /// A refill held back while swap thrashes.
+    PoolThrottled => "api.pool.throttled",
+    /// An image evicted from the exec image cache.
+    ImageCacheEvict => "exec.image_cache.evict",
+    /// An exec whose image was cached.
+    ImageCacheHit => "exec.image_cache.hit",
+    /// An exec whose image had to be loaded.
+    ImageCacheMiss => "exec.image_cache.miss",
+    /// A file-descriptor table entry cloned.
+    FdClone => "kernel.fd_clone",
+    /// A COW break that copied its frame.
+    CowCopy => "mem.fault.cow_copy",
+    /// A page a demand fill made resident.
+    DemandFill => "mem.fault.demand_fill",
+    /// A page-table node a fork built for its child.
+    ForkPtNode => "mem.fork.pt_node",
+    /// A leaf subtree an on-demand fork shared with its child.
+    ForkPtSubtreeShare => "mem.fork.pt_subtree_share",
+    /// A PTE a fork copied into its child.
+    ForkPteCopy => "mem.fork.pte_copy",
+    /// A VMA record a fork cloned.
+    ForkVmaClone => "mem.fork.vma_clone",
+    /// A frame handed out.
+    FrameAlloc => "mem.frame_alloc",
+    /// A frame freed.
+    FrameFree => "mem.frame_free",
+    /// A page copied (COW break or eager fork).
+    PageCopy => "mem.page_copy",
+    /// A TLB entry a ranged flush invalidated.
+    TlbEntriesFlushed => "mem.tlb.entries_flushed",
+    /// A TLB shootdown.
+    TlbShootdown => "mem.tlb.shootdown",
+    /// A shared leaf node privatized on first touch.
+    UnsharePtNode => "mem.unshare.pt_node",
+    /// A PTE copied by such a privatization.
+    UnsharePteCopy => "mem.unshare.pte_copy",
 }
 
 thread_local! {
-    /// What this thread has counted since its last [`reset`].
-    static REGISTRY: RefCell<CounterTable> = const { RefCell::new(CounterTable::new()) };
+    /// What this thread has counted since its last [`reset`], by
+    /// [`Counter`] index.
+    static COUNTS: [Cell<u64>; Counter::COUNT] = const { [const { Cell::new(0) }; Counter::COUNT] };
+    /// What this thread has counted under a name no [`Counter`] has, by
+    /// the name's text.
+    static BY_NAME: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
 }
 
-/// Adds `n` to counter `name`. The first nonzero `n` makes the counter;
-/// `add(name, 0)` does nothing, so a counter that exists reads nonzero.
+/// Adds `n` to the counter named `name`: the [`Counter`] of that name if
+/// there is one, else this thread's by-name entry for that text. The first
+/// nonzero `n` makes the counter; `add(name, 0)` does nothing, so a
+/// counter that exists reads nonzero.
 pub fn add(name: &'static str, n: u64) {
-    if n == 0 {
-        return;
-    }
-    REGISTRY.with(|r| r.borrow_mut().bump(name, n));
+    add_named(name, n);
 }
 
-/// Adds one to counter `name`.
+/// Adds one to the counter named `name`.
 pub fn incr(name: &'static str) {
-    REGISTRY.with(|r| r.borrow_mut().bump(name, 1));
+    add_named(name, 1);
 }
 
-/// Copies this thread's counters: a walk of the counter table (every
-/// slot, held or not) plus an ordered-map insert per counter — for
+/// [`add`] and [`incr`]: a name already held by-name is found there;
+/// else the names of [`Counter::ALL`] ascend, so a binary search finds a
+/// counter's.
+fn add_named(name: &'static str, n: u64) {
+    BY_NAME.with_borrow_mut(|named| match named.get_mut(name) {
+        Some(value) => *value += n,
+        None => match Counter::ALL.binary_search_by(|counter| counter.name().cmp(name)) {
+            Ok(i) => Counter::ALL[i].add(n),
+            Err(_) if n == 0 => {}
+            Err(_) => _ = named.insert(name, n),
+        },
+    });
+}
+
+/// Copies this thread's counters: every [`Counter`] that reads nonzero
+/// and every by-name entry, inserted into an ordered map — for
 /// once-per-operation use, not per page.
 pub fn snapshot() -> Snapshot {
-    REGISTRY.with(|r| Snapshot {
-        counters: r.borrow().by_name(),
-    })
+    let mut counters = BY_NAME.with(|named| named.borrow().clone());
+    COUNTS.with(|counts| {
+        for (counter, cell) in Counter::ALL.into_iter().zip(counts).filter(|(_, cell)| cell.get() != 0) {
+            counters.insert(counter.name(), cell.get());
+        }
+    });
+    Snapshot { counters }
 }
 
 /// Clears every counter on this thread.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = CounterTable::new());
+    COUNTS.with(|counts| counts.iter().for_each(|cell| cell.set(0)));
+    BY_NAME.with(|named| named.borrow_mut().clear());
 }
 
 #[cfg(test)]
@@ -344,16 +378,16 @@ mod tests {
     #[test]
     fn counters_accumulate_and_delta() {
         reset();
-        incr("t.a");
-        add("t.a", 4);
+        Counter::PageCopy.incr();
+        Counter::PageCopy.add(4);
         let mid = snapshot();
-        add("t.a", 10);
-        add("t.b", 2);
+        Counter::PageCopy.add(10);
+        Counter::FrameFree.add(2);
         let d = snapshot().delta(&mid);
-        assert_eq!(d.counter("t.a"), 10);
-        assert_eq!(d.counter("t.b"), 2);
-        assert_eq!(d.counter("t.c"), 0);
-        assert_eq!(mid.counter("t.a"), 5);
+        assert_eq!(d.counter("mem.page_copy"), 10);
+        assert_eq!(d.counter("mem.frame_free"), 2);
+        assert_eq!(d.counter("mem.frame_alloc"), 0);
+        assert_eq!(mid.counter("mem.page_copy"), 5);
     }
 
     /// A name the test owns: leaked, so `&'static`, at an address of its
@@ -363,80 +397,92 @@ mod tests {
     }
 
     #[test]
-    fn equal_names_at_different_addresses_are_one_counter() {
+    #[allow(clippy::disallowed_methods)]
+    fn a_counter_and_its_name_are_one_counter() {
+        reset();
+        Counter::PageCopy.add(2);
+        add("mem.page_copy", 3);
+        incr(leaked("mem.page_copy"));
+        let s = snapshot();
+        assert_eq!(s.counters().collect::<Vec<_>>(), [("mem.page_copy", 6)]);
+        assert_eq!(BY_NAME.with(|named| named.borrow().len()), 0, "no by-name entry");
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn adding_zero_makes_nothing() {
+        reset();
+        add("t.zero", 0);
+        add("mem.page_copy", 0);
+        Counter::FrameAlloc.add(0);
+        assert_eq!(snapshot(), Snapshot::default());
+        incr("t.one");
+        add("t.one", 0);
+        assert_eq!(snapshot().counters().collect::<Vec<_>>(), [("t.one", 1)]);
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn an_unknown_name_is_listed_and_summed() {
         reset();
         let (a, b) = (leaked("t.same"), leaked("t.same"));
         assert!(!std::ptr::eq(a, b), "two allocations");
         add(a, 3);
         incr(b);
-        add(a, 1);
-        let s = snapshot();
-        assert_eq!(s.counter("t.same"), 5);
-        assert_eq!(s.counters().count(), 1, "merged, not listed twice");
-        // A prefix of a held name shares its address but not its length.
+        // A prefix of a held name shares its address, not its text.
         add(&a[..3], 7);
+        Counter::TlbShootdown.incr();
+        incr("a.first");
         let s = snapshot();
-        assert_eq!((s.counter("t.s"), s.counter("t.same")), (7, 5));
+        let listed: Vec<_> = s.counters().collect();
+        assert_eq!(listed, [("a.first", 1), ("mem.tlb.shootdown", 1), ("t.s", 7), ("t.same", 4)]);
     }
 
     #[test]
-    fn a_counter_exists_once_something_was_added_to_it() {
-        reset();
-        add("t.zero", 0);
-        incr("t.one");
-        let s = snapshot();
-        assert_eq!(s.counters().collect::<Vec<_>>(), [("t.one", 1)]);
-        assert_eq!(s.counter("t.zero"), 0);
-        assert_eq!(s.counter("t.never"), 0);
-        add("t.zero", 0);
-        assert_eq!(snapshot(), s, "adding zero to nothing makes nothing");
-    }
-
-    #[test]
-    fn counters_iterate_in_name_order() {
-        reset();
-        for name in ["t.m", "t.z", "t.a", "t.mm", "s.z"] {
-            incr(name);
+    #[allow(clippy::disallowed_methods)]
+    fn reset_zeroes_every_cell_and_every_by_name_entry() {
+        for counter in Counter::ALL {
+            counter.incr();
         }
-        let names: Vec<_> = snapshot().counters().map(|(k, _)| k).collect();
-        assert_eq!(names, ["s.z", "t.a", "t.m", "t.mm", "t.z"]);
-    }
-
-    #[test]
-    fn more_names_than_slots_survive_growth() {
+        add("t.reset", 4);
         reset();
-        let names: Vec<&'static str> = (0..1_000)
-            .map(|i| leaked(&format!("t.grow.{i:04}")))
-            .collect();
-        assert!(names.len() > INITIAL_SLOTS);
-        for (i, name) in names.iter().enumerate() {
-            add(name, i as u64 + 1);
-        }
-        // Second round: every name is found again where growth put it.
-        for name in &names {
-            incr(name);
-        }
-        let s = snapshot();
-        assert_eq!(s.counters().count(), names.len());
-        for (i, name) in names.iter().enumerate() {
-            assert_eq!(s.counter(name), i as u64 + 2, "{name}");
-        }
-        let listed: Vec<_> = s.counters().map(|(k, _)| k).collect();
-        assert_eq!(listed, names, "zero-padded, so made in name order");
-        REGISTRY.with(|r| {
-            let table = r.borrow();
-            assert_eq!(table.held, names.len());
-            assert!(table.slots.len() >= 2 * table.held, "at most half full");
-        });
-    }
-
-    #[test]
-    fn reset_leaves_the_registry_empty() {
-        incr("t.empty.reset");
-        add("t.empty.add", 4);
-        reset();
-        assert_eq!(REGISTRY.with(|r| r.borrow().held), 0);
+        assert!(COUNTS.with(|counts| counts.iter().all(|cell| cell.get() == 0)));
+        assert_eq!(BY_NAME.with(|named| named.borrow().len()), 0);
         assert_eq!(snapshot(), Snapshot::default());
+    }
+
+    #[test]
+    fn counts_are_per_thread_and_merge_sums_them() {
+        reset();
+        Counter::CowCopy.add(2);
+        let there = std::thread::spawn(|| {
+            Counter::CowCopy.add(5);
+            Counter::DemandFill.incr();
+            snapshot()
+        })
+        .join()
+        .unwrap();
+        let mut here = snapshot();
+        assert_eq!(here.counters().collect::<Vec<_>>(), [("mem.fault.cow_copy", 2)]);
+        here.merge(&there);
+        assert_eq!(here.counter("mem.fault.cow_copy"), 7);
+        assert_eq!(here.counter("mem.fault.demand_fill"), 1);
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn every_name_is_distinct_and_listed_in_index_order() {
+        reset();
+        assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(counter as usize, i);
+            add(counter.name(), i as u64 + 1);
+        }
+        assert_eq!(BY_NAME.with(|named| named.borrow().len()), 0, "every name found its counter");
+        let listed: Vec<_> = snapshot().counters().collect();
+        let expected: Vec<_> = Counter::ALL.iter().map(|c| (c.name(), *c as u64 + 1)).collect();
+        assert_eq!(listed, expected, "snapshot lists in index order");
+        assert!(Counter::ALL.windows(2).all(|w| w[0].name() < w[1].name()), "names ascend, so none repeats");
     }
 
     #[test]
