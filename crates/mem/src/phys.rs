@@ -1109,7 +1109,8 @@ mod tests {
     use super::*;
     use fpr_trace::metrics;
     use crate::addr::PT_ENTRIES;
-    use crate::page_table::LeafNode;
+    use crate::addr::Vpn;
+    use crate::page_table::{LeafNode, PageTable};
     use crate::pte::{Pte, PteFlags};
     use std::cell::Cell;
 
@@ -1790,62 +1791,276 @@ mod tests {
         (Ok(()), freed)
     }
 
+    /// A one-cell machine holding every frame of [`UNIVERSE`], each one to
+    /// three times, and the count it holds each by.
+    fn universe(rng: &mut fpr_rng::Rng) -> (PhysMemory, Cycles, Vec<u32>) {
+        let (mut p, mut c) = pm(4 * TABLE_CHUNK as u64);
+        let mut refs = vec![0u32; UNIVERSE as usize];
+        for f in 0..UNIVERSE {
+            assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(f)), "the buddy hands out low frames first");
+            let extra = rng.gen_below(3);
+            (0..extra).for_each(|_| p.inc_ref_run(Pfn(f), 1).unwrap());
+            refs[f as usize] = 1 + extra as u32;
+        }
+        (p, c, refs)
+    }
+
+    /// The frames `leaf.frame_runs` hands out for `range`, one by one.
+    fn run_frames(leaf: &LeafNode, range: Range<usize>) -> Vec<u64> {
+        leaf.frame_runs(range, false).ranges().flatten().collect()
+    }
+
+    /// Holds `leaf`'s runs to its entries taken one at a time, in entry
+    /// order, on a few ranges of it: the frames the runs hand out, and
+    /// what `retain` and `release` of them do to `p` — the result, the
+    /// frames freed and their order, the charge, the count and every count
+    /// after — against [`by_entry`] on `refs`, the counts `p` holds.
+    /// Sometimes a frame the leaf maps is not held any more.
+    fn judge(p: &mut PhysMemory, c: &mut Cycles, refs: &mut [u32], leaf: &LeafNode, rng: &mut fpr_rng::Rng, what: &str) {
+        if rng.gen_bool(0.3) {
+            let j = rng.gen_index(PT_ENTRIES);
+            if let Some(pte) = leaf.get(j).filter(|pte| pte.is_present()) {
+                while refs[pte.pfn.0 as usize] > 0 {
+                    p.dec_ref(pte.pfn, c).unwrap();
+                    refs[pte.pfn.0 as usize] -= 1;
+                }
+            }
+        }
+        for step in 0..6 {
+            let what = format!("{what}, step {step}");
+            let (lo, hi) = match rng.gen_below(3) {
+                0 => (0, PT_ENTRIES),
+                _ => {
+                    let (a, b) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
+                    (a.min(b), a.max(b))
+                }
+            };
+            let frames: Vec<u64> = (lo..hi).filter_map(|j| leaf.get(j)).filter(|pte| pte.is_present()).map(|pte| pte.pfn.0).collect();
+            assert_eq!(run_frames(leaf, lo..hi), frames, "{what}: the runs' frames, {lo}..{hi}");
+            let drop = rng.gen_bool(0.5);
+            let (expect, expect_freed) = by_entry(refs, &frames, drop);
+            let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
+            let (got, freed) = match drop {
+                false => (p.retain(leaf.frame_runs(lo..hi, false), []).map(|_| 0), Vec::new()),
+                true => p.batched(|p| {
+                    let got = p.release(leaf.frame_runs(lo..hi, false), [], c);
+                    (got, p.released.clone())
+                }),
+            };
+            assert_eq!(got.is_ok(), expect.is_ok(), "{what}: retain {}: the result", !drop);
+            assert_eq!(freed, expect_freed, "{what}: the frames freed, in order");
+            if let Ok(n) = got {
+                assert_eq!(n, expect_freed.len() as u64, "{what}: the count freed");
+            }
+            let charged = expect_freed.len() as u64;
+            assert_eq!(c.total() - cycles, charged * p.cost().frame_free, "{what}: the charge");
+            assert_eq!(metrics::snapshot().counter("mem.frame_free") - counted, charged, "{what}: the count");
+            let held: Vec<u32> = (0..UNIVERSE).map(|f| p.refs(Pfn(f)).unwrap_or(0)).collect();
+            assert!(held == refs, "{what}: the counts after (where the call stopped)");
+        }
+    }
+
     #[test]
     fn a_cow_childs_leaf_is_retained_and_released_as_entry_by_entry() {
         let mut rng = fpr_rng::Rng::seed_from_u64(0xC0_70C4);
         for round in 0..40 {
             for k in [0, 1, 32, 255, 511] {
                 let what = format!("round {round}, {k} holes");
-                let (mut p, mut c) = pm(4 * TABLE_CHUNK as u64);
-                let mut refs = vec![0u32; UNIVERSE as usize];
-                for f in 0..UNIVERSE {
-                    assert_eq!(p.alloc_zeroed(&mut c), Ok(Pfn(f)), "the buddy hands out low frames first");
-                    let extra = rng.gen_below(3);
-                    (0..extra).for_each(|_| p.inc_ref_run(Pfn(f), 1).unwrap());
-                    refs[f as usize] = 1 + extra as u32;
-                }
+                let (mut p, mut c, mut refs) = universe(&mut rng);
                 let leaf = cow_child_leaf(k, &mut rng);
-                // Sometimes a frame the leaf maps is not held any more.
-                if rng.gen_bool(0.3) {
-                    let j = rng.gen_index(PT_ENTRIES);
-                    if let Some(pte) = leaf.get(j).filter(|pte| pte.is_present()) {
-                        while refs[pte.pfn.0 as usize] > 0 {
-                            p.dec_ref(pte.pfn, &mut c).unwrap();
-                            refs[pte.pfn.0 as usize] -= 1;
-                        }
-                    }
-                }
-                for step in 0..6 {
-                    let what = format!("{what}, step {step}");
-                    let (lo, hi) = match rng.gen_below(3) {
-                        0 => (0, PT_ENTRIES),
-                        _ => {
-                            let (a, b) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
-                            (a.min(b), a.max(b))
-                        }
-                    };
-                    let frames: Vec<u64> = (lo..hi).filter_map(|j| leaf.get(j)).filter(|pte| pte.is_present()).map(|pte| pte.pfn.0).collect();
-                    let drop = rng.gen_bool(0.5);
-                    let (expect, expect_freed) = by_entry(&mut refs, &frames, drop);
-                    let (cycles, counted) = (c.total(), metrics::snapshot().counter("mem.frame_free"));
-                    let (got, freed) = match drop {
-                        false => (p.retain(leaf.frame_runs(lo..hi, false), []).map(|_| 0), Vec::new()),
-                        true => p.batched(|p| {
-                            let got = p.release(leaf.frame_runs(lo..hi, false), [], &mut c);
-                            (got, p.released.clone())
-                        }),
-                    };
-                    assert_eq!(got.is_ok(), expect.is_ok(), "{what}: retain {}: the result", !drop);
-                    assert_eq!(freed, expect_freed, "{what}: the frames freed, in order");
-                    if let Ok(n) = got {
-                        assert_eq!(n, expect_freed.len() as u64, "{what}: the count freed");
-                    }
-                    let charged = expect_freed.len() as u64;
-                    assert_eq!(c.total() - cycles, charged * p.cost().frame_free, "{what}: the charge");
-                    assert_eq!(metrics::snapshot().counter("mem.frame_free") - counted, charged, "{what}: the count");
-                    let held: Vec<u32> = (0..UNIVERSE).map(|f| p.refs(Pfn(f)).unwrap_or(0)).collect();
-                    assert!(held == refs, "{what}: the counts after (where the call stopped)");
-                }
+                judge(&mut p, &mut c, &mut refs, &leaf, &mut rng, &what);
+                LeafNode::retire(leaf);
+            }
+        }
+    }
+
+    const COW: PteFlags = PteFlags(PteFlags::PRESENT.0 | PteFlags::COW.0);
+    const WRITTEN: PteFlags = PteFlags(PteFlags::PRESENT.0 | PteFlags::WRITABLE.0 | PteFlags::DIRTY.0);
+
+    /// The first frame of a run of `n` in [`UNIVERSE`].
+    fn run_base(rng: &mut fpr_rng::Rng, n: usize) -> u64 {
+        rng.gen_below(UNIVERSE - n as u64 + 1)
+    }
+
+    /// A node of its own holding `base + j` at every slot `j`, COW-marked:
+    /// what a fork leaves a child of a populated heap.
+    fn unbroken(base: u64, flags: PteFlags) -> std::sync::Arc<LeafNode> {
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let (stop, written, refused) = node.fill_run(0..PT_ENTRIES, |j| Ok(Pte::new(Pfn(base + j as u64), flags)));
+        assert_eq!((stop, written, refused), (PT_ENTRIES, PT_ENTRIES as u64, Ok(())));
+        leaf
+    }
+
+    /// Frames handed out in turn from a reserved block, as page copies and
+    /// swap-ins take them — consecutive, but now and then from another
+    /// block.
+    fn block_frames(rng: &mut fpr_rng::Rng) -> impl FnMut() -> u64 + '_ {
+        let mut next = run_base(rng, PT_ENTRIES);
+        move || {
+            if rng.gen_bool(0.02) {
+                next = run_base(rng, PT_ENTRIES);
+            }
+            next = (next + 1) % UNIVERSE;
+            next
+        }
+    }
+
+    /// What a process does to a node's entries one at a time, `n` times at
+    /// random slots: a COW fault that copies (a frame of the block's) or
+    /// reuses (the frame it had), a swap-out — whose slot number may be
+    /// the frame the entry held, or the next one's — and a swap-in to a
+    /// new frame or the one it had, and an unmap of one entry.
+    fn scribble(node: &mut LeafNode, n: usize, rng: &mut fpr_rng::Rng) {
+        let mut fresh_rng = rng.fork_stream();
+        let mut fresh = block_frames(&mut fresh_rng);
+        for _ in 0..n {
+            let j = rng.gen_index(PT_ENTRIES);
+            let old = node.get(j);
+            let pte = match (rng.gen_below(6), old) {
+                (0, Some(pte)) if pte.is_present() => Some(Pte::new(Pfn(fresh()), WRITTEN)),
+                (1, Some(pte)) if pte.is_present() => Some(Pte::new(pte.pfn, WRITTEN)),
+                (2, Some(pte)) if pte.is_present() => Some(Pte::swap_entry(pte.pfn.0 + rng.gen_below(2))),
+                (3, Some(pte)) if !pte.is_present() => Some(Pte::new(Pfn(fresh()), WRITTEN)),
+                (4, Some(pte)) if !pte.is_present() => Some(Pte::new(Pfn(pte.pfn.0 % UNIVERSE), WRITTEN)),
+                (5, _) => None,
+                (_, old) => old,
+            };
+            node.set(j, pte);
+        }
+    }
+
+    /// A leaf built by each way a leaf's words are written, and then, half
+    /// the time, written to entry by entry ([`scribble`]).
+    fn leaves_written_every_way(rng: &mut fpr_rng::Rng) -> Vec<(&'static str, std::sync::Arc<LeafNode>)> {
+        let (mut cycles, cost) = (Cycles::new(), CostModel::default());
+        let mut leaves = Vec::new();
+
+        // `fill_run` over a node whose frames come from two reserved
+        // blocks, going past entries there were and stopping at a swap
+        // entry or a refusal, then filling on behind it.
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let (a, b, cut) = (run_base(rng, PT_ENTRIES), run_base(rng, PT_ENTRIES), rng.gen_index(PT_ENTRIES));
+        for _ in 0..rng.gen_below(4) {
+            node.set(rng.gen_index(PT_ENTRIES), Some(Pte::new(Pfn(run_base(rng, 1)), WRITTEN)));
+        }
+        if rng.gen_bool(0.5) {
+            let j = rng.gen_index(PT_ENTRIES);
+            node.set(j, Some(Pte::swap_entry(a + j as u64)));
+        }
+        let refuse = rng.gen_bool(0.3).then(|| rng.gen_index(PT_ENTRIES));
+        let frame = |j: usize| if j < cut { a + j as u64 } else { b + (j - cut) as u64 };
+        let mut at = 0;
+        while at < PT_ENTRIES {
+            let (stop, ..) = node.fill_run(at..PT_ENTRIES, |j| match Some(j) == refuse {
+                true => Err(MemError::OutOfMemory),
+                false => Ok(Pte::new(Pfn(frame(j)), WRITTEN)),
+            });
+            at = stop + 1;
+        }
+        leaves.push(("fill_run", leaf));
+
+        // `set` as a COW fault's copy and reuse, a swap-out and a swap-in,
+        // on a COW child's node.
+        let mut leaf = unbroken(run_base(rng, PT_ENTRIES), COW);
+        let n = [1, 16, 300][rng.gen_index(3)];
+        scribble(std::sync::Arc::get_mut(&mut leaf).unwrap(), n, rng);
+        leaves.push(("set", leaf));
+
+        // A partial `clear_run`, once or twice.
+        let mut leaf = unbroken(run_base(rng, PT_ENTRIES), WRITTEN);
+        for _ in 0..1 + rng.gen_below(2) {
+            let (x, y) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
+            std::sync::Arc::get_mut(&mut leaf).unwrap().clear_run(x.min(y)..x.max(y));
+        }
+        leaves.push(("clear_run", leaf));
+
+        // `demote_block`: a 2 MiB block split into 512 small entries.
+        let mut pt = PageTable::new();
+        let vpn = Vpn(HUGE_PAGES * (1 + rng.gen_below(8)));
+        let head = HUGE_PAGES * rng.gen_below(UNIVERSE / HUGE_PAGES);
+        pt.map_huge(vpn, Pte::new(Pfn(head), WRITTEN), 0, &mut cycles, &cost).unwrap();
+        pt.demote_block(vpn, &mut cycles, &cost).unwrap();
+        let slot = pt.find(vpn).expect("demoted in place");
+        leaves.push(("demote_block", std::sync::Arc::clone(pt.leaf_at(slot.1, slot.2))));
+        drop(pt);
+
+        // `slide_entries`' move: parts of an unbroken node mapped again in
+        // the next node, each its own index shift, the second part right
+        // behind the first.
+        let mut pt = PageTable::new();
+        let from = Vpn(HUGE_PAGES * (1 + rng.gen_below(8)));
+        let src = pt.small_node_at(from, None, &mut cycles, &cost).unwrap();
+        let base = run_base(rng, PT_ENTRIES);
+        pt.fill_run(src, 0..PT_ENTRIES, |j| Ok(Pte::new(Pfn(base + j as u64), WRITTEN))).2.unwrap();
+        let to = Vpn(from.0 + HUGE_PAGES + rng.gen_below(64));
+        let mut lo = rng.gen_index(128);
+        let mut dest = to;
+        for _ in 0..2 {
+            let hi = (lo + rng.gen_index(200)).min(PT_ENTRIES);
+            let n = (hi - lo) as u64;
+            let found = pt.find(dest);
+            pt.map_moved(src, lo..hi, n, (dest, found), &mut cycles, &cost).unwrap();
+            dest = Vpn(dest.0 + n);
+            lo = if rng.gen_bool(0.5) { hi } else { (hi + rng.gen_index(40)).min(PT_ENTRIES) };
+        }
+        let slot = pt.find(to).expect("slid into");
+        leaves.push(("slide", std::sync::Arc::clone(pt.leaf_at(slot.1, slot.2))));
+        drop(pt);
+
+        // `copy_run`, the COW form: runs of a COW child's node copied,
+        // write-protected, into a new one.
+        let parent = cow_child_leaf(rng.gen_index(64), rng);
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let cut = rng.gen_index(PT_ENTRIES + 1);
+        node.copy_run(&parent, 0..cut, true, |word| word);
+        node.copy_run(&parent, cut..PT_ENTRIES, true, |word| word);
+        leaves.push(("copy_run", leaf));
+
+        // `copy_run`, the eager form: each present entry's frame a copy
+        // from a reserved block.
+        let mut leaf = LeafNode::new();
+        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let mut fresh_rng = rng.fork_stream();
+        let mut fresh = block_frames(&mut fresh_rng);
+        let (x, y) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
+        node.copy_run(&parent, x.min(y)..x.max(y), false, |word| match LeafNode::unpack(word) {
+            pte if pte.is_present() => LeafNode::pack(Pte { pfn: Pfn(fresh()), ..pte }),
+            _ => word,
+        });
+        leaves.push(("eager copy_run", leaf));
+        LeafNode::retire(parent);
+
+        // `private_copy`: a node two tables share, privatized by one.
+        let (mut one, mut two) = (PageTable::new(), PageTable::new());
+        let base = HUGE_PAGES * (1 + rng.gen_below(8));
+        let built = cow_child_leaf(rng.gen_index(64), rng);
+        one.install_leaf(base, std::sync::Arc::clone(&built), &mut cycles, &cost);
+        two.attach_leaf(base, built, false, &mut cycles, &cost).unwrap();
+        let slot = two.find(Vpn(base)).expect("attached");
+        two.privatize_at(slot, &mut cycles, &cost).unwrap();
+        leaves.push(("private_copy", std::sync::Arc::clone(two.leaf_at(slot.1, slot.2))));
+        drop((one, two));
+
+        for (_, leaf) in &mut leaves {
+            if rng.gen_bool(0.5) {
+                let n = rng.gen_index(40);
+                scribble(std::sync::Arc::get_mut(leaf).expect("held by nothing else"), n, rng);
+            }
+        }
+        leaves
+    }
+
+    #[test]
+    fn a_leaf_written_every_way_hands_out_its_frames_as_entry_by_entry() {
+        let mut rng = fpr_rng::Rng::seed_from_u64(0x4_0A4C);
+        for round in 0..24 {
+            for (how, leaf) in leaves_written_every_way(&mut rng) {
+                let what = format!("round {round}, {how}");
+                let (mut p, mut c, mut refs) = universe(&mut rng);
+                judge(&mut p, &mut c, &mut refs, &leaf, &mut rng, &what);
                 LeafNode::retire(leaf);
             }
         }
