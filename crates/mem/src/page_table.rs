@@ -25,8 +25,9 @@
 //!   zeroed, copied with one `memcpy` and kept when it is let go of
 //!   ("Spare nodes" below). [`Pte`]
 //!   is the unpacked view, converted in `LeafNode::get`/`set`. Beside the
-//!   words sit three 512-bit maps — the entries, those holding a frame, and
-//!   the private writable ones — and two counts;
+//!   words sit four 512-bit maps — the entries, those holding a frame, the
+//!   private writable ones, and those whose frame is the one after the
+//!   frame of the entry before them (`runs_on`) — and two counts;
 //! * an **interior node** holds only what is linked: its entries stored
 //!   densely in a `Vec` (so `live` is its length and a new node owns no
 //!   heap memory), a 512-bit occupancy map that ordered walks enumerate
@@ -47,10 +48,18 @@
 //! (`SlotKind::positions`). A full run is gone through word by word, any
 //! other by its map; its frames go to the frame table as runs of
 //! consecutive frame numbers (`LeafNode::frame_runs`) and its swap slots
-//! to the swap device in a second pass (`LeafNode::swap_slots`). A COW
-//! child's node hands its frames out as the parent's run *with holes*: the
-//! pages the child wrote, its private writable entries, whose frames are
-//! copies (`Run`, `LeafRuns`).
+//! to the swap device in a second pass (`LeafNode::swap_slots`).
+//!
+//! Where a node's runs of consecutive frames begin and end is kept, not
+//! found: `runs_on` is written wherever a word is — `set` brings two bits
+//! up to date, a run method (`fill_run`, `copy_run`, `clear_run`) those of
+//! its range and the entry after it — and `check_summaries` recounts it.
+//! `frame_runs` reads the runs off the maps a word at a time, and of the
+//! words only each run's first. A COW child's node hands its frames out as
+//! the parent's run *with holes*: the pages the child wrote, whose frames
+//! are copies, each between two entries the run goes on over (`Run`,
+//! `LeafRuns`). So fork and teardown step a node's counts a run at a time
+//! without reading its entries to find the runs again.
 //!
 //! An arena node that empties goes on the free list as it is — `take`
 //! leaves no trace of an entry behind, so an empty node is a new node — and
@@ -126,6 +135,18 @@ impl Occupancy {
 
     fn test(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Slots `at..at + n` (`n` < 64; none past the end) as the low bits of
+    /// `bits`.
+    #[inline(always)]
+    fn put(&mut self, at: usize, n: usize, bits: u64) {
+        let (w, shift, mask) = (at / 64, at % 64, (1 << n) - 1);
+        self.0[w] = self.0[w] & !(mask << shift) | (bits & mask) << shift;
+        if shift + n > 64 && w + 1 < PT_ENTRIES / 64 {
+            let back = 64 - shift;
+            self.0[w + 1] = self.0[w + 1] & !(mask >> back) | (bits & mask) >> back;
+        }
     }
 
     /// Sets slot `i` if `held`, else clears it, without a branch.
@@ -211,6 +232,12 @@ impl Occupancy {
         }
         (start < end).then(|| start..end.min(w * 64 + empty.trailing_zeros() as usize))
     }
+}
+
+/// The bits of word `w` of an [`Occupancy`] that stand for the slots below
+/// `n`.
+fn below(w: usize, n: usize) -> u64 {
+    u64::MAX.checked_shl(n.saturating_sub(w * 64).min(64) as u32).map_or(u64::MAX, |m| !m)
 }
 
 /// Ascending iterator over the set bits of an [`Occupancy`].
@@ -425,6 +452,13 @@ fn private_writable(word: u64) -> bool {
     (word & WRITABLE != 0) & (word & SHARED == 0)
 }
 
+/// Whether the packed word `word` holds the frame after the one `prev`,
+/// the word of the entry before it, holds: both hold frames, and the run
+/// of consecutive frames goes on from one entry to the next.
+fn continues(prev: u64, word: u64) -> bool {
+    (prev & word & PRESENT != 0) & (word >> FLAG_BITS == (prev >> FLAG_BITS).wrapping_add(1))
+}
+
 /// Bits of a packed leaf word below the frame number: the [`PteFlags`].
 const FLAG_BITS: u32 = 16;
 
@@ -440,11 +474,11 @@ const PRESENT: u64 = PteFlags::PRESENT.0 as u64;
 /// fork and must be privatized before any mutation.
 ///
 /// The entries are 512 packed words, zero where nothing is mapped. Beside
-/// them a node keeps three maps — of the words that are not zero, of those
-/// that hold a frame (the others are swap entries), and of the *private
-/// writable* ones — and two counts, so that the fork walk can share the
-/// node without reading one: how many entries there are, and how many
-/// hold no frame.
+/// them a node keeps four maps — of the words that are not zero, of those
+/// that hold a frame (the others are swap entries), of the *private
+/// writable* ones, and of those whose frame continues a run — and two
+/// counts, so that the fork walk can share the node without reading one:
+/// how many entries there are, and how many hold no frame.
 /// Every write goes through [`LeafNode::set`] or a run method, which keep
 /// all of it; [`PageTable::check_summaries`] recounts.
 #[derive(Debug)]
@@ -454,10 +488,14 @@ pub(crate) struct LeafNode {
     present: Occupancy,
     /// The entries that are writable and not `MAP_SHARED`: what sharing the
     /// node for the first time must write-protect and COW-mark, so empty in
-    /// every node that is shared. In a COW child these are the pages it
-    /// wrote, whose frames are the holes in the parent's run
-    /// ([`LeafRuns`]).
+    /// every node that is shared.
     private: Occupancy,
+    /// Bit `j`: entries `j − 1` and `j` both hold frames, and `j`'s is the
+    /// one after `j − 1`'s — entry `j` continues a run of consecutive
+    /// frames ([`continues`]). Where each run begins and ends, so that
+    /// [`Self::frame_runs`] reads a run's first word and no other but its
+    /// holes'.
+    runs_on: Occupancy,
     counts: LeafCounts,
 }
 
@@ -476,6 +514,7 @@ impl LeafNode {
                 occupied: Occupancy::default(),
                 present: Occupancy::default(),
                 private: Occupancy::default(),
+                runs_on: Occupancy::default(),
                 counts: LeafCounts::default(),
             })
         });
@@ -487,7 +526,7 @@ impl LeafNode {
     /// maps empty, the counts zero.
     fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-            && (self.occupied, self.present, self.private) == Default::default()
+            && (self.occupied, self.present, self.private, self.runs_on) == Default::default()
             && self.counts == LeafCounts::default()
     }
 
@@ -508,7 +547,7 @@ impl LeafNode {
             } else {
                 node.words.fill(0);
             }
-            (node.occupied, node.present, node.private, node.counts) = Default::default();
+            (node.occupied, node.present, node.private, node.runs_on, node.counts) = Default::default();
             spares.push(leaf);
         });
     }
@@ -519,7 +558,8 @@ impl LeafNode {
         let mut copy = LeafNode::new();
         let own = Arc::get_mut(&mut copy).expect("a new node has one holder");
         own.words.copy_from_slice(&self.words[..]);
-        (own.occupied, own.present, own.private, own.counts) = (self.occupied, self.present, self.private, self.counts);
+        (own.occupied, own.present, own.private) = (self.occupied, self.present, self.private);
+        (own.runs_on, own.counts) = (self.runs_on, self.counts);
         copy
     }
 
@@ -605,13 +645,13 @@ impl LeafNode {
     /// [`crate::phys::PhysMemory::retain`] and `release` take. A swap entry
     /// holds no frame and ends a run. In a huge directory (`dir`) each
     /// entry is a 2 MiB block, a run of [`HUGE_PAGES`] frames of its own.
+    ///
+    /// The runs are read off the maps ([`LeafRuns`]), and of the words only
+    /// each run's first entry's; each hole's, and the entry's after it, are
+    /// read where its frames are stepped.
     pub(crate) fn frame_runs(&self, range: Range<usize>, dir: bool) -> FrameRuns<'_> {
-        if dir {
-            let blocks = self.present.slots_in(range.start, range.end);
-            return FrameRuns::Blocks(blocks, &self.words);
-        }
-        let left = range.start..range.start;
-        FrameRuns::Pages(LeafRuns { words: &self.words, leaf: self, end: range.end, left, singles: 0 })
+        let runs = LeafRuns { leaf: self, at: range.start, end: range.end };
+        if dir { FrameRuns::Blocks(runs) } else { FrameRuns::Pages(runs) }
     }
 
     /// The swap slots of the swap entries in `range`, ascending: the second
@@ -634,11 +674,17 @@ impl LeafNode {
     /// child of a private mapping — without a branch on the packed word, so
     /// none of the copies is private writable; without, the copies are as
     /// private writable as their entries. The entries go to `copy` in
-    /// ascending order.
+    /// ascending order. Where every copy holds its entry's frame the
+    /// source's runs hold for the copies; an eager fork's, whose frames are
+    /// copies, are found from the words written.
     pub(crate) fn copy_run(&mut self, src: &LeafNode, range: Range<usize>, cow: bool, mut copy: impl FnMut(u64) -> u64) {
+        // Whether every copy kept its frame: the compiler sees that it did
+        // when `copy` hands the word back as it is.
+        let mut kept = true;
         let mut copy = |mine: &mut u64, theirs: u64| {
             let copied = copy(theirs);
             debug_assert_eq!(copied as u16, theirs as u16, "a copy keeps the flags");
+            kept &= copied >> FLAG_BITS == theirs >> FLAG_BITS;
             let marks = cow & (copied & (WRITABLE | COW) != 0);
             let word = if marks { copied & !WRITABLE | COW } else { copied };
             debug_assert!(*mine == 0, "entry mapped twice");
@@ -657,6 +703,15 @@ impl LeafNode {
         }
         self.counts.live += held.count() as u16;
         self.counts.swap_entries += if src.counts.swap_entries == 0 { 0 } else { held.minus(present).count() as u16 };
+        if kept {
+            // The source's bits, but where the words they go by lie on both
+            // sides of an end of the range.
+            self.runs_on.merge(src.runs_on.within(range.start, range.end));
+            self.rejoin(range.start..range.start + 1);
+            self.rejoin(range.end..range.end + 1);
+        } else {
+            self.rejoin(range.start..range.end + 1);
+        }
     }
 
     /// Write-protects every writable entry in `range`, in place — and with
@@ -686,6 +741,8 @@ impl LeafNode {
         self.occupied = self.occupied.minus(held);
         self.present = self.present.minus(held);
         self.private = self.private.minus(held);
+        self.runs_on = self.runs_on.minus(held);
+        self.rejoin(range.end..range.end + 1);
         cleared
     }
 
@@ -724,6 +781,7 @@ impl LeafNode {
             private.assign(at, private_writable(word));
             (at, written) = (at + 1, written + 1);
         };
+        self.rejoin(range.start..at + 1);
         self.occupied.merge(filled);
         self.present.merge(filled);
         self.private.merge(private);
@@ -753,17 +811,59 @@ impl LeafNode {
         self.occupied.assign(j, word != 0);
         self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
+        self.rejoin_entry(j);
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
         old
+    }
+
+    /// [`Self::rejoin`] after a write to entry `j` alone: the bits of `j`
+    /// and of the entry after it, without a branch on the words.
+    #[inline(always)]
+    fn rejoin_entry(&mut self, j: usize) {
+        let word = |k: usize| self.words.get(k).copied().unwrap_or(0);
+        let (before, at, after) = (word(j.wrapping_sub(1)), word(j), word(j + 1));
+        let bits = continues(before, at) as u64 | (continues(at, after) as u64) << 1;
+        self.runs_on.put(j, 2.min(PT_ENTRIES - j), bits);
+    }
+
+    /// Brings `runs_on` up to date with the words at the entries of
+    /// `range`, after a write to the entries before its last, whose bits go
+    /// by the words of the entry and the one before. A map word's worth at
+    /// a time: a part of a word whose frames run on, as a fill's and a
+    /// copy's mostly do, by one check of the part.
+    #[inline]
+    fn rejoin(&mut self, range: Range<usize>) {
+        let (lo, hi) = (range.start, range.end.min(PT_ENTRIES));
+        if lo >= hi {
+            return;
+        }
+        let LeafNode { words, runs_on, .. } = self;
+        for w in lo / 64..=(hi - 1) / 64 {
+            let mask = below(w, hi) & !below(w, lo);
+            // Entries `from..to` of the word against the one before each;
+            // entry 0 has none.
+            let (from, to) = (lo.max(w * 64).max(1), hi.min(w * 64 + 64));
+            let part = words.get(from - 1..to).unwrap_or_default();
+            let pairs = part.iter().zip(part.get(1..).unwrap_or_default());
+            let (held, off) = pairs.fold((PRESENT, 0), |(held, off), (&prev, &word)| {
+                (held & prev & word, off | (word >> FLAG_BITS) ^ (prev >> FLAG_BITS).wrapping_add(1))
+            });
+            let on = match held != 0 && off == 0 {
+                true => mask & !below(w, from),
+                false => part.windows(2).enumerate().fold(0, |on, (k, pair)| on | (continues(pair[0], pair[1]) as u64) << (from + k - w * 64)),
+            };
+            runs_on.0[w] = runs_on.0[w] & !mask | on;
+        }
     }
 
     /// Recounts the maps and the counts against the words.
     fn check(&self) -> Result<(), String> {
         let mut held = LeafCounts::default();
         for (j, &word) in self.words.iter().enumerate() {
-            let maps = (self.occupied.test(j), self.present.test(j), self.private.test(j));
-            if maps != (word != 0, self.get(j).is_some_and(Pte::is_present), private_writable(word)) {
+            let on = j > 0 && continues(self.words[j - 1], word);
+            let maps = (self.occupied.test(j), self.present.test(j), self.private.test(j), self.runs_on.test(j));
+            if maps != (word != 0, self.get(j).is_some_and(Pte::is_present), private_writable(word), on) {
                 return Err(format!("entry {j}: word {word:#x}, maps {maps:?}"));
             }
             held.add(self.get(j), 1);
@@ -777,14 +877,16 @@ impl LeafNode {
 
 /// Frames of neighbouring entries, in entry order: the entries hold
 /// `frames.start`, `frames.start + 1`, … in turn — but for the run's
-/// *holes*, entries that hold a frame of their own. A run with holes is a
-/// COW child's: the parent's run, and in it the pages the child wrote, the
-/// node's private writable entries.
+/// *holes*, entries that hold a frame of their own, each between two that
+/// do not: in a COW child, the pages it wrote. Where its holes are is read
+/// off `runs_on`, which says where a hole *may* be ([`Hole`]); that the run
+/// goes on over each is for the one who steps its frames to check, and
+/// the run's [`Self::pieces`] hold whether it does or not.
 #[derive(Debug, Clone)]
 pub(crate) struct Run<'a> {
     pub(crate) frames: Range<u64>,
-    /// The node whose private writable entries are the holes, and the
-    /// entry that stands for `frames.start`.
+    /// The node whose `runs_on` says where the holes are, and the entry
+    /// that stands for `frames.start`.
     holes: Option<(&'a LeafNode, usize)>,
 }
 
@@ -795,16 +897,16 @@ impl From<Range<u64>> for Run<'_> {
 }
 
 impl<'a> Run<'a> {
-    /// The holes, ascending: each one's offset in the run and its own
-    /// frame, which is never one of the run's. (A private writable entry
-    /// that holds the run's frame is none.)
-    pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64)> + 'a {
-        let Range { start: first, end } = self.frames;
-        let (slots, words, at): (_, &[u64], _) = match self.holes {
-            Some((leaf, at)) => (leaf.private.slots_in(at, at + (end - first) as usize), &leaf.words[..], at),
-            None => (HeldSlots::default(), &[], 0),
-        };
-        slots.map(move |j| (j - at, words[j] >> FLAG_BITS)).filter(move |&(k, own)| own != first + k as u64)
+    /// The places of the holes, ascending: the entries that neither
+    /// continue the one before them nor are continued by the one after,
+    /// where the one before does continue its own — what [`LeafRuns`] went
+    /// on over.
+    pub(crate) fn holes(&self) -> Holes<'a> {
+        let len = (self.frames.end - self.frames.start) as usize;
+        let (leaf, at) = self.holes.map_or((None, 0), |(leaf, at)| (Some(leaf), at));
+        let mut holes = Holes { leaf, at, end: at + len, w: (at + 1) / 64, bits: 0 };
+        holes.bits = holes.places(holes.w);
+        holes
     }
 
     /// Whether the run has holes to go round.
@@ -818,126 +920,146 @@ impl<'a> Run<'a> {
         Run { frames: start..self.frames.end.min(start + n), ..self }
     }
 
-    /// The run as ranges of consecutive frames, in entry order: the
-    /// stretches between its holes, and each hole's own frame.
+    /// The frames of the run's entries as ranges of consecutive frames, in
+    /// entry order: for a run with holes, each stretch of entries that
+    /// continue the one before them (`runs_on`), its frames read off its
+    /// first entry's word.
     pub(crate) fn pieces(self) -> impl Iterator<Item = Range<u64>> + 'a {
-        let Range { start: first, end } = self.frames;
-        let mut at = first;
-        let ends = self.holes().map(move |(k, own)| (first + k as u64, own..own + 1));
-        ends.map(Some).chain([None]).flat_map(move |hole| {
-            let (stop, own) = hole.map_or((end, None), |(stop, own)| (stop, Some(own)));
-            let between = std::mem::replace(&mut at, stop + 1)..stop;
-            [(!between.is_empty()).then_some(between), own].into_iter().flatten()
+        let len = (self.frames.end - self.frames.start) as usize;
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if at >= len {
+                return None;
+            }
+            let Some((leaf, first)) = self.holes else {
+                at = len;
+                return Some(self.frames.clone());
+            };
+            let start = first + at;
+            at = leaf.runs_on.first_clear_in(start + 1, first + len).map_or(len, |j| j - first);
+            let frame = leaf.words[start] >> FLAG_BITS;
+            Some(frame..frame + (first + at - start) as u64)
         })
     }
 }
 
-/// Entries checked together once a quarter of their stretch has failed
-/// its check. A block that fails as well hands its frames out as runs of
-/// one, which cost about what a frame cost before there were runs; a
-/// finder that tests frame by frame where a run ends costs more.
-const RUN_BLOCK: usize = 8;
-
-/// Whether the frames of `words` are `first`, `first + 1`, …, after a look
-/// at the last, which scattered frames fail for nothing. The rest is one
-/// OR over all of them, which vectorises on baseline x86-64 where a `&&` of
-/// compares does not — but a [`RUN_BLOCK`], whose length the compiler
-/// knows, it turns into compares that stop at the first that fails.
-#[inline]
-fn runs_from(words: &[u64], first: u64) -> bool {
-    let last = words.len() as u64 - 1;
-    if words[last as usize] >> FLAG_BITS != first + last {
-        return false;
-    }
-    let off = words.iter().enumerate().fold(0, |off, (k, &word)| off | (word >> FLAG_BITS) ^ (first + k as u64));
-    off == 0
+/// The places of a [`Run`]'s holes, ascending, read off `runs_on` a word
+/// at a time as it goes.
+#[derive(Debug, Clone)]
+pub(crate) struct Holes<'a> {
+    leaf: Option<&'a LeafNode>,
+    /// The run's first entry, and the entry after its last.
+    at: usize,
+    end: usize,
+    /// The map word being gone through, and what is left of it.
+    w: usize,
+    bits: u64,
 }
 
-/// The [`Run`]s [`LeafNode::frame_runs`] yields for a small-page node. Each
-/// stretch of neighbouring present entries (a swap entry ends one) is
-/// checked a quarter of a node at a time, and is one run if its frames are
-/// consecutive — a populated heap's are. From the first quarter that fails
-/// the stretch is cut where the check fails: into runs of whole
-/// [`RUN_BLOCK`]s that pass the same check, and runs of one for the frames
-/// of each block that does not.
-///
-/// A quarter that fails may be a COW child's: the parent's run, with the
-/// pages the child wrote in it — its private writable entries — holding
-/// copies. So before the blocks, the rest of the stretch is checked once
-/// more, whole, with those entries as holes ([`Self::with_holes`]), and
-/// goes out as one run with holes if the others run on. An unbroken node
-/// never gets there, and one whose entries in the stretch are all private
-/// writable — an exec'd process's — or none — a parent's after its first
-/// fork — gets no further than a look at its map. (Cut into blocks
-/// instead, each hole of a `cow_touch` child's node — one page in 16
-/// written — makes eight runs of one, and its teardown costs 3× a child's
-/// that wrote the same pages side by side.)
-///
-/// All of it is scalars and two references, so that the compiler keeps it
-/// in registers: with a copy of the occupancy map in it, it lived on the
-/// stack and a scattered node's runs of one cost 1.4× a frame before runs.
+impl Holes<'_> {
+    /// The places in word `w` of the map that lie inside the run.
+    #[inline(always)]
+    fn places(&self, w: usize) -> u64 {
+        let Some(&here) = self.leaf.and_then(|leaf| leaf.runs_on.0.get(w)) else { return 0 };
+        let on = |v: usize| self.leaf.and_then(|leaf| leaf.runs_on.0.get(v)).copied().unwrap_or(0);
+        let before = here << 1 | on(w.wrapping_sub(1)) >> 63;
+        let after = here >> 1 | on(w + 1) << 63;
+        before & !here & !after & below(w, self.end) & !below(w, self.at + 1)
+    }
+}
+
+impl Iterator for Holes<'_> {
+    type Item = Hole;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Hole> {
+        while self.bits == 0 {
+            self.w += 1;
+            if self.w * 64 >= self.end {
+                return None;
+            }
+            self.bits = self.places(self.w);
+        }
+        let leaf = self.leaf?;
+        let h = self.w * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let frame = |j: usize| leaf.words.get(j).map_or(u64::MAX, |word| word >> FLAG_BITS);
+        Some(Hole { at: h - self.at, own: frame(h), next: frame(h + 1) })
+    }
+}
+
+/// A hole's place in a [`Run`]: its offset, its own frame and the frame
+/// of the entry after it, which is the run's there if the place holds a
+/// hole.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hole {
+    pub(crate) at: usize,
+    pub(crate) own: u64,
+    pub(crate) next: u64,
+}
+
+/// The [`Run`]s [`LeafNode::frame_runs`] yields for a small-page node, read
+/// off its maps a word at a time as it goes. A run begins at the next
+/// entry that holds a frame, and goes on over the entries after it that
+/// continue the one before them (`runs_on`) — and over the place of a
+/// *hole* ([`Run::holes`]) and the entry after it. It ends before the
+/// first entry it does not go on over. Of the words it reads one a run,
+/// its first entry's. All of it is scalars and a reference, so that the
+/// compiler keeps it in registers.
 #[derive(Debug, Clone)]
 pub(crate) struct LeafRuns<'a> {
-    words: &'a [u64; PT_ENTRIES],
     leaf: &'a LeafNode,
+    /// Where the next run is looked for.
+    at: usize,
     /// The end of the range the runs are of.
     end: usize,
-    /// What is left of the stretch being cut; empty between stretches,
-    /// where it marks how far the map has been gone through.
-    left: Range<usize>,
-    /// Where the entries stop that go out as runs of one: the end of the
-    /// block that failed its check.
-    singles: usize,
 }
 
-impl<'a> LeafRuns<'a> {
-    /// The next entry's frame as a run of one, if it is one of a block
-    /// that failed its check.
+impl LeafRuns<'_> {
+    /// The next entry at or after `at` that holds a frame.
     #[inline(always)]
-    fn single(&mut self) -> Option<Run<'a>> {
-        let j = self.left.start;
-        (j < self.singles).then(|| {
-            self.left.start += 1;
-            let pfn = self.words[j] >> FLAG_BITS;
-            Run::from(pfn..pfn + 1)
-        })
+    fn next_present(&self) -> Option<usize> {
+        let present = &self.leaf.present.0;
+        let mut w = self.at / 64;
+        let mut bits = *present.get(w)? & u64::MAX << (self.at % 64);
+        while bits == 0 {
+            w += 1;
+            bits = *present.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize).filter(|&j| j < self.end)
     }
 
-    /// Whether the rest `from..` of the stretch that begins at `start` runs
-    /// on from frame `first` with the node's private writable entries in it
-    /// as holes: it must hold some, and others, and only the others must run
-    /// on. Their frames are taken for what they differ from the run's by,
-    /// summed: zero only where every one is zero, and a sum whose holes'
-    /// terms can be taken out again exactly (frame numbers are too narrow
-    /// for it to wrap), so one pass over the words checks them. No hole's
-    /// own frame may be one the run holds elsewhere. Returns the run's first
-    /// frame: `first`, or — where the stretch's own first entry is a hole —
-    /// the one its first entry that is not implies. Out of line and cold:
-    /// in `next`, its body cost the runs of an unbroken node ≈ 5 %.
-    #[cold]
-    #[inline(never)]
-    fn with_holes(&self, start: usize, from: usize, first: u64) -> Option<u64> {
-        let to = self.left.end;
-        let holes = self.leaf.private.within(from, to);
-        if holes.is_empty() {
-            return None;
+    /// Where the run that begins at `start` would end if every hole's
+    /// place held one — an entry `h` that does not continue `h − 1`, where
+    /// `h − 1` continues the one before it, `h + 1` does not continue `h`,
+    /// and `h + 1` holds a frame in the range: the first entry after
+    /// `start` that does not continue the one before it and is neither
+    /// such a place nor the entry after one; and whether it passed a
+    /// place. A map word at a time.
+    #[inline(always)]
+    fn run_end(&self, start: usize) -> (usize, bool) {
+        let (on, present) = (&self.leaf.runs_on.0, &self.leaf.present.0);
+        let (mut w, mut from) = ((start + 1) / 64, u64::MAX.checked_shl((start as u32 + 1) % 64).unwrap_or(0));
+        let mut passed = false;
+        while w * 64 < self.end {
+            let below_end = below(w, self.end);
+            let mut breaks = !on[w] & from & below_end;
+            from = u64::MAX;
+            if breaks != 0 {
+                let (next_on, next_present) = (on.get(w + 1).map_or(0, |n| n << 63), present.get(w + 1).map_or(0, |n| n << 63));
+                let before = on[w] << 1 | if w == 0 { 0 } else { on[w - 1] >> 63 };
+                let places = breaks & before & !(on[w] >> 1 | next_on) & present[w] & (present[w] >> 1 | next_present) & below_end >> 1;
+                breaks &= !(places | places << 1);
+                // The entry after a place in the word's last slot.
+                from = if places >> 63 != 0 { u64::MAX << 1 } else { u64::MAX };
+                passed |= places & below(w, w * 64 + breaks.trailing_zeros() as usize) != 0;
+            }
+            if breaks != 0 {
+                return (w * 64 + breaks.trailing_zeros() as usize, passed);
+            }
+            w += 1;
         }
-        let kept = holes.first_clear_in(from, to)?;
-        let first = match from == start && holes.test(start) {
-            true => (self.words[kept] >> FLAG_BITS).checked_sub((kept - start) as u64)?,
-            false => first,
-        };
-        let expect = first + (from - start) as u64;
-        let off = |j: usize, word: u64| (word >> FLAG_BITS) ^ (expect + (j - from) as u64);
-        let words = self.words[from..to].iter().enumerate();
-        let missed = words.fold(0, |sum, (k, &word)| sum + off(from + k, word));
-        let (mut in_holes, mut stray) = (0, false);
-        holes.slots().for_each(|j| {
-            in_holes += off(j, self.words[j]);
-            let at = (self.words[j] >> FLAG_BITS).wrapping_sub(first);
-            stray |= (at < (to - start) as u64) & (at != (j - start) as u64);
-        });
-        (in_holes == missed && !stray).then_some(first)
+        (self.end, passed)
     }
 }
 
@@ -946,66 +1068,22 @@ impl<'a> Iterator for LeafRuns<'a> {
 
     #[inline(always)]
     fn next(&mut self) -> Option<Run<'a>> {
-        if let Some(single) = self.single() {
-            return Some(single);
-        }
-        // A new stretch a quarter of a node at a time; from where a quarter
-        // failed, the rest of it once with holes, then a RUN_BLOCK at a time.
-        let mut block = RUN_BLOCK;
-        if self.left.is_empty() {
-            self.left = self.leaf.present.span_from(self.left.end, self.end)?;
-            block = PT_ENTRIES / 4;
-        }
-        let (start, mut first) = (self.left.start, self.words[self.left.start] >> FLAG_BITS);
-        let (mut end, mut holed) = (start, false);
-        while end < self.left.end {
-            let next = (end + block).min(self.left.end);
-            let words = &self.words[end..next];
-            let expect = first + (end - start) as u64;
-            let runs = match <&[u64; RUN_BLOCK]>::try_from(words) {
-                Ok(whole) => runs_from(whole, expect),
-                Err(_) => runs_from(words, expect),
-            };
-            if runs {
-                end = next;
-            } else if block > RUN_BLOCK {
-                match self.with_holes(start, end, first) {
-                    Some(from) => (first, end, holed) = (from, self.left.end, true),
-                    None => block = RUN_BLOCK,
-                }
-            } else {
-                self.singles = next;
-                break;
-            }
-        }
-        // The first frame of a block that failed is a run of one.
-        end += (end == start) as usize;
-        self.left.start = end;
-        let holes = holed.then_some((self.leaf, start));
-        Some(Run { frames: first..first + (end - start) as u64, holes })
-    }
-
-    /// [`Self::next`] in a loop, with the runs of one of a block that
-    /// failed handed out from a loop of their own, which the compiler
-    /// specialises for them: how `retain` and `release` go through a node.
-    #[inline(always)]
-    fn fold<B, F: FnMut(B, Run<'a>) -> B>(mut self, mut acc: B, mut f: F) -> B {
-        while let Some(run) = self.next() {
-            acc = f(acc, run);
-            while let Some(single) = self.single() {
-                acc = f(acc, single);
-            }
-        }
-        acc
+        let start = self.next_present()?;
+        let leaf = self.leaf;
+        let first = leaf.words[start] >> FLAG_BITS;
+        let (stop, places) = self.run_end(start);
+        self.at = stop;
+        Some(Run { frames: first..first + (stop - start) as u64, holes: places.then_some((leaf, start)) })
     }
 }
 
 /// The runs [`LeafNode::frame_runs`] yields: a small-page node's as
-/// [`LeafRuns`] finds them, a huge directory's a block at a time.
+/// [`LeafRuns`] reads them off its maps, a huge directory's a block at a
+/// time — the entries that hold a frame, by the same cursor.
 #[derive(Debug, Clone)]
 pub(crate) enum FrameRuns<'a> {
     Pages(LeafRuns<'a>),
-    Blocks(HeldSlots, &'a [u64; PT_ENTRIES]),
+    Blocks(LeafRuns<'a>),
 }
 
 impl<'a> FrameRuns<'a> {
@@ -1023,16 +1101,10 @@ impl<'a> Iterator for FrameRuns<'a> {
     fn next(&mut self) -> Option<Run<'a>> {
         match self {
             FrameRuns::Pages(runs) => runs.next(),
-            FrameRuns::Blocks(held, words) => held.next().map(|j| block(words[j] >> FLAG_BITS).into()),
-        }
-    }
-
-    /// The two kinds' own loops: [`LeafRuns::fold`] for pages.
-    #[inline(always)]
-    fn fold<B, F: FnMut(B, Run<'a>) -> B>(self, acc: B, mut f: F) -> B {
-        match self {
-            FrameRuns::Pages(runs) => runs.fold(acc, f),
-            FrameRuns::Blocks(held, words) => held.fold(acc, |acc, j| f(acc, block(words[j] >> FLAG_BITS).into())),
+            FrameRuns::Blocks(blocks) => blocks.next_present().map(|j| {
+                blocks.at = j + 1;
+                block(blocks.leaf.words[j] >> FLAG_BITS).into()
+            }),
         }
     }
 }
@@ -1665,10 +1737,8 @@ impl PageTable {
         let mut leaf = LeafNode::new();
         let pages = Arc::get_mut(&mut leaf).expect("a new node has one holder");
         let flags = hpte.flags.minus(PteFlags::HUGE);
-        for j in 0..PT_ENTRIES {
-            let pfn = Pfn(hpte.pfn.0 + j as u64);
-            pages.set(j, Some(Pte { pfn, flags }));
-        }
+        let (.., filled) = pages.fill_run(0..PT_ENTRIES, |j| Ok(Pte { pfn: Pfn(hpte.pfn.0 + j as u64), flags }));
+        filled.expect("a new node takes every entry");
         *self.entry_at_mut(l1, idx1) = Entry::Leaf(leaf);
         self.leaf_count += 1;
         self.huge -= 1;
@@ -3385,6 +3455,10 @@ mod tests {
             pt.map(vpn, pte, &mut cy, &cost).unwrap();
         }
         unmap(&mut pt, Vpn(1 << 27)).unwrap();
+        // A run at entries 16..22 with a hole at 19, and a break before 22.
+        for (j, pfn) in [(16, 101), (17, 102), (18, 103), (19, 150), (20, 105), (21, 106), (22, 300)] {
+            pt.map(Vpn(j), Pte::new(Pfn(pfn), PteFlags::WRITABLE), &mut cy, &cost).unwrap();
+        }
         pt.check_summaries().unwrap();
         let broken = |f: &dyn Fn(&mut PageTable)| {
             let mut pt = pt.clone();
@@ -3416,5 +3490,9 @@ mod tests {
         // where there is no entry.
         assert!(in_leaf(&|leaf| leaf.private = Occupancy::default()).contains("entry 0"));
         assert!(in_leaf(&|leaf| leaf.private.0[3] ^= 1 << 7).contains("entry 199"));
+        // Where runs go on: a bit set across a break, and one cleared
+        // inside a run.
+        assert!(in_leaf(&|leaf| leaf.runs_on.set(22)).contains("entry 22"));
+        assert!(in_leaf(&|leaf| leaf.runs_on.clear(17)).contains("entry 17"));
     }
 }

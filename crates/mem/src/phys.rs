@@ -97,15 +97,17 @@
 //! run for [`PhysMemory::dec_ref`], a 512-frame run for a huge block's
 //! `PhysMemory::dec_ref_run`, and for the run of a leaf node that a fork,
 //! an unshare, a teardown or a range operation goes over, the runs
-//! `LeafNode::frame_runs` finds in it, with the swap slots of its swap
-//! entries as a second pass on the swap device. Each run is cut where a
-//! chunk of the table ends; each piece gets one check that every count in
-//! it is above zero, then one slice add or subtract, and `release` one more
-//! scan for the counts that reached zero. A COW child's node hands in the
-//! parent's run *with holes* — the pages the child wrote, which hold
-//! copies: the whole slice is stepped, each hole's count in it stepped
-//! back, and each hole's own frame stepped singly, in entry order; where a
-//! frame of such a run is not held it goes a piece at a time instead. The
+//! `LeafNode::frame_runs` reads off the node's maps, with the swap slots
+//! of its swap entries as a second pass on the swap device. Each run is cut
+//! where a chunk of the table ends; each piece gets one check that every
+//! count in it is above zero, then one slice add or subtract, and
+//! `release` one more scan for the counts that reached zero. A COW child's
+//! node hands in the parent's run *with holes* — the pages the child
+//! wrote, which hold copies: the whole slice is stepped, each hole's count
+//! in it stepped back, and each hole's own frame stepped singly, in entry
+//! order, once the entry after the hole is seen to hold the run's frame
+//! there; where that is not so, or a frame of such a run is not held, it
+//! goes a piece at a time instead. The
 //! frames come in entry order — runs in order, each ascending but for its
 //! holes — so the frames a release frees go back in that order: `retain`
 //! is all or nothing, `release` stops at the first frame the cell does not
@@ -123,7 +125,7 @@ use crate::addr::{Pfn, HUGE_PAGES};
 use crate::buddy::BuddyAllocator;
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::Run;
+use crate::page_table::{Hole, Run};
 use crate::swap::SwapDevice;
 use fpr_faults::FaultSite;
 use fpr_trace::metrics::Counter;
@@ -622,8 +624,7 @@ impl PhysMemory {
         freed: &mut Vec<Pfn>,
     ) -> Result<(), u64> {
         // Frames gone through; `Err` from the first that was not held on,
-        // and nothing is done after it. `for_each` rather than `for`: a leaf
-        // node hands its runs out from a loop of its own (`LeafRuns::fold`).
+        // and nothing is done after it.
         let mut done: Result<u64, u64> = Ok(0);
         runs.into_iter().for_each(|run| {
             let Ok(before) = done else { return };
@@ -683,51 +684,97 @@ impl PhysMemory {
     /// step over the whole of it, and then, hole by hole, the hole's count
     /// in the slice moved back and its own frame stepped singly. If one of
     /// the run's frames is not held, the slice is stepped back and the run
-    /// goes a piece at a time instead ([`Run::pieces`]). A hole's frame not
-    /// held is where an entry-by-entry walk would have stopped: the entries
-    /// from it on get back their counts. The frames a drop frees go to
-    /// `freed` in entry order, the run's own among the holes'. Kept out of
-    /// line: every caller of `each_run` would carry a copy of it.
+    /// goes a piece at a time instead ([`Run::pieces`]), and so it does,
+    /// with what was done undone, where a hole's place holds none. A hole's
+    /// frame not held is where an entry-by-entry walk would have stopped:
+    /// the entries from it on get back their counts. The frames a drop
+    /// frees go to `freed` in entry order, the run's own among the holes'.
+    /// Kept out of line: every caller of `each_run` would carry a copy of
+    /// it.
     #[inline(never)]
     fn holed<const DROP: bool>(table: &mut [Option<Box<FrameChunk>>], run: &Run, freed: &mut Vec<Pfn>) -> Result<u64, u64> {
         let Range { start: first, end } = run.frames;
         let (undo, redo) = if DROP { (1, u32::MAX) } else { (u32::MAX, 1) };
-        let mut unheld = false;
-        let stepped = Self::each_count(table, first..end, |_, refs| {
-            refs.iter_mut().for_each(|r| (unheld, *r) = (unheld | (*r == 0), r.wrapping_add(redo)));
-        });
-        if !stepped || unheld {
-            Self::each_count(table, first..end, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
-            return run.clone().pieces().try_fold(0, |n, piece| match Self::each_piece::<DROP>(table, piece, freed) {
+        let pieces = |table: &mut [Option<Box<FrameChunk>>], freed: &mut Vec<Pfn>| {
+            run.clone().pieces().try_fold(0, |n, piece| match Self::each_piece::<DROP>(table, piece, freed) {
                 Ok(m) => Ok(n + m),
                 Err(m) => Err(n + m),
-            });
+            })
+        };
+        // Whether a count reached zero in the slice: if none did, no frame
+        // of the run is freed.
+        let (mut unheld, mut zeroed) = (false, false);
+        let stepped = Self::each_count(table, first..end, |_, refs| {
+            refs.iter_mut().for_each(|r| {
+                (unheld, *r) = (unheld | (*r == 0), r.wrapping_add(redo));
+                zeroed |= *r == 0;
+            })
+        });
+        let step_back = |table: &mut [Option<Box<FrameChunk>>], frames: Range<u64>| {
+            Self::each_count(table, frames, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
+        };
+        if !stepped || unheld {
+            step_back(table, first..end);
+            return pieces(table, freed);
         }
         let tail = freed.len();
-        let stop = run.holes().find_map(|(k, own)| match Self::each_piece::<DROP>(table, own..own + 1, freed) {
-            Ok(_) => {
-                let (c, i) = table_slot(Pfn(first + k as u64));
-                let r = &mut table[c].as_deref_mut().expect("held above").refs[i];
-                *r = r.wrapping_add(undo);
-                None
+        // Hole by hole, its own frame stepped — up to the first that is not
+        // held — and its count in the slice stepped back. Its place must
+        // hold one: the entry after it holds the run's frame there, and its
+        // own frame is none of the run's, which would be stepped twice.
+        // Where one does not, what was done is undone and the run goes a
+        // piece at a time.
+        let (mut stop, mut gone) = (None, 0);
+        for Hole { at: k, own, next } in run.holes() {
+            if next != first + k as u64 + 1 || own.wrapping_sub(first) < end - first {
+                for Hole { at: k, own, .. } in run.holes().take(gone) {
+                    let r = Self::count_mut(table, own).expect("stepped above");
+                    *r = r.wrapping_add(undo);
+                    let r = Self::count_mut(table, first + k as u64).expect("held above");
+                    *r = r.wrapping_add(redo);
+                }
+                freed.truncate(tail);
+                step_back(table, first..end);
+                return pieces(table, freed);
             }
-            Err(_) => Some(k as u64),
-        });
+            match Self::count_mut(table, own).filter(|r| **r > 0) {
+                Some(r) => {
+                    *r = r.wrapping_add(redo);
+                    if DROP && *r == 0 {
+                        freed.push(Pfn(own));
+                    }
+                }
+                None => {
+                    stop = Some(k as u64);
+                    break;
+                }
+            }
+            let r = Self::count_mut(table, first + k as u64).expect("held above");
+            *r = r.wrapping_add(undo);
+            gone += 1;
+        }
         let done = first + stop.unwrap_or(end - first);
-        Self::each_count(table, done..end, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
-        if DROP {
+        step_back(table, done..end);
+        if DROP && zeroed {
             let holes_freed = freed.len();
             Self::each_count(table, first..done, |pfn, refs| gather(pfn, refs, freed));
             if holes_freed > tail && freed.len() > holes_freed {
                 // A hole's frame was freed at its last entry the walk reached.
                 let entry = |pfn: &Pfn| match run.frames.contains(&pfn.0) {
                     true => pfn.0 - first,
-                    false => run.holes().filter(|&(k, own)| own == pfn.0 && first + (k as u64) < done).last().expect("a hole's frame").0 as u64,
+                    false => run.holes().filter(|h| h.own == pfn.0 && first + (h.at as u64) < done).last().expect("a hole's frame").at as u64,
                 };
                 freed[tail..].sort_unstable_by_key(entry);
             }
         }
         if done == end { Ok(end - first) } else { Err(done - first) }
+    }
+
+    /// The count of frame `pfn`, if its chunk of the table is there.
+    #[inline(always)]
+    fn count_mut(table: &mut [Option<Box<FrameChunk>>], pfn: u64) -> Option<&mut u32> {
+        let (c, i) = table_slot(Pfn(pfn));
+        table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()).map(|chunk| &mut chunk.refs[i])
     }
 
     /// Hands `f` the counts of `frames`, the part in one chunk of the table
