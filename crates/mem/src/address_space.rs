@@ -1246,6 +1246,14 @@ impl AddressSpace {
         let mut downgrades: Vec<(Vpn, Pte)> = Vec::new();
         let result = Self::fork_demote_mixed_blocks(parent, phys, cycles)
             .and_then(|_| Self::fork_walk(parent, &mut child, &mut downgrades, mode, phys, cycles));
+        // The work the walk did, a refused fork's too: what it began stays
+        // counted, as its cycles stay charged and its `stats` moved. The
+        // child's nodes are counted before a rollback tears them down.
+        let s = &parent.stats;
+        Counter::ForkVmaClone.add(s.vmas_cloned - stats_base.vmas_cloned);
+        Counter::ForkPteCopy.add(s.ptes_copied - stats_base.ptes_copied);
+        Counter::ForkPtSubtreeShare.add(s.pt_subtrees_shared - stats_base.pt_subtrees_shared);
+        Counter::ForkPtNode.add((child.pt.node_count() as u64).saturating_sub(1));
         let out = match result {
             Ok(()) => {
                 if !downgrades.is_empty() || mode == ForkMode::Eager {
@@ -1255,11 +1263,6 @@ impl AddressSpace {
                     // parent runs.
                     tlb.shootdown(cpus_running, cycles, phys.cost());
                 }
-                let s = &parent.stats;
-                Counter::ForkVmaClone.add(s.vmas_cloned - stats_base.vmas_cloned);
-                Counter::ForkPteCopy.add(s.ptes_copied - stats_base.ptes_copied);
-                Counter::ForkPtSubtreeShare.add(s.pt_subtrees_shared - stats_base.pt_subtrees_shared);
-                Counter::ForkPtNode.add((child.pt.node_count() as u64).saturating_sub(1));
                 Ok(child)
             }
             Err(e) => {

@@ -19,13 +19,16 @@
 //! counter and its field moving apart. Seeded scripts of `mmap` +
 //! `populate`, reads, writes (demand fills, COW breaks that copy and that
 //! reuse, the unshare of a node an on-demand fork shares), `fork` in each
-//! mode, `munmap` and teardown run through `AddressSpace`, `PhysMemory`
-//! and `TlbModel`, THP off and on; after every step each counter must
-//! have moved by exactly its field's delta, the `AsStats` fields summed
-//! over every space, the torn-down ones included. Over the runs each
-//! pair must move at least once, or the test fails as vacuous.
+//! mode — one in four under `FaultPlan::fail_nth_crossing(n)`, so that
+//! some are refused partway — `munmap` and teardown run through
+//! `AddressSpace`, `PhysMemory` and `TlbModel`, THP off and on; after
+//! every step each counter must have moved by exactly its field's delta,
+//! the `AsStats` fields summed over every space, the torn-down ones
+//! included. Over the runs each pair must move at least once, and some
+//! fork must be refused, or the test fails as vacuous.
 
 use fpr_mem::address_space::heap_vma;
+use fpr_faults::{with_plan, FaultPlan};
 use fpr_mem::{AddressSpace, CostModel, Cycles, ForkMode, PhysMemory, TlbModel, Vpn};
 use fpr_rng::Rng;
 use fpr_trace::metrics;
@@ -58,6 +61,8 @@ struct World {
     /// `cow_copies`, `demand_faults` and `ptes_copied` of the spaces torn
     /// down, summed.
     gone: [u64; 3],
+    /// Forks an injected fault refused.
+    refused: u64,
 }
 
 impl World {
@@ -71,6 +76,7 @@ impl World {
             tlb: TlbModel::new(),
             procs: vec![first],
             gone: [0; 3],
+            refused: 0,
         }
     }
 
@@ -110,7 +116,7 @@ impl World {
         let window = WINDOWS[rng.gen_index(WINDOWS.len())];
         let vpn = Vpn(window + rng.gen_below(SPAN));
         let cpus = rng.gen_range(1, 5) as u32;
-        let World { phys, cycles, tlb, procs, .. } = self;
+        let World { phys, cycles, tlb, procs, refused, .. } = self;
         match rng.gen_below(20) {
             0..=2 => {
                 // Half of them start on a block, so THP can promote.
@@ -131,9 +137,13 @@ impl World {
             }
             13..=16 if procs.len() < MAX_PROCS => {
                 let mode = [ForkMode::Cow, ForkMode::Eager, ForkMode::OnDemand][rng.gen_index(3)];
-                let r = AddressSpace::fork_from(&mut procs[i], mode, phys, cycles, tlb, cpus);
+                // A crossing about as far in as the fork has entries to copy.
+                let fail = rng.gen_bool(0.25).then(|| rng.gen_below(procs[i].resident_pages() + 8));
+                let plan = fail.map_or(FaultPlan::passive(), |n| FaultPlan::passive().fail_nth_crossing(n));
+                let (r, trace) = with_plan(plan, || AddressSpace::fork_from(&mut procs[i], mode, phys, cycles, tlb, cpus));
+                *refused += (r.is_err() && !trace.injected().is_empty()) as u64;
                 let verdict = r.map(|child| procs.push(child));
-                format!("fork({mode:?}) of {i} on {cpus} cpus: {verdict:?}")
+                format!("fork({mode:?}) of {i} on {cpus} cpus, failing crossing {fail:?}: {verdict:?}")
             }
             17..=18 => {
                 let pages = rng.gen_range(1, SPAN / 2);
@@ -156,8 +166,8 @@ fn counters() -> [u64; 7] {
 }
 
 /// Runs one script, asserting the rule after every step; sets `moved[k]`
-/// where pair `k` moved.
-fn run(seed: u64, thp: bool, moved: &mut [bool; 7]) {
+/// where pair `k` moved, and returns how many forks were refused.
+fn run(seed: u64, thp: bool, moved: &mut [bool; 7]) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut world = World::new(thp);
     let mut check = |world: &World, before: ([u64; 7], [u64; 7]), step: &str| {
@@ -179,16 +189,18 @@ fn run(seed: u64, thp: bool, moved: &mut [bool; 7]) {
         check(&world, before, "teardown");
     }
     assert_eq!(world.phys.used_frames(), 0, "seed {seed}, THP {thp}: frames leaked");
+    world.refused
 }
 
 #[test]
 fn every_counter_that_duplicates_a_field_moves_with_it() {
-    let mut moved = [false; 7];
+    let (mut moved, mut refused) = ([false; 7], 0);
     for thp in [false, true] {
         for seed in 0..SEEDS {
-            run(seed, thp, &mut moved);
+            refused += run(seed, thp, &mut moved);
         }
     }
+    assert!(refused > 0, "no fork was refused; the fault arm is vacuous");
     // `mem.tlb.entries_flushed` moves only with THP on: without it a
     // range is flushed by a plain shootdown.
     for (name, moved) in PAIRS.iter().zip(moved) {
