@@ -180,16 +180,18 @@ results-identity:
 	[ -z "$$untracked" ] || { echo "written but never committed:"; echo "$$untracked"; exit 1; }
 
 # A perf change's before/after in one command (docs/BENCHMARKS.md):
-#   make bench-pair BASE=<rev> [W="<workload> ..."] [PAIRS=3]
+#   make bench-pair BASE=<rev> [W="<workload> ..."] [PAIRS=3] [SEED=1]
 # unpacks BASE's tree under target/bench-pair/base (a `git archive`, so
 # there is no worktree to prune afterwards), builds its benchmark/ and this
 # tree's, then for each workload of W — all four unless told otherwise: the
 # rule a perf change is judged by is "no workload worse" — runs the
-# untraced workload on both sides PAIRS times, pair i on seed i, alternating
-# which side goes first, and prints `compare` for each pair. Fails if any
+# untraced workload on both sides PAIRS times, pair i on seed SEED + i - 1,
+# alternating which side goes first, and prints `compare` for each pair. A
+# claim is confirmed on seeds the change was not tuned on: develop on the
+# default seeds, confirm with another SEED. Fails if any
 # pair of any workload reads `worse`; a *claimed* gain still needs the ten
 # pairs of benchmark/README.md. After a workload's pairs, one
-# `--trace 1 --seconds 8` run a side on seed 1 and their `compare`: the
+# `--trace 1 --seconds 8` run a side on seed SEED and their `compare`: the
 # per-layer metrics that moved most, which is where the PR notes' per-layer
 # table comes from. That half is informational and fails nothing. Last, a
 # summary a workload, read back from the pairs' reports — the numbers a perf
@@ -201,6 +203,7 @@ results-identity:
 BASE ?= HEAD
 W ?= svc_mix fork_big spawn_small cow_touch
 PAIRS ?= 3
+SEED ?= 1
 PAIR_DIR := target/bench-pair
 PAIR_BIN := benchmark/target/release/forkroad-benchmark
 # Reads `parent change` per line, one line a pair, for metric `m`, better
@@ -220,15 +223,15 @@ bench-pair:
 	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
 	$(CARGO) build --release --offline --quiet --manifest-path $(PAIR_DIR)/base/benchmark/Cargo.toml
 	$(CARGO) build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-	@worse=""; traced="--seed 1 --trace 1 --seconds 8"; \
+	@worse=""; traced="--seed $(SEED) --trace 1 --seconds 8"; \
 	side() { $$1/$(PAIR_BIN) run --workload $$3 $$5 --out $(PAIR_DIR)/$$2-$$3-$$4.json > /dev/null 2>&1; }; \
 	val() { awk -v m="\"$$4\": [{]" '$$0 ~ m { getline; sub(/.*: */, ""); sub(/,.*/, ""); print; exit }' $(PAIR_DIR)/$$1-$$2-$$3.json; }; \
 	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
-		plain="--seed $$i --trace 0"; \
+		plain="--seed $$((i + $(SEED) - 1)) --trace 0"; \
 		if [ $$((i % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$w $$i "$$plain" && side . change $$w $$i "$$plain"; \
 		else side . change $$w $$i "$$plain" && side $(PAIR_DIR)/base base $$w $$i "$$plain"; fi \
 			|| { echo "$$w pair $$i: a run failed; run it by hand to see why"; exit 1; }; \
-		echo "== $$w, pair $$i of $(PAIRS): $(BASE) (parent) against the working tree (change)"; \
+		echo "== $$w, pair $$i of $(PAIRS), seed $$((i + $(SEED) - 1)): $(BASE) (parent) against the working tree (change)"; \
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-$$i.json $(PAIR_DIR)/change-$$w-$$i.json || worse="$$worse $$w"; \
 	done; \
 		side $(PAIR_DIR)/base base $$w traced "$$traced" && side . change $$w traced "$$traced" \
@@ -240,9 +243,9 @@ bench-pair:
 				| awk -v w=$$w -v m=$${m%:*} -v better=$${m#*:} '$(PAIR_SUMMARY)'; \
 		done; \
 		moved=""; for i in $$(seq 1 $(PAIRS)); do for m in $(PAIR_EQUAL); do \
-			[ "$$(val base $$w $$i $$m)" = "$$(val change $$w $$i $$m)" ] || moved="$$moved seed $$i $$m;"; \
+			[ "$$(val base $$w $$i $$m)" = "$$(val change $$w $$i $$m)" ] || moved="$$moved seed $$((i + $(SEED) - 1)) $$m;"; \
 		done; done; \
-		echo "== $$w, virt_* and ok_ops_ratio, parent against change on each seed: $${moved:-equal on all $(PAIRS)}"; \
+		echo "== $$w, virt_* and ok_ops_ratio, parent against change on each seed: $${moved:-equal on all $(PAIRS), seeds $(SEED) on}"; \
 	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
 
