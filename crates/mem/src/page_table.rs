@@ -58,7 +58,7 @@
 //! words only each run's first. A COW child's node hands its frames out as
 //! the parent's run *with holes*: the pages the child wrote, whose frames
 //! are copies, each between two entries the run goes on over (`Run`,
-//! `LeafRuns`). So fork and teardown step a node's counts a run at a time
+//! `FrameRuns`). So fork and teardown step a node's counts a run at a time
 //! without reading its entries to find the runs again.
 //!
 //! An arena node that empties goes on the free list as it is — `take`
@@ -137,18 +137,6 @@ impl Occupancy {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Slots `at..at + n` (`n` < 64; none past the end) as the low bits of
-    /// `bits`.
-    #[inline(always)]
-    fn put(&mut self, at: usize, n: usize, bits: u64) {
-        let (w, shift, mask) = (at / 64, at % 64, (1 << n) - 1);
-        self.0[w] = self.0[w] & !(mask << shift) | (bits & mask) << shift;
-        if shift + n > 64 && w + 1 < PT_ENTRIES / 64 {
-            let back = 64 - shift;
-            self.0[w + 1] = self.0[w + 1] & !(mask >> back) | (bits & mask) >> back;
-        }
-    }
-
     /// Sets slot `i` if `held`, else clears it, without a branch.
     fn assign(&mut self, i: usize, held: bool) {
         self.0[i / 64] = self.0[i / 64] & !(1 << (i % 64)) | (held as u64) << (i % 64);
@@ -180,17 +168,17 @@ impl Occupancy {
         part
     }
 
-    /// The first slot of `first..last` that is not held.
-    fn first_clear_in(&self, first: usize, last: usize) -> Option<usize> {
-        let mut at = first;
-        while at < last {
-            let clear = !self.0[at / 64] >> (at % 64);
-            if clear != 0 {
-                return Some(at + clear.trailing_zeros() as usize).filter(|&j| j < last);
-            }
-            at = (at / 64 + 1) * 64;
+    /// Taken as `runs_on`, the entries that neither continue the one
+    /// before them nor are continued by the one after, where the one before
+    /// continues its own: inside a run, the places of its holes.
+    fn places(self) -> Occupancy {
+        let mut places = Occupancy::default();
+        for w in 0..PT_ENTRIES / 64 {
+            let before = self.0[w] << 1 | w.checked_sub(1).map_or(0, |v| self.0[v] >> 63);
+            let after = self.0[w] >> 1 | self.0.get(w + 1).map_or(0, |next| next << 63);
+            places.0[w] = before & !self.0[w] & !after;
         }
-        None
+        places
     }
 
     /// The slots held here and not in `other`.
@@ -646,12 +634,11 @@ impl LeafNode {
     /// holds no frame and ends a run. In a huge directory (`dir`) each
     /// entry is a 2 MiB block, a run of [`HUGE_PAGES`] frames of its own.
     ///
-    /// The runs are read off the maps ([`LeafRuns`]), and of the words only
+    /// The runs are read off the maps ([`FrameRuns`]), and of the words only
     /// each run's first entry's; each hole's, and the entry's after it, are
     /// read where its frames are stepped.
     pub(crate) fn frame_runs(&self, range: Range<usize>, dir: bool) -> FrameRuns<'_> {
-        let runs = LeafRuns { leaf: self, at: range.start, end: range.end };
-        if dir { FrameRuns::Blocks(runs) } else { FrameRuns::Pages(runs) }
+        FrameRuns { leaf: self, at: range.start, end: range.end, dir }
     }
 
     /// The swap slots of the swap entries in `range`, ascending: the second
@@ -756,7 +743,12 @@ impl LeafNode {
     #[inline]
     pub(crate) fn fill_run(&mut self, range: Range<usize>, mut entry: impl FnMut(usize) -> MemResult<Pte>) -> (usize, u64, MemResult<()>) {
         let (mut filled, mut written, mut private) = (Occupancy::default(), 0, Occupancy::default());
+        // Where runs of frames break among the entries gone through: a fill
+        // only joins them, and mostly writes consecutive frames. `prev` is
+        // the word before `at`.
+        let mut breaks = Occupancy::default();
         let mut at = range.start;
+        let mut prev = at.checked_sub(1).map_or(0, |k| self.words[k]);
         let result = loop {
             if at == range.end {
                 break Ok(());
@@ -764,8 +756,11 @@ impl LeafNode {
             match self.words[at] {
                 0 => {}
                 word if word & PRESENT == 0 => break Ok(()),
-                _ => {
-                    at += 1;
+                word => {
+                    if !continues(prev, word) {
+                        breaks.set(at);
+                    }
+                    (at, prev) = (at + 1, word);
                     continue;
                 }
             }
@@ -779,9 +774,14 @@ impl LeafNode {
             self.words[at] = word;
             filled.set(at);
             private.assign(at, private_writable(word));
-            (at, written) = (at + 1, written + 1);
+            if !continues(prev, word) {
+                breaks.set(at);
+            }
+            (at, written, prev) = (at + 1, written + 1, word);
         };
-        self.rejoin(range.start..at + 1);
+        let gone = Occupancy([u64::MAX; PT_ENTRIES / 64]).within(range.start, at);
+        self.runs_on.merge(gone.minus(breaks));
+        self.rejoin(at..at + 1);
         self.occupied.merge(filled);
         self.present.merge(filled);
         self.private.merge(private);
@@ -811,49 +811,20 @@ impl LeafNode {
         self.occupied.assign(j, word != 0);
         self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
-        self.rejoin_entry(j);
+        self.rejoin(j..j + 2);
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
         old
     }
 
-    /// [`Self::rejoin`] after a write to entry `j` alone: the bits of `j`
-    /// and of the entry after it, without a branch on the words.
-    #[inline(always)]
-    fn rejoin_entry(&mut self, j: usize) {
-        let word = |k: usize| self.words.get(k).copied().unwrap_or(0);
-        let (before, at, after) = (word(j.wrapping_sub(1)), word(j), word(j + 1));
-        let bits = continues(before, at) as u64 | (continues(at, after) as u64) << 1;
-        self.runs_on.put(j, 2.min(PT_ENTRIES - j), bits);
-    }
-
     /// Brings `runs_on` up to date with the words at the entries of
-    /// `range`, after a write to the entries before its last, whose bits go
-    /// by the words of the entry and the one before. A map word's worth at
-    /// a time: a part of a word whose frames run on, as a fill's and a
-    /// copy's mostly do, by one check of the part.
+    /// `range` (none past the node's end), after a write to them or to the
+    /// entry before: an entry's bit goes by its word and the one before.
     #[inline]
     fn rejoin(&mut self, range: Range<usize>) {
-        let (lo, hi) = (range.start, range.end.min(PT_ENTRIES));
-        if lo >= hi {
-            return;
-        }
-        let LeafNode { words, runs_on, .. } = self;
-        for w in lo / 64..=(hi - 1) / 64 {
-            let mask = below(w, hi) & !below(w, lo);
-            // Entries `from..to` of the word against the one before each;
-            // entry 0 has none.
-            let (from, to) = (lo.max(w * 64).max(1), hi.min(w * 64 + 64));
-            let part = words.get(from - 1..to).unwrap_or_default();
-            let pairs = part.iter().zip(part.get(1..).unwrap_or_default());
-            let (held, off) = pairs.fold((PRESENT, 0), |(held, off), (&prev, &word)| {
-                (held & prev & word, off | (word >> FLAG_BITS) ^ (prev >> FLAG_BITS).wrapping_add(1))
-            });
-            let on = match held != 0 && off == 0 {
-                true => mask & !below(w, from),
-                false => part.windows(2).enumerate().fold(0, |on, (k, pair)| on | (continues(pair[0], pair[1]) as u64) << (from + k - w * 64)),
-            };
-            runs_on.0[w] = runs_on.0[w] & !mask | on;
+        for j in range.start..range.end.min(PT_ENTRIES) {
+            let before = j.checked_sub(1).map_or(0, |k| self.words[k]);
+            self.runs_on.assign(j, continues(before, self.words[j]));
         }
     }
 
@@ -879,7 +850,7 @@ impl LeafNode {
 /// `frames.start`, `frames.start + 1`, … in turn — but for the run's
 /// *holes*, entries that hold a frame of their own, each between two that
 /// do not: in a COW child, the pages it wrote. Where its holes are is read
-/// off `runs_on`, which says where a hole *may* be ([`Hole`]); that the run
+/// off `runs_on`, which says where a hole *may* be ([`Self::holes`]); that the run
 /// goes on over each is for the one who steps its frames to check, and
 /// the run's [`Self::pieces`] hold whether it does or not.
 #[derive(Debug, Clone)]
@@ -897,16 +868,17 @@ impl From<Range<u64>> for Run<'_> {
 }
 
 impl<'a> Run<'a> {
-    /// The places of the holes, ascending: the entries that neither
-    /// continue the one before them nor are continued by the one after,
-    /// where the one before does continue its own — what [`LeafRuns`] went
-    /// on over.
-    pub(crate) fn holes(&self) -> Holes<'a> {
+    /// The places of the holes, ascending ([`Occupancy::places`]), each
+    /// as its offset in the run, its own frame, and the frame of the entry
+    /// after it: the run's there if the place holds a hole.
+    pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
         let len = (self.frames.end - self.frames.start) as usize;
-        let (leaf, at) = self.holes.map_or((None, 0), |(leaf, at)| (Some(leaf), at));
-        let mut holes = Holes { leaf, at, end: at + len, w: (at + 1) / 64, bits: 0 };
-        holes.bits = holes.places(holes.w);
-        holes
+        let (places, words, at): (_, &[u64], _) = match self.holes {
+            Some((leaf, at)) => (leaf.runs_on.places().slots_in(at + 1, at + len), &leaf.words[..], at),
+            None => (HeldSlots::default(), &[], 0),
+        };
+        let frame = move |j: usize| words.get(j).map_or(u64::MAX, |word| word >> FLAG_BITS);
+        places.map(move |h| (h - at, frame(h), frame(h + 1)))
     }
 
     /// Whether the run has holes to go round.
@@ -925,81 +897,23 @@ impl<'a> Run<'a> {
     /// continue the one before them (`runs_on`), its frames read off its
     /// first entry's word.
     pub(crate) fn pieces(self) -> impl Iterator<Item = Range<u64>> + 'a {
-        let len = (self.frames.end - self.frames.start) as usize;
-        let mut at = 0;
+        let (len, first) = ((self.frames.end - self.frames.start) as usize, self.frames.start);
+        let (leaf, at) = self.holes.map_or((None, 0), |(leaf, at)| (Some(leaf), at));
+        // A piece begins at the first entry and at each that does not
+        // continue the one before it; a run without holes is one piece.
+        let ends = if leaf.is_some() { len } else { len.min(1) };
+        let mut starts = (0..ends).filter(move |&k| k == 0 || leaf.is_some_and(|leaf| !leaf.runs_on.test(at + k))).peekable();
         std::iter::from_fn(move || {
-            if at >= len {
-                return None;
-            }
-            let Some((leaf, first)) = self.holes else {
-                at = len;
-                return Some(self.frames.clone());
-            };
-            let start = first + at;
-            at = leaf.runs_on.first_clear_in(start + 1, first + len).map_or(len, |j| j - first);
-            let frame = leaf.words[start] >> FLAG_BITS;
-            Some(frame..frame + (first + at - start) as u64)
+            let k = starts.next()?;
+            let frame = leaf.map_or(first, |leaf| leaf.words[at + k] >> FLAG_BITS);
+            Some(frame..frame + (*starts.peek().unwrap_or(&len) - k) as u64)
         })
     }
 }
 
-/// The places of a [`Run`]'s holes, ascending, read off `runs_on` a word
-/// at a time as it goes.
-#[derive(Debug, Clone)]
-pub(crate) struct Holes<'a> {
-    leaf: Option<&'a LeafNode>,
-    /// The run's first entry, and the entry after its last.
-    at: usize,
-    end: usize,
-    /// The map word being gone through, and what is left of it.
-    w: usize,
-    bits: u64,
-}
-
-impl Holes<'_> {
-    /// The places in word `w` of the map that lie inside the run.
-    #[inline(always)]
-    fn places(&self, w: usize) -> u64 {
-        let Some(&here) = self.leaf.and_then(|leaf| leaf.runs_on.0.get(w)) else { return 0 };
-        let on = |v: usize| self.leaf.and_then(|leaf| leaf.runs_on.0.get(v)).copied().unwrap_or(0);
-        let before = here << 1 | on(w.wrapping_sub(1)) >> 63;
-        let after = here >> 1 | on(w + 1) << 63;
-        before & !here & !after & below(w, self.end) & !below(w, self.at + 1)
-    }
-}
-
-impl Iterator for Holes<'_> {
-    type Item = Hole;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<Hole> {
-        while self.bits == 0 {
-            self.w += 1;
-            if self.w * 64 >= self.end {
-                return None;
-            }
-            self.bits = self.places(self.w);
-        }
-        let leaf = self.leaf?;
-        let h = self.w * 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let frame = |j: usize| leaf.words.get(j).map_or(u64::MAX, |word| word >> FLAG_BITS);
-        Some(Hole { at: h - self.at, own: frame(h), next: frame(h + 1) })
-    }
-}
-
-/// A hole's place in a [`Run`]: its offset, its own frame and the frame
-/// of the entry after it, which is the run's there if the place holds a
-/// hole.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Hole {
-    pub(crate) at: usize,
-    pub(crate) own: u64,
-    pub(crate) next: u64,
-}
-
-/// The [`Run`]s [`LeafNode::frame_runs`] yields for a small-page node, read
-/// off its maps a word at a time as it goes. A run begins at the next
+/// The [`Run`]s [`LeafNode::frame_runs`] yields: a huge directory's a block
+/// at a time, a small-page node's read off its maps a word at a time as it
+/// goes. A run begins at the next
 /// entry that holds a frame, and goes on over the entries after it that
 /// continue the one before them (`runs_on`) — and over the place of a
 /// *hole* ([`Run::holes`]) and the entry after it. It ends before the
@@ -1007,15 +921,17 @@ pub(crate) struct Hole {
 /// its first entry's. All of it is scalars and a reference, so that the
 /// compiler keeps it in registers.
 #[derive(Debug, Clone)]
-pub(crate) struct LeafRuns<'a> {
+pub(crate) struct FrameRuns<'a> {
     leaf: &'a LeafNode,
     /// Where the next run is looked for.
     at: usize,
     /// The end of the range the runs are of.
     end: usize,
+    /// Whether the node is a huge directory.
+    dir: bool,
 }
 
-impl LeafRuns<'_> {
+impl FrameRuns<'_> {
     /// The next entry at or after `at` that holds a frame.
     #[inline(always)]
     fn next_present(&self) -> Option<usize> {
@@ -1063,29 +979,6 @@ impl LeafRuns<'_> {
     }
 }
 
-impl<'a> Iterator for LeafRuns<'a> {
-    type Item = Run<'a>;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<Run<'a>> {
-        let start = self.next_present()?;
-        let leaf = self.leaf;
-        let first = leaf.words[start] >> FLAG_BITS;
-        let (stop, places) = self.run_end(start);
-        self.at = stop;
-        Some(Run { frames: first..first + (stop - start) as u64, holes: places.then_some((leaf, start)) })
-    }
-}
-
-/// The runs [`LeafNode::frame_runs`] yields: a small-page node's as
-/// [`LeafRuns`] reads them off its maps, a huge directory's a block at a
-/// time — the entries that hold a frame, by the same cursor.
-#[derive(Debug, Clone)]
-pub(crate) enum FrameRuns<'a> {
-    Pages(LeafRuns<'a>),
-    Blocks(LeafRuns<'a>),
-}
-
 impl<'a> FrameRuns<'a> {
     /// The runs as ranges of consecutive frames, in entry order
     /// ([`Run::pieces`]).
@@ -1099,13 +992,16 @@ impl<'a> Iterator for FrameRuns<'a> {
 
     #[inline(always)]
     fn next(&mut self) -> Option<Run<'a>> {
-        match self {
-            FrameRuns::Pages(runs) => runs.next(),
-            FrameRuns::Blocks(blocks) => blocks.next_present().map(|j| {
-                blocks.at = j + 1;
-                block(blocks.leaf.words[j] >> FLAG_BITS).into()
-            }),
+        let start = self.next_present()?;
+        let leaf = self.leaf;
+        let first = leaf.words[start] >> FLAG_BITS;
+        if self.dir {
+            self.at = start + 1;
+            return Some(block(first).into());
         }
+        let (stop, places) = self.run_end(start);
+        self.at = stop;
+        Some(Run { frames: first..first + (stop - start) as u64, holes: places.then_some((leaf, start)) })
     }
 }
 

@@ -125,7 +125,7 @@ use crate::addr::{Pfn, HUGE_PAGES};
 use crate::buddy::BuddyAllocator;
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{Hole, Run};
+use crate::page_table::Run;
 use crate::swap::SwapDevice;
 use fpr_faults::FaultSite;
 use fpr_trace::metrics::Counter;
@@ -724,10 +724,10 @@ impl PhysMemory {
         // own frame is none of the run's, which would be stepped twice.
         // Where one does not, what was done is undone and the run goes a
         // piece at a time.
-        let (mut stop, mut gone) = (None, 0);
-        for Hole { at: k, own, next } in run.holes() {
+        let mut stop = None;
+        for (n, (k, own, next)) in run.holes().enumerate() {
             if next != first + k as u64 + 1 || own.wrapping_sub(first) < end - first {
-                for Hole { at: k, own, .. } in run.holes().take(gone) {
+                for (k, own, _) in run.holes().take(n) {
                     let r = Self::count_mut(table, own).expect("stepped above");
                     *r = r.wrapping_add(undo);
                     let r = Self::count_mut(table, first + k as u64).expect("held above");
@@ -737,21 +737,16 @@ impl PhysMemory {
                 step_back(table, first..end);
                 return pieces(table, freed);
             }
-            match Self::count_mut(table, own).filter(|r| **r > 0) {
-                Some(r) => {
-                    *r = r.wrapping_add(redo);
-                    if DROP && *r == 0 {
-                        freed.push(Pfn(own));
-                    }
-                }
-                None => {
-                    stop = Some(k as u64);
-                    break;
-                }
+            let Some(r) = Self::count_mut(table, own).filter(|r| **r > 0) else {
+                stop = Some(k as u64);
+                break;
+            };
+            *r = r.wrapping_add(redo);
+            if DROP && *r == 0 {
+                freed.push(Pfn(own));
             }
             let r = Self::count_mut(table, first + k as u64).expect("held above");
             *r = r.wrapping_add(undo);
-            gone += 1;
         }
         let done = first + stop.unwrap_or(end - first);
         step_back(table, done..end);
@@ -762,7 +757,7 @@ impl PhysMemory {
                 // A hole's frame was freed at its last entry the walk reached.
                 let entry = |pfn: &Pfn| match run.frames.contains(&pfn.0) {
                     true => pfn.0 - first,
-                    false => run.holes().filter(|h| h.own == pfn.0 && first + (h.at as u64) < done).last().expect("a hole's frame").at as u64,
+                    false => run.holes().filter(|&(k, own, _)| own == pfn.0 && first + (k as u64) < done).last().expect("a hole's frame").0 as u64,
                 };
                 freed[tail..].sort_unstable_by_key(entry);
             }
