@@ -55,11 +55,13 @@
 //! up to date, a run method (`fill_run`, `copy_run`, `clear_run`) those of
 //! its range and the entry after it — and `check_summaries` recounts it.
 //! `frame_runs` reads the runs off the maps a word at a time, and of the
-//! words only each run's first. A COW child's node hands its frames out as
-//! the parent's run *with holes*: the pages the child wrote, whose frames
-//! are copies, each between two entries the run goes on over (`Run`,
-//! `FrameRuns`). So fork and teardown step a node's counts a run at a time
-//! without reading its entries to find the runs again.
+//! words each run's first. A COW child's node hands its frames out as the
+//! parent's run *with holes*: the pages the child wrote, private writable
+//! entries whose frames are copies, which the run goes on over where the
+//! entry after them holds the run's frame again — a word read a hole, or a
+//! stretch of them (`Run`, `FrameRuns`). So fork and teardown step a
+//! node's counts a run at a time without reading its entries to find the
+//! runs again.
 //!
 //! An arena node that empties goes on the free list as it is — `take`
 //! leaves no trace of an entry behind, so an empty node is a new node — and
@@ -168,17 +170,33 @@ impl Occupancy {
         part
     }
 
-    /// Taken as `runs_on`, the entries that neither continue the one
-    /// before them nor are continued by the one after, where the one before
-    /// continues its own: inside a run, the places of its holes.
-    fn places(self) -> Occupancy {
-        let mut places = Occupancy::default();
-        for w in 0..PT_ENTRIES / 64 {
+    /// Taken as `runs_on`, the entries of `first..last` that neither
+    /// continue the one before them nor are continued by the one after,
+    /// where the one before continues its own: inside a run, the places of
+    /// its holes. Goes through the words the range reaches into only.
+    fn places_in(&self, first: usize, last: usize) -> HeldSlots {
+        let mut places = HeldSlots { left: [0; PT_ENTRIES / 64], word: first / 64 };
+        for w in first / 64..last.div_ceil(64) {
             let before = self.0[w] << 1 | w.checked_sub(1).map_or(0, |v| self.0[v] >> 63);
             let after = self.0[w] >> 1 | self.0.get(w + 1).map_or(0, |next| next << 63);
-            places.0[w] = before & !self.0[w] & !after;
+            places.left[w] = before & !self.0[w] & !after & below(w, last) & !below(w, first);
         }
         places
+    }
+
+    /// The first slot of `first..last` that is not held, going through
+    /// the words the range reaches into only.
+    fn next_clear(&self, first: usize, last: usize) -> Option<usize> {
+        let mut w = first / 64;
+        let mut clear = !*self.0.get(w)? & u64::MAX << (first % 64);
+        while clear == 0 {
+            w += 1;
+            if w * 64 >= last {
+                return None;
+            }
+            clear = !self.0[w];
+        }
+        Some(w * 64 + clear.trailing_zeros() as usize).filter(|&j| j < last)
     }
 
     /// The slots held here and not in `other`.
@@ -635,8 +653,8 @@ impl LeafNode {
     /// entry is a 2 MiB block, a run of [`HUGE_PAGES`] frames of its own.
     ///
     /// The runs are read off the maps ([`FrameRuns`]), and of the words only
-    /// each run's first entry's; each hole's, and the entry's after it, are
-    /// read where its frames are stepped.
+    /// each run's first entry's and, for each hole, its own and the next
+    /// entry's.
     pub(crate) fn frame_runs(&self, range: Range<usize>, dir: bool) -> FrameRuns<'_> {
         FrameRuns { leaf: self, at: range.start, end: range.end, dir }
     }
@@ -848,16 +866,13 @@ impl LeafNode {
 
 /// Frames of neighbouring entries, in entry order: the entries hold
 /// `frames.start`, `frames.start + 1`, … in turn — but for the run's
-/// *holes*, entries that hold a frame of their own, each between two that
-/// do not: in a COW child, the pages it wrote. Where its holes are is read
-/// off `runs_on`, which says where a hole *may* be ([`Self::holes`]); that the run
-/// goes on over each is for the one who steps its frames to check, and
-/// the run's [`Self::pieces`] hold whether it does or not.
+/// *holes*, private writable entries that hold a frame of their own: in a
+/// COW child, the pages it wrote.
 #[derive(Debug, Clone)]
 pub(crate) struct Run<'a> {
     pub(crate) frames: Range<u64>,
-    /// The node whose `runs_on` says where the holes are, and the entry
-    /// that stands for `frames.start`.
+    /// The node whose private writable entries are the holes, and the
+    /// entry that stands for `frames.start`.
     holes: Option<(&'a LeafNode, usize)>,
 }
 
@@ -868,17 +883,30 @@ impl From<Range<u64>> for Run<'_> {
 }
 
 impl<'a> Run<'a> {
-    /// The places of the holes, ascending ([`Occupancy::places`]), each
-    /// as its offset in the run, its own frame, and the frame of the entry
-    /// after it: the run's there if the place holds a hole.
-    pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
+    /// The places of single holes, ascending ([`Occupancy::places_in`]),
+    /// each as its offset in the run, its own frame, and the frame of the
+    /// entry after it: the run's there if the place holds a hole.
+    fn places(&self) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
         let len = (self.frames.end - self.frames.start) as usize;
         let (places, words, at): (_, &[u64], _) = match self.holes {
-            Some((leaf, at)) => (leaf.runs_on.places().slots_in(at + 1, at + len), &leaf.words[..], at),
+            Some((leaf, at)) => (leaf.runs_on.places_in(at + 1, at + len), &leaf.words[..], at),
             None => (HeldSlots::default(), &[], 0),
         };
         let frame = move |j: usize| words.get(j).map_or(u64::MAX, |word| word >> FLAG_BITS);
         places.map(move |h| (h - at, frame(h), frame(h + 1)))
+    }
+
+    /// The holes, ascending: each one's offset in the run and its own
+    /// frame, which is not the run's there. They are the run's private
+    /// writable entries that hold another frame: in a COW child, pages it
+    /// wrote.
+    pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let Range { start: first, end } = self.frames;
+        let (slots, words, at): (_, &[u64], _) = match self.holes {
+            Some((leaf, at)) => (leaf.private.slots_in(at, at + (end - first) as usize), &leaf.words[..], at),
+            None => (HeldSlots::default(), &[], 0),
+        };
+        slots.map(move |j| (j - at, words[j] >> FLAG_BITS)).filter(move |&(k, own)| own != first + k as u64)
     }
 
     /// Whether the run has holes to go round.
@@ -913,13 +941,16 @@ impl<'a> Run<'a> {
 
 /// The [`Run`]s [`LeafNode::frame_runs`] yields: a huge directory's a block
 /// at a time, a small-page node's read off its maps a word at a time as it
-/// goes. A run begins at the next
-/// entry that holds a frame, and goes on over the entries after it that
-/// continue the one before them (`runs_on`) — and over the place of a
-/// *hole* ([`Run::holes`]) and the entry after it. It ends before the
-/// first entry it does not go on over. Of the words it reads one a run,
-/// its first entry's. All of it is scalars and a reference, so that the
-/// compiler keeps it in registers.
+/// goes. A run begins at the next entry that holds a frame, and goes on
+/// over the entries after it that continue the one before them
+/// (`runs_on`) — and over holes ([`Run::holes`]): a single one's place is
+/// on the maps ([`Occupancy::places_in`]) and holds one if the entry after
+/// it holds the run's frame there; a stretch of private writable entries
+/// where the run breaks off is one if the entry after it does. No hole may
+/// hold a frame the run could hold, which would be counted twice over. The
+/// run ends before the first entry it does not go on over. Of the words it
+/// reads one a run, its first entry's, and a few a hole. All of it is
+/// scalars and a reference, so that the compiler keeps it in registers.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRuns<'a> {
     leaf: &'a LeafNode,
@@ -945,13 +976,13 @@ impl FrameRuns<'_> {
         Some(w * 64 + bits.trailing_zeros() as usize).filter(|&j| j < self.end)
     }
 
-    /// Where the run that begins at `start` would end if every hole's
-    /// place held one — an entry `h` that does not continue `h − 1`, where
-    /// `h − 1` continues the one before it, `h + 1` does not continue `h`,
-    /// and `h + 1` holds a frame in the range: the first entry after
-    /// `start` that does not continue the one before it and is neither
-    /// such a place nor the entry after one; and whether it passed a
-    /// place. A map word at a time.
+    /// Where the run that holds its frame at `start` would end if every
+    /// single hole's place held one — a private writable entry `h` that does
+    /// not continue `h − 1`, where `h − 1` continues the one before it,
+    /// `h + 1` does not continue `h`, and `h + 1` holds a frame in the
+    /// range: the first entry after `start` that does not continue the one
+    /// before it and is neither such a place nor the entry after one; and
+    /// whether it passed a place. A map word at a time.
     #[inline(always)]
     fn run_end(&self, start: usize) -> (usize, bool) {
         let (on, present) = (&self.leaf.runs_on.0, &self.leaf.present.0);
@@ -964,7 +995,8 @@ impl FrameRuns<'_> {
             if breaks != 0 {
                 let (next_on, next_present) = (on.get(w + 1).map_or(0, |n| n << 63), present.get(w + 1).map_or(0, |n| n << 63));
                 let before = on[w] << 1 | if w == 0 { 0 } else { on[w - 1] >> 63 };
-                let places = breaks & before & !(on[w] >> 1 | next_on) & present[w] & (present[w] >> 1 | next_present) & below_end >> 1;
+                let private = self.leaf.private.0[w];
+                let places = breaks & before & !(on[w] >> 1 | next_on) & private & present[w] & (present[w] >> 1 | next_present) & below_end >> 1;
                 breaks &= !(places | places << 1);
                 // The entry after a place in the word's last slot.
                 from = if places >> 63 != 0 { u64::MAX << 1 } else { u64::MAX };
@@ -999,9 +1031,40 @@ impl<'a> Iterator for FrameRuns<'a> {
             self.at = start + 1;
             return Some(block(first).into());
         }
-        let (stop, places) = self.run_end(start);
+        // A hole holds none of the frames the run could hold, which would be
+        // counted twice over.
+        let could = (self.end - start) as u64;
+        let frame = |j: usize| leaf.words[j] >> FLAG_BITS;
+        let expected = |j: usize| first + (j - start) as u64;
+        // Where a stretch of holes that begins at `h` ends, if the run goes
+        // on after it: the entries from `h` to the next that is not private
+        // writable hold frames, none the run's, and that one the run's.
+        let stretch = |h: usize| {
+            let e = leaf.private.next_clear(h, self.end).filter(|&e| e > h)?;
+            let held = leaf.present.next_clear(h, e + 1).is_none();
+            (held && frame(e) == expected(e) && (h..e).all(|j| frame(j).wrapping_sub(first) >= could)).then_some(e)
+        };
+        let (mut from, mut holed) = (start, false);
+        let stop = loop {
+            // From `from`, which holds the run's frame: a single hole's place
+            // holds one if the entry after it holds the run's frame there.
+            let (stop, places) = self.run_end(from);
+            let run = Run { frames: expected(from)..expected(stop), holes: places.then_some((leaf, from)) };
+            let mut at = stop;
+            for (k, own, next) in run.places() {
+                if next != expected(from + k + 1) || own.wrapping_sub(first) < could {
+                    at = from + k;
+                    break;
+                }
+                holed = true;
+            }
+            match (at < self.end).then(|| stretch(at)).flatten() {
+                Some(e) => (from, holed) = (e, true),
+                None => break at,
+            }
+        };
         self.at = stop;
-        Some(Run { frames: first..first + (stop - start) as u64, holes: places.then_some((leaf, start)) })
+        Some(Run { frames: first..first + (stop - start) as u64, holes: holed.then_some((leaf, start)) })
     }
 }
 

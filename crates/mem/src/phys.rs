@@ -105,9 +105,8 @@
 //! node hands in the parent's run *with holes* — the pages the child
 //! wrote, which hold copies: the whole slice is stepped, each hole's count
 //! in it stepped back, and each hole's own frame stepped singly, in entry
-//! order, once the entry after the hole is seen to hold the run's frame
-//! there; where that is not so, or a frame of such a run is not held, it
-//! goes a piece at a time instead. The
+//! order; where a frame of such a run is not held it goes a piece at a
+//! time instead. The
 //! frames come in entry order — runs in order, each ascending but for its
 //! holes — so the frames a release frees go back in that order: `retain`
 //! is all or nothing, `release` stops at the first frame the cell does not
@@ -684,8 +683,7 @@ impl PhysMemory {
     /// step over the whole of it, and then, hole by hole, the hole's count
     /// in the slice moved back and its own frame stepped singly. If one of
     /// the run's frames is not held, the slice is stepped back and the run
-    /// goes a piece at a time instead ([`Run::pieces`]), and so it does,
-    /// with what was done undone, where a hole's place holds none. A hole's
+    /// goes a piece at a time instead ([`Run::pieces`]). A hole's
     /// frame not held is where an entry-by-entry walk would have stopped:
     /// the entries from it on get back their counts. The frames a drop
     /// frees go to `freed` in entry order, the run's own among the holes'.
@@ -719,24 +717,9 @@ impl PhysMemory {
         }
         let tail = freed.len();
         // Hole by hole, its own frame stepped — up to the first that is not
-        // held — and its count in the slice stepped back. Its place must
-        // hold one: the entry after it holds the run's frame there, and its
-        // own frame is none of the run's, which would be stepped twice.
-        // Where one does not, what was done is undone and the run goes a
-        // piece at a time.
+        // held — and its count in the slice stepped back.
         let mut stop = None;
-        for (n, (k, own, next)) in run.holes().enumerate() {
-            if next != first + k as u64 + 1 || own.wrapping_sub(first) < end - first {
-                for (k, own, _) in run.holes().take(n) {
-                    let r = Self::count_mut(table, own).expect("stepped above");
-                    *r = r.wrapping_add(undo);
-                    let r = Self::count_mut(table, first + k as u64).expect("held above");
-                    *r = r.wrapping_add(redo);
-                }
-                freed.truncate(tail);
-                step_back(table, first..end);
-                return pieces(table, freed);
-            }
+        for (k, own) in run.holes() {
             let Some(r) = Self::count_mut(table, own).filter(|r| **r > 0) else {
                 stop = Some(k as u64);
                 break;
@@ -757,7 +740,7 @@ impl PhysMemory {
                 // A hole's frame was freed at its last entry the walk reached.
                 let entry = |pfn: &Pfn| match run.frames.contains(&pfn.0) {
                     true => pfn.0 - first,
-                    false => run.holes().filter(|&(k, own, _)| own == pfn.0 && first + (k as u64) < done).last().expect("a hole's frame").0 as u64,
+                    false => run.holes().filter(|&(k, own)| own == pfn.0 && first + (k as u64) < done).last().expect("a hole's frame").0 as u64,
                 };
                 freed[tail..].sort_unstable_by_key(entry);
             }
