@@ -829,7 +829,13 @@ impl LeafNode {
         self.occupied.assign(j, word != 0);
         self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
-        self.rejoin(j..j + 2);
+        // The bits the write moves: this entry's and the next's.
+        let at = |k: usize| self.words.get(k).copied().unwrap_or(0);
+        let (before, after) = (at(j.wrapping_sub(1)), at(j + 1));
+        self.runs_on.assign(j, continues(before, word));
+        if j + 1 < PT_ENTRIES {
+            self.runs_on.assign(j + 1, continues(word, after));
+        }
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
         old
