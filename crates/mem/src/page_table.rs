@@ -186,7 +186,7 @@ impl Occupancy {
 
     /// The first slot of `first..last` that is not held, going through
     /// the words the range reaches into only.
-    fn next_clear(&self, first: usize, last: usize) -> Option<usize> {
+    fn first_clear_in(&self, first: usize, last: usize) -> Option<usize> {
         let mut w = first / 64;
         let mut clear = !*self.0.get(w)? & u64::MAX << (first % 64);
         while clear == 0 {
@@ -1046,8 +1046,8 @@ impl<'a> Iterator for FrameRuns<'a> {
         // on after it: the entries from `h` to the next that is not private
         // writable hold frames, none the run's, and that one the run's.
         let stretch = |h: usize| {
-            let e = leaf.private.next_clear(h, self.end).filter(|&e| e > h)?;
-            let held = leaf.present.next_clear(h, e + 1).is_none();
+            let e = leaf.private.first_clear_in(h, self.end).filter(|&e| e > h)?;
+            let held = leaf.present.first_clear_in(h, e + 1).is_none();
             (held && frame(e) == expected(e) && (h..e).all(|j| frame(j).wrapping_sub(first) >= could)).then_some(e)
         };
         let (mut from, mut holed) = (start, false);
