@@ -653,8 +653,7 @@ impl LeafNode {
     /// entry is a 2 MiB block, a run of [`HUGE_PAGES`] frames of its own.
     ///
     /// The runs are read off the maps ([`FrameRuns`]), and of the words only
-    /// each run's first entry's and, for each hole, its own and the next
-    /// entry's.
+    /// each run's first entry's and a few for each hole.
     pub(crate) fn frame_runs(&self, range: Range<usize>, dir: bool) -> FrameRuns<'_> {
         FrameRuns { leaf: self, at: range.start, end: range.end, dir }
     }
