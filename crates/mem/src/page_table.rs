@@ -170,20 +170,6 @@ impl Occupancy {
         part
     }
 
-    /// Taken as `runs_on`, the entries of `first..last` that neither
-    /// continue the one before them nor are continued by the one after,
-    /// where the one before continues its own: inside a run, the places of
-    /// its holes. Goes through the words the range reaches into only.
-    fn places_in(&self, first: usize, last: usize) -> HeldSlots {
-        let mut places = HeldSlots { left: [0; PT_ENTRIES / 64], word: first / 64 };
-        for w in first / 64..last.div_ceil(64) {
-            let before = self.0[w] << 1 | w.checked_sub(1).map_or(0, |v| self.0[v] >> 63);
-            let after = self.0[w] >> 1 | self.0.get(w + 1).map_or(0, |next| next << 63);
-            places.left[w] = before & !self.0[w] & !after & below(w, last) & !below(w, first);
-        }
-        places
-    }
-
     /// The first slot of `first..last` that is not held, going through
     /// the words the range reaches into only.
     fn first_clear_in(&self, first: usize, last: usize) -> Option<usize> {
@@ -197,6 +183,14 @@ impl Occupancy {
             clear = !self.0[w];
         }
         Some(w * 64 + clear.trailing_zeros() as usize).filter(|&j| j < last)
+    }
+
+    /// Holds every slot of `first..last`, going through the words the range
+    /// reaches into only.
+    fn fill(&mut self, first: usize, last: usize) {
+        for w in first / 64..last.div_ceil(64) {
+            self.0[w] |= bits_in(w, first, last);
+        }
     }
 
     /// The slots held here and not in `other`.
@@ -238,12 +232,6 @@ impl Occupancy {
         }
         (start < end).then(|| start..end.min(w * 64 + empty.trailing_zeros() as usize))
     }
-}
-
-/// The bits of word `w` of an [`Occupancy`] that stand for the slots below
-/// `n`.
-fn below(w: usize, n: usize) -> u64 {
-    u64::MAX.checked_shl(n.saturating_sub(w * 64).min(64) as u32).map_or(u64::MAX, |m| !m)
 }
 
 /// Ascending iterator over the set bits of an [`Occupancy`].
@@ -760,12 +748,8 @@ impl LeafNode {
     #[inline]
     pub(crate) fn fill_run(&mut self, range: Range<usize>, mut entry: impl FnMut(usize) -> MemResult<Pte>) -> (usize, u64, MemResult<()>) {
         let (mut filled, mut written, mut private) = (Occupancy::default(), 0, Occupancy::default());
-        // Where runs of frames break among the entries gone through: a fill
-        // only joins them, and mostly writes consecutive frames. `prev` is
-        // the word before `at`.
-        let mut breaks = Occupancy::default();
-        let mut at = range.start;
-        let mut prev = at.checked_sub(1).map_or(0, |k| self.words[k]);
+        // Whether the fill goes through consecutive frames, as it mostly does.
+        let (mut at, mut joined) = (range.start, true);
         let result = loop {
             if at == range.end {
                 break Ok(());
@@ -774,10 +758,8 @@ impl LeafNode {
                 0 => {}
                 word if word & PRESENT == 0 => break Ok(()),
                 word => {
-                    if !continues(prev, word) {
-                        breaks.set(at);
-                    }
-                    (at, prev) = (at + 1, word);
+                    joined &= at == range.start || word.wrapping_sub(self.words[at - 1]) == 1 << FLAG_BITS;
+                    at += 1;
                     continue;
                 }
             }
@@ -791,14 +773,18 @@ impl LeafNode {
             self.words[at] = word;
             filled.set(at);
             private.assign(at, private_writable(word));
-            if !continues(prev, word) {
-                breaks.set(at);
-            }
-            (at, written, prev) = (at + 1, written + 1, word);
+            joined &= at == range.start || word.wrapping_sub(self.words[at - 1]) == 1 << FLAG_BITS;
+            (at, written) = (at + 1, written + 1);
         };
-        let gone = Occupancy([u64::MAX; PT_ENTRIES / 64]).within(range.start, at);
-        self.runs_on.merge(gone.minus(breaks));
-        self.rejoin(at..at + 1);
+        if joined {
+            // Every entry after the first holds the frame after the one
+            // before it: their bits are set a map word at a time.
+            self.runs_on.fill(range.start + 1, at);
+            self.rejoin(range.start..range.start + 1);
+            self.rejoin(at..at + 1);
+        } else {
+            self.rejoin(range.start..at + 1);
+        }
         self.occupied.merge(filled);
         self.present.merge(filled);
         self.private.merge(private);
@@ -828,12 +814,16 @@ impl LeafNode {
         self.occupied.assign(j, word != 0);
         self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
-        // The bits the write moves: this entry's and the next's.
-        let at = |k: usize| self.words.get(k).copied().unwrap_or(0);
-        let (before, after) = (at(j.wrapping_sub(1)), at(j + 1));
-        self.runs_on.assign(j, continues(before, word));
-        if j + 1 < PT_ENTRIES {
-            self.runs_on.assign(j + 1, continues(word, after));
+        // The bits the write moves, this entry's and the next's, written
+        // together: the next is in the map word after only for the last
+        // entry of a word.
+        let before = if j > 0 { self.words[j - 1] } else { 0 };
+        let after = if j + 1 < PT_ENTRIES { self.words[j + 1] } else { 0 };
+        let bits = continues(before, word) as u64 | (continues(word, after) as u64) << 1;
+        let (w, b) = (j / 64, j % 64);
+        self.runs_on.0[w] = self.runs_on.0[w] & !(3 << b) | bits << b;
+        if b == 63 && j + 1 < PT_ENTRIES {
+            self.runs_on.assign(j + 1, bits >> 1 != 0);
         }
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
@@ -842,17 +832,22 @@ impl LeafNode {
 
     /// Brings `runs_on` up to date with the words at the entries of
     /// `range` (none past the node's end), after a write to them or to the
-    /// entry before: an entry's bit goes by its word and the one before.
-    #[inline]
+    /// entry before: an entry's bit goes by its word and the one before. A
+    /// map word at a time.
     fn rejoin(&mut self, range: Range<usize>) {
-        for j in range.start..range.end.min(PT_ENTRIES) {
-            let before = j.checked_sub(1).map_or(0, |k| self.words[k]);
-            self.runs_on.assign(j, continues(before, self.words[j]));
+        let (first, last) = (range.start, range.end.min(PT_ENTRIES));
+        for w in first / 64..last.div_ceil(64) {
+            let mut bits = 0;
+            for j in (w * 64).max(first).max(1)..(w * 64 + 64).min(last) {
+                bits |= (continues(self.words[j - 1], self.words[j]) as u64) << (j % 64);
+            }
+            let kept = !bits_in(w, first, last);
+            self.runs_on.0[w] = self.runs_on.0[w] & kept | bits;
         }
     }
 
     /// Recounts the maps and the counts against the words.
-    fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         let mut held = LeafCounts::default();
         for (j, &word) in self.words.iter().enumerate() {
             let on = j > 0 && continues(self.words[j - 1], word);
@@ -888,19 +883,6 @@ impl From<Range<u64>> for Run<'_> {
 }
 
 impl<'a> Run<'a> {
-    /// The places of single holes, ascending ([`Occupancy::places_in`]),
-    /// each as its offset in the run, its own frame, and the frame of the
-    /// entry after it: the run's there if the place holds a hole.
-    fn places(&self) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
-        let len = (self.frames.end - self.frames.start) as usize;
-        let (places, words, at): (_, &[u64], _) = match self.holes {
-            Some((leaf, at)) => (leaf.runs_on.places_in(at + 1, at + len), &leaf.words[..], at),
-            None => (HeldSlots::default(), &[], 0),
-        };
-        let frame = move |j: usize| words.get(j).map_or(u64::MAX, |word| word >> FLAG_BITS);
-        places.map(move |h| (h - at, frame(h), frame(h + 1)))
-    }
-
     /// The holes, ascending: each one's offset in the run and its own
     /// frame, which is not the run's there. They are the run's private
     /// writable entries that hold another frame: in a COW child, pages it
@@ -948,14 +930,13 @@ impl<'a> Run<'a> {
 /// at a time, a small-page node's read off its maps a word at a time as it
 /// goes. A run begins at the next entry that holds a frame, and goes on
 /// over the entries after it that continue the one before them
-/// (`runs_on`) — and over holes ([`Run::holes`]): a single one's place is
-/// on the maps ([`Occupancy::places_in`]) and holds one if the entry after
-/// it holds the run's frame there; a stretch of private writable entries
-/// where the run breaks off is one if the entry after it does. No hole may
-/// hold a frame the run could hold, which would be counted twice over. The
-/// run ends before the first entry it does not go on over. Of the words it
-/// reads one a run, its first entry's, and a few a hole. All of it is
-/// scalars and a reference, so that the compiler keeps it in registers.
+/// (`runs_on`). One that begins at an entry that is not private writable
+/// goes on over holes too ([`Run::holes`]): over each stretch of entries
+/// that hold frames and are private writable, if the entry after it holds
+/// the run's frame there. The run ends before the first entry it does not
+/// go on over. Of the words it reads one a run, its first entry's, and one
+/// a stretch of holes, the entry's after it. All of it is scalars and a
+/// reference, so that the compiler keeps it in registers.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRuns<'a> {
     leaf: &'a LeafNode,
@@ -965,6 +946,13 @@ pub(crate) struct FrameRuns<'a> {
     end: usize,
     /// Whether the node is a huge directory.
     dir: bool,
+}
+
+/// The bits of word `w` of an [`Occupancy`] that stand for the slots of
+/// `first..last`.
+fn bits_in(w: usize, first: usize, last: usize) -> u64 {
+    let from = |n: usize| u64::MAX.checked_shl(n.saturating_sub(w * 64) as u32).unwrap_or(0);
+    from(first) & !from(last)
 }
 
 impl FrameRuns<'_> {
@@ -981,38 +969,66 @@ impl FrameRuns<'_> {
         Some(w * 64 + bits.trailing_zeros() as usize).filter(|&j| j < self.end)
     }
 
-    /// Where the run that holds its frame at `start` would end if every
-    /// single hole's place held one — a private writable entry `h` that does
-    /// not continue `h − 1`, where `h − 1` continues the one before it,
-    /// `h + 1` does not continue `h`, and `h + 1` holds a frame in the
-    /// range: the first entry after `start` that does not continue the one
-    /// before it and is neither such a place nor the entry after one; and
-    /// whether it passed a place. A map word at a time.
+    /// The holes of map word `w`: the entries that hold frames and are
+    /// private writable.
     #[inline(always)]
-    fn run_end(&self, start: usize) -> (usize, bool) {
-        let (on, present) = (&self.leaf.runs_on.0, &self.leaf.present.0);
-        let (mut w, mut from) = ((start + 1) / 64, u64::MAX.checked_shl((start as u32 + 1) % 64).unwrap_or(0));
-        let mut passed = false;
+    fn holes(&self, w: usize) -> u64 {
+        self.leaf.private.0[w] & self.leaf.present.0[w]
+    }
+
+    /// Where a run stops that cannot go on at `j`, the entry after a
+    /// stretch of holes: at the first entry of the stretch that does not
+    /// continue the one before it — the others hold the run's frames — or
+    /// at `j`.
+    #[inline(always)]
+    fn before_holes(&self, j: usize) -> usize {
+        let mut w = (j - 1) / 64;
+        let mut others = !self.holes(w) & u64::MAX >> (63 - (j - 1) % 64);
+        while others == 0 {
+            w -= 1;
+            others = !self.holes(w);
+        }
+        let stretch = w * 64 + 64 - others.leading_zeros() as usize;
+        self.leaf.runs_on.first_clear_in(stretch, j).unwrap_or(j)
+    }
+
+    /// Where the run that begins at `start`, whose first frame is `first`,
+    /// ends, and whether it goes on over holes. Off the maps a word at a
+    /// time: the first entry that does not continue the one before it —
+    /// and if that is a hole, and the run may go on over holes, the first
+    /// entry after it that is neither a hole, nor continues the one before
+    /// it, nor comes after a stretch of holes; but not behind a stretch of
+    /// holes, nor behind one the entry after which does not hold the run's
+    /// frame: each such entry is read as the run goes past it.
+    #[inline(always)]
+    fn run_end(&self, start: usize, first: u64) -> (usize, bool) {
+        let (on, private, present) = (&self.leaf.runs_on.0, &self.leaf.private.0, &self.leaf.present.0);
+        let hole = |j: usize| self.holes(j / 64) >> (j % 64) & 1 != 0;
+        let stop = self.leaf.runs_on.first_clear_in(start + 1, self.end).unwrap_or(self.end);
+        if stop == self.end || !hole(stop) || self.leaf.private.test(start) {
+            return (stop, false);
+        }
+        let (mut w, mut holed) = (stop / 64, false);
+        let ends = |stop: usize| if hole(stop - 1) { self.before_holes(stop) } else { stop };
         while w * 64 < self.end {
-            let below_end = below(w, self.end);
-            let mut breaks = !on[w] & from & below_end;
-            from = u64::MAX;
-            if breaks != 0 {
-                let (next_on, next_present) = (on.get(w + 1).map_or(0, |n| n << 63), present.get(w + 1).map_or(0, |n| n << 63));
-                let before = on[w] << 1 | if w == 0 { 0 } else { on[w - 1] >> 63 };
-                let private = self.leaf.private.0[w];
-                let places = breaks & before & !(on[w] >> 1 | next_on) & private & present[w] & (present[w] >> 1 | next_present) & below_end >> 1;
-                breaks &= !(places | places << 1);
-                // The entry after a place in the word's last slot.
-                from = if places >> 63 != 0 { u64::MAX << 1 } else { u64::MAX };
-                passed |= places & below(w, w * 64 + breaks.trailing_zeros() as usize) != 0;
+            let holes = self.holes(w);
+            let after = (holes << 1 | w.checked_sub(1).map_or(0, |v| self.holes(v) >> 63)) & present[w] & !private[w];
+            let within = bits_in(w, stop, self.end);
+            let breaks = !(on[w] | holes | after) & within;
+            let mut after = after & within & (breaks & breaks.wrapping_neg()).wrapping_sub(1);
+            while after != 0 {
+                let e = w * 64 + after.trailing_zeros() as usize;
+                if self.leaf.words[e] >> FLAG_BITS != first + (e - start) as u64 {
+                    return (self.before_holes(e), holed);
+                }
+                (after, holed) = (after & (after - 1), true);
             }
             if breaks != 0 {
-                return (w * 64 + breaks.trailing_zeros() as usize, passed);
+                return (ends(w * 64 + breaks.trailing_zeros() as usize), holed);
             }
             w += 1;
         }
-        (self.end, passed)
+        (ends(self.end), holed)
     }
 }
 
@@ -1036,38 +1052,7 @@ impl<'a> Iterator for FrameRuns<'a> {
             self.at = start + 1;
             return Some(block(first).into());
         }
-        // A hole holds none of the frames the run could hold, which would be
-        // counted twice over.
-        let could = (self.end - start) as u64;
-        let frame = |j: usize| leaf.words[j] >> FLAG_BITS;
-        let expected = |j: usize| first + (j - start) as u64;
-        // Where a stretch of holes that begins at `h` ends, if the run goes
-        // on after it: the entries from `h` to the next that is not private
-        // writable hold frames, none the run's, and that one the run's.
-        let stretch = |h: usize| {
-            let e = leaf.private.first_clear_in(h, self.end).filter(|&e| e > h)?;
-            let held = leaf.present.first_clear_in(h, e + 1).is_none();
-            (held && frame(e) == expected(e) && (h..e).all(|j| frame(j).wrapping_sub(first) >= could)).then_some(e)
-        };
-        let (mut from, mut holed) = (start, false);
-        let stop = loop {
-            // From `from`, which holds the run's frame: a single hole's place
-            // holds one if the entry after it holds the run's frame there.
-            let (stop, places) = self.run_end(from);
-            let run = Run { frames: expected(from)..expected(stop), holes: places.then_some((leaf, from)) };
-            let mut at = stop;
-            for (k, own, next) in run.places() {
-                if next != expected(from + k + 1) || own.wrapping_sub(first) < could {
-                    at = from + k;
-                    break;
-                }
-                holed = true;
-            }
-            match (at < self.end).then(|| stretch(at)).flatten() {
-                Some(e) => (from, holed) = (e, true),
-                None => break at,
-            }
-        };
+        let (stop, holed) = self.run_end(start, first);
         self.at = stop;
         Some(Run { frames: first..first + (stop - start) as u64, holes: holed.then_some((leaf, start)) })
     }

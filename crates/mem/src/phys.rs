@@ -699,19 +699,22 @@ impl PhysMemory {
                 Err(m) => Err(n + m),
             })
         };
-        // Whether a count reached zero in the slice: if none did, no frame
-        // of the run is freed.
-        let (mut unheld, mut zeroed) = (false, false);
+        // How many counts of the slice the step left at zero, a hole's
+        // place's until it is stepped back: if none is left, no frame of the
+        // run is freed.
+        let (mut unheld, mut zeros) = (false, 0u32);
         let stepped = Self::each_count(table, first..end, |_, refs| {
             refs.iter_mut().for_each(|r| {
                 (unheld, *r) = (unheld | (*r == 0), r.wrapping_add(redo));
-                zeroed |= *r == 0;
+                zeros += (*r == 0) as u32;
             })
         });
         let step_back = |table: &mut [Option<Box<FrameChunk>>], frames: Range<u64>| {
             Self::each_count(table, frames, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
         };
-        if !stepped || unheld {
+        // A hole holding one of the run's frames would have that frame
+        // counted twice over.
+        if !stepped || unheld || run.holes().any(|(_, own)| run.frames.contains(&own)) {
             step_back(table, first..end);
             return pieces(table, freed);
         }
@@ -729,11 +732,12 @@ impl PhysMemory {
                 freed.push(Pfn(own));
             }
             let r = Self::count_mut(table, first + k as u64).expect("held above");
+            zeros -= (*r == 0) as u32;
             *r = r.wrapping_add(undo);
         }
         let done = first + stop.unwrap_or(end - first);
         step_back(table, done..end);
-        if DROP && zeroed {
+        if DROP && zeros > 0 {
             let holes_freed = freed.len();
             Self::each_count(table, first..done, |pfn, refs| gather(pfn, refs, freed));
             if holes_freed > tail && freed.len() > holes_freed {
@@ -2084,6 +2088,7 @@ mod tests {
         for round in 0..24 {
             for (how, leaf) in leaves_written_every_way(&mut rng) {
                 let what = format!("round {round}, {how}");
+                assert_eq!(leaf.check(), Ok(()), "{what}: the maps against the words");
                 let (mut p, mut c, mut refs) = universe(&mut rng);
                 judge(&mut p, &mut c, &mut refs, &leaf, &mut rng, &what);
                 LeafNode::retire(leaf);
