@@ -887,13 +887,30 @@ impl<'a> Run<'a> {
     /// frame, which is not the run's there. They are the run's private
     /// writable entries that hold another frame: in a COW child, pages it
     /// wrote.
+    /// Goes through the private map a word at a time.
     pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64)> + 'a {
         let Range { start: first, end } = self.frames;
-        let (slots, words, at): (_, &[u64], _) = match self.holes {
-            Some((leaf, at)) => (leaf.private.slots_in(at, at + (end - first) as usize), &leaf.words[..], at),
-            None => (HeldSlots::default(), &[], 0),
-        };
-        slots.map(move |j| (j - at, words[j] >> FLAG_BITS)).filter(move |&(k, own)| own != first + k as u64)
+        let (leaf, at) = self.holes.unzip();
+        let (at, last) = (at.unwrap_or(0), at.map_or(0, |at| at + (end - first) as usize));
+        let (mut w, mut bits) = (at / 64, 0);
+        if let Some(leaf) = leaf.filter(|_| last > at) {
+            bits = leaf.private.0[w] & bits_in(w, at, last);
+        }
+        std::iter::from_fn(move || loop {
+            while bits == 0 {
+                w += 1;
+                if w * 64 >= last {
+                    return None;
+                }
+                bits = leaf?.private.0[w] & bits_in(w, at, last);
+            }
+            let j = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let own = leaf?.words[j] >> FLAG_BITS;
+            if own != first + (j - at) as u64 {
+                return Some((j - at, own));
+            }
+        })
     }
 
     /// Whether the run has holes to go round.

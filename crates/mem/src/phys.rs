@@ -712,9 +712,7 @@ impl PhysMemory {
         let step_back = |table: &mut [Option<Box<FrameChunk>>], frames: Range<u64>| {
             Self::each_count(table, frames, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
         };
-        // A hole holding one of the run's frames would have that frame
-        // counted twice over.
-        if !stepped || unheld || run.holes().any(|(_, own)| run.frames.contains(&own)) {
+        if !stepped || unheld {
             step_back(table, first..end);
             return pieces(table, freed);
         }
@@ -722,7 +720,21 @@ impl PhysMemory {
         // Hole by hole, its own frame stepped — up to the first that is not
         // held — and its count in the slice stepped back.
         let mut stop = None;
-        for (k, own) in run.holes() {
+        for (n, (k, own)) in run.holes().enumerate() {
+            if run.frames.contains(&own) {
+                // A hole holding one of the run's frames would have that
+                // frame counted twice over: the holes before it are undone,
+                // and then the slice.
+                for (k, own) in run.holes().take(n) {
+                    let r = Self::count_mut(table, own).expect("stepped above");
+                    *r = r.wrapping_add(undo);
+                    let r = Self::count_mut(table, first + k as u64).expect("held above");
+                    *r = r.wrapping_add(redo);
+                }
+                freed.truncate(tail);
+                step_back(table, first..end);
+                return pieces(table, freed);
+            }
             let Some(r) = Self::count_mut(table, own).filter(|r| **r > 0) else {
                 stop = Some(k as u64);
                 break;
