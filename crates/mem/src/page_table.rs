@@ -886,8 +886,7 @@ impl<'a> Run<'a> {
     /// The holes, ascending: each one's offset in the run and its own
     /// frame, which is not the run's there. They are the run's private
     /// writable entries that hold another frame: in a COW child, pages it
-    /// wrote.
-    /// Goes through the private map a word at a time.
+    /// wrote. Goes through the private map a word at a time.
     pub(crate) fn holes(&self) -> impl Iterator<Item = (usize, u64)> + 'a {
         let Range { start: first, end } = self.frames;
         let (leaf, at) = self.holes.unzip();
@@ -1010,13 +1009,15 @@ impl FrameRuns<'_> {
     }
 
     /// Where the run that begins at `start`, whose first frame is `first`,
-    /// ends, and whether it goes on over holes. Off the maps a word at a
-    /// time: the first entry that does not continue the one before it —
-    /// and if that is a hole, and the run may go on over holes, the first
-    /// entry after it that is neither a hole, nor continues the one before
-    /// it, nor comes after a stretch of holes; but not behind a stretch of
-    /// holes, nor behind one the entry after which does not hold the run's
-    /// frame: each such entry is read as the run goes past it.
+    /// ends, and whether it goes on over holes. The first entry after
+    /// `start` that does not continue the one before it ends the run, unless
+    /// that entry is a hole and `start` is not private writable. Then the
+    /// run goes on, a map word at a time, over holes, over entries that
+    /// continue the one before them, and over each entry after a stretch of
+    /// holes whose word holds the run's frame there. It stops before the
+    /// first entry it cannot go on at, or at the end of the range — but not
+    /// behind a stretch of holes, nor behind one the entry after which does
+    /// not hold the run's frame ([`Self::before_holes`]).
     #[inline(always)]
     fn run_end(&self, start: usize, first: u64) -> (usize, bool) {
         let (on, private, present) = (&self.leaf.runs_on.0, &self.leaf.private.0, &self.leaf.present.0);

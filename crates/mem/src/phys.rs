@@ -681,24 +681,18 @@ impl PhysMemory {
 
     /// [`Self::each_run`]'s step on a run with holes, in one slice: one
     /// step over the whole of it, and then, hole by hole, the hole's count
-    /// in the slice moved back and its own frame stepped singly. If one of
-    /// the run's frames is not held, the slice is stepped back and the run
-    /// goes a piece at a time instead ([`Run::pieces`]). A hole's
-    /// frame not held is where an entry-by-entry walk would have stopped:
-    /// the entries from it on get back their counts. The frames a drop
-    /// frees go to `freed` in entry order, the run's own among the holes'.
-    /// Kept out of line: every caller of `each_run` would carry a copy of
-    /// it.
+    /// in the slice moved back and its own frame stepped singly. Where a
+    /// frame of the run is not held, or a hole's — or a hole holds one of
+    /// the run's frames, which would be counted twice over — what was
+    /// stepped is stepped back and the run goes a piece at a time instead
+    /// ([`Run::pieces`]), which stops where an entry-by-entry walk would.
+    /// The frames a drop frees go to `freed` in entry order, the run's own
+    /// among the holes'. Kept out of line: every caller of `each_run` would
+    /// carry a copy of it.
     #[inline(never)]
     fn holed<const DROP: bool>(table: &mut [Option<Box<FrameChunk>>], run: &Run, freed: &mut Vec<Pfn>) -> Result<u64, u64> {
         let Range { start: first, end } = run.frames;
         let (undo, redo) = if DROP { (1, u32::MAX) } else { (u32::MAX, 1) };
-        let pieces = |table: &mut [Option<Box<FrameChunk>>], freed: &mut Vec<Pfn>| {
-            run.clone().pieces().try_fold(0, |n, piece| match Self::each_piece::<DROP>(table, piece, freed) {
-                Ok(m) => Ok(n + m),
-                Err(m) => Err(n + m),
-            })
-        };
         // How many counts of the slice the step left at zero, a hole's
         // place's until it is stepped back: if none is left, no frame of the
         // run is freed.
@@ -709,34 +703,10 @@ impl PhysMemory {
                 zeros += (*r == 0) as u32;
             })
         });
-        let step_back = |table: &mut [Option<Box<FrameChunk>>], frames: Range<u64>| {
-            Self::each_count(table, frames, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
-        };
-        if !stepped || unheld {
-            step_back(table, first..end);
-            return pieces(table, freed);
-        }
-        let tail = freed.len();
-        // Hole by hole, its own frame stepped — up to the first that is not
-        // held — and its count in the slice stepped back.
-        let mut stop = None;
-        for (n, (k, own)) in run.holes().enumerate() {
-            if run.frames.contains(&own) {
-                // A hole holding one of the run's frames would have that
-                // frame counted twice over: the holes before it are undone,
-                // and then the slice.
-                for (k, own) in run.holes().take(n) {
-                    let r = Self::count_mut(table, own).expect("stepped above");
-                    *r = r.wrapping_add(undo);
-                    let r = Self::count_mut(table, first + k as u64).expect("held above");
-                    *r = r.wrapping_add(redo);
-                }
-                freed.truncate(tail);
-                step_back(table, first..end);
-                return pieces(table, freed);
-            }
-            let Some(r) = Self::count_mut(table, own).filter(|r| **r > 0) else {
-                stop = Some(k as u64);
+        let (tail, mut done, mut whole) = (freed.len(), 0, stepped && !unheld);
+        for (k, own) in run.holes().filter(|_| whole) {
+            let Some(r) = Self::count_mut(table, own).filter(|r| **r > 0 && !run.frames.contains(&own)) else {
+                whole = false;
                 break;
             };
             *r = r.wrapping_add(redo);
@@ -746,22 +716,35 @@ impl PhysMemory {
             let r = Self::count_mut(table, first + k as u64).expect("held above");
             zeros -= (*r == 0) as u32;
             *r = r.wrapping_add(undo);
+            done += 1;
         }
-        let done = first + stop.unwrap_or(end - first);
-        step_back(table, done..end);
+        if !whole {
+            for (k, own) in run.holes().take(done) {
+                let r = Self::count_mut(table, own).expect("stepped above");
+                *r = r.wrapping_add(undo);
+                let r = Self::count_mut(table, first + k as u64).expect("held above");
+                *r = r.wrapping_add(redo);
+            }
+            freed.truncate(tail);
+            Self::each_count(table, first..end, |_, refs| refs.iter_mut().for_each(|r| *r = r.wrapping_add(undo)));
+            return run.clone().pieces().try_fold(0, |n, piece| match Self::each_piece::<DROP>(table, piece, freed) {
+                Ok(m) => Ok(n + m),
+                Err(m) => Err(n + m),
+            });
+        }
         if DROP && zeros > 0 {
             let holes_freed = freed.len();
-            Self::each_count(table, first..done, |pfn, refs| gather(pfn, refs, freed));
+            Self::each_count(table, first..end, |pfn, refs| gather(pfn, refs, freed));
             if holes_freed > tail && freed.len() > holes_freed {
-                // A hole's frame was freed at its last entry the walk reached.
+                // A hole's frame was freed at its last entry.
                 let entry = |pfn: &Pfn| match run.frames.contains(&pfn.0) {
                     true => pfn.0 - first,
-                    false => run.holes().filter(|&(k, own)| own == pfn.0 && first + (k as u64) < done).last().expect("a hole's frame").0 as u64,
+                    false => run.holes().filter(|&(_, own)| own == pfn.0).last().expect("a hole's frame").0 as u64,
                 };
                 freed[tail..].sort_unstable_by_key(entry);
             }
         }
-        if done == end { Ok(end - first) } else { Err(done - first) }
+        Ok(end - first)
     }
 
     /// The count of frame `pfn`, if its chunk of the table is there.
