@@ -57,11 +57,11 @@
 //! `frame_runs` reads the runs off the maps a word at a time, and of the
 //! words each run's first. A COW child's node hands its frames out as the
 //! parent's run *with holes*: the pages the child wrote, private writable
-//! entries whose frames are copies, which the run goes on over where the
-//! entry after them holds the run's frame again — a word read a hole, or a
-//! stretch of them (`Run`, `FrameRuns`). So fork and teardown step a
-//! node's counts a run at a time without reading its entries to find the
-//! runs again.
+//! entries whose frames are copies. They are on the maps too (`private`
+//! and `present`), and the run goes on over a stretch of them where the
+//! entry after it holds the run's frame again — one word read a stretch
+//! (`Run`, `FrameRuns`). So fork and teardown step a node's counts a run
+//! at a time without reading its entries to find the runs again.
 //!
 //! An arena node that empties goes on the free list as it is — `take`
 //! leaves no trace of an entry behind, so an empty node is a new node — and

@@ -105,8 +105,9 @@
 //! node hands in the parent's run *with holes* — the pages the child
 //! wrote, which hold copies: the whole slice is stepped, each hole's count
 //! in it stepped back, and each hole's own frame stepped singly, in entry
-//! order; where a frame of such a run is not held it goes a piece at a
-//! time instead. The
+//! order; where a frame of such a run or of a hole is not held, or a hole
+//! holds one of the run's frames, what was stepped is undone and the run
+//! goes a piece at a time instead. The
 //! frames come in entry order — runs in order, each ascending but for its
 //! holes — so the frames a release frees go back in that order: `retain`
 //! is all or nothing, `release` stops at the first frame the cell does not
