@@ -333,6 +333,60 @@ mod tests {
     }
 
     #[test]
+    fn a_second_grant_onto_a_child_fd_releases_the_first() {
+        let (mut k, init, reg) = world();
+        let log = k.open(init, "/log", OpenFlags::WRONLY, true).unwrap();
+        k.close(init, log).unwrap();
+        let base = k.baseline();
+        let p = crate::fork::fork(&mut k, init).unwrap();
+        let (r, w) = k.pipe(p).unwrap();
+        let s = ProcessBuilder::new("/bin/tool")
+            .fd(
+                STDOUT,
+                FdSource::Open {
+                    path: "/log".into(),
+                    flags: OpenFlags::WRONLY,
+                    create: false,
+                },
+            )
+            .fd(STDOUT, FdSource::Inherit(w))
+            .spawn(&mut k, p, &reg)
+            .unwrap();
+        // The file's description went with the displacement.
+        assert_eq!(k.process(s.pid).unwrap().fds.open_count(), 1);
+        k.check_invariants().unwrap();
+        // The child's end is the pipe's last writer once the parent's goes.
+        k.close(p, w).unwrap();
+        k.write_fd(s.pid, STDOUT, b"late").unwrap();
+        k.exit(s.pid, 0).unwrap();
+        k.waitpid(p, Some(s.pid)).unwrap();
+        assert_eq!(k.read_fd(p, r, 16), Ok(ReadResult::Data(b"late".to_vec())));
+        assert_eq!(k.read_fd(p, r, 16), Ok(ReadResult::Eof));
+        k.exit(p, 0).unwrap();
+        k.waitpid(init, Some(p)).unwrap();
+        k.leak_check(&base).unwrap();
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_grant_past_the_childs_descriptor_limit_gives_its_reference_back() {
+        let (mut k, p, reg) = world();
+        let base = k.baseline();
+        let (r, w) = k.pipe(p).unwrap();
+        k.process_mut(p).unwrap().rlimits.set(Resource::Nofile, Rlimit::both(4));
+        let err = ProcessBuilder::new("/bin/tool")
+            .fd(Fd(4), FdSource::Inherit(w))
+            .spawn(&mut k, p, &reg);
+        // dup2's answer for a target past the limit.
+        assert_eq!(err.err(), Some(Errno::Ebadf));
+        k.check_invariants().unwrap();
+        // A reference left on the write end would keep the pipe alive.
+        k.close(p, w).unwrap();
+        k.close(p, r).unwrap();
+        k.leak_check(&base).unwrap();
+    }
+
+    #[test]
     fn cross_process_memory_setup() {
         let (mut k, p, reg) = world();
         let s = ProcessBuilder::new("/bin/tool")

@@ -9,6 +9,11 @@
 //! structurally sound (`check_invariants`), and the same operation must
 //! succeed once the fault clears ([`judge`]).
 //!
+//! Each creation sweep also pins one digest ([`crossing_digest`]) of its
+//! counting run: the sites crossed, in the order crossed, and the cycles
+//! the fault-free call charged. A refactor of a creation path may move
+//! code between layers, but not a fail point, a charge or their order.
+//!
 //! This is the transactional guarantee the paper says fork-based systems
 //! never test: the un-duplicate paths, all of them, executed on demand.
 
@@ -19,18 +24,19 @@ use fpr_faults::{sweep, FaultSite, FaultTrace, Point};
 use fpr_kernel::{Errno, Kernel, KernelBaseline, Observed, OpenFlags, Pid, STDOUT};
 use fpr_mem::{Prot, Share, Vpn};
 
-/// What a sweep runs on: a kernel, its baseline and observation as the
-/// world was built, and whatever else the operation needs.
+/// What a sweep runs on: a kernel, its baseline, observation and cycle
+/// count as the world was built, and whatever else the operation needs.
 struct World<T> {
     k: Kernel,
     base: KernelBaseline,
     seen: Observed,
+    cycles: u64,
     at: T,
 }
 
 impl<T> World<T> {
     fn new(k: Kernel, at: T) -> World<T> {
-        World { base: k.baseline(), seen: k.observe(), k, at }
+        World { base: k.baseline(), seen: k.observe(), cycles: k.cycles.total(), k, at }
     }
 }
 
@@ -88,24 +94,47 @@ fn judge<T>(
         .unwrap_or_else(|v| panic!("{at}: retry broke invariants: {v:?}"));
 }
 
+/// FNV-1a over the sites a counting run crossed, in the order it crossed
+/// them (not [`FaultTrace::sites`], which sorts), then `charged`.
+fn crossing_digest(trace: &FaultTrace, charged: u64) -> u64 {
+    let words = trace.crossings.iter().map(|c| c.site.index() as u64).chain([charged]);
+    words.flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |d, b| {
+        (d ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Sweeps `op` over the crossings of `only` (every site if `None`) on
 /// worlds `fresh` builds, judging each run by [`judge`]; returns the
-/// counting run's trace.
+/// counting run's trace and its [`crossing_digest`].
 fn sweep_clean<T>(
     label: &str,
     only: Option<FaultSite>,
     fresh: impl FnMut() -> World<T>,
     op: impl Fn(&mut World<T>) -> Result<(), Errno>,
     extra: impl Fn(&mut World<T>, &str),
-) -> FaultTrace {
-    sweep(only, fresh, &op, |point| judge(label, point, &op, &extra))
+) -> (FaultTrace, u64) {
+    let mut charged = 0;
+    let trace = sweep(only, fresh, &op, |point| {
+        if point.fault.is_none() {
+            charged = point.world.k.cycles.total() - point.world.cycles;
+        }
+        judge(label, point, &op, &extra)
+    });
+    let digest = crossing_digest(&trace, charged);
+    (trace, digest)
 }
 
-/// Sweeps one creation on [`world`]'s parent.
-fn sweep_creation(label: &str, op: impl Fn(&mut Kernel, Pid, &ImageRegistry) -> Result<(), Errno>) {
+/// Sweeps one creation on [`world`]'s parent; its counting run must have
+/// the [`crossing_digest`] `pinned`.
+fn sweep_creation(
+    label: &str,
+    pinned: u64,
+    op: impl Fn(&mut Kernel, Pid, &ImageRegistry) -> Result<(), Errno>,
+) {
     let op = |w: &mut World<(Pid, ImageRegistry)>| op(&mut w.k, w.at.0, &w.at.1);
-    let trace = sweep_clean(label, None, world, op, |_, _| {});
+    let (trace, digest) = sweep_clean(label, None, world, op, |_, _| {});
     assert!(!trace.is_empty(), "{label}: operation crossed no instrumented site");
+    assert_eq!(digest, pinned, "{label}: crossings or charge moved, got {digest:#x}");
 }
 
 /// Asserts a counting run crossed every one of `sites`.
@@ -117,12 +146,12 @@ fn assert_crossed(label: &str, trace: &FaultTrace, sites: &[FaultSite]) {
 
 #[test]
 fn fork_survives_every_fail_point() {
-    sweep_creation("fork", |k, p, _| fork(k, p).map(|_| ()));
+    sweep_creation("fork", 0x31c1_9ecc_3d7d_938d, |k, p, _| fork(k, p).map(|_| ()));
 }
 
 #[test]
 fn on_demand_fork_survives_every_fail_point() {
-    sweep_creation("fork(on_demand)", |k, p, _| {
+    sweep_creation("fork(on_demand)", 0x3b1c_ebb8_04a9_046b, |k, p, _| {
         fpr_api::fork_on_demand(k, p).map(|_| ())
     });
 }
@@ -148,7 +177,7 @@ fn storm_world() -> World<(Pid, Vpn, Vpn)> {
 /// Sweeps one post-fork storm operation the way creation is swept.
 fn sweep_storm(label: &str, op: impl Fn(&mut Kernel, Pid, Vpn, Vpn) -> Result<(), Errno>) {
     let op = |w: &mut World<(Pid, Vpn, Vpn)>| op(&mut w.k, w.at.0, w.at.1, w.at.2);
-    let trace = sweep_clean(label, None, storm_world, op, |_, _| {});
+    let (trace, _) = sweep_clean(label, None, storm_world, op, |_, _| {});
     assert_crossed(label, &trace, &[FaultSite::PtUnshare]);
 }
 
@@ -188,7 +217,7 @@ fn storm_partial_munmap_survives_every_fail_point() {
 
 #[test]
 fn eager_fork_survives_every_fail_point() {
-    sweep_creation("fork(eager)", |k, p, _| {
+    sweep_creation("fork(eager)", 0xcc0f_7db6_ecbc_7606, |k, p, _| {
         let tid = k.process(p)?.main_tid();
         fpr_api::fork_from_thread(k, p, tid, fpr_mem::ForkMode::Eager).map(|_| ())
     });
@@ -198,7 +227,7 @@ fn eager_fork_survives_every_fail_point() {
 fn vfork_survives_every_fail_point() {
     // vfork parks the parent on success; each iteration uses a fresh
     // world, and the retry's success is the last thing checked.
-    sweep_creation("vfork", |k, p, _| {
+    sweep_creation("vfork", 0x1584_a841_eb23_770e, |k, p, _| {
         vfork(k, p).map(|c| {
             // Unpark for the next call in this iteration.
             k.exit(c, 0).unwrap();
@@ -209,7 +238,7 @@ fn vfork_survives_every_fail_point() {
 
 #[test]
 fn clone_survives_every_fail_point() {
-    sweep_creation("clone(files)", |k, p, _| {
+    sweep_creation("clone(files)", 0x31c1_9ecc_3d7d_938d, |k, p, _| {
         clone(
             k,
             p,
@@ -233,7 +262,7 @@ fn posix_spawn_survives_every_fail_point() {
         },
         FileAction::Close { fd: fpr_kernel::STDIN },
     ];
-    sweep_creation("posix_spawn", move |k, p, reg| {
+    sweep_creation("posix_spawn", 0x2884_208c_d36e_4396, move |k, p, reg| {
         posix_spawn(
             k,
             p,
@@ -260,7 +289,7 @@ fn cached_spawn_survives_every_fail_point() {
         flags: OpenFlags::WRONLY,
         create: true,
     }];
-    sweep_creation("posix_spawn(image cache)", move |k, p, reg| {
+    sweep_creation("posix_spawn(image cache)", 0x5d6c_389e_6f01_eaab, move |k, p, reg| {
         let mut cache = ImageCache::new();
         let r = posix_spawn(
             k,
@@ -322,8 +351,9 @@ fn pool_checkout_survives_every_fail_point() {
     let parked = |w: &mut World<(Pid, ImageRegistry, ImageCache, WarmPool)>, at: &str| {
         assert_eq!(w.at.3.available("/bin/tool"), 1, "{at} lost the parked child");
     };
-    let trace = sweep_clean(label, None, pool_world, op, parked);
+    let (trace, digest) = sweep_clean(label, None, pool_world, op, parked);
     assert_crossed(label, &trace, &[FaultSite::PoolCheckout]);
+    assert_eq!(digest, 0xb967_f272_45b4_d682, "{label}: crossings or charge moved, got {digest:#x}");
 }
 
 /// Sweeps a kernel reclaim pass over both fast-path shrinkers. The pass
@@ -362,7 +392,7 @@ fn reclaim_pass_survives_every_fail_point() {
         assert!(w.at.0.lock().unwrap().cached_frames() > 0, "{at} dropped the cache early");
         assert_eq!(w.k.reclaim_stats().aborted_passes, 1, "{at}: abort not accounted");
     };
-    let trace = sweep_clean(label, None, reclaim_world, op, untouched);
+    let (trace, _) = sweep_clean(label, None, reclaim_world, op, untouched);
     assert_crossed(label, &trace, &[FaultSite::PoolDrain, FaultSite::ReclaimShrink]);
 }
 
@@ -400,7 +430,7 @@ fn swap_out_pass_survives_every_fail_point() {
             assert_eq!(w.k.read_mem(init, vbase.add(i)), Ok(0xAB00 + i));
         }
     };
-    let trace = sweep_clean(label, None, swap_world, op, resident);
+    let (trace, _) = sweep_clean(label, None, swap_world, op, resident);
     assert_crossed(label, &trace, &[FaultSite::SwapOut, FaultSite::SwapSlotAlloc]);
 }
 
@@ -558,14 +588,14 @@ fn thp_demotion_failure_rolls_back_cleanly() {
 
     for (label, world, op) in ops {
         let op = |w: &mut World<(Pid, Vpn)>| op(&mut w.k, w.at.0, w.at.1);
-        let trace = sweep_clean(label, Some(FaultSite::PtDemote), world, op, |_, _| {});
+        let (trace, _) = sweep_clean(label, Some(FaultSite::PtDemote), world, op, |_, _| {});
         assert_crossed(label, &trace, &[FaultSite::PtDemote]);
     }
 }
 
 #[test]
 fn xproc_builder_survives_every_fail_point() {
-    sweep_creation("xproc", |k, p, reg| {
+    sweep_creation("xproc", 0xf524_5c6a_1cc8_8785, |k, p, reg| {
         ProcessBuilder::new("/bin/tool")
             .fd(STDOUT, FdSource::Inherit(STDOUT))
             .fd(
