@@ -7,9 +7,14 @@
 //! combinations are unsupported or subtly broken. The simulator
 //! implements the meaningful subset and *returns `EINVAL` for the
 //! combinations real kernels reject*, which the tests pin down.
+//!
+//! Without `CLONE_VM`, clone is fork. With it, the child is a sequence of
+//! the kernel's creation steps: the descriptor table if `CLONE_FILES`,
+//! the task state, the image description, and then
+//! [`Kernel::borrow_space`] in place of a copy of the memory.
 
 use crate::fork::fork_from_thread;
-use fpr_kernel::{Errno, Inherit, KResult, Kernel, Pid, Tid};
+use fpr_kernel::{Errno, KResult, Kernel, Pid, Tid};
 use fpr_mem::ForkMode;
 
 /// The clone flag subset the simulator models.
@@ -98,13 +103,16 @@ pub(crate) fn clone_process(kernel: &mut Kernel, parent: Pid, flags: CloneFlags)
     if flags.vm {
         // CLONE_VM without CLONE_THREAD: a separate process sharing the
         // address space (vfork-like, optionally with the parent parked).
+        // The image description crosses; nothing in the memory is copied.
         kernel.charge_syscall();
-        let what = Inherit::Borrow {
-            files: flags.files,
-            park: flags.vfork,
-        };
-        let (child, ()) =
-            kernel.create_process(parent, |k, child, _| k.inherit(parent, child, what))?;
+        let (child, ()) = kernel.create_process(parent, |k, child, _| {
+            if flags.files {
+                k.copy_fd_table(parent, child)?;
+            }
+            k.copy_task(parent, child)?;
+            k.copy_image(parent, child)?;
+            k.borrow_space(parent, child, flags.vfork)
+        })?;
         return Ok(child);
     }
     // No VM sharing: plain fork, with CLONE_PT_SHARE deciding the

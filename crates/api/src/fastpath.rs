@@ -20,7 +20,7 @@
 
 use crate::spawn::{apply_attrs, apply_file_actions, posix_spawn, FileAction, SpawnAttrs};
 use fpr_exec::{effective_file_id, load, randomize, reset_pcb, Env, Image, ImageCache, ImageRegistry};
-use fpr_kernel::{Errno, Inherit, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
+use fpr_kernel::{Errno, KResult, Kernel, LayoutInfo, Pid, OOM_SCORE_ADJ_MIN};
 use fpr_mem::{PressureLevel, Vpn};
 use fpr_trace::metrics::Counter;
 use fpr_trace::sink;
@@ -424,7 +424,8 @@ fn build_checked_out_child(
     slid: &mut usize,
     created: &mut Vec<(String, fpr_kernel::vfs::Ino)>,
 ) -> KResult<()> {
-    kernel.inherit(parent, child, Inherit::Spawn)?;
+    kernel.copy_fd_table(parent, child)?;
+    kernel.copy_task(parent, child)?;
     apply_file_actions(kernel, child, actions, created)?;
     apply_attrs(kernel, child, attrs)?;
     // Descriptors, handlers, argv and env exactly as execve would leave

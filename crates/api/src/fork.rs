@@ -1,14 +1,15 @@
 //! `fork(2)` over the simulated kernel.
 //!
-//! Fork is the API that asks [`Kernel::inherit`] for *everything*: the
-//! `Inherit::Fork` arm of that function walks the POSIX inheritance
-//! contract item by item — address space, descriptor table, signal
-//! state, streams, locks — and every stanza is a cost fork pays that a
-//! spawn API does not. The paper's Table of "what fork copies" is, in
-//! effect, that arm. What lives here is fork's own protocol around the
-//! copy: the `pthread_atfork` handlers and the work statistics.
+//! Fork is the API that takes *every* kernel creation step: it copies the
+//! address space ([`Kernel::copy_space`]), the descriptor table, the task
+//! state (name, environment, signals, umask), the image description and
+//! the userspace state living in memory (streams, locks, atfork), in that
+//! order. Each step is a cost fork pays that a spawn API does not; the
+//! paper's Table of "what fork copies" is, in effect, that sequence.
+//! What else lives here is fork's own protocol around the copy: the
+//! `pthread_atfork` handlers and the work statistics.
 
-use fpr_kernel::{Errno, Inherit, KResult, Kernel, LockId, Pid, Tid};
+use fpr_kernel::{Errno, KResult, Kernel, LockId, Pid, Tid};
 use fpr_mem::ForkMode;
 use fpr_trace::sink;
 
@@ -87,13 +88,17 @@ pub fn fork_from_thread(
                 //    transaction: a failure at any step (ENOMEM under
                 //    strict overcommit, EMFILE, an injected fault) leaves
                 //    the kernel byte-identical to before the call.
-                let what = Inherit::Fork { mode, calling_tid };
                 let (child, ()) = kernel.create_process(parent, |k, child, _| {
-                    k.inherit(parent, child, what).inspect_err(|_| {
-                        for l in &held {
-                            let _ = k.lock_release(parent, calling_tid, *l);
-                        }
-                    })
+                    k.copy_space(parent, child, mode)
+                        .and_then(|()| k.copy_fd_table(parent, child))
+                        .and_then(|()| k.copy_task(parent, child))
+                        .and_then(|()| k.copy_image(parent, child))
+                        .and_then(|()| k.copy_userspace(parent, child, calling_tid))
+                        .inspect_err(|_| {
+                            for l in &held {
+                                let _ = k.lock_release(parent, calling_tid, *l);
+                            }
+                        })
                 })?;
                 atfork_complete(kernel, parent, child, calling_tid, &held)?;
                 let (p, c) = (kernel.process(parent)?, kernel.process(child)?);

@@ -1,18 +1,22 @@
 //! `posix_spawn(3)`: create-and-exec without the copy.
 //!
-//! The child is built directly: a fresh process, the parent's descriptors
-//! (minus close-on-exec), a fixed-vocabulary list of *file actions*
-//! (open/dup2/close) and *attributes* (signal defaults, mask, and — as
-//! glibc extensions grew — a handful more), then the image load. Total
-//! cost is O(image + actions), independent of the parent — the flat line
-//! in Figure 1.
+//! The child is built directly: a fresh process given two of the
+//! kernel's creation steps — the parent's descriptor table
+//! ([`Kernel::copy_fd_table`], close-on-exec entries included until exec
+//! sweeps them) and its task state ([`Kernel::copy_task`]: name,
+//! environment, signals, umask) — then a fixed-vocabulary list of *file
+//! actions* (open/dup2/close) and *attributes* (signal defaults, mask,
+//! and — as glibc extensions grew — a handful more), then the image load.
+//! The warm-pool checkout takes the same two steps. Total cost is
+//! O(image + actions), independent of the parent — the flat line in
+//! Figure 1.
 //!
 //! The price is the **closed world**: anything not in the action/attr
 //! vocabulary simply cannot be expressed (the paper's complaint about
 //! spawn-style APIs, quantified by experiment E7).
 
 use fpr_exec::{ImageCache, ImageRegistry};
-use fpr_kernel::{Errno, Fd, Inherit, KResult, Kernel, OpenFlags, Pid, Sig};
+use fpr_kernel::{Errno, Fd, KResult, Kernel, OpenFlags, Pid, Sig};
 
 /// A `posix_spawn_file_actions_t` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +73,8 @@ pub struct SpawnAttrs {
 
 /// Spawns `path` as a child of `parent`.
 ///
-/// Runs the canonical sequence: create process → inherit descriptors →
-/// apply file actions → apply attributes → exec the image. Any failure
+/// Runs the canonical sequence: create process → copy descriptors and
+/// task state → apply file actions → apply attributes → exec the image. Any failure
 /// tears the half-built child down and reports the error in the parent —
 /// the error-reporting cleanliness fork+exec lacks.
 ///
@@ -102,8 +106,10 @@ pub fn posix_spawn(
             // created — so the parent sees a clean error and the kernel
             // is exactly as it was.
             let (child, ()) = kernel.create_process(parent, |k, child, created| {
-                // Descriptors: inherited as fork would leave them...
-                k.inherit(parent, child, Inherit::Spawn)?;
+                // Descriptors and task state copied as fork would leave
+                // them (exec supplies the image)...
+                k.copy_fd_table(parent, child)?;
+                k.copy_task(parent, child)?;
                 // ...then the file actions run *in the child's context*.
                 apply_file_actions(k, child, actions, created)?;
                 apply_attrs(k, child, attrs)?;

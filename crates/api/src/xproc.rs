@@ -3,18 +3,18 @@
 //! Instead of cloning the parent (fork) or passing a closed list of
 //! actions (posix_spawn), the parent constructs the child *explicitly*:
 //! create an empty process, install exactly the descriptors it should
-//! have, map and even write its memory from outside, adjust credentials
-//! and limits, then start it. Nothing is inherited by default — the
-//! secure-by-default inversion — and the vocabulary is open because every
-//! kernel operation can target the child. This mirrors the designs the
-//! paper points to (Exokernel-style cross-process calls, Drawbridge
-//! picoprocesses, Windows `CreateProcess` attribute lists, Zircon).
+//! have (a grant of one of the parent's is [`Kernel::dup_to`], `dup2`'s
+//! work across two processes), map and even write its memory from
+//! outside, adjust credentials and limits, then start it. Nothing is
+//! inherited by default — the secure-by-default inversion — and the
+//! vocabulary is open because every kernel operation can target the
+//! child. This mirrors the designs the paper points to (Exokernel-style
+//! cross-process calls, Drawbridge picoprocesses, Windows `CreateProcess`
+//! attribute lists, Zircon).
 
 use crate::spawn::open_at;
 use fpr_exec::ImageRegistry;
-use fpr_kernel::{
-    Caps, Errno, Fd, FdEntry, KResult, Kernel, OpenFlags, Pid, Resource, Rlimit, Sig,
-};
+use fpr_kernel::{Caps, Errno, Fd, KResult, Kernel, OpenFlags, Pid, Resource, Rlimit, Sig};
 use fpr_mem::{Prot, Share, Vpn};
 use fpr_trace::sink;
 
@@ -218,29 +218,7 @@ impl ProcessBuilder {
         for (child_fd, source) in &self.fds {
             fpr_faults::cross(fpr_faults::FaultSite::XprocStep).map_err(|_| Errno::Enomem)?;
             match source {
-                FdSource::Inherit(pfd) => {
-                    let entry = kernel.process(parent)?.fds.get(*pfd)?;
-                    kernel.ref_object(entry.ofd)?;
-                    let fresh = FdEntry {
-                        ofd: entry.ofd,
-                        cloexec: false,
-                    };
-                    let limit = kernel.process(child)?.rlimits.get(Resource::Nofile).soft;
-                    match kernel
-                        .process_mut(child)?
-                        .fds
-                        .install_at(*child_fd, fresh, limit)
-                    {
-                        Ok(Some(displaced)) => kernel.release_fd_entry(displaced)?,
-                        Ok(None) => {}
-                        Err(e) => {
-                            // The reference taken above was never
-                            // installed; drop it before unwinding.
-                            kernel.release_fd_entry(fresh)?;
-                            return Err(e);
-                        }
-                    }
-                }
+                FdSource::Inherit(pfd) => kernel.dup_to(parent, *pfd, child, *child_fd)?,
                 FdSource::Open {
                     path,
                     flags,

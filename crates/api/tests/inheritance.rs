@@ -9,9 +9,9 @@
 //! through `Kernel::observe`, and one table says, per API, how the
 //! child's observation follows from the parent's: what the child must and
 //! must not have received, and that the parent and the rest of the world
-//! are as they were. The table is the executable form of
-//! `Kernel::inherit`'s contract (see the "what each API inherits" table
-//! in `docs/ARCHITECTURE.md`).
+//! are as they were. The table is the executable form of what each
+//! API's sequence of kernel creation steps hands over (see the "what each
+//! API inherits" table in `docs/ARCHITECTURE.md`).
 
 use fpr_api::{
     clone, fork, fork_on_demand, posix_spawn, spawn_fast, vfork, CloneFlags, CloneResult,

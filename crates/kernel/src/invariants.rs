@@ -606,13 +606,8 @@ mod tests {
         k.populate(init, base, 8).unwrap();
         k.pipe(init).unwrap();
         let child = k.allocate_process(init, "c").unwrap();
-        let space = k.clone_address_space(init, ForkMode::Cow).unwrap();
-        let fds = k.clone_fd_table(init).unwrap();
-        {
-            let p = k.process_mut(child).unwrap();
-            p.aspace = space;
-            p.fds = fds;
-        }
+        k.copy_space(init, child, ForkMode::Cow).unwrap();
+        k.copy_fd_table(init, child).unwrap();
         k.assert_consistent();
         k.exit(child, 0).unwrap();
         k.waitpid(init, Some(child)).unwrap();
@@ -645,13 +640,8 @@ mod tests {
         let (mut k, init) = boot();
         let base = k.baseline();
         let child = k.allocate_process(init, "doomed").unwrap();
-        let space = k.clone_address_space(init, ForkMode::Cow).unwrap();
-        let fds = k.clone_fd_table(init).unwrap();
-        {
-            let p = k.process_mut(child).unwrap();
-            p.aspace = space;
-            p.fds = fds;
-        }
+        k.copy_space(init, child, ForkMode::Cow).unwrap();
+        k.copy_fd_table(init, child).unwrap();
         k.abort_process_creation(child).unwrap();
         k.leak_check(&base).unwrap();
         k.assert_consistent();

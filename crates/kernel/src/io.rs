@@ -95,17 +95,26 @@ impl Kernel {
             self.process(pid)?.fds.get(old)?;
             return Ok(new);
         }
-        let limit = self.nofile(pid)?;
-        let entry = self.process(pid)?.fds.get(old)?;
+        self.dup_to(pid, old, pid, new)?;
+        Ok(new)
+    }
+
+    /// Installs a duplicate of `from`'s descriptor `from_fd` at `to`'s
+    /// descriptor `to_fd`, closing whatever `to_fd` held, under `to`'s
+    /// descriptor limit: `dup2`'s work, also across processes (a
+    /// cross-process builder's descriptor grant).
+    pub fn dup_to(&mut self, from: Pid, from_fd: Fd, to: Pid, to_fd: Fd) -> KResult<()> {
+        let limit = self.nofile(to)?;
+        let entry = self.process(from)?.fds.get(from_fd)?;
         self.ref_object(entry.ofd)?;
         let fresh = FdEntry {
             ofd: entry.ofd,
             cloexec: false,
         };
-        let displaced = match self.process_mut(pid)?.fds.install_at(new, fresh, limit) {
+        let displaced = match self.process_mut(to)?.fds.install_at(to_fd, fresh, limit) {
             Ok(d) => d,
             Err(e) => {
-                // The reference taken above was never installed; `old`
+                // The reference taken above was never installed; `from_fd`
                 // still holds one, so this cannot destroy the description.
                 self.ofds.decref(entry.ofd)?;
                 return Err(e);
@@ -114,17 +123,17 @@ impl Kernel {
         if let Some(d) = displaced {
             release_entry(&mut self.ofds, &mut self.pipes, d)?;
         }
-        Ok(new)
+        Ok(())
     }
 
-    /// Adds a reference to an OFD (used by dup and by fork/spawn
-    /// implementations granting descriptors to children).
+    /// Adds a reference to an OFD (a descriptor duplicated by `dup` or
+    /// [`Kernel::dup_to`]).
     ///
     /// Pipe end counts are **not** touched: they count open file
     /// descriptions, not descriptors, and sharing an OFD does not create
     /// a new description. (Getting this wrong leaked pipes on every
     /// dup-then-exit — caught by the model-based descriptor test.)
-    pub fn ref_object(&mut self, ofd: OfdId) -> KResult<()> {
+    pub(crate) fn ref_object(&mut self, ofd: OfdId) -> KResult<()> {
         self.ofds.incref(ofd)
     }
 

@@ -202,38 +202,6 @@ impl SmpShared {
     }
 }
 
-/// What a creation API hands its child, on top of what every
-/// [`Kernel::inherit`] call copies — the only thing the APIs differ on.
-/// (The cross-process builder inherits nothing and never calls it.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inherit {
-    /// `fork`: everything. A duplicate of the address space under `mode`
-    /// and with it the running image's description (argv, the ASLR
-    /// layout — the zygote hazard) and the userspace state living in that
-    /// memory: stream buffers, `pthread_atfork` registrations, and the
-    /// lock table *as it was*, the holdings of `calling_tid` moving to
-    /// the child's only thread.
-    Fork {
-        /// Page-table copy strategy.
-        mode: fpr_mem::ForkMode,
-        /// The forking thread, the one thread the child keeps.
-        calling_tid: Tid,
-    },
-    /// `vfork` / `clone(CLONE_VM)`: fork minus the copy. The child runs
-    /// in the parent's space on loan ([`SpaceRef::BorrowedFrom`]), so the
-    /// image description crosses but nothing in that memory is
-    /// duplicated.
-    Borrow {
-        /// Copy the descriptor table (`CLONE_FILES`), else start empty.
-        files: bool,
-        /// Park the parent until the child execs or exits (`CLONE_VFORK`).
-        park: bool,
-    },
-    /// `posix_spawn` and the warm-pool checkout: the common set only;
-    /// exec (or the checkout's equivalent resets) supplies the image.
-    Spawn,
-}
-
 /// One address space plus the machine state a memory operation on it
 /// needs, borrowed disjointly out of a [`Kernel`] (see
 /// [`Kernel::mem_ctx`]).
@@ -725,17 +693,22 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Fork-support plumbing (used by fpr-api)
+    // Creation steps. Each copies one part of `parent`'s state into
+    // `child`, for any pair, and knows nothing of the API calling it:
+    // fpr-api builds every creation path as a sequence of these, and a
+    // fallible step attaches what it built to the child at once, so a
+    // failure unwinds through the child's one teardown.
     // ------------------------------------------------------------------
 
-    /// Duplicates `pid`'s descriptor table for a child: every entry takes
-    /// a reference on its open file description, and pipe end counts grow.
+    /// Gives `child` a copy of `parent`'s descriptor table: every entry
+    /// takes a reference on its open file description (so offsets are
+    /// shared), and pipe end counts, which count descriptions, stay.
     ///
     /// All-or-nothing: a mid-copy failure releases every reference already
     /// taken, so on `Err` the OFD table is exactly as before the call.
-    pub fn clone_fd_table(&mut self, pid: Pid) -> KResult<FdTable> {
-        self.span("clone_fd_table", "kernel", |k| {
-            let entries: Vec<(Fd, FdEntry)> = k.process(pid)?.fds.iter().collect();
+    pub fn copy_fd_table(&mut self, parent: Pid, child: Pid) -> KResult<()> {
+        let fds = self.span("clone_fd_table", "kernel", |k| {
+            let entries: Vec<(Fd, FdEntry)> = k.process(parent)?.fds.iter().collect();
             let fd_cost = k.phys.cost().fd_clone;
             let mut table = FdTable::new();
             for (fd, entry) in entries {
@@ -768,7 +741,9 @@ impl Kernel {
                 }
             }
             Ok(table)
-        })
+        })?;
+        self.process_mut(child)?.fds = fds;
+        Ok(())
     }
 
     /// Rolls back a process created by [`Kernel::allocate_process`] whose
@@ -826,78 +801,13 @@ impl Kernel {
         }
     }
 
-    /// Copies PCB state `parent` → `child`: the one statement of what a
-    /// creation API hands over beyond the identity every child has from
-    /// [`Kernel::allocate_process`]. All [`Inherit`] variants receive the
-    /// descriptor table (references taken, offsets shared), the signal
-    /// dispositions and mask (pending cleared), the umask, the command
-    /// name and the environment; see the variants for what each adds.
-    /// Fallible steps come first and attach what they built to the child
-    /// at once, so a failure unwinds through the one teardown.
-    pub fn inherit(&mut self, parent: Pid, child: Pid, what: Inherit) -> KResult<()> {
-        if let Inherit::Fork { mode, .. } = what {
-            let space = self.clone_address_space(parent, mode)?;
-            self.process_mut(child)?.aspace = space;
-        }
-        if !matches!(what, Inherit::Borrow { files: false, .. }) {
-            let fds = self.clone_fd_table(parent)?;
-            self.process_mut(child)?.fds = fds;
-        }
-        let p = self.process(parent)?;
-        let common = (
-            p.name.clone(),
-            p.envp.clone(),
-            p.signals.fork_clone(),
-            p.umask,
-        );
-        // The running image's description follows whoever keeps running
-        // it; a spawned child is about to get its own from exec.
-        let image = (what != Inherit::Spawn).then(|| (p.argv.clone(), p.layout));
-        let c = self.process_mut(child)?;
-        (c.name, c.envp, c.signals, c.umask) = common;
-        if let Some(image) = image {
-            (c.argv, c.layout) = image;
-        }
-        match what {
-            Inherit::Fork { calling_tid, .. } => {
-                let p = self.process(parent)?;
-                let (streams, mut locks, atfork) =
-                    (p.streams.clone(), p.locks.clone(), p.atfork.clone());
-                let c = self.process_mut(child)?;
-                // Only the calling thread exists in the child: its
-                // holdings move to the child's main thread, everything
-                // else is orphaned in place.
-                let main = c.main_tid();
-                for l in locks.iter_ids() {
-                    if locks.owner_of(l) == Some(calling_tid) {
-                        locks.set_owner(l, Some(main));
-                        c.threads[0].note_acquired(l);
-                    }
-                }
-                (c.streams, c.locks, c.atfork) = (streams, locks, atfork);
-            }
-            Inherit::Borrow { park, .. } => {
-                c.space_ref = SpaceRef::BorrowedFrom(parent);
-                if park {
-                    self.vfork_park(parent, child)?;
-                }
-            }
-            Inherit::Spawn => {}
-        }
-        Ok(())
-    }
-
-    /// Duplicates `pid`'s address space with fork semantics, charging the
-    /// child's commit against the overcommit policy first. The clone
-    /// rolls back on failure, so the reclaim-retry is safe.
-    pub fn clone_address_space(
-        &mut self,
-        pid: Pid,
-        mode: fpr_mem::ForkMode,
-    ) -> KResult<AddressSpace> {
-        self.span("clone_address_space", "kernel", |k| {
+    /// Gives `child` a duplicate of `parent`'s address space under `mode`,
+    /// charging the child's commit against the overcommit policy first.
+    /// The duplicate rolls back on failure, so the reclaim-retry is safe.
+    pub fn copy_space(&mut self, parent: Pid, child: Pid, mode: fpr_mem::ForkMode) -> KResult<()> {
+        let space = self.span("clone_address_space", "kernel", |k| {
             k.reclaim_retry(|k| {
-                let m = k.mem_ctx(pid)?;
+                let m = k.mem_ctx(parent)?;
                 let charge = m.space.commit_pages();
                 m.commit.charge(charge, m.phys.free_frames())?;
                 AddressSpace::fork_from(m.space, mode, m.phys, m.cycles, m.tlb, m.cpus).map_err(
@@ -907,7 +817,65 @@ impl Kernel {
                     },
                 )
             })
-        })
+        })?;
+        self.process_mut(child)?.aspace = space;
+        Ok(())
+    }
+
+    /// Gives `child` `parent`'s task state: the command name, the
+    /// environment, the signal dispositions and mask (pending cleared)
+    /// and the umask.
+    pub fn copy_task(&mut self, parent: Pid, child: Pid) -> KResult<()> {
+        let p = self.process(parent)?;
+        let task = (p.name.clone(), p.envp.clone(), p.signals.fork_clone(), p.umask);
+        let c = self.process_mut(child)?;
+        (c.name, c.envp, c.signals, c.umask) = task;
+        Ok(())
+    }
+
+    /// Gives `child` the description of the image `parent` runs: argv and
+    /// the ASLR layout (the zygote hazard). It follows whoever keeps
+    /// running that image; a child about to exec gets its own.
+    pub fn copy_image(&mut self, parent: Pid, child: Pid) -> KResult<()> {
+        let p = self.process(parent)?;
+        let image = (p.argv.clone(), p.layout);
+        let c = self.process_mut(child)?;
+        (c.argv, c.layout) = image;
+        Ok(())
+    }
+
+    /// Gives `child` the userspace state living in `parent`'s memory:
+    /// stream buffers, `pthread_atfork` registrations, and the lock table
+    /// *as it was*. Only `calling_tid` exists in the child: its holdings
+    /// move to the child's main thread, every other thread's are orphaned
+    /// in place.
+    pub fn copy_userspace(&mut self, parent: Pid, child: Pid, calling_tid: Tid) -> KResult<()> {
+        let p = self.process(parent)?;
+        let (streams, mut locks, atfork) = (p.streams.clone(), p.locks.clone(), p.atfork.clone());
+        let c = self.process_mut(child)?;
+        let main = c.main_tid();
+        for l in locks.iter_ids() {
+            if locks.owner_of(l) == Some(calling_tid) {
+                locks.set_owner(l, Some(main));
+                c.threads[0].note_acquired(l);
+            }
+        }
+        (c.streams, c.locks, c.atfork) = (streams, locks, atfork);
+        Ok(())
+    }
+
+    /// Runs `child` in `parent`'s address space on loan
+    /// ([`SpaceRef::BorrowedFrom`]), parking `parent` until the child
+    /// execs or exits if `park`. Nothing in that memory is copied, and
+    /// the model gives the borrower no lock table and no stream buffers
+    /// of the parent's: it starts with empty ones, though a real vfork
+    /// child sees the parent's in the memory it borrows.
+    pub fn borrow_space(&mut self, parent: Pid, child: Pid, park: bool) -> KResult<()> {
+        self.process_mut(child)?.space_ref = SpaceRef::BorrowedFrom(parent);
+        if park {
+            self.vfork_park(parent, child)?;
+        }
+        Ok(())
     }
 
     /// Spawns an additional thread in `pid`.
@@ -1240,7 +1208,9 @@ mod tests {
     #[test]
     fn clone_fd_table_shares_descriptions() {
         let (mut k, init) = boot_with_init();
-        let table = k.clone_fd_table(init).unwrap();
+        let child = k.allocate_process(init, "child").unwrap();
+        k.copy_fd_table(init, child).unwrap();
+        let table = &k.process(child).unwrap().fds;
         assert_eq!(table.open_count(), 3);
         // Each of the three stdio OFDs now has two references: it
         // survives the first drop and dies with the second.
@@ -1253,10 +1223,11 @@ mod tests {
     fn clone_address_space_charges_commit() {
         let (mut k, init) = boot_with_init();
         k.mmap_anon(init, 8, Prot::RW, Share::Private).unwrap();
+        let child = k.allocate_process(init, "child").unwrap();
         let before = k.commit.committed();
-        let space = k.clone_address_space(init, fpr_mem::ForkMode::Cow).unwrap();
+        k.copy_space(init, child, fpr_mem::ForkMode::Cow).unwrap();
         assert_eq!(k.commit.committed(), before + 8);
-        assert_eq!(space.virtual_pages(), 8);
+        assert_eq!(k.process(child).unwrap().aspace.virtual_pages(), 8);
     }
 
     #[test]

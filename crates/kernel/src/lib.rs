@@ -11,10 +11,10 @@
 //! Deliberately, `fork` is **not** a method of [`kernel::Kernel`]. The
 //! paper's thesis is that fork is an API choice layered over more basic
 //! kernel operations — so the five creation APIs live in the `fpr-api`
-//! crate and are built from the plumbing exported here
-//! ([`kernel::Kernel::allocate_process`],
-//! [`kernel::Kernel::clone_address_space`],
-//! [`kernel::Kernel::clone_fd_table`], …).
+//! crate and are each a sequence of the creation steps exported here
+//! ([`kernel::Kernel::create_process`], [`kernel::Kernel::copy_space`],
+//! [`kernel::Kernel::copy_fd_table`], [`kernel::Kernel::borrow_space`],
+//! [`kernel::Kernel::dup_to`], …).
 
 #![warn(missing_docs)]
 
@@ -51,7 +51,7 @@ pub use fdtable::{Fd, FdEntry, FdTable, STDIN, STDOUT};
 pub use file::{FileObject, OfdId, OpenFlags};
 pub use invariants::{KernelBaseline, Observed};
 pub use io::ReadResult;
-pub use kernel::{Inherit, Kernel, MachineConfig, SmpShared};
+pub use kernel::{Kernel, MachineConfig, SmpShared};
 pub use lifecycle::SIGBUS_EXIT_STATUS;
 pub use mm::Madvice;
 pub use pgroup::{Pgid, Sid};

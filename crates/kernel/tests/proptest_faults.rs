@@ -64,21 +64,13 @@ fn gen_op(rng: &mut Rng) -> Op {
 /// address space, descriptors — abort on any failure.
 fn mini_fork(k: &mut Kernel, parent: Pid, mode: ForkMode) -> Result<Pid, Errno> {
     let child = k.allocate_process(parent, "child")?;
-    match k.clone_address_space(parent, mode) {
-        Ok(s) => k.process_mut(child).expect("child just made").aspace = s,
+    match k.copy_space(parent, child, mode).and_then(|()| k.copy_fd_table(parent, child)) {
+        Ok(()) => Ok(child),
         Err(e) => {
             k.abort_process_creation(child).expect("abort is infallible here");
-            return Err(e);
+            Err(e)
         }
     }
-    match k.clone_fd_table(parent) {
-        Ok(f) => k.process_mut(child).expect("child just made").fds = f,
-        Err(e) => {
-            k.abort_process_creation(child).expect("abort is infallible here");
-            return Err(e);
-        }
-    }
-    Ok(child)
 }
 
 /// Under a random fault plan, every `Err` restores the pre-call
