@@ -10,7 +10,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress examples results-identity bench-repo-smoke bench-pair loc clean
+.PHONY: verify build test clippy doc doctest doclinks leakcheck stress examples results-identity bench-repo-smoke bench-pair mutants loc clean
 
 verify: build test clippy doc doctest doclinks stress examples results-identity bench-repo-smoke
 
@@ -248,6 +248,41 @@ bench-pair:
 		echo "== $$w, virt_* and ok_ops_ratio, parent against change on each seed: $${moved:-equal on all $(PAIRS), seeds $(SEED) on}"; \
 	done; \
 	[ -z "$$worse" ] || { echo "worse on:$$worse"; exit 1; }
+
+# Checked-in mutants: each mutants/NN-name.patch is a bug a test was once
+# shown to catch, kept so that the suite goes on catching it. Its header
+# says what it breaks and where it came from, and each `# kill:` line is
+# a command that must fail with the patch applied. The target unpacks HEAD
+# once under target/mutants/tree (a `git archive`, as bench-pair does) and
+# builds it into one shared CARGO_TARGET_DIR; every kill command must pass
+# there first. Then, for each patch, it restores the files the previous
+# one touched, applies the patch — one that no longer applies fails the
+# target, so a change that moves mutated code restates the mutant in the
+# same change —, requires the mutant to compile, and requires every kill
+# command to fail. Not part of `verify`: it rebuilds once a mutant.
+MUTANT_DIR := target/mutants
+
+mutants:
+	rm -rf $(MUTANT_DIR)/tree && mkdir -p $(MUTANT_DIR)/tree
+	git archive HEAD | tar -xm -C $(MUTANT_DIR)/tree
+	@export CARGO_TARGET_DIR=$(CURDIR)/$(MUTANT_DIR)/target; tree=$(MUTANT_DIR)/tree; \
+	kills=$(MUTANT_DIR)/kills; sed -n 's/^# kill: //p' mutants/*.patch | sort -u > $$kills; \
+	while read -r cmd; do \
+		(cd $$tree && $$cmd) > /dev/null 2>&1 || { echo "fails without a mutant: $$cmd"; exit 1; }; \
+	done < $$kills; \
+	survived=""; touched=""; \
+	for m in mutants/*.patch; do \
+		[ -z "$$touched" ] || git archive HEAD $$touched | tar -xm -C $$tree; \
+		touched=$$(git apply --numstat $$m | cut -f3); \
+		git apply --directory=$$tree $$m || { echo "$$m no longer applies: restate it"; exit 1; }; \
+		(cd $$tree && $(CARGO) test -q --workspace --no-run) > /dev/null 2>&1 || { echo "$$m does not compile"; exit 1; }; \
+		sed -n 's/^# kill: //p' $$m > $$kills; \
+		while read -r cmd; do \
+			if (cd $$tree && $$cmd) > /dev/null 2>&1; then echo "$$m survives: $$cmd"; survived="$$survived $$m"; \
+			else echo "$$m killed by: $$cmd"; fi; \
+		done < $$kills; \
+	done; \
+	[ -z "$$survived" ] || { echo "not killed:$$survived"; exit 1; }
 
 # The size a simplicity change is judged by: per crate, then per file, the
 # lines of crates/*/src that are neither blank nor a comment, counting each
