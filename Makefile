@@ -48,7 +48,9 @@ doclinks:
 # kill only the faulting process — and leave an intact kernel. Its
 # exhaustive sweeps (faultsweep, fork_fail_points) all run through one
 # driver, fpr_faults::sweep: count an operation's crossings, then replay
-# it on a fresh world once per crossing with that one failed. The
+# it on a fresh world once per crossing with that one failed; faultsweep
+# pins, per creation path, the sites its counting run crosses, in order,
+# and the cycles it charges, as one digest. The
 # pressure proptests replay random swap/reclaim schedules under the
 # same leak checks, and the SMP sweep (E17) repeats the exercise with
 # injections landing concurrently on four real OS threads. Alongside:
