@@ -1,11 +1,14 @@
-//! A vfork borrower's memory syscalls act on the lender's address space.
+//! A vfork borrower runs in the lender's memory, and hands it back intact.
 //!
+//! Its memory syscalls act on the lender's address space:
 //! `write_mem`/`mprotect`/`madvise` always resolved the space owner;
-//! `mmap_anon`/`mmap_at`/`munmap` did not, so a borrower's mapping went
-//! into the placeholder space its PCB carries, could not be written, and
-//! its commit charge outlived the child.
+//! `mmap_anon`/`mmap_at`/`munmap` once did not, so a borrower's mapping
+//! went into the placeholder space its PCB carried, could not be written,
+//! and its commit charge outlived the child. And its exec or exit must
+//! leave the lender's userspace tables — locks, atfork registrations,
+//! threads, stream buffers — as they were before the vfork.
 
-use fpr_kernel::{Kernel, SpaceRef};
+use fpr_kernel::{sync, AtforkRegistration, BufMode, Fd, FdEntry, FileObject, Kernel, LockId, OpenFlags, Pid, SpaceRef, Tid};
 use fpr_mem::{Prot, Share};
 
 #[test]
@@ -53,4 +56,66 @@ fn vfork_borrower_mmap_lands_in_lender() {
     k.leak_check(&base)
         .unwrap_or_else(|v| panic!("borrower mmap leaked:\n  {}", v.join("\n  ")));
     k.check_invariants().unwrap();
+}
+
+/// A lender whose userspace is all in use: a worker thread holding a
+/// lock, a fully buffered stream holding bytes, an atfork registration.
+/// Returns the world, the lender, the worker and the lock.
+fn lender_world() -> (forkroad_core::Os, Pid, Tid, LockId) {
+    let mut os = forkroad_core::Os::boot(forkroad_core::OsConfig::default());
+    let k = &mut os.kernel;
+    let lender = k.allocate_process(os.init, "lender").unwrap();
+    let ofd = k.ofds.insert(FileObject::Tty, OpenFlags::WRONLY);
+    let stdout = FdEntry { ofd, cloexec: false };
+    k.process_mut(lender).unwrap().fds.install_at(Fd(1), stdout, 64).unwrap();
+    let stream = k.stream_open(lender, Fd(1), BufMode::FullyBuffered).unwrap();
+    k.stream_write(lender, stream, PENDING).unwrap();
+    let worker = k.spawn_thread(lender).unwrap();
+    let lock = k.register_lock(lender, sync::names::MALLOC_ARENA).unwrap();
+    k.lock_acquire(lender, worker, lock).unwrap();
+    let reg = AtforkRegistration { token: 3, lock: Some(lock) };
+    k.process_mut(lender).unwrap().atfork.register(reg);
+    (os, lender, worker, lock)
+}
+
+/// What the lender's stream holds before any borrower runs.
+const PENDING: &[u8] = b"pending";
+
+/// `pid`'s observed entries under the path families `families`.
+fn seen(os: &forkroad_core::Os, pid: Pid, families: &[&str]) -> Vec<(String, String)> {
+    let o = os.kernel.observe().process(pid);
+    let keep = |path: &str| families.iter().any(|f| path.starts_with(f));
+    o.iter().filter(|(path, _)| keep(path)).map(|(k, v)| (k.to_string(), v.to_string())).collect()
+}
+
+/// A borrower's exec or exit hands the lender back its locks, atfork
+/// registrations and threads as they were before the vfork — and, for
+/// exec, its stream buffers too: the borrower's exit flushes them. The
+/// world then leaks nothing against the pre-vfork baseline.
+#[test]
+fn a_borrowers_exec_or_exit_leaves_the_lenders_tables_as_they_were() {
+    for exec in [true, false] {
+        let (mut os, lender, ..) = lender_world();
+        let families: &[&str] = match exec {
+            true => &["stream ", "lock ", "atfork ", "thread "],
+            false => &["lock ", "atfork ", "thread "],
+        };
+        let base = os.kernel.baseline();
+        let before = seen(&os, lender, families);
+        assert_eq!(before.len(), families.len() + 1, "two threads and one entry of each table");
+        let child = os.vfork(lender).unwrap();
+        match exec {
+            true => os.exec(child, "/bin/tool").unwrap(),
+            false => os.kernel.exit(child, 0).unwrap(),
+        }
+        assert_eq!(seen(&os, lender, families), before, "exec {exec}: the lender's tables moved");
+        if exec {
+            os.kernel.exit(child, 0).unwrap();
+        }
+        assert_eq!(os.kernel.waitpid(lender, Some(child)), Ok(Some((child, 0))));
+        os.kernel
+            .leak_check(&base)
+            .unwrap_or_else(|v| panic!("exec {exec}: leaked:\n  {}", v.join("\n  ")));
+        os.kernel.check_invariants().unwrap();
+    }
 }
