@@ -11,7 +11,11 @@
 //! Without `CLONE_VM`, clone is fork. With it, the child is a sequence of
 //! the kernel's creation steps: the descriptor table if `CLONE_FILES`,
 //! the task state, the image description, and then
-//! [`Kernel::borrow_space`] in place of a copy of the memory.
+//! [`Kernel::borrow_space`] in place of a copy of the memory. The child
+//! then runs in the parent's memory, userspace tables included: its locks
+//! are the parent's locks (one a parent thread holds refuses it with
+//! `EBUSY`, or `EDEADLK` if `CLONE_VFORK` parked that thread), and its
+//! stream writes land in the parent's buffers.
 
 use crate::fork::fork_from_thread;
 use fpr_kernel::{Errno, KResult, Kernel, Pid, Tid};

@@ -1,11 +1,12 @@
 //! `fork(2)` over the simulated kernel.
 //!
 //! Fork is the API that takes *every* kernel creation step: it copies the
-//! address space ([`Kernel::copy_space`]), the descriptor table, the task
-//! state (name, environment, signals, umask), the image description and
-//! the userspace state living in memory (streams, locks, atfork), in that
-//! order. Each step is a cost fork pays that a spawn API does not; the
-//! paper's Table of "what fork copies" is, in effect, that sequence.
+//! memory ([`Kernel::copy_space`]: the address space and the userspace
+//! state living in it — streams, locks, atfork), the descriptor table, the
+//! task state (name, environment, signals, umask) and the image
+//! description, in that order. Each step is a cost fork pays that a spawn
+//! API does not; the paper's Table of "what fork copies" is, in effect,
+//! that sequence.
 //! What else lives here is fork's own protocol around the copy: the
 //! `pthread_atfork` handlers and the work statistics.
 
@@ -89,11 +90,10 @@ pub fn fork_from_thread(
                 //    strict overcommit, EMFILE, an injected fault) leaves
                 //    the kernel byte-identical to before the call.
                 let (child, ()) = kernel.create_process(parent, |k, child, _| {
-                    k.copy_space(parent, child, mode)
+                    k.copy_space(parent, child, calling_tid, mode)
                         .and_then(|()| k.copy_fd_table(parent, child))
                         .and_then(|()| k.copy_task(parent, child))
                         .and_then(|()| k.copy_image(parent, child))
-                        .and_then(|()| k.copy_userspace(parent, child, calling_tid))
                         .inspect_err(|_| {
                             for l in &held {
                                 let _ = k.lock_release(parent, calling_tid, *l);
@@ -101,11 +101,11 @@ pub fn fork_from_thread(
                         })
                 })?;
                 atfork_complete(kernel, parent, child, calling_tid, &held)?;
-                let (p, c) = (kernel.process(parent)?, kernel.process(child)?);
+                let (p, c) = (kernel.memory(parent)?, kernel.process(child)?);
                 let stats = ForkStats {
                     cycles: kernel.cycles.total() - cycles_before,
-                    pages_inherited: c.aspace.resident_pages(),
-                    vmas_cloned: c.aspace.vma_count(),
+                    pages_inherited: c.resident_pages(),
+                    vmas_cloned: kernel.memory(child)?.aspace.vma_count(),
                     fds_inherited: c.fds.open_count(),
                     orphaned_locks: p.locks.orphaned_after_fork(calling_tid).len(),
                     duplicated_stream_bytes: c.unflushed_bytes(),
@@ -134,13 +134,13 @@ fn atfork_prepare(kernel: &mut Kernel, parent: Pid, calling_tid: Tid) -> KResult
         return Err(Errno::Esrch);
     }
     let mut held = Vec::new();
-    for reg in kernel.process(parent)?.atfork.prepare_order() {
+    for reg in kernel.memory(parent)?.atfork.prepare_order() {
         if let Some(lock) = reg.lock {
             match kernel.lock_acquire(parent, calling_tid, lock) {
                 Ok(()) => held.push(lock),
                 // Already ours (e.g. caller registered twice): fine.
                 Err(Errno::Edeadlk)
-                    if kernel.process(parent)?.locks.owner_of(lock) == Some(calling_tid) => {}
+                    if kernel.memory(parent)?.locks.owner_of(lock) == Some(calling_tid) => {}
                 Err(e) => {
                     // Undo partial prepare before reporting.
                     for l in held {
@@ -168,12 +168,12 @@ fn atfork_complete(
     held: &[LockId],
 ) -> KResult<()> {
     let child_main_tid = kernel.process(child)?.main_tid();
-    for reg in kernel.process(child)?.atfork.completion_order() {
+    for reg in kernel.memory(child)?.atfork.completion_order() {
         if let Some(lock) = reg.lock {
             if held.contains(&lock) {
                 let _ = kernel.lock_release(parent, calling_tid, lock);
             }
-            if kernel.process(child)?.locks.owner_of(lock) == Some(child_main_tid) {
+            if kernel.memory(child)?.locks.owner_of(lock) == Some(child_main_tid) {
                 let _ = kernel.lock_release(child, child_main_tid, lock);
             }
         }
@@ -338,7 +338,7 @@ mod tests {
             token: 2,
             lock: None,
         });
-        k.process_mut(p).unwrap().atfork = table;
+        k.memory_mut(p).unwrap().atfork = table;
         let c = fork(&mut k, p).unwrap();
         let phases: Vec<(Pid, u64, AtforkPhase)> = k.atfork_log.clone();
         // Prepare in reverse order, then parent/child pairs forward.
@@ -354,7 +354,7 @@ mod tests {
             ]
         );
         // Child inherits the registrations (they live in memory).
-        assert_eq!(k.process(c).unwrap().atfork.len(), 2);
+        assert_eq!(k.memory(c).unwrap().atfork.len(), 2);
     }
 
     #[test]
@@ -369,7 +369,7 @@ mod tests {
             token: 9,
             lock: Some(lock),
         });
-        k.process_mut(p).unwrap().atfork = table;
+        k.memory_mut(p).unwrap().atfork = table;
         // The lock is free at fork time: prepare acquires it, both sides
         // release it, and the child can use it.
         let c = fork(&mut k, p).unwrap();
@@ -401,7 +401,7 @@ mod tests {
             token: 9,
             lock: Some(lock),
         });
-        k.process_mut(p).unwrap().atfork = table;
+        k.memory_mut(p).unwrap().atfork = table;
         // fork would block in prepare until `other` releases: EBUSY here.
         assert_eq!(fork(&mut k, p), Err(Errno::Ebusy));
         // Once released, the fork goes through.
@@ -424,7 +424,7 @@ mod tests {
             token: 1,
             lock: Some(covered),
         });
-        k.process_mut(p).unwrap().atfork = table;
+        k.memory_mut(p).unwrap().atfork = table;
         let c = fork(&mut k, p).unwrap();
         let c_main = k.process(c).unwrap().main_tid();
         assert_eq!(k.lock_acquire(c, c_main, covered), Ok(()));

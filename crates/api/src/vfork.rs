@@ -1,10 +1,13 @@
 //! `vfork(2)`: fast, dangerous, and deprecated for a reason.
 //!
-//! The child borrows the parent's address space — no copy at all, so
-//! creation cost is O(1) in parent size — but until the child execs or
-//! exits, the parent is suspended and every child write scribbles on the
-//! parent's memory. The paper groups vfork with the "performance hack"
-//! escape hatches that exist only because fork proper is slow.
+//! The child borrows the parent's memory — no copy at all, so creation
+//! cost is O(1) in parent size — but until the child execs or exits, the
+//! parent is suspended and every child write scribbles on the parent's
+//! memory: its pages, and the userspace state living there. A lock a
+//! parked parent thread holds deadlocks the child (`EDEADLK`), and the
+//! child's stream writes fill the parent's buffers, which its exit flushes.
+//! The paper groups vfork with the "performance hack" escape hatches that
+//! exist only because fork proper is slow.
 
 use crate::clone::{clone_process, CloneFlags};
 use fpr_kernel::{KResult, Kernel, Pid};
@@ -35,7 +38,6 @@ pub fn vfork(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
 mod tests {
     use super::*;
     use fpr_exec::{Image, ImageRegistry};
-    use fpr_kernel::SpaceRef;
     use fpr_mem::{Prot, Share};
 
     fn boot() -> (Kernel, Pid) {
@@ -103,7 +105,7 @@ mod tests {
         k.write_mem(c, fpr_mem::Vpn(k.process(c).unwrap().layout.heap_base), 3)
             .unwrap();
         assert_eq!(k.read_mem(p, base), Ok(7));
-        assert_eq!(k.process(c).unwrap().space_ref, SpaceRef::Owned);
+        assert!(matches!(k.process(c).unwrap().space, fpr_kernel::Space::Own(_)));
     }
 
     #[test]

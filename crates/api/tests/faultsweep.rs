@@ -423,7 +423,7 @@ fn swap_out_pass_survives_every_fail_point() {
     let op = |w: &mut World<(Pid, Vpn)>| w.k.swap_out_pass(8).map(|n| assert_eq!(n, 8, "{label}"));
     let resident = |w: &mut World<(Pid, Vpn)>, at: &str| {
         let (init, vbase) = w.at;
-        assert_eq!(w.k.process(init).unwrap().aspace.swapped_pages(), 0, "{at} left pages evicted");
+        assert_eq!(w.k.memory(init).unwrap().aspace.swapped_pages(), 0, "{at} left pages evicted");
         assert_eq!(w.k.phys.swap().used_slots(), 0, "{at} leaked reserved slots");
         // Byte-identical includes the bytes: every page still reads back.
         for i in 0..16 {
@@ -555,7 +555,7 @@ fn thp_demotion_failure_rolls_back_cleanly() {
         let World { mut k, at: (p, base), .. } = thp_world();
         k.populate(p, base, 512).unwrap();
         assert_eq!(
-            k.process(p).unwrap().aspace.huge_pages(),
+            k.memory(p).unwrap().aspace.huge_pages(),
             1,
             "fixture block promoted"
         );

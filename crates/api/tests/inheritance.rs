@@ -21,7 +21,7 @@ use fpr_exec::{execve, randomize, Image, ImageCache, ImageRegistry};
 use fpr_kernel::signal::ALL_SIGS;
 use fpr_kernel::{
     AtforkRegistration, BufMode, Caps, Credentials, Disposition, HandlerId, Kernel, Observed,
-    OpenFlags, Pid, Resource, Rlimit, RlimitSet, Sig, SpaceRef, Tid,
+    OpenFlags, Pid, Resource, Rlimit, RlimitSet, Sig, Space as SpaceRef, Tid,
 };
 use std::collections::BTreeMap;
 
@@ -88,11 +88,11 @@ fn world() -> World {
         p.cwd = work;
         p.cred = parent_cred();
         p.rlimits = parent_rlimits();
-        p.atfork.register(AtforkRegistration {
-            token: 9,
-            lock: None,
-        });
     }
+    k.memory_mut(parent).unwrap().atfork.register(AtforkRegistration {
+        token: 9,
+        lock: None,
+    });
     // Signals: every catchable one caught or ignored, a blocked subset,
     // one blocked signal pending; and an alarm on the way.
     for sig in ALL_SIGS.into_iter().filter(|s| !matches!(s, Sig::Kill | Sig::Stop)) {

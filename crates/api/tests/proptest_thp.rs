@@ -300,9 +300,10 @@ impl World {
             if p.is_zombie() {
                 continue;
             }
+            let space = &self.k.memory(*pid).unwrap().aspace;
             for (r, (base, len)) in self.regions.iter().enumerate() {
                 for i in 0..*len {
-                    if let Ok(v) = p.aspace.observe(base.add(i), &self.k.phys) {
+                    if let Ok(v) = space.observe(base.add(i), &self.k.phys) {
                         out.push((pid.0, r, i, v));
                     }
                 }

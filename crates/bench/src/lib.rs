@@ -755,7 +755,7 @@ fn thp_probe(thp: bool, footprint: u64) -> (u64, u64, u64, u64) {
         world(machine, ProcessShape::with_heap(footprint))
     };
     let (mut os, parent) = boot();
-    let huge_blocks = os.kernel.process(parent).unwrap().aspace.huge_pages();
+    let huge_blocks = os.kernel.memory(parent).unwrap().aspace.huge_pages();
     let before = fpr_trace::metrics::snapshot();
     let (_, fork_cycles) = os.measure(|os| {
         os.fork_stats(parent, ForkMode::OnDemand).expect("fork");
@@ -765,7 +765,7 @@ fn thp_probe(thp: bool, footprint: u64) -> (u64, u64, u64, u64) {
         + d.counter("mem.fork.pt_subtree_share") * cost.pt_subtree_share;
 
     let (mut os, parent) = boot();
-    let aspace = &os.kernel.process(parent).unwrap().aspace;
+    let aspace = &os.kernel.memory(parent).unwrap().aspace;
     let heap: Vec<(fpr_mem::Vpn, u64)> = aspace
         .vmas()
         .filter(|v| v.kind == fpr_mem::VmaKind::Mmap)

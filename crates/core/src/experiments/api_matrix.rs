@@ -15,8 +15,12 @@
 //! witnesses read parent and child through `Kernel::observe` on a `kit`
 //! world. Four reuse another experiment's measurement: "thread safe" is
 //! E5's trial (a worker holds a lock; creation must not be refused and the
-//! child must take every lock it has), "stdio composes" is E6's console
-//! count (no buffered byte written twice), "fresh ASLR" is E8's shared
+//! child must take every lock of the memory it runs in — a borrower runs
+//! in its parent's, where the worker is parked holding it), "stdio
+//! composes" is E6's console count (every buffered byte written exactly
+//! once — a borrower's exit flushes the parent's buffers through its own
+//! descriptors, and a `clone(vm)` child without `CLONE_FILES` has none
+//! to flush them to), "fresh ASLR" is E8's shared
 //! layout bits, and "flat cost" holds creation from a 4 096-page parent to
 //! under twice its cycles from a 64-page one. "clean errors" asks for a
 //! program that is gone: the parent must get the error and the world must
@@ -159,10 +163,9 @@ fn caps() -> [Cap; 14] {
             os.kernel.write_mem(c, base, MAGIC).map(|_| ())
         }, |api| spawned(api, vec![], SpawnAttrs::default(), Some(|b| {
             b.mem(MemOp::MapAnon { tag: 1, pages: 1, prot: Prot::RW }).mem(MemOp::Write { tag: 1, offset: 0, value: MAGIC })
-        })), |m| child(m, |os, p, c| {
-            // A borrower runs in its lender's space.
-            let runs_in = if reads(os, c, "space", "Owned") { c } else { p };
-            let (k, space) = (&os.kernel, &os.kernel.process(runs_in).expect("alive").aspace);
+        })), |m| child(m, |os, _, c| {
+            // A borrower's memory is its lender's.
+            let (k, space) = (&os.kernel, &os.kernel.memory(c).expect("alive").aspace);
             space.vmas().any(|v| space.observe(v.start, &k.phys) == Ok(MAGIC))
         })),
         Cap("fresh ASLR", |_, _| Ok(()), |_| None,

@@ -47,7 +47,7 @@ pub(crate) fn measure(footprint: u64, fraction: f64, mode: ForkMode, seed: u64) 
         fork_cycles,
         storm_cycles,
         worst_touch_cycles,
-        child: os.kernel.process(child).unwrap().aspace.stats.clone(),
+        child: os.kernel.memory(child).unwrap().aspace.stats.clone(),
     }
 }
 

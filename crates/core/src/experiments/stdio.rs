@@ -4,9 +4,9 @@
 //! exit (flushing at exit, as libc does). With fork the buffered prefix
 //! appears twice on the console; with posix_spawn and the cross-process
 //! builder it appears once. The duplicated byte count equals the
-//! unflushed buffer size — deterministically. (A simulated vfork child
-//! gets no copy of the parent's streams, so it duplicates nothing either:
-//! E7 measures that.)
+//! unflushed buffer size — deterministically. (A vfork child copies no
+//! streams either: it writes into the parent's buffers and its exit
+//! flushes them, once, through its own descriptors. E7 measures that.)
 
 use crate::kit::CreationPath;
 use crate::os::{Os, OsConfig};

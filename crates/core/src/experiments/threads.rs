@@ -5,10 +5,11 @@
 //! lock with a given probability, and creates a child of each such parent
 //! five ways (`PATHS`). The witness is the child itself: at the first
 //! point it can run code — straight after fork, after exec for the paths
-//! that exec — it tries to take every lock in its own lock table. A trial
-//! deadlocks when some lock refuses with `EDEADLK` (its owner does not
-//! exist in the child), and is refused when creation itself returns an
-//! error (an atfork prepare handler finding its lock held by a worker).
+//! that exec — it tries to take every lock of the memory it runs in (a
+//! borrower's are its lender's). A trial deadlocks when some lock refuses
+//! with `EDEADLK` (its owner does not exist in the child, or is a lender
+//! thread the borrow parked), and is refused when creation itself returns
+//! an error (an atfork prepare handler finding its lock held by a worker).
 
 use crate::kit::CreationPath;
 use crate::os::{Os, OsConfig};
@@ -54,13 +55,14 @@ pub(crate) fn trial(holds: &[bool], atfork: bool, create: impl FnOnce(&mut Os, P
         }
         if atfork {
             let reg = AtforkRegistration { token: i as u64, lock: Some(lock) };
-            os.kernel.process_mut(parent).expect("parent").atfork.register(reg);
+            os.kernel.memory_mut(parent).expect("parent").atfork.register(reg);
         }
     }
     let child = create(&mut os, parent)?;
-    let c = os.kernel.process(child).expect("child");
-    let main = c.main_tid();
-    let locks: Vec<_> = c.locks.iter().map(|l| l.id).collect();
+    let main = os.kernel.process(child).expect("child").main_tid();
+    // The locks of the memory the child runs in: a borrower's are its
+    // lender's.
+    let locks: Vec<_> = os.kernel.memory(child).expect("child").locks.iter().map(|l| l.id).collect();
     let mut deadlocked = false;
     for lock in locks {
         match os.kernel.lock_acquire(child, main, lock) {

@@ -355,8 +355,9 @@ impl Os {
     /// The base page of the first heap-class VMA mapped after exec (the
     /// synthetic parent's data region).
     pub fn first_mmap_base(&self, pid: Pid) -> KResult<Vpn> {
-        let p = self.kernel.process(pid)?;
-        p.aspace
+        self.kernel
+            .memory(pid)?
+            .aspace
             .vmas()
             .find(|v| v.kind == fpr_mem::VmaKind::Mmap)
             .map(|v| v.start)
@@ -418,7 +419,10 @@ mod tests {
                 5,
                 "exec'd process has no stdio; 5 opened"
             );
-            let mmaps: Vec<u64> = p
+            let mmaps: Vec<u64> = os
+                .kernel
+                .memory(pid)
+                .unwrap()
                 .aspace
                 .vmas()
                 .filter(|v| v.kind == fpr_mem::VmaKind::Mmap)

@@ -3,7 +3,8 @@
 //! Exec is fork's other half — and the half that *undoes* most of fork's
 //! copying: the duplicated address space is thrown away, close-on-exec
 //! descriptors are closed, caught signal handlers are reset, extra
-//! threads vanish, and userspace state (streams, locks) is wiped. The
+//! threads vanish, and userspace state (streams, locks) goes with the
+//! memory it lived in. The
 //! paper's point: for the dominant fork+exec pattern, all of fork's
 //! duplication work between these two calls is pure waste.
 
@@ -73,8 +74,9 @@ pub fn execve_args(
             let mut full_argv = interp_prefix;
             full_argv.extend(argv);
 
-            // 1. Release the old address space (a vfork child gives the
-            //    parent its space back) and start with a fresh one.
+            // 1. Release the old memory (a vfork child gives the parent its
+            //    space back) and start with a fresh one: an empty address
+            //    space, and no locks, streams or atfork handlers in it.
             kernel.destroy_address_space(pid)?;
 
             // 2–5. Descriptors, signals, threads, argv and environment.
@@ -91,10 +93,9 @@ pub fn execve_args(
 /// What exec does to the process control block of `pid`, the memory and
 /// the image aside: closes its close-on-exec descriptors, resets caught
 /// signals (ignored and default dispositions and the mask stay), keeps only
-/// the calling thread and wipes userspace state — locks, streams, atfork
-/// handlers — then installs `argv` (the interpreter prefix of a `#!` chain
-/// included) and the environment per `env`. The spawn fast path's checkout
-/// leaves a warm child as this leaves an exec'd one.
+/// the calling thread, then installs `argv` (the interpreter prefix of a
+/// `#!` chain included) and the environment per `env`. The spawn fast
+/// path's checkout leaves a warm child as this leaves an exec'd one.
 pub fn reset_pcb(kernel: &mut Kernel, pid: Pid, argv: Vec<String>, env: Env) -> KResult<()> {
     let swept = kernel.process_mut(pid)?.fds.take_cloexec();
     for (_, entry) in swept {
@@ -106,9 +107,6 @@ pub fn reset_pcb(kernel: &mut Kernel, pid: Pid, argv: Vec<String>, env: Env) -> 
         let main = p.threads.remove(0);
         let doomed = p.threads.drain(..).map(|t| t.tid).collect();
         p.threads.push(main);
-        p.locks = fpr_kernel::LockTable::new();
-        p.streams.clear();
-        p.atfork = fpr_kernel::AtforkTable::new();
         doomed
     };
     for tid in doomed_tids {
@@ -164,7 +162,7 @@ mod tests {
         assert!(p.resident_pages() < resident_before, "old pages gone");
         assert_eq!(
             k.commit.committed(),
-            p.aspace.commit_pages(),
+            k.memory(pid).unwrap().aspace.commit_pages(),
             "commit rebased"
         );
     }
@@ -213,9 +211,8 @@ mod tests {
         let s = k.stream_open(pid, STDOUT, BufMode::FullyBuffered).unwrap();
         k.stream_write(pid, s, b"lost on exec").unwrap();
         execve(&mut k, pid, &reg, "/bin/tool", 1).unwrap();
-        let p = k.process(pid).unwrap();
-        assert_eq!(p.threads.len(), 1);
-        assert!(p.streams.is_empty());
+        assert_eq!(k.process(pid).unwrap().threads.len(), 1);
+        assert!(k.memory(pid).unwrap().streams.is_empty());
         // Buffered bytes were *not* flushed — they are simply gone, which
         // is precisely why mixing stdio with exec needs care.
         assert!(k.console.is_empty());

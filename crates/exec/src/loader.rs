@@ -192,7 +192,7 @@ mod tests {
         load(&mut k, pid, &img, layout, None).unwrap();
         let p = k.process(pid).unwrap();
         // text, data, bss, heap, guard, stack = 6 VMAs.
-        assert_eq!(p.aspace.vma_count(), 6);
+        assert_eq!(k.memory(pid).unwrap().aspace.vma_count(), 6);
         assert_eq!(p.name, "sh");
         assert_eq!(p.layout, layout);
         // The entry page of text, the first data page, the first stack

@@ -27,7 +27,7 @@ use crate::file::FileObject;
 use crate::kernel::Kernel;
 use crate::pid::Pid;
 use crate::signal::ALL_SIGS;
-use crate::task::{Process, SpaceRef};
+use crate::task::Process;
 use crate::vfs::InodeKind;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::Range;
@@ -187,8 +187,7 @@ impl Kernel {
         let (mut frames, mut slots) = (Expected::default(), Expected::default());
         let mut seen_shared: HashSet<usize> = HashSet::new();
         let mut swap_v = Vec::new();
-        for p in self.procs.iter().filter(|p| p.space_ref == SpaceRef::Owned) {
-            let (pid, space) = (p.pid, &p.aspace);
+        for (pid, space) in self.procs.iter().filter_map(|p| Some((p.pid, &p.memory()?.aspace))) {
             let (mut entries, mut uncovered) = (0, false);
             for leaf in space.leaf_slots() {
                 let first = leaf.shared().is_none_or(|id| seen_shared.insert(id));
@@ -535,10 +534,14 @@ impl Kernel {
         for (i, t) in p.threads.iter().enumerate() {
             put(&format!("thread {i}"), format!("{:?} holding {:?}", t.state, t.holding));
         }
-        for (i, s) in p.streams.iter().enumerate() {
+        put("layout", format!("{:?}", p.layout));
+        // A borrower holds no memory, and no tables, of its own.
+        let Some(m) = p.memory() else { return put("space", format!("{:?}", p.space)) };
+        put("space", "Owned".to_string());
+        for (i, s) in m.streams.iter().enumerate() {
             put(&format!("stream {i}"), format!("{s:?}"));
         }
-        for l in p.locks.iter() {
+        for l in m.locks.iter() {
             let owner = match l.owner {
                 None => "nobody".to_string(),
                 Some(tid) => match p.threads.iter().position(|t| t.tid == tid) {
@@ -548,14 +551,12 @@ impl Kernel {
             };
             put(&format!("lock {}", l.id.0), format!("name {} held by {owner}", l.name_id));
         }
-        for (i, reg) in p.atfork.completion_order().iter().enumerate() {
+        for (i, reg) in m.atfork.completion_order().iter().enumerate() {
             put(&format!("atfork {i}"), format!("{reg:?}"));
         }
-        put("space", format!("{:?}", p.space_ref));
-        put("layout", format!("{:?}", p.layout));
         // Resident pages come in ascending order, so a cursor finds each
         // one's VMA; a swapped page is read through `observe`.
-        let (space, vmas) = (&p.aspace, p.aspace.vmas().collect::<Vec<_>>());
+        let (space, vmas) = (&m.aspace, m.aspace.vmas().collect::<Vec<_>>());
         let mut content = vec![0u64; vmas.len()];
         let mut fold = |at: &mut usize, vpn: fpr_mem::Vpn, now: Option<u64>| {
             while vmas.get(*at).is_some_and(|v| v.end() <= vpn) {
@@ -606,7 +607,7 @@ mod tests {
         k.populate(init, base, 8).unwrap();
         k.pipe(init).unwrap();
         let child = k.allocate_process(init, "c").unwrap();
-        k.copy_space(init, child, ForkMode::Cow).unwrap();
+        k.copy_space(init, child, k.process(init).unwrap().main_tid(), ForkMode::Cow).unwrap();
         k.copy_fd_table(init, child).unwrap();
         k.assert_consistent();
         k.exit(child, 0).unwrap();
@@ -640,7 +641,7 @@ mod tests {
         let (mut k, init) = boot();
         let base = k.baseline();
         let child = k.allocate_process(init, "doomed").unwrap();
-        k.copy_space(init, child, ForkMode::Cow).unwrap();
+        k.copy_space(init, child, k.process(init).unwrap().main_tid(), ForkMode::Cow).unwrap();
         k.copy_fd_table(init, child).unwrap();
         k.abort_process_creation(child).unwrap();
         k.leak_check(&base).unwrap();

@@ -257,20 +257,20 @@ impl Kernel {
         self.process_mut(pid)?.fds.set_cloexec(fd, cloexec)
     }
 
-    /// Attaches a buffered user stream to a descriptor of `pid` and
-    /// returns its index. (Userspace state, modelled in the PCB.)
+    /// Attaches a buffered user stream to descriptor `fd` and returns its
+    /// index among the streams of the memory `pid` runs in. (Userspace
+    /// state, living in that memory.)
     pub fn stream_open(&mut self, pid: Pid, fd: Fd, mode: BufMode) -> KResult<usize> {
-        let p = self.process_mut(pid)?;
-        p.streams.push(UserStream::new(fd, mode));
-        Ok(p.streams.len() - 1)
+        let streams = &mut self.memory_mut(pid)?.streams;
+        streams.push(UserStream::new(fd, mode));
+        Ok(streams.len() - 1)
     }
 
     /// Writes through a buffered stream; spilled bytes go to the
-    /// underlying descriptor.
+    /// underlying descriptor of `pid`.
     pub fn stream_write(&mut self, pid: Pid, stream: usize, data: &[u8]) -> KResult<usize> {
         let (fd, out) = {
-            let p = self.process_mut(pid)?;
-            let s = p.streams.get_mut(stream).ok_or(Errno::Ebadf)?;
+            let s = self.memory_mut(pid)?.streams.get_mut(stream).ok_or(Errno::Ebadf)?;
             (s.fd, s.write(data))
         };
         if !out.0.is_empty() {
@@ -279,11 +279,10 @@ impl Kernel {
         Ok(data.len())
     }
 
-    /// Flushes one buffered stream to its descriptor.
+    /// Flushes one buffered stream to its descriptor of `pid`.
     pub fn stream_flush(&mut self, pid: Pid, stream: usize) -> KResult<()> {
         let (fd, out) = {
-            let p = self.process_mut(pid)?;
-            let s = p.streams.get_mut(stream).ok_or(Errno::Ebadf)?;
+            let s = self.memory_mut(pid)?.streams.get_mut(stream).ok_or(Errno::Ebadf)?;
             (s.fd, s.flush())
         };
         if !out.0.is_empty() {

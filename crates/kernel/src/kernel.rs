@@ -14,7 +14,7 @@ use crate::pid::{Pid, ShardedPidTable, Tid, TidAllocator};
 use crate::pipe::PipeTable;
 use crate::rlimit::Resource;
 use crate::sched::{Scheduler, Task};
-use crate::task::{Process, SpaceRef};
+use crate::task::{Memory, Process, Space};
 use crate::time::Clock;
 use crate::vfs::Vfs;
 use fpr_mem::{
@@ -377,8 +377,7 @@ impl Kernel {
     pub fn create_init(&mut self, name: &str) -> KResult<Pid> {
         let pid = self.alloc_pid()?;
         let tid = self.tids.alloc();
-        let mut proc = Process::new(pid, pid, name, tid, self.vfs.root());
-        proc.aspace.set_thp(self.thp);
+        let mut proc = Process::new(pid, pid, name, tid, self.vfs.root(), self.thp);
         proc.pgid = crate::pgroup::Pgid(pid.0);
         proc.sid = crate::pgroup::Sid(pid.0);
         for flags in [OpenFlags::RDONLY, OpenFlags::WRONLY, OpenFlags::WRONLY] {
@@ -469,8 +468,7 @@ impl Kernel {
             let identity = k.identity_from(ppid, None)?;
             let pid = k.alloc_pid()?;
             let tid = k.tids.alloc();
-            let mut proc = Process::new(pid, ppid, name, tid, identity.cwd);
-            proc.aspace.set_thp(k.thp);
+            let mut proc = Process::new(pid, ppid, name, tid, identity.cwd, k.thp);
             identity.give(&mut proc, ppid);
             *k.user_counts.entry(proc.cred.uid).or_insert(0) += 1;
             k.sched.enqueue(Task { pid, tid });
@@ -488,17 +486,33 @@ impl Kernel {
         self.sched.cpus_running(pid).max(1)
     }
 
-    /// Resolves the process whose address space `pid` actually operates
-    /// on: itself normally, or the lender for a vfork borrower.
+    /// Resolves the process whose memory `pid` actually runs in: itself
+    /// normally, or the lender for a vfork borrower.
     pub(crate) fn space_owner(&self, pid: Pid) -> KResult<Pid> {
         let mut cur = pid;
         for _ in 0..16 {
-            match self.process(cur)?.space_ref {
-                crate::task::SpaceRef::Owned => return Ok(cur),
-                crate::task::SpaceRef::BorrowedFrom(p) => cur = p,
+            match self.process(cur)?.space {
+                Space::Own(_) => return Ok(cur),
+                Space::BorrowedFrom(p) => cur = p,
             }
         }
         Err(Errno::Esrch)
+    }
+
+    /// The memory `pid` runs in — its own, or its lender's — with the
+    /// address space and the locks, streams and atfork registrations in it.
+    pub fn memory(&self, pid: Pid) -> KResult<&Memory> {
+        let owner = self.space_owner(pid)?;
+        self.process(owner)?.memory().ok_or(Errno::Esrch)
+    }
+
+    /// [`Kernel::memory`], mutably.
+    pub fn memory_mut(&mut self, pid: Pid) -> KResult<&mut Memory> {
+        let owner = self.space_owner(pid)?;
+        match &mut self.process_mut(owner)?.space {
+            Space::Own(m) => Ok(m),
+            Space::BorrowedFrom(_) => Err(Errno::Esrch),
+        }
     }
 
     /// The address space `pid` operates on — its own, or the lender's for
@@ -516,9 +530,11 @@ impl Kernel {
             procs,
             ..
         } = self;
-        let space = &mut procs.get_mut(owner).ok_or(Errno::Esrch)?.aspace;
+        let Space::Own(m) = &mut procs.get_mut(owner).ok_or(Errno::Esrch)?.space else {
+            return Err(Errno::Esrch);
+        };
         Ok(MemCtx {
-            space,
+            space: &mut m.aspace,
             phys,
             cycles,
             tlb,
@@ -563,9 +579,9 @@ impl Kernel {
                 .get_mut(pid)
                 .filter(|p| !p.is_zombie())
                 .ok_or(Errno::Esrch)?;
-            if proc.space_ref == crate::task::SpaceRef::Owned {
+            if let Space::Own(m) = &mut proc.space {
                 return Ok(op(MemCtx {
-                    space: &mut proc.aspace,
+                    space: &mut m.aspace,
                     phys,
                     cycles,
                     tlb,
@@ -598,7 +614,7 @@ impl Kernel {
                 Vpn(DEFAULT_MMAP_BASE)
             };
             let limit = p.rlimits.get(Resource::AsPages).soft;
-            let space = &self.process(self.space_owner(pid)?)?.aspace;
+            let space = &self.memory(pid)?.aspace;
             if space.virtual_pages() + pages > limit {
                 return Err(Errno::Enomem);
             }
@@ -801,11 +817,16 @@ impl Kernel {
         }
     }
 
-    /// Gives `child` a duplicate of `parent`'s address space under `mode`,
-    /// charging the child's commit against the overcommit policy first.
-    /// The duplicate rolls back on failure, so the reclaim-retry is safe.
-    pub fn copy_space(&mut self, parent: Pid, child: Pid, mode: fpr_mem::ForkMode) -> KResult<()> {
-        let space = self.span("clone_address_space", "kernel", |k| {
+    /// Gives `child` a duplicate of the memory `parent` runs in: the
+    /// address space under `mode`, charging the child's commit against the
+    /// overcommit policy first, and with it the userspace state living
+    /// there — stream buffers, `pthread_atfork` registrations, and the lock
+    /// table *as it was*. Only `calling_tid` exists in the child: its
+    /// holdings move to the child's main thread, every other thread's are
+    /// orphaned in place. The duplicate rolls back on failure, so the
+    /// reclaim-retry is safe.
+    pub fn copy_space(&mut self, parent: Pid, child: Pid, calling_tid: Tid, mode: fpr_mem::ForkMode) -> KResult<()> {
+        let aspace = self.span("clone_address_space", "kernel", |k| {
             k.reclaim_retry(|k| {
                 let m = k.mem_ctx(parent)?;
                 let charge = m.space.commit_pages();
@@ -818,7 +839,13 @@ impl Kernel {
                 )
             })
         })?;
-        self.process_mut(child)?.aspace = space;
+        let p = self.memory(parent)?;
+        let (mut locks, streams, atfork) = (p.locks.clone(), p.streams.clone(), p.atfork.clone());
+        let c = self.process_mut(child)?;
+        for l in locks.reown(calling_tid, c.main_tid()) {
+            c.threads[0].note_acquired(l);
+        }
+        c.space = Space::Own(Memory { aspace, locks, streams, atfork });
         Ok(())
     }
 
@@ -844,36 +871,17 @@ impl Kernel {
         Ok(())
     }
 
-    /// Gives `child` the userspace state living in `parent`'s memory:
-    /// stream buffers, `pthread_atfork` registrations, and the lock table
-    /// *as it was*. Only `calling_tid` exists in the child: its holdings
-    /// move to the child's main thread, every other thread's are orphaned
-    /// in place.
-    pub fn copy_userspace(&mut self, parent: Pid, child: Pid, calling_tid: Tid) -> KResult<()> {
-        let p = self.process(parent)?;
-        let (streams, mut locks, atfork) = (p.streams.clone(), p.locks.clone(), p.atfork.clone());
-        let c = self.process_mut(child)?;
-        let main = c.main_tid();
-        for l in locks.iter_ids() {
-            if locks.owner_of(l) == Some(calling_tid) {
-                locks.set_owner(l, Some(main));
-                c.threads[0].note_acquired(l);
-            }
-        }
-        (c.streams, c.locks, c.atfork) = (streams, locks, atfork);
-        Ok(())
-    }
-
-    /// Runs `child` in `parent`'s address space on loan
-    /// ([`SpaceRef::BorrowedFrom`]), parking `parent` until the child
-    /// execs or exits if `park`. Nothing in that memory is copied, and
-    /// the model gives the borrower no lock table and no stream buffers
-    /// of the parent's: it starts with empty ones, though a real vfork
-    /// child sees the parent's in the memory it borrows.
+    /// Runs `child` in `parent`'s memory on loan
+    /// ([`Space::BorrowedFrom`]), parking `parent` until the child execs
+    /// or exits if `park`. Nothing is copied: the child's memory
+    /// syscalls, locks, streams and atfork registrations act on the
+    /// parent's, as a real vfork child's do in the memory it borrows.
     pub fn borrow_space(&mut self, parent: Pid, child: Pid, park: bool) -> KResult<()> {
-        self.process_mut(child)?.space_ref = SpaceRef::BorrowedFrom(parent);
+        self.process_mut(child)?.space = Space::BorrowedFrom(parent);
         if park {
-            self.vfork_park(parent, child)?;
+            let p = self.process_mut(parent)?;
+            p.park_all_threads();
+            p.vfork_children.push(child);
         }
         Ok(())
     }
@@ -887,36 +895,36 @@ impl Kernel {
         Ok(tid)
     }
 
-    /// Registers a userspace lock in `pid`.
+    /// Registers a userspace lock in the memory `pid` runs in.
     pub fn register_lock(&mut self, pid: Pid, name_id: u32) -> KResult<crate::sync::LockId> {
-        Ok(self.process_mut(pid)?.locks.register(name_id))
+        Ok(self.memory_mut(pid)?.locks.register(name_id))
     }
 
-    /// Acquires a lock for `tid` in `pid`.
+    /// Acquires a lock of the memory `pid` runs in for its thread `tid`.
     ///
-    /// Returns [`Errno::Ebusy`] and blocks the thread when contended, and
-    /// [`Errno::Edeadlk`] when the owner no longer exists in the process —
-    /// the post-fork orphaned-lock deadlock.
+    /// Returns [`Errno::Ebusy`] and blocks the thread when the owner can
+    /// run before it, and [`Errno::Edeadlk`] when it cannot: the owner is
+    /// not a thread of the memory's owner (the post-fork orphaned-lock
+    /// deadlock), or is one that `pid`'s borrow of that memory parked.
     pub fn lock_acquire(&mut self, pid: Pid, tid: Tid, lock: crate::sync::LockId) -> KResult<()> {
-        let p = self.process_mut(pid)?;
-        match p.locks.acquire(lock, tid) {
+        let lender = self.space_owner(pid)?;
+        match self.memory_mut(pid)?.locks.acquire(lock, tid) {
             Ok(()) => {
-                if let Some(t) = p.thread_mut(tid) {
+                if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
                     t.note_acquired(lock);
                 }
                 Ok(())
             }
             Err(Errno::Ebusy) => {
-                let owner = p
-                    .locks
-                    .get(lock)
-                    .and_then(|l| l.owner)
-                    .expect("busy lock has owner");
-                if p.thread(owner).is_none() {
-                    // The owner died with the fork: permanent deadlock.
+                let owner = self.memory(pid)?.locks.owner_of(lock).expect("busy lock has owner");
+                // The owner died with the fork, or waits for this borrower's
+                // exec or exit: permanent deadlock.
+                let parked = crate::thread::ThreadState::VforkParked;
+                let stuck = |t: &crate::thread::Thread| lender != pid && t.state == parked;
+                if self.process(lender)?.thread(owner).is_none_or(stuck) {
                     return Err(Errno::Edeadlk);
                 }
-                if let Some(t) = p.thread_mut(tid) {
+                if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
                     t.state = crate::thread::ThreadState::BlockedOnLock(lock);
                 }
                 Err(Errno::Ebusy)
@@ -925,10 +933,11 @@ impl Kernel {
         }
     }
 
-    /// Releases a lock and wakes one blocked waiter.
+    /// Releases a lock of the memory `pid` runs in and wakes one thread of
+    /// `pid` blocked on it.
     pub fn lock_release(&mut self, pid: Pid, tid: Tid, lock: crate::sync::LockId) -> KResult<()> {
+        self.memory_mut(pid)?.locks.release(lock, tid)?;
         let p = self.process_mut(pid)?;
-        p.locks.release(lock, tid)?;
         if let Some(t) = p.thread_mut(tid) {
             t.note_released(lock);
         }
@@ -942,15 +951,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Parks every thread of `pid` for the duration of a vfork child's
-    /// borrow.
-    pub fn vfork_park(&mut self, pid: Pid, child: Pid) -> KResult<()> {
-        let p = self.process_mut(pid)?;
-        p.park_all_threads();
-        p.vfork_children.push(child);
-        Ok(())
-    }
-
     /// Returns a vfork borrow: unparks the parent.
     pub(crate) fn vfork_return(&mut self, parent: Pid, child: Pid) -> KResult<()> {
         let p = self.process_mut(parent)?;
@@ -961,12 +961,12 @@ impl Kernel {
         Ok(())
     }
 
-    /// Exec's step 1: `pid` gives up the address space it runs in and
-    /// is left owning an empty one. An owned space is destroyed (frames
+    /// Exec's step 1: `pid` gives up the memory it runs in and is left
+    /// owning an empty one, with empty tables. Its own is destroyed (frames
     /// and commit charge released); a vfork borrower hands the loan back
     /// and the parent resumes.
     pub fn destroy_address_space(&mut self, pid: Pid) -> KResult<()> {
-        if self.process(pid)?.space_ref == SpaceRef::Owned {
+        if let Space::Own(_) = self.process(pid)?.space {
             self.span("destroy_address_space", "kernel", |k| k.release_space(pid))
         } else {
             self.release_space(pid)
@@ -1079,7 +1079,7 @@ mod tests {
     fn the_process_table_iterates_in_pid_order() {
         let mut t = ProcTable::new(16);
         let root = Vfs::new().root();
-        let put = |t: &mut ProcTable, pid: u32| t.insert(Process::new(Pid(pid), Pid(1), "p", Tid(pid.into()), root));
+        let put = |t: &mut ProcTable, pid: u32| t.insert(Process::new(Pid(pid), Pid(1), "p", Tid(pid.into()), root, false));
         for pid in [9, 3, 12, 1, 7] {
             put(&mut t, pid);
         }
@@ -1225,9 +1225,9 @@ mod tests {
         k.mmap_anon(init, 8, Prot::RW, Share::Private).unwrap();
         let child = k.allocate_process(init, "child").unwrap();
         let before = k.commit.committed();
-        k.copy_space(init, child, fpr_mem::ForkMode::Cow).unwrap();
+        k.copy_space(init, child, k.process(init).unwrap().main_tid(), fpr_mem::ForkMode::Cow).unwrap();
         assert_eq!(k.commit.committed(), before + 8);
-        assert_eq!(k.process(child).unwrap().aspace.virtual_pages(), 8);
+        assert_eq!(k.memory(child).unwrap().aspace.virtual_pages(), 8);
     }
 
     #[test]
@@ -1297,7 +1297,7 @@ mod tests {
         // A "ghost" thread that will not survive fork: simulate by
         // acquiring with a tid that is not in the thread list.
         let ghost = Tid(9999);
-        k.process_mut(init)
+        k.memory_mut(init)
             .unwrap()
             .locks
             .acquire(lock, ghost)

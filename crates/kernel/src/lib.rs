@@ -62,5 +62,5 @@ pub use sched::{Scheduler, Task};
 pub use signal::{Disposition, HandlerId, Sig, SignalState};
 pub use stdio::{BufMode, UserStream};
 pub use sync::{LockId, LockTable};
-pub use task::{LayoutInfo, ProcState, Process, SpaceRef, OOM_SCORE_ADJ_MIN};
+pub use task::{LayoutInfo, Memory, ProcState, Process, Space, OOM_SCORE_ADJ_MIN};
 pub use thread::{Thread, ThreadState};

@@ -4,7 +4,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::pid::Pid;
 use crate::signal::{DefaultAction, Disposition, Sig};
-use crate::task::{ProcState, SpaceRef};
+use crate::task::{Memory, ProcState, Space};
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
 pub(crate) const OOM_EXIT_STATUS: i32 = 137;
@@ -74,9 +74,11 @@ impl Kernel {
     /// signals the parent with `SIGCHLD`.
     pub fn exit(&mut self, pid: Pid, status: i32) -> KResult<()> {
         self.span("exit", "kernel", |k| {
-            // 1. Userspace atexit: flush buffered streams (this is where
-            //    fork-duplicated buffer contents become duplicated output).
-            let nstreams = k.process(pid)?.streams.len();
+            // 1. Userspace atexit: flush the buffered streams of the memory
+            //    it runs in — its own, or a vfork lender's — through its own
+            //    descriptors (this is where fork-duplicated buffer contents
+            //    become duplicated output).
+            let nstreams = k.memory(pid)?.streams.len();
             for s in 0..nstreams {
                 let _ = k.stream_flush(pid, s);
             }
@@ -150,19 +152,24 @@ impl Kernel {
         Ok(())
     }
 
-    /// Leaves `pid` owning an empty address space: an owned space is
-    /// destroyed and its commit charge released; a vfork borrower (which
-    /// owns nothing) returns the loan and the lender resumes.
+    /// Leaves `pid` owning an empty memory with empty tables: its own
+    /// address space is destroyed and its commit charge released; a vfork
+    /// borrower (which owns nothing) returns the loan and the lender
+    /// resumes.
     pub(crate) fn release_space(&mut self, pid: Pid) -> KResult<()> {
-        match self.process(pid)?.space_ref.clone() {
-            SpaceRef::Owned => {
+        let thp = self.thp;
+        let p = self.process_mut(pid)?;
+        match p.space {
+            Space::Own(ref mut mem) => {
+                (mem.locks, mem.atfork) = Default::default();
+                mem.streams.clear();
                 let m = self.mem_ctx(pid)?;
                 let commit = m.space.commit_pages();
                 m.space.destroy(m.phys, m.cycles);
                 m.commit.release(commit);
             }
-            SpaceRef::BorrowedFrom(lender) => {
-                self.process_mut(pid)?.space_ref = SpaceRef::Owned;
+            Space::BorrowedFrom(lender) => {
+                p.space = Space::Own(Memory::new(thp));
                 self.vfork_return(lender, pid)?;
             }
         }
@@ -214,7 +221,8 @@ impl Kernel {
     /// where resident-only scoring saw zero) plus `oom_score_adj`.
     pub fn oom_badness(&self, pid: Pid) -> Option<i64> {
         let p = self.procs.get(pid)?;
-        if p.is_zombie() || p.pid == Pid(1) || p.space_ref != SpaceRef::Owned {
+        let aspace = &p.memory()?.aspace;
+        if p.is_zombie() || p.pid == Pid(1) {
             return None;
         }
         if p.oom_score_adj <= crate::task::OOM_SCORE_ADJ_MIN {
@@ -222,7 +230,7 @@ impl Kernel {
         }
         let mut resident = 0i64;
         let mut pinned = 0i64;
-        p.aspace.for_each_resident(|_vpn, pte| {
+        aspace.for_each_resident(|_vpn, pte| {
             resident += 1;
             if self.phys.pin_count(pte.pfn) > 0 {
                 pinned += 1;
@@ -230,8 +238,8 @@ impl Kernel {
         });
         // Swapped pages count too: killing the process frees their slots,
         // which is exactly the headroom the swap tier needs back.
-        let swapped = p.aspace.swapped_pages() as i64;
-        let score = (resident - pinned) + swapped + p.aspace.commit_pages() as i64 + p.oom_score_adj;
+        let swapped = aspace.swapped_pages() as i64;
+        let score = (resident - pinned) + swapped + aspace.commit_pages() as i64 + p.oom_score_adj;
         Some(score.max(0))
     }
 
@@ -512,7 +520,7 @@ mod tests {
         assert_eq!(k.oom_badness(a), k.oom_badness(b));
         // Pin every frame of `a`: killing it would free nothing resident.
         let mut pfns = Vec::new();
-        k.process(a).unwrap().aspace.for_each_resident(|_, pte| pfns.push(pte.pfn));
+        k.memory(a).unwrap().aspace.for_each_resident(|_, pte| pfns.push(pte.pfn));
         for pfn in &pfns {
             k.phys.pin(*pfn).unwrap();
         }

@@ -187,7 +187,7 @@ mod tests {
     /// (the full fork lives in `fpr-api`, which depends on this crate).
     fn fpr_test_fork(k: &mut Kernel, parent: Pid) -> Pid {
         let child = k.allocate_process(parent, "child").unwrap();
-        k.copy_space(parent, child, fpr_mem::ForkMode::Cow).unwrap();
+        k.copy_space(parent, child, k.process(parent).unwrap().main_tid(), fpr_mem::ForkMode::Cow).unwrap();
         child
     }
 

@@ -13,11 +13,11 @@ use fpr_mem::{VmaKind, PAGE_SIZE};
 use std::fmt::Write as _;
 
 impl Kernel {
-    /// Renders `/proc/<pid>/maps`: one line per VMA.
+    /// Renders `/proc/<pid>/maps`: one line per VMA of the space `pid`
+    /// runs in (a vfork borrower's lender's).
     pub fn proc_maps(&self, pid: Pid) -> KResult<String> {
-        let p = self.process(pid)?;
         let mut out = String::new();
-        for v in p.aspace.vmas() {
+        for v in self.memory(pid)?.aspace.vmas() {
             let perms = format!(
                 "{}{}{}{}",
                 if v.prot.read { 'r' } else { '-' },
@@ -58,9 +58,11 @@ impl Kernel {
     }
 
     /// Renders `/proc/<pid>/status`: identity, state, memory and thread
-    /// summary.
+    /// summary; the memory is the space `pid` runs in (a vfork borrower's
+    /// lender's).
     pub fn proc_status(&self, pid: Pid) -> KResult<String> {
         let p = self.process(pid)?;
+        let space = &self.memory(pid)?.aspace;
         let state = match p.state {
             ProcState::Running => "R (running)",
             ProcState::Zombie(_) => "Z (zombie)",
@@ -74,18 +76,18 @@ impl Kernel {
         let _ = writeln!(
             out,
             "VmSize:\t{} kB",
-            p.aspace.virtual_pages() * PAGE_SIZE / 1024
+            space.virtual_pages() * PAGE_SIZE / 1024
         );
-        let _ = writeln!(out, "VmRSS:\t{} kB", p.resident_pages() * PAGE_SIZE / 1024);
+        let _ = writeln!(out, "VmRSS:\t{} kB", space.resident_pages() * PAGE_SIZE / 1024);
         let _ = writeln!(
             out,
             "VmSwap:\t{} kB",
-            p.aspace.swapped_pages() * PAGE_SIZE / 1024
+            space.swapped_pages() * PAGE_SIZE / 1024
         );
         let _ = writeln!(
             out,
             "AnonHugePages:\t{} kB",
-            p.aspace.huge_pages() * fpr_mem::HUGE_PAGE_SIZE / 1024
+            space.huge_pages() * fpr_mem::HUGE_PAGE_SIZE / 1024
         );
         let _ = writeln!(out, "Threads:\t{}", p.threads.len());
         let _ = writeln!(out, "FDSize:\t{}", p.fds.open_count());

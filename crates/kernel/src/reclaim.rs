@@ -204,10 +204,8 @@ impl Kernel {
             if room == 0 {
                 break;
             }
-            if p.is_zombie() || p.space_ref != crate::task::SpaceRef::Owned {
-                continue;
-            }
-            for vpn in p.aspace.swap_out_candidates(&self.phys, room) {
+            let Some(m) = p.memory().filter(|_| !p.is_zombie()) else { continue };
+            for vpn in m.aspace.swap_out_candidates(&self.phys, room) {
                 work.push((p.pid, vpn));
             }
         }
@@ -225,7 +223,7 @@ impl Kernel {
             let mut reserved: Vec<(crate::pid::Pid, fpr_mem::Vpn, u64)> = Vec::new();
             for (pid, vpn) in work {
                 let pte = k
-                    .process(pid)
+                    .memory(pid)
                     .expect("candidate process live")
                     .aspace
                     .translate(vpn)
@@ -431,7 +429,7 @@ mod tests {
             .unwrap();
         write_pages(&mut k, init, base, 32);
         assert_eq!(k.swap_out_pass(16), Ok(16));
-        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 16);
+        assert_eq!(k.memory(init).unwrap().aspace.swapped_pages(), 16);
         assert_eq!(k.phys.swap().used_slots(), 16);
         k.assert_consistent();
         // Faulting every page back restores the exact contents and frees
@@ -442,7 +440,7 @@ mod tests {
                 Ok(0xAB00 + i)
             );
         }
-        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 0);
+        assert_eq!(k.memory(init).unwrap().aspace.swapped_pages(), 0);
         assert_eq!(k.phys.swap().used_slots(), 0);
         assert_eq!(k.phys.swap().stats().swap_ins, 16);
         k.assert_consistent();
@@ -465,11 +463,11 @@ mod tests {
         k.leak_check(&base).unwrap();
         k.assert_consistent();
         assert_eq!(k.phys.swap().used_slots(), 0);
-        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 0);
+        assert_eq!(k.memory(init).unwrap().aspace.swapped_pages(), 0);
         // And the identical pass succeeds on retry.
         assert_eq!(k.swap_out_pass(8), Ok(8));
         assert_eq!(k.phys.swap().used_slots(), 8);
-        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 8);
+        assert_eq!(k.memory(init).unwrap().aspace.swapped_pages(), 8);
     }
 
     #[test]
@@ -489,7 +487,7 @@ mod tests {
         assert_eq!(trace.injected().len(), 1);
         assert!(res.is_err());
         assert_eq!(k.phys.swap().used_slots(), 0);
-        assert_eq!(k.process(init).unwrap().aspace.swapped_pages(), 0);
+        assert_eq!(k.memory(init).unwrap().aspace.swapped_pages(), 0);
         k.leak_check(&base).unwrap();
         k.assert_consistent();
     }
@@ -550,13 +548,14 @@ mod tests {
         write_pages(&mut k, init, b, 80);
         let p = k.process(init).unwrap();
         assert!(!p.is_zombie(), "init survived the storm");
+        let swapped = k.memory(init).unwrap().aspace.swapped_pages();
         assert_eq!(
-            p.resident_pages() + p.aspace.swapped_pages(),
+            p.resident_pages() + swapped,
             160,
             "every page is resident or swapped"
         );
-        assert!(p.aspace.swapped_pages() > 0);
-        assert_eq!(k.phys.swap().used_slots(), p.aspace.swapped_pages());
+        assert!(swapped > 0);
+        assert_eq!(k.phys.swap().used_slots(), swapped);
         k.assert_consistent();
         // Spot-check contents across the resident/swapped split.
         for i in [0u64, 42, 79] {

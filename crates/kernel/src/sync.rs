@@ -44,11 +44,6 @@ pub mod names {
 }
 
 impl LockTable {
-    /// Creates an empty table.
-    pub fn new() -> LockTable {
-        LockTable::default()
-    }
-
     /// Registers a lock and returns its id.
     pub(crate) fn register(&mut self, name_id: u32) -> LockId {
         let id = LockId(self.locks.len() as u32);
@@ -105,38 +100,17 @@ impl LockTable {
         self.locks.iter()
     }
 
-    /// Looks up a lock.
-    pub(crate) fn get(&self, lock: LockId) -> Option<&SimLock> {
-        self.locks.get(lock.0 as usize)
-    }
-
-    /// All lock ids (fork uses this to remap the calling thread's
-    /// holdings onto the child's main thread).
-    pub(crate) fn iter_ids(&self) -> Vec<LockId> {
-        self.locks.iter().map(|l| l.id).collect()
+    /// Gives every lock `from` holds to `to`, and returns them: fork's
+    /// remap of the calling thread's holdings onto the child's main thread
+    /// (not a synchronisation operation).
+    pub(crate) fn reown(&mut self, from: Tid, to: Tid) -> Vec<LockId> {
+        let held = self.locks.iter_mut().filter(|l| l.owner == Some(from));
+        held.map(|l| { l.owner = Some(to); l.id }).collect()
     }
 
     /// Current owner of `lock`, if held.
     pub fn owner_of(&self, lock: LockId) -> Option<Tid> {
         self.locks.get(lock.0 as usize).and_then(|l| l.owner)
-    }
-
-    /// Forcibly rewrites a lock's owner (fork's thread remap; not a
-    /// synchronisation operation).
-    pub(crate) fn set_owner(&mut self, lock: LockId, owner: Option<Tid>) {
-        if let Some(l) = self.locks.get_mut(lock.0 as usize) {
-            l.owner = owner;
-        }
-    }
-
-    /// Number of registered locks.
-    pub fn len(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// True if no locks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.locks.is_empty()
     }
 }
 
@@ -146,17 +120,17 @@ mod tests {
 
     #[test]
     fn acquire_release_cycle() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         let l = t.register(names::APP);
         t.acquire(l, Tid(1)).unwrap();
-        assert_eq!(t.get(l).unwrap().owner, Some(Tid(1)));
+        assert_eq!(t.owner_of(l), Some(Tid(1)));
         t.release(l, Tid(1)).unwrap();
-        assert_eq!(t.get(l).unwrap().owner, None);
+        assert_eq!(t.owner_of(l), None);
     }
 
     #[test]
     fn recursive_acquire_is_deadlock() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         let l = t.register(names::APP);
         t.acquire(l, Tid(1)).unwrap();
         assert_eq!(t.acquire(l, Tid(1)), Err(Errno::Edeadlk));
@@ -164,7 +138,7 @@ mod tests {
 
     #[test]
     fn contended_acquire_is_busy() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         let l = t.register(names::MALLOC_ARENA);
         t.acquire(l, Tid(1)).unwrap();
         assert_eq!(t.acquire(l, Tid(2)), Err(Errno::Ebusy));
@@ -172,7 +146,7 @@ mod tests {
 
     #[test]
     fn release_by_non_owner_is_eperm() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         let l = t.register(names::APP);
         t.acquire(l, Tid(1)).unwrap();
         assert_eq!(t.release(l, Tid(2)), Err(Errno::Eperm));
@@ -182,7 +156,7 @@ mod tests {
 
     #[test]
     fn orphaned_after_fork_finds_other_owners() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         let a = t.register(names::MALLOC_ARENA);
         let b = t.register(names::STDIO);
         let c = t.register(names::APP);

@@ -1,11 +1,15 @@
 //! The process control block.
 //!
 //! A [`Process`] aggregates every piece of state POSIX says fork must
-//! duplicate (or deliberately not duplicate): the address space, descriptor
-//! table, signal state, threads and their locks, buffered user streams,
-//! credentials, limits, working directory and umask. The sheer width of
-//! this struct *is* the paper's "fork is no longer simple" argument,
-//! rendered as a type.
+//! duplicate (or deliberately not duplicate): the memory it runs in,
+//! descriptor table, signal state, threads, credentials, limits, working
+//! directory and umask. The sheer width of this struct *is* the paper's
+//! "fork is no longer simple" argument, rendered as a type.
+//!
+//! The userspace state a program keeps in its memory — its locks, stream
+//! buffers and `pthread_atfork` registrations — lives in that memory's
+//! [`Memory`], not beside it: whatever gives a process memory (a fork's
+//! copy, exec's fresh image, a vfork's loan) gives it those tables too.
 
 use crate::atfork::AtforkTable;
 use crate::cred::Credentials;
@@ -45,12 +49,42 @@ pub struct LayoutInfo {
     pub aslr_seed: u64,
 }
 
-/// Why/how the process's address space is held.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpaceRef {
-    /// Owns its address space (the normal case).
-    Owned,
-    /// Borrowing the parent's space until exec or exit (`vfork`).
+/// One process's memory: the address space and the userspace tables that
+/// live in it.
+#[derive(Debug, Default)]
+pub struct Memory {
+    /// The address space.
+    pub aspace: AddressSpace,
+    /// Userspace locks (allocator, stdio, app).
+    pub locks: LockTable,
+    /// Buffered user streams (stdio emulation).
+    pub streams: Vec<UserStream>,
+    /// `pthread_atfork` registrations.
+    pub atfork: AtforkTable,
+}
+
+impl Memory {
+    /// An empty space, with transparent huge pages if `thp`, and empty
+    /// tables.
+    pub(crate) fn new(thp: bool) -> Memory {
+        let mut m = Memory::default();
+        m.aspace.set_thp(thp);
+        m
+    }
+}
+
+/// The memory a process runs in.
+///
+/// Every PCB is boxed in its process-table slot, and a process holds one
+/// `Space`; boxing the `Memory` as well would cost a host allocation per
+/// process created for no space saved.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum Space {
+    /// Its own (the normal case).
+    Own(Memory),
+    /// The lender's, on loan until exec or exit (`vfork`, `clone(CLONE_VM)`):
+    /// a borrower holds no memory of its own.
     BorrowedFrom(Pid),
 }
 
@@ -65,22 +99,14 @@ pub struct Process {
     pub name: String,
     /// Lifecycle state.
     pub state: ProcState,
-    /// The address space; `None` while borrowed away is not modelled —
-    /// instead a vfork child stores [`SpaceRef::BorrowedFrom`] and an empty
-    /// placeholder here.
-    pub aspace: AddressSpace,
-    /// Whether `aspace` is real or borrowed.
-    pub space_ref: SpaceRef,
+    /// The memory it runs in: its own, or a lender's.
+    pub space: Space,
     /// Descriptor table.
     pub fds: FdTable,
     /// Signal dispositions, mask, pending set.
     pub signals: SignalState,
     /// Threads (index 0 is the main thread).
     pub threads: Vec<Thread>,
-    /// Userspace locks (allocator, stdio, app).
-    pub locks: LockTable,
-    /// Buffered user streams (stdio emulation).
-    pub streams: Vec<UserStream>,
     /// Credentials.
     pub cred: Credentials,
     /// Resource limits.
@@ -91,9 +117,6 @@ pub struct Process {
     pub umask: u16,
     /// Layout summary from the last exec (ASLR audit input).
     pub layout: LayoutInfo,
-    /// `pthread_atfork` registrations (userspace state, copied by fork,
-    /// cleared by exec).
-    pub atfork: AtforkTable,
     /// Process group (inherited by fork, reset by setsid).
     pub pgid: crate::pgroup::Pgid,
     /// Session (inherited by fork, reset by setsid).
@@ -120,25 +143,22 @@ pub const OOM_SCORE_ADJ_MIN: i64 = -1000;
 
 impl Process {
     /// Creates a fresh process shell; the kernel fills in pid/ppid/fds.
-    pub(crate) fn new(pid: Pid, ppid: Pid, name: impl Into<String>, main_tid: Tid, cwd: Ino) -> Process {
+    /// Its memory is empty, with transparent huge pages if `thp`.
+    pub(crate) fn new(pid: Pid, ppid: Pid, name: impl Into<String>, main_tid: Tid, cwd: Ino, thp: bool) -> Process {
         Process {
             pid,
             ppid,
             name: name.into(),
             state: ProcState::Running,
-            aspace: AddressSpace::new(),
-            space_ref: SpaceRef::Owned,
+            space: Space::Own(Memory::new(thp)),
             fds: FdTable::new(),
             signals: SignalState::new(),
             threads: vec![Thread::new(main_tid)],
-            locks: LockTable::new(),
-            streams: Vec::new(),
             cred: Credentials::root(),
             rlimits: RlimitSet::default(),
             cwd,
             umask: 0o022,
             layout: LayoutInfo::default(),
-            atfork: AtforkTable::new(),
             pgid: crate::pgroup::Pgid(ppid.0),
             sid: crate::pgroup::Sid(ppid.0),
             argv: Vec::new(),
@@ -175,10 +195,18 @@ impl Process {
         matches!(self.state, ProcState::Zombie(_))
     }
 
-    /// Total bytes sitting unflushed in user stream buffers — the data a
-    /// fork would duplicate.
+    /// Its own memory; `None` for a borrower.
+    pub(crate) fn memory(&self) -> Option<&Memory> {
+        match &self.space {
+            Space::Own(m) => Some(m),
+            Space::BorrowedFrom(_) => None,
+        }
+    }
+
+    /// Total bytes sitting unflushed in the stream buffers of its own
+    /// memory — the data a fork would duplicate.
     pub fn unflushed_bytes(&self) -> usize {
-        self.streams.iter().map(|s| s.pending()).sum()
+        self.memory().map_or(0, |m| m.streams.iter().map(|s| s.pending()).sum())
     }
 
     /// Parks every thread (used on the vfork parent).
@@ -199,9 +227,9 @@ impl Process {
         }
     }
 
-    /// Convenience: resident pages of the owned address space.
+    /// Convenience: resident pages of its own address space.
     pub fn resident_pages(&self) -> u64 {
-        self.aspace.resident_pages()
+        self.memory().map_or(0, |m| m.aspace.resident_pages())
     }
 }
 
@@ -210,7 +238,7 @@ mod tests {
     use super::*;
 
     fn p() -> Process {
-        Process::new(Pid(2), Pid(1), "test", Tid(10), Ino(1))
+        Process::new(Pid(2), Pid(1), "test", Tid(10), Ino(1), false)
     }
 
     #[test]
@@ -220,7 +248,7 @@ mod tests {
         assert_eq!(p.schedulable_threads(), 1);
         assert!(!p.is_zombie());
         assert_eq!(p.unflushed_bytes(), 0);
-        assert_eq!(p.space_ref, SpaceRef::Owned);
+        assert!(matches!(p.space, Space::Own(_)));
     }
 
     #[test]
@@ -256,7 +284,8 @@ mod tests {
         s1.write(b"abc");
         let mut s2 = UserStream::new(Fd(2), BufMode::FullyBuffered);
         s2.write(b"wxyz");
-        p.streams = vec![s1, s2];
+        let Space::Own(m) = &mut p.space else { unreachable!("a fresh process owns its memory") };
+        m.streams = vec![s1, s2];
         assert_eq!(p.unflushed_bytes(), 7);
     }
 }

@@ -23,8 +23,8 @@
 
 use forkroad_core::kit::{world_seeded, CreationPath};
 use forkroad_core::os::Os;
-use fpr_kernel::{Kernel, MachineConfig, Pid, SpaceRef};
-use fpr_mem::{ForkMode, OvercommitPolicy, Pfn};
+use fpr_kernel::{Kernel, MachineConfig, Pid, Space};
+use fpr_mem::{AddressSpace, ForkMode, OvercommitPolicy, Pfn};
 use fpr_rng::Rng;
 use fpr_trace::ProcessShape;
 use std::collections::BTreeMap;
@@ -36,30 +36,23 @@ const STEPS: usize = 14;
 /// one message per violation, in the order the checker reports them.
 fn reference(k: &Kernel) -> Vec<String> {
     let mut v = Vec::new();
-    let owned = || {
-        k.pids()
-            .into_iter()
-            .map(|pid| k.process(pid).unwrap())
-            .filter(|p| p.space_ref == SpaceRef::Owned)
-    };
 
     // --- Memory: frame refcounts vs page tables, PTEs vs VMAs. ---
     let mut pte_refs: BTreeMap<u64, u32> = BTreeMap::new();
     let mut seen_nodes: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    for p in owned() {
-        let pid = p.pid;
+    for (pid, space) in owned(k) {
         let mut new_nodes: Vec<usize> = Vec::new();
-        p.aspace.for_each_resident_keyed(|nid, vpn, pte| {
+        space.for_each_resident_keyed(|nid, vpn, pte| {
             if !seen_nodes.contains(&nid) {
                 *pte_refs.entry(pte.pfn.0).or_insert(0) += 1;
                 new_nodes.push(nid);
             }
-            if p.aspace.vma_at(vpn).is_none() {
+            if space.vma_at(vpn).is_none() {
                 v.push(format!("pid {pid}: resident page {} outside any VMA", vpn.0));
             }
         });
         seen_nodes.extend(new_nodes);
-        if let Err(e) = p.aspace.check_page_table() {
+        if let Err(e) = space.check_page_table() {
             v.push(format!("pid {pid}: page table: {e}"));
         }
     }
@@ -87,25 +80,24 @@ fn reference(k: &Kernel) -> Vec<String> {
     let mut slot_refs: BTreeMap<u64, u32> = BTreeMap::new();
     let mut seen_swap_nodes: std::collections::BTreeSet<usize> =
         std::collections::BTreeSet::new();
-    for p in owned() {
-        let pid = p.pid;
+    for (pid, space) in owned(k) {
         let mut new_nodes: Vec<usize> = Vec::new();
         let mut entries: u64 = 0;
-        p.aspace.for_each_swap_entry_keyed(|nid, vpn, slot| {
+        space.for_each_swap_entry_keyed(|nid, vpn, slot| {
             entries += 1;
             if !seen_swap_nodes.contains(&nid) {
                 *slot_refs.entry(slot).or_insert(0) += 1;
                 new_nodes.push(nid);
             }
-            if p.aspace.vma_at(vpn).is_none() {
+            if space.vma_at(vpn).is_none() {
                 v.push(format!("pid {pid}: swap entry {} outside any VMA", vpn.0));
             }
         });
         seen_swap_nodes.extend(new_nodes);
-        if entries != p.aspace.swapped_pages() {
+        if entries != space.swapped_pages() {
             v.push(format!(
                 "pid {pid}: swapped counter {} but {entries} swap entries present",
-                p.aspace.swapped_pages()
+                space.swapped_pages()
             ));
         }
     }
@@ -211,11 +203,8 @@ fn world(seed: u64, each_step: bool, seen: &mut Seen) -> Os {
     }
     os.create(forked[rng.gen_index(forked.len())], CreationPath::Vfork).unwrap();
     let k = &os.kernel;
-    for pid in k.pids() {
-        let p = k.process(pid).unwrap();
-        seen.borrowers += u64::from(p.space_ref != SpaceRef::Owned);
-        seen.huge_pages += p.aspace.huge_pages();
-    }
+    seen.borrowers += k.pids().len() as u64 - owned(k).count() as u64;
+    seen.huge_pages += owned(k).map(|(_, space)| space.huge_pages()).sum::<u64>();
     seen.pinned_frames += k.phys.pinned().len() as u64;
     seen.shared_swap_entries += shared_swap_entries(k);
     os
@@ -225,17 +214,18 @@ fn world(seed: u64, each_step: bool, seen: &mut Seen) -> Os {
 /// leaf node.
 fn shared_swap_entries(k: &Kernel) -> u64 {
     let mut by_node: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-    for (_, p) in owned(k) {
-        p.aspace.for_each_swap_entry_keyed(|node, vpn, _| *by_node.entry((node, vpn.0)).or_default() += 1);
+    for (_, space) in owned(k) {
+        space.for_each_swap_entry_keyed(|node, vpn, _| *by_node.entry((node, vpn.0)).or_default() += 1);
     }
     by_node.values().filter(|&&n| n > 1).count() as u64
 }
 
-fn owned(k: &Kernel) -> impl Iterator<Item = (Pid, &fpr_kernel::Process)> {
-    k.pids()
-        .into_iter()
-        .map(move |pid| (pid, k.process(pid).unwrap()))
-        .filter(|(_, p)| p.space_ref == SpaceRef::Owned)
+/// Each process that owns its memory, with its address space.
+fn owned(k: &Kernel) -> impl Iterator<Item = (Pid, &AddressSpace)> {
+    k.pids().into_iter().filter_map(move |pid| match &k.process(pid).unwrap().space {
+        Space::Own(m) => Some((pid, &m.aspace)),
+        Space::BorrowedFrom(_) => None,
+    })
 }
 
 /// A corruption the public API can make.
@@ -251,7 +241,8 @@ enum Corruption {
     StraySlot,
     /// A slot one entry names freed under it.
     FreedSlot,
-    /// An owned space marked borrowed, so that nothing of it is counted.
+    /// An owner made a borrower, its memory dropped without being torn
+    /// down, so that nothing of it is counted.
     Uncounted,
     /// An owned space cloned into a new process: its leaf nodes shared
     /// with private writable entries, its lone huge blocks counted twice.
@@ -275,10 +266,10 @@ fn corrupt(os: &mut Os, c: Corruption, rng: &mut Rng) -> bool {
     let mut frames: Vec<Pfn> = Vec::new();
     let mut slots: Vec<u64> = Vec::new();
     let mut spaces: Vec<Pid> = Vec::new();
-    for (pid, p) in owned(k) {
-        p.aspace.for_each_resident(|_, pte| frames.push(pte.pfn));
-        p.aspace.for_each_swap_entry_keyed(|_, _, slot| slots.push(slot));
-        if pid != os.init && p.aspace.resident_pages() + p.aspace.swapped_pages() > 0 {
+    for (pid, space) in owned(k) {
+        space.for_each_resident(|_, pte| frames.push(pte.pfn));
+        space.for_each_swap_entry_keyed(|_, _, slot| slots.push(slot));
+        if pid != os.init && space.resident_pages() + space.swapped_pages() > 0 {
             spaces.push(pid);
         }
     }
@@ -308,11 +299,11 @@ fn corrupt(os: &mut Os, c: Corruption, rng: &mut Rng) -> bool {
             let Some(pid) = pick(rng, &pids).map(|p| Pid(p as u32)) else { return false };
             if matches!(c, Corruption::Uncounted) {
                 let ppid = k.process(pid).unwrap().ppid;
-                k.process_mut(pid).unwrap().space_ref = SpaceRef::BorrowedFrom(ppid);
+                k.process_mut(pid).unwrap().space = Space::BorrowedFrom(ppid);
             } else {
-                let copy = k.process(pid).unwrap().aspace.clone();
+                let copy = k.memory(pid).unwrap().aspace.clone();
                 let twin = k.allocate_process(os.init, "twin").unwrap();
-                k.process_mut(twin).unwrap().aspace = copy;
+                k.memory_mut(twin).unwrap().aspace = copy;
             }
             true
         }

@@ -64,7 +64,8 @@ fn gen_op(rng: &mut Rng) -> Op {
 /// address space, descriptors — abort on any failure.
 fn mini_fork(k: &mut Kernel, parent: Pid, mode: ForkMode) -> Result<Pid, Errno> {
     let child = k.allocate_process(parent, "child")?;
-    match k.copy_space(parent, child, mode).and_then(|()| k.copy_fd_table(parent, child)) {
+    let calling = k.process(parent)?.main_tid();
+    match k.copy_space(parent, child, calling, mode).and_then(|()| k.copy_fd_table(parent, child)) {
         Ok(()) => Ok(child),
         Err(e) => {
             k.abort_process_creation(child).expect("abort is infallible here");

@@ -4,11 +4,15 @@
 //! `write_mem`/`mprotect`/`madvise` always resolved the space owner;
 //! `mmap_anon`/`mmap_at`/`munmap` once did not, so a borrower's mapping
 //! went into the placeholder space its PCB carried, could not be written,
-//! and its commit charge outlived the child. And its exec or exit must
-//! leave the lender's userspace tables — locks, atfork registrations,
-//! threads, stream buffers — as they were before the vfork.
+//! and its commit charge outlived the child. A borrower now holds no space
+//! of its own, so there is nowhere else for a mapping to go. Its locks,
+//! streams and atfork registrations are the lender's too, and its exec or
+//! exit leaves the lender's tables — locks, atfork registrations, threads,
+//! stream buffers — as they were before the vfork.
 
-use fpr_kernel::{sync, AtforkRegistration, BufMode, Fd, FdEntry, FileObject, Kernel, LockId, OpenFlags, Pid, SpaceRef, Tid};
+use fpr_kernel::{
+    sync, AtforkRegistration, BufMode, Errno, Fd, FdEntry, FileObject, Kernel, LockId, OpenFlags, Pid, Space, Tid,
+};
 use fpr_mem::{Prot, Share};
 
 #[test]
@@ -22,8 +26,7 @@ fn vfork_borrower_mmap_lands_in_lender() {
     // A child borrowing the parent's space, built from the kernel
     // plumbing vfork itself uses.
     let child = k.allocate_process(parent, "").unwrap();
-    k.process_mut(child).unwrap().space_ref = SpaceRef::BorrowedFrom(parent);
-    k.vfork_park(parent, child).unwrap();
+    k.borrow_space(parent, child, true).unwrap();
 
     let region = k.mmap_anon(child, 4, Prot::RW, Share::Private).unwrap();
     k.write_mem(child, region, 0xfeed)
@@ -33,11 +36,10 @@ fn vfork_borrower_mmap_lands_in_lender() {
         Ok(0xfeed),
         "the mapping is the lender's: visible in the parent"
     );
-    assert!(k.process(parent).unwrap().aspace.vma_at(region).is_some());
-    assert_eq!(
-        k.process(child).unwrap().aspace.vma_count(),
-        0,
-        "nothing may land in the borrower's placeholder space"
+    assert!(k.memory(parent).unwrap().aspace.vma_at(region).is_some());
+    assert!(
+        matches!(k.process(child).unwrap().space, Space::BorrowedFrom(p) if p == parent),
+        "the borrower holds no space of its own for a mapping to land in"
     );
     // A second region is mapped and unmapped again by the borrower.
     let scratch = k.mmap_anon(child, 4, Prot::RW, Share::Private).unwrap();
@@ -46,7 +48,7 @@ fn vfork_borrower_mmap_lands_in_lender() {
         "the free-range search sees the lender's VMAs"
     );
     k.munmap(child, scratch, 4).unwrap();
-    assert!(k.process(parent).unwrap().aspace.vma_at(scratch).is_none());
+    assert!(k.memory(parent).unwrap().aspace.vma_at(scratch).is_none());
 
     k.exit(child, 0).unwrap();
     assert_eq!(k.waitpid(parent, Some(child)), Ok(Some((child, 0))));
@@ -74,7 +76,7 @@ fn lender_world() -> (forkroad_core::Os, Pid, Tid, LockId) {
     let lock = k.register_lock(lender, sync::names::MALLOC_ARENA).unwrap();
     k.lock_acquire(lender, worker, lock).unwrap();
     let reg = AtforkRegistration { token: 3, lock: Some(lock) };
-    k.process_mut(lender).unwrap().atfork.register(reg);
+    k.memory_mut(lender).unwrap().atfork.register(reg);
     (os, lender, worker, lock)
 }
 
@@ -117,5 +119,52 @@ fn a_borrowers_exec_or_exit_leaves_the_lenders_tables_as_they_were() {
             .leak_check(&base)
             .unwrap_or_else(|v| panic!("exec {exec}: leaked:\n  {}", v.join("\n  ")));
         os.kernel.check_invariants().unwrap();
+    }
+}
+
+/// `clone(CLONE_VM | CLONE_FILES)` from `lender`, which goes on running:
+/// the kernel's creation steps as `fpr-api`'s clone takes them.
+fn clone_vm_files(k: &mut Kernel, lender: Pid) -> Pid {
+    let (child, ()) = k
+        .create_process(lender, |k, child, _| {
+            k.copy_fd_table(lender, child)?;
+            k.copy_task(lender, child)?;
+            k.copy_image(lender, child)?;
+            k.borrow_space(lender, child, false)
+        })
+        .unwrap();
+    child
+}
+
+/// A borrower acts on its lender's tables: a lock it registers is the
+/// lender's, a lock a lender worker holds refuses it — for good while the
+/// borrow parks that worker, for now while it runs —, its stream writes
+/// land in the lender's buffer, and its exit flushes that buffer, once.
+#[test]
+fn a_borrower_acts_on_the_lenders_tables() {
+    for park in [true, false] {
+        let (mut os, lender, _, lock) = lender_world();
+        let child = match park {
+            true => os.vfork(lender).unwrap(),
+            false => clone_vm_files(&mut os.kernel, lender),
+        };
+        let k = &mut os.kernel;
+        let main = k.process(child).unwrap().main_tid();
+        let refused = if park { Errno::Edeadlk } else { Errno::Ebusy };
+        assert_eq!(k.lock_acquire(child, main, lock), Err(refused), "park {park}");
+
+        let mine = k.register_lock(child, sync::names::APP).unwrap();
+        let entry = (format!("lock {}", mine.0), format!("name {} held by nobody", sync::names::APP));
+        assert!(seen(&os, lender, &["lock "]).contains(&entry), "park {park}: {entry:?} not the lender's");
+
+        let k = &mut os.kernel;
+        k.stream_write(child, 0, b" more").unwrap();
+        assert_eq!(k.process(lender).unwrap().unflushed_bytes(), PENDING.len() + 5, "park {park}");
+        assert_eq!(k.process(child).unwrap().unflushed_bytes(), 0, "park {park}: the borrower has no buffer");
+        k.exit(child, 0).unwrap();
+        assert_eq!(k.console, b"pending more", "park {park}: the borrower's exit flushes the lender's buffer");
+        k.exit(lender, 0).unwrap();
+        assert_eq!(k.console, b"pending more", "park {park}: the lender has nothing left to flush");
+        k.check_invariants().unwrap();
     }
 }

@@ -45,7 +45,7 @@ fn main() {
         token: 1,
         lock: Some(malloc_lock),
     };
-    os.kernel.process_mut(app).unwrap().atfork.register(reg);
+    os.kernel.memory_mut(app).unwrap().atfork.register(reg);
     match os.fork(app) {
         Err(Errno::Ebusy) => println!(
             "\nwith an atfork handler covering the lock: fork → EBUSY. The prepare\n\

@@ -101,7 +101,7 @@ fn atfork_through_the_facade() {
         token: 5,
         lock: Some(lock),
     });
-    os.kernel.process_mut(init).unwrap().atfork = t;
+    os.kernel.memory_mut(init).unwrap().atfork = t;
     let c = os.fork(init).unwrap();
     // Both sides can take the malloc lock afterwards.
     let im = os.kernel.process(init).unwrap().main_tid();
