@@ -1,12 +1,11 @@
 //! `execve` semantics: replace the calling process's image.
 //!
 //! Exec is fork's other half — and the half that *undoes* most of fork's
-//! copying: the duplicated address space is thrown away, close-on-exec
-//! descriptors are closed, caught signal handlers are reset, extra
-//! threads vanish, and userspace state (streams, locks) goes with the
-//! memory it lived in. The
-//! paper's point: for the dominant fork+exec pattern, all of fork's
-//! duplication work between these two calls is pure waste.
+//! copying: the duplicated address space is thrown away, and userspace
+//! state (streams, locks) with the memory it lived in; close-on-exec
+//! descriptors are closed, caught signal handlers are reset, and extra
+//! threads vanish. The paper's point: for the dominant fork+exec pattern,
+//! all of fork's duplication work between these two calls is pure waste.
 
 use crate::aslr::randomize;
 use crate::cache::ImageCache;
