@@ -54,14 +54,10 @@ fn least_cow_fork(k: &mut Kernel, parent: Pid) -> Duration {
 
 /// How many `fork(Cow)`s of the parent a check may cost. A checker that
 /// paid a tree entry, a set probe and a VMA search per page cost 82–86 in
-/// release and 27–28 in an unoptimised debug build (where the fork's copy
-/// loop slows down more than tree code does); going a node at a time, 4
-/// and 2.4. The debug build is the dev profile's, at opt-level 1 since the
-/// root `Cargo.toml` set it: there the per-page checker
-/// (`invariants_reference.rs`'s pass) cost 52–78 and this one 3.2–5.1,
-/// least of 25 on a two-core box. Each bound fails the first by five times
-/// or more and leaves the second room.
-const K: f64 = if cfg!(debug_assertions) { 10.0 } else { 16.0 };
+/// release and 27–28 in debug (where the fork's copy loop slows down more
+/// than tree code does); going a node at a time, 4 and 2.4. Each bound
+/// fails the first by five times or more and leaves the second room.
+const K: f64 = if cfg!(debug_assertions) { 5.0 } else { 16.0 };
 
 #[test]
 fn invariant_check_costs_a_few_cow_forks_and_grows_by_entries() {

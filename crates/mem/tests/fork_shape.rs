@@ -232,14 +232,11 @@ fn cow_fork_does_the_same_per_page_work_as_before() {
 }
 
 /// How many `fork(Cow)`s of the parent populating it may cost. A populate
-/// that took a demand fault per page cost 44–47 in release and 17–18 in an
-/// unoptimised debug build (where the fork's copy loop slows down more
-/// than per-call code does); going a leaf node's run at a time, 6–10 and
-/// 4.6–4.8. The debug build is the dev profile's, at opt-level 1 since the
-/// root `Cargo.toml` set it: there a read fault per page cost 58–61 and
-/// this populate 6.2–7.9, least of 25 on a two-core box. Each bound fails
-/// the first by twice or more and leaves the second room.
-const K: f64 = if cfg!(debug_assertions) { 12.0 } else { 16.0 };
+/// that took a demand fault per page cost 44–47 in release and 17–18 in
+/// debug (where the fork's copy loop slows down more than per-call code
+/// does); going a leaf node's run at a time, 6–10 and 4.6–4.8. Each bound
+/// fails the first by twice or more and leaves the second room.
+const K: f64 = if cfg!(debug_assertions) { 8.0 } else { 16.0 };
 
 #[test]
 fn populate_costs_a_few_cow_forks_and_grows_by_pages() {
