@@ -15,6 +15,7 @@ use crate::pipe::PipeTable;
 use crate::rlimit::Resource;
 use crate::sched::{Scheduler, Task};
 use crate::task::{Memory, Process, Space};
+use crate::thread::{Thread, ThreadState};
 use crate::time::Clock;
 use crate::vfs::Vfs;
 use fpr_mem::{
@@ -509,10 +510,16 @@ impl Kernel {
     /// [`Kernel::memory`], mutably.
     pub fn memory_mut(&mut self, pid: Pid) -> KResult<&mut Memory> {
         let owner = self.space_owner(pid)?;
-        match &mut self.process_mut(owner)?.space {
-            Space::Own(m) => Ok(m),
-            Space::BorrowedFrom(_) => Err(Errno::Esrch),
-        }
+        self.process_mut(owner)?.memory_mut().ok_or(Errno::Esrch)
+    }
+
+    /// The process and thread, among all those running in `owner`'s
+    /// memory — `owner`'s own and every borrower's —, that `pick` selects.
+    /// Walks the process table: the lock paths that ask are off every
+    /// request path.
+    fn sharing_thread(&self, owner: Pid, pick: impl Fn(&Thread) -> bool) -> Option<(Pid, &Thread)> {
+        let mut sharers = self.procs.iter().filter(|p| self.space_owner(p.pid) == Ok(owner));
+        sharers.find_map(|p| Some((p.pid, p.threads.iter().find(|t| pick(t))?)))
     }
 
     /// The address space `pid` operates on — its own, or the lender's for
@@ -530,9 +537,7 @@ impl Kernel {
             procs,
             ..
         } = self;
-        let Space::Own(m) = &mut procs.get_mut(owner).ok_or(Errno::Esrch)?.space else {
-            return Err(Errno::Esrch);
-        };
+        let m = procs.get_mut(owner).and_then(Process::memory_mut).ok_or(Errno::Esrch)?;
         Ok(MemCtx {
             space: &mut m.aspace,
             phys,
@@ -890,7 +895,7 @@ impl Kernel {
     pub fn spawn_thread(&mut self, pid: Pid) -> KResult<Tid> {
         let tid = self.tids.alloc();
         let p = self.process_mut(pid)?;
-        p.threads.push(crate::thread::Thread::new(tid));
+        p.threads.push(Thread::new(tid));
         self.sched.enqueue(Task { pid, tid });
         Ok(tid)
     }
@@ -904,49 +909,47 @@ impl Kernel {
     ///
     /// Returns [`Errno::Ebusy`] and blocks the thread when the owner can
     /// run before it, and [`Errno::Edeadlk`] when it cannot: the owner is
-    /// not a thread of the memory's owner (the post-fork orphaned-lock
-    /// deadlock), or is one that `pid`'s borrow of that memory parked.
+    /// no thread of a process running in that memory (the post-fork
+    /// orphaned-lock deadlock), or is one that `pid`'s borrow of it parked.
     pub fn lock_acquire(&mut self, pid: Pid, tid: Tid, lock: crate::sync::LockId) -> KResult<()> {
         let lender = self.space_owner(pid)?;
-        match self.memory_mut(pid)?.locks.acquire(lock, tid) {
-            Ok(()) => {
-                if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
-                    t.note_acquired(lock);
-                }
-                Ok(())
+        let locks = &mut self.process_mut(lender)?.memory_mut().ok_or(Errno::Esrch)?.locks;
+        if let Err(e) = locks.acquire(lock, tid) {
+            if e != Errno::Ebusy {
+                return Err(e);
             }
-            Err(Errno::Ebusy) => {
-                let owner = self.memory(pid)?.locks.owner_of(lock).expect("busy lock has owner");
-                // The owner died with the fork, or waits for this borrower's
-                // exec or exit: permanent deadlock.
-                let parked = crate::thread::ThreadState::VforkParked;
-                let stuck = |t: &crate::thread::Thread| lender != pid && t.state == parked;
-                if self.process(lender)?.thread(owner).is_none_or(stuck) {
-                    return Err(Errno::Edeadlk);
-                }
-                if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
-                    t.state = crate::thread::ThreadState::BlockedOnLock(lock);
-                }
-                Err(Errno::Ebusy)
+            let owner = locks.owner_of(lock).expect("busy lock has owner");
+            // The owner died with the fork, or waits for this borrower's
+            // exec or exit: permanent deadlock.
+            let parked = |t: &Thread| lender != pid && t.state == ThreadState::VforkParked;
+            match self.sharing_thread(lender, |t| t.tid == owner) {
+                Some((_, t)) if !parked(t) => {}
+                _ => return Err(Errno::Edeadlk),
             }
-            Err(e) => Err(e),
+            if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
+                t.state = ThreadState::BlockedOnLock(lock);
+            }
+            return Err(Errno::Ebusy);
         }
+        if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
+            t.note_acquired(lock);
+        }
+        Ok(())
     }
 
-    /// Releases a lock of the memory `pid` runs in and wakes one thread of
-    /// `pid` blocked on it.
+    /// Releases a lock of the memory `pid` runs in and wakes one thread
+    /// blocked on it, of any process running in that memory.
     pub fn lock_release(&mut self, pid: Pid, tid: Tid, lock: crate::sync::LockId) -> KResult<()> {
-        self.memory_mut(pid)?.locks.release(lock, tid)?;
-        let p = self.process_mut(pid)?;
-        if let Some(t) = p.thread_mut(tid) {
+        let lender = self.space_owner(pid)?;
+        self.process_mut(lender)?.memory_mut().ok_or(Errno::Esrch)?.locks.release(lock, tid)?;
+        if let Some(t) = self.process_mut(pid)?.thread_mut(tid) {
             t.note_released(lock);
         }
-        if let Some(w) = p
-            .threads
-            .iter_mut()
-            .find(|t| t.state == crate::thread::ThreadState::BlockedOnLock(lock))
-        {
-            w.state = crate::thread::ThreadState::Runnable;
+        let blocked = ThreadState::BlockedOnLock(lock);
+        if let Some((q, w)) = self.sharing_thread(lender, |t| t.state == blocked).map(|(q, t)| (q, t.tid)) {
+            if let Some(t) = self.process_mut(q)?.thread_mut(w) {
+                t.state = ThreadState::Runnable;
+            }
         }
         Ok(())
     }

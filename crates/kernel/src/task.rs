@@ -203,6 +203,14 @@ impl Process {
         }
     }
 
+    /// [`Process::memory`], mutably.
+    pub(crate) fn memory_mut(&mut self) -> Option<&mut Memory> {
+        match &mut self.space {
+            Space::Own(m) => Some(m),
+            Space::BorrowedFrom(_) => None,
+        }
+    }
+
     /// Total bytes sitting unflushed in the stream buffers of its own
     /// memory — the data a fork would duplicate.
     pub fn unflushed_bytes(&self) -> usize {

@@ -11,7 +11,8 @@
 //! stream buffers — as they were before the vfork.
 
 use fpr_kernel::{
-    sync, AtforkRegistration, BufMode, Errno, Fd, FdEntry, FileObject, Kernel, LockId, OpenFlags, Pid, Space, Tid,
+    sync, AtforkRegistration, BufMode, Errno, Fd, FdEntry, FileObject, Kernel, LockId, OpenFlags, Pid, Space, ThreadState,
+    Tid,
 };
 use fpr_mem::{Prot, Share};
 
@@ -167,4 +168,33 @@ fn a_borrower_acts_on_the_lenders_tables() {
         assert_eq!(k.console, b"pending more", "park {park}: the lender has nothing left to flush");
         k.check_invariants().unwrap();
     }
+}
+
+/// Under a `clone(CLONE_VM)` that parks nobody, a lock is contended across
+/// the two processes running in one memory: each side's thread blocks on
+/// a lock the other's holds (`Ebusy`, not `Edeadlk`, since that owner
+/// runs), and wakes when the other releases it.
+#[test]
+fn a_lock_shared_with_a_running_borrower_blocks_and_wakes_across_them() {
+    let (mut os, lender, worker, lock) = lender_world();
+    let child = clone_vm_files(&mut os.kernel, lender);
+    let k = &mut os.kernel;
+    let state = |k: &Kernel, pid: Pid| k.process(pid).unwrap().threads[0].state;
+    let (main, lender_main) = (k.process(child).unwrap().main_tid(), k.process(lender).unwrap().main_tid());
+
+    assert_eq!(k.lock_acquire(child, main, lock), Err(Errno::Ebusy));
+    assert_eq!(state(k, child), ThreadState::BlockedOnLock(lock));
+    k.lock_release(lender, worker, lock).unwrap();
+    assert_eq!(state(k, child), ThreadState::Runnable, "the lender's release wakes the borrower");
+    k.lock_acquire(child, main, lock).unwrap();
+
+    assert_eq!(k.lock_acquire(lender, lender_main, lock), Err(Errno::Ebusy), "the child holding it runs");
+    assert_eq!(state(k, lender), ThreadState::BlockedOnLock(lock));
+    k.lock_release(child, main, lock).unwrap();
+    assert_eq!(state(k, lender), ThreadState::Runnable, "the borrower's release wakes the lender");
+    k.lock_acquire(lender, lender_main, lock).unwrap();
+    k.lock_release(lender, lender_main, lock).unwrap();
+
+    k.exit(child, 0).unwrap();
+    k.check_invariants().unwrap();
 }
