@@ -19,8 +19,8 @@
 //! in its parent's, where the worker is parked holding it), "stdio
 //! composes" is E6's console count (every buffered byte written exactly
 //! once — a borrower's exit flushes the parent's buffers through its own
-//! descriptors, and a `clone(vm)` child without `CLONE_FILES` has none
-//! to flush them to), "fresh ASLR" is E8's shared
+//! descriptors, so clone's request asks for `CLONE_FILES`, as vfork
+//! does), "fresh ASLR" is E8's shared
 //! layout bits, and "flat cost" holds creation from a 4 096-page parent to
 //! under twice its cycles from a 64-page one. "clean errors" asks for a
 //! program that is gone: the parent must get the error and the world must
@@ -95,9 +95,10 @@ fn spawned(api: &str, actions: Vec<FileAction>, attrs: SpawnAttrs, build: Option
     }
 }
 
-/// The clone that borrows its parent's space and parks it, as vfork does.
+/// The clone that is vfork: it borrows its parent's space, copies its
+/// descriptors and parks it (`CLONE_VM | CLONE_VFORK | CLONE_FILES`).
 fn borrowing_clone(api: &str) -> Option<Ask> {
-    let flags = CloneFlags { vm: true, vfork: true, ..CloneFlags::default() };
+    let flags = CloneFlags { vm: true, vfork: true, files: true, ..CloneFlags::default() };
     (api == "clone").then(|| Ask { flags, ..Ask::default() })
 }
 
