@@ -260,8 +260,10 @@ bench-pair:
 # there first. Then, for each patch, it restores the files the previous
 # one touched, applies the patch — one that no longer applies fails the
 # target, so a change that moves mutated code restates the mutant in the
-# same change —, requires the mutant to compile, and requires every kill
-# command to fail. Not part of `verify`: it rebuilds once a mutant.
+# same change —, requires the tests of the packages its kill commands name
+# (`-p <pkg>`, which every kill command gives) to compile, and requires
+# every kill command to fail. Not part of `verify`: it rebuilds those
+# packages' tests once a mutant.
 MUTANT_DIR := target/mutants
 
 mutants:
@@ -277,8 +279,10 @@ mutants:
 		[ -z "$$touched" ] || git archive HEAD $$touched | tar -xm -C $$tree; \
 		touched=$$(git apply --numstat $$m | cut -f3); \
 		git apply --directory=$$tree $$m || { echo "$$m no longer applies: restate it"; exit 1; }; \
-		(cd $$tree && $(CARGO) test -q --workspace --no-run) > /dev/null 2>&1 || { echo "$$m does not compile"; exit 1; }; \
 		sed -n 's/^# kill: //p' $$m > $$kills; \
+		! grep -v -- ' -p ' $$kills || { echo "$$m: a kill command names no package"; exit 1; }; \
+		pkgs=$$(grep -o -- '-p [^ ]*' $$kills | sort -u); \
+		(cd $$tree && $(CARGO) test -q $$pkgs --no-run) > /dev/null 2>&1 || { echo "$$m does not compile"; exit 1; }; \
 		while read -r cmd; do \
 			if (cd $$tree && $$cmd) > /dev/null 2>&1; then echo "$$m survives: $$cmd"; survived="$$survived $$m"; \
 			else echo "$$m killed by: $$cmd"; fi; \

@@ -301,7 +301,7 @@ fn corrupt(os: &mut Os, c: Corruption, rng: &mut Rng) -> bool {
                 let ppid = k.process(pid).unwrap().ppid;
                 k.process_mut(pid).unwrap().space = Space::BorrowedFrom(ppid);
             } else {
-                let copy = k.memory(pid).unwrap().aspace.clone();
+                let copy = k.memory_mut(pid).unwrap().aspace.alias();
                 let twin = k.allocate_process(os.init, "twin").unwrap();
                 k.memory_mut(twin).unwrap().aspace = copy;
             }

@@ -11,7 +11,7 @@
 use crate::addr::{Pfn, Vpn, HUGE_PAGES, PT_ENTRIES};
 use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
-use crate::page_table::{FrameRuns, LeafNode, LeafSlot, PageTable, Slot, SlotKind, Unmapped};
+use crate::page_table::{FrameRuns, Leaf, LeafNode, LeafSlot, PageTable, Slot, SlotKind, Unmapped};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -20,7 +20,6 @@ use fpr_faults::FaultSite;
 use fpr_trace::metrics::Counter;
 use fpr_trace::sink;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// How fork duplicates private pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -86,7 +85,7 @@ impl ReleaseTally {
 const FIRST_VMAS: usize = 8;
 
 /// A process address space.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AddressSpace {
     /// The mappings, disjoint, sorted by start page.
     pub(crate) vmas: Vec<VmArea>,
@@ -399,10 +398,10 @@ impl AddressSpace {
         pt.with_leaf_slots(lo, hi, |pt, slots| {
             for &slot @ (base, node, idx, kind) in slots {
                 // Lone huge leaves are never shared — fork shares their
-                // frames, not the entry — so only Arc-backed slots matter.
+                // frames, not the entry — so only leaf nodes matter.
                 let Some(leaf) = (kind != SlotKind::Huge).then(|| pt.leaf_at(node, idx)) else { continue };
                 let inside = leaf.live_in(kind.positions(base, lo, hi));
-                if Arc::strong_count(leaf) == 1 || inside == 0 {
+                if !leaf.shared() || inside == 0 {
                     continue;
                 }
                 if inside < leaf.live() {
@@ -411,16 +410,16 @@ impl AddressSpace {
                 }
                 // Still referenced by the other space, which releases what
                 // it references when it drops its copy; our drop is free.
-                let arc = pt.detach_leaf(base).expect("node just enumerated");
+                let leaf = pt.detach_leaf(base).expect("node just enumerated");
                 if kind == SlotKind::Dir {
                     // Huge pages never swap: every member is a resident
                     // 512-page block.
-                    tally.add(0, arc.live());
+                    tally.add(0, leaf.live());
                 } else {
                     // Slot references follow leaf-node identity, so the
                     // surviving owner keeps the swap slots too.
-                    *swapped -= arc.swap_entries();
-                    tally.add(arc.live() - arc.swap_entries(), 0);
+                    *swapped -= leaf.swap_entries();
+                    tally.add(leaf.live() - leaf.swap_entries(), 0);
                 }
             }
             Ok(tally)
@@ -1059,6 +1058,21 @@ impl AddressSpace {
         self.pt.check_summaries()
     }
 
+    /// A space with this one's mappings, through the same leaf nodes, that
+    /// takes no reference to a frame or a swap slot: every node turns
+    /// shared, as an on-demand fork would leave it, but nothing is
+    /// write-protected and nothing is charged. A copy behind the frame
+    /// table's back, for the kernel's invariant check to find.
+    pub fn alias(&mut self) -> AddressSpace {
+        AddressSpace {
+            vmas: self.vmas.clone(),
+            pt: self.pt.alias(),
+            swapped: self.swapped,
+            thp: self.thp,
+            stats: self.stats.clone(),
+        }
+    }
+
     /// Scans for pages the reclaim swap tier may evict, cheapest first:
     /// clean pages before dirty ones. A page qualifies only when evicting
     /// it cannot be observed by anyone else: private anonymous mapping,
@@ -1078,13 +1092,13 @@ impl AddressSpace {
                 // evicting it would force a demote. Reclaim skips them.
                 continue;
             }
-            let arc = self.pt.leaf_at(l1, idx);
-            if Arc::strong_count(arc) != 1 {
+            let leaf = self.pt.leaf_at(l1, idx);
+            if leaf.shared() {
                 // Evicting through a shared subtree would pull the page
                 // out from under the other space.
                 continue;
             }
-            for (j, pte) in arc.iter() {
+            for (j, pte) in leaf.iter() {
                 if !pte.is_present() || pte.flags.contains(PteFlags::SHARED) {
                     continue;
                 }
@@ -1422,12 +1436,12 @@ impl AddressSpace {
                     for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
                         pt.write_protect_at(slot, run.clone(), true, &mut log);
                     }
-                    let arc = Arc::clone(pt.leaf_at(node, idx));
+                    let shared = pt.share_at(slot);
                     // Sharing the node shares its swap entries by identity —
                     // no slot refcount change, but the child's residency
                     // accounting must know they hold no frames.
-                    let swapped = arc.swap_entries();
-                    child.pt.attach_leaf(base, arc, kind == SlotKind::Dir, cycles, phys.cost())?;
+                    let swapped = shared.swap_entries();
+                    child.pt.attach_leaf(base, shared, kind == SlotKind::Dir, cycles, phys.cost())?;
                     child.swapped += swapped;
                     stats.pt_subtrees_shared += 1;
                     sink::instant("pt_subtree_share", "mem", cycles.total());
@@ -1440,10 +1454,7 @@ impl AddressSpace {
                 let mut copied = Ok(());
                 for (run, share) in runs.iter().filter_map(|(run, share)| Some((run.clone(), (*share)?))) {
                     let (done, result) = match built.as_mut() {
-                        Some(built) => {
-                            let leaf = Arc::get_mut(built).expect("a new node has one holder");
-                            Self::fork_copy_run(pt.leaf_at(node, idx), leaf, run, share, eager, stats, phys, cycles)
-                        }
+                        Some(built) => Self::fork_copy_run(pt.leaf_at(node, idx), built, run, share, eager, stats, phys, cycles),
                         None => {
                             let mut done = run.start;
                             let blocks = pt.slot_entries(slot).filter(|(j, ..)| run.contains(j));
@@ -1470,7 +1481,7 @@ impl AddressSpace {
                         child.swapped += built.swap_entries();
                         child.pt.install_leaf(base, built, cycles, phys.cost());
                     }
-                    Some(built) => LeafNode::retire(built),
+                    Some(built) => LeafNode::retire(Leaf::Own(built)),
                     None => {}
                 }
                 copied?;
@@ -1638,9 +1649,8 @@ impl AddressSpace {
         }
         let flags = pte.flags.minus(PteFlags::HUGE);
         let mut built = LeafNode::new();
-        let split = Arc::get_mut(&mut built).expect("a new node has one holder");
         for (k, pfn) in copy.into_iter().enumerate() {
-            split.set(k, Some(Pte { pfn, flags }));
+            built.set(k, Some(Pte { pfn, flags }));
         }
         child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
         Ok(())
@@ -2178,7 +2188,7 @@ mod tests {
             assert_eq!(shared(&parent), shared(&child), "a node under one identity in both");
 
             // A copy of the table without the mapping at 1 124.
-            let mut torn = parent.clone();
+            let mut torn = parent.alias();
             torn.vmas.remove(2);
             for space in [&parent, &torn] {
                 for span in space.leaf_slots().flat_map(|leaf| leaf.spans().collect::<Vec<_>>()) {

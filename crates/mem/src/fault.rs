@@ -10,7 +10,7 @@ use crate::addr::{Pfn, Vpn, HUGE_PAGES};
 use crate::address_space::AddressSpace;
 use crate::cost::Cycles;
 use crate::error::{MemError, MemResult};
-use crate::page_table::Slot;
+use crate::page_table::{LeafNode, Slot};
 use crate::phys::PhysMemory;
 use crate::pte::{Pte, PteFlags};
 use crate::tlb::TlbModel;
@@ -228,6 +228,13 @@ impl AddressSpace {
     /// node that is already there and the dirty mark all go by them. Only a
     /// fill that has to allocate its path walks again, and a huge block
     /// that has to be split.
+    ///
+    /// The common fault is decided first, from the lookup alone: a
+    /// present, COW-marked small page in a node this table holds alone,
+    /// whose frame another space still holds — the copy a fork deferred.
+    /// Every other store takes the branches below it, in the order
+    /// structure fault, swap-in, writable, COW break, lazy upgrade; both
+    /// kinds of break end in [`Self::cow_broken`].
     pub fn write(
         &mut self,
         vpn: Vpn,
@@ -252,6 +259,18 @@ impl AddressSpace {
                 return Ok(FaultOutcome::DemandFill);
             }
         };
+        // The copy a fork deferred: a COW-marked page whose frame another
+        // space holds, in a node no other table does.
+        if pte.is_present() && pte.is_cow() && !pte.is_writable() && matches!(phys.refs(pte.pfn), Ok(2..)) {
+            if let Some(leaf) = self.pt.own_leaf_at(slot) {
+                cycles.charge(fault_entry);
+                let pfn = phys.break_cow(pte.pfn, value, cycles)?;
+                self.stats.cow_copies += 1;
+                Counter::CowCopy.incr();
+                let broken = (vpn, pte, pfn, FaultOutcome::CowCopy);
+                return Ok(Self::cow_broken(leaf, broken, phys, cycles, tlb, cpus_running));
+            }
+        }
         if self.pt.shared_at(slot) {
             // Structure fault: the write landed in a leaf subtree still
             // shared by an on-demand fork. Take a fault, privatize the
@@ -307,24 +326,8 @@ impl AddressSpace {
                 Counter::CowCopy.incr();
                 (new_pfn, FaultOutcome::CowCopy)
             };
-            let flags = pte.flags.minus(PteFlags::COW).union(PteFlags::WRITABLE | PteFlags::DIRTY);
-            self.pt.update_at(slot, vpn, Pte::new(pfn, flags)).expect("translated above");
-            if sink::is_active() {
-                sink::emit(
-                    TraceEvent::new("cow_break", "mem", Phase::Instant, cycles.total()).arg(
-                        "outcome",
-                        if outcome == FaultOutcome::CowCopy {
-                            "copy"
-                        } else {
-                            "reuse"
-                        },
-                    ),
-                );
-            }
-            // The stale read-only translation may be cached on any CPU
-            // running this space.
-            tlb.shootdown(cpus_running, cycles, phys.cost());
-            return Ok(outcome);
+            let leaf = self.pt.own_leaf_at(slot).expect("a small page of this table's own node");
+            return Ok(Self::cow_broken(leaf, (vpn, pte, pfn, outcome), phys, cycles, tlb, cpus_running));
         }
         // Present, not writable, nobody to break from — but the VMA permits
         // writes: an `mprotect` upgrade applied lazily. Take the fault and
@@ -338,6 +341,30 @@ impl AddressSpace {
         tlb.invalidate_local(cycles, phys.cost());
         phys.write_content(pte.pfn, value)?;
         Ok(FaultOutcome::Hit)
+    }
+
+    /// The tail of every small page's COW break, `(vpn, pte, pfn, outcome)`:
+    /// the entry `pte` at `vpn` in `leaf` — a node of this table's own —
+    /// rewritten writable and dirty to the frame the break left it, `pfn`,
+    /// its mark dropped; a `cow_break` instant if a sink listens; and a
+    /// shootdown, because the stale read-only translation may be cached on
+    /// any CPU running this space.
+    fn cow_broken(
+        leaf: &mut LeafNode,
+        (vpn, pte, pfn, outcome): (Vpn, Pte, Pfn, FaultOutcome),
+        phys: &PhysMemory,
+        cycles: &mut Cycles,
+        tlb: &mut TlbModel,
+        cpus_running: u32,
+    ) -> FaultOutcome {
+        let flags = pte.flags.minus(PteFlags::COW).union(PteFlags::WRITABLE | PteFlags::DIRTY);
+        leaf.set(vpn.pt_index(0), Some(Pte::new(pfn, flags)));
+        if sink::is_active() {
+            let broke = if outcome == FaultOutcome::CowCopy { "copy" } else { "reuse" };
+            sink::emit(TraceEvent::new("cow_break", "mem", Phase::Instant, cycles.total()).arg("outcome", broke));
+        }
+        tlb.shootdown(cpus_running, cycles, phys.cost());
+        outcome
     }
 
     /// COW break inside the huge block that `slot` holds for `vpn`. When

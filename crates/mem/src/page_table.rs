@@ -5,12 +5,17 @@
 //! `u32`, which keeps the structure compact; the arena plays the role of
 //! the physical frames that would hold page-table nodes on real hardware.
 //! The bottom level is different: each 512-entry block of leaf PTEs lives
-//! in a reference-counted `LeafNode`, so an on-demand fork can hand the
-//! *same* leaf subtree to parent and child by bumping a refcount instead
-//! of copying 512 entries. A shared node is immutable (enforced with
-//! `Arc::get_mut`); the owner must privatize the leaf (the private
-//! `privatize_at` operation) before mutating, which is the deferred
-//! copy the fault path performs.
+//! in a `LeafNode` that a table holds through a [`Leaf`] handle. A node
+//! one table holds alone is `Own` — a `Box`, written through a plain
+//! borrow. An on-demand fork hands the *same* leaf subtree to parent and
+//! child instead of copying 512 entries: the first time it shares a node,
+//! the parent's handle turns `Shared` — an `Arc` — and each table holds a
+//! reference to it. A shared node is immutable while another table holds
+//! it (enforced with `Arc::get_mut`, which a `Shared` node whose other
+//! holders have let go of still goes through; it never turns `Own`
+//! again); the owner must privatize the leaf (the private `privatize_at`
+//! operation) before mutating, which is the deferred copy the fault path
+//! performs. The copy is `Own`.
 //!
 //! # Node layout
 //!
@@ -52,8 +57,9 @@
 //!
 //! Where a node's runs of consecutive frames begin and end is kept, not
 //! found: `runs_on` is written wherever a word is — `set` brings two bits
-//! up to date, a run method (`fill_run`, `copy_run`, `clear_run`) those of
-//! its range and the entry after it — and `check_summaries` recounts it.
+//! up to date where it moves a frame or a presence, a run method
+//! (`fill_run`, `copy_run`, `clear_run`) those of its range and the entry
+//! after it — and `check_summaries` recounts it.
 //! `frame_runs` reads the runs off the maps a word at a time, and of the
 //! words each run's first. A COW child's node hands its frames out as the
 //! parent's run *with holes*: the pages the child wrote, private writable
@@ -77,7 +83,7 @@
 //! more — torn down, emptied by `unmap`, traded for a huge PTE — is zeroed
 //! by what it held (off its occupancy map when sparse, with one `fill` when
 //! not) and kept on a thread's list of spares, whole: frame, map, counts and the
-//! `Arc` around them. `LeafNode::new` takes from that list, and asserts in
+//! `Box` around them. `LeafNode::new` takes from that list, and asserts in
 //! debug builds that what it got is zero. An arena goes on a second list
 //! when its table drops, every node cleared and every node but the root on
 //! the free list, for `PageTable::new` to start from. The lists are
@@ -97,8 +103,8 @@
 //! * a **huge directory** is a `LeafNode` attached one level up (a
 //!   level-2 slot) whose present PTEs are all huge, so the node spans
 //!   1 GiB. Directories are formed by `PageTable::try_collapse` when a
-//!   level-1 node becomes all-huge, and — being ordinary `Arc`'d leaf
-//!   nodes — they ride the on-demand fork's subtree-sharing fast path:
+//!   level-1 node becomes all-huge, and — being ordinary leaf nodes —
+//!   they ride the on-demand fork's subtree-sharing fast path:
 //!   forking 1 GiB of huge mappings is one pointer copy.
 //!
 //! Promotion (`PageTable::promote_block`) swaps a full, physically
@@ -259,28 +265,90 @@ impl Iterator for HeldSlots {
 }
 
 /// One entry of an intermediate page-table node. An empty slot has none.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Entry {
     /// Pointer to a lower-level intermediate node (arena index).
     Table(u32),
     /// A (possibly shared) 512-entry leaf subtree. At a level-1 slot the
     /// PTEs are small; at a level-2 slot this is a huge directory whose
     /// PTEs are all 2 MiB blocks.
-    Leaf(Arc<LeafNode>),
+    Leaf(Leaf),
     /// A lone 2 MiB huge leaf in a level-1 slot: one PTE whose frame is
     /// the head of a naturally aligned 512-frame run.
     Huge(Pte),
 }
 
+impl Entry {
+    /// This entry for another table to hold as well, its leaf node, if it
+    /// has one, shared: a node this table held alone turns `Shared` first —
+    /// the one conversion there is.
+    fn share(&mut self) -> Entry {
+        match self {
+            Entry::Table(t) => Entry::Table(*t),
+            Entry::Huge(p) => Entry::Huge(*p),
+            Entry::Leaf(Leaf::Shared(node)) => Entry::Leaf(Leaf::Shared(Arc::clone(node))),
+            Entry::Leaf(Leaf::Own(_)) => {
+                let Entry::Leaf(Leaf::Own(node)) = std::mem::replace(self, Entry::Table(0)) else { unreachable!() };
+                *self = Entry::Leaf(Leaf::Shared(Arc::from(node)));
+                self.share()
+            }
+        }
+    }
+}
+
+/// How a table holds a leaf node: alone (`Own`), or as one of the tables
+/// an on-demand fork shared it between (`Shared`), which may since have
+/// let go of it. Reads go through either alike.
+#[derive(Debug)]
+pub(crate) enum Leaf {
+    Own(Box<LeafNode>),
+    Shared(Arc<LeafNode>),
+}
+
+impl std::ops::Deref for Leaf {
+    type Target = LeafNode;
+
+    #[inline]
+    fn deref(&self) -> &LeafNode {
+        match self {
+            Leaf::Own(node) => node,
+            Leaf::Shared(node) => node,
+        }
+    }
+}
+
+impl Leaf {
+    /// The node to write, if no other table holds it: an own node by a
+    /// plain borrow, a shared one through `Arc::get_mut`.
+    #[inline]
+    pub(crate) fn get_mut(&mut self) -> Option<&mut LeafNode> {
+        match self {
+            Leaf::Own(node) => Some(&mut **node),
+            Leaf::Shared(node) => Arc::get_mut(node),
+        }
+    }
+
+    /// Whether another table holds the node too.
+    #[inline]
+    pub(crate) fn shared(&self) -> bool {
+        matches!(self, Leaf::Shared(node) if Arc::strong_count(node) > 1)
+    }
+
+    /// The node's identity: the same in every table that holds it.
+    fn id(&self) -> usize {
+        &**self as *const LeafNode as usize
+    }
+}
+
 /// An entry an intermediate node holds, and the slot it holds it in.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Held {
     slot: u16,
     entry: Entry,
 }
 
 /// One 512-slot intermediate page-table node, storing the entries it holds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     occupied: Occupancy,
     /// One more than the position in `held` of each slot's entry; zero
@@ -410,8 +478,10 @@ const SPARSE_LEAF: u16 = 32;
 
 /// What a thread keeps of the page tables it has torn down.
 struct Spares {
-    /// Leaf nodes, all zero, each the only holder of itself.
-    leaves: Vec<Arc<LeafNode>>,
+    /// Leaf nodes, all zero: boxed, for `LeafNode::new` to hand the box out
+    /// as it is.
+    #[allow(clippy::vec_box)]
+    leaves: Vec<Box<LeafNode>>,
     /// Arenas with their free list and their scratch list: every node
     /// empty, node 0 the root, all others free, the scratch list empty.
     arenas: Vec<(Vec<Node>, Vec<u32>, Vec<Slot>)>,
@@ -464,8 +534,8 @@ const PRESENT: u64 = PteFlags::PRESENT.0 as u64;
 
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
-/// `Arc::strong_count > 1` means the subtree is shared by an on-demand
-/// fork and must be privatized before any mutation.
+/// A [`Leaf`] handle that says it is shared means the subtree is shared by
+/// an on-demand fork and must be privatized before any mutation.
 ///
 /// The entries are 512 packed words, zero where nothing is mapped. Beside
 /// them a node keeps four maps — of the words that are not zero, of those
@@ -494,16 +564,15 @@ pub(crate) struct LeafNode {
 }
 
 impl LeafNode {
-    /// An empty node with one holder: a spare of this thread's if it has
-    /// one, else 4 KiB of the host's. To be filled through
-    /// [`Arc::get_mut`] and wired into a table, or handed back with
-    /// [`Self::retire`].
-    pub(crate) fn new() -> Arc<LeafNode> {
+    /// An empty node of the caller's own: a spare of this thread's if it
+    /// has one, else 4 KiB of the host's. To be filled and wired into a
+    /// table, or handed back with [`Self::retire`].
+    pub(crate) fn new() -> Box<LeafNode> {
         let spare = SPARES.with(|s| s.borrow_mut().leaves.pop());
         let leaf = spare.unwrap_or_else(|| {
             // `vec!` of zeroes asks the allocator for zeroed memory.
             let words = vec![0u64; PT_ENTRIES].into_boxed_slice();
-            Arc::new(LeafNode {
+            Box::new(LeafNode {
                 words: words.try_into().expect("a node of PT_ENTRIES words"),
                 occupied: Occupancy::default(),
                 present: Occupancy::default(),
@@ -527,34 +596,40 @@ impl LeafNode {
     /// Lets go of `leaf`, which no table of the caller's links any more. If
     /// nobody else holds it either it becomes a spare — zeroed by what it
     /// holds, off its map when sparse and with one `fill` when not, never
-    /// both — unless the thread has its fill of them.
-    pub(crate) fn retire(mut leaf: Arc<LeafNode>) {
+    /// both — unless the thread has its fill of them. A shared node's last
+    /// holder moves it out of its `Arc`.
+    pub(crate) fn retire(leaf: Leaf) {
         SPARES.with(|s| {
             let spares = &mut s.borrow_mut().leaves;
             if spares.len() == SPARE_LEAVES {
                 return;
             }
-            // Held by another table still, that one lets go of it last.
-            let Some(node) = Arc::get_mut(&mut leaf) else { return };
+            let mut node = match leaf {
+                Leaf::Own(node) => node,
+                // Held by another table still, that one lets go of it last.
+                Leaf::Shared(node) => match Arc::into_inner(node) {
+                    Some(node) => Box::new(node),
+                    None => return,
+                },
+            };
             if node.counts.live < SPARSE_LEAF {
                 node.occupied.slots().for_each(|j| node.words[j] = 0);
             } else {
                 node.words.fill(0);
             }
             (node.occupied, node.present, node.private, node.runs_on, node.counts) = Default::default();
-            spares.push(leaf);
+            spares.push(node);
         });
     }
 
     /// A node of this table's own holding what `self` holds: the deferred
     /// copy of a node a fork shared.
-    fn private_copy(&self) -> Arc<LeafNode> {
-        let mut copy = LeafNode::new();
-        let own = Arc::get_mut(&mut copy).expect("a new node has one holder");
+    fn private_copy(&self) -> Box<LeafNode> {
+        let mut own = LeafNode::new();
         own.words.copy_from_slice(&self.words[..]);
         (own.occupied, own.present, own.private) = (self.occupied, self.present, self.private);
         (own.runs_on, own.counts) = (self.runs_on, self.counts);
-        copy
+        own
     }
 
     /// `pte` as a packed word, and back.
@@ -796,7 +871,7 @@ impl LeafNode {
     /// it held.
     #[inline]
     pub(crate) fn set(&mut self, j: usize, pte: Option<Pte>) -> Option<Pte> {
-        let old = self.get(j);
+        let (old_word, old) = (self.words[j], self.get(j));
         let word = match pte {
             Some(p) => {
                 // A zero word is an empty slot, and the frame number shares
@@ -814,16 +889,20 @@ impl LeafNode {
         self.occupied.assign(j, word != 0);
         self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
-        // The bits the write moves, this entry's and the next's, written
-        // together: the next is in the map word after only for the last
-        // entry of a word.
-        let before = if j > 0 { self.words[j - 1] } else { 0 };
-        let after = if j + 1 < PT_ENTRIES { self.words[j + 1] } else { 0 };
-        let bits = continues(before, word) as u64 | (continues(word, after) as u64) << 1;
-        let (w, b) = (j / 64, j % 64);
-        self.runs_on.0[w] = self.runs_on.0[w] & !(3 << b) | bits << b;
-        if b == 63 && j + 1 < PT_ENTRIES {
-            self.runs_on.assign(j + 1, bits >> 1 != 0);
+        // A write that keeps the frame and whether it is present — a
+        // flag change, as a store's dirty mark — moves no run.
+        if (old_word ^ word) & (u64::MAX << FLAG_BITS | PRESENT) != 0 {
+            // The bits the write moves, this entry's and the next's, written
+            // together: the next is in the map word after only for the last
+            // entry of a word.
+            let before = if j > 0 { self.words[j - 1] } else { 0 };
+            let after = if j + 1 < PT_ENTRIES { self.words[j + 1] } else { 0 };
+            let bits = continues(before, word) as u64 | (continues(word, after) as u64) << 1;
+            let (w, b) = (j / 64, j % 64);
+            self.runs_on.0[w] = self.runs_on.0[w] & !(3 << b) | bits << b;
+            if b == 63 && j + 1 < PT_ENTRIES {
+                self.runs_on.assign(j + 1, bits >> 1 != 0);
+            }
         }
         self.counts.add(old, -1);
         self.counts.add(pte, 1);
@@ -1150,7 +1229,7 @@ impl<'a> LeafSlot<'a> {
     /// of them — the same in each such table. A lone block is never shared.
     pub fn shared(&self) -> Option<usize> {
         match self.entry {
-            Entry::Leaf(arc) if Arc::strong_count(arc) > 1 => Some(Arc::as_ptr(arc) as usize),
+            Entry::Leaf(leaf) if leaf.shared() => Some(leaf.id()),
             _ => None,
         }
     }
@@ -1216,7 +1295,7 @@ enum Walked {
 }
 
 /// A four-level page table mapping [`Vpn`]s to [`Pte`]s.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PageTable {
     nodes: Vec<Node>,
     /// Arena nodes that hold nothing and hang from nothing, ready for
@@ -1424,12 +1503,12 @@ impl PageTable {
         // mutation keeps the table untouched on injected failure.
         fpr_faults::cross(FaultSite::PtNodeAlloc).map_err(|_| MemError::OutOfMemory)?;
         let slot = self.small_node_at(vpn, found, cycles, cost)?;
-        let arc = self.leaf_at_mut(slot.1, slot.2);
+        let handle = self.leaf_at_mut(slot.1, slot.2);
         let idx0 = vpn.pt_index(0);
-        if arc.get(idx0).is_some() {
+        if handle.get(idx0).is_some() {
             return Err(MemError::Overlap);
         }
-        let leaf = Arc::get_mut(arc).expect("map into a shared leaf subtree (missed unshare)");
+        let leaf = handle.get_mut().expect("map into a shared leaf subtree (missed unshare)");
         leaf.set(idx0, Some(pte));
         self.mapped += 1;
         Ok(slot)
@@ -1455,7 +1534,7 @@ impl PageTable {
         range: Range<usize>,
         entry: impl FnMut(usize) -> MemResult<Pte>,
     ) -> (usize, u64, MemResult<()>) {
-        let leaf = Arc::get_mut(self.leaf_at_mut(node, idx)).expect("map into a shared leaf subtree (missed unshare)");
+        let leaf = self.leaf_at_mut(node, idx).get_mut().expect("map into a shared leaf subtree (missed unshare)");
         let filled = leaf.fill_run(range, entry);
         self.mapped += filled.1;
         filled
@@ -1484,7 +1563,7 @@ impl PageTable {
             Some(_) => {}
             None => {
                 cycles.charge(cost.pt_node_alloc);
-                n.put(idx1, Entry::Leaf(LeafNode::new()));
+                n.put(idx1, Entry::Leaf(Leaf::Own(LeafNode::new())));
                 self.leaf_count += 1;
             }
         }
@@ -1519,12 +1598,11 @@ impl PageTable {
             Walked::Table(node) => node,
             Walked::Dir(n2, i2) => {
                 let j = vpn.pt_index(1);
-                let arc = self.leaf_at_mut(n2, i2);
-                if arc.get(j).is_some() {
+                let handle = self.leaf_at_mut(n2, i2);
+                if handle.get(j).is_some() {
                     return Err(MemError::Overlap);
                 }
-                let dir =
-                    Arc::get_mut(arc).expect("map_huge into a shared directory (missed unshare)");
+                let dir = handle.get_mut().expect("map_huge into a shared directory (missed unshare)");
                 dir.set(j, Some(pte));
                 self.mapped += HUGE_PAGES;
                 self.huge += 1;
@@ -1550,13 +1628,12 @@ impl PageTable {
     /// `mapped`, `huge` and `n2`'s live count are unchanged.
     fn swap_in_directory(&mut self, n2: u32, i2: usize, l1: u32) {
         let mut dir = LeafNode::new();
-        let members = Arc::get_mut(&mut dir).expect("a new node has one holder");
         let n = &mut self.nodes[l1 as usize];
         for (j, p) in n.all_huge().expect("a directory's members are huge") {
-            members.set(j, Some(p));
+            dir.set(j, Some(p));
         }
         n.clear();
-        let linked = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Leaf(dir));
+        let linked = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Leaf(Leaf::Own(dir)));
         debug_assert!(matches!(linked, Entry::Table(t) if t == l1));
         self.free_node(l1);
         self.leaf_count += 1;
@@ -1610,16 +1687,16 @@ impl PageTable {
     fn degroup(&mut self, n2: u32, i2: usize, cycles: &mut Cycles, cost: &CostModel) -> u32 {
         let l1 = self.alloc_node(cycles, cost);
         // `n2`'s live count is unchanged: Leaf replaced by Table.
-        let Entry::Leaf(arc) = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Table(l1))
+        let Entry::Leaf(dir) = std::mem::replace(self.entry_at_mut(n2, i2), Entry::Table(l1))
         else {
             unreachable!("degroup of a non-directory slot");
         };
-        assert_eq!(Arc::strong_count(&arc), 1, "degrouping a shared huge directory (missed unshare)");
+        assert!(!dir.shared(), "degrouping a shared huge directory (missed unshare)");
         let n = &mut self.nodes[l1 as usize];
-        for (j, p) in arc.iter() {
+        for (j, p) in dir.iter() {
             n.put(j, Entry::Huge(p));
         }
-        LeafNode::retire(arc);
+        LeafNode::retire(dir);
         self.leaf_count -= 1;
         l1
     }
@@ -1635,18 +1712,18 @@ impl PageTable {
         let (_, node, idx, SlotKind::Small) = self.find(base)? else {
             return None;
         };
-        let arc = self.leaf_at(node, idx);
-        if Arc::strong_count(arc) > 1 || arc.live() != PT_ENTRIES as u64 {
+        let leaf = self.leaf_at(node, idx);
+        if leaf.shared() || leaf.live() != PT_ENTRIES as u64 {
             return None;
         }
-        let first = arc.get(0)?;
+        let first = leaf.get(0)?;
         if !first.is_present() || first.pfn.0 % HUGE_PAGES != 0 {
             return None;
         }
         let continues = |(j, p): (usize, Pte)| {
             p.is_present() && p.flags == first.flags && p.pfn.0 == first.pfn.0 + j as u64
         };
-        arc.iter().all(continues).then(|| Pte::new(first.pfn, first.flags | PteFlags::HUGE))
+        leaf.iter().all(continues).then(|| Pte::new(first.pfn, first.flags | PteFlags::HUGE))
     }
 
     /// Collapses the full small-PTE leaf at aligned `base` into the lone
@@ -1665,10 +1742,10 @@ impl PageTable {
             return Err(MemError::NotMapped);
         };
         let entry = self.entry_at_mut(node, idx1);
-        if let Entry::Leaf(arc) = std::mem::replace(entry, Entry::Huge(pte)) {
-            debug_assert_eq!(Arc::strong_count(&arc), 1, "promoting a shared leaf (missed unshare)");
-            debug_assert_eq!(arc.live(), PT_ENTRIES as u64);
-            LeafNode::retire(arc);
+        if let Entry::Leaf(leaf) = std::mem::replace(entry, Entry::Huge(pte)) {
+            debug_assert!(!leaf.shared(), "promoting a shared leaf (missed unshare)");
+            debug_assert_eq!(leaf.live(), PT_ENTRIES as u64);
+            LeafNode::retire(leaf);
         }
         self.leaf_count -= 1;
         self.huge += 1;
@@ -1702,11 +1779,10 @@ impl PageTable {
             return Err(MemError::NotMapped);
         };
         let mut leaf = LeafNode::new();
-        let pages = Arc::get_mut(&mut leaf).expect("a new node has one holder");
         let flags = hpte.flags.minus(PteFlags::HUGE);
-        let (.., filled) = pages.fill_run(0..PT_ENTRIES, |j| Ok(Pte { pfn: Pfn(hpte.pfn.0 + j as u64), flags }));
+        let (.., filled) = leaf.fill_run(0..PT_ENTRIES, |j| Ok(Pte { pfn: Pfn(hpte.pfn.0 + j as u64), flags }));
         filled.expect("a new node takes every entry");
-        *self.entry_at_mut(l1, idx1) = Entry::Leaf(leaf);
+        *self.entry_at_mut(l1, idx1) = Entry::Leaf(Leaf::Own(leaf));
         self.leaf_count += 1;
         self.huge -= 1;
         cycles.charge(cost.pt_demote);
@@ -1793,11 +1869,11 @@ impl PageTable {
     /// never shared — fork shares its frames, not the entry.
     #[inline]
     pub(crate) fn shared_at(&self, (_, node, idx, _): Slot) -> bool {
-        matches!(self.entry_at(node, idx), Entry::Leaf(arc) if Arc::strong_count(arc) > 1)
+        matches!(self.entry_at(node, idx), Entry::Leaf(leaf) if leaf.shared())
     }
 
-    /// Replaces an existing translation in place (COW break, protection
-    /// change). A huge block updates as a unit: the new PTE must be huge
+    /// Replaces an existing translation in place (swap-in, a block's COW
+    /// flip, the dirty mark, a lazy protection upgrade). A huge block updates as a unit: the new PTE must be huge
     /// and `vpn` block-aligned, else the caller missed a demote. Fails if
     /// `vpn` is not mapped. Panics if the covering leaf subtree or
     /// directory is shared — callers must privatize first.
@@ -1821,16 +1897,16 @@ impl PageTable {
                 whole_block();
                 Ok(std::mem::replace(h, pte))
             }
-            Entry::Leaf(arc) => {
+            Entry::Leaf(handle) => {
                 let dir = kind == SlotKind::Dir;
                 let j = vpn.pt_index(dir as usize);
-                if arc.get(j).is_none() {
+                if handle.get(j).is_none() {
                     return Err(MemError::NotMapped);
                 }
                 if dir {
                     whole_block();
                 }
-                let leaf = Arc::get_mut(arc).expect(if dir {
+                let leaf = handle.get_mut().expect(if dir {
                     "update inside a shared directory (missed unshare)"
                 } else {
                     "update inside a shared leaf subtree (missed unshare)"
@@ -1846,7 +1922,7 @@ impl PageTable {
     /// ascending by base — an in-order descent that enters only subtrees
     /// the range touches and visits only slots that hold something. Every
     /// leaf enumeration below is built on this one walk. Coordinates (not
-    /// `Arc` clones) so that enumerating does not perturb
+    /// references to the nodes) so that enumerating does not perturb
     /// `Arc::strong_count` — the on-demand fork walk relies on the count to
     /// detect exclusivity.
     pub(crate) fn leaf_slots_in(&self, lo: u64, hi: u64) -> Vec<Slot> {
@@ -1919,7 +1995,7 @@ impl PageTable {
         (base, node, idx, kind): Slot,
     ) -> impl Iterator<Item = (usize, Vpn, Pte)> + '_ {
         let (lone, members) = match self.entry_at(node, idx) {
-            Entry::Leaf(arc) => (None, Some(arc.iter())),
+            Entry::Leaf(leaf) => (None, Some(leaf.iter())),
             Entry::Huge(p) => (Some(*p), None),
             Entry::Table(_) => panic!("slot_entries: stale coordinates"),
         };
@@ -1933,11 +2009,12 @@ impl PageTable {
     /// node), so callers can recognise when two tables reference the
     /// *same* physical subtree.
     /// Lone huge leaves use the address of their entry in the arena node —
-    /// a distinct allocation from every `Arc`, so identities never collide.
+    /// a distinct allocation from every leaf node, so identities never
+    /// collide.
     pub(crate) fn for_each_leaf_keyed(&self, mut f: impl FnMut(usize, Vpn, Pte)) {
         for slot in self.leaf_slot_coords() {
             let id = match self.entry_at(slot.1, slot.2) {
-                Entry::Leaf(arc) => Arc::as_ptr(arc) as usize,
+                Entry::Leaf(leaf) => leaf.id(),
                 lone => lone as *const Entry as usize,
             };
             self.slot_entries(slot).for_each(|(_, vpn, pte)| f(id, vpn, pte));
@@ -1966,10 +2043,10 @@ impl PageTable {
                 p.flags = p.flags.minus(PteFlags::WRITABLE).union(if cow { PteFlags::COW } else { PteFlags(0) });
             }
             Entry::Huge(_) => {}
-            Entry::Leaf(arc) if cow && arc.private.is_empty() => {}
-            Entry::Leaf(arc) => match Arc::get_mut(arc) {
+            Entry::Leaf(leaf) if cow && leaf.private.is_empty() => {}
+            Entry::Leaf(handle) => match handle.get_mut() {
                 Some(leaf) => leaf.write_protect_run(run, cow, undo),
-                None => debug_assert!(!arc.writable_in(run), "write-protecting a shared leaf subtree (missed unshare)"),
+                None => debug_assert!(!handle.writable_in(run), "write-protecting a shared leaf subtree (missed unshare)"),
             },
             Entry::Table(_) => panic!("write_protect_at: stale coordinates"),
         }
@@ -1997,11 +2074,11 @@ impl PageTable {
                 gone(Unmapped::Block(*p));
                 true
             }
-            Entry::Leaf(arc) if !arc.holds_in(run.clone()) => return,
-            Entry::Leaf(arc) => {
+            Entry::Leaf(handle) if !handle.holds_in(run.clone()) => return,
+            Entry::Leaf(handle) => {
                 let dir = kind == SlotKind::Dir;
-                gone(Unmapped::Run(arc, run.clone(), dir));
-                let leaf = Arc::get_mut(arc).expect("unmap inside a shared leaf subtree (missed unshare)");
+                gone(Unmapped::Run(handle, run.clone(), dir));
+                let leaf = handle.get_mut().expect("unmap inside a shared leaf subtree (missed unshare)");
                 let n = leaf.clear_run(run);
                 *mapped -= n * kind.stride();
                 *huge -= if dir { n } else { 0 };
@@ -2033,34 +2110,83 @@ impl PageTable {
         }
         let dest = self.small_node_at(to, found, cycles, cost)?;
         // The source, where it is another node than the destination (a node
-        // holds the pages it moves and those it moves to apart).
-        let src = ((dest.1, dest.2) != (node, idx)).then(|| Arc::clone(self.leaf_at(node, idx)));
-        let held = src.as_deref().unwrap_or(self.leaf_at(node, idx)).occupied.within(part.start, part.end);
-        let leaf = Arc::get_mut(self.leaf_at_mut(dest.1, dest.2)).expect("map into a shared leaf subtree (missed unshare)");
+        // holds the pages it moves and those it moves to apart): out of its
+        // slot while the destination is written, and back in after.
+        let src = ((dest.1, dest.2) != (node, idx)).then(|| std::mem::replace(self.entry_at_mut(node, idx), Entry::Table(0)));
+        let src_leaf = src.as_ref().map(|entry| match entry {
+            Entry::Leaf(leaf) => &**leaf,
+            _ => panic!("map_moved: stale coordinates"),
+        });
+        let held = src_leaf.map_or_else(|| self.leaf_at(node, idx).occupied, |src| src.occupied).within(part.start, part.end);
+        let leaf = self.leaf_at_mut(dest.1, dest.2).get_mut().expect("map into a shared leaf subtree (missed unshare)");
         for j in held.slots().take(n as usize) {
-            let (at, word) = (to.pt_index(0) + j - part.start, src.as_ref().map_or(leaf.words[j], |src| src.words[j]));
+            let (at, word) = (to.pt_index(0) + j - part.start, src_leaf.map_or(leaf.words[j], |src| src.words[j]));
             debug_assert!(leaf.words[at] == 0, "entry mapped twice");
             leaf.set(at, Some(LeafNode::unpack(word)));
+        }
+        if let Some(src) = src {
+            *self.entry_at_mut(node, idx) = src;
         }
         self.mapped += n;
         Ok(())
     }
 
     /// The leaf node at arena coordinates from [`Self::leaf_slot_coords`]
-    /// (small leaves and huge directories both).
-    pub(crate) fn leaf_at(&self, node: u32, idx: usize) -> &Arc<LeafNode> {
+    /// (small leaves and huge directories both), as this table holds it.
+    pub(crate) fn leaf_at(&self, node: u32, idx: usize) -> &Leaf {
         match self.entry_at(node, idx) {
-            Entry::Leaf(arc) => arc,
+            Entry::Leaf(leaf) => leaf,
             _ => panic!("leaf_at: stale coordinates"),
         }
     }
 
-    /// Mutable access to the leaf node at arena coordinates. The returned
-    /// `Arc` can be inspected/marked via `Arc::get_mut` when exclusive.
-    pub(crate) fn leaf_at_mut(&mut self, node: u32, idx: usize) -> &mut Arc<LeafNode> {
+    /// Mutable access to the handle of the leaf node at arena coordinates,
+    /// which [`Leaf::get_mut`] opens for writing where no other table
+    /// holds the node.
+    pub(crate) fn leaf_at_mut(&mut self, node: u32, idx: usize) -> &mut Leaf {
         match self.entry_at_mut(node, idx) {
-            Entry::Leaf(arc) => arc,
+            Entry::Leaf(leaf) => leaf,
             _ => panic!("leaf_at_mut: stale coordinates"),
+        }
+    }
+
+    /// The small-PTE node at coordinates from [`Self::find`], to write, if
+    /// no other table holds it: what a COW break rewrites its entry in.
+    #[inline]
+    pub(crate) fn own_leaf_at(&mut self, (_, node, idx, kind): Slot) -> Option<&mut LeafNode> {
+        match self.entry_at_mut(node, idx) {
+            Entry::Leaf(leaf) if kind == SlotKind::Small => leaf.get_mut(),
+            _ => None,
+        }
+    }
+
+    /// The leaf node at coordinates from a walk, for another table to hold
+    /// as well ([`Self::attach_leaf`]): a node this table held alone turns
+    /// shared.
+    pub(crate) fn share_at(&mut self, (_, node, idx, _): Slot) -> Arc<LeafNode> {
+        match self.entry_at_mut(node, idx).share() {
+            Entry::Leaf(Leaf::Shared(node)) => node,
+            _ => panic!("share_at: stale coordinates"),
+        }
+    }
+
+    /// A table of the entries this one holds, through the same leaf nodes:
+    /// every node turns shared, as an on-demand fork would leave it, but
+    /// nothing is write-protected and nothing charged.
+    pub(crate) fn alias(&mut self) -> PageTable {
+        let node = |n: &mut Node| Node {
+            occupied: n.occupied,
+            index: n.index,
+            held: n.held.iter_mut().map(|h| Held { slot: h.slot, entry: h.entry.share() }).collect(),
+        };
+        PageTable {
+            nodes: self.nodes.iter_mut().map(node).collect(),
+            free: self.free.clone(),
+            root: self.root,
+            mapped: self.mapped,
+            leaf_count: self.leaf_count,
+            huge: self.huge,
+            scratch: Vec::new(),
         }
     }
 
@@ -2072,40 +2198,40 @@ impl PageTable {
     pub(crate) fn install_leaf(
         &mut self,
         base: u64,
-        leaf: Arc<LeafNode>,
+        leaf: Box<LeafNode>,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) {
         let vpn = Vpn(base);
         let node = self.walk_alloc_l1(vpn, cycles, cost);
         cycles.charge(cost.pt_node_alloc);
-        self.wire_leaf(node, vpn.pt_index(1), leaf, false);
+        self.wire_leaf(node, vpn.pt_index(1), Leaf::Own(leaf), false);
     }
 
-    /// Puts `arc` into the empty slot `idx` of arena node `node` and counts
+    /// Puts `leaf` into the empty slot `idx` of arena node `node` and counts
     /// what it maps: small pages, or 2 MiB blocks for a directory.
-    fn wire_leaf(&mut self, node: u32, idx: usize, arc: Arc<LeafNode>, dir: bool) {
-        let live = arc.live();
+    fn wire_leaf(&mut self, node: u32, idx: usize, leaf: Leaf, dir: bool) {
+        let live = leaf.live();
         if dir {
             self.mapped += live * HUGE_PAGES;
             self.huge += live;
         } else {
             self.mapped += live;
         }
-        self.nodes[node as usize].put(idx, Entry::Leaf(arc));
+        self.nodes[node as usize].put(idx, Entry::Leaf(leaf));
         self.leaf_count += 1;
     }
 
-    /// Wires an existing (typically shared) leaf node into this table at
-    /// `base` (the VPN of its first slot), allocating intermediates as
-    /// needed. This is the on-demand fork fast path: one pointer copy and
-    /// a refcount bump instead of up to 512 PTE copies. With `dir` the
-    /// node is a huge directory and attaches one level up, sharing up to a
-    /// GiB of huge mappings in the same single pointer copy.
+    /// Wires a leaf node another table shares ([`Self::share_at`]) into
+    /// this table at `base` (the VPN of its first slot), allocating
+    /// intermediates as needed. This is the on-demand fork fast path: one
+    /// pointer copy and a refcount bump instead of up to 512 PTE copies.
+    /// With `dir` the node is a huge directory and attaches one level up,
+    /// sharing up to a GiB of huge mappings in the same single pointer copy.
     pub(crate) fn attach_leaf(
         &mut self,
         base: u64,
-        arc: Arc<LeafNode>,
+        shared: Arc<LeafNode>,
         dir: bool,
         cycles: &mut Cycles,
         cost: &CostModel,
@@ -2127,7 +2253,7 @@ impl PageTable {
             return Err(MemError::Overlap);
         }
         cycles.charge(cost.pt_subtree_share);
-        self.wire_leaf(node, idx, arc, dir);
+        self.wire_leaf(node, idx, Leaf::Shared(shared), dir);
         Ok(())
     }
 
@@ -2146,24 +2272,24 @@ impl PageTable {
         cost: &CostModel,
     ) -> MemResult<&LeafNode> {
         fpr_faults::cross(FaultSite::PtUnshare).map_err(|_| MemError::OutOfMemory)?;
-        let Entry::Leaf(arc) = self.entry_at_mut(node, idx) else {
+        let Entry::Leaf(handle) = self.entry_at_mut(node, idx) else {
             return Err(MemError::NotMapped);
         };
         cycles.charge(cost.pt_node_alloc);
-        cycles.charge_n(cost.pte_copy, arc.live());
-        let shared = std::mem::replace(arc, arc.private_copy());
+        cycles.charge_n(cost.pte_copy, handle.live());
+        let shared = std::mem::replace(handle, Leaf::Own(handle.private_copy()));
         LeafNode::retire(shared);
-        Ok(arc)
+        Ok(handle)
     }
 
     /// Unwires the leaf node (or huge directory) at `base` from this table
     /// without touching its contents, tearing down intermediates that
-    /// become empty. The caller decides what to do with the returned `Arc`
+    /// become empty. The caller decides what to do with the returned handle
     /// (drop it cheaply if still shared, release its frames if this was
-    /// the last owner). Lone huge leaves are not `Arc`s — unmap those.
-    pub(crate) fn detach_leaf(&mut self, base: u64) -> MemResult<Arc<LeafNode>> {
+    /// the last owner). Lone huge leaves are no nodes — unmap those.
+    pub(crate) fn detach_leaf(&mut self, base: u64) -> MemResult<Leaf> {
         match self.unlink(Vpn(base)) {
-            Some(Entry::Leaf(arc)) => Ok(arc),
+            Some(Entry::Leaf(leaf)) => Ok(leaf),
             _ => Err(MemError::NotMapped),
         }
     }
@@ -2177,8 +2303,8 @@ impl PageTable {
         let taken = self.nodes[node as usize].take(idx);
         let (pages, blocks) = match &taken {
             Entry::Huge(_) => (HUGE_PAGES, 1),
-            Entry::Leaf(arc) if dir => (arc.live() * HUGE_PAGES, arc.live()),
-            Entry::Leaf(arc) => (arc.live(), 0),
+            Entry::Leaf(leaf) if dir => (leaf.live() * HUGE_PAGES, leaf.live()),
+            Entry::Leaf(leaf) => (leaf.live(), 0),
             Entry::Table(_) => unreachable!("a walk ends at a leaf-bearing slot"),
         };
         self.leaf_count -= matches!(taken, Entry::Leaf(_)) as u64;
@@ -2200,7 +2326,7 @@ impl PageTable {
                 match pt.nodes[node as usize].take(idx) {
                     Entry::Huge(p) => gone(Unmapped::Block(p)),
                     Entry::Leaf(leaf) => {
-                        if Arc::strong_count(&leaf) == 1 {
+                        if !leaf.shared() {
                             gone(Unmapped::Run(&leaf, 0..PT_ENTRIES, kind == SlotKind::Dir));
                         }
                         LeafNode::retire(leaf);
@@ -2263,7 +2389,7 @@ impl PageTable {
             if leaf.live() == 0 {
                 return Err(format!("leaf at {base:#x} is linked but empty"));
             }
-            if Arc::strong_count(leaf) > 1 && !leaf.private.is_empty() {
+            if leaf.shared() && !leaf.private.is_empty() {
                 return Err(format!("leaf at {base:#x} is shared with writable private entries"));
             }
         }
@@ -2302,8 +2428,8 @@ mod tests {
     }
 
     /// A new node, to write: this test holds it alone.
-    fn own(leaf: &mut Arc<LeafNode>) -> &mut LeafNode {
-        Arc::get_mut(leaf).expect("held once")
+    fn own(leaf: &mut Box<LeafNode>) -> &mut LeafNode {
+        leaf
     }
 
     /// What [`PageTable::take_leaves`] shows of what it drains, in the order
@@ -2597,7 +2723,7 @@ mod tests {
         let (base, l1, idx, kind) = coords[0];
         assert_eq!(base, 0);
         assert_eq!(kind, SlotKind::Small);
-        let arc = Arc::clone(parent.leaf_at(l1, idx));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
 
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
@@ -2623,7 +2749,7 @@ mod tests {
                 .unwrap();
         }
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = Arc::clone(parent.leaf_at(l1, idx));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
 
@@ -2682,7 +2808,7 @@ mod tests {
             .map(Vpn(0), Pte::new(Pfn(0), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = Arc::clone(parent.leaf_at(l1, idx));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
         let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost);
@@ -2870,7 +2996,7 @@ mod tests {
         }
         let (base, n2, idx, kind) = parent.leaf_slot_coords()[0];
         assert_eq!(kind, SlotKind::Dir);
-        let arc = Arc::clone(parent.leaf_at(n2, idx));
+        let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
         child.attach_leaf(base, arc, true, &mut ccy, &cost).unwrap();
@@ -2947,7 +3073,7 @@ mod tests {
                 .unwrap();
         }
         let (base, n2, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = Arc::clone(parent.leaf_at(n2, idx));
+        let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, true, &mut cy, &cost).unwrap();
         let _ = unmap(&mut parent, Vpn(0));
@@ -3112,7 +3238,7 @@ mod tests {
     /// A node whose entries take every shape a fork tells apart: writable,
     /// read-only, COW-marked already, `MAP_SHARED` and swapped out (every
     /// eleventh); full over 64..128, every third position elsewhere.
-    fn mixed_leaf() -> Arc<LeafNode> {
+    fn mixed_leaf() -> Box<LeafNode> {
         let flags = [
             PteFlags::WRITABLE | PteFlags::DIRTY,
             PteFlags::USER,
@@ -3272,6 +3398,44 @@ mod tests {
         SPARES.with(|s| (s.borrow().leaves.len(), s.borrow().arenas.len()))
     }
 
+    /// An on-demand share leaves both tables holding one `Shared` node; an
+    /// unshare's copy is `Own`; and a `Shared` node the other table has let
+    /// go of is written through as any other.
+    #[test]
+    fn a_shared_leaf_stays_shared_and_its_copy_is_own() {
+        let (mut parent, mut cy, cost) = fixture();
+        for vpn in 0..4 {
+            parent.map(Vpn(vpn), Pte::new(Pfn(10 + vpn), PteFlags::USER), &mut cy, &cost).unwrap();
+        }
+        let slot = parent.find(Vpn(0)).unwrap();
+        assert!(matches!(parent.leaf_at(slot.1, slot.2), Leaf::Own(_)), "a fill is the table's own");
+        let mut child = PageTable::new();
+        child.attach_leaf(0, parent.share_at(slot), false, &mut cy, &cost).unwrap();
+        let at = child.find(Vpn(0)).unwrap();
+        let (mine, theirs) = (parent.leaf_at(slot.1, slot.2), child.leaf_at(at.1, at.2));
+        assert!(matches!((mine, theirs), (Leaf::Shared(_), Leaf::Shared(_))));
+        assert_eq!(mine.id(), theirs.id(), "one node");
+        assert!(mine.shared() && theirs.shared());
+        assert!(parent.own_leaf_at(slot).is_none(), "nobody writes a node another table holds");
+
+        child.privatize_at(at, &mut cy, &cost).unwrap();
+        assert!(matches!(child.leaf_at(at.1, at.2), Leaf::Own(_)), "the copy an unshare makes");
+        assert_ne!(child.leaf_at(at.1, at.2).id(), parent.leaf_at(slot.1, slot.2).id());
+        let mine = parent.leaf_at(slot.1, slot.2);
+        assert!(matches!(mine, Leaf::Shared(_)) && !mine.shared(), "shared once, by nobody else now");
+
+        // Written through `Arc::get_mut`, as an own node is by a borrow.
+        parent.own_leaf_at(slot).expect("nobody else holds it").set(1, Some(Pte::new(Pfn(99), PteFlags::WRITABLE)));
+        parent.update_at(slot, Vpn(2), Pte::new(Pfn(12), PteFlags::WRITABLE)).unwrap();
+        parent.map(Vpn(4), Pte::new(Pfn(14), PteFlags::USER), &mut cy, &cost).unwrap();
+        let entries = |pt: &PageTable| (0..5).map(|vpn| pt.translate(Vpn(vpn)).map(|pte| pte.pfn.0)).collect::<Vec<_>>();
+        assert_eq!(entries(&parent), [Some(10), Some(99), Some(12), Some(13), Some(14)]);
+        assert_eq!(entries(&child), [Some(10), Some(11), Some(12), Some(13), None]);
+        assert!(matches!(parent.leaf_at(slot.1, slot.2), Leaf::Shared(_)), "no way back to own");
+        parent.check_summaries().unwrap();
+        child.check_summaries().unwrap();
+    }
+
     #[test]
     fn a_retired_leaf_comes_back_zero() {
         drain_spares();
@@ -3288,20 +3452,23 @@ mod tests {
             own(leaf).set(64, Some(Pte::swap_entry(5)));
             own(leaf).set(511, Some(Pte::new(Pfn(7), PteFlags::USER)));
         }
-        let retired = [&full, &half, &sparse, &shared].map(Arc::as_ptr);
+        // What a spare is known by: its words, which a shared node's last
+        // holder moves out of the `Arc` with the rest.
+        let retired = [&full, &half, &sparse, &shared].map(|leaf| leaf.words.as_ptr());
         // A node another table still holds is let go of, not kept: the
         // last holder retires it.
-        let other = Arc::clone(&shared);
-        LeafNode::retire(shared);
+        let shared = Arc::<LeafNode>::from(shared);
+        let other = Leaf::Shared(Arc::clone(&shared));
+        LeafNode::retire(Leaf::Shared(shared));
         assert_eq!(spare_counts().0, 0);
         assert_eq!(other.live(), 3, "the other holder's node is as it was");
-        for leaf in [full, half, sparse, other] {
+        for leaf in [full, half, sparse].map(Leaf::Own).into_iter().chain([other]) {
             LeafNode::retire(leaf);
         }
-        assert_eq!(spare_counts().0, 4);
+        assert_eq!(spare_counts().0, 4, "own and shared nodes alike");
         for _ in 0..4 {
             let leaf = LeafNode::new();
-            assert!(retired.contains(&Arc::as_ptr(&leaf)), "a spare is the node retired, Arc and all");
+            assert!(retired.contains(&leaf.words.as_ptr()), "a spare is the node retired, words and all");
             assert!(leaf.is_zero());
             assert_eq!((leaf.live(), leaf.private.count(), leaf.swap_entries()), (0, 0, 0));
             assert_eq!(leaf.iter().count(), 0);
@@ -3394,21 +3561,21 @@ mod tests {
         let (mut pt, mut cy, cost) = fixture();
         let pte = Pte::new(Pfn(4), PteFlags::WRITABLE);
         pt.map(Vpn(8), pte, &mut cy, &cost).unwrap();
-        let (_, node, idx, _) = pt.find(Vpn(8)).unwrap();
-        let held = Arc::as_ptr(pt.leaf_at(node, idx));
-        // A clone holds the same leaf nodes, as an on-demand fork would.
-        let snapshot = pt.clone();
+        let slot @ (_, node, idx, _) = pt.find(Vpn(8)).unwrap();
+        let held = pt.leaf_at(node, idx).words.as_ptr();
+        // An alias holds the same leaf nodes, as an on-demand fork would.
+        let snapshot = pt.alias();
         assert!(leaf_shared(&pt, Vpn(8)));
-        LeafNode::retire(Arc::clone(pt.leaf_at(node, idx)));
+        LeafNode::retire(Leaf::Shared(pt.share_at(slot)));
         assert_eq!(spare_counts(), (0, 0), "a node two tables hold is nobody's spare");
         drop(snapshot);
-        // The clone's arena is a spare; the leaf it shared is not.
+        // The alias's arena is a spare; the leaf it shared is not.
         assert_eq!(spare_counts(), (0, 1));
         assert!(!leaf_shared(&pt, Vpn(8)));
         let mut next = PageTable::new();
         next.map(Vpn(8), Pte::new(Pfn(5), PteFlags::default()), &mut cy, &cost).unwrap();
         let (_, node, idx, _) = next.find(Vpn(8)).unwrap();
-        assert_ne!(Arc::as_ptr(next.leaf_at(node, idx)), held);
+        assert_ne!(next.leaf_at(node, idx).words.as_ptr(), held);
         assert_eq!(pt.translate(Vpn(8)), Some(pte));
         pt.check_summaries().unwrap();
         next.check_summaries().unwrap();
@@ -3416,21 +3583,29 @@ mod tests {
 
     #[test]
     fn check_summaries_names_a_summary_that_is_off() {
-        let (mut pt, mut cy, cost) = fixture();
-        let pte = Pte::new(Pfn(1), PteFlags::WRITABLE);
-        for vpn in [Vpn(0), Vpn(1 << 27)] {
-            pt.map(vpn, pte, &mut cy, &cost).unwrap();
-        }
-        unmap(&mut pt, Vpn(1 << 27)).unwrap();
-        // A run at entries 16..22 with a hole at 19, and a break before 22.
-        for (j, pfn) in [(16, 101), (17, 102), (18, 103), (19, 150), (20, 105), (21, 106), (22, 300)] {
-            pt.map(Vpn(j), Pte::new(Pfn(pfn), PteFlags::WRITABLE), &mut cy, &cost).unwrap();
-        }
+        let build = || {
+            let (mut pt, mut cy, cost) = fixture();
+            let pte = Pte::new(Pfn(1), PteFlags::WRITABLE);
+            for vpn in [Vpn(0), Vpn(1 << 27)] {
+                pt.map(vpn, pte, &mut cy, &cost).unwrap();
+            }
+            unmap(&mut pt, Vpn(1 << 27)).unwrap();
+            // A run at entries 16..22 with a hole at 19, and a break before 22.
+            for (j, pfn) in [(16, 101), (17, 102), (18, 103), (19, 150), (20, 105), (21, 106), (22, 300)] {
+                pt.map(Vpn(j), Pte::new(Pfn(pfn), PteFlags::WRITABLE), &mut cy, &cost).unwrap();
+            }
+            pt
+        };
+        let pt = build();
         pt.check_summaries().unwrap();
         let broken = |f: &dyn Fn(&mut PageTable)| {
-            let mut pt = pt.clone();
+            let mut pt = build();
             f(&mut pt);
-            pt.check_summaries().unwrap_err()
+            let err = pt.check_summaries().unwrap_err();
+            // The broken arena is nobody's spare.
+            drop(pt);
+            drain_spares();
+            err
         };
         let root = pt.root as usize;
         assert!(broken(&|pt| pt.nodes[root].occupied.set(9)).contains("node 0"));
@@ -3443,11 +3618,8 @@ mod tests {
         assert!(broken(&|pt| pt.free.truncate(0)).contains("not on the free list"));
         let in_leaf = |f: &dyn Fn(&mut LeafNode)| {
             broken(&|pt| {
-                let (_, node, idx, _) = pt.find(Vpn(0)).unwrap();
-                // The clone shares the node with the table it is a clone of.
-                let leaf = pt.leaf_at_mut(node, idx);
-                *leaf = leaf.private_copy();
-                f(own(leaf))
+                let slot = pt.find(Vpn(0)).unwrap();
+                f(pt.own_leaf_at(slot).expect("a node of the table's own"))
             })
         };
         assert!(in_leaf(&|leaf| leaf.words[5] = 1 << FLAG_BITS | 1).contains("entry 5"));

@@ -1135,7 +1135,7 @@ mod tests {
     use fpr_trace::metrics;
     use crate::addr::PT_ENTRIES;
     use crate::addr::Vpn;
-    use crate::page_table::{LeafNode, PageTable};
+    use crate::page_table::{Leaf, LeafNode, PageTable};
     use crate::pte::{Pte, PteFlags};
     use std::cell::Cell;
 
@@ -1708,16 +1708,15 @@ mod tests {
 
     /// A leaf node holding `frames` at slots `0..`, with a different mix of
     /// flags on each entry.
-    fn leaf_of(frames: impl IntoIterator<Item = u64>) -> std::sync::Arc<LeafNode> {
+    fn leaf_of(frames: impl IntoIterator<Item = u64>) -> Box<LeafNode> {
         let flags = [
             PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::DIRTY,
             PteFlags::PRESENT | PteFlags::ACCESSED,
             PteFlags::PRESENT | PteFlags::COW | PteFlags::ACCESSED | PteFlags::DIRTY,
         ];
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
         for (j, pfn) in frames.into_iter().enumerate() {
-            node.set(j, Some(Pte::new(Pfn(pfn), flags[j % 3])));
+            leaf.set(j, Some(Pte::new(Pfn(pfn), flags[j % 3])));
         }
         leaf
     }
@@ -1742,7 +1741,7 @@ mod tests {
         let mixed = leaf_of(frames.iter().copied());
         assert_eq!(mixed.frame_runs(0..PT_ENTRIES, false).ranges().flatten().collect::<Vec<_>>(), frames);
         for leaf in [leaf, alternating, mixed] {
-            LeafNode::retire(leaf);
+            LeafNode::retire(Leaf::Own(leaf));
         }
     }
 
@@ -1756,7 +1755,7 @@ mod tests {
     /// a written page left COW-marked, an unwritten one writable, and
     /// sometimes a hole frame that is not unrelated (in the parent's run,
     /// or another hole's). One hole frame is in a chunk the run is not in.
-    fn cow_child_leaf(k: usize, rng: &mut fpr_rng::Rng) -> std::sync::Arc<LeafNode> {
+    fn cow_child_leaf(k: usize, rng: &mut fpr_rng::Rng) -> Box<LeafNode> {
         let base = rng.gen_below(UNIVERSE - PT_ENTRIES as u64);
         let mut holes: Vec<usize> = (0..PT_ENTRIES).collect();
         rng.shuffle(&mut holes);
@@ -1769,7 +1768,7 @@ mod tests {
         }
         let (cow, written) = (PteFlags::PRESENT | PteFlags::COW, PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::DIRTY);
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let node = &mut *leaf;
         for j in 0..PT_ENTRIES {
             let pte = match holes.iter().position(|&h| h == j) {
                 Some(n) => {
@@ -1894,7 +1893,7 @@ mod tests {
                 let (mut p, mut c, mut refs) = universe(&mut rng);
                 let leaf = cow_child_leaf(k, &mut rng);
                 judge(&mut p, &mut c, &mut refs, &leaf, &mut rng, &what);
-                LeafNode::retire(leaf);
+                LeafNode::retire(Leaf::Own(leaf));
             }
         }
     }
@@ -1909,10 +1908,9 @@ mod tests {
 
     /// A node of its own holding `base + j` at every slot `j`, COW-marked:
     /// what a fork leaves a child of a populated heap.
-    fn unbroken(base: u64, flags: PteFlags) -> std::sync::Arc<LeafNode> {
+    fn unbroken(base: u64, flags: PteFlags) -> Box<LeafNode> {
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
-        let (stop, written, refused) = node.fill_run(0..PT_ENTRIES, |j| Ok(Pte::new(Pfn(base + j as u64), flags)));
+        let (stop, written, refused) = leaf.fill_run(0..PT_ENTRIES, |j| Ok(Pte::new(Pfn(base + j as u64), flags)));
         assert_eq!((stop, written, refused), (PT_ENTRIES, PT_ENTRIES as u64, Ok(())));
         leaf
     }
@@ -1957,7 +1955,7 @@ mod tests {
 
     /// A leaf built by each way a leaf's words are written, and then, half
     /// the time, written to entry by entry ([`scribble`]).
-    fn leaves_written_every_way(rng: &mut fpr_rng::Rng) -> Vec<(&'static str, std::sync::Arc<LeafNode>)> {
+    fn leaves_written_every_way(rng: &mut fpr_rng::Rng) -> Vec<(&'static str, Leaf)> {
         let (mut cycles, cost) = (Cycles::new(), CostModel::default());
         let mut leaves = Vec::new();
 
@@ -1965,7 +1963,7 @@ mod tests {
         // blocks, going past entries there were and stopping at a swap
         // entry or a refusal, then filling on behind it.
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
+        let node = &mut *leaf;
         let (a, b, cut) = (run_base(rng, PT_ENTRIES), run_base(rng, PT_ENTRIES), rng.gen_index(PT_ENTRIES));
         for _ in 0..rng.gen_below(4) {
             node.set(rng.gen_index(PT_ENTRIES), Some(Pte::new(Pfn(run_base(rng, 1)), WRITTEN)));
@@ -1984,22 +1982,22 @@ mod tests {
             });
             at = stop + 1;
         }
-        leaves.push(("fill_run", leaf));
+        leaves.push(("fill_run", Leaf::Own(leaf)));
 
         // `set` as a COW fault's copy and reuse, a swap-out and a swap-in,
         // on a COW child's node.
         let mut leaf = unbroken(run_base(rng, PT_ENTRIES), COW);
         let n = [1, 16, 300][rng.gen_index(3)];
-        scribble(std::sync::Arc::get_mut(&mut leaf).unwrap(), n, rng);
-        leaves.push(("set", leaf));
+        scribble(&mut leaf, n, rng);
+        leaves.push(("set", Leaf::Own(leaf)));
 
         // A partial `clear_run`, once or twice.
         let mut leaf = unbroken(run_base(rng, PT_ENTRIES), WRITTEN);
         for _ in 0..1 + rng.gen_below(2) {
             let (x, y) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
-            std::sync::Arc::get_mut(&mut leaf).unwrap().clear_run(x.min(y)..x.max(y));
+            leaf.clear_run(x.min(y)..x.max(y));
         }
-        leaves.push(("clear_run", leaf));
+        leaves.push(("clear_run", Leaf::Own(leaf)));
 
         // `demote_block`: a 2 MiB block split into 512 small entries.
         let mut pt = PageTable::new();
@@ -2007,8 +2005,7 @@ mod tests {
         let head = HUGE_PAGES * rng.gen_below(UNIVERSE / HUGE_PAGES);
         pt.map_huge(vpn, Pte::new(Pfn(head), WRITTEN), 0, &mut cycles, &cost).unwrap();
         pt.demote_block(vpn, &mut cycles, &cost).unwrap();
-        let slot = pt.find(vpn).expect("demoted in place");
-        leaves.push(("demote_block", std::sync::Arc::clone(pt.leaf_at(slot.1, slot.2))));
+        leaves.push(("demote_block", pt.detach_leaf(vpn.0).expect("demoted in place")));
         drop(pt);
 
         // `slide_entries`' move: parts of an unbroken node mapped again in
@@ -2030,49 +2027,46 @@ mod tests {
             dest = Vpn(dest.0 + n);
             lo = if rng.gen_bool(0.5) { hi } else { (hi + rng.gen_index(40)).min(PT_ENTRIES) };
         }
-        let slot = pt.find(to).expect("slid into");
-        leaves.push(("slide", std::sync::Arc::clone(pt.leaf_at(slot.1, slot.2))));
+        leaves.push(("slide", pt.detach_leaf(to.0).expect("slid into")));
         drop(pt);
 
         // `copy_run`, the COW form: runs of a COW child's node copied,
         // write-protected, into a new one.
         let parent = cow_child_leaf(rng.gen_index(64), rng);
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
         let cut = rng.gen_index(PT_ENTRIES + 1);
-        node.copy_run(&parent, 0..cut, true, |word| word);
-        node.copy_run(&parent, cut..PT_ENTRIES, true, |word| word);
-        leaves.push(("copy_run", leaf));
+        leaf.copy_run(&parent, 0..cut, true, |word| word);
+        leaf.copy_run(&parent, cut..PT_ENTRIES, true, |word| word);
+        leaves.push(("copy_run", Leaf::Own(leaf)));
 
         // `copy_run`, the eager form: each present entry's frame a copy
         // from a reserved block.
         let mut leaf = LeafNode::new();
-        let node = std::sync::Arc::get_mut(&mut leaf).unwrap();
         let mut fresh_rng = rng.fork_stream();
         let mut fresh = block_frames(&mut fresh_rng);
         let (x, y) = (rng.gen_index(PT_ENTRIES + 1), rng.gen_index(PT_ENTRIES + 1));
-        node.copy_run(&parent, x.min(y)..x.max(y), false, |word| match LeafNode::unpack(word) {
+        leaf.copy_run(&parent, x.min(y)..x.max(y), false, |word| match LeafNode::unpack(word) {
             pte if pte.is_present() => LeafNode::pack(Pte { pfn: Pfn(fresh()), ..pte }),
             _ => word,
         });
-        leaves.push(("eager copy_run", leaf));
-        LeafNode::retire(parent);
+        leaves.push(("eager copy_run", Leaf::Own(leaf)));
+        LeafNode::retire(Leaf::Own(parent));
 
         // `private_copy`: a node two tables share, privatized by one.
         let (mut one, mut two) = (PageTable::new(), PageTable::new());
         let base = HUGE_PAGES * (1 + rng.gen_below(8));
-        let built = cow_child_leaf(rng.gen_index(64), rng);
-        one.install_leaf(base, std::sync::Arc::clone(&built), &mut cycles, &cost);
-        two.attach_leaf(base, built, false, &mut cycles, &cost).unwrap();
+        one.install_leaf(base, cow_child_leaf(rng.gen_index(64), rng), &mut cycles, &cost);
+        let shared = one.share_at(one.find(Vpn(base)).expect("installed"));
+        two.attach_leaf(base, shared, false, &mut cycles, &cost).unwrap();
         let slot = two.find(Vpn(base)).expect("attached");
         two.privatize_at(slot, &mut cycles, &cost).unwrap();
-        leaves.push(("private_copy", std::sync::Arc::clone(two.leaf_at(slot.1, slot.2))));
+        leaves.push(("private_copy", two.detach_leaf(base).expect("privatized in place")));
         drop((one, two));
 
         for (_, leaf) in &mut leaves {
             if rng.gen_bool(0.5) {
                 let n = rng.gen_index(40);
-                scribble(std::sync::Arc::get_mut(leaf).expect("held by nothing else"), n, rng);
+                scribble(leaf.get_mut().expect("held by nothing else"), n, rng);
             }
         }
         leaves

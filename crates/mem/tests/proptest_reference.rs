@@ -637,7 +637,7 @@ struct ForkRule {
 }
 
 impl ForkRule {
-    fn of(sim: &AddressSpace) -> ForkRule {
+    fn of(sim: &mut AddressSpace) -> ForkRule {
         let vmas: Vec<_> = sim.vmas().map(|v| (v.start.0, v.end().0, v.share, v.fork_policy)).collect();
         let mut rule = ForkRule { vmas, entries: Vec::new(), dirs: BTreeSet::new() };
         let mut entries = Vec::new();
@@ -652,9 +652,9 @@ impl ForkRule {
         rule.entries = entries;
         if sim.huge_pages() > 0 {
             // A lone block is never shared, and every leaf node of a table
-            // is shared with a copy of it: in the copy, a block in a shared
-            // slot is a directory's.
-            let copy = sim.clone();
+            // is shared with an alias of it: in the alias, a block in a
+            // shared slot is a directory's.
+            let copy = sim.alias();
             let blocks = copy.leaf_slots().filter(|slot| slot.shared().is_some()).filter_map(|slot| slot.spans().next());
             let huge = |vpn: u64| sim.translate(Vpn(vpn)).is_some_and(|pte| pte.flags.0 & HUGE_BIT != 0);
             rule.dirs = blocks.filter(|span| huge(span.start.0)).map(|span| span.start.0 / GIB).collect();
