@@ -526,11 +526,12 @@ fn continues(prev: u64, word: u64) -> bool {
 /// Bits of a packed leaf word below the frame number: the [`PteFlags`].
 const FLAG_BITS: u32 = 16;
 
-/// The flags a fork reads and rewrites in the packed word itself.
+/// The flags read and written in the packed word itself.
 const WRITABLE: u64 = PteFlags::WRITABLE.0 as u64;
 const COW: u64 = PteFlags::COW.0 as u64;
 const SHARED: u64 = PteFlags::SHARED.0 as u64;
 const PRESENT: u64 = PteFlags::PRESENT.0 as u64;
+const SWAP: u64 = PteFlags::SWAP.0 as u64;
 
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
@@ -871,7 +872,7 @@ impl LeafNode {
     /// it held.
     #[inline]
     pub(crate) fn set(&mut self, j: usize, pte: Option<Pte>) -> Option<Pte> {
-        let (old_word, old) = (self.words[j], self.get(j));
+        let old = self.get(j);
         let word = match pte {
             Some(p) => {
                 // A zero word is an empty slot, and the frame number shares
@@ -885,13 +886,21 @@ impl LeafNode {
             }
             None => 0,
         };
+        let moved = self.words[j] ^ word;
         self.words[j] = word;
-        self.occupied.assign(j, word != 0);
-        self.present.assign(j, word & PRESENT != 0);
         self.private.assign(j, private_writable(word));
-        // A write that keeps the frame and whether it is present — a
-        // flag change, as a store's dirty mark — moves no run.
-        if (old_word ^ word) & (u64::MAX << FLAG_BITS | PRESENT) != 0 {
+        // Most writes — a COW break, a store's dirty mark — neither add nor
+        // remove an entry nor swap one out or in: the entry map and the
+        // counts stay.
+        if (old.is_some() != pte.is_some()) | (moved & SWAP != 0) {
+            self.occupied.assign(j, word != 0);
+            self.counts.add(old, -1);
+            self.counts.add(pte, 1);
+        }
+        // A write that keeps the frame and whether it is present — a flag
+        // change, as the dirty mark — moves no run.
+        if moved & (u64::MAX << FLAG_BITS | PRESENT) != 0 {
+            self.present.assign(j, word & PRESENT != 0);
             // The bits the write moves, this entry's and the next's, written
             // together: the next is in the map word after only for the last
             // entry of a word.
@@ -904,8 +913,6 @@ impl LeafNode {
                 self.runs_on.assign(j + 1, bits >> 1 != 0);
             }
         }
-        self.counts.add(old, -1);
-        self.counts.add(pte, 1);
         old
     }
 
