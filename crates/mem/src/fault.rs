@@ -234,7 +234,7 @@ impl AddressSpace {
     /// whose frame another space still holds — the copy a fork deferred.
     /// Every other store takes the branches below it, in the order
     /// structure fault, swap-in, writable, COW break, lazy upgrade; both
-    /// kinds of break end in [`Self::cow_broken`].
+    /// kinds of break end in `cow_broken`.
     pub fn write(
         &mut self,
         vpn: Vpn,

@@ -5,7 +5,7 @@
 //! `u32`, which keeps the structure compact; the arena plays the role of
 //! the physical frames that would hold page-table nodes on real hardware.
 //! The bottom level is different: each 512-entry block of leaf PTEs lives
-//! in a `LeafNode` that a table holds through a [`Leaf`] handle. A node
+//! in a `LeafNode` that a table holds through a `Leaf` handle. A node
 //! one table holds alone is `Own` — a `Box`, written through a plain
 //! borrow. An on-demand fork hands the *same* leaf subtree to parent and
 //! child instead of copying 512 entries: the first time it shares a node,
@@ -2434,11 +2434,6 @@ mod tests {
         Pte::new(Pfn(pfn), PteFlags::WRITABLE | PteFlags::HUGE)
     }
 
-    /// A new node, to write: this test holds it alone.
-    fn own(leaf: &mut Box<LeafNode>) -> &mut LeafNode {
-        leaf
-    }
-
     /// What [`PageTable::take_leaves`] shows of what it drains, in the order
     /// it does: each node's entries, and whether it is a directory; a lone
     /// block as its one entry.
@@ -3219,7 +3214,6 @@ mod tests {
     #[test]
     fn leaf_words_round_trip_and_scan_by_map() {
         let mut leaf = LeafNode::new();
-        let leaf = own(&mut leaf);
         let swapped = Pte::swap_entry(0xABCD);
         let wide = Pte::new(Pfn((1 << 48) - 1), PteFlags::WRITABLE | PteFlags::HUGE);
         leaf.set(9, Some(swapped));
@@ -3258,7 +3252,7 @@ mod tests {
                 0 => Pte::swap_entry(5000 + j as u64),
                 _ => Pte::new(Pfn(1000 + j as u64), flags[j % 4]),
             };
-            own(&mut leaf).set(j, Some(pte));
+            leaf.set(j, Some(pte));
         }
         leaf
     }
@@ -3302,7 +3296,7 @@ mod tests {
             for marking in [false, true] {
                 // Between two entries of other runs, as a fork leaves it.
                 let (mut by_run, mut by_entry) = (LeafNode::new(), LeafNode::new());
-                let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
+                let (by_run, by_entry) = (&mut *by_run, &mut *by_entry);
                 for leaf in [&mut *by_run, &mut *by_entry] {
                     leaf.set(0, Some(Pte::new(Pfn(1), PteFlags::WRITABLE)));
                     leaf.set(511, Some(Pte::swap_entry(9)));
@@ -3330,7 +3324,7 @@ mod tests {
             // a fork also marked — each logged; and the run taken out.
             for cow in [false, true] {
                 let (mut by_run, mut by_entry) = (src.private_copy(), src.private_copy());
-                let (by_run, by_entry) = (own(&mut by_run), own(&mut by_entry));
+                let (by_run, by_entry) = (&mut *by_run, &mut *by_entry);
                 let mut undo = Vec::new();
                 by_run.write_protect_run(run.clone(), cow, |j, pte| undo.push((j, pte)));
                 for &(j, pte) in held.iter().filter(|(_, pte)| pte.is_writable()) {
@@ -3348,7 +3342,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "present or swapped")]
     fn an_entry_whose_word_could_be_zero_is_refused() {
-        own(&mut LeafNode::new()).set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
+        LeafNode::new().set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
     }
 
     #[test]
@@ -3449,15 +3443,15 @@ mod tests {
         let (mut full, mut sparse, mut shared) = (LeafNode::new(), LeafNode::new(), LeafNode::new());
         let mut half = LeafNode::new();
         for j in 0..PT_ENTRIES {
-            own(&mut full).set(j, Some(Pte::new(Pfn(j as u64), PteFlags::WRITABLE)));
+            full.set(j, Some(Pte::new(Pfn(j as u64), PteFlags::WRITABLE)));
             if j % 2 == 1 {
-                own(&mut half).set(j, Some(Pte::new(Pfn(j as u64), PteFlags::USER)));
+                half.set(j, Some(Pte::new(Pfn(j as u64), PteFlags::USER)));
             }
         }
         for leaf in [&mut sparse, &mut shared] {
-            own(leaf).set(3, Some(Pte::new(Pfn(9), PteFlags::WRITABLE)));
-            own(leaf).set(64, Some(Pte::swap_entry(5)));
-            own(leaf).set(511, Some(Pte::new(Pfn(7), PteFlags::USER)));
+            leaf.set(3, Some(Pte::new(Pfn(9), PteFlags::WRITABLE)));
+            leaf.set(64, Some(Pte::swap_entry(5)));
+            leaf.set(511, Some(Pte::new(Pfn(7), PteFlags::USER)));
         }
         // What a spare is known by: its words, which a shared node's last
         // holder moves out of the `Arc` with the rest.
