@@ -8,7 +8,7 @@
 
 use crate::addr::{Pfn, Vpn, HUGE_PAGES};
 use crate::address_space::AddressSpace;
-use crate::cost::Cycles;
+use crate::cost::{CostModel, Cycles};
 use crate::error::{MemError, MemResult};
 use crate::page_table::{LeafNode, Slot};
 use crate::phys::PhysMemory;
@@ -268,7 +268,7 @@ impl AddressSpace {
                 self.stats.cow_copies += 1;
                 Counter::CowCopy.incr();
                 let broken = (vpn, pte, pfn, FaultOutcome::CowCopy);
-                return Ok(Self::cow_broken(leaf, broken, phys, cycles, tlb, cpus_running));
+                return Ok(Self::cow_broken(leaf, broken, phys.cost(), cycles, tlb, cpus_running));
             }
         }
         if self.pt.shared_at(slot) {
@@ -327,7 +327,7 @@ impl AddressSpace {
                 (new_pfn, FaultOutcome::CowCopy)
             };
             let leaf = self.pt.own_leaf_at(slot).expect("a small page of this table's own node");
-            return Ok(Self::cow_broken(leaf, (vpn, pte, pfn, outcome), phys, cycles, tlb, cpus_running));
+            return Ok(Self::cow_broken(leaf, (vpn, pte, pfn, outcome), phys.cost(), cycles, tlb, cpus_running));
         }
         // Present, not writable, nobody to break from — but the VMA permits
         // writes: an `mprotect` upgrade applied lazily. Take the fault and
@@ -352,7 +352,7 @@ impl AddressSpace {
     fn cow_broken(
         leaf: &mut LeafNode,
         (vpn, pte, pfn, outcome): (Vpn, Pte, Pfn, FaultOutcome),
-        phys: &PhysMemory,
+        cost: &CostModel,
         cycles: &mut Cycles,
         tlb: &mut TlbModel,
         cpus_running: u32,
@@ -363,7 +363,7 @@ impl AddressSpace {
             let broke = if outcome == FaultOutcome::CowCopy { "copy" } else { "reuse" };
             sink::emit(TraceEvent::new("cow_break", "mem", Phase::Instant, cycles.total()).arg("outcome", broke));
         }
-        tlb.shootdown(cpus_running, cycles, phys.cost());
+        tlb.shootdown(cpus_running, cycles, cost);
         outcome
     }
 
