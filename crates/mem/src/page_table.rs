@@ -9,13 +9,13 @@
 //! one table holds alone is `Own` — a `Box`, written through a plain
 //! borrow. An on-demand fork hands the *same* leaf subtree to parent and
 //! child instead of copying 512 entries: the first time it shares a node,
-//! the parent's handle turns `Shared` — an `Arc` — and each table holds a
-//! reference to it. A shared node is immutable while another table holds
-//! it (enforced with `Arc::get_mut`, which a `Shared` node whose other
-//! holders have let go of still goes through; it never turns `Own`
-//! again); the owner must privatize the leaf (the private `privatize_at`
-//! operation) before mutating, which is the deferred copy the fault path
-//! performs. The copy is `Own`.
+//! the parent's handle turns `Shared` — an `Arc` around the node's box —
+//! and each table holds a reference to it. A shared node is immutable
+//! while another table holds it (enforced with `Arc::get_mut`, which a
+//! `Shared` node whose other holders have let go of still goes through;
+//! it never turns `Own` again); the owner must privatize the leaf (the
+//! private `privatize_at` operation) before mutating, which is the
+//! deferred copy the fault path performs. The copy is `Own`.
 //!
 //! # Node layout
 //!
@@ -289,7 +289,7 @@ impl Entry {
             Entry::Leaf(Leaf::Shared(node)) => Entry::Leaf(Leaf::Shared(Arc::clone(node))),
             Entry::Leaf(Leaf::Own(_)) => {
                 let Entry::Leaf(Leaf::Own(node)) = std::mem::replace(self, Entry::Table(0)) else { unreachable!() };
-                *self = Entry::Leaf(Leaf::Shared(Arc::from(node)));
+                *self = Entry::Leaf(Leaf::Shared(Arc::new(node)));
                 self.share()
             }
         }
@@ -298,12 +298,18 @@ impl Entry {
 
 /// How a table holds a leaf node: alone (`Own`), or as one of the tables
 /// an on-demand fork shared it between (`Shared`), which may since have
-/// let go of it. Reads go through either alike.
+/// let go of it. Reads go through either alike. A shared node keeps the
+/// `Box` it was built in: turning shared allocates only the count, and
+/// the last holder hands the box back to the spares as it is.
 #[derive(Debug)]
 pub(crate) enum Leaf {
     Own(Box<LeafNode>),
-    Shared(Arc<LeafNode>),
+    Shared(SharedLeaf),
 }
+
+/// A leaf node several tables hold.
+#[allow(clippy::redundant_allocation)]
+pub(crate) type SharedLeaf = Arc<Box<LeafNode>>;
 
 impl std::ops::Deref for Leaf {
     type Target = LeafNode;
@@ -324,7 +330,7 @@ impl Leaf {
     pub(crate) fn get_mut(&mut self) -> Option<&mut LeafNode> {
         match self {
             Leaf::Own(node) => Some(&mut **node),
-            Leaf::Shared(node) => Arc::get_mut(node),
+            Leaf::Shared(node) => Arc::get_mut(node).map(|node| &mut **node),
         }
     }
 
@@ -598,7 +604,7 @@ impl LeafNode {
     /// nobody else holds it either it becomes a spare — zeroed by what it
     /// holds, off its map when sparse and with one `fill` when not, never
     /// both — unless the thread has its fill of them. A shared node's last
-    /// holder moves it out of its `Arc`.
+    /// holder takes it out of its `Arc`.
     pub(crate) fn retire(leaf: Leaf) {
         SPARES.with(|s| {
             let spares = &mut s.borrow_mut().leaves;
@@ -609,7 +615,7 @@ impl LeafNode {
                 Leaf::Own(node) => node,
                 // Held by another table still, that one lets go of it last.
                 Leaf::Shared(node) => match Arc::into_inner(node) {
-                    Some(node) => Box::new(node),
+                    Some(node) => node,
                     None => return,
                 },
             };
@@ -2170,7 +2176,7 @@ impl PageTable {
     /// The leaf node at coordinates from a walk, for another table to hold
     /// as well ([`Self::attach_leaf`]): a node this table held alone turns
     /// shared.
-    pub(crate) fn share_at(&mut self, (_, node, idx, _): Slot) -> Arc<LeafNode> {
+    pub(crate) fn share_at(&mut self, (_, node, idx, _): Slot) -> SharedLeaf {
         match self.entry_at_mut(node, idx).share() {
             Entry::Leaf(Leaf::Shared(node)) => node,
             _ => panic!("share_at: stale coordinates"),
@@ -2238,7 +2244,7 @@ impl PageTable {
     pub(crate) fn attach_leaf(
         &mut self,
         base: u64,
-        shared: Arc<LeafNode>,
+        shared: SharedLeaf,
         dir: bool,
         cycles: &mut Cycles,
         cost: &CostModel,
@@ -3453,12 +3459,10 @@ mod tests {
             leaf.set(64, Some(Pte::swap_entry(5)));
             leaf.set(511, Some(Pte::new(Pfn(7), PteFlags::USER)));
         }
-        // What a spare is known by: its words, which a shared node's last
-        // holder moves out of the `Arc` with the rest.
-        let retired = [&full, &half, &sparse, &shared].map(|leaf| leaf.words.as_ptr());
+        let retired = [&full, &half, &sparse, &shared].map(|leaf| &**leaf as *const LeafNode);
         // A node another table still holds is let go of, not kept: the
         // last holder retires it.
-        let shared = Arc::<LeafNode>::from(shared);
+        let shared = Arc::new(shared);
         let other = Leaf::Shared(Arc::clone(&shared));
         LeafNode::retire(Leaf::Shared(shared));
         assert_eq!(spare_counts().0, 0);
@@ -3469,7 +3473,7 @@ mod tests {
         assert_eq!(spare_counts().0, 4, "own and shared nodes alike");
         for _ in 0..4 {
             let leaf = LeafNode::new();
-            assert!(retired.contains(&leaf.words.as_ptr()), "a spare is the node retired, words and all");
+            assert!(retired.contains(&(&*leaf as *const LeafNode)), "a spare is the node retired, box and all");
             assert!(leaf.is_zero());
             assert_eq!((leaf.live(), leaf.private.count(), leaf.swap_entries()), (0, 0, 0));
             assert_eq!(leaf.iter().count(), 0);
