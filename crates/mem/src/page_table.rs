@@ -3346,6 +3346,42 @@ mod tests {
     }
 
     #[test]
+    fn a_copied_word_is_marked_as_its_flags_say_whatever_they_are() {
+        // What a fork leaves a child's entry of a private mapping: a
+        // writable one read-only and COW-marked, a COW-marked one as it is,
+        // any other unchanged; without marking, every one unchanged.
+        let expect = |pte: Pte, cow: bool| match cow && pte.flags.contains(PteFlags::WRITABLE) {
+            true => Pte { flags: pte.flags.minus(PteFlags::WRITABLE).union(PteFlags::COW), ..pte },
+            false => pte,
+        };
+        // Every flag pattern, at a low frame and at the widest there is,
+        // through a full run and through one with a hole in it.
+        for pfn in [1, (1 << (64 - FLAG_BITS)) - 1] {
+            for per in [PT_ENTRIES, PT_ENTRIES - 1] {
+                let mut patterns = (0..=u16::MAX).peekable();
+                while patterns.peek().is_some() {
+                    let mut src = LeafNode::new();
+                    let batch: Vec<Pte> = patterns.by_ref().take(per).map(|f| Pte { pfn: Pfn(pfn), flags: PteFlags(f) }).collect();
+                    for (j, &pte) in batch.iter().enumerate() {
+                        src.words[j] = LeafNode::pack(pte);
+                        src.occupied.set(j);
+                    }
+                    for cow in [false, true] {
+                        let mut copy = LeafNode::new();
+                        copy.copy_run(&src, 0..PT_ENTRIES, cow, |word| word);
+                        for (j, &pte) in batch.iter().enumerate() {
+                            assert_eq!(LeafNode::unpack(copy.words[j]), expect(pte, cow), "flags {:#x}, cow {cow}", pte.flags.0);
+                        }
+                        LeafNode::retire(Leaf::Own(copy));
+                    }
+                    src.counts.live = batch.len() as u16;
+                    LeafNode::retire(Leaf::Own(src));
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "present or swapped")]
     fn an_entry_whose_word_could_be_zero_is_refused() {
         LeafNode::new().set(0, Some(Pte { pfn: Pfn(0), flags: PteFlags::USER }));
