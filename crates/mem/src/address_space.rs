@@ -1392,6 +1392,9 @@ impl AddressSpace {
         // The rule's answers for the current slot: its *runs*, ascending
         // ranges of in-node positions with one answer each.
         let mut runs: Vec<(Range<usize>, Option<Share>)> = Vec::new();
+        // The child's level-1 node the last slot was wired under: the next
+        // slot under it is wired without a descent.
+        let mut l1 = None;
         pt.with_leaf_slots(0, u64::MAX, |pt, slots| {
             for &slot in slots {
                 let (base, node, idx, kind) = slot;
@@ -1441,7 +1444,7 @@ impl AddressSpace {
                     // no slot refcount change, but the child's residency
                     // accounting must know they hold no frames.
                     let swapped = shared.swap_entries();
-                    child.pt.attach_leaf(base, shared, kind == SlotKind::Dir, cycles, phys.cost())?;
+                    child.pt.attach_leaf(base, shared, kind == SlotKind::Dir, &mut l1, cycles, phys.cost())?;
                     child.swapped += swapped;
                     stats.pt_subtrees_shared += 1;
                     sink::instant("pt_subtree_share", "mem", cycles.total());
@@ -1479,7 +1482,7 @@ impl AddressSpace {
                 match built {
                     Some(built) if built.live() > 0 => {
                         child.swapped += built.swap_entries();
-                        child.pt.install_leaf(base, built, cycles, phys.cost());
+                        child.pt.install_leaf(base, built, &mut l1, cycles, phys.cost());
                     }
                     Some(built) => LeafNode::retire(Leaf::Own(built)),
                     None => {}
@@ -1652,7 +1655,7 @@ impl AddressSpace {
         for (k, pfn) in copy.into_iter().enumerate() {
             built.set(k, Some(Pte { pfn, flags }));
         }
-        child.pt.install_leaf(vpn.0, built, cycles, phys.cost());
+        child.pt.install_leaf(vpn.0, built, &mut None, cycles, phys.cost());
         Ok(())
     }
 }

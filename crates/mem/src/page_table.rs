@@ -539,6 +539,11 @@ const SHARED: u64 = PteFlags::SHARED.0 as u64;
 const PRESENT: u64 = PteFlags::PRESENT.0 as u64;
 const SWAP: u64 = PteFlags::SWAP.0 as u64;
 
+/// How far up COW's bit lies from WRITABLE's: [`LeafNode::copy_run`]
+/// marks a word by moving its writable bit there.
+const COW_SHIFT: u32 = COW.trailing_zeros() - WRITABLE.trailing_zeros();
+const _: () = assert!(COW == WRITABLE << COW_SHIFT);
+
 /// A 512-entry block of leaf PTEs, shareable between page tables.
 ///
 /// A [`Leaf`] handle that says it is shared means the subtree is shared by
@@ -743,11 +748,11 @@ impl LeafNode {
     /// holds none there, each packed word through `copy` — the word itself,
     /// or for an eager fork the word with its frame's copy, the flags as
     /// they were — with the maps and the counts brought up to date once.
-    /// With `cow` each copy is write-protected and marked copy-on-write if
-    /// the entry was writable or marked already — what a fork leaves a
-    /// child of a private mapping — without a branch on the packed word, so
-    /// none of the copies is private writable; without, the copies are as
-    /// private writable as their entries. The entries go to `copy` in
+    /// With `cow` each writable copy is write-protected and marked
+    /// copy-on-write — what a fork leaves a child of a private mapping — by
+    /// moving its writable bit up to COW's place, a shift and no compare,
+    /// so none of the copies is private writable and a marked one stays as
+    /// it is; without, the copies are as private writable as their entries. The entries go to `copy` in
     /// ascending order. Where every copy holds its entry's frame the
     /// source's runs hold for the copies; an eager fork's, whose frames are
     /// copies, are found from the words written.
@@ -755,14 +760,15 @@ impl LeafNode {
         // Whether every copy kept its frame: the compiler sees that it did
         // when `copy` hands the word back as it is.
         let mut kept = true;
+        // Baseline x86-64 has no 64-bit vector compare: a compare and a
+        // select cost a shuffle a pair of words where the shift costs none.
+        let marked = WRITABLE * cow as u64;
         let mut copy = |mine: &mut u64, theirs: u64| {
             let copied = copy(theirs);
             debug_assert_eq!(copied as u16, theirs as u16, "a copy keeps the flags");
             kept &= copied >> FLAG_BITS == theirs >> FLAG_BITS;
-            let marks = cow & (copied & (WRITABLE | COW) != 0);
-            let word = if marks { copied & !WRITABLE | COW } else { copied };
             debug_assert!(*mine == 0, "entry mapped twice");
-            *mine = word;
+            *mine = copied & !marked | (copied & marked) << COW_SHIFT;
         };
         let (dense, sparse) = src.split(range.clone());
         let pairs = self.words[dense.clone()].iter_mut().zip(&src.words[dense]);
@@ -1421,11 +1427,18 @@ impl PageTable {
     }
 
     /// [`Self::walk_alloc`] to level 1 where the caller has nothing to do
-    /// with a directory but to have degrouped it.
-    fn walk_alloc_l1(&mut self, vpn: Vpn, cycles: &mut Cycles, cost: &CostModel) -> u32 {
-        match self.walk_alloc(vpn, 1, cycles, cost) {
-            Walked::Table(node) => node,
-            Walked::Dir(..) => panic!("walk through a huge directory (missed degroup)"),
+    /// with a directory but to have degrouped it. `l1` remembers the
+    /// level-1 node the last walk reached, by the VPN bits above its slots:
+    /// walks to slots under one node descend once. A node is only ever
+    /// reached through it while the caller adds leaves, which frees none.
+    fn walk_alloc_l1(&mut self, vpn: Vpn, l1: &mut Option<(u64, u32)>, cycles: &mut Cycles, cost: &CostModel) -> u32 {
+        let above = vpn.0 >> (9 * 2);
+        match *l1 {
+            Some((at, node)) if at == above => node,
+            _ => match self.walk_alloc(vpn, 1, cycles, cost) {
+                Walked::Table(node) => l1.insert((above, node)).1,
+                Walked::Dir(..) => panic!("walk through a huge directory (missed degroup)"),
+            },
         }
     }
 
@@ -2206,17 +2219,19 @@ impl PageTable {
     /// Wires the small-PTE node `leaf`, built off to the side with
     /// [`LeafNode::copy_run`] or [`LeafNode::set`], into the empty level-1
     /// slot at `base`: the one descent, and the node charges, that mapping
-    /// its first entry through [`Self::map_at`] would have made. Infallible —
-    /// every entry crossed its fault site when it was written.
+    /// its first entry through [`Self::map_at`] would have made, or none
+    /// where `l1` remembers the level-1 node ([`Self::walk_alloc_l1`]).
+    /// Infallible — every entry crossed its fault site when it was written.
     pub(crate) fn install_leaf(
         &mut self,
         base: u64,
         leaf: Box<LeafNode>,
+        l1: &mut Option<(u64, u32)>,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) {
         let vpn = Vpn(base);
-        let node = self.walk_alloc_l1(vpn, cycles, cost);
+        let node = self.walk_alloc_l1(vpn, l1, cycles, cost);
         cycles.charge(cost.pt_node_alloc);
         self.wire_leaf(node, vpn.pt_index(1), Leaf::Own(leaf), false);
     }
@@ -2240,12 +2255,14 @@ impl PageTable {
     /// intermediates as needed. This is the on-demand fork fast path: one
     /// pointer copy and a refcount bump instead of up to 512 PTE copies.
     /// With `dir` the node is a huge directory and attaches one level up,
-    /// sharing up to a GiB of huge mappings in the same single pointer copy.
+    /// sharing up to a GiB of huge mappings in the same single pointer copy;
+    /// without, `l1` may spare the descent ([`Self::walk_alloc_l1`]).
     pub(crate) fn attach_leaf(
         &mut self,
         base: u64,
         shared: SharedLeaf,
         dir: bool,
+        l1: &mut Option<(u64, u32)>,
         cycles: &mut Cycles,
         cost: &CostModel,
     ) -> MemResult<()> {
@@ -2260,7 +2277,7 @@ impl PageTable {
             };
             (node, vpn.pt_index(2))
         } else {
-            (self.walk_alloc_l1(vpn, cycles, cost), vpn.pt_index(1))
+            (self.walk_alloc_l1(vpn, l1, cycles, cost), vpn.pt_index(1))
         };
         if self.nodes[node as usize].get(idx).is_some() {
             return Err(MemError::Overlap);
@@ -2735,7 +2752,7 @@ mod tests {
 
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
-        child.attach_leaf(base, arc, false, &mut ccy, &cost).unwrap();
+        child.attach_leaf(base, arc, false, &mut None, &mut ccy, &cost).unwrap();
         assert_eq!(
             ccy.total(),
             2 * cost.pt_node_alloc + cost.pt_subtree_share,
@@ -2759,7 +2776,7 @@ mod tests {
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
         let arc = parent.share_at((base, l1, idx, SlotKind::Small));
         let mut child = PageTable::new();
-        child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
+        child.attach_leaf(base, arc, false, &mut None, &mut cy, &cost).unwrap();
 
         let mut ucy = Cycles::new();
         let slot = child.find(Vpn(3)).unwrap();
@@ -2818,7 +2835,7 @@ mod tests {
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
         let arc = parent.share_at((base, l1, idx, SlotKind::Small));
         let mut child = PageTable::new();
-        child.attach_leaf(base, arc, false, &mut cy, &cost).unwrap();
+        child.attach_leaf(base, arc, false, &mut None, &mut cy, &cost).unwrap();
         let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost);
     }
 
@@ -3007,7 +3024,7 @@ mod tests {
         let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
-        child.attach_leaf(base, arc, true, &mut ccy, &cost).unwrap();
+        child.attach_leaf(base, arc, true, &mut None, &mut ccy, &cost).unwrap();
         assert_eq!(
             ccy.total(),
             cost.pt_node_alloc + cost.pt_subtree_share,
@@ -3083,7 +3100,7 @@ mod tests {
         let (base, n2, idx, _) = parent.leaf_slot_coords()[0];
         let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
         let mut child = PageTable::new();
-        child.attach_leaf(base, arc, true, &mut cy, &cost).unwrap();
+        child.attach_leaf(base, arc, true, &mut None, &mut cy, &cost).unwrap();
         let _ = unmap(&mut parent, Vpn(0));
     }
 
@@ -3453,7 +3470,7 @@ mod tests {
         let slot = parent.find(Vpn(0)).unwrap();
         assert!(matches!(parent.leaf_at(slot.1, slot.2), Leaf::Own(_)), "a fill is the table's own");
         let mut child = PageTable::new();
-        child.attach_leaf(0, parent.share_at(slot), false, &mut cy, &cost).unwrap();
+        child.attach_leaf(0, parent.share_at(slot), false, &mut None, &mut cy, &cost).unwrap();
         let at = child.find(Vpn(0)).unwrap();
         let (mine, theirs) = (parent.leaf_at(slot.1, slot.2), child.leaf_at(at.1, at.2));
         assert!(matches!((mine, theirs), (Leaf::Shared(_), Leaf::Shared(_))));

@@ -212,6 +212,19 @@ fn step<const DROP: bool>(first: u64, refs: &mut [u32], freed: &mut Vec<Pfn>) {
     gather(first, refs, freed);
 }
 
+/// Takes a reference on every frame of `refs` in the pass that checks
+/// they are all held, and says so; where one is not, steps them back and
+/// says not.
+#[inline(always)]
+fn retain_held(refs: &mut [u32]) -> bool {
+    let mut unheld = false;
+    refs.iter_mut().for_each(|r| (unheld, *r) = (unheld | (*r == 0), r.wrapping_add(1)));
+    if unheld {
+        refs.iter_mut().for_each(|r| *r = r.wrapping_sub(1));
+    }
+    !unheld
+}
+
 /// Gathers in `freed` the frames of `refs`, the counts of the frames from
 /// `first` on, that are at zero, in order.
 #[inline(always)]
@@ -612,8 +625,9 @@ impl PhysMemory {
     /// brings to zero, in the order it does. Every frame must be one this
     /// cell holds, a count above zero. A run without holes goes a piece at a
     /// time, each piece the part of it that lies in one chunk of the table,
-    /// and one check of a piece's counts says whether they all are held;
-    /// where one is not, the frames before it are done and the call stops,
+    /// and one check of a piece's counts says whether they all are held —
+    /// a retain's in the pass that steps them ([`retain_held`]); where one
+    /// is not, the frames before it are done and the call stops,
     /// saying how many frames came before it in all. A run with holes goes
     /// in one slice if it can ([`Self::holed`]). Inlined into its callers:
     /// called, it costs an unbroken node's `retain` and `release` ≈ 10 %.
@@ -666,11 +680,17 @@ impl PhysMemory {
             let Some(chunk) = table.get_mut(c).and_then(|chunk| chunk.as_deref_mut()) else { break };
             let n = ((end - pfn) as usize).min(TABLE_CHUNK - i);
             let refs = &mut chunk.refs[i..i + n];
-            let held = match refs.iter().fold(false, |unheld, &r| unheld | (r == 0)) {
-                false => n,
-                true => refs.iter().position(|&r| r == 0).expect("a count of zero"),
+            let held = match !DROP && retain_held(refs) {
+                true => n,
+                false => {
+                    let held = match refs.iter().fold(false, |unheld, &r| unheld | (r == 0)) {
+                        false => n,
+                        true => refs.iter().position(|&r| r == 0).expect("a count of zero"),
+                    };
+                    step::<DROP>(pfn, &mut refs[..held], freed);
+                    held
+                }
             };
-            step::<DROP>(pfn, &mut refs[..held], freed);
             frames += held as u64;
             if held < n {
                 break;
@@ -2055,9 +2075,9 @@ mod tests {
         // `private_copy`: a node two tables share, privatized by one.
         let (mut one, mut two) = (PageTable::new(), PageTable::new());
         let base = HUGE_PAGES * (1 + rng.gen_below(8));
-        one.install_leaf(base, cow_child_leaf(rng.gen_index(64), rng), &mut cycles, &cost);
+        one.install_leaf(base, cow_child_leaf(rng.gen_index(64), rng), &mut None, &mut cycles, &cost);
         let shared = one.share_at(one.find(Vpn(base)).expect("installed"));
-        two.attach_leaf(base, shared, false, &mut cycles, &cost).unwrap();
+        two.attach_leaf(base, shared, false, &mut None, &mut cycles, &cost).unwrap();
         let slot = two.find(Vpn(base)).expect("attached");
         two.privatize_at(slot, &mut cycles, &cost).unwrap();
         leaves.push(("private_copy", two.detach_leaf(base).expect("privatized in place")));
