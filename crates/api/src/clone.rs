@@ -9,8 +9,8 @@
 //! combinations real kernels reject*, which the tests pin down.
 //!
 //! Without `CLONE_VM`, clone is fork. With it, the child is a sequence of
-//! the kernel's creation steps: the descriptor table if `CLONE_FILES`,
-//! the task state, the image description, and then
+//! the kernel's creation steps: the descriptor table, the task state, the
+//! image description, and then
 //! [`Kernel::borrow_space`] in place of a copy of the memory. The child
 //! then runs in the parent's memory, userspace tables included: its locks
 //! are the parent's locks (one a parent thread holds refuses it with
@@ -26,9 +26,10 @@ use fpr_mem::ForkMode;
 pub struct CloneFlags {
     /// Share the address space (`CLONE_VM`).
     pub vm: bool,
-    /// Share the descriptor table (`CLONE_FILES`) — modelled as "inherit
-    /// nothing vs copy", since cross-process live sharing of the table
-    /// object is the one piece the PCB design does not alias.
+    /// Share the descriptor table (`CLONE_FILES`). The child has the
+    /// parent's descriptors either way, so the model copies the table with
+    /// or without it: cross-process live sharing of the table object is
+    /// the one piece the PCB design does not alias.
     pub files: bool,
     /// Share signal dispositions (`CLONE_SIGHAND`; requires `vm`).
     pub sighand: bool,
@@ -108,11 +109,11 @@ pub(crate) fn clone_process(kernel: &mut Kernel, parent: Pid, flags: CloneFlags)
         // CLONE_VM without CLONE_THREAD: a separate process sharing the
         // address space (vfork-like, optionally with the parent parked).
         // The image description crosses; nothing in the memory is copied.
+        // The descriptor table is copied with or without CLONE_FILES, as
+        // on the fork path below.
         kernel.charge_syscall();
         let (child, ()) = kernel.create_process(parent, |k, child, _| {
-            if flags.files {
-                k.copy_fd_table(parent, child)?;
-            }
+            k.copy_fd_table(parent, child)?;
             k.copy_task(parent, child)?;
             k.copy_image(parent, child)?;
             k.borrow_space(parent, child, flags.vfork)
@@ -312,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_vm_without_files_starts_with_empty_fd_table() {
+    fn clone_vm_copies_the_fd_table_with_or_without_files() {
         let (mut k, p) = boot();
         let r = clone(
             &mut k,
@@ -327,7 +328,7 @@ mod tests {
             CloneResult::Process(c) => c,
             _ => unreachable!(),
         };
-        assert_eq!(k.process(c).unwrap().fds.open_count(), 0);
+        assert_eq!(k.process(c).unwrap().fds.open_count(), 3);
         let r2 = clone(
             &mut k,
             p,
