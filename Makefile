@@ -192,10 +192,12 @@ results-identity:
 # claim is confirmed on seeds the change was not tuned on: develop on the
 # default seeds, confirm with another SEED. Fails if any
 # pair of any workload reads `worse`; a *claimed* gain still needs the ten
-# pairs of benchmark/README.md. After a workload's pairs, one
-# `--trace 1 --seconds 8` run a side on seed SEED and their `compare`: the
-# per-layer metrics that moved most, which is where the PR notes' per-layer
-# table comes from. That half is informational and fails nothing. Last, a
+# pairs of benchmark/README.md. After a workload's pairs, three
+# `--trace 1 --seconds 8` runs a side on seed SEED, alternating, and each
+# per-layer metric's median a side with the ratio of the two — one traced
+# run can read 1.7x off on a noisy box —, which is where the PR notes'
+# per-layer table comes from. That half is informational and fails
+# nothing. Last, a
 # summary a workload, read back from the pairs' reports — the numbers a perf
 # claim quotes: for each host-timed end-to-end metric (setup_s,
 # host_req_per_s, host_peak_rss_mib) each side's median with its quartiles,
@@ -236,10 +238,21 @@ bench-pair:
 		echo "== $$w, pair $$i of $(PAIRS), seed $$((i + $(SEED) - 1)): $(BASE) (parent) against the working tree (change)"; \
 		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-$$i.json $(PAIR_DIR)/change-$$w-$$i.json || worse="$$worse $$w"; \
 	done; \
-		side $(PAIR_DIR)/base base $$w traced "$$traced" && side . change $$w traced "$$traced" \
-			|| { echo "$$w: a traced run failed; run it by hand to see why"; exit 1; }; \
-		echo "== $$w, per layer (informational): one run a side with $$traced"; \
-		$(PAIR_BIN) compare $(PAIR_DIR)/base-$$w-traced.json $(PAIR_DIR)/change-$$w-traced.json || true; \
+		for k in 1 2 3; do \
+			if [ $$((k % 2)) -eq 1 ]; then side $(PAIR_DIR)/base base $$w traced$$k "$$traced" && side . change $$w traced$$k "$$traced"; \
+			else side . change $$w traced$$k "$$traced" && side $(PAIR_DIR)/base base $$w traced$$k "$$traced"; fi \
+				|| { echo "$$w: a traced run failed; run it by hand to see why"; exit 1; }; \
+		done; \
+		echo "== $$w, per layer (informational): median of three runs a side with $$traced"; \
+		for k in 1 2 3; do for s in base change; do \
+			awk -v s=$$s '/"per_layer": [{]/ { on = 1; next } /"detail":/ { on = 0 } \
+				on && /": [{]/ { n = $$1; gsub(/[":]/, "", n) } on && /"value":/ { v = $$2; sub(/,$$/, "", v); print s, n, v }' \
+				$(PAIR_DIR)/$$s-$$w-traced$$k.json; \
+		done; done | awk '{ k = $$1 SUBSEP $$2; n[k]++; t[k] += $$3; names[$$2]; \
+				if (n[k] == 1 || $$3 < lo[k]) lo[k] = $$3; if (n[k] == 1 || $$3 > hi[k]) hi[k] = $$3 } \
+			END { for (m in names) { b = "base" SUBSEP m; c = "change" SUBSEP m; \
+				pb = t[b] - lo[b] - hi[b]; pc = t[c] - lo[c] - hi[c]; \
+				printf "%-40s parent %-12.6g change %-12.6g %s\n", m, pb, pc, pb != 0 ? sprintf("%.3fx", pc / pb) : "-" } }' | sort; \
 		for m in setup_s:lower host_req_per_s:higher host_peak_rss_mib:lower; do \
 			for i in $$(seq 1 $(PAIRS)); do echo "$$(val base $$w $$i $${m%:*}) $$(val change $$w $$i $${m%:*})"; done \
 				| awk -v w=$$w -v m=$${m%:*} -v better=$${m#*:} '$(PAIR_SUMMARY)'; \
