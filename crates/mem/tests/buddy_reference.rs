@@ -23,6 +23,9 @@
 //! each copy a small frame — and the child's teardown, which gives back
 //! exactly the frames its writes took last, or, in a variant where the
 //! parent unmaps a page the child still maps, those and one older frame.
+//! And a `fork(Cow)` of a space one of whose frames a stray reference drop
+//! freed — first in its run of consecutive frames, inside it, or last —
+//! is refused there and moves no frame's count.
 //!
 //! A third arm puts two [`PhysMemory::new_cell`] cells over one
 //! [`SharedFramePool`] and steps them in turn on one thread: the same
@@ -615,6 +618,36 @@ impl Machine {
         assert_eq!(self.drop_refs(gone), freed.len() as u64, "{what}: frames the teardown freed");
     }
 
+    /// Drops a reference space `i` never took on the frame of its page
+    /// `k`, freeing the frame as a corrupted count would. A `fork(Cow)`
+    /// must then be refused at that frame and move no count: the frames
+    /// before it in its run are not left retained, nor is it left held.
+    /// Then frames go out, each the model's, until the stray one does,
+    /// and the space holds it again.
+    fn fork_over_a_stray_drop(&mut self, i: usize, k: u64, what: &str) {
+        let Machine { phys, cycles, tlb, spaces, .. } = self;
+        let (parent, pages) = &mut spaces[i];
+        let frames = Self::resident(parent, 0..*pages);
+        let stray = parent.translate(Vpn(HEAP + k)).expect("a resident page").pfn;
+        assert_eq!(phys.dec_ref(stray, cycles), Ok(true), "{what}: the stray drop frees the frame");
+        let counts = |phys: &PhysMemory| frames.iter().map(|&pfn| phys.refs(pfn)).collect::<Vec<_>>();
+        let before = counts(phys);
+        let forked = AddressSpace::fork_from(parent, ForkMode::Cow, phys, cycles, tlb, 1);
+        assert_eq!(forked.err(), Some(MemError::NotMapped), "{what}: fork(Cow) over a frame not held");
+        assert_eq!(counts(phys), before, "{what}: the counts after the refused fork");
+        self.drop_refs([stray]);
+        self.check(what);
+        loop {
+            let got = self.phys.alloc_zeroed(&mut self.cycles);
+            match self.small(got, what) {
+                Ok(pfn) if pfn == stray => break,
+                Ok(pfn) => self.loose.push(pfn),
+                Err(e) => panic!("{what}: {e:?} with the stray frame free"),
+            }
+        }
+        self.check(what);
+    }
+
     /// Pins a random frame the script holds, loose or mapped.
     fn pin(&mut self, rng: &mut Rng, what: &str) {
         let pfn = if !self.spaces.is_empty() && (self.loose.is_empty() || rng.gen_bool(0.5)) {
@@ -738,6 +771,26 @@ fn a_one_cell_phys_memory_hands_out_the_models_frames() {
          frame with them: {seen:?}"
     );
     println!("{seen:?}");
+}
+
+#[test]
+fn a_cow_fork_over_a_frame_no_longer_held_is_refused_and_moves_no_count() {
+    // Two leaf nodes of consecutive frames: the stray frame first in its
+    // run, inside it, last in it, and last in the space.
+    let mut rng = Rng::seed_from_u64(0x5742_A7);
+    for k in [0, 300, 511, 699] {
+        let what = format!("a stray drop at page {k}");
+        let mut m = Machine::new(3_072);
+        m.map(700, false, &what);
+        m.fork_over_a_stray_drop(0, k, &what);
+        m.destroy(0);
+        while !m.loose.is_empty() {
+            m.dec_ref(&mut rng, &what);
+        }
+        m.check(&what);
+        assert_eq!(m.phys.free_frames(), 3_072, "{what}: drained");
+        assert!(m.refs.is_empty(), "{what}: drained");
+    }
 }
 
 /// The unit a shared cell's private frames are bounded in: what a cell of
