@@ -752,10 +752,10 @@ impl LeafNode {
     /// copy-on-write — what a fork leaves a child of a private mapping — by
     /// moving its writable bit up to COW's place, a shift and no compare,
     /// so none of the copies is private writable and a marked one stays as
-    /// it is; without, the copies are as private writable as their entries. The entries go to `copy` in
-    /// ascending order. Where every copy holds its entry's frame the
-    /// source's runs hold for the copies; an eager fork's, whose frames are
-    /// copies, are found from the words written.
+    /// it is; without, the copies are as private writable as their entries.
+    /// The entries go to `copy` in ascending order. Where every copy holds
+    /// its entry's frame the source's runs hold for the copies; an eager
+    /// fork's, whose frames are copies, are found from the words written.
     pub(crate) fn copy_run(&mut self, src: &LeafNode, range: Range<usize>, cow: bool, mut copy: impl FnMut(u64) -> u64) {
         // Whether every copy kept its frame: the compiler sees that it did
         // when `copy` hands the word back as it is.
@@ -1428,9 +1428,10 @@ impl PageTable {
 
     /// [`Self::walk_alloc`] to level 1 where the caller has nothing to do
     /// with a directory but to have degrouped it. `l1` remembers the
-    /// level-1 node the last walk reached, by the VPN bits above its slots:
-    /// walks to slots under one node descend once. A node is only ever
-    /// reached through it while the caller adds leaves, which frees none.
+    /// level-1 node the last walk reached, by the VPN bits above its slots,
+    /// so that walks to slots under one node descend once. The caller keeps
+    /// it only while it adds leaves: the node then holds a small-page leaf,
+    /// and no collapse into a huge directory frees it.
     fn walk_alloc_l1(&mut self, vpn: Vpn, l1: &mut Option<(u64, u32)>, cycles: &mut Cycles, cost: &CostModel) -> u32 {
         let above = vpn.0 >> (9 * 2);
         match *l1 {
