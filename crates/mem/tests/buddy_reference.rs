@@ -777,7 +777,7 @@ fn a_one_cell_phys_memory_hands_out_the_models_frames() {
 fn a_cow_fork_over_a_frame_no_longer_held_is_refused_and_moves_no_count() {
     // Two leaf nodes of consecutive frames: the stray frame first in its
     // run, inside it, last in it, and last in the space.
-    let mut rng = Rng::seed_from_u64(0x5742_A7);
+    let mut rng = Rng::seed_from_u64(0x57_42A7);
     for k in [0, 300, 511, 699] {
         let what = format!("a stray drop at page {k}");
         let mut m = Machine::new(3_072);
