@@ -1402,31 +1402,37 @@ impl AddressSpace {
                 let end = base + PT_ENTRIES as u64 * stride;
                 while cursor.next_if(|v| v.end().0 <= base).is_some() {}
                 runs.clear();
-                let mut answered = 0;
-                let mut answer = |upto: usize, share: Option<Share>| {
-                    if answered < upto {
-                        runs.push((answered..upto, share));
-                        answered = upto;
+                match cursor.peek() {
+                    // One VMA covers the slot: one run, what most slots are.
+                    Some(vma) if vma.start.0 <= base && end <= vma.end().0 => runs.push((0..PT_ENTRIES, inherited(vma))),
+                    _ => {
+                        let mut answered = 0;
+                        let mut answer = |upto: usize, share: Option<Share>| {
+                            if answered < upto {
+                                runs.push((answered..upto, share));
+                                answered = upto;
+                            }
+                        };
+                        // An entry goes by the VMA holding its first page;
+                        // where there is none, nothing is inherited. The last
+                        // VMA reaching in may reach on into later slots: it
+                        // stays under the cursor.
+                        for vma in cursor.clone().take_while(|v| v.start.0 < end) {
+                            let run = kind.positions(base, vma.start.0, vma.end().0);
+                            answer(run.start, None);
+                            answer(run.end, inherited(vma));
+                        }
+                        answer(PT_ENTRIES, None);
                     }
-                };
-                // An entry goes by the VMA holding its first page; where
-                // there is none, nothing is inherited. The last VMA reaching
-                // in may reach on into later slots: it stays under the cursor.
-                for vma in cursor.clone().take_while(|v| v.start.0 < end) {
-                    let run = kind.positions(base, vma.start.0, vma.end().0);
-                    answer(run.start, None);
-                    answer(run.end, inherited(vma));
                 }
-                answer(PT_ENTRIES, None);
                 if runs.iter().all(|r| r.1.is_none()) {
                     continue;
                 }
                 // A lone huge block is an entry of its level-1 table, not a
                 // node of its own: there is nothing to attach.
-                let attach = mode == ForkMode::OnDemand && kind != SlotKind::Huge && {
-                    let leaf = pt.leaf_at(node, idx);
-                    runs.iter().all(|(run, share)| share.is_some() || !leaf.holds_in(run.clone()))
-                };
+                let attach = mode == ForkMode::OnDemand
+                    && kind != SlotKind::Huge
+                    && runs.iter().all(|(run, share)| share.is_some() || !pt.leaf_at(node, idx).holds_in(run.clone()));
                 let mut log = |j: usize, pte: Pte| downgrades.push((Vpn(base + j as u64 * stride), pte));
                 if attach {
                     // First sharing of this node: COW-mark its private
@@ -1436,10 +1442,8 @@ impl AddressSpace {
                     // shared), so re-sharing needs no marking — and must not
                     // mutate it; nor does a node this parent has forked before,
                     // which its count says without a look at the entries.
-                    for (run, _) in runs.iter().filter(|r| r.1 == Some(Share::Private)) {
-                        pt.write_protect_at(slot, run.clone(), true, &mut log);
-                    }
-                    let shared = pt.share_at(slot);
+                    let private = runs.iter().filter(|r| r.1 == Some(Share::Private));
+                    let shared = pt.share_at(slot, private.map(|r| r.0.clone()), &mut log);
                     // Sharing the node shares its swap entries by identity —
                     // no slot refcount change, but the child's residency
                     // accounting must know they hold no frames.

@@ -399,12 +399,17 @@ impl Node {
         }
     }
 
-    /// Links `entry` into the empty slot `i`.
+    /// Links `entry` into the empty slot `i`. The slot is checked last,
+    /// once the entry is in place, and the link is inlined into every
+    /// caller: checked first and called out of line, it cost an on-demand
+    /// fork, which links each node it attaches with it, ≈ 4 ns of its
+    /// ≈ 48 a node.
+    #[inline(always)]
     fn put(&mut self, i: usize, entry: Entry) {
-        assert_eq!(self.index[i], 0, "slot linked twice");
+        let was = std::mem::replace(&mut self.index[i], self.held.len() as u16 + 1);
         self.held.push(Held { slot: i as u16, entry });
-        self.index[i] = self.held.len() as u16;
         self.occupied.set(i);
+        assert_eq!(was, 0, "slot linked twice");
     }
 
     /// Unlinks and returns the entry of slot `i`, leaving the slot as if it
@@ -1690,6 +1695,9 @@ impl PageTable {
     /// them too); holes fill via `map_huge` and degroup on a small map.
     /// Free, like [`Self::try_collapse`]: a node swap, not a PTE walk.
     pub(crate) fn group_huge_tables(&mut self) {
+        if self.huge == 0 {
+            return;
+        }
         let tables_of = |n: &Node| -> Vec<(usize, u32)> {
             let table = |(i, e): (usize, &Entry)| match e {
                 Entry::Table(t) => Some((i, *t)),
@@ -2189,9 +2197,20 @@ impl PageTable {
 
     /// The leaf node at coordinates from a walk, for another table to hold
     /// as well ([`Self::attach_leaf`]): a node this table held alone turns
-    /// shared.
-    pub(crate) fn share_at(&mut self, (_, node, idx, _): Slot) -> SharedLeaf {
-        match self.entry_at_mut(node, idx).share() {
+    /// shared, its writable entries not `MAP_SHARED` in the runs `private`
+    /// write-protected and COW-marked first, as [`Self::write_protect_at`]
+    /// would, each shown to `undo` as it was.
+    pub(crate) fn share_at(&mut self, (_, node, idx, _): Slot, mut private: impl Iterator<Item = Range<usize>>, mut undo: impl FnMut(usize, Pte)) -> SharedLeaf {
+        let entry = self.entry_at_mut(node, idx);
+        if let Entry::Leaf(handle) = entry {
+            if !handle.private.is_empty() {
+                match handle.get_mut() {
+                    Some(leaf) => private.for_each(|run| leaf.write_protect_run(run, true, &mut undo)),
+                    None => debug_assert!(private.all(|run| !handle.writable_in(run)), "write-protecting a shared leaf subtree (missed unshare)"),
+                }
+            }
+        }
+        match entry.share() {
             Entry::Leaf(Leaf::Shared(node)) => node,
             _ => panic!("share_at: stale coordinates"),
         }
@@ -2749,7 +2768,7 @@ mod tests {
         let (base, l1, idx, kind) = coords[0];
         assert_eq!(base, 0);
         assert_eq!(kind, SlotKind::Small);
-        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small), std::iter::empty(), |_, _| {});
 
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
@@ -2775,7 +2794,7 @@ mod tests {
                 .unwrap();
         }
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small), std::iter::empty(), |_, _| {});
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut None, &mut cy, &cost).unwrap();
 
@@ -2834,7 +2853,7 @@ mod tests {
             .map(Vpn(0), Pte::new(Pfn(0), PteFlags::default()), &mut cy, &cost)
             .unwrap();
         let (base, l1, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = parent.share_at((base, l1, idx, SlotKind::Small));
+        let arc = parent.share_at((base, l1, idx, SlotKind::Small), std::iter::empty(), |_, _| {});
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, false, &mut None, &mut cy, &cost).unwrap();
         let _ = parent.map(Vpn(1), Pte::new(Pfn(1), PteFlags::default()), &mut cy, &cost);
@@ -3022,7 +3041,7 @@ mod tests {
         }
         let (base, n2, idx, kind) = parent.leaf_slot_coords()[0];
         assert_eq!(kind, SlotKind::Dir);
-        let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
+        let arc = parent.share_at((base, n2, idx, SlotKind::Dir), std::iter::empty(), |_, _| {});
         let mut child = PageTable::new();
         let mut ccy = Cycles::new();
         child.attach_leaf(base, arc, true, &mut None, &mut ccy, &cost).unwrap();
@@ -3099,7 +3118,7 @@ mod tests {
                 .unwrap();
         }
         let (base, n2, idx, _) = parent.leaf_slot_coords()[0];
-        let arc = parent.share_at((base, n2, idx, SlotKind::Dir));
+        let arc = parent.share_at((base, n2, idx, SlotKind::Dir), std::iter::empty(), |_, _| {});
         let mut child = PageTable::new();
         child.attach_leaf(base, arc, true, &mut None, &mut cy, &cost).unwrap();
         let _ = unmap(&mut parent, Vpn(0));
@@ -3471,7 +3490,7 @@ mod tests {
         let slot = parent.find(Vpn(0)).unwrap();
         assert!(matches!(parent.leaf_at(slot.1, slot.2), Leaf::Own(_)), "a fill is the table's own");
         let mut child = PageTable::new();
-        child.attach_leaf(0, parent.share_at(slot), false, &mut None, &mut cy, &cost).unwrap();
+        child.attach_leaf(0, parent.share_at(slot, std::iter::empty(), |_, _| {}), false, &mut None, &mut cy, &cost).unwrap();
         let at = child.find(Vpn(0)).unwrap();
         let (mine, theirs) = (parent.leaf_at(slot.1, slot.2), child.leaf_at(at.1, at.2));
         assert!(matches!((mine, theirs), (Leaf::Shared(_), Leaf::Shared(_))));
@@ -3625,7 +3644,7 @@ mod tests {
         // An alias holds the same leaf nodes, as an on-demand fork would.
         let snapshot = pt.alias();
         assert!(leaf_shared(&pt, Vpn(8)));
-        LeafNode::retire(Leaf::Shared(pt.share_at(slot)));
+        LeafNode::retire(Leaf::Shared(pt.share_at(slot, std::iter::empty(), |_, _| {})));
         assert_eq!(spare_counts(), (0, 0), "a node two tables hold is nobody's spare");
         drop(snapshot);
         // The alias's arena is a spare; the leaf it shared is not.

@@ -2076,7 +2076,7 @@ mod tests {
         let (mut one, mut two) = (PageTable::new(), PageTable::new());
         let base = HUGE_PAGES * (1 + rng.gen_below(8));
         one.install_leaf(base, cow_child_leaf(rng.gen_index(64), rng), &mut None, &mut cycles, &cost);
-        let shared = one.share_at(one.find(Vpn(base)).expect("installed"));
+        let shared = one.share_at(one.find(Vpn(base)).expect("installed"), std::iter::empty(), |_, _| {});
         two.attach_leaf(base, shared, false, &mut None, &mut cycles, &cost).unwrap();
         let slot = two.find(Vpn(base)).expect("attached");
         two.privatize_at(slot, &mut cycles, &cost).unwrap();
