@@ -29,7 +29,9 @@ pub struct CloneFlags {
     /// Share the descriptor table (`CLONE_FILES`). The child has the
     /// parent's descriptors either way, so the model copies the table with
     /// or without it: cross-process live sharing of the table object is
-    /// the one piece the PCB design does not alias.
+    /// the one piece the PCB design does not alias. The flag is accepted
+    /// for fidelity to Linux's flag set and changes nothing but the label
+    /// of the `clone` trace event.
     pub files: bool,
     /// Share signal dispositions (`CLONE_SIGHAND`; requires `vm`).
     pub sighand: bool,

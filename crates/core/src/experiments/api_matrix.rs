@@ -19,8 +19,9 @@
 //! in its parent's, where the worker is parked holding it), "stdio
 //! composes" is E6's console count (every buffered byte written exactly
 //! once — a borrower's exit flushes the parent's buffers through its own
-//! descriptors, so clone's request asks for `CLONE_FILES`, as vfork
-//! does), "fresh ASLR" is E8's shared
+//! descriptors, a copy of the parent's table with or without
+//! `CLONE_FILES`; clone's request asks for it only to be vfork's flags),
+//! "fresh ASLR" is E8's shared
 //! layout bits, and "flat cost" holds creation from a 4 096-page parent to
 //! under twice its cycles from a 64-page one. "clean errors" asks for a
 //! program that is gone: the parent must get the error and the world must
