@@ -1695,9 +1695,6 @@ impl PageTable {
     /// them too); holes fill via `map_huge` and degroup on a small map.
     /// Free, like [`Self::try_collapse`]: a node swap, not a PTE walk.
     pub(crate) fn group_huge_tables(&mut self) {
-        if self.huge == 0 {
-            return;
-        }
         let tables_of = |n: &Node| -> Vec<(usize, u32)> {
             let table = |(i, e): (usize, &Entry)| match e {
                 Entry::Table(t) => Some((i, *t)),
