@@ -22,34 +22,40 @@ fn world(pages: u64) -> (Kernel, Pid) {
     (k, parent)
 }
 
-/// Least host time of 25 runs of `f`, after one untimed run.
-fn least_of_25(mut f: impl FnMut() -> Duration) -> Duration {
-    f();
-    (0..25).map(|_| f()).min().unwrap()
+/// The least of 25 host times of each of `N` arms, after one untimed
+/// round. Each round runs every arm in turn, so that a burst of host noise
+/// lands on all of them, not on one.
+fn least_of_25<const N: usize>(mut arm: impl FnMut(usize) -> Duration) -> [Duration; N] {
+    let mut least = [Duration::MAX; N];
+    for round in 0..26 {
+        for (i, least) in least.iter_mut().enumerate() {
+            let took = arm(i);
+            if round > 0 {
+                *least = (*least).min(took);
+            }
+        }
+    }
+    least
 }
 
-fn least_check(k: &Kernel) -> Duration {
-    least_of_25(|| {
-        let t0 = Instant::now();
-        let verdict = k.check_invariants();
-        let took = t0.elapsed();
-        assert_eq!(verdict, Ok(()));
-        took
-    })
+fn time_check(k: &Kernel) -> Duration {
+    let t0 = Instant::now();
+    let verdict = k.check_invariants();
+    let took = t0.elapsed();
+    assert_eq!(verdict, Ok(()));
+    took
 }
 
-/// Least host time of 25 `fork(Cow)`s of `parent`'s space; the child's
-/// teardown is not timed.
-fn least_cow_fork(k: &mut Kernel, parent: Pid) -> Duration {
+/// Host time of one `fork(Cow)` of `parent`'s space; the child's teardown
+/// is not timed.
+fn time_cow_fork(k: &mut Kernel, parent: Pid) -> Duration {
     let calling = k.process(parent).unwrap().main_tid();
-    least_of_25(|| {
-        let child = k.allocate_process(parent, "child").unwrap();
-        let t0 = Instant::now();
-        k.copy_space(parent, child, calling, ForkMode::Cow).unwrap();
-        let took = t0.elapsed();
-        k.abort_process_creation(child).unwrap();
-        took
-    })
+    let child = k.allocate_process(parent, "child").unwrap();
+    let t0 = Instant::now();
+    k.copy_space(parent, child, calling, ForkMode::Cow).unwrap();
+    let took = t0.elapsed();
+    k.abort_process_creation(child).unwrap();
+    took
 }
 
 /// How many `fork(Cow)`s of the parent a check may cost. A checker that
@@ -62,10 +68,13 @@ const K: f64 = if cfg!(debug_assertions) { 5.0 } else { 16.0 };
 #[test]
 fn invariant_check_costs_a_few_cow_forks_and_grows_by_entries() {
     let (small, _) = world(1024);
-    let per_small = least_check(&small).as_secs_f64() / 1024.0;
     let (mut k, parent) = world(16_384);
-    let check = least_check(&k);
-    let fork = least_cow_fork(&mut k, parent);
+    let [small, check, fork] = least_of_25(|arm| match arm {
+        0 => time_check(&small),
+        1 => time_check(&k),
+        _ => time_cow_fork(&mut k, parent),
+    });
+    let per_small = small.as_secs_f64() / 1024.0;
     let ratio = check.as_secs_f64() / fork.as_secs_f64();
     let growth = check.as_secs_f64() / 16_384.0 / per_small;
     assert!(

@@ -70,30 +70,14 @@ impl World {
         self.parent.populate(BASE, pages, &mut self.phys, &mut self.cycles).unwrap();
     }
 
-    /// Least host times of 25 `populate` calls over the parent's `pages`
-    /// pages, each into a space that holds none of them, and of the
-    /// `fork(Cow)` of what each built, taken in turn so that both see the
-    /// same host. The fork is the parent's second: its first, which
-    /// write-protects it, and the teardowns are not timed.
-    fn least_populate_and_fork_times(&mut self, pages: u64) -> (Duration, Duration) {
-        let (mut populate, mut fork) = (Duration::MAX, Duration::MAX);
-        for rep in 0..26 {
-            self.parent.destroy(&mut self.phys, &mut self.cycles);
-            self.parent.mmap(heap_vma(BASE, pages), &mut self.phys, &mut self.cycles).unwrap();
-            let t0 = Instant::now();
-            self.populate(pages);
-            let took = t0.elapsed();
-            let mut first = self.fork(ForkMode::Cow);
-            first.destroy(&mut self.phys, &mut self.cycles);
-            let t0 = Instant::now();
-            let mut child = self.fork(ForkMode::Cow);
-            let forked = t0.elapsed();
-            child.destroy(&mut self.phys, &mut self.cycles);
-            if rep > 0 {
-                (populate, fork) = (populate.min(took), fork.min(forked));
-            }
-        }
-        (populate, fork)
+    /// Host time of one `populate` of the parent's `pages` pages into a
+    /// space that holds none of them.
+    fn time_populate(&mut self, pages: u64) -> Duration {
+        self.parent.destroy(&mut self.phys, &mut self.cycles);
+        self.parent.mmap(heap_vma(BASE, pages), &mut self.phys, &mut self.cycles).unwrap();
+        let t0 = Instant::now();
+        self.populate(pages);
+        t0.elapsed()
     }
 
     fn fork(&mut self, mode: ForkMode) -> AddressSpace {
@@ -101,31 +85,44 @@ impl World {
         AddressSpace::fork_from(parent, mode, phys, cycles, tlb, 1).unwrap()
     }
 
-    /// Least host time of 25 `fork_from` calls (the child's teardown is
-    /// not timed). The first fork, which write-protects the parent, is
-    /// made beforehand.
-    fn least_fork_time(&mut self, mode: ForkMode) -> Duration {
-        let mut least = Duration::MAX;
-        for rep in 0..26 {
-            let t0 = Instant::now();
-            let mut child = self.fork(mode);
-            let took = t0.elapsed();
-            child.destroy(&mut self.phys, &mut self.cycles);
-            if rep > 0 {
-                least = least.min(took);
+    /// Host time of one `fork_from` call; the child's teardown is not
+    /// timed.
+    fn time_fork(&mut self, mode: ForkMode) -> Duration {
+        let t0 = Instant::now();
+        let mut child = self.fork(mode);
+        let took = t0.elapsed();
+        child.destroy(&mut self.phys, &mut self.cycles);
+        took
+    }
+}
+
+/// The least of 25 host times of each of `N` arms, after one untimed
+/// round. Each round runs every arm in turn, so that a burst of host noise
+/// lands on all of them, not on one.
+fn least_of_25<const N: usize>(mut arm: impl FnMut(usize) -> Duration) -> [Duration; N] {
+    let mut least = [Duration::MAX; N];
+    for round in 0..26 {
+        for (i, least) in least.iter_mut().enumerate() {
+            let took = arm(i);
+            if round > 0 {
+                *least = (*least).min(took);
             }
         }
-        least
     }
+    least
 }
 
 #[test]
 fn on_demand_fork_host_time_goes_by_nodes_not_by_pages() {
     let _alone = alone();
-    let small = world(4096, CostModel::default()).least_fork_time(ForkMode::OnDemand);
-    let mut big = world(65_536, CostModel::default());
-    let large = big.least_fork_time(ForkMode::OnDemand);
-    let per_page = big.least_fork_time(ForkMode::Cow);
+    let (mut small, mut big) = (world(4096, CostModel::default()), world(65_536, CostModel::default()));
+    // The first round's forks, which write-protect each parent, are not
+    // timed.
+    let [small, large, per_page] = least_of_25(|arm| match arm {
+        0 => small.time_fork(ForkMode::OnDemand),
+        1 => big.time_fork(ForkMode::OnDemand),
+        _ => big.time_fork(ForkMode::Cow),
+    });
     // 8 leaf nodes against 128: the call is O(attached nodes), which is what
     // the model's per-node `pt_subtree_share` says, with nothing per call
     // large enough to hide it ...
@@ -241,8 +238,19 @@ const K: f64 = if cfg!(debug_assertions) { 8.0 } else { 16.0 };
 #[test]
 fn populate_costs_a_few_cow_forks_and_grows_by_pages() {
     let _alone = alone();
-    let (small, _) = unpopulated(1024, CostModel::default()).least_populate_and_fork_times(1024);
-    let (populate, fork) = unpopulated(16_384, CostModel::default()).least_populate_and_fork_times(16_384);
+    let mut small = unpopulated(1024, CostModel::default());
+    let mut large = unpopulated(16_384, CostModel::default());
+    // The fork is of what the round's populate built, and the parent's
+    // second: its first, which write-protects it, is not timed.
+    let [small, populate, fork] = least_of_25(|arm| match arm {
+        0 => small.time_populate(1024),
+        1 => large.time_populate(16_384),
+        _ => {
+            let mut first = large.fork(ForkMode::Cow);
+            first.destroy(&mut large.phys, &mut large.cycles);
+            large.time_fork(ForkMode::Cow)
+        }
+    });
     let ratio = populate.as_secs_f64() / fork.as_secs_f64();
     let growth = populate.as_secs_f64() / 16.0 / small.as_secs_f64();
     assert!(
