@@ -26,13 +26,6 @@ use fpr_mem::ForkMode;
 pub struct CloneFlags {
     /// Share the address space (`CLONE_VM`).
     pub vm: bool,
-    /// Share the descriptor table (`CLONE_FILES`). The child has the
-    /// parent's descriptors either way, so the model copies the table with
-    /// or without it: cross-process live sharing of the table object is
-    /// the one piece the PCB design does not alias. The flag is accepted
-    /// for fidelity to Linux's flag set and changes nothing but the label
-    /// of the `clone` trace event.
-    pub files: bool,
     /// Share signal dispositions (`CLONE_SIGHAND`; requires `vm`).
     pub sighand: bool,
     /// Create a thread in the same process (`CLONE_THREAD`; requires
@@ -61,7 +54,6 @@ pub enum CloneResult {
 fn flags_label(flags: CloneFlags) -> String {
     let names = [
         (flags.vm, "vm"),
-        (flags.files, "files"),
         (flags.sighand, "sighand"),
         (flags.thread, "thread"),
         (flags.vfork, "vfork"),
@@ -111,8 +103,8 @@ pub(crate) fn clone_process(kernel: &mut Kernel, parent: Pid, flags: CloneFlags)
         // CLONE_VM without CLONE_THREAD: a separate process sharing the
         // address space (vfork-like, optionally with the parent parked).
         // The image description crosses; nothing in the memory is copied.
-        // The descriptor table is copied with or without CLONE_FILES, as
-        // on the fork path below.
+        // The descriptor table is copied, as on the fork path below:
+        // `CLONE_FILES`, which would share it, is not modelled.
         kernel.charge_syscall();
         let (child, ()) = kernel.create_process(parent, |k, child, _| {
             k.copy_fd_table(parent, child)?;
@@ -123,9 +115,7 @@ pub(crate) fn clone_process(kernel: &mut Kernel, parent: Pid, flags: CloneFlags)
         return Ok(child);
     }
     // No VM sharing: plain fork, with CLONE_PT_SHARE deciding the
-    // page-table copy strategy. (CLONE_FILES draws no distinction here:
-    // both semantics are "the child has the parent's descriptors", and
-    // the live sharing Linux adds collapses to the copy in this model.)
+    // page-table copy strategy.
     let calling = kernel.process(parent)?.main_tid();
     let mode = if flags.pt_share {
         ForkMode::OnDemand
@@ -336,7 +326,6 @@ mod tests {
             p,
             CloneFlags {
                 vm: true,
-                files: true,
                 ..Default::default()
             },
         )

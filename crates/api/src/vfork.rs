@@ -17,13 +17,11 @@ use fpr_kernel::{KResult, Kernel, Pid};
 ///
 /// Inherits descriptors (copied table, shared descriptions), signal state
 /// and identity exactly like fork — the only difference is the memory.
-/// Literally `clone(CLONE_VM | CLONE_VFORK | CLONE_FILES)` under its own
-/// span.
+/// Literally `clone(CLONE_VM | CLONE_VFORK)` under its own span.
 pub fn vfork(kernel: &mut Kernel, parent: Pid) -> KResult<Pid> {
     let flags = CloneFlags {
         vm: true,
         vfork: true,
-        files: true,
         ..CloneFlags::default()
     };
     kernel.span_with(

@@ -238,17 +238,7 @@ fn vfork_survives_every_fail_point() {
 
 #[test]
 fn clone_survives_every_fail_point() {
-    sweep_creation("clone(files)", 0x31c1_9ecc_3d7d_938d, |k, p, _| {
-        clone(
-            k,
-            p,
-            CloneFlags {
-                files: true,
-                ..CloneFlags::default()
-            },
-        )
-        .map(|_| ())
-    });
+    sweep_creation("clone", 0x31c1_9ecc_3d7d_938d, |k, p, _| clone(k, p, CloneFlags::default()).map(|_| ()));
 }
 
 #[test]

@@ -177,9 +177,8 @@ fn clone_process(w: &mut World, flags: CloneFlags) -> Pid {
     }
 }
 
-const VM_VFORK_FILES: CloneFlags = CloneFlags {
+const VM_VFORK: CloneFlags = CloneFlags {
     vm: true,
-    files: true,
     sighand: false,
     thread: false,
     vfork: true,
@@ -272,21 +271,13 @@ fn table() -> Vec<Row> {
             ..BORROWER
         },
         Row {
-            api: "clone(vm|vfork|files)",
-            create: |w| clone_process(w, VM_VFORK_FILES),
+            api: "clone(vm|vfork)",
+            create: |w| clone_process(w, VM_VFORK),
             ..BORROWER
         },
         Row {
-            api: "clone(files)",
-            create: |w| {
-                clone_process(
-                    w,
-                    CloneFlags {
-                        files: true,
-                        ..CloneFlags::default()
-                    },
-                )
-            },
+            api: "clone",
+            create: |w| clone_process(w, CloneFlags::default()),
             ..FORK_FAMILY
         },
         Row {
@@ -459,15 +450,15 @@ fn every_api_hands_over_exactly_its_row() {
     );
 }
 
-/// `vfork()` is `clone(vm|vfork|files)` under another span: from
+/// `vfork()` is `clone(vm|vfork)` under another span: from
 /// identical worlds the two observe equal, down to PIDs and the parent
 /// they leave behind.
 #[test]
-fn vfork_is_clone_vm_vfork_files() {
+fn vfork_is_clone_vm_vfork() {
     let mut a = world();
     let mut b = world();
     let va = vfork(&mut a.k, a.parent).unwrap();
-    let vb = clone_process(&mut b, VM_VFORK_FILES);
+    let vb = clone_process(&mut b, VM_VFORK);
     assert_eq!(va, vb);
     assert_eq!(a.k.observe().diff(&b.k.observe()), Vec::<String>::new());
 }

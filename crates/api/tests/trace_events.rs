@@ -106,17 +106,7 @@ fn vfork_crossings_all_traced() {
 
 #[test]
 fn clone_crossings_all_traced() {
-    assert_crossings_mirrored("clone(files)", |k, p, _| {
-        clone(
-            k,
-            p,
-            CloneFlags {
-                files: true,
-                ..CloneFlags::default()
-            },
-        )
-        .map(|_| ())
-    });
+    assert_crossings_mirrored("clone", |k, p, _| clone(k, p, CloneFlags::default()).map(|_| ()));
 }
 
 #[test]
@@ -250,7 +240,6 @@ fn spans_balanced_under_random_workloads() {
                                 &mut k,
                                 p,
                                 CloneFlags {
-                                    files: true,
                                     pt_share: rng.gen_u64().is_multiple_of(2),
                                     ..CloneFlags::default()
                                 },

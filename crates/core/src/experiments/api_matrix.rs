@@ -19,8 +19,7 @@
 //! in its parent's, where the worker is parked holding it), "stdio
 //! composes" is E6's console count (every buffered byte written exactly
 //! once — a borrower's exit flushes the parent's buffers through its own
-//! descriptors, a copy of the parent's table with or without
-//! `CLONE_FILES`; clone's request asks for it only to be vfork's flags),
+//! descriptors, a copy of the parent's table),
 //! "fresh ASLR" is E8's shared
 //! layout bits, and "flat cost" holds creation from a 4 096-page parent to
 //! under twice its cycles from a 64-page one. "clean errors" asks for a
@@ -97,9 +96,9 @@ fn spawned(api: &str, actions: Vec<FileAction>, attrs: SpawnAttrs, build: Option
 }
 
 /// The clone that is vfork: it borrows its parent's space, copies its
-/// descriptors and parks it (`CLONE_VM | CLONE_VFORK | CLONE_FILES`).
+/// descriptors and parks it (`CLONE_VM | CLONE_VFORK`).
 fn borrowing_clone(api: &str) -> Option<Ask> {
-    let flags = CloneFlags { vm: true, vfork: true, files: true, ..CloneFlags::default() };
+    let flags = CloneFlags { vm: true, vfork: true, ..CloneFlags::default() };
     (api == "clone").then(|| Ask { flags, ..Ask::default() })
 }
 

@@ -123,9 +123,9 @@ fn a_borrowers_exec_or_exit_leaves_the_lenders_tables_as_they_were() {
     }
 }
 
-/// `clone(CLONE_VM | CLONE_FILES)` from `lender`, which goes on running:
+/// `clone(CLONE_VM)` from `lender`, which goes on running:
 /// the kernel's creation steps as `fpr-api`'s clone takes them.
-fn clone_vm_files(k: &mut Kernel, lender: Pid) -> Pid {
+fn clone_vm(k: &mut Kernel, lender: Pid) -> Pid {
     let (child, ()) = k
         .create_process(lender, |k, child, _| {
             k.copy_fd_table(lender, child)?;
@@ -147,7 +147,7 @@ fn a_borrower_acts_on_the_lenders_tables() {
         let (mut os, lender, _, lock) = lender_world();
         let child = match park {
             true => os.vfork(lender).unwrap(),
-            false => clone_vm_files(&mut os.kernel, lender),
+            false => clone_vm(&mut os.kernel, lender),
         };
         let k = &mut os.kernel;
         let main = k.process(child).unwrap().main_tid();
@@ -177,7 +177,7 @@ fn a_borrower_acts_on_the_lenders_tables() {
 #[test]
 fn a_lock_shared_with_a_running_borrower_blocks_and_wakes_across_them() {
     let (mut os, lender, worker, lock) = lender_world();
-    let child = clone_vm_files(&mut os.kernel, lender);
+    let child = clone_vm(&mut os.kernel, lender);
     let k = &mut os.kernel;
     let state = |k: &Kernel, pid: Pid| k.process(pid).unwrap().threads[0].state;
     let (main, lender_main) = (k.process(child).unwrap().main_tid(), k.process(lender).unwrap().main_tid());
