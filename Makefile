@@ -77,7 +77,7 @@ doclinks:
 # that folds the frame and demand-fill counters too, for `populate` over
 # the holes of that space and over a file mapping, so that populate may go
 # a node's run at a time but not move a fail point; fork_shape, in
-# release, holds a 16 384-page populate within 16 fork(Cow)s of what it
+# release, holds a 16 384-page populate within 32 fork(Cow)s of what it
 # built and no dearer per page than at 1 024 pages, counts a FrameAlloc
 # then a PtNodeAlloc crossing and a frame's charges per page, and holds the
 # teardown of a COW child that wrote 256 of 4 096 pages one in 16 within 2x
@@ -94,7 +94,7 @@ doclinks:
 # for message, on seeded fork trees, THP, swap entries in shared nodes,
 # image-cache pins, zombies and a vfork borrower, clean and with one
 # corruption each; invariants_shape, in release, holds the check of a
-# 16 384-page parent within 16 fork(Cow)s of it and no dearer per entry
+# 16 384-page parent within 24 fork(Cow)s of it and no dearer per entry
 # than at 1 024 pages.
 leakcheck:
 	$(CARGO) test -q -p fpr-api --test faultsweep
