@@ -18,7 +18,9 @@
 //! returns and what the table then shows are compared. Guards make sure
 //! the runs between them wrap past `max_pids`, reuse a freed PID, refuse a
 //! create at a full table, reparent a child to init and reap with
-//! `waitpid(None)` while several zombies wait.
+//! `waitpid(None)` while several zombies wait. At the end of each script
+//! every process exits, and then nothing may stay held: no frame, page of
+//! commit charge, pipe or open file description.
 
 use forkroad_core::kit::{machine_for, world_seeded, CreationPath};
 use forkroad_core::os::Os;
@@ -232,6 +234,16 @@ fn run(seed: u64, reap_weight: u64, seen: &mut Seen) {
         assert_eq!(observed(&os), model.procs, "{ctx}: the table");
     }
     os.kernel.check_invariants().unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+    // Everything exits and init reaps it, then exits last: every frame,
+    // page of commit charge, pipe and open file description comes back.
+    for pid in model.live().into_iter().filter(|p| *p != INIT) {
+        os.kernel.exit(pid, 0).expect("a live process exits");
+    }
+    while let Ok(Some(_)) = os.kernel.waitpid(INIT, None) {}
+    os.kernel.exit(INIT, 0).expect("init exits last");
+    let k = &os.kernel;
+    let held = (k.phys.used_frames(), k.commit.committed(), k.pipes.live(), k.ofds.live());
+    assert_eq!(held, (0, 0, 0, 0), "seed {seed}: frames, commit, pipes, descriptions held after every exit");
 }
 
 #[test]

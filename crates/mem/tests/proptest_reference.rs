@@ -36,7 +36,9 @@
 //! `AsStats` deltas `vmas_cloned`, `ptes_copied`, `pt_subtrees_shared` and
 //! `pages_eager_copied`, the child's page-table nodes and the parent
 //! entries the fork write-protected (the TLB term) must equal what the rule
-//! says, in every mode, with THP off and on.
+//! says, in every mode, with THP off and on; and the fork must take a frame
+//! for each page it copies and no other, so that a copy-on-write and an
+//! on-demand fork of one parent use the same frames.
 //!
 //! `slide` moves a whole *mapping* — what one `mmap` made, cut wherever a
 //! later `munmap`, `mprotect` or `madvise` range began or ended inside it —
@@ -935,6 +937,7 @@ impl World {
             Op::Fork { mode } if live < MAX_PROCS => {
                 seen.leaves_of(sim);
                 let (copied_before, stats_before, rule) = (sim.stats.ptes_copied, sim.stats.clone(), ForkRule::of(sim));
+                let frames_before = phys.used_frames();
                 let (forked, refused) = under(fault, op, sim, ctx, |sim| AddressSpace::fork_from(sim, mode, phys, cycles, tlb, 1));
                 if let Some(site) = refused {
                     seen.refused_fork(sim, mode, site, sim.stats.ptes_copied - copied_before);
@@ -946,6 +949,9 @@ impl World {
                 let (rule_says, dirs) = rule.counts(mode, split);
                 let counted = fork_counts(&rule, &stats_before, sim, &child);
                 assert_eq!(counted, rule_says, "{ctx}: the fork counted (left) what the rule (right) does not");
+                // So a copy-on-write and an on-demand fork of one parent use
+                // the same frames: none.
+                assert_eq!(phys.used_frames() - frames_before, counted.pages_eager_copied, "{ctx}: a fork takes a frame per page it copies, and no other");
                 seen.forks_counted += 1;
                 seen.forks_over_directories += u64::from(dirs > 0);
                 seen.forks_demoting_blocks += u64::from(!rule.mixed_blocks().is_empty());
