@@ -14,8 +14,9 @@
 //! After every step the PID each create returned, `Kernel::pids()`,
 //! `process_count()`, every process's parent, children (in order) and
 //! zombie status, and the verdict of every `kill` and `waitpid` must
-//! agree. The model is never read from the kernel; only what a step
-//! returns and what the table then shows are compared. Guards make sure
+//! agree, and so must the live processes the kernel books to uid 0. The
+//! model is never read from the kernel; only what a step returns and what
+//! the table then shows are compared. Guards make sure
 //! the runs between them wrap past `max_pids`, reuse a freed PID, refuse a
 //! create at a full table, reparent a child to init and reap with
 //! `waitpid(None)` while several zombies wait. At the end of each script
@@ -232,6 +233,7 @@ fn run(seed: u64, reap_weight: u64, seen: &mut Seen) {
         assert_eq!(os.kernel.pids(), model.procs.keys().copied().collect::<Vec<_>>(), "{ctx}: pids");
         assert_eq!(os.kernel.process_count(), model.procs.len(), "{ctx}: process count");
         assert_eq!(observed(&os), model.procs, "{ctx}: the table");
+        assert_eq!(os.kernel.nproc_of(0), model.live().len() as u64, "{ctx}: uid 0's live processes");
     }
     os.kernel.check_invariants().unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
     // Everything exits and init reaps it, then exits last: every frame,
